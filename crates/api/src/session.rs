@@ -190,12 +190,10 @@ impl SessionBuilder {
     }
 
     /// Supervision policy for connected sessions: failure detection,
-    /// checkpoint cadence, and straggler speculation. Accepts a
-    /// [`SupervisionPolicy`] or the legacy
-    /// [`exdra_core::supervision::SupervisorConfig`]. The default is
+    /// checkpoint cadence, and straggler speculation. The default is
     /// `SupervisionPolicy::default()` (supervision on, 1s checkpoints).
-    pub fn supervision(mut self, policy: impl Into<SupervisionPolicy>) -> Self {
-        self.supervision = Some(policy.into());
+    pub fn supervision(mut self, policy: SupervisionPolicy) -> Self {
+        self.supervision = Some(policy);
         self
     }
 
@@ -229,8 +227,8 @@ impl SessionBuilder {
     /// `1 + N/window` round trips instead of `N`. Replies are matched to
     /// requests by correlation ID, and the worker still serializes
     /// requests that touch the same variable, so results are bitwise
-    /// identical at every window size. `exdra_net::transport::DEFAULT_WINDOW`
-    /// (8) is a good starting point; see DESIGN.md §4g.
+    /// identical at every window size. 8 is a good starting point; see
+    /// DESIGN.md §4g.
     pub fn rpc_window(mut self, n: usize) -> Self {
         self.rpc_window = Some(n);
         self
@@ -447,6 +445,7 @@ impl Session {
             if wall > threshold {
                 exdra_obs::recorder::incident(
                     "slow_query",
+                    self.ctx.as_ref().map_or(0, |ctx| ctx.namespace()),
                     &format!(
                         "plan {:#018x} took {}ms (threshold {}ms)",
                         plan.lineage_hash(),

@@ -19,7 +19,7 @@ use std::time::{Duration, Instant};
 use exdra_core::error::{FedError, Result};
 use exdra_core::lineage::CachedEntry;
 use exdra_net::codec::Wire;
-use exdra_net::transport::{Channel, SendHalf, SplitResult, TcpChannel};
+use exdra_net::transport::{Channel, Duplex, RecvHalf, SendHalf, TcpChannel};
 
 use crate::wire::{ClientFrame, ServerFrame, ATTACH_MAGIC, ATTACH_VERSION};
 
@@ -100,7 +100,7 @@ impl Shared {
             .expect("detach lock");
     }
 
-    fn run_reader(&self, mut rx: Box<dyn exdra_net::transport::RecvHalf>) {
+    fn run_reader(&self, mut rx: Box<dyn RecvHalf>) {
         while let Ok(raw) = rx.recv() {
             let Ok(frame) = ServerFrame::from_bytes(&raw) else {
                 break;
@@ -192,12 +192,7 @@ impl AttachedClient {
                 )))
             }
         };
-        let (tx, rx) = match Box::new(ch).split() {
-            SplitResult::Split(tx, rx) => (tx, rx),
-            SplitResult::Whole(_) => {
-                return Err(FedError::Protocol("attach channel must split".into()))
-            }
-        };
+        let (tx, rx) = Box::new(ch).split();
         let shared = Arc::new(Shared {
             tx: Arc::new(Mutex::new(tx)),
             inboxes: (0..n_workers).map(|_| Inbox::new()).collect(),
@@ -229,11 +224,17 @@ impl AttachedClient {
     pub fn tunnels(self: &Arc<Self>) -> Vec<Box<dyn Channel>> {
         (0..self.shared.inboxes.len())
             .map(|w| {
-                Box::new(TunnelChannel {
-                    worker: w as u32,
-                    tx: Arc::clone(&self.shared.tx),
-                    inbox: Arc::clone(&self.shared.inboxes[w]),
-                }) as Box<dyn Channel>
+                let inbox = &self.shared.inboxes[w];
+                Box::new(Duplex::from_halves(
+                    TunnelSendHalf {
+                        worker: w as u32,
+                        tx: Arc::clone(&self.shared.tx),
+                        inbox: Arc::clone(inbox),
+                    },
+                    TunnelRecvHalf {
+                        inbox: Arc::clone(inbox),
+                    },
+                )) as Box<dyn Channel>
             })
             .collect()
     }
@@ -332,28 +333,36 @@ impl Drop for AttachedClient {
 /// worker's inbox. While the server reports the worker down, both fail
 /// fast with `BrokenPipe` so the context's retry/recovery machinery
 /// engages exactly as for a direct connection collapse.
-pub struct TunnelChannel {
+pub type TunnelChannel = Duplex<TunnelSendHalf, TunnelRecvHalf>;
+
+/// Why a tunnel cannot carry traffic right now, if it cannot.
+fn unavailable(st: &InboxState) -> Option<io::Error> {
+    if st.closed {
+        Some(io::Error::new(
+            io::ErrorKind::UnexpectedEof,
+            "attach connection closed",
+        ))
+    } else if st.down {
+        Some(io::Error::new(
+            io::ErrorKind::BrokenPipe,
+            "worker down (server notification)",
+        ))
+    } else {
+        None
+    }
+}
+
+/// Send side of a [`TunnelChannel`].
+pub struct TunnelSendHalf {
     worker: u32,
     tx: SharedTx,
     inbox: Arc<Inbox>,
 }
 
-impl Channel for TunnelChannel {
+impl SendHalf for TunnelSendHalf {
     fn send(&mut self, payload: &[u8]) -> io::Result<()> {
-        {
-            let st = self.inbox.state.lock().expect("inbox lock");
-            if st.closed {
-                return Err(io::Error::new(
-                    io::ErrorKind::UnexpectedEof,
-                    "attach connection closed",
-                ));
-            }
-            if st.down {
-                return Err(io::Error::new(
-                    io::ErrorKind::BrokenPipe,
-                    "worker down (server notification)",
-                ));
-            }
+        if let Some(e) = unavailable(&self.inbox.state.lock().expect("inbox lock")) {
+            return Err(e);
         }
         self.tx.lock().expect("attach socket lock").send(
             &ClientFrame::Data {
@@ -363,73 +372,22 @@ impl Channel for TunnelChannel {
             .to_bytes(),
         )
     }
+}
 
+/// Receive side of a [`TunnelChannel`].
+pub struct TunnelRecvHalf {
+    inbox: Arc<Inbox>,
+}
+
+impl RecvHalf for TunnelRecvHalf {
     fn recv(&mut self) -> io::Result<Vec<u8>> {
         let mut st = self.inbox.state.lock().expect("inbox lock");
         loop {
             if let Some(frame) = st.frames.pop_front() {
                 return Ok(frame);
             }
-            if st.closed {
-                return Err(io::Error::new(
-                    io::ErrorKind::UnexpectedEof,
-                    "attach connection closed",
-                ));
-            }
-            if st.down {
-                return Err(io::Error::new(
-                    io::ErrorKind::BrokenPipe,
-                    "worker down (server notification)",
-                ));
-            }
-            st = self.inbox.cond.wait(st).expect("inbox lock");
-        }
-    }
-
-    fn split(self: Box<Self>) -> SplitResult {
-        let tx_half = TunnelSendHalf {
-            worker: self.worker,
-            tx: Arc::clone(&self.tx),
-            inbox: Arc::clone(&self.inbox),
-        };
-        let rx_half = TunnelRecvHalf { inbox: self.inbox };
-        SplitResult::Split(Box::new(tx_half), Box::new(rx_half))
-    }
-}
-
-struct TunnelSendHalf {
-    worker: u32,
-    tx: SharedTx,
-    inbox: Arc<Inbox>,
-}
-
-impl SendHalf for TunnelSendHalf {
-    fn send(&mut self, payload: &[u8]) -> io::Result<()> {
-        let mut ch = TunnelChannel {
-            worker: self.worker,
-            tx: Arc::clone(&self.tx),
-            inbox: Arc::clone(&self.inbox),
-        };
-        ch.send(payload)
-    }
-}
-
-struct TunnelRecvHalf {
-    inbox: Arc<Inbox>,
-}
-
-impl exdra_net::transport::RecvHalf for TunnelRecvHalf {
-    fn recv(&mut self) -> io::Result<Vec<u8>> {
-        let mut st = self.inbox.state.lock().expect("inbox lock");
-        loop {
-            if let Some(frame) = st.frames.pop_front() {
-                return Ok(frame);
-            }
-            if st.closed || st.down {
-                return Err(io::Error::new(
-                    io::ErrorKind::BrokenPipe,
-                    "attach tunnel unavailable",
-                ));
+            if let Some(e) = unavailable(&st) {
+                return Err(e);
             }
             st = self.inbox.cond.wait(st).expect("inbox lock");
         }

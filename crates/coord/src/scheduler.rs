@@ -248,6 +248,11 @@ mod tests {
         s.acquire(2, 2);
         assert_eq!(done.load(Ordering::SeqCst), 0);
         s.release(2, 2);
+        // Release only once the heavy acquisition is queued, so it is
+        // known to have waited rather than raced past the freed cap.
+        while s.waits() < 1 {
+            std::thread::yield_now();
+        }
         s.release(1, 2); // frees tenant 1's cap; heavy proceeds
         heavy.join().unwrap();
         assert_eq!(done.load(Ordering::SeqCst), 1);

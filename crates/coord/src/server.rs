@@ -19,7 +19,7 @@ use parking_lot::Mutex;
 use exdra_core::error::{FedError, Result};
 use exdra_core::lineage::CachedEntry;
 use exdra_net::codec::Wire;
-use exdra_net::transport::{Channel, SendHalf, SplitResult, TcpServer};
+use exdra_net::transport::{Channel, RecvHalf, SendHalf, TcpServer};
 
 use crate::service::CoordService;
 use crate::wire::{ClientFrame, ServerFrame, ATTACH_MAGIC, ATTACH_VERSION};
@@ -114,7 +114,7 @@ fn spawn_pump(
     service: &Arc<CoordService>,
     ns: u64,
     worker: u32,
-    mut rx: Box<dyn exdra_net::transport::RecvHalf>,
+    mut rx: Box<dyn RecvHalf>,
     client_tx: SharedTx,
     outstanding: Arc<AtomicU64>,
 ) {
@@ -156,38 +156,24 @@ fn install_link(
     client_tx: &SharedTx,
 ) -> WorkerLink {
     let outstanding = Arc::new(AtomicU64::new(0));
-    match channel.split() {
-        SplitResult::Split(tx, rx) => {
-            spawn_pump(
-                service,
-                ns,
-                worker,
-                rx,
-                Arc::clone(client_tx),
-                Arc::clone(&outstanding),
-            );
-            WorkerLink {
-                tx: Mutex::new(Some(tx)),
-                outstanding,
-            }
-        }
-        SplitResult::Whole(_) => {
-            // Every production transport splits; an unsplittable channel
-            // cannot pipeline, so treat it as immediately down.
-            let _ = send_frame(client_tx, &ServerFrame::WorkerDown { worker });
-            WorkerLink {
-                tx: Mutex::new(None),
-                outstanding,
-            }
-        }
+    let (tx, rx) = channel.split();
+    spawn_pump(
+        service,
+        ns,
+        worker,
+        rx,
+        Arc::clone(client_tx),
+        Arc::clone(&outstanding),
+    );
+    WorkerLink {
+        tx: Mutex::new(Some(tx)),
+        outstanding,
     }
 }
 
 fn serve_client(service: Arc<CoordService>, channel: Box<dyn Channel>) {
-    let (client_tx, mut client_rx) = match channel.split() {
-        SplitResult::Split(tx, rx) => (Arc::new(Mutex::new(tx)), rx),
-        SplitResult::Whole(_) => return,
-    };
+    let (client_tx, mut client_rx) = channel.split();
+    let client_tx = Arc::new(Mutex::new(client_tx));
 
     // Handshake.
     let Ok(first) = client_rx.recv() else { return };

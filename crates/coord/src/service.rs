@@ -255,6 +255,7 @@ impl CoordService {
             if obs::recorder::enabled() {
                 obs::recorder::incident(
                     "session_rejected",
+                    0,
                     &format!(
                         "admission queue full: {} active / {} max, {} waiting",
                         st.active, self.config.max_sessions, st.waiting

@@ -25,7 +25,6 @@ struct Args {
     cache_mb: usize,
     reuse: bool,
     compact_secs: Option<u64>,
-    pipelined: bool,
     http: Option<String>,
     metrics: bool,
 }
@@ -38,7 +37,6 @@ fn parse_args() -> Result<Args, String> {
         cache_mb: 256,
         reuse: true,
         compact_secs: None,
-        pipelined: true,
         http: None,
         metrics: true,
     };
@@ -60,7 +58,6 @@ fn parse_args() -> Result<Args, String> {
                 args.cache_mb = value()?.parse().map_err(|e| format!("--cache-mb: {e}"))?
             }
             "--no-reuse" => args.reuse = false,
-            "--no-pipeline" => args.pipelined = false,
             "--http" => args.http = Some(value()?),
             "--no-metrics" => args.metrics = false,
             "--compact-secs" => {
@@ -78,7 +75,6 @@ fn parse_args() -> Result<Args, String> {
                      --key PASSPHRASE    enable encrypted channels\n\
                      --cache-mb N        lineage reuse cache budget (default 256)\n\
                      --no-reuse          disable lineage-based reuse\n\
-                     --no-pipeline       serve connections strictly lock-step\n\
                      --compact-secs N    background compression sweep period\n\
                      --http ADDR         /healthz + /metrics observability endpoint\n\
                      --no-metrics        leave runtime instrumentation disabled\n\
@@ -109,7 +105,6 @@ fn main() {
         compact_idle: Duration::from_secs(30),
         compact_period: args.compact_secs.map(Duration::from_secs),
         channel_key: args.key,
-        pipelined: args.pipelined,
     });
     let addr = match worker.serve_tcp(&args.listen) {
         Ok(a) => a,

@@ -365,7 +365,8 @@ impl FedContext {
         }
     }
 
-    /// Sends one request sequence to one worker and returns its responses.
+    /// Sends one request sequence to one worker as a single envelope and
+    /// returns its responses.
     ///
     /// Pending garbage-collection `rmvar`s for the worker (queued by
     /// dropped federated handles) are piggybacked onto the batch and their
@@ -377,116 +378,7 @@ impl FedContext {
     /// failure that survives the whole retry budget returns
     /// [`RuntimeError::WorkerDead`].
     pub fn call(&self, worker: usize, batch: &[Request]) -> Result<Vec<Response>> {
-        let conn = self
-            .workers
-            .get(worker)
-            .ok_or_else(|| RuntimeError::Invalid(format!("no worker {worker}")))?;
-        let garbage = self.take_garbage_ids(worker);
-        let mut full: Vec<Request> = Vec::with_capacity(batch.len() + 1);
-        if !garbage.is_empty() {
-            full.push(Request::ExecInst {
-                inst: crate::instruction::Instruction::Rmvar { ids: garbage },
-            });
-        }
-        let prepended = !full.is_empty();
-        full.extend_from_slice(batch);
-
-        // Observability: one span per RPC, its context stamped onto the
-        // envelope so worker-side spans join the same trace. Everything
-        // (clock reads, metric-name formatting) is gated on the single
-        // `enabled` flag; disabled runs take the exact pre-obs path.
-        let obs_on = exdra_obs::enabled();
-        let mut span = exdra_obs::span(SpanKind::Rpc, "rpc.call");
-        if span.is_active() {
-            span.attr("worker", worker);
-            span.attr("requests", full.len());
-            span.attr("kinds", request_kinds(&full));
-        }
-        let envelope = RpcEnvelope {
-            trace: span.context().into(),
-            requests: full,
-        };
-
-        let t_enc = obs_on.then(Instant::now);
-        let bytes = envelope.to_bytes();
-        let mut serde_nanos = t_enc.map_or(0, |t| t.elapsed().as_nanos() as u64);
-
-        let t_gate = obs_on.then(Instant::now);
-        let _credit = GateGuard::acquire(self.gate(), worker, envelope.requests.len() as u64);
-        let gate_wait_nanos = t_gate.map_or(0, |t| t.elapsed().as_nanos() as u64);
-        let policy = self.fault_policy();
-        let deadline = Deadline::after(policy.rpc_deadline);
-        let mut net_nanos = 0u64;
-        let mut retries = 0u64;
-        let frame = policy
-            .retry
-            .run(
-                deadline,
-                |attempt| {
-                    if attempt > 0 {
-                        retries += 1;
-                        self.stats.record_retry();
-                        // A failed attempt may have left a half-written
-                        // frame on the wire: re-establish the channel
-                        // before resending when we know the endpoint.
-                        if conn.endpoint.is_some() {
-                            let _ = self.reconnect(worker);
-                        }
-                    }
-                    let mut ch = conn.channel.lock();
-                    let t_net = obs_on.then(Instant::now);
-                    let r = ch.send(&bytes).and_then(|()| ch.recv());
-                    if let Some(t) = t_net {
-                        net_nanos += t.elapsed().as_nanos() as u64;
-                    }
-                    r
-                },
-                classify_io,
-            )
-            .map_err(|e| rpc_failure(worker, &e))?;
-
-        let t_dec = obs_on.then(Instant::now);
-        let reply = RpcReply::from_bytes(&frame)?;
-        if let Some(t) = t_dec {
-            serde_nanos += t.elapsed().as_nanos() as u64;
-        }
-        let RpcReply {
-            mut responses,
-            footer,
-        } = reply;
-        if responses.len() != envelope.requests.len() {
-            return Err(RuntimeError::Protocol(format!(
-                "worker {worker}: {} responses for {} requests",
-                responses.len(),
-                envelope.requests.len()
-            )));
-        }
-        if span.is_active() {
-            span.attr("bytes_sent", bytes.len());
-            span.attr("bytes_recv", frame.len());
-            span.attr("net_nanos", net_nanos);
-            span.attr("exec_nanos", footer.exec_nanos);
-            span.attr("serde_nanos", serde_nanos);
-            span.attr("gate_wait_nanos", gate_wait_nanos);
-            span.attr("retries", retries);
-        }
-        if obs_on {
-            exdra_obs::global().record("rpc.gate_wait", gate_wait_nanos);
-            record_rpc_metrics(RpcMetrics {
-                worker,
-                requests: envelope.requests.len() as u64,
-                bytes_sent: bytes.len() as u64,
-                bytes_recv: frame.len() as u64,
-                net_nanos,
-                exec_nanos: footer.exec_nanos,
-                serde_nanos,
-                retries,
-            });
-        }
-        if prepended {
-            responses.remove(0); // the rmvar ack (rmvar cannot fail)
-        }
-        Ok(responses)
+        self.exchange(worker, batch, None)
     }
 
     /// The active RPC pipelining window (see
@@ -513,74 +405,103 @@ impl FedContext {
     /// footprints conflict, so per-variable ordering matches the
     /// lock-step path exactly.
     ///
-    /// Fault behavior matches [`FedContext::call`]: the whole stream runs
-    /// under the context's [`FaultPolicy`] — on a transient transport
-    /// failure the coordinator reconnects (when it knows the endpoint)
-    /// and re-streams the batch; exhausting the budget drains the window
-    /// into the typed failure ([`RuntimeError::WorkerDead`] for
-    /// connection collapse), so supervision and checkpoint recovery fire
-    /// exactly as they would for a lock-step RPC. Re-streams always start
-    /// on a fresh connection, so stale replies from a failed attempt can
-    /// never alias into the new window.
+    /// Garbage piggy-backing and fault behavior are [`FedContext::call`]'s
+    /// (both run the same exchange): on a transient transport failure the
+    /// coordinator reconnects (when it knows the endpoint) and re-streams
+    /// the batch; exhausting the budget drains the window into the typed
+    /// failure ([`RuntimeError::WorkerDead`] for connection collapse), so
+    /// supervision and checkpoint recovery fire exactly as they would for
+    /// a lock-step RPC. Re-streams always start on a fresh connection, so
+    /// stale replies from a failed attempt can never alias into the new
+    /// window.
     pub fn call_streamed(
         &self,
         worker: usize,
         batch: &[Request],
         window: usize,
     ) -> Result<Vec<Response>> {
-        let window = window.max(1);
+        self.exchange(worker, batch, Some(window.max(1)))
+    }
+
+    /// The one RPC exchange behind [`FedContext::call`] (`window` =
+    /// `None`: the whole batch in one untagged envelope) and
+    /// [`FedContext::call_streamed`] (`Some(w)`: one tagged envelope per
+    /// request, `w` in flight).
+    fn exchange(
+        &self,
+        worker: usize,
+        batch: &[Request],
+        window: Option<usize>,
+    ) -> Result<Vec<Response>> {
         let conn = self
             .workers
             .get(worker)
             .ok_or_else(|| RuntimeError::Invalid(format!("no worker {worker}")))?;
+        // Pending garbage leads the batch; its ack is stripped below.
         let garbage = self.take_garbage_ids(worker);
+        let mut full: Vec<Request> = Vec::with_capacity(batch.len() + 1);
+        if !garbage.is_empty() {
+            full.push(Request::ExecInst {
+                inst: crate::instruction::Instruction::Rmvar { ids: garbage },
+            });
+        }
+        let prepended = full.len();
+        full.extend_from_slice(batch);
+        let requests = full.len() as u64;
 
+        // Observability: one span per RPC, its context stamped onto every
+        // envelope so worker-side spans join the same trace. Everything
+        // (clock reads, metric-name formatting) is gated on the single
+        // `enabled` flag; disabled runs take the exact pre-obs path.
         let obs_on = exdra_obs::enabled();
-        let mut span = exdra_obs::span(SpanKind::Rpc, "rpc.stream");
+        let name = if window.is_some() {
+            "rpc.stream"
+        } else {
+            "rpc.call"
+        };
+        let mut span = exdra_obs::span(SpanKind::Rpc, name);
         if span.is_active() {
             span.attr("worker", worker);
-            span.attr("requests", batch.len());
-            span.attr("window", window);
-            span.attr("kinds", request_kinds(batch));
+            span.attr("requests", requests);
+            span.attr("kinds", request_kinds(&full));
+            if let Some(w) = window {
+                span.attr("window", w);
+            }
         }
         let trace = span.context().into();
 
-        // One frame per request; pending garbage rides as its own leading
-        // envelope whose reply is stripped below.
-        let skip = usize::from(!garbage.is_empty());
-        let mut frames: Vec<Vec<u8>> = Vec::with_capacity(batch.len() + skip);
-        if !garbage.is_empty() {
-            frames.push(
-                RpcEnvelope {
-                    trace,
-                    requests: vec![Request::ExecInst {
-                        inst: crate::instruction::Instruction::Rmvar { ids: garbage },
-                    }],
-                }
-                .to_bytes(),
-            );
-        }
         let t_enc = obs_on.then(Instant::now);
-        for req in batch {
-            frames.push(
-                RpcEnvelope {
+        let envelopes: Vec<RpcEnvelope> = match window {
+            None => vec![RpcEnvelope {
+                trace,
+                requests: full,
+            }],
+            Some(_) => full
+                .into_iter()
+                .map(|req| RpcEnvelope {
                     trace,
-                    requests: vec![req.clone()],
-                }
-                .to_bytes(),
-            );
-        }
+                    requests: vec![req],
+                })
+                .collect(),
+        };
+        let frames: Vec<Vec<u8>> = envelopes.iter().map(Wire::to_bytes).collect();
         let mut serde_nanos = t_enc.map_or(0, |t| t.elapsed().as_nanos() as u64);
-        let bytes_sent: u64 = frames.iter().map(|f| f.len() as u64 + 16).sum();
+        // A streamed frame additionally carries the 16-byte correlation tag.
+        let tag_bytes = if window.is_some() { 16 } else { 0 };
+        let bytes_sent: u64 = frames.iter().map(|f| f.len() as u64 + tag_bytes).sum();
 
         let t_gate = obs_on.then(Instant::now);
-        let _credit = GateGuard::acquire(self.gate(), worker, frames.len() as u64);
+        let _credit = GateGuard::acquire(self.gate(), worker, requests);
         let gate_wait_nanos = t_gate.map_or(0, |t| t.elapsed().as_nanos() as u64);
         let policy = self.fault_policy();
         let deadline = Deadline::after(policy.rpc_deadline);
         let mut net_nanos = 0u64;
         let mut retries = 0u64;
-        let stream = policy
+        let StreamOutcome {
+            replies,
+            out_of_order,
+            max_inflight,
+        } = policy
             .retry
             .run(
                 deadline,
@@ -588,13 +509,26 @@ impl FedContext {
                     if attempt > 0 {
                         retries += 1;
                         self.stats.record_retry();
+                        // A failed attempt may have left a half-written
+                        // frame (or stale replies) on the wire:
+                        // re-establish the channel before resending when
+                        // we know the endpoint.
                         if conn.endpoint.is_some() {
                             let _ = self.reconnect(worker);
                         }
                     }
                     let mut ch = conn.channel.lock();
                     let t_net = obs_on.then(Instant::now);
-                    let r = stream_window(&mut ch, &frames, window, &self.stats);
+                    let r = match window {
+                        None => ch.send(&frames[0]).and_then(|()| ch.recv()).map(|reply| {
+                            StreamOutcome {
+                                replies: vec![reply],
+                                out_of_order: 0,
+                                max_inflight: 0,
+                            }
+                        }),
+                        Some(w) => stream_window(&mut **ch, &frames, w, &self.stats),
+                    };
                     if let Some(t) = t_net {
                         net_nanos += t.elapsed().as_nanos() as u64;
                     }
@@ -603,29 +537,23 @@ impl FedContext {
                 classify_io,
             )
             .map_err(|e| rpc_failure(worker, &e))?;
-        let StreamOutcome {
-            mut replies,
-            out_of_order,
-            max_inflight,
-        } = stream;
 
         let t_dec = obs_on.then(Instant::now);
         let mut exec_nanos = 0u64;
         let mut bytes_recv = 0u64;
-        let mut responses = Vec::with_capacity(batch.len());
-        for (i, frame) in replies.drain(..).enumerate() {
+        let mut responses = Vec::with_capacity(requests as usize);
+        for (frame, envelope) in replies.iter().zip(&envelopes) {
             bytes_recv += frame.len() as u64;
-            let reply = RpcReply::from_bytes(&frame)?;
+            let reply = RpcReply::from_bytes(frame)?;
             exec_nanos += reply.footer.exec_nanos;
-            let n = reply.responses.len();
-            if n != 1 {
+            if reply.responses.len() != envelope.requests.len() {
                 return Err(RuntimeError::Protocol(format!(
-                    "worker {worker}: {n} responses for 1 streamed request"
+                    "worker {worker}: {} responses for {} requests",
+                    reply.responses.len(),
+                    envelope.requests.len()
                 )));
             }
-            if i >= skip {
-                responses.extend(reply.responses);
-            }
+            responses.extend(reply.responses);
         }
         if let Some(t) = t_dec {
             serde_nanos += t.elapsed().as_nanos() as u64;
@@ -638,14 +566,17 @@ impl FedContext {
             span.attr("serde_nanos", serde_nanos);
             span.attr("gate_wait_nanos", gate_wait_nanos);
             span.attr("retries", retries);
-            span.attr("out_of_order", out_of_order);
-            span.attr("max_inflight", max_inflight);
+            if window.is_some() {
+                span.attr("out_of_order", out_of_order);
+                span.attr("max_inflight", max_inflight);
+            }
         }
         if obs_on {
-            exdra_obs::global().record("rpc.gate_wait", gate_wait_nanos);
+            let reg = exdra_obs::global();
+            reg.record("rpc.gate_wait", gate_wait_nanos);
             record_rpc_metrics(RpcMetrics {
                 worker,
-                requests: frames.len() as u64,
+                requests,
                 bytes_sent,
                 bytes_recv,
                 net_nanos,
@@ -653,13 +584,15 @@ impl FedContext {
                 serde_nanos,
                 retries,
             });
-            let reg = exdra_obs::global();
-            reg.inc("pipeline.streams");
-            reg.add("pipeline.requests", frames.len() as u64);
-            reg.add("pipeline.ooo", out_of_order);
-            reg.record("rpc.window", window as u64);
-            reg.record("net.inflight", max_inflight);
+            if let Some(w) = window {
+                reg.inc("pipeline.streams");
+                reg.add("pipeline.requests", requests);
+                reg.add("pipeline.ooo", out_of_order);
+                reg.record("rpc.window", w as u64);
+                reg.record("net.inflight", max_inflight);
+            }
         }
+        responses.drain(..prepended); // the rmvar ack (rmvar cannot fail)
         Ok(responses)
     }
 
@@ -802,9 +735,9 @@ impl FedContext {
     }
 }
 
-/// Result of one successful window-streaming attempt.
+/// Result of one successful exchange attempt.
 struct StreamOutcome {
-    /// One raw reply frame per request, in submission order.
+    /// One raw reply frame per envelope, in submission order.
     replies: Vec<Vec<u8>>,
     /// Replies that arrived ahead of an earlier outstanding request.
     out_of_order: u64,
@@ -817,7 +750,7 @@ struct StreamOutcome {
 /// flight, and routes replies by correlation id. Replies with unknown or
 /// duplicate ids are discarded (stale duplicates from a lossy link).
 fn stream_window(
-    ch: &mut Box<dyn Channel>,
+    ch: &mut dyn Channel,
     frames: &[Vec<u8>],
     window: usize,
     stats: &NetStats,

@@ -245,7 +245,7 @@ pub fn split_rows_per_partition(
     y: Option<&exdra_matrix::DenseMatrix>,
     train_frac: f64,
     seed: u64,
-) -> Result<SplitResult> {
+) -> Result<TrainTestSplit> {
     use exdra_matrix::kernels::reorg;
     if !(0.0..=1.0).contains(&train_frac) {
         return Err(RuntimeError::Invalid(format!(
@@ -368,7 +368,7 @@ pub fn split_rows_per_partition(
         x.privacy(),
         true,
     )?;
-    Ok(SplitResult {
+    Ok(TrainTestSplit {
         x_train: train,
         x_test: test,
         y_train,
@@ -377,7 +377,7 @@ pub fn split_rows_per_partition(
 }
 
 /// Output of [`split_rows_per_partition`].
-pub struct SplitResult {
+pub struct TrainTestSplit {
     /// Federated train features.
     pub x_train: FedMatrix,
     /// Federated test features.

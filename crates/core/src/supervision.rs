@@ -47,26 +47,6 @@ use crate::coordinator::FedContext;
 use crate::error::{FedError, Result};
 use crate::protocol::{Request, Response};
 
-/// Legacy supervisor tuning knobs (pre-checkpointing). Still accepted by
-/// [`Supervisor::new`]; converts into a [`SupervisionPolicy`] with
-/// checkpointing and speculation disabled.
-#[derive(Debug, Clone, Copy)]
-pub struct SupervisorConfig {
-    /// Miss thresholds of the failure detector.
-    pub detector: DetectorConfig,
-    /// Background heartbeat period (for [`Supervisor::run`]).
-    pub interval: Duration,
-}
-
-impl Default for SupervisorConfig {
-    fn default() -> Self {
-        Self {
-            detector: DetectorConfig::default(),
-            interval: Duration::from_millis(500),
-        }
-    }
-}
-
 /// Full supervision policy: failure detection, background cadences,
 /// checkpointing, and straggler speculation. This is the user-facing
 /// knob bundle `Session::builder().supervision(..)` accepts.
@@ -92,17 +72,6 @@ impl Default for SupervisionPolicy {
             detector: DetectorConfig::default(),
             heartbeat_interval: Duration::from_millis(500),
             checkpoint_interval: Some(Duration::from_secs(1)),
-            speculation: None,
-        }
-    }
-}
-
-impl From<SupervisorConfig> for SupervisionPolicy {
-    fn from(c: SupervisorConfig) -> Self {
-        Self {
-            detector: c.detector,
-            heartbeat_interval: c.interval,
-            checkpoint_interval: None,
             speculation: None,
         }
     }
@@ -138,10 +107,8 @@ pub struct Supervisor {
 }
 
 impl Supervisor {
-    /// Supervisor over all workers of `ctx`. Accepts either the full
-    /// [`SupervisionPolicy`] or the legacy [`SupervisorConfig`].
-    pub fn new(ctx: Arc<FedContext>, config: impl Into<SupervisionPolicy>) -> Arc<Self> {
-        let policy: SupervisionPolicy = config.into();
+    /// Supervisor over all workers of `ctx`.
+    pub fn new(ctx: Arc<FedContext>, policy: SupervisionPolicy) -> Arc<Self> {
         let n = ctx.num_workers();
         let detector = Arc::new(FailureDetector::new(n, policy.detector));
         let latency = Arc::new(LatencyTracker::new(
@@ -372,6 +339,7 @@ impl Supervisor {
         if exdra_obs::recorder::enabled() {
             exdra_obs::recorder::incident(
                 "worker_death",
+                worker as u64,
                 &format!("worker {worker} found dead; recovery starting"),
             );
         }
@@ -647,6 +615,7 @@ impl Supervisor {
         if exdra_obs::recorder::enabled() {
             exdra_obs::recorder::incident(
                 "deadline_miss",
+                worker as u64,
                 &format!("worker {worker} missed its straggler deadline; speculating on replica {replica}"),
             );
         }
@@ -784,8 +753,14 @@ mod tests {
     #[test]
     fn heartbeats_keep_workers_healthy() {
         let (ctx, _workers) = mem_setup(2);
-        // The legacy config still constructs a supervisor.
-        let sup = Supervisor::new(ctx, SupervisorConfig::default());
+        // Detection only: no checkpointing, no speculation.
+        let sup = Supervisor::new(
+            ctx,
+            SupervisionPolicy {
+                checkpoint_interval: None,
+                ..SupervisionPolicy::default()
+            },
+        );
         for _ in 0..3 {
             let states = sup.heartbeat_once();
             assert_eq!(states, vec![HealthState::Healthy; 2]);

@@ -23,7 +23,7 @@ use exdra_matrix::kernels::reorg;
 use exdra_matrix::{DenseMatrix, Matrix};
 use exdra_net::codec::Wire;
 use exdra_net::framing::{tag_reply, untag_request};
-use exdra_net::transport::{Channel, MemChannel, RecvHalf, SendHalf, SplitResult, TcpServer};
+use exdra_net::transport::{Channel, MemChannel, SendHalf, TcpServer};
 
 use crate::error::{Result, RuntimeError};
 use crate::exec;
@@ -60,12 +60,6 @@ pub struct WorkerConfig {
     /// encrypted (the worker-side counterpart of the coordinator's
     /// encrypted endpoints).
     pub channel_key: Option<exdra_net::crypto::ChannelKey>,
-    /// Whether connections decode ahead and answer correlation-tagged
-    /// requests as they complete (out of order where symbol footprints
-    /// permit). Legacy untagged traffic behaves identically either way,
-    /// so this is on by default; disable to force the serial lock-step
-    /// loop even for tagged traffic.
-    pub pipelined: bool,
 }
 
 impl Default for WorkerConfig {
@@ -77,7 +71,6 @@ impl Default for WorkerConfig {
             compact_idle: Duration::from_secs(30),
             compact_period: None,
             channel_key: None,
-            pipelined: true,
         }
     }
 }
@@ -154,63 +147,21 @@ impl Worker {
     /// [`Worker::shutdown`] is requested (the connection is dropped
     /// without a response, so the peer observes a transport failure).
     ///
-    /// When [`WorkerConfig::pipelined`] is set and the channel splits,
-    /// the worker decodes ahead: correlation-tagged batches execute on
-    /// job threads and reply as they complete, serialized only where
-    /// their symbol footprints ([`Request::touched`]) conflict. Untagged
-    /// (legacy) frames always run strictly in order, byte-for-byte as
-    /// before pipelining existed.
+    /// The worker decodes ahead over the split channel: each
+    /// correlation-tagged batch is checked against the in-flight jobs and
+    /// any predecessor whose symbol footprint ([`Request::touched`])
+    /// conflicts is joined first, so reads and writes of the same symbol
+    /// observe exactly the order the coordinator submitted them, while
+    /// disjoint batches (and footprint-free heartbeats) overtake freely.
+    /// Replies go out under a shared send-half mutex, tagged with their
+    /// correlation id. Untagged (legacy) frames run inline and strictly
+    /// in order, byte-for-byte as before pipelining existed.
     pub fn serve_connection(self: &Arc<Self>, channel: Box<dyn Channel>) {
-        if self.config.pipelined {
-            match channel.split() {
-                SplitResult::Split(tx, rx) => self.serve_split(tx, rx),
-                SplitResult::Whole(w) => self.serve_lockstep(w),
-            }
-        } else {
-            self.serve_lockstep(channel)
-        }
-    }
-
-    /// Serial serving loop: one frame in, one reply out. Understands
-    /// tagged frames (echoing the correlation id back) but never reorders.
-    fn serve_lockstep(self: &Arc<Self>, mut channel: Box<dyn Channel>) {
-        loop {
-            let frame = match channel.recv() {
-                Ok(f) => f,
-                Err(_) => return, // connection closed
-            };
-            if self.shutdown.load(Ordering::SeqCst) {
-                return;
-            }
-            let (corr, body) = match untag_request(&frame) {
-                Some((c, b)) => (Some(c), b.to_vec()),
-                None => (None, frame),
-            };
-            let reply = self.execute_frame(&body);
-            let bytes = reply.to_bytes();
-            let out = match corr {
-                Some(c) => tag_reply(c, &bytes),
-                None => bytes,
-            };
-            if channel.send(&out).is_err() {
-                return;
-            }
-        }
-    }
-
-    /// Decode-ahead serving loop over split channel halves.
-    ///
-    /// Each tagged batch is checked against the in-flight jobs: any
-    /// predecessor whose symbol footprint conflicts is joined first, so
-    /// reads and writes of the same symbol observe exactly the order the
-    /// coordinator submitted them, while disjoint batches (and footprint-
-    /// free heartbeats) overtake freely. Replies go out under a shared
-    /// send-half mutex, tagged with their correlation id.
-    fn serve_split(self: &Arc<Self>, tx: Box<dyn SendHalf>, mut rx: Box<dyn RecvHalf>) {
         struct Job {
             touched: Touched,
             handle: std::thread::JoinHandle<()>,
         }
+        let (tx, mut rx) = channel.split();
         let tx = Arc::new(Mutex::new(tx));
         let send_failed = Arc::new(AtomicBool::new(false));
         let mut jobs: Vec<Job> = Vec::new();
@@ -223,13 +174,7 @@ impl Worker {
                     let env = match RpcEnvelope::from_bytes(body) {
                         Ok(env) => env,
                         Err(e) => {
-                            let reply = RpcReply {
-                                responses: vec![Response::Error(format!(
-                                    "malformed request batch: {e}"
-                                ))],
-                                footer: BatchFooter::default(),
-                            };
-                            if send_tagged(&tx, corr, &reply).is_err() {
+                            if send_tagged(&tx, corr, &malformed_reply(&e)).is_err() {
                                 break;
                             }
                             continue;
@@ -300,10 +245,7 @@ impl Worker {
                 let (responses, footer) = self.handle_batch_traced(env.trace, env.requests);
                 RpcReply { responses, footer }
             }
-            Err(e) => RpcReply {
-                responses: vec![Response::Error(format!("malformed request batch: {e}"))],
-                footer: BatchFooter::default(),
-            },
+            Err(e) => malformed_reply(&e),
         }
     }
 
@@ -989,6 +931,14 @@ impl Worker {
             privacy == PrivacyLevel::Public,
             lin,
         );
+    }
+}
+
+/// The reply to a frame whose envelope does not decode.
+fn malformed_reply(e: &dyn std::fmt::Display) -> RpcReply {
+    RpcReply {
+        responses: vec![Response::Error(format!("malformed request batch: {e}"))],
+        footer: BatchFooter::default(),
     }
 }
 

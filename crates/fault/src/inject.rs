@@ -13,7 +13,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
-use exdra_net::transport::{Channel, RecvHalf, SendHalf, SplitResult};
+use exdra_net::transport::{Channel, Duplex, RecvHalf, SendHalf};
 
 use crate::retry::splitmix64;
 
@@ -91,171 +91,92 @@ impl FaultPlan {
     }
 }
 
-/// Channel wrapper that applies a [`FaultPlan`] to the send path.
+/// Channel layer that applies a [`FaultPlan`] to the send path.
 ///
-/// The kill flag is shared between split halves, so a kill fired on the
+/// The kill flag is shared between the two halves, so a kill fired on the
 /// send path also poisons a receive half running on another thread —
 /// matching a real dead socket, where both directions fail.
-pub struct FaultyChannel<C: Channel> {
-    inner: C,
-    plan: FaultPlan,
-    rng: u64,
-    sent: u64,
-    killed: Arc<AtomicBool>,
-}
+///
+/// A newtype rather than an alias of [`Duplex`] only because an inherent
+/// `new` cannot be added to another crate's type; all channel behaviour
+/// is the pair's.
+pub struct FaultyChannel(Duplex<FaultySendHalf, FaultyRecvHalf>);
 
-impl<C: Channel> FaultyChannel<C> {
+impl FaultyChannel {
     /// Wraps `inner` under `plan`.
-    pub fn new(inner: C, plan: FaultPlan) -> Self {
-        Self {
-            inner,
-            plan,
-            rng: plan.seed,
-            sent: 0,
-            // kill_after == Some(0) means the link is dead on arrival.
-            killed: Arc::new(AtomicBool::new(matches!(plan.kill_after, Some(0)))),
-        }
-    }
-
-    /// Messages offered to the send path so far (including dropped ones).
-    pub fn sent_count(&self) -> u64 {
-        self.sent
-    }
-
-    /// True once the kill threshold has fired.
-    pub fn is_killed(&self) -> bool {
-        self.killed.load(Ordering::SeqCst)
-    }
-
-    /// Unwraps the inner channel.
-    pub fn into_inner(self) -> C {
-        self.inner
+    pub fn new(inner: impl Channel + 'static, plan: FaultPlan) -> Self {
+        let (tx, rx) = Box::new(inner).split();
+        // kill_after == Some(0) means the link is dead on arrival.
+        let killed = Arc::new(AtomicBool::new(matches!(plan.kill_after, Some(0))));
+        Self(Duplex::from_halves(
+            FaultySendHalf {
+                inner: tx,
+                plan,
+                rng: plan.seed,
+                sent: 0,
+                killed: Arc::clone(&killed),
+            },
+            FaultyRecvHalf { inner: rx, killed },
+        ))
     }
 }
 
-fn killed_send_err() -> io::Error {
-    io::Error::new(io::ErrorKind::BrokenPipe, "fault injection: link killed")
-}
-
-fn killed_recv_err() -> io::Error {
-    io::Error::new(
-        io::ErrorKind::ConnectionReset,
-        "fault injection: link killed",
-    )
-}
-
-/// Send-path fault logic shared between the whole channel and its split
-/// send half. Returns `Ok(true)` when the message should be forwarded,
-/// `Ok(false)` when it is silently dropped.
-fn apply_send_faults(
-    plan: &FaultPlan,
-    rng: &mut u64,
-    sent: &mut u64,
-    killed: &AtomicBool,
-) -> io::Result<SendFate> {
-    if killed.load(Ordering::SeqCst) {
-        return Err(killed_send_err());
-    }
-    *sent += 1;
-    if let Some(n) = plan.kill_after {
-        if *sent > n {
-            killed.store(true, Ordering::SeqCst);
-            return Err(killed_send_err());
-        }
-    }
-    let mut draw = || (splitmix64(rng) >> 11) as f64 / (1u64 << 53) as f64;
-    if plan.drop_prob > 0.0 && draw() < plan.drop_prob {
-        // Silently lose the message: the peer never sees it, the
-        // caller sees success — exactly what a lossy link does.
-        return Ok(SendFate::Drop);
-    }
-    if plan.delay_prob > 0.0 && draw() < plan.delay_prob {
-        std::thread::sleep(plan.delay);
-    }
-    let duplicate = plan.duplicate_prob > 0.0 && draw() < plan.duplicate_prob;
-    Ok(if duplicate {
-        SendFate::SendTwice
-    } else {
-        SendFate::Send
-    })
-}
-
-enum SendFate {
-    Drop,
-    Send,
-    SendTwice,
-}
-
-impl<C: Channel + 'static> Channel for FaultyChannel<C> {
+impl Channel for FaultyChannel {
     fn send(&mut self, payload: &[u8]) -> io::Result<()> {
-        match apply_send_faults(&self.plan, &mut self.rng, &mut self.sent, &self.killed)? {
-            SendFate::Drop => Ok(()),
-            SendFate::Send => self.inner.send(payload),
-            SendFate::SendTwice => {
-                self.inner.send(payload)?;
-                self.inner.send(payload)
-            }
-        }
+        self.0.send(payload)
     }
 
     fn recv(&mut self) -> io::Result<Vec<u8>> {
-        if self.is_killed() {
-            return Err(killed_recv_err());
-        }
-        self.inner.recv()
+        self.0.recv()
     }
 
-    fn split(self: Box<Self>) -> SplitResult {
-        let Self {
-            inner,
-            plan,
-            rng,
-            sent,
-            killed,
-        } = *self;
-        match Box::new(inner).split() {
-            SplitResult::Split(s, r) => SplitResult::Split(
-                Box::new(FaultySendHalf {
-                    inner: s,
-                    plan,
-                    rng,
-                    sent,
-                    killed: Arc::clone(&killed),
-                }),
-                Box::new(FaultyRecvHalf { inner: r, killed }),
-            ),
-            SplitResult::Whole(w) => SplitResult::Whole(Box::new(FaultyChannel {
-                inner: w,
-                plan,
-                rng,
-                sent,
-                killed,
-            })),
-        }
+    fn split(self: Box<Self>) -> (Box<dyn SendHalf>, Box<dyn RecvHalf>) {
+        Box::new(self.0).split()
     }
 }
 
+fn killed_err(kind: io::ErrorKind) -> io::Error {
+    io::Error::new(kind, "fault injection: link killed")
+}
+
+/// Send side of a [`FaultyChannel`]: draws the seeded fault stream.
 struct FaultySendHalf {
     inner: Box<dyn SendHalf>,
     plan: FaultPlan,
     rng: u64,
+    /// Messages offered to the send path so far (including dropped ones).
     sent: u64,
     killed: Arc<AtomicBool>,
 }
 
 impl SendHalf for FaultySendHalf {
     fn send(&mut self, payload: &[u8]) -> io::Result<()> {
-        match apply_send_faults(&self.plan, &mut self.rng, &mut self.sent, &self.killed)? {
-            SendFate::Drop => Ok(()),
-            SendFate::Send => self.inner.send(payload),
-            SendFate::SendTwice => {
-                self.inner.send(payload)?;
-                self.inner.send(payload)
-            }
+        if self.killed.load(Ordering::SeqCst) {
+            return Err(killed_err(io::ErrorKind::BrokenPipe));
         }
+        self.sent += 1;
+        if self.plan.kill_after.is_some_and(|n| self.sent > n) {
+            self.killed.store(true, Ordering::SeqCst);
+            return Err(killed_err(io::ErrorKind::BrokenPipe));
+        }
+        let rng = &mut self.rng;
+        let mut draw = || (splitmix64(rng) >> 11) as f64 / (1u64 << 53) as f64;
+        if self.plan.drop_prob > 0.0 && draw() < self.plan.drop_prob {
+            // Silently lose the message: the peer never sees it, the
+            // caller sees success — exactly what a lossy link does.
+            return Ok(());
+        }
+        if self.plan.delay_prob > 0.0 && draw() < self.plan.delay_prob {
+            std::thread::sleep(self.plan.delay);
+        }
+        if self.plan.duplicate_prob > 0.0 && draw() < self.plan.duplicate_prob {
+            self.inner.send(payload)?;
+        }
+        self.inner.send(payload)
     }
 }
 
+/// Receive side of a [`FaultyChannel`]: fails once the link is killed.
 struct FaultyRecvHalf {
     inner: Box<dyn RecvHalf>,
     killed: Arc<AtomicBool>,
@@ -264,7 +185,7 @@ struct FaultyRecvHalf {
 impl RecvHalf for FaultyRecvHalf {
     fn recv(&mut self) -> io::Result<Vec<u8>> {
         if self.killed.load(Ordering::SeqCst) {
-            return Err(killed_recv_err());
+            return Err(killed_err(io::ErrorKind::ConnectionReset));
         }
         self.inner.recv()
     }
@@ -291,7 +212,6 @@ mod tests {
         fa.send(b"2").unwrap();
         let err = fa.send(b"3").unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::BrokenPipe);
-        assert!(fa.is_killed());
         assert!(fa.recv().is_err());
         assert_eq!(b.recv().unwrap(), b"1");
         assert_eq!(b.recv().unwrap(), b"2");
@@ -343,10 +263,7 @@ mod tests {
     fn split_halves_share_the_kill_flag() {
         let (a, mut b) = mem_pair();
         let fa = FaultyChannel::new(a, FaultPlan::kill_after(5, 1));
-        let (mut s, mut r) = match (Box::new(fa) as Box<dyn Channel>).split() {
-            exdra_net::SplitResult::Split(s, r) => (s, r),
-            exdra_net::SplitResult::Whole(_) => panic!("faulty(mem) must split"),
-        };
+        let (mut s, mut r) = Box::new(fa).split();
         s.send(b"ok").unwrap();
         assert_eq!(b.recv().unwrap(), b"ok");
         // The second send trips the kill; the receive half (which could be

@@ -26,10 +26,6 @@ use super::par_floor;
 use crate::dense::DenseMatrix;
 use crate::error::{MatrixError, Result};
 
-/// Cache-blocking tile edge (in elements) of the pre-blocking kernel,
-/// kept for [`matmul_unblocked`].
-const TILE: usize = 64;
-
 /// Rows of the register micro-tile (unroll factor in the M direction).
 pub const MR: usize = 4;
 /// Columns of the register micro-tile (unroll factor in the N direction):
@@ -373,50 +369,6 @@ avx2_twin!(gemm_chunk / gemm_chunk_avx2 => gemm_chunk_body(
     lv: &[f64], rv: &[f64], k: usize, n: usize, npanels: usize, i0: usize, ochunk: &mut [f64]
 ));
 
-/// The pre-blocking general kernel (i-k-j with a k tile and a zero-skip),
-/// kept as the measured baseline for `kernel_bench`'s blocked-vs-serial
-/// comparison. Not dispatched by any production path.
-pub fn matmul_unblocked(lhs: &DenseMatrix, rhs: &DenseMatrix) -> Result<DenseMatrix> {
-    if lhs.cols() != rhs.rows() {
-        return Err(MatrixError::DimensionMismatch {
-            op: "matmul_unblocked",
-            lhs: lhs.shape(),
-            rhs: rhs.shape(),
-        });
-    }
-    let (m, k) = lhs.shape();
-    let n = rhs.cols();
-    let mut out = DenseMatrix::zeros(m, n);
-    if m == 0 || n == 0 {
-        return Ok(out);
-    }
-    let lv = lhs.values();
-    let rv = rhs.values();
-    let rows_per_chunk = exdra_par::chunk_len(m, par_floor(k * n));
-    exdra_par::par_chunks_mut(out.values_mut(), rows_per_chunk * n, |_, cell0, ochunk| {
-        let i0 = cell0 / n;
-        let rows = ochunk.len() / n;
-        for kb in (0..k).step_by(TILE) {
-            let kend = (kb + TILE).min(k);
-            for di in 0..rows {
-                let lrow = &lv[(i0 + di) * k..(i0 + di + 1) * k];
-                let orow = &mut ochunk[di * n..(di + 1) * n];
-                for kk in kb..kend {
-                    let a = lrow[kk];
-                    if a == 0.0 {
-                        continue;
-                    }
-                    let rrow = &rv[kk * n..(kk + 1) * n];
-                    for (o, &b) in orow.iter_mut().zip(rrow) {
-                        *o += a * b;
-                    }
-                }
-            }
-        }
-    });
-    Ok(out)
-}
-
 /// Transpose-self matrix multiplication `tsmm`: computes `Xᵀ X` (`left=true`)
 /// or `X Xᵀ` (`left=false`) exploiting the symmetry of the result.
 ///
@@ -736,20 +688,10 @@ mod tests {
     }
 
     #[test]
-    fn unblocked_matches_blocked() {
-        let a = rand_matrix(53, 131, -1.0, 1.0, 11);
-        let b = rand_matrix(131, 41, -1.0, 1.0, 12);
-        let got = matmul_unblocked(&a, &b).unwrap();
-        let want = matmul(&a, &b).unwrap();
-        assert!(got.max_abs_diff(&want) < 1e-12);
-    }
-
-    #[test]
     fn matmul_dimension_check() {
         let a = DenseMatrix::zeros(2, 3);
         let b = DenseMatrix::zeros(2, 3);
         assert!(matmul(&a, &b).is_err());
-        assert!(matmul_unblocked(&a, &b).is_err());
     }
 
     #[test]
@@ -852,7 +794,7 @@ mod tests {
                     "blocked",
                     &matmul as &dyn Fn(&DenseMatrix, &DenseMatrix) -> _,
                 ),
-                ("unblocked", &matmul_unblocked),
+                ("naive", &matmul_naive),
             ] {
                 let mut best = f64::MAX;
                 for _ in 0..3 {

@@ -29,4 +29,4 @@ pub mod transport;
 pub use codec::Wire;
 pub use sim::NetProfile;
 pub use stats::NetStats;
-pub use transport::{Channel, PipelinedChannel, RecvHalf, SendHalf, SplitResult, TcpChannel};
+pub use transport::{Channel, Duplex, RecvHalf, SendHalf, TcpChannel};

@@ -16,8 +16,10 @@
 //!   tracing is disabled.
 //! * [`incident`] snapshots rings + the global metrics registry into a
 //!   self-contained JSON bundle under the configured output directory
-//!   (default `results/incidents`). A per-kind suppression window keeps
-//!   a flapping anomaly from flooding the disk.
+//!   (default `results/incidents`). A suppression window per incident
+//!   subject (kind plus the worker or tenant it is about) keeps a
+//!   flapping anomaly from flooding the disk without letting one
+//!   worker's death swallow another's bundle.
 
 use std::collections::{BTreeMap, VecDeque};
 use std::path::{Path, PathBuf};
@@ -36,8 +38,8 @@ const SPAN_RING_CAP: usize = 4096;
 const EVENT_RING_CAP: usize = 512;
 /// In-memory incident summaries kept for the `/incidents` endpoint.
 const INCIDENT_KEEP: usize = 64;
-/// Minimum spacing between two dumped bundles of the same kind; repeats
-/// inside the window are counted but not written.
+/// Minimum spacing between two dumped bundles about the same subject;
+/// repeats inside the window are counted but not written.
 const SUPPRESS_WINDOW_NANOS: u64 = 1_000_000_000;
 
 static ENABLED: AtomicBool = AtomicBool::new(false);
@@ -71,7 +73,8 @@ struct State {
     spans: VecDeque<SpanRecord>,
     events: VecDeque<EventRecord>,
     incidents: VecDeque<IncidentSummary>,
-    last_dump: BTreeMap<&'static str, u64>,
+    /// Last dump time per `(kind, subject)`.
+    last_dump: BTreeMap<(&'static str, u64), u64>,
     output_dir: PathBuf,
     seq: u64,
 }
@@ -204,12 +207,14 @@ pub fn event(category: &'static str, message: String) {
     st.events.push_back(rec);
 }
 
-/// Reports an anomaly: snapshots the span/event rings plus the global
-/// metrics registry into a JSON bundle under the output directory and
-/// returns its path. Returns `None` when the recorder is disabled, the
-/// same kind fired within the suppression window, or the write failed
-/// (the incident is still counted and listed in either non-write case).
-pub fn incident(kind: &'static str, detail: &str) -> Option<PathBuf> {
+/// Reports an anomaly about `subject` — the worker index or tenant
+/// namespace it concerns (0 for kinds with no finer subject): snapshots
+/// the span/event rings plus the global metrics registry into a JSON
+/// bundle under the output directory and returns its path. Returns
+/// `None` when the recorder is disabled, the same kind fired for the
+/// same subject within the suppression window, or the write failed (the
+/// incident is still counted and listed in either non-write case).
+pub fn incident(kind: &'static str, subject: u64, detail: &str) -> Option<PathBuf> {
     if !enabled() {
         return None;
     }
@@ -218,7 +223,7 @@ pub fn incident(kind: &'static str, detail: &str) -> Option<PathBuf> {
     let mut st = state().lock();
     let suppressed = st
         .last_dump
-        .get(kind)
+        .get(&(kind, subject))
         .is_some_and(|&last| now.saturating_sub(last) < SUPPRESS_WINDOW_NANOS);
     let mut summary = IncidentSummary {
         kind,
@@ -228,7 +233,7 @@ pub fn incident(kind: &'static str, detail: &str) -> Option<PathBuf> {
     };
     let mut written = None;
     if !suppressed {
-        st.last_dump.insert(kind, now);
+        st.last_dump.insert((kind, subject), now);
         st.seq += 1;
         let name = format!("incident-{}-{}-{}.json", now / 1_000_000, kind, st.seq);
         let path = st.output_dir.join(name);
@@ -368,7 +373,7 @@ mod tests {
             wait_for_incident(std::time::Duration::from_secs(5), |i| i.kind == "wait_kind")
         });
         std::thread::sleep(std::time::Duration::from_millis(20));
-        incident("wait_kind", "arrived");
+        incident("wait_kind", 0, "arrived");
         let hit = waiter.join().unwrap().expect("waiter saw the incident");
         assert_eq!(hit.detail, "arrived");
         set_enabled(false);
@@ -380,7 +385,7 @@ mod tests {
         let _g = GATE.lock();
         set_enabled(false);
         event("test", "ignored".into());
-        assert!(incident("test_disabled", "x").is_none());
+        assert!(incident("test_disabled", 0, "x").is_none());
     }
 
     #[test]
@@ -392,9 +397,12 @@ mod tests {
         reset();
         observe_spans(&[sample_span("worker.batch")]);
         event("test", "breadcrumb".into());
-        let path = incident("test_kind", "first").expect("bundle written");
-        // Same kind inside the suppression window: counted, not written.
-        assert!(incident("test_kind", "second").is_none());
+        let path = incident("test_kind", 0, "first").expect("bundle written");
+        // Same kind and subject inside the suppression window: counted,
+        // not written. Another subject of the same kind is a different
+        // incident and gets its own bundle.
+        assert!(incident("test_kind", 0, "second").is_none());
+        assert!(incident("test_kind", 1, "other subject").is_some());
         let text = std::fs::read_to_string(&path).expect("bundle readable");
         let doc = Json::parse(&text).expect("bundle parses");
         assert_eq!(doc.get("kind").and_then(Json::as_str), Some("test_kind"));
@@ -405,7 +413,7 @@ mod tests {
         assert!(spans
             .iter()
             .any(|s| s.get("name").and_then(Json::as_str) == Some("worker.batch")));
-        assert_eq!(recent_incidents().len(), 2);
+        assert_eq!(recent_incidents().len(), 3);
         assert!(recent_incidents()[1].path.is_empty());
         set_enabled(false);
         reset();

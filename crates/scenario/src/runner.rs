@@ -12,6 +12,7 @@
 //! declared invariant into a [`ScenarioReport`].
 
 use std::collections::HashMap;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -271,11 +272,16 @@ fn execute(sc: &Scenario, tag: &str) -> Result<ExecOutcome> {
     }
 
     // --- Continuous pipelines and trainer, all seeded from the master. ---
+    // The run counter keeps concurrent runs of the same (scenario, seed,
+    // tag) in one process — sibling tests do exactly that — off each
+    // other's sink files.
+    static RUN: AtomicU64 = AtomicU64::new(0);
     let dir = std::env::temp_dir().join("exdra_scenarios").join(format!(
-        "{}-{}-{}-{tag}",
+        "{}-{}-{}-{tag}-{}",
         sc.name,
         std::process::id(),
-        sc.master_seed
+        sc.master_seed,
+        RUN.fetch_add(1, Ordering::Relaxed)
     ));
     let mut pipelines = Vec::with_capacity(wl.sites);
     for site in 0..wl.sites {

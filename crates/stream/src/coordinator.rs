@@ -159,10 +159,15 @@ mod tests {
     use crate::record::Schema;
     use crate::source::SensorConfig;
 
+    /// Distinguishes same-named scratch dirs within one test process.
+    static RUN: AtomicU64 = AtomicU64::new(0);
+
     fn tmp_sink(name: &str, fields: &[&str]) -> Arc<FileSink> {
-        let dir = std::env::temp_dir()
-            .join("exdra_nes_tests")
-            .join(format!("{name}-{}", std::process::id()));
+        let dir = std::env::temp_dir().join("exdra_nes_tests").join(format!(
+            "{name}-{}-{}",
+            std::process::id(),
+            RUN.fetch_add(1, Ordering::Relaxed)
+        ));
         let _ = std::fs::remove_dir_all(&dir);
         Arc::new(FileSink::create(dir, Schema::new(fields), 100, 10).unwrap())
     }

@@ -179,11 +179,17 @@ impl FileSink {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::atomic::{AtomicU64, Ordering};
+
+    /// Distinguishes same-named scratch dirs within one test process.
+    static RUN: AtomicU64 = AtomicU64::new(0);
 
     fn sink(name: &str, seg: usize, ret: usize) -> FileSink {
-        let dir = std::env::temp_dir()
-            .join("exdra_sink_tests")
-            .join(format!("{name}-{}", std::process::id()));
+        let dir = std::env::temp_dir().join("exdra_sink_tests").join(format!(
+            "{name}-{}-{}",
+            std::process::id(),
+            RUN.fetch_add(1, Ordering::Relaxed)
+        ));
         let _ = fs::remove_dir_all(&dir);
         FileSink::create(dir, Schema::new(&["a", "b"]), seg, ret).unwrap()
     }

@@ -7,7 +7,7 @@ use std::sync::Arc;
 use exdra::core::coordinator::FaultPolicy;
 use exdra::core::fed::FedMatrix;
 use exdra::core::protocol::Request;
-use exdra::core::supervision::{Supervisor, SupervisorConfig};
+use exdra::core::supervision::{SupervisionPolicy, Supervisor};
 use exdra::core::testutil::{mem_federation, tcp_federation};
 use exdra::core::worker::{Worker, WorkerConfig};
 use exdra::core::{DataValue, FedContext, PrivacyLevel, RuntimeError};
@@ -194,7 +194,13 @@ fn seeded_fault_plan_full_recovery_arc() {
     ctx.call(0, &[Request::Get { id: 7 }])
         .expect("send 3: last frame before the injected kill");
 
-    let sup = Supervisor::new(Arc::clone(&ctx), SupervisorConfig::default());
+    let sup = Supervisor::new(
+        Arc::clone(&ctx),
+        SupervisionPolicy {
+            checkpoint_interval: None,
+            ..SupervisionPolicy::default()
+        },
+    );
     sup.on_recovery(Arc::new(move |w, ctx| {
         ctx.call(w, std::slice::from_ref(&put)).map(|_| ())
     }));

@@ -3,18 +3,28 @@
 //! worker killed mid-window drains into `WorkerDead` and recovers through
 //! the supervisor with bitwise-identical results, and the full
 //! encrypted+shaped+instrumented production stack pipelines correctly at
-//! window 8.
+//! window 8. Two in-memory checks pin the transport stack itself: every
+//! layer splits (even a shaped channel over the unshaped LAN profile), and
+//! the full stack behaves identically held whole and held split.
 
+use std::io;
 use std::sync::Arc;
 
 use exdra::core::coordinator::WorkerEndpoint;
-use exdra::core::protocol::{Request, Response};
+use exdra::core::protocol::{Request, Response, RpcEnvelope, TraceContext};
 use exdra::core::supervision::Supervisor;
+use exdra::core::udf::Udf;
 use exdra::core::worker::{Worker, WorkerConfig};
 use exdra::core::{DataValue, FedContext};
+use exdra::fault::{FaultPlan, FaultyChannel};
+use exdra::net::codec::Wire;
 use exdra::net::crypto::ChannelKey;
+use exdra::net::framing::{tag_request, untag_reply};
 use exdra::net::sim::NetProfile;
-use exdra::net::transport::{Channel, TcpChannel};
+use exdra::net::stats::NetStats;
+use exdra::net::transport::{
+    mem_pair, Channel, Duplex, EncryptedChannel, InstrumentedChannel, ShapedChannel, TcpChannel,
+};
 use exdra::{FedError, PrivacyLevel, SupervisionPolicy};
 
 /// Requests per streamed batch.
@@ -183,4 +193,147 @@ fn encrypted_shaped_stack_pipelines_at_window_8() {
         delta.max_inflight
     );
     worker.shutdown();
+}
+
+/// A `ShapedChannel` over the unshaped LAN profile is a layer like any
+/// other: it splits. The worker behind one therefore decodes ahead (a
+/// heartbeat overtakes a busy UDF), and the coordinator in front of one
+/// opens a window of 8. While `split` could still refuse, this stack came
+/// back whole: the worker fell to a lock-step loop and `coordd` marked
+/// the link down.
+#[test]
+fn lan_shaped_channel_splits_and_pipelines_at_window_8() {
+    let worker = Worker::new(WorkerConfig::default());
+    worker.register_udf(
+        "sleep",
+        Arc::new(|_, _| {
+            std::thread::sleep(std::time::Duration::from_millis(200));
+            Ok(None)
+        }),
+    );
+    let (coord_side, worker_side) = mem_pair();
+    let served = {
+        let worker = Arc::clone(&worker);
+        std::thread::spawn(move || {
+            let shaped = ShapedChannel::new(worker_side, NetProfile::lan());
+            worker.serve_connection(Box::new(shaped));
+        })
+    };
+    let mut coord = ShapedChannel::new(coord_side, NetProfile::lan());
+
+    let envelope = |request| {
+        RpcEnvelope {
+            trace: TraceContext::NONE,
+            requests: vec![request],
+        }
+        .to_bytes()
+    };
+    let slow = envelope(Request::ExecUdf {
+        udf: Udf::Registered {
+            name: "sleep".into(),
+            args: vec![],
+            arg_ids: vec![],
+            out: None,
+        },
+    });
+    coord.send(&tag_request(1, &slow)).unwrap();
+    coord
+        .send(&tag_request(2, &envelope(Request::Heartbeat)))
+        .unwrap();
+    let order: Vec<u64> = (0..2)
+        .map(|_| untag_reply(&coord.recv().unwrap()).unwrap().0)
+        .collect();
+    assert_eq!(
+        order,
+        [2, 1],
+        "the worker behind the shaped layer pipelines"
+    );
+
+    let ctx = FedContext::from_channels(vec![Box::new(coord)]).unwrap();
+    ctx.call(0, &puts(900)).unwrap();
+    let piped = scalar_bits(&ctx.call_streamed(0, &gets(900), 8).unwrap());
+    let lockstep = scalar_bits(&ctx.call(0, &gets(900)).unwrap());
+    assert_eq!(
+        piped, lockstep,
+        "window 8 is bitwise identical to lock-step"
+    );
+    assert_eq!(ctx.stats().pipelined_messages(), BATCH);
+    assert_eq!(ctx.stats().max_inflight(), 8, "the window opened fully");
+    drop(ctx);
+    served.join().unwrap();
+}
+
+/// Every layer is written once, on halves, so the same traffic over the
+/// full stack `Instrumented(Shaped(Encrypted(Faulty(Mem))))` yields the
+/// same payloads, the same injected failure and the same `NetStats`
+/// whether the stack is used whole or through its split halves.
+#[test]
+fn full_stack_behaves_identically_whole_and_split() {
+    /// Echoes delivered before the fault plan kills the link.
+    const ALIVE: usize = 3;
+    let run = |split: bool| {
+        let stats = NetStats::shared();
+        let key = ChannelKey::from_passphrase("stack");
+        let (a, b) = mem_pair();
+        let stack: Box<dyn Channel> = Box::new(InstrumentedChannel::new(
+            ShapedChannel::new(
+                EncryptedChannel::new(
+                    FaultyChannel::new(a, FaultPlan::kill_after(7, ALIVE as u64)),
+                    key,
+                    true,
+                ),
+                NetProfile::custom(2.0, 100.0),
+            ),
+            Arc::clone(&stats),
+        ));
+        let mut held: Box<dyn Channel> = if split {
+            let (tx, rx) = stack.split();
+            Box::new(Duplex::from_halves(tx, rx))
+        } else {
+            stack
+        };
+        let peer = std::thread::spawn(move || {
+            let mut server = EncryptedChannel::new(b, key, false);
+            for _ in 0..ALIVE {
+                let mut echo = server.recv().unwrap();
+                echo.push(0xEC);
+                server.send(&echo).unwrap();
+            }
+        });
+        let mut echoes = Vec::new();
+        for i in 0..ALIVE {
+            held.send(&vec![i as u8; 100 * (i + 1)]).unwrap();
+            echoes.push(held.recv().unwrap());
+        }
+        // The fourth send trips the kill; the peer is gone, so the
+        // receive side fails too.
+        let killed = held.send(b"one too many").unwrap_err().kind();
+        peer.join().unwrap();
+        assert!(held.recv().is_err());
+        let counts = [
+            stats.messages_sent(),
+            stats.bytes_sent(),
+            stats.messages_received(),
+            stats.bytes_received(),
+        ];
+        (echoes, killed, counts)
+    };
+    let whole = run(false);
+    assert_eq!(whole.0.len(), ALIVE);
+    assert_eq!(
+        whole.0[2].len(),
+        301,
+        "payloads survive seal, shape and echo"
+    );
+    assert_eq!(whole.1, io::ErrorKind::BrokenPipe);
+    assert_eq!(
+        whole.2[0],
+        ALIVE as u64 + 1,
+        "the killed send is still counted"
+    );
+    assert_eq!(
+        whole,
+        run(true),
+        "split halves behave exactly like the whole"
+    );
 }

@@ -1,151 +1,121 @@
-//! Pipelined-RPC conformance properties: correlation-ID routing survives
-//! arbitrary reply reorderings and request drops, and the window=1
-//! configuration stays byte-for-byte compatible with the legacy lock-step
-//! protocol.
+//! Pipelined-RPC conformance properties, checked against
+//! `FedContext::call_streamed` (the one production sliding window):
+//! correlation-ID routing survives arbitrary reply reorderings, unknown
+//! correlation ids and duplicated replies, and the window=1 configuration
+//! stays byte-for-byte compatible with the legacy lock-step protocol.
 
-use std::collections::HashSet;
 use std::io;
 use std::sync::{Arc, Mutex};
 
-use exdra::core::protocol::{Request, RpcEnvelope};
+use exdra::core::protocol::{BatchFooter, Request, Response, RpcEnvelope, RpcReply};
 use exdra::core::worker::{Worker, WorkerConfig};
 use exdra::core::{DataValue, FedContext, PrivacyLevel};
-use exdra::fault::{FaultPlan, FaultyChannel};
 use exdra::net::codec::Wire;
 use exdra::net::framing::{tag_reply, untag_request};
-use exdra::net::transport::{mem_pair, Channel, MemChannel, PipelinedChannel, SplitResult};
+use exdra::net::transport::{mem_pair, Channel, Duplex, MemChannel, SendHalf};
 use proptest::prelude::*;
 
-/// Distinct, non-empty payload for request index `i`.
-fn payload(i: usize) -> Vec<u8> {
-    let mut p = vec![0xC0; i % 7 + 1];
-    p.extend_from_slice(&(i as u64).to_le_bytes());
-    p
+/// The reply frame a worker would send for `GET id`, carrying `value`.
+fn reply_frame(corr: u64, value: f64) -> Vec<u8> {
+    let reply = RpcReply {
+        responses: vec![Response::Data(DataValue::Scalar(value))],
+        footer: BatchFooter::default(),
+    };
+    tag_reply(corr, &reply.to_bytes())
 }
 
-/// The reply the test peers send for a request body.
-fn echo(body: &[u8]) -> Vec<u8> {
-    let mut r = body.to_vec();
-    r.push(0xAB);
-    r
-}
-
-/// Sorts `0..n` by the given keys — an arbitrary permutation under
-/// proptest's control.
-fn permutation(n: usize, keys: &[u64]) -> Vec<usize> {
-    let mut order: Vec<usize> = (0..n).collect();
-    order.sort_by_key(|&i| keys.get(i).copied().unwrap_or(i as u64));
-    order
+/// A scripted worker peer for a stream of `n` single-`GET` envelopes
+/// through a window of `window`. It collects each window-full of
+/// requests, then answers them in the order `keys` dictates — an
+/// arbitrary permutation under proptest's control — with `GET id`
+/// answered by the scalar `id`. With `noise`, every real reply is
+/// preceded by a reply for a correlation id the coordinator never issued
+/// and followed by a duplicate of itself carrying a poisoned value.
+fn scripted_peer(
+    mut ch: MemChannel,
+    n: usize,
+    window: usize,
+    keys: Vec<u64>,
+    noise: bool,
+) -> std::thread::JoinHandle<()> {
+    std::thread::spawn(move || {
+        let mut answered = 0;
+        while answered < n {
+            let round = window.min(n - answered);
+            let mut held: Vec<(u64, f64)> = (0..round)
+                .map(|_| {
+                    let frame = ch.recv().unwrap();
+                    let (corr, body) = untag_request(&frame).expect("tagged request frame");
+                    let env = RpcEnvelope::from_bytes(body).unwrap();
+                    match env.requests.as_slice() {
+                        [Request::Get { id }] => (corr, *id as f64),
+                        other => panic!("unexpected requests {other:?}"),
+                    }
+                })
+                .collect();
+            held.sort_by_key(|&(corr, _)| keys[corr as usize % keys.len()]);
+            for (corr, value) in held {
+                if noise {
+                    ch.send(&reply_frame(corr + 10_000, -1.0)).unwrap();
+                }
+                ch.send(&reply_frame(corr, value)).unwrap();
+                if noise {
+                    ch.send(&reply_frame(corr, -2.0)).unwrap();
+                }
+            }
+            answered += round;
+        }
+    })
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
-    /// However the peer permutes its correlated replies, each reply is
-    /// routed to the request that originated it — in whatever order the
-    /// caller collects them.
+    /// However the peer permutes the replies of a window, and whatever
+    /// unknown-correlation or duplicate replies it mixes in, every
+    /// response lands at the request that originated it, in submission
+    /// order, and the window bound is respected (window 1 is lock-step:
+    /// never more than one request in flight).
     #[test]
-    fn replies_route_to_their_requests_under_any_reordering(
-        n in 1usize..20,
+    fn replies_route_to_their_requests_under_reordering_and_noise(
+        ids in proptest::collection::vec(1u64..1000, 1..20),
+        window in 1usize..10,
         keys in proptest::collection::vec(any::<u64>(), 20),
+        noise in any::<bool>(),
     ) {
         let (a, b) = mem_pair();
-        let mut ch = PipelinedChannel::with_window(a, n);
-        let corrs: Vec<u64> = (0..n)
-            .map(|i| ch.send_request(&payload(i)).unwrap())
+        let peer = scripted_peer(b, ids.len(), window, keys, noise);
+        let ctx = FedContext::from_channels(vec![Box::new(a)]).unwrap();
+        let batch: Vec<Request> = ids.iter().map(|&id| Request::Get { id }).collect();
+
+        let responses = ctx.call_streamed(0, &batch, window).unwrap();
+        let want: Vec<Response> = ids
+            .iter()
+            .map(|&id| Response::Data(DataValue::Scalar(id as f64)))
             .collect();
-
-        let mut peer = b;
-        let mut frames = Vec::with_capacity(n);
-        for _ in 0..n {
-            let f = peer.recv().unwrap();
-            let (corr, body) = untag_request(&f).expect("tagged request frame");
-            frames.push((corr, body.to_vec()));
-        }
-        for &idx in &permutation(n, &keys) {
-            let (corr, body) = &frames[idx];
-            peer.send(&tag_reply(*corr, &echo(body))).unwrap();
-        }
-
-        // Collect in reverse request order — different from both the send
-        // order and the peer's reply order.
-        for (i, corr) in corrs.iter().enumerate().rev() {
-            prop_assert_eq!(ch.recv_for(*corr).unwrap(), echo(&payload(i)));
-        }
-        prop_assert_eq!(ch.in_flight(), 0);
-    }
-
-    /// With a lossy, duplicating link under the requests, every reply that
-    /// does arrive still lands at its originating request; dropped requests
-    /// simply stay in flight (the retry layer's business), and duplicated
-    /// requests produce duplicate replies that are discarded — no hangs,
-    /// no misrouting.
-    #[test]
-    fn lossy_links_never_misroute(
-        n in 1usize..16,
-        seed in any::<u64>(),
-        drop_p in 0.0f64..0.9,
-        dup_p in 0.0f64..0.5,
-    ) {
-        let plan = FaultPlan::dropping(seed, drop_p).with_duplicate(dup_p);
-
-        // The fault stream is seeded and payload-independent: a probe run
-        // of the same plan reveals exactly which sends will survive.
-        let (a, b) = mem_pair();
-        let mut probe = FaultyChannel::new(a, plan);
-        for i in 0..n {
-            probe.send(&[i as u8]).unwrap();
-        }
-        drop(probe);
-        let mut probe_peer = b;
-        let mut delivered = Vec::new();
-        while let Ok(m) = probe_peer.recv() {
-            delivered.push(m[0] as usize);
-        }
-
-        let (a, b) = mem_pair();
-        let mut ch = PipelinedChannel::with_window(FaultyChannel::new(a, plan), n);
-        let corrs: Vec<u64> = (0..n)
-            .map(|i| ch.send_request(&payload(i)).unwrap())
-            .collect();
-
-        // The peer replies (immediately) to exactly what arrived,
-        // duplicates included, then goes away.
-        let mut peer = b;
-        for _ in 0..delivered.len() {
-            let f = peer.recv().unwrap();
-            let (corr, body) = untag_request(&f).expect("tagged request frame");
-            peer.send(&tag_reply(corr, &echo(body))).unwrap();
-        }
-
-        let survivors: HashSet<usize> = delivered.iter().copied().collect();
-        for &i in survivors.iter() {
-            prop_assert_eq!(ch.recv_for(corrs[i]).unwrap(), echo(&payload(i)));
-        }
-        // Dropped requests remain pending; nothing was misrouted to them.
-        prop_assert_eq!(ch.in_flight(), n - survivors.len());
+        prop_assert_eq!(responses, want);
+        prop_assert_eq!(ctx.stats().max_inflight() as usize, window.min(ids.len()));
+        peer.join().unwrap();
     }
 }
 
-/// Coordinator-side channel that logs every frame it puts on the wire.
-struct RecordingChannel {
-    inner: MemChannel,
+/// Send half that logs every frame it puts on the wire.
+struct RecordingSendHalf {
+    inner: Box<dyn SendHalf>,
     log: Arc<Mutex<Vec<Vec<u8>>>>,
 }
 
-impl Channel for RecordingChannel {
+impl SendHalf for RecordingSendHalf {
     fn send(&mut self, payload: &[u8]) -> io::Result<()> {
         self.log.lock().unwrap().push(payload.to_vec());
         self.inner.send(payload)
     }
+}
 
-    fn recv(&mut self) -> io::Result<Vec<u8>> {
-        self.inner.recv()
-    }
-
-    fn split(self: Box<Self>) -> SplitResult {
-        SplitResult::Whole(self)
-    }
+/// Coordinator-side channel that logs every frame it sends into `log`.
+fn recording_channel(inner: MemChannel, log: Arc<Mutex<Vec<Vec<u8>>>>) -> Box<dyn Channel> {
+    let (inner, rx) = Box::new(inner).split();
+    Box::new(Duplex::from_halves(RecordingSendHalf { inner, log }, rx))
 }
 
 proptest! {
@@ -161,11 +131,8 @@ proptest! {
     ) {
         let worker = Worker::new(WorkerConfig::default());
         let log = Arc::new(Mutex::new(Vec::new()));
-        let rec = RecordingChannel {
-            inner: worker.serve_mem(),
-            log: Arc::clone(&log),
-        };
-        let ctx = FedContext::from_channels(vec![Box::new(rec)]).unwrap();
+        let rec = recording_channel(worker.serve_mem(), Arc::clone(&log));
+        let ctx = FedContext::from_channels(vec![rec]).unwrap();
 
         // Repeated ids are allowed: conflicting puts/gets must still
         // serialize identically on both paths.
