@@ -17,30 +17,25 @@
 //!    `t-ba+*(X, X)` → `tsmm`, and the generalized SystemDS-style
 //!    mmchain `t-ba+*(X, w ⊙ ba+*(X, v))` → `mmchain` (with or without
 //!    the weight vector);
-//! 3. **`fold-ew`** — scalar-chain folding: runs of element-wise
-//!    scalar/unary/replace nodes over federated data collapse into one
-//!    [`PlanOp::EwChain`] executed in a single federated round;
-//! 4. **`placement`** — cost-driven placement: a root-level element-wise
-//!    chain over *public* federated data moves to the coordinator when
-//!    the cost model says consolidating the input is cheaper than the
-//!    federated rounds (WAN topologies with tiny matrices).
+//!
+//! Element-wise chains need no rule: a federated op whose output stays
+//! federated costs no request round (the coordinator defers it to the
+//! next result-bearing exchange, DESIGN.md §4m), so there is nothing for
+//! folding to save and nothing for a coordinator-side placement to win.
 //!
 //! Every rewrite is bitwise-exact by construction: rules only fire where
-//! DESIGN.md §4j proves the fused/relocated execution produces identical
-//! IEEE-754 bit patterns (e.g. placement requires `swap == false` steps
-//! — even commutative ops like `min` differ bitwise on `-0.0` operands
-//! when swapped).
+//! DESIGN.md §4j proves the fused execution produces identical IEEE-754
+//! bit patterns.
 
 use std::sync::Arc;
 
-use exdra_core::ElemStep;
 use exdra_matrix::kernels::elementwise::BinaryOp;
 use exdra_obs::RuleFire;
 
-use crate::plan::{EwSite, Plan, PlanNode, PlanOp};
+use crate::plan::{Plan, PlanNode, PlanOp};
 
 /// A cost model mapping plan shapes to estimated nanoseconds. Fed to
-/// [`Plan::estimate`] and to placement rules via [`RuleContext`].
+/// [`Plan::estimate`] and to cost-driven rules via [`RuleContext`].
 pub trait CostModel: Send + Sync {
     /// Estimated nanos to execute one `opcode` instance producing
     /// `out_cells` cells with `work` scalar operations.
@@ -70,10 +65,9 @@ impl Default for ProfileCostModel {
         ProfileCostModel {
             nanos_per_op: 0.5,
             // ~10 GbB/s effective — intentionally cheap relative to the
-            // WAN round trip so placement optimizes for rounds first.
+            // WAN round trip, so estimates rank plans by rounds first.
             nanos_per_byte: 0.1,
-            // 5 ms: a WAN-shaped round trip; LAN sessions simply see
-            // fewer placement rewrites fire.
+            // 5 ms: a WAN-shaped round trip.
             rtt_nanos: 5e6,
         }
     }
@@ -144,16 +138,11 @@ impl Default for Optimizer {
 }
 
 impl Optimizer {
-    /// The default pipeline: `cse`, `fuse-ops`, `fold-ew`, `placement`,
-    /// with the profile-guided cost model.
+    /// The default pipeline: `cse`, `fuse-ops`, with the profile-guided
+    /// cost model.
     pub fn new() -> Optimizer {
         Optimizer {
-            rules: vec![
-                Box::new(Cse),
-                Box::new(OperatorFusion),
-                Box::new(EwChainFold),
-                Box::new(FederatedPlacement),
-            ],
+            rules: vec![Box::new(Cse), Box::new(OperatorFusion)],
             cost: Arc::new(ProfileCostModel::default()),
             enabled: true,
         }
@@ -262,36 +251,6 @@ fn op_equivalent(a: &PlanOp, b: &PlanOp) -> bool {
             xp.to_bits() == yp.to_bits() && xr.to_bits() == yr.to_bits()
         }
         (MmChain { w_on_left: x }, MmChain { w_on_left: y }) => x == y,
-        (EwChain(xs, xw), EwChain(ys, yw)) => {
-            xw == yw
-                && xs.len() == ys.len()
-                && xs.iter().zip(ys).all(|(p, q)| match (p, q) {
-                    (
-                        ElemStep::Scalar {
-                            op: po,
-                            value: pv,
-                            swap: ps,
-                        },
-                        ElemStep::Scalar {
-                            op: qo,
-                            value: qv,
-                            swap: qs,
-                        },
-                    ) => po == qo && pv.to_bits() == qv.to_bits() && ps == qs,
-                    (ElemStep::Unary(p), ElemStep::Unary(q)) => p == q,
-                    (
-                        ElemStep::Replace {
-                            pattern: pp,
-                            replacement: pr,
-                        },
-                        ElemStep::Replace {
-                            pattern: qp,
-                            replacement: qr,
-                        },
-                    ) => pp.to_bits() == qp.to_bits() && pr.to_bits() == qr.to_bits(),
-                    _ => false,
-                })
-        }
         _ => false,
     }
 }
@@ -449,138 +408,6 @@ impl OptimizerRule for OperatorFusion {
     }
 }
 
-// ---------------------------------------------------------------------
-// Rule 3: element-wise chain folding
-// ---------------------------------------------------------------------
-
-/// Folds runs of element-wise scalar/unary/replace operators over
-/// federated data into one [`PlanOp::EwChain`] executed in a single
-/// federated request round (identical per-worker instruction sequence,
-/// so bitwise-free).
-struct EwChainFold;
-
-/// The chain step an operator contributes, if it is chainable.
-fn chain_step(op: &PlanOp) -> Option<ElemStep> {
-    match op {
-        PlanOp::Scalar(op, value, swap) => {
-            // Swapped non-commutative ops other than Sub/Div have no
-            // federated execution; leave them to error identically.
-            if *swap && !op.is_commutative() && !matches!(op, BinaryOp::Sub | BinaryOp::Div) {
-                return None;
-            }
-            Some(ElemStep::Scalar {
-                op: *op,
-                value: *value,
-                swap: *swap,
-            })
-        }
-        PlanOp::Unary(op) => Some(ElemStep::Unary(*op)),
-        PlanOp::Replace(pattern, replacement) => Some(ElemStep::Replace {
-            pattern: *pattern,
-            replacement: *replacement,
-        }),
-        _ => None,
-    }
-}
-
-impl OptimizerRule for EwChainFold {
-    fn name(&self) -> &'static str {
-        "fold-ew"
-    }
-
-    fn apply(&self, plan: &Plan, _cx: &RuleContext<'_>) -> Option<(Plan, u64)> {
-        let meta = plan.meta();
-        let refs = plan.refcounts();
-        // chains[i] = (base child, steps) for chainable node i whose
-        // chain may still grow upward.
-        let mut chains: Vec<Option<(usize, Vec<ElemStep>)>> = vec![None; plan.len()];
-        let mut absorbed = vec![false; plan.len()];
-        for (i, node) in plan.nodes().iter().enumerate() {
-            let Some(step) = chain_step(&node.op) else {
-                continue;
-            };
-            let child = node.children[0];
-            // Absorb the child's chain when it is exclusively ours.
-            let (base, mut steps) = match &chains[child] {
-                Some((base, steps)) if refs[child] == 1 => (*base, steps.clone()),
-                _ => (child, Vec::new()),
-            };
-            steps.push(step);
-            if base != child {
-                absorbed[child] = true;
-            }
-            chains[i] = Some((base, steps));
-        }
-        let mut nodes = plan.nodes().to_vec();
-        let mut hits = 0u64;
-        for i in 0..nodes.len() {
-            if absorbed[i] {
-                continue;
-            }
-            if let Some((base, steps)) = &chains[i] {
-                // Only fold real runs over federated data: one federated
-                // round instead of `steps.len()` rounds.
-                let fed = meta[*base].is_some_and(|m| m.loc.is_fed());
-                if steps.len() >= 2 && fed {
-                    nodes[i].op = PlanOp::EwChain(steps.clone(), EwSite::InPlace);
-                    nodes[i].children = vec![*base];
-                    hits += 1;
-                }
-            }
-        }
-        (hits > 0).then(|| (Plan::compacted(nodes, plan.root()), hits))
-    }
-}
-
-// ---------------------------------------------------------------------
-// Rule 4: cost-driven federated placement
-// ---------------------------------------------------------------------
-
-/// Moves a root-level element-wise chain over public federated data to
-/// the coordinator when the cost model prices the consolidation below
-/// the federated rounds. Bitwise-free because per-element kernels are
-/// partition-independent — but only for `swap == false` steps: swapped
-/// scalars rewrite into different instruction sequences federated vs
-/// local (and even commutative ops differ on `-0.0` bit patterns).
-struct FederatedPlacement;
-
-impl OptimizerRule for FederatedPlacement {
-    fn name(&self) -> &'static str {
-        "placement"
-    }
-
-    fn apply(&self, plan: &Plan, cx: &RuleContext<'_>) -> Option<(Plan, u64)> {
-        let root = plan.root();
-        let meta = plan.meta();
-        let steps = match &plan.node(root).op {
-            PlanOp::EwChain(steps, EwSite::InPlace) => steps.clone(),
-            op => vec![chain_step(op)?],
-        };
-        // Strict gates: unswapped steps only, public sources only, and a
-        // federated input (otherwise there is nothing to move).
-        let unswapped = steps
-            .iter()
-            .all(|s| !matches!(s, ElemStep::Scalar { swap: true, .. }));
-        let base = plan.node(root).children[0];
-        let fed = meta[base].is_some_and(|m| m.loc.is_fed());
-        if !unswapped || !fed || !plan.all_sources_public() {
-            return None;
-        }
-        // Candidate: same chain, coordinator site. `compute()` would
-        // consolidate the federated result anyway, so this trades the
-        // result transfer for the input transfer minus federated rounds.
-        let mut nodes = plan.nodes().to_vec();
-        nodes[root] = PlanNode {
-            op: PlanOp::EwChain(steps, EwSite::Coordinator),
-            children: vec![base],
-        };
-        let candidate = Plan::compacted(nodes, root);
-        let before = plan.estimate(cx.cost);
-        let after = candidate.estimate(cx.cost);
-        (after.total_nanos < before.total_nanos).then_some((candidate, 1))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -718,60 +545,5 @@ mod tests {
         let (out, fires) = Optimizer::disabled().optimize(&plan);
         assert!(fires.is_empty());
         assert_eq!(out.render(), plan.render());
-    }
-
-    #[test]
-    fn ewchain_folds_scalar_runs_over_federated_data() {
-        let (ctx, _workers) = exdra_core::testutil::mem_federation(2);
-        let x = rand_matrix(12, 4, -1.0, 1.0, 19);
-        let fed = exdra_core::FedMatrix::scatter_rows(&ctx, &x, exdra_core::PrivacyLevel::Public)
-            .unwrap();
-        let lx = Lazy::from_fed(fed);
-        let expr = lx
-            .scalar(BinaryOp::Mul, 2.0, false)
-            .scalar(BinaryOp::Add, 1.0, false)
-            .unary(UnaryOp::Abs);
-        let (optimized, fires) = optimize(&expr);
-        assert_eq!(hits(&fires, "fold-ew"), 1, "{fires:?}");
-        assert!(
-            optimized
-                .nodes()
-                .iter()
-                .any(|n| matches!(&n.op, PlanOp::EwChain(steps, _) if steps.len() == 3)),
-            "{}",
-            optimized.render()
-        );
-        let want = expr.compute().unwrap();
-        let got = optimized.compute().unwrap();
-        assert!(want
-            .values()
-            .iter()
-            .zip(got.values())
-            .all(|(a, b)| a.to_bits() == b.to_bits()));
-    }
-
-    #[test]
-    fn placement_respects_privacy() {
-        let (ctx, _workers) = exdra_core::testutil::mem_federation(2);
-        let x = rand_matrix(6, 2, -1.0, 1.0, 20);
-        let fed = exdra_core::FedMatrix::scatter_rows(
-            &ctx,
-            &x,
-            exdra_core::PrivacyLevel::PrivateAggregate { min_group: 2 },
-        )
-        .unwrap();
-        let lx = Lazy::from_fed(fed);
-        let expr = lx
-            .scalar(BinaryOp::Mul, 3.0, false)
-            .scalar(BinaryOp::Add, -1.0, false);
-        let (optimized, _fires) = optimize(&expr);
-        assert!(
-            !optimized
-                .nodes()
-                .iter()
-                .any(|n| matches!(&n.op, PlanOp::EwChain(_, EwSite::Coordinator))),
-            "non-public data must not be consolidated for placement:\n{}",
-            optimized.render()
-        );
     }
 }

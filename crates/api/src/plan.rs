@@ -21,14 +21,14 @@
 //!   symbolically (shape + locality inference), and
 //! * execute itself ([`Plan::execute`]) — the unfused operators call the
 //!   exact same [`Tensor`] methods as [`Lazy::eval`], and the fused
-//!   operators ([`PlanOp::MmChain`], [`PlanOp::EwChain`]) are only
-//!   introduced by rules whose rewrites are bitwise identical to the
-//!   unfused execution (see DESIGN.md §4j).
+//!   operator ([`PlanOp::MmChain`]) is only introduced by a rule whose
+//!   rewrite is bitwise identical to the unfused execution (see
+//!   DESIGN.md §4j).
 
 use std::collections::HashMap;
 use std::sync::Arc;
 
-use exdra_core::{ElemStep, PrivacyLevel, Result, RuntimeError, Tensor};
+use exdra_core::{Result, RuntimeError, Tensor};
 use exdra_matrix::kernels::aggregates::{AggDir, AggOp};
 use exdra_matrix::kernels::elementwise::{BinaryOp, UnaryOp};
 use exdra_matrix::DenseMatrix;
@@ -37,19 +37,8 @@ use exdra_obs::PlanEstimate;
 use crate::dag::{Lazy, Node};
 use crate::optimizer::CostModel;
 
-/// Where a fused element-wise chain executes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum EwSite {
-    /// At the federated sites, in place: one request round per partition
-    /// for the whole chain.
-    InPlace,
-    /// At the coordinator, after consolidating the (public) input — the
-    /// cost-based placement when round trips dominate.
-    Coordinator,
-}
-
 /// A logical-plan operator. Mirrors the [`Lazy`] DAG node kinds, plus
-/// the fused operators the optimizer introduces.
+/// the fused operator the optimizer introduces.
 #[derive(Debug, Clone)]
 pub enum PlanOp {
     /// Local source matrix.
@@ -92,9 +81,6 @@ pub enum PlanOp {
         /// `w` was the left operand of the fused multiply.
         w_on_left: bool,
     },
-    /// Fused element-wise chain (scalar ops, unary maps, replacements)
-    /// with a placement decision.
-    EwChain(Vec<ElemStep>, EwSite),
 }
 
 /// One node of a [`Plan`]: an operator plus the arena indices of its
@@ -304,22 +290,6 @@ impl Plan {
                     }
                     h
                 }
-                PlanOp::EwChain(steps, site) => {
-                    let mut h = mix(seed("ewchain"), *site as u64);
-                    for s in steps {
-                        h = match *s {
-                            ElemStep::Scalar { op, value, swap } => {
-                                mix(mix(mix(h, seed(op.name())), value.to_bits()), swap as u64)
-                            }
-                            ElemStep::Unary(op) => mix(h, seed(op.name())),
-                            ElemStep::Replace {
-                                pattern,
-                                replacement,
-                            } => mix(mix(h, pattern.to_bits()), replacement.to_bits()),
-                        };
-                    }
-                    mix(h, ch(0))
-                }
             };
             out.push(h);
         }
@@ -346,15 +316,6 @@ impl Plan {
         lines.join("\n")
     }
 
-    /// True when every federated source of the plan is public — the
-    /// privacy gate for placement rewrites that consolidate inputs.
-    pub(crate) fn all_sources_public(&self) -> bool {
-        self.nodes.iter().all(|n| match &n.op {
-            PlanOp::SourceFed(f) => matches!(f.privacy(), PrivacyLevel::Public),
-            _ => true,
-        })
-    }
-
     /// Statically infers shape and locality per node by replaying the
     /// `Tensor` dispatch rules. `None` entries mark nodes that would
     /// error at runtime or whose placement cannot be decided statically;
@@ -371,7 +332,9 @@ impl Plan {
     /// Estimates execution cost against a [`CostModel`] by walking the
     /// arena and charging each operator the transfers, request rounds,
     /// and kernel time its dispatch implies (including the final
-    /// consolidation when the root stays federated). Nodes whose meta is
+    /// consolidation when the root stays federated). A node whose output
+    /// stays federated costs no round: its requests are deferred and ride
+    /// with the next node that fetches something. Nodes whose meta is
     /// unknown contribute nothing — estimates are advisory.
     pub fn estimate(&self, cost: &dyn CostModel) -> PlanEstimate {
         let meta = self.meta();
@@ -494,30 +457,6 @@ fn opcode(op: &PlanOp) -> String {
         PlanOp::Cbind => "cbind".into(),
         PlanOp::Replace(p, r) => format!("replace({p}->{r})"),
         PlanOp::MmChain { .. } => "mmchain".into(),
-        PlanOp::EwChain(steps, site) => {
-            let rendered: Vec<String> = steps
-                .iter()
-                .map(|s| match *s {
-                    ElemStep::Scalar { op, value, swap } => {
-                        if swap {
-                            format!("{value} {} _", op.name())
-                        } else {
-                            format!("_ {} {value}", op.name())
-                        }
-                    }
-                    ElemStep::Unary(op) => op.name().into(),
-                    ElemStep::Replace {
-                        pattern,
-                        replacement,
-                    } => format!("replace({pattern}->{replacement})"),
-                })
-                .collect();
-            let site = match site {
-                EwSite::InPlace => "sites",
-                EwSite::Coordinator => "coordinator",
-            };
-            format!("ew[{}]@{site}", rendered.join(" ; "))
-        }
     }
 }
 
@@ -704,13 +643,6 @@ fn infer(op: &PlanOp, children: &[usize], meta: &[Option<NodeMeta>]) -> Option<N
             let x = m(0)?;
             some(x.cols, 1, Loc::Local, 0)
         }
-        PlanOp::EwChain(_, site) => {
-            let a = m(0)?;
-            match site {
-                EwSite::InPlace => some(a.rows, a.cols, a.loc, a.parts),
-                EwSite::Coordinator => some(a.rows, a.cols, Loc::Local, 0),
-            }
-        }
     }
 }
 
@@ -778,9 +710,9 @@ fn estimate_node(
                         (al, bl),
                         (Loc::FedCol, Loc::Local) | (Loc::Local, Loc::FedRow)
                     );
-                    // Broadcast round (full per site, or sliced once) +
-                    // execution round; partial outputs return when the
-                    // result lands local.
+                    // Broadcast (full per site, or sliced once) and
+                    // execution share one batch; partial outputs return,
+                    // and cost the round, when the result lands local.
                     est.bytes += if sliced {
                         local_cells * B
                     } else {
@@ -788,8 +720,8 @@ fn estimate_node(
                     };
                     if out.loc == Loc::Local {
                         est.bytes += parts as u64 * out.cells() * B;
+                        est.rounds += 1;
                     }
-                    est.rounds += 2;
                     est.compute += kernel / sites(parts);
                 }
             }
@@ -821,8 +753,8 @@ fn estimate_node(
                     est.bytes += local_cells * B;
                     if out.loc == Loc::Local {
                         est.bytes += fed.parts as u64 * out.cells() * B;
+                        est.rounds += 1;
                     }
-                    est.rounds += 2;
                     est.compute += kernel / sites(fed.parts);
                 }
             }
@@ -873,19 +805,15 @@ fn estimate_node(
                     0 // co-partitioned: no movement
                 };
                 est.bytes += local_cells * B;
-                est.rounds += 1;
                 est.compute += kernel / sites(out.parts);
             } else {
                 est.compute += kernel;
             }
         }
-        PlanOp::Scalar(op, _, swap) => {
+        PlanOp::Scalar(op, ..) => {
             let Some(a) = m(0) else { return };
             let kernel = cost.op_nanos(op.name(), out.cells(), out.cells());
             if a.loc.is_fed() {
-                // Swapped Sub/Div expand into two federated rounds.
-                let rewrite = *swap && matches!(op, BinaryOp::Sub | BinaryOp::Div);
-                est.rounds += if rewrite { 2 } else { 1 };
                 est.compute += kernel / sites(a.parts);
             } else {
                 est.compute += kernel;
@@ -901,10 +829,10 @@ fn estimate_node(
             let Some(a) = m(0) else { return };
             let kernel = cost.op_nanos(op.name(), out.cells(), a.cells());
             if a.loc.is_fed() {
-                est.rounds += 1;
                 if out.loc == Loc::Local {
                     // Partial stats return per partition.
                     est.bytes += a.parts as u64 * out.cells() * B;
+                    est.rounds += 1;
                 }
                 est.compute += kernel / sites(a.parts);
             } else {
@@ -915,51 +843,18 @@ fn estimate_node(
             let Some(a) = m(0) else { return };
             let kernel = cost.op_nanos("r'", out.cells(), out.cells());
             if a.loc.is_fed() || out.loc.is_fed() {
-                est.rounds += 1;
                 est.compute += kernel / sites(out.parts.max(a.parts));
             } else {
                 est.compute += kernel;
             }
         }
         PlanOp::Rbind => {} // federated rbind is metadata-only
-        PlanOp::EwChain(steps, site) => {
-            let Some(a) = m(0) else { return };
-            let per_step: f64 = steps
-                .iter()
-                .map(|s| {
-                    let name = match s {
-                        ElemStep::Scalar { op, .. } => op.name(),
-                        ElemStep::Unary(op) => op.name(),
-                        ElemStep::Replace { .. } => "replace",
-                    };
-                    cost.op_nanos(name, out.cells(), out.cells())
-                })
-                .sum();
-            match site {
-                EwSite::InPlace => {
-                    if a.loc.is_fed() {
-                        est.rounds += 1; // the whole chain in one round
-                        est.compute += per_step / sites(a.parts);
-                    } else {
-                        est.compute += per_step;
-                    }
-                }
-                EwSite::Coordinator => {
-                    if a.loc.is_fed() {
-                        est.bytes += a.cells() * B; // consolidate the input
-                        est.rounds += 1;
-                    }
-                    est.compute += per_step;
-                }
-            }
-        }
     }
 }
 
 fn elementwise_estimate(name: &str, out: NodeMeta, cost: &dyn CostModel, est: &mut Estimator) {
     let kernel = cost.op_nanos(name, out.cells(), out.cells());
     if out.loc.is_fed() {
-        est.rounds += 1;
         est.compute += kernel / out.parts.max(1) as f64;
     } else {
         est.compute += kernel;
@@ -1019,13 +914,6 @@ fn eval_op(op: &PlanOp, children: &[usize], vals: &[Option<Tensor>]) -> Result<T
                 }
             }
         }
-        PlanOp::EwChain(steps, site) => match site {
-            EwSite::InPlace => v(0).elementwise_chain(steps),
-            EwSite::Coordinator => {
-                let local = Tensor::Local(v(0).to_local()?);
-                local.elementwise_chain(steps)
-            }
-        },
     }
 }
 

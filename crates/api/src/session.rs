@@ -235,8 +235,8 @@ impl SessionBuilder {
     }
 
     /// Replaces the session's plan [`Optimizer`]. The default is
-    /// [`Optimizer::new`] — the full `cse`/`fuse-ops`/`fold-ew`/
-    /// `placement` pipeline with the profile-guided cost model. Pass
+    /// [`Optimizer::new`] — the `cse`/`fuse-ops` pipeline with the
+    /// profile-guided cost model. Pass
     /// [`Optimizer::disabled`] to execute plans exactly as written (the
     /// A/B baseline for benches), or an optimizer extended with custom
     /// [`crate::OptimizerRule`]s via [`Optimizer::with_rule`]. Every

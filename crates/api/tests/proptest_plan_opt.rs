@@ -7,8 +7,9 @@
 //! The generator deliberately builds the shapes the rules rewrite:
 //! duplicate independently-built subtrees (CSE), explicit
 //! transpose-matmul and the generalized mmchain pattern (fusion), runs
-//! of scalar/unary/replace steps over federated data (chain folding and
-//! cost-based placement), at several thread counts and RPC windows.
+//! of scalar/unary/replace steps over federated data (deferred to the
+//! next result-bearing request), at several thread counts and RPC
+//! windows.
 
 use exdra_api::{Lazy, Optimizer, Plan};
 use exdra_core::testutil::mem_federation;
@@ -77,7 +78,7 @@ enum Finale {
     MmChainPattern { w_on_left: bool },
     /// `colSums(X)` — federated partial aggregation.
     ColSums,
-    /// Consolidate the chain itself (exercises placement).
+    /// Consolidate the chain itself.
     Identity,
 }
 

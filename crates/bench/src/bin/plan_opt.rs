@@ -3,21 +3,23 @@
 //! measuring bytes moved, messages, and effective round trips
 //! (transport-blocked time over one-way latency).
 //!
-//! Three Figure-5-style workloads, one per rewrite family:
+//! Three Figure-5-style workloads:
 //!
 //! * LM-CG step — `t(X) %*% (w * (X %*% v))`, the generalized mmchain
-//!   fusion (three federated rounds collapse into one),
+//!   fusion (the unfused form is one round too since its intermediates
+//!   stay federated and are deferred, but it ships `X %*% v`'s weights
+//!   and runs three instructions instead of one),
 //! * norm + tsmm — `t(Y) %*% Y` with `Y = X - colMeans(X)` built twice
 //!   from scratch (CSE by lineage, then tsmm fusion),
-//! * scale chain — a four-step element-wise pipeline before `colSums`
-//!   (scalar-chain folding into one request round).
+//! * scale chain — a four-step element-wise pipeline before `colSums`:
+//!   the control, no rule applies and deferral makes it one round.
 //!
 //!     cargo run --release -p exdra-bench --bin plan_opt [-- --quick]
 //!
 //! Writes `results/plan_opt.json` plus the usual metrics sidecar and
 //! asserts (1) every workload is bitwise identical with the optimizer on,
 //! (2) no workload moves more bytes with the optimizer on, and (3) the
-//! LM-CG step moves strictly fewer bytes in strictly fewer round trips.
+//! LM-CG step moves strictly fewer bytes in no more messages.
 
 use exdra_api::{Lazy, Optimizer, Plan, ProfileCostModel};
 use exdra_bench::{
@@ -146,8 +148,8 @@ fn main() {
             "LM-CG step",
             Box::new(|src: &Lazy| {
                 // The conjugate-gradient inner product of LM: unfused this
-                // is matmul + element-wise scale + aligned t-matmul (three
-                // federated rounds); fused it is one mmchain round.
+                // is matmul + element-wise scale + aligned t-matmul (two
+                // deferred, one round); fused it is one mmchain.
                 let q = src.matmul(&Lazy::from_local(v.clone()));
                 let prod = q.mul(&Lazy::from_local(w.clone())).expect("shapes");
                 src.t_matmul(&prod)
@@ -166,7 +168,7 @@ fn main() {
         (
             "scale chain",
             Box::new(|src: &Lazy| {
-                // Four element-wise steps fold into one federated round.
+                // Four element-wise steps, all deferred: one federated round.
                 src.scalar(BinaryOp::Mul, 2.0, false)
                     .scalar(BinaryOp::Add, 1.0, false)
                     .unary(UnaryOp::Abs)
@@ -209,7 +211,9 @@ fn main() {
             off.bytes
         );
         if *name == "LM-CG step" {
-            lmcg_strict = on.bytes < off.bytes && on.trips < off.trips;
+            // Wall-clock "trips" are too close to call at one round each;
+            // messages are exact.
+            lmcg_strict = on.bytes < off.bytes && on.messages <= off.messages;
         }
         table.row(&[
             name.to_string(),
@@ -245,7 +249,7 @@ fn main() {
     table.print();
     assert!(
         lmcg_strict,
-        "LM-CG step must move strictly fewer bytes in strictly fewer round trips"
+        "LM-CG step must move strictly fewer bytes in no more messages"
     );
     println!("\nall workloads bitwise identical with the optimizer on");
 

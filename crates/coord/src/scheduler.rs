@@ -214,7 +214,6 @@ impl RpcGate for TenantGate {
 mod tests {
     use super::*;
     use std::sync::atomic::AtomicUsize;
-    use std::time::Duration;
 
     fn sched(per_tenant: u64, global: u64) -> Arc<FairScheduler> {
         FairScheduler::new(FairnessConfig {
@@ -272,8 +271,12 @@ mod tests {
             s2.release(1, 1);
         });
         barrier.wait();
-        std::thread::sleep(Duration::from_millis(30)); // let it enqueue
-                                                       // Tenant 2 arrives later but skips past the capped waiter.
+        // The waiter counts itself under the scheduler lock before it
+        // queues, so once the count moves it is in the queue.
+        while s.waits() < 1 {
+            std::thread::yield_now();
+        }
+        // Tenant 2 arrives later but skips past the capped waiter.
         s.acquire(2, 1);
         s.release(2, 1);
         s.release(1, 2);

@@ -30,6 +30,7 @@ use exdra_net::transport::{
 use exdra_obs::SpanKind;
 
 use crate::error::{Result, RuntimeError};
+use crate::instruction::Instruction;
 use crate::protocol::{Request, Response, RpcEnvelope, RpcReply};
 use crate::value::DataValue;
 
@@ -132,7 +133,33 @@ struct WorkerConn {
     /// callers from e.g. the parameter server open extra connections).
     channel: Mutex<Box<dyn Channel>>,
     endpoint: Option<WorkerEndpoint>,
+    /// Write-behind queue of effect-only requests (see [`FedContext::defer`]).
+    /// Lock order: `channel` before `outbox`.
+    outbox: Mutex<Outbox>,
 }
+
+impl WorkerConn {
+    fn new(channel: Box<dyn Channel>, endpoint: Option<WorkerEndpoint>) -> Self {
+        WorkerConn {
+            channel: Mutex::new(channel),
+            endpoint,
+            outbox: Mutex::new(Outbox::default()),
+        }
+    }
+}
+
+/// Requests whose replies the coordinator does not need, in submission
+/// order, waiting for the next exchange with their worker.
+#[derive(Default)]
+struct Outbox {
+    requests: Vec<Request>,
+    /// Payload estimate of `requests`, checked against [`OUTBOX_BUDGET`].
+    bytes: usize,
+}
+
+/// An outbox holding more payload than this is flushed by the op that
+/// crossed it, so effect-only loops cannot grow coordinator memory.
+const OUTBOX_BUDGET: usize = 4 << 20;
 
 /// Flow-control hook consulted around every data-path RPC.
 ///
@@ -182,9 +209,6 @@ pub struct FedContext {
     workers: Vec<WorkerConn>,
     next_id: AtomicU64,
     stats: Arc<NetStats>,
-    /// Per-worker queues of symbol IDs awaiting amortized `rmvar` cleanup
-    /// (filled by dropped federated handles, drained on the next RPC).
-    garbage: Mutex<Vec<Vec<u64>>>,
     /// Retry/deadline policy applied to every RPC.
     fault: Mutex<FaultPolicy>,
     /// Session namespace whose ID range `fresh_id` allocates from
@@ -211,17 +235,15 @@ impl FedContext {
         let stats = NetStats::shared();
         let mut workers = Vec::with_capacity(endpoints.len());
         for ep in endpoints {
-            workers.push(WorkerConn {
-                channel: Mutex::new(ep.connect(Arc::clone(&stats))?),
-                endpoint: Some(ep.clone()),
-            });
+            workers.push(WorkerConn::new(
+                ep.connect(Arc::clone(&stats))?,
+                Some(ep.clone()),
+            ));
         }
-        let n = workers.len();
         Ok(Arc::new(Self {
             workers,
             next_id: AtomicU64::new(1),
             stats,
-            garbage: Mutex::new(vec![Vec::new(); n]),
             fault: Mutex::new(FaultPolicy::default()),
             namespace: AtomicU64::new(0),
             rpc_gate: Mutex::new(None),
@@ -237,27 +259,21 @@ impl FedContext {
         let stats = NetStats::shared();
         let workers = channels
             .into_iter()
-            .map(|ch| WorkerConn {
-                channel: Mutex::new(
-                    Box::new(InstrumentedChannel::new(ch, Arc::clone(&stats))) as Box<dyn Channel>
-                ),
-                endpoint: None,
+            .map(|ch| {
+                WorkerConn::new(
+                    Box::new(InstrumentedChannel::new(ch, Arc::clone(&stats))),
+                    None,
+                )
             })
             .collect::<Vec<_>>();
-        let n = workers.len();
         Ok(Arc::new(Self {
             workers,
             next_id: AtomicU64::new(1),
             stats,
-            garbage: Mutex::new(vec![Vec::new(); n]),
             fault: Mutex::new(FaultPolicy::default()),
             namespace: AtomicU64::new(0),
             rpc_gate: Mutex::new(None),
         }))
-    }
-
-    pub(crate) fn garbage(&self) -> &Mutex<Vec<Vec<u64>>> {
-        &self.garbage
     }
 
     /// The active retry/deadline policy.
@@ -272,20 +288,11 @@ impl FedContext {
 
     /// Re-establishes the channel to one worker from its endpoint (TCP
     /// contexts). Used by the supervisor after a worker restart; plain
-    /// RPC retries also attempt this when a channel collapses.
+    /// RPC retries reconnect on their own without touching the outbox.
     pub fn reconnect(&self, worker: usize) -> Result<()> {
-        let conn = self
-            .workers
-            .get(worker)
-            .ok_or_else(|| RuntimeError::Invalid(format!("no worker {worker}")))?;
-        let ep = conn
-            .endpoint
-            .as_ref()
-            .ok_or_else(|| RuntimeError::Unsupported("reconnect needs a TCP endpoint".into()))?;
-        let cfg = self.fault.lock().channel_config;
-        let fresh = ep.connect_with(Arc::clone(&self.stats), &cfg)?;
-        *conn.channel.lock() = fresh;
-        self.stats.record_recovery();
+        let conn = self.conn(worker)?;
+        let fresh = self.connect_endpoint(conn)?;
+        self.install_channel(conn, fresh);
         Ok(())
     }
 
@@ -293,13 +300,38 @@ impl FedContext {
     /// endpoint-less transports: a restarted in-memory worker hands the
     /// coordinator a fresh channel).
     pub fn replace_channel(&self, worker: usize, channel: Box<dyn Channel>) -> Result<()> {
-        let conn = self
-            .workers
-            .get(worker)
-            .ok_or_else(|| RuntimeError::Invalid(format!("no worker {worker}")))?;
-        *conn.channel.lock() = Box::new(InstrumentedChannel::new(channel, Arc::clone(&self.stats)));
-        self.stats.record_recovery();
+        let conn = self.conn(worker)?;
+        let fresh = Box::new(InstrumentedChannel::new(channel, Arc::clone(&self.stats)));
+        self.install_channel(conn, fresh);
         Ok(())
+    }
+
+    fn conn(&self, worker: usize) -> Result<&WorkerConn> {
+        self.workers
+            .get(worker)
+            .ok_or_else(|| RuntimeError::Invalid(format!("no worker {worker}")))
+    }
+
+    fn connect_endpoint(&self, conn: &WorkerConn) -> Result<Box<dyn Channel>> {
+        let ep = conn
+            .endpoint
+            .as_ref()
+            .ok_or_else(|| RuntimeError::Unsupported("reconnect needs a TCP endpoint".into()))?;
+        let cfg = self.fault.lock().channel_config;
+        ep.connect_with(Arc::clone(&self.stats), &cfg)
+    }
+
+    /// Swaps in the channel to a worker's next incarnation. What was
+    /// deferred for the previous one is dropped with it, except `rmvar`s:
+    /// they cannot fail, and a restored checkpoint may still hold their
+    /// targets.
+    fn install_channel(&self, conn: &WorkerConn, fresh: Box<dyn Channel>) {
+        let mut ch = conn.channel.lock();
+        let mut outbox = conn.outbox.lock();
+        outbox.requests.retain(is_rmvar);
+        outbox.bytes = outbox.requests.iter().map(queued_bytes).sum();
+        *ch = fresh;
+        self.stats.record_recovery();
     }
 
     /// Number of federated workers.
@@ -353,10 +385,7 @@ impl FedContext {
     /// Opens an additional connection to one worker (e.g. one per
     /// parameter-server thread). Only available for TCP contexts.
     pub fn connect_extra(&self, worker: usize) -> Result<Box<dyn Channel>> {
-        let conn = self
-            .workers
-            .get(worker)
-            .ok_or_else(|| RuntimeError::Invalid(format!("no worker {worker}")))?;
+        let conn = self.conn(worker)?;
         match &conn.endpoint {
             Some(ep) => ep.connect(Arc::clone(&self.stats)),
             None => Err(RuntimeError::Unsupported(
@@ -368,9 +397,12 @@ impl FedContext {
     /// Sends one request sequence to one worker as a single envelope and
     /// returns its responses.
     ///
-    /// Pending garbage-collection `rmvar`s for the worker (queued by
-    /// dropped federated handles) are piggybacked onto the batch and their
-    /// response stripped — amortized cleanup, invisible to callers.
+    /// Whatever the worker's outbox holds (deferred effect-only batches
+    /// and the `rmvar`s of dropped federated handles, see
+    /// [`FedContext::defer`]) travels in front of the batch in the same
+    /// envelope, and its responses are stripped: the caller gets the
+    /// worker's real reply to exactly its own requests. A deferred request
+    /// that failed fails this call, named by its opcode.
     ///
     /// The RPC runs under the context's [`FaultPolicy`]: transient
     /// transport failures are retried with backoff (reconnecting first
@@ -405,7 +437,8 @@ impl FedContext {
     /// footprints conflict, so per-variable ordering matches the
     /// lock-step path exactly.
     ///
-    /// Garbage piggy-backing and fault behavior are [`FedContext::call`]'s
+    /// Outbox piggy-backing (the carried entries share the stream's first
+    /// envelope) and fault behavior are [`FedContext::call`]'s
     /// (both run the same exchange): on a transient transport failure the
     /// coordinator reconnects (when it knows the endpoint) and re-streams
     /// the batch; exhausting the budget drains the window into the typed
@@ -433,20 +466,34 @@ impl FedContext {
         batch: &[Request],
         window: Option<usize>,
     ) -> Result<Vec<Response>> {
-        let conn = self
-            .workers
-            .get(worker)
-            .ok_or_else(|| RuntimeError::Invalid(format!("no worker {worker}")))?;
-        // Pending garbage leads the batch; its ack is stripped below.
-        let garbage = self.take_garbage_ids(worker);
-        let mut full: Vec<Request> = Vec::with_capacity(batch.len() + 1);
-        if !garbage.is_empty() {
-            full.push(Request::ExecInst {
-                inst: crate::instruction::Instruction::Rmvar { ids: garbage },
+        let conn = self.conn(worker)?;
+        // Supervision and teardown travel alone: a checkpoint or restore
+        // must not fail on (or wait for) someone else's deferred work.
+        let control = !batch.is_empty()
+            && batch.iter().all(|r| {
+                matches!(
+                    r,
+                    Request::Restore { .. }
+                        | Request::Checkpoint { .. }
+                        | Request::Heartbeat
+                        | Request::Clear
+                        | Request::ClearNamespace { .. }
+                )
             });
-        }
-        let prepended = full.len();
+        // The channel lock orders sends, and the outbox is drained under
+        // it: no request can overtake the deferred instruction that
+        // creates its input, whichever thread ends up carrying it.
+        let mut ch = conn.channel.lock();
+        let mut full = if control {
+            Vec::new()
+        } else {
+            std::mem::take(&mut *conn.outbox.lock()).requests
+        };
+        let deferred = full.len();
         full.extend_from_slice(batch);
+        if full.is_empty() {
+            return Ok(Vec::new());
+        }
         let requests = full.len() as u64;
 
         // Observability: one span per RPC, its context stamped onto every
@@ -463,6 +510,7 @@ impl FedContext {
         if span.is_active() {
             span.attr("worker", worker);
             span.attr("requests", requests);
+            span.attr("deferred", deferred);
             span.attr("kinds", request_kinds(&full));
             if let Some(w) = window {
                 span.attr("window", w);
@@ -476,13 +524,18 @@ impl FedContext {
                 trace,
                 requests: full,
             }],
-            Some(_) => full
-                .into_iter()
-                .map(|req| RpcEnvelope {
-                    trace,
-                    requests: vec![req],
-                })
-                .collect(),
+            // The carried outbox streams as one envelope in front (it was
+            // going to execute in order anyway), the caller's requests one
+            // envelope each.
+            Some(_) => {
+                let own = full.split_off(deferred);
+                let carried = (deferred > 0).then_some(full);
+                carried
+                    .into_iter()
+                    .chain(own.into_iter().map(|req| vec![req]))
+                    .map(|requests| RpcEnvelope { trace, requests })
+                    .collect()
+            }
         };
         let frames: Vec<Vec<u8>> = envelopes.iter().map(Wire::to_bytes).collect();
         let mut serde_nanos = t_enc.map_or(0, |t| t.elapsed().as_nanos() as u64);
@@ -513,11 +566,11 @@ impl FedContext {
                         // frame (or stale replies) on the wire:
                         // re-establish the channel before resending when
                         // we know the endpoint.
-                        if conn.endpoint.is_some() {
-                            let _ = self.reconnect(worker);
+                        if let Ok(fresh) = self.connect_endpoint(conn) {
+                            *ch = fresh;
+                            self.stats.record_recovery();
                         }
                     }
-                    let mut ch = conn.channel.lock();
                     let t_net = obs_on.then(Instant::now);
                     let r = match window {
                         None => ch.send(&frames[0]).and_then(|()| ch.recv()).map(|reply| {
@@ -537,6 +590,7 @@ impl FedContext {
                 classify_io,
             )
             .map_err(|e| rpc_failure(worker, &e))?;
+        drop(ch);
 
         let t_dec = obs_on.then(Instant::now);
         let mut exec_nanos = 0u64;
@@ -592,8 +646,90 @@ impl FedContext {
                 reg.record("net.inflight", max_inflight);
             }
         }
-        responses.drain(..prepended); // the rmvar ack (rmvar cannot fail)
+        // Teardown makes what is still queued moot: the symbols are gone.
+        let cleared = batch.iter().any(|r| match r {
+            Request::Clear => true,
+            Request::ClearNamespace { ns } => *ns == self.namespace(),
+            _ => false,
+        });
+        if cleared {
+            *conn.outbox.lock() = Outbox::default();
+        }
+        // A deferred request that failed surfaces here, at its carrier.
+        let carried = envelopes.iter().flat_map(|e| &e.requests).zip(&responses);
+        for (req, resp) in carried.take(deferred) {
+            if let Response::Error(msg) = resp {
+                let op = op_name(req);
+                return Err(worker_error(worker, &format!("deferred {op}: {msg}")));
+            }
+        }
+        responses.drain(..deferred);
         Ok(responses)
+    }
+
+    /// [`FedContext::call_all`] for the operations of a federated object.
+    /// A worker whose batch is effect-only (`PUT`s of side inputs and
+    /// `EXEC_INST`s: the output stays federated and every reply would be
+    /// a bare `Ok`) gets no round trip: the batch is deferred
+    /// ([`FedContext::defer`]) and acknowledged here. Data installation
+    /// and direct RPCs do not come through here and stay request → reply.
+    pub(crate) fn submit(&self, mut batches: Vec<Vec<Request>>) -> Result<Vec<Vec<Response>>> {
+        let effect_only = |r: &Request| matches!(r, Request::Put { .. } | Request::ExecInst { .. });
+        let mut acks = vec![0usize; batches.len()];
+        for (w, batch) in batches.iter_mut().enumerate() {
+            if !batch.is_empty() && batch.iter().all(effect_only) {
+                acks[w] = batch.len();
+                self.defer(w, std::mem::take(batch))?;
+            }
+        }
+        let mut all = self.call_all(batches)?;
+        for (rs, n) in all.iter_mut().zip(acks) {
+            rs.resize(rs.len() + n, Response::Ok);
+        }
+        Ok(all)
+    }
+
+    /// Appends an effect-only batch to `worker`'s outbox instead of
+    /// spending a round trip on it. The next exchange with that worker
+    /// carries it, in FIFO order, in front of its own batch; if one of
+    /// these requests fails there, that exchange fails. An outbox over
+    /// [`OUTBOX_BUDGET`] is flushed right here.
+    pub(crate) fn defer(&self, worker: usize, batch: Vec<Request>) -> Result<()> {
+        let conn = self.conn(worker)?;
+        if exdra_obs::enabled() {
+            exdra_obs::global().add("rpc.deferred", batch.len() as u64);
+        }
+        let over_budget = {
+            let mut outbox = conn.outbox.lock();
+            outbox.bytes += batch.iter().map(queued_bytes).sum::<usize>();
+            outbox.requests.extend(batch);
+            outbox.bytes > OUTBOX_BUDGET
+        };
+        if over_budget {
+            self.call(worker, &[])?;
+        }
+        Ok(())
+    }
+
+    /// Queues the removal of one worker symbol (a dropped federated
+    /// handle or a retired broadcast) behind everything deferred so far.
+    pub(crate) fn defer_rmvar(&self, worker: usize, id: u64) {
+        let Some(conn) = self.workers.get(worker) else {
+            return;
+        };
+        let mut outbox = conn.outbox.lock();
+        if let Some(Request::ExecInst {
+            inst: Instruction::Rmvar { ids },
+        }) = outbox.requests.last_mut()
+        {
+            ids.push(id);
+            return;
+        }
+        let req = Request::ExecInst {
+            inst: Instruction::Rmvar { ids: vec![id] },
+        };
+        outbox.bytes += queued_bytes(&req);
+        outbox.requests.push(req);
     }
 
     /// Sends one liveness probe to one worker and returns its
@@ -601,10 +737,7 @@ impl FedContext {
     /// the failure-detection signal, so this is a single attempt against
     /// the standing channel, bounded only by the socket timeouts.
     pub fn heartbeat(&self, worker: usize) -> Result<(u64, u32)> {
-        let conn = self
-            .workers
-            .get(worker)
-            .ok_or_else(|| RuntimeError::Invalid(format!("no worker {worker}")))?;
+        let conn = self.conn(worker)?;
         self.stats.record_heartbeat();
         let mut span = exdra_obs::span(SpanKind::Rpc, "rpc.heartbeat");
         if span.is_active() {
@@ -630,16 +763,8 @@ impl FedContext {
         }
     }
 
-    fn take_garbage_ids(&self, worker: usize) -> Vec<u64> {
-        let mut q = self.garbage.lock();
-        match q.get_mut(worker) {
-            Some(v) => std::mem::take(v),
-            None => Vec::new(),
-        }
-    }
-
-    /// Sends per-worker request sequences in parallel (one thread per
-    /// worker) and returns responses per worker. Workers with empty
+    /// Sends per-worker request sequences in parallel and returns
+    /// responses per worker. Workers with empty
     /// batches are skipped (empty response vector). Fail-fast: any
     /// worker's failure fails the whole call (federated linear algebra
     /// needs every partition).
@@ -677,45 +802,52 @@ impl FedContext {
                 self.workers.len()
             )));
         }
-        // Per-worker RPC threads inherit the caller's span context so
-        // their `rpc.call` spans parent into the surrounding trace.
-        let parent = exdra_obs::current();
         // Multi-request batches stream through the pipelining window when
         // one is configured; single requests (and window 1) take the
         // legacy lock-step path, byte-for-byte the pre-pipelining wire
         // protocol.
         let window = self.rpc_window();
-        let mut results: Vec<Result<Vec<Response>>> = Vec::with_capacity(batches.len());
+        let run = |w: usize| {
+            let batch = &batches[w];
+            let t0 = Instant::now();
+            let r = if window > 1 && batch.len() > 1 {
+                self.call_streamed(w, batch, window)
+            } else {
+                self.call(w, batch)
+            };
+            if let (Ok(_), Some(tracker)) = (&r, latency) {
+                tracker.record(w, t0.elapsed());
+            }
+            r
+        };
+        let mut results: Vec<Result<Vec<Response>>> =
+            batches.iter().map(|_| Ok(Vec::new())).collect();
+        let busy: Vec<usize> = (0..batches.len())
+            .filter(|&w| !batches[w].is_empty())
+            .collect();
+        // The last non-empty batch runs right here; only the others pay a
+        // thread, inheriting the caller's span context so their `rpc.call`
+        // spans parent into the surrounding trace.
+        let Some((&last, others)) = busy.split_last() else {
+            return Ok(results);
+        };
+        let parent = exdra_obs::current();
         std::thread::scope(|scope| {
-            let handles: Vec<_> = batches
+            let handles: Vec<_> = others
                 .iter()
-                .enumerate()
-                .map(|(w, batch)| {
+                .map(|&w| {
+                    let run = &run;
                     scope.spawn(move || {
                         let _trace = exdra_obs::propagate(parent);
-                        if batch.is_empty() {
-                            Ok(Vec::new())
-                        } else {
-                            let t0 = Instant::now();
-                            let r = if window > 1 && batch.len() > 1 {
-                                self.call_streamed(w, batch, window)
-                            } else {
-                                self.call(w, batch)
-                            };
-                            if r.is_ok() {
-                                if let Some(tracker) = latency {
-                                    tracker.record(w, t0.elapsed());
-                                }
-                            }
-                            r
-                        }
+                        run(w)
                     })
                 })
                 .collect();
-            for h in handles {
-                results.push(h.join().unwrap_or_else(|_| {
+            results[last] = run(last);
+            for (&w, h) in others.iter().zip(handles) {
+                results[w] = h.join().unwrap_or_else(|_| {
                     Err(RuntimeError::Network("worker RPC thread panicked".into()))
-                }));
+                });
             }
         });
         Ok(results)
@@ -789,6 +921,31 @@ fn stream_window(
         out_of_order,
         max_inflight,
     })
+}
+
+fn is_rmvar(req: &Request) -> bool {
+    matches!(
+        req,
+        Request::ExecInst {
+            inst: Instruction::Rmvar { .. }
+        }
+    )
+}
+
+/// The opcode of an instruction request, the kind of any other.
+fn op_name(req: &Request) -> &'static str {
+    match req {
+        Request::ExecInst { inst } => inst.name(),
+        other => other.kind(),
+    }
+}
+
+/// What one queued request holds in coordinator memory, roughly.
+fn queued_bytes(req: &Request) -> usize {
+    64 + match req {
+        Request::Put { data, .. } => data.size_bytes(),
+        _ => 0,
+    }
 }
 
 /// Comma-joined request-kind summary for span attributes, with runs of
@@ -1060,24 +1217,32 @@ mod tests {
 }
 
 #[cfg(test)]
-mod garbage_tests {
+mod outbox_tests {
     use super::*;
-    use crate::fed::FedMatrix;
+    use crate::fed::{FedMatrix, FedPartition, PartitionScheme};
     use crate::privacy::PrivacyLevel;
+    use crate::tensor::Tensor;
     use crate::testutil::mem_federation;
+    use crate::worker::{Worker, WorkerConfig};
+    use exdra_matrix::kernels::elementwise::{BinaryOp, UnaryOp};
     use exdra_matrix::rng::rand_matrix;
+
+    /// Opcode (or request kind) of everything queued for `worker`.
+    fn queued(ctx: &FedContext, worker: usize) -> Vec<&'static str> {
+        let outbox = ctx.workers[worker].outbox.lock();
+        outbox.requests.iter().map(op_name).collect()
+    }
 
     #[test]
     fn dropped_handles_clean_up_via_any_call() {
-        // Garbage queued by dropped federated handles drains through plain
-        // `call` traffic (e.g. parameter-server RPCs), not only through
-        // federated matrix operations.
+        // The rmvars of dropped federated handles are ordinary outbox
+        // entries: they leave with plain `call` traffic (e.g.
+        // parameter-server RPCs), not only with federated matrix ops.
         let (ctx, workers) = mem_federation(2);
         let x = rand_matrix(20, 3, 0.0, 1.0, 1);
         let fed = FedMatrix::scatter_rows(&ctx, &x, PrivacyLevel::Public).unwrap();
         let ids: Vec<(usize, u64)> = fed.parts().iter().map(|p| (p.worker, p.id)).collect();
         drop(fed);
-        // An unrelated direct RPC to each worker triggers the cleanup.
         for w in 0..2 {
             let rs = ctx
                 .call(
@@ -1089,8 +1254,8 @@ mod garbage_tests {
                     }],
                 )
                 .unwrap();
-            // The piggybacked rmvar response is stripped: one response per
-            // caller-visible request.
+            // The carried entries' responses are stripped: one response
+            // per caller-visible request.
             assert_eq!(rs.len(), 1);
         }
         for (w, id) in ids {
@@ -1102,15 +1267,171 @@ mod garbage_tests {
     }
 
     #[test]
-    fn empty_batch_with_pending_garbage() {
+    fn empty_batch_flushes_the_outbox_and_nothing_else() {
         let (ctx, workers) = mem_federation(1);
+        // Nothing queued, nothing to say: no message at all.
+        assert!(ctx.call(0, &[]).unwrap().is_empty());
+        assert_eq!(ctx.stats().messages_sent(), 0);
         let x = rand_matrix(10, 2, 0.0, 1.0, 2);
         let fed = FedMatrix::scatter_rows(&ctx, &x, PrivacyLevel::Public).unwrap();
         let id = fed.parts()[0].id;
         drop(fed);
-        // A call with an empty caller batch still drains the queue.
         let rs = ctx.call(0, &[]).unwrap();
         assert!(rs.is_empty());
         assert!(!workers[0].table().contains(id));
+    }
+
+    #[test]
+    fn deferred_ops_queue_in_program_order_and_cost_no_message() {
+        let (ctx, workers) = mem_federation(1);
+        let x = rand_matrix(12, 3, -1.0, 1.0, 3);
+        let fed = Tensor::Fed(FedMatrix::scatter_rows(&ctx, &x, PrivacyLevel::Public).unwrap());
+        let w = Tensor::Local(rand_matrix(3, 3, -1.0, 1.0, 4));
+        let sent = ctx.stats().messages_sent();
+        let p = fed.matmul(&w).unwrap().softmax().unwrap();
+        // The matmul output was dropped after the softmax consumed it; the
+        // broadcast of w was retired right after the matmul was queued.
+        assert_eq!(
+            queued(&ctx, 0),
+            ["PUT", "ba+*", "rmvar", "softmax", "rmvar"]
+        );
+        assert_eq!(ctx.stats().messages_sent(), sent, "nothing sent yet");
+        // The fetch carries all of it in one envelope.
+        let got = p.to_local().unwrap();
+        assert_eq!(ctx.stats().messages_sent(), sent + 1);
+        assert!(queued(&ctx, 0).is_empty());
+        let want = Tensor::Local(x).matmul(&w).unwrap().softmax().unwrap();
+        assert_eq!(got.values(), want.to_local().unwrap().values());
+        drop(p);
+        ctx.call(0, &[]).unwrap();
+        assert_eq!(workers[0].table().len(), 1, "only X is left");
+    }
+
+    #[test]
+    fn a_failed_deferred_instruction_fails_its_carrier_by_opcode() {
+        let (ctx, _workers) = mem_federation(1);
+        // A federation map over a symbol no worker holds.
+        let ghost = FedMatrix::from_parts(
+            Arc::clone(&ctx),
+            PartitionScheme::Row,
+            4,
+            2,
+            vec![FedPartition {
+                lo: 0,
+                hi: 4,
+                worker: 0,
+                id: 4242,
+            }],
+            PrivacyLevel::Public,
+            false,
+        )
+        .unwrap();
+        let abs = ghost.unary(UnaryOp::Abs).expect("deferred: no error yet");
+        let err = abs.consolidate().unwrap_err();
+        match err {
+            RuntimeError::Worker { worker: 0, msg } => {
+                assert!(msg.contains("deferred abs"), "{msg}");
+                assert!(msg.contains("4242"), "{msg}");
+            }
+            other => panic!("expected a worker error, got {other:?}"),
+        }
+        // Shape errors never reach the outbox.
+        let bad = rand_matrix(3, 1, 0.0, 1.0, 5);
+        assert!(ghost.matmul_rhs_local(&bad).is_err());
+        assert!(queued(&ctx, 0).iter().all(|op| *op == "rmvar"));
+    }
+
+    #[test]
+    fn supervision_and_teardown_requests_travel_alone() {
+        let (ctx, workers) = mem_federation(1);
+        let x = rand_matrix(8, 2, -1.0, 1.0, 6);
+        let fed = FedMatrix::scatter_rows(&ctx, &x, PrivacyLevel::Public).unwrap();
+        let abs = fed.unary(UnaryOp::Abs).unwrap();
+        assert_eq!(queued(&ctx, 0), ["abs"]);
+        let rs = ctx
+            .call(0, &[Request::Checkpoint { since_seq: 0 }])
+            .unwrap();
+        assert!(matches!(rs.as_slice(), [Response::Checkpoint(d)] if d.entries.len() == 1));
+        assert!(matches!(
+            ctx.call(0, &[Request::Heartbeat]).unwrap().as_slice(),
+            [Response::Alive { .. }]
+        ));
+        assert_eq!(queued(&ctx, 0), ["abs"], "still queued");
+        // CLEAR makes the queue moot and discards it.
+        ctx.clear_all().unwrap();
+        assert!(queued(&ctx, 0).is_empty());
+        assert!(workers[0].table().is_empty());
+        abs.disown();
+        fed.disown();
+    }
+
+    #[test]
+    fn a_replaced_channel_keeps_only_the_rmvars() {
+        let (ctx, _workers) = mem_federation(1);
+        let x = rand_matrix(8, 2, -1.0, 1.0, 7);
+        let fed = FedMatrix::scatter_rows(&ctx, &x, PrivacyLevel::Public).unwrap();
+        drop(fed.unary(UnaryOp::Abs).unwrap());
+        assert_eq!(queued(&ctx, 0), ["abs", "rmvar"]);
+        let next = Worker::new(WorkerConfig::default());
+        ctx.replace_channel(0, Box::new(next.serve_mem())).unwrap();
+        assert_eq!(queued(&ctx, 0), ["rmvar"]);
+        // Removing what the new incarnation never had cannot fail.
+        ctx.call(0, &[]).unwrap();
+        fed.disown();
+    }
+
+    #[test]
+    fn the_op_that_crosses_the_byte_budget_flushes() {
+        let (ctx, _workers) = mem_federation(1);
+        let x = rand_matrix(2_000, 100, -1.0, 1.0, 8); // 1.6 MB
+        let fed = FedMatrix::scatter_rows(&ctx, &x, PrivacyLevel::Public).unwrap();
+        let sent = ctx.stats().messages_sent();
+        let mut cur = fed.clone();
+        for _ in 0..6 {
+            // Each step ships a full-shape operand and fetches nothing.
+            cur = cur.binary_local(BinaryOp::Add, &x).unwrap();
+            assert!(ctx.workers[0].outbox.lock().bytes <= OUTBOX_BUDGET);
+        }
+        assert_eq!(
+            ctx.stats().messages_sent() - sent,
+            2,
+            "6 x 1.6 MB over 4 MiB"
+        );
+        let want = x.map(|v| 7.0 * v);
+        assert!(cur.consolidate().unwrap().max_abs_diff(&want) < 1e-12);
+    }
+
+    #[test]
+    fn two_threads_sharing_a_context_never_see_an_unknown_symbol() {
+        let (ctx, _workers) = mem_federation(2);
+        let barrier = std::sync::Barrier::new(2);
+        std::thread::scope(|scope| {
+            for t in 0..2u64 {
+                let (ctx, barrier) = (&ctx, &barrier);
+                scope.spawn(move || {
+                    let x = rand_matrix(16, 3, -1.0, 1.0, 10 + t);
+                    let w = Tensor::Local(rand_matrix(3, 3, -1.0, 1.0, 20 + t));
+                    let fed = Tensor::Fed(
+                        FedMatrix::scatter_rows(ctx, &x, PrivacyLevel::Public).unwrap(),
+                    );
+                    let want = Tensor::Local(x)
+                        .matmul(&w)
+                        .and_then(|p| p.softmax())
+                        .and_then(|p| p.to_local())
+                        .unwrap();
+                    barrier.wait();
+                    // Either thread's fetch may carry the other's deferred
+                    // matmul and softmax; neither may ever overtake them.
+                    for round in 0..200 {
+                        let got = fed
+                            .matmul(&w)
+                            .and_then(|p| p.softmax())
+                            .and_then(|p| p.to_local())
+                            .unwrap_or_else(|e| panic!("thread {t} round {round}: {e}"));
+                        assert_eq!(got.values(), want.values());
+                    }
+                });
+            }
+        });
     }
 }

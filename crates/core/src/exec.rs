@@ -268,8 +268,10 @@ fn aggregates_input(
                 dims(*x).1 >= k
             }
         }
-        // mmchain contracts both directions of x.
+        // mmchain contracts both directions of x, and sums its row
+        // weights over the observations like a matmul's right operand.
         MmChain { x, .. } if *x == input => dims(*x).0 >= k || dims(*x).1 >= k,
+        MmChain { w: Some(w), .. } if *w == input => dims(*w).0 >= k,
         // A matmul contracts the columns of its LEFT operand (each output
         // cell combines one full row of features) and the rows of its
         // RIGHT operand (each output cell sums over observations).

@@ -147,7 +147,7 @@ impl IncrementalColStats {
         // Prevent the old guard from retiring ids that the new map reuses,
         // then retire the replaced pre-append symbol explicitly.
         self.fed.disown();
-        ctx.enqueue_garbage(worker, old.id);
+        ctx.defer_rmvar(worker, old.id);
         self.fed =
             FedMatrix::from_parts(ctx, PartitionScheme::Row, rows, cols, parts, privacy, true)?;
 

@@ -13,7 +13,7 @@
 pub mod incremental;
 pub mod ops;
 
-pub use ops::ElemStep;
+pub use ops::MmWeights;
 pub mod prep;
 
 use std::sync::Arc;
@@ -63,8 +63,8 @@ impl FedPartition {
 }
 
 /// Owns the worker-side symbols of one federated object; when the last
-/// handle drops, the IDs are queued for amortized `rmvar` cleanup at the
-/// next RPC to each worker.
+/// handle drops, their `rmvar`s join each worker's outbox and travel
+/// with the next RPC to it.
 #[derive(Debug)]
 pub(crate) struct PartsGuard {
     ctx: Arc<FedContext>,
@@ -84,18 +84,9 @@ impl Drop for PartsGuard {
     fn drop(&mut self) {
         if self.owned.load(std::sync::atomic::Ordering::SeqCst) {
             for (worker, id) in &self.ids {
-                self.ctx.enqueue_garbage(*worker, *id);
+                self.ctx.defer_rmvar(*worker, *id);
             }
         }
-    }
-}
-
-/// Garbage queues live on the context and are drained by
-/// [`FedContext::call`]. (Separate impl block keeps `coordinator.rs`
-/// transport-only.)
-impl FedContext {
-    pub(crate) fn enqueue_garbage(&self, worker: usize, id: u64) {
-        self.garbage().lock()[worker].push(id);
     }
 }
 
@@ -451,7 +442,8 @@ impl FedMatrix {
 
     /// Issues one request sequence per partition in parallel; `make`
     /// produces the batch for each partition. Returns responses per
-    /// partition in partition order.
+    /// partition in partition order. Effect-only batches cost no round trip
+    /// (see [`FedContext::submit`]).
     pub(crate) fn per_part(
         &self,
         mut make: impl FnMut(&FedPartition) -> Vec<Request>,
@@ -465,8 +457,7 @@ impl FedMatrix {
             offsets.push((p.worker, batches[p.worker].len(), batch.len()));
             batches[p.worker].extend(batch);
         }
-        // Garbage cleanup is piggybacked transparently by `FedContext::call`.
-        let all = self.ctx.call_all(batches)?;
+        let all = self.ctx.submit(batches)?;
         let mut out = Vec::with_capacity(self.parts.len());
         for (w, off, len) in offsets {
             let rs = &all[w];

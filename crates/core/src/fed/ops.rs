@@ -23,36 +23,21 @@ use crate::value::DataValue;
 
 use super::{FedMatrix, FedPartition, PartitionScheme};
 
-/// One step of a fused element-wise chain: a matrix-scalar op, a unary
-/// map, or a value replacement. See [`FedMatrix::elementwise_chain`].
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum ElemStep {
-    /// `x op value` (`swap` computes `value op x`).
-    Scalar {
-        /// Binary operator.
-        op: BinaryOp,
-        /// Literal scalar operand.
-        value: f64,
-        /// Scalar on the left.
-        swap: bool,
-    },
-    /// Element-wise unary map.
-    Unary(UnaryOp),
-    /// Value replacement (pattern may be NaN).
-    Replace {
-        /// Value to replace.
-        pattern: f64,
-        /// Replacement value.
-        replacement: f64,
-    },
+/// The row weights `w` of [`FedMatrix::mmchain`].
+#[derive(Debug, Clone, Copy)]
+pub enum MmWeights<'a> {
+    /// At the coordinator: sliced per partition and shipped.
+    Local(&'a DenseMatrix),
+    /// Already at the sites, co-partitioned with `X`: nothing moves.
+    Fed(&'a FedMatrix),
 }
 
 impl FedMatrix {
     // --- broadcast helpers -------------------------------------------------
 
     /// Broadcasts a side input to every worker holding a partition,
-    /// returning the shared symbol ID. The ID is garbage-queued afterwards
-    /// by the caller via [`FedMatrix::retire_broadcast`].
+    /// returning the shared symbol ID. The caller queues its removal
+    /// afterwards via [`FedMatrix::retire_broadcast`].
     fn workers_of(&self) -> Vec<usize> {
         let mut seen = HashSet::new();
         let mut out = Vec::new();
@@ -66,7 +51,7 @@ impl FedMatrix {
 
     fn retire_broadcast(&self, id: u64) {
         for w in self.workers_of() {
-            self.ctx().enqueue_garbage(w, id);
+            self.ctx().defer_rmvar(w, id);
         }
     }
 
@@ -289,83 +274,133 @@ impl FedMatrix {
     }
 
     /// Fused `t(self) %*% (w ⊙ (self %*% v))` (mmchain) for row-partitioned
-    /// data: broadcast `v`, optionally slice a local `w`, aggregate partial
-    /// results by addition. This is LM's and MLogReg's inner-loop pattern.
-    pub fn mmchain(&self, v: &DenseMatrix, w: Option<&DenseMatrix>) -> Result<DenseMatrix> {
+    /// data, column by column: `v` is `d x k`, `w` (if any) `n x k`, and
+    /// column `j` of the `d x k` result is the single-vector `MmChain`
+    /// instruction applied to `(v_j, w_j)` — LM's inner loop at `k = 1`,
+    /// MLogReg's per-class CG systems at `k = classes`. All `k`
+    /// instructions of a partition travel in one batch, so the whole chain
+    /// costs one round: broadcast the `v_j`, slice a local `w` (a federated
+    /// one is already in place), aggregate partial results by addition.
+    pub fn mmchain(&self, v: &DenseMatrix, w: Option<MmWeights<'_>>) -> Result<DenseMatrix> {
         if self.scheme() != PartitionScheme::Row {
             return Err(RuntimeError::Unsupported(
                 "mmchain requires row-partitioned federated data".into(),
             ));
         }
-        if v.rows() != self.cols() || v.cols() != 1 {
-            return Err(RuntimeError::Matrix(
-                exdra_matrix::MatrixError::DimensionMismatch {
-                    op: "fed_mmchain",
-                    lhs: self.shape(),
-                    rhs: v.shape(),
-                },
+        let mismatch = |rhs: (usize, usize)| {
+            RuntimeError::Matrix(exdra_matrix::MatrixError::DimensionMismatch {
+                op: "fed_mmchain",
+                lhs: self.shape(),
+                rhs,
+            })
+        };
+        let k = v.cols();
+        if v.rows() != self.cols() || k == 0 {
+            return Err(mismatch(v.shape()));
+        }
+        let w_shape = w.map(|w| match w {
+            MmWeights::Local(m) => m.shape(),
+            MmWeights::Fed(f) => f.shape(),
+        });
+        if let Some(shape) = w_shape.filter(|s| *s != (self.rows(), k)) {
+            return Err(mismatch(shape));
+        }
+        if matches!(w, Some(MmWeights::Fed(f)) if !self.aligned_with(f)) {
+            return Err(RuntimeError::Unsupported(
+                "mmchain needs weights co-partitioned with X".into(),
             ));
         }
-        if let Some(w) = w {
-            if w.rows() != self.rows() || w.cols() != 1 {
-                return Err(RuntimeError::Matrix(
-                    exdra_matrix::MatrixError::DimensionMismatch {
-                        op: "fed_mmchain",
-                        lhs: self.shape(),
-                        rhs: w.shape(),
-                    },
-                ));
-            }
-        }
-        let v_id = self.ctx().fresh_id();
+        let column = |m: &DenseMatrix, lo: usize, hi: usize, j: usize| {
+            reorg::index(m, lo, hi, j, j + 1).expect("validated range")
+        };
+        let v_ids: Vec<u64> = (0..k).map(|_| self.ctx().fresh_id()).collect();
         let mut sent: HashSet<usize> = HashSet::new();
-        let mut acc: Option<DenseMatrix> = None;
+        let mut part = 0usize;
+        // Where each partition's k GET responses sit in its batch.
+        let mut gets: Vec<Vec<usize>> = Vec::with_capacity(self.parts().len());
         let results = self.per_part(|p| {
-            let out_id = self.ctx().fresh_id();
             let mut batch = Vec::new();
             if sent.insert(p.worker) {
-                batch.push(Request::Put {
-                    id: v_id,
-                    data: DataValue::from(v.clone()),
-                    privacy: PrivacyLevel::Public,
-                });
+                for (j, &id) in v_ids.iter().enumerate() {
+                    batch.push(Request::Put {
+                        id,
+                        data: DataValue::from(column(v, 0, v.rows(), j)),
+                        privacy: PrivacyLevel::Public,
+                    });
+                }
             }
-            let w_id = w.map(|w| {
-                let id = self.ctx().fresh_id();
-                let slice = reorg::index(w, p.lo, p.hi, 0, 1).expect("validated range");
-                batch.push(Request::Put {
-                    id,
-                    data: DataValue::from(slice),
-                    privacy: PrivacyLevel::Public,
+            let (mut outs, mut w_temps) = (Vec::with_capacity(k), Vec::new());
+            let mut get_at = Vec::with_capacity(k);
+            for (j, &v_id) in v_ids.iter().enumerate() {
+                let out_id = self.ctx().fresh_id();
+                let w_id = match w {
+                    None => None,
+                    Some(MmWeights::Local(w)) => {
+                        let id = self.ctx().fresh_id();
+                        batch.push(Request::Put {
+                            id,
+                            data: DataValue::from(column(w, p.lo, p.hi, j)),
+                            privacy: PrivacyLevel::Public,
+                        });
+                        w_temps.push(id);
+                        Some(id)
+                    }
+                    Some(MmWeights::Fed(w)) if k == 1 => Some(w.parts()[part].id),
+                    Some(MmWeights::Fed(w)) => {
+                        let id = self.ctx().fresh_id();
+                        batch.push(Request::ExecInst {
+                            inst: Instruction::Index {
+                                x: w.parts()[part].id,
+                                row_lo: 0,
+                                row_hi: p.len() as u64,
+                                col_lo: j as u64,
+                                col_hi: j as u64 + 1,
+                                out: id,
+                            },
+                        });
+                        w_temps.push(id);
+                        Some(id)
+                    }
+                };
+                batch.push(Request::ExecInst {
+                    inst: Instruction::MmChain {
+                        x: p.id,
+                        v: v_id,
+                        w: w_id,
+                        out: out_id,
+                    },
                 });
-                id
-            });
+                get_at.push(batch.len());
+                batch.push(Request::Get { id: out_id });
+                outs.push(out_id);
+            }
+            outs.extend(w_temps);
             batch.push(Request::ExecInst {
-                inst: Instruction::MmChain {
-                    x: p.id,
-                    v: v_id,
-                    w: w_id,
-                    out: out_id,
-                },
+                inst: Instruction::Rmvar { ids: outs },
             });
-            batch.push(Request::Get { id: out_id });
-            let mut rm = vec![out_id];
-            rm.extend(w_id);
-            batch.push(Request::ExecInst {
-                inst: Instruction::Rmvar { ids: rm },
-            });
+            gets.push(get_at);
+            part += 1;
             batch
         })?;
-        self.retire_broadcast(v_id);
-        for (p, rs) in self.parts().iter().zip(&results) {
-            let get_idx = rs.len() - 2;
-            let partial = expect_data(&rs[get_idx], p.worker)?.to_dense()?;
-            acc = Some(match acc {
-                None => partial,
-                Some(a) => a.zip(&partial, "+", |x, y| x + y)?,
-            });
+        for id in v_ids {
+            self.retire_broadcast(id);
         }
-        Ok(acc.expect("at least one partition"))
+        let mut out = DenseMatrix::zeros(self.cols(), k);
+        for j in 0..k {
+            let mut acc: Option<DenseMatrix> = None;
+            for ((p, rs), get_at) in self.parts().iter().zip(&results).zip(&gets) {
+                let partial = expect_data(&rs[get_at[j]], p.worker)?.to_dense()?;
+                acc = Some(match acc {
+                    None => partial,
+                    Some(a) => a.zip(&partial, "+", |x, y| x + y)?,
+                });
+            }
+            let acc = acc.expect("at least one partition");
+            for (i, &val) in acc.values().iter().enumerate() {
+                out.set(i, j, val);
+            }
+        }
+        Ok(out)
     }
 
     /// Aligned `t(self) %*% other` over two co-partitioned (row) federated
@@ -468,138 +503,6 @@ impl FedMatrix {
             };
             i += 1;
             vec![Request::ExecInst { inst }]
-        })?;
-        self.sibling(self.rows(), self.cols(), parts, self.privacy())
-    }
-
-    /// Executes a fused chain of element-wise steps in **one** request
-    /// round per partition instead of one round per step — the wire-level
-    /// payoff of scalar-chain folding in the plan optimizer.
-    ///
-    /// Each partition receives exactly the instruction sequence the
-    /// unfused per-step path would have issued (including the federated
-    /// rewrites for swapped non-commutative scalars: `s - X = -(X - s)`,
-    /// `s / X = s * X^-1`), so results are bitwise identical to applying
-    /// the steps one [`FedMatrix::scalar_op`]/[`FedMatrix::unary`]/
-    /// [`FedMatrix::replace`] call at a time.
-    pub fn elementwise_chain(&self, steps: &[ElemStep]) -> Result<FedMatrix> {
-        if steps.is_empty() {
-            return Err(RuntimeError::Invalid(
-                "elementwise_chain: empty step list".into(),
-            ));
-        }
-        // Validate up front (the per-partition closure is infallible),
-        // mirroring the unfused `Tensor::scalar_op` federated rewrite.
-        for s in steps {
-            if let ElemStep::Scalar { op, swap: true, .. } = s {
-                if !op.is_commutative() && !matches!(op, BinaryOp::Sub | BinaryOp::Div) {
-                    return Err(RuntimeError::Unsupported(format!(
-                        "swapped scalar {} on federated data",
-                        op.name()
-                    )));
-                }
-            }
-        }
-        let (parts, _) = self.fresh_like(self.rows(), self.cols());
-        let mut i = 0usize;
-        self.per_part(|p| {
-            let out = parts[i].id;
-            i += 1;
-            let mut insts: Vec<Instruction> = Vec::with_capacity(steps.len() + 1);
-            let mut temps: Vec<u64> = Vec::new();
-            let mut cur = p.id;
-            let last = steps.len() - 1;
-            for (k, step) in steps.iter().enumerate() {
-                let step_out = if k == last {
-                    out
-                } else {
-                    let t = self.ctx().fresh_id();
-                    temps.push(t);
-                    t
-                };
-                match *step {
-                    ElemStep::Scalar { op, value, swap } => {
-                        let swap_rewrite = swap && matches!(op, BinaryOp::Sub | BinaryOp::Div);
-                        if swap_rewrite {
-                            let t = self.ctx().fresh_id();
-                            temps.push(t);
-                            match op {
-                                BinaryOp::Sub => {
-                                    // s - X = -(X - s): two non-swapped scalars.
-                                    insts.push(Instruction::Scalar {
-                                        x: cur,
-                                        op: BinaryOp::Sub,
-                                        value,
-                                        swap: false,
-                                        out: t,
-                                    });
-                                    insts.push(Instruction::Scalar {
-                                        x: t,
-                                        op: BinaryOp::Mul,
-                                        value: -1.0,
-                                        swap: false,
-                                        out: step_out,
-                                    });
-                                }
-                                _ => {
-                                    // s / X = s * X^-1.
-                                    insts.push(Instruction::Scalar {
-                                        x: cur,
-                                        op: BinaryOp::Pow,
-                                        value: -1.0,
-                                        swap: false,
-                                        out: t,
-                                    });
-                                    insts.push(Instruction::Scalar {
-                                        x: t,
-                                        op: BinaryOp::Mul,
-                                        value,
-                                        swap: false,
-                                        out: step_out,
-                                    });
-                                }
-                            }
-                        } else {
-                            // Commutative swaps execute non-swapped, exactly
-                            // like the unfused path: `Tensor::scalar_op`
-                            // rewrites them to `swap: false` before they
-                            // reach a federated partition.
-                            insts.push(Instruction::Scalar {
-                                x: cur,
-                                op,
-                                value,
-                                swap: false,
-                                out: step_out,
-                            });
-                        }
-                    }
-                    ElemStep::Unary(op) => insts.push(Instruction::Unary {
-                        x: cur,
-                        op,
-                        out: step_out,
-                    }),
-                    ElemStep::Replace {
-                        pattern,
-                        replacement,
-                    } => insts.push(Instruction::Replace {
-                        x: cur,
-                        pattern,
-                        replacement,
-                        out: step_out,
-                    }),
-                }
-                cur = step_out;
-            }
-            let mut reqs: Vec<Request> = insts
-                .into_iter()
-                .map(|inst| Request::ExecInst { inst })
-                .collect();
-            if !temps.is_empty() {
-                reqs.push(Request::ExecInst {
-                    inst: Instruction::Rmvar { ids: temps.clone() },
-                });
-            }
-            reqs
         })?;
         self.sibling(self.rows(), self.cols(), parts, self.privacy())
     }
@@ -971,12 +874,7 @@ impl FedMatrix {
                 },
             });
         }
-        let responses = self.ctx().call_all(batches)?;
-        for (w, rs) in responses.iter().enumerate() {
-            for r in rs {
-                crate::coordinator::expect_ok(r, w)?;
-            }
-        }
+        self.ctx().submit(batches)?;
         FedMatrix::from_parts(
             std::sync::Arc::clone(self.ctx()),
             PartitionScheme::Row,
@@ -1124,7 +1022,7 @@ mod tests {
         let v = rand_matrix(8, 1, -1.0, 1.0, 107);
         let w = rand_matrix(60, 1, 0.0, 1.0, 108);
         let (_ctx, fed) = fed_of(3, &x);
-        let got = fed.mmchain(&v, Some(&w)).unwrap();
+        let got = fed.mmchain(&v, Some(MmWeights::Local(&w))).unwrap();
         let want = matmul::mmchain(&x, &v, Some(&w)).unwrap();
         assert!(got.max_abs_diff(&want) < 1e-10);
         let got2 = fed.mmchain(&v, None).unwrap();

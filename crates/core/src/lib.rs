@@ -43,7 +43,7 @@ pub mod worker;
 
 pub use coordinator::FedContext;
 pub use error::{FedError, Result, RuntimeError};
-pub use fed::{ElemStep, FedMatrix, PartitionScheme};
+pub use fed::{FedMatrix, PartitionScheme};
 pub use privacy::PrivacyLevel;
 pub use tensor::Tensor;
 pub use value::DataValue;

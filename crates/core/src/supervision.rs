@@ -634,7 +634,9 @@ impl Supervisor {
                     });
                     // The replica's copies of the straggler's symbols are
                     // scratch state: queue them for amortized rmvar.
-                    sup.ctx.garbage().lock()[replica].extend(ids);
+                    for id in ids {
+                        sup.ctx.defer_rmvar(replica, id);
+                    }
                     let _ = tx.send((false, r));
                 })
                 .expect("spawn speculative rpc thread");
@@ -954,9 +956,11 @@ mod tests {
             crate::protocol::Response::Data(DataValue::Scalar(v)) => assert_eq!(*v, 2.1),
             other => panic!("expected data, got {other:?}"),
         }
-        // The replica executed with restored scratch state, now queued
-        // for amortized cleanup.
-        assert!(ctx.garbage().lock()[1].contains(&21));
+        // The replica executed with restored scratch state, whose rmvar
+        // rides the next exchange with it.
+        assert!(fast.table().contains(21));
+        ctx.call(1, &[]).unwrap();
+        assert!(!fast.table().contains(21));
     }
 
     #[test]

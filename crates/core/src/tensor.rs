@@ -20,7 +20,7 @@ use exdra_matrix::kernels::reorg;
 use exdra_matrix::DenseMatrix;
 
 use crate::error::{Result, RuntimeError};
-use crate::fed::{FedMatrix, PartitionScheme};
+use crate::fed::{FedMatrix, MmWeights, PartitionScheme};
 
 /// A matrix that is local, federated, or compressed-local.
 #[derive(Debug, Clone)]
@@ -184,12 +184,53 @@ impl Tensor {
         }
     }
 
-    /// Fused `t(self) %*% (w ⊙ (self %*% v))` (mmchain).
+    /// Fused `t(self) %*% (w ⊙ (self %*% v))` (mmchain), column by column:
+    /// `v` is `d x k`, `w` (if any) `n x k`, and column `j` of the `d x k`
+    /// result is the single-vector kernel applied to `(v_j, w_j)`. On
+    /// federated data all `k` columns share one request round.
     pub fn mmchain(&self, v: &DenseMatrix, w: Option<&DenseMatrix>) -> Result<DenseMatrix> {
-        match self {
-            Tensor::Local(x) => Ok(matmul::mmchain(x, v, w)?),
-            Tensor::Fed(x) => x.mmchain(v, w),
-            Tensor::Compressed(x) => Ok(x.mmchain(v, w)?),
+        let single = |vj: &DenseMatrix, wj: Option<&DenseMatrix>| match self {
+            Tensor::Local(x) => Ok(matmul::mmchain(x, vj, wj)?),
+            Tensor::Compressed(x) => Ok(x.mmchain(vj, wj)?),
+            Tensor::Fed(x) => x.mmchain(vj, wj.map(MmWeights::Local)),
+        };
+        let k = v.cols();
+        if k == 1 || self.is_fed() {
+            return single(v, w);
+        }
+        if let Some(w) = w.filter(|w| w.cols() != k) {
+            return Err(exdra_matrix::MatrixError::DimensionMismatch {
+                op: "mmchain",
+                lhs: v.shape(),
+                rhs: w.shape(),
+            }
+            .into());
+        }
+        let mut out = DenseMatrix::zeros(v.rows(), k);
+        for j in 0..k {
+            let vj = reorg::index(v, 0, v.rows(), j, j + 1)?;
+            let wj = match w {
+                Some(w) => Some(reorg::index(w, 0, w.rows(), j, j + 1)?),
+                None => None,
+            };
+            let col = single(&vj, wj.as_ref())?;
+            for (i, &val) in col.values().iter().enumerate() {
+                out.set(i, j, val);
+            }
+        }
+        Ok(out)
+    }
+
+    /// [`Tensor::mmchain`] with the weights as a tensor. Federated weights
+    /// co-partitioned with a federated `self` are used where they are;
+    /// anything else is materialized first (privacy-checked).
+    pub fn mmchain_weighted(&self, v: &DenseMatrix, w: &Tensor) -> Result<DenseMatrix> {
+        match (self, w) {
+            (Tensor::Fed(x), Tensor::Fed(w)) if x.aligned_with(w) => {
+                x.mmchain(v, Some(MmWeights::Fed(w)))
+            }
+            (_, Tensor::Local(w)) => self.mmchain(v, Some(w)),
+            _ => self.mmchain(v, Some(&w.to_local()?)),
         }
     }
 
@@ -259,78 +300,6 @@ impl Tensor {
                 } else {
                     Ok(Tensor::Fed(f.scalar_op(op, value, false)?))
                 }
-            }
-        }
-    }
-
-    /// Applies a fused chain of element-wise steps. Local inputs run the
-    /// per-step kernels sequentially (identical to applying each step
-    /// through [`Tensor::scalar_op`]/[`Tensor::unary`]/[`Tensor::replace`]);
-    /// federated inputs execute the whole chain in **one** request round
-    /// per partition via [`FedMatrix::elementwise_chain`], with bitwise
-    /// identical results either way.
-    pub fn elementwise_chain(&self, steps: &[crate::fed::ElemStep]) -> Result<Tensor> {
-        use crate::fed::ElemStep;
-        if steps.is_empty() {
-            return Err(RuntimeError::Invalid(
-                "elementwise_chain: empty step list".into(),
-            ));
-        }
-        match self {
-            Tensor::Local(m) => {
-                let mut cur = m.clone();
-                for step in steps {
-                    cur = match *step {
-                        ElemStep::Scalar { op, value, swap } => {
-                            elementwise::scalar(&cur, op, value, swap)
-                        }
-                        ElemStep::Unary(op) => elementwise::unary(&cur, op),
-                        ElemStep::Replace {
-                            pattern,
-                            replacement,
-                        } => reorg::replace(&cur, pattern, replacement),
-                    };
-                }
-                Ok(Tensor::Local(cur))
-            }
-            Tensor::Fed(f) => Ok(Tensor::Fed(f.elementwise_chain(steps)?)),
-            Tensor::Compressed(c) => {
-                // The whole chain folds over each distinct value once —
-                // per cell this is exactly the sequential step application
-                // of the local path, so the result matches bit for bit
-                // (and stays compressed).
-                let steps = steps.to_vec();
-                Ok(Tensor::Compressed(c.map_cells(move |mut v| {
-                    for step in &steps {
-                        v = match *step {
-                            ElemStep::Scalar { op, value, swap } => {
-                                if swap {
-                                    op.apply(value, v)
-                                } else {
-                                    op.apply(v, value)
-                                }
-                            }
-                            ElemStep::Unary(op) => op.apply(v),
-                            ElemStep::Replace {
-                                pattern,
-                                replacement,
-                            } => {
-                                if pattern.is_nan() {
-                                    if v.is_nan() {
-                                        replacement
-                                    } else {
-                                        v
-                                    }
-                                } else if v == pattern {
-                                    replacement
-                                } else {
-                                    v
-                                }
-                            }
-                        };
-                    }
-                    v
-                })))
             }
         }
     }

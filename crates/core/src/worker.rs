@@ -89,6 +89,9 @@ pub struct Worker {
     config: WorkerConfig,
     compressed_count: std::sync::atomic::AtomicU64,
     shutdown: AtomicBool,
+    /// This worker's own listeners with their accept threads, so
+    /// [`Worker::shutdown`] can wake and join them.
+    listeners: Mutex<Vec<(std::net::SocketAddr, std::thread::JoinHandle<()>)>>,
     /// This instance's registration epoch (see [`NEXT_EPOCH`]).
     epoch: u64,
     /// Data-path requests executed (heartbeat load signal).
@@ -106,6 +109,7 @@ impl Worker {
             config,
             compressed_count: std::sync::atomic::AtomicU64::new(0),
             shutdown: AtomicBool::new(false),
+            listeners: Mutex::new(Vec::new()),
             epoch: NEXT_EPOCH.fetch_add(1, Ordering::Relaxed),
             load: AtomicU32::new(0),
         })
@@ -137,10 +141,19 @@ impl Worker {
         &self.cache
     }
 
-    /// Requests shutdown of serving loops (they exit after the current
-    /// connection closes).
+    /// Requests shutdown of serving loops: connections exit after their
+    /// current request, accept loops before this returns. An accept loop
+    /// only looks at the flag between connections, so each listener gets
+    /// one knock; its thread is joined, after which the port is closed.
     pub fn shutdown(&self) {
         self.shutdown.store(true, Ordering::SeqCst);
+        let listeners = std::mem::take(&mut *self.listeners.lock());
+        for (addr, accept) in listeners {
+            let knock = std::net::TcpStream::connect_timeout(&addr, Duration::from_secs(1));
+            if knock.is_ok() || accept.is_finished() {
+                let _ = accept.join();
+            }
+        }
     }
 
     /// Serves one connection until the peer closes it or
@@ -255,13 +268,11 @@ impl Worker {
         let server = TcpServer::bind(addr)?;
         let local = server.local_addr()?;
         let worker = Arc::clone(self);
-        std::thread::Builder::new()
+        let accept = std::thread::Builder::new()
             .name("exdra-worker-accept".into())
             .spawn(move || loop {
-                if worker.shutdown.load(Ordering::SeqCst) {
-                    return;
-                }
                 match server.accept() {
+                    Ok(_) if worker.shutdown.load(Ordering::SeqCst) => return,
                     Ok(ch) => {
                         let w = Arc::clone(&worker);
                         let key = w.config.channel_key;
@@ -276,6 +287,7 @@ impl Worker {
                 }
             })
             .expect("spawn worker accept thread");
+        self.listeners.lock().push((local, accept));
         self.maybe_spawn_compactor();
         Ok(local)
     }
@@ -298,7 +310,7 @@ impl Worker {
             .local_addr()
             .map_err(|e| RuntimeError::Network(e.to_string()))?;
         let worker = Arc::clone(self);
-        std::thread::Builder::new()
+        let accept = std::thread::Builder::new()
             .name("exdra-worker-http".into())
             .spawn(move || {
                 for stream in listener.incoming() {
@@ -313,6 +325,7 @@ impl Worker {
                 }
             })
             .expect("spawn worker http thread");
+        self.listeners.lock().push((local, accept));
         Ok(local)
     }
 
@@ -1085,6 +1098,19 @@ mod tests {
             other => panic!("unexpected {other:?}"),
         }
         w.shutdown();
+    }
+
+    #[test]
+    fn shutdown_wakes_and_joins_the_accept_loops() {
+        let w = worker();
+        w.serve_tcp("127.0.0.1:0").unwrap();
+        w.serve_http("127.0.0.1:0").unwrap();
+        assert_eq!(Arc::strong_count(&w), 3, "one handle per accept loop");
+        // No connection ever arrives on its own: shutdown has to wake the
+        // loops itself. It joins them, so their handles are gone (and
+        // their ports closed) by the time it returns.
+        w.shutdown();
+        assert_eq!(Arc::strong_count(&w), 1);
     }
 
     #[test]

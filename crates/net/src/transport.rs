@@ -39,7 +39,7 @@
 //! There is no third step: [`Duplex`] supplies `send`, `recv` and `split`,
 //! so a layer behaves identically whether it is used whole or split.
 
-use std::io::{self, BufReader, BufWriter};
+use std::io::{self, BufReader, BufWriter, Write};
 use std::net::{TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -218,6 +218,18 @@ fn normalize_timeout(e: io::Error) -> io::Error {
 impl SendHalf for TcpSendHalf {
     fn send(&mut self, payload: &[u8]) -> io::Result<()> {
         write_frame(&mut self.writer, payload).map_err(normalize_timeout)
+    }
+}
+
+impl Drop for TcpSendHalf {
+    /// Nothing more will be sent: say so on the wire. The receive half is
+    /// a clone of the socket and may outlive this one on another thread
+    /// (a [`ShapedChannel`]'s pump), which would otherwise keep the
+    /// connection open and the peer waiting. After the half-close the
+    /// peer reads end-of-stream, closes, and that thread's read ends too.
+    fn drop(&mut self) {
+        let _ = self.writer.flush();
+        let _ = self.writer.get_ref().shutdown(std::net::Shutdown::Write);
     }
 }
 
@@ -694,6 +706,48 @@ mod tests {
             assert_eq!(eb.recv().unwrap(), vec![i; 17]);
         }
         assert_eq!(ea.recv().unwrap(), b"early-reply");
+    }
+
+    #[test]
+    fn dropping_a_shaped_tcp_channel_ends_the_peer_and_the_pump() {
+        /// A receive half that reports when its owner lets go of it.
+        struct Probe(Box<dyn RecvHalf>, std::sync::mpsc::Sender<()>);
+        impl RecvHalf for Probe {
+            fn recv(&mut self) -> io::Result<Vec<u8>> {
+                self.0.recv()
+            }
+        }
+        impl Drop for Probe {
+            fn drop(&mut self) {
+                let _ = self.1.send(());
+            }
+        }
+        let server = TcpServer::bind("127.0.0.1:0").unwrap();
+        let addr = server.local_addr().unwrap();
+        // The peer echoes until its connection ends, like a worker's
+        // connection thread.
+        let peer = std::thread::spawn(move || {
+            let mut ch = server.accept().unwrap();
+            let mut served = 0;
+            while let Ok(m) = ch.recv() {
+                ch.send(&m).unwrap();
+                served += 1;
+            }
+            served
+        });
+        let (tx, rx) = Box::new(TcpChannel::connect(addr).unwrap()).split();
+        let (gone_tx, gone_rx) = std::sync::mpsc::channel();
+        let mut shaped = ShapedChannel::new(
+            Duplex::from_halves(tx, Probe(rx, gone_tx)),
+            NetProfile::lan(),
+        );
+        shaped.send(b"ping").unwrap();
+        assert_eq!(shaped.recv().unwrap(), b"ping");
+        drop(shaped);
+        // The peer saw the close although the pump still held the socket's
+        // read side, and then the pump's read ended and it let go.
+        assert_eq!(peer.join().unwrap(), 1);
+        gone_rx.recv().unwrap();
     }
 
     #[test]

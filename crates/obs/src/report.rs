@@ -12,6 +12,7 @@
 //! | metric | meaning |
 //! |---|---|
 //! | `rpc.calls` / `rpc.requests` / `rpc.retries` / `rpc.heartbeats` | coordinator RPC counters |
+//! | `rpc.deferred` | effect-only requests queued in a worker's outbox instead of sent on their own |
 //! | `worker.{w}.rpcs` / `.requests` / `.bytes_sent` / `.bytes_recv` | per-worker traffic |
 //! | `worker.{w}.net_nanos` / `.exec_nanos` / `.serde_nanos` / `.retries` | per-worker time split |
 //! | `inst.{opcode}` (histogram) | worker-side per-instruction latency |

@@ -63,10 +63,12 @@ pub fn install_ps_udf(worker: &Worker, net: Network) {
         PS_EPOCH_UDF,
         Arc::new(move |symbols, args| {
             // symbols: [X partition, y one-hot partition]
-            // args: [model list, lr, momentum, nesterov, batch_size, seed]
-            if symbols.len() != 2 || args.len() != 6 {
+            // args: [model list, lr, momentum, nesterov, batch_size,
+            //        seed high half, seed low half] — an f64 scalar holds
+            // 32 bits exactly, a whole u64 seed it would round.
+            if symbols.len() != 2 || args.len() != 7 {
                 return Err(RuntimeError::Invalid(format!(
-                    "ps.epoch: expected 2 symbols + 6 args, got {} + {}",
+                    "ps.epoch: expected 2 symbols + 7 args, got {} + {}",
                     symbols.len(),
                     args.len()
                 )));
@@ -78,7 +80,7 @@ pub fn install_ps_udf(worker: &Worker, net: Network) {
             let momentum = args[2].as_scalar()?;
             let nesterov = args[3].as_scalar()? != 0.0;
             let batch_size = args[4].as_scalar()? as usize;
-            let seed = args[5].as_scalar()? as u64;
+            let seed = ((args[5].as_scalar()? as u64) << 32) | args[6].as_scalar()? as u64;
 
             let mut local = snapshot.clone();
             let mut sgd = Sgd::new(lr, momentum, nesterov);
@@ -292,18 +294,22 @@ pub fn train_tracked(
     let mut skipped_updates = 0usize;
     let mut max_observed_staleness = 0usize;
     let mut epoch_losses = Vec::with_capacity(cfg.epochs);
-    let make_udf = |snapshot: &[DenseMatrix], epoch: usize| Udf::Registered {
-        name: PS_EPOCH_UDF.into(),
-        args: vec![
-            model_to_value(snapshot),
-            DataValue::Scalar(cfg.lr),
-            DataValue::Scalar(cfg.momentum),
-            DataValue::Scalar(if cfg.nesterov { 1.0 } else { 0.0 }),
-            DataValue::Scalar(cfg.batch_size as f64),
-            DataValue::Scalar(cfg.seed.wrapping_add(epoch as u64) as f64),
-        ],
-        arg_ids: vec![],
-        out: None,
+    let make_udf = |snapshot: &[DenseMatrix], epoch: usize| {
+        let seed = cfg.seed.wrapping_add(epoch as u64);
+        Udf::Registered {
+            name: PS_EPOCH_UDF.into(),
+            args: vec![
+                model_to_value(snapshot),
+                DataValue::Scalar(cfg.lr),
+                DataValue::Scalar(cfg.momentum),
+                DataValue::Scalar(if cfg.nesterov { 1.0 } else { 0.0 }),
+                DataValue::Scalar(cfg.batch_size as f64),
+                DataValue::Scalar((seed >> 32) as f64),
+                DataValue::Scalar((seed & 0xFFFF_FFFF) as f64),
+            ],
+            arg_ids: vec![],
+            out: None,
+        }
     };
 
     let obs_on = exdra_obs::enabled();
@@ -603,12 +609,20 @@ mod tests {
 
     #[test]
     fn federated_bsp_equals_local_bsp() {
+        // The second seed is not representable in an f64: the shuffle seed
+        // must reach the workers bit for bit.
+        for seed in [7, u64::MAX - 3] {
+            federated_bsp_equals_local_bsp_at(seed);
+        }
+    }
+
+    fn federated_bsp_equals_local_bsp_at(seed: u64) {
         let (x, y) = synth::multi_class(300, 5, 3, 0.4, 201);
         let y1h = synth::one_hot(&y, 3);
         let net = Network::ffn(5, &[12], 3, 202);
         let cfg = PsConfig {
             epochs: 3,
-            seed: 7,
+            seed,
             ..PsConfig::default()
         };
         // Local reference with identical contiguous partitioning.

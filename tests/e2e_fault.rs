@@ -66,8 +66,13 @@ fn killed_worker_mid_matmul_is_typed_worker_dead_mem() {
     // Healthy matmul first.
     fed.matmul_rhs_local(&rhs).expect("healthy matmul");
     // Kill worker 1, then the same matmul must fail *typed*, not hang.
+    // Its output stays federated, so the matmul itself is deferred: the
+    // failure surfaces at the fetch that carries it.
     workers[1].shutdown();
-    let err = fed.matmul_rhs_local(&rhs).unwrap_err();
+    let err = fed
+        .matmul_rhs_local(&rhs)
+        .and_then(|t| t.to_local())
+        .unwrap_err();
     assert!(
         matches!(err, RuntimeError::WorkerDead { worker: 1, .. }),
         "expected WorkerDead for worker 1, got {err:?}"
@@ -83,7 +88,10 @@ fn killed_worker_mid_matmul_is_typed_worker_dead_tcp() {
     let rhs = exdra::matrix::rng::rand_matrix(6, 3, -1.0, 1.0, 14);
     fed.matmul_rhs_local(&rhs).expect("healthy matmul");
     workers[0].shutdown();
-    let err = fed.matmul_rhs_local(&rhs).unwrap_err();
+    let err = fed
+        .matmul_rhs_local(&rhs)
+        .and_then(|t| t.to_local())
+        .unwrap_err();
     assert!(
         matches!(err, RuntimeError::WorkerDead { worker: 0, .. }),
         "expected WorkerDead for worker 0, got {err:?}"

@@ -261,11 +261,46 @@ fn explain_analyze_attributes_lm_wall_time() {
 }
 
 #[test]
+fn deferred_requests_are_counted_and_attributed_to_their_carrier() {
+    let _g = obs_test();
+    let (ctx, _workers) = mem_federation(2);
+    let x = rand_matrix(20, 3, -1.0, 1.0, 77);
+    let fed = Tensor::Fed(FedMatrix::scatter_rows(&ctx, &x, PrivacyLevel::Public).unwrap());
+    let w = Tensor::Local(rand_matrix(3, 3, -1.0, 1.0, 78));
+    let calls = exdra::obs::global().snapshot().counter("rpc.calls");
+    // Per worker: PUT w + ba+*, then softmax: three deferred requests and
+    // no RPC; the two rmvars (w, the matmul output) ride along uncounted.
+    let p = fed.matmul(&w).unwrap().softmax().unwrap();
+    let m = exdra::obs::global().snapshot();
+    assert_eq!(m.counter("rpc.deferred"), 6);
+    assert_eq!(m.counter("rpc.calls"), calls, "nothing sent yet");
+    p.to_local().unwrap();
+    exdra::obs::set_enabled(false);
+    let m = exdra::obs::global().snapshot();
+    assert_eq!(m.counter("rpc.calls"), calls + 2, "one carrier per worker");
+    assert_eq!(m.counter("rpc.deferred"), 6);
+    let spans = exdra::obs::take_spans();
+    let attr = |s: &SpanRecord, key: &str| {
+        let found = s.attrs.iter().find(|(k, _)| *k == key);
+        found.map(|(_, v)| v.to_string())
+    };
+    let carriers: Vec<&SpanRecord> = spans
+        .iter()
+        .filter(|s| s.name == "rpc.call" && attr(s, "deferred").as_deref() == Some("5"))
+        .collect();
+    assert_eq!(carriers.len(), 2, "each fetch carried its worker's five");
+    for c in carriers {
+        assert_eq!(attr(c, "requests").as_deref(), Some("6"));
+        assert_eq!(attr(c, "kinds").as_deref(), Some("PUT,EXEC_INST x4,GET"));
+    }
+}
+
+#[test]
 fn metrics_counters_match_issued_request_counts() {
     let _g = obs_test();
     let (ctx, _workers) = mem_federation(2);
-    // Hand-issued puts: no federated values go out of scope here, so no
-    // garbage-collection rmvar piggybacks onto the envelopes and the
+    // Hand-issued puts: no federated values go out of scope here, so the
+    // outboxes stay empty, nothing rides along in the envelopes and the
     // request math is exact.
     for i in 0..7u64 {
         ctx.call(

@@ -141,6 +141,72 @@ fn tcp_worker_killed_mid_run_recovers_from_checkpoint() {
     assert!(json.contains("\"recovery\""), "recovery summary in JSON");
 }
 
+/// A worker dies while the coordinator still holds deferred requests for
+/// it (effect-only ops waiting in its outbox for the next result-bearing
+/// exchange). The exchange that carries them fails like an eager op would
+/// have, what was queued for the dead incarnation is dropped (its rmvars
+/// aside), and the session's recovery retry recomputes the plan from its
+/// source symbols on the restored worker, bit for bit.
+#[test]
+fn worker_killed_with_a_non_empty_outbox_recovers_bitwise() {
+    use exdra::core::{FedMatrix, Tensor};
+    use exdra::matrix::kernels::elementwise::{BinaryOp, UnaryOp};
+    use exdra::Lazy;
+
+    let (ctx, workers) = mem_federation(2);
+    let policy = SupervisionPolicy {
+        heartbeat_interval: Duration::from_millis(30),
+        checkpoint_interval: Some(Duration::from_millis(40)),
+        ..SupervisionPolicy::default()
+    };
+    let sds = Session::builder()
+        .context(Arc::clone(&ctx))
+        .supervision(policy)
+        .build()
+        .unwrap();
+    let m = rand_matrix(60, 5, -1.0, 1.0, 23);
+    let fed = FedMatrix::scatter_rows(&ctx, &m, PrivacyLevel::Public).unwrap();
+    // Three deferred element-wise steps, then a fetch that carries them.
+    let plan = Lazy::from_fed(fed.clone())
+        .scalar(BinaryOp::Mul, 2.0, false)
+        .unary(UnaryOp::Abs)
+        .scalar(BinaryOp::Add, 1.0, false)
+        .col_sums()
+        .unwrap();
+    let expected = sds.compute(&plan).unwrap();
+
+    let sup = sds.supervisor().unwrap();
+    assert!(
+        sup.wait_until(Duration::from_secs(5), || sup.checkpoint_store().has(0)),
+        "background checkpoint landed"
+    );
+    let replacement = Worker::new(WorkerConfig::default());
+    let r2 = Arc::clone(&replacement);
+    sup.set_reconnector(Box::new(move |_w| {
+        Some(Box::new(r2.serve_mem()) as Box<dyn Channel>)
+    }));
+
+    // Leave work in both outboxes: an op whose output stays federated is
+    // not sent, and heartbeats and checkpoints never carry it.
+    let pending = fed.unary(UnaryOp::Sigmoid).unwrap();
+    let on_live_worker = pending.parts()[1].id;
+    assert!(!workers[1].table().contains(on_live_worker), "still queued");
+    workers[0].shutdown();
+    let after = sds.compute(&plan).unwrap();
+    assert_eq!(
+        expected.values(),
+        after.values(),
+        "recovered computation is bitwise identical"
+    );
+    assert!(ctx.stats().recoveries() >= 1, "NetStats counted recovery");
+    assert!(!replacement.table().is_empty(), "sources were restored");
+    // The live worker ran its half when the compute carried it; the half
+    // queued for the dead incarnation died with it, exactly as if it had
+    // been sent eagerly and lost.
+    assert!(workers[1].table().contains(on_live_worker));
+    assert!(Tensor::Fed(pending).to_local().is_err());
+}
+
 /// Satellite acceptance: under an injected straggler fault plan, a request
 /// past the latency-derived deadline is speculatively re-issued to a live
 /// replica (primed with the straggler's checkpoint) and the computation
