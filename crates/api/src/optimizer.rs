@@ -320,10 +320,12 @@ impl OperatorFusion {
         let col_vec = |k: usize| meta[k].is_some_and(|m| m.cols == 1);
         for i in 0..nodes.len() {
             match nodes[i].op {
-                // ba+*(t(X), Y) -> t-ba+*(X, Y): Tensor::t_matmul runs the
-                // exact transpose-matmul kernel path for local X, so this
-                // is bitwise-free. Fires regardless of the Transpose's
-                // refcount — the orphan is GC'd by compaction if unused.
+                // ba+*(t(X), Y) -> t-ba+*(X, Y): Tensor::t_matmul runs
+                // `matmul_tn`, whose cells are the r-ascending chains the
+                // GEMM builds on a materialized t(X), so this is
+                // bitwise-free — and saves the transpose. Fires regardless
+                // of the Transpose's refcount — the orphan is GC'd by
+                // compaction if unused.
                 PlanOp::MatMul => {
                     let (a, b) = (nodes[i].children[0], nodes[i].children[1]);
                     if let PlanOp::Transpose = nodes[a].op {

@@ -1,7 +1,9 @@
 //! Micro-kernel throughput sweep: blocked GEMM vs the naive reference
-//! (the test oracle), tsmm, mmchain, and compressed-domain operators, plus an
-//! end-to-end worker workload that must execute on compressed column
-//! groups without a single decompression (DESIGN.md §4k).
+//! (the test oracle), tsmm, mmchain, the `t(A) %*% B` row sweep vs
+//! transpose-then-GEMM, one-pass vs two-phase mmchain, and
+//! compressed-domain operators, plus an end-to-end worker workload that
+//! must execute on compressed column groups without a single
+//! decompression (DESIGN.md §4k).
 //!
 //!     cargo run --release -p exdra-bench --bin kernel_bench
 //!
@@ -21,9 +23,16 @@ use exdra_core::PrivacyLevel;
 use exdra_matrix::compress::CompressedMatrix;
 use exdra_matrix::kernels::aggregates::{aggregate, AggDir, AggOp};
 use exdra_matrix::kernels::elementwise::{scalar, BinaryOp};
-use exdra_matrix::kernels::matmul::{matmul, matmul_naive, mmchain, tsmm};
+use exdra_matrix::kernels::matmul::{
+    matmul, matmul_naive, matmul_tn, mmchain, mmchain_two_phase, tsmm,
+};
+use exdra_matrix::kernels::reorg::transpose;
 use exdra_matrix::rng::rand_matrix;
 use exdra_matrix::DenseMatrix;
+
+fn bits(m: &DenseMatrix) -> Vec<u64> {
+    m.values().iter().map(|v| v.to_bits()).collect()
+}
 
 fn gflops(flops: f64, secs: f64) -> f64 {
     flops / secs.max(1e-12) / 1e9
@@ -157,6 +166,103 @@ fn main() {
         gflops(mm_flops, mm_t)
     ));
 
+    // ---- t(A) %*% B: row sweep vs transpose-then-GEMM -----------------
+    // The three transposed-left shapes of the Fig. 5 suite on an n x 100
+    // X, one thread: t(X) y (LM-CG, L2SVM), t(X) R with 3 classes
+    // (MLogReg), t(P) X with 20 clusters (K-Means).
+    let sweep_rows: &[usize] = if quick { &[20_000] } else { &[20_000, 40_000] };
+    let mut table = Table::new(
+        "t(A) %*% B, one thread: row sweep vs matmul(&transpose(A), B)",
+        &["product", "rows", "sweep", "transpose+GEMM", "speedup"],
+    );
+    let mut tn_rows = Vec::new();
+    for &rows in sweep_rows {
+        let x = rand_matrix(rows, 100, -1.0, 1.0, 11);
+        for (name, k) in [("t(X) y", 1), ("t(X) R", 3), ("t(P) X", 20)] {
+            let y = rand_matrix(rows, k, -1.0, 1.0, 12);
+            let (a, b) = if k == 20 { (&y, &x) } else { (&x, &y) };
+            assert_eq!(
+                bits(&matmul_tn(a, b).expect("shapes")),
+                bits(&matmul(&transpose(a), b).expect("shapes")),
+                "{name}: row sweep differs from transpose+GEMM"
+            );
+            let (sweep_t, _) = exdra_par::with_threads(1, || {
+                time_reps(cfg.reps, || matmul_tn(a, b).expect("shapes"))
+            });
+            let (gemm_t, _) = exdra_par::with_threads(1, || {
+                time_reps(cfg.reps, || matmul(&transpose(a), b).expect("shapes"))
+            });
+            let speedup = gemm_t / sweep_t.max(1e-12);
+            table.row(&[
+                format!("{name} (k={k})"),
+                rows.to_string(),
+                secs(sweep_t),
+                secs(gemm_t),
+                format!("{speedup:.2}x"),
+            ]);
+            tn_rows.push(format!(
+                "    {{\"product\": \"{name}\", \"rows\": {rows}, \"k\": {k}, \"sweep_secs\": {sweep_t:.6}, \
+                 \"transpose_gemm_secs\": {gemm_t:.6}, \"speedup\": {speedup:.3}}}"
+            ));
+            if k == 1 && rows == 20_000 {
+                assert!(
+                    speedup >= 1.5,
+                    "t(X) y row sweep must beat matmul(&transpose(X), y) by >=1.5x at 20k x 100 \
+                     (got {speedup:.2}x)"
+                );
+            }
+        }
+    }
+    table.print();
+    json.push(format!("  \"t_matmul\": [\n{}\n  ]", tn_rows.join(",\n")));
+
+    // ---- mmchain: one pass vs two phases ------------------------------
+    // The kernel runs the one-pass sweep when its region is one strip
+    // and the two-phase schedule when it fans out (DESIGN.md §4k has the
+    // width table this choice was calibrated on).
+    let mut table = Table::new(
+        "mmchain t(X)*(X*v), X rows x 100: schedule the kernel picks vs two-phase forced",
+        &["rows", "width", "picked", "two-phase", "ratio"],
+    );
+    let mut mc_rows = Vec::new();
+    let chain_rows: &[usize] = if quick { &[20_000] } else { &[40_000, 200_000] };
+    for &rows in chain_rows {
+        let x = rand_matrix(rows, 100, -1.0, 1.0, 13);
+        let v = rand_matrix(100, 1, -1.0, 1.0, 14);
+        for width in [1, 2, 4] {
+            let (picked_t, two_t) = exdra_par::with_threads(width, || {
+                assert_eq!(
+                    bits(&mmchain(&x, &v, None).expect("shapes")),
+                    bits(&mmchain_two_phase(&x, &v, None).expect("shapes")),
+                    "one-pass mmchain differs from the two-phase oracle"
+                );
+                (
+                    time_reps(cfg.reps, || mmchain(&x, &v, None).expect("shapes")).0,
+                    time_reps(cfg.reps, || {
+                        mmchain_two_phase(&x, &v, None).expect("shapes")
+                    })
+                    .0,
+                )
+            });
+            table.row(&[
+                rows.to_string(),
+                width.to_string(),
+                secs(picked_t),
+                secs(two_t),
+                format!("{:.2}x", two_t / picked_t.max(1e-12)),
+            ]);
+            mc_rows.push(format!(
+                "    {{\"rows\": {rows}, \"width\": {width}, \"picked_secs\": {picked_t:.6}, \
+                 \"two_phase_secs\": {two_t:.6}}}"
+            ));
+        }
+    }
+    table.print();
+    json.push(format!(
+        "  \"mmchain_schedules\": [\n{}\n  ]",
+        mc_rows.join(",\n")
+    ));
+
     // ---- compressed-domain operators ----------------------------------
     // Same op on the dense frame and on its column groups; bytes/s uses
     // the bytes each representation actually touches, which is where
@@ -190,6 +296,11 @@ fn main() {
             Box::new(|| c.matvec(&cv).expect("shapes")),
         ),
         (
+            "t(X)*w",
+            Box::new(|| matmul_tn(&d, &cw).expect("shapes")),
+            Box::new(|| c.t_matmul(&cw).expect("shapes")),
+        ),
+        (
             "t(X)*(w.*(X*v))",
             Box::new(|| mmchain(&d, &cv, Some(&cw)).expect("shapes")),
             Box::new(|| c.mmchain(&cv, Some(&cw)).expect("shapes")),
@@ -216,9 +327,11 @@ fn main() {
     );
     let mut comp_rows = Vec::new();
     for (name, dense_f, comp_f) in &pairs {
-        let want: Vec<u64> = dense_f().values().iter().map(|v| v.to_bits()).collect();
-        let got: Vec<u64> = comp_f().values().iter().map(|v| v.to_bits()).collect();
-        assert_eq!(got, want, "{name}: compressed result differs bitwise");
+        assert_eq!(
+            bits(&comp_f()),
+            bits(&dense_f()),
+            "{name}: compressed result differs bitwise"
+        );
         let (dt, _) = time_reps(cfg.reps, dense_f);
         let (ct, _) = time_reps(cfg.reps, comp_f);
         table.row(&[
@@ -259,7 +372,16 @@ fn main() {
         Instruction::MatMul {
             lhs: 1,
             rhs: 2,
+            t_lhs: false,
             out: 11,
+        },
+        // L2SVM's and LM-CG's gradient `t(X) %*% y` on the partition as
+        // stored (at the parent: a `t(y) %*% X` that decompressed X).
+        Instruction::MatMul {
+            lhs: 1,
+            rhs: 3,
+            t_lhs: true,
+            out: 15,
         },
         Instruction::Agg {
             x: 1,
@@ -309,8 +431,8 @@ fn main() {
         .cloned()
         .collect();
     assert!(
-        direct >= 5,
-        "expected 5 direct compressed executions, saw {direct}"
+        direct >= 6,
+        "expected 6 direct compressed executions, saw {direct}"
     );
     assert_eq!(fallback, 0, "workload must not decompress the frame");
     assert!(!c_opcodes.is_empty(), "no inst.c.* histograms recorded");

@@ -13,7 +13,7 @@
 //!
 //! Compressed inputs (from [`crate::worker`] compaction) execute directly
 //! on the column groups when the opcode supports it — element-wise ops,
-//! aggregates, matrix-vector products and mmchain — recorded under
+//! aggregates, `X v`, `t(X) Y` and mmchain — recorded under
 //! `inst.c.<opcode>` histograms and the `compress.exec.direct` counter.
 //! Everything else decompresses on demand (`compress.exec.fallback`).
 
@@ -274,8 +274,15 @@ fn aggregates_input(
         MmChain { w: Some(w), .. } if *w == input => dims(*w).0 >= k,
         // A matmul contracts the columns of its LEFT operand (each output
         // cell combines one full row of features) and the rows of its
-        // RIGHT operand (each output cell sums over observations).
-        MatMul { lhs, .. } if *lhs == input => dims(*lhs).1 >= k,
+        // RIGHT operand (each output cell sums over observations); with a
+        // transposed left operand it contracts the rows of both.
+        MatMul { lhs, t_lhs, .. } if *lhs == input => {
+            if *t_lhs {
+                dims(*lhs).0 >= k
+            } else {
+                dims(*lhs).1 >= k
+            }
+        }
         MatMul { rhs, .. } if *rhs == input => dims(*rhs).0 >= k,
         Cov { a, b, .. } if *a == input || *b == input => dims(*a).0 >= k,
         CentralMoment { a, .. } if *a == input => dims(*a).0 >= k,
@@ -291,6 +298,8 @@ fn mix_literals(inst: &Instruction, h: u64) -> u64 {
     let u = |h: u64, v: u64| lineage::mix(h, v);
     match inst {
         Tsmm { left, .. } => b(h, *left),
+        // For a square A, `A %*% B` and `t(A) %*% B` have equal inputs.
+        MatMul { t_lhs, .. } => b(h, *t_lhs),
         // The aggregate function is part of the opcode name, but the
         // direction is not - without it, sum/colSums/rowSums collide.
         Agg { dir, .. } => u(
@@ -370,22 +379,30 @@ fn compute(inst: &Instruction, inputs: &[(u64, Entry)]) -> Result<DataValue> {
         }
     };
     Ok(match inst {
-        MatMul { lhs, rhs, .. } => {
-            // Keep the CSR fast path when the left operand is sparse.
-            let l = by_id(*lhs);
-            if let DataValue::Matrix(Matrix::Sparse(s)) = &*l.value {
-                DataValue::from(s.matmul_dense(&*m(*rhs)?)?)
-            } else if let Some(c) = comp(*lhs) {
-                let r = m(*rhs)?;
-                if r.cols() == 1 {
+        MatMul {
+            lhs, rhs, t_lhs, ..
+        } => {
+            // A sparse left operand keeps its CSR kernels, a compressed
+            // one its column-group kernels (`X v`, and `t(X) Y` for any
+            // Y); everything else is dense — through `m`, which counts a
+            // decompression as a fallback. The left operand is never
+            // transposed: `t_lhs` picks the kernel.
+            let r = m(*rhs)?;
+            let out = match (&*by_id(*lhs).value, *t_lhs) {
+                (DataValue::Matrix(Matrix::Sparse(s)), false) => s.matmul_dense(&r)?,
+                (DataValue::Matrix(Matrix::Sparse(s)), true) => s.t_matmul_dense(&r)?,
+                (DataValue::Matrix(Matrix::Compressed(c)), false) if r.cols() == 1 => {
                     compressed_direct();
-                    DataValue::from(c.matvec(&r)?)
-                } else {
-                    DataValue::from(matmul::matmul(&c.decompress(), &r)?)
+                    c.matvec(&r)?
                 }
-            } else {
-                DataValue::from(matmul::matmul(&*m(*lhs)?, &*m(*rhs)?)?)
-            }
+                (DataValue::Matrix(Matrix::Compressed(c)), true) => {
+                    compressed_direct();
+                    c.t_matmul(&r)?
+                }
+                (_, false) => matmul::matmul(&*m(*lhs)?, &r)?,
+                (_, true) => matmul::matmul_tn(&*m(*lhs)?, &r)?,
+            };
+            DataValue::from(out)
         }
         Tsmm { x, left, .. } => DataValue::from(matmul::tsmm(&*m(*x)?, *left)?),
         MmChain { x, v, w, .. } => {
@@ -582,6 +599,7 @@ mod tests {
             &Instruction::MatMul {
                 lhs: 1,
                 rhs: 2,
+                t_lhs: false,
                 out: 3,
             },
             &t,
@@ -795,6 +813,75 @@ mod tests {
             t.value(3).unwrap().to_dense().unwrap().get(0, 0),
             2.0 * t.value(1).unwrap().to_dense().unwrap().get(0, 0)
         );
+    }
+
+    #[test]
+    fn lineage_and_opcode_tell_a_transposed_left_matmul_apart() {
+        // Square A and B: `A %*% B` and `t(A) %*% B` read the same inputs.
+        let cache = LineageCache::new(1 << 20, true);
+        let a = rand_matrix(6, 6, -1.0, 1.0, 10);
+        let b = rand_matrix(6, 6, -1.0, 1.0, 11);
+        let t = table_with(&[(1, a.clone()), (2, b.clone())]);
+        let product = |t_lhs, out| Instruction::MatMul {
+            lhs: 1,
+            rhs: 2,
+            t_lhs,
+            out,
+        };
+        assert_eq!(product(false, 3).name(), "ba+*");
+        assert_eq!(product(true, 4).name(), "t-ba+*");
+        assert_ne!(
+            mix_literals(&product(false, 3), 7),
+            mix_literals(&product(true, 3), 7)
+        );
+        execute(&product(false, 3), &t, Some(&cache)).unwrap();
+        execute(&product(true, 4), &t, Some(&cache)).unwrap();
+        assert_eq!(cache.hits(), 0, "the flag is part of the lineage");
+        let plain = t.value(3).unwrap().to_dense().unwrap();
+        let transposed = t.value(4).unwrap().to_dense().unwrap();
+        assert_eq!(
+            plain.values(),
+            matmul::matmul_naive(&a, &b).unwrap().values()
+        );
+        assert_eq!(
+            transposed.values(),
+            matmul::matmul_naive(&reorg::transpose(&a), &b)
+                .unwrap()
+                .values()
+        );
+        assert_ne!(plain.values(), transposed.values());
+    }
+
+    #[test]
+    fn compressed_and_sparse_left_operands_keep_their_kernels_when_transposed() {
+        let mut x = DenseMatrix::zeros(120, 3);
+        for r in 0..120 {
+            x.set(r, 0, (r % 4) as f64);
+            x.set(r, 2, if r % 5 == 0 { 1.5 } else { 0.0 });
+        }
+        let y = rand_matrix(120, 2, -1.0, 1.0, 12);
+        let want = matmul::matmul_naive(&reorg::transpose(&x), &y).unwrap();
+        let t = SymbolTable::new();
+        t.bind_public(
+            1,
+            DataValue::Matrix(Matrix::Compressed(CompressedMatrix::compress(&x))),
+        );
+        t.bind_public(
+            2,
+            DataValue::Matrix(Matrix::Sparse(exdra_matrix::SparseMatrix::from_dense(&x))),
+        );
+        t.bind_public(3, DataValue::from(y));
+        for (lhs, out) in [(1u64, 10u64), (2, 11)] {
+            let inst = Instruction::MatMul {
+                lhs,
+                rhs: 3,
+                t_lhs: true,
+                out,
+            };
+            execute(&inst, &t, None).unwrap();
+            let got = t.value(out).unwrap().to_dense().unwrap();
+            assert_eq!(got.values(), want.values(), "lhs {lhs}");
+        }
     }
 
     #[test]

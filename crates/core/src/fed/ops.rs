@@ -18,7 +18,7 @@ use crate::coordinator::expect_data;
 use crate::error::{Result, RuntimeError};
 use crate::instruction::Instruction;
 use crate::privacy::PrivacyLevel;
-use crate::protocol::Request;
+use crate::protocol::{Request, Response};
 use crate::value::DataValue;
 
 use super::{FedMatrix, FedPartition, PartitionScheme};
@@ -62,89 +62,119 @@ impl FedMatrix {
     /// Col scheme: sliced broadcast of `rhs` rows per column range, partial
     /// products summed at the coordinator (local output).
     pub fn matmul_rhs_local(&self, rhs: &DenseMatrix) -> Result<crate::tensor::Tensor> {
-        if self.cols() != rhs.rows() {
+        self.rhs_local(rhs, false)
+    }
+
+    /// `t(self) %*% rhs` with a local right-hand side, on the partitions
+    /// as stored (`MatMul` with `t_lhs`): nothing is transposed at the
+    /// sites or at the coordinator.
+    ///
+    /// Row scheme (LM's and L2SVM's `t(X) %*% y`): the row slice of `rhs`
+    /// matching each partition is shipped as is, the `cols x k` partials
+    /// are summed in partition order. Col scheme: broadcast `rhs`, output
+    /// federated by rows over the same ranges.
+    pub fn t_matmul_rhs_local(&self, rhs: &DenseMatrix) -> Result<crate::tensor::Tensor> {
+        self.rhs_local(rhs, true)
+    }
+
+    /// `op(self) %*% rhs` with `op = t` when `t_self`. When `op(self)` is
+    /// partitioned by rows every site computes its rows of the output
+    /// from a broadcast `rhs`; when by columns, a partial product from
+    /// its row slice of `rhs`.
+    fn rhs_local(&self, rhs: &DenseMatrix, t_self: bool) -> Result<crate::tensor::Tensor> {
+        let (out_rows, inner) = if t_self {
+            (self.cols(), self.rows())
+        } else {
+            self.shape()
+        };
+        if inner != rhs.rows() {
             return Err(RuntimeError::Matrix(
                 exdra_matrix::MatrixError::DimensionMismatch {
                     op: "fed_matmul",
-                    lhs: self.shape(),
+                    lhs: (out_rows, inner),
                     rhs: rhs.shape(),
                 },
             ));
         }
-        match self.scheme() {
-            PartitionScheme::Row => {
-                let rhs_id = self.ctx().fresh_id();
-                let (parts, _) = self.fresh_like(self.rows(), rhs.cols());
-                let mut sent: HashSet<usize> = HashSet::new();
-                let mut i = 0usize;
-                self.per_part(|p| {
-                    let mut batch = Vec::new();
-                    if sent.insert(p.worker) {
-                        batch.push(Request::Put {
-                            id: rhs_id,
-                            data: DataValue::from(rhs.clone()),
-                            privacy: PrivacyLevel::Public,
-                        });
-                    }
-                    batch.push(Request::ExecInst {
-                        inst: Instruction::MatMul {
-                            lhs: p.id,
-                            rhs: rhs_id,
-                            out: parts[i].id,
-                        },
-                    });
-                    i += 1;
-                    batch
-                })?;
-                self.retire_broadcast(rhs_id);
-                Ok(crate::tensor::Tensor::Fed(self.sibling(
-                    self.rows(),
-                    rhs.cols(),
-                    parts,
-                    self.privacy(),
-                )?))
-            }
-            PartitionScheme::Col => {
-                // Partial products X_w (m x len) * rhs[lo:hi, :] summed up.
-                let mut acc: Option<DenseMatrix> = None;
-                let results = self.per_part(|p| {
-                    let slice_id = self.ctx().fresh_id();
-                    let out_id = self.ctx().fresh_id();
-                    let slice =
-                        reorg::index(rhs, p.lo, p.hi, 0, rhs.cols()).expect("validated range");
-                    vec![
-                        Request::Put {
-                            id: slice_id,
-                            data: DataValue::from(slice),
-                            privacy: PrivacyLevel::Public,
-                        },
-                        Request::ExecInst {
-                            inst: Instruction::MatMul {
-                                lhs: p.id,
-                                rhs: slice_id,
-                                out: out_id,
-                            },
-                        },
-                        Request::Get { id: out_id },
-                        Request::ExecInst {
-                            inst: Instruction::Rmvar {
-                                ids: vec![slice_id, out_id],
-                            },
-                        },
-                    ]
-                })?;
-                for (p, rs) in self.parts().iter().zip(&results) {
-                    let partial = expect_data(&rs[2], p.worker)?.to_dense()?;
-                    acc = Some(match acc {
-                        None => partial,
-                        Some(a) => a.zip(&partial, "+", |x, y| x + y)?,
+        if (self.scheme() == PartitionScheme::Row) != t_self {
+            let rhs_id = self.ctx().fresh_id();
+            let (parts, _) = self.fresh_like(out_rows, rhs.cols());
+            let mut sent: HashSet<usize> = HashSet::new();
+            let mut i = 0usize;
+            self.per_part(|p| {
+                let mut batch = Vec::new();
+                if sent.insert(p.worker) {
+                    batch.push(Request::Put {
+                        id: rhs_id,
+                        data: DataValue::from(rhs.clone()),
+                        privacy: PrivacyLevel::Public,
                     });
                 }
-                Ok(crate::tensor::Tensor::Local(
-                    acc.expect("at least one partition"),
-                ))
-            }
+                batch.push(Request::ExecInst {
+                    inst: Instruction::MatMul {
+                        lhs: p.id,
+                        rhs: rhs_id,
+                        t_lhs: t_self,
+                        out: parts[i].id,
+                    },
+                });
+                i += 1;
+                batch
+            })?;
+            self.retire_broadcast(rhs_id);
+            return Ok(crate::tensor::Tensor::Fed(FedMatrix::from_parts(
+                std::sync::Arc::clone(self.ctx()),
+                PartitionScheme::Row,
+                out_rows,
+                rhs.cols(),
+                parts,
+                self.privacy(),
+                true,
+            )?));
         }
+        let results = self.per_part(|p| {
+            let slice_id = self.ctx().fresh_id();
+            let out_id = self.ctx().fresh_id();
+            let slice = reorg::index(rhs, p.lo, p.hi, 0, rhs.cols()).expect("validated range");
+            vec![
+                Request::Put {
+                    id: slice_id,
+                    data: DataValue::from(slice),
+                    privacy: PrivacyLevel::Public,
+                },
+                Request::ExecInst {
+                    inst: Instruction::MatMul {
+                        lhs: p.id,
+                        rhs: slice_id,
+                        t_lhs: t_self,
+                        out: out_id,
+                    },
+                },
+                Request::Get { id: out_id },
+                Request::ExecInst {
+                    inst: Instruction::Rmvar {
+                        ids: vec![slice_id, out_id],
+                    },
+                },
+            ]
+        })?;
+        Ok(crate::tensor::Tensor::Local(
+            self.sum_partials(&results, 2)?,
+        ))
+    }
+
+    /// Adds up, in partition order, the partial result each partition's
+    /// batch fetched as its `get_at`-th response.
+    fn sum_partials(&self, results: &[Vec<Response>], get_at: usize) -> Result<DenseMatrix> {
+        let mut acc: Option<DenseMatrix> = None;
+        for (p, rs) in self.parts().iter().zip(results) {
+            let partial = expect_data(&rs[get_at], p.worker)?.to_dense()?;
+            acc = Some(match acc {
+                None => partial,
+                Some(a) => a.zip(&partial, "+", |x, y| x + y)?,
+            });
+        }
+        Ok(acc.expect("at least one partition"))
     }
 
     /// `lhs %*% self` with a local left-hand side.
@@ -154,23 +184,44 @@ impl FedMatrix {
     /// by element-wise addition at the coordinator.
     /// Col scheme: broadcast `lhs`, output federated with the same col map.
     pub fn matmul_lhs_local(&self, lhs: &DenseMatrix) -> Result<crate::tensor::Tensor> {
-        if lhs.cols() != self.rows() {
+        self.lhs_local(lhs, false)
+    }
+
+    /// `t(lhs) %*% self` with a local left-hand side, shipped as stored
+    /// (row-sliced under the row scheme) and multiplied with `t_lhs`.
+    pub fn t_matmul_lhs_local(&self, lhs: &DenseMatrix) -> Result<crate::tensor::Tensor> {
+        self.lhs_local(lhs, true)
+    }
+
+    /// `op(lhs) %*% self` with `op = t` when `t_lhs`.
+    fn lhs_local(&self, lhs: &DenseMatrix, t_lhs: bool) -> Result<crate::tensor::Tensor> {
+        let (out_rows, inner) = if t_lhs {
+            (lhs.cols(), lhs.rows())
+        } else {
+            lhs.shape()
+        };
+        if inner != self.rows() {
             return Err(RuntimeError::Matrix(
                 exdra_matrix::MatrixError::DimensionMismatch {
                     op: "fed_matmul",
-                    lhs: lhs.shape(),
+                    lhs: (out_rows, inner),
                     rhs: self.shape(),
                 },
             ));
         }
         match self.scheme() {
             PartitionScheme::Row => {
-                let mut acc: Option<DenseMatrix> = None;
                 let results = self.per_part(|p| {
                     let slice_id = self.ctx().fresh_id();
                     let out_id = self.ctx().fresh_id();
-                    let slice =
-                        reorg::index(lhs, 0, lhs.rows(), p.lo, p.hi).expect("validated range");
+                    // The contracted index of `op(lhs)`: its columns, which
+                    // are the rows of a transposed `lhs`.
+                    let slice = if t_lhs {
+                        reorg::index(lhs, p.lo, p.hi, 0, lhs.cols())
+                    } else {
+                        reorg::index(lhs, 0, lhs.rows(), p.lo, p.hi)
+                    }
+                    .expect("validated range");
                     vec![
                         Request::Put {
                             id: slice_id,
@@ -181,6 +232,7 @@ impl FedMatrix {
                             inst: Instruction::MatMul {
                                 lhs: slice_id,
                                 rhs: p.id,
+                                t_lhs,
                                 out: out_id,
                             },
                         },
@@ -192,20 +244,13 @@ impl FedMatrix {
                         },
                     ]
                 })?;
-                for (p, rs) in self.parts().iter().zip(&results) {
-                    let partial = expect_data(&rs[2], p.worker)?.to_dense()?;
-                    acc = Some(match acc {
-                        None => partial,
-                        Some(a) => a.zip(&partial, "+", |x, y| x + y)?,
-                    });
-                }
                 Ok(crate::tensor::Tensor::Local(
-                    acc.expect("at least one partition"),
+                    self.sum_partials(&results, 2)?,
                 ))
             }
             PartitionScheme::Col => {
                 let lhs_id = self.ctx().fresh_id();
-                let (parts, _) = self.fresh_like(lhs.rows(), self.cols());
+                let (parts, _) = self.fresh_like(out_rows, self.cols());
                 let mut sent: HashSet<usize> = HashSet::new();
                 let mut i = 0usize;
                 self.per_part(|p| {
@@ -221,6 +266,7 @@ impl FedMatrix {
                         inst: Instruction::MatMul {
                             lhs: lhs_id,
                             rhs: p.id,
+                            t_lhs,
                             out: parts[i].id,
                         },
                     });
@@ -229,7 +275,7 @@ impl FedMatrix {
                 })?;
                 self.retire_broadcast(lhs_id);
                 Ok(crate::tensor::Tensor::Fed(self.sibling(
-                    lhs.rows(),
+                    out_rows,
                     self.cols(),
                     parts,
                     self.privacy(),
@@ -246,7 +292,6 @@ impl FedMatrix {
                 "tsmm currently requires row-partitioned federated data".into(),
             ));
         }
-        let mut acc: Option<DenseMatrix> = None;
         let results = self.per_part(|p| {
             let out_id = self.ctx().fresh_id();
             vec![
@@ -263,14 +308,7 @@ impl FedMatrix {
                 },
             ]
         })?;
-        for (p, rs) in self.parts().iter().zip(&results) {
-            let partial = expect_data(&rs[1], p.worker)?.to_dense()?;
-            acc = Some(match acc {
-                None => partial,
-                Some(a) => a.zip(&partial, "+", |x, y| x + y)?,
-            });
-        }
-        Ok(acc.expect("at least one partition"))
+        self.sum_partials(&results, 1)
     }
 
     /// Fused `t(self) %*% (w ⊙ (self %*% v))` (mmchain) for row-partitioned
@@ -418,39 +456,26 @@ impl FedMatrix {
         }
         let other_parts: Vec<FedPartition> = other.parts().to_vec();
         let mut i = 0usize;
-        let mut acc: Option<DenseMatrix> = None;
         let results = self.per_part(|p| {
-            let t_id = self.ctx().fresh_id();
             let out_id = self.ctx().fresh_id();
             let q = &other_parts[i];
             i += 1;
             vec![
                 Request::ExecInst {
-                    inst: Instruction::Transpose { x: p.id, out: t_id },
-                },
-                Request::ExecInst {
                     inst: Instruction::MatMul {
-                        lhs: t_id,
+                        lhs: p.id,
                         rhs: q.id,
+                        t_lhs: true,
                         out: out_id,
                     },
                 },
                 Request::Get { id: out_id },
                 Request::ExecInst {
-                    inst: Instruction::Rmvar {
-                        ids: vec![t_id, out_id],
-                    },
+                    inst: Instruction::Rmvar { ids: vec![out_id] },
                 },
             ]
         })?;
-        for (p, rs) in self.parts().iter().zip(&results) {
-            let partial = expect_data(&rs[2], p.worker)?.to_dense()?;
-            acc = Some(match acc {
-                None => partial,
-                Some(a) => a.zip(&partial, "+", |x, y| x + y)?,
-            });
-        }
-        Ok(acc.expect("at least one partition"))
+        self.sum_partials(&results, 1)
     }
 
     /// Element-wise unary op; output stays federated.

@@ -15,12 +15,16 @@ use exdra_net::codec::{DecodeError, DecodeResult, Wire};
 /// A runtime instruction over symbol-table IDs (Table 1 surface).
 #[derive(Debug, Clone, PartialEq)]
 pub enum Instruction {
-    /// `out = lhs %*% rhs`.
+    /// `out = lhs %*% rhs`, or `out = t(lhs) %*% rhs` with `t_lhs` — the
+    /// transposed-left product runs on `lhs` as stored, no transpose is
+    /// ever materialized.
     MatMul {
         /// Left operand ID.
         lhs: u64,
         /// Right operand ID.
         rhs: u64,
+        /// `true` for `t(lhs) %*% rhs` (opcode `t-ba+*`).
+        t_lhs: bool,
         /// Output ID.
         out: u64,
     },
@@ -428,7 +432,9 @@ impl Instruction {
     pub fn name(&self) -> &'static str {
         use Instruction::*;
         match self {
-            MatMul { .. } => "ba+*",
+            MatMul { t_lhs: false, .. } => "ba+*",
+            // The plan's name for the same op: priced and profiled apart.
+            MatMul { t_lhs: true, .. } => "t-ba+*",
             Tsmm { .. } => "tsmm",
             MmChain { .. } => "mmchain",
             Unary { op, .. } => op.name(),
@@ -542,10 +548,16 @@ impl Wire for Instruction {
     fn encode(&self, buf: &mut impl BufMut) {
         use Instruction::*;
         match self {
-            MatMul { lhs, rhs, out } => {
+            MatMul {
+                lhs,
+                rhs,
+                t_lhs,
+                out,
+            } => {
                 buf.put_u8(0);
                 lhs.encode(buf);
                 rhs.encode(buf);
+                t_lhs.encode(buf);
                 out.encode(buf);
             }
             Tsmm { x, left, out } => {
@@ -797,6 +809,7 @@ impl Wire for Instruction {
             0 => MatMul {
                 lhs: u64::decode(buf)?,
                 rhs: u64::decode(buf)?,
+                t_lhs: bool::decode(buf)?,
                 out: u64::decode(buf)?,
             },
             1 => Tsmm {
@@ -983,6 +996,13 @@ mod tests {
             MatMul {
                 lhs: 1,
                 rhs: 2,
+                t_lhs: false,
+                out: 3,
+            },
+            MatMul {
+                lhs: 1,
+                rhs: 2,
+                t_lhs: true,
                 out: 3,
             },
             Tsmm {

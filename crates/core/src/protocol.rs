@@ -663,6 +663,7 @@ mod tests {
                 inst: Instruction::MatMul {
                     lhs: 1,
                     rhs: 2,
+                    t_lhs: false,
                     out: 3,
                 },
             },
@@ -819,6 +820,7 @@ mod tests {
             inst: Instruction::MatMul {
                 lhs: 2,
                 rhs: 3,
+                t_lhs: false,
                 out: 4,
             },
         }

@@ -7,7 +7,7 @@
 //! the in-memory kernels; federated inputs dispatch to the federated
 //! instructions of [`crate::fed::ops`]; compressed inputs execute
 //! directly on the DDC/RLE column groups where a compressed-domain
-//! kernel exists (element-wise ops, aggregates, matvec/`t_vecmat`,
+//! kernel exists (element-wise ops, aggregates, `X v`, `t(X) Y`,
 //! `mmchain` — DESIGN.md §4k) and transparently decompress otherwise.
 //! Every compressed-domain result is bitwise identical to the
 //! decompress-then-operate path.
@@ -141,37 +141,23 @@ impl Tensor {
         }
     }
 
-    /// `t(self) %*% rhs`. The aligned federated-federated case runs fully
-    /// federated (K-Means' `t(P) %*% X`, Example 3).
+    /// `t(self) %*% rhs`, with "transposed" a property of the product:
+    /// no arm materializes `t(self)`. Local operands run the row-sweep
+    /// kernel, a compressed `self` its column groups, federated ones the
+    /// `t_lhs` matmul instruction on the partitions as stored. The aligned
+    /// federated-federated case runs fully federated (K-Means'
+    /// `t(P) %*% X`, Example 3).
     pub fn t_matmul(&self, rhs: &Tensor) -> Result<Tensor> {
         match (self, rhs) {
-            // t(C) %*% v on a compressed lhs is the compressed t_vecmat
-            // (one r-ascending chain per column group), transposed back
-            // to the column-vector result shape.
-            (Tensor::Compressed(a), Tensor::Local(b)) if b.cols() == 1 => {
-                Ok(Tensor::Local(reorg::transpose(&a.t_vecmat(b)?)))
-            }
+            (Tensor::Compressed(a), Tensor::Local(b)) => Ok(Tensor::Local(a.t_matmul(b)?)),
             (Tensor::Compressed(a), _) => Self::decompressed(a).t_matmul(rhs),
             (_, Tensor::Compressed(b)) => self.t_matmul(&Self::decompressed(b)),
             (Tensor::Fed(a), Tensor::Fed(b)) if a.aligned_with(b) => {
                 Ok(Tensor::Local(a.aligned_matmul_t(b)?))
             }
-            (Tensor::Local(a), Tensor::Local(b)) => {
-                Ok(Tensor::Local(matmul::matmul(&reorg::transpose(a), b)?))
-            }
-            (Tensor::Fed(a), Tensor::Local(b)) => {
-                // t(X) %*% y = t( t(y) %*% X ) with a sliced broadcast of y.
-                let ty = reorg::transpose(b);
-                match a.matmul_lhs_local(&ty)? {
-                    Tensor::Local(m) => Ok(Tensor::Local(reorg::transpose(&m))),
-                    Tensor::Fed(f) => Ok(Tensor::Fed(f.transpose()?)),
-                    Tensor::Compressed(c) => Ok(Tensor::Local(reorg::transpose(&c.decompress()))),
-                }
-            }
-            (Tensor::Local(a), Tensor::Fed(b)) => {
-                let ta = reorg::transpose(a);
-                b.matmul_lhs_local(&ta)
-            }
+            (Tensor::Local(a), Tensor::Local(b)) => Ok(Tensor::Local(matmul::matmul_tn(a, b)?)),
+            (Tensor::Fed(a), Tensor::Local(b)) => a.t_matmul_rhs_local(b),
+            (Tensor::Local(a), Tensor::Fed(b)) => b.t_matmul_lhs_local(a),
             (Tensor::Fed(_), Tensor::Fed(b)) => {
                 // Non-co-partitioned federated inputs: consolidate the
                 // right side (privacy-checked) and go through the

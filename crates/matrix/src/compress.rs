@@ -168,6 +168,43 @@ impl ColumnGroup {
         }
     }
 
+    /// `Σ_r w[r] * x[r]` over the whole column as one r-ascending chain
+    /// from `0.0`, one term at a time — the per-cell chain of the dense
+    /// `t(X) w` row sweep and of `mmchain` phase 2 (`w[r]` is the left
+    /// factor there too). A plain slice loop per scheme: the decoded value
+    /// never leaves a register.
+    fn dot_rows(&self, w: &[f64]) -> f64 {
+        let mut acc = 0.0;
+        match self {
+            ColumnGroup::Ddc8 { dict, codes } => {
+                for (&wr, &code) in w.iter().zip(codes) {
+                    acc += wr * dict[code as usize];
+                }
+            }
+            ColumnGroup::Ddc16 { dict, codes } => {
+                for (&wr, &code) in w.iter().zip(codes) {
+                    acc += wr * dict[code as usize];
+                }
+            }
+            ColumnGroup::Rle { runs } => {
+                let mut rest = w;
+                for &(v, len) in runs {
+                    let (run, tail) = rest.split_at(len as usize);
+                    for &wr in run {
+                        acc += wr * v;
+                    }
+                    rest = tail;
+                }
+            }
+            ColumnGroup::Uc { values } => {
+                for (&wr, &x) in w.iter().zip(values) {
+                    acc += wr * x;
+                }
+            }
+        }
+        acc
+    }
+
     /// Visits each *distinct* stored value once. Every dictionary entry
     /// and run value is present in at least one row, so an order-blind
     /// reduction over distinct values (min/max with the Col-aggregate
@@ -551,28 +588,61 @@ impl CompressedMatrix {
         DenseMatrix::new(self.rows, 1, out)
     }
 
-    /// Vector-matrix product `wᵀ * self` on the compressed representation:
-    /// per column, one r-ascending chain `acc += w[r] * x` — exactly the
-    /// blocked GEMM's per-cell k-ascending order for `t(w) %*% X`.
+    /// `t(self) %*% w` on the compressed representation, returned as the
+    /// `1 x cols` row vector `t(w) %*% self`: per column and per column of
+    /// `w`, one r-ascending chain `acc += w[r] * x` ([`ColumnGroup::dot_rows`])
+    /// — the dense row sweep's per-cell order. For the `cols x k` product
+    /// with a `rows x k` right-hand side see [`CompressedMatrix::t_matmul`].
     pub fn t_vecmat(&self, w: &DenseMatrix) -> Result<DenseMatrix> {
-        if w.rows() != self.rows || w.cols() != 1 {
+        if w.cols() != 1 {
             return Err(MatrixError::DimensionMismatch {
                 op: "compressed_vecmat",
                 lhs: (self.rows, self.cols()),
                 rhs: w.shape(),
             });
         }
-        let wv = w.values();
-        let mut out = vec![0.0; self.cols()];
+        let out = self.t_matmul(w)?;
+        DenseMatrix::new(1, self.cols(), out.into_values())
+    }
+
+    /// `t(self) %*% y` (`cols x k`) for a dense `rows x k` right-hand
+    /// side, column of `y` by column of `y` over the same per-group chain
+    /// as [`CompressedMatrix::t_vecmat`] — bitwise the dense
+    /// `matmul_tn(&self.decompress(), y)`, without decompressing.
+    pub fn t_matmul(&self, y: &DenseMatrix) -> Result<DenseMatrix> {
+        if y.rows() != self.rows {
+            return Err(MatrixError::DimensionMismatch {
+                op: "compressed_t_matmul",
+                lhs: (self.cols(), self.rows),
+                rhs: y.shape(),
+            });
+        }
+        let k = y.cols();
+        let mut out = DenseMatrix::zeros(self.cols(), k);
+        if k == 0 {
+            return Ok(out);
+        }
+        // The chain reads one contiguous column of y at a time; a
+        // 1-column y already is one.
+        let gathered: Vec<Vec<f64>>;
+        let ycols: Vec<&[f64]> = if k == 1 {
+            vec![y.values()]
+        } else {
+            gathered = (0..k)
+                .map(|j| (0..self.rows).map(|r| y.get(r, j)).collect())
+                .collect();
+            gathered.iter().map(Vec::as_slice).collect()
+        };
         let chunk = self.group_chunk();
-        exdra_par::par_chunks_mut(&mut out, chunk, |_, c0, ochunk| {
-            for (d, o) in ochunk.iter_mut().enumerate() {
-                let mut acc = 0.0;
-                self.groups[c0 + d].for_each_range(0, self.rows, |row, x| acc += wv[row] * x);
-                *o = acc;
+        exdra_par::par_chunks_mut(out.values_mut(), chunk * k, |_, cell0, ochunk| {
+            for (d, orow) in ochunk.chunks_exact_mut(k).enumerate() {
+                let g = &self.groups[cell0 / k + d];
+                for (o, yj) in orow.iter_mut().zip(&ycols) {
+                    *o = g.dot_rows(yj);
+                }
             }
         });
-        DenseMatrix::new(1, self.cols(), out)
+        Ok(out)
     }
 
     /// Fused chain `Xᵀ (w ⊙ (X v))` on the compressed representation,
@@ -624,9 +694,7 @@ impl CompressedMatrix {
         let chunk = self.group_chunk();
         exdra_par::par_chunks_mut(out.values_mut(), chunk, |_, c0, ochunk| {
             for (d, o) in ochunk.iter_mut().enumerate() {
-                let mut acc = 0.0;
-                self.groups[c0 + d].for_each_range(0, m, |row, x| acc += q[row] * x);
-                *o = acc;
+                *o = self.groups[c0 + d].dot_rows(q);
             }
         });
         Ok(out)
@@ -775,6 +843,11 @@ mod tests {
         assert!(same_bits(&c.matvec(&v).unwrap(), &matmul(&d, &v).unwrap()));
         let want_vm = matmul(&transpose(&w), &d).unwrap();
         assert!(same_bits(&c.t_vecmat(&w).unwrap(), &want_vm));
+        // A k-column right-hand side reuses the chain column by column.
+        let y = rand_matrix(150, 3, -1.0, 1.0, 7);
+        let want_tm = crate::kernels::matmul::matmul_tn(&d, &y).unwrap();
+        assert!(same_bits(&c.t_matmul(&y).unwrap(), &want_tm));
+        assert!(c.t_matmul(&rand_matrix(149, 3, -1.0, 1.0, 8)).is_err());
         for weights in [None, Some(&w)] {
             let got = c.mmchain(&v, weights).unwrap();
             let want = mmchain(&d, &v, weights).unwrap();

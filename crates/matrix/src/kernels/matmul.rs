@@ -276,6 +276,13 @@ pub fn matmul(lhs: &DenseMatrix, rhs: &DenseMatrix) -> Result<DenseMatrix> {
         });
         return Ok(out);
     }
+    // Vector-matrix: a 1 x k lhs is, buffer for buffer, the k x 1 left
+    // operand of `t(lhs) %*% rhs` — the row sweep, without packing all
+    // of rhs to feed a one-row micro-tile.
+    if m == 1 {
+        tn_into(lv, 1, rv, n, k, out.values_mut());
+        return Ok(out);
+    }
     let rows_per_chunk = exdra_par::chunk_len(m, par_floor(k * n));
     let npanels = n.div_ceil(NR);
     exdra_par::par_chunks_mut(out.values_mut(), rows_per_chunk * n, |_, cell0, ochunk| {
@@ -367,6 +374,147 @@ fn gemm_chunk_body(
 }
 avx2_twin!(gemm_chunk / gemm_chunk_avx2 => gemm_chunk_body(
     lv: &[f64], rv: &[f64], k: usize, n: usize, npanels: usize, i0: usize, ochunk: &mut [f64]
+));
+
+/// Largest output block (in cells) one row sweep accumulates into:
+/// 128 KiB, so the block every shared-index row updates stays L2-resident
+/// (and L1-resident for the thin products that dominate: `t(X) y` is 100
+/// cells, K-Means' `t(P) X` 2000).
+const TN_BLOCK_CELLS: usize = 1 << 14;
+
+/// Transposed-left matrix multiplication `t(a) %*% b` for `a (k x p)` and
+/// `b (k x n)`, without materializing `t(a)`.
+///
+/// One sweep over the shared row index `r`, ascending: row `r` of `a` and
+/// row `r` of `b` add `a[r][i] * b[r][j]` into output cell `(i, j)`. Every
+/// cell is therefore the r-ascending chain that
+/// `matmul_naive(&transpose(a), b)` builds — bitwise identical to it at
+/// every thread count, because parallel chunks split the *output*, never
+/// a chain.
+///
+/// The shapes pick the loop: the inner loop runs along the rows of the
+/// wider operand (unit stride, vectorized), the thinner operand supplies
+/// the broadcast scalars, and the pool splits the wider operand's
+/// columns. With a thin `b` (`t(X) y`, MLogReg's `t(X) R`) that computes
+/// the `n x p` transpose of the result block by block, which is stored
+/// transposed back; `x * y` commutes bit for bit, so the cells agree.
+pub fn matmul_tn(a: &DenseMatrix, b: &DenseMatrix) -> Result<DenseMatrix> {
+    if a.rows() != b.rows() {
+        return Err(MatrixError::DimensionMismatch {
+            op: "matmul_tn",
+            lhs: (a.cols(), a.rows()),
+            rhs: b.shape(),
+        });
+    }
+    let (k, p) = a.shape();
+    let n = b.cols();
+    let mut out = DenseMatrix::zeros(p, n);
+    tn_into(a.values(), p, b.values(), n, k, out.values_mut());
+    Ok(out)
+}
+
+/// [`matmul_tn`] on raw row-major buffers: `out (p x n) = t(av) %*% bv`
+/// with `out` zeroed by the caller.
+fn tn_into(av: &[f64], p: usize, bv: &[f64], n: usize, k: usize, out: &mut [f64]) {
+    let strip = strip_len(p.max(n), k * p.min(n));
+    tn_strips(av, p, bv, n, k, strip, out);
+}
+
+/// [`tn_into`] with the wider operand's columns split into strips of
+/// `strip` columns (the parallel unit), each strip cut into output
+/// blocks of at most [`TN_BLOCK_CELLS`] cells.
+fn tn_strips(av: &[f64], p: usize, bv: &[f64], n: usize, k: usize, strip: usize, out: &mut [f64]) {
+    if p == 0 || n == 0 || k == 0 {
+        return;
+    }
+    // `thin` supplies the scalars, `wide` the streamed rows; blocks are
+    // (thin columns) x (wide columns), i.e. of `out` or of its transpose.
+    let flipped = n < p;
+    let (tv, nt, wv, nw) = if flipped {
+        (bv, n, av, p)
+    } else {
+        (av, p, bv, n)
+    };
+    let width = strip.clamp(1, TN_BLOCK_CELLS);
+    let height = (TN_BLOCK_CELLS / width).clamp(1, nt);
+    let (col_blocks, row_blocks) = (nw.div_ceil(width), nt.div_ceil(height));
+    // Block t starts at thin column i0 and wide column j0, w columns wide.
+    let origin = |t: usize| {
+        let (i0, j0) = (t / col_blocks * height, t % col_blocks * width);
+        (i0, j0, width.min(nw - j0))
+    };
+    let blocks = exdra_par::map_chunks(col_blocks * row_blocks, 1, |t, _| {
+        let (i0, j0, w) = origin(t);
+        let mut block = vec![0.0f64; height.min(nt - i0) * w];
+        tn_block(&tv[i0..], nt, &wv[j0..], nw, k, w, &mut block);
+        block
+    });
+    for (t, block) in blocks.iter().enumerate() {
+        let (i0, j0, w) = origin(t);
+        for (di, brow) in block.chunks_exact(w).enumerate() {
+            if flipped {
+                for (dj, &v) in brow.iter().enumerate() {
+                    out[(j0 + dj) * n + i0 + di] = v;
+                }
+            } else {
+                out[(i0 + di) * n + j0..][..w].copy_from_slice(brow);
+            }
+        }
+    }
+}
+
+/// One output block of the row sweep: `block[i][j] += Σ_r thin[r][i] *
+/// wide[r][j]` with `thin` and `wide` already offset to the block's first
+/// column, four shared-index rows per pass with the cell held in a
+/// register between its four adds — one term at a time, r ascending, so
+/// any split of the output leaves each chain alone.
+#[inline(always)]
+fn tn_block_body(
+    thin: &[f64],
+    nt: usize,
+    wide: &[f64],
+    nw: usize,
+    k: usize,
+    width: usize,
+    block: &mut [f64],
+) {
+    let mut r = 0;
+    while r + 4 <= k {
+        let w0 = &wide[r * nw..][..width];
+        let w1 = &wide[(r + 1) * nw..][..width];
+        let w2 = &wide[(r + 2) * nw..][..width];
+        let w3 = &wide[(r + 3) * nw..][..width];
+        for (i, orow) in block.chunks_exact_mut(width).enumerate() {
+            let (t0, t1, t2, t3) = (
+                thin[r * nt + i],
+                thin[(r + 1) * nt + i],
+                thin[(r + 2) * nt + i],
+                thin[(r + 3) * nt + i],
+            );
+            for (d, o) in orow.iter_mut().enumerate() {
+                let mut c = *o;
+                c += t0 * w0[d];
+                c += t1 * w1[d];
+                c += t2 * w2[d];
+                c += t3 * w3[d];
+                *o = c;
+            }
+        }
+        r += 4;
+    }
+    while r < k {
+        let wrow = &wide[r * nw..][..width];
+        for (i, orow) in block.chunks_exact_mut(width).enumerate() {
+            let t = thin[r * nt + i];
+            for (o, &w) in orow.iter_mut().zip(wrow) {
+                *o += t * w;
+            }
+        }
+        r += 1;
+    }
+}
+avx2_twin!(tn_block / tn_block_avx2 => tn_block_body(
+    thin: &[f64], nt: usize, wide: &[f64], nw: usize, k: usize, width: usize, block: &mut [f64]
 ));
 
 /// Transpose-self matrix multiplication `tsmm`: computes `Xᵀ X` (`left=true`)
@@ -484,7 +632,33 @@ avx2_twin!(tsmm_chunk / tsmm_chunk_avx2 => tsmm_chunk_body(
 /// without reordering any cell's chain, and phase 2 adds every `q[i]`
 /// term unconditionally — no zero-skip — so the compressed-domain
 /// `mmchain` (DESIGN.md §4k) can reproduce the chain bit for bit.
+///
+/// A region that runs as one chunk interleaves the phases over 32-row
+/// blocks and reads `X` once ([`mmchain_sweep_body`]); one large enough
+/// to fan out ([`strip_len`]) runs them back to back across the pool.
+/// Same chains, same bits, either way.
 pub fn mmchain(x: &DenseMatrix, v: &DenseMatrix, w: Option<&DenseMatrix>) -> Result<DenseMatrix> {
+    mmchain_scheduled(x, v, w, false)
+}
+
+/// [`mmchain`] on the two-phase schedule whatever the region size: the
+/// oracle the one-pass sweep is pinned to, and `kernel_bench`'s other
+/// column.
+#[doc(hidden)]
+pub fn mmchain_two_phase(
+    x: &DenseMatrix,
+    v: &DenseMatrix,
+    w: Option<&DenseMatrix>,
+) -> Result<DenseMatrix> {
+    mmchain_scheduled(x, v, w, true)
+}
+
+fn mmchain_scheduled(
+    x: &DenseMatrix,
+    v: &DenseMatrix,
+    w: Option<&DenseMatrix>,
+    two_phase: bool,
+) -> Result<DenseMatrix> {
     if x.cols() != v.rows() || v.cols() != 1 {
         return Err(MatrixError::DimensionMismatch {
             op: "mmchain",
@@ -509,8 +683,52 @@ pub fn mmchain(x: &DenseMatrix, v: &DenseMatrix, w: Option<&DenseMatrix>) -> Res
     if m == 0 || n == 0 {
         return Ok(out);
     }
-    // Phase 1: q = (X v) ⊙ w — one dot product per row, row-disjoint,
-    // 4 rows at a time sharing each streamed v element.
+    let strip = strip_len(n, 2 * m);
+    if strip >= n && !two_phase {
+        // One region chunk: a single sweep over X.
+        exdra_par::par_chunks_mut(out.values_mut(), n, |_, _, ochunk| {
+            mmchain_sweep(xv, vv, wv, m, n, ochunk);
+        });
+    } else {
+        mmchain_phases(xv, vv, wv, m, n, strip, out.values_mut());
+    }
+    Ok(out)
+}
+
+/// Work (multiply-adds) one strip of a column-split row sweep must carry
+/// before the sweep fans out. Far above [`super::PAR_MIN_WORK`]: every
+/// strip re-streams all rows of its operand, so splitting a memory-bound
+/// sweep buys traffic, not time. Calibrated on the measured width table
+/// of DESIGN.md §4k: `t(X) y` and `mmchain` on 40k x 100 (4M / 8M
+/// multiply-adds) are fastest as one strip at every width, K-Means'
+/// `t(P) X` (80M) and `mmchain` on 200k x 100 (40M) as one strip per
+/// thread.
+const SWEEP_STRIP_MIN_WORK: usize = 1 << 23;
+
+/// Columns per strip of a column-split row sweep whose every column
+/// costs `work_per_col` multiply-adds: one strip per pool thread — strips
+/// are the unit of memory traffic, so [`exdra_par::chunk_len`]'s several
+/// chunks per thread would each pay a full pass over the rows — and never
+/// less than [`SWEEP_STRIP_MIN_WORK`], which keeps small and memory-bound
+/// sweeps a single, serial strip.
+fn strip_len(cols: usize, work_per_col: usize) -> usize {
+    cols.div_ceil(exdra_par::threads())
+        .max(SWEEP_STRIP_MIN_WORK.div_ceil(work_per_col.max(1)))
+}
+
+/// The two-phase mmchain schedule for regions large enough to fan out:
+/// `q = (X v) ⊙ w` over disjoint row blocks, then `out = Xᵀ q` over
+/// disjoint column strips of `strip` columns. Two passes over `X`, each
+/// shared by the pool.
+fn mmchain_phases(
+    xv: &[f64],
+    vv: &[f64],
+    wv: Option<&[f64]>,
+    m: usize,
+    n: usize,
+    strip: usize,
+    out: &mut [f64],
+) {
     let mut q = vec![0.0; m];
     exdra_par::par_chunks_mut(
         &mut q,
@@ -519,14 +737,39 @@ pub fn mmchain(x: &DenseMatrix, v: &DenseMatrix, w: Option<&DenseMatrix>) -> Res
             mmchain_q_chunk(xv, vv, wv, n, i0, chunk);
         },
     );
-    // Phase 2: out = Xᵀ q over disjoint column blocks of the output.
     let q = &q;
-    let cols_per_chunk = exdra_par::chunk_len(n, par_floor(m));
-    exdra_par::par_chunks_mut(out.values_mut(), cols_per_chunk, |_, j0, ochunk| {
+    exdra_par::par_chunks_mut(out, strip, |_, j0, ochunk| {
         mmchain_xtq_chunk(xv, q, m, n, j0, ochunk);
     });
-    Ok(out)
 }
+
+/// Rows per block of the one-pass mmchain sweep: a block of `X`
+/// (32 x 100 doubles = 25 KiB) is still in L1 when phase 2 re-reads it.
+const MMCHAIN_BLOCK_ROWS: usize = 32;
+
+/// The one-pass mmchain: per row block, phase 1 on the block's rows, then
+/// phase 2 of the same rows, `out` carried across blocks. Each `q[i]` and
+/// each output cell is the chain the two-phase schedule builds, so the
+/// bits are the same — and `X` is read from memory once.
+#[inline(always)]
+fn mmchain_sweep_body(
+    xv: &[f64],
+    vv: &[f64],
+    wv: Option<&[f64]>,
+    m: usize,
+    n: usize,
+    out: &mut [f64],
+) {
+    let mut q = [0.0f64; MMCHAIN_BLOCK_ROWS];
+    for i0 in (0..m).step_by(MMCHAIN_BLOCK_ROWS) {
+        let rows = MMCHAIN_BLOCK_ROWS.min(m - i0);
+        mmchain_q_chunk_body(xv, vv, wv, n, i0, &mut q[..rows]);
+        mmchain_xtq_chunk_body(&xv[i0 * n..(i0 + rows) * n], &q[..rows], rows, n, 0, out);
+    }
+}
+avx2_twin!(mmchain_sweep / mmchain_sweep_avx2 => mmchain_sweep_body(
+    xv: &[f64], vv: &[f64], wv: Option<&[f64]>, m: usize, n: usize, out: &mut [f64]
+));
 
 /// One parallel chunk of mmchain phase 1: `q[i] = w[i] * (x[i] · v)`.
 #[inline(always)]
@@ -807,6 +1050,81 @@ mod tests {
                 println!("{name}: {best:.3}s {:.2} GF/s", flops / best / 1e9);
             }
         });
+    }
+
+    fn bits(m: &DenseMatrix) -> Vec<u64> {
+        m.values().iter().map(|v| v.to_bits()).collect()
+    }
+
+    #[test]
+    fn row_sweep_is_bitwise_naive_on_the_transpose() {
+        // Thin rhs, thin lhs, square, degenerate, k off the 4-row unroll.
+        for (k, p, n, seed) in [
+            (257, 100, 1, 1),
+            (257, 100, 3, 2),
+            (258, 20, 100, 3),
+            (5, 9, 9, 4),
+            (3, 1, 1, 5),
+            (0, 4, 3, 6),
+            (64, 130, 130, 7), // 16,900 cells: more than one output block
+        ] {
+            let a = rand_matrix(k, p, -1.0, 1.0, seed);
+            let b = rand_matrix(k, n, -1.0, 1.0, seed + 100);
+            let want = matmul_naive(&super::super::reorg::transpose(&a), &b).unwrap();
+            let got = matmul_tn(&a, &b).unwrap();
+            assert_eq!(got.shape(), (p, n));
+            assert_eq!(bits(&got), bits(&want), "{k}x{p} / {k}x{n}");
+            // Any strip width splits the output, never a chain.
+            for strip in [1, 7, 64] {
+                let mut out = DenseMatrix::zeros(p, n);
+                tn_strips(a.values(), p, b.values(), n, k, strip, out.values_mut());
+                assert_eq!(bits(&out), bits(&want), "{k}x{p} / {k}x{n} strip {strip}");
+            }
+        }
+        assert!(matmul_tn(&DenseMatrix::zeros(3, 2), &DenseMatrix::zeros(4, 2)).is_err());
+    }
+
+    #[test]
+    fn one_row_lhs_is_bitwise_naive() {
+        for (k, n) in [(257, 100), (5, 2), (1, 9)] {
+            let a = rand_matrix(1, k, -1.0, 1.0, 11);
+            let b = rand_matrix(k, n, -1.0, 1.0, 12);
+            let got = matmul(&a, &b).unwrap();
+            assert_eq!(bits(&got), bits(&matmul_naive(&a, &b).unwrap()));
+        }
+    }
+
+    #[test]
+    fn one_pass_mmchain_is_bitwise_two_phase() {
+        // Rows on and off the 32-row block and the 4-row unroll.
+        for m in [1, 31, 32, 33, 100, 131] {
+            let n = 13;
+            let x = rand_matrix(m, n, -1.0, 1.0, 21);
+            let v = rand_matrix(n, 1, -1.0, 1.0, 22);
+            let w = rand_matrix(m, 1, 0.0, 1.0, 23);
+            for w in [None, Some(&w)] {
+                let wv = w.map(|w| w.values());
+                let got = mmchain(&x, &v, w).unwrap();
+                for strip in [1, 5, n] {
+                    let mut want = DenseMatrix::zeros(n, 1);
+                    mmchain_phases(x.values(), v.values(), wv, m, n, strip, want.values_mut());
+                    assert_eq!(bits(&got), bits(&want), "m {m} strip {strip}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn sweeps_fan_out_only_above_the_strip_floor() {
+        exdra_par::with_threads(4, || {
+            // 4M multiply-adds: t(X) y on 40k x 100 stays one strip.
+            assert!(strip_len(100, 40_000) >= 100);
+            // 80M: K-Means' t(P) X splits one strip per thread.
+            assert_eq!(strip_len(100, 40_000 * 20), 25);
+            // 40M across 4 threads: 10M per strip clears the 8M floor.
+            assert_eq!(strip_len(100, 2 * 200_000), 25);
+        });
+        exdra_par::with_threads(1, || assert_eq!(strip_len(100, usize::MAX / 4), 100));
     }
 
     #[test]

@@ -6,7 +6,10 @@
 //! * the register-blocked `matmul`/`tsmm` agree with `matmul_naive`
 //!   exactly — the packed panels preserve the k-ascending per-cell
 //!   reduction chain — across ragged shapes that straddle the `MR`/`NR`
-//!   tile and `KC` slab boundaries, at pool widths {1, 3, 8};
+//!   tile and `KC` slab boundaries, at pool widths {1, 3, 8}; so do the
+//!   `t(A) %*% B` row sweep (against naive on the materialized
+//!   transpose) and the one-pass `mmchain` (against the two-phase
+//!   schedule), whose splits only ever divide the output;
 //! * every compressed op agrees with decompress-then-dense-op exactly,
 //!   so the worker may execute on column groups without changing a
 //!   single output bit.
@@ -14,7 +17,9 @@
 use exdra_matrix::compress::CompressedMatrix;
 use exdra_matrix::kernels::aggregates::{aggregate, AggDir, AggOp};
 use exdra_matrix::kernels::elementwise::{scalar, unary, BinaryOp, UnaryOp};
-use exdra_matrix::kernels::matmul::{matmul, matmul_naive, mmchain, tsmm, KC, MR, NR};
+use exdra_matrix::kernels::matmul::{
+    matmul, matmul_naive, matmul_tn, mmchain, mmchain_two_phase, tsmm, KC, MR, NR,
+};
 use exdra_matrix::kernels::reorg::transpose;
 use exdra_matrix::rng::rand_matrix;
 use exdra_matrix::DenseMatrix;
@@ -67,6 +72,23 @@ fn depth_dim() -> impl Strategy<Value = usize> {
     ]
 }
 
+/// Shared-index depths of the row sweep: empty, below / on / above its
+/// 4-row unroll, and long enough to carry cells across many passes.
+fn sweep_depth() -> impl Strategy<Value = usize> {
+    prop_oneof![
+        Just(0usize),
+        Just(1usize),
+        3usize..=5,
+        Just(257usize),
+        6usize..=300
+    ]
+}
+
+/// Operand widths of the row sweep: thin, the unroll's edges, wide.
+fn sweep_width() -> impl Strategy<Value = usize> {
+    prop_oneof![1usize..=5, Just(8usize), Just(9usize), Just(100usize)]
+}
+
 /// A compressible mix: categorical, constant, run-structured, and
 /// incompressible columns, so DDC, RLE and UC groups all participate.
 fn mixed_matrix(rows: usize, seed: u64) -> DenseMatrix {
@@ -96,6 +118,43 @@ proptest! {
         let out = widths_agree("blocked-gemm", || matmul(&a, &b).expect("shapes"));
         let oracle = matmul_naive(&a, &b).expect("shapes");
         prop_assert!(same_bits(&out, &oracle), "blocked differs from naive chain");
+    }
+
+    #[test]
+    fn row_sweep_is_bitwise_naive_on_the_materialized_transpose(
+        k in sweep_depth(),
+        p in sweep_width(),
+        n in sweep_width(),
+        seed in 0u64..1_000_000,
+    ) {
+        let a = rand_matrix(k, p, -1.0, 1.0, seed);
+        let b = rand_matrix(k, n, -1.0, 1.0, seed + 1);
+        let out = widths_agree("row-sweep", || matmul_tn(&a, &b).expect("shapes"));
+        let oracle = matmul_naive(&transpose(&a), &b).expect("shapes");
+        prop_assert!(same_bits(&out, &oracle), "t(A) B differs from naive on t(A)");
+        // A 1-row lhs is the same sweep with p = 1.
+        if k > 0 {
+            let row = rand_matrix(1, k, -1.0, 1.0, seed + 2);
+            let out = widths_agree("vector-matrix", || matmul(&row, &b).expect("shapes"));
+            prop_assert!(same_bits(&out, &matmul_naive(&row, &b).expect("shapes")));
+        }
+    }
+
+    #[test]
+    fn one_pass_mmchain_is_bitwise_two_phase(
+        m in prop_oneof![1usize..=70, 95usize..=130],
+        n in sweep_width(),
+        weighted in proptest::bool::ANY,
+        seed in 0u64..1_000_000,
+    ) {
+        // Rows on and off the 32-row block of the sweep.
+        let x = rand_matrix(m, n, -1.0, 1.0, seed);
+        let v = rand_matrix(n, 1, -1.0, 1.0, seed + 1);
+        let w = rand_matrix(m, 1, 0.0, 1.0, seed + 2);
+        let wm = weighted.then_some(&w);
+        let out = widths_agree("mmchain", || mmchain(&x, &v, wm).expect("shapes"));
+        let oracle = widths_agree("mmchain-2p", || mmchain_two_phase(&x, &v, wm).expect("shapes"));
+        prop_assert!(same_bits(&out, &oracle), "one pass differs from two phases");
     }
 
     #[test]

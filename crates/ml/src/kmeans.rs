@@ -99,13 +99,18 @@ fn lloyd_step(x: &Tensor, c: &DenseMatrix, x2_sum: f64) -> Result<(DenseMatrix, 
     Ok((c_new, wcss))
 }
 
+/// `sum(X^2)` as one aggregate: the same `v*v` terms in the same order as
+/// summing a materialized `X^2`, without the n x d temporary (which a
+/// federated `X` would bind and drop at every site).
+fn sum_of_squares(x: &Tensor) -> Result<f64> {
+    x.agg(AggOp::SumSq, AggDir::Full)?.scalar_value()
+}
+
 /// Trains K-Means on (possibly federated) data, running
 /// [`KMeansParams::runs`] independent initializations and keeping the best.
 pub fn kmeans(x: &Tensor, params: &KMeansParams) -> Result<KMeansModel> {
     let mut best: Option<KMeansModel> = None;
-    let x2_sum = x
-        .unary(exdra_matrix::kernels::elementwise::UnaryOp::Square)?
-        .sum()?;
+    let x2_sum = sum_of_squares(x)?;
     for run in 0..params.runs {
         let mut c = init_centroids(x, params.k, params.seed.wrapping_add(run as u64))?;
         let mut wcss = f64::INFINITY;
@@ -206,14 +211,30 @@ mod tests {
     }
 
     #[test]
+    fn sum_of_squares_has_the_bits_of_summing_a_materialized_square() {
+        // Low-cardinality data, so the compressed form has real groups.
+        let x = synth::blobs(90, 5, 3, 0.4, 55)
+            .0
+            .map(|v| (v * 4.0).round() / 4.0);
+        let (ctx, _workers) = mem_federation(3);
+        let fed = FedMatrix::scatter_rows(&ctx, &x, PrivacyLevel::Public).unwrap();
+        let local = Tensor::Local(x);
+        for t in [local.compress(), Tensor::Fed(fed), local] {
+            let materialized = t
+                .unary(exdra_matrix::kernels::elementwise::UnaryOp::Square)
+                .unwrap()
+                .sum()
+                .unwrap();
+            let got = sum_of_squares(&t).unwrap();
+            assert_eq!(got.to_bits(), materialized.to_bits());
+        }
+    }
+
+    #[test]
     fn wcss_decreases_over_iterations() {
         let (x, _) = synth::blobs(300, 4, 5, 0.8, 53);
         let t = Tensor::Local(x);
-        let x2 = t
-            .unary(exdra_matrix::kernels::elementwise::UnaryOp::Square)
-            .unwrap()
-            .sum()
-            .unwrap();
+        let x2 = sum_of_squares(&t).unwrap();
         let mut c = init_centroids(&t, 5, 1).unwrap();
         let (_, w1) = lloyd_step(&t, &c, x2).unwrap();
         let (c2, _) = lloyd_step(&t, &c, x2).unwrap();

@@ -12,7 +12,7 @@
 // iterator zips over 3+ arrays obscure the access pattern.
 #![allow(clippy::needless_range_loop)]
 
-use exdra_matrix::kernels::matmul::matmul;
+use exdra_matrix::kernels::matmul::{matmul, matmul_tn};
 use exdra_matrix::kernels::reorg::transpose;
 use exdra_matrix::rng::randn_matrix;
 use exdra_matrix::{DenseMatrix, MatrixError, Result};
@@ -444,7 +444,7 @@ fn layer_backward(
 ) -> Result<(DenseMatrix, Vec<DenseMatrix>)> {
     match (layer, cache) {
         (Layer::Dense { w, .. }, Cache::Dense { input }) => {
-            let dw = matmul(&transpose(input), dout)?;
+            let dw = matmul_tn(input, dout)?;
             let db = exdra_matrix::kernels::aggregates::aggregate(
                 dout,
                 exdra_matrix::kernels::aggregates::AggOp::Sum,
@@ -497,7 +497,7 @@ fn layer_backward(
                     *a += b;
                 }
                 // dPatches = dmapᵀ (l x oc) * filters (oc x ckk); col2im.
-                let dpatches = matmul(&transpose(&dmap), filters)?;
+                let dpatches = matmul_tn(&dmap, filters)?;
                 col2im(&dpatches, din.row_mut(s), c_in, h, w, kh, kw, *stride);
             }
             Ok((din, vec![dfilters, dbias]))

@@ -10,8 +10,7 @@ use std::collections::HashMap;
 
 use exdra_matrix::eigen::solve_spd;
 use exdra_matrix::frame::FrameColumn;
-use exdra_matrix::kernels::matmul::matmul;
-use exdra_matrix::kernels::reorg::transpose;
+use exdra_matrix::kernels::matmul::{matmul_tn, tsmm};
 use exdra_matrix::{DenseMatrix, MatrixError, Result};
 
 /// Imputes missing cells of a categorical (string) column with its mode
@@ -174,13 +173,12 @@ pub fn mice_impute(x: &DenseMatrix, iterations: usize, ridge: f64) -> Result<Den
                 xmat.set(i, p - 1, 1.0); // intercept
                 yvec.set(i, 0, work.get(r, c));
             }
-            let xt = transpose(&xmat);
-            let mut gram = matmul(&xt, &xmat)?;
+            let mut gram = tsmm(&xmat, true)?;
             for d in 0..p {
                 let v = gram.get(d, d);
                 gram.set(d, d, v + ridge);
             }
-            let rhs = matmul(&xt, &yvec)?;
+            let rhs = matmul_tn(&xmat, &yvec)?;
             let beta = solve_spd(&gram, &rhs)?;
             // Predict missing cells.
             for &r in &missing[c] {
