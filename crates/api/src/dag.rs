@@ -322,26 +322,10 @@ fn lineage_of(node: &Arc<Node>, memo: &mut HashMap<*const Node, u64>) -> u64 {
     }
     use Node::*;
     let h = match &**node {
-        SourceLocal(m) => {
-            let mut h = mix(mix(seed("src.local"), m.rows() as u64), m.cols() as u64);
-            // Sample head/tail like `lineage::of_bytes` so huge sources
-            // stay cheap to fingerprint.
-            let v = m.values();
-            if v.len() <= 512 {
-                for x in v {
-                    h = mix(h, x.to_bits());
-                }
-            } else {
-                for x in &v[..256] {
-                    h = mix(h, x.to_bits());
-                }
-                for x in &v[v.len() - 256..] {
-                    h = mix(h, x.to_bits());
-                }
-                h = mix(h, v.len() as u64);
-            }
-            h
-        }
+        // By content, every cell: the plan cache is shared across
+        // sessions, and a sampled fingerprint would let two sources that
+        // differ in the middle share a result.
+        SourceLocal(m) => mix(seed("src.local"), exdra_core::lineage::of_dense(m)),
         SourceFed(f) => {
             let mut h = mix(mix(seed("src.fed"), f.rows() as u64), f.cols() as u64);
             for p in f.parts() {

@@ -83,8 +83,12 @@ impl CostModel for ProfileCostModel {
         }
         // Compressed-domain opcodes ("c.<op>", from workers executing on
         // column groups) fall back to the dense profile of the same op
-        // before the work-proportional guess — the dense mean is a sound
-        // upper bound since the compressed kernel touches fewer bytes.
+        // before the work-proportional guess. Measured (DESIGN.md §4k),
+        // the dense mean is an upper bound for element-wise ops and
+        // aggregates (0.05–0.45x of dense on the groups) and a lower
+        // bound for the contraction ops (`X v`, `t(X) y`, mmchain:
+        // 1.7–2.7x) — which a worker only runs on the groups until the
+        // entry's dense twin is worth a decompression.
         if let Some(dense_op) = opcode.strip_prefix("c.") {
             if let Some(h) = snap.histograms.get(&format!("inst.{dense_op}")) {
                 if h.count > 0 {

@@ -217,32 +217,14 @@ impl Plan {
     /// Per-node lineage fingerprints using the same mix/seed scheme as
     /// [`Lazy::lineage_hash`]: structurally identical subtrees over the
     /// same sources hash equal. This is the CSE pre-filter key; exact
-    /// structural equality is still verified before merging (local
-    /// sources hash by content *sample*).
+    /// structural equality is still verified before merging.
     pub fn lineages(&self) -> Vec<u64> {
         use exdra_core::lineage::{mix, seed};
         let mut out = Vec::with_capacity(self.nodes.len());
         for node in &self.nodes {
             let ch = |k: usize| out[node.children[k]];
             let h = match &node.op {
-                PlanOp::SourceLocal(m) => {
-                    let mut h = mix(mix(seed("src.local"), m.rows() as u64), m.cols() as u64);
-                    let v = m.values();
-                    if v.len() <= 512 {
-                        for x in v {
-                            h = mix(h, x.to_bits());
-                        }
-                    } else {
-                        for x in &v[..256] {
-                            h = mix(h, x.to_bits());
-                        }
-                        for x in &v[v.len() - 256..] {
-                            h = mix(h, x.to_bits());
-                        }
-                        h = mix(h, v.len() as u64);
-                    }
-                    h
-                }
+                PlanOp::SourceLocal(m) => mix(seed("src.local"), exdra_core::lineage::of_dense(m)),
                 PlanOp::SourceFed(f) => {
                     let mut h = mix(mix(seed("src.fed"), f.rows() as u64), f.cols() as u64);
                     for p in f.parts() {

@@ -1063,6 +1063,28 @@ mod tests {
     }
 
     #[test]
+    fn sources_that_differ_only_in_the_middle_do_not_share_a_plan_result() {
+        let (service, _workers) = mem_service(2);
+        let s1 = Session::from_tenant(service.open_session().unwrap()).unwrap();
+        let s2 = Session::from_tenant(service.open_session().unwrap()).unwrap();
+        // Same shape, same first and last 256 cells, one other middle row.
+        let a = DenseMatrix::filled(300, 4, 1.0);
+        let mut b = a.clone();
+        b.set(150, 2, 9.0);
+        let p1 = s1.matrix(a.clone()).col_sums().unwrap();
+        let p2 = s2.matrix(b.clone()).col_sums().unwrap();
+        assert_ne!(p1.lineage_hash(), p2.lineage_hash());
+        assert_eq!(s1.compute(&p1).unwrap().values(), [300.0; 4]);
+        assert_eq!(
+            s2.compute(&p2).unwrap().values(),
+            [300.0, 300.0, 308.0, 300.0]
+        );
+        let t2 = s2.tenant().unwrap().stats();
+        assert_eq!(t2.cache_hits.load(std::sync::atomic::Ordering::Relaxed), 0);
+        service.stop();
+    }
+
+    #[test]
     fn tenant_namespaces_are_isolated() {
         let (service, _workers) = mem_service(2);
         let s1 = Session::from_tenant(service.open_session().unwrap()).unwrap();

@@ -1,9 +1,11 @@
 //! Micro-kernel throughput sweep: blocked GEMM vs the naive reference
 //! (the test oracle), tsmm, mmchain, the `t(A) %*% B` row sweep vs
 //! transpose-then-GEMM, one-pass vs two-phase mmchain, and
-//! compressed-domain operators, plus an end-to-end worker workload that
-//! must execute on compressed column groups without a single
-//! decompression (DESIGN.md §4k).
+//! compressed-domain operators (dense, column groups, and the form a
+//! worker holding the dense twin picks), plus two end-to-end worker
+//! workloads on a compacted frame: one-shot ops, which must all execute
+//! on the column groups without a single decompression, and a solver's
+//! loop, which must decompress exactly once (DESIGN.md §4k).
 //!
 //!     cargo run --release -p exdra-bench --bin kernel_bench
 //!
@@ -15,7 +17,7 @@
 use std::sync::Arc;
 use std::time::Duration;
 
-use exdra_bench::{obs_init, secs, time_reps, write_metrics_sidecar, BenchConfig, Table};
+use exdra_bench::{obs_init, secs, time, time_reps, write_metrics_sidecar, BenchConfig, Table};
 use exdra_core::instruction::Instruction;
 use exdra_core::protocol::{Request, Response};
 use exdra_core::worker::{Worker, WorkerConfig};
@@ -274,43 +276,90 @@ fn main() {
     let comp_bytes = c.size_bytes() as f64;
     let cv = rand_matrix(ccols, 1, -1.0, 1.0, 6);
     let cw = rand_matrix(crows, 1, 0.0, 1.0, 7);
+    // (name, dense kernel, column-group kernel, the worker's instruction)
     type Pair<'a> = (
         &'a str,
         Box<dyn Fn() -> DenseMatrix + 'a>,
         Box<dyn Fn() -> DenseMatrix + 'a>,
+        Instruction,
     );
+    let (x_id, v_id, w_id, out_id) = (1, 2, 3, 9);
+    let agg = |op, dir| Instruction::Agg {
+        x: x_id,
+        op,
+        dir,
+        out: out_id,
+    };
+    let product = |rhs, t_lhs| Instruction::MatMul {
+        lhs: x_id,
+        rhs,
+        t_lhs,
+        out: out_id,
+    };
     let pairs: Vec<Pair> = vec![
         (
             "colSums",
             Box::new(|| aggregate(&d, AggOp::Sum, AggDir::Col).expect("agg")),
             Box::new(|| c.aggregate(AggOp::Sum, AggDir::Col).expect("agg")),
+            agg(AggOp::Sum, AggDir::Col),
         ),
         (
             "var(X)",
             Box::new(|| aggregate(&d, AggOp::Var, AggDir::Full).expect("agg")),
             Box::new(|| c.aggregate(AggOp::Var, AggDir::Full).expect("agg")),
+            agg(AggOp::Var, AggDir::Full),
         ),
         (
             "X*v",
             Box::new(|| matmul(&d, &cv).expect("shapes")),
             Box::new(|| c.matvec(&cv).expect("shapes")),
+            product(v_id, false),
         ),
         (
             "t(X)*w",
             Box::new(|| matmul_tn(&d, &cw).expect("shapes")),
             Box::new(|| c.t_matmul(&cw).expect("shapes")),
+            product(w_id, true),
         ),
         (
             "t(X)*(w.*(X*v))",
             Box::new(|| mmchain(&d, &cv, Some(&cw)).expect("shapes")),
             Box::new(|| c.mmchain(&cv, Some(&cw)).expect("shapes")),
+            Instruction::MmChain {
+                x: x_id,
+                v: v_id,
+                w: Some(w_id),
+                out: out_id,
+            },
         ),
         (
             "X*2",
             Box::new(|| scalar(&d, BinaryOp::Mul, 2.0, false)),
             Box::new(|| c.map_cells(|v| v * 2.0).decompress()),
+            Instruction::Scalar {
+                x: x_id,
+                op: BinaryOp::Mul,
+                value: 2.0,
+                swap: false,
+                out: out_id,
+            },
         ),
     ];
+    // The "twin" column is the op as a worker answers it on the compacted
+    // frame once the frame's dense twin is held: the dense kernel for the
+    // contraction ops, the column groups for everything else (DESIGN.md
+    // §4k), request handling included. Reuse is off so every repetition
+    // executes; a tsmm (no column-group kernel) leaves the twin behind.
+    let tw = compacted_worker(&d, &[(v_id, &cv), (w_id, &cw)], |c| c.reuse_enabled = false);
+    run(
+        &tw,
+        vec![Instruction::Tsmm {
+            x: x_id,
+            left: true,
+            out: out_id,
+        }],
+    );
+    assert_eq!(tw.cache().bytes(), d.len() * 8, "the twin is held");
     let mut table = Table::new(
         &format!(
             "Compressed-domain ops, X {crows}x{ccols} (ratio {:.1}x)",
@@ -320,30 +369,41 @@ fn main() {
             "op",
             "dense",
             "compressed",
+            "twin",
             "speedup",
             "dense GB/s",
             "comp GB/s",
         ],
     );
     let mut comp_rows = Vec::new();
-    for (name, dense_f, comp_f) in &pairs {
+    for (name, dense_f, comp_f, inst) in &pairs {
         assert_eq!(
             bits(&comp_f()),
             bits(&dense_f()),
             "{name}: compressed result differs bitwise"
         );
+        run(&tw, vec![inst.clone()]);
+        let on_worker = tw.table().value(out_id).expect("bound");
+        assert_eq!(
+            bits(&on_worker.to_dense().expect("matrix")),
+            bits(&dense_f()),
+            "{name}: the worker's result differs bitwise"
+        );
         let (dt, _) = time_reps(cfg.reps, dense_f);
         let (ct, _) = time_reps(cfg.reps, comp_f);
+        let (tt, _) = time_reps(cfg.reps, || run(&tw, vec![inst.clone()]));
         table.row(&[
             (*name).into(),
             secs(dt),
             secs(ct),
+            secs(tt),
             format!("{:.2}x", dt / ct.max(1e-12)),
             format!("{:.2}", dense_bytes / dt.max(1e-12) / 1e9),
             format!("{:.2}", comp_bytes / ct.max(1e-12) / 1e9),
         ]);
         comp_rows.push(format!(
             "    {{\"op\": \"{name}\", \"dense_secs\": {dt:.6}, \"compressed_secs\": {ct:.6}, \
+             \"twin_secs\": {tt:.6}, \
              \"dense_bytes_per_sec\": {:.0}, \"compressed_bytes_per_sec\": {:.0}, \
              \"bitwise_identical\": true}}",
             dense_bytes / dt.max(1e-12),
@@ -354,92 +414,137 @@ fn main() {
 
     // ---- end-to-end: LM-style workload on a compacted worker ----------
     // Install the frame, compact it to column groups, then run the ops a
-    // linear-model iteration issues against X. Every one of them must
-    // take the direct compressed path: `compress.exec.fallback` stays 0.
-    let w = Worker::new(WorkerConfig::default());
-    install(&w, 1, d.clone());
-    let n_compacted = w.compact(1024, Duration::ZERO);
-    assert_eq!(n_compacted, 1, "frame must compress under compaction");
-    install(&w, 2, cv.clone());
-    install(&w, 3, cw.clone());
-    let batch = vec![
-        Instruction::MmChain {
-            x: 1,
-            v: 2,
-            w: Some(3),
-            out: 10,
-        },
-        Instruction::MatMul {
-            lhs: 1,
-            rhs: 2,
-            t_lhs: false,
-            out: 11,
-        },
-        // L2SVM's and LM-CG's gradient `t(X) %*% y` on the partition as
-        // stored (at the parent: a `t(y) %*% X` that decompressed X).
-        Instruction::MatMul {
-            lhs: 1,
-            rhs: 3,
-            t_lhs: true,
-            out: 15,
-        },
-        Instruction::Agg {
-            x: 1,
-            op: AggOp::Sum,
-            dir: AggDir::Col,
-            out: 12,
-        },
-        Instruction::Scalar {
-            x: 1,
-            op: BinaryOp::Mul,
-            value: 0.5,
-            swap: false,
-            out: 13,
-        },
-        Instruction::Agg {
-            x: 13,
-            op: AggOp::SumSq,
-            dir: AggDir::Full,
-            out: 14,
-        },
-    ];
-    let responses = w.handle_batch(
-        batch
-            .into_iter()
-            .map(|inst| Request::ExecInst { inst })
-            .collect(),
+    // linear-model iteration issues against X once each: four cell-passes
+    // of contraction, below the break-even of a decompression, so every
+    // op takes the direct compressed path, `compress.exec.fallback` stays
+    // 0 and no twin is materialized.
+    // [direct, decompressions, twins materialized, twin hits] so far.
+    let form_counts = || {
+        let snap = exdra_obs::global().snapshot();
+        [
+            "compress.exec.direct",
+            "compress.exec.fallback",
+            "compress.twin.materialized",
+            "compress.twin.hits",
+        ]
+        .map(|name| snap.counters.get(name).copied().unwrap_or(0))
+    };
+    let since = |base: [u64; 4]| {
+        let now = form_counts();
+        [0, 1, 2, 3].map(|i| now[i] - base[i])
+    };
+    let base = form_counts();
+    let w = compacted_worker(&d, &[(2, &cv), (3, &cw)], |_| {});
+    run(
+        &w,
+        vec![
+            Instruction::MmChain {
+                x: 1,
+                v: 2,
+                w: Some(3),
+                out: 10,
+            },
+            Instruction::MatMul {
+                lhs: 1,
+                rhs: 2,
+                t_lhs: false,
+                out: 11,
+            },
+            // L2SVM's and LM-CG's gradient `t(X) %*% y` on the partition
+            // as stored.
+            Instruction::MatMul {
+                lhs: 1,
+                rhs: 3,
+                t_lhs: true,
+                out: 15,
+            },
+            Instruction::Agg {
+                x: 1,
+                op: AggOp::Sum,
+                dir: AggDir::Col,
+                out: 12,
+            },
+            Instruction::Scalar {
+                x: 1,
+                op: BinaryOp::Mul,
+                value: 0.5,
+                swap: false,
+                out: 13,
+            },
+            Instruction::Agg {
+                x: 13,
+                op: AggOp::SumSq,
+                dir: AggDir::Full,
+                out: 14,
+            },
+        ],
     );
-    assert!(
-        responses.iter().all(|r| *r == Response::Ok),
-        "workload failed: {responses:?}"
-    );
-    let snap = exdra_obs::global().snapshot();
-    let direct = snap
-        .counters
-        .get("compress.exec.direct")
-        .copied()
-        .unwrap_or(0);
-    let fallback = snap
-        .counters
-        .get("compress.exec.fallback")
-        .copied()
-        .unwrap_or(0);
-    let c_opcodes: Vec<String> = snap
+    let [direct, fallback, materialized, _] = since(base);
+    let c_opcodes: Vec<String> = exdra_obs::global()
+        .snapshot()
         .histograms
         .keys()
         .filter(|k| k.starts_with("inst.c."))
         .cloned()
         .collect();
-    assert!(
-        direct >= 6,
-        "expected 6 direct compressed executions, saw {direct}"
-    );
+    assert_eq!(direct, 6, "expected 6 direct compressed executions");
     assert_eq!(fallback, 0, "workload must not decompress the frame");
+    assert_eq!(materialized, 0, "one-shot ops must not buy a twin");
     assert!(!c_opcodes.is_empty(), "no inst.c.* histograms recorded");
     println!(
         "\nworkload: {direct} compressed-direct instructions, {fallback} fallbacks; \
          histograms: {}",
         c_opcodes.join(", ")
+    );
+
+    // ---- end-to-end: a solver's loop on a compacted worker ------------
+    // Ten mmchains with fresh vectors, then a tsmm. The first three rent
+    // the column groups, the fourth decompresses once and leaves the twin,
+    // everything after (the tsmm's dense fallback included) finds it. A
+    // worker whose cache cannot hold the twin runs the same loop direct.
+    let base = form_counts();
+    let vs: Vec<DenseMatrix> = (0..10)
+        .map(|i| rand_matrix(ccols, 1, -1.0, 1.0, 20 + i))
+        .collect();
+    let inputs: Vec<(u64, &DenseMatrix)> = (100u64..).zip(&vs).collect();
+    let mut looped: Vec<Instruction> = (0..10)
+        .map(|i| Instruction::MmChain {
+            x: 1,
+            v: 100 + i,
+            w: None,
+            out: 200 + i,
+        })
+        .collect();
+    looped.push(Instruction::Tsmm {
+        x: 1,
+        left: true,
+        out: 210,
+    });
+    let w = compacted_worker(&d, &inputs, |_| {});
+    let (_, loop_t) = time(|| run(&w, looped.clone()));
+    let [loop_direct, loop_fallback, loop_materialized, loop_hits] = since(base);
+    assert_eq!(loop_materialized, 1, "the loop buys exactly one twin");
+    assert_eq!(loop_fallback, 1, "and decompresses nothing else");
+    assert_eq!((loop_direct, loop_hits), (3, 7));
+    let all_direct = compacted_worker(&d, &inputs, |c| c.cache_bytes = 0);
+    let (_, direct_t) = time(|| run(&all_direct, looped.clone()));
+    for out in 200..=210 {
+        let of = |w: &Arc<Worker>| {
+            bits(
+                &w.table()
+                    .value(out)
+                    .expect("bound")
+                    .to_dense()
+                    .expect("matrix"),
+            )
+        };
+        assert_eq!(of(&w), of(&all_direct), "symbol {out}: twin vs all-direct");
+    }
+    println!(
+        "loop (10 mmchain + tsmm): {} with the twin ({loop_direct} direct, 1 decompression, \
+         {loop_hits} twin hits), {} all direct",
+        secs(loop_t),
+        secs(direct_t)
     );
 
     // ---- results ------------------------------------------------------
@@ -450,12 +555,19 @@ fn main() {
         comp_rows.join(",\n")
     ));
     json.push(format!(
-        "  \"workload\": {{\"direct\": {direct}, \"fallback\": {fallback}, \"compressed_opcodes\": [{}]}}",
+        "  \"workload\": {{\"direct\": {direct}, \"fallback\": {fallback}, \
+         \"materialized\": {materialized}, \"compressed_opcodes\": [{}]}}",
         c_opcodes
             .iter()
             .map(|k| format!("\"{k}\""))
             .collect::<Vec<_>>()
             .join(", ")
+    ));
+    json.push(format!(
+        "  \"loop_workload\": {{\"mmchains\": 10, \"tsmms\": 1, \"direct\": {loop_direct}, \
+         \"decompressions\": {loop_fallback}, \"materialized\": {loop_materialized}, \
+         \"twin_hits\": {loop_hits}, \"secs\": {loop_t:.6}, \"all_direct_secs\": {direct_t:.6}, \
+         \"bitwise_identical\": true}}"
     ));
     let body = format!(
         "{{\n  \"host_cpus\": {hw},\n  \"reps\": {},\n  \"quick\": {quick},\n{}\n}}\n",
@@ -471,6 +583,46 @@ fn main() {
     write_metrics_sidecar("kernel_bench");
 }
 
-fn install(w: &Arc<Worker>, id: u64, m: DenseMatrix) {
-    w.install_matrix(id, m, PrivacyLevel::Public, "kernel_bench");
+/// A worker holding `frame` as symbol 1, compacted to column groups, and
+/// the dense `inputs`, each under its own lineage.
+fn compacted_worker(
+    frame: &DenseMatrix,
+    inputs: &[(u64, &DenseMatrix)],
+    configure: impl FnOnce(&mut WorkerConfig),
+) -> Arc<Worker> {
+    let mut config = WorkerConfig::default();
+    configure(&mut config);
+    let w = Worker::new(config);
+    let install = |id: u64, m: &DenseMatrix| {
+        w.install_matrix(
+            id,
+            m.clone(),
+            PrivacyLevel::Public,
+            &format!("kernel_bench:{id}"),
+        );
+    };
+    install(1, frame);
+    assert_eq!(
+        w.compact(1024, Duration::ZERO),
+        1,
+        "frame must compress under compaction"
+    );
+    for (id, m) in inputs {
+        install(*id, m);
+    }
+    w
+}
+
+/// Executes the instructions as one batch; every one must succeed.
+fn run(w: &Arc<Worker>, batch: Vec<Instruction>) {
+    let responses = w.handle_batch(
+        batch
+            .into_iter()
+            .map(|inst| Request::ExecInst { inst })
+            .collect(),
+    );
+    assert!(
+        responses.iter().all(|r| *r == Response::Ok),
+        "workload failed: {responses:?}"
+    );
 }

@@ -11,13 +11,20 @@
 //! * **lineage tracing + reuse** — outputs are bound with a lineage hash
 //!   and repeated sub-plans are served from the [`LineageCache`].
 //!
-//! Compressed inputs (from [`crate::worker`] compaction) execute directly
-//! on the column groups when the opcode supports it — element-wise ops,
-//! aggregates, `X v`, `t(X) Y` and mmchain — recorded under
-//! `inst.c.<opcode>` histograms and the `compress.exec.direct` counter.
-//! Everything else decompresses on demand (`compress.exec.fallback`).
+//! A compressed input (from [`crate::worker`] compaction) answers each
+//! opcode in its faster form (DESIGN.md §4k). Element-wise ops and
+//! aggregates run on the column groups (`inst.c.<opcode>` histograms,
+//! `compress.exec.direct`). The contraction ops `X v`, `t(X) Y` and
+//! mmchain are slower there than on a dense matrix, so they run the
+//! dense kernels on the entry's **dense twin** once it has been worth
+//! decompressing — the twin lives in the executing worker's
+//! [`LineageCache`], within its byte budget — and on the column groups
+//! until then (see [`contraction_twin`]). Every other opcode needs the
+//! dense form anyway: it takes the twin, or decompresses into one
+//! (`compress.exec.fallback`, timed under `inst.decompress`).
 
 use std::cell::Cell;
+use std::ops::Deref;
 use std::sync::Arc;
 
 use exdra_matrix::compress::CompressedMatrix;
@@ -130,7 +137,8 @@ pub fn execute(
         let _ = exdra_par::take_region_stats();
     }
     COMPRESSED_DIRECT.with(|c| c.set(false));
-    let value = compute(inst, &inputs)?;
+    DECOMPRESS_NANOS.with(|c| c.set(0));
+    let value = compute(inst, &inputs, table, cache)?;
     let compressed_exec = COMPRESSED_DIRECT.with(|c| c.get());
     if obs_on {
         record_inst_parallelism(inst.name(), &mut span, exdra_par::take_region_stats());
@@ -159,7 +167,10 @@ pub fn execute(
     }
     table.bind(out_id, value, privacy, releasable, h);
     if let Some(t) = t_inst {
-        record_inst_nanos(inst.name(), t.elapsed().as_nanos() as u64, compressed_exec);
+        // A decompression is its own `inst.decompress` sample: the opcode
+        // that happened to carry it is priced without it.
+        let own = (t.elapsed().as_nanos() as u64).saturating_sub(DECOMPRESS_NANOS.with(Cell::get));
+        record_inst_nanos(inst.name(), own, compressed_exec);
     }
     Ok(())
 }
@@ -176,6 +187,10 @@ thread_local! {
     /// into the `inst.c.<opcode>` histogram so the plan optimizer can
     /// price compressed-domain execution separately from dense.
     static COMPRESSED_DIRECT: Cell<bool> = const { Cell::new(false) };
+
+    /// Time the current instruction spent decompressing an input, when
+    /// observability is on.
+    static DECOMPRESS_NANOS: Cell<u64> = const { Cell::new(0) };
 }
 
 /// Marks the current instruction as executed in the compressed domain.
@@ -342,77 +357,199 @@ fn mix_literals(inst: &Instruction, h: u64) -> u64 {
     }
 }
 
-/// Borrowed dense view of an entry: zero-copy when the value is already a
-/// dense matrix (the common case), materializing only sparse/compressed/
+/// Dense view of an entry: zero-copy when the value is a dense matrix
+/// (the common case) or has a dense twin, materializing only sparse and
 /// scalar values. Instruction inputs can be multi-MB partitions, so the
 /// per-instruction clone this avoids dominated federated element-wise ops.
-fn dense(e: &Entry) -> Result<std::borrow::Cow<'_, DenseMatrix>> {
-    match &*e.value {
-        DataValue::Matrix(Matrix::Dense(d)) => Ok(std::borrow::Cow::Borrowed(d)),
-        other => {
-            if exdra_obs::enabled() && matches!(other, DataValue::Matrix(Matrix::Compressed(_))) {
-                exdra_obs::global().inc("compress.exec.fallback");
-            }
-            Ok(std::borrow::Cow::Owned(other.to_dense()?))
+enum Dense<'a> {
+    Borrowed(&'a DenseMatrix),
+    Twin(Arc<DataValue>),
+    Owned(DenseMatrix),
+}
+
+impl Deref for Dense<'_> {
+    type Target = DenseMatrix;
+
+    fn deref(&self) -> &DenseMatrix {
+        match self {
+            Dense::Borrowed(d) => d,
+            Dense::Owned(d) => d,
+            Dense::Twin(t) => match &**t {
+                DataValue::Matrix(Matrix::Dense(d)) => d,
+                _ => unreachable!("a twin is a dense matrix"),
+            },
         }
     }
 }
 
+/// What a contraction op reads its matrix operand from.
+enum Form<'a> {
+    Dense(Dense<'a>),
+    Groups(&'a CompressedMatrix),
+}
+
+/// Direct cell-passes over its column groups a compressed entry accrues
+/// before the next contraction op decompresses it instead: the measured
+/// decompression cost per cell over the direct kernels' penalty per cell
+/// and pass, ≈ 2.5 ns / 0.4 ns (DESIGN.md §4k). Counted in cells, not in
+/// time, so the form an op runs in is deterministic.
+const TWIN_BREAK_EVEN_PASSES: u64 = 6;
+
+/// The dense view of `e`. A compressed entry yields its twin: the one the
+/// cache holds, else its decompression, which is left there.
+fn dense<'a>(e: &'a Entry, cache: Option<&LineageCache>) -> Result<Dense<'a>> {
+    Ok(match &*e.value {
+        DataValue::Matrix(Matrix::Dense(d)) => Dense::Borrowed(d),
+        DataValue::Matrix(Matrix::Compressed(c)) => {
+            Dense::Twin(held_twin(e, cache).unwrap_or_else(|| decompress_into_twin(e, c, cache)))
+        }
+        other => Dense::Owned(other.to_dense()?),
+    })
+}
+
+/// The dense twin the cache holds for a compressed entry, if any.
+fn held_twin(e: &Entry, cache: Option<&LineageCache>) -> Option<Arc<DataValue>> {
+    let twin = cache?.twin(lineage::twin_of(e.meta.lineage))?;
+    if exdra_obs::enabled() {
+        exdra_obs::global().inc("compress.twin.hits");
+    }
+    Some(twin.value)
+}
+
+/// Decompresses a compressed entry and leaves the result with the cache
+/// as the entry's twin (same privacy and release flag), budget permitting.
+fn decompress_into_twin(
+    e: &Entry,
+    c: &CompressedMatrix,
+    cache: Option<&LineageCache>,
+) -> Arc<DataValue> {
+    let t = exdra_obs::enabled().then(std::time::Instant::now);
+    let twin = Arc::new(DataValue::from(c.decompress()));
+    let held = cache.is_some_and(|cache| {
+        cache.insert_twin(
+            lineage::twin_of(e.meta.lineage),
+            CachedEntry {
+                value: Arc::clone(&twin),
+                privacy: e.meta.privacy,
+                releasable: e.meta.releasable,
+            },
+        )
+    });
+    if let Some(t) = t {
+        let nanos = t.elapsed().as_nanos() as u64;
+        DECOMPRESS_NANOS.with(|c| c.set(c.get() + nanos));
+        let g = exdra_obs::global();
+        g.record("inst.decompress", nanos);
+        g.inc("compress.exec.fallback");
+        if held {
+            g.inc("compress.twin.materialized");
+        }
+    }
+    twin
+}
+
+/// The form a contraction op (`X v`, `t(X) Y`, mmchain) that walks
+/// `passes × rows·cols` cells runs in on the compressed input `id`: its
+/// dense twin (`Some`) or the column groups (`None`).
+///
+/// The dense kernels are about twice as fast, a decompression costs about
+/// [`TWIN_BREAK_EVEN_PASSES`] direct passes. Whether more contractions
+/// will follow is unknown, so the entry rents until renting has cost as
+/// much as buying: each direct op accrues its cells on the entry, and the
+/// op that would carry the accrual past the break-even decompresses
+/// first. A one-shot `t(X) y` never pays for a twin, a solver's loop pays
+/// once, and a twin evicted under memory pressure is earned back the same
+/// way. Without a cache, or with a budget smaller than the twin, the
+/// entry stays direct.
+fn contraction_twin(
+    (id, e): &(u64, Entry),
+    c: &CompressedMatrix,
+    passes: usize,
+    table: &SymbolTable,
+    cache: Option<&LineageCache>,
+) -> Option<Arc<DataValue>> {
+    let cache = cache?;
+    if let Some(twin) = held_twin(e, Some(cache)) {
+        return Some(twin);
+    }
+    let cells = (c.rows() * c.cols()) as u64;
+    let buy = cache.fits(cells as usize * std::mem::size_of::<f64>())
+        && table.charge_rent(
+            *id,
+            e.meta.lineage,
+            cells.saturating_mul(passes as u64),
+            cells.saturating_mul(TWIN_BREAK_EVEN_PASSES),
+        );
+    buy.then(|| decompress_into_twin(e, c, Some(cache)))
+}
+
 /// Computes the output value of a non-rmvar instruction.
 #[allow(clippy::collapsible_match)]
-fn compute(inst: &Instruction, inputs: &[(u64, Entry)]) -> Result<DataValue> {
+fn compute(
+    inst: &Instruction,
+    inputs: &[(u64, Entry)],
+    table: &SymbolTable,
+    cache: Option<&LineageCache>,
+) -> Result<DataValue> {
     use Instruction::*;
-    let by_id = |id: u64| -> &Entry {
-        &inputs
+    let input = |id: u64| -> &(u64, Entry) {
+        inputs
             .iter()
             .find(|(i, _)| *i == id)
             .expect("input resolved")
-            .1
     };
-    let m = |id: u64| -> Result<std::borrow::Cow<'_, DenseMatrix>> { dense(by_id(id)) };
+    let m = |id: u64| -> Result<Dense<'_>> { dense(&input(id).1, cache) };
     // Compressed view of an input, when the opcode has a direct
     // column-group kernel (bitwise-identical to its dense counterpart).
     let comp = |id: u64| -> Option<&CompressedMatrix> {
-        match &*by_id(id).value {
+        match &*input(id).1.value {
             DataValue::Matrix(Matrix::Compressed(c)) => Some(c),
             _ => None,
         }
+    };
+    // The form a contraction op over `passes` cell-passes reads `id` in.
+    let form = |id: u64, passes: usize| -> Result<Form<'_>> {
+        Ok(match comp(id) {
+            Some(c) => match contraction_twin(input(id), c, passes, table, cache) {
+                Some(twin) => Form::Dense(Dense::Twin(twin)),
+                None => {
+                    compressed_direct();
+                    Form::Groups(c)
+                }
+            },
+            None => Form::Dense(m(id)?),
+        })
     };
     Ok(match inst {
         MatMul {
             lhs, rhs, t_lhs, ..
         } => {
-            // A sparse left operand keeps its CSR kernels, a compressed
-            // one its column-group kernels (`X v`, and `t(X) Y` for any
-            // Y); everything else is dense — through `m`, which counts a
-            // decompression as a fallback. The left operand is never
-            // transposed: `t_lhs` picks the kernel.
+            // A sparse left operand keeps its CSR kernels; a compressed
+            // one runs `X v` and `t(X) Y` on its twin or on its column
+            // groups, and has no kernel for `X R` with a wide R: that is
+            // dense, through `m`. The left operand is never transposed:
+            // `t_lhs` picks the kernel.
             let r = m(*rhs)?;
-            let out = match (&*by_id(*lhs).value, *t_lhs) {
+            let out = match (&*input(*lhs).1.value, *t_lhs) {
                 (DataValue::Matrix(Matrix::Sparse(s)), false) => s.matmul_dense(&r)?,
                 (DataValue::Matrix(Matrix::Sparse(s)), true) => s.t_matmul_dense(&r)?,
-                (DataValue::Matrix(Matrix::Compressed(c)), false) if r.cols() == 1 => {
-                    compressed_direct();
-                    c.matvec(&r)?
-                }
-                (DataValue::Matrix(Matrix::Compressed(c)), true) => {
-                    compressed_direct();
-                    c.t_matmul(&r)?
-                }
-                (_, false) => matmul::matmul(&*m(*lhs)?, &r)?,
-                (_, true) => matmul::matmul_tn(&*m(*lhs)?, &r)?,
+                (_, false) if r.cols() != 1 => matmul::matmul(&*m(*lhs)?, &r)?,
+                (_, t_lhs) => match (form(*lhs, r.cols())?, t_lhs) {
+                    (Form::Dense(x), false) => matmul::matmul(&x, &r)?,
+                    (Form::Dense(x), true) => matmul::matmul_tn(&x, &r)?,
+                    (Form::Groups(c), false) => c.matvec(&r)?,
+                    (Form::Groups(c), true) => c.t_matmul(&r)?,
+                },
             };
             DataValue::from(out)
         }
         Tsmm { x, left, .. } => DataValue::from(matmul::tsmm(&*m(*x)?, *left)?),
         MmChain { x, v, w, .. } => {
             let wm = w.map(&m).transpose()?;
-            if let Some(c) = comp(*x) {
-                compressed_direct();
-                DataValue::from(c.mmchain(&*m(*v)?, wm.as_deref())?)
-            } else {
-                DataValue::from(matmul::mmchain(&*m(*x)?, &*m(*v)?, wm.as_deref())?)
-            }
+            DataValue::from(match form(*x, 2)? {
+                Form::Dense(x) => matmul::mmchain(&x, &*m(*v)?, wm.as_deref())?,
+                Form::Groups(c) => c.mmchain(&*m(*v)?, wm.as_deref())?,
+            })
         }
         Unary { x, op, .. } => {
             if let Some(c) = comp(*x) {
@@ -427,7 +564,7 @@ fn compute(inst: &Instruction, inputs: &[(u64, Entry)]) -> Result<DataValue> {
             // A 1x1 right operand broadcasts as a scalar, which keeps the
             // left side compressed (dict-only transform).
             let scalar_rhs = comp(*lhs).is_some()
-                && matches!(&*by_id(*rhs).value, DataValue::Matrix(mm) if mm.shape() == (1, 1));
+                && matches!(&*input(*rhs).1.value, DataValue::Matrix(mm) if mm.shape() == (1, 1));
             if scalar_rhs {
                 let b = m(*rhs)?.get(0, 0);
                 let c = comp(*lhs).expect("checked above");
@@ -952,6 +1089,146 @@ mod tests {
             .iter()
             .zip(da.values())
             .all(|(a, b)| a.to_bits() == b.to_bits()));
+    }
+
+    /// A compacted 120 x 3 partition under lineage 77 (private-aggregate),
+    /// a 3 x 1 vector and a 120 x 2 block.
+    fn compacted_table() -> SymbolTable {
+        let mut x = DenseMatrix::zeros(120, 3);
+        for r in 0..120 {
+            x.set(r, 0, (r % 4) as f64);
+            x.set(r, 1, 7.0);
+            x.set(r, 2, if r % 5 == 0 { 1.5 } else { 0.0 });
+        }
+        let t = SymbolTable::new();
+        t.bind(
+            1,
+            Arc::new(DataValue::Matrix(Matrix::Compressed(
+                CompressedMatrix::compress(&x),
+            ))),
+            PrivacyLevel::PrivateAggregate { min_group: 10 },
+            false,
+            77,
+        );
+        t.bind_public(2, DataValue::from(rand_matrix(3, 1, -1.0, 1.0, 13)));
+        t.bind_public(3, DataValue::from(rand_matrix(120, 2, -1.0, 1.0, 14)));
+        t
+    }
+
+    fn mmchain(out: u64) -> Instruction {
+        Instruction::MmChain {
+            x: 1,
+            v: 2,
+            w: None,
+            out,
+        }
+    }
+
+    fn t_matmul(out: u64) -> Instruction {
+        Instruction::MatMul {
+            lhs: 1,
+            rhs: 3,
+            t_lhs: true,
+            out,
+        }
+    }
+
+    fn bits(t: &SymbolTable, id: u64) -> Vec<u64> {
+        let d = t.value(id).unwrap().to_dense().unwrap();
+        d.values().iter().map(|v| v.to_bits()).collect()
+    }
+
+    #[test]
+    fn contraction_ops_rent_the_column_groups_then_buy_the_twin() {
+        let (t, oracle) = (compacted_table(), compacted_table());
+        let cache = LineageCache::new(1 << 20, false);
+        let cells = 120 * 3;
+        // Three mmchains are six cell-passes: at the break-even, not past it.
+        for i in 0..3 {
+            execute(&mmchain(10 + i), &t, Some(&cache)).unwrap();
+            assert!(cache.twin(lineage::twin_of(77)).is_none());
+            assert_eq!(t.get(1).unwrap().meta.rent, 2 * cells * (i + 1));
+        }
+        // The fourth would make it eight: it decompresses first.
+        execute(&mmchain(13), &t, Some(&cache)).unwrap();
+        let twin = cache.twin(lineage::twin_of(77)).expect("twin held");
+        assert!(matches!(
+            &*twin.value,
+            DataValue::Matrix(Matrix::Dense(d)) if d.shape() == (120, 3)
+        ));
+        assert_eq!(
+            twin.privacy,
+            PrivacyLevel::PrivateAggregate { min_group: 10 }
+        );
+        assert!(!twin.releasable);
+        assert_eq!(t.get(1).unwrap().meta.rent, 0, "rent starts over");
+        // On the twin the entry accrues nothing, and every form has the
+        // bits of the cache-less (always direct) executor.
+        execute(&t_matmul(14), &t, Some(&cache)).unwrap();
+        assert_eq!(t.get(1).unwrap().meta.rent, 0);
+        execute(&mmchain(13), &oracle, None).unwrap();
+        execute(&t_matmul(14), &oracle, None).unwrap();
+        assert_eq!(oracle.get(1).unwrap().meta.rent, 0);
+        assert_eq!(bits(&t, 12), bits(&t, 13));
+        assert_eq!(bits(&t, 13), bits(&oracle, 13));
+        assert_eq!(bits(&t, 14), bits(&oracle, 14));
+        // An evicted twin is earned back the same way.
+        cache.clear();
+        execute(&t_matmul(15), &t, Some(&cache)).unwrap();
+        assert!(cache.twin(lineage::twin_of(77)).is_none());
+        assert_eq!(t.get(1).unwrap().meta.rent, 2 * cells);
+    }
+
+    #[test]
+    fn an_op_without_a_column_group_kernel_leaves_its_decompression_as_the_twin() {
+        let (t, oracle) = (compacted_table(), compacted_table());
+        // Reuse off: twins are held all the same.
+        let cache = LineageCache::new(1 << 20, false);
+        let tsmm = Instruction::Tsmm {
+            x: 1,
+            left: true,
+            out: 10,
+        };
+        execute(&tsmm, &t, Some(&cache)).unwrap();
+        assert_eq!(cache.bytes(), 120 * 3 * 8);
+        execute(&mmchain(11), &t, Some(&cache)).unwrap();
+        assert_eq!(t.get(1).unwrap().meta.rent, 0, "ran on the twin");
+        execute(&tsmm, &oracle, None).unwrap();
+        execute(&mmchain(11), &oracle, None).unwrap();
+        assert_eq!(bits(&t, 10), bits(&oracle, 10));
+        assert_eq!(bits(&t, 11), bits(&oracle, 11));
+        // Element-wise ops and aggregates stay on the column groups.
+        let abs = Instruction::Unary {
+            x: 1,
+            op: elementwise::UnaryOp::Abs,
+            out: 12,
+        };
+        execute(&abs, &t, Some(&cache)).unwrap();
+        assert!(matches!(
+            &*t.value(12).unwrap(),
+            DataValue::Matrix(Matrix::Compressed(_))
+        ));
+    }
+
+    #[test]
+    fn a_twin_larger_than_the_budget_is_never_held_and_accrues_nothing() {
+        let t = compacted_table();
+        let cache = LineageCache::new(120 * 3 * 8 - 1, false);
+        for i in 0..5 {
+            execute(&mmchain(10 + i), &t, Some(&cache)).unwrap();
+        }
+        execute(
+            &Instruction::Tsmm {
+                x: 1,
+                left: true,
+                out: 20,
+            },
+            &t,
+            Some(&cache),
+        )
+        .unwrap();
+        assert!(cache.twin(lineage::twin_of(77)).is_none());
+        assert_eq!(t.get(1).unwrap().meta.rent, 0);
     }
 
     #[test]

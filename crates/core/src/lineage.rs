@@ -10,6 +10,9 @@ use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
+use bytes::BufMut;
+use exdra_matrix::{DenseMatrix, Matrix};
+use exdra_net::codec::Wire;
 use parking_lot::Mutex;
 
 use crate::privacy::PrivacyLevel;
@@ -29,24 +32,109 @@ pub fn seed(name: &str) -> u64 {
     h
 }
 
-/// Lineage hash of raw bytes (for `PUT` payloads).
-pub fn of_bytes(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0x9E3779B97F4A7C15;
-    // Sample long payloads: head, tail, and length keep this cheap while
-    // remaining effectively collision-free for runtime purposes.
-    if bytes.len() <= 4096 {
-        for &b in bytes {
-            h = mix(h, b as u64);
-        }
-    } else {
-        for &b in &bytes[..2048] {
-            h = mix(h, b as u64);
-        }
-        for &b in &bytes[bytes.len() - 2048..] {
-            h = mix(h, b as u64);
+/// Folds little-endian bytes into a lineage hash one 8-byte word per
+/// step. As a [`BufMut`] it is a sink for [`Wire::encode`], so any value
+/// can be fingerprinted by content without being serialised anywhere.
+struct Fold {
+    h: u64,
+    /// The low `filled` bytes of the word being assembled.
+    word: u64,
+    filled: u32,
+    len: u64,
+}
+
+impl Fold {
+    fn new() -> Self {
+        Fold {
+            h: 0x9E3779B97F4A7C15,
+            word: 0,
+            filled: 0,
+            len: 0,
         }
     }
-    mix(h, bytes.len() as u64)
+
+    fn finish(self) -> u64 {
+        mix(mix(self.h, self.word), self.len)
+    }
+}
+
+impl BufMut for Fold {
+    fn put_slice(&mut self, src: &[u8]) {
+        let mut words = src.chunks_exact(8);
+        for w in &mut words {
+            self.put_u64_le(u64::from_le_bytes(w.try_into().expect("8-byte chunk")));
+        }
+        for &b in words.remainder() {
+            self.word |= (b as u64) << (8 * self.filled);
+            self.filled += 1;
+            self.len += 1;
+            if self.filled == 8 {
+                self.h = mix(self.h, self.word);
+                (self.word, self.filled) = (0, 0);
+            }
+        }
+    }
+
+    fn put_u64_le(&mut self, v: u64) {
+        self.len += 8;
+        if self.filled == 0 {
+            self.h = mix(self.h, v);
+        } else {
+            let shift = 8 * self.filled;
+            self.h = mix(self.h, self.word | (v << shift));
+            self.word = v >> (64 - shift);
+        }
+    }
+}
+
+fn fold_dense(f: &mut Fold, m: &DenseMatrix) {
+    f.put_u64_le(m.rows() as u64);
+    f.put_u64_le(m.cols() as u64);
+    for v in m.values() {
+        f.put_u64_le(v.to_bits());
+    }
+}
+
+fn fold_value(f: &mut Fold, value: &DataValue) {
+    match value {
+        // `DenseMatrix::encode` stages a large payload in a buffer of its
+        // own; the cells are folded from where they are instead.
+        DataValue::Matrix(Matrix::Dense(m)) => {
+            f.put_u8(0);
+            fold_dense(f, m);
+        }
+        DataValue::List(vs) => {
+            f.put_u8(5);
+            f.put_u64_le(vs.len() as u64);
+            for v in vs {
+                fold_value(f, v);
+            }
+        }
+        other => other.encode(f),
+    }
+}
+
+/// Lineage hash of a value by content (`PUT` payloads): every cell and
+/// every string takes part, so two payloads get one lineage only when
+/// they are equal. Nothing is allocated.
+pub fn of_value(value: &DataValue) -> u64 {
+    let mut f = Fold::new();
+    fold_value(&mut f, value);
+    f.finish()
+}
+
+/// [`of_value`] of a dense matrix that is not wrapped in a [`DataValue`]
+/// (a plan's local sources).
+pub fn of_dense(m: &DenseMatrix) -> u64 {
+    let mut f = Fold::new();
+    fold_dense(&mut f, m);
+    f.finish()
+}
+
+/// Lineage under which a worker's cache holds the dense twin of the
+/// compressed entry whose own lineage is `entry`.
+pub fn twin_of(entry: u64) -> u64 {
+    mix(seed("decompress"), entry)
 }
 
 /// A cached output value with the metadata needed to rebind it.
@@ -166,16 +254,48 @@ impl LineageCache {
     /// Inserts an output value, evicting FIFO when over budget. Values
     /// larger than the whole budget are not cached.
     pub fn insert(&self, lineage: u64, entry: CachedEntry) {
-        if !self.enabled {
-            return;
+        if self.enabled {
+            self.store(lineage, entry);
         }
+    }
+
+    /// True when a value of `bytes` bytes can be held at all.
+    pub fn fits(&self, bytes: usize) -> bool {
+        bytes <= self.byte_budget
+    }
+
+    /// The dense twin held under `lineage` (see [`twin_of`]). A twin is a
+    /// second physical form of a live compressed value, not a reused
+    /// result: it shares this cache's byte budget and FIFO order, is held
+    /// whether or not reuse is enabled, and probing it is neither a hit
+    /// nor a miss.
+    pub fn twin(&self, lineage: u64) -> Option<CachedEntry> {
+        self.inner.lock().map.get(&lineage).cloned()
+    }
+
+    /// Holds `entry` as the twin under `lineage`; false when it is larger
+    /// than the whole budget.
+    pub fn insert_twin(&self, lineage: u64, entry: CachedEntry) -> bool {
+        self.store(lineage, entry)
+    }
+
+    /// Drops the entry under `lineage`, returning the bytes it held.
+    pub fn remove(&self, lineage: u64) -> Option<usize> {
+        let mut inner = self.inner.lock();
+        let bytes = inner.map.remove(&lineage)?.value.size_bytes();
+        inner.order.retain(|l| *l != lineage);
+        inner.bytes -= bytes;
+        Some(bytes)
+    }
+
+    fn store(&self, lineage: u64, entry: CachedEntry) -> bool {
         let bytes = entry.value.size_bytes();
-        if bytes > self.byte_budget {
-            return;
+        if !self.fits(bytes) {
+            return false;
         }
         let mut inner = self.inner.lock();
         if inner.map.contains_key(&lineage) {
-            return;
+            return true;
         }
         let mut evicted = 0u64;
         while inner.bytes + bytes > self.byte_budget {
@@ -196,6 +316,7 @@ impl LineageCache {
             self.evictions.fetch_add(evicted, Ordering::Relaxed);
             self.m_evictions.add(evicted);
         }
+        true
     }
 
     /// Cache hits so far.
@@ -257,15 +378,77 @@ mod tests {
     }
 
     #[test]
-    fn of_bytes_samples_consistently() {
-        let big = vec![7u8; 100_000];
-        assert_eq!(of_bytes(&big), of_bytes(&big.clone()));
-        let mut other = big.clone();
-        other[0] = 8; // head change detected
-        assert_ne!(of_bytes(&big), of_bytes(&other));
-        let mut tail = big.clone();
-        *tail.last_mut().unwrap() = 8; // tail change detected
-        assert_ne!(of_bytes(&big), of_bytes(&tail));
+    fn of_value_sees_every_cell_and_string() {
+        use exdra_matrix::frame::{Frame, FrameColumn};
+        let a = DenseMatrix::filled(1_000, 8, 7.0);
+        let va = DataValue::from(a.clone());
+        assert_eq!(of_value(&va), of_value(&va.clone()));
+        // Same shape, same head and tail, one cell in the middle row.
+        let mut b = a.clone();
+        b.set(500, 3, 8.0);
+        assert_ne!(of_value(&va), of_value(&DataValue::from(b.clone())));
+        assert_ne!(of_dense(&a), of_dense(&b));
+        // The shape takes part: the same cells as 8000 x 1.
+        assert_ne!(of_dense(&a), of_dense(&a.reshape(8_000, 1).unwrap()));
+        // Lists recurse, and a list of one is not its element.
+        assert_ne!(
+            of_value(&DataValue::List(vec![va.clone()])),
+            of_value(&DataValue::List(vec![DataValue::from(b)]))
+        );
+        assert_ne!(of_value(&DataValue::List(vec![va.clone()])), of_value(&va));
+
+        let frame = |mid: &str| {
+            let mut tokens: Vec<Option<String>> = vec![Some("same".into()); 999];
+            tokens[400] = Some(mid.into());
+            tokens[401] = None;
+            DataValue::Frame(Frame::new(vec![("c".into(), FrameColumn::Str(tokens))]).unwrap())
+        };
+        assert_eq!(of_value(&frame("x")), of_value(&frame("x")));
+        assert_ne!(of_value(&frame("x")), of_value(&frame("y")));
+    }
+
+    #[test]
+    fn fold_is_the_same_for_any_split_of_the_bytes() {
+        let bytes: Vec<u8> = (0..=255u8).cycle().take(1_003).collect();
+        let fold = |parts: &[&[u8]]| {
+            let mut f = Fold::new();
+            for p in parts {
+                f.put_slice(p);
+            }
+            f.finish()
+        };
+        for cut in [0, 1, 7, 8, 9, 500, 1_002] {
+            assert_eq!(fold(&[&bytes[..cut], &bytes[cut..]]), fold(&[&bytes]));
+        }
+        // Trailing bytes and the length take part.
+        assert_ne!(fold(&[&bytes, &[0]]), fold(&[&bytes]));
+        assert_ne!(fold(&[&bytes[..1_000]]), fold(&[&bytes[..1_001]]));
+    }
+
+    #[test]
+    fn twins_share_the_budget_but_not_the_reuse_switch_or_counters() {
+        let twin = |rows| CachedEntry {
+            value: Arc::new(DataValue::from(DenseMatrix::zeros(rows, 1))),
+            privacy: PrivacyLevel::Private,
+            releasable: false,
+        };
+        // Held with reuse off; neither a hit nor a miss.
+        let c = LineageCache::new(100, false);
+        assert!(c.twin(twin_of(1)).is_none());
+        assert!(c.insert_twin(twin_of(1), twin(10)));
+        assert!(c.twin(twin_of(1)).is_some());
+        assert_eq!((c.hits(), c.misses()), (0, 0));
+        assert!(c.probe(twin_of(1)).is_none(), "reuse stays off");
+        // Budget: FIFO eviction, and nothing above the whole budget.
+        assert!(c.fits(100) && !c.fits(101));
+        assert!(!c.insert_twin(twin_of(2), twin(13)));
+        assert!(c.insert_twin(twin_of(3), twin(5)));
+        assert!(c.twin(twin_of(1)).is_none(), "evicted for the newer twin");
+        assert_eq!(c.bytes(), 40);
+        assert_eq!(c.evictions(), 1);
+        assert_eq!(c.remove(twin_of(3)), Some(40));
+        assert_eq!(c.remove(twin_of(3)), None);
+        assert_eq!((c.bytes(), c.entries()), (0, 0));
     }
 
     #[test]

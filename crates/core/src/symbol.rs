@@ -43,6 +43,11 @@ pub struct EntryMeta {
     pub lineage: u64,
     /// Last read/write time (drives background compaction).
     pub last_access: Instant,
+    /// Cells that contraction kernels (`X v`, `t(X) Y`, `mmchain`) have
+    /// walked directly on this binding's column groups since it was bound
+    /// or last decompressed into a dense twin (see
+    /// [`SymbolTable::charge_rent`]); 0 for a value that is not compressed.
+    pub rent: u64,
     /// Table mutation sequence at which this binding was (re)written
     /// (drives incremental checkpoints: a `CHECKPOINT(since)` request
     /// collects entries with `seq > since`).
@@ -103,6 +108,7 @@ impl SymbolTable {
                 releasable,
                 lineage,
                 last_access: Instant::now(),
+                rent: 0,
                 seq,
             },
         };
@@ -208,6 +214,22 @@ impl SymbolTable {
         Ok(())
     }
 
+    /// Charges a direct contraction over `cells` cells to the binding of
+    /// `id`, unless that would carry its accrued rent past `limit` (ski
+    /// rental: buy once renting has cost as much as buying). Returns true
+    /// when the caller should decompress instead, and starts the binding's
+    /// rent over; a binding that is gone or was rebound to another
+    /// `lineage` is left alone and stays direct.
+    pub fn charge_rent(&self, id: u64, lineage: u64, cells: u64, limit: u64) -> bool {
+        let mut map = self.map.write();
+        let Some(entry) = map.get_mut(&id).filter(|e| e.meta.lineage == lineage) else {
+            return false;
+        };
+        let buy = entry.meta.rent.saturating_add(cells) > limit;
+        entry.meta.rent = if buy { 0 } else { entry.meta.rent + cells };
+        buy
+    }
+
     /// The current mutation sequence (0 for an untouched table).
     pub fn current_seq(&self) -> u64 {
         self.seq.load(Ordering::Relaxed)
@@ -250,6 +272,21 @@ impl SymbolTable {
         map.iter()
             .filter(|(_, e)| matches!(&*e.value, DataValue::Matrix(exdra_matrix::Matrix::Dense(_))))
             .map(|(id, e)| (*id, e.value.size_bytes(), e.meta.last_access.elapsed()))
+            .collect()
+    }
+
+    /// Lineages of the compressed matrix bindings idle for at least
+    /// `min_idle`: the entries whose dense twins compaction lets go.
+    pub fn idle_compressed(&self, min_idle: std::time::Duration) -> Vec<u64> {
+        let map = self.map.read();
+        map.values()
+            .filter(|e| {
+                matches!(
+                    &*e.value,
+                    DataValue::Matrix(exdra_matrix::Matrix::Compressed(_))
+                ) && e.meta.last_access.elapsed() >= min_idle
+            })
+            .map(|e| e.meta.lineage)
             .collect()
     }
 }

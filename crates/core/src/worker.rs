@@ -47,9 +47,14 @@ pub struct WorkerConfig {
     /// Directory that `READ` file names are resolved against (the worker's
     /// permissioned raw-data root; paths escaping it are rejected).
     pub data_dir: PathBuf,
-    /// Lineage reuse cache budget in bytes.
+    /// Byte budget of the worker's lineage cache: reused instruction
+    /// results and the dense twins of compacted entries share it, FIFO. A
+    /// twin larger than the budget is never held, and that entry's
+    /// contraction ops stay on its column groups.
     pub cache_bytes: usize,
-    /// Whether lineage-based reuse is enabled (ablation A1).
+    /// Whether lineage-based reuse of instruction results is enabled
+    /// (ablation A1). Dense twins are held either way: they are another
+    /// form of a live input, every instruction still executes.
     pub reuse_enabled: bool,
     /// Entries idle longer than this are eligible for background
     /// compression (paper §4.4 "free cycles ... asynchronous compression").
@@ -538,13 +543,10 @@ impl Worker {
             }
             Request::Put { id, data, privacy } => {
                 // The privacy constraint is part of the data's identity:
-                // the same bytes under a different constraint must not
+                // the same content under a different constraint must not
                 // share cached derivations (their release metadata differs).
                 let (ptag, pgroup) = privacy.to_parts();
-                let lin = lineage::mix(
-                    lineage::mix(lineage::of_bytes(&data.to_bytes()), ptag as u64),
-                    pgroup,
-                );
+                let lin = lineage::mix(lineage::mix(lineage::of_value(&data), ptag as u64), pgroup);
                 let releasable = privacy == PrivacyLevel::Public;
                 self.table
                     .bind(id, Arc::new(data), privacy, releasable, lin);
@@ -880,8 +882,20 @@ impl Worker {
     }
 
     /// Compresses dense matrix entries of at least `min_bytes` that have
-    /// been idle for `min_idle`. Returns the number of compacted entries.
+    /// been idle for `min_idle`, and lets go of the dense twins of
+    /// compressed entries idle that long, so an idle worker's footprint
+    /// returns to the compressed size. Returns the number of compacted
+    /// entries.
     pub fn compact(&self, min_bytes: usize, min_idle: Duration) -> usize {
+        let dropped = self
+            .table
+            .idle_compressed(min_idle)
+            .into_iter()
+            .filter(|lin| self.cache.remove(lineage::twin_of(*lin)).is_some())
+            .count();
+        if dropped > 0 && exdra_obs::enabled() {
+            exdra_obs::global().add("compress.twin.dropped", dropped as u64);
+        }
         // Phase 1: snapshot eligible dense entries (cheap Arc clones).
         let mut work: Vec<(u64, Arc<DataValue>)> = Vec::new();
         for (id, bytes, idle) in self.table.compaction_candidates() {
@@ -1440,6 +1454,87 @@ mod tests {
             },
         }]);
         assert_eq!(rs[0], Response::Ok);
+    }
+
+    #[test]
+    fn compaction_lets_go_of_an_idle_entrys_twin() {
+        let w = worker();
+        let mut m = DenseMatrix::zeros(1000, 4);
+        for r in 0..1000 {
+            for c in 0..4 {
+                m.set(r, c, (r % 3) as f64);
+            }
+        }
+        w.install_matrix(1, m, PrivacyLevel::Public, "t");
+        assert_eq!(w.compact(1024, Duration::ZERO), 1);
+        // tsmm has no column-group kernel: it leaves the twin behind.
+        let tsmm = || Request::ExecInst {
+            inst: crate::instruction::Instruction::Tsmm {
+                x: 1,
+                left: true,
+                out: 2,
+            },
+        };
+        assert_eq!(w.handle_batch(vec![tsmm()]), vec![Response::Ok]);
+        let with_twin = w.cache().bytes();
+        assert!(w
+            .cache()
+            .twin(lineage::twin_of(w.table().get(1).unwrap().meta.lineage))
+            .is_some());
+        // Not idle for an hour: the twin stays.
+        w.compact(1024, Duration::from_secs(3600));
+        assert_eq!(w.cache().bytes(), with_twin);
+        w.compact(1024, Duration::ZERO);
+        assert_eq!(w.cache().bytes(), with_twin - 1000 * 4 * 8);
+        // The entry is still compressed and answers as before.
+        assert_eq!(
+            w.table()
+                .get(1)
+                .unwrap()
+                .value
+                .as_matrix()
+                .unwrap()
+                .repr_name(),
+            "compressed"
+        );
+        w.cache().clear();
+        assert_eq!(w.handle_batch(vec![tsmm()]), vec![Response::Ok]);
+    }
+
+    #[test]
+    fn put_lineage_tells_payloads_apart_by_every_cell() {
+        // Same shape, same head and tail, one different row in the middle:
+        // with reuse on, colSums(B) must not be served colSums(A).
+        let w = worker();
+        let a = DenseMatrix::filled(2_000, 4, 1.0);
+        let mut b = a.clone();
+        for c in 0..4 {
+            b.set(1_000, c, 5.0);
+        }
+        let mut batch = Vec::new();
+        for (id, m) in [(1u64, &a), (2, &b), (3, &a)] {
+            batch.push(Request::Put {
+                id,
+                data: DataValue::from(m.clone()),
+                privacy: PrivacyLevel::Public,
+            });
+            batch.push(Request::ExecInst {
+                inst: crate::instruction::Instruction::Agg {
+                    x: id,
+                    op: exdra_matrix::kernels::aggregates::AggOp::Sum,
+                    dir: exdra_matrix::kernels::aggregates::AggDir::Col,
+                    out: 10 + id,
+                },
+            });
+        }
+        assert!(w.handle_batch(batch).iter().all(|r| *r == Response::Ok));
+        let lineage = |id| w.table().get(id).unwrap().meta.lineage;
+        assert_ne!(lineage(1), lineage(2));
+        assert_eq!(lineage(1), lineage(3), "equal content, equal lineage");
+        assert_eq!(w.cache().hits(), 1, "only the second colSums(A) is reused");
+        let sums = |id| w.table().value(id).unwrap().to_dense().unwrap();
+        assert_eq!(sums(11).values(), [2_000.0; 4]);
+        assert_eq!(sums(12).values(), [2_004.0; 4]);
     }
 
     #[test]

@@ -296,6 +296,55 @@ fn deferred_requests_are_counted_and_attributed_to_their_carrier() {
 }
 
 #[test]
+fn metrics_say_which_form_of_a_compacted_partition_ran() {
+    let _g = obs_test();
+    let (ctx, workers) = mem_federation(2);
+    let x = rand_matrix(200, 4, 0.0, 4.0, 79).map(f64::floor);
+    let fed = Tensor::Fed(FedMatrix::scatter_rows(&ctx, &x, PrivacyLevel::Public).unwrap());
+    let compact = || -> usize {
+        let idle = std::time::Duration::ZERO;
+        workers.iter().map(|w| w.compact(0, idle)).sum()
+    };
+    assert_eq!(compact(), 2);
+    // A solver's loop, per worker: three mmchains rent the column groups
+    // (six cell-passes), the fourth decompresses first and runs on the
+    // twin it leaves behind, the other six find the twin, and so does the
+    // tsmm, which has no column-group kernel.
+    for i in 0..10 {
+        let v = rand_matrix(4, 1, -1.0, 1.0, 80 + i);
+        fed.mmchain(&v, None).unwrap();
+    }
+    fed.tsmm().unwrap();
+    let m = exdra::obs::global().snapshot();
+    assert_eq!(m.counter("compress.exec.direct"), 2 * 3);
+    assert_eq!(m.counter("compress.twin.materialized"), 2);
+    assert_eq!(
+        m.counter("compress.exec.fallback"),
+        2,
+        "one decompression each"
+    );
+    assert_eq!(m.counter("compress.twin.hits"), 2 * (6 + 1));
+    assert_eq!(m.counter("compress.twin.dropped"), 0);
+    let samples = |name: &str| m.histograms.get(name).map_or(0, |h| h.count);
+    assert_eq!(samples("inst.decompress"), 2);
+    assert_eq!(samples("inst.c.mmchain"), 2 * 3);
+    assert_eq!(
+        samples("inst.mmchain"),
+        2 * 7,
+        "on the twin: the dense opcode"
+    );
+    assert_eq!(samples("inst.tsmm"), 2);
+    // Looking for a twin is not a reuse probe.
+    assert_eq!(m.counter("lineage.worker.hits"), 0);
+    assert_eq!(m.counter("lineage.worker.misses"), 2 * 11);
+    // Idle workers let go of their twins.
+    assert_eq!(compact(), 0);
+    exdra::obs::set_enabled(false);
+    let m = exdra::obs::global().snapshot();
+    assert_eq!(m.counter("compress.twin.dropped"), 2);
+}
+
+#[test]
 fn metrics_counters_match_issued_request_counts() {
     let _g = obs_test();
     let (ctx, _workers) = mem_federation(2);

@@ -207,6 +207,74 @@ fn worker_killed_with_a_non_empty_outbox_recovers_bitwise() {
     assert!(Tensor::Fed(pending).to_local().is_err());
 }
 
+/// A dense twin is a worker's private, re-derivable form of a compacted
+/// entry: it is in no checkpoint (a checkpoint carries the logical value,
+/// as it travels on the wire). A worker killed while it holds one is
+/// restored dense with an empty cache; once its idle sweep has compacted
+/// the entry again it answers with the same bits from the column groups
+/// and earns the twin back.
+#[test]
+fn worker_killed_holding_a_dense_twin_recovers_bitwise_without_it() {
+    use exdra::core::lineage::twin_of;
+    use exdra::core::FedMatrix;
+    use exdra::Lazy;
+
+    let (ctx, workers) = mem_federation(2);
+    let m = rand_matrix(200, 5, 0.0, 4.0, 29).map(f64::floor);
+    let fed = FedMatrix::scatter_rows(&ctx, &m, PrivacyLevel::Public).unwrap();
+    let compacted: usize = workers.iter().map(|w| w.compact(0, Duration::ZERO)).sum();
+    assert_eq!(compacted, 2);
+    let policy = SupervisionPolicy {
+        heartbeat_interval: Duration::from_millis(30),
+        checkpoint_interval: Some(Duration::from_millis(40)),
+        ..SupervisionPolicy::default()
+    };
+    let sds = Session::builder()
+        .context(Arc::clone(&ctx))
+        .supervision(policy)
+        .build()
+        .unwrap();
+    let x = Lazy::from_fed(fed.clone());
+    let v = Lazy::from_local(rand_matrix(5, 1, -1.0, 1.0, 30));
+    // tsmm has no column-group kernel: its decompression stays as the twin.
+    let gram = x.tsmm().unwrap();
+    let chain = x.t_matmul(&x.matmul(&v));
+    let expected = (sds.compute(&gram).unwrap(), sds.compute(&chain).unwrap());
+    // (partition 0 is compressed, its twin is held)
+    let forms = |w: &Worker| {
+        let e = w.table().get(fed.parts()[0].id).unwrap();
+        (
+            e.value.as_matrix().unwrap().repr_name() == "compressed",
+            w.cache().twin(twin_of(e.meta.lineage)).is_some(),
+        )
+    };
+    assert_eq!(forms(&workers[0]), (true, true));
+
+    let sup = sds.supervisor().unwrap();
+    assert!(
+        sup.wait_until(Duration::from_secs(5), || sup.checkpoint_store().has(0)),
+        "background checkpoint landed"
+    );
+    let replacement = Worker::new(WorkerConfig::default());
+    let r2 = Arc::clone(&replacement);
+    sup.set_reconnector(Box::new(move |_w| {
+        Some(Box::new(r2.serve_mem()) as Box<dyn Channel>)
+    }));
+    workers[0].shutdown();
+
+    let chain_after = sds.compute(&chain).unwrap();
+    assert!(ctx.stats().recoveries() >= 1, "NetStats counted recovery");
+    assert_eq!(forms(&replacement), (false, false), "restored dense");
+    assert!(replacement.compact(0, Duration::ZERO) >= 1);
+    // Two cell-passes: below break-even, on the column groups.
+    assert_eq!(expected.1.values(), sds.compute(&chain).unwrap().values());
+    assert_eq!(forms(&replacement), (true, false));
+    let gram_after = sds.compute(&gram).unwrap();
+    assert_eq!(forms(&replacement), (true, true), "the twin is back");
+    assert_eq!(expected.0.values(), gram_after.values());
+    assert_eq!(expected.1.values(), chain_after.values());
+}
+
 /// Satellite acceptance: under an injected straggler fault plan, a request
 /// past the latency-derived deadline is speculatively re-issued to a live
 /// replica (primed with the straggler's checkpoint) and the computation
