@@ -48,7 +48,7 @@ pub trait CostModel: Send + Sync {
 
 /// The profile-guided default [`CostModel`]: per-opcode mean latencies
 /// from the `inst.<opcode>` histograms `exdra-obs` collects during
-/// execution (the same data `results/cost_profile.json` persists), with
+/// execution (the same data `Analysis::cost_profile_json` renders), with
 /// a work-proportional fallback for opcodes never yet observed.
 #[derive(Debug, Clone)]
 pub struct ProfileCostModel {

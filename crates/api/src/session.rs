@@ -584,10 +584,9 @@ impl Session {
     ///
     /// Tracing is force-enabled for the duration of the call and
     /// restored afterwards, so this works on sessions built without
-    /// [`SessionBuilder::tracing`]. The per-opcode/per-worker cost
-    /// profile is also persisted to `results/cost_profile.json` — the
-    /// profile-guided input [`crate::ProfileCostModel`] draws on
-    /// (best-effort; failures to write are ignored).
+    /// [`SessionBuilder::tracing`]. Nothing is written to disk: a caller
+    /// that wants the per-opcode/per-worker cost profile as a file writes
+    /// `explain.analyzed`'s `cost_profile_json()` where it chooses.
     pub fn explain_analyze(&self, plan: &Lazy) -> Result<(DenseMatrix, Explain)> {
         let mut explain = self.explain(plan);
         let was_on = exdra_obs::enabled();
@@ -605,8 +604,6 @@ impl Session {
         let analysis = exdra_obs::analyze(&spans, root_id).ok_or_else(|| {
             FedError::Invalid("explain_analyze: no trace recorded for this run".into())
         })?;
-        let _ = std::fs::create_dir_all("results");
-        let _ = std::fs::write("results/cost_profile.json", analysis.cost_profile_json());
         explain.analyzed = Some(analysis);
         Ok((result, explain))
     }

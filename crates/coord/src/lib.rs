@@ -8,8 +8,9 @@
 //!
 //! * **Namespace isolation** — every admitted session receives a symbol
 //!   namespace and allocates IDs from `(ns << NS_SHIFT) | 1` upward, so
-//!   concurrent sessions draw from disjoint ID ranges. The workers'
-//!   existing `Touched` read/write conflict model then guarantees two
+//!   concurrent sessions draw from disjoint ID ranges. Each session
+//!   holds its own connection per worker, served in order on a thread of
+//!   its own, and no symbol ID is shared across namespaces, so two
 //!   sessions can never alias each other's state; teardown is a single
 //!   `CLEAR_NS` broadcast.
 //! * **Shared plan cache** — one byte-budgeted, lineage-keyed

@@ -16,12 +16,12 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use parking_lot::Mutex;
+use parking_lot::{Mutex, MutexGuard};
 
 use exdra_fault::retry::{classify_io, Deadline, RetryPolicy};
 use exdra_net::codec::Wire;
 use exdra_net::crypto::ChannelKey;
-use exdra_net::framing::{tag_request, untag_reply};
+use exdra_net::framing::{request_tag, untag_reply};
 use exdra_net::sim::NetProfile;
 use exdra_net::stats::NetStats;
 use exdra_net::transport::{
@@ -427,15 +427,16 @@ impl FedContext {
 
     /// Streams one request sequence to one worker through a sliding
     /// window of `window` correlation-tagged in-flight requests, matching
-    /// out-of-order replies back by correlation id. Returns responses in
-    /// the batch's submission order.
+    /// replies back by correlation id. Returns responses in the batch's
+    /// submission order.
     ///
     /// Unlike [`FedContext::call`], each request travels (and executes)
     /// as its own envelope: a failing request yields its own
-    /// `Response::Error` without marking later independent requests as
-    /// skipped. The worker still serializes requests whose symbol
-    /// footprints conflict, so per-variable ordering matches the
-    /// lock-step path exactly.
+    /// `Response::Error` without marking later requests as skipped. The
+    /// worker executes a connection's frames in arrival order, so the
+    /// results match the lock-step path exactly; what the window overlaps
+    /// is the wire (and the coordinator's decode) with the worker's
+    /// execution, which pays for bulk `PUT`/`GET` streams and WAN links.
     ///
     /// Outbox piggy-backing (the carried entries share the stream's first
     /// envelope) and fault behavior are [`FedContext::call`]'s
@@ -459,97 +460,180 @@ impl FedContext {
     /// The one RPC exchange behind [`FedContext::call`] (`window` =
     /// `None`: the whole batch in one untagged envelope) and
     /// [`FedContext::call_streamed`] (`Some(w)`: one tagged envelope per
-    /// request, `w` in flight).
+    /// request, `w` in flight): a single leg, begun and finished.
     fn exchange(
         &self,
         worker: usize,
         batch: &[Request],
         window: Option<usize>,
     ) -> Result<Vec<Response>> {
-        let conn = self.conn(worker)?;
-        // Supervision and teardown travel alone: a checkpoint or restore
-        // must not fail on (or wait for) someone else's deferred work.
-        let control = !batch.is_empty()
-            && batch.iter().all(|r| {
-                matches!(
-                    r,
-                    Request::Restore { .. }
-                        | Request::Checkpoint { .. }
-                        | Request::Heartbeat
-                        | Request::Clear
-                        | Request::ClearNamespace { .. }
-                )
-            });
-        // The channel lock orders sends, and the outbox is drained under
-        // it: no request can overtake the deferred instruction that
-        // creates its input, whichever thread ends up carrying it.
-        let mut ch = conn.channel.lock();
-        let mut full = if control {
-            Vec::new()
-        } else {
-            std::mem::take(&mut *conn.outbox.lock()).requests
-        };
-        let deferred = full.len();
-        full.extend_from_slice(batch);
-        if full.is_empty() {
-            return Ok(Vec::new());
-        }
-        let requests = full.len() as u64;
+        let (mut legs, _credit) = self.begin(&[(worker, batch)], window)?;
+        legs.pop().map_or(Ok(Vec::new()), |leg| self.finish(leg))
+    }
 
-        // Observability: one span per RPC, its context stamped onto every
+    /// The first half of an exchange, up to its only blocking point, for
+    /// every `(worker, batch)` given (ascending workers: this is the
+    /// channel lock order). Per leg: lock the channel, drain the outbox in
+    /// front of the batch, open the leg's span under the caller's current
+    /// one, encode. Then one gate acquisition for all legs together, taken
+    /// before anything is sent (a leg that waited for credit while earlier
+    /// legs held theirs would add a hold-and-wait), and each unstreamed
+    /// leg's send. A leg with nothing to say is left out. The credit is
+    /// returned next to the legs and must outlive their
+    /// [`FedContext::finish`].
+    fn begin<'a>(
+        &'a self,
+        batches: &[(usize, &[Request])],
+        window: Option<usize>,
+    ) -> Result<(Vec<Leg<'a>>, Option<GateGuard>)> {
+        // Observability: one span per leg, its context stamped onto every
         // envelope so worker-side spans join the same trace. Everything
         // (clock reads, metric-name formatting) is gated on the single
         // `enabled` flag; disabled runs take the exact pre-obs path.
         let obs_on = exdra_obs::enabled();
-        let name = if window.is_some() {
-            "rpc.stream"
-        } else {
-            "rpc.call"
-        };
-        let mut span = exdra_obs::span(SpanKind::Rpc, name);
-        if span.is_active() {
-            span.attr("worker", worker);
-            span.attr("requests", requests);
-            span.attr("deferred", deferred);
-            span.attr("kinds", request_kinds(&full));
-            if let Some(w) = window {
-                span.attr("window", w);
+        let parent = exdra_obs::current();
+        let mut legs = Vec::with_capacity(batches.len());
+        for &(worker, batch) in batches {
+            let conn = self.conn(worker)?;
+            // Supervision and teardown travel alone: a checkpoint or
+            // restore must not fail on (or wait for) someone else's
+            // deferred work.
+            let control = !batch.is_empty()
+                && batch.iter().all(|r| {
+                    matches!(
+                        r,
+                        Request::Restore { .. }
+                            | Request::Checkpoint { .. }
+                            | Request::Heartbeat
+                            | Request::Clear
+                            | Request::ClearNamespace { .. }
+                    )
+                });
+            // The channel lock orders sends, and the outbox is drained
+            // under it: no request can overtake the deferred instruction
+            // that creates its input, whichever thread ends up carrying it.
+            let ch = conn.channel.lock();
+            let mut full = if control {
+                Vec::new()
+            } else {
+                std::mem::take(&mut *conn.outbox.lock()).requests
+            };
+            let deferred = full.len();
+            full.extend_from_slice(batch);
+            if full.is_empty() {
+                continue;
+            }
+            let name = if window.is_some() {
+                "rpc.stream"
+            } else {
+                "rpc.call"
+            };
+            let mut span = exdra_obs::span_child_of(SpanKind::Rpc, name, parent);
+            if span.is_active() {
+                span.attr("worker", worker);
+                span.attr("requests", full.len());
+                span.attr("deferred", deferred);
+                span.attr("kinds", request_kinds(&full));
+                if let Some(w) = window {
+                    span.attr("window", w);
+                }
+            }
+            let trace = span.context().into();
+
+            let t_enc = obs_on.then(Instant::now);
+            let envelopes: Vec<RpcEnvelope> = match window {
+                None => vec![RpcEnvelope {
+                    trace,
+                    requests: full,
+                }],
+                // The carried outbox streams as one envelope in front (it
+                // was going to execute in order anyway), the caller's
+                // requests one envelope each.
+                Some(_) => {
+                    let own = full.split_off(deferred);
+                    let carried = (deferred > 0).then_some(full);
+                    carried
+                        .into_iter()
+                        .chain(own.into_iter().map(|req| vec![req]))
+                        .map(|requests| RpcEnvelope { trace, requests })
+                        .collect()
+                }
+            };
+            // A streamed frame is encoded behind its correlation tag
+            // (corr = index + 1): tagging copies nothing.
+            let frames: Vec<Vec<u8>> = match window {
+                None => envelopes.iter().map(Wire::to_bytes).collect(),
+                Some(_) => (1u64..)
+                    .zip(&envelopes)
+                    .map(|(corr, envelope)| {
+                        let mut frame = request_tag(corr).to_vec();
+                        envelope.encode(&mut frame);
+                        frame
+                    })
+                    .collect(),
+            };
+            legs.push(Leg {
+                worker,
+                conn,
+                ch,
+                span,
+                window,
+                envelopes,
+                frames,
+                deferred,
+                sent: Ok(()),
+                t_sent: None,
+                serde_nanos: t_enc.map_or(0, |t| t.elapsed().as_nanos() as u64),
+                gate_wait_nanos: 0,
+            });
+        }
+        if legs.is_empty() {
+            return Ok((legs, None));
+        }
+        // The gate ignores the worker index; the wait is booked on the
+        // first leg so that summing over spans counts it once.
+        let t_gate = obs_on.then(Instant::now);
+        let total = legs.iter().map(Leg::requests).sum();
+        let credit = GateGuard::acquire(self.gate(), legs[0].worker, total);
+        legs[0].gate_wait_nanos = t_gate.map_or(0, |t| t.elapsed().as_nanos() as u64);
+        for leg in &mut legs {
+            leg.t_sent = obs_on.then(Instant::now);
+            // A streamed leg interleaves its sends with its receives:
+            // its whole window belongs to `finish`.
+            if window.is_none() {
+                leg.sent = leg.ch.send(&leg.frames[0]);
             }
         }
-        let trace = span.context().into();
+        Ok((legs, credit))
+    }
 
-        let t_enc = obs_on.then(Instant::now);
-        let envelopes: Vec<RpcEnvelope> = match window {
-            None => vec![RpcEnvelope {
-                trace,
-                requests: full,
-            }],
-            // The carried outbox streams as one envelope in front (it was
-            // going to execute in order anyway), the caller's requests one
-            // envelope each.
-            Some(_) => {
-                let own = full.split_off(deferred);
-                let carried = (deferred > 0).then_some(full);
-                carried
-                    .into_iter()
-                    .chain(own.into_iter().map(|req| vec![req]))
-                    .map(|requests| RpcEnvelope { trace, requests })
-                    .collect()
-            }
-        };
-        let frames: Vec<Vec<u8>> = envelopes.iter().map(Wire::to_bytes).collect();
-        let mut serde_nanos = t_enc.map_or(0, |t| t.elapsed().as_nanos() as u64);
-        // A streamed frame additionally carries the 16-byte correlation tag.
-        let tag_bytes = if window.is_some() { 16 } else { 0 };
-        let bytes_sent: u64 = frames.iter().map(|f| f.len() as u64 + tag_bytes).sum();
-
-        let t_gate = obs_on.then(Instant::now);
-        let _credit = GateGuard::acquire(self.gate(), worker, requests);
-        let gate_wait_nanos = t_gate.map_or(0, |t| t.elapsed().as_nanos() as u64);
+    /// The second half of an exchange: the retry loop, whose attempt 0
+    /// consumes [`FedContext::begin`]'s send result and receives, and
+    /// whose later attempts reconnect, resend and receive; then decode,
+    /// and strip and check the carried responses.
+    fn finish(&self, leg: Leg<'_>) -> Result<Vec<Response>> {
+        let requests = leg.requests();
+        let Leg {
+            worker,
+            conn,
+            mut ch,
+            mut span,
+            window,
+            envelopes,
+            frames,
+            deferred,
+            sent,
+            t_sent,
+            mut serde_nanos,
+            gate_wait_nanos,
+        } = leg;
+        let obs_on = exdra_obs::enabled();
+        let bytes_sent: u64 = frames.iter().map(|f| f.len() as u64).sum();
         let policy = self.fault_policy();
         let deadline = Deadline::after(policy.rpc_deadline);
         let mut net_nanos = 0u64;
         let mut retries = 0u64;
+        let mut first = Some((sent, t_sent));
         let StreamOutcome {
             replies,
             out_of_order,
@@ -558,8 +642,8 @@ impl FedContext {
             .retry
             .run(
                 deadline,
-                |attempt| {
-                    if attempt > 0 {
+                |_attempt| {
+                    let (sent, t_net) = first.take().unwrap_or_else(|| {
                         retries += 1;
                         self.stats.record_retry();
                         // A failed attempt may have left a half-written
@@ -570,18 +654,21 @@ impl FedContext {
                             *ch = fresh;
                             self.stats.record_recovery();
                         }
-                    }
-                    let t_net = obs_on.then(Instant::now);
-                    let r = match window {
-                        None => ch.send(&frames[0]).and_then(|()| ch.recv()).map(|reply| {
-                            StreamOutcome {
-                                replies: vec![reply],
-                                out_of_order: 0,
-                                max_inflight: 0,
-                            }
+                        let t_net = obs_on.then(Instant::now);
+                        let sent = match window {
+                            None => ch.send(&frames[0]),
+                            Some(_) => Ok(()),
+                        };
+                        (sent, t_net)
+                    });
+                    let r = sent.and_then(|()| match window {
+                        None => ch.recv().map(|reply| StreamOutcome {
+                            replies: vec![reply],
+                            out_of_order: 0,
+                            max_inflight: 0,
                         }),
                         Some(w) => stream_window(&mut **ch, &frames, w, &self.stats),
-                    };
+                    });
                     if let Some(t) = t_net {
                         net_nanos += t.elapsed().as_nanos() as u64;
                     }
@@ -597,8 +684,13 @@ impl FedContext {
         let mut bytes_recv = 0u64;
         let mut responses = Vec::with_capacity(requests as usize);
         for (frame, envelope) in replies.iter().zip(&envelopes) {
-            bytes_recv += frame.len() as u64;
-            let reply = RpcReply::from_bytes(frame)?;
+            // A streamed reply is kept whole and sliced behind its tag.
+            let body = match window {
+                None => &frame[..],
+                Some(_) => untag_reply(frame).map_err(|e| rpc_failure(worker, &e))?.1,
+            };
+            bytes_recv += body.len() as u64;
+            let reply = RpcReply::from_bytes(body)?;
             exec_nanos += reply.footer.exec_nanos;
             if reply.responses.len() != envelope.requests.len() {
                 return Err(RuntimeError::Protocol(format!(
@@ -646,8 +738,9 @@ impl FedContext {
                 reg.record("net.inflight", max_inflight);
             }
         }
+        let sent_requests = || envelopes.iter().flat_map(|e| &e.requests);
         // Teardown makes what is still queued moot: the symbols are gone.
-        let cleared = batch.iter().any(|r| match r {
+        let cleared = sent_requests().skip(deferred).any(|r| match r {
             Request::Clear => true,
             Request::ClearNamespace { ns } => *ns == self.namespace(),
             _ => false,
@@ -656,8 +749,7 @@ impl FedContext {
             *conn.outbox.lock() = Outbox::default();
         }
         // A deferred request that failed surfaces here, at its carrier.
-        let carried = envelopes.iter().flat_map(|e| &e.requests).zip(&responses);
-        for (req, resp) in carried.take(deferred) {
+        for (req, resp) in sent_requests().zip(&responses).take(deferred) {
             if let Response::Error(msg) = resp {
                 let op = op_name(req);
                 return Err(worker_error(worker, &format!("deferred {op}: {msg}")));
@@ -667,26 +759,47 @@ impl FedContext {
         Ok(responses)
     }
 
-    /// [`FedContext::call_all`] for the operations of a federated object.
-    /// A worker whose batch is effect-only (`PUT`s of side inputs and
+    /// The per-worker batches of one operation on a federated object. A
+    /// worker whose batch is effect-only (`PUT`s of side inputs and
     /// `EXEC_INST`s: the output stays federated and every reply would be
     /// a bare `Ok`) gets no round trip: the batch is deferred
-    /// ([`FedContext::defer`]) and acknowledged here. Data installation
-    /// and direct RPCs do not come through here and stay request → reply.
+    /// ([`FedContext::defer`]) and acknowledged here. The other legs
+    /// scatter and gather on the calling thread: every leg is begun (and
+    /// so in flight at its worker) before the first is finished, and every
+    /// leg is finished, its reply consumed, before the first error is
+    /// reported. A leg is one envelope whatever the RPC window: an op's
+    /// batch is a dependency chain, so per-request frames could overlap
+    /// nothing. Data installation and direct RPCs do not come through
+    /// here; they keep [`FedContext::call_all`]'s thread per leg, where
+    /// bulk payloads encode in parallel.
     pub(crate) fn submit(&self, mut batches: Vec<Vec<Request>>) -> Result<Vec<Vec<Response>>> {
+        self.check_shape(&batches)?;
         let effect_only = |r: &Request| matches!(r, Request::Put { .. } | Request::ExecInst { .. });
-        let mut acks = vec![0usize; batches.len()];
+        let mut all = vec![Vec::new(); batches.len()];
         for (w, batch) in batches.iter_mut().enumerate() {
             if !batch.is_empty() && batch.iter().all(effect_only) {
-                acks[w] = batch.len();
+                all[w] = vec![Response::Ok; batch.len()];
                 self.defer(w, std::mem::take(batch))?;
             }
         }
-        let mut all = self.call_all(batches)?;
-        for (rs, n) in all.iter_mut().zip(acks) {
-            rs.resize(rs.len() + n, Response::Ok);
+        let busy: Vec<(usize, &[Request])> = batches
+            .iter()
+            .enumerate()
+            .filter(|(_, batch)| !batch.is_empty())
+            .map(|(w, batch)| (w, batch.as_slice()))
+            .collect();
+        let (legs, _credit) = self.begin(&busy, None)?;
+        let mut failed = None;
+        for leg in legs {
+            let w = leg.worker;
+            match self.finish(leg) {
+                Ok(responses) => all[w] = responses,
+                Err(e) => {
+                    failed.get_or_insert(e);
+                }
+            }
         }
-        Ok(all)
+        failed.map_or(Ok(all), Err)
     }
 
     /// Appends an effect-only batch to `worker`'s outbox instead of
@@ -795,17 +908,14 @@ impl FedContext {
         batches: Vec<Vec<Request>>,
         latency: Option<&exdra_fault::straggler::LatencyTracker>,
     ) -> Result<Vec<Result<Vec<Response>>>> {
-        if batches.len() != self.workers.len() {
-            return Err(RuntimeError::Invalid(format!(
-                "{} batches for {} workers",
-                batches.len(),
-                self.workers.len()
-            )));
-        }
+        self.check_shape(&batches)?;
         // Multi-request batches stream through the pipelining window when
         // one is configured; single requests (and window 1) take the
         // legacy lock-step path, byte-for-byte the pre-pipelining wire
-        // protocol.
+        // protocol. These are the bulk calls (data installation, frame
+        // `PUT`s, timed parameter-server rounds): a thread per leg lets
+        // their payloads encode in parallel and times each leg on its own.
+        // The operations of a federated object go through `submit`.
         let window = self.rpc_window();
         let run = |w: usize| {
             let batch = &batches[w];
@@ -853,6 +963,17 @@ impl FedContext {
         Ok(results)
     }
 
+    fn check_shape(&self, batches: &[Vec<Request>]) -> Result<()> {
+        if batches.len() == self.workers.len() {
+            return Ok(());
+        }
+        Err(RuntimeError::Invalid(format!(
+            "{} batches for {} workers",
+            batches.len(),
+            self.workers.len()
+        )))
+    }
+
     /// Sends the same request sequence to every worker in parallel.
     pub fn broadcast(&self, batch: &[Request]) -> Result<Vec<Vec<Response>>> {
         self.call_all(vec![batch.to_vec(); self.workers.len()])
@@ -867,9 +988,40 @@ impl FedContext {
     }
 }
 
+/// One worker's exchange between [`FedContext::begin`] and
+/// [`FedContext::finish`].
+struct Leg<'a> {
+    worker: usize,
+    conn: &'a WorkerConn,
+    /// Held from encode to decode: a connection carries one exchange at
+    /// a time.
+    ch: MutexGuard<'a, Box<dyn Channel>>,
+    span: exdra_obs::SpanGuard,
+    window: Option<usize>,
+    /// What `frames` encode; alive until the replies are checked
+    /// against them.
+    envelopes: Vec<RpcEnvelope>,
+    frames: Vec<Vec<u8>>,
+    /// How many leading requests came out of the outbox.
+    deferred: usize,
+    /// Result of the send `begin` made (`Ok` for a streamed leg, which
+    /// sends nothing there), consumed by `finish`'s first attempt.
+    sent: std::io::Result<()>,
+    t_sent: Option<Instant>,
+    serde_nanos: u64,
+    gate_wait_nanos: u64,
+}
+
+impl Leg<'_> {
+    fn requests(&self) -> u64 {
+        self.envelopes.iter().map(|e| e.requests.len() as u64).sum()
+    }
+}
+
 /// Result of one successful exchange attempt.
 struct StreamOutcome {
-    /// One raw reply frame per envelope, in submission order.
+    /// One raw reply frame per envelope, in submission order (a streamed
+    /// reply still behind its correlation tag).
     replies: Vec<Vec<u8>>,
     /// Replies that arrived ahead of an earlier outstanding request.
     out_of_order: u64,
@@ -878,7 +1030,7 @@ struct StreamOutcome {
 }
 
 /// Drives one sliding-window exchange over a locked channel: sends the
-/// frames correlation-tagged (corr = index + 1), keeps up to `window` in
+/// correlation-tagged frames (corr = index + 1), keeps up to `window` in
 /// flight, and routes replies by correlation id. Replies with unknown or
 /// duplicate ids are discarded (stale duplicates from a lossy link).
 fn stream_window(
@@ -894,24 +1046,23 @@ fn stream_window(
     let mut max_inflight = 0u64;
     while next < frames.len() || !pending.is_empty() {
         if next < frames.len() && pending.len() < window {
-            let corr = next as u64 + 1;
-            ch.send(&tag_request(corr, &frames[next]))?;
-            pending.insert(corr);
+            ch.send(&frames[next])?;
             next += 1;
+            pending.insert(next as u64);
             let inflight = pending.len() as u64;
             max_inflight = max_inflight.max(inflight);
             stats.record_pipelined(inflight);
             continue;
         }
         let frame = ch.recv()?;
-        let (corr, body) = untag_reply(&frame)?;
+        let corr = untag_reply(&frame)?.0;
         if !pending.remove(&corr) {
             continue;
         }
         if pending.iter().any(|&p| p < corr) {
             out_of_order += 1;
         }
-        replies[corr as usize - 1] = Some(body.to_vec());
+        replies[corr as usize - 1] = Some(frame);
     }
     Ok(StreamOutcome {
         replies: replies
@@ -1201,6 +1352,119 @@ mod tests {
     }
 
     #[test]
+    fn submit_has_every_leg_in_flight_before_it_finishes_the_first() {
+        use std::sync::{Condvar, Mutex as StdMutex};
+        let (ctx, workers) = mem_context(3);
+        // Each leg's UDF waits until all three have arrived: legs run one
+        // after another would time out here.
+        let arrived = Arc::new((StdMutex::new(0usize), Condvar::new()));
+        for w in &workers {
+            let arrived = Arc::clone(&arrived);
+            w.register_udf(
+                "rendezvous",
+                Arc::new(move |_, _| {
+                    let (count, all_here) = &*arrived;
+                    let mut n = count.lock().unwrap();
+                    *n += 1;
+                    all_here.notify_all();
+                    let (n, wait) = all_here
+                        .wait_timeout_while(n, Duration::from_secs(5), |n| *n < 3)
+                        .unwrap();
+                    if wait.timed_out() {
+                        return Err(RuntimeError::Invalid(format!("{} of 3 legs in flight", *n)));
+                    }
+                    Ok(None)
+                }),
+            );
+        }
+        let leg = vec![
+            Request::ExecUdf {
+                udf: crate::udf::Udf::Registered {
+                    name: "rendezvous".into(),
+                    args: vec![],
+                    arg_ids: vec![],
+                    out: None,
+                },
+            },
+            Request::Heartbeat,
+        ];
+        // The window governs the calls that stream; an op's leg is one
+        // envelope whatever it is set to.
+        ctx.set_rpc_window(8);
+        let rs = ctx.submit(vec![leg; 3]).unwrap();
+        assert!(rs.iter().all(|r| r.len() == 2 && r[0] == Response::Ok));
+        assert_eq!(ctx.stats().messages_sent(), 3, "one envelope per leg");
+        assert_eq!(ctx.stats().pipelined_messages(), 0);
+    }
+
+    #[test]
+    fn a_failed_first_send_retries_that_leg_alone() {
+        use crate::fed::FedMatrix;
+        use exdra_fault::inject::{FaultPlan, FaultyChannel};
+        let x = rand_matrix(30, 4, -1.0, 1.0, 9);
+        let v = rand_matrix(4, 1, -1.0, 1.0, 10);
+        let run = |faulty: bool| {
+            let (ctx, workers) = crate::testutil::tcp_federation(3);
+            let fed = FedMatrix::scatter_rows(&ctx, &x, PrivacyLevel::Public).unwrap();
+            if faulty {
+                // Worker 1's link dies under the op: its leg's first send
+                // fails, the retry reconnects from the endpoint.
+                let addr = match &ctx.workers[1].endpoint {
+                    Some(WorkerEndpoint::Tcp { addr, .. }) => addr.clone(),
+                    None => unreachable!("tcp federation"),
+                };
+                let dead = FaultyChannel::new(
+                    TcpChannel::connect(addr.as_str()).unwrap(),
+                    FaultPlan::kill_after(1, 0),
+                );
+                ctx.replace_channel(1, Box::new(dead)).unwrap();
+            }
+            let before = ctx.stats().snapshot();
+            let got = fed.matmul_rhs_local(&v).unwrap().to_local().unwrap();
+            let delta = ctx.stats().snapshot().delta(&before);
+            for w in workers {
+                w.shutdown();
+            }
+            (got, delta.retries, delta.messages_received)
+        };
+        let (want, retries, replies) = run(false);
+        assert_eq!((retries, replies), (0, 3));
+        let (got, retries, replies) = run(true);
+        assert_eq!(
+            got.values(),
+            want.values(),
+            "bitwise equal to the fault-free run"
+        );
+        assert_eq!(retries, 1, "only the failed leg retried");
+        assert_eq!(replies, 3, "every leg's reply was consumed");
+    }
+
+    #[test]
+    fn an_error_in_one_leg_still_consumes_the_other_legs_replies() {
+        let (ctx, _workers) = mem_context(2);
+        for w in 0..2 {
+            let put = |id: u64| Request::Put {
+                id,
+                data: DataValue::Scalar(id as f64),
+                privacy: PrivacyLevel::Public,
+            };
+            ctx.call(w, &[put(1), put(2)]).unwrap();
+        }
+        // Leg 0 carries a deferred request that fails there.
+        ctx.defer(0, vec![Request::Get { id: 404 }]).unwrap();
+        let err = ctx
+            .submit(vec![vec![Request::Get { id: 1 }]; 2])
+            .unwrap_err();
+        assert!(err.to_string().contains("deferred GET"), "{err}");
+        // Leg 1's reply to GET 1 was read: the next exchange on its
+        // channel gets its own answer, not that one.
+        match ctx.call(1, &[Request::Get { id: 2 }]).unwrap().as_slice() {
+            [Response::Data(DataValue::Scalar(v))] => assert_eq!(*v, 2.0),
+            other => panic!("unexpected {other:?}"),
+        }
+    }
+
+    #[test]
     fn clear_all_wipes_workers() {
         let (ctx, workers) = mem_context(2);
         ctx.broadcast(&[Request::Put {
@@ -1403,7 +1667,9 @@ mod outbox_tests {
 
     #[test]
     fn two_threads_sharing_a_context_never_see_an_unknown_symbol() {
-        let (ctx, _workers) = mem_federation(2);
+        // Three workers: each fetch locks three channels, in ascending
+        // order on both threads, so the two never deadlock.
+        let (ctx, _workers) = mem_federation(3);
         let barrier = std::sync::Barrier::new(2);
         std::thread::scope(|scope| {
             for t in 0..2u64 {

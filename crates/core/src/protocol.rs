@@ -211,9 +211,11 @@ pub enum Request {
     },
     /// `CLEAR`: drops all variables and execution state.
     Clear,
-    /// `HEARTBEAT`: liveness probe. Answered out of band with
-    /// [`Response::Alive`]; never touches the symbol table, so a worker
-    /// answers it even while data-path requests are queued.
+    /// `HEARTBEAT`: liveness probe, answered with [`Response::Alive`]. It
+    /// never touches the symbol table and is answered even in a batch
+    /// whose earlier request failed. A connection serves its frames in
+    /// order, so a probe that must not wait behind data traffic travels
+    /// on a connection of its own (the service's supervisor has one).
     Heartbeat,
     /// `CHECKPOINT(since_seq)`: the worker serializes every symbol-table
     /// binding mutated after `since_seq` (0 = full snapshot) into a
@@ -242,90 +244,7 @@ pub enum Request {
     },
 }
 
-/// Symbol-table footprint of one request: which variables it reads and
-/// writes. The pipelined worker loop uses this to decide which decoded-
-/// ahead requests may execute concurrently — two requests conflict when
-/// either is [`Touched::Global`] or their read/write sets intersect on a
-/// write, which preserves per-variable ordering exactly as the serial
-/// loop would.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum Touched {
-    /// Touches nothing (safe to overtake and be overtaken by anything).
-    Nothing,
-    /// Reads and writes specific symbol ids.
-    Ids {
-        /// Symbol ids the request reads.
-        reads: Vec<u64>,
-        /// Symbol ids the request writes (created, replaced, or removed).
-        writes: Vec<u64>,
-    },
-    /// Touches (or may touch) the whole symbol table.
-    Global,
-}
-
-impl Touched {
-    /// True when `self` and `other` must stay in submission order.
-    pub fn conflicts_with(&self, other: &Touched) -> bool {
-        match (self, other) {
-            (Touched::Nothing, _) | (_, Touched::Nothing) => false,
-            (Touched::Global, _) | (_, Touched::Global) => true,
-            (
-                Touched::Ids { reads, writes },
-                Touched::Ids {
-                    reads: o_reads,
-                    writes: o_writes,
-                },
-            ) => {
-                let hits = |xs: &[u64], ys: &[u64]| xs.iter().any(|x| ys.contains(x));
-                // write-write, write-read, and read-write order; two pure
-                // reads of the same symbol commute.
-                hits(writes, o_writes) || hits(writes, o_reads) || hits(reads, o_writes)
-            }
-        }
-    }
-}
-
 impl Request {
-    /// The request's symbol-table footprint (see [`Touched`]).
-    pub fn touched(&self) -> Touched {
-        match self {
-            Request::Read { id, .. } | Request::Put { id, .. } => Touched::Ids {
-                reads: vec![],
-                writes: vec![*id],
-            },
-            Request::Get { id } => Touched::Ids {
-                reads: vec![*id],
-                writes: vec![],
-            },
-            // Rmvar binds no output, but it destroys its operands: the ids
-            // must count as writes or the footprint is empty and the
-            // dispatcher may hoist the removal past an earlier GET of the
-            // same symbol.
-            Request::ExecInst {
-                inst: Instruction::Rmvar { ids },
-            } => Touched::Ids {
-                reads: vec![],
-                writes: ids.clone(),
-            },
-            Request::ExecInst { inst } => Touched::Ids {
-                reads: inst.inputs(),
-                writes: inst.output().into_iter().collect(),
-            },
-            // UDFs have no declared footprint; checkpoints read the whole
-            // table; CLEAR drops it; CLEAR_NS sweeps an unenumerated ID
-            // range. All must stay strictly ordered.
-            Request::ExecUdf { .. }
-            | Request::Clear
-            | Request::Checkpoint { .. }
-            | Request::ClearNamespace { .. } => Touched::Global,
-            Request::Restore { entries } => Touched::Ids {
-                reads: vec![],
-                writes: entries.iter().map(|e| e.id).collect(),
-            },
-            Request::Heartbeat => Touched::Nothing,
-        }
-    }
-
     /// Request-type name (for tracing).
     pub fn kind(&self) -> &'static str {
         match self {
@@ -804,70 +723,6 @@ mod tests {
             requests: vec![Request::Heartbeat],
         };
         assert_eq!(RpcEnvelope::from_bytes(&normal.to_bytes()).unwrap(), normal);
-    }
-
-    #[test]
-    fn touched_footprints_and_conflicts() {
-        let get2 = Request::Get { id: 2 }.touched();
-        let get3 = Request::Get { id: 3 }.touched();
-        let put2 = Request::Put {
-            id: 2,
-            data: DataValue::Scalar(1.0),
-            privacy: PrivacyLevel::Public,
-        }
-        .touched();
-        let mm = Request::ExecInst {
-            inst: Instruction::MatMul {
-                lhs: 2,
-                rhs: 3,
-                t_lhs: false,
-                out: 4,
-            },
-        }
-        .touched();
-        assert!(!get2.conflicts_with(&get3), "disjoint reads commute");
-        assert!(!get2.conflicts_with(&get2), "reads of one symbol commute");
-        assert!(put2.conflicts_with(&get2), "write orders against read");
-        assert!(put2.conflicts_with(&put2), "writes order against writes");
-        assert!(mm.conflicts_with(&put2), "matmul reads what put writes");
-        assert!(!mm.conflicts_with(&get3), "reads of shared input commute");
-        let rm4 = Request::ExecInst {
-            inst: Instruction::Rmvar { ids: vec![4] },
-        }
-        .touched();
-        assert!(
-            rm4.conflicts_with(&Request::Get { id: 4 }.touched()),
-            "rmvar orders against a GET of the symbol it drops"
-        );
-        assert!(
-            rm4.conflicts_with(&mm),
-            "rmvar orders against the exec that binds the symbol"
-        );
-        assert!(
-            !rm4.conflicts_with(&get3),
-            "rmvar commutes with unrelated reads"
-        );
-        let hb = Request::Heartbeat.touched();
-        assert_eq!(hb, Touched::Nothing);
-        assert!(!hb.conflicts_with(&Request::Clear.touched()));
-        assert!(Request::Clear.touched().conflicts_with(&get2));
-        assert!(Request::ExecUdf {
-            udf: Udf::CacheStats
-        }
-        .touched()
-        .conflicts_with(&mm));
-        let restore = Request::Restore {
-            entries: vec![CheckpointEntry {
-                id: 2,
-                value: DataValue::Scalar(0.0),
-                privacy: PrivacyLevel::Public,
-                releasable: true,
-                lineage: 0,
-            }],
-        }
-        .touched();
-        assert!(restore.conflicts_with(&get2));
-        assert!(!restore.conflicts_with(&get3));
     }
 
     #[test]

@@ -20,9 +20,9 @@ use crate::value::DataValue;
 ///
 /// A multi-tenant coordinator hands every session a namespace `ns` and
 /// allocates that session's IDs from `(ns << NS_SHIFT) | 1` upward, so
-/// concurrent sessions draw from disjoint ID ranges: their `Touched`
-/// read/write sets can never intersect and no session can alias another
-/// session's state. 40 low bits leave room for a trillion symbols per
+/// concurrent sessions draw from disjoint ID ranges: the symbols one
+/// session reads and writes can never be another's, so no session can
+/// alias another session's state. 40 low bits leave room for a trillion symbols per
 /// session and 2^24 concurrent namespaces.
 pub const NS_SHIFT: u32 = 40;
 

@@ -9,6 +9,7 @@
 
 use std::collections::HashMap;
 use std::io;
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -22,8 +23,8 @@ use exdra_matrix::io as mio;
 use exdra_matrix::kernels::reorg;
 use exdra_matrix::{DenseMatrix, Matrix};
 use exdra_net::codec::Wire;
-use exdra_net::framing::{tag_reply, untag_request};
-use exdra_net::transport::{Channel, MemChannel, SendHalf, TcpServer};
+use exdra_net::framing::{reply_tag, untag_request};
+use exdra_net::transport::{Channel, MemChannel, TcpServer};
 
 use crate::error::{Result, RuntimeError};
 use crate::exec;
@@ -31,7 +32,7 @@ use crate::lineage::{self, LineageCache};
 use crate::privacy::{may_release, PrivacyLevel};
 use crate::protocol::{
     BatchFooter, CheckpointDelta, CheckpointEntry, ReadFormat, Request, Response, RpcEnvelope,
-    RpcReply, Touched, TraceContext,
+    RpcReply, TraceContext,
 };
 use crate::symbol::SymbolTable;
 use crate::udf::Udf;
@@ -165,105 +166,40 @@ impl Worker {
     /// [`Worker::shutdown`] is requested (the connection is dropped
     /// without a response, so the peer observes a transport failure).
     ///
-    /// The worker decodes ahead over the split channel: each
-    /// correlation-tagged batch is checked against the in-flight jobs and
-    /// any predecessor whose symbol footprint ([`Request::touched`])
-    /// conflicts is joined first, so reads and writes of the same symbol
-    /// observe exactly the order the coordinator submitted them, while
-    /// disjoint batches (and footprint-free heartbeats) overtake freely.
-    /// Replies go out under a shared send-half mutex, tagged with their
-    /// correlation id. Untagged (legacy) frames run inline and strictly
-    /// in order, byte-for-byte as before pipelining existed.
-    pub fn serve_connection(self: &Arc<Self>, channel: Box<dyn Channel>) {
-        struct Job {
-            touched: Touched,
-            handle: std::thread::JoinHandle<()>,
-        }
-        let (tx, mut rx) = channel.split();
-        let tx = Arc::new(Mutex::new(tx));
-        let send_failed = Arc::new(AtomicBool::new(false));
-        let mut jobs: Vec<Job> = Vec::new();
-        while let Ok(frame) = rx.recv() {
-            if self.shutdown.load(Ordering::SeqCst) || send_failed.load(Ordering::SeqCst) {
+    /// Every frame runs to completion on this thread before the next one
+    /// is received: `recv → decode → execute → reply`, so a connection's
+    /// requests observe exactly the order the coordinator submitted them.
+    /// A correlation-tagged request gets its reply under the same tag, an
+    /// untagged one an untagged reply; nothing else differs. Concurrency
+    /// at a worker is one thread per connection.
+    pub fn serve_connection(self: &Arc<Self>, mut channel: Box<dyn Channel>) {
+        while let Ok(frame) = channel.recv() {
+            if self.shutdown.load(Ordering::SeqCst) {
                 break;
             }
-            match untag_request(&frame) {
-                Some((corr, body)) => {
-                    let env = match RpcEnvelope::from_bytes(body) {
-                        Ok(env) => env,
-                        Err(e) => {
-                            if send_tagged(&tx, corr, &malformed_reply(&e)).is_err() {
-                                break;
-                            }
-                            continue;
-                        }
-                    };
-                    let touched = batch_touched(&env.requests);
-                    // Reap finished jobs and wait out conflicting ones.
-                    // Joining conflicts at submission time serializes
-                    // exactly the dependent pairs: by spawn time, every
-                    // conflicting predecessor has fully executed.
-                    let mut i = 0;
-                    while i < jobs.len() {
-                        if jobs[i].handle.is_finished() || touched.conflicts_with(&jobs[i].touched)
-                        {
-                            let job = jobs.remove(i);
-                            let _ = job.handle.join();
-                        } else {
-                            i += 1;
-                        }
-                    }
-                    // Worker-side pipelining accounting: how many tagged
-                    // frames this server executed decode-ahead and how
-                    // deep its in-flight job window ran. Named apart
-                    // from the coordinator-side `pipeline.streams/..`
-                    // series so in-process federations don't double
-                    // count.
-                    if exdra_obs::enabled() {
-                        let reg = exdra_obs::global();
-                        reg.inc("pipeline.served_requests");
-                        reg.record("pipeline.served_inflight", jobs.len() as u64 + 1);
-                    }
-                    let worker = Arc::clone(self);
-                    let tx_job = Arc::clone(&tx);
-                    let failed = Arc::clone(&send_failed);
-                    let handle = std::thread::spawn(move || {
-                        let (responses, footer) =
-                            worker.handle_batch_traced(env.trace, env.requests);
-                        let reply = RpcReply { responses, footer };
-                        if send_tagged(&tx_job, corr, &reply).is_err() {
-                            failed.store(true, Ordering::SeqCst);
-                        }
-                    });
-                    jobs.push(Job { touched, handle });
+            let (corr, body) = match untag_request(&frame) {
+                Some((corr, body)) => (Some(corr), body),
+                None => (None, &frame[..]),
+            };
+            let reply = match RpcEnvelope::from_bytes(body) {
+                Ok(env) => {
+                    let (responses, footer) = self.handle_batch_traced(env.trace, env.requests);
+                    RpcReply { responses, footer }
                 }
-                None => {
-                    // Legacy frame: the pre-pipelining contract is strict
-                    // ordering against everything on the connection.
-                    for job in jobs.drain(..) {
-                        let _ = job.handle.join();
-                    }
-                    let reply = self.execute_frame(&frame);
-                    if tx.lock().send(&reply.to_bytes()).is_err() {
-                        break;
-                    }
-                }
+                Err(e) => RpcReply {
+                    responses: vec![Response::Error(format!("malformed request batch: {e}"))],
+                    footer: BatchFooter::default(),
+                },
+            };
+            // The reply is encoded behind its tag: tagging copies nothing.
+            let mut out = Vec::new();
+            if let Some(corr) = corr {
+                out.extend_from_slice(&reply_tag(corr));
             }
-        }
-        for job in jobs.drain(..) {
-            let _ = job.handle.join();
-        }
-    }
-
-    /// Decodes and executes one envelope body, mapping decode failures to
-    /// an error reply.
-    fn execute_frame(self: &Arc<Self>, body: &[u8]) -> RpcReply {
-        match RpcEnvelope::from_bytes(body) {
-            Ok(env) => {
-                let (responses, footer) = self.handle_batch_traced(env.trace, env.requests);
-                RpcReply { responses, footer }
+            reply.encode(&mut out);
+            if channel.send(&out).is_err() {
+                break;
             }
-            Err(e) => malformed_reply(&e),
         }
     }
 
@@ -435,11 +371,23 @@ impl Worker {
                 continue;
             }
             let t_req = obs_on.then(Instant::now);
-            let resp = match self.handle_one(req) {
-                Ok(r) => r,
-                Err(e) => {
+            // A panicking instruction or UDF is that request's error, not
+            // the connection's death: the peer would otherwise wait for a
+            // reply that never comes, or see a healthy worker hang up.
+            let resp = match catch_unwind(AssertUnwindSafe(|| self.handle_one(req))) {
+                Ok(Ok(r)) => r,
+                Ok(Err(e)) => {
                     failed = true;
                     Response::Error(e.to_string())
+                }
+                Err(panic) => {
+                    failed = true;
+                    let msg = panic
+                        .downcast_ref::<&str>()
+                        .copied()
+                        .or_else(|| panic.downcast_ref::<String>().map(String::as_str))
+                        .unwrap_or("non-string panic payload");
+                    Response::Error(format!("panicked: {msg}"))
                 }
             };
             if let Some(t) = t_req {
@@ -961,44 +909,6 @@ impl Worker {
     }
 }
 
-/// The reply to a frame whose envelope does not decode.
-fn malformed_reply(e: &dyn std::fmt::Display) -> RpcReply {
-    RpcReply {
-        responses: vec![Response::Error(format!("malformed request batch: {e}"))],
-        footer: BatchFooter::default(),
-    }
-}
-
-/// Sends one correlation-tagged reply under the shared send-half lock.
-fn send_tagged(tx: &Mutex<Box<dyn SendHalf>>, corr: u64, reply: &RpcReply) -> io::Result<()> {
-    tx.lock().send(&tag_reply(corr, &reply.to_bytes()))
-}
-
-/// The combined symbol footprint of a whole request batch: `Global` if
-/// any request is global, otherwise the union of the per-request sets.
-fn batch_touched(requests: &[Request]) -> Touched {
-    let mut reads = Vec::new();
-    let mut writes = Vec::new();
-    for req in requests {
-        match req.touched() {
-            Touched::Nothing => {}
-            Touched::Global => return Touched::Global,
-            Touched::Ids {
-                reads: r,
-                writes: w,
-            } => {
-                reads.extend(r);
-                writes.extend(w);
-            }
-        }
-    }
-    if reads.is_empty() && writes.is_empty() {
-        Touched::Nothing
-    } else {
-        Touched::Ids { reads, writes }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1017,35 +927,133 @@ mod tests {
         .to_bytes()
     }
 
-    #[test]
-    fn pipelined_connection_answers_heartbeat_while_busy() {
-        let w = worker();
-        w.register_udf(
-            "sleep",
-            Arc::new(|_, _| {
-                std::thread::sleep(Duration::from_millis(200));
-                Ok(None)
-            }),
-        );
-        let mut coord = w.serve_mem();
-        let slow = envelope(vec![Request::ExecUdf {
+    fn registered(name: &str) -> Request {
+        Request::ExecUdf {
             udf: Udf::Registered {
-                name: "sleep".into(),
+                name: name.into(),
                 args: vec![],
                 arg_ids: vec![],
                 out: None,
             },
-        }]);
-        let probe = envelope(vec![Request::Heartbeat]);
-        coord.send(&tag_request(1, &slow)).unwrap();
-        coord.send(&tag_request(2, &probe)).unwrap();
-        let first = coord.recv().unwrap();
-        let (corr, body) = untag_reply(&first).unwrap();
-        assert_eq!(corr, 2, "footprint-free heartbeat overtakes the UDF");
-        let reply = RpcReply::from_bytes(body).unwrap();
+        }
+    }
+
+    #[test]
+    fn one_thread_serves_every_frame_of_a_connection() {
+        let w = worker();
+        let ids = Arc::new(Mutex::new(Vec::new()));
+        let seen = Arc::clone(&ids);
+        w.register_udf(
+            "whoami",
+            Arc::new(move |_, _| {
+                seen.lock().push(std::thread::current().id());
+                Ok(None)
+            }),
+        );
+        let mut coord = w.serve_mem();
+        // Everything is sent before anything is read: a server that ran
+        // frames beside each other would have the chance to.
+        for i in 0..32u64 {
+            let env = envelope(vec![registered("whoami")]);
+            let frame = if i % 3 == 0 {
+                env
+            } else {
+                tag_request(i, &env)
+            };
+            coord.send(&frame).unwrap();
+        }
+        for i in 0..32u64 {
+            let frame = coord.recv().unwrap();
+            let body = if i % 3 == 0 {
+                &frame[..]
+            } else {
+                let (corr, body) = untag_reply(&frame).unwrap();
+                assert_eq!(corr, i, "replies leave in arrival order, under their tag");
+                body
+            };
+            let reply = RpcReply::from_bytes(body).unwrap();
+            assert_eq!(reply.responses, [Response::Ok]);
+        }
+        let ids = ids.lock();
+        assert_eq!(ids.len(), 32);
+        assert!(ids.iter().all(|id| *id == ids[0]), "one serving thread");
+        w.shutdown();
+    }
+
+    #[test]
+    fn heartbeat_on_a_second_connection_answers_while_the_first_is_busy() {
+        let w = worker();
+        let (started_tx, started) = std::sync::mpsc::channel();
+        let (release, released) = std::sync::mpsc::channel::<()>();
+        let (started_tx, released) = (Mutex::new(started_tx), Mutex::new(released));
+        w.register_udf(
+            "hold",
+            Arc::new(move |_, _| {
+                started_tx.lock().send(()).unwrap();
+                let _ = released.lock().recv_timeout(Duration::from_secs(10));
+                Ok(None)
+            }),
+        );
+        let mut busy = w.serve_mem();
+        let mut probe = w.serve_mem();
+        busy.send(&tag_request(1, &envelope(vec![registered("hold")])))
+            .unwrap();
+        started.recv().unwrap();
+        // The first connection is inside its UDF and stays there until
+        // released: the probe's connection has a thread of its own.
+        probe.send(&envelope(vec![Request::Heartbeat])).unwrap();
+        let reply = RpcReply::from_bytes(&probe.recv().unwrap()).unwrap();
         assert!(matches!(reply.responses[0], Response::Alive { .. }));
-        let (corr, _) = untag_reply(&coord.recv().unwrap()).unwrap();
+        release.send(()).unwrap();
+        let frame = busy.recv().unwrap();
+        let (corr, body) = untag_reply(&frame).unwrap();
         assert_eq!(corr, 1);
+        assert_eq!(
+            RpcReply::from_bytes(body).unwrap().responses,
+            [Response::Ok]
+        );
+        w.shutdown();
+    }
+
+    #[test]
+    fn a_panicking_udf_answers_as_an_error_and_the_connection_lives_on() {
+        let w = worker();
+        w.register_udf("boom", Arc::new(|_, _| panic!("boom at row {}", 7)));
+        let mut coord = w.serve_mem();
+        let batch = || {
+            envelope(vec![
+                registered("boom"),
+                Request::Put {
+                    id: 1,
+                    data: DataValue::Scalar(1.0),
+                    privacy: PrivacyLevel::Public,
+                },
+                Request::Heartbeat,
+            ])
+        };
+        for tagged in [true, false] {
+            let reply = if tagged {
+                coord.send(&tag_request(5, &batch())).unwrap();
+                let frame = coord.recv().unwrap();
+                let (corr, body) = untag_reply(&frame).unwrap();
+                assert_eq!(corr, 5);
+                RpcReply::from_bytes(body).unwrap()
+            } else {
+                coord.send(&batch()).unwrap();
+                RpcReply::from_bytes(&coord.recv().unwrap()).unwrap()
+            };
+            assert_eq!(
+                reply.responses[0],
+                Response::Error("panicked: boom at row 7".into())
+            );
+            assert!(matches!(&reply.responses[1], Response::Error(m) if m.contains("skipped")));
+            assert!(matches!(reply.responses[2], Response::Alive { .. }));
+        }
+        assert!(!w.table().contains(1), "the rest of the batch was skipped");
+        // The same connection serves the next frame.
+        coord.send(&envelope(vec![Request::Heartbeat])).unwrap();
+        let reply = RpcReply::from_bytes(&coord.recv().unwrap()).unwrap();
+        assert!(matches!(reply.responses[0], Response::Alive { .. }));
         w.shutdown();
     }
 
@@ -1053,9 +1061,9 @@ mod tests {
     fn pipelined_connection_serializes_conflicting_writes() {
         let w = worker();
         let mut coord = w.serve_mem();
-        // Three tagged writes to the same symbol plus a final read: the
-        // read conflicts with every write, so after its reply the symbol
-        // must hold the *last* submitted value.
+        // Three tagged writes to the same symbol plus a final read, all
+        // sent before any reply is read: frames execute in arrival order,
+        // so the read returns the *last* submitted value.
         for (corr, v) in [(1u64, 10.0), (2, 20.0), (3, 30.0)] {
             let env = envelope(vec![Request::Put {
                 id: 7,
@@ -1095,12 +1103,11 @@ mod tests {
                 }]),
             ))
             .unwrap();
-        // An untagged legacy frame on the same connection: joins all
-        // in-flight jobs, then answers untagged — the pre-pipelining
-        // byte format exactly.
+        // An untagged legacy frame on the same connection answers
+        // untagged: the pre-pipelining byte format exactly.
         coord.send(&envelope(vec![Request::Get { id: 1 }])).unwrap();
         let (corr, _) = untag_reply(&coord.recv().unwrap()).unwrap();
-        assert_eq!(corr, 9, "tagged reply first: legacy frame waits for it");
+        assert_eq!(corr, 9, "tagged reply first: frames answer in order");
         let legacy = coord.recv().unwrap();
         assert!(
             untag_request(&legacy).is_none(),

@@ -87,14 +87,20 @@ pub fn read_frame(r: &mut impl Read) -> io::Result<Vec<u8>> {
     read_frame_limited(r, MAX_FRAME)
 }
 
+/// The 16 bytes a tagged request payload leads with:
+/// `[PIPELINE_MAGIC][corr]`. A sender encodes its envelope into a buffer
+/// that starts with them, so tagging never copies the payload.
+pub fn request_tag(corr: u64) -> [u8; 16] {
+    let mut tag = [0u8; 16];
+    tag[..8].copy_from_slice(&PIPELINE_MAGIC.to_le_bytes());
+    tag[8..].copy_from_slice(&corr.to_le_bytes());
+    tag
+}
+
 /// Builds a correlation-tagged request payload:
 /// `[PIPELINE_MAGIC][corr][body]`.
 pub fn tag_request(corr: u64, body: &[u8]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(16 + body.len());
-    out.extend_from_slice(&PIPELINE_MAGIC.to_le_bytes());
-    out.extend_from_slice(&corr.to_le_bytes());
-    out.extend_from_slice(body);
-    out
+    [&request_tag(corr)[..], body].concat()
 }
 
 /// Splits a tagged request payload into `(corr, body)`. Returns `None`
@@ -133,12 +139,14 @@ pub fn peek_trace(payload: &[u8]) -> Option<(u64, u64)> {
     Some((trace_id, parent))
 }
 
+/// The 8 bytes a correlated reply payload leads with: `[corr]`.
+pub fn reply_tag(corr: u64) -> [u8; 8] {
+    corr.to_le_bytes()
+}
+
 /// Builds a correlated reply payload: `[corr][body]`.
 pub fn tag_reply(corr: u64, body: &[u8]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(8 + body.len());
-    out.extend_from_slice(&corr.to_le_bytes());
-    out.extend_from_slice(body);
-    out
+    [&reply_tag(corr)[..], body].concat()
 }
 
 /// Splits a correlated reply payload into `(corr, body)`.

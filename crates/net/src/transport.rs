@@ -3,9 +3,9 @@
 //! [`Channel`] is the single abstraction the federated runtime talks to:
 //! it moves opaque message payloads in both directions, and it always
 //! [`Channel::split`]s into an independently owned [`SendHalf`] and
-//! [`RecvHalf`] — which is what lets a worker decode ahead on one thread
-//! while job threads answer out of order (see `framing` for the
-//! correlation-tag layout).
+//! [`RecvHalf`] — which is what lets the coordinator's attach server
+//! forward a session's requests on one thread while a pump per worker
+//! returns the replies (see `framing` for the correlation-tag layout).
 //!
 //! Like the handlers of the Netty pipeline this crate stands in for, each
 //! transport and each layer is written exactly once, as a send half and a

@@ -245,9 +245,13 @@ impl Drop for SpanGuard {
             return;
         };
         active.rec.duration_nanos = active.started.elapsed().as_nanos() as u64;
+        // Sibling spans of one thread may overlap and close in opening
+        // order (the legs of a scattered op): each removes its own entry.
         let depth = STACK.with(|s| {
             let mut s = s.borrow_mut();
-            s.pop();
+            if let Some(i) = s.iter().rposition(|c| c.span_id == active.rec.span_id) {
+                s.remove(i);
+            }
             s.len()
         });
         BUFFER.with(|b| {

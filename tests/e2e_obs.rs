@@ -261,6 +261,33 @@ fn explain_analyze_attributes_lm_wall_time() {
 }
 
 #[test]
+fn the_legs_of_one_op_are_sibling_spans_under_the_callers() {
+    let _g = obs_test();
+    let (ctx, _workers) = mem_federation(3);
+    let x = rand_matrix(30, 4, -1.0, 1.0, 21);
+    let fed = FedMatrix::scatter_rows(&ctx, &x, PrivacyLevel::Public).unwrap();
+    exdra::obs::take_spans();
+    let op = exdra::obs::span(SpanKind::Session, "test.op");
+    let op_id = op.context().span_id;
+    Tensor::Fed(fed).sum().unwrap();
+    drop(op);
+    // Closing in opening order left the thread's span stack balanced.
+    assert!(exdra::obs::current().is_none());
+    exdra::obs::set_enabled(false);
+    let spans = exdra::obs::take_spans();
+    assert_well_formed_forest(&spans);
+    let legs: Vec<&SpanRecord> = spans.iter().filter(|s| s.name == "rpc.call").collect();
+    assert_eq!(legs.len(), 3, "one leg per worker");
+    for leg in &legs {
+        assert_eq!(leg.parent_id, op_id, "a leg is the caller's child");
+    }
+    // Scatter then gather: every leg was open before the first closed.
+    let last_start = legs.iter().map(|s| s.start_unix_nanos).max().unwrap();
+    let first_end = legs.iter().map(|s| s.start_unix_nanos + s.duration_nanos);
+    assert!(last_start <= first_end.min().unwrap());
+}
+
+#[test]
 fn deferred_requests_are_counted_and_attributed_to_their_carrier() {
     let _g = obs_test();
     let (ctx, _workers) = mem_federation(2);

@@ -11,15 +11,12 @@ use std::io;
 use std::sync::Arc;
 
 use exdra::core::coordinator::WorkerEndpoint;
-use exdra::core::protocol::{Request, Response, RpcEnvelope, TraceContext};
+use exdra::core::protocol::{Request, Response};
 use exdra::core::supervision::Supervisor;
-use exdra::core::udf::Udf;
 use exdra::core::worker::{Worker, WorkerConfig};
 use exdra::core::{DataValue, FedContext};
 use exdra::fault::{FaultPlan, FaultyChannel};
-use exdra::net::codec::Wire;
 use exdra::net::crypto::ChannelKey;
-use exdra::net::framing::{tag_request, untag_reply};
 use exdra::net::sim::NetProfile;
 use exdra::net::stats::NetStats;
 use exdra::net::transport::{
@@ -196,21 +193,12 @@ fn encrypted_shaped_stack_pipelines_at_window_8() {
 }
 
 /// A `ShapedChannel` over the unshaped LAN profile is a layer like any
-/// other: it splits. The worker behind one therefore decodes ahead (a
-/// heartbeat overtakes a busy UDF), and the coordinator in front of one
-/// opens a window of 8. While `split` could still refuse, this stack came
-/// back whole: the worker fell to a lock-step loop and `coordd` marked
-/// the link down.
+/// other: it splits, so the coordinator in front of one opens a window of
+/// 8 against a worker serving behind one. While `split` could still
+/// refuse, this stack came back whole and `coordd` marked the link down.
 #[test]
 fn lan_shaped_channel_splits_and_pipelines_at_window_8() {
     let worker = Worker::new(WorkerConfig::default());
-    worker.register_udf(
-        "sleep",
-        Arc::new(|_, _| {
-            std::thread::sleep(std::time::Duration::from_millis(200));
-            Ok(None)
-        }),
-    );
     let (coord_side, worker_side) = mem_pair();
     let served = {
         let worker = Arc::clone(&worker);
@@ -219,35 +207,7 @@ fn lan_shaped_channel_splits_and_pipelines_at_window_8() {
             worker.serve_connection(Box::new(shaped));
         })
     };
-    let mut coord = ShapedChannel::new(coord_side, NetProfile::lan());
-
-    let envelope = |request| {
-        RpcEnvelope {
-            trace: TraceContext::NONE,
-            requests: vec![request],
-        }
-        .to_bytes()
-    };
-    let slow = envelope(Request::ExecUdf {
-        udf: Udf::Registered {
-            name: "sleep".into(),
-            args: vec![],
-            arg_ids: vec![],
-            out: None,
-        },
-    });
-    coord.send(&tag_request(1, &slow)).unwrap();
-    coord
-        .send(&tag_request(2, &envelope(Request::Heartbeat)))
-        .unwrap();
-    let order: Vec<u64> = (0..2)
-        .map(|_| untag_reply(&coord.recv().unwrap()).unwrap().0)
-        .collect();
-    assert_eq!(
-        order,
-        [2, 1],
-        "the worker behind the shaped layer pipelines"
-    );
+    let coord = ShapedChannel::new(coord_side, NetProfile::lan());
 
     let ctx = FedContext::from_channels(vec![Box::new(coord)]).unwrap();
     ctx.call(0, &puts(900)).unwrap();
