@@ -1,5 +1,7 @@
 //! Micro-kernel throughput sweep: blocked GEMM vs the naive reference
-//! (the test oracle), tsmm, mmchain, the `t(A) %*% B` row sweep vs
+//! (the test oracle), tsmm, mmchain, the thin `X %*% V` products on and
+//! off the panel width with PCA's tall `tsmm` and 100 x 100
+//! `eigen_symmetric` (report only), the `t(A) %*% B` row sweep vs
 //! transpose-then-GEMM, one-pass vs two-phase mmchain, and
 //! compressed-domain operators (dense, column groups, and the form a
 //! worker holding the dense twin picks), plus two end-to-end worker
@@ -23,6 +25,7 @@ use exdra_core::protocol::{Request, Response};
 use exdra_core::worker::{Worker, WorkerConfig};
 use exdra_core::PrivacyLevel;
 use exdra_matrix::compress::CompressedMatrix;
+use exdra_matrix::eigen::eigen_symmetric;
 use exdra_matrix::kernels::aggregates::{aggregate, AggDir, AggOp};
 use exdra_matrix::kernels::elementwise::{scalar, BinaryOp};
 use exdra_matrix::kernels::matmul::{
@@ -167,6 +170,71 @@ fn main() {
         "  \"mmchain\": {{\"rows\": {tr}, \"cols\": {tc}, \"gflops\": {:.3}}}",
         gflops(mm_flops, mm_t)
     ));
+
+    // ---- the Fig. 5 suite's thin products and PCA's aggregate ---------
+    // X (40k x 100) %*% V (100 x n) on one thread, n on and off the NR = 8
+    // panel (K-Means n = 20, PCA n = 10, MLogReg n = 3): an edge tile is a
+    // full tile on zero-padded lanes, so time grows with the panel count.
+    // Then PCA's two coordinator-visible costs: the triangular row sweep
+    // at widths 1 and nproc, and the 100 x 100 eigen decomposition.
+    let tall_rows = if quick { 10_000 } else { 40_000 };
+    let x = exdra_bench::paper_matrix(tall_rows, 100, 15);
+    let mut table = Table::new(
+        &format!("Thin products and PCA's aggregate, X {tall_rows}x100"),
+        &["kernel", "shape", "width", "mean", "GF/s"],
+    );
+    let mut ragged_rows = Vec::new();
+    for n in [3, 8, 10, 16, 20, 24] {
+        let v = rand_matrix(100, n, -1.0, 1.0, 16);
+        let (t, _) = exdra_par::with_threads(1, || {
+            matmul(&x, &v).expect("shapes"); // first touch of x is not the kernel's
+            time_reps(cfg.reps, || matmul(&x, &v).expect("shapes"))
+        });
+        let gf = gflops(200.0 * (tall_rows * n) as f64, t);
+        table.row(&[
+            "gemm".into(),
+            format!("X %*% V, n = {n}"),
+            "1".into(),
+            secs(t),
+            format!("{gf:.2}"),
+        ]);
+        ragged_rows.push(format!(
+            "    {{\"rows\": {tall_rows}, \"n\": {n}, \"secs\": {t:.6}, \"gflops\": {gf:.3}}}"
+        ));
+    }
+    let mut tsmm_rows = Vec::new();
+    for width in [1, hw] {
+        let (t, _) = exdra_par::with_threads(width, || {
+            time_reps(cfg.reps, || tsmm(&x, true).expect("shapes"))
+        });
+        let gf = gflops(101.0 * (tall_rows * 100) as f64, t);
+        table.row(&[
+            "tsmm".into(),
+            "t(X) %*% X".into(),
+            width.to_string(),
+            secs(t),
+            format!("{gf:.2}"),
+        ]);
+        tsmm_rows.push(format!(
+            "    {{\"rows\": {tall_rows}, \"width\": {width}, \"secs\": {t:.6}, \"gflops\": {gf:.3}}}"
+        ));
+    }
+    let gram = tsmm(&x, true).expect("shapes");
+    let (eig_t, _) = time_reps(cfg.reps, || eigen_symmetric(&gram).expect("finite"));
+    table.row(&[
+        "eigen_symmetric".into(),
+        "100 x 100 Gram".into(),
+        "1".into(),
+        secs(eig_t),
+        "-".into(),
+    ]);
+    table.print();
+    json.push(format!("  \"ragged\": [\n{}\n  ]", ragged_rows.join(",\n")));
+    json.push(format!(
+        "  \"tsmm_tall\": [\n{}\n  ]",
+        tsmm_rows.join(",\n")
+    ));
+    json.push(format!("  \"eigen\": {{\"n\": 100, \"secs\": {eig_t:.6}}}"));
 
     // ---- t(A) %*% B: row sweep vs transpose-then-GEMM -----------------
     // The three transposed-left shapes of the Fig. 5 suite on an n x 100

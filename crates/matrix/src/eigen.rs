@@ -1,12 +1,18 @@
-//! Numerical routines: symmetric eigen-decomposition (cyclic Jacobi) and a
-//! Cholesky solver.
+//! Numerical routines: symmetric eigen-decomposition (Householder
+//! tridiagonalisation + implicit-shift QL) and a Cholesky solver.
 //!
 //! PCA in the paper computes "an Eigen decomposition of XᵀX"; LM's direct
 //! solver (used when `ncol(X) <= 1024`) needs a symmetric positive-definite
 //! solve. Both are implemented here without external numeric dependencies.
+//!
+//! The eigen solver is the EISPACK pair `tred2` + `tql2` (public domain,
+//! via JAMA; what SystemDS reaches through commons-math): O(d³) with a
+//! small constant and no sweep count, so the `d x d` aggregate never costs
+//! as much as the `tsmm` that produced it (DESIGN.md §4 substitutions).
 
 use crate::dense::DenseMatrix;
 use crate::error::{MatrixError, Result};
+use crate::kernels::reorg::transpose;
 
 /// Result of a symmetric eigen-decomposition: `values[i]` belongs to column
 /// `i` of `vectors`, sorted by descending eigenvalue.
@@ -18,12 +24,14 @@ pub struct EigenDecomposition {
     pub vectors: DenseMatrix,
 }
 
-/// Cyclic Jacobi eigen-decomposition of a symmetric matrix.
-///
-/// Converges quadratically for symmetric inputs; `max_sweeps` bounds the
-/// number of full off-diagonal sweeps (15 is ample for the sizes PCA
-/// produces: `cols x cols` Gram matrices).
-pub fn eigen_symmetric(a: &DenseMatrix, max_sweeps: usize) -> Result<EigenDecomposition> {
+/// QL iterations allowed per eigenvalue before giving up (EISPACK's cap;
+/// two or three are typical).
+const MAX_QL_ITERATIONS: usize = 30;
+
+/// Eigen-decomposition of a symmetric matrix (only the upper triangle is
+/// read). A non-finite cell, an overflow, or an eigenvalue that does not
+/// converge within [`MAX_QL_ITERATIONS`], is a [`MatrixError::Numerical`].
+pub fn eigen_symmetric(a: &DenseMatrix) -> Result<EigenDecomposition> {
     let n = a.rows();
     if a.cols() != n {
         return Err(MatrixError::DimensionMismatch {
@@ -32,69 +40,176 @@ pub fn eigen_symmetric(a: &DenseMatrix, max_sweeps: usize) -> Result<EigenDecomp
             rhs: a.shape(),
         });
     }
-    let mut m = a.clone();
-    let mut v = DenseMatrix::identity(n);
-    let tol = 1e-12 * frobenius(&m).max(1.0);
-    for _ in 0..max_sweeps {
-        let mut off = 0.0;
-        for p in 0..n {
-            for q in (p + 1)..n {
-                off += m.get(p, q).abs();
-            }
-        }
-        if off < tol {
-            break;
-        }
-        for p in 0..n {
-            for q in (p + 1)..n {
-                let apq = m.get(p, q);
-                if apq.abs() < 1e-300 {
-                    continue;
-                }
-                let app = m.get(p, p);
-                let aqq = m.get(q, q);
-                let theta = (aqq - app) / (2.0 * apq);
-                let t = theta.signum() / (theta.abs() + (theta * theta + 1.0).sqrt());
-                let c = 1.0 / (t * t + 1.0).sqrt();
-                let s = t * c;
-                // Apply the rotation G(p,q,theta) on both sides of m.
-                for k in 0..n {
-                    let mkp = m.get(k, p);
-                    let mkq = m.get(k, q);
-                    m.set(k, p, c * mkp - s * mkq);
-                    m.set(k, q, s * mkp + c * mkq);
-                }
-                for k in 0..n {
-                    let mpk = m.get(p, k);
-                    let mqk = m.get(q, k);
-                    m.set(p, k, c * mpk - s * mqk);
-                    m.set(q, k, s * mpk + c * mqk);
-                }
-                for k in 0..n {
-                    let vkp = v.get(k, p);
-                    let vkq = v.get(k, q);
-                    v.set(k, p, c * vkp - s * vkq);
-                    v.set(k, q, s * vkp + c * vkq);
-                }
-            }
-        }
+    if let Some(bad) = a.values().iter().position(|v| !v.is_finite()) {
+        return Err(MatrixError::Numerical {
+            op: "eigen_symmetric",
+            msg: format!("non-finite cell at ({}, {})", bad / n, bad % n),
+        });
     }
-    // Extract and sort by descending eigenvalue.
+    // Both phases work on the transposed transformation `vt`, whose row `c`
+    // is column `c`: a symmetric input is its own transpose, every column
+    // walk below is a contiguous one, and a QL rotation mixes two rows.
+    let mut vt = a.clone();
+    let (mut d, mut e) = (vec![0.0; n], vec![0.0; n]);
+    if n > 0 {
+        tridiagonalize(vt.values_mut(), n, &mut d, &mut e);
+    }
+    if !implicit_ql(vt.values_mut(), n, &mut d, &mut e) || d.iter().any(|v| !v.is_finite()) {
+        return Err(MatrixError::Numerical {
+            op: "eigen_symmetric",
+            msg: format!("no convergence in {MAX_QL_ITERATIONS} QL steps, or overflow"),
+        });
+    }
+    // Sort by descending eigenvalue; row `c` of `vt` is eigenvector `c`.
     let mut order: Vec<usize> = (0..n).collect();
-    let diag: Vec<f64> = (0..n).map(|i| m.get(i, i)).collect();
-    order.sort_by(|&x, &y| {
-        diag[y]
-            .partial_cmp(&diag[x])
-            .unwrap_or(std::cmp::Ordering::Equal)
-    });
-    let values: Vec<f64> = order.iter().map(|&i| diag[i]).collect();
-    let mut vectors = DenseMatrix::zeros(n, n);
-    for (new_c, &old_c) in order.iter().enumerate() {
-        for r in 0..n {
-            vectors.set(r, new_c, v.get(r, old_c));
+    order.sort_by(|&x, &y| d[y].total_cmp(&d[x]));
+    let sorted = order.iter().flat_map(|&c| vt.row(c)).copied().collect();
+    Ok(EigenDecomposition {
+        values: order.iter().map(|&c| d[c]).collect(),
+        vectors: transpose(&DenseMatrix::new(n, n, sorted)?),
+    })
+}
+
+/// Householder reduction of a symmetric `n x n` matrix to tridiagonal
+/// form (EISPACK `tred2`, on columns stored as the rows of `vt`): on
+/// return `d` holds the diagonal, `e[1..]` the sub-diagonal, and `vt` the
+/// accumulated orthogonal transformation, transposed.
+fn tridiagonalize(vt: &mut [f64], n: usize, d: &mut [f64], e: &mut [f64]) {
+    for i in (1..n).rev() {
+        // Row i left of the diagonal, scaled to avoid under/overflow.
+        for (x, col) in d[..i].iter_mut().zip(vt.chunks_exact(n)) {
+            *x = col[i];
         }
+        let scale: f64 = d[..i].iter().map(|x| x.abs()).sum();
+        let mut h = 0.0;
+        if scale == 0.0 {
+            e[i] = d[i - 1];
+            vt[i * n..][..i].fill(0.0);
+        } else {
+            // Generate the Householder vector, kept in column i.
+            for x in &mut d[..i] {
+                *x /= scale;
+                h += *x * *x;
+            }
+            let f = d[i - 1];
+            let g = if f > 0.0 { -h.sqrt() } else { h.sqrt() };
+            e[i] = scale * g;
+            h -= f * g;
+            d[i - 1] = f - g;
+            vt[i * n..][..i].copy_from_slice(&d[..i]);
+            // Apply the similarity transformation to the remaining columns.
+            e[..i].fill(0.0);
+            for j in 0..i {
+                let (f, col) = (d[j], &vt[j * n..][..i]);
+                let mut g = e[j] + col[j] * f;
+                for k in j + 1..i {
+                    g += col[k] * d[k];
+                    e[k] += col[k] * f;
+                }
+                e[j] = g;
+            }
+            let mut f = 0.0;
+            for j in 0..i {
+                e[j] /= h;
+                f += e[j] * d[j];
+            }
+            let hh = f / (h + h);
+            for j in 0..i {
+                e[j] -= hh * d[j];
+            }
+            for j in 0..i {
+                let (f, g) = (d[j], e[j]);
+                for k in j..i {
+                    vt[j * n + k] -= f * e[k] + g * d[k];
+                }
+            }
+        }
+        for col in vt.chunks_exact_mut(n).take(i) {
+            col[i] = 0.0;
+        }
+        d[i] = h;
     }
-    Ok(EigenDecomposition { values, vectors })
+    // Accumulate the transformations, moving the diagonal into `d` as
+    // each `h` has been used.
+    for i in 0..n - 1 {
+        let (done, rest) = vt.split_at_mut((i + 1) * n);
+        let (h, u) = (d[i + 1], &mut rest[..=i]);
+        d[i] = std::mem::replace(&mut done[i * n + i], 1.0);
+        if h != 0.0 {
+            for col in done.chunks_exact_mut(n) {
+                let g: f64 = u.iter().zip(&col[..=i]).map(|(a, b)| a * b).sum();
+                for (x, a) in col.iter_mut().zip(u.iter()) {
+                    *x -= g * (a / h);
+                }
+            }
+        }
+        u.fill(0.0);
+    }
+    d[n - 1] = std::mem::replace(&mut vt[n * n - 1], 1.0);
+    e[0] = 0.0;
+}
+
+/// Implicit-shift QL on the tridiagonal `(d, e)` (EISPACK `tql2`),
+/// rotating the rows of `vt` (the transposed transformation) along: on
+/// return `d` holds the eigenvalues and row `c` of `vt` eigenvector `c`.
+/// `false` when an eigenvalue exhausts [`MAX_QL_ITERATIONS`].
+fn implicit_ql(vt: &mut [f64], n: usize, d: &mut [f64], e: &mut [f64]) -> bool {
+    e.rotate_left(1.min(n));
+    let (mut f, mut tst1) = (0.0f64, 0.0f64);
+    for l in 0..n {
+        // Find a negligible sub-diagonal element; e[n - 1] == 0 ends the scan.
+        tst1 = tst1.max(d[l].abs() + e[l].abs());
+        let small = f64::EPSILON * tst1;
+        let m = (l..n).find(|&m| e[m].abs() <= small).unwrap_or(n - 1);
+        let mut iter = 0;
+        while m > l && (iter == 0 || e[l].abs() > small) {
+            iter += 1;
+            if iter > MAX_QL_ITERATIONS {
+                return false;
+            }
+            // Compute the implicit shift.
+            let g = d[l];
+            let p = (d[l + 1] - g) / (2.0 * e[l]);
+            let r = if p < 0.0 { -p.hypot(1.0) } else { p.hypot(1.0) };
+            d[l] = e[l] / (p + r);
+            d[l + 1] = e[l] * (p + r);
+            let dl1 = d[l + 1];
+            let h = g - d[l];
+            for x in &mut d[l + 2..] {
+                *x -= h;
+            }
+            f += h;
+            // The implicit QL transformation.
+            let mut p = d[m];
+            let (mut c, mut c2, mut c3) = (1.0, 1.0, 1.0);
+            let el1 = e[l + 1];
+            let (mut s, mut s2) = (0.0, 0.0);
+            for i in (l..m).rev() {
+                (c3, c2, s2) = (c2, c, s);
+                let g = c * e[i];
+                let h = c * p;
+                let r = p.hypot(e[i]);
+                e[i + 1] = s * r;
+                s = e[i] / r;
+                c = p / r;
+                p = c * d[i] - s * g;
+                d[i + 1] = h + s * (c * g + s * d[i]);
+                // Accumulate the rotation into eigenvectors i and i + 1.
+                let (lo, hi) = vt[i * n..(i + 2) * n].split_at_mut(n);
+                for (a, b) in lo.iter_mut().zip(hi) {
+                    let h = *b;
+                    *b = s * *a + c * h;
+                    *a = c * *a - s * h;
+                }
+            }
+            let p = -s * s2 * c3 * el1 * e[l] / dl1;
+            e[l] = s * p;
+            d[l] = c * p;
+        }
+        d[l] += f;
+        e[l] = 0.0;
+    }
+    true
 }
 
 /// Cholesky factorization `A = L Lᵀ` of a symmetric positive-definite
@@ -168,15 +283,11 @@ pub fn solve_spd(a: &DenseMatrix, b: &DenseMatrix) -> Result<DenseMatrix> {
     Ok(x)
 }
 
-fn frobenius(m: &DenseMatrix) -> f64 {
-    m.values().iter().map(|v| v * v).sum::<f64>().sqrt()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::kernels::aggregates::{aggregate, AggDir, AggOp};
     use crate::kernels::matmul::{matmul, matmul_naive, tsmm};
-    use crate::kernels::reorg::transpose;
     use crate::rng::rand_matrix;
 
     /// Random symmetric positive-definite matrix `XᵀX + n I`.
@@ -191,44 +302,111 @@ mod tests {
     }
 
     #[test]
-    fn eigen_reconstructs_input() {
-        let a = spd(8, 41);
-        let e = eigen_symmetric(&a, 30).unwrap();
-        // A V = V diag(lambda)
-        let av = matmul_naive(&a, &e.vectors).unwrap();
-        let mut vl = e.vectors.clone();
-        for r in 0..8 {
-            for c in 0..8 {
-                let v = vl.get(r, c) * e.values[c];
-                vl.set(r, c, v);
-            }
-        }
-        assert!(av.max_abs_diff(&vl) < 1e-8);
-    }
-
-    #[test]
-    fn eigen_vectors_orthonormal() {
-        let a = spd(10, 42);
-        let e = eigen_symmetric(&a, 30).unwrap();
-        let vtv = matmul(&transpose(&e.vectors), &e.vectors).unwrap();
-        assert!(vtv.max_abs_diff(&DenseMatrix::identity(10)) < 1e-9);
-    }
-
-    #[test]
-    fn eigen_values_descending() {
-        let a = spd(12, 43);
-        let e = eigen_symmetric(&a, 30).unwrap();
-        for w in e.values.windows(2) {
-            assert!(w[0] >= w[1] - 1e-12);
-        }
-    }
-
-    #[test]
     fn eigen_known_2x2() {
         let a = DenseMatrix::new(2, 2, vec![2., 1., 1., 2.]).unwrap();
-        let e = eigen_symmetric(&a, 20).unwrap();
+        let e = eigen_symmetric(&a).unwrap();
         assert!((e.values[0] - 3.0).abs() < 1e-10);
         assert!((e.values[1] - 1.0).abs() < 1e-10);
+    }
+
+    /// `‖A V − V Λ‖∞ < 1e-9·‖A‖∞` and `‖VᵀV − I‖∞ < 1e-9`, descending.
+    fn assert_decomposes(a: &DenseMatrix) {
+        let n = a.rows();
+        let e = eigen_symmetric(a).unwrap();
+        let scale = a.values().iter().fold(0.0f64, |m, v| m.max(v.abs()));
+        let av = matmul_naive(a, &e.vectors).unwrap();
+        for r in 0..n {
+            for c in 0..n {
+                let resid = av.get(r, c) - e.vectors.get(r, c) * e.values[c];
+                assert!(
+                    resid.abs() <= 1e-9 * scale,
+                    "residual {resid} at ({r}, {c})"
+                );
+            }
+        }
+        let vtv = matmul(&transpose(&e.vectors), &e.vectors).unwrap();
+        assert!(vtv.max_abs_diff(&DenseMatrix::identity(n)) < 1e-9);
+        assert!(e.values.windows(2).all(|w| w[0] >= w[1]));
+    }
+
+    #[test]
+    fn eigen_decomposes_clustered_repeated_and_deficient_spectra() {
+        // The benchmark's shape: covariance of 80 i.i.d. columns (80
+        // eigenvalues clustered near 1/3) beside a 20-way one-hot block.
+        let (rows, d) = (2_000, 100);
+        let mut x = rand_matrix(rows, d, -1.0, 1.0, 47);
+        for r in 0..rows {
+            let hot = 80 + (x.get(r, 80).abs() * 20.0) as usize % 20;
+            for c in 80..d {
+                x.set(r, c, f64::from(u8::from(c == hot)));
+            }
+        }
+        let mut cov = tsmm(&x, true).unwrap();
+        let mu = aggregate(&x, AggOp::Mean, AggDir::Col).unwrap();
+        let nf = rows as f64;
+        for i in 0..d {
+            for j in 0..d {
+                let v = (cov.get(i, j) - nf * mu.get(0, i) * mu.get(0, j)) / (nf - 1.0);
+                cov.set(i, j, v);
+            }
+        }
+        assert_decomposes(&cov);
+        for (n, seed) in [(8, 41), (10, 42), (12, 43)] {
+            assert_decomposes(&spd(n, seed));
+        }
+        // Repeated eigenvalues, in a rotated basis and as a bare diagonal.
+        let diag = |vals: &[f64]| {
+            let mut m = DenseMatrix::zeros(vals.len(), vals.len());
+            for (i, &v) in vals.iter().enumerate() {
+                m.set(i, i, v);
+            }
+            m
+        };
+        let lambda = diag(&[2.0, 2.0, 1.0, 1.0, 0.0]);
+        let q = eigen_symmetric(&spd(5, 48)).unwrap().vectors;
+        let rotated = matmul(&matmul(&q, &lambda).unwrap(), &transpose(&q)).unwrap();
+        assert_decomposes(&rotated);
+        let e = eigen_symmetric(&rotated).unwrap();
+        for (got, want) in e.values.iter().zip([2.0, 2.0, 1.0, 1.0, 0.0]) {
+            assert!((got - want).abs() < 1e-12, "{got} vs {want}");
+        }
+        assert_decomposes(&lambda);
+        // Rank-deficient Gram (rank 5 of 12), identity, zero.
+        let gram = tsmm(&rand_matrix(5, 12, -1.0, 1.0, 49), true).unwrap();
+        assert_decomposes(&gram);
+        let e = eigen_symmetric(&gram).unwrap();
+        assert!(
+            e.values[5..].iter().all(|v| v.abs() < 1e-12),
+            "{:?}",
+            e.values
+        );
+        assert_decomposes(&DenseMatrix::identity(100));
+        assert_decomposes(&DenseMatrix::zeros(100, 100));
+    }
+
+    #[test]
+    fn eigen_handles_degenerate_sizes_and_rejects_non_finite_input() {
+        let e = eigen_symmetric(&DenseMatrix::zeros(0, 0)).unwrap();
+        assert!(e.values.is_empty() && e.vectors.shape() == (0, 0));
+        let e = eigen_symmetric(&DenseMatrix::new(1, 1, vec![-3.5]).unwrap()).unwrap();
+        assert_eq!((e.values, e.vectors.get(0, 0)), (vec![-3.5], 1.0));
+        assert!(eigen_symmetric(&DenseMatrix::zeros(2, 3)).is_err());
+        // 1e200 is finite, but its products overflow inside the QL step.
+        for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY, 1e200] {
+            let mut a = spd(6, 50);
+            a.set(2, 4, bad);
+            let err = eigen_symmetric(&a).unwrap_err();
+            assert!(
+                matches!(
+                    err,
+                    MatrixError::Numerical {
+                        op: "eigen_symmetric",
+                        ..
+                    }
+                ),
+                "{err:?}"
+            );
+        }
     }
 
     #[test]

@@ -4,12 +4,14 @@
 //! The general kernel is a cache- and register-blocked GEMM (DESIGN.md
 //! §4k): `lhs` micro-panels and `rhs` column panels are packed into
 //! contiguous buffers, tiled over `k` in [`KC`]-deep slabs, and reduced by
-//! a fully-unrolled [`MR`]`x`[`NR`] register micro-tile. Every output
-//! cell still accumulates its `a*b` terms as one left-to-right chain in
-//! k-ascending order — blocking changes *where* the operands come from,
-//! never the order they are added — so the result is bitwise identical to
+//! a fully-unrolled [`MR`]`x`[`NR`] register micro-tile (a ragged edge
+//! tile is a full tile on zero-padded lanes). Every output cell still
+//! accumulates its `a*b` terms as one left-to-right chain in k-ascending
+//! order — blocking changes *where* the operands come from, never the
+//! order they are added — so the result is bitwise identical to
 //! [`matmul_naive`] at every thread count (the PR 4 determinism
-//! contract).
+//! contract). `t(A) %*% B` and `tsmm` are row sweeps over the shared row
+//! index instead, with the same per-cell chain.
 //!
 //! The hot bodies are compiled twice: once for the portable baseline and
 //! once with AVX2 enabled (plus a hand-vectorized AVX-512 micro-tile),
@@ -172,22 +174,6 @@ unsafe fn micro_tile_avx512(kc: usize, ap: &[f64], bp: &[f64], acc: &mut [[f64; 
     _mm512_storeu_pd(acc[3].as_mut_ptr(), c3);
 }
 
-/// Edge-tile micro-kernel for ragged `mr x nr` remainders
-/// (`mr <= MR, nr <= NR`); same packed layout and reduction order as
-/// [`micro_tile`].
-#[inline(always)]
-fn micro_tail(kc: usize, mr: usize, nr: usize, ap: &[f64], bp: &[f64], acc: &mut [[f64; NR]; MR]) {
-    for t in 0..kc {
-        let a: &[f64; MR] = ap[t * MR..t * MR + MR].try_into().unwrap();
-        let b: &[f64; NR] = bp[t * NR..t * NR + NR].try_into().unwrap();
-        for i in 0..mr {
-            for j in 0..nr {
-                acc[i][j] += a[i] * b[j];
-            }
-        }
-    }
-}
-
 /// True when the running CPU supports AVX2. The default `x86-64` target
 /// only assumes SSE2, which halves f64 SIMD width; the blocked kernels
 /// therefore carry a second compilation of the *same* Rust body gated on
@@ -330,7 +316,7 @@ fn gemm_chunk_body(
         let kc = (kb + KC).min(k) - kb;
         // Pack the rhs slab into NR-wide column panels, depth-major
         // within each panel. Ragged tail lanes stay at the buffer's
-        // initial 0.0 and are never read back.
+        // initial 0.0 and feed accumulator columns that are never stored.
         for t in 0..kc {
             let rrow = &rv[(kb + t) * n..(kb + t + 1) * n];
             for (jp, colseg) in rrow.chunks(NR).enumerate() {
@@ -359,11 +345,9 @@ fn gemm_chunk_body(
                     let orow = &ochunk[(ip + i) * n + j0..];
                     acc[i][..nr].copy_from_slice(&orow[..nr]);
                 }
-                if mr == MR && nr == NR {
-                    micro_tile(kc, &apack, bp, &mut acc);
-                } else {
-                    micro_tail(kc, mr, nr, &apack, bp, &mut acc);
-                }
+                // An edge tile is a full tile on the padded lanes: only
+                // its live `mr x nr` cells are stored.
+                micro_tile(kc, &apack, bp, &mut acc);
                 for i in 0..mr {
                     let orow = &mut ochunk[(ip + i) * n + j0..];
                     orow[..nr].copy_from_slice(&acc[i][..nr]);
@@ -517,110 +501,77 @@ avx2_twin!(tn_block / tn_block_avx2 => tn_block_body(
     thin: &[f64], nt: usize, wide: &[f64], nw: usize, k: usize, width: usize, block: &mut [f64]
 ));
 
+/// Rows of one output block of the triangular sweep (a `16 x 100`
+/// accumulator block is 12.5 KiB: L1) and rows of `X` per slab (`64 x 100`
+/// is 50 KiB: still in L2 when the job's next block reads it). Heights
+/// 8..32 and slabs 32..256 time within the host's noise of each other
+/// (DESIGN.md §4k): constants, not knobs.
+const TSMM_BLOCK_ROWS: usize = 16;
+const TSMM_SLAB_ROWS: usize = 64;
+
 /// Transpose-self matrix multiplication `tsmm`: computes `Xᵀ X` (`left=true`)
 /// or `X Xᵀ` (`left=false`) exploiting the symmetry of the result.
 ///
-/// Uses the same packed-panel blocking as [`matmul`] with `X`'s rows as
-/// the reduction dimension: both operands of the micro-tile are column
-/// panels of `X`. Only micro-tiles intersecting the upper triangle are
-/// reduced, and only their upper cells stored; each upper cell's chain is
-/// the full r-ascending sum, bitwise stable across thread counts.
+/// `Xᵀ X` is the [`matmul_tn`] row sweep restricted to the upper
+/// triangle: output blocks of [`TSMM_BLOCK_ROWS`] rows reach from the
+/// diagonal to the right edge and are dealt, largest first, to at most
+/// one job per pool thread; every job walks `X` **once**, slab by slab,
+/// extending its blocks' cells with [`tn_block`]. `X Xᵀ` is row-dot-row.
+/// Either way each upper cell is the r-ascending chain of `matmul_naive`
+/// on the materialized transpose at every thread count, and the lower
+/// triangle is its mirror.
 pub fn tsmm(x: &DenseMatrix, left: bool) -> Result<DenseMatrix> {
+    let (m, n) = x.shape();
+    let xv = x.values();
+    let side = if left { n } else { m };
+    let mut out = DenseMatrix::zeros(side, side);
     if left {
-        let (m, n) = x.shape();
-        let mut out = DenseMatrix::zeros(n, n);
-        if n == 0 {
-            return Ok(out);
+        // Deal the blocks, largest first, each to the least-loaded job.
+        let njobs = exdra_par::threads().min((m * n * n / 2 / super::PAR_MIN_WORK).max(1));
+        let mut jobs = vec![(0usize, Vec::new()); njobs];
+        for i0 in (0..n).step_by(TSMM_BLOCK_ROWS) {
+            let cells = TSMM_BLOCK_ROWS.min(n - i0) * (n - i0);
+            let job = jobs.iter_mut().min_by_key(|j| j.0).expect("njobs >= 1");
+            job.0 += cells;
+            job.1.push((i0, vec![0.0f64; cells]));
         }
-        let xv = x.values();
-        // Output rows of the upper triangle are disjoint, so fan them out
-        // in blocks. Upper rows carry more columns, but the pool's shared
-        // queue lets early-finishing threads steal the cheap tail chunks.
-        let rows_per_chunk = exdra_par::chunk_len(n, par_floor(m * (n / 2 + 1)));
-        let npanels = n.div_ceil(NR);
-        exdra_par::par_chunks_mut(out.values_mut(), rows_per_chunk * n, |_, cell0, ochunk| {
-            tsmm_chunk(xv, m, n, npanels, cell0 / n, ochunk);
-        });
-        // Mirror the upper triangle into the lower half: snapshot the
-        // finished rows once, then fill each lower row slice in parallel
-        // over disjoint output rows (replaces the serial get/set loop).
-        let upper = out.values().to_vec();
-        let mirror_rows = exdra_par::chunk_len(n, par_floor(n / 2 + 1));
-        exdra_par::par_chunks_mut(out.values_mut(), mirror_rows * n, |_, cell0, ochunk| {
-            let j0 = cell0 / n;
-            for (dj, orow) in ochunk.chunks_mut(n).enumerate() {
-                let j = j0 + dj;
-                for (i, o) in orow[..j].iter_mut().enumerate() {
-                    *o = upper[i * n + j];
+        exdra_par::par_chunks_mut(&mut jobs, 1, |_, _, job| {
+            for r0 in (0..m).step_by(TSMM_SLAB_ROWS) {
+                let slab = &xv[r0 * n..(r0 + TSMM_SLAB_ROWS).min(m) * n];
+                for (i0, block) in &mut job[0].1 {
+                    let cols = &slab[*i0..];
+                    tn_block(cols, n, cols, n, slab.len() / n, n - *i0, block);
                 }
             }
         });
-        Ok(out)
+        for &(i0, ref block) in jobs.iter().flat_map(|j| &j.1) {
+            for (di, brow) in block.chunks_exact(n - i0).enumerate() {
+                out.row_mut(i0 + di)[i0..].copy_from_slice(brow);
+            }
+        }
     } else {
-        let xt = super::reorg::transpose(x);
-        tsmm(&xt, true)
+        let rows_per_chunk = exdra_par::chunk_len(m, par_floor(n * (m / 2 + 1)));
+        exdra_par::par_chunks_mut(out.values_mut(), rows_per_chunk * m, |_, cell0, ochunk| {
+            for (orow, i) in ochunk.chunks_exact_mut(m).zip(cell0 / m..) {
+                let xi = &xv[i * n..][..n];
+                for (j, o) in orow.iter_mut().enumerate().skip(i) {
+                    *o = xi
+                        .iter()
+                        .zip(&xv[j * n..])
+                        .fold(0.0, |acc, (a, b)| acc + a * b);
+                }
+            }
+        });
     }
-}
-
-/// One parallel chunk of blocked `tsmm`: identical packing to
-/// [`gemm_chunk_body`] with `X`'s rows as the reduction dimension and
-/// both operands drawn from `X`'s column panels; only micro-tiles
-/// touching the upper triangle are reduced and only upper cells stored.
-#[inline(always)]
-fn tsmm_chunk_body(xv: &[f64], m: usize, n: usize, npanels: usize, i0: usize, ochunk: &mut [f64]) {
-    let rows = ochunk.len() / n;
-    let mut bpack = vec![0.0f64; npanels * KC * NR];
-    let mut apack = vec![0.0f64; KC * MR];
-    for rb in (0..m).step_by(KC) {
-        let kc = (rb + KC).min(m) - rb;
-        for t in 0..kc {
-            let xrow = &xv[(rb + t) * n..(rb + t + 1) * n];
-            for (jp, colseg) in xrow.chunks(NR).enumerate() {
-                bpack[jp * KC * NR + t * NR..][..colseg.len()].copy_from_slice(colseg);
-            }
-        }
-        for ip in (0..rows).step_by(MR) {
-            let mr = (ip + MR).min(rows) - ip;
-            for t in 0..kc {
-                let xrow = &xv[(rb + t) * n..];
-                for lane in 0..mr {
-                    apack[t * MR + lane] = xrow[i0 + ip + lane];
-                }
-            }
-            // Skip panels strictly left of the upper triangle.
-            for jp in ((i0 + ip) / NR)..npanels {
-                let j0 = jp * NR;
-                let nr = (j0 + NR).min(n) - j0;
-                let bp = &bpack[jp * KC * NR..][..kc * NR];
-                let mut acc = [[0.0f64; NR]; MR];
-                for i in 0..mr {
-                    let orow = &ochunk[(ip + i) * n + j0..];
-                    acc[i][..nr].copy_from_slice(&orow[..nr]);
-                }
-                if mr == MR && nr == NR {
-                    micro_tile(kc, &apack, bp, &mut acc);
-                } else {
-                    micro_tail(kc, mr, nr, &apack, bp, &mut acc);
-                }
-                // Diagonal-crossing tiles compute a few lower
-                // cells; those are discarded here (their slots
-                // reload 0.0 next slab), upper cells carry on.
-                for i in 0..mr {
-                    let ig = i0 + ip + i;
-                    let orow = &mut ochunk[(ip + i) * n + j0..];
-                    for j in 0..nr {
-                        if j0 + j >= ig {
-                            orow[j] = acc[i][j];
-                        }
-                    }
-                }
-            }
+    // Mirror the upper triangle onto the lower one.
+    let ov = out.values_mut();
+    for i in 1..side {
+        for j in 0..i {
+            ov[i * side + j] = ov[j * side + i];
         }
     }
+    Ok(out)
 }
-avx2_twin!(tsmm_chunk / tsmm_chunk_avx2 => tsmm_chunk_body(
-    xv: &[f64], m: usize, n: usize, npanels: usize, i0: usize, ochunk: &mut [f64]
-));
 
 /// Fused matrix-multiplication chain `Xᵀ (w ⊙ (X v))`.
 ///
@@ -980,15 +931,27 @@ mod tests {
     fn micro_tile_twins_are_bitwise_equal() {
         // The dispatcher picks the widest available twin, so the
         // narrower paths need pinning explicitly: same packed panels,
-        // same bits out of every implementation the CPU can run.
+        // same bits out of every implementation the CPU can run — on a
+        // full tile, and on a ragged `3 x 5` edge tile as the GEMM packs
+        // it: zero rhs lanes past `nr`, garbage (NaN, Inf) in the dead
+        // lhs lanes past `mr`, which must stay out of the live cells.
         let kc = KC - 3;
         let noise = rand_matrix(kc, MR + NR, -1.0, 1.0, 99);
-        let ap: Vec<f64> = (0..kc * MR)
+        let full_a: Vec<f64> = (0..kc * MR)
             .map(|i| noise.values()[i % noise.values().len()])
             .collect();
-        let bp: Vec<f64> = (0..kc * NR)
+        let full_b: Vec<f64> = (0..kc * NR)
             .map(|i| noise.values()[(i * 7 + 3) % noise.values().len()])
             .collect();
+        let (mr, nr) = (3, 5);
+        let mut edge_a = full_a.clone();
+        for (t, lanes) in edge_a.chunks_exact_mut(MR).enumerate() {
+            lanes[mr..].fill([f64::NAN, f64::INFINITY, -0.0][t % 3]);
+        }
+        let mut edge_b = full_b.clone();
+        for lanes in edge_b.chunks_exact_mut(NR) {
+            lanes[nr..].fill(0.0);
+        }
         let seed = |s: f64| {
             let mut acc = [[0.0f64; NR]; MR];
             for (i, row) in acc.iter_mut().enumerate() {
@@ -998,30 +961,49 @@ mod tests {
             }
             acc
         };
-        let bits = |acc: &[[f64; NR]; MR]| {
-            acc.iter()
+        // Dead accumulator rows hold NaNs whose payload may depend on
+        // operand order: only the rows a GEMM stores are compared.
+        let bits = |acc: &[[f64; NR]; MR], rows: usize| {
+            acc[..rows]
+                .iter()
                 .flatten()
                 .map(|v| v.to_bits())
                 .collect::<Vec<_>>()
         };
-        let mut want = seed(0.25);
-        micro_tile_scalar(kc, &ap, &bp, &mut want);
-        #[cfg(target_arch = "x86_64")]
-        {
-            if avx2_available() {
-                let mut got = seed(0.25);
-                unsafe { micro_tile_avx2(kc, &ap, &bp, &mut got) };
-                assert_eq!(bits(&got), bits(&want), "avx2 twin differs");
+        for (ap, bp, rows) in [(&full_a, &full_b, MR), (&edge_a, &edge_b, mr)] {
+            let mut want = seed(0.25);
+            micro_tile_scalar(kc, ap, bp, &mut want);
+            #[cfg(target_arch = "x86_64")]
+            {
+                if avx2_available() {
+                    let mut got = seed(0.25);
+                    unsafe { micro_tile_avx2(kc, ap, bp, &mut got) };
+                    assert_eq!(bits(&got, rows), bits(&want, rows), "avx2, {rows} rows");
+                }
+                if avx512_available() {
+                    let mut got = seed(0.25);
+                    unsafe { micro_tile_avx512(kc, ap, bp, &mut got) };
+                    assert_eq!(bits(&got, rows), bits(&want, rows), "avx512, {rows} rows");
+                }
             }
-            if avx512_available() {
-                let mut got = seed(0.25);
-                unsafe { micro_tile_avx512(kc, &ap, &bp, &mut got) };
-                assert_eq!(bits(&got), bits(&want), "avx512 twin differs");
+            let mut via_dispatch = seed(0.25);
+            micro_tile(kc, ap, bp, &mut via_dispatch);
+            assert_eq!(bits(&via_dispatch, rows), bits(&want, rows), "{rows} rows");
+        }
+        // The edge tile's live cells are the full tile's: dead lanes
+        // never leak into them.
+        let (mut full, mut edge) = (seed(0.25), seed(0.25));
+        micro_tile(kc, &full_a, &full_b, &mut full);
+        micro_tile(kc, &edge_a, &edge_b, &mut edge);
+        for i in 0..mr {
+            for j in 0..nr {
+                assert_eq!(
+                    edge[i][j].to_bits(),
+                    full[i][j].to_bits(),
+                    "cell ({i}, {j})"
+                );
             }
         }
-        let mut via_dispatch = seed(0.25);
-        micro_tile(kc, &ap, &bp, &mut via_dispatch);
-        assert_eq!(bits(&via_dispatch), bits(&want));
     }
 
     #[test]

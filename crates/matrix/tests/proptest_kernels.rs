@@ -6,7 +6,10 @@
 //! * the register-blocked `matmul`/`tsmm` agree with `matmul_naive`
 //!   exactly — the packed panels preserve the k-ascending per-cell
 //!   reduction chain — across ragged shapes that straddle the `MR`/`NR`
-//!   tile and `KC` slab boundaries, at pool widths {1, 3, 8}; so do the
+//!   tile and `KC` slab boundaries (with NaN, ±Inf and -0.0 planted in
+//!   the operands: padded and stale packed lanes never leak), at pool
+//!   widths {1, 3, 8}; `tsmm`'s triangular sweep agrees with naive on the
+//!   materialized transpose across its block height and slab; so do the
 //!   `t(A) %*% B` row sweep (against naive on the materialized
 //!   transpose) and the one-pass `mmchain` (against the two-phase
 //!   schedule), whose splits only ever divide the output;
@@ -101,6 +104,66 @@ fn mixed_matrix(rows: usize, seed: u64) -> DenseMatrix {
         x.set(r, 3, noise.get(r, 0));
     }
     x
+}
+
+/// Bitwise equality, except that any NaN equals any NaN: when two NaNs
+/// meet in one add or multiply the hardware keeps the first operand's
+/// payload, and operand order is the compiler's choice per code path.
+fn same_cells(a: &DenseMatrix, b: &DenseMatrix) -> bool {
+    a.shape() == b.shape()
+        && a.values()
+            .iter()
+            .zip(b.values())
+            .all(|(x, y)| x.to_bits() == y.to_bits() || (x.is_nan() && y.is_nan()))
+}
+
+#[test]
+fn triangular_sweep_is_bitwise_naive_across_block_and_slab() {
+    // Columns straddle the 16-column block, rows the 64-row slab and the
+    // sweep's 4-row unroll; the lower triangle is the upper one's mirror,
+    // which is the naive cell too (`x * y` commutes bit for bit).
+    for n in [1, 2, 3, 4, 5, 8, 9, 15, 16, 17, 33, 100] {
+        for m in [0, 1, 63, 64, 65, 257] {
+            let x = rand_matrix(m, n, -1.0, 1.0, (m * 101 + n) as u64);
+            let xt = transpose(&x);
+            for left in [true, false] {
+                let out = widths_agree("tsmm", || tsmm(&x, left).expect("shapes"));
+                let oracle = if left {
+                    matmul_naive(&xt, &x)
+                } else {
+                    matmul_naive(&x, &xt)
+                };
+                assert!(
+                    same_bits(&out, &oracle.expect("shapes")),
+                    "tsmm {m}x{n} left={left} differs from the naive chain"
+                );
+            }
+        }
+    }
+}
+
+#[test]
+fn ragged_gemm_with_special_values_is_bitwise_naive() {
+    // Edge tiles run the full micro-tile on padded panels: a NaN or Inf in
+    // a live lane must reach exactly the cells naive gives it, and the
+    // dead lanes (zero rhs padding, stale lhs rows) must reach none.
+    let special = [f64::NAN, f64::INFINITY, f64::NEG_INFINITY, -0.0];
+    for n in [1, 3, 10, 20] {
+        for m in [1, 2, 3, 5, 7, 61, 67] {
+            for k in [1, 5, KC + 3] {
+                let seed = (m * 10_007 + n * 101 + k) as u64;
+                let mut a = rand_matrix(m, k, -1.0, 1.0, seed);
+                let mut b = rand_matrix(k, n, -1.0, 1.0, seed + 1);
+                for (i, &v) in special.iter().enumerate() {
+                    a.set((i * 3 + 1) % m, (i * 5 + 2) % k, v);
+                    b.set((i * 7 + 3) % k, (i * 2 + 1) % n, v);
+                }
+                let out = widths_agree("ragged-gemm", || matmul(&a, &b).expect("shapes"));
+                let oracle = matmul_naive(&a, &b).expect("shapes");
+                assert!(same_cells(&out, &oracle), "{m}x{k}x{n} differs from naive");
+            }
+        }
+    }
 }
 
 proptest! {

@@ -92,7 +92,7 @@ pub fn kmeans_direct(
     Ok((centroids, wcss, iterations))
 }
 
-/// Direct PCA via the covariance Gram matrix and Jacobi eigen-decomposition
+/// Direct PCA via the covariance Gram matrix and its eigen-decomposition
 /// (Scikit-learn stand-in). Returns `(components d x k, eigenvalues)`.
 pub fn pca_direct(x: &DenseMatrix, k: usize) -> Result<(DenseMatrix, Vec<f64>)> {
     let (n, d) = x.shape();
@@ -136,7 +136,7 @@ pub fn pca_direct(x: &DenseMatrix, k: usize) -> Result<(DenseMatrix, Vec<f64>)> 
             cov.set(b, a, v);
         }
     }
-    let eig = exdra_matrix::eigen::eigen_symmetric(&cov, 30)?;
+    let eig = exdra_matrix::eigen::eigen_symmetric(&cov)?;
     let comps = exdra_matrix::kernels::reorg::index(&eig.vectors, 0, d, 0, k)?;
     Ok((comps, eig.values[..k].to_vec()))
 }

@@ -2,13 +2,17 @@
 //!
 //! Non-iterative: the covariance is assembled from a federated `tsmm`
 //! (`XᵀX`) and federated column means, the eigen decomposition runs at the
-//! coordinator (`cols x cols` is aggregate-sized), and the projection is
-//! another federated matrix multiplication — "with large number of rows,
-//! the two matrix multiplications dominate the runtime" (paper §6.2).
+//! coordinator (`cols x cols` is aggregate-sized, O(d³) tridiagonal QL),
+//! and the projection is another federated matrix multiplication — "with
+//! large number of rows, the two matrix multiplications dominate the
+//! runtime" (paper §6.2). Nothing else touches `n x d` cells: centring is
+//! folded into the covariance (`XᵀX - n μᵀμ`) and into the projection
+//! (`X V - μ V`).
 
 use exdra_core::{Result, Tensor};
 use exdra_matrix::eigen::eigen_symmetric;
 use exdra_matrix::kernels::elementwise::BinaryOp;
+use exdra_matrix::kernels::matmul::matmul;
 use exdra_matrix::DenseMatrix;
 
 /// A fitted PCA model.
@@ -41,7 +45,7 @@ pub fn pca(x: &Tensor, k: usize) -> Result<PcaModel> {
             cov.set(i, j, v);
         }
     }
-    let eig = eigen_symmetric(&cov, 30)?;
+    let eig = eigen_symmetric(&cov)?;
     let total: f64 = eig.values.iter().map(|v| v.max(0.0)).sum();
     let kept: f64 = eig.values.iter().take(k).map(|v| v.max(0.0)).sum();
     let components = exdra_matrix::kernels::reorg::index(&eig.vectors, 0, d, 0, k)?;
@@ -54,11 +58,13 @@ pub fn pca(x: &Tensor, k: usize) -> Result<PcaModel> {
 }
 
 /// Projects (possibly federated) data onto the principal components:
-/// `(X - mu) %*% V` — a federated broadcast subtraction plus a federated
-/// matrix multiplication.
+/// `(X - mu) %*% V` computed as `X %*% V - (mu %*% V)` — one federated
+/// matrix multiplication and a broadcast subtraction of a `1 x k` row on
+/// the `n x k` result, so no centred `n x d` copy of `X` ever exists.
 pub fn transform(x: &Tensor, model: &PcaModel) -> Result<Tensor> {
-    let centered = x.binary(BinaryOp::Sub, &Tensor::Local(model.means.clone()))?;
-    centered.matmul(&Tensor::Local(model.components.clone()))
+    let shift = matmul(&model.means, &model.components)?;
+    x.matmul(&Tensor::Local(model.components.clone()))?
+        .binary(BinaryOp::Sub, &Tensor::Local(shift))
 }
 
 #[cfg(test)]
@@ -67,7 +73,6 @@ mod tests {
     use exdra_core::fed::FedMatrix;
     use exdra_core::testutil::mem_federation;
     use exdra_core::PrivacyLevel;
-    use exdra_matrix::kernels::matmul::matmul;
     use exdra_matrix::rng::{rand_matrix, randn_matrix};
 
     /// Data with strong variance along a planted direction.
@@ -92,7 +97,13 @@ mod tests {
 
     #[test]
     fn federated_equals_local() {
-        let x = planted(300, 5, 62);
+        for (n, d, seed) in [(300, 5, 62), (301, 13, 65)] {
+            federated_equals_local_on(planted(n, d, seed));
+        }
+    }
+
+    /// Ragged `d = 13` puts partitions and `tsmm` blocks off every tile.
+    fn federated_equals_local_on(x: DenseMatrix) {
         let local = pca(&Tensor::Local(x.clone()), 3).unwrap();
         let (ctx, _workers) = mem_federation(3);
         let fed = FedMatrix::scatter_rows(&ctx, &x, PrivacyLevel::Public).unwrap();
@@ -127,6 +138,16 @@ mod tests {
             let mean: f64 = (0..200).map(|r| p.get(r, c)).sum::<f64>() / 200.0;
             assert!(mean.abs() < 1e-8, "column {c} mean {mean}");
         }
+        // And it is the explicit `(X - mu) %*% V`, never materialised.
+        let mut centered = planted(200, 4, 63);
+        for r in 0..200 {
+            for (v, m) in centered.row_mut(r).iter_mut().zip(model.means.values()) {
+                *v -= m;
+            }
+        }
+        let want = matmul(&centered, &model.components).unwrap();
+        let scale = want.values().iter().fold(0.0f64, |m, v| m.max(v.abs()));
+        assert!(p.max_abs_diff(&want) <= 1e-9 * scale);
     }
 
     #[test]
