@@ -6,10 +6,12 @@
 //! sends RPCs to all workers in parallel, and a single RPC can contain a
 //! sequence of requests."
 //!
-//! Every RPC runs under a [`FaultPolicy`]: transient transport failures
-//! (timeouts, resets) are retried with jittered backoff and reconnection,
-//! capped by a per-RPC deadline; exhausting the budget yields the typed
-//! [`RuntimeError::WorkerDead`] so callers fail fast instead of hanging.
+//! Every RPC runs under a [`FaultPolicy`]: a closed channel is redialed
+//! and resent at once (or, with nothing to dial, is the typed
+//! [`RuntimeError::WorkerDead`] at once), transport weather (timeouts,
+//! refused dials) is retried with jittered backoff, capped by a per-RPC
+//! deadline; exhausting the budget yields the typed error so callers
+//! fail fast instead of hanging.
 
 use std::collections::HashSet;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -18,7 +20,7 @@ use std::time::{Duration, Instant};
 
 use parking_lot::{Mutex, MutexGuard};
 
-use exdra_fault::retry::{classify_io, Deadline, RetryPolicy};
+use exdra_fault::retry::{classify_io, peer_closed, Deadline, ErrorClass, RetryPolicy};
 use exdra_net::codec::Wire;
 use exdra_net::crypto::ChannelKey;
 use exdra_net::framing::{request_tag, untag_reply};
@@ -101,18 +103,19 @@ impl WorkerEndpoint {
     }
 
     fn connect(&self, stats: Arc<NetStats>) -> Result<Box<dyn Channel>> {
-        self.connect_with(stats, &ChannelConfig::default())
+        Ok(self.connect_with(stats, &ChannelConfig::default())?)
     }
 
+    /// The error keeps its kind: that is what a retry loop classifies.
     fn connect_with(
         &self,
         stats: Arc<NetStats>,
         config: &ChannelConfig,
-    ) -> Result<Box<dyn Channel>> {
+    ) -> std::io::Result<Box<dyn Channel>> {
         match self {
             WorkerEndpoint::Tcp { addr, profile, key } => {
                 let tcp = TcpChannel::connect_with(addr.as_str(), config)
-                    .map_err(|e| RuntimeError::Network(format!("connect {addr}: {e}")))?;
+                    .map_err(|e| std::io::Error::new(e.kind(), format!("connect {addr}: {e}")))?;
                 let ch: Box<dyn Channel> = match key {
                     Some(k) => Box::new(EncryptedChannel::new(tcp, *k, true)),
                     None => Box::new(tcp),
@@ -318,7 +321,7 @@ impl FedContext {
             .as_ref()
             .ok_or_else(|| RuntimeError::Unsupported("reconnect needs a TCP endpoint".into()))?;
         let cfg = self.fault.lock().channel_config;
-        ep.connect_with(Arc::clone(&self.stats), &cfg)
+        Ok(ep.connect_with(Arc::clone(&self.stats), &cfg)?)
     }
 
     /// Swaps in the channel to a worker's next incarnation. What was
@@ -399,16 +402,17 @@ impl FedContext {
     ///
     /// Whatever the worker's outbox holds (deferred effect-only batches
     /// and the `rmvar`s of dropped federated handles, see
-    /// [`FedContext::defer`]) travels in front of the batch in the same
+    /// `FedContext::defer`) travels in front of the batch in the same
     /// envelope, and its responses are stripped: the caller gets the
     /// worker's real reply to exactly its own requests. A deferred request
     /// that failed fails this call, named by its opcode.
     ///
-    /// The RPC runs under the context's [`FaultPolicy`]: transient
-    /// transport failures are retried with backoff (reconnecting first
-    /// when the context knows the worker's endpoint). A connection-type
-    /// failure that survives the whole retry budget returns
-    /// [`RuntimeError::WorkerDead`].
+    /// The RPC runs under the context's [`FaultPolicy`]: a closed channel
+    /// is redialed and the batch resent at once when the context knows the
+    /// worker's endpoint, and is [`RuntimeError::WorkerDead`] at once when
+    /// it does not; timeouts and failed dials are retried with backoff
+    /// (redialing first). A connection-type failure that survives the
+    /// whole retry budget returns [`RuntimeError::WorkerDead`].
     pub fn call(&self, worker: usize, batch: &[Request]) -> Result<Vec<Response>> {
         self.exchange(worker, batch, None)
     }
@@ -643,24 +647,31 @@ impl FedContext {
             .run(
                 deadline,
                 |_attempt| {
-                    let (sent, t_net) = first.take().unwrap_or_else(|| {
-                        retries += 1;
-                        self.stats.record_retry();
-                        // A failed attempt may have left a half-written
-                        // frame (or stale replies) on the wire:
-                        // re-establish the channel before resending when
-                        // we know the endpoint.
-                        if let Ok(fresh) = self.connect_endpoint(conn) {
-                            *ch = fresh;
-                            self.stats.record_recovery();
+                    let (sent, t_net) = match first.take() {
+                        Some(begun) => begun,
+                        None => {
+                            retries += 1;
+                            self.stats.record_retry();
+                            // A closed channel carries nothing, and a failed
+                            // attempt may have left a half-written frame (or
+                            // stale replies) on the wire: redial before
+                            // resending when we know the endpoint. A failed
+                            // dial is this attempt's failure.
+                            if let Some(ep) = &conn.endpoint {
+                                *ch = ep.connect_with(
+                                    Arc::clone(&self.stats),
+                                    &policy.channel_config,
+                                )?;
+                                self.stats.record_recovery();
+                            }
+                            let t_net = obs_on.then(Instant::now);
+                            let sent = match window {
+                                None => ch.send(&frames[0]),
+                                Some(_) => Ok(()),
+                            };
+                            (sent, t_net)
                         }
-                        let t_net = obs_on.then(Instant::now);
-                        let sent = match window {
-                            None => ch.send(&frames[0]),
-                            Some(_) => Ok(()),
-                        };
-                        (sent, t_net)
-                    });
+                    };
                     let r = sent.and_then(|()| match window {
                         None => ch.recv().map(|reply| StreamOutcome {
                             replies: vec![reply],
@@ -674,7 +685,13 @@ impl FedContext {
                     }
                     r
                 },
-                classify_io,
+                // This leg holds the channel lock until it returns, so while
+                // it waits nobody can install a live channel under it: with
+                // no endpoint to dial, a closed channel is final right now.
+                |e| match classify_io(e) {
+                    ErrorClass::Closed if conn.endpoint.is_none() => ErrorClass::Fatal,
+                    class => class,
+                },
             )
             .map_err(|e| rpc_failure(worker, &e))?;
         drop(ch);
@@ -1192,8 +1209,7 @@ fn rpc_failure(worker: usize, e: &std::io::Error) -> RuntimeError {
             worker,
             msg: e.to_string(),
         },
-        BrokenPipe | ConnectionReset | ConnectionAborted | ConnectionRefused | UnexpectedEof
-        | NotConnected => RuntimeError::WorkerDead {
+        kind if peer_closed(e) || kind == ConnectionRefused => RuntimeError::WorkerDead {
             worker,
             msg: e.to_string(),
         },
@@ -1437,6 +1453,73 @@ mod tests {
         );
         assert_eq!(retries, 1, "only the failed leg retried");
         assert_eq!(replies, 3, "every leg's reply was consumed");
+    }
+
+    /// A self-contained batch (it installs what it reads), so a worker
+    /// that restarted empty answers it like the one that never died.
+    fn put_then_get() -> Vec<Request> {
+        vec![
+            Request::Put {
+                id: 1,
+                data: DataValue::from(rand_matrix(6, 3, -1.0, 1.0, 5)),
+                privacy: PrivacyLevel::Public,
+            },
+            Request::Get { id: 1 },
+        ]
+    }
+
+    /// A schedule whose first delay alone would outlast the test: a call
+    /// that returns under it has not slept.
+    fn policy_that_must_not_sleep() -> (FaultPolicy, Duration) {
+        let base = Duration::from_secs(20);
+        let policy = FaultPolicy {
+            retry: RetryPolicy::new(base, base, 4),
+            ..FaultPolicy::default()
+        };
+        (policy, base)
+    }
+
+    #[test]
+    fn a_closed_mem_channel_is_worker_dead_without_a_retry() {
+        let (ctx, workers) = mem_context(2);
+        ctx.set_fault_policy(policy_that_must_not_sleep().0);
+        ctx.call(1, &put_then_get()).unwrap();
+        workers[1].shutdown();
+        let before = ctx.stats().snapshot();
+        let err = ctx.call(1, &[Request::Get { id: 1 }]).unwrap_err();
+        assert!(
+            matches!(err, RuntimeError::WorkerDead { worker: 1, .. }),
+            "{err}"
+        );
+        let delta = ctx.stats().snapshot().delta(&before);
+        assert_eq!((delta.retries, delta.recoveries), (0, 0));
+        // The verdict was about worker 1 only.
+        ctx.call(0, &put_then_get()).unwrap();
+    }
+
+    #[test]
+    fn a_closed_tcp_channel_is_redialed_and_resent_at_once() {
+        let worker = Worker::new(WorkerConfig::default());
+        let addr = worker.serve_tcp("127.0.0.1:0").unwrap().to_string();
+        let ctx = FedContext::connect(&[WorkerEndpoint::tcp(addr.as_str())]).unwrap();
+        let (policy, first_delay) = policy_that_must_not_sleep();
+        ctx.set_fault_policy(policy);
+        let want = ctx.call(0, &put_then_get()).unwrap();
+
+        // The site process restarts on its address, empty, before the
+        // next call: the standing connection is closed under it.
+        worker.shutdown();
+        let restarted = Worker::new(WorkerConfig::default());
+        restarted.serve_tcp(&addr).unwrap();
+        let before = ctx.stats().snapshot();
+        let t0 = Instant::now();
+        let got = ctx.call(0, &put_then_get()).unwrap();
+        assert!(t0.elapsed() < first_delay, "the retry slept");
+        assert_eq!(got, want, "bitwise equal to the fault-free run");
+        let delta = ctx.stats().snapshot().delta(&before);
+        assert_eq!((delta.retries, delta.recoveries), (1, 1));
+        assert!(restarted.table().contains(1));
+        restarted.shutdown();
     }
 
     #[test]

@@ -19,7 +19,7 @@
 //! dense kernels on the entry's **dense twin** once it has been worth
 //! decompressing — the twin lives in the executing worker's
 //! [`LineageCache`], within its byte budget — and on the column groups
-//! until then (see [`contraction_twin`]). Every other opcode needs the
+//! until then (see `contraction_twin`). Every other opcode needs the
 //! dense form anyway: it takes the twin, or decompresses into one
 //! (`compress.exec.fallback`, timed under `inst.decompress`).
 

@@ -172,8 +172,14 @@ impl Supervisor {
     /// post-probe health states. Workers currently being recovered are
     /// skipped (their channel is mid-replacement).
     pub fn heartbeat_once(&self) -> Vec<HealthState> {
+        self.probe_except(&[])
+    }
+
+    /// [`Supervisor::heartbeat_once`] without the workers in `proven`,
+    /// whose checkpoint reply this tick already was the probe.
+    fn probe_except(&self, proven: &[usize]) -> Vec<HealthState> {
         for w in 0..self.detector.len() {
-            if self.detector.state(w) == HealthState::Recovering {
+            if self.detector.state(w) == HealthState::Recovering || proven.contains(&w) {
                 continue;
             }
             match self.ctx.heartbeat(w) {
@@ -191,8 +197,8 @@ impl Supervisor {
     /// Checkpoints every healthy worker's variable environment once:
     /// asks each for an incremental delta relative to what the store
     /// already holds and folds it in. Returns the workers checkpointed
-    /// this pass. Unreachable workers are skipped silently — the
-    /// heartbeat path owns failure detection.
+    /// this pass. The exchange is its own heartbeat: its reply feeds the
+    /// detector the worker's epoch and load, its failure a miss.
     pub fn checkpoint_once(&self) -> Vec<usize> {
         let mut done = Vec::new();
         for w in 0..self.detector.len() {
@@ -215,8 +221,8 @@ impl Supervisor {
         let (applied_since, delta) = match self.store.apply(worker, since, delta) {
             ApplyOutcome::Applied => return Ok(()),
             ApplyOutcome::EpochMismatch => {
-                // The worker restarted between heartbeat and checkpoint:
-                // its sequence space is foreign; take a full snapshot.
+                // The worker restarted since its last reply: its
+                // sequence space is foreign; take a full snapshot.
                 let full = self.fetch_delta(worker, 0)?;
                 (0u64, full)
             }
@@ -229,8 +235,9 @@ impl Supervisor {
         }
     }
 
-    /// One CHECKPOINT RPC, with `recovery.checkpoint` span and
-    /// checkpoint size/age metrics.
+    /// One `[HEARTBEAT, CHECKPOINT]` RPC (control requests: one envelope,
+    /// travelling alone; the `ALIVE` is the proof of life a probe would have
+    /// fetched), with `recovery.checkpoint` span and size/age metrics.
     fn fetch_delta(&self, worker: usize, since: u64) -> Result<crate::protocol::CheckpointDelta> {
         let obs_on = exdra_obs::enabled();
         let mut span = exdra_obs::span(SpanKind::Recovery, "recovery.checkpoint");
@@ -238,10 +245,23 @@ impl Supervisor {
             span.attr("worker", worker);
             span.attr("since_seq", since);
         }
-        let responses = self
-            .ctx
-            .call(worker, &[Request::Checkpoint { since_seq: since }])?;
-        let delta = match responses.into_iter().next() {
+        let batch = [Request::Heartbeat, Request::Checkpoint { since_seq: since }];
+        let reply = self.ctx.call(worker, &batch);
+        if reply.is_err() {
+            self.detector.record_miss(worker);
+        }
+        let mut responses = reply?.into_iter();
+        // A recovery that began meanwhile owns the worker: its still empty
+        // replacement answered, and the stored snapshot is what it restores.
+        if self.detector.state(worker) == HealthState::Recovering {
+            return Err(FedError::Network(format!(
+                "worker {worker}: checkpoint raced a recovery"
+            )));
+        }
+        if let Some(Response::Alive { epoch, load }) = responses.next() {
+            self.detector.record_success(worker, epoch, load);
+        }
+        let delta = match responses.next() {
             Some(Response::Checkpoint(d)) => d,
             Some(Response::Error(msg)) => {
                 return Err(FedError::Worker {
@@ -462,7 +482,11 @@ impl Supervisor {
     /// supervisor's background thread, off the compute path). Returns
     /// the workers recovered this sweep.
     pub fn sweep(&self) -> Vec<usize> {
-        let states = self.heartbeat_once();
+        self.sweep_except(&[])
+    }
+
+    fn sweep_except(&self, proven: &[usize]) -> Vec<usize> {
+        let states = self.probe_except(proven);
         let mut recovered = Vec::new();
         for (w, s) in states.iter().enumerate() {
             if *s == HealthState::Dead && matches!(self.recover(w), Ok(true)) {
@@ -699,13 +723,15 @@ impl Supervisor {
                         continue;
                     }
                     next_sweep = Instant::now() + sup.policy.heartbeat_interval;
-                    let _ = sup.sweep();
-                    if let Some(every) = sup.policy.checkpoint_interval {
-                        if last_checkpoint.elapsed() >= every {
-                            let _ = sup.checkpoint_once();
-                            last_checkpoint = Instant::now();
-                        }
+                    // On a checkpoint tick the sweep probes only the
+                    // workers no checkpoint reply vouched for.
+                    let every = sup.policy.checkpoint_interval;
+                    let mut proven = Vec::new();
+                    if every.is_some_and(|every| last_checkpoint.elapsed() >= every) {
+                        proven = sup.checkpoint_once();
+                        last_checkpoint = Instant::now();
                     }
+                    let _ = sup.sweep_except(&proven);
                 }
             })
             .expect("spawn supervisor thread")
@@ -830,7 +856,6 @@ mod tests {
     fn recovery_restores_from_checkpoint() {
         let (ctx, workers) = mem_setup(1);
         let sup = Supervisor::new(Arc::clone(&ctx), SupervisionPolicy::default());
-        sup.heartbeat_once(); // record the worker's epoch
         put(&ctx, 0, 7, 7.5, PrivacyLevel::Private);
         put(&ctx, 0, 8, 8.5, PrivacyLevel::Public);
         assert_eq!(sup.checkpoint_once(), vec![0]);
@@ -863,7 +888,6 @@ mod tests {
         assert_eq!(table.get(7).unwrap().meta.privacy, PrivacyLevel::Private);
         // Restore rebased the stream: next checkpoint is a full snapshot.
         assert!(!sup.checkpoint_store().has(0));
-        sup.heartbeat_once(); // learn the replacement's epoch
         sup.checkpoint_worker(0).unwrap();
         assert_eq!(sup.checkpoint_store().entry_count(0), 3);
     }
@@ -872,7 +896,6 @@ mod tests {
     fn notify_worker_dead_recovers_in_background() {
         let (ctx, workers) = mem_setup(1);
         let sup = Supervisor::new(Arc::clone(&ctx), SupervisionPolicy::default());
-        sup.heartbeat_once();
         put(&ctx, 0, 11, 1.1, PrivacyLevel::Public);
         sup.checkpoint_once();
 
@@ -892,17 +915,68 @@ mod tests {
     }
 
     #[test]
-    fn checkpoint_survives_worker_restart_between_sweeps() {
+    fn a_checkpoint_is_its_own_heartbeat() {
+        let (ctx, workers) = mem_setup(2);
+        let sup = Supervisor::new(Arc::clone(&ctx), SupervisionPolicy::default());
+        let block = exdra_matrix::rng::rand_matrix(40, 8, -1.0, 1.0, 3);
+        let bytes = 40 * 8 * 8;
+        ctx.call(
+            0,
+            &[Request::Put {
+                id: 7,
+                data: DataValue::from(block),
+                privacy: PrivacyLevel::Public,
+            }],
+        )
+        .unwrap();
+
+        // No probe was ever sent: the first checkpoint is full and leaves
+        // the detector holding the worker's epoch and load.
+        let before = ctx.stats().snapshot();
+        assert_eq!(sup.checkpoint_once(), vec![0, 1]);
+        let first = ctx.stats().snapshot().delta(&before);
+        assert_eq!(first.messages_sent, 2, "one envelope per worker");
+        assert_eq!(first.heartbeats, 0, "and no probe of its own");
+        assert!(first.bytes_received > bytes);
+        let health = sup.detector().health(0);
+        assert_eq!((health.epoch, health.load), (workers[0].epoch(), 1));
+        assert_eq!(health.beats, 1);
+
+        // So the second one is incremental: it ships the new binding only.
+        assert!(sup.checkpoint_store().next_since(0, health.epoch) > 0);
+        put(&ctx, 0, 8, 8.5, PrivacyLevel::Public);
+        let before = ctx.stats().snapshot();
+        sup.checkpoint_worker(0).unwrap();
+        let second = ctx.stats().snapshot().delta(&before);
+        assert!(second.bytes_received < bytes, "the block travelled again");
+        assert_eq!(sup.checkpoint_store().entry_count(0), 2);
+        assert_eq!(sup.detector().health(0).beats, 2);
+    }
+
+    #[test]
+    fn a_checkpoint_against_a_killed_worker_is_a_miss() {
+        let (ctx, workers) = mem_setup(2);
+        let sup = Supervisor::new(Arc::clone(&ctx), SupervisionPolicy::default());
+        workers[1].shutdown();
+        assert_eq!(sup.checkpoint_once(), vec![0]);
+        assert_eq!(sup.detector().health(1).consecutive_misses, 1);
+        assert_eq!(sup.checkpoint_once(), vec![0]);
+        assert_eq!(sup.detector().state(1), HealthState::Suspect);
+        assert_eq!(sup.detector().health(0).consecutive_misses, 0);
+        assert_eq!(ctx.stats().retries(), 0, "a closed channel is not retried");
+    }
+
+    #[test]
+    fn checkpoint_survives_worker_restart_between_checkpoints() {
         let (ctx, _workers) = mem_setup(1);
         let sup = Supervisor::new(Arc::clone(&ctx), SupervisionPolicy::default());
-        sup.heartbeat_once();
         put(&ctx, 0, 1, 1.0, PrivacyLevel::Public);
         sup.checkpoint_worker(0).unwrap();
         assert_eq!(sup.checkpoint_store().entry_count(0), 1);
 
-        // The worker silently restarts (new epoch, fresh sequence space)
-        // without the detector noticing: the incremental delta comes back
-        // epoch-stamped and the sweep falls back to a full snapshot.
+        // The worker silently restarts (new epoch, fresh sequence space):
+        // the incremental delta comes back epoch-stamped and the
+        // checkpoint falls back to a full snapshot.
         let replacement = Worker::new(WorkerConfig::default());
         replacement.table().bind(
             5,
@@ -917,6 +991,32 @@ mod tests {
         let snap = sup.checkpoint_store().snapshot(0).unwrap();
         assert_eq!(snap.len(), 1);
         assert_eq!(snap[0].id, 5, "store rebased onto the restarted worker");
+        // The reply in front of the delta told the detector as well: a
+        // restart under a healthy worker means Dead until replayed.
+        assert_eq!(sup.detector().health(0).epoch, replacement.epoch());
+        assert_eq!(sup.detector().state(0), HealthState::Dead);
+        assert!(sup.checkpoint_once().is_empty());
+    }
+
+    #[test]
+    fn a_checkpoint_that_races_a_recovery_leaves_the_snapshot_alone() {
+        let (ctx, _workers) = mem_setup(1);
+        let sup = Supervisor::new(Arc::clone(&ctx), SupervisionPolicy::default());
+        put(&ctx, 0, 1, 1.0, PrivacyLevel::Public);
+        sup.checkpoint_worker(0).unwrap();
+
+        // A recovery has claimed the worker and installed its empty
+        // replacement, but not restored yet; a checkpoint that was already
+        // on its way now talks to that replacement.
+        sup.detector().mark_dead(0);
+        assert!(sup.detector().begin_recovery(0));
+        let replacement = Worker::new(WorkerConfig::default());
+        ctx.replace_channel(0, Box::new(replacement.serve_mem()))
+            .unwrap();
+        assert!(sup.checkpoint_worker(0).is_err());
+        let snap = sup.checkpoint_store().snapshot(0).unwrap();
+        assert_eq!(snap.len(), 1, "what the recovery is about to restore");
+        assert_eq!(sup.detector().state(0), HealthState::Recovering);
     }
 
     #[test]
@@ -942,7 +1042,6 @@ mod tests {
             ..SupervisionPolicy::default()
         };
         let sup = Supervisor::new(Arc::clone(&ctx), policy);
-        sup.heartbeat_once();
         put(&ctx, 0, 21, 2.1, PrivacyLevel::Public);
         sup.checkpoint_worker(0).unwrap();
         // Prime the latency history so a deadline exists.

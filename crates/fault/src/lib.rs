@@ -9,7 +9,7 @@
 //!
 //! * [`retry`] — [`retry::RetryPolicy`]: exponential backoff with
 //!   decorrelated jitter, capped by a [`retry::Deadline`], plus the
-//!   transient-vs-fatal [`retry::ErrorClass`] taxonomy retry loops key on,
+//!   closed / transient / fatal [`retry::ErrorClass`] taxonomy retry loops key on,
 //! * [`detector`] — per-worker liveness tracking: the
 //!   [`detector::WorkerHealth`] state machine
 //!   (`Healthy → Suspect → Dead → Recovering`) driven by heartbeat

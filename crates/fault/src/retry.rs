@@ -1,8 +1,10 @@
 //! Retry with exponential backoff, decorrelated jitter, and deadlines.
 //!
 //! Every coordinator→worker RPC is wrapped in a [`RetryPolicy`]: transient
-//! failures (timeouts, connection resets — the WAN reality of federated
-//! deployments) are retried with growing, jittered delays; fatal failures
+//! failures (timeouts, refused connections — the WAN reality of federated
+//! deployments) are retried with growing, jittered delays; a peer that
+//! closed the channel ([`peer_closed`]) gets one immediate retry, because
+//! only a new channel can answer and no wait produces one; fatal failures
 //! (protocol violations, authentication failures) surface immediately.
 //! A [`Deadline`] caps the whole retry loop so callers get a bounded
 //! worst-case latency instead of an unbounded reconnect storm.
@@ -15,25 +17,39 @@
 use std::io;
 use std::time::{Duration, Instant};
 
-/// Transient-vs-fatal classification of an RPC failure.
+/// What an RPC failure means for the next attempt.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ErrorClass {
-    /// Worth retrying: the operation may succeed on a fresh attempt
-    /// (timeout, dropped connection, worker restarting).
+    /// Weather, worth waiting out: the operation may succeed on a later
+    /// attempt (timeout, refused connection, worker restarting).
     Transient,
+    /// The peer closed the channel. Waiting revives nothing: the next
+    /// attempt must bring a new channel, and may start at once.
+    Closed,
     /// Retrying cannot help: the failure is deterministic (malformed
     /// protocol data, privacy denial, invalid request).
     Fatal,
 }
 
-/// Classifies an I/O error by kind: network-weather kinds are transient,
-/// data-integrity kinds fatal.
+/// True when `e` says the peer closed the channel: the one list behind
+/// both [`ErrorClass::Closed`] and the coordinator's typed `WorkerDead`.
+pub fn peer_closed(e: &io::Error) -> bool {
+    use io::ErrorKind::*;
+    matches!(
+        e.kind(),
+        BrokenPipe | ConnectionReset | ConnectionAborted | UnexpectedEof | NotConnected
+    )
+}
+
+/// Classifies an I/O error by kind: a closed peer, network weather
+/// (transient), or data integrity (fatal).
 pub fn classify_io(e: &io::Error) -> ErrorClass {
     use io::ErrorKind::*;
     match e.kind() {
-        TimedOut | WouldBlock | ConnectionReset | ConnectionAborted | ConnectionRefused
-        | BrokenPipe | UnexpectedEof | Interrupted | NotConnected | AddrInUse
-        | AddrNotAvailable => ErrorClass::Transient,
+        _ if peer_closed(e) => ErrorClass::Closed,
+        TimedOut | WouldBlock | ConnectionRefused | Interrupted | AddrInUse | AddrNotAvailable => {
+            ErrorClass::Transient
+        }
         _ => ErrorClass::Fatal,
     }
 }
@@ -57,16 +73,10 @@ impl Deadline {
         Self { at: None }
     }
 
-    /// Time left, `None` when expired. A never-deadline reports a large
-    /// constant remaining.
+    /// Time left (zero once expired); `None` when unbounded.
     pub fn remaining(&self) -> Option<Duration> {
-        match self.at {
-            None => Some(Duration::from_secs(u64::MAX / 4)),
-            Some(at) => at.checked_duration_since(Instant::now()).or({
-                // checked_duration_since returns None when `at` has passed.
-                None
-            }),
-        }
+        self.at
+            .map(|at| at.saturating_duration_since(Instant::now()))
     }
 
     /// True when no time remains.
@@ -184,8 +194,12 @@ impl RetryPolicy {
 
     /// Runs `op` under this policy: retries [`ErrorClass::Transient`]
     /// failures (per `classify`) with backoff sleeps until the attempt
-    /// budget or `deadline` is exhausted. `op` receives the 0-based
-    /// attempt index. Returns the last error when retries run out.
+    /// budget or `deadline` is exhausted. The first [`ErrorClass::Closed`]
+    /// failure of a run is retried at once, outside the schedule (a policy
+    /// of one attempt has no schedule and retries nothing); a later one
+    /// means the new channel closed too, and waits like weather. `op`
+    /// receives the 0-based attempt index. Returns the last error when
+    /// retries run out.
     pub fn run<T, E>(
         &self,
         deadline: Deadline,
@@ -205,29 +219,26 @@ impl RetryPolicy {
         mut sleep: impl FnMut(Duration),
     ) -> Result<T, E> {
         let mut delays = self.delays();
+        let mut redial = self.max_attempts > 1;
         let mut attempt = 0u32;
         loop {
             match op(attempt) {
                 Ok(v) => return Ok(v),
-                Err(e) => {
-                    if classify(&e) == ErrorClass::Fatal {
-                        return Err(e);
-                    }
-                    let Some(delay) = delays.next() else {
-                        return Err(e);
-                    };
-                    // Cap the sleep to the remaining deadline; an expired
-                    // deadline ends the loop with the last error.
-                    match deadline.remaining() {
-                        None => return Err(e),
-                        Some(rem) => {
-                            if rem.is_zero() {
-                                return Err(e);
-                            }
-                            sleep(delay.min(rem));
+                Err(e) => match classify(&e) {
+                    ErrorClass::Fatal => return Err(e),
+                    ErrorClass::Closed if std::mem::take(&mut redial) && !deadline.expired() => {}
+                    _ => {
+                        let Some(delay) = delays.next() else {
+                            return Err(e);
+                        };
+                        // Cap the sleep to the remaining deadline; an
+                        // expired deadline ends the loop with the last error.
+                        match deadline.remaining() {
+                            Some(rem) if rem.is_zero() => return Err(e),
+                            rem => sleep(rem.map_or(delay, |rem| delay.min(rem))),
                         }
                     }
-                }
+                },
             }
             attempt += 1;
         }
@@ -243,13 +254,75 @@ mod tests {
         io::Error::new(io::ErrorKind::TimedOut, "t")
     }
 
+    fn closed() -> io::Error {
+        io::Error::new(io::ErrorKind::BrokenPipe, "peer closed")
+    }
+
+    fn refused() -> io::Error {
+        io::Error::new(io::ErrorKind::ConnectionRefused, "nobody listening")
+    }
+
+    /// Runs `script` (one outcome per attempt, the last repeating) under
+    /// `policy` and returns `(attempts, sleeps)`. With nothing to dial, a
+    /// closed peer is final, as in the coordinator.
+    fn drive(
+        policy: &RetryPolicy,
+        can_redial: bool,
+        script: &[fn() -> io::Result<()>],
+    ) -> (u32, Vec<Duration>) {
+        let mut slept = Vec::new();
+        let mut attempts = 0;
+        let _ = policy.run_with_sleep(
+            Deadline::never(),
+            &mut |a| {
+                attempts += 1;
+                script[(a as usize).min(script.len() - 1)]()
+            },
+            &|e| match classify_io(e) {
+                ErrorClass::Closed if !can_redial => ErrorClass::Fatal,
+                class => class,
+            },
+            |d| slept.push(d),
+        );
+        (attempts, slept)
+    }
+
+    #[test]
+    fn a_closed_peer_never_sleeps_unless_the_redial_fails() {
+        let policy = RetryPolicy::new(Duration::from_millis(20), Duration::from_millis(500), 4);
+        let schedule: Vec<_> = policy.delays().collect();
+        // Nothing to dial: the first error is the verdict.
+        assert_eq!(drive(&policy, false, &[|| Err(closed())]), (1, vec![]));
+        // The redial succeeds: resent at once.
+        assert_eq!(
+            drive(&policy, true, &[|| Err(closed()), || Ok(())]),
+            (2, vec![])
+        );
+        // The redial is refused: that is weather, and gets the whole
+        // schedule; the immediate attempt cost none of it.
+        assert_eq!(
+            drive(&policy, true, &[|| Err(closed()), || Err(refused())]),
+            (5, schedule.clone())
+        );
+        // The new channel closes too: no second free attempt.
+        assert_eq!(
+            drive(&policy, true, &[|| Err(closed())]),
+            (5, schedule.clone())
+        );
+        // Timeouts keep their schedule exactly.
+        assert_eq!(drive(&policy, true, &[|| Err(transient())]), (4, schedule));
+        // A policy of one attempt retries nothing, closed or not.
+        assert_eq!(
+            drive(&RetryPolicy::none(), true, &[|| Err(closed())]),
+            (1, vec![])
+        );
+    }
+
     #[test]
     fn classify_timeouts_transient_data_fatal() {
         assert_eq!(classify_io(&transient()), ErrorClass::Transient);
-        assert_eq!(
-            classify_io(&io::Error::new(io::ErrorKind::BrokenPipe, "x")),
-            ErrorClass::Transient
-        );
+        assert_eq!(classify_io(&closed()), ErrorClass::Closed);
+        assert_eq!(classify_io(&refused()), ErrorClass::Transient);
         assert_eq!(
             classify_io(&io::Error::new(io::ErrorKind::InvalidData, "x")),
             ErrorClass::Fatal

@@ -590,7 +590,7 @@ impl CompressedMatrix {
 
     /// `t(self) %*% w` on the compressed representation, returned as the
     /// `1 x cols` row vector `t(w) %*% self`: per column and per column of
-    /// `w`, one r-ascending chain `acc += w[r] * x` ([`ColumnGroup::dot_rows`])
+    /// `w`, one r-ascending chain `acc += w[r] * x` (`ColumnGroup::dot_rows`)
     /// — the dense row sweep's per-cell order. For the `cols x k` product
     /// with a `rows x k` right-hand side see [`CompressedMatrix::t_matmul`].
     pub fn t_vecmat(&self, w: &DenseMatrix) -> Result<DenseMatrix> {

@@ -30,7 +30,7 @@ const MAX_QL_ITERATIONS: usize = 30;
 
 /// Eigen-decomposition of a symmetric matrix (only the upper triangle is
 /// read). A non-finite cell, an overflow, or an eigenvalue that does not
-/// converge within [`MAX_QL_ITERATIONS`], is a [`MatrixError::Numerical`].
+/// converge within `MAX_QL_ITERATIONS`, is a [`MatrixError::Numerical`].
 pub fn eigen_symmetric(a: &DenseMatrix) -> Result<EigenDecomposition> {
     let n = a.rows();
     if a.cols() != n {

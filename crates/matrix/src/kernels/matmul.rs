@@ -513,10 +513,10 @@ const TSMM_SLAB_ROWS: usize = 64;
 /// or `X Xᵀ` (`left=false`) exploiting the symmetry of the result.
 ///
 /// `Xᵀ X` is the [`matmul_tn`] row sweep restricted to the upper
-/// triangle: output blocks of [`TSMM_BLOCK_ROWS`] rows reach from the
+/// triangle: output blocks of `TSMM_BLOCK_ROWS` rows reach from the
 /// diagonal to the right edge and are dealt, largest first, to at most
 /// one job per pool thread; every job walks `X` **once**, slab by slab,
-/// extending its blocks' cells with [`tn_block`]. `X Xᵀ` is row-dot-row.
+/// extending its blocks' cells with `tn_block`. `X Xᵀ` is row-dot-row.
 /// Either way each upper cell is the r-ascending chain of `matmul_naive`
 /// on the materialized transpose at every thread count, and the lower
 /// triangle is its mirror.
@@ -585,8 +585,8 @@ pub fn tsmm(x: &DenseMatrix, left: bool) -> Result<DenseMatrix> {
 /// `mmchain` (DESIGN.md §4k) can reproduce the chain bit for bit.
 ///
 /// A region that runs as one chunk interleaves the phases over 32-row
-/// blocks and reads `X` once ([`mmchain_sweep_body`]); one large enough
-/// to fan out ([`strip_len`]) runs them back to back across the pool.
+/// blocks and reads `X` once (`mmchain_sweep_body`); one large enough
+/// to fan out (`strip_len`) runs them back to back across the pool.
 /// Same chains, same bits, either way.
 pub fn mmchain(x: &DenseMatrix, v: &DenseMatrix, w: Option<&DenseMatrix>) -> Result<DenseMatrix> {
     mmchain_scheduled(x, v, w, false)

@@ -154,42 +154,52 @@ pub fn model_hash(params: &[DenseMatrix]) -> u64 {
     h
 }
 
-/// Scatters one feature block per site to its worker and wraps them as a
-/// row-partitioned [`FedMatrix`] (site `i` holds rows `lo_i..hi_i`, in
-/// site order). Blocks must agree on the column count; empty blocks are
-/// rejected (a site that produced no windows has nothing to train on).
+/// Scatters one feature block and its label block per site to its worker,
+/// both `PUT`s in one message, and wraps the features as a row-partitioned
+/// [`FedMatrix`] (site `i` holds rows `lo_i..hi_i`, in site order) next to
+/// every partition's label id. Not deferred: a checkpoint travels alone and
+/// would miss installs still queued. Blocks must agree on the column count;
+/// empty blocks are rejected (a site that produced no windows has nothing
+/// to train on).
 pub fn scatter_site_blocks(
     ctx: &Arc<FedContext>,
     blocks: &[DenseMatrix],
+    labels: &[DenseMatrix],
     privacy: PrivacyLevel,
-) -> Result<FedMatrix> {
-    if blocks.is_empty() {
-        return Err(RuntimeError::Invalid("no site blocks to scatter".into()));
+) -> Result<(FedMatrix, Vec<u64>)> {
+    if blocks.is_empty() || blocks.len() != labels.len() {
+        return Err(RuntimeError::Invalid(
+            "no site blocks, or labels do not pair up".into(),
+        ));
     }
     let cols = blocks[0].cols();
     let mut parts = Vec::with_capacity(blocks.len());
+    let mut y_ids = Vec::with_capacity(blocks.len());
     let mut batches = vec![Vec::new(); ctx.num_workers()];
     let mut lo = 0usize;
-    for (site, b) in blocks.iter().enumerate() {
-        if b.rows() == 0 || b.cols() != cols {
+    for (site, (b, y)) in blocks.iter().zip(labels).enumerate() {
+        if b.rows() == 0 || b.cols() != cols || y.rows() != b.rows() {
             return Err(RuntimeError::Invalid(format!(
-                "site {site}: block is {}x{}, expected non-empty with {cols} cols",
+                "site {site}: block is {}x{}, expected non-empty with {cols} cols and as many labels",
                 b.rows(),
                 b.cols()
             )));
         }
-        let id = ctx.fresh_id();
-        batches[site].push(Request::Put {
-            id,
-            data: DataValue::from(b.clone()),
-            privacy,
-        });
+        let (id, y_id) = (ctx.fresh_id(), ctx.fresh_id());
+        for (id, m) in [(id, b), (y_id, y)] {
+            batches[site].push(Request::Put {
+                id,
+                data: DataValue::from(m.clone()),
+                privacy,
+            });
+        }
         parts.push(FedPartition {
             lo,
             hi: lo + b.rows(),
             worker: site,
             id,
         });
+        y_ids.push(y_id);
         lo += b.rows();
     }
     let responses = ctx.call_all(batches)?;
@@ -198,7 +208,7 @@ pub fn scatter_site_blocks(
             expect_ok(r, w)?;
         }
     }
-    FedMatrix::from_parts(
+    let x = FedMatrix::from_parts(
         Arc::clone(ctx),
         PartitionScheme::Row,
         lo,
@@ -206,7 +216,8 @@ pub fn scatter_site_blocks(
         parts,
         privacy,
         true,
-    )
+    )?;
+    Ok((x, y_ids))
 }
 
 /// Configuration of the continuous trainer.
@@ -382,7 +393,12 @@ impl ContinuousTrainer {
     /// Scatters one round's site blocks and labels, returning the handle
     /// the round (and any retry of it) trains on.
     pub fn prepare(&self, ctx: &Arc<FedContext>, blocks: &[DenseMatrix]) -> Result<PreparedRound> {
-        let x = scatter_site_blocks(ctx, blocks, PrivacyLevel::Public)?;
+        // Labels are row-wise in the features: a site's slice is its block's.
+        let one_hot = |b| synth::one_hot(&label_classes(b), self.cfg.classes);
+        let y1h: Vec<DenseMatrix> = blocks.iter().map(one_hot).collect();
+        let (x, y_ids) = scatter_site_blocks(ctx, blocks, &y1h, PrivacyLevel::Public)?;
+        let parts = x.parts().iter().zip(y_ids);
+        let data_ids = parts.map(|(p, y_id)| (p.worker, p.id, y_id)).collect();
         let cols = x.cols();
         let mut data = Vec::with_capacity(x.rows() * cols);
         for b in blocks {
@@ -390,11 +406,8 @@ impl ContinuousTrainer {
         }
         let features = DenseMatrix::new(x.rows(), cols, data)?;
         let labels = label_classes(&features);
-        let y1h = synth::one_hot(&labels, self.cfg.classes);
-        let fed_labels = psfed::scatter_labels(&x, &y1h)?;
         let sizes: Vec<usize> = x.parts().iter().map(|p| p.len()).collect();
         let plan = balance::plan(&sizes, balance::BalanceStrategy::None);
-        let data_ids = psfed::apply_balance(&x, &fed_labels, &plan)?;
         Ok(PreparedRound {
             x,
             data_ids,

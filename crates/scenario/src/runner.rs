@@ -35,6 +35,8 @@ pub struct RoundStat {
     /// Wall time of scatter + checkpoint + training (including any
     /// recovery + retry), in milliseconds.
     pub millis: f64,
+    /// Messages the coordinator sent over that time, all sites together.
+    pub messages: u64,
     /// Final epoch loss (0 when the round ultimately failed).
     pub loss: f64,
     /// Post-round accuracy on the round's windows (0 on failure).
@@ -99,9 +101,9 @@ impl ScenarioReport {
             .iter()
             .map(|r| {
                 format!(
-                    "{{\"round\":{},\"ms\":{:.3},\"loss\":{:.6},\"accuracy\":{:.4},\
+                    "{{\"round\":{},\"ms\":{:.3},\"messages\":{},\"loss\":{:.6},\"accuracy\":{:.4},\
                      \"staleness\":{},\"retried\":{},\"failed\":{}}}",
-                    r.round, r.millis, r.loss, r.accuracy, r.staleness, r.retried, r.failed
+                    r.round, r.millis, r.messages, r.loss, r.accuracy, r.staleness, r.retried, r.failed
                 )
             })
             .collect();
@@ -332,10 +334,10 @@ fn execute(sc: &Scenario, tag: &str) -> Result<ExecOutcome> {
         // 2. Drift check against the consolidated transform metadata.
         trainer.observe(&blocks)?;
 
-        // 3. Scatter, checkpoint, then (maybe) kill and train.
-        let t0 = Instant::now();
+        // 3. Scatter, checkpoint (its reply is the round's proof of life),
+        //    then (maybe) kill and train.
+        let (t0, sent0) = (Instant::now(), ctx.stats().messages_sent());
         let prep = trainer.prepare(&ctx, &blocks)?;
-        sup.heartbeat_once();
         sup.checkpoint_once();
         let killed = churn.get(&round).copied();
         if let Some(site) = killed {
@@ -364,32 +366,21 @@ fn execute(sc: &Scenario, tag: &str) -> Result<ExecOutcome> {
                 outcome = trainer.train_round(&ctx, &prep, round, Some(sup.latency_tracker()));
             }
         }
-        let millis = t0.elapsed().as_secs_f64() * 1e3;
-
-        match outcome {
-            Ok(m) => {
-                max_staleness = max_staleness.max(m.staleness);
-                final_accuracy = m.accuracy;
-                rounds.push(RoundStat {
-                    round,
-                    millis,
-                    loss: m.loss,
-                    accuracy: m.accuracy,
-                    staleness: m.staleness,
-                    retried,
-                    failed: false,
-                });
-            }
-            Err(_) => rounds.push(RoundStat {
-                round,
-                millis,
-                loss: 0.0,
-                accuracy: 0.0,
-                staleness: 0,
-                retried,
-                failed: true,
-            }),
+        let m = outcome.as_ref().ok();
+        if let Some(m) = m {
+            max_staleness = max_staleness.max(m.staleness);
+            final_accuracy = m.accuracy;
         }
+        rounds.push(RoundStat {
+            round,
+            millis: t0.elapsed().as_secs_f64() * 1e3,
+            messages: ctx.stats().messages_sent() - sent0,
+            loss: m.map_or(0.0, |m| m.loss),
+            accuracy: m.map_or(0.0, |m| m.accuracy),
+            staleness: m.map_or(0, |m| m.staleness),
+            retried,
+            failed: m.is_none(),
+        });
     }
 
     let outcome = ExecOutcome {

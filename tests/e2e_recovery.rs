@@ -12,7 +12,7 @@ use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::Duration;
 
 use exdra::core::protocol::{Request, Response};
-use exdra::core::supervision::{SpeculationPolicy, Supervisor};
+use exdra::core::supervision::{HealthState, SpeculationPolicy, Supervisor};
 use exdra::core::testutil::{mem_federation, tcp_federation};
 use exdra::core::worker::{Worker, WorkerConfig};
 use exdra::core::DataValue;
@@ -213,6 +213,49 @@ fn worker_killed_with_a_non_empty_outbox_recovers_bitwise() {
 /// restored dense with an empty cache; once its idle sweep has compacted
 /// the entry again it answers with the same bits from the column groups
 /// and earns the twin back.
+/// The whole arc on an endpoint-less federation, driven by hand: kill,
+/// the failing call, `notify_worker_dead`, restore, the retried op. The
+/// closed channel has nothing behind it to redial, so its first error is
+/// the verdict: not one retry is spent on it anywhere along the way.
+#[test]
+fn a_killed_mem_worker_is_reported_and_restored_without_a_retry() {
+    use exdra::core::{FedError, FedMatrix};
+
+    let (ctx, workers) = mem_federation(2);
+    let sup = Supervisor::new(Arc::clone(&ctx), SupervisionPolicy::default());
+    let m = rand_matrix(60, 5, -1.0, 1.0, 29);
+    let fed = FedMatrix::scatter_rows(&ctx, &m, PrivacyLevel::Public).unwrap();
+    let expected = fed.tsmm().unwrap();
+    assert_eq!(sup.checkpoint_once(), vec![0, 1]);
+
+    let replacement = Worker::new(WorkerConfig::default());
+    let r2 = Arc::clone(&replacement);
+    sup.set_reconnector(Box::new(move |_w| {
+        Some(Box::new(r2.serve_mem()) as Box<dyn Channel>)
+    }));
+    workers[1].shutdown();
+    let err = fed.tsmm().unwrap_err();
+    assert!(
+        matches!(err, FedError::WorkerDead { worker: 1, .. }),
+        "{err}"
+    );
+    sup.notify_worker_dead(1);
+    sup.wait_recoveries();
+    assert_eq!(sup.detector().state(1), HealthState::Healthy);
+    let after = fed.tsmm().unwrap();
+    assert_eq!(
+        expected.values(),
+        after.values(),
+        "the retried op is bitwise the fault-free result"
+    );
+    assert_eq!(
+        ctx.stats().retries(),
+        0,
+        "nothing slept on the dead channel"
+    );
+    assert_eq!(ctx.stats().recoveries(), 1);
+}
+
 #[test]
 fn worker_killed_holding_a_dense_twin_recovers_bitwise_without_it() {
     use exdra::core::lineage::twin_of;

@@ -80,6 +80,40 @@ fn site_churn_recovers_bitwise_with_zero_failed_computations() {
     assert_eq!(r.expdb_runs, sc.workload.rounds);
 }
 
+/// A count that repeats exactly: a continuous round costs every site
+/// `2 + epochs` messages under BSP and under ASP: one install (`PUT x`
+/// and `PUT y` together), one checkpoint (whose reply is also the round's
+/// proof of life), one per epoch. An install or a probe that becomes a
+/// message of its own again fails this.
+#[test]
+fn a_continuous_round_is_two_messages_plus_its_epochs_per_site() {
+    for sc in [
+        Scenario::one_straggler(SEED, 0.1),
+        Scenario::site_churn(SEED, 0.1),
+    ] {
+        let wl = &sc.workload;
+        let (sites, epochs) = (wl.sites as u64, wl.epochs_per_round as u64);
+        let r = run_scenario(&sc).expect("scenario runs");
+        assert!(r.passed, "{}: {:?}", sc.name, r.invariants);
+        let killed = sc.churn.first().map(|c| c.round);
+        for round in &r.rounds {
+            let mut want = sites * (2 + epochs);
+            if killed == Some(round.round) {
+                assert!(round.retried);
+                // The epoch the kill interrupted was sent to every site,
+                // and the replacement channel carries one probe and one
+                // restore before the round runs again.
+                want += sites + 2;
+            }
+            assert_eq!(
+                round.messages, want,
+                "{} round {}: messages sent",
+                sc.name, round.round
+            );
+        }
+    }
+}
+
 #[test]
 fn skewed_partitions_stay_deterministic() {
     let sc = Scenario::skewed_partitions(SEED, SCALE);
