@@ -172,14 +172,8 @@ impl Supervisor {
     /// post-probe health states. Workers currently being recovered are
     /// skipped (their channel is mid-replacement).
     pub fn heartbeat_once(&self) -> Vec<HealthState> {
-        self.probe_except(&[])
-    }
-
-    /// [`Supervisor::heartbeat_once`] without the workers in `proven`,
-    /// whose checkpoint reply this tick already was the probe.
-    fn probe_except(&self, proven: &[usize]) -> Vec<HealthState> {
         for w in 0..self.detector.len() {
-            if self.detector.state(w) == HealthState::Recovering || proven.contains(&w) {
+            if self.detector.state(w) == HealthState::Recovering {
                 continue;
             }
             match self.ctx.heartbeat(w) {
@@ -247,19 +241,27 @@ impl Supervisor {
         }
         let batch = [Request::Heartbeat, Request::Checkpoint { since_seq: since }];
         let reply = self.ctx.call(worker, &batch);
-        if reply.is_err() {
-            self.detector.record_miss(worker);
-        }
-        let mut responses = reply?.into_iter();
-        // A recovery that began meanwhile owns the worker: its still empty
-        // replacement answered, and the stored snapshot is what it restores.
+        // A recovery that began meanwhile owns the worker and its detector
+        // entry (a miss would abort it): its still empty replacement
+        // answered, and the stored snapshot is what it restores.
         if self.detector.state(worker) == HealthState::Recovering {
             return Err(FedError::Network(format!(
                 "worker {worker}: checkpoint raced a recovery"
             )));
         }
+        if reply.is_err() {
+            self.detector.record_miss(worker);
+        }
+        let mut responses = reply?.into_iter();
         if let Some(Response::Alive { epoch, load }) = responses.next() {
             self.detector.record_success(worker, epoch, load);
+        }
+        // The ALIVE revealed a restart (Healthy -> Dead): the worker is empty,
+        // and the snapshot the store holds is what `recover` restores it from.
+        if self.detector.state(worker) != HealthState::Healthy {
+            return Err(FedError::Network(format!(
+                "worker {worker}: not healthy, its checkpoint is kept for recovery"
+            )));
         }
         let delta = match responses.next() {
             Some(Response::Checkpoint(d)) => d,
@@ -482,11 +484,7 @@ impl Supervisor {
     /// supervisor's background thread, off the compute path). Returns
     /// the workers recovered this sweep.
     pub fn sweep(&self) -> Vec<usize> {
-        self.sweep_except(&[])
-    }
-
-    fn sweep_except(&self, proven: &[usize]) -> Vec<usize> {
-        let states = self.probe_except(proven);
+        let states = self.heartbeat_once();
         let mut recovered = Vec::new();
         for (w, s) in states.iter().enumerate() {
             if *s == HealthState::Dead && matches!(self.recover(w), Ok(true)) {
@@ -723,15 +721,13 @@ impl Supervisor {
                         continue;
                     }
                     next_sweep = Instant::now() + sup.policy.heartbeat_interval;
-                    // On a checkpoint tick the sweep probes only the
-                    // workers no checkpoint reply vouched for.
-                    let every = sup.policy.checkpoint_interval;
-                    let mut proven = Vec::new();
-                    if every.is_some_and(|every| last_checkpoint.elapsed() >= every) {
-                        proven = sup.checkpoint_once();
-                        last_checkpoint = Instant::now();
+                    let _ = sup.sweep();
+                    if let Some(every) = sup.policy.checkpoint_interval {
+                        if last_checkpoint.elapsed() >= every {
+                            let _ = sup.checkpoint_once();
+                            last_checkpoint = Instant::now();
+                        }
                     }
-                    let _ = sup.sweep_except(&proven);
                 }
             })
             .expect("spawn supervisor thread")
@@ -967,35 +963,40 @@ mod tests {
     }
 
     #[test]
-    fn checkpoint_survives_worker_restart_between_checkpoints() {
+    fn a_restart_seen_by_a_checkpoint_keeps_the_snapshot_for_recovery() {
         let (ctx, _workers) = mem_setup(1);
         let sup = Supervisor::new(Arc::clone(&ctx), SupervisionPolicy::default());
         put(&ctx, 0, 1, 1.0, PrivacyLevel::Public);
         sup.checkpoint_worker(0).unwrap();
         assert_eq!(sup.checkpoint_store().entry_count(0), 1);
 
-        // The worker silently restarts (new epoch, fresh sequence space):
-        // the incremental delta comes back epoch-stamped and the
-        // checkpoint falls back to a full snapshot.
+        // The worker silently restarts empty (new epoch, fresh sequence
+        // space) and the checkpoint is the first exchange to meet it.
         let replacement = Worker::new(WorkerConfig::default());
-        replacement.table().bind(
-            5,
-            std::sync::Arc::new(DataValue::Scalar(5.0)),
-            PrivacyLevel::Public,
-            true,
-            0,
-        );
+        let r2 = Arc::clone(&replacement);
+        sup.set_reconnector(Box::new(move |_w| {
+            Some(Box::new(r2.serve_mem()) as Box<dyn Channel>)
+        }));
         ctx.replace_channel(0, Box::new(replacement.serve_mem()))
             .unwrap();
-        sup.checkpoint_worker(0).unwrap();
-        let snap = sup.checkpoint_store().snapshot(0).unwrap();
-        assert_eq!(snap.len(), 1);
-        assert_eq!(snap[0].id, 5, "store rebased onto the restarted worker");
-        // The reply in front of the delta told the detector as well: a
-        // restart under a healthy worker means Dead until replayed.
+        assert!(sup.checkpoint_once().is_empty());
+        // The reply in front of the delta told the detector (a restart under
+        // a healthy worker means Dead until replayed), and the empty worker's
+        // delta never reached the store.
         assert_eq!(sup.detector().health(0).epoch, replacement.epoch());
         assert_eq!(sup.detector().state(0), HealthState::Dead);
-        assert!(sup.checkpoint_once().is_empty());
+        let snap = sup.checkpoint_store().snapshot(0).unwrap();
+        assert_eq!((snap.len(), snap[0].id), (1, 1), "the good snapshot");
+        assert!(sup.checkpoint_once().is_empty(), "a dead worker is skipped");
+
+        // So the sweep restores the binding, in either order of the tick.
+        assert_eq!(sup.sweep(), vec![0]);
+        assert_eq!(sup.detector().state(0), HealthState::Healthy);
+        assert!(replacement.table().contains(1));
+        // Restore rebased the stream: the next checkpoint is a full snapshot
+        // of the restarted worker's sequence space.
+        assert_eq!(sup.checkpoint_once(), vec![0]);
+        assert_eq!(sup.checkpoint_store().entry_count(0), 1);
     }
 
     #[test]
@@ -1017,6 +1018,13 @@ mod tests {
         let snap = sup.checkpoint_store().snapshot(0).unwrap();
         assert_eq!(snap.len(), 1, "what the recovery is about to restore");
         assert_eq!(sup.detector().state(0), HealthState::Recovering);
+
+        // Nor does a failed exchange count as a miss against it: that would
+        // send the worker back to Dead under the recovery in flight.
+        replacement.shutdown();
+        assert!(sup.checkpoint_worker(0).is_err());
+        assert_eq!(sup.detector().state(0), HealthState::Recovering);
+        assert_eq!(sup.detector().health(0).consecutive_misses, 0);
     }
 
     #[test]

@@ -207,12 +207,6 @@ fn worker_killed_with_a_non_empty_outbox_recovers_bitwise() {
     assert!(Tensor::Fed(pending).to_local().is_err());
 }
 
-/// A dense twin is a worker's private, re-derivable form of a compacted
-/// entry: it is in no checkpoint (a checkpoint carries the logical value,
-/// as it travels on the wire). A worker killed while it holds one is
-/// restored dense with an empty cache; once its idle sweep has compacted
-/// the entry again it answers with the same bits from the column groups
-/// and earns the twin back.
 /// The whole arc on an endpoint-less federation, driven by hand: kill,
 /// the failing call, `notify_worker_dead`, restore, the retried op. The
 /// closed channel has nothing behind it to redial, so its first error is
@@ -256,6 +250,12 @@ fn a_killed_mem_worker_is_reported_and_restored_without_a_retry() {
     assert_eq!(ctx.stats().recoveries(), 1);
 }
 
+/// A dense twin is a worker's private, re-derivable form of a compacted
+/// entry: it is in no checkpoint (a checkpoint carries the logical value,
+/// as it travels on the wire). A worker killed while it holds one is
+/// restored dense with an empty cache; once its idle sweep has compacted
+/// the entry again it answers with the same bits from the column groups
+/// and earns the twin back.
 #[test]
 fn worker_killed_holding_a_dense_twin_recovers_bitwise_without_it() {
     use exdra::core::lineage::twin_of;
