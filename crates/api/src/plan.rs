@@ -537,18 +537,7 @@ fn infer(op: &PlanOp, children: &[usize], meta: &[Option<NodeMeta>]) -> Option<N
             };
             some(rows, cols, loc, parts)
         }
-        PlanOp::Scalar(op, _, swap) => {
-            let a = m(0)?;
-            if *swap
-                && a.loc.is_fed()
-                && !op.is_commutative()
-                && !matches!(op, BinaryOp::Sub | BinaryOp::Div)
-            {
-                return None; // no federated rewrite: runtime error
-            }
-            some(a.rows, a.cols, a.loc, a.parts)
-        }
-        PlanOp::Unary(_) | PlanOp::Replace(..) => {
+        PlanOp::Scalar(..) | PlanOp::Unary(_) | PlanOp::Replace(..) => {
             let a = m(0)?;
             some(a.rows, a.cols, a.loc, a.parts)
         }

@@ -1,7 +1,9 @@
 //! Micro-kernel throughput sweep: blocked GEMM vs the naive reference
 //! (the test oracle), tsmm, mmchain, the thin `X %*% V` products on and
 //! off the panel width with PCA's tall `tsmm` and 100 x 100
-//! `eigen_symmetric` (report only), the `t(A) %*% B` row sweep vs
+//! `eigen_symmetric` (report only), the element-wise and aggregate
+//! kernels on K-Means' shapes against their per-cell oracle (`ew_agg`,
+//! bitwise-checked), the `t(A) %*% B` row sweep vs
 //! transpose-then-GEMM, one-pass vs two-phase mmchain, and
 //! compressed-domain operators (dense, column groups, and the form a
 //! worker holding the dense twin picks), plus two end-to-end worker
@@ -27,13 +29,19 @@ use exdra_core::PrivacyLevel;
 use exdra_matrix::compress::CompressedMatrix;
 use exdra_matrix::eigen::eigen_symmetric;
 use exdra_matrix::kernels::aggregates::{aggregate, AggDir, AggOp};
-use exdra_matrix::kernels::elementwise::{scalar, BinaryOp};
+use exdra_matrix::kernels::elementwise::{binary, scalar, BinaryOp};
 use exdra_matrix::kernels::matmul::{
     matmul, matmul_naive, matmul_tn, mmchain, mmchain_two_phase, tsmm,
 };
 use exdra_matrix::kernels::reorg::transpose;
 use exdra_matrix::rng::rand_matrix;
 use exdra_matrix::DenseMatrix;
+
+// The per-cell reference kernels of `proptest_kernels.rs`; this binary
+// times and checks a few of them.
+#[allow(dead_code)]
+#[path = "../../../matrix/tests/oracle/mod.rs"]
+mod oracle;
 
 fn bits(m: &DenseMatrix) -> Vec<u64> {
     m.values().iter().map(|v| v.to_bits()).collect()
@@ -229,6 +237,70 @@ fn main() {
         "-".into(),
     ]);
     table.print();
+
+    // ---- element-wise and aggregate kernels on K-Means' shapes --------
+    // PCA's and K-Means' `sumSq` / `colMeans` on X, and a Lloyd step's
+    // passes over the n x 20 distance matrix D. Each kernel matches its
+    // operator once per call and carries only the chains its op returns;
+    // the per-cell oracle (`op.apply` per cell, all four aggregate chains
+    // per cell) is what they replaced, and its bits are theirs.
+    let d = rand_matrix(tall_rows, 20, 0.0, 10.0, 17);
+    let mins = aggregate(&d, AggOp::Min, AggDir::Row).expect("agg");
+    let mut ew_rows = Vec::new();
+    let mut table = Table::new(
+        &format!("Element-wise and aggregate kernels on K-Means' shapes, {tall_rows} rows"),
+        &["kernel", "input", "pool", "1 thread", "per-cell oracle"],
+    );
+    let mut measure = |name: &str,
+                       input: &DenseMatrix,
+                       kernel: &dyn Fn() -> DenseMatrix,
+                       reference: &dyn Fn() -> DenseMatrix| {
+        assert_eq!(
+            bits(&kernel()),
+            bits(&reference()),
+            "{name}: differs bitwise from the per-cell oracle"
+        );
+        let (pool_t, _) = time_reps(cfg.reps, kernel);
+        let (t1, _) = exdra_par::with_threads(1, || time_reps(cfg.reps, kernel));
+        let (oracle_t, _) = time_reps(cfg.reps, reference);
+        let (r, c) = input.shape();
+        table.row(&[
+            name.into(),
+            format!("{r}x{c}"),
+            secs(pool_t),
+            secs(t1),
+            secs(oracle_t),
+        ]);
+        ew_rows.push(format!(
+            "    {{\"kernel\": \"{name}\", \"rows\": {r}, \"cols\": {c}, \"secs\": {pool_t:.6}, \
+             \"secs_t1\": {t1:.6}, \"oracle_secs\": {oracle_t:.6}, \"bitwise_identical\": true}}"
+        ));
+    };
+    for (name, m, op, dir) in [
+        ("sumSq", &x, AggOp::SumSq, AggDir::Full),
+        ("colMeans", &x, AggOp::Mean, AggDir::Col),
+        ("rowMins", &d, AggOp::Min, AggDir::Row),
+        ("rowSums", &d, AggOp::Sum, AggDir::Row),
+        ("colSums", &d, AggOp::Sum, AggDir::Col),
+    ] {
+        measure(name, m, &|| aggregate(m, op, dir).expect("agg"), &|| {
+            oracle::aggregate(m, op, dir)
+        });
+    }
+    measure(
+        "D <= rowMins(D)",
+        &d,
+        &|| binary(&d, BinaryOp::Le, &mins).expect("shapes"),
+        &|| oracle::binary(&d, BinaryOp::Le, &mins),
+    );
+    measure(
+        "D * -2",
+        &d,
+        &|| scalar(&d, BinaryOp::Mul, -2.0, false),
+        &|| oracle::scalar(&d, BinaryOp::Mul, -2.0, false),
+    );
+    table.print();
+    json.push(format!("  \"ew_agg\": [\n{}\n  ]", ew_rows.join(",\n")));
     json.push(format!("  \"ragged\": [\n{}\n  ]", ragged_rows.join(",\n")));
     json.push(format!(
         "  \"tsmm_tall\": [\n{}\n  ]",

@@ -263,30 +263,7 @@ impl Tensor {
                 };
                 Ok(Tensor::Compressed(c.map_cells(f)))
             }
-            Tensor::Fed(f) => {
-                if swap {
-                    // Compose from the non-swapped federated primitives.
-                    match op {
-                        BinaryOp::Sub => {
-                            // s - X = -(X - s)
-                            let t = f.scalar_op(BinaryOp::Sub, value, false)?;
-                            Ok(Tensor::Fed(t.scalar_op(BinaryOp::Mul, -1.0, false)?))
-                        }
-                        BinaryOp::Div => {
-                            // s / X = s * X^-1
-                            let inv = f.scalar_op(BinaryOp::Pow, -1.0, false)?;
-                            Ok(Tensor::Fed(inv.scalar_op(BinaryOp::Mul, value, false)?))
-                        }
-                        _ if op.is_commutative() => Ok(Tensor::Fed(f.scalar_op(op, value, false)?)),
-                        _ => Err(RuntimeError::Unsupported(format!(
-                            "swapped scalar {} on federated data",
-                            op.name()
-                        ))),
-                    }
-                } else {
-                    Ok(Tensor::Fed(f.scalar_op(op, value, false)?))
-                }
-            }
+            Tensor::Fed(f) => Ok(Tensor::Fed(f.scalar_op(op, value, swap)?)),
         }
     }
 

@@ -24,7 +24,7 @@
 
 use crate::dense::DenseMatrix;
 use crate::error::{MatrixError, Result};
-use crate::kernels::aggregates::{finish, AggDir, AggOp};
+use crate::kernels::aggregates::{self, AggDir, AggKernel, AggOp, Chains};
 use crate::kernels::par_floor;
 
 /// One encoded column.
@@ -205,87 +205,16 @@ impl ColumnGroup {
         acc
     }
 
-    /// Visits each *distinct* stored value once. Every dictionary entry
-    /// and run value is present in at least one row, so an order-blind
-    /// reduction over distinct values (min/max with the Col-aggregate
-    /// comparison, which ignores NaN on both sides) equals the dense
-    /// row-walk result.
+    /// Visits each *distinct* stored value once, in order of first
+    /// occurrence (dictionaries and runs are built top to bottom). Every
+    /// one is present in at least one row, so a NaN-ignoring min or max
+    /// over them equals the dense row walk's: a repeat cannot move it.
     fn for_each_distinct(&self, mut f: impl FnMut(f64)) {
         match self {
             ColumnGroup::Ddc8 { dict, .. } => dict.iter().for_each(|&v| f(v)),
             ColumnGroup::Ddc16 { dict, .. } => dict.iter().for_each(|&v| f(v)),
             ColumnGroup::Rle { runs } => runs.iter().for_each(|&(v, _)| f(v)),
             ColumnGroup::Uc { values } => values.iter().for_each(|&v| f(v)),
-        }
-    }
-}
-
-/// Streaming row cursor over one column group: `next()` yields the value
-/// of the next row in O(1). Used by the row-major full-aggregate walk,
-/// which must interleave columns in the dense kernel's cell order.
-enum Cursor<'a> {
-    Ddc8 {
-        /// Distinct values of the column.
-        dict: &'a [f64],
-        /// Remaining codes, front = next row.
-        codes: std::slice::Iter<'a, u8>,
-    },
-    Ddc16 {
-        /// Distinct values of the column.
-        dict: &'a [f64],
-        /// Remaining codes, front = next row.
-        codes: std::slice::Iter<'a, u16>,
-    },
-    Rle {
-        /// Remaining runs, front = current run.
-        runs: std::slice::Iter<'a, (f64, u32)>,
-        /// Value of the current run.
-        value: f64,
-        /// Rows left in the current run.
-        left: u32,
-    },
-    Uc {
-        /// Remaining values, front = next row.
-        values: std::slice::Iter<'a, f64>,
-    },
-}
-
-impl<'a> Cursor<'a> {
-    fn new(g: &'a ColumnGroup) -> Self {
-        match g {
-            ColumnGroup::Ddc8 { dict, codes } => Cursor::Ddc8 {
-                dict,
-                codes: codes.iter(),
-            },
-            ColumnGroup::Ddc16 { dict, codes } => Cursor::Ddc16 {
-                dict,
-                codes: codes.iter(),
-            },
-            ColumnGroup::Rle { runs } => Cursor::Rle {
-                runs: runs.iter(),
-                value: 0.0,
-                left: 0,
-            },
-            ColumnGroup::Uc { values } => Cursor::Uc {
-                values: values.iter(),
-            },
-        }
-    }
-
-    fn next(&mut self) -> f64 {
-        match self {
-            Cursor::Ddc8 { dict, codes } => dict[*codes.next().expect("rows in bounds") as usize],
-            Cursor::Ddc16 { dict, codes } => dict[*codes.next().expect("rows in bounds") as usize],
-            Cursor::Rle { runs, value, left } => {
-                while *left == 0 {
-                    let &(v, len) = runs.next().expect("rows in bounds");
-                    *value = v;
-                    *left = len;
-                }
-                *left -= 1;
-                *value
-            }
-            Cursor::Uc { values } => *values.next().expect("rows in bounds"),
         }
     }
 }
@@ -461,105 +390,11 @@ impl CompressedMatrix {
 
     /// Computes an aggregate directly on the compressed representation,
     /// bitwise identical to `aggregates::aggregate(&self.decompress(), ..)`:
-    /// every cell is visited in the same order, with the same running
-    /// stats, as the corresponding dense arm (min/max column aggregates
-    /// shortcut over distinct values, which is order-blind and exact).
+    /// every cell is pushed into the same chains as in the dense kernel,
+    /// in the same order (min/max column aggregates shortcut over distinct
+    /// values, which a NaN-ignoring min or max cannot tell apart).
     pub fn aggregate(&self, op: AggOp, dir: AggDir) -> Result<DenseMatrix> {
-        let (r, c) = (self.rows, self.cols());
-        let needs_data = !matches!(op, AggOp::Sum | AggOp::SumSq);
-        if r * c == 0 && needs_data {
-            return Err(MatrixError::InvalidArgument {
-                op: op.name(),
-                msg: "aggregate of empty matrix".into(),
-            });
-        }
-        match dir {
-            AggDir::Full => {
-                // Row-major cell order via one streaming cursor per
-                // column — the dense Full arm's exact chain.
-                let mut cursors: Vec<Cursor> = self.groups.iter().map(Cursor::new).collect();
-                let mut sum = 0.0;
-                let mut sumsq = 0.0;
-                let mut min = f64::INFINITY;
-                let mut max = f64::NEG_INFINITY;
-                for _ in 0..r {
-                    for cur in cursors.iter_mut() {
-                        let v = cur.next();
-                        sum += v;
-                        sumsq += v * v;
-                        min = min.min(v);
-                        max = max.max(v);
-                    }
-                }
-                Ok(DenseMatrix::filled(
-                    1,
-                    1,
-                    finish(op, sum, sumsq, min, max, (r * c) as f64),
-                ))
-            }
-            AggDir::Row => {
-                // Column-outer walk over disjoint row blocks: each row's
-                // stats update in c-ascending order — the dense Row arm's
-                // left-to-right chain, `f64::min`/`f64::max` style.
-                let mut out = DenseMatrix::zeros(r, 1);
-                let rows_per_chunk = exdra_par::chunk_len(r, par_floor(4 * c));
-                exdra_par::par_chunks_mut(out.values_mut(), rows_per_chunk, |_, lo, chunk| {
-                    let hi = lo + chunk.len();
-                    let w = chunk.len();
-                    let mut sum = vec![0.0; w];
-                    let mut sumsq = vec![0.0; w];
-                    let mut min = vec![f64::INFINITY; w];
-                    let mut max = vec![f64::NEG_INFINITY; w];
-                    for g in &self.groups {
-                        g.for_each_range(lo, hi, |row, v| {
-                            let d = row - lo;
-                            sum[d] += v;
-                            sumsq[d] += v * v;
-                            min[d] = min[d].min(v);
-                            max[d] = max[d].max(v);
-                        });
-                    }
-                    for (d, o) in chunk.iter_mut().enumerate() {
-                        *o = finish(op, sum[d], sumsq[d], min[d], max[d], c as f64);
-                    }
-                });
-                Ok(out)
-            }
-            AggDir::Col => {
-                // One output cell per group, groups disjoint. Sum-based
-                // ops walk rows top-to-bottom (the dense Col arm's
-                // i-ascending chain); min/max scan distinct values with
-                // the Col arm's `<`/`>` comparisons, which is set-based
-                // and therefore order-independent.
-                let mut out = DenseMatrix::zeros(1, c);
-                let chunk = self.group_chunk();
-                exdra_par::par_chunks_mut(out.values_mut(), chunk, |_, c0, ochunk| {
-                    for (d, o) in ochunk.iter_mut().enumerate() {
-                        let g = &self.groups[c0 + d];
-                        let mut sum = 0.0;
-                        let mut sumsq = 0.0;
-                        let mut min = f64::INFINITY;
-                        let mut max = f64::NEG_INFINITY;
-                        match op {
-                            AggOp::Min | AggOp::Max => g.for_each_distinct(|v| {
-                                if v < min {
-                                    min = v;
-                                }
-                                if v > max {
-                                    max = v;
-                                }
-                            }),
-                            _ => g.for_each_range(0, r, |_, v| {
-                                sum += v;
-                                sumsq += v * v;
-                            }),
-                        }
-                        *o = finish(op, sum, sumsq, min, max, r as f64);
-                    }
-                });
-                Ok(out)
-            }
-        }
+        aggregates::run(self, op, dir)
     }
 
     /// Matrix-vector product `self * v` executed directly on the
@@ -711,6 +546,72 @@ impl CompressedMatrix {
         self.aggregate(AggOp::Sum, AggDir::Full)
             .expect("sum aggregate cannot fail")
             .get(0, 0)
+    }
+}
+
+impl AggKernel for &CompressedMatrix {
+    fn shape(self) -> (usize, usize) {
+        (self.rows, self.cols())
+    }
+
+    fn walk<C: Chains>(self, op: AggOp, dir: AggDir) -> DenseMatrix {
+        let (r, c) = self.shape();
+        match dir {
+            AggDir::Full => {
+                // Row-major cell order, the dense Full arm's one chain: a
+                // block of rows at a time, decoded group by group into a
+                // row-major tile of about one parallel region's cells.
+                let tile_rows = par_floor(c);
+                let mut tile = Vec::with_capacity(tile_rows.min(r) * c);
+                let mut acc = C::START;
+                for lo in (0..r).step_by(tile_rows) {
+                    let hi = (lo + tile_rows).min(r);
+                    tile.resize((hi - lo) * c, 0.0);
+                    for (j, g) in self.groups.iter().enumerate() {
+                        g.for_each_range(lo, hi, |row, v| tile[(row - lo) * c + j] = v);
+                    }
+                    tile.iter().for_each(|&v| acc.push(v));
+                }
+                DenseMatrix::filled(1, 1, acc.finish(op, (r * c) as f64))
+            }
+            AggDir::Row => {
+                // Column-outer walk over disjoint row blocks: each row's
+                // chains extend in c-ascending order — the dense Row arm's
+                // left-to-right chain.
+                let mut out = DenseMatrix::zeros(r, 1);
+                let rows_per_chunk = exdra_par::chunk_len(r, par_floor(4 * c));
+                exdra_par::par_chunks_mut(out.values_mut(), rows_per_chunk, |_, lo, chunk| {
+                    let mut acc = vec![C::START; chunk.len()];
+                    for g in &self.groups {
+                        g.for_each_range(lo, lo + chunk.len(), |row, v| acc[row - lo].push(v));
+                    }
+                    for (o, a) in chunk.iter_mut().zip(acc) {
+                        *o = a.finish(op, c as f64);
+                    }
+                });
+                out
+            }
+            AggDir::Col => {
+                // One output cell per group, groups disjoint. Sum-based
+                // ops walk rows top-to-bottom (the dense Col arm's
+                // i-ascending chain); min/max scan each distinct value
+                // once, in order of first occurrence: a repeated value
+                // cannot move a NaN-ignoring min or max.
+                let mut out = DenseMatrix::zeros(1, c);
+                let chunk = self.group_chunk();
+                exdra_par::par_chunks_mut(out.values_mut(), chunk, |_, c0, ochunk| {
+                    for (g, o) in self.groups[c0..].iter().zip(ochunk) {
+                        let mut acc = C::START;
+                        match op {
+                            AggOp::Min | AggOp::Max => g.for_each_distinct(|v| acc.push(v)),
+                            _ => g.for_each_range(0, r, |_, v| acc.push(v)),
+                        }
+                        *o = acc.finish(op, r as f64);
+                    }
+                });
+                out
+            }
+        }
     }
 }
 

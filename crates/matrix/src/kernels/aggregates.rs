@@ -54,26 +54,139 @@ pub enum AggDir {
     Col,
 }
 
-pub(crate) fn finish(op: AggOp, sum: f64, sumsq: f64, min: f64, max: f64, n: f64) -> f64 {
-    match op {
-        AggOp::Sum => sum,
-        AggOp::SumSq => sumsq,
-        AggOp::Min => min,
-        AggOp::Max => max,
-        AggOp::Mean => sum / n,
-        AggOp::Var | AggOp::Sd => {
-            if n < 2.0 {
-                return f64::NAN;
-            }
-            let var = (sumsq - sum * sum / n) / (n - 1.0);
-            let var = var.max(0.0); // guard tiny negative from cancellation
-            if op == AggOp::Var {
-                var
-            } else {
-                var.sqrt()
-            }
+/// The running chains of one aggregate: only those its op returns, each
+/// extended one cell at a time in the order the caller visits the cells.
+/// The dense kernel and the column-group kernel share these, so they share
+/// the definition of every chain.
+pub(crate) trait Chains: Copy + Send + Sync {
+    /// Every chain before its first cell.
+    const START: Self;
+    /// Extends every chain by one cell.
+    fn push(&mut self, v: f64);
+    /// The value of `op` over the `n` cells pushed.
+    fn finish(self, op: AggOp, n: f64) -> f64;
+}
+
+/// `sum` and `mean`.
+#[derive(Clone, Copy)]
+struct Sum(f64);
+
+/// `sumSq`.
+#[derive(Clone, Copy)]
+struct SumSq(f64);
+
+/// `var` and `sd`: the sum and sum-of-squares chains side by side.
+#[derive(Clone, Copy)]
+struct Moments(f64, f64);
+
+/// `min`: neither a NaN cell nor a zero of the other sign replaces the
+/// running value.
+#[derive(Clone, Copy)]
+struct Min(f64);
+
+/// `max`: neither a NaN cell nor a zero of the other sign replaces the
+/// running value.
+#[derive(Clone, Copy)]
+struct Max(f64);
+
+impl Chains for Sum {
+    const START: Self = Sum(0.0);
+    fn push(&mut self, v: f64) {
+        self.0 += v;
+    }
+    fn finish(self, op: AggOp, n: f64) -> f64 {
+        if op == AggOp::Mean {
+            self.0 / n
+        } else {
+            self.0
         }
     }
+}
+
+impl Chains for SumSq {
+    const START: Self = SumSq(0.0);
+    fn push(&mut self, v: f64) {
+        self.0 += v * v;
+    }
+    fn finish(self, _: AggOp, _: f64) -> f64 {
+        self.0
+    }
+}
+
+impl Chains for Moments {
+    const START: Self = Moments(0.0, 0.0);
+    fn push(&mut self, v: f64) {
+        self.0 += v;
+        self.1 += v * v;
+    }
+    fn finish(self, op: AggOp, n: f64) -> f64 {
+        if n < 2.0 {
+            return f64::NAN;
+        }
+        let Moments(sum, sumsq) = self;
+        let var = (sumsq - sum * sum / n) / (n - 1.0);
+        let var = var.max(0.0); // guard tiny negative from cancellation
+        if op == AggOp::Var {
+            var
+        } else {
+            var.sqrt()
+        }
+    }
+}
+
+impl Chains for Min {
+    const START: Self = Min(f64::INFINITY);
+    fn push(&mut self, v: f64) {
+        // A comparison, not `f64::min`, whose pick on a `+0.0`/`-0.0`
+        // tie Rust leaves to the target.
+        if v < self.0 {
+            self.0 = v;
+        }
+    }
+    fn finish(self, _: AggOp, _: f64) -> f64 {
+        self.0
+    }
+}
+
+impl Chains for Max {
+    const START: Self = Max(f64::NEG_INFINITY);
+    fn push(&mut self, v: f64) {
+        if v > self.0 {
+            self.0 = v;
+        }
+    }
+    fn finish(self, _: AggOp, _: f64) -> f64 {
+        self.0
+    }
+}
+
+/// One representation's cell walk for every aggregate, generic over the
+/// chains so that each op compiles a loop carrying only its own.
+pub(crate) trait AggKernel: Copy {
+    /// `(rows, cols)` of the input.
+    fn shape(self) -> (usize, usize);
+    /// `op` along `dir` over a non-empty input (or an empty one for the
+    /// ops that allow it), cells visited in the dense kernel's order.
+    fn walk<C: Chains>(self, op: AggOp, dir: AggDir) -> DenseMatrix;
+}
+
+/// Rejects an empty input for min/max/mean/var/sd, then walks `x` with the
+/// chains `op` returns — the op is matched once per call, not per cell.
+pub(crate) fn run(x: impl AggKernel, op: AggOp, dir: AggDir) -> Result<DenseMatrix> {
+    let (r, c) = x.shape();
+    if r * c == 0 && !matches!(op, AggOp::Sum | AggOp::SumSq) {
+        return Err(MatrixError::InvalidArgument {
+            op: op.name(),
+            msg: "aggregate of empty matrix".into(),
+        });
+    }
+    Ok(match op {
+        AggOp::Sum | AggOp::Mean => x.walk::<Sum>(op, dir),
+        AggOp::SumSq => x.walk::<SumSq>(op, dir),
+        AggOp::Var | AggOp::Sd => x.walk::<Moments>(op, dir),
+        AggOp::Min => x.walk::<Min>(op, dir),
+        AggOp::Max => x.walk::<Max>(op, dir),
+    })
 }
 
 /// Computes an aggregate of `x` along `dir`.
@@ -82,87 +195,58 @@ pub(crate) fn finish(op: AggOp, sum: f64, sumsq: f64, min: f64, max: f64, n: f64
 /// matrix-typed plans (the runtime unwraps scalars where needed). Empty
 /// inputs are rejected for min/max/mean/var/sd.
 pub fn aggregate(x: &DenseMatrix, op: AggOp, dir: AggDir) -> Result<DenseMatrix> {
-    let needs_data = !matches!(op, AggOp::Sum | AggOp::SumSq);
-    if x.is_empty() && needs_data {
-        return Err(MatrixError::InvalidArgument {
-            op: op.name(),
-            msg: "aggregate of empty matrix".into(),
-        });
+    run(x, op, dir)
+}
+
+impl AggKernel for &DenseMatrix {
+    fn shape(self) -> (usize, usize) {
+        DenseMatrix::shape(self)
     }
-    let (r, c) = x.shape();
-    match dir {
-        AggDir::Full => {
-            let mut sum = 0.0;
-            let mut sumsq = 0.0;
-            let mut min = f64::INFINITY;
-            let mut max = f64::NEG_INFINITY;
-            for &v in x.values() {
-                sum += v;
-                sumsq += v * v;
-                min = min.min(v);
-                max = max.max(v);
+
+    fn walk<C: Chains>(self, op: AggOp, dir: AggDir) -> DenseMatrix {
+        let (r, c) = self.shape();
+        let xv = self.values();
+        match dir {
+            AggDir::Full => {
+                let mut acc = C::START;
+                xv.iter().for_each(|&v| acc.push(v));
+                DenseMatrix::filled(1, 1, acc.finish(op, (r * c) as f64))
             }
-            Ok(DenseMatrix::filled(
-                1,
-                1,
-                finish(op, sum, sumsq, min, max, (r * c) as f64),
-            ))
-        }
-        AggDir::Row => {
-            // One output cell per row: fan row blocks out across the pool;
-            // each row reduces left-to-right exactly as the serial loop.
-            let mut out = DenseMatrix::zeros(r, 1);
-            let xv = x.values();
-            let rows_per_chunk = exdra_par::chunk_len(r, super::par_floor(4 * c));
-            exdra_par::par_chunks_mut(out.values_mut(), rows_per_chunk, |_, i0, chunk| {
-                for (d, o) in chunk.iter_mut().enumerate() {
-                    let mut sum = 0.0;
-                    let mut sumsq = 0.0;
-                    let mut min = f64::INFINITY;
-                    let mut max = f64::NEG_INFINITY;
-                    for &v in &xv[(i0 + d) * c..(i0 + d + 1) * c] {
-                        sum += v;
-                        sumsq += v * v;
-                        min = min.min(v);
-                        max = max.max(v);
+            AggDir::Row => {
+                // One output cell per row: fan row blocks out across the
+                // pool; each row reduces left-to-right as the serial loop.
+                let mut out = DenseMatrix::zeros(r, 1);
+                let rows_per_chunk = exdra_par::chunk_len(r, super::par_floor(4 * c));
+                exdra_par::par_chunks_mut(out.values_mut(), rows_per_chunk, |_, i0, chunk| {
+                    for (i, o) in (i0..).zip(chunk) {
+                        let mut acc = C::START;
+                        xv[i * c..(i + 1) * c].iter().for_each(|&v| acc.push(v));
+                        *o = acc.finish(op, c as f64);
                     }
-                    *o = finish(op, sum, sumsq, min, max, c as f64);
-                }
-            });
-            Ok(out)
-        }
-        AggDir::Col => {
-            // Disjoint column blocks: each block scans rows top-to-bottom
-            // keeping per-column running stats, so every column reduces in
-            // the same i-ascending order as the serial sweep — identical
-            // bits at any thread count.
-            let mut out = DenseMatrix::zeros(1, c);
-            let xv = x.values();
-            let cols_per_chunk = exdra_par::chunk_len(c, super::par_floor(4 * r));
-            exdra_par::par_chunks_mut(out.values_mut(), cols_per_chunk, |_, j0, ochunk| {
-                let width = ochunk.len();
-                let mut sum = vec![0.0; width];
-                let mut sumsq = vec![0.0; width];
-                let mut min = vec![f64::INFINITY; width];
-                let mut max = vec![f64::NEG_INFINITY; width];
-                for i in 0..r {
-                    let seg = &xv[i * c + j0..i * c + j0 + width];
-                    for (jj, &v) in seg.iter().enumerate() {
-                        sum[jj] += v;
-                        sumsq[jj] += v * v;
-                        if v < min[jj] {
-                            min[jj] = v;
-                        }
-                        if v > max[jj] {
-                            max[jj] = v;
+                });
+                out
+            }
+            AggDir::Col => {
+                // Disjoint column blocks: each block scans rows top-to-bottom
+                // with one accumulator per column, so every column reduces in
+                // the same i-ascending order as the serial sweep (identical
+                // bits at any thread count) and one vector loop extends all
+                // of a row segment's columns.
+                let mut out = DenseMatrix::zeros(1, c);
+                let cols_per_chunk = exdra_par::chunk_len(c, super::par_floor(4 * r));
+                exdra_par::par_chunks_mut(out.values_mut(), cols_per_chunk, |_, j0, ochunk| {
+                    let mut acc = vec![C::START; ochunk.len()];
+                    for row in xv.chunks_exact(c) {
+                        for (a, &v) in acc.iter_mut().zip(&row[j0..]) {
+                            a.push(v);
                         }
                     }
-                }
-                for (jj, o) in ochunk.iter_mut().enumerate() {
-                    *o = finish(op, sum[jj], sumsq[jj], min[jj], max[jj], r as f64);
-                }
-            });
-            Ok(out)
+                    for (o, a) in ochunk.iter_mut().zip(acc) {
+                        *o = a.finish(op, r as f64);
+                    }
+                });
+                out
+            }
         }
     }
 }

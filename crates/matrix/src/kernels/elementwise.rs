@@ -6,19 +6,30 @@ use super::PAR_MIN_WORK;
 use crate::dense::DenseMatrix;
 use crate::error::{MatrixError, Result};
 
-/// Cell-parallel map: fills a fresh matrix from `x`'s cells through `f`
-/// over disjoint output chunks. Each cell depends on exactly one input
-/// cell, so the result is bitwise identical at any thread count.
-fn map_cells(x: &DenseMatrix, f: impl Fn(f64) -> f64 + Sync) -> DenseMatrix {
+/// A fresh matrix shaped like `x`, filled by `body(first cell, cells)` over
+/// disjoint output chunks of `chunk` cells fanned out across the pool.
+/// `body` is the per-op loop; the fan-out around it is compiled once.
+fn fill(x: &DenseMatrix, chunk: usize, body: &(dyn Fn(usize, &mut [f64]) + Sync)) -> DenseMatrix {
     let mut out = DenseMatrix::zeros(x.rows(), x.cols());
-    let xv = x.values();
-    let chunk = exdra_par::chunk_len(xv.len(), PAR_MIN_WORK);
-    exdra_par::par_chunks_mut(out.values_mut(), chunk, |_, c0, part| {
-        for (d, o) in part.iter_mut().enumerate() {
-            *o = f(xv[c0 + d]);
-        }
-    });
+    exdra_par::par_chunks_mut(out.values_mut(), chunk, |_, c0, part| body(c0, part));
     out
+}
+
+/// Cells per chunk of a cell-wise kernel over `x`.
+fn cell_chunk(x: &DenseMatrix) -> usize {
+    exdra_par::chunk_len(x.len(), PAR_MIN_WORK)
+}
+
+/// Cell-parallel map: fills a fresh matrix from `x`'s cells through `f`.
+/// Each cell depends on exactly one input cell, so the result is bitwise
+/// identical at any thread count.
+fn map_cells(x: &DenseMatrix, f: impl Fn(f64) -> f64 + Sync) -> DenseMatrix {
+    let xv = x.values();
+    fill(x, cell_chunk(x), &|c0, part| {
+        for (o, &v) in part.iter_mut().zip(&xv[c0..]) {
+            *o = f(v);
+        }
+    })
 }
 
 /// Unary element-wise operations of Table 1.
@@ -131,9 +142,17 @@ impl UnaryOp {
     }
 }
 
-/// Applies a unary operation cell-wise.
+/// Applies a unary operation cell-wise. The op is matched once per call:
+/// each arm compiles its own loop with `apply` fixed to one variant.
 pub fn unary(x: &DenseMatrix, op: UnaryOp) -> DenseMatrix {
-    map_cells(x, |v| op.apply(v))
+    macro_rules! per_op {
+        ($($v:ident)+) => {
+            match op {
+                $(UnaryOp::$v => map_cells(x, |v| UnaryOp::$v.apply(v)),)+
+            }
+        };
+    }
+    per_op!(Abs Cos Sin Tan Exp Log Sqrt Round Floor Ceil Sign Not IsNa Sigmoid Neg Square)
 }
 
 /// Row-wise softmax: `exp(x - rowMax) / rowSum(exp(..))`, numerically stable.
@@ -282,30 +301,79 @@ impl BinaryOp {
     }
 }
 
-/// Broadcasting shapes supported by [`binary`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Broadcast {
-    /// Both operands share the same shape.
-    None,
-    /// Right operand is a `1 x c` row vector broadcast over rows.
-    RowVector,
-    /// Right operand is an `r x 1` column vector broadcast over columns.
-    ColVector,
-    /// Right operand is `1 x 1`.
-    Scalar,
+/// The right operand of a binary kernel, as it broadcasts over the left.
+#[derive(Debug, Clone, Copy)]
+enum Rhs<'a> {
+    /// An equally shaped matrix.
+    Cells(&'a [f64]),
+    /// A `1 x c` row vector broadcast over rows.
+    RowVector(&'a [f64]),
+    /// An `r x 1` column vector broadcast over columns.
+    ColVector(&'a [f64]),
+    /// A scalar: `X op s`, or `s op X` when the flag (`swap`) is set.
+    Scalar(f64, bool),
 }
 
-fn classify(lhs: &DenseMatrix, rhs: &DenseMatrix) -> Option<Broadcast> {
+fn classify<'a>(lhs: &DenseMatrix, rhs: &'a DenseMatrix) -> Option<Rhs<'a>> {
+    let bv = rhs.values();
     if lhs.shape() == rhs.shape() {
-        Some(Broadcast::None)
+        Some(Rhs::Cells(bv))
     } else if rhs.is_scalar() {
-        Some(Broadcast::Scalar)
+        Some(Rhs::Scalar(bv[0], false))
     } else if rhs.rows() == 1 && rhs.cols() == lhs.cols() {
-        Some(Broadcast::RowVector)
+        Some(Rhs::RowVector(bv))
     } else if rhs.cols() == 1 && rhs.rows() == lhs.rows() {
-        Some(Broadcast::ColVector)
+        Some(Rhs::ColVector(bv))
     } else {
         None
+    }
+}
+
+/// `op` over `lhs` and the broadcast `rhs`. The op is matched once per
+/// call: each arm compiles [`zip_with`]'s loops with `apply` fixed to one
+/// variant, so they vectorise wherever the op does.
+fn binary_kernel(lhs: &DenseMatrix, op: BinaryOp, rhs: Rhs) -> DenseMatrix {
+    macro_rules! per_op {
+        ($($v:ident)+) => {
+            match op {
+                $(BinaryOp::$v => zip_with(lhs, rhs, |a, b| BinaryOp::$v.apply(a, b)),)+
+            }
+        };
+    }
+    per_op!(Add Sub Mul Div IntDiv Mod Pow Min Max Eq Neq Lt Le Gt Ge And Or Xor LogBase)
+}
+
+/// Fills a fresh matrix with `f(lhs cell, rhs cell)`. Each arm fans
+/// disjoint output chunks (cell-aligned, or row-aligned when a vector
+/// broadcasts) out across the pool; every cell reads fixed inputs, so
+/// bits are identical at any thread count.
+fn zip_with(lhs: &DenseMatrix, rhs: Rhs, f: impl Fn(f64, f64) -> f64 + Sync) -> DenseMatrix {
+    let lv = lhs.values();
+    let cols = lhs.cols();
+    let row_chunk = || exdra_par::chunk_len(lhs.rows(), super::par_floor(cols)) * cols;
+    match rhs {
+        Rhs::Scalar(b, false) => map_cells(lhs, |a| f(a, b)),
+        Rhs::Scalar(a, true) => map_cells(lhs, |b| f(a, b)),
+        Rhs::Cells(bv) => fill(lhs, cell_chunk(lhs), &|c0, part| {
+            for ((o, &a), &b) in part.iter_mut().zip(&lv[c0..]).zip(&bv[c0..]) {
+                *o = f(a, b);
+            }
+        }),
+        Rhs::RowVector(bv) => fill(lhs, row_chunk(), &|c0, part| {
+            for (orow, lrow) in part.chunks_mut(cols).zip(lv[c0..].chunks(cols)) {
+                for ((o, &a), &b) in orow.iter_mut().zip(lrow).zip(bv) {
+                    *o = f(a, b);
+                }
+            }
+        }),
+        Rhs::ColVector(bv) => fill(lhs, row_chunk(), &|c0, part| {
+            let rows = part.chunks_mut(cols).zip(lv[c0..].chunks(cols));
+            for ((orow, lrow), &b) in rows.zip(&bv[c0 / cols..]) {
+                for (o, &a) in orow.iter_mut().zip(lrow) {
+                    *o = f(a, b);
+                }
+            }
+        }),
     }
 }
 
@@ -313,78 +381,18 @@ fn classify(lhs: &DenseMatrix, rhs: &DenseMatrix) -> Option<Broadcast> {
 /// operand may be an equally-shaped matrix, a row vector (`1 x c`), a column
 /// vector (`r x 1`), or a `1 x 1` scalar.
 pub fn binary(lhs: &DenseMatrix, op: BinaryOp, rhs: &DenseMatrix) -> Result<DenseMatrix> {
-    let bc = classify(lhs, rhs).ok_or(MatrixError::DimensionMismatch {
+    let rhs = classify(lhs, rhs).ok_or(MatrixError::DimensionMismatch {
         op: "binary",
         lhs: lhs.shape(),
         rhs: rhs.shape(),
     })?;
-    let (rows, cols) = lhs.shape();
-    let mut out = DenseMatrix::zeros(rows, cols);
-    if rows == 0 || cols == 0 {
-        return Ok(out);
-    }
-    let lv = lhs.values();
-    // Each arm fans disjoint output chunks (cell-aligned for cell-wise
-    // arms, row-aligned when a vector broadcasts along rows/columns) out
-    // across the pool; every cell reads fixed inputs, so bits are
-    // identical at any thread count.
-    match bc {
-        Broadcast::None => {
-            let bv = rhs.values();
-            let chunk = exdra_par::chunk_len(lv.len(), PAR_MIN_WORK);
-            exdra_par::par_chunks_mut(out.values_mut(), chunk, |_, c0, part| {
-                for (d, o) in part.iter_mut().enumerate() {
-                    *o = op.apply(lv[c0 + d], bv[c0 + d]);
-                }
-            });
-        }
-        Broadcast::Scalar => {
-            let b = rhs.values()[0];
-            let chunk = exdra_par::chunk_len(lv.len(), PAR_MIN_WORK);
-            exdra_par::par_chunks_mut(out.values_mut(), chunk, |_, c0, part| {
-                for (d, o) in part.iter_mut().enumerate() {
-                    *o = op.apply(lv[c0 + d], b);
-                }
-            });
-        }
-        Broadcast::RowVector => {
-            let bv = rhs.values();
-            let rows_per_chunk = exdra_par::chunk_len(rows, super::par_floor(cols));
-            exdra_par::par_chunks_mut(out.values_mut(), rows_per_chunk * cols, |_, c0, part| {
-                for (dr, orow) in part.chunks_mut(cols).enumerate() {
-                    let lrow = &lv[(c0 / cols + dr) * cols..][..cols];
-                    for ((o, &a), &b) in orow.iter_mut().zip(lrow).zip(bv) {
-                        *o = op.apply(a, b);
-                    }
-                }
-            });
-        }
-        Broadcast::ColVector => {
-            let bv = rhs.values();
-            let rows_per_chunk = exdra_par::chunk_len(rows, super::par_floor(cols));
-            exdra_par::par_chunks_mut(out.values_mut(), rows_per_chunk * cols, |_, c0, part| {
-                for (dr, orow) in part.chunks_mut(cols).enumerate() {
-                    let r = c0 / cols + dr;
-                    let b = bv[r];
-                    let lrow = &lv[r * cols..(r + 1) * cols];
-                    for (o, &a) in orow.iter_mut().zip(lrow) {
-                        *o = op.apply(a, b);
-                    }
-                }
-            });
-        }
-    }
-    Ok(out)
+    Ok(binary_kernel(lhs, op, rhs))
 }
 
 /// Matrix-scalar binary operation; `swap` computes `scalar op matrix`
 /// instead of `matrix op scalar` (needed for non-commutative ops like `1-X`).
 pub fn scalar(lhs: &DenseMatrix, op: BinaryOp, s: f64, swap: bool) -> DenseMatrix {
-    if swap {
-        map_cells(lhs, |v| op.apply(s, v))
-    } else {
-        map_cells(lhs, |v| op.apply(v, s))
-    }
+    binary_kernel(lhs, op, Rhs::Scalar(s, swap))
 }
 
 /// Covariance between two equal-length vectors (Table 1 `cov`), using the

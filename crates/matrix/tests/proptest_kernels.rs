@@ -16,10 +16,17 @@
 //! * every compressed op agrees with decompress-then-dense-op exactly,
 //!   so the worker may execute on column groups without changing a
 //!   single output bit.
+//!
+//! The element-wise and aggregate kernels, which pick their operator once
+//! per call, are checked against the per-cell loops of `oracle` for every
+//! op, broadcast shape and direction, on ragged shapes with NaN, ±Inf and
+//! ±0.0 planted.
+
+mod oracle;
 
 use exdra_matrix::compress::CompressedMatrix;
 use exdra_matrix::kernels::aggregates::{aggregate, AggDir, AggOp};
-use exdra_matrix::kernels::elementwise::{scalar, unary, BinaryOp, UnaryOp};
+use exdra_matrix::kernels::elementwise::{binary, scalar, unary, BinaryOp, UnaryOp};
 use exdra_matrix::kernels::matmul::{
     matmul, matmul_naive, matmul_tn, mmchain, mmchain_two_phase, tsmm, KC, MR, NR,
 };
@@ -115,6 +122,174 @@ fn same_cells(a: &DenseMatrix, b: &DenseMatrix) -> bool {
             .iter()
             .zip(b.values())
             .all(|(x, y)| x.to_bits() == y.to_bits() || (x.is_nan() && y.is_nan()))
+}
+
+const UNARY_OPS: [UnaryOp; 16] = [
+    UnaryOp::Abs,
+    UnaryOp::Cos,
+    UnaryOp::Sin,
+    UnaryOp::Tan,
+    UnaryOp::Exp,
+    UnaryOp::Log,
+    UnaryOp::Sqrt,
+    UnaryOp::Round,
+    UnaryOp::Floor,
+    UnaryOp::Ceil,
+    UnaryOp::Sign,
+    UnaryOp::Not,
+    UnaryOp::IsNa,
+    UnaryOp::Sigmoid,
+    UnaryOp::Neg,
+    UnaryOp::Square,
+];
+
+const BINARY_OPS: [BinaryOp; 19] = [
+    BinaryOp::Add,
+    BinaryOp::Sub,
+    BinaryOp::Mul,
+    BinaryOp::Div,
+    BinaryOp::IntDiv,
+    BinaryOp::Mod,
+    BinaryOp::Pow,
+    BinaryOp::Min,
+    BinaryOp::Max,
+    BinaryOp::Eq,
+    BinaryOp::Neq,
+    BinaryOp::Lt,
+    BinaryOp::Le,
+    BinaryOp::Gt,
+    BinaryOp::Ge,
+    BinaryOp::And,
+    BinaryOp::Or,
+    BinaryOp::Xor,
+    BinaryOp::LogBase,
+];
+
+const AGG_OPS: [AggOp; 7] = [
+    AggOp::Sum,
+    AggOp::SumSq,
+    AggOp::Min,
+    AggOp::Max,
+    AggOp::Mean,
+    AggOp::Var,
+    AggOp::Sd,
+];
+
+/// Random cells, every other one on a half-unit grid (so comparisons and
+/// logical ops meet ties, `+0.0` and `-0.0`), with NaN, ±Inf and ±0.0
+/// planted when `plant` is set.
+fn special_matrix(rows: usize, cols: usize, seed: u64, plant: bool) -> DenseMatrix {
+    let mut x = rand_matrix(rows, cols, -2.0, 2.0, seed);
+    let cells = x.values_mut();
+    for v in cells.iter_mut().skip(seed as usize % 2).step_by(2) {
+        *v = (*v * 2.0).round() / 2.0;
+    }
+    if plant && !cells.is_empty() {
+        let n = cells.len();
+        for (k, v) in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY, 0.0, -0.0]
+            .into_iter()
+            .enumerate()
+        {
+            cells[(k * 7 + seed as usize) % n] = v;
+        }
+    }
+    x
+}
+
+/// Cells of `{+0.0, -0.0, s}` only: with `s > 0` a min that sees both
+/// zeros is a tie between them, with `s < 0` a max.
+fn zero_ties(rows: usize, cols: usize, seed: u64, s: f64) -> DenseMatrix {
+    let r = rand_matrix(rows, cols, 0.0, 3.0, seed);
+    r.map(|v| [0.0, -0.0, s][(v as usize).min(2)])
+}
+
+/// Every element-wise kernel (all ops, the four broadcast shapes, both
+/// scalar sides) and every aggregate (all ops and directions, dense and
+/// compressed) against the per-cell oracle on `rows x cols` operands.
+fn kernels_match_oracle(rows: usize, cols: usize, seed: u64, plant: bool) {
+    let x = special_matrix(rows, cols, seed, plant);
+    let at = |what: &str| format!("{what} on {rows}x{cols} (seed {seed}, plant {plant})");
+    for op in UNARY_OPS {
+        let got = widths_agree("unary", || unary(&x, op));
+        assert!(same_bits(&got, &oracle::unary(&x, op)), "{}", at(op.name()));
+    }
+    let shapes = [(rows, cols), (1, 1), (1, cols), (rows, 1)];
+    let rhs: Vec<DenseMatrix> = (0u64..)
+        .zip(shapes)
+        .map(|(i, (r, c))| special_matrix(r, c, seed + 1 + i, plant))
+        .collect();
+    for op in BINARY_OPS {
+        for y in &rhs {
+            let got = widths_agree("binary", || binary(&x, op, y).expect("broadcast"));
+            let label = format!("{} against {:?}", op.name(), y.shape());
+            assert!(
+                same_bits(&got, &oracle::binary(&x, op, y)),
+                "{}",
+                at(&label)
+            );
+        }
+        for s in [1.5, -0.5, 0.0, -0.0, f64::NAN, f64::INFINITY] {
+            for swap in [false, true] {
+                let got = widths_agree("scalar", || scalar(&x, op, s, swap));
+                let label = format!("{} with scalar {s} (swap {swap})", op.name());
+                assert!(
+                    same_bits(&got, &oracle::scalar(&x, op, s, swap)),
+                    "{}",
+                    at(&label)
+                );
+            }
+        }
+    }
+    let ties = [
+        x,
+        zero_ties(rows, cols, seed, 0.5),
+        zero_ties(rows, cols, seed, -0.5),
+    ];
+    for m in &ties {
+        let c = CompressedMatrix::compress(m);
+        for op in AGG_OPS {
+            for dir in [AggDir::Full, AggDir::Row, AggDir::Col] {
+                let label = format!("{}/{dir:?}", op.name());
+                if m.is_empty() && !matches!(op, AggOp::Sum | AggOp::SumSq) {
+                    assert!(aggregate(m, op, dir).is_err() && c.aggregate(op, dir).is_err());
+                    continue;
+                }
+                let want = oracle::aggregate(m, op, dir);
+                let got = widths_agree("agg", || aggregate(m, op, dir).expect("agg"));
+                assert!(same_bits(&got, &want), "dense {}", at(&label));
+                // The column groups push the same cells into the same
+                // chains, but compile them on their own code path: where
+                // an Inf - Inf NaN meets a stored NaN, the payload kept
+                // is that path's operand order.
+                let got = widths_agree("c-agg", || c.aggregate(op, dir).expect("agg"));
+                assert!(same_cells(&got, &want), "compressed {}", at(&label));
+            }
+        }
+    }
+}
+
+#[test]
+fn elementwise_and_aggregates_are_bitwise_the_per_cell_oracle() {
+    // One row, one column, lengths off every multiple of 4 and 8, empty
+    // operands, and one shape large enough to fan out across the pool.
+    let shapes = [
+        (1, 1),
+        (1, 9),
+        (9, 1),
+        (1, 13),
+        (7, 13),
+        (13, 7),
+        (31, 5),
+        (5, 37),
+        (0, 3),
+        (3, 0),
+        (301, 123),
+    ];
+    for (rows, cols) in shapes {
+        for plant in [true, false] {
+            kernels_match_oracle(rows, cols, (rows * 131 + cols) as u64, plant);
+        }
+    }
 }
 
 #[test]
@@ -247,6 +422,16 @@ proptest! {
                 prop_assert_eq!(out.get(i, j).to_bits(), oracle.get(i, j).to_bits());
             }
         }
+    }
+
+    #[test]
+    fn elementwise_and_aggregates_match_the_oracle_on_random_shapes(
+        rows in 1usize..=40,
+        cols in 1usize..=40,
+        plant in proptest::bool::ANY,
+        seed in 0u64..1_000_000,
+    ) {
+        kernels_match_oracle(rows, cols, seed, plant);
     }
 
     #[test]

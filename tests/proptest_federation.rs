@@ -7,7 +7,7 @@ use exdra::core::testutil::mem_federation;
 use exdra::core::{PrivacyLevel, Tensor};
 use exdra::matrix::compress::CompressedMatrix;
 use exdra::matrix::kernels::aggregates::{aggregate, AggDir, AggOp};
-use exdra::matrix::kernels::elementwise::{binary, unary, BinaryOp, UnaryOp};
+use exdra::matrix::kernels::elementwise::{binary, scalar, unary, BinaryOp, UnaryOp};
 use exdra::matrix::kernels::matmul::{matmul, matmul_naive, mmchain, tsmm};
 use exdra::matrix::DenseMatrix;
 use exdra::net::codec::Wire;
@@ -63,6 +63,61 @@ fn fed_with_cuts(
     )
     .unwrap();
     (ctx, fed)
+}
+
+#[test]
+fn fed_swapped_scalar_is_local_bits_at_the_cost_of_an_unswapped_one() {
+    // `s op X` runs as one `Scalar` instruction per partition with its
+    // `swap` flag set, so it is the local kernel's bits, NaN and the sign
+    // of zero included, and costs what `X op s` costs.
+    let mut x = exdra::matrix::rng::rand_matrix(40, 5, -3.0, 3.0, 11);
+    let specials = [f64::NAN, f64::INFINITY, f64::NEG_INFINITY, 0.0, -0.0];
+    for (i, v) in specials.into_iter().enumerate() {
+        x.values_mut()[i * 37] = v;
+    }
+    let (ctx, workers) = mem_federation(2);
+    let t = Tensor::Fed(FedMatrix::scatter_rows(&ctx, &x, PrivacyLevel::Public).unwrap());
+    let served = || workers.iter().map(|w| w.load()).sum::<u32>();
+
+    let ops = [
+        BinaryOp::Add,
+        BinaryOp::Sub,
+        BinaryOp::Mul,
+        BinaryOp::Div,
+        BinaryOp::IntDiv,
+        BinaryOp::Mod,
+        BinaryOp::Pow,
+        BinaryOp::Min,
+        BinaryOp::Max,
+        BinaryOp::Eq,
+        BinaryOp::Neq,
+        BinaryOp::Lt,
+        BinaryOp::Le,
+        BinaryOp::Gt,
+        BinaryOp::Ge,
+        BinaryOp::And,
+        BinaryOp::Or,
+        BinaryOp::Xor,
+        BinaryOp::LogBase,
+    ];
+    for op in ops {
+        for s in [2.5, 0.0, -0.0, f64::NAN] {
+            let mut requests = [0; 2];
+            for (n, swap) in requests.iter_mut().zip([false, true]) {
+                // Deferred requests (the scatter, the last result's rmvar)
+                // ride this fetch, not the measured one.
+                t.to_local().unwrap();
+                let before = served();
+                let got = t.scalar_op(op, s, swap).unwrap().to_local().unwrap();
+                *n = served() - before;
+                let want = scalar(&x, op, s, swap);
+                let bits =
+                    |m: &DenseMatrix| m.values().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+                assert_eq!(bits(&got), bits(&want), "{op:?} s = {s} swap = {swap}");
+            }
+            assert_eq!(requests[1], requests[0], "{op:?}: s op X vs X op s");
+        }
+    }
 }
 
 proptest! {
