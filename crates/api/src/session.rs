@@ -81,7 +81,6 @@ pub struct SessionBuilder {
     plan_cache_bytes: Option<usize>,
     supervision: Option<SupervisionPolicy>,
     threads: Option<usize>,
-    rpc_window: Option<usize>,
     optimizer: Option<Optimizer>,
 }
 
@@ -97,7 +96,6 @@ impl Default for SessionBuilder {
             plan_cache_bytes: None,
             supervision: Some(SupervisionPolicy::default()),
             threads: None,
-            rpc_window: None,
             optimizer: None,
         }
     }
@@ -217,23 +215,6 @@ impl SessionBuilder {
         self
     }
 
-    /// Sliding window of in-flight RPC requests per worker connection
-    /// (`0` is rejected by `build()` with a typed [`FedError::Config`] —
-    /// a zero window could never admit a request). The default of 1 is the classic
-    /// lock-step protocol — one request on the wire at a time, byte-
-    /// for-byte identical to previous releases. Raising the window lets
-    /// the coordinator stream a batch's requests ahead of the replies,
-    /// hiding WAN round-trip latency: an N-request batch costs roughly
-    /// `1 + N/window` round trips instead of `N`. Replies are matched to
-    /// requests by correlation ID, and the worker still serializes
-    /// requests that touch the same variable, so results are bitwise
-    /// identical at every window size. 8 is a good starting point; see
-    /// DESIGN.md §4g.
-    pub fn rpc_window(mut self, n: usize) -> Self {
-        self.rpc_window = Some(n);
-        self
-    }
-
     /// Replaces the session's plan [`Optimizer`]. The default is
     /// [`Optimizer::new`] — the `cse`/`fuse-ops` pipeline with the
     /// profile-guided cost model. Pass
@@ -241,7 +222,7 @@ impl SessionBuilder {
     /// A/B baseline for benches), or an optimizer extended with custom
     /// [`crate::OptimizerRule`]s via [`Optimizer::with_rule`]. Every
     /// built-in rewrite preserves bitwise-identical results at every
-    /// thread count and RPC window.
+    /// thread count.
     pub fn optimizer(mut self, optimizer: Optimizer) -> Self {
         self.optimizer = Some(optimizer);
         self
@@ -255,13 +236,6 @@ impl SessionBuilder {
             return Err(FedError::Config(
                 "threads(0): the compute pool needs at least one thread \
                  (use threads(1) for exact serial execution)"
-                    .into(),
-            ));
-        }
-        if self.rpc_window == Some(0) {
-            return Err(FedError::Config(
-                "rpc_window(0): a zero-size window can never admit a request \
-                 (use rpc_window(1) for the lock-step protocol)"
                     .into(),
             ));
         }
@@ -302,9 +276,6 @@ impl SessionBuilder {
                 Some(ctx)
             }
         };
-        if let (Some(ctx), Some(n)) = (&ctx, self.rpc_window) {
-            ctx.set_rpc_window(n);
-        }
         // Coordinated sessions (tenant or attached) are supervised by
         // the service, which owns the fleet's single checkpoint stream;
         // starting a second supervisor here would duplicate it.
@@ -626,8 +597,6 @@ impl Session {
                 retries: s.retries,
                 heartbeats: s.heartbeats,
                 recoveries: s.recoveries,
-                pipelined_messages: s.pipelined_messages,
-                max_inflight: s.max_inflight,
             });
         }
         report
@@ -825,42 +794,6 @@ mod tests {
         assert!(net.messages_sent > 0);
         assert!(net.bytes_sent > 0);
         assert!(Session::local().profile().net.is_none());
-    }
-
-    #[test]
-    fn rpc_window_knob_reaches_the_context() {
-        let (ctx, _workers) = mem_federation(2);
-        let sds = Session::builder()
-            .context(Arc::clone(&ctx))
-            .rpc_window(8)
-            .no_supervision()
-            .build()
-            .unwrap();
-        assert_eq!(ctx.rpc_window(), 8);
-        // Pipelined and lock-step sessions produce identical results.
-        let m = rand_matrix(50, 4, -1.0, 1.0, 21);
-        let fed = sds.federated(&m).unwrap();
-        let piped = fed.tsmm().unwrap().compute().unwrap();
-        ctx.set_rpc_window(1);
-        let fed2 = sds.federated(&m).unwrap();
-        let lockstep = fed2.tsmm().unwrap().compute().unwrap();
-        assert_eq!(piped.values(), lockstep.values());
-        // `rpc_window(0)` is a typed configuration error: a zero-size
-        // window could never admit a request.
-        let (ctx2, _w2) = mem_federation(1);
-        let err = Session::builder()
-            .context(Arc::clone(&ctx2))
-            .rpc_window(0)
-            .no_supervision()
-            .build()
-            .map(|_| ())
-            .unwrap_err();
-        assert!(
-            matches!(err, FedError::Config(_)),
-            "expected FedError::Config, got {err:?}"
-        );
-        // The rejected build never touched the context's window.
-        assert_eq!(ctx2.rpc_window(), 1);
     }
 
     #[test]

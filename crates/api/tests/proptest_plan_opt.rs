@@ -8,8 +8,7 @@
 //! duplicate independently-built subtrees (CSE), explicit
 //! transpose-matmul and the generalized mmchain pattern (fusion), runs
 //! of scalar/unary/replace steps over federated data (deferred to the
-//! next result-bearing request), at several thread counts and RPC
-//! windows.
+//! next result-bearing request), at several thread counts.
 
 use exdra_api::{Lazy, Optimizer, Plan};
 use exdra_core::testutil::mem_federation;
@@ -167,11 +166,9 @@ proptest! {
         steps in proptest::collection::vec(ew_step(), 0..5),
         fin in finale(),
         threads in prop_oneof![Just(1usize), Just(3), Just(8)],
-        rpc_window in prop_oneof![Just(1usize), Just(8)],
         seed in 0u64..1_000_000,
     ) {
         let (ctx, _workers) = mem_federation(2);
-        ctx.set_rpc_window(rpc_window);
         let cols = 4usize;
         let x = rand_matrix(24, cols, -1.0, 1.0, seed);
         let fed = FedMatrix::scatter_rows(&ctx, &x, PrivacyLevel::Public).expect("scatter");

@@ -18,7 +18,7 @@
 //!   one analyst already computed is a cache hit for the next; hits and
 //!   misses are attributed per session.
 //! * **Fair scheduling + admission control** — a per-session credit
-//!   budget over the pipelined RPC windows ([`FairScheduler`]) keeps one
+//!   budget over in-flight requests ([`FairScheduler`]) keeps one
 //!   heavy session from starving others, and a bounded admission queue
 //!   rejects overload with the typed
 //!   [`exdra_core::FedError::SessionRejected`].

@@ -221,7 +221,7 @@ fn serve_client(service: Arc<CoordService>, channel: Box<dyn Channel>) {
                 let obs_on = exdra_obs::enabled();
                 // One span per forwarded frame, parented under the
                 // remote client's rpc span (its context leads every
-                // envelope, visible through the correlation tag), so
+                // envelope), so
                 // stitched traces show the coordinator hop between
                 // `rpc.call` and `worker.batch`.
                 let mut fwd = if obs_on {

@@ -62,8 +62,6 @@ pub struct CoordConfig {
     pub fairness: FairnessConfig,
     /// Supervision (heartbeat + checkpoint) policy for the fleet.
     pub supervision: SupervisionPolicy,
-    /// RPC pipelining window handed to every session context.
-    pub rpc_window: usize,
 }
 
 impl Default for CoordConfig {
@@ -74,7 +72,6 @@ impl Default for CoordConfig {
             plan_cache_bytes: 256 * 1024 * 1024,
             fairness: FairnessConfig::default(),
             supervision: SupervisionPolicy::default(),
-            rpc_window: 8,
         }
     }
 }
@@ -330,7 +327,6 @@ impl CoordService {
             }
         };
         ctx.set_namespace(ns);
-        ctx.set_rpc_window(self.config.rpc_window);
         ctx.set_rpc_gate(Some(TenantGate::new(Arc::clone(&self.scheduler), ns)));
         obs::global().inc("coord.sessions.admitted");
         let stats = Arc::new(TenantStats::default());

@@ -45,8 +45,8 @@ pub(crate) enum ClientFrame {
         /// Must equal [`ATTACH_VERSION`].
         version: u32,
     },
-    /// Opaque RPC payload for worker `worker` (already envelope- and/or
-    /// correlation-tagged by the client's own context).
+    /// Opaque RPC payload for worker `worker` (an encoded envelope or
+    /// reply, as the client's own context sent or received it).
     Data { worker: u32, payload: Vec<u8> },
     /// Probe the shared plan cache.
     CacheProbe { key: u64 },

@@ -121,7 +121,7 @@ fn main() {
     );
     if let Some(http_addr) = &args.http {
         // The endpoint exports the process-global registry, but every
-        // recording site (rpc.*, pipeline.*, par.*, inst.*) gates on the
+        // recording site (rpc.*, par.*, inst.*) gates on the
         // obs enabled flag — flip it on so /metrics actually fills up.
         if args.metrics {
             exdra_obs::set_enabled(true);

@@ -13,7 +13,6 @@
 //! deadline; exhausting the budget yields the typed error so callers
 //! fail fast instead of hanging.
 
-use std::collections::HashSet;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -23,7 +22,6 @@ use parking_lot::{Mutex, MutexGuard};
 use exdra_fault::retry::{classify_io, peer_closed, Deadline, ErrorClass, RetryPolicy};
 use exdra_net::codec::Wire;
 use exdra_net::crypto::ChannelKey;
-use exdra_net::framing::{request_tag, untag_reply};
 use exdra_net::sim::NetProfile;
 use exdra_net::stats::NetStats;
 use exdra_net::transport::{
@@ -414,64 +412,7 @@ impl FedContext {
     /// (redialing first). A connection-type failure that survives the
     /// whole retry budget returns [`RuntimeError::WorkerDead`].
     pub fn call(&self, worker: usize, batch: &[Request]) -> Result<Vec<Response>> {
-        self.exchange(worker, batch, None)
-    }
-
-    /// The active RPC pipelining window (see
-    /// [`ChannelConfig::rpc_window`]).
-    pub fn rpc_window(&self) -> usize {
-        self.fault.lock().channel_config.rpc_window
-    }
-
-    /// Sets the RPC pipelining window for subsequent batched calls
-    /// (clamped to at least 1; 1 = legacy lock-step).
-    pub fn set_rpc_window(&self, n: usize) {
-        self.fault.lock().channel_config.rpc_window = n.max(1);
-    }
-
-    /// Streams one request sequence to one worker through a sliding
-    /// window of `window` correlation-tagged in-flight requests, matching
-    /// replies back by correlation id. Returns responses in the batch's
-    /// submission order.
-    ///
-    /// Unlike [`FedContext::call`], each request travels (and executes)
-    /// as its own envelope: a failing request yields its own
-    /// `Response::Error` without marking later requests as skipped. The
-    /// worker executes a connection's frames in arrival order, so the
-    /// results match the lock-step path exactly; what the window overlaps
-    /// is the wire (and the coordinator's decode) with the worker's
-    /// execution, which pays for bulk `PUT`/`GET` streams and WAN links.
-    ///
-    /// Outbox piggy-backing (the carried entries share the stream's first
-    /// envelope) and fault behavior are [`FedContext::call`]'s
-    /// (both run the same exchange): on a transient transport failure the
-    /// coordinator reconnects (when it knows the endpoint) and re-streams
-    /// the batch; exhausting the budget drains the window into the typed
-    /// failure ([`RuntimeError::WorkerDead`] for connection collapse), so
-    /// supervision and checkpoint recovery fire exactly as they would for
-    /// a lock-step RPC. Re-streams always start on a fresh connection, so
-    /// stale replies from a failed attempt can never alias into the new
-    /// window.
-    pub fn call_streamed(
-        &self,
-        worker: usize,
-        batch: &[Request],
-        window: usize,
-    ) -> Result<Vec<Response>> {
-        self.exchange(worker, batch, Some(window.max(1)))
-    }
-
-    /// The one RPC exchange behind [`FedContext::call`] (`window` =
-    /// `None`: the whole batch in one untagged envelope) and
-    /// [`FedContext::call_streamed`] (`Some(w)`: one tagged envelope per
-    /// request, `w` in flight): a single leg, begun and finished.
-    fn exchange(
-        &self,
-        worker: usize,
-        batch: &[Request],
-        window: Option<usize>,
-    ) -> Result<Vec<Response>> {
-        let (mut legs, _credit) = self.begin(&[(worker, batch)], window)?;
+        let (mut legs, _credit) = self.begin(&[(worker, batch)])?;
         legs.pop().map_or(Ok(Vec::new()), |leg| self.finish(leg))
     }
 
@@ -481,14 +422,12 @@ impl FedContext {
     /// front of the batch, open the leg's span under the caller's current
     /// one, encode. Then one gate acquisition for all legs together, taken
     /// before anything is sent (a leg that waited for credit while earlier
-    /// legs held theirs would add a hold-and-wait), and each unstreamed
-    /// leg's send. A leg with nothing to say is left out. The credit is
-    /// returned next to the legs and must outlive their
-    /// [`FedContext::finish`].
+    /// legs held theirs would add a hold-and-wait), and each leg's send. A
+    /// leg with nothing to say is left out. The credit is returned next to
+    /// the legs and must outlive their [`FedContext::finish`].
     fn begin<'a>(
         &'a self,
         batches: &[(usize, &[Request])],
-        window: Option<usize>,
     ) -> Result<(Vec<Leg<'a>>, Option<GateGuard>)> {
         // Observability: one span per leg, its context stamped onto every
         // envelope so worker-side spans join the same trace. Everything
@@ -527,63 +466,26 @@ impl FedContext {
             if full.is_empty() {
                 continue;
             }
-            let name = if window.is_some() {
-                "rpc.stream"
-            } else {
-                "rpc.call"
-            };
-            let mut span = exdra_obs::span_child_of(SpanKind::Rpc, name, parent);
+            let mut span = exdra_obs::span_child_of(SpanKind::Rpc, "rpc.call", parent);
             if span.is_active() {
                 span.attr("worker", worker);
                 span.attr("requests", full.len());
                 span.attr("deferred", deferred);
                 span.attr("kinds", request_kinds(&full));
-                if let Some(w) = window {
-                    span.attr("window", w);
-                }
             }
-            let trace = span.context().into();
-
             let t_enc = obs_on.then(Instant::now);
-            let envelopes: Vec<RpcEnvelope> = match window {
-                None => vec![RpcEnvelope {
-                    trace,
-                    requests: full,
-                }],
-                // The carried outbox streams as one envelope in front (it
-                // was going to execute in order anyway), the caller's
-                // requests one envelope each.
-                Some(_) => {
-                    let own = full.split_off(deferred);
-                    let carried = (deferred > 0).then_some(full);
-                    carried
-                        .into_iter()
-                        .chain(own.into_iter().map(|req| vec![req]))
-                        .map(|requests| RpcEnvelope { trace, requests })
-                        .collect()
-                }
+            let envelope = RpcEnvelope {
+                trace: span.context().into(),
+                requests: full,
             };
-            // A streamed frame is encoded behind its correlation tag
-            // (corr = index + 1): tagging copies nothing.
-            let frames: Vec<Vec<u8>> = match window {
-                None => envelopes.iter().map(Wire::to_bytes).collect(),
-                Some(_) => (1u64..)
-                    .zip(&envelopes)
-                    .map(|(corr, envelope)| {
-                        let mut frame = request_tag(corr).to_vec();
-                        envelope.encode(&mut frame);
-                        frame
-                    })
-                    .collect(),
-            };
+            let frame = envelope.to_bytes();
             legs.push(Leg {
                 worker,
                 conn,
                 ch,
                 span,
-                window,
-                envelopes,
-                frames,
+                envelope,
+                frame,
                 deferred,
                 sent: Ok(()),
                 t_sent: None,
@@ -602,11 +504,7 @@ impl FedContext {
         legs[0].gate_wait_nanos = t_gate.map_or(0, |t| t.elapsed().as_nanos() as u64);
         for leg in &mut legs {
             leg.t_sent = obs_on.then(Instant::now);
-            // A streamed leg interleaves its sends with its receives:
-            // its whole window belongs to `finish`.
-            if window.is_none() {
-                leg.sent = leg.ch.send(&leg.frames[0]);
-            }
+            leg.sent = leg.ch.send(&leg.frame);
         }
         Ok((legs, credit))
     }
@@ -622,9 +520,8 @@ impl FedContext {
             conn,
             mut ch,
             mut span,
-            window,
-            envelopes,
-            frames,
+            envelope,
+            frame,
             deferred,
             sent,
             t_sent,
@@ -632,17 +529,13 @@ impl FedContext {
             gate_wait_nanos,
         } = leg;
         let obs_on = exdra_obs::enabled();
-        let bytes_sent: u64 = frames.iter().map(|f| f.len() as u64).sum();
+        let bytes_sent = frame.len() as u64;
         let policy = self.fault_policy();
         let deadline = Deadline::after(policy.rpc_deadline);
         let mut net_nanos = 0u64;
         let mut retries = 0u64;
         let mut first = Some((sent, t_sent));
-        let StreamOutcome {
-            replies,
-            out_of_order,
-            max_inflight,
-        } = policy
+        let reply = policy
             .retry
             .run(
                 deadline,
@@ -665,21 +558,10 @@ impl FedContext {
                                 self.stats.record_recovery();
                             }
                             let t_net = obs_on.then(Instant::now);
-                            let sent = match window {
-                                None => ch.send(&frames[0]),
-                                Some(_) => Ok(()),
-                            };
-                            (sent, t_net)
+                            (ch.send(&frame), t_net)
                         }
                     };
-                    let r = sent.and_then(|()| match window {
-                        None => ch.recv().map(|reply| StreamOutcome {
-                            replies: vec![reply],
-                            out_of_order: 0,
-                            max_inflight: 0,
-                        }),
-                        Some(w) => stream_window(&mut **ch, &frames, w, &self.stats),
-                    });
+                    let r = sent.and_then(|()| ch.recv());
                     if let Some(t) = t_net {
                         net_nanos += t.elapsed().as_nanos() as u64;
                     }
@@ -697,26 +579,17 @@ impl FedContext {
         drop(ch);
 
         let t_dec = obs_on.then(Instant::now);
-        let mut exec_nanos = 0u64;
-        let mut bytes_recv = 0u64;
-        let mut responses = Vec::with_capacity(requests as usize);
-        for (frame, envelope) in replies.iter().zip(&envelopes) {
-            // A streamed reply is kept whole and sliced behind its tag.
-            let body = match window {
-                None => &frame[..],
-                Some(_) => untag_reply(frame).map_err(|e| rpc_failure(worker, &e))?.1,
-            };
-            bytes_recv += body.len() as u64;
-            let reply = RpcReply::from_bytes(body)?;
-            exec_nanos += reply.footer.exec_nanos;
-            if reply.responses.len() != envelope.requests.len() {
-                return Err(RuntimeError::Protocol(format!(
-                    "worker {worker}: {} responses for {} requests",
-                    reply.responses.len(),
-                    envelope.requests.len()
-                )));
-            }
-            responses.extend(reply.responses);
+        let bytes_recv = reply.len() as u64;
+        let RpcReply {
+            mut responses,
+            footer,
+        } = RpcReply::from_bytes(&reply)?;
+        let exec_nanos = footer.exec_nanos;
+        if responses.len() as u64 != requests {
+            return Err(RuntimeError::Protocol(format!(
+                "worker {worker}: {} responses for {requests} requests",
+                responses.len()
+            )));
         }
         if let Some(t) = t_dec {
             serde_nanos += t.elapsed().as_nanos() as u64;
@@ -729,10 +602,6 @@ impl FedContext {
             span.attr("serde_nanos", serde_nanos);
             span.attr("gate_wait_nanos", gate_wait_nanos);
             span.attr("retries", retries);
-            if window.is_some() {
-                span.attr("out_of_order", out_of_order);
-                span.attr("max_inflight", max_inflight);
-            }
         }
         if obs_on {
             let reg = exdra_obs::global();
@@ -747,17 +616,9 @@ impl FedContext {
                 serde_nanos,
                 retries,
             });
-            if let Some(w) = window {
-                reg.inc("pipeline.streams");
-                reg.add("pipeline.requests", requests);
-                reg.add("pipeline.ooo", out_of_order);
-                reg.record("rpc.window", w as u64);
-                reg.record("net.inflight", max_inflight);
-            }
         }
-        let sent_requests = || envelopes.iter().flat_map(|e| &e.requests);
         // Teardown makes what is still queued moot: the symbols are gone.
-        let cleared = sent_requests().skip(deferred).any(|r| match r {
+        let cleared = envelope.requests[deferred..].iter().any(|r| match r {
             Request::Clear => true,
             Request::ClearNamespace { ns } => *ns == self.namespace(),
             _ => false,
@@ -766,7 +627,7 @@ impl FedContext {
             *conn.outbox.lock() = Outbox::default();
         }
         // A deferred request that failed surfaces here, at its carrier.
-        for (req, resp) in sent_requests().zip(&responses).take(deferred) {
+        for (req, resp) in envelope.requests.iter().zip(&responses).take(deferred) {
             if let Response::Error(msg) = resp {
                 let op = op_name(req);
                 return Err(worker_error(worker, &format!("deferred {op}: {msg}")));
@@ -784,9 +645,7 @@ impl FedContext {
     /// scatter and gather on the calling thread: every leg is begun (and
     /// so in flight at its worker) before the first is finished, and every
     /// leg is finished, its reply consumed, before the first error is
-    /// reported. A leg is one envelope whatever the RPC window: an op's
-    /// batch is a dependency chain, so per-request frames could overlap
-    /// nothing. Data installation and direct RPCs do not come through
+    /// reported. Data installation and direct RPCs do not come through
     /// here; they keep [`FedContext::call_all`]'s thread per leg, where
     /// bulk payloads encode in parallel.
     pub(crate) fn submit(&self, mut batches: Vec<Vec<Request>>) -> Result<Vec<Vec<Response>>> {
@@ -805,7 +664,7 @@ impl FedContext {
             .filter(|(_, batch)| !batch.is_empty())
             .map(|(w, batch)| (w, batch.as_slice()))
             .collect();
-        let (legs, _credit) = self.begin(&busy, None)?;
+        let (legs, _credit) = self.begin(&busy)?;
         let mut failed = None;
         for leg in legs {
             let w = leg.worker;
@@ -926,22 +785,13 @@ impl FedContext {
         latency: Option<&exdra_fault::straggler::LatencyTracker>,
     ) -> Result<Vec<Result<Vec<Response>>>> {
         self.check_shape(&batches)?;
-        // Multi-request batches stream through the pipelining window when
-        // one is configured; single requests (and window 1) take the
-        // legacy lock-step path, byte-for-byte the pre-pipelining wire
-        // protocol. These are the bulk calls (data installation, frame
-        // `PUT`s, timed parameter-server rounds): a thread per leg lets
-        // their payloads encode in parallel and times each leg on its own.
-        // The operations of a federated object go through `submit`.
-        let window = self.rpc_window();
+        // These are the bulk calls (data installation, frame `PUT`s, timed
+        // parameter-server rounds): a thread per leg lets their payloads
+        // encode in parallel and times each leg on its own. The
+        // operations of a federated object go through `submit`.
         let run = |w: usize| {
-            let batch = &batches[w];
             let t0 = Instant::now();
-            let r = if window > 1 && batch.len() > 1 {
-                self.call_streamed(w, batch, window)
-            } else {
-                self.call(w, batch)
-            };
+            let r = self.call(w, &batches[w]);
             if let (Ok(_), Some(tracker)) = (&r, latency) {
                 tracker.record(w, t0.elapsed());
             }
@@ -1014,15 +864,13 @@ struct Leg<'a> {
     /// a time.
     ch: MutexGuard<'a, Box<dyn Channel>>,
     span: exdra_obs::SpanGuard,
-    window: Option<usize>,
-    /// What `frames` encode; alive until the replies are checked
-    /// against them.
-    envelopes: Vec<RpcEnvelope>,
-    frames: Vec<Vec<u8>>,
+    /// What `frame` encodes; alive until the reply is checked against it.
+    envelope: RpcEnvelope,
+    frame: Vec<u8>,
     /// How many leading requests came out of the outbox.
     deferred: usize,
-    /// Result of the send `begin` made (`Ok` for a streamed leg, which
-    /// sends nothing there), consumed by `finish`'s first attempt.
+    /// Result of the send `begin` made, consumed by `finish`'s first
+    /// attempt.
     sent: std::io::Result<()>,
     t_sent: Option<Instant>,
     serde_nanos: u64,
@@ -1031,64 +879,8 @@ struct Leg<'a> {
 
 impl Leg<'_> {
     fn requests(&self) -> u64 {
-        self.envelopes.iter().map(|e| e.requests.len() as u64).sum()
+        self.envelope.requests.len() as u64
     }
-}
-
-/// Result of one successful exchange attempt.
-struct StreamOutcome {
-    /// One raw reply frame per envelope, in submission order (a streamed
-    /// reply still behind its correlation tag).
-    replies: Vec<Vec<u8>>,
-    /// Replies that arrived ahead of an earlier outstanding request.
-    out_of_order: u64,
-    /// High-water mark of concurrently in-flight requests.
-    max_inflight: u64,
-}
-
-/// Drives one sliding-window exchange over a locked channel: sends the
-/// correlation-tagged frames (corr = index + 1), keeps up to `window` in
-/// flight, and routes replies by correlation id. Replies with unknown or
-/// duplicate ids are discarded (stale duplicates from a lossy link).
-fn stream_window(
-    ch: &mut dyn Channel,
-    frames: &[Vec<u8>],
-    window: usize,
-    stats: &NetStats,
-) -> std::io::Result<StreamOutcome> {
-    let mut replies: Vec<Option<Vec<u8>>> = vec![None; frames.len()];
-    let mut pending: HashSet<u64> = HashSet::new();
-    let mut next = 0usize;
-    let mut out_of_order = 0u64;
-    let mut max_inflight = 0u64;
-    while next < frames.len() || !pending.is_empty() {
-        if next < frames.len() && pending.len() < window {
-            ch.send(&frames[next])?;
-            next += 1;
-            pending.insert(next as u64);
-            let inflight = pending.len() as u64;
-            max_inflight = max_inflight.max(inflight);
-            stats.record_pipelined(inflight);
-            continue;
-        }
-        let frame = ch.recv()?;
-        let corr = untag_reply(&frame)?.0;
-        if !pending.remove(&corr) {
-            continue;
-        }
-        if pending.iter().any(|&p| p < corr) {
-            out_of_order += 1;
-        }
-        replies[corr as usize - 1] = Some(frame);
-    }
-    Ok(StreamOutcome {
-        replies: replies
-            .into_iter()
-            .map(|r| r.expect("window drained with every correlation answered"))
-            .collect(),
-        out_of_order,
-        max_inflight,
-    })
 }
 
 fn is_rmvar(req: &Request) -> bool {
@@ -1315,40 +1107,8 @@ mod tests {
     }
 
     #[test]
-    fn call_streamed_matches_lockstep_results() {
-        let (ctx, _workers) = mem_context(1);
-        let mut batch = Vec::new();
-        for i in 0..8u64 {
-            batch.push(Request::Put {
-                id: i + 1,
-                data: DataValue::Scalar(i as f64),
-                privacy: PrivacyLevel::Public,
-            });
-        }
-        for i in 0..8u64 {
-            batch.push(Request::Get { id: i + 1 });
-        }
-        let streamed = ctx.call_streamed(0, &batch, 4).unwrap();
-        assert_eq!(streamed.len(), 16);
-        for (i, r) in streamed[8..].iter().enumerate() {
-            match r {
-                Response::Data(DataValue::Scalar(v)) => assert_eq!(*v, i as f64),
-                other => panic!("unexpected {other:?}"),
-            }
-        }
-        assert!(ctx.stats().pipelined_messages() >= 16);
-        assert!(ctx.stats().max_inflight() >= 2, "window actually opened");
-    }
-
-    #[test]
-    fn call_all_uses_window_when_configured() {
+    fn call_all_sends_each_batch_as_one_envelope() {
         let (ctx, workers) = mem_context(2);
-        assert_eq!(ctx.rpc_window(), 1, "legacy lock-step by default");
-        ctx.set_rpc_window(8);
-        assert_eq!(ctx.rpc_window(), 8);
-        ctx.set_rpc_window(0);
-        assert_eq!(ctx.rpc_window(), 1, "window clamps to at least 1");
-        ctx.set_rpc_window(8);
         let batch: Vec<Request> = (0..6u64)
             .map(|i| Request::Put {
                 id: i + 1,
@@ -1361,10 +1121,8 @@ mod tests {
         for w in &workers {
             assert_eq!(w.table().len(), 6);
         }
-        assert!(
-            ctx.stats().pipelined_messages() >= 12,
-            "both workers streamed"
-        );
+        assert_eq!(ctx.stats().messages_sent(), 2, "one envelope per worker");
+        assert_eq!(ctx.stats().messages_received(), 2);
     }
 
     #[test]
@@ -1404,13 +1162,9 @@ mod tests {
             },
             Request::Heartbeat,
         ];
-        // The window governs the calls that stream; an op's leg is one
-        // envelope whatever it is set to.
-        ctx.set_rpc_window(8);
         let rs = ctx.submit(vec![leg; 3]).unwrap();
         assert!(rs.iter().all(|r| r.len() == 2 && r[0] == Response::Ok));
         assert_eq!(ctx.stats().messages_sent(), 3, "one envelope per leg");
-        assert_eq!(ctx.stats().pipelined_messages(), 0);
     }
 
     #[test]

@@ -66,7 +66,7 @@ pub enum FedError {
     /// Invalid user input (bad federation ranges, empty worker list, ...).
     Invalid(String),
     /// A configuration knob was set to a degenerate value (e.g.
-    /// `rpc_window(0)`); surfaced at build time instead of silently
+    /// `threads(0)`); surfaced at build time instead of silently
     /// clamping.
     Config(String),
     /// A coordinator service refused to admit a new session because its

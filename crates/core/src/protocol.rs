@@ -480,16 +480,7 @@ pub struct RpcEnvelope {
 
 impl Wire for RpcEnvelope {
     fn encode(&self, buf: &mut impl BufMut) {
-        // The first eight bytes of an encoded envelope are the trace id.
-        // Correlation-tagged frames (exdra_net::framing) are recognized by
-        // a leading PIPELINE_MAGIC = u64::MAX, so the legacy framing must
-        // never start with that value: clamp the (random) trace id below
-        // it to keep the two framings distinguishable per message.
-        let mut trace = self.trace;
-        if trace.trace_id == u64::MAX {
-            trace.trace_id = u64::MAX - 1;
-        }
-        trace.encode(buf);
+        self.trace.encode(buf);
         self.requests.encode(buf);
     }
     fn decode(buf: &mut impl Buf) -> DecodeResult<Self> {
@@ -699,30 +690,19 @@ mod tests {
     }
 
     #[test]
-    fn envelope_trace_id_never_collides_with_pipeline_magic() {
-        let env = RpcEnvelope {
-            trace: TraceContext {
-                trace_id: u64::MAX,
-                parent_span: 1,
-            },
-            requests: vec![Request::Heartbeat],
-        };
-        let bytes = env.to_bytes();
-        let head = u64::from_le_bytes(bytes[..8].try_into().unwrap());
-        assert_eq!(head, u64::MAX - 1, "trace id clamps below the magic");
-        assert!(
-            exdra_net::framing::untag_request(&bytes).is_none(),
-            "a legacy envelope must never sniff as a tagged request"
-        );
-        // Ordinary trace ids pass through untouched.
-        let normal = RpcEnvelope {
-            trace: TraceContext {
-                trace_id: 42,
-                parent_span: 1,
-            },
-            requests: vec![Request::Heartbeat],
-        };
-        assert_eq!(RpcEnvelope::from_bytes(&normal.to_bytes()).unwrap(), normal);
+    fn envelope_trace_id_survives_the_wire_at_every_value() {
+        for trace_id in [0, 1, u64::MAX - 1, u64::MAX] {
+            let env = RpcEnvelope {
+                trace: TraceContext {
+                    trace_id,
+                    parent_span: 1,
+                },
+                requests: vec![Request::Heartbeat],
+            };
+            let bytes = env.to_bytes();
+            assert_eq!(bytes[..8], trace_id.to_le_bytes(), "trace id leads");
+            assert_eq!(RpcEnvelope::from_bytes(&bytes).unwrap(), env);
+        }
     }
 
     #[test]

@@ -23,7 +23,6 @@ use exdra_matrix::io as mio;
 use exdra_matrix::kernels::reorg;
 use exdra_matrix::{DenseMatrix, Matrix};
 use exdra_net::codec::Wire;
-use exdra_net::framing::{reply_tag, untag_request};
 use exdra_net::transport::{Channel, MemChannel, TcpServer};
 
 use crate::error::{Result, RuntimeError};
@@ -169,19 +168,14 @@ impl Worker {
     /// Every frame runs to completion on this thread before the next one
     /// is received: `recv → decode → execute → reply`, so a connection's
     /// requests observe exactly the order the coordinator submitted them.
-    /// A correlation-tagged request gets its reply under the same tag, an
-    /// untagged one an untagged reply; nothing else differs. Concurrency
-    /// at a worker is one thread per connection.
+    /// Each frame is one `RpcEnvelope`, answered by one `RpcReply`.
+    /// Concurrency at a worker is one thread per connection.
     pub fn serve_connection(self: &Arc<Self>, mut channel: Box<dyn Channel>) {
         while let Ok(frame) = channel.recv() {
             if self.shutdown.load(Ordering::SeqCst) {
                 break;
             }
-            let (corr, body) = match untag_request(&frame) {
-                Some((corr, body)) => (Some(corr), body),
-                None => (None, &frame[..]),
-            };
-            let reply = match RpcEnvelope::from_bytes(body) {
+            let reply = match RpcEnvelope::from_bytes(&frame) {
                 Ok(env) => {
                     let (responses, footer) = self.handle_batch_traced(env.trace, env.requests);
                     RpcReply { responses, footer }
@@ -191,13 +185,7 @@ impl Worker {
                     footer: BatchFooter::default(),
                 },
             };
-            // The reply is encoded behind its tag: tagging copies nothing.
-            let mut out = Vec::new();
-            if let Some(corr) = corr {
-                out.extend_from_slice(&reply_tag(corr));
-            }
-            reply.encode(&mut out);
-            if channel.send(&out).is_err() {
+            if channel.send(&reply.to_bytes()).is_err() {
                 break;
             }
         }
@@ -913,7 +901,6 @@ impl Worker {
 mod tests {
     use super::*;
     use exdra_matrix::rng::rand_matrix;
-    use exdra_net::framing::{tag_request, untag_reply};
 
     fn worker() -> Arc<Worker> {
         Worker::new(WorkerConfig::default())
@@ -953,25 +940,11 @@ mod tests {
         let mut coord = w.serve_mem();
         // Everything is sent before anything is read: a server that ran
         // frames beside each other would have the chance to.
-        for i in 0..32u64 {
-            let env = envelope(vec![registered("whoami")]);
-            let frame = if i % 3 == 0 {
-                env
-            } else {
-                tag_request(i, &env)
-            };
-            coord.send(&frame).unwrap();
+        for _ in 0..32 {
+            coord.send(&envelope(vec![registered("whoami")])).unwrap();
         }
-        for i in 0..32u64 {
-            let frame = coord.recv().unwrap();
-            let body = if i % 3 == 0 {
-                &frame[..]
-            } else {
-                let (corr, body) = untag_reply(&frame).unwrap();
-                assert_eq!(corr, i, "replies leave in arrival order, under their tag");
-                body
-            };
-            let reply = RpcReply::from_bytes(body).unwrap();
+        for _ in 0..32 {
+            let reply = RpcReply::from_bytes(&coord.recv().unwrap()).unwrap();
             assert_eq!(reply.responses, [Response::Ok]);
         }
         let ids = ids.lock();
@@ -996,8 +969,7 @@ mod tests {
         );
         let mut busy = w.serve_mem();
         let mut probe = w.serve_mem();
-        busy.send(&tag_request(1, &envelope(vec![registered("hold")])))
-            .unwrap();
+        busy.send(&envelope(vec![registered("hold")])).unwrap();
         started.recv().unwrap();
         // The first connection is inside its UDF and stays there until
         // released: the probe's connection has a thread of its own.
@@ -1005,11 +977,10 @@ mod tests {
         let reply = RpcReply::from_bytes(&probe.recv().unwrap()).unwrap();
         assert!(matches!(reply.responses[0], Response::Alive { .. }));
         release.send(()).unwrap();
-        let frame = busy.recv().unwrap();
-        let (corr, body) = untag_reply(&frame).unwrap();
-        assert_eq!(corr, 1);
         assert_eq!(
-            RpcReply::from_bytes(body).unwrap().responses,
+            RpcReply::from_bytes(&busy.recv().unwrap())
+                .unwrap()
+                .responses,
             [Response::Ok]
         );
         w.shutdown();
@@ -1031,17 +1002,9 @@ mod tests {
                 Request::Heartbeat,
             ])
         };
-        for tagged in [true, false] {
-            let reply = if tagged {
-                coord.send(&tag_request(5, &batch())).unwrap();
-                let frame = coord.recv().unwrap();
-                let (corr, body) = untag_reply(&frame).unwrap();
-                assert_eq!(corr, 5);
-                RpcReply::from_bytes(body).unwrap()
-            } else {
-                coord.send(&batch()).unwrap();
-                RpcReply::from_bytes(&coord.recv().unwrap()).unwrap()
-            };
+        for _ in 0..2 {
+            coord.send(&batch()).unwrap();
+            let reply = RpcReply::from_bytes(&coord.recv().unwrap()).unwrap();
             assert_eq!(
                 reply.responses[0],
                 Response::Error("panicked: boom at row 7".into())
@@ -1058,64 +1021,27 @@ mod tests {
     }
 
     #[test]
-    fn pipelined_connection_serializes_conflicting_writes() {
+    fn frames_sent_before_any_reply_is_read_execute_in_arrival_order() {
         let w = worker();
         let mut coord = w.serve_mem();
-        // Three tagged writes to the same symbol plus a final read, all
-        // sent before any reply is read: frames execute in arrival order,
-        // so the read returns the *last* submitted value.
-        for (corr, v) in [(1u64, 10.0), (2, 20.0), (3, 30.0)] {
+        // Three writes to the same symbol plus a final read, all sent
+        // before any reply is read: frames execute in arrival order, so
+        // the read returns the *last* submitted value.
+        for v in [10.0, 20.0, 30.0] {
             let env = envelope(vec![Request::Put {
                 id: 7,
                 data: DataValue::Scalar(v),
                 privacy: PrivacyLevel::Public,
             }]);
-            coord.send(&tag_request(corr, &env)).unwrap();
+            coord.send(&env).unwrap();
         }
-        coord
-            .send(&tag_request(4, &envelope(vec![Request::Get { id: 7 }])))
-            .unwrap();
-        let mut got = HashMap::new();
-        for _ in 0..4 {
-            let frame = coord.recv().unwrap();
-            let (corr, body) = untag_reply(&frame).unwrap();
-            got.insert(corr, RpcReply::from_bytes(body).unwrap());
-        }
-        assert!(matches!(got[&1].responses[0], Response::Ok));
-        match &got[&4].responses[0] {
+        coord.send(&envelope(vec![Request::Get { id: 7 }])).unwrap();
+        let got: Vec<RpcReply> = (0..4)
+            .map(|_| RpcReply::from_bytes(&coord.recv().unwrap()).unwrap())
+            .collect();
+        assert!(got[..3].iter().all(|r| r.responses == [Response::Ok]));
+        match &got[3].responses[0] {
             Response::Data(DataValue::Scalar(v)) => assert_eq!(*v, 30.0),
-            other => panic!("unexpected {other:?}"),
-        }
-        w.shutdown();
-    }
-
-    #[test]
-    fn pipelined_connection_serves_mixed_tagged_and_legacy_frames() {
-        let w = worker();
-        let mut coord = w.serve_mem();
-        coord
-            .send(&tag_request(
-                9,
-                &envelope(vec![Request::Put {
-                    id: 1,
-                    data: DataValue::Scalar(5.0),
-                    privacy: PrivacyLevel::Public,
-                }]),
-            ))
-            .unwrap();
-        // An untagged legacy frame on the same connection answers
-        // untagged: the pre-pipelining byte format exactly.
-        coord.send(&envelope(vec![Request::Get { id: 1 }])).unwrap();
-        let (corr, _) = untag_reply(&coord.recv().unwrap()).unwrap();
-        assert_eq!(corr, 9, "tagged reply first: frames answer in order");
-        let legacy = coord.recv().unwrap();
-        assert!(
-            untag_request(&legacy).is_none(),
-            "legacy reply carries no tag"
-        );
-        let reply = RpcReply::from_bytes(&legacy).unwrap();
-        match &reply.responses[0] {
-            Response::Data(DataValue::Scalar(v)) => assert_eq!(*v, 5.0),
             other => panic!("unexpected {other:?}"),
         }
         w.shutdown();

@@ -3,35 +3,12 @@
 //! Every message on the wire is `[u32 length LE][payload]`. A maximum frame
 //! size guards against corrupt prefixes. The same framing is used by plain,
 //! encrypted, and shaped channels.
-//!
-//! ## Correlation tagging
-//!
-//! Pipelined RPC multiplexes several in-flight requests over one
-//! connection, so replies need a way back to their originating request.
-//! A *tagged* request payload is
-//!
-//! ```text
-//! [PIPELINE_MAGIC u64 LE][correlation id u64 LE][envelope bytes]
-//! ```
-//!
-//! and the matching reply is `[correlation id u64 LE][reply bytes]`. The
-//! magic is `u64::MAX`, a value the legacy (untagged) protocol never puts
-//! in its first eight bytes — an `RpcEnvelope` starts with its trace id,
-//! which the coordinator clamps below `u64::MAX` — so a receiver can
-//! sniff each frame and serve tagged and untagged traffic on the same
-//! connection. Untagged frames are byte-for-byte the pre-pipelining
-//! protocol, which keeps window=1 wire-compatible with older peers.
 
 use std::io::{self, Read, Write};
 
 /// Maximum accepted frame payload (256 MiB) — larger prefixes indicate
 /// corruption or protocol mismatch.
 pub const MAX_FRAME: u32 = 256 * 1024 * 1024;
-
-/// First eight bytes of a correlation-tagged request payload. Legacy
-/// envelopes start with a trace id that is always clamped below this
-/// value, so the two framings are distinguishable per message.
-pub const PIPELINE_MAGIC: u64 = u64::MAX;
 
 /// Upper bound on a single `read` pre-allocation. A corrupt-but-in-range
 /// length prefix therefore cannot make us allocate 256 MiB up front; the
@@ -87,78 +64,21 @@ pub fn read_frame(r: &mut impl Read) -> io::Result<Vec<u8>> {
     read_frame_limited(r, MAX_FRAME)
 }
 
-/// The 16 bytes a tagged request payload leads with:
-/// `[PIPELINE_MAGIC][corr]`. A sender encodes its envelope into a buffer
-/// that starts with them, so tagging never copies the payload.
-pub fn request_tag(corr: u64) -> [u8; 16] {
-    let mut tag = [0u8; 16];
-    tag[..8].copy_from_slice(&PIPELINE_MAGIC.to_le_bytes());
-    tag[8..].copy_from_slice(&corr.to_le_bytes());
-    tag
-}
-
-/// Builds a correlation-tagged request payload:
-/// `[PIPELINE_MAGIC][corr][body]`.
-pub fn tag_request(corr: u64, body: &[u8]) -> Vec<u8> {
-    [&request_tag(corr)[..], body].concat()
-}
-
-/// Splits a tagged request payload into `(corr, body)`. Returns `None`
-/// for legacy (untagged) payloads, which do not start with the magic.
-pub fn untag_request(payload: &[u8]) -> Option<(u64, &[u8])> {
+/// Reads the `(trace_id, parent_span_id)` an `RpcEnvelope`-shaped
+/// request payload leads with. Returns `None` for payloads too short to
+/// carry a trace header or whose trace id is `0` ("no context"). Lets an
+/// intermediary (the coordinator front door) attribute a forwarded frame
+/// to its trace without decoding the envelope.
+pub fn peek_trace(payload: &[u8]) -> Option<(u64, u64)> {
     if payload.len() < 16 {
         return None;
     }
-    let magic = u64::from_le_bytes(payload[..8].try_into().expect("8 bytes"));
-    if magic != PIPELINE_MAGIC {
+    let trace_id = u64::from_le_bytes(payload[..8].try_into().expect("8 bytes"));
+    if trace_id == 0 {
         return None;
     }
-    let corr = u64::from_le_bytes(payload[8..16].try_into().expect("8 bytes"));
-    Some((corr, &payload[16..]))
-}
-
-/// Reads the `(trace_id, parent_span_id)` an `RpcEnvelope`-shaped
-/// request payload leads with, seeing through an optional correlation
-/// tag. Returns `None` for payloads too short to carry a trace header
-/// or whose trace id is `0` ("no context"). Lets an intermediary (the
-/// coordinator front door) attribute a forwarded frame to its trace
-/// without decoding the envelope.
-pub fn peek_trace(payload: &[u8]) -> Option<(u64, u64)> {
-    let body = match untag_request(payload) {
-        Some((_, body)) => body,
-        None => payload,
-    };
-    if body.len() < 16 {
-        return None;
-    }
-    let trace_id = u64::from_le_bytes(body[..8].try_into().expect("8 bytes"));
-    if trace_id == 0 || trace_id == PIPELINE_MAGIC {
-        return None;
-    }
-    let parent = u64::from_le_bytes(body[8..16].try_into().expect("8 bytes"));
+    let parent = u64::from_le_bytes(payload[8..16].try_into().expect("8 bytes"));
     Some((trace_id, parent))
-}
-
-/// The 8 bytes a correlated reply payload leads with: `[corr]`.
-pub fn reply_tag(corr: u64) -> [u8; 8] {
-    corr.to_le_bytes()
-}
-
-/// Builds a correlated reply payload: `[corr][body]`.
-pub fn tag_reply(corr: u64, body: &[u8]) -> Vec<u8> {
-    [&reply_tag(corr)[..], body].concat()
-}
-
-/// Splits a correlated reply payload into `(corr, body)`.
-pub fn untag_reply(payload: &[u8]) -> io::Result<(u64, &[u8])> {
-    if payload.len() < 8 {
-        return Err(io::Error::new(
-            io::ErrorKind::InvalidData,
-            "correlated reply shorter than its correlation id",
-        ));
-    }
-    let corr = u64::from_le_bytes(payload[..8].try_into().expect("8 bytes"));
-    Ok((corr, &payload[8..]))
 }
 
 #[cfg(test)]
@@ -249,43 +169,19 @@ mod tests {
     }
 
     #[test]
-    fn request_tag_roundtrip_and_sniffing() {
-        let tagged = tag_request(42, b"envelope");
-        assert_eq!(untag_request(&tagged), Some((42, &b"envelope"[..])));
-        // A legacy envelope (starts with a sub-MAX trace id) is not
-        // mistaken for a tagged request.
-        let mut legacy = 7u64.to_le_bytes().to_vec();
-        legacy.extend_from_slice(&1u64.to_le_bytes());
-        legacy.extend_from_slice(b"rest");
-        assert_eq!(untag_request(&legacy), None);
-        // Too-short payloads are never tagged.
-        assert_eq!(untag_request(&PIPELINE_MAGIC.to_le_bytes()), None);
-        assert_eq!(untag_request(b""), None);
-    }
-
-    #[test]
-    fn peek_trace_sees_through_tagging() {
-        // Envelope-shaped body: trace id 7, parent span 9, then payload.
-        let mut body = 7u64.to_le_bytes().to_vec();
-        body.extend_from_slice(&9u64.to_le_bytes());
-        body.extend_from_slice(b"rest");
-        assert_eq!(peek_trace(&body), Some((7, 9)));
-        assert_eq!(peek_trace(&tag_request(3, &body)), Some((7, 9)));
+    fn peek_trace_reads_the_envelope_header() {
+        // Envelope-shaped payload: trace id, parent span, then the rest.
+        for trace_id in [7, u64::MAX] {
+            let mut body = trace_id.to_le_bytes().to_vec();
+            body.extend_from_slice(&9u64.to_le_bytes());
+            body.extend_from_slice(b"rest");
+            assert_eq!(peek_trace(&body), Some((trace_id, 9)));
+        }
         // No context (trace id 0), too short, or empty: nothing to peek.
         let mut none = 0u64.to_le_bytes().to_vec();
         none.extend_from_slice(&9u64.to_le_bytes());
         assert_eq!(peek_trace(&none), None);
         assert_eq!(peek_trace(b"short"), None);
-        assert_eq!(peek_trace(&tag_request(3, b"")), None);
-    }
-
-    #[test]
-    fn reply_tag_roundtrip() {
-        let tagged = tag_reply(9, b"reply");
-        let (corr, body) = untag_reply(&tagged).unwrap();
-        assert_eq!(corr, 9);
-        assert_eq!(body, b"reply");
-        assert_eq!(untag_reply(&tag_reply(0, b"")).unwrap(), (0, &b""[..]));
-        assert!(untag_reply(&[1, 2, 3]).is_err());
+        assert_eq!(peek_trace(b""), None);
     }
 }

@@ -24,10 +24,6 @@ pub struct NetStats {
     /// Channel re-establishments after a worker failure (supervision
     /// layer: reconnects and replacement channels).
     recoveries: AtomicU64,
-    /// Requests sent through a pipelined (correlation-tagged) stream.
-    pipelined_messages: AtomicU64,
-    /// High-water mark of simultaneously in-flight pipelined requests.
-    max_inflight: AtomicU64,
 }
 
 impl NetStats {
@@ -112,23 +108,6 @@ impl NetStats {
         self.recoveries.load(Ordering::Relaxed)
     }
 
-    /// Records one request sent through a pipelined stream while
-    /// `inflight` requests (including this one) were outstanding.
-    pub fn record_pipelined(&self, inflight: u64) {
-        self.pipelined_messages.fetch_add(1, Ordering::Relaxed);
-        self.max_inflight.fetch_max(inflight, Ordering::Relaxed);
-    }
-
-    /// Total requests sent through pipelined streams.
-    pub fn pipelined_messages(&self) -> u64 {
-        self.pipelined_messages.load(Ordering::Relaxed)
-    }
-
-    /// High-water mark of simultaneously in-flight pipelined requests.
-    pub fn max_inflight(&self) -> u64 {
-        self.max_inflight.load(Ordering::Relaxed)
-    }
-
     /// Consistent-enough point-in-time copy of all counters (each counter
     /// is read atomically; the set is not a single atomic snapshot, which
     /// is fine for reporting).
@@ -143,8 +122,7 @@ impl NetStats {
             retries: self.retries(),
             heartbeats: self.heartbeats(),
             recoveries: self.recoveries(),
-            pipelined_messages: self.pipelined_messages(),
-            max_inflight: self.max_inflight(),
+            max_inflight: 0,
         }
     }
 
@@ -158,8 +136,6 @@ impl NetStats {
         self.retries.store(0, Ordering::Relaxed);
         self.heartbeats.store(0, Ordering::Relaxed);
         self.recoveries.store(0, Ordering::Relaxed);
-        self.pipelined_messages.store(0, Ordering::Relaxed);
-        self.max_inflight.store(0, Ordering::Relaxed);
     }
 
     /// One-line human-readable summary.
@@ -189,9 +165,9 @@ pub struct NetStatsSnapshot {
     pub heartbeats: u64,
     /// Channel re-establishments after worker failures.
     pub recoveries: u64,
-    /// Requests sent through pipelined (correlation-tagged) streams.
-    pub pipelined_messages: u64,
-    /// High-water mark of simultaneously in-flight pipelined requests.
+    /// Always 0: every exchange is one envelope and one reply, so there
+    /// is no window of in-flight requests to measure. Kept only for
+    /// readers that still report it.
     pub max_inflight: u64,
 }
 
@@ -214,12 +190,7 @@ impl NetStatsSnapshot {
             retries: self.retries.saturating_sub(earlier.retries),
             heartbeats: self.heartbeats.saturating_sub(earlier.heartbeats),
             recoveries: self.recoveries.saturating_sub(earlier.recoveries),
-            pipelined_messages: self
-                .pipelined_messages
-                .saturating_sub(earlier.pipelined_messages),
-            // A high-water mark has no meaningful difference; the later
-            // snapshot's watermark is carried through.
-            max_inflight: self.max_inflight,
+            max_inflight: 0,
         }
     }
 }
@@ -229,7 +200,7 @@ impl std::fmt::Display for NetStatsSnapshot {
         write!(
             f,
             "sent {} msgs / {:.2} MB, recv {} msgs / {:.2} MB, {:.3}s in network, \
-             {} retries, {} heartbeats, {} recoveries, {} pipelined (max {} in flight)",
+             {} retries, {} heartbeats, {} recoveries",
             self.messages_sent,
             self.bytes_sent as f64 / 1e6,
             self.messages_received,
@@ -237,9 +208,7 @@ impl std::fmt::Display for NetStatsSnapshot {
             self.network_seconds,
             self.retries,
             self.heartbeats,
-            self.recoveries,
-            self.pipelined_messages,
-            self.max_inflight
+            self.recoveries
         )
     }
 }
@@ -258,9 +227,6 @@ mod tests {
         s.record_heartbeat();
         s.record_heartbeat();
         s.record_recovery();
-        s.record_pipelined(3);
-        s.record_pipelined(7);
-        s.record_pipelined(2);
         assert_eq!(s.bytes_sent(), 150);
         assert_eq!(s.messages_sent(), 2);
         assert_eq!(s.bytes_received(), 10);
@@ -268,16 +234,12 @@ mod tests {
         assert_eq!(s.retries(), 1);
         assert_eq!(s.heartbeats(), 2);
         assert_eq!(s.recoveries(), 1);
-        assert_eq!(s.pipelined_messages(), 3);
-        assert_eq!(s.max_inflight(), 7, "watermark keeps the peak");
         s.reset();
         assert_eq!(s.bytes_sent(), 0);
         assert_eq!(s.messages_received(), 0);
         assert_eq!(s.retries(), 0);
         assert_eq!(s.heartbeats(), 0);
         assert_eq!(s.recoveries(), 0);
-        assert_eq!(s.pipelined_messages(), 0);
-        assert_eq!(s.max_inflight(), 0);
     }
 
     #[test]
@@ -307,7 +269,6 @@ mod tests {
         s.record_send(50, 2_000);
         s.record_recv(25, 500);
         s.record_retry();
-        s.record_pipelined(4);
         let phase = s.snapshot().delta(&before);
         assert_eq!(phase.bytes_sent, 50);
         assert_eq!(phase.messages_sent, 1);
@@ -316,8 +277,6 @@ mod tests {
         assert_eq!(phase.network_nanos, 2_500);
         assert_eq!(phase.retries, 1);
         assert_eq!(phase.heartbeats, 0);
-        assert_eq!(phase.pipelined_messages, 1);
-        assert_eq!(phase.max_inflight, 4, "watermark carried, not diffed");
         // A reset between snapshots saturates rather than underflows.
         let late = s.snapshot();
         s.reset();
@@ -344,7 +303,6 @@ mod tests {
                     for _ in 0..20_000 {
                         s.record_send(10 + i, 100);
                         s.record_recv(5, 50);
-                        s.record_pipelined(i + 1);
                         if i == 0 {
                             s.record_retry();
                         } else {
@@ -367,15 +325,12 @@ mod tests {
             assert!(now.network_nanos >= prev.network_nanos);
             assert!(now.retries >= prev.retries);
             assert!(now.heartbeats >= prev.heartbeats);
-            assert!(now.pipelined_messages >= prev.pipelined_messages);
-            assert!(now.max_inflight >= prev.max_inflight);
             let d = now.delta(&prev);
             // Deltas are exact differences here — saturating_sub never
             // had to clamp — and internally consistent.
             assert_eq!(d.bytes_sent, now.bytes_sent - prev.bytes_sent);
             assert_eq!(d.messages_sent, now.messages_sent - prev.messages_sent);
             assert!(d.network_seconds >= 0.0);
-            assert_eq!(d.max_inflight, now.max_inflight, "watermark carried");
             // Deltas over swapped arguments saturate to zero instead of
             // wrapping (the underflow guard the coordinator relies on).
             let swapped = prev.delta(&now);

@@ -132,15 +132,14 @@ impl<S: SendHalf + 'static, R: RecvHalf + 'static> Channel for Duplex<S, R> {
     }
 }
 
-/// Socket-level timeout configuration for [`TcpChannel`]s, plus the RPC
-/// pipelining window threaded through to the coordinator.
+/// Socket-level timeout configuration for [`TcpChannel`]s.
 ///
 /// All timeouts default to `None` (block forever), preserving the paper's
 /// standing-worker assumption; the fault-tolerance layer passes finite
 /// values so a dead peer surfaces as [`io::ErrorKind::TimedOut`] — which
 /// the retry taxonomy classifies as transient — instead of hanging the
 /// coordinator.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ChannelConfig {
     /// Bound on establishing the TCP connection.
     pub connect_timeout: Option<Duration>,
@@ -148,23 +147,6 @@ pub struct ChannelConfig {
     pub read_timeout: Option<Duration>,
     /// Bound on each blocking write.
     pub write_timeout: Option<Duration>,
-    /// Sliding window of in-flight pipelined requests per connection.
-    /// `1` (the default) is the legacy lock-step protocol — one request
-    /// on the wire at a time, byte-for-byte compatible with peers that
-    /// predate pipelining. Values above 1 let the coordinator stream
-    /// correlation-tagged requests ahead of their replies.
-    pub rpc_window: usize,
-}
-
-impl Default for ChannelConfig {
-    fn default() -> Self {
-        Self {
-            connect_timeout: None,
-            read_timeout: None,
-            write_timeout: None,
-            rpc_window: 1,
-        }
-    }
 }
 
 impl ChannelConfig {
@@ -174,20 +156,12 @@ impl ChannelConfig {
             connect_timeout: Some(d),
             read_timeout: Some(d),
             write_timeout: Some(d),
-            ..Self::default()
         }
     }
 
     /// Config with no timeouts (block forever).
     pub fn blocking() -> Self {
         Self::default()
-    }
-
-    /// Returns the config with the pipelining window set to `n`
-    /// (clamped to at least 1).
-    pub fn with_rpc_window(mut self, n: usize) -> Self {
-        self.rpc_window = n.max(1);
-        self
     }
 }
 
@@ -435,9 +409,8 @@ impl RecvHalf for EncryptedRecvHalf {
 /// transfer time per message, with an explicit *arrival* model: messages
 /// that are concurrently in flight overlap their latencies (only their
 /// transfer times serialize on the link), while a lock-step exchange pays
-/// the full latency every round trip. This is what makes pipelining
-/// measurable — a window of `w` outstanding requests sees ~`ceil(n/w)`
-/// latencies for an `n`-request batch instead of `n`.
+/// the full latency every round trip: `n` frames sent before any reply
+/// is read cost about one latency, not `n`.
 ///
 /// To observe true arrival times (a message that arrives while the
 /// consumer is still sleeping out an earlier delivery must not be charged
@@ -644,22 +617,6 @@ mod tests {
     }
 
     #[test]
-    fn channel_config_defaults_to_lockstep_window() {
-        assert_eq!(ChannelConfig::default().rpc_window, 1);
-        assert_eq!(
-            ChannelConfig::all(Duration::from_secs(1)).rpc_window,
-            1,
-            "timeout presets keep the legacy window"
-        );
-        assert_eq!(ChannelConfig::default().with_rpc_window(8).rpc_window, 8);
-        assert_eq!(
-            ChannelConfig::default().with_rpc_window(0).rpc_window,
-            1,
-            "window clamps to at least one"
-        );
-    }
-
-    #[test]
     fn encrypted_channel_roundtrip() {
         let (a, b) = mem_pair();
         let key = ChannelKey::from_passphrase("secret");
@@ -777,7 +734,7 @@ mod tests {
     #[test]
     fn shaped_channel_overlaps_latency_of_concurrent_messages() {
         // Messages already in flight share the link: n queued replies
-        // cost ~1 latency, not n. This is the property pipelining rides.
+        // cost ~1 latency, not n.
         let (a, mut b) = mem_pair();
         let mut sa = ShapedChannel::new(a, NetProfile::custom(80.0, f64::INFINITY));
         sa.send(b"warmup").unwrap();

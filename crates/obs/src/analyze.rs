@@ -5,7 +5,7 @@
 //!
 //! * a **wall-time breakdown** — compute vs network vs serde vs queue
 //!   vs recovery, drawn from the attributes the coordinator stamps on
-//!   `rpc.call`/`rpc.stream` spans and from `recovery.*` span durations;
+//!   `rpc.call` spans and from `recovery.*` span durations;
 //! * the **critical path** — the chain of spans from the root to the
 //!   leaf that finished last, which is what actually bounded the run;
 //! * **per-opcode and per-worker cost profiles** — mean/total nanos per
@@ -60,7 +60,7 @@ impl OpcodeCost {
 /// Aggregate cost attributed to one federated worker.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct WorkerCost {
-    /// RPCs (calls or streams) sent to this worker.
+    /// RPCs sent to this worker.
     pub calls: u64,
     /// Worker-side execution time (from batch footers).
     pub exec_nanos: u64,

@@ -47,9 +47,7 @@ pub mod trace;
 pub use analyze::{analyze, Analysis, CriticalStep, OpcodeCost, WorkerCost};
 pub use explain::{Explain, PlanEstimate, RuleFire};
 pub use metrics::{global, Counter, Histogram, HistogramSummary, MetricsSnapshot, Registry};
-pub use report::{
-    InstrProfile, NetTotals, PipelineSummary, RecoverySummary, RunReport, WorkerBreakdown,
-};
+pub use report::{InstrProfile, NetTotals, RecoverySummary, RunReport, WorkerBreakdown};
 pub use trace::{
     clear, current, enabled, propagate, set_enabled, snapshot_spans, span, span_child_of,
     take_spans, AttrValue, PropagationGuard, SpanGuard, SpanKind, SpanRecord, TraceContext,

@@ -23,7 +23,6 @@
 //! | `speculation.{launched,won_replica,won_primary}` | straggler re-execution races |
 //! | `par.{regions,serial_regions,chunks,steals}`, `par.threads_used` (histogram) | compute-pool activity |
 //! | `par.inst.{opcode}.{calls,regions,chunks,threads}` | per-opcode intra-operator parallelism |
-//! | `pipeline.{streams,requests,ooo}`, `rpc.window` / `net.inflight` (histograms) | pipelined-RPC streaming |
 
 use std::fmt;
 
@@ -46,8 +45,6 @@ pub struct NetTotals {
     pub retries: u64,
     pub heartbeats: u64,
     pub recoveries: u64,
-    pub pipelined_messages: u64,
-    pub max_inflight: u64,
 }
 
 /// One worker's share of the run, reconstructed from `worker.{w}.*`
@@ -173,26 +170,6 @@ impl InstrParallelism {
     }
 }
 
-/// Pipelined-RPC activity of the run, reconstructed from the
-/// `pipeline.*` counters and `rpc.window` / `net.inflight` histograms
-/// the coordinator's streaming path emits. Present only when at least
-/// one batch was streamed through a sliding window.
-#[derive(Debug, Clone, Copy, Default, PartialEq)]
-pub struct PipelineSummary {
-    /// Batches streamed through a sliding window (one per worker call).
-    pub streams: u64,
-    /// Requests carried across all streams.
-    pub requests: u64,
-    /// Replies that overtook an earlier in-flight request.
-    pub out_of_order: u64,
-    /// Largest configured window across streams.
-    pub window_max: u64,
-    /// Mean configured window across streams.
-    pub window_mean: f64,
-    /// Peak simultaneously in-flight requests observed on any stream.
-    pub inflight_max: u64,
-}
-
 /// Aggregate latency profile of one instruction opcode.
 #[derive(Debug, Clone, PartialEq)]
 pub struct InstrProfile {
@@ -218,8 +195,6 @@ pub struct RunReport {
     pub recovery: Option<RecoverySummary>,
     /// Compute-pool activity (chunks, steals, per-opcode width), when any.
     pub parallelism: Option<ParallelismSummary>,
-    /// Sliding-window RPC streaming activity, when any batch was pipelined.
-    pub pipeline: Option<PipelineSummary>,
 }
 
 impl RunReport {
@@ -235,7 +210,6 @@ impl RunReport {
         let top_instructions = extract_instructions(&metrics);
         let recovery = extract_recovery(&metrics);
         let parallelism = extract_parallelism(&metrics);
-        let pipeline = extract_pipeline(&metrics);
         RunReport {
             metrics,
             workers,
@@ -244,7 +218,6 @@ impl RunReport {
             net: None,
             recovery,
             parallelism,
-            pipeline,
         }
     }
 
@@ -293,8 +266,7 @@ impl RunReport {
             Some(n) => out.push_str(&format!(
                 "{{\"bytes_sent\":{},\"bytes_received\":{},\"messages_sent\":{},\
                  \"messages_received\":{},\"network_nanos\":{},\"retries\":{},\
-                 \"heartbeats\":{},\"recoveries\":{},\"pipelined_messages\":{},\
-                 \"max_inflight\":{}}}",
+                 \"heartbeats\":{},\"recoveries\":{}}}",
                 n.bytes_sent,
                 n.bytes_received,
                 n.messages_sent,
@@ -302,9 +274,7 @@ impl RunReport {
                 n.network_nanos,
                 n.retries,
                 n.heartbeats,
-                n.recoveries,
-                n.pipelined_messages,
-                n.max_inflight
+                n.recoveries
             )),
             None => out.push_str("null"),
         }
@@ -365,20 +335,6 @@ impl RunReport {
                 }
                 out.push_str("]}");
             }
-            None => out.push_str("null"),
-        }
-        out.push_str(",\"pipeline\":");
-        match &self.pipeline {
-            Some(p) => out.push_str(&format!(
-                "{{\"streams\":{},\"requests\":{},\"out_of_order\":{},\
-                 \"window_max\":{},\"window_mean\":{},\"inflight_max\":{}}}",
-                p.streams,
-                p.requests,
-                p.out_of_order,
-                p.window_max,
-                json_f64(p.window_mean),
-                p.inflight_max
-            )),
             None => out.push_str("null"),
         }
         out.push_str(&format!(
@@ -493,26 +449,6 @@ fn extract_parallelism(snap: &MetricsSnapshot) -> Option<ParallelismSummary> {
         threads_used_max,
         threads_used_mean,
         per_instruction: per,
-    })
-}
-
-fn extract_pipeline(snap: &MetricsSnapshot) -> Option<PipelineSummary> {
-    let streams = snap.counter("pipeline.streams");
-    if streams == 0 {
-        return None;
-    }
-    let (window_max, window_mean) = snap
-        .histograms
-        .get("rpc.window")
-        .map_or((0, 0.0), |h| (h.max, h.mean()));
-    let inflight_max = snap.histograms.get("net.inflight").map_or(0, |h| h.max);
-    Some(PipelineSummary {
-        streams,
-        requests: snap.counter("pipeline.requests"),
-        out_of_order: snap.counter("pipeline.ooo"),
-        window_max,
-        window_mean,
-        inflight_max,
     })
 }
 
@@ -659,14 +595,6 @@ impl fmt::Display for RunReport {
                     )?;
                 }
             }
-        }
-        if let Some(p) = &self.pipeline {
-            writeln!(
-                f,
-                "pipelining: {} streams carrying {} requests, {} replies \
-                 out of order, window mean {:.1} / max {}, peak {} in flight",
-                p.streams, p.requests, p.out_of_order, p.window_mean, p.window_max, p.inflight_max
-            )?;
         }
         let hits = self.metrics.counter("lineage.worker.hits")
             + self.metrics.counter("lineage.coordinator.hits");
@@ -835,41 +763,6 @@ mod tests {
     }
 
     #[test]
-    fn pipeline_summary_extracted_only_when_active() {
-        let quiet = RunReport::from_registry(&seeded_registry());
-        assert!(quiet.pipeline.is_none(), "no streams, no section");
-        let quiet_doc = Json::parse(&quiet.to_json()).unwrap();
-        assert!(matches!(quiet_doc.get("pipeline"), Some(Json::Null)));
-
-        let reg = seeded_registry();
-        reg.add("pipeline.streams", 2);
-        reg.add("pipeline.requests", 32);
-        reg.add("pipeline.ooo", 5);
-        reg.record("rpc.window", 8);
-        reg.record("rpc.window", 4);
-        reg.record("net.inflight", 7);
-        let report = RunReport::from_registry(&reg);
-        let p = report.pipeline.expect("pipeline section present");
-        assert_eq!(p.streams, 2);
-        assert_eq!(p.requests, 32);
-        assert_eq!(p.out_of_order, 5);
-        assert_eq!(p.window_max, 8);
-        assert!((p.window_mean - 6.0).abs() < 1e-12);
-        assert_eq!(p.inflight_max, 7);
-
-        let text = format!("{report}");
-        assert!(text.contains("pipelining: 2 streams carrying 32 requests"));
-
-        let doc = Json::parse(&report.to_json()).expect("report json parses");
-        assert_eq!(
-            doc.get("pipeline")
-                .and_then(|p| p.get("inflight_max"))
-                .and_then(Json::as_f64),
-            Some(7.0)
-        );
-    }
-
-    #[test]
     fn json_sidecar_parses_and_carries_worker_split() {
         let mut report = RunReport::from_registry(&seeded_registry());
         report.net = Some(NetTotals {
@@ -881,8 +774,6 @@ mod tests {
             retries: 1,
             heartbeats: 0,
             recoveries: 1,
-            pipelined_messages: 5,
-            max_inflight: 3,
         });
         report.spans_recorded = 12;
         let doc = Json::parse(&report.to_json()).expect("report json parses");
@@ -901,18 +792,6 @@ mod tests {
                 .and_then(|n| n.get("retries"))
                 .and_then(Json::as_f64),
             Some(1.0)
-        );
-        assert_eq!(
-            doc.get("net")
-                .and_then(|n| n.get("pipelined_messages"))
-                .and_then(Json::as_f64),
-            Some(5.0)
-        );
-        assert_eq!(
-            doc.get("net")
-                .and_then(|n| n.get("max_inflight"))
-                .and_then(Json::as_f64),
-            Some(3.0)
         );
         assert_eq!(
             doc.get("metrics")

@@ -166,10 +166,7 @@ fn remote_attach_stitches_spans_like_in_process() {
     // The client's rpc spans stitch to worker.batch spans exactly like
     // an in-process from_tenant session: every batch is parented by the
     // rpc span whose envelope carried it, in the same trace.
-    let rpcs: Vec<&SpanRecord> = spans
-        .iter()
-        .filter(|s| s.name == "rpc.call" || s.name == "rpc.stream")
-        .collect();
+    let rpcs: Vec<&SpanRecord> = spans.iter().filter(|s| s.name == "rpc.call").collect();
     let batches: Vec<&SpanRecord> = spans.iter().filter(|s| s.name == "worker.batch").collect();
     assert!(!rpcs.is_empty(), "attached session recorded rpc spans");
     assert!(!batches.is_empty(), "fleet recorded worker.batch spans");

@@ -1,31 +1,39 @@
-//! End-to-end pipelined-RPC scenarios over real loopback TCP: a WAN-shaped
-//! channel shows the sliding window collapsing per-request round trips, a
-//! worker killed mid-window drains into `WorkerDead` and recovers through
-//! the supervisor with bitwise-identical results, and the full
-//! encrypted+shaped+instrumented production stack pipelines correctly at
-//! window 8. Two in-memory checks pin the transport stack itself: every
-//! layer splits (even a shaped channel over the unshaped LAN profile), and
+//! End-to-end RPC framing and transport-stack scenarios. One exchange is
+//! one `RpcEnvelope` frame out and one bare `RpcReply` frame back, with
+//! the worker's outbox riding in front of the batch. A worker killed
+//! under a batch fails it as `WorkerDead` and recovers through the
+//! supervisor with bitwise-identical results. Plain envelopes sent
+//! several ahead of their replies are served in order over the full
+//! encrypted+shaped+instrumented production stack and over split
+//! shaped halves. An in-memory check pins the transport stack itself:
 //! the full stack behaves identically held whole and held split.
 
 use std::io;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
 use exdra::core::coordinator::WorkerEndpoint;
-use exdra::core::protocol::{Request, Response};
+use exdra::core::instruction::Instruction;
+use exdra::core::protocol::{Request, Response, RpcEnvelope, RpcReply, TraceContext};
 use exdra::core::supervision::Supervisor;
 use exdra::core::worker::{Worker, WorkerConfig};
-use exdra::core::{DataValue, FedContext};
+use exdra::core::{DataValue, FedContext, FedMatrix};
 use exdra::fault::{FaultPlan, FaultyChannel};
+use exdra::matrix::rng::rand_matrix;
+use exdra::net::codec::Wire;
 use exdra::net::crypto::ChannelKey;
 use exdra::net::sim::NetProfile;
 use exdra::net::stats::NetStats;
 use exdra::net::transport::{
-    mem_pair, Channel, Duplex, EncryptedChannel, InstrumentedChannel, ShapedChannel, TcpChannel,
+    mem_pair, Channel, Duplex, EncryptedChannel, InstrumentedChannel, RecvHalf, SendHalf,
+    ShapedChannel, TcpChannel,
 };
 use exdra::{FedError, PrivacyLevel, SupervisionPolicy};
 
-/// Requests per streamed batch.
+/// Requests per batch.
 const BATCH: u64 = 16;
+
+/// Envelopes a pipelining client keeps ahead of their replies.
+const DEPTH: usize = 8;
 
 fn puts(base: u64) -> Vec<Request> {
     (0..BATCH)
@@ -51,64 +59,136 @@ fn scalar_bits(responses: &[Response]) -> Vec<u64> {
         .collect()
 }
 
-/// The tentpole arc: a real TCP worker behind a WAN-shaped channel. The
-/// transport-measured round-trip count of a 16-request batch (blocked
-/// network time over one-way latency, via `NetStatsSnapshot::delta`)
-/// shrinks at least 2x when the window opens from 1 to 8, with
-/// bitwise-identical responses.
+fn envelope(requests: Vec<Request>) -> Vec<u8> {
+    RpcEnvelope {
+        trace: TraceContext::NONE,
+        requests,
+    }
+    .to_bytes()
+}
+
+/// Sends `requests` one plain envelope each, keeping up to [`DEPTH`]
+/// sent ahead of their replies, and returns the responses in order.
+fn pipelined(ch: &mut dyn Channel, requests: Vec<Request>) -> Vec<Response> {
+    let n = requests.len();
+    let mut pending = requests.into_iter();
+    let mut responses = Vec::with_capacity(n);
+    let mut sent = 0;
+    while responses.len() < n {
+        if sent < n && sent - responses.len() < DEPTH {
+            let req = pending.next().expect("one request per send");
+            ch.send(&envelope(vec![req])).unwrap();
+            sent += 1;
+            continue;
+        }
+        let reply = RpcReply::from_bytes(&ch.recv().unwrap()).unwrap();
+        assert_eq!(reply.responses.len(), 1);
+        responses.extend(reply.responses);
+    }
+    responses
+}
+
+/// One logged frame per direction.
+type Log = Arc<Mutex<Vec<Vec<u8>>>>;
+
+struct RecordingSendHalf {
+    inner: Box<dyn SendHalf>,
+    log: Log,
+}
+
+impl SendHalf for RecordingSendHalf {
+    fn send(&mut self, payload: &[u8]) -> io::Result<()> {
+        self.log.lock().unwrap().push(payload.to_vec());
+        self.inner.send(payload)
+    }
+}
+
+struct RecordingRecvHalf {
+    inner: Box<dyn RecvHalf>,
+    log: Log,
+}
+
+impl RecvHalf for RecordingRecvHalf {
+    fn recv(&mut self) -> io::Result<Vec<u8>> {
+        let frame = self.inner.recv()?;
+        self.log.lock().unwrap().push(frame.clone());
+        Ok(frame)
+    }
+}
+
+/// A coordinator's call with a queued outbox puts exactly one frame on
+/// the wire, `RpcEnvelope { trace, outbox ++ batch }` byte for byte, and
+/// the worker answers with exactly one frame that is a bare `RpcReply`.
 #[test]
-fn wan_batch_round_trips_shrink_at_window_8() {
+fn one_call_is_one_envelope_frame_and_one_bare_reply() {
     let worker = Worker::new(WorkerConfig::default());
-    let addr = worker.serve_tcp("127.0.0.1:0").unwrap();
-    // 10 ms RTT, ample bandwidth: latency-bound like the paper's WAN,
-    // scaled to keep the test under a second.
-    let profile = NetProfile::custom(10.0, 1000.0);
-    let one_way = profile.latency().as_nanos().max(1) as f64;
-    let ctx =
-        FedContext::connect(&[WorkerEndpoint::tcp_with(addr.to_string(), profile, None)]).unwrap();
+    let (sent, received): (Log, Log) = Default::default();
+    let (tx, rx) = Box::new(worker.serve_mem()).split();
+    let recording = Duplex::from_halves(
+        RecordingSendHalf {
+            inner: tx,
+            log: Arc::clone(&sent),
+        },
+        RecordingRecvHalf {
+            inner: rx,
+            log: Arc::clone(&received),
+        },
+    );
+    let ctx = FedContext::from_channels(vec![Box::new(recording)]).unwrap();
 
-    ctx.call(0, &puts(1)).unwrap();
+    // Dropping a federated handle queues its removal in the outbox.
+    let x = rand_matrix(6, 2, -1.0, 1.0, 3);
+    let fed = FedMatrix::scatter_rows(&ctx, &x, PrivacyLevel::Public).unwrap();
+    let part = fed.parts()[0].id;
+    drop(fed);
+    sent.lock().unwrap().clear();
+    received.lock().unwrap().clear();
 
-    let trips_at = |window: usize| {
-        let before = ctx.stats().snapshot();
-        let responses = ctx.call_streamed(0, &gets(1), window).unwrap();
-        let delta = ctx.stats().snapshot().delta(&before);
-        (
-            delta.network_nanos as f64 / one_way,
-            scalar_bits(&responses),
-            delta,
-        )
-    };
-
-    let (trips_lockstep, bits_lockstep, _) = trips_at(1);
-    let (trips_piped, bits_piped, delta_piped) = trips_at(8);
-
+    // Repeated ids: conflicting writes and reads in one batch.
+    let mut batch = Vec::new();
+    for id in [5u64, 9, 5] {
+        batch.push(Request::Put {
+            id,
+            data: DataValue::Scalar(id as f64 * 0.5 - 3.0),
+            privacy: PrivacyLevel::Public,
+        });
+        batch.push(Request::Get { id });
+    }
+    let responses = ctx.call(0, &batch).unwrap();
     assert_eq!(
-        bits_lockstep, bits_piped,
-        "pipelined responses bitwise identical to lock-step"
+        responses.len(),
+        batch.len(),
+        "the carried response is stripped"
     );
-    assert!(
-        trips_piped * 2.0 <= trips_lockstep,
-        "window 8 must halve measured round trips: {trips_piped:.2} vs {trips_lockstep:.2}"
-    );
+
+    let sent = sent.lock().unwrap();
+    assert_eq!(sent.len(), 1, "one frame out");
+    let mut requests = vec![Request::ExecInst {
+        inst: Instruction::Rmvar { ids: vec![part] },
+    }];
+    requests.extend(batch);
     assert_eq!(
-        delta_piped.pipelined_messages, BATCH,
-        "every streamed request counted"
+        sent[0],
+        envelope(requests),
+        "outbox ++ batch, byte for byte"
     );
-    assert!(
-        delta_piped.max_inflight >= 2,
-        "window actually opened: {}",
-        delta_piped.max_inflight
-    );
+
+    let received = received.lock().unwrap();
+    assert_eq!(received.len(), 1, "one frame back");
+    let reply = RpcReply::from_bytes(&received[0]).expect("a bare RpcReply");
+    assert_eq!(reply.to_bytes(), received[0]);
+    assert_eq!(reply.responses[0], Response::Ok, "the carried rmvar");
+    assert_eq!(reply.responses[1..], responses[..]);
+    assert!(!worker.table().contains(part));
     worker.shutdown();
 }
 
-/// Killing the worker mid-window drains the in-flight requests into
-/// `WorkerDead` (not a hang, not a misrouted reply), and after the
-/// supervisor's checkpoint recovery the same streamed batch returns
-/// bitwise-identical results from the replacement worker.
+/// Killing the worker fails the next batch as `WorkerDead` (not a hang,
+/// not a misrouted reply), and after the supervisor's checkpoint recovery
+/// the same batch returns bitwise-identical results from the replacement
+/// worker.
 #[test]
-fn killed_worker_mid_window_recovers_through_supervisor() {
+fn killed_worker_fails_its_batch_and_recovers_through_supervisor() {
     let worker = Worker::new(WorkerConfig::default());
     let addr = worker.serve_tcp("127.0.0.1:0").unwrap();
     let profile = NetProfile::custom(4.0, 1000.0);
@@ -117,11 +197,10 @@ fn killed_worker_mid_window_recovers_through_supervisor() {
     let sup = Supervisor::new(Arc::clone(&ctx), SupervisionPolicy::default());
     sup.heartbeat_once();
 
-    // Install state, checkpoint it synchronously, and take the streamed
-    // baseline through the open window.
+    // Install state, checkpoint it synchronously, and take the baseline.
     ctx.call(0, &puts(100)).unwrap();
     sup.checkpoint_worker(0).unwrap();
-    let baseline = scalar_bits(&ctx.call_streamed(0, &gets(100), 8).unwrap());
+    let baseline = scalar_bits(&ctx.call(0, &gets(100)).unwrap());
 
     // Stand in for a restarted worker process, then kill the original.
     let replacement = Worker::new(WorkerConfig::default());
@@ -134,19 +213,19 @@ fn killed_worker_mid_window_recovers_through_supervisor() {
     worker.shutdown();
 
     let err = ctx
-        .call_streamed(0, &gets(100), 8)
-        .expect_err("dead worker drains the window into an error");
+        .call(0, &gets(100))
+        .expect_err("a dead worker fails the batch");
     assert!(
         matches!(err, FedError::WorkerDead { .. }),
-        "drained as WorkerDead, got {err:?}"
+        "failed as WorkerDead, got {err:?}"
     );
 
     // Supervisor recovery restores the checkpoint onto the replacement;
-    // the identical streamed batch then recomputes bitwise-identically.
+    // the identical batch then recomputes bitwise-identically.
     sup.notify_worker_dead(0);
     sup.wait_recoveries();
-    let after = scalar_bits(&ctx.call_streamed(0, &gets(100), 8).unwrap());
-    assert_eq!(baseline, after, "recovered stream is bitwise identical");
+    let after = scalar_bits(&ctx.call(0, &gets(100)).unwrap());
+    assert_eq!(baseline, after, "recovered batch is bitwise identical");
     assert!(
         !replacement.table().is_empty(),
         "checkpointed state restored onto the replacement"
@@ -156,10 +235,11 @@ fn killed_worker_mid_window_recovers_through_supervisor() {
 }
 
 /// Regression for the encrypted stack: ChaCha20 channel encryption must
-/// not assume strict send/recv alternation. At window 8 the coordinator
-/// seals eight request frames before opening any reply, over the full
-/// production stack (encrypted + WAN-shaped + instrumented), and every
-/// frame still authenticates and routes.
+/// not assume strict send/recv alternation. A client seals eight plain
+/// envelopes before opening any reply, over the full production stack
+/// (encrypted + WAN-shaped + instrumented), and every frame still
+/// authenticates and answers in order, bitwise equal to one envelope
+/// carrying the whole batch.
 #[test]
 fn encrypted_shaped_stack_pipelines_at_window_8() {
     let key = ChannelKey::from_passphrase("pipeline-e2e");
@@ -177,25 +257,23 @@ fn encrypted_shaped_stack_pipelines_at_window_8() {
     .unwrap();
 
     ctx.call(0, &puts(500)).unwrap();
+    let whole = scalar_bits(&ctx.call(0, &gets(500)).unwrap());
+    let mut stack = ctx.connect_extra(0).unwrap();
     let before = ctx.stats().snapshot();
-    let piped = scalar_bits(&ctx.call_streamed(0, &gets(500), 8).unwrap());
+    let piped = scalar_bits(&pipelined(&mut *stack, gets(500)));
     let delta = ctx.stats().snapshot().delta(&before);
-    let lockstep = scalar_bits(&ctx.call_streamed(0, &gets(500), 1).unwrap());
 
-    assert_eq!(piped, lockstep, "encrypted pipelining is bitwise identical");
-    assert_eq!(delta.pipelined_messages, BATCH);
-    assert!(
-        delta.max_inflight >= 2,
-        "burst sends actually overlapped on the encrypted stack: {}",
-        delta.max_inflight
-    );
+    assert_eq!(piped, whole, "encrypted pipelining is bitwise identical");
+    assert_eq!(delta.messages_sent, BATCH);
+    assert_eq!(delta.messages_received, BATCH);
     worker.shutdown();
 }
 
 /// A `ShapedChannel` over the unshaped LAN profile is a layer like any
-/// other: it splits, so the coordinator in front of one opens a window of
-/// 8 against a worker serving behind one. While `split` could still
-/// refuse, this stack came back whole and `coordd` marked the link down.
+/// other: it splits, and the halves carry eight envelopes ahead of their
+/// replies to a worker serving behind another shaped channel. While
+/// `split` could still refuse, this stack came back whole and `coordd`
+/// marked the link down.
 #[test]
 fn lan_shaped_channel_splits_and_pipelines_at_window_8() {
     let worker = Worker::new(WorkerConfig::default());
@@ -207,19 +285,21 @@ fn lan_shaped_channel_splits_and_pipelines_at_window_8() {
             worker.serve_connection(Box::new(shaped));
         })
     };
-    let coord = ShapedChannel::new(coord_side, NetProfile::lan());
+    let (tx, rx) = Box::new(ShapedChannel::new(coord_side, NetProfile::lan())).split();
+    let mut coord = Duplex::from_halves(tx, rx);
 
-    let ctx = FedContext::from_channels(vec![Box::new(coord)]).unwrap();
-    ctx.call(0, &puts(900)).unwrap();
-    let piped = scalar_bits(&ctx.call_streamed(0, &gets(900), 8).unwrap());
-    let lockstep = scalar_bits(&ctx.call(0, &gets(900)).unwrap());
+    coord.send(&envelope(puts(900))).unwrap();
+    let installed = RpcReply::from_bytes(&coord.recv().unwrap()).unwrap();
+    assert!(installed.responses.iter().all(|r| *r == Response::Ok));
+    let piped = scalar_bits(&pipelined(&mut coord, gets(900)));
+    coord.send(&envelope(gets(900))).unwrap();
+    let whole = RpcReply::from_bytes(&coord.recv().unwrap()).unwrap();
     assert_eq!(
-        piped, lockstep,
-        "window 8 is bitwise identical to lock-step"
+        piped,
+        scalar_bits(&whole.responses),
+        "eight ahead is bitwise identical to one envelope"
     );
-    assert_eq!(ctx.stats().pipelined_messages(), BATCH);
-    assert_eq!(ctx.stats().max_inflight(), 8, "the window opened fully");
-    drop(ctx);
+    drop(coord);
     served.join().unwrap();
 }
 

@@ -175,8 +175,8 @@ fn plans_take_at_most_two_rounds_and_the_estimate_says_so() {
         let logical = Plan::from_lazy(&lazy);
         let (optimized, _) = Optimizer::new().optimize(&logical);
         assert_eq!(optimized.estimate(&cost).round_trips, expected, "{name}");
-        let (out, t) = traffic(&ctx, || session.compute(&lazy).unwrap());
-        assert_eq!(rounds(&t), expected, "{name}");
+        let (out, opt) = traffic(&ctx, || session.compute(&lazy).unwrap());
+        assert_eq!(rounds(&opt), expected, "{name}");
         // Unfused, the intermediates stay federated and are deferred:
         // the optimizer saves bytes and instructions, not rounds, except
         // where CSE removes a whole result-bearing subtree.
@@ -185,5 +185,14 @@ fn plans_take_at_most_two_rounds_and_the_estimate_says_so() {
         assert_eq!(rounds(&t), raw_rounds, "{name} unoptimized");
         assert!(raw_rounds >= expected, "{name}");
         assert_eq!(out.values(), raw.values(), "{name}");
+        assert!(
+            opt.bytes_sent <= t.bytes_sent,
+            "{name}: optimizing costs bytes"
+        );
+        if name == "lmcg_step" {
+            // Fusion ships one instruction where the raw plan ships a chain.
+            assert!(opt.bytes_sent < t.bytes_sent, "{name}");
+            assert!(opt.messages_sent <= t.messages_sent, "{name}");
+        }
     }
 }

@@ -16,9 +16,7 @@ use exdra::paramserv::fed::install_ps_udf;
 use exdra::paramserv::UpdateType;
 use exdra::scenario::{run_scenario, ContinuousTrainer, Scenario, SitePipeline, TrainerConfig};
 
-/// One master seed reproduces every scenario run in this file; the same
-/// value is the `scenario_matrix` bench default, so a failing CI report
-/// in `results/scenarios.json` replays here verbatim.
+/// One master seed reproduces every scenario run in this file.
 const SEED: u64 = 0xEDDA;
 
 /// Reduced-but-representative scale: every scenario still runs all of

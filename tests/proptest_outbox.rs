@@ -4,7 +4,7 @@
 //! `Tensor` operations on a mem federation, deferred execution and the
 //! oracle "flush every worker after every op" (an empty `call` drains an
 //! outbox) fetch bitwise-equal results and leave bitwise-equal worker
-//! symbol tables, at several thread counts and RPC windows.
+//! symbol tables, at several thread counts.
 
 use std::sync::Arc;
 
@@ -98,9 +98,8 @@ fn flush(ctx: &FedContext) {
 type Outcome = (Vec<Vec<u64>>, Vec<Vec<(u64, Vec<u8>)>>);
 
 /// Runs the program; `eager` flushes every outbox after every op.
-fn run(ops: &[Op], seed: u64, window: usize, eager: bool) -> Outcome {
+fn run(ops: &[Op], seed: u64, eager: bool) -> Outcome {
     let (ctx, workers) = mem_federation(WORKERS);
-    ctx.set_rpc_window(window);
     let x = rand_matrix(ROWS, COLS, -1.0, 1.0, seed);
     let mut cur = Tensor::Fed(FedMatrix::scatter_rows(&ctx, &x, PrivacyLevel::Public).unwrap());
     let mut stash: Vec<Tensor> = Vec::new();
@@ -160,11 +159,10 @@ proptest! {
     fn deferred_execution_equals_flush_after_every_op(
         ops in proptest::collection::vec(op(), 0..16),
         threads in prop_oneof![Just(1usize), Just(3)],
-        window in prop_oneof![Just(1usize), Just(8)],
         seed in 0u64..1_000_000,
     ) {
         let (deferred, oracle) = exdra_par::with_threads(threads, || {
-            (run(&ops, seed, window, false), run(&ops, seed, window, true))
+            (run(&ops, seed, false), run(&ops, seed, true))
         });
         prop_assert_eq!(&deferred.0, &oracle.0, "fetched results differ");
         prop_assert_eq!(&deferred.1, &oracle.1, "final symbol tables differ");
