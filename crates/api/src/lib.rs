@@ -29,6 +29,6 @@ pub mod plan;
 pub mod session;
 
 pub use dag::Lazy;
-pub use optimizer::{CostModel, Optimizer, OptimizerRule, ProfileCostModel, RuleContext};
+pub use optimizer::{CostModel, Optimizer, OptimizerRule, ProfileCostModel};
 pub use plan::{Plan, PlanNode, PlanOp};
 pub use session::{Session, SessionBuilder};

@@ -1,8 +1,8 @@
 //! The cost-based logical-plan optimizer.
 //!
-//! An [`Optimizer`] owns an ordered pipeline of [`OptimizerRule`]s and a
-//! [`CostModel`]. [`Optimizer::optimize`] runs each rule once, in order,
-//! over an immutable [`Plan`] and records per-rule hit counts — the
+//! An [`Optimizer`] owns an ordered pipeline of [`OptimizerRule`]s.
+//! [`Optimizer::optimize`] runs each rule once, in order, over an
+//! immutable [`Plan`] and records per-rule hit counts — the
 //! DataFusion-style shape where rules are trait objects and users can
 //! append their own via [`Optimizer::with_rule`] and
 //! [`SessionBuilder::optimizer`](crate::SessionBuilder::optimizer).
@@ -11,8 +11,8 @@
 //!
 //! 1. **`cse`** — common-subexpression elimination, pre-filtered by the
 //!    same lineage fingerprints as [`crate::Lazy::lineage_hash`]
-//!    (exact structural equality is verified before merging, since
-//!    local-source hashes sample large value arrays);
+//!    (exact structural equality is verified before merging, since two
+//!    different subtrees may still collide on a 64-bit hash);
 //! 2. **`fuse-ops`** — operator fusion: `ba+*(t(X), Y)` → `t-ba+*`,
 //!    `t-ba+*(X, X)` → `tsmm`, and the generalized SystemDS-style
 //!    mmchain `t-ba+*(X, w ⊙ ba+*(X, v))` → `mmchain` (with or without
@@ -27,15 +27,13 @@
 //! DESIGN.md §4j proves the fused execution produces identical IEEE-754
 //! bit patterns.
 
-use std::sync::Arc;
-
 use exdra_matrix::kernels::elementwise::BinaryOp;
 use exdra_obs::RuleFire;
 
 use crate::plan::{Plan, PlanNode, PlanOp};
 
-/// A cost model mapping plan shapes to estimated nanoseconds. Fed to
-/// [`Plan::estimate`] and to cost-driven rules via [`RuleContext`].
+/// A cost model mapping plan shapes to estimated nanoseconds, fed to
+/// [`Plan::estimate`].
 pub trait CostModel: Send + Sync {
     /// Estimated nanos to execute one `opcode` instance producing
     /// `out_cells` cells with `work` scalar operations.
@@ -108,31 +106,21 @@ impl CostModel for ProfileCostModel {
     }
 }
 
-/// Context handed to every rule invocation.
-pub struct RuleContext<'a> {
-    /// The optimizer's cost model.
-    pub cost: &'a dyn CostModel,
-}
-
 /// One rewrite rule over the immutable [`Plan`] IR.
 ///
 /// Rules are pure: they take a plan and return either a rewritten plan
 /// with the number of rewrites performed, or `None` when nothing
-/// applied. Rewrites MUST preserve bitwise-identical execution results;
-/// cost models may only steer *where* provably-identical alternatives
-/// run.
+/// applied. Rewrites MUST preserve bitwise-identical execution results.
 pub trait OptimizerRule: Send + Sync {
     /// Stable rule name, shown in EXPLAIN output.
     fn name(&self) -> &'static str;
     /// Applies the rule once. `None` means no rewrite opportunity.
-    fn apply(&self, plan: &Plan, cx: &RuleContext<'_>) -> Option<(Plan, u64)>;
+    fn apply(&self, plan: &Plan) -> Option<(Plan, u64)>;
 }
 
 /// The rule-pipeline optimizer. See the module docs.
 pub struct Optimizer {
     rules: Vec<Box<dyn OptimizerRule>>,
-    cost: Arc<dyn CostModel>,
-    enabled: bool,
 }
 
 impl Default for Optimizer {
@@ -142,24 +130,17 @@ impl Default for Optimizer {
 }
 
 impl Optimizer {
-    /// The default pipeline: `cse`, `fuse-ops`, with the profile-guided
-    /// cost model.
+    /// The default pipeline: `cse`, `fuse-ops`.
     pub fn new() -> Optimizer {
         Optimizer {
             rules: vec![Box::new(Cse), Box::new(OperatorFusion)],
-            cost: Arc::new(ProfileCostModel::default()),
-            enabled: true,
         }
     }
 
-    /// An optimizer that passes plans through untouched — the A/B
-    /// baseline for benches.
+    /// An optimizer with no rules, which passes plans through untouched
+    /// — the A/B baseline for benches.
     pub fn disabled() -> Optimizer {
-        Optimizer {
-            rules: Vec::new(),
-            cost: Arc::new(ProfileCostModel::default()),
-            enabled: false,
-        }
+        Optimizer { rules: Vec::new() }
     }
 
     /// Appends a custom rule to the end of the pipeline.
@@ -168,34 +149,14 @@ impl Optimizer {
         self
     }
 
-    /// Replaces the cost model.
-    pub fn with_cost_model(mut self, cost: Arc<dyn CostModel>) -> Optimizer {
-        self.cost = cost;
-        self
-    }
-
-    /// The active cost model (what estimates in EXPLAIN are priced with).
-    pub fn cost_model(&self) -> &dyn CostModel {
-        &*self.cost
-    }
-
-    /// False for [`Optimizer::disabled`].
-    pub fn is_enabled(&self) -> bool {
-        self.enabled
-    }
-
     /// Runs the pipeline: each rule once, in order. Returns the
     /// optimized plan and the hit counts of the rules that fired
-    /// (disabled optimizers return a clone and an empty list).
+    /// (an optimizer with no rules returns a clone and an empty list).
     pub fn optimize(&self, plan: &Plan) -> (Plan, Vec<RuleFire>) {
-        if !self.enabled {
-            return (plan.clone(), Vec::new());
-        }
-        let cx = RuleContext { cost: &*self.cost };
         let mut current = plan.clone();
         let mut fires = Vec::new();
         for rule in &self.rules {
-            if let Some((next, hits)) = rule.apply(&current, &cx) {
+            if let Some((next, hits)) = rule.apply(&current) {
                 current = next;
                 if hits > 0 {
                     fires.push(RuleFire {
@@ -219,7 +180,7 @@ struct Cse;
 /// True when two operators are exactly interchangeable (same results,
 /// bit for bit). Parameters compare by `to_bits` so `NaN` patterns and
 /// `-0.0` scalars are distinguished correctly; local sources compare by
-/// full value arrays (the lineage hash only samples head/tail).
+/// full value arrays (equal lineage hashes may still be a collision).
 fn op_equivalent(a: &PlanOp, b: &PlanOp) -> bool {
     use PlanOp::*;
     match (a, b) {
@@ -264,10 +225,10 @@ impl OptimizerRule for Cse {
         "cse"
     }
 
-    fn apply(&self, plan: &Plan, _cx: &RuleContext<'_>) -> Option<(Plan, u64)> {
+    fn apply(&self, plan: &Plan) -> Option<(Plan, u64)> {
         let lineages = plan.lineages();
-        // lineage -> representative new ids (usually one; collisions or
-        // sampled local sources may hold several).
+        // lineage -> representative new ids (usually one; a hash
+        // collision may hold several).
         let mut canon: std::collections::HashMap<u64, Vec<usize>> =
             std::collections::HashMap::new();
         let mut remap = vec![usize::MAX; plan.len()];
@@ -399,7 +360,7 @@ impl OptimizerRule for OperatorFusion {
         "fuse-ops"
     }
 
-    fn apply(&self, plan: &Plan, _cx: &RuleContext<'_>) -> Option<(Plan, u64)> {
+    fn apply(&self, plan: &Plan) -> Option<(Plan, u64)> {
         let mut current = plan.clone();
         let mut total = 0u64;
         for _ in 0..8 {

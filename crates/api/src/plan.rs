@@ -11,19 +11,20 @@
 //!
 //! Besides the structure itself, a plan knows how to
 //!
-//! * fingerprint each node ([`Plan::lineages`], the same mix/seed scheme
-//!   as [`Lazy::lineage_hash`], which is what CSE keys on),
+//! * fingerprint each node ([`Plan::lineages`]; CSE keys on it, and the
+//!   root's entry is the plan-cache key [`Lazy::lineage_hash`] computes
+//!   from the DAG with the same per-operator function),
 //! * render itself as the numbered generated-DML script of the paper
 //!   ([`Plan::render`]),
 //! * estimate its execution cost against a
 //!   [`CostModel`] ([`Plan::estimate`]) by
 //!   replaying the federated dispatch rules of `exdra_core::Tensor`
 //!   symbolically (shape + locality inference), and
-//! * execute itself ([`Plan::execute`]) — the unfused operators call the
-//!   exact same [`Tensor`] methods as [`Lazy::eval`], and the fused
-//!   operator ([`PlanOp::MmChain`]) is only introduced by a rule whose
-//!   rewrite is bitwise identical to the unfused execution (see
-//!   DESIGN.md §4j).
+//! * execute itself ([`Plan::execute`]): one [`Tensor`] call per node,
+//!   in arena order. This is the only evaluator; [`Lazy::eval`] is the
+//!   unoptimized plan executed. The fused operator ([`PlanOp::MmChain`])
+//!   is only introduced by a rule whose rewrite is bitwise identical to
+//!   the unfused execution (see DESIGN.md §4j).
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -34,15 +35,16 @@ use exdra_matrix::kernels::elementwise::{BinaryOp, UnaryOp};
 use exdra_matrix::DenseMatrix;
 use exdra_obs::PlanEstimate;
 
-use crate::dag::{Lazy, Node};
+use crate::dag::{Expr, Lazy};
 use crate::optimizer::CostModel;
 
-/// A logical-plan operator. Mirrors the [`Lazy`] DAG node kinds, plus
-/// the fused operator the optimizer introduces.
+/// A logical-plan operator: what every [`Lazy`] DAG node and every
+/// [`PlanNode`] applies, plus the fused operator only the optimizer
+/// introduces.
 #[derive(Debug, Clone)]
 pub enum PlanOp {
-    /// Local source matrix.
-    SourceLocal(DenseMatrix),
+    /// Local source matrix (shared, never copied by lowering).
+    SourceLocal(Arc<DenseMatrix>),
     /// Federated source.
     SourceFed(exdra_core::FedMatrix),
     /// `lhs %*% rhs`.
@@ -81,6 +83,55 @@ pub enum PlanOp {
         /// `w` was the left operand of the fused multiply.
         w_on_left: bool,
     },
+}
+
+impl PlanOp {
+    /// The lineage fingerprint of this operator applied to operands with
+    /// fingerprints `children` (in operand order): the operator's own
+    /// opcode and literals, then each operand mixed in. The one hashing
+    /// scheme behind both [`Plan::lineages`] and [`Lazy::lineage_hash`],
+    /// and the plan-cache key, so it must never move.
+    pub(crate) fn lineage(&self, children: &[u64]) -> u64 {
+        use exdra_core::lineage::{mix, of_dense, seed};
+        let own = match self {
+            // By content, every cell: the plan cache is shared across
+            // sessions, and a sampled fingerprint would let two sources
+            // that differ in the middle share a result.
+            PlanOp::SourceLocal(m) => mix(seed("src.local"), of_dense(m)),
+            PlanOp::SourceFed(f) => {
+                let mut h = mix(mix(seed("src.fed"), f.rows() as u64), f.cols() as u64);
+                for p in f.parts() {
+                    h = mix(
+                        mix(mix(mix(h, p.lo as u64), p.hi as u64), p.worker as u64),
+                        p.id,
+                    );
+                }
+                h
+            }
+            PlanOp::MatMul => seed("ba+*"),
+            PlanOp::TMatMul => seed("t-ba+*"),
+            PlanOp::Tsmm => seed("tsmm"),
+            PlanOp::Binary(op) => seed(op.name()),
+            PlanOp::Scalar(op, v, swap) => mix(
+                mix(mix(seed("scalar"), seed(op.name())), v.to_bits()),
+                *swap as u64,
+            ),
+            PlanOp::Unary(op) => mix(seed("unary"), seed(op.name())),
+            PlanOp::Softmax => seed("softmax"),
+            PlanOp::Agg(op, dir) => mix(mix(seed("agg"), seed(op.name())), *dir as u64),
+            PlanOp::RowIndexMax => seed("rowIndexMax"),
+            PlanOp::Transpose => seed("t"),
+            PlanOp::Index(rl, ru, cl, cu) => mix(
+                mix(mix(mix(seed("ix"), *rl as u64), *ru as u64), *cl as u64),
+                *cu as u64,
+            ),
+            PlanOp::Rbind => seed("rbind"),
+            PlanOp::Cbind => seed("cbind"),
+            PlanOp::Replace(p, r) => mix(mix(seed("replace"), p.to_bits()), r.to_bits()),
+            PlanOp::MmChain { w_on_left } => mix(seed("mmchain"), *w_on_left as u64),
+        };
+        children.iter().fold(own, |h, &c| mix(h, c))
+    }
 }
 
 /// One node of a [`Plan`]: an operator plus the arena indices of its
@@ -138,13 +189,13 @@ impl NodeMeta {
 }
 
 impl Plan {
-    /// Lowers a [`Lazy`] expression into a plan. Shared sub-DAGs (same
-    /// `Arc` identity) lower to one shared node, exactly like
-    /// [`Lazy::eval`] memoizes them.
-    pub fn from_lazy(plan: &Lazy) -> Plan {
-        let mut ids: HashMap<*const Node, usize> = HashMap::new();
+    /// Flattens a [`Lazy`] expression into a plan: a child-first
+    /// depth-first walk, operands in order, in which shared sub-DAGs
+    /// (same `Arc` identity) become one shared node.
+    pub fn from_lazy(lazy: &Lazy) -> Plan {
+        let mut ids = HashMap::new();
         let mut nodes = Vec::new();
-        let root = lower(&plan.node, &mut ids, &mut nodes);
+        let root = lower(lazy, &mut ids, &mut nodes);
         Plan { nodes, root }
     }
 
@@ -214,66 +265,16 @@ impl Plan {
         refs
     }
 
-    /// Per-node lineage fingerprints using the same mix/seed scheme as
-    /// [`Lazy::lineage_hash`]: structurally identical subtrees over the
+    /// Per-node lineage fingerprints (`PlanOp::lineage` over the arena;
+    /// on a plan lowered from a [`Lazy`], the root's entry is its
+    /// [`Lazy::lineage_hash`]): structurally identical subtrees over the
     /// same sources hash equal. This is the CSE pre-filter key; exact
     /// structural equality is still verified before merging.
     pub fn lineages(&self) -> Vec<u64> {
-        use exdra_core::lineage::{mix, seed};
         let mut out = Vec::with_capacity(self.nodes.len());
         for node in &self.nodes {
-            let ch = |k: usize| out[node.children[k]];
-            let h = match &node.op {
-                PlanOp::SourceLocal(m) => mix(seed("src.local"), exdra_core::lineage::of_dense(m)),
-                PlanOp::SourceFed(f) => {
-                    let mut h = mix(mix(seed("src.fed"), f.rows() as u64), f.cols() as u64);
-                    for p in f.parts() {
-                        h = mix(
-                            mix(mix(mix(h, p.lo as u64), p.hi as u64), p.worker as u64),
-                            p.id,
-                        );
-                    }
-                    h
-                }
-                PlanOp::MatMul => mix(mix(seed("ba+*"), ch(0)), ch(1)),
-                PlanOp::TMatMul => mix(mix(seed("t-ba+*"), ch(0)), ch(1)),
-                PlanOp::Tsmm => mix(seed("tsmm"), ch(0)),
-                PlanOp::Binary(op) => mix(mix(seed(op.name()), ch(0)), ch(1)),
-                PlanOp::Scalar(op, v, swap) => mix(
-                    mix(
-                        mix(mix(seed("scalar"), seed(op.name())), v.to_bits()),
-                        *swap as u64,
-                    ),
-                    ch(0),
-                ),
-                PlanOp::Unary(op) => mix(mix(seed("unary"), seed(op.name())), ch(0)),
-                PlanOp::Softmax => mix(seed("softmax"), ch(0)),
-                PlanOp::Agg(op, dir) => {
-                    mix(mix(mix(seed("agg"), seed(op.name())), *dir as u64), ch(0))
-                }
-                PlanOp::RowIndexMax => mix(seed("rowIndexMax"), ch(0)),
-                PlanOp::Transpose => mix(seed("t"), ch(0)),
-                PlanOp::Index(rl, ru, cl, cu) => mix(
-                    mix(
-                        mix(mix(mix(seed("ix"), *rl as u64), *ru as u64), *cl as u64),
-                        *cu as u64,
-                    ),
-                    ch(0),
-                ),
-                PlanOp::Rbind => mix(mix(seed("rbind"), ch(0)), ch(1)),
-                PlanOp::Cbind => mix(mix(seed("cbind"), ch(0)), ch(1)),
-                PlanOp::Replace(p, r) => {
-                    mix(mix(mix(seed("replace"), p.to_bits()), r.to_bits()), ch(0))
-                }
-                PlanOp::MmChain { w_on_left } => {
-                    let mut h = mix(seed("mmchain"), *w_on_left as u64);
-                    for k in 0..node.children.len() {
-                        h = mix(h, ch(k));
-                    }
-                    h
-                }
-            };
-            out.push(h);
+            let children: Vec<u64> = node.children.iter().map(|&c| out[c]).collect();
+            out.push(node.op.lineage(&children));
         }
         out
     }
@@ -343,8 +344,7 @@ impl Plan {
 
     /// Executes the plan: evaluates every node once in arena order (the
     /// arena is compacted, so all nodes are live) and returns the root
-    /// tensor — kept federated when dispatch permits, exactly like
-    /// [`Lazy::eval`].
+    /// tensor, kept federated when dispatch permits.
     pub fn execute(&self) -> Result<Tensor> {
         let mut vals: Vec<Option<Tensor>> = vec![None; self.nodes.len()];
         for (i, node) in self.nodes.iter().enumerate() {
@@ -363,47 +363,28 @@ impl Plan {
     }
 }
 
-fn lower(
-    node: &Arc<Node>,
-    ids: &mut HashMap<*const Node, usize>,
-    nodes: &mut Vec<PlanNode>,
-) -> usize {
-    let key = Arc::as_ptr(node);
+fn lower(lazy: &Lazy, ids: &mut HashMap<*const Expr, usize>, nodes: &mut Vec<PlanNode>) -> usize {
+    let key = Arc::as_ptr(&lazy.expr);
     if let Some(&id) = ids.get(&key) {
         return id;
     }
-    let children: Vec<usize> = node
-        .children()
-        .into_iter()
+    let children = lazy
+        .expr
+        .children
+        .iter()
         .map(|c| lower(c, ids, nodes))
         .collect();
-    let op = match &**node {
-        Node::SourceLocal(m) => PlanOp::SourceLocal(m.clone()),
-        Node::SourceFed(f) => PlanOp::SourceFed(f.clone()),
-        Node::MatMul(..) => PlanOp::MatMul,
-        Node::TMatMul(..) => PlanOp::TMatMul,
-        Node::Tsmm(_) => PlanOp::Tsmm,
-        Node::Binary(op, ..) => PlanOp::Binary(*op),
-        Node::Scalar(op, v, swap, _) => PlanOp::Scalar(*op, *v, *swap),
-        Node::Unary(op, _) => PlanOp::Unary(*op),
-        Node::Softmax(_) => PlanOp::Softmax,
-        Node::Agg(op, dir, _) => PlanOp::Agg(*op, *dir),
-        Node::RowIndexMax(_) => PlanOp::RowIndexMax,
-        Node::Transpose(_) => PlanOp::Transpose,
-        Node::Index(rl, ru, cl, cu, _) => PlanOp::Index(*rl, *ru, *cl, *cu),
-        Node::Rbind(..) => PlanOp::Rbind,
-        Node::Cbind(..) => PlanOp::Cbind,
-        Node::Replace(p, r, _) => PlanOp::Replace(*p, *r),
-    };
     let id = nodes.len();
-    nodes.push(PlanNode { op, children });
+    nodes.push(PlanNode {
+        op: lazy.expr.op.clone(),
+        children,
+    });
     ids.insert(key, id);
     id
 }
 
-/// The opcode string of one operator — identical to the [`Lazy`] DAG's
-/// rendering for unfused operators, so the script view is stable across
-/// optimization for untouched nodes.
+/// The opcode string of one operator, so the script view is stable
+/// across optimization for untouched nodes.
 fn opcode(op: &PlanOp) -> String {
     match op {
         PlanOp::SourceLocal(m) => format!("matrix({}x{})", m.rows(), m.cols()),
@@ -839,7 +820,7 @@ fn eval_op(op: &PlanOp, children: &[usize], vals: &[Option<Tensor>]) -> Result<T
             .expect("topological arena order: children evaluated first")
     };
     match op {
-        PlanOp::SourceLocal(m) => Ok(Tensor::Local(m.clone())),
+        PlanOp::SourceLocal(m) => Ok(Tensor::Local(DenseMatrix::clone(m))),
         PlanOp::SourceFed(f) => Ok(Tensor::Fed(f.clone())),
         PlanOp::MatMul => v(0).matmul(v(1)),
         PlanOp::TMatMul => v(0).t_matmul(v(1)),
@@ -891,6 +872,7 @@ fn eval_op(op: &PlanOp, children: &[usize], vals: &[Option<Tensor>]) -> Result<T
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Optimizer;
     use exdra_matrix::rng::rand_matrix;
 
     #[test]
@@ -927,18 +909,59 @@ mod tests {
         );
     }
 
+    /// Plan-cache keys cross process boundaries (an attached client and
+    /// its `CoordServer` share one cache), so every operator's lineage is
+    /// pinned to a literal: a refactor may not move any of them.
     #[test]
-    fn plan_lineage_matches_lazy() {
-        let x = rand_matrix(12, 3, -1.0, 1.0, 4);
-        let lx = Lazy::from_local(x);
-        let expr = lx.tsmm().unwrap().scalar(BinaryOp::Add, 1.0, false);
-        let plan = Plan::from_lazy(&expr);
-        let lineages = plan.lineages();
-        assert_eq!(
-            lineages[plan.root()],
-            expr.lineage_hash(),
-            "plan lineage mirrors Lazy::lineage_hash"
-        );
+    fn lineage_keys_are_pinned_for_every_op() {
+        use exdra_core::{FedMatrix, PrivacyLevel};
+        let (ctx, _workers) = exdra_core::testutil::mem_federation(2);
+        let x = Lazy::from_local(rand_matrix(6, 3, -1.0, 1.0, 21));
+        let y = Lazy::from_local(rand_matrix(6, 3, -1.0, 1.0, 22));
+        let v = Lazy::from_local(rand_matrix(3, 1, -1.0, 1.0, 23));
+        let w = Lazy::from_local(rand_matrix(6, 1, 0.0, 1.0, 24));
+        let fed = rand_matrix(6, 3, -1.0, 1.0, 25);
+        let fed =
+            Lazy::from_fed(FedMatrix::scatter_rows(&ctx, &fed, PrivacyLevel::Public).unwrap());
+        let table = [
+            ("src.local", x.clone(), 0xa565566afd8c7c7a_u64),
+            ("src.fed", fed.clone(), 0xcefed16ba1f0ce0f),
+            ("ba+*", x.matmul(&v), 0x6cb7b71dc17950c3),
+            ("t-ba+*", x.t_matmul(&y), 0x37c5eaaf8f5e772f),
+            ("tsmm", fed.tsmm().unwrap(), 0x82d59511759eb6e9),
+            ("binary", x.div(&y).unwrap(), 0xe1077b85969a388d),
+            (
+                "scalar",
+                x.scalar(BinaryOp::Sub, 0.5, true),
+                0x8dfc118fbde8cc11,
+            ),
+            ("unary", x.unary(UnaryOp::Exp), 0x4733205e17fbd96b),
+            ("softmax", x.softmax(), 0x9da0f12b86d504d4),
+            ("agg", x.agg(AggOp::Mean, AggDir::Col), 0xb58a059964fbf46b),
+            ("rowIndexMax", x.row_index_max(), 0x06a1c0474c565deb),
+            ("t", x.t(), 0xcf2182580e4f59e0),
+            ("ix", x.index(1, 4, 0, 2), 0x66bf0562d0a2ed15),
+            ("rbind", x.rbind(&y), 0xe8f5f9b325a5589e),
+            ("cbind", x.cbind(&y), 0x6498a74ea85c030f),
+            ("replace", x.replace(f64::NAN, 0.0), 0x9b7218ebc0911820),
+        ];
+        for (name, expr, want) in &table {
+            assert_eq!(expr.lineage_hash(), *want, "{name}: Lazy::lineage_hash");
+            let plan = Plan::from_lazy(expr);
+            assert_eq!(
+                plan.lineages()[plan.root()],
+                *want,
+                "{name}: Plan::lineages"
+            );
+        }
+        // The fused operator only exists in optimized plans.
+        let chain = x.t_matmul(&w.mul(&x.matmul(&v)).unwrap());
+        let (fused, _) = Optimizer::new().optimize(&Plan::from_lazy(&chain));
+        assert!(matches!(
+            fused.node(fused.root()).op,
+            PlanOp::MmChain { w_on_left: true }
+        ));
+        assert_eq!(fused.lineages()[fused.root()], 0x9f9cc5c6e055ffec);
     }
 
     #[test]

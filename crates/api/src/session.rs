@@ -45,7 +45,7 @@ use exdra_matrix::{DenseMatrix, Frame};
 use exdra_obs::{Explain, NetTotals, RunReport};
 
 use crate::dag::Lazy;
-use crate::optimizer::Optimizer;
+use crate::optimizer::{Optimizer, ProfileCostModel};
 use crate::plan::Plan;
 
 /// How many times [`Session::compute`] re-attempts a plan after a worker
@@ -216,8 +216,7 @@ impl SessionBuilder {
     }
 
     /// Replaces the session's plan [`Optimizer`]. The default is
-    /// [`Optimizer::new`] — the `cse`/`fuse-ops` pipeline with the
-    /// profile-guided cost model. Pass
+    /// [`Optimizer::new`] — the `cse`/`fuse-ops` pipeline. Pass
     /// [`Optimizer::disabled`] to execute plans exactly as written (the
     /// A/B baseline for benches), or an optimizer extended with custom
     /// [`crate::OptimizerRule`]s via [`Optimizer::with_rule`]. Every
@@ -529,15 +528,16 @@ impl Session {
     /// `EXPLAIN` for a plan: lowers the DAG into the logical plan IR,
     /// runs the session's [`Optimizer`] pipeline, and returns the
     /// [`Explain`] report — the logical and optimized scripts, the
-    /// per-rule rewrite counts, and the cost model's estimate for both.
+    /// per-rule rewrite counts, and the default [`ProfileCostModel`]'s
+    /// estimate for both.
     /// Nothing executes; print the report with `{}`.
     pub fn explain(&self, plan: &Lazy) -> Explain {
         let logical = Plan::from_lazy(plan);
         let (optimized, rules) = self.optimizer.optimize(&logical);
-        let cost = self.optimizer.cost_model();
+        let cost = ProfileCostModel::default();
         Explain {
-            estimated_logical: logical.estimate(cost),
-            estimated_optimized: optimized.estimate(cost),
+            estimated_logical: logical.estimate(&cost),
+            estimated_optimized: optimized.estimate(&cost),
             logical: logical.render(),
             optimized: optimized.render(),
             rules,

@@ -1,8 +1,9 @@
 //! Property tests for the plan optimizer's bitwise contract: for random
 //! DAGs over local and federated sources, the optimized plan produces
 //! results bitwise identical to raw unoptimized [`Lazy::compute`] — the
-//! same oracle approach as the `matmul_naive` kernel proptests, but with
-//! the unoptimized DAG evaluator as the oracle.
+//! same oracle approach as the `matmul_naive` kernel proptests, with the
+//! unfused execution (the plan as written, no rule applied) as the
+//! oracle.
 //!
 //! The generator deliberately builds the shapes the rules rewrite:
 //! duplicate independently-built subtrees (CSE), explicit

@@ -153,6 +153,39 @@ fn wan_plans(src: &Lazy, rows: usize, cols: usize) -> Vec<(&'static str, Lazy)> 
     ]
 }
 
+/// `Lazy::compute` and the unoptimized `Plan` route issue the same
+/// requests in the same order: same rounds, messages and bytes, and the
+/// same result bits, on every `wan_rounds` plan.
+#[test]
+fn lazy_and_plan_evaluation_send_the_same_wire() {
+    let (rows, cols) = (400, 10);
+    let x = rand_matrix(rows, cols, -1.0, 1.0, 5);
+    // One federation per route, so both allocate the same symbol ids.
+    let run = |route: fn(&Lazy) -> DenseMatrix| {
+        let (ctx, fed) = federated(&x);
+        let Tensor::Fed(fed) = fed else {
+            unreachable!()
+        };
+        wan_plans(&Lazy::from_fed(fed), rows, cols)
+            .into_iter()
+            .map(|(name, lazy)| {
+                let (out, t) = traffic(&ctx, || route(&lazy));
+                (name, out, t)
+            })
+            .collect::<Vec<_>>()
+    };
+    let via_lazy = run(|lazy| lazy.compute().unwrap());
+    let via_plan = run(|lazy| Plan::from_lazy(lazy).compute().unwrap());
+    let bits = |m: &DenseMatrix| m.values().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+    for ((name, a, ta), (_, b, tb)) in via_lazy.iter().zip(&via_plan) {
+        assert_eq!(rounds(ta), rounds(tb), "{name}");
+        assert_eq!(ta.messages_sent, tb.messages_sent, "{name}");
+        assert_eq!(ta.bytes_sent, tb.bytes_sent, "{name}");
+        assert_eq!(a.shape(), b.shape(), "{name}");
+        assert_eq!(bits(a), bits(b), "{name}");
+    }
+}
+
 #[test]
 fn plans_take_at_most_two_rounds_and_the_estimate_says_so() {
     let (rows, cols) = (400, 10);
