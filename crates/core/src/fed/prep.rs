@@ -132,7 +132,7 @@ impl FedFrame {
                 return Err(RuntimeError::Invalid(format!("no column named '{c}'")));
             }
         }
-        let (parts, _) = self.inner.fresh_like(self.rows(), columns.len());
+        let parts = self.inner.fresh_like();
         let cols: Vec<String> = columns.iter().map(|c| c.to_string()).collect();
         let mut i = 0usize;
         self.inner.per_part(|p| {
@@ -180,7 +180,7 @@ impl FedFrame {
         let meta = merge_partials(&partials, spec)?;
         // Pass 2: broadcast global metadata and encode at the sites.
         let out_cols = meta.out_cols();
-        let (parts, _) = self.inner.fresh_like(self.rows(), out_cols);
+        let parts = self.inner.fresh_like();
         let mut i = 0usize;
         self.inner.per_part(|p| {
             let meta_id = self.ctx().fresh_id();
@@ -571,7 +571,7 @@ impl FedFrame {
                 RuntimeError::Invalid(format!("column '{column}' is entirely missing"))
             })?;
         // Pass 2: broadcast the mode; sites fill locally.
-        let (parts, _) = self.inner.fresh_like(self.rows(), self.cols());
+        let parts = self.inner.fresh_like();
         let mut i = 0usize;
         self.inner.per_part(|p| {
             let udf = Udf::FillMissing {

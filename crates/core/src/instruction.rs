@@ -6,529 +6,508 @@
 //! is executed by the coordinator (local operations) and by federated
 //! workers — the paper's "we can reuse existing instructions for composing
 //! federated operations".
+//!
+//! Each opcode is declared once, as one row of the table below: its wire
+//! tag, its variant, its `name()` and its fields in declaration order, each
+//! with a role. The enum, [`Instruction::inputs`], [`Instruction::output`],
+//! [`Instruction::name`], the wire codec and the output lineage
+//! (`Instruction::lineage`) are generated from the rows, so the wire
+//! order, the operand order and the order literals enter lineage are all
+//! declaration order.
 
 use bytes::{Buf, BufMut};
 use exdra_matrix::kernels::aggregates::{AggDir, AggOp};
 use exdra_matrix::kernels::elementwise::{BinaryOp, UnaryOp};
 use exdra_net::codec::{DecodeError, DecodeResult, Wire};
 
-/// A runtime instruction over symbol-table IDs (Table 1 surface).
-#[derive(Debug, Clone, PartialEq)]
-pub enum Instruction {
+use crate::lineage;
+
+/// What one field contributes to an accessor, by its role: `input` and
+/// `maybe` (an optional input) are operands, `out` is the output, `lit`
+/// a literal that enters lineage. An `op` enum is part of the name and
+/// contributes to neither.
+macro_rules! role {
+    (input, $f:ident, operands $ids:ident) => {
+        $ids.push(*$f)
+    };
+    (maybe, $f:ident, operands $ids:ident) => {
+        $ids.extend(*$f)
+    };
+    (out, $f:ident, output) => {
+        return Some(*$f)
+    };
+    (lit, $f:ident, mix $h:ident) => {
+        $h = Field::mix($f, $h)
+    };
+    ($role:ident, $f:ident, $($accessor:tt)*) => {};
+}
+
+/// Declares the instruction set from one row per opcode:
+/// `tag => Variant(name expression) { field: Type => role, ... }`.
+macro_rules! instructions {
+    ($(
+        $(#[$doc:meta])*
+        $tag:literal => $variant:ident($name:expr) {
+            $($(#[$field_doc:meta])* $field:ident: $ty:ty => $role:ident,)*
+        }
+    )*) => {
+        /// A runtime instruction over symbol-table IDs (Table 1 surface).
+        #[derive(Debug, Clone, PartialEq)]
+        pub enum Instruction {
+            $($(#[$doc])* $variant { $($(#[$field_doc])* $field: $ty,)* },)*
+        }
+
+        // Every arm binds all of its row's fields and reads the ones its
+        // accessor's role names.
+        #[allow(unused_variables)]
+        impl Instruction {
+            /// Input symbol IDs read by this instruction, in declaration
+            /// order.
+            pub fn inputs(&self) -> Vec<u64> {
+                let mut ids = Vec::new();
+                match self {
+                    $(Self::$variant { $($field),* } => {
+                        $(role!($role, $field, operands ids);)*
+                    })*
+                }
+                ids
+            }
+
+            /// Output symbol ID bound by this instruction (None for `rmvar`).
+            pub fn output(&self) -> Option<u64> {
+                match self {
+                    $(Self::$variant { $($field),* } => {
+                        $(role!($role, $field, output);)*
+                    })*
+                }
+                None
+            }
+
+            /// Canonical opcode name for explain strings and lineage keys.
+            pub fn name(&self) -> &'static str {
+                match self {
+                    $(Self::$variant { $($field),* } => $name,)*
+                }
+            }
+
+            /// Lineage of the output from its inputs' lineages, in operand
+            /// order: the name, then the inputs, then the literals in
+            /// declaration order. An op enum is already in the name.
+            pub(crate) fn lineage(&self, inputs: impl IntoIterator<Item = u64>) -> u64 {
+                let mut h = inputs.into_iter().fold(lineage::seed(self.name()), lineage::mix);
+                match self {
+                    $(Self::$variant { $($field),* } => {
+                        $(role!($role, $field, mix h);)*
+                    })*
+                }
+                h
+            }
+        }
+
+        impl Wire for Instruction {
+            fn encode(&self, buf: &mut impl BufMut) {
+                match self {
+                    $(Self::$variant { $($field),* } => {
+                        buf.put_u8($tag);
+                        $(Field::put($field, buf);)*
+                    })*
+                }
+            }
+
+            fn decode(buf: &mut impl Buf) -> DecodeResult<Self> {
+                Ok(match u8::decode(buf)? {
+                    $($tag => Self::$variant { $($field: Field::get(buf)?),* },)*
+                    t => return Err(DecodeError(format!("invalid instruction tag {t}"))),
+                })
+            }
+        }
+    };
+}
+
+instructions! {
     /// `out = lhs %*% rhs`, or `out = t(lhs) %*% rhs` with `t_lhs` — the
     /// transposed-left product runs on `lhs` as stored, no transpose is
     /// ever materialized.
-    MatMul {
+    // The plan's name for the transposed form: priced and profiled apart.
+    0 => MatMul(if *t_lhs { "t-ba+*" } else { "ba+*" }) {
         /// Left operand ID.
-        lhs: u64,
+        lhs: u64 => input,
         /// Right operand ID.
-        rhs: u64,
+        rhs: u64 => input,
         /// `true` for `t(lhs) %*% rhs` (opcode `t-ba+*`).
-        t_lhs: bool,
+        t_lhs: bool => lit,
         /// Output ID.
-        out: u64,
-    },
-    /// Transpose-self matmult: `out = xᵀx` (left) or `x xᵀ`.
-    Tsmm {
+        out: u64 => out,
+    }
+    /// The transpose-self matmult: `out = xᵀx` (left) or `x xᵀ`.
+    1 => Tsmm("tsmm") {
         /// Input ID.
-        x: u64,
+        x: u64 => input,
         /// `true` for `xᵀx`.
-        left: bool,
+        left: bool => lit,
         /// Output ID.
-        out: u64,
-    },
+        out: u64 => out,
+    }
     /// Fused `out = xᵀ (w ⊙ (x v))`.
-    MmChain {
+    2 => MmChain("mmchain") {
         /// Data matrix ID.
-        x: u64,
+        x: u64 => input,
         /// Vector ID.
-        v: u64,
+        v: u64 => input,
         /// Optional weight vector ID.
-        w: Option<u64>,
+        w: Option<u64> => maybe,
         /// Output ID.
-        out: u64,
-    },
+        out: u64 => out,
+    }
     /// Element-wise unary op.
-    Unary {
+    3 => Unary(op.name()) {
         /// Input ID.
-        x: u64,
+        x: u64 => input,
         /// Operation.
-        op: UnaryOp,
+        op: UnaryOp => op,
         /// Output ID.
-        out: u64,
-    },
+        out: u64 => out,
+    }
     /// Row-wise softmax.
-    Softmax {
+    4 => Softmax("softmax") {
         /// Input ID.
-        x: u64,
+        x: u64 => input,
         /// Output ID.
-        out: u64,
-    },
+        out: u64 => out,
+    }
     /// Element-wise binary op with broadcasting.
-    Binary {
+    5 => Binary(op.name()) {
         /// Left operand ID.
-        lhs: u64,
+        lhs: u64 => input,
         /// Right operand ID (matrix, row/col vector, or 1x1).
-        rhs: u64,
+        rhs: u64 => input,
         /// Operation.
-        op: BinaryOp,
+        op: BinaryOp => op,
         /// Output ID.
-        out: u64,
-    },
+        out: u64 => out,
+    }
     /// Matrix-scalar op; `swap` computes `scalar op matrix`.
-    Scalar {
+    6 => Scalar(op.name()) {
         /// Input ID.
-        x: u64,
+        x: u64 => input,
         /// Operation.
-        op: BinaryOp,
-        /// Scalar literal.
-        value: f64,
+        op: BinaryOp => op,
+        /// The scalar literal.
+        value: f64 => lit,
         /// Operand order flag.
-        swap: bool,
+        swap: bool => lit,
         /// Output ID.
-        out: u64,
-    },
+        out: u64 => out,
+    }
     /// Aggregate along a direction.
-    Agg {
+    7 => Agg(op.name()) {
         /// Input ID.
-        x: u64,
+        x: u64 => input,
         /// Aggregate function.
-        op: AggOp,
-        /// Direction.
-        dir: AggDir,
+        op: AggOp => op,
+        /// Direction: not part of the name, so it is a literal (else
+        /// sum, colSums and rowSums would share a lineage).
+        dir: AggDir => lit,
         /// Output ID.
-        out: u64,
-    },
+        out: u64 => out,
+    }
     /// 1-based row-wise argmax.
-    RowIndexMax {
+    8 => RowIndexMax("rowIndexMax") {
         /// Input ID.
-        x: u64,
+        x: u64 => input,
         /// Output ID.
-        out: u64,
-    },
+        out: u64 => out,
+    }
     /// 1-based row-wise argmin.
-    RowIndexMin {
+    9 => RowIndexMin("rowIndexMin") {
         /// Input ID.
-        x: u64,
+        x: u64 => input,
         /// Output ID.
-        out: u64,
-    },
+        out: u64 => out,
+    }
     /// Contingency table.
-    CTable {
+    10 => CTable("ctable") {
         /// Row-index vector ID.
-        a: u64,
+        a: u64 => input,
         /// Column-index vector ID.
-        b: u64,
+        b: u64 => input,
         /// Optional weight vector ID.
-        w: Option<u64>,
+        w: Option<u64> => maybe,
         /// Optional fixed output dims.
-        dims: Option<(u64, u64)>,
+        dims: Option<(u64, u64)> => lit,
         /// Output ID.
-        out: u64,
-    },
+        out: u64 => out,
+    }
     /// Element-wise conditional.
-    IfElse {
+    11 => IfElse("ifelse") {
         /// Condition matrix ID.
-        cond: u64,
+        cond: u64 => input,
         /// Then branch ID (matrix or 1x1).
-        then_v: u64,
+        then_v: u64 => input,
         /// Else branch ID (matrix or 1x1).
-        else_v: u64,
+        else_v: u64 => input,
         /// Output ID.
-        out: u64,
-    },
+        out: u64 => out,
+    }
     /// Fused `x ± s*y`.
-    Axpy {
+    12 => Axpy(if *sub { "-*" } else { "+*" }) {
         /// Base matrix ID.
-        x: u64,
+        x: u64 => input,
         /// Scale literal.
-        s: f64,
+        s: f64 => lit,
         /// Added matrix ID.
-        y: u64,
+        y: u64 => input,
         /// `true` for `-*`.
-        sub: bool,
+        sub: bool => lit,
         /// Output ID.
-        out: u64,
-    },
+        out: u64 => out,
+    }
     /// Weighted squared loss (scalar result).
-    WsLoss {
+    13 => WsLoss("wsloss") {
         /// Data matrix ID.
-        x: u64,
+        x: u64 => input,
         /// Weight matrix ID.
-        w: u64,
+        w: u64 => input,
         /// Left factor ID.
-        u: u64,
+        u: u64 => input,
         /// Right factor ID.
-        v: u64,
+        v: u64 => input,
         /// Output ID (1x1).
-        out: u64,
-    },
+        out: u64 => out,
+    }
     /// Weighted sigmoid.
-    WSigmoid {
+    14 => WSigmoid("wsigmoid") {
         /// Weight matrix ID.
-        w: u64,
+        w: u64 => input,
         /// Left factor ID.
-        u: u64,
+        u: u64 => input,
         /// Right factor ID.
-        v: u64,
+        v: u64 => input,
         /// Output ID.
-        out: u64,
-    },
+        out: u64 => out,
+    }
     /// Weighted divide matmult.
-    WDivMm {
+    15 => WDivMm("wdivmm") {
         /// Weight matrix ID.
-        w: u64,
+        w: u64 => input,
         /// Left factor ID.
-        u: u64,
+        u: u64 => input,
         /// Right factor ID.
-        v: u64,
+        v: u64 => input,
         /// Output ID.
-        out: u64,
-    },
+        out: u64 => out,
+    }
     /// Weighted cross-entropy (scalar result).
-    WCeMm {
+    16 => WCeMm("wcemm") {
         /// Weight matrix ID.
-        w: u64,
+        w: u64 => input,
         /// Left factor ID.
-        u: u64,
+        u: u64 => input,
         /// Right factor ID.
-        v: u64,
+        v: u64 => input,
         /// Epsilon literal.
-        eps: f64,
+        eps: f64 => lit,
         /// Output ID (1x1).
-        out: u64,
-    },
-    /// Transpose.
-    Transpose {
+        out: u64 => out,
+    }
+    /// Matrix transpose, `t(x)`.
+    17 => Transpose("r'") {
         /// Input ID.
-        x: u64,
+        x: u64 => input,
         /// Output ID.
-        out: u64,
-    },
+        out: u64 => out,
+    }
     /// Vertical concatenation.
-    Rbind {
+    18 => Rbind("rbind") {
         /// Upper part ID.
-        a: u64,
+        a: u64 => input,
         /// Lower part ID.
-        b: u64,
+        b: u64 => input,
         /// Output ID.
-        out: u64,
-    },
+        out: u64 => out,
+    }
     /// Horizontal concatenation.
-    Cbind {
+    19 => Cbind("cbind") {
         /// Left part ID.
-        a: u64,
+        a: u64 => input,
         /// Right part ID.
-        b: u64,
+        b: u64 => input,
         /// Output ID.
-        out: u64,
-    },
+        out: u64 => out,
+    }
     /// Drop all-zero rows/columns (optionally by select vector).
-    RemoveEmpty {
+    20 => RemoveEmpty("removeEmpty") {
         /// Input ID.
-        x: u64,
+        x: u64 => input,
         /// `true` = rows margin.
-        rows: bool,
+        rows: bool => lit,
         /// Optional 0/1 select vector ID.
-        select: Option<u64>,
+        select: Option<u64> => maybe,
         /// Output ID.
-        out: u64,
-    },
+        out: u64 => out,
+    }
     /// Value replacement (pattern may be NaN).
-    Replace {
+    21 => Replace("replace") {
         /// Input ID.
-        x: u64,
+        x: u64 => input,
         /// Pattern literal.
-        pattern: f64,
+        pattern: f64 => lit,
         /// Replacement literal.
-        replacement: f64,
+        replacement: f64 => lit,
         /// Output ID.
-        out: u64,
-    },
+        out: u64 => out,
+    }
     /// Right indexing `x[rl:ru, cl:cu]` (half-open, 0-based).
-    Index {
+    22 => Index("rightIndex") {
         /// Input ID.
-        x: u64,
+        x: u64 => input,
         /// Row lower bound.
-        row_lo: u64,
+        row_lo: u64 => lit,
         /// Row upper bound (exclusive).
-        row_hi: u64,
+        row_hi: u64 => lit,
         /// Column lower bound.
-        col_lo: u64,
+        col_lo: u64 => lit,
         /// Column upper bound (exclusive).
-        col_hi: u64,
+        col_hi: u64 => lit,
         /// Output ID.
-        out: u64,
-    },
+        out: u64 => out,
+    }
     /// Left indexing: copy of `x` with `y` written at `(row_lo, col_lo)`.
-    IndexAssign {
+    23 => IndexAssign("leftIndex") {
         /// Target ID.
-        x: u64,
+        x: u64 => input,
         /// Row offset.
-        row_lo: u64,
+        row_lo: u64 => lit,
         /// Column offset.
-        col_lo: u64,
+        col_lo: u64 => lit,
         /// Source ID.
-        y: u64,
+        y: u64 => input,
         /// Output ID.
-        out: u64,
-    },
+        out: u64 => out,
+    }
     /// Vector -> diagonal matrix, or square matrix -> diagonal vector.
-    Diag {
+    24 => Diag("rdiag") {
         /// Input ID.
-        x: u64,
+        x: u64 => input,
         /// Output ID.
-        out: u64,
-    },
+        out: u64 => out,
+    }
     /// Stable sort of rows by a column.
-    Order {
+    25 => Order("order") {
         /// Input ID.
-        x: u64,
+        x: u64 => input,
         /// Sort column (0-based).
-        by: u64,
+        by: u64 => lit,
         /// Descending flag.
-        decreasing: bool,
+        decreasing: bool => lit,
         /// Return 1-based permutation instead of data.
-        index_return: bool,
+        index_return: bool => lit,
         /// Output ID.
-        out: u64,
-    },
+        out: u64 => out,
+    }
     /// Gather rows by 1-based index vector.
-    GatherRows {
+    26 => GatherRows("gather") {
         /// Input ID.
-        x: u64,
-        /// Index vector ID.
-        idx: u64,
+        x: u64 => input,
+        /// ID of the 1-based row index vector.
+        idx: u64 => input,
         /// Output ID.
-        out: u64,
-    },
+        out: u64 => out,
+    }
     /// Row-major reshape.
-    Reshape {
+    27 => Reshape("rshape") {
         /// Input ID.
-        x: u64,
+        x: u64 => input,
         /// New row count.
-        rows: u64,
+        rows: u64 => lit,
         /// New column count.
-        cols: u64,
+        cols: u64 => lit,
         /// Output ID.
-        out: u64,
-    },
+        out: u64 => out,
+    }
     /// Covariance of two vectors (1x1 result).
-    Cov {
+    28 => Cov("cov") {
         /// First vector ID.
-        a: u64,
+        a: u64 => input,
         /// Second vector ID.
-        b: u64,
+        b: u64 => input,
         /// Output ID.
-        out: u64,
-    },
+        out: u64 => out,
+    }
     /// Central moment of a vector (1x1 result).
-    CentralMoment {
+    29 => CentralMoment("cm") {
         /// Vector ID.
-        a: u64,
+        a: u64 => input,
         /// Moment order (2..=4).
-        order: u32,
+        order: u32 => lit,
         /// Output ID.
-        out: u64,
-    },
+        out: u64 => out,
+    }
     /// Removes variables from the symbol table (`rmvar` cleanup).
-    Rmvar {
+    30 => Rmvar("rmvar") {
         /// IDs to drop.
-        ids: Vec<u64>,
-    },
-}
-
-impl Instruction {
-    /// Input symbol IDs read by this instruction.
-    pub fn inputs(&self) -> Vec<u64> {
-        use Instruction::*;
-        match self {
-            MatMul { lhs, rhs, .. } => vec![*lhs, *rhs],
-            Tsmm { x, .. } => vec![*x],
-            MmChain { x, v, w, .. } => {
-                let mut ids = vec![*x, *v];
-                ids.extend(w.iter());
-                ids
-            }
-            Unary { x, .. } | Softmax { x, .. } => vec![*x],
-            Binary { lhs, rhs, .. } => vec![*lhs, *rhs],
-            Scalar { x, .. } => vec![*x],
-            Agg { x, .. } | RowIndexMax { x, .. } | RowIndexMin { x, .. } => vec![*x],
-            CTable { a, b, w, .. } => {
-                let mut ids = vec![*a, *b];
-                ids.extend(w.iter());
-                ids
-            }
-            IfElse {
-                cond,
-                then_v,
-                else_v,
-                ..
-            } => vec![*cond, *then_v, *else_v],
-            Axpy { x, y, .. } => vec![*x, *y],
-            WsLoss { x, w, u, v, .. } => vec![*x, *w, *u, *v],
-            WSigmoid { w, u, v, .. } | WDivMm { w, u, v, .. } | WCeMm { w, u, v, .. } => {
-                vec![*w, *u, *v]
-            }
-            Transpose { x, .. } => vec![*x],
-            Rbind { a, b, .. } | Cbind { a, b, .. } => vec![*a, *b],
-            RemoveEmpty { x, select, .. } => {
-                let mut ids = vec![*x];
-                ids.extend(select.iter());
-                ids
-            }
-            Replace { x, .. }
-            | Index { x, .. }
-            | Diag { x, .. }
-            | Order { x, .. }
-            | Reshape { x, .. } => vec![*x],
-            IndexAssign { x, y, .. } => vec![*x, *y],
-            GatherRows { x, idx, .. } => vec![*x, *idx],
-            Cov { a, b, .. } => vec![*a, *b],
-            CentralMoment { a, .. } => vec![*a],
-            Rmvar { .. } => vec![],
-        }
-    }
-
-    /// Output symbol ID bound by this instruction (None for `rmvar`).
-    pub fn output(&self) -> Option<u64> {
-        use Instruction::*;
-        match self {
-            MatMul { out, .. }
-            | Tsmm { out, .. }
-            | MmChain { out, .. }
-            | Unary { out, .. }
-            | Softmax { out, .. }
-            | Binary { out, .. }
-            | Scalar { out, .. }
-            | Agg { out, .. }
-            | RowIndexMax { out, .. }
-            | RowIndexMin { out, .. }
-            | CTable { out, .. }
-            | IfElse { out, .. }
-            | Axpy { out, .. }
-            | WsLoss { out, .. }
-            | WSigmoid { out, .. }
-            | WDivMm { out, .. }
-            | WCeMm { out, .. }
-            | Transpose { out, .. }
-            | Rbind { out, .. }
-            | Cbind { out, .. }
-            | RemoveEmpty { out, .. }
-            | Replace { out, .. }
-            | Index { out, .. }
-            | IndexAssign { out, .. }
-            | Diag { out, .. }
-            | Order { out, .. }
-            | GatherRows { out, .. }
-            | Reshape { out, .. }
-            | Cov { out, .. }
-            | CentralMoment { out, .. } => Some(*out),
-            Rmvar { .. } => None,
-        }
-    }
-
-    /// Canonical opcode name for explain strings and lineage keys.
-    pub fn name(&self) -> &'static str {
-        use Instruction::*;
-        match self {
-            MatMul { t_lhs: false, .. } => "ba+*",
-            // The plan's name for the same op: priced and profiled apart.
-            MatMul { t_lhs: true, .. } => "t-ba+*",
-            Tsmm { .. } => "tsmm",
-            MmChain { .. } => "mmchain",
-            Unary { op, .. } => op.name(),
-            Softmax { .. } => "softmax",
-            Binary { op, .. } => op.name(),
-            Scalar { op, .. } => op.name(),
-            Agg { op, .. } => op.name(),
-            RowIndexMax { .. } => "rowIndexMax",
-            RowIndexMin { .. } => "rowIndexMin",
-            CTable { .. } => "ctable",
-            IfElse { .. } => "ifelse",
-            Axpy { sub, .. } => {
-                if *sub {
-                    "-*"
-                } else {
-                    "+*"
-                }
-            }
-            WsLoss { .. } => "wsloss",
-            WSigmoid { .. } => "wsigmoid",
-            WDivMm { .. } => "wdivmm",
-            WCeMm { .. } => "wcemm",
-            Transpose { .. } => "r'",
-            Rbind { .. } => "rbind",
-            Cbind { .. } => "cbind",
-            RemoveEmpty { .. } => "removeEmpty",
-            Replace { .. } => "replace",
-            Index { .. } => "rightIndex",
-            IndexAssign { .. } => "leftIndex",
-            Diag { .. } => "rdiag",
-            Order { .. } => "order",
-            GatherRows { .. } => "gather",
-            Reshape { .. } => "rshape",
-            Cov { .. } => "cov",
-            CentralMoment { .. } => "cm",
-            Rmvar { .. } => "rmvar",
-        }
+        ids: Vec<u64> => lit,
     }
 }
 
-// --- op tag helpers -------------------------------------------------------
+/// How an instruction field travels on the wire and, as a literal, enters
+/// the output's lineage.
+trait Field: Sized {
+    fn put(&self, buf: &mut impl BufMut);
+    fn get(buf: &mut impl Buf) -> DecodeResult<Self>;
+    fn mix(&self, h: u64) -> u64;
+}
 
-const UNARY_OPS: [UnaryOp; 16] = [
-    UnaryOp::Abs,
-    UnaryOp::Cos,
-    UnaryOp::Sin,
-    UnaryOp::Tan,
-    UnaryOp::Exp,
-    UnaryOp::Log,
-    UnaryOp::Sqrt,
-    UnaryOp::Round,
-    UnaryOp::Floor,
-    UnaryOp::Ceil,
-    UnaryOp::Sign,
-    UnaryOp::Not,
-    UnaryOp::IsNa,
-    UnaryOp::Sigmoid,
-    UnaryOp::Neg,
-    UnaryOp::Square,
-];
+/// Fields that travel in their own [`Wire`] encoding, with the words each
+/// mixes into a lineage.
+macro_rules! wire_fields {
+    ($($ty:ty => |$v:ident, $h:ident| $mix:expr,)*) => {$(
+        impl Field for $ty {
+            fn put(&self, buf: &mut impl BufMut) {
+                self.encode(buf)
+            }
+            fn get(buf: &mut impl Buf) -> DecodeResult<Self> {
+                Self::decode(buf)
+            }
+            fn mix(&self, $h: u64) -> u64 {
+                let $v = self;
+                $mix
+            }
+        }
+    )*};
+}
 
-const BINARY_OPS: [BinaryOp; 19] = [
-    BinaryOp::Add,
-    BinaryOp::Sub,
-    BinaryOp::Mul,
-    BinaryOp::Div,
-    BinaryOp::IntDiv,
-    BinaryOp::Mod,
-    BinaryOp::Pow,
-    BinaryOp::Min,
-    BinaryOp::Max,
-    BinaryOp::Eq,
-    BinaryOp::Neq,
-    BinaryOp::Lt,
-    BinaryOp::Le,
-    BinaryOp::Gt,
-    BinaryOp::Ge,
-    BinaryOp::And,
-    BinaryOp::Or,
-    BinaryOp::Xor,
-    BinaryOp::LogBase,
-];
+wire_fields! {
+    u64 => |v, h| lineage::mix(h, *v),
+    u32 => |v, h| lineage::mix(h, *v as u64),
+    bool => |v, h| lineage::mix(h, *v as u64),
+    f64 => |v, h| lineage::mix(h, v.to_bits()),
+    Option<u64> => |v, h| v.map_or(h, |id| lineage::mix(h, id)),
+    // Fixed dims mix `r, c` only when given.
+    Option<(u64, u64)> => |v, h| v.map_or(h, |(r, c)| lineage::mix(lineage::mix(h, r), c)),
+    Vec<u64> => |v, h| v.iter().fold(h, |h, id| lineage::mix(h, *id)),
+}
 
-const AGG_OPS: [AggOp; 7] = [
-    AggOp::Sum,
-    AggOp::Min,
-    AggOp::Max,
-    AggOp::Mean,
-    AggOp::Var,
-    AggOp::Sd,
-    AggOp::SumSq,
-];
-
-const AGG_DIRS: [AggDir; 3] = [AggDir::Full, AggDir::Row, AggDir::Col];
+/// Enums that travel, and mix, as their index in a fixed variant list.
+macro_rules! tag_fields {
+    ($($ty:ident $what:literal [$($v:ident),* $(,)?])*) => {$(
+        impl Field for $ty {
+            fn put(&self, buf: &mut impl BufMut) {
+                buf.put_u8(tag_of(&[$($ty::$v),*], self, $what));
+            }
+            fn get(buf: &mut impl Buf) -> DecodeResult<Self> {
+                let tag = u8::decode(buf)?;
+                [$($ty::$v),*]
+                    .get(tag as usize)
+                    .copied()
+                    .ok_or_else(|| DecodeError(format!("invalid {} tag {tag}", $what)))
+            }
+            fn mix(&self, h: u64) -> u64 {
+                lineage::mix(h, tag_of(&[$($ty::$v),*], self, $what) as u64)
+            }
+        }
+    )*};
+}
 
 fn tag_of<T: PartialEq>(table: &[T], v: &T, what: &'static str) -> u8 {
     table
@@ -537,453 +516,17 @@ fn tag_of<T: PartialEq>(table: &[T], v: &T, what: &'static str) -> u8 {
         .unwrap_or_else(|| panic!("{what} missing from tag table")) as u8
 }
 
-fn from_tag<T: Copy>(table: &[T], tag: u8, what: &str) -> DecodeResult<T> {
-    table
-        .get(tag as usize)
-        .copied()
-        .ok_or_else(|| DecodeError(format!("invalid {what} tag {tag}")))
-}
-
-impl Wire for Instruction {
-    fn encode(&self, buf: &mut impl BufMut) {
-        use Instruction::*;
-        match self {
-            MatMul {
-                lhs,
-                rhs,
-                t_lhs,
-                out,
-            } => {
-                buf.put_u8(0);
-                lhs.encode(buf);
-                rhs.encode(buf);
-                t_lhs.encode(buf);
-                out.encode(buf);
-            }
-            Tsmm { x, left, out } => {
-                buf.put_u8(1);
-                x.encode(buf);
-                left.encode(buf);
-                out.encode(buf);
-            }
-            MmChain { x, v, w, out } => {
-                buf.put_u8(2);
-                x.encode(buf);
-                v.encode(buf);
-                w.encode(buf);
-                out.encode(buf);
-            }
-            Unary { x, op, out } => {
-                buf.put_u8(3);
-                x.encode(buf);
-                buf.put_u8(tag_of(&UNARY_OPS, op, "unary op"));
-                out.encode(buf);
-            }
-            Softmax { x, out } => {
-                buf.put_u8(4);
-                x.encode(buf);
-                out.encode(buf);
-            }
-            Binary { lhs, rhs, op, out } => {
-                buf.put_u8(5);
-                lhs.encode(buf);
-                rhs.encode(buf);
-                buf.put_u8(tag_of(&BINARY_OPS, op, "binary op"));
-                out.encode(buf);
-            }
-            Scalar {
-                x,
-                op,
-                value,
-                swap,
-                out,
-            } => {
-                buf.put_u8(6);
-                x.encode(buf);
-                buf.put_u8(tag_of(&BINARY_OPS, op, "binary op"));
-                value.encode(buf);
-                swap.encode(buf);
-                out.encode(buf);
-            }
-            Agg { x, op, dir, out } => {
-                buf.put_u8(7);
-                x.encode(buf);
-                buf.put_u8(tag_of(&AGG_OPS, op, "agg op"));
-                buf.put_u8(tag_of(&AGG_DIRS, dir, "agg dir"));
-                out.encode(buf);
-            }
-            RowIndexMax { x, out } => {
-                buf.put_u8(8);
-                x.encode(buf);
-                out.encode(buf);
-            }
-            RowIndexMin { x, out } => {
-                buf.put_u8(9);
-                x.encode(buf);
-                out.encode(buf);
-            }
-            CTable { a, b, w, dims, out } => {
-                buf.put_u8(10);
-                a.encode(buf);
-                b.encode(buf);
-                w.encode(buf);
-                dims.map(|(r, c)| (r, c)).encode(buf);
-                out.encode(buf);
-            }
-            IfElse {
-                cond,
-                then_v,
-                else_v,
-                out,
-            } => {
-                buf.put_u8(11);
-                cond.encode(buf);
-                then_v.encode(buf);
-                else_v.encode(buf);
-                out.encode(buf);
-            }
-            Axpy { x, s, y, sub, out } => {
-                buf.put_u8(12);
-                x.encode(buf);
-                s.encode(buf);
-                y.encode(buf);
-                sub.encode(buf);
-                out.encode(buf);
-            }
-            WsLoss { x, w, u, v, out } => {
-                buf.put_u8(13);
-                x.encode(buf);
-                w.encode(buf);
-                u.encode(buf);
-                v.encode(buf);
-                out.encode(buf);
-            }
-            WSigmoid { w, u, v, out } => {
-                buf.put_u8(14);
-                w.encode(buf);
-                u.encode(buf);
-                v.encode(buf);
-                out.encode(buf);
-            }
-            WDivMm { w, u, v, out } => {
-                buf.put_u8(15);
-                w.encode(buf);
-                u.encode(buf);
-                v.encode(buf);
-                out.encode(buf);
-            }
-            WCeMm { w, u, v, eps, out } => {
-                buf.put_u8(16);
-                w.encode(buf);
-                u.encode(buf);
-                v.encode(buf);
-                eps.encode(buf);
-                out.encode(buf);
-            }
-            Transpose { x, out } => {
-                buf.put_u8(17);
-                x.encode(buf);
-                out.encode(buf);
-            }
-            Rbind { a, b, out } => {
-                buf.put_u8(18);
-                a.encode(buf);
-                b.encode(buf);
-                out.encode(buf);
-            }
-            Cbind { a, b, out } => {
-                buf.put_u8(19);
-                a.encode(buf);
-                b.encode(buf);
-                out.encode(buf);
-            }
-            RemoveEmpty {
-                x,
-                rows,
-                select,
-                out,
-            } => {
-                buf.put_u8(20);
-                x.encode(buf);
-                rows.encode(buf);
-                select.encode(buf);
-                out.encode(buf);
-            }
-            Replace {
-                x,
-                pattern,
-                replacement,
-                out,
-            } => {
-                buf.put_u8(21);
-                x.encode(buf);
-                pattern.encode(buf);
-                replacement.encode(buf);
-                out.encode(buf);
-            }
-            Index {
-                x,
-                row_lo,
-                row_hi,
-                col_lo,
-                col_hi,
-                out,
-            } => {
-                buf.put_u8(22);
-                x.encode(buf);
-                row_lo.encode(buf);
-                row_hi.encode(buf);
-                col_lo.encode(buf);
-                col_hi.encode(buf);
-                out.encode(buf);
-            }
-            IndexAssign {
-                x,
-                row_lo,
-                col_lo,
-                y,
-                out,
-            } => {
-                buf.put_u8(23);
-                x.encode(buf);
-                row_lo.encode(buf);
-                col_lo.encode(buf);
-                y.encode(buf);
-                out.encode(buf);
-            }
-            Diag { x, out } => {
-                buf.put_u8(24);
-                x.encode(buf);
-                out.encode(buf);
-            }
-            Order {
-                x,
-                by,
-                decreasing,
-                index_return,
-                out,
-            } => {
-                buf.put_u8(25);
-                x.encode(buf);
-                by.encode(buf);
-                decreasing.encode(buf);
-                index_return.encode(buf);
-                out.encode(buf);
-            }
-            GatherRows { x, idx, out } => {
-                buf.put_u8(26);
-                x.encode(buf);
-                idx.encode(buf);
-                out.encode(buf);
-            }
-            Reshape { x, rows, cols, out } => {
-                buf.put_u8(27);
-                x.encode(buf);
-                rows.encode(buf);
-                cols.encode(buf);
-                out.encode(buf);
-            }
-            Cov { a, b, out } => {
-                buf.put_u8(28);
-                a.encode(buf);
-                b.encode(buf);
-                out.encode(buf);
-            }
-            CentralMoment { a, order, out } => {
-                buf.put_u8(29);
-                a.encode(buf);
-                order.encode(buf);
-                out.encode(buf);
-            }
-            Rmvar { ids } => {
-                buf.put_u8(30);
-                ids.encode(buf);
-            }
-        }
-    }
-
-    fn decode(buf: &mut impl Buf) -> DecodeResult<Self> {
-        use Instruction::*;
-        let tag = u8::decode(buf)?;
-        Ok(match tag {
-            0 => MatMul {
-                lhs: u64::decode(buf)?,
-                rhs: u64::decode(buf)?,
-                t_lhs: bool::decode(buf)?,
-                out: u64::decode(buf)?,
-            },
-            1 => Tsmm {
-                x: u64::decode(buf)?,
-                left: bool::decode(buf)?,
-                out: u64::decode(buf)?,
-            },
-            2 => MmChain {
-                x: u64::decode(buf)?,
-                v: u64::decode(buf)?,
-                w: Option::decode(buf)?,
-                out: u64::decode(buf)?,
-            },
-            3 => Unary {
-                x: u64::decode(buf)?,
-                op: from_tag(&UNARY_OPS, u8::decode(buf)?, "unary op")?,
-                out: u64::decode(buf)?,
-            },
-            4 => Softmax {
-                x: u64::decode(buf)?,
-                out: u64::decode(buf)?,
-            },
-            5 => Binary {
-                lhs: u64::decode(buf)?,
-                rhs: u64::decode(buf)?,
-                op: from_tag(&BINARY_OPS, u8::decode(buf)?, "binary op")?,
-                out: u64::decode(buf)?,
-            },
-            6 => Scalar {
-                x: u64::decode(buf)?,
-                op: from_tag(&BINARY_OPS, u8::decode(buf)?, "binary op")?,
-                value: f64::decode(buf)?,
-                swap: bool::decode(buf)?,
-                out: u64::decode(buf)?,
-            },
-            7 => Agg {
-                x: u64::decode(buf)?,
-                op: from_tag(&AGG_OPS, u8::decode(buf)?, "agg op")?,
-                dir: from_tag(&AGG_DIRS, u8::decode(buf)?, "agg dir")?,
-                out: u64::decode(buf)?,
-            },
-            8 => RowIndexMax {
-                x: u64::decode(buf)?,
-                out: u64::decode(buf)?,
-            },
-            9 => RowIndexMin {
-                x: u64::decode(buf)?,
-                out: u64::decode(buf)?,
-            },
-            10 => CTable {
-                a: u64::decode(buf)?,
-                b: u64::decode(buf)?,
-                w: Option::decode(buf)?,
-                dims: Option::<(u64, u64)>::decode(buf)?,
-                out: u64::decode(buf)?,
-            },
-            11 => IfElse {
-                cond: u64::decode(buf)?,
-                then_v: u64::decode(buf)?,
-                else_v: u64::decode(buf)?,
-                out: u64::decode(buf)?,
-            },
-            12 => Axpy {
-                x: u64::decode(buf)?,
-                s: f64::decode(buf)?,
-                y: u64::decode(buf)?,
-                sub: bool::decode(buf)?,
-                out: u64::decode(buf)?,
-            },
-            13 => WsLoss {
-                x: u64::decode(buf)?,
-                w: u64::decode(buf)?,
-                u: u64::decode(buf)?,
-                v: u64::decode(buf)?,
-                out: u64::decode(buf)?,
-            },
-            14 => WSigmoid {
-                w: u64::decode(buf)?,
-                u: u64::decode(buf)?,
-                v: u64::decode(buf)?,
-                out: u64::decode(buf)?,
-            },
-            15 => WDivMm {
-                w: u64::decode(buf)?,
-                u: u64::decode(buf)?,
-                v: u64::decode(buf)?,
-                out: u64::decode(buf)?,
-            },
-            16 => WCeMm {
-                w: u64::decode(buf)?,
-                u: u64::decode(buf)?,
-                v: u64::decode(buf)?,
-                eps: f64::decode(buf)?,
-                out: u64::decode(buf)?,
-            },
-            17 => Transpose {
-                x: u64::decode(buf)?,
-                out: u64::decode(buf)?,
-            },
-            18 => Rbind {
-                a: u64::decode(buf)?,
-                b: u64::decode(buf)?,
-                out: u64::decode(buf)?,
-            },
-            19 => Cbind {
-                a: u64::decode(buf)?,
-                b: u64::decode(buf)?,
-                out: u64::decode(buf)?,
-            },
-            20 => RemoveEmpty {
-                x: u64::decode(buf)?,
-                rows: bool::decode(buf)?,
-                select: Option::decode(buf)?,
-                out: u64::decode(buf)?,
-            },
-            21 => Replace {
-                x: u64::decode(buf)?,
-                pattern: f64::decode(buf)?,
-                replacement: f64::decode(buf)?,
-                out: u64::decode(buf)?,
-            },
-            22 => Index {
-                x: u64::decode(buf)?,
-                row_lo: u64::decode(buf)?,
-                row_hi: u64::decode(buf)?,
-                col_lo: u64::decode(buf)?,
-                col_hi: u64::decode(buf)?,
-                out: u64::decode(buf)?,
-            },
-            23 => IndexAssign {
-                x: u64::decode(buf)?,
-                row_lo: u64::decode(buf)?,
-                col_lo: u64::decode(buf)?,
-                y: u64::decode(buf)?,
-                out: u64::decode(buf)?,
-            },
-            24 => Diag {
-                x: u64::decode(buf)?,
-                out: u64::decode(buf)?,
-            },
-            25 => Order {
-                x: u64::decode(buf)?,
-                by: u64::decode(buf)?,
-                decreasing: bool::decode(buf)?,
-                index_return: bool::decode(buf)?,
-                out: u64::decode(buf)?,
-            },
-            26 => GatherRows {
-                x: u64::decode(buf)?,
-                idx: u64::decode(buf)?,
-                out: u64::decode(buf)?,
-            },
-            27 => Reshape {
-                x: u64::decode(buf)?,
-                rows: u64::decode(buf)?,
-                cols: u64::decode(buf)?,
-                out: u64::decode(buf)?,
-            },
-            28 => Cov {
-                a: u64::decode(buf)?,
-                b: u64::decode(buf)?,
-                out: u64::decode(buf)?,
-            },
-            29 => CentralMoment {
-                a: u64::decode(buf)?,
-                order: u32::decode(buf)?,
-                out: u64::decode(buf)?,
-            },
-            30 => Rmvar {
-                ids: Vec::decode(buf)?,
-            },
-            t => return Err(DecodeError(format!("invalid instruction tag {t}"))),
-        })
-    }
+tag_fields! {
+    UnaryOp "unary op" [
+        Abs, Cos, Sin, Tan, Exp, Log, Sqrt, Round, Floor, Ceil, Sign, Not, IsNa, Sigmoid, Neg,
+        Square,
+    ]
+    BinaryOp "binary op" [
+        Add, Sub, Mul, Div, IntDiv, Mod, Pow, Min, Max, Eq, Neq, Lt, Le, Gt, Ge, And, Or, Xor,
+        LogBase,
+    ]
+    AggOp "agg op" [Sum, Min, Max, Mean, Var, Sd, SumSq]
+    AggDir "agg dir" [Full, Row, Col]
 }
 
 #[cfg(test)]

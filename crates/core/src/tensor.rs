@@ -20,7 +20,7 @@ use exdra_matrix::kernels::reorg;
 use exdra_matrix::DenseMatrix;
 
 use crate::error::{Result, RuntimeError};
-use crate::fed::{FedMatrix, MmWeights, PartitionScheme};
+use crate::fed::{FedMatrix, MmWeights};
 
 /// A matrix that is local, federated, or compressed-local.
 #[derive(Debug, Clone)]
@@ -456,9 +456,3 @@ impl From<FedMatrix> for Tensor {
         Tensor::Fed(f)
     }
 }
-
-/// Partition scheme helper re-export (used by API callers).
-pub use crate::fed::PartitionScheme as Scheme;
-
-#[allow(unused)]
-fn _scheme_used(s: PartitionScheme) {}

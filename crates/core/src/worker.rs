@@ -466,26 +466,11 @@ impl Worker {
                         DataValue::Frame(mio::read_frame_csv(&path, &schema)?)
                     }
                 };
-                let (ptag, pgroup) = privacy.to_parts();
-                let lin = lineage::mix(
-                    lineage::mix(lineage::seed(&format!("read:{fname}")), ptag as u64),
-                    pgroup,
-                );
-                // Raw reads are releasable only when public.
-                let releasable = privacy == PrivacyLevel::Public;
-                self.table
-                    .bind(id, Arc::new(value), privacy, releasable, lin);
+                self.bind_source(id, value, privacy);
                 Ok(Response::Ok)
             }
             Request::Put { id, data, privacy } => {
-                // The privacy constraint is part of the data's identity:
-                // the same content under a different constraint must not
-                // share cached derivations (their release metadata differs).
-                let (ptag, pgroup) = privacy.to_parts();
-                let lin = lineage::mix(lineage::mix(lineage::of_value(&data), ptag as u64), pgroup);
-                let releasable = privacy == PrivacyLevel::Public;
-                self.table
-                    .bind(id, Arc::new(data), privacy, releasable, lin);
+                self.bind_source(id, data, privacy);
                 Ok(Response::Ok)
             }
             Request::Get { id } => {
@@ -517,6 +502,21 @@ impl Worker {
                 Ok(Response::Ok)
             }
         }
+    }
+
+    /// Binds a value that enters the site from outside (`READ`, `PUT`).
+    /// Its lineage is its content: a file edited since its last `READ`
+    /// never meets cached results of its old bytes, and equal data shares
+    /// them. The privacy constraint is part of the data's identity: the
+    /// same content under a different constraint must not share cached
+    /// derivations (their release metadata differs). Such data is
+    /// releasable only when public.
+    fn bind_source(&self, id: u64, value: DataValue, privacy: PrivacyLevel) {
+        let (ptag, pgroup) = privacy.to_parts();
+        let lin = lineage::mix(lineage::mix(lineage::of_value(&value), ptag as u64), pgroup);
+        let releasable = privacy == PrivacyLevel::Public;
+        self.table
+            .bind(id, Arc::new(value), privacy, releasable, lin);
     }
 
     fn resolve_path(&self, fname: &str) -> Result<PathBuf> {

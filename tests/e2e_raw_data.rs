@@ -146,3 +146,98 @@ fn positional_maps_enable_partial_federated_reads() {
         assert!(got.max_abs_diff(&want) < 1e-12, "range {lo}..{hi}");
     }
 }
+
+/// A site directory holding `x.csv`, rewritten with `m` on every call.
+fn write_site_csv(dir: &std::path::Path, m: &exdra::DenseMatrix) {
+    std::fs::create_dir_all(dir).unwrap();
+    exdra::matrix::io::write_matrix_csv(m, &dir.join("x.csv")).unwrap();
+}
+
+fn assert_sum(got: f64, files: &[exdra::DenseMatrix], what: &str) {
+    let want: f64 = files.iter().flat_map(|m| m.values()).sum();
+    assert!(
+        (got - want).abs() < 1e-9,
+        "{what}: sum {got}, file sums to {want}"
+    );
+}
+
+#[test]
+fn rereading_a_changed_file_sees_its_new_contents() {
+    // A raw file edited at the site and READ again into a fresh id must
+    // not be served the reuse cache's results for the old bytes.
+    use exdra::core::instruction::Instruction;
+    use exdra::core::protocol::{Request, Response};
+    use exdra::core::worker::Worker;
+    use exdra::matrix::kernels::aggregates::{AggDir, AggOp};
+    use exdra::matrix::rng::rand_matrix;
+
+    let dir = std::env::temp_dir().join(format!("exdra-raw-reread-{}", std::process::id()));
+    let w = Worker::new(WorkerConfig {
+        data_dir: dir.clone(),
+        ..WorkerConfig::default()
+    });
+    let sum = |id: u64| -> f64 {
+        let rs = w.handle_batch(vec![
+            Request::Read {
+                id,
+                fname: "x.csv".into(),
+                format: ReadFormat::MatrixCsv,
+                privacy: PrivacyLevel::Public,
+            },
+            Request::ExecInst {
+                inst: Instruction::Agg {
+                    x: id,
+                    op: AggOp::Sum,
+                    dir: AggDir::Full,
+                    out: id + 1,
+                },
+            },
+            Request::Get { id: id + 1 },
+        ]);
+        match &rs[2] {
+            Response::Data(v) => v.as_scalar().unwrap(),
+            other => panic!("unexpected {other:?}"),
+        }
+    };
+    let before = rand_matrix(20, 3, -1.0, 1.0, 41);
+    write_site_csv(&dir, &before);
+    assert_sum(sum(1), std::slice::from_ref(&before), "first READ");
+    let after = rand_matrix(20, 3, 5.0, 9.0, 42);
+    write_site_csv(&dir, &after);
+    assert_sum(
+        sum(3),
+        std::slice::from_ref(&after),
+        "READ after the rewrite",
+    );
+}
+
+#[test]
+fn rereading_changed_federated_files_sees_their_new_contents() {
+    use exdra::core::testutil::mem_federation_with;
+    use exdra::matrix::rng::rand_matrix;
+    use exdra::FedMatrix;
+
+    let root = std::env::temp_dir().join(format!("exdra-raw-reread-fed-{}", std::process::id()));
+    let dirs: Vec<_> = (0..2).map(|s| root.join(format!("site{s}"))).collect();
+    let mut it = dirs.clone().into_iter();
+    let (ctx, _workers) = mem_federation_with(2, move || WorkerConfig {
+        data_dir: it.next().unwrap(),
+        ..WorkerConfig::default()
+    });
+    let files: Vec<_> = (0..2)
+        .map(|_| ("x.csv".to_string(), ReadFormat::MatrixCsv, 20))
+        .collect();
+    let read_sum = || {
+        let fed = FedMatrix::read_row_partitioned(&ctx, &files, 3, PrivacyLevel::Public).unwrap();
+        Tensor::Fed(fed).sum().unwrap()
+    };
+    for (round, (lo, hi)) in [(-1.0, 1.0), (5.0, 9.0)].into_iter().enumerate() {
+        let parts: Vec<_> = (0..2)
+            .map(|s| rand_matrix(20, 3, lo, hi, 50 + 2 * round as u64 + s))
+            .collect();
+        for (dir, m) in dirs.iter().zip(&parts) {
+            write_site_csv(dir, m);
+        }
+        assert_sum(read_sum(), &parts, &format!("READ round {round}"));
+    }
+}
