@@ -8,7 +8,10 @@
 //! explicitly consolidated (and then only if privacy allows it).
 //!
 //! Submodules: [`ops`] implements federated linear algebra (paper §4.2) and
-//! [`prep`] federated data preparation (§4.4).
+//! [`prep`] federated data preparation (§4.4). Every op of both lowers
+//! through the three primitives defined here: `place` installs sources,
+//! `map` leaves one output per partition at the sites, `gather` fetches
+//! per-partition values; each partition's requests come from one `Batch`.
 
 pub mod incremental;
 pub mod ops;
@@ -21,10 +24,12 @@ use std::sync::Arc;
 use exdra_matrix::kernels::reorg;
 use exdra_matrix::DenseMatrix;
 
-use crate::coordinator::{expect_data, expect_ok, FedContext};
+use crate::coordinator::{expect_ok, FedContext};
 use crate::error::{Result, RuntimeError};
+use crate::instruction::Instruction;
 use crate::privacy::PrivacyLevel;
 use crate::protocol::{ReadFormat, Request, Response};
+use crate::udf::Udf;
 use crate::value::DataValue;
 
 /// Partitioning scheme of a federated object.
@@ -184,49 +189,7 @@ impl FedMatrix {
         x: &DenseMatrix,
         privacy: PrivacyLevel,
     ) -> Result<Self> {
-        let n = ctx.num_workers();
-        if x.rows() < n {
-            return Err(RuntimeError::Invalid(format!(
-                "cannot scatter {} rows over {n} workers",
-                x.rows()
-            )));
-        }
-        let mut parts = Vec::with_capacity(n);
-        let mut batches = Vec::with_capacity(n);
-        let base = x.rows() / n;
-        let extra = x.rows() % n;
-        let mut lo = 0usize;
-        for w in 0..n {
-            let len = base + usize::from(w < extra);
-            let hi = lo + len;
-            let id = ctx.fresh_id();
-            let slice = reorg::index(x, lo, hi, 0, x.cols())?;
-            batches.push(vec![Request::Put {
-                id,
-                data: DataValue::from(slice),
-                privacy,
-            }]);
-            parts.push(FedPartition {
-                lo,
-                hi,
-                worker: w,
-                id,
-            });
-            lo = hi;
-        }
-        let responses = ctx.call_all(batches)?;
-        for (w, rs) in responses.iter().enumerate() {
-            expect_ok(&rs[0], w)?;
-        }
-        FedMatrix::from_parts(
-            Arc::clone(ctx),
-            PartitionScheme::Row,
-            x.rows(),
-            x.cols(),
-            parts,
-            privacy,
-            true,
-        )
+        Self::scatter(ctx, x, privacy, PartitionScheme::Row)
     }
 
     /// Scatters a local matrix into evenly-sized *column* partitions across
@@ -238,49 +201,39 @@ impl FedMatrix {
         x: &DenseMatrix,
         privacy: PrivacyLevel,
     ) -> Result<Self> {
+        Self::scatter(ctx, x, privacy, PartitionScheme::Col)
+    }
+
+    fn scatter(
+        ctx: &Arc<FedContext>,
+        x: &DenseMatrix,
+        privacy: PrivacyLevel,
+        scheme: PartitionScheme,
+    ) -> Result<Self> {
         let n = ctx.num_workers();
-        if x.cols() < n {
+        let (extent, other, what) = match scheme {
+            PartitionScheme::Row => (x.rows(), x.cols(), "rows"),
+            PartitionScheme::Col => (x.cols(), x.rows(), "columns"),
+        };
+        if extent < n {
             return Err(RuntimeError::Invalid(format!(
-                "cannot scatter {} columns over {n} workers",
-                x.cols()
+                "cannot scatter {extent} {what} over {n} workers"
             )));
         }
-        let mut parts = Vec::with_capacity(n);
-        let mut batches = Vec::with_capacity(n);
-        let base = x.cols() / n;
-        let extra = x.cols() % n;
-        let mut lo = 0usize;
-        for w in 0..n {
-            let len = base + usize::from(w < extra);
-            let hi = lo + len;
-            let id = ctx.fresh_id();
-            let slice = reorg::index(x, 0, x.rows(), lo, hi)?;
-            batches.push(vec![Request::Put {
-                id,
+        let lens: Vec<usize> = (0..n)
+            .map(|w| extent / n + usize::from(w < extent % n))
+            .collect();
+        Self::place(ctx, scheme, other, privacy, &lens, |p| {
+            let slice = match scheme {
+                PartitionScheme::Row => reorg::index(x, p.lo, p.hi, 0, x.cols()),
+                PartitionScheme::Col => reorg::index(x, 0, x.rows(), p.lo, p.hi),
+            }?;
+            Ok(Request::Put {
+                id: p.id,
                 data: DataValue::from(slice),
                 privacy,
-            }]);
-            parts.push(FedPartition {
-                lo,
-                hi,
-                worker: w,
-                id,
-            });
-            lo = hi;
-        }
-        let responses = ctx.call_all(batches)?;
-        for (w, rs) in responses.iter().enumerate() {
-            expect_ok(&rs[0], w)?;
-        }
-        FedMatrix::from_parts(
-            Arc::clone(ctx),
-            PartitionScheme::Col,
-            x.rows(),
-            x.cols(),
-            parts,
-            privacy,
-            true,
-        )
+            })
+        })
     }
 
     /// Creates a federated matrix from per-worker files (`READ` on demand,
@@ -291,45 +244,16 @@ impl FedMatrix {
         cols: usize,
         privacy: PrivacyLevel,
     ) -> Result<Self> {
-        if files.len() != ctx.num_workers() {
-            return Err(RuntimeError::Invalid(format!(
-                "{} files for {} workers",
-                files.len(),
-                ctx.num_workers()
-            )));
-        }
-        let mut parts = Vec::new();
-        let mut batches = Vec::new();
-        let mut lo = 0usize;
-        for (w, (fname, format, rows)) in files.iter().enumerate() {
-            let id = ctx.fresh_id();
-            batches.push(vec![Request::Read {
-                id,
+        let lens: Vec<usize> = files.iter().map(|(_, _, rows)| *rows).collect();
+        Self::place(ctx, PartitionScheme::Row, cols, privacy, &lens, |p| {
+            let (fname, format, _) = &files[p.worker];
+            Ok(Request::Read {
+                id: p.id,
                 fname: fname.clone(),
                 format: format.clone(),
                 privacy,
-            }]);
-            parts.push(FedPartition {
-                lo,
-                hi: lo + rows,
-                worker: w,
-                id,
-            });
-            lo += rows;
-        }
-        let responses = ctx.call_all(batches)?;
-        for (w, rs) in responses.iter().enumerate() {
-            expect_ok(&rs[0], w)?;
-        }
-        FedMatrix::from_parts(
-            Arc::clone(ctx),
-            PartitionScheme::Row,
-            lo,
-            cols,
-            parts,
-            privacy,
-            true,
-        )
+            })
+        })
     }
 
     /// Number of rows of the virtual matrix.
@@ -389,38 +313,6 @@ impl FedMatrix {
         )
     }
 
-    /// Allocates an output federation map with the same ranges/workers and
-    /// fresh symbol IDs (the common shape-preserving case).
-    pub(crate) fn fresh_like(&self) -> Vec<FedPartition> {
-        self.parts
-            .iter()
-            .map(|p| FedPartition {
-                id: self.ctx.fresh_id(),
-                ..*p
-            })
-            .collect()
-    }
-
-    /// Builds the sibling handle for an op output with the same federation
-    /// map (owned).
-    pub(crate) fn sibling(
-        &self,
-        rows: usize,
-        cols: usize,
-        parts: Vec<FedPartition>,
-        privacy: PrivacyLevel,
-    ) -> Result<FedMatrix> {
-        FedMatrix::from_parts(
-            Arc::clone(&self.ctx),
-            self.scheme,
-            rows,
-            cols,
-            parts,
-            privacy,
-            true,
-        )
-    }
-
     /// True when two federated matrices are co-partitioned (same scheme,
     /// ranges, and workers) so ops can execute without data movement.
     pub fn aligned_with(&self, other: &FedMatrix) -> bool {
@@ -433,42 +325,144 @@ impl FedMatrix {
                 .all(|(a, b)| a.lo == b.lo && a.hi == b.hi && a.worker == b.worker)
     }
 
-    /// Issues one request sequence per partition in parallel; `make`
-    /// produces the batch for each partition. Returns responses per
-    /// partition in partition order. Effect-only batches cost no round trip
-    /// (see [`FedContext::submit`]).
-    pub(crate) fn per_part(
-        &self,
-        mut make: impl FnMut(&FedPartition) -> Vec<Request>,
-    ) -> Result<Vec<Vec<Response>>> {
-        let mut batches = vec![Vec::new(); self.ctx.num_workers()];
-        // Partition order within each worker's batch is preserved; remember
-        // where each partition's responses start.
-        let mut offsets = Vec::with_capacity(self.parts.len());
-        for p in &self.parts {
-            let batch = make(p);
-            offsets.push((p.worker, batches[p.worker].len(), batch.len()));
-            batches[p.worker].extend(batch);
+    /// Installs one source per worker and returns the federation map over
+    /// them: worker `w` holds the next `lens[w]` rows (or columns) under a
+    /// fresh id, and `source` makes the `PUT` or `READ` that installs it.
+    /// Data installation goes through [`FedContext::call_all`], so every
+    /// site has acknowledged its source when this returns.
+    pub(crate) fn place(
+        ctx: &Arc<FedContext>,
+        scheme: PartitionScheme,
+        other: usize,
+        privacy: PrivacyLevel,
+        lens: &[usize],
+        mut source: impl FnMut(&FedPartition) -> Result<Request>,
+    ) -> Result<Self> {
+        if lens.len() != ctx.num_workers() {
+            return Err(RuntimeError::Invalid(format!(
+                "{} sources for {} workers",
+                lens.len(),
+                ctx.num_workers()
+            )));
         }
-        let all = self.ctx.submit(batches)?;
-        let mut out = Vec::with_capacity(self.parts.len());
-        for (w, off, len) in offsets {
-            let rs = &all[w];
-            for r in &rs[off..off + len] {
+        let mut parts = Vec::with_capacity(lens.len());
+        let mut batches = Vec::with_capacity(lens.len());
+        let mut lo = 0usize;
+        for (worker, len) in lens.iter().enumerate() {
+            let p = FedPartition {
+                lo,
+                hi: lo + len,
+                worker,
+                id: ctx.fresh_id(),
+            };
+            batches.push(vec![source(&p)?]);
+            lo = p.hi;
+            parts.push(p);
+        }
+        for (w, rs) in ctx.call_all(batches)?.iter().enumerate() {
+            for r in rs {
                 expect_ok(r, w)?;
             }
-            out.push(rs[off..off + len].to_vec());
         }
-        Ok(out)
+        let (rows, cols) = match scheme {
+            PartitionScheme::Row => (lo, other),
+            PartitionScheme::Col => (other, lo),
+        };
+        FedMatrix::from_parts(Arc::clone(ctx), scheme, rows, cols, parts, privacy, true)
+    }
+
+    /// Runs one federated op whose outputs stay at the sites: `build` gets
+    /// each partition's index, the partition, the id of its output and its
+    /// batch. The outputs form a new map with the given scheme, shape and
+    /// privacy, over the same ranges unless a batch sets its own
+    /// ([`Batch::range`]); a partition whose batch stays empty has no
+    /// output. An effect-only op costs no round trip
+    /// ([`FedContext::submit`]).
+    pub(crate) fn map(
+        &self,
+        scheme: PartitionScheme,
+        (rows, cols): (usize, usize),
+        privacy: PrivacyLevel,
+        mut build: impl FnMut(usize, &FedPartition, u64, &mut Batch),
+    ) -> Result<FedMatrix> {
+        let mut parts = Vec::with_capacity(self.parts.len());
+        self.gather(|i, p, b| {
+            let out = b.output();
+            build(i, p, out, b);
+            if !b.requests.is_empty() {
+                let (lo, hi) = b.range;
+                parts.push(FedPartition {
+                    lo,
+                    hi,
+                    worker: p.worker,
+                    id: out,
+                });
+            }
+        })?;
+        FedMatrix::from_parts(
+            Arc::clone(&self.ctx),
+            scheme,
+            rows,
+            cols,
+            parts,
+            privacy,
+            true,
+        )
+    }
+
+    /// Runs one federated op and returns, per partition in partition
+    /// order, the values its batch fetched, in request order. `build` gets
+    /// each partition's index, the partition and its batch. All batches
+    /// travel in one [`FedContext::submit`]; the op's broadcasts are
+    /// retired behind it.
+    pub(crate) fn gather(
+        &self,
+        mut build: impl FnMut(usize, &FedPartition, &mut Batch),
+    ) -> Result<Vec<Vec<DataValue>>> {
+        let mut broadcasts = Broadcasts::default();
+        let mut batches = vec![Vec::new(); self.ctx.num_workers()];
+        let mut lens = Vec::with_capacity(self.parts.len());
+        for (i, p) in self.parts.iter().enumerate() {
+            let mut b = Batch {
+                ctx: &self.ctx,
+                worker: p.worker,
+                requests: Vec::new(),
+                temps: Vec::new(),
+                broadcasts: &mut broadcasts,
+                calls: 0,
+                range: (p.lo, p.hi),
+            };
+            build(i, p, &mut b);
+            let batch = b.finish();
+            lens.push((p.worker, batch.len()));
+            batches[p.worker].extend(batch);
+        }
+        let responses = self.ctx.submit(batches)?;
+        for &(w, n) in &broadcasts.sent {
+            self.ctx.defer_rmvar(w, broadcasts.ids[n]);
+        }
+        // Each worker's responses, consumed partition by partition.
+        let mut responses: Vec<_> = responses.into_iter().map(Vec::into_iter).collect();
+        lens.into_iter()
+            .map(|(w, len)| {
+                responses[w]
+                    .by_ref()
+                    .take(len)
+                    .filter_map(|r| match r {
+                        Response::Data(v) => Some(Ok(v)),
+                        r => expect_ok(&r, w).err().map(Err),
+                    })
+                    .collect()
+            })
+            .collect()
     }
 
     /// Transfers and consolidates the federated data into a local matrix —
     /// "transparently transferred unless it violates privacy constraints".
     pub fn consolidate(&self) -> Result<DenseMatrix> {
-        let responses = self.per_part(|p| vec![Request::Get { id: p.id }])?;
-        let mut pieces: Vec<(usize, DenseMatrix)> = Vec::with_capacity(self.parts.len());
-        for (p, rs) in self.parts.iter().zip(&responses) {
-            let v = expect_data(&rs[0], p.worker)?;
+        let values = self.gather(|_, p, b| b.get(p.id))?;
+        let mut pieces = Vec::with_capacity(self.parts.len());
+        for (p, v) in self.parts.iter().zip(values.into_iter().flatten()) {
             pieces.push((p.lo, v.to_dense()?));
         }
         pieces.sort_by_key(|(lo, _)| *lo);
@@ -491,6 +485,112 @@ impl FedMatrix {
             )));
         }
         Ok(out)
+    }
+}
+
+/// The broadcasts of one op: their ids in call order, and which
+/// `(worker, call)` pairs have been sent.
+#[derive(Default)]
+struct Broadcasts {
+    ids: Vec<u64>,
+    sent: Vec<(usize, usize)>,
+}
+
+/// The requests of one partition in a [`FedMatrix::map`] or
+/// [`FedMatrix::gather`]. Every id it hands out through [`Batch::put`] or
+/// [`Batch::temp`] is removed by one `Rmvar` at the end of the batch; a
+/// [`Batch::broadcast`] reaches each worker once and is retired after the
+/// op.
+pub(crate) struct Batch<'a> {
+    ctx: &'a FedContext,
+    worker: usize,
+    requests: Vec<Request>,
+    temps: Vec<u64>,
+    broadcasts: &'a mut Broadcasts,
+    /// `broadcast` calls made by this batch so far.
+    calls: usize,
+    /// This partition's range in a `map`'s output.
+    range: (usize, usize),
+}
+
+impl Batch<'_> {
+    /// Ships a side input for this batch only; returns its id.
+    pub(crate) fn put(&mut self, value: impl Into<DataValue>) -> u64 {
+        let id = self.temp();
+        self.requests.push(Request::Put {
+            id,
+            data: value.into(),
+            privacy: PrivacyLevel::Public,
+        });
+        id
+    }
+
+    /// Returns the id of a side input shared by every partition: the
+    /// `n`-th `broadcast` of each batch of one op names the same value,
+    /// which is shipped the first time a worker needs it.
+    pub(crate) fn broadcast(&mut self, value: &DenseMatrix) -> u64 {
+        let call = self.calls;
+        self.calls += 1;
+        if call == self.broadcasts.ids.len() {
+            self.broadcasts.ids.push(self.ctx.fresh_id());
+        }
+        let id = self.broadcasts.ids[call];
+        if !self.broadcasts.sent.contains(&(self.worker, call)) {
+            self.broadcasts.sent.push((self.worker, call));
+            self.requests.push(Request::Put {
+                id,
+                data: DataValue::from(value.clone()),
+                privacy: PrivacyLevel::Public,
+            });
+        }
+        id
+    }
+
+    /// Runs an instruction at the site.
+    pub(crate) fn exec(&mut self, inst: Instruction) {
+        self.requests.push(Request::ExecInst { inst });
+    }
+
+    /// Runs a user-defined function at the site.
+    pub(crate) fn udf(&mut self, udf: Udf) {
+        self.requests.push(Request::ExecUdf { udf });
+    }
+
+    /// Fetches a symbol (privacy-checked at the site).
+    pub(crate) fn get(&mut self, id: u64) {
+        self.requests.push(Request::Get { id });
+    }
+
+    /// Computes `inst(out)` into a temp and fetches it.
+    pub(crate) fn fetch(&mut self, inst: impl FnOnce(u64) -> Instruction) {
+        let out = self.temp();
+        self.exec(inst(out));
+        self.get(out);
+    }
+
+    /// A fresh id for an intermediate of this batch.
+    pub(crate) fn temp(&mut self) -> u64 {
+        let id = self.output();
+        self.temps.push(id);
+        id
+    }
+
+    /// A fresh id for a result the batch leaves at the site.
+    pub(crate) fn output(&self) -> u64 {
+        self.ctx.fresh_id()
+    }
+
+    /// Sets this partition's range in a [`FedMatrix::map`]'s output.
+    pub(crate) fn range(&mut self, lo: usize, hi: usize) {
+        self.range = (lo, hi);
+    }
+
+    fn finish(mut self) -> Vec<Request> {
+        if !self.temps.is_empty() {
+            let ids = std::mem::take(&mut self.temps);
+            self.exec(Instruction::Rmvar { ids });
+        }
+        self.requests
     }
 }
 

@@ -3,25 +3,23 @@
 //! Operations on [`FedMatrix`] compose the six request types into the
 //! paper's dispatch patterns: *broadcast* side inputs (full or sliced by
 //! partition range), *local execution* per partition via `EXEC_INST`, and
-//! *aggregation* of partial results at the coordinator. Where no
-//! aggregation is needed the output is itself federated data with a
-//! "logical rbind" federation map (paper Example 2).
-
-use std::collections::HashSet;
+//! *aggregation* of partial results at the coordinator. Each op is one
+//! `FedMatrix::map`, whose output stays federated with a "logical rbind"
+//! federation map (paper Example 2), or one `FedMatrix::gather`, whose
+//! partials are combined here.
 
 use exdra_matrix::kernels::aggregates::{AggDir, AggOp};
 use exdra_matrix::kernels::elementwise::{BinaryOp, UnaryOp};
 use exdra_matrix::kernels::reorg;
-use exdra_matrix::DenseMatrix;
+use exdra_matrix::{DenseMatrix, MatrixError};
 
-use crate::coordinator::expect_data;
 use crate::error::{Result, RuntimeError};
 use crate::instruction::Instruction;
 use crate::privacy::PrivacyLevel;
-use crate::protocol::{Request, Response};
+use crate::tensor::Tensor;
 use crate::value::DataValue;
 
-use super::{FedMatrix, FedPartition, PartitionScheme};
+use super::{FedMatrix, PartitionScheme};
 
 /// The row weights `w` of [`FedMatrix::mmchain`].
 #[derive(Debug, Clone, Copy)]
@@ -32,27 +30,40 @@ pub enum MmWeights<'a> {
     Fed(&'a FedMatrix),
 }
 
-impl FedMatrix {
-    // --- broadcast helpers -------------------------------------------------
+fn mismatch(op: &'static str, lhs: (usize, usize), rhs: (usize, usize)) -> RuntimeError {
+    RuntimeError::Matrix(MatrixError::DimensionMismatch { op, lhs, rhs })
+}
 
-    /// Broadcasts a side input to every worker holding a partition,
-    /// returning the shared symbol ID. The caller queues its removal
-    /// afterwards via [`FedMatrix::retire_broadcast`].
-    fn workers_of(&self) -> Vec<usize> {
-        let mut seen = HashSet::new();
-        let mut out = Vec::new();
-        for p in self.parts() {
-            if seen.insert(p.worker) {
-                out.push(p.worker);
+/// Combines what every partition fetched, slot by slot in partition order:
+/// slot `j` of the result folds the `j`-th value of each partition with
+/// `combine(j, acc, next)`.
+fn fold_partials(
+    partials: Vec<Vec<DataValue>>,
+    combine: impl Fn(usize, &DenseMatrix, &DenseMatrix) -> exdra_matrix::Result<DenseMatrix>,
+) -> Result<Vec<DenseMatrix>> {
+    let mut acc: Vec<DenseMatrix> = Vec::new();
+    for values in partials {
+        for (j, value) in values.iter().enumerate() {
+            let value = value.to_dense()?;
+            match acc.get_mut(j) {
+                Some(a) => *a = combine(j, a, &value)?,
+                None => acc.push(value),
             }
         }
-        out
     }
+    Ok(acc)
+}
 
-    fn retire_broadcast(&self, id: u64) {
-        for w in self.workers_of() {
-            self.ctx().defer_rmvar(w, id);
-        }
+/// Adds up, in partition order, the one partial each partition fetched.
+fn sum_partials(partials: Vec<Vec<DataValue>>) -> Result<DenseMatrix> {
+    let sum = fold_partials(partials, |_, a, b| a.zip(b, "+", |x, y| x + y))?;
+    Ok(sum.into_iter().next().expect("at least one partition"))
+}
+
+impl FedMatrix {
+    /// The stricter privacy constraint of `self` and `other`.
+    fn joint_privacy(&self, other: &FedMatrix) -> PrivacyLevel {
+        self.privacy().max(other.privacy())
     }
 
     /// `self %*% rhs` with a local right-hand side.
@@ -61,7 +72,7 @@ impl FedMatrix {
     /// per partition, output federated with the same row map.
     /// Col scheme: sliced broadcast of `rhs` rows per column range, partial
     /// products summed at the coordinator (local output).
-    pub fn matmul_rhs_local(&self, rhs: &DenseMatrix) -> Result<crate::tensor::Tensor> {
+    pub fn matmul_rhs_local(&self, rhs: &DenseMatrix) -> Result<Tensor> {
         self.rhs_local(rhs, false)
     }
 
@@ -73,7 +84,7 @@ impl FedMatrix {
     /// matching each partition is shipped as is, the `cols x k` partials
     /// are summed in partition order. Col scheme: broadcast `rhs`, output
     /// federated by rows over the same ranges.
-    pub fn t_matmul_rhs_local(&self, rhs: &DenseMatrix) -> Result<crate::tensor::Tensor> {
+    pub fn t_matmul_rhs_local(&self, rhs: &DenseMatrix) -> Result<Tensor> {
         self.rhs_local(rhs, true)
     }
 
@@ -81,100 +92,44 @@ impl FedMatrix {
     /// partitioned by rows every site computes its rows of the output
     /// from a broadcast `rhs`; when by columns, a partial product from
     /// its row slice of `rhs`.
-    fn rhs_local(&self, rhs: &DenseMatrix, t_self: bool) -> Result<crate::tensor::Tensor> {
+    fn rhs_local(&self, rhs: &DenseMatrix, t_self: bool) -> Result<Tensor> {
         let (out_rows, inner) = if t_self {
             (self.cols(), self.rows())
         } else {
             self.shape()
         };
         if inner != rhs.rows() {
-            return Err(RuntimeError::Matrix(
-                exdra_matrix::MatrixError::DimensionMismatch {
-                    op: "fed_matmul",
-                    lhs: (out_rows, inner),
-                    rhs: rhs.shape(),
-                },
-            ));
+            return Err(mismatch("fed_matmul", (out_rows, inner), rhs.shape()));
         }
         if (self.scheme() == PartitionScheme::Row) != t_self {
-            let rhs_id = self.ctx().fresh_id();
-            let parts = self.fresh_like();
-            let mut sent: HashSet<usize> = HashSet::new();
-            let mut i = 0usize;
-            self.per_part(|p| {
-                let mut batch = Vec::new();
-                if sent.insert(p.worker) {
-                    batch.push(Request::Put {
-                        id: rhs_id,
-                        data: DataValue::from(rhs.clone()),
-                        privacy: PrivacyLevel::Public,
-                    });
-                }
-                batch.push(Request::ExecInst {
-                    inst: Instruction::MatMul {
-                        lhs: p.id,
-                        rhs: rhs_id,
-                        t_lhs: t_self,
-                        out: parts[i].id,
-                    },
-                });
-                i += 1;
-                batch
-            })?;
-            self.retire_broadcast(rhs_id);
-            return Ok(crate::tensor::Tensor::Fed(FedMatrix::from_parts(
-                std::sync::Arc::clone(self.ctx()),
+            let shape = (out_rows, rhs.cols());
+            let out = self.map(
                 PartitionScheme::Row,
-                out_rows,
-                rhs.cols(),
-                parts,
+                shape,
                 self.privacy(),
-                true,
-            )?));
-        }
-        let results = self.per_part(|p| {
-            let slice_id = self.ctx().fresh_id();
-            let out_id = self.ctx().fresh_id();
-            let slice = reorg::index(rhs, p.lo, p.hi, 0, rhs.cols()).expect("validated range");
-            vec![
-                Request::Put {
-                    id: slice_id,
-                    data: DataValue::from(slice),
-                    privacy: PrivacyLevel::Public,
-                },
-                Request::ExecInst {
-                    inst: Instruction::MatMul {
+                |_, p, out, b| {
+                    let rhs = b.broadcast(rhs);
+                    b.exec(Instruction::MatMul {
                         lhs: p.id,
-                        rhs: slice_id,
+                        rhs,
                         t_lhs: t_self,
-                        out: out_id,
-                    },
+                        out,
+                    });
                 },
-                Request::Get { id: out_id },
-                Request::ExecInst {
-                    inst: Instruction::Rmvar {
-                        ids: vec![slice_id, out_id],
-                    },
-                },
-            ]
-        })?;
-        Ok(crate::tensor::Tensor::Local(
-            self.sum_partials(&results, 2)?,
-        ))
-    }
-
-    /// Adds up, in partition order, the partial result each partition's
-    /// batch fetched as its `get_at`-th response.
-    fn sum_partials(&self, results: &[Vec<Response>], get_at: usize) -> Result<DenseMatrix> {
-        let mut acc: Option<DenseMatrix> = None;
-        for (p, rs) in self.parts().iter().zip(results) {
-            let partial = expect_data(&rs[get_at], p.worker)?.to_dense()?;
-            acc = Some(match acc {
-                None => partial,
-                Some(a) => a.zip(&partial, "+", |x, y| x + y)?,
-            });
+            )?;
+            return Ok(Tensor::Fed(out));
         }
-        Ok(acc.expect("at least one partition"))
+        let partials = self.gather(|_, p, b| {
+            let slice = reorg::index(rhs, p.lo, p.hi, 0, rhs.cols()).expect("validated range");
+            let rhs = b.put(slice);
+            b.fetch(|out| Instruction::MatMul {
+                lhs: p.id,
+                rhs,
+                t_lhs: t_self,
+                out,
+            });
+        })?;
+        Ok(Tensor::Local(sum_partials(partials)?))
     }
 
     /// `lhs %*% self` with a local left-hand side.
@@ -183,105 +138,61 @@ impl FedMatrix {
     /// `lhs` columns matching each row range, partial products aggregated
     /// by element-wise addition at the coordinator.
     /// Col scheme: broadcast `lhs`, output federated with the same col map.
-    pub fn matmul_lhs_local(&self, lhs: &DenseMatrix) -> Result<crate::tensor::Tensor> {
+    pub fn matmul_lhs_local(&self, lhs: &DenseMatrix) -> Result<Tensor> {
         self.lhs_local(lhs, false)
     }
 
     /// `t(lhs) %*% self` with a local left-hand side, shipped as stored
     /// (row-sliced under the row scheme) and multiplied with `t_lhs`.
-    pub fn t_matmul_lhs_local(&self, lhs: &DenseMatrix) -> Result<crate::tensor::Tensor> {
+    pub fn t_matmul_lhs_local(&self, lhs: &DenseMatrix) -> Result<Tensor> {
         self.lhs_local(lhs, true)
     }
 
     /// `op(lhs) %*% self` with `op = t` when `t_lhs`.
-    fn lhs_local(&self, lhs: &DenseMatrix, t_lhs: bool) -> Result<crate::tensor::Tensor> {
+    fn lhs_local(&self, lhs: &DenseMatrix, t_lhs: bool) -> Result<Tensor> {
         let (out_rows, inner) = if t_lhs {
             (lhs.cols(), lhs.rows())
         } else {
             lhs.shape()
         };
         if inner != self.rows() {
-            return Err(RuntimeError::Matrix(
-                exdra_matrix::MatrixError::DimensionMismatch {
-                    op: "fed_matmul",
-                    lhs: (out_rows, inner),
-                    rhs: self.shape(),
-                },
-            ));
+            return Err(mismatch("fed_matmul", (out_rows, inner), self.shape()));
         }
-        match self.scheme() {
-            PartitionScheme::Row => {
-                let results = self.per_part(|p| {
-                    let slice_id = self.ctx().fresh_id();
-                    let out_id = self.ctx().fresh_id();
-                    // The contracted index of `op(lhs)`: its columns, which
-                    // are the rows of a transposed `lhs`.
-                    let slice = if t_lhs {
-                        reorg::index(lhs, p.lo, p.hi, 0, lhs.cols())
-                    } else {
-                        reorg::index(lhs, 0, lhs.rows(), p.lo, p.hi)
-                    }
-                    .expect("validated range");
-                    vec![
-                        Request::Put {
-                            id: slice_id,
-                            data: DataValue::from(slice),
-                            privacy: PrivacyLevel::Public,
-                        },
-                        Request::ExecInst {
-                            inst: Instruction::MatMul {
-                                lhs: slice_id,
-                                rhs: p.id,
-                                t_lhs,
-                                out: out_id,
-                            },
-                        },
-                        Request::Get { id: out_id },
-                        Request::ExecInst {
-                            inst: Instruction::Rmvar {
-                                ids: vec![slice_id, out_id],
-                            },
-                        },
-                    ]
-                })?;
-                Ok(crate::tensor::Tensor::Local(
-                    self.sum_partials(&results, 2)?,
-                ))
-            }
-            PartitionScheme::Col => {
-                let lhs_id = self.ctx().fresh_id();
-                let parts = self.fresh_like();
-                let mut sent: HashSet<usize> = HashSet::new();
-                let mut i = 0usize;
-                self.per_part(|p| {
-                    let mut batch = Vec::new();
-                    if sent.insert(p.worker) {
-                        batch.push(Request::Put {
-                            id: lhs_id,
-                            data: DataValue::from(lhs.clone()),
-                            privacy: PrivacyLevel::Public,
-                        });
-                    }
-                    batch.push(Request::ExecInst {
-                        inst: Instruction::MatMul {
-                            lhs: lhs_id,
-                            rhs: p.id,
-                            t_lhs,
-                            out: parts[i].id,
-                        },
+        if self.scheme() == PartitionScheme::Col {
+            let shape = (out_rows, self.cols());
+            let out = self.map(
+                PartitionScheme::Col,
+                shape,
+                self.privacy(),
+                |_, p, out, b| {
+                    let lhs = b.broadcast(lhs);
+                    b.exec(Instruction::MatMul {
+                        lhs,
+                        rhs: p.id,
+                        t_lhs,
+                        out,
                     });
-                    i += 1;
-                    batch
-                })?;
-                self.retire_broadcast(lhs_id);
-                Ok(crate::tensor::Tensor::Fed(self.sibling(
-                    out_rows,
-                    self.cols(),
-                    parts,
-                    self.privacy(),
-                )?))
-            }
+                },
+            )?;
+            return Ok(Tensor::Fed(out));
         }
+        let partials = self.gather(|_, p, b| {
+            // The contracted index of `op(lhs)`: its columns, which are
+            // the rows of a transposed `lhs`.
+            let slice = if t_lhs {
+                reorg::index(lhs, p.lo, p.hi, 0, lhs.cols())
+            } else {
+                reorg::index(lhs, 0, lhs.rows(), p.lo, p.hi)
+            };
+            let lhs = b.put(slice.expect("validated range"));
+            b.fetch(|out| Instruction::MatMul {
+                lhs,
+                rhs: p.id,
+                t_lhs,
+                out,
+            });
+        })?;
+        Ok(Tensor::Local(sum_partials(partials)?))
     }
 
     /// `t(self) %*% self` (tsmm) for row-partitioned data: per-partition
@@ -292,23 +203,13 @@ impl FedMatrix {
                 "tsmm currently requires row-partitioned federated data".into(),
             ));
         }
-        let results = self.per_part(|p| {
-            let out_id = self.ctx().fresh_id();
-            vec![
-                Request::ExecInst {
-                    inst: Instruction::Tsmm {
-                        x: p.id,
-                        left: true,
-                        out: out_id,
-                    },
-                },
-                Request::Get { id: out_id },
-                Request::ExecInst {
-                    inst: Instruction::Rmvar { ids: vec![out_id] },
-                },
-            ]
-        })?;
-        self.sum_partials(&results, 1)
+        sum_partials(self.gather(|_, p, b| {
+            b.fetch(|out| Instruction::Tsmm {
+                x: p.id,
+                left: true,
+                out,
+            })
+        })?)
     }
 
     /// Fused `t(self) %*% (w ⊙ (self %*% v))` (mmchain) for row-partitioned
@@ -325,23 +226,16 @@ impl FedMatrix {
                 "mmchain requires row-partitioned federated data".into(),
             ));
         }
-        let mismatch = |rhs: (usize, usize)| {
-            RuntimeError::Matrix(exdra_matrix::MatrixError::DimensionMismatch {
-                op: "fed_mmchain",
-                lhs: self.shape(),
-                rhs,
-            })
-        };
         let k = v.cols();
         if v.rows() != self.cols() || k == 0 {
-            return Err(mismatch(v.shape()));
+            return Err(mismatch("fed_mmchain", self.shape(), v.shape()));
         }
         let w_shape = w.map(|w| match w {
             MmWeights::Local(m) => m.shape(),
             MmWeights::Fed(f) => f.shape(),
         });
         if let Some(shape) = w_shape.filter(|s| *s != (self.rows(), k)) {
-            return Err(mismatch(shape));
+            return Err(mismatch("fed_mmchain", self.shape(), shape));
         }
         if matches!(w, Some(MmWeights::Fed(f)) if !self.aligned_with(f)) {
             return Err(RuntimeError::Unsupported(
@@ -351,94 +245,33 @@ impl FedMatrix {
         let column = |m: &DenseMatrix, lo: usize, hi: usize, j: usize| {
             reorg::index(m, lo, hi, j, j + 1).expect("validated range")
         };
-        let v_ids: Vec<u64> = (0..k).map(|_| self.ctx().fresh_id()).collect();
-        let mut sent: HashSet<usize> = HashSet::new();
-        let mut part = 0usize;
-        // Where each partition's k GET responses sit in its batch.
-        let mut gets: Vec<Vec<usize>> = Vec::with_capacity(self.parts().len());
-        let results = self.per_part(|p| {
-            let mut batch = Vec::new();
-            if sent.insert(p.worker) {
-                for (j, &id) in v_ids.iter().enumerate() {
-                    batch.push(Request::Put {
-                        id,
-                        data: DataValue::from(column(v, 0, v.rows(), j)),
-                        privacy: PrivacyLevel::Public,
-                    });
-                }
-            }
-            let (mut outs, mut w_temps) = (Vec::with_capacity(k), Vec::new());
-            let mut get_at = Vec::with_capacity(k);
-            for (j, &v_id) in v_ids.iter().enumerate() {
-                let out_id = self.ctx().fresh_id();
-                let w_id = match w {
+        let v_cols: Vec<DenseMatrix> = (0..k).map(|j| column(v, 0, v.rows(), j)).collect();
+        let partials = self.gather(|i, p, b| {
+            let vs: Vec<u64> = v_cols.iter().map(|vj| b.broadcast(vj)).collect();
+            for (j, v) in vs.into_iter().enumerate() {
+                let w = match w {
                     None => None,
-                    Some(MmWeights::Local(w)) => {
-                        let id = self.ctx().fresh_id();
-                        batch.push(Request::Put {
-                            id,
-                            data: DataValue::from(column(w, p.lo, p.hi, j)),
-                            privacy: PrivacyLevel::Public,
-                        });
-                        w_temps.push(id);
-                        Some(id)
-                    }
-                    Some(MmWeights::Fed(w)) if k == 1 => Some(w.parts()[part].id),
+                    Some(MmWeights::Local(w)) => Some(b.put(column(w, p.lo, p.hi, j))),
+                    Some(MmWeights::Fed(w)) if k == 1 => Some(w.parts()[i].id),
                     Some(MmWeights::Fed(w)) => {
-                        let id = self.ctx().fresh_id();
-                        batch.push(Request::ExecInst {
-                            inst: Instruction::Index {
-                                x: w.parts()[part].id,
-                                row_lo: 0,
-                                row_hi: p.len() as u64,
-                                col_lo: j as u64,
-                                col_hi: j as u64 + 1,
-                                out: id,
-                            },
+                        let wj = b.temp();
+                        b.exec(Instruction::Index {
+                            x: w.parts()[i].id,
+                            row_lo: 0,
+                            row_hi: p.len() as u64,
+                            col_lo: j as u64,
+                            col_hi: j as u64 + 1,
+                            out: wj,
                         });
-                        w_temps.push(id);
-                        Some(id)
+                        Some(wj)
                     }
                 };
-                batch.push(Request::ExecInst {
-                    inst: Instruction::MmChain {
-                        x: p.id,
-                        v: v_id,
-                        w: w_id,
-                        out: out_id,
-                    },
-                });
-                get_at.push(batch.len());
-                batch.push(Request::Get { id: out_id });
-                outs.push(out_id);
+                b.fetch(|out| Instruction::MmChain { x: p.id, v, w, out });
             }
-            outs.extend(w_temps);
-            batch.push(Request::ExecInst {
-                inst: Instruction::Rmvar { ids: outs },
-            });
-            gets.push(get_at);
-            part += 1;
-            batch
         })?;
-        for id in v_ids {
-            self.retire_broadcast(id);
-        }
-        let mut out = DenseMatrix::zeros(self.cols(), k);
-        for j in 0..k {
-            let mut acc: Option<DenseMatrix> = None;
-            for ((p, rs), get_at) in self.parts().iter().zip(&results).zip(&gets) {
-                let partial = expect_data(&rs[get_at[j]], p.worker)?.to_dense()?;
-                acc = Some(match acc {
-                    None => partial,
-                    Some(a) => a.zip(&partial, "+", |x, y| x + y)?,
-                });
-            }
-            let acc = acc.expect("at least one partition");
-            for (i, &val) in acc.values().iter().enumerate() {
-                out.set(i, j, val);
-            }
-        }
-        Ok(out)
+        let mut cols = fold_partials(partials, |_, a, b| a.zip(b, "+", |x, y| x + y))?.into_iter();
+        let first = cols.next().expect("at least one partition");
+        Ok(cols.try_fold(first, |acc, col| reorg::cbind(&acc, &col))?)
     }
 
     /// Aligned `t(self) %*% other` over two co-partitioned (row) federated
@@ -454,44 +287,24 @@ impl FedMatrix {
                 "aligned t(A) %*% B requires row partitioning".into(),
             ));
         }
-        let other_parts: Vec<FedPartition> = other.parts().to_vec();
-        let mut i = 0usize;
-        let results = self.per_part(|p| {
-            let out_id = self.ctx().fresh_id();
-            let q = &other_parts[i];
-            i += 1;
-            vec![
-                Request::ExecInst {
-                    inst: Instruction::MatMul {
-                        lhs: p.id,
-                        rhs: q.id,
-                        t_lhs: true,
-                        out: out_id,
-                    },
-                },
-                Request::Get { id: out_id },
-                Request::ExecInst {
-                    inst: Instruction::Rmvar { ids: vec![out_id] },
-                },
-            ]
-        })?;
-        self.sum_partials(&results, 1)
+        sum_partials(self.gather(|i, p, b| {
+            b.fetch(|out| Instruction::MatMul {
+                lhs: p.id,
+                rhs: other.parts()[i].id,
+                t_lhs: true,
+                out,
+            })
+        })?)
     }
 
     /// Element-wise unary op; output stays federated.
     pub fn unary(&self, op: UnaryOp) -> Result<FedMatrix> {
-        let parts = self.fresh_like();
-        let mut i = 0usize;
-        self.per_part(|p| {
-            let inst = Instruction::Unary {
-                x: p.id,
-                op,
-                out: parts[i].id,
-            };
-            i += 1;
-            vec![Request::ExecInst { inst }]
-        })?;
-        self.sibling(self.rows(), self.cols(), parts, self.privacy())
+        self.map(
+            self.scheme(),
+            self.shape(),
+            self.privacy(),
+            |_, p, out, b| b.exec(Instruction::Unary { x: p.id, op, out }),
+        )
     }
 
     /// Row-wise softmax (row-partitioned only; rows are site-local).
@@ -501,35 +314,30 @@ impl FedMatrix {
                 "softmax requires row-partitioned federated data".into(),
             ));
         }
-        let parts = self.fresh_like();
-        let mut i = 0usize;
-        self.per_part(|p| {
-            let inst = Instruction::Softmax {
-                x: p.id,
-                out: parts[i].id,
-            };
-            i += 1;
-            vec![Request::ExecInst { inst }]
-        })?;
-        self.sibling(self.rows(), self.cols(), parts, self.privacy())
+        self.map(
+            self.scheme(),
+            self.shape(),
+            self.privacy(),
+            |_, p, out, b| b.exec(Instruction::Softmax { x: p.id, out }),
+        )
     }
 
     /// Matrix-scalar op with a literal scalar; output stays federated.
     pub fn scalar_op(&self, op: BinaryOp, value: f64, swap: bool) -> Result<FedMatrix> {
-        let parts = self.fresh_like();
-        let mut i = 0usize;
-        self.per_part(|p| {
-            let inst = Instruction::Scalar {
-                x: p.id,
-                op,
-                value,
-                swap,
-                out: parts[i].id,
-            };
-            i += 1;
-            vec![Request::ExecInst { inst }]
-        })?;
-        self.sibling(self.rows(), self.cols(), parts, self.privacy())
+        self.map(
+            self.scheme(),
+            self.shape(),
+            self.privacy(),
+            |_, p, out, b| {
+                b.exec(Instruction::Scalar {
+                    x: p.id,
+                    op,
+                    value,
+                    swap,
+                    out,
+                })
+            },
+        )
     }
 
     /// Element-wise binary op with a co-partitioned federated right-hand
@@ -550,145 +358,91 @@ impl FedMatrix {
                 && other.rows() == 1
                 && other.cols() == self.cols());
         if !shapes_ok {
-            return Err(RuntimeError::Matrix(
-                exdra_matrix::MatrixError::DimensionMismatch {
-                    op: "fed_binary",
-                    lhs: self.shape(),
-                    rhs: other.shape(),
-                },
-            ));
+            return Err(mismatch("fed_binary", self.shape(), other.shape()));
         }
-        let other_parts: Vec<FedPartition> = other.parts().to_vec();
-        let parts = self.fresh_like();
-        let mut i = 0usize;
-        self.per_part(|p| {
-            let inst = Instruction::Binary {
+        let privacy = self.joint_privacy(other);
+        self.map(self.scheme(), self.shape(), privacy, |i, p, out, b| {
+            b.exec(Instruction::Binary {
                 lhs: p.id,
-                rhs: other_parts[i].id,
+                rhs: other.parts()[i].id,
                 op,
-                out: parts[i].id,
-            };
-            i += 1;
-            vec![Request::ExecInst { inst }]
-        })?;
-        self.sibling(
-            self.rows(),
-            self.cols(),
-            parts,
-            self.privacy().max(other.privacy()),
-        )
+                out,
+            })
+        })
     }
 
     /// Element-wise binary op with a local right-hand side (scalar, row
     /// vector, column vector, or full matrix): broadcast fully or sliced
     /// according to the partition ranges.
     pub fn binary_local(&self, op: BinaryOp, rhs: &DenseMatrix) -> Result<FedMatrix> {
-        if rhs.shape() == (1, 1) {
-            return self.scalar_op(op, rhs.get(0, 0), false);
+        self.binary_with_local(op, rhs, false)
+    }
+
+    /// `self op m`, or `m op self` when `local_left`. A 1x1 `m` is a
+    /// literal scalar; a vector along the unpartitioned dimension goes
+    /// whole to every partition; anything else is sliced by partition
+    /// range, so with `local_left` it must have `self`'s shape.
+    pub(crate) fn binary_with_local(
+        &self,
+        op: BinaryOp,
+        m: &DenseMatrix,
+        local_left: bool,
+    ) -> Result<FedMatrix> {
+        if m.shape() == (1, 1) {
+            return self.scalar_op(op, m.get(0, 0), local_left);
         }
-        // Decide slicing: which rhs region does partition p need?
-        let slice_for = |p: &FedPartition| -> Result<DenseMatrix> {
-            match self.scheme() {
-                PartitionScheme::Row => {
-                    if rhs.rows() == 1 && rhs.cols() == self.cols() {
-                        Ok(rhs.clone()) // row vector: full broadcast
-                    } else if rhs.cols() == 1 && rhs.rows() == self.rows() {
-                        Ok(reorg::index(rhs, p.lo, p.hi, 0, 1)?)
-                    } else if rhs.shape() == self.shape() {
-                        Ok(reorg::index(rhs, p.lo, p.hi, 0, rhs.cols())?)
-                    } else {
-                        Err(exdra_matrix::MatrixError::DimensionMismatch {
-                            op: "fed_binary",
-                            lhs: self.shape(),
-                            rhs: rhs.shape(),
-                        }
-                        .into())
-                    }
-                }
-                PartitionScheme::Col => {
-                    if rhs.cols() == 1 && rhs.rows() == self.rows() {
-                        Ok(rhs.clone()) // col vector: full broadcast
-                    } else if rhs.rows() == 1 && rhs.cols() == self.cols() {
-                        Ok(reorg::index(rhs, 0, 1, p.lo, p.hi)?)
-                    } else if rhs.shape() == self.shape() {
-                        Ok(reorg::index(rhs, 0, rhs.rows(), p.lo, p.hi)?)
-                    } else {
-                        Err(exdra_matrix::MatrixError::DimensionMismatch {
-                            op: "fed_binary",
-                            lhs: self.shape(),
-                            rhs: rhs.shape(),
-                        }
-                        .into())
-                    }
-                }
-            }
+        let row = self.scheme() == PartitionScheme::Row;
+        // `m`'s extent along and across the partitioned dimension.
+        let (along, across) = if row { m.shape() } else { (m.cols(), m.rows()) };
+        let (extent, width) = if row {
+            self.shape()
+        } else {
+            (self.cols(), self.rows())
         };
-        // Validate all slices up front (per_part closures cannot fail).
-        let mut slices = Vec::with_capacity(self.parts().len());
-        for p in self.parts() {
-            slices.push(slice_for(p)?);
+        let whole = along == 1 && across == width;
+        if !whole && !(along == extent && (across == 1 || across == width)) {
+            return Err(mismatch("fed_binary", self.shape(), m.shape()));
         }
-        let parts = self.fresh_like();
-        let mut i = 0usize;
-        self.per_part(|_p| {
-            let rhs_id = self.ctx().fresh_id();
-            let batch = vec![
-                Request::Put {
-                    id: rhs_id,
-                    data: DataValue::from(slices[i].clone()),
-                    privacy: PrivacyLevel::Public,
-                },
-                Request::ExecInst {
-                    inst: Instruction::Binary {
-                        lhs: self.parts()[i].id,
-                        rhs: rhs_id,
-                        op,
-                        out: parts[i].id,
-                    },
-                },
-                Request::ExecInst {
-                    inst: Instruction::Rmvar { ids: vec![rhs_id] },
-                },
-            ];
-            i += 1;
-            batch
-        })?;
-        self.sibling(self.rows(), self.cols(), parts, self.privacy())
+        self.map(
+            self.scheme(),
+            self.shape(),
+            self.privacy(),
+            |_, p, out, b| {
+                let slice = match (whole, row) {
+                    (true, _) => Ok(m.clone()),
+                    (false, true) => reorg::index(m, p.lo, p.hi, 0, m.cols()),
+                    (false, false) => reorg::index(m, 0, m.rows(), p.lo, p.hi),
+                };
+                let m = b.put(slice.expect("validated range"));
+                let (lhs, rhs) = if local_left { (m, p.id) } else { (p.id, m) };
+                b.exec(Instruction::Binary { lhs, rhs, op, out });
+            },
+        )
     }
 
     /// Federated aggregate. Aggregation *along* the partitioned dimension's
     /// orthogonal axis stays federated (e.g. `rowSums` of row-partitioned
     /// data); aggregation *across* partitions combines partial statistics
     /// at the coordinator (e.g. `colSums`, `sum`, `var`).
-    pub fn agg(&self, op: AggOp, dir: AggDir) -> Result<crate::tensor::Tensor> {
+    pub fn agg(&self, op: AggOp, dir: AggDir) -> Result<Tensor> {
         let stays_federated = matches!(
             (self.scheme(), dir),
             (PartitionScheme::Row, AggDir::Row) | (PartitionScheme::Col, AggDir::Col)
         );
         if stays_federated {
-            let (rows, cols) = match dir {
+            let shape = match dir {
                 AggDir::Row => (self.rows(), 1),
-                AggDir::Col => (1, self.cols()),
-                AggDir::Full => unreachable!(),
+                _ => (1, self.cols()),
             };
-            let parts = self.fresh_like();
-            let mut i = 0usize;
-            self.per_part(|p| {
-                let inst = Instruction::Agg {
+            let out = self.map(self.scheme(), shape, self.privacy(), |_, p, out, b| {
+                b.exec(Instruction::Agg {
                     x: p.id,
                     op,
                     dir,
-                    out: parts[i].id,
-                };
-                i += 1;
-                vec![Request::ExecInst { inst }]
+                    out,
+                })
             })?;
-            return Ok(crate::tensor::Tensor::Fed(self.sibling(
-                rows,
-                cols,
-                parts,
-                self.privacy(),
-            )?));
+            return Ok(Tensor::Fed(out));
         }
 
         // Cross-partition aggregation via partial statistics.
@@ -699,59 +453,29 @@ impl FedMatrix {
             AggOp::SumSq => AggOp::SumSq,
             _ => AggOp::Sum,
         };
-        let results = self.per_part(|p| {
-            let sum_id = self.ctx().fresh_id();
-            let mut batch = vec![
-                Request::ExecInst {
-                    inst: Instruction::Agg {
-                        x: p.id,
-                        op: base_op,
-                        dir,
-                        out: sum_id,
-                    },
-                },
-                Request::Get { id: sum_id },
-            ];
-            let mut rm = vec![sum_id];
-            if needs_sumsq {
-                let sq_id = self.ctx().fresh_id();
-                batch.push(Request::ExecInst {
-                    inst: Instruction::Agg {
-                        x: p.id,
-                        op: AggOp::SumSq,
-                        dir,
-                        out: sq_id,
-                    },
-                });
-                batch.push(Request::Get { id: sq_id });
-                rm.push(sq_id);
-            }
-            batch.push(Request::ExecInst {
-                inst: Instruction::Rmvar { ids: rm },
+        let partials = self.gather(|_, p, b| {
+            b.fetch(|out| Instruction::Agg {
+                x: p.id,
+                op: base_op,
+                dir,
+                out,
             });
-            batch
+            if needs_sumsq {
+                b.fetch(|out| Instruction::Agg {
+                    x: p.id,
+                    op: AggOp::SumSq,
+                    dir,
+                    out,
+                });
+            }
         })?;
-        let mut sum_acc: Option<DenseMatrix> = None;
-        let mut sq_acc: Option<DenseMatrix> = None;
-        for (p, rs) in self.parts().iter().zip(&results) {
-            let partial = expect_data(&rs[1], p.worker)?.to_dense()?;
-            sum_acc = Some(match sum_acc {
-                None => partial,
-                Some(a) => match base_op {
-                    AggOp::Min => a.zip(&partial, "min", f64::min)?,
-                    AggOp::Max => a.zip(&partial, "max", f64::max)?,
-                    _ => a.zip(&partial, "+", |x, y| x + y)?,
-                },
-            });
-            if needs_sumsq {
-                let sq = expect_data(&rs[3], p.worker)?.to_dense()?;
-                sq_acc = Some(match sq_acc {
-                    None => sq,
-                    Some(a) => a.zip(&sq, "+", |x, y| x + y)?,
-                });
-            }
-        }
-        let sums = sum_acc.expect("at least one partition");
+        let mut stats = fold_partials(partials, |slot, a, b| match (slot, base_op) {
+            (0, AggOp::Min) => a.zip(b, "min", f64::min),
+            (0, AggOp::Max) => a.zip(b, "max", f64::max),
+            _ => a.zip(b, "+", |x, y| x + y),
+        })?
+        .into_iter();
+        let sums = stats.next().expect("at least one partition");
         // Number of cells aggregated into each output cell.
         let n = match dir {
             AggDir::Full => self.rows() * self.cols(),
@@ -762,7 +486,7 @@ impl FedMatrix {
             AggOp::Sum | AggOp::SumSq | AggOp::Min | AggOp::Max => sums,
             AggOp::Mean => sums.map(|v| v / n),
             AggOp::Var | AggOp::Sd => {
-                let sq = sq_acc.expect("sumsq collected");
+                let sq = stats.next().expect("sumsq collected");
                 let var = sq.zip(&sums, "var", |sq, s| {
                     ((sq - s * s / n) / (n - 1.0)).max(0.0)
                 })?;
@@ -773,43 +497,20 @@ impl FedMatrix {
                 }
             }
         };
-        Ok(crate::tensor::Tensor::Local(out))
+        Ok(Tensor::Local(out))
     }
 
     /// 1-based row-wise argmax (row-partitioned; rows are site-local).
     pub fn row_index_max(&self) -> Result<FedMatrix> {
-        self.row_index(true)
-    }
-
-    /// 1-based row-wise argmin.
-    pub fn row_index_min(&self) -> Result<FedMatrix> {
-        self.row_index(false)
-    }
-
-    fn row_index(&self, max: bool) -> Result<FedMatrix> {
         if self.scheme() != PartitionScheme::Row {
             return Err(RuntimeError::Unsupported(
                 "rowIndexMax/Min require row-partitioned federated data".into(),
             ));
         }
-        let parts = self.fresh_like();
-        let mut i = 0usize;
-        self.per_part(|p| {
-            let inst = if max {
-                Instruction::RowIndexMax {
-                    x: p.id,
-                    out: parts[i].id,
-                }
-            } else {
-                Instruction::RowIndexMin {
-                    x: p.id,
-                    out: parts[i].id,
-                }
-            };
-            i += 1;
-            vec![Request::ExecInst { inst }]
-        })?;
-        self.sibling(self.rows(), 1, parts, self.privacy())
+        let shape = (self.rows(), 1);
+        self.map(self.scheme(), shape, self.privacy(), |_, p, out, b| {
+            b.exec(Instruction::RowIndexMax { x: p.id, out })
+        })
     }
 
     /// Federated transpose: per-partition transpose with the scheme
@@ -819,33 +520,10 @@ impl FedMatrix {
             PartitionScheme::Row => PartitionScheme::Col,
             PartitionScheme::Col => PartitionScheme::Row,
         };
-        let mut parts = Vec::with_capacity(self.parts().len());
-        for p in self.parts() {
-            parts.push(FedPartition {
-                lo: p.lo,
-                hi: p.hi,
-                worker: p.worker,
-                id: self.ctx().fresh_id(),
-            });
-        }
-        let mut i = 0usize;
-        self.per_part(|p| {
-            let inst = Instruction::Transpose {
-                x: p.id,
-                out: parts[i].id,
-            };
-            i += 1;
-            vec![Request::ExecInst { inst }]
-        })?;
-        FedMatrix::from_parts(
-            std::sync::Arc::clone(self.ctx()),
-            flipped,
-            self.cols(),
-            self.rows(),
-            parts,
-            self.privacy(),
-            true,
-        )
+        let shape = (self.cols(), self.rows());
+        self.map(flipped, shape, self.privacy(), |_, p, out, b| {
+            b.exec(Instruction::Transpose { x: p.id, out })
+        })
     }
 
     /// Federated right indexing `self[rl:ru, cl:cu]` (half-open).
@@ -869,45 +547,25 @@ impl FedMatrix {
                 self.shape()
             )));
         }
-        let mut new_parts = Vec::new();
-        let mut work = Vec::new(); // (source part idx, local lo, local hi)
-        for (i, p) in self.parts().iter().enumerate() {
-            let lo = p.lo.max(row_lo);
-            let hi = p.hi.min(row_hi);
-            if lo < hi {
-                new_parts.push(FedPartition {
-                    lo: lo - row_lo,
-                    hi: hi - row_lo,
-                    worker: p.worker,
-                    id: self.ctx().fresh_id(),
-                });
-                work.push((i, lo - p.lo, hi - p.lo));
-            }
-        }
-        // Issue Index instructions only on overlapping partitions.
-        let mut batches = vec![Vec::new(); self.ctx().num_workers()];
-        for (np, (src, lo, hi)) in new_parts.iter().zip(&work) {
-            let p = &self.parts()[*src];
-            batches[p.worker].push(Request::ExecInst {
-                inst: Instruction::Index {
-                    x: p.id,
-                    row_lo: *lo as u64,
-                    row_hi: *hi as u64,
-                    col_lo: col_lo as u64,
-                    col_hi: col_hi as u64,
-                    out: np.id,
-                },
-            });
-        }
-        self.ctx().submit(batches)?;
-        FedMatrix::from_parts(
-            std::sync::Arc::clone(self.ctx()),
+        let shape = (row_hi - row_lo, col_hi - col_lo);
+        self.map(
             PartitionScheme::Row,
-            row_hi - row_lo,
-            col_hi - col_lo,
-            new_parts,
+            shape,
             self.privacy(),
-            true,
+            |_, p, out, b| {
+                let (lo, hi) = (p.lo.max(row_lo), p.hi.min(row_hi));
+                if lo < hi {
+                    b.range(lo - row_lo, hi - row_lo);
+                    b.exec(Instruction::Index {
+                        x: p.id,
+                        row_lo: (lo - p.lo) as u64,
+                        row_hi: (hi - p.lo) as u64,
+                        col_lo: col_lo as u64,
+                        col_hi: col_hi as u64,
+                        out,
+                    });
+                }
+            },
         )
     }
 
@@ -921,21 +579,14 @@ impl FedMatrix {
             ));
         }
         if self.cols() != other.cols() {
-            return Err(RuntimeError::Matrix(
-                exdra_matrix::MatrixError::DimensionMismatch {
-                    op: "fed_rbind",
-                    lhs: self.shape(),
-                    rhs: other.shape(),
-                },
-            ));
+            return Err(mismatch("fed_rbind", self.shape(), other.shape()));
         }
         let mut parts = self.parts().to_vec();
         for p in other.parts() {
-            parts.push(FedPartition {
+            parts.push(super::FedPartition {
                 lo: p.lo + self.rows(),
                 hi: p.hi + self.rows(),
-                worker: p.worker,
-                id: p.id,
+                ..*p
             });
         }
         FedMatrix::from_parts_aliasing(
@@ -944,7 +595,7 @@ impl FedMatrix {
             self.rows() + other.rows(),
             self.cols(),
             parts,
-            self.privacy().max(other.privacy()),
+            self.joint_privacy(other),
             vec![self.guard(), other.guard()],
         )
     }
@@ -957,41 +608,32 @@ impl FedMatrix {
                 "cbind needs co-partitioned federated inputs".into(),
             ));
         }
-        let other_parts: Vec<FedPartition> = other.parts().to_vec();
-        let parts = self.fresh_like();
-        let mut i = 0usize;
-        self.per_part(|p| {
-            let inst = Instruction::Cbind {
+        let shape = (self.rows(), self.cols() + other.cols());
+        let privacy = self.joint_privacy(other);
+        self.map(self.scheme(), shape, privacy, |i, p, out, b| {
+            b.exec(Instruction::Cbind {
                 a: p.id,
-                b: other_parts[i].id,
-                out: parts[i].id,
-            };
-            i += 1;
-            vec![Request::ExecInst { inst }]
-        })?;
-        self.sibling(
-            self.rows(),
-            self.cols() + other.cols(),
-            parts,
-            self.privacy().max(other.privacy()),
-        )
+                b: other.parts()[i].id,
+                out,
+            })
+        })
     }
 
     /// Federated `replace` (pattern may be NaN for missing values).
     pub fn replace(&self, pattern: f64, replacement: f64) -> Result<FedMatrix> {
-        let parts = self.fresh_like();
-        let mut i = 0usize;
-        self.per_part(|p| {
-            let inst = Instruction::Replace {
-                x: p.id,
-                pattern,
-                replacement,
-                out: parts[i].id,
-            };
-            i += 1;
-            vec![Request::ExecInst { inst }]
-        })?;
-        self.sibling(self.rows(), self.cols(), parts, self.privacy())
+        self.map(
+            self.scheme(),
+            self.shape(),
+            self.privacy(),
+            |_, p, out, b| {
+                b.exec(Instruction::Replace {
+                    x: p.id,
+                    pattern,
+                    replacement,
+                    out,
+                })
+            },
+        )
     }
 }
 

@@ -4,10 +4,13 @@
 use std::sync::Arc;
 
 use exdra_matrix::frame::Frame;
+use exdra_matrix::kernels::reorg;
+use exdra_matrix::DenseMatrix;
 use exdra_transform::{merge_partials, TransformMeta, TransformSpec};
 
-use crate::coordinator::{expect_data, expect_ok, FedContext};
+use crate::coordinator::FedContext;
 use crate::error::{Result, RuntimeError};
+use crate::instruction::Instruction;
 use crate::privacy::PrivacyLevel;
 use crate::protocol::{ReadFormat, Request};
 use crate::udf::Udf;
@@ -30,57 +33,28 @@ impl FedFrame {
         frames: &[Frame],
         privacy: PrivacyLevel,
     ) -> Result<Self> {
-        if frames.len() != ctx.num_workers() {
-            return Err(RuntimeError::Invalid(format!(
-                "{} site frames for {} workers",
-                frames.len(),
-                ctx.num_workers()
-            )));
+        if frames.windows(2).any(|f| f[0].schema() != f[1].schema()) {
+            return Err(RuntimeError::Invalid(
+                "site frames have differing schemas".into(),
+            ));
         }
-        let schema = frames[0].schema();
-        for f in frames {
-            if f.schema() != schema {
-                return Err(RuntimeError::Invalid(
-                    "site frames have differing schemas".into(),
-                ));
-            }
-        }
-        let mut parts = Vec::new();
-        let mut batches = Vec::new();
-        let mut lo = 0usize;
-        for (w, f) in frames.iter().enumerate() {
-            let id = ctx.fresh_id();
-            batches.push(vec![Request::Put {
-                id,
-                data: DataValue::Frame(f.clone()),
-                privacy,
-            }]);
-            parts.push(FedPartition {
-                lo,
-                hi: lo + f.rows(),
-                worker: w,
-                id,
-            });
-            lo += f.rows();
-        }
-        let responses = ctx.call_all(batches)?;
-        for (w, rs) in responses.iter().enumerate() {
-            expect_ok(&rs[0], w)?;
-        }
-        let cols = schema.len();
-        let inner = FedMatrix::from_parts(
-            Arc::clone(ctx),
+        let names = frames.first().map_or(Vec::new(), |f| f.names().to_vec());
+        let lens: Vec<usize> = frames.iter().map(Frame::rows).collect();
+        let inner = FedMatrix::place(
+            ctx,
             PartitionScheme::Row,
-            lo,
-            cols,
-            parts,
+            names.len(),
             privacy,
-            true,
+            &lens,
+            |p| {
+                Ok(Request::Put {
+                    id: p.id,
+                    data: DataValue::Frame(frames[p.worker].clone()),
+                    privacy,
+                })
+            },
         )?;
-        Ok(Self {
-            inner,
-            names: schema.into_iter().map(|(n, _)| n).collect(),
-        })
+        Ok(Self { inner, names })
     }
 
     /// Reads per-worker CSV files as a federated frame:
@@ -132,21 +106,20 @@ impl FedFrame {
                 return Err(RuntimeError::Invalid(format!("no column named '{c}'")));
             }
         }
-        let parts = self.inner.fresh_like();
         let cols: Vec<String> = columns.iter().map(|c| c.to_string()).collect();
-        let mut i = 0usize;
-        self.inner.per_part(|p| {
-            let udf = Udf::FrameSelect {
-                frame: p.id,
-                columns: cols.clone(),
-                out: parts[i].id,
-            };
-            i += 1;
-            vec![Request::ExecUdf { udf }]
-        })?;
-        let inner = self
-            .inner
-            .sibling(self.rows(), columns.len(), parts, self.privacy())?;
+        let shape = (self.rows(), cols.len());
+        let inner = self.inner.map(
+            PartitionScheme::Row,
+            shape,
+            self.privacy(),
+            |_, p, out, b| {
+                b.udf(Udf::FrameSelect {
+                    frame: p.id,
+                    columns: cols.clone(),
+                    out,
+                })
+            },
+        )?;
         Ok(Self { inner, names: cols })
     }
 
@@ -156,66 +129,48 @@ impl FedFrame {
     /// yielding a federated encoded matrix plus the local metadata frame.
     pub fn transform_encode(&self, spec: &TransformSpec) -> Result<(FedMatrix, TransformMeta)> {
         // Pass 1: partial metadata per site.
-        let results = self.inner.per_part(|p| {
-            vec![Request::ExecUdf {
-                udf: Udf::EncodeBuildPartial {
-                    frame: p.id,
-                    spec: spec.clone(),
-                },
-            }]
+        let partials = self.inner.gather(|_, p, b| {
+            b.udf(Udf::EncodeBuildPartial {
+                frame: p.id,
+                spec: spec.clone(),
+            })
         })?;
-        let mut partials = Vec::with_capacity(results.len());
-        for (p, rs) in self.parts().iter().zip(&results) {
-            match expect_data(&rs[0], p.worker)? {
-                DataValue::PartialMeta(m) => partials.push(m),
-                other => {
-                    return Err(RuntimeError::Protocol(format!(
-                        "expected partial-meta, got {}",
-                        other.type_name()
-                    )))
-                }
-            }
-        }
+        let partials = partials
+            .into_iter()
+            .flatten()
+            .map(|v| match v {
+                DataValue::PartialMeta(m) => Ok(m),
+                other => Err(RuntimeError::Protocol(format!(
+                    "expected partial-meta, got {}",
+                    other.type_name()
+                ))),
+            })
+            .collect::<Result<Vec<_>>>()?;
         // Merge, sort, assign codes.
         let meta = merge_partials(&partials, spec)?;
-        // Pass 2: broadcast global metadata and encode at the sites.
-        let out_cols = meta.out_cols();
-        let parts = self.inner.fresh_like();
-        let mut i = 0usize;
-        self.inner.per_part(|p| {
-            let meta_id = self.ctx().fresh_id();
-            let batch = vec![
-                Request::Put {
-                    id: meta_id,
-                    data: DataValue::TransformMeta(meta.clone()),
-                    privacy: PrivacyLevel::Public,
-                },
-                Request::ExecUdf {
-                    udf: Udf::EncodeApply {
-                        frame: p.id,
-                        meta: meta_id,
-                        out: parts[i].id,
-                    },
-                },
-                Request::ExecInst {
-                    inst: crate::instruction::Instruction::Rmvar { ids: vec![meta_id] },
-                },
-            ];
-            i += 1;
-            batch
-        })?;
-        let fed = self
-            .inner
-            .sibling(self.rows(), out_cols, parts, self.privacy())?;
+        // Pass 2: ship the global metadata and encode at the sites.
+        let shape = (self.rows(), meta.out_cols());
+        let fed = self.inner.map(
+            PartitionScheme::Row,
+            shape,
+            self.privacy(),
+            |_, p, out, b| {
+                let meta = b.put(DataValue::TransformMeta(meta.clone()));
+                b.udf(Udf::EncodeApply {
+                    frame: p.id,
+                    meta,
+                    out,
+                });
+            },
+        )?;
         Ok((fed, meta))
     }
 
     /// Consolidates the raw federated frame (privacy-checked at workers).
     pub fn consolidate(&self) -> Result<Frame> {
-        let results = self.inner.per_part(|p| vec![Request::Get { id: p.id }])?;
-        let mut pieces: Vec<(usize, Frame)> = Vec::with_capacity(results.len());
-        for (p, rs) in self.parts().iter().zip(&results) {
-            let v = expect_data(&rs[0], p.worker)?;
+        let values = self.inner.gather(|_, p, b| b.get(p.id))?;
+        let mut pieces = Vec::with_capacity(values.len());
+        for (p, v) in self.parts().iter().zip(values.into_iter().flatten()) {
             pieces.push((p.lo, v.as_frame()?.clone()));
         }
         pieces.sort_by_key(|(lo, _)| *lo);
@@ -242,17 +197,16 @@ impl FedFrame {
 /// identically, keeping X/y row alignment without moving X.
 pub fn split_rows_per_partition(
     x: &FedMatrix,
-    y: Option<&exdra_matrix::DenseMatrix>,
+    y: Option<&DenseMatrix>,
     train_frac: f64,
     seed: u64,
 ) -> Result<TrainTestSplit> {
-    use exdra_matrix::kernels::reorg;
     if !(0.0..=1.0).contains(&train_frac) {
         return Err(RuntimeError::Invalid(format!(
             "train fraction {train_frac} not in [0, 1]"
         )));
     }
-    if x.scheme() != super::PartitionScheme::Row {
+    if x.scheme() != PartitionScheme::Row {
         return Err(RuntimeError::Unsupported(
             "split requires row-partitioned federated data".into(),
         ));
@@ -266,111 +220,72 @@ pub fn split_rows_per_partition(
             )));
         }
     }
-    let ctx = x.ctx();
-    let mut train_parts = Vec::new();
-    let mut test_parts = Vec::new();
-    let mut y_train: Option<exdra_matrix::DenseMatrix> = None;
-    let mut y_test: Option<exdra_matrix::DenseMatrix> = None;
-    let mut train_lo = 0usize;
-    let mut test_lo = 0usize;
-    let mut batches = vec![Vec::new(); ctx.num_workers()];
-    for (i, p) in x.parts().iter().enumerate() {
-        let len = p.len();
-        let n_train = ((len as f64) * train_frac).round() as usize;
-        let part_seed = seed.wrapping_add(i as u64);
-        let shuf_id = ctx.fresh_id();
-        let train_id = ctx.fresh_id();
-        let test_id = ctx.fresh_id();
-        batches[p.worker].push(Request::ExecUdf {
-            udf: crate::udf::Udf::Shuffle {
-                x: p.id,
-                y: None,
-                seed: part_seed,
-                out_x: shuf_id,
-                out_y: None,
-            },
-        });
-        batches[p.worker].push(Request::ExecInst {
-            inst: crate::instruction::Instruction::Index {
-                x: shuf_id,
-                row_lo: 0,
-                row_hi: n_train as u64,
-                col_lo: 0,
-                col_hi: x.cols() as u64,
-                out: train_id,
-            },
-        });
-        batches[p.worker].push(Request::ExecInst {
-            inst: crate::instruction::Instruction::Index {
-                x: shuf_id,
-                row_lo: n_train as u64,
-                row_hi: len as u64,
-                col_lo: 0,
-                col_hi: x.cols() as u64,
-                out: test_id,
-            },
-        });
-        batches[p.worker].push(Request::ExecInst {
-            inst: crate::instruction::Instruction::Rmvar { ids: vec![shuf_id] },
-        });
-        train_parts.push(FedPartition {
-            lo: train_lo,
-            hi: train_lo + n_train,
-            worker: p.worker,
-            id: train_id,
-        });
-        test_parts.push(FedPartition {
-            lo: test_lo,
-            hi: test_lo + (len - n_train),
-            worker: p.worker,
-            id: test_id,
-        });
-        train_lo += n_train;
-        test_lo += len - n_train;
-        // Mirror the site's permutation on the coordinator-local labels.
-        if let Some(y) = y {
-            let perm = exdra_matrix::rng::rand_permutation(len, part_seed);
+    // Partition `i` shuffles with seed `seed + i` and keeps its first
+    // `n_train` rows for training.
+    let part_seed = |i: usize| seed.wrapping_add(i as u64);
+    let n_train = |p: &FedPartition| ((p.len() as f64) * train_frac).round() as usize;
+    let (mut y_train, mut y_test) = (None, None);
+    if let Some(y) = y {
+        // Mirror each site's permutation on the coordinator-local labels.
+        for (i, p) in x.parts().iter().enumerate() {
+            let perm = exdra_matrix::rng::rand_permutation(p.len(), part_seed(i));
             let y_part = reorg::index(y, p.lo, p.hi, 0, y.cols())?;
             let y_shuf = reorg::gather_rows(&y_part, &perm)?;
-            let tr = reorg::index(&y_shuf, 0, n_train, 0, y.cols())?;
-            let te = reorg::index(&y_shuf, n_train, len, 0, y.cols())?;
-            y_train = Some(match y_train {
-                None => tr,
-                Some(acc) => reorg::rbind(&acc, &tr)?,
-            });
-            y_test = Some(match y_test {
-                None => te,
-                Some(acc) => reorg::rbind(&acc, &te)?,
-            });
+            let cut = n_train(p);
+            for (acc, (lo, hi)) in [(&mut y_train, (0, cut)), (&mut y_test, (cut, p.len()))] {
+                let piece = reorg::index(&y_shuf, lo, hi, 0, y.cols())?;
+                *acc = Some(match acc.take() {
+                    None => piece,
+                    Some(a) => reorg::rbind(&a, &piece)?,
+                });
+            }
         }
     }
-    let responses = ctx.call_all(batches)?;
-    for (w, rs) in responses.iter().enumerate() {
-        for r in rs {
-            expect_ok(r, w)?;
+    let (mut train, mut test) = (Vec::new(), Vec::new());
+    x.gather(|i, p, b| {
+        let shuffled = b.temp();
+        b.udf(Udf::Shuffle {
+            x: p.id,
+            y: None,
+            seed: part_seed(i),
+            out_x: shuffled,
+            out_y: None,
+        });
+        let cut = n_train(p);
+        for (parts, (lo, hi)) in [(&mut train, (0, cut)), (&mut test, (cut, p.len()))] {
+            let out = b.output();
+            b.exec(Instruction::Index {
+                x: shuffled,
+                row_lo: lo as u64,
+                row_hi: hi as u64,
+                col_lo: 0,
+                col_hi: x.cols() as u64,
+                out,
+            });
+            let start = parts.last().map_or(0, |q: &FedPartition| q.hi);
+            parts.push(FedPartition {
+                lo: start,
+                hi: start + hi - lo,
+                worker: p.worker,
+                id: out,
+            });
         }
-    }
-    let train = FedMatrix::from_parts(
-        Arc::clone(ctx),
-        super::PartitionScheme::Row,
-        train_lo,
-        x.cols(),
-        train_parts,
-        x.privacy(),
-        true,
-    )?;
-    let test = FedMatrix::from_parts(
-        Arc::clone(ctx),
-        super::PartitionScheme::Row,
-        test_lo,
-        x.cols(),
-        test_parts,
-        x.privacy(),
-        true,
-    )?;
+    })?;
+    let fed = |parts: Vec<FedPartition>| {
+        let rows = parts.last().map_or(0, |q| q.hi);
+        FedMatrix::from_parts(
+            Arc::clone(x.ctx()),
+            PartitionScheme::Row,
+            rows,
+            x.cols(),
+            parts,
+            x.privacy(),
+            true,
+        )
+    };
     Ok(TrainTestSplit {
-        x_train: train,
-        x_test: test,
+        x_train: fed(train)?,
+        x_test: fed(test)?,
         y_train,
         y_test,
     })
@@ -383,9 +298,9 @@ pub struct TrainTestSplit {
     /// Federated test features.
     pub x_test: FedMatrix,
     /// Aligned train labels (when labels were supplied).
-    pub y_train: Option<exdra_matrix::DenseMatrix>,
+    pub y_train: Option<DenseMatrix>,
     /// Aligned test labels (when labels were supplied).
-    pub y_test: Option<exdra_matrix::DenseMatrix>,
+    pub y_test: Option<DenseMatrix>,
 }
 
 #[cfg(test)]
@@ -534,17 +449,14 @@ impl FedFrame {
             return Err(RuntimeError::Invalid(format!("no column named '{column}'")));
         }
         // Pass 1: per-site category counts.
-        let results = self.inner.per_part(|p| {
-            vec![Request::ExecUdf {
-                udf: Udf::CategoryCounts {
-                    frame: p.id,
-                    column: column.to_string(),
-                },
-            }]
+        let results = self.inner.gather(|_, p, b| {
+            b.udf(Udf::CategoryCounts {
+                frame: p.id,
+                column: column.to_string(),
+            })
         })?;
         let mut counts: std::collections::BTreeMap<String, u64> = std::collections::BTreeMap::new();
-        for (p, rs) in self.parts().iter().zip(&results) {
-            let v = expect_data(&rs[0], p.worker)?;
+        for v in results.into_iter().flatten() {
             match v {
                 DataValue::Frame(f) => {
                     let tokens = f.column_by_name("token")?;
@@ -570,22 +482,20 @@ impl FedFrame {
             .ok_or_else(|| {
                 RuntimeError::Invalid(format!("column '{column}' is entirely missing"))
             })?;
-        // Pass 2: broadcast the mode; sites fill locally.
-        let parts = self.inner.fresh_like();
-        let mut i = 0usize;
-        self.inner.per_part(|p| {
-            let udf = Udf::FillMissing {
-                frame: p.id,
-                column: column.to_string(),
-                value: mode.clone(),
-                out: parts[i].id,
-            };
-            i += 1;
-            vec![Request::ExecUdf { udf }]
-        })?;
-        let inner = self
-            .inner
-            .sibling(self.rows(), self.cols(), parts, self.privacy())?;
+        // Pass 2: ship the mode; sites fill locally.
+        let inner = self.inner.map(
+            PartitionScheme::Row,
+            self.inner.shape(),
+            self.privacy(),
+            |_, p, out, b| {
+                b.udf(Udf::FillMissing {
+                    frame: p.id,
+                    column: column.to_string(),
+                    value: mode.clone(),
+                    out,
+                })
+            },
+        )?;
         Ok((
             FedFrame {
                 inner,

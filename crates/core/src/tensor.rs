@@ -282,32 +282,22 @@ impl Tensor {
             }
             (Tensor::Fed(a), Tensor::Local(b)) => Ok(Tensor::Fed(a.binary_local(op, b)?)),
             (Tensor::Fed(a), Tensor::Fed(b)) => Ok(Tensor::Fed(a.binary_fed(op, b)?)),
+            // A scalar or an operand of `b`'s shape stays on the left: its
+            // slices are each partition's left operand, exact for every op.
+            (Tensor::Local(a), Tensor::Fed(b)) if a.is_scalar() || a.shape() == b.shape() => {
+                Ok(Tensor::Fed(b.binary_with_local(op, a, true)?))
+            }
+            (Tensor::Local(a), Tensor::Fed(b)) if op.is_commutative() => {
+                Ok(Tensor::Fed(b.binary_local(op, a)?))
+            }
+            // What the local kernel says of a vector on the left.
             (Tensor::Local(a), Tensor::Fed(b)) => {
-                if a.is_scalar() {
-                    return Tensor::Fed(b.clone()).scalar_op(op, a.get(0, 0), true);
+                Err(exdra_matrix::MatrixError::DimensionMismatch {
+                    op: "binary",
+                    lhs: a.shape(),
+                    rhs: b.shape(),
                 }
-                // Rewrite non-commutative ops into fed-lhs form.
-                match op {
-                    _ if op.is_commutative() => Ok(Tensor::Fed(b.binary_local(op, a)?)),
-                    BinaryOp::Sub => {
-                        // a - B = -(B - a)
-                        let t = b.binary_local(BinaryOp::Sub, a)?;
-                        Ok(Tensor::Fed(t.scalar_op(BinaryOp::Mul, -1.0, false)?))
-                    }
-                    BinaryOp::Div => {
-                        // a / B = a * B^-1
-                        let inv = b.scalar_op(BinaryOp::Pow, -1.0, false)?;
-                        Ok(Tensor::Fed(inv.binary_local(BinaryOp::Mul, a)?))
-                    }
-                    BinaryOp::Lt => Ok(Tensor::Fed(b.binary_local(BinaryOp::Gt, a)?)),
-                    BinaryOp::Le => Ok(Tensor::Fed(b.binary_local(BinaryOp::Ge, a)?)),
-                    BinaryOp::Gt => Ok(Tensor::Fed(b.binary_local(BinaryOp::Lt, a)?)),
-                    BinaryOp::Ge => Ok(Tensor::Fed(b.binary_local(BinaryOp::Le, a)?)),
-                    _ => Err(RuntimeError::Unsupported(format!(
-                        "local {} federated without a federated rewrite",
-                        op.name()
-                    ))),
-                }
+                .into())
             }
         }
     }

@@ -120,6 +120,107 @@ fn fed_swapped_scalar_is_local_bits_at_the_cost_of_an_unswapped_one() {
     }
 }
 
+#[test]
+fn fed_local_left_operand_is_local_bits_at_the_cost_of_a_local_right_one() {
+    // `A op X` with a local `A` of `X`'s shape ships `A`'s slices as the
+    // left operand of one `Binary` instruction per partition, so it is
+    // the local kernel's bits (NaN, the sign of zero, `49 / 49`) and
+    // costs what `X op A` costs.
+    let mut x = exdra::matrix::rng::rand_matrix(40, 5, -3.0, 3.0, 12);
+    let mut a = exdra::matrix::rng::rand_matrix(40, 5, -3.0, 3.0, 13);
+    let specials = [f64::NAN, f64::INFINITY, f64::NEG_INFINITY, 0.0, -0.0];
+    for (i, v) in specials.into_iter().enumerate() {
+        x.values_mut()[i * 37] = v;
+        a.values_mut()[i * 23 + 3] = v;
+        a.values_mut()[i * 11 + 150] = specials[(i + 2) % specials.len()];
+    }
+    // Equal cells (`x - x` is +0.0) and the cell `49 / 49` must be 1.
+    for i in [7, 60, 121] {
+        a.values_mut()[i] = x.values()[i];
+    }
+    a.values_mut()[199] = 49.0;
+    x.values_mut()[199] = 49.0;
+    let (ctx, workers) = mem_federation(2);
+    let t = Tensor::Fed(FedMatrix::scatter_rows(&ctx, &x, PrivacyLevel::Public).unwrap());
+    let served = || workers.iter().map(|w| w.load()).sum::<u32>();
+    let bits = |m: &DenseMatrix| m.values().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+
+    let ops = [
+        BinaryOp::Add,
+        BinaryOp::Sub,
+        BinaryOp::Mul,
+        BinaryOp::Div,
+        BinaryOp::IntDiv,
+        BinaryOp::Mod,
+        BinaryOp::Pow,
+        BinaryOp::Min,
+        BinaryOp::Max,
+        BinaryOp::Eq,
+        BinaryOp::Neq,
+        BinaryOp::Lt,
+        BinaryOp::Le,
+        BinaryOp::Gt,
+        BinaryOp::Ge,
+        BinaryOp::And,
+        BinaryOp::Or,
+        BinaryOp::Xor,
+        BinaryOp::LogBase,
+    ];
+    for op in ops {
+        // Deferred requests (the scatter, the last result's rmvar) ride
+        // this fetch, not the measured one.
+        t.to_local().unwrap();
+        let before = served();
+        let got = Tensor::Local(a.clone())
+            .binary(op, &t)
+            .unwrap_or_else(|e| panic!("{op:?}: {e}"))
+            .to_local()
+            .unwrap();
+        let swapped = served() - before;
+        let want = binary(&a, op, &x).unwrap();
+        let diff = bits(&got)
+            .iter()
+            .zip(bits(&want))
+            .position(|(g, w)| *g != w);
+        assert_eq!(
+            diff,
+            None,
+            "{op:?}: got {:?}, want {:?}",
+            got.values()[diff.unwrap_or(0)],
+            want.values()[diff.unwrap_or(0)]
+        );
+
+        t.to_local().unwrap();
+        let before = served();
+        t.binary(op, &Tensor::Local(a.clone()))
+            .unwrap()
+            .to_local()
+            .unwrap();
+        assert_eq!(swapped, served() - before, "{op:?}: A op X vs X op A");
+    }
+    assert_eq!(
+        Tensor::Local(a.clone())
+            .binary(BinaryOp::Div, &t)
+            .unwrap()
+            .to_local()
+            .unwrap()
+            .values()[199]
+            .to_bits(),
+        1.0f64.to_bits()
+    );
+    // A vector on the left of a non-commutative op is the local kernel's
+    // shape error; a commutative one runs as `X op A`.
+    let row = exdra::matrix::rng::rand_matrix(1, 5, -3.0, 3.0, 14);
+    let local_err = binary(&row, BinaryOp::Sub, &x).unwrap_err().to_string();
+    let fed_err = Tensor::Local(row.clone()).binary(BinaryOp::Sub, &t);
+    assert!(fed_err.unwrap_err().to_string().contains(&local_err));
+    let sum = Tensor::Local(row.clone())
+        .binary(BinaryOp::Add, &t)
+        .unwrap();
+    let want = binary(&x, BinaryOp::Add, &row).unwrap();
+    assert_eq!(bits(&sum.to_local().unwrap()), bits(&want));
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
