@@ -187,8 +187,8 @@ impl SessionBuilder {
         self
     }
 
-    /// Supervision policy for connected sessions: failure detection,
-    /// checkpoint cadence, and straggler speculation. The default is
+    /// Supervision policy for connected sessions: heartbeat and
+    /// checkpoint cadence. The default is
     /// `SupervisionPolicy::default()` (supervision on, 1s checkpoints).
     pub fn supervision(mut self, policy: SupervisionPolicy) -> Self {
         self.supervision = Some(policy);
@@ -450,11 +450,11 @@ impl Session {
                     } else if let Some(sup) = &self.supervisor {
                         sup.notify_worker_dead(worker);
                         sup.wait_recoveries();
-                        if sup.detector().state(worker) != HealthState::Healthy {
-                            // The replacement isn't up yet; give it a beat
-                            // before the next recovery round.
-                            std::thread::sleep(sup.policy().heartbeat_interval);
-                        }
+                        // The replacement may not be up yet: wait for it,
+                        // at most one heartbeat, before the next round.
+                        sup.wait_until(sup.policy().heartbeat_interval, || {
+                            sup.detector().state(worker) == HealthState::Healthy
+                        });
                     } else {
                         return Err(FedError::WorkerDead { worker, msg });
                     }
@@ -827,7 +827,6 @@ mod tests {
         let policy = SupervisionPolicy {
             heartbeat_interval: std::time::Duration::from_millis(30),
             checkpoint_interval: Some(std::time::Duration::from_millis(40)),
-            ..SupervisionPolicy::default()
         };
         let sds = Session::builder()
             .context(Arc::clone(&ctx))

@@ -3,8 +3,8 @@
 //! The supervisor periodically asks every healthy worker for an
 //! incremental [`CheckpointDelta`] of its symbol table; this store folds
 //! the deltas into one materialized snapshot per worker, ready to ship
-//! back via `RESTORE` when a replacement worker takes over (or to a live
-//! replica ahead of a speculative re-issue). The store never interprets
+//! back via `RESTORE` when a replacement worker takes over. The store
+//! never interprets
 //! checkpoint payloads: privacy constraints travel inside the entries
 //! and are reinstalled verbatim, so checkpointing is state *transfer*
 //! within the runtime, never a release to the user.

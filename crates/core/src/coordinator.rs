@@ -770,33 +770,12 @@ impl FedContext {
         &self,
         batches: Vec<Vec<Request>>,
     ) -> Result<Vec<Result<Vec<Response>>>> {
-        self.call_all_observed(batches, None)
-    }
-
-    /// Like [`FedContext::call_all_tolerant`], additionally recording
-    /// each worker's successful round-trip wall time into a
-    /// [`LatencyTracker`](exdra_fault::straggler::LatencyTracker) — the
-    /// per-worker latency history that drives
-    /// straggler-speculation deadlines and replica choice in the
-    /// supervisor and quorum decisions in the parameter server.
-    pub fn call_all_observed(
-        &self,
-        batches: Vec<Vec<Request>>,
-        latency: Option<&exdra_fault::straggler::LatencyTracker>,
-    ) -> Result<Vec<Result<Vec<Response>>>> {
         self.check_shape(&batches)?;
-        // These are the bulk calls (data installation, frame `PUT`s, timed
+        // These are the bulk calls (data installation, frame `PUT`s,
         // parameter-server rounds): a thread per leg lets their payloads
-        // encode in parallel and times each leg on its own. The
-        // operations of a federated object go through `submit`.
-        let run = |w: usize| {
-            let t0 = Instant::now();
-            let r = self.call(w, &batches[w]);
-            if let (Ok(_), Some(tracker)) = (&r, latency) {
-                tracker.record(w, t0.elapsed());
-            }
-            r
-        };
+        // encode in parallel. The operations of a federated object go
+        // through `submit`.
+        let run = |w: usize| self.call(w, &batches[w]);
         let mut results: Vec<Result<Vec<Response>>> =
             batches.iter().map(|_| Ok(Vec::new())).collect();
         let busy: Vec<usize> = (0..batches.len())

@@ -15,7 +15,7 @@
 //!   under a retry policy with backoff and deadlines),
 //! * [`supervision`] — the heartbeat-driven supervisor: failure detection,
 //!   periodic checkpointing, checkpoint-restore (or initialization-replay)
-//!   recovery of restarted workers, and speculative straggler re-execution,
+//!   recovery of restarted workers,
 //! * [`checkpoint`] — the coordinator-side store of incremental,
 //!   epoch-guarded worker checkpoints,
 //! * [`fed`] — federation maps and [`fed::FedMatrix`]: federated linear

@@ -229,7 +229,7 @@ pub enum Request {
     /// `RESTORE(entries)`: rebinds checkpointed entries into the symbol
     /// table, exactly as they were captured (value, privacy constraint,
     /// releasability, lineage). Sent to a replacement worker during
-    /// recovery, or to a live replica before a speculative re-issue.
+    /// recovery.
     Restore {
         /// The bindings to reinstall.
         entries: Vec<CheckpointEntry>,

@@ -1,14 +1,14 @@
-//! Heartbeat-driven worker supervision with checkpoint-based recovery
-//! and speculative straggler re-execution.
+//! Heartbeat-driven worker supervision with checkpoint-based recovery.
 //!
-//! The [`Supervisor`] is the protocol-aware layer over the generic
-//! primitives in `exdra-fault`: it probes every worker with
-//! `Request::Heartbeat`, feeds the outcomes into a
-//! [`FailureDetector`] (walking unresponsive workers through
-//! `Healthy → Suspect → Dead`), periodically pulls incremental
+//! The [`Supervisor`] is the protocol-aware shell around the pure health
+//! state machine in `exdra-fault` ([`exdra_fault::step`]): it sends the
+//! probes, checkpoint and recovery requests, turns every reply, failure
+//! and recovery milestone into an [`Event`] for the [`FailureDetector`],
+//! and acts on the [`Verdict`](exdra_fault::Verdict) it returns. It
+//! periodically pulls incremental
 //! [`CheckpointDelta`](crate::protocol::CheckpointDelta)s of every
-//! healthy worker's variable environment
-//! into a coordinator-side [`CheckpointStore`], and — once a worker
+//! healthy worker's variable environment into a coordinator-side
+//! [`CheckpointStore`], and — once a worker
 //! process is back — drives the recovery arc: re-establish the channel,
 //! verify liveness, **restore the latest checkpoint** onto the
 //! replacement (falling back to the registered initialization-replay
@@ -20,24 +20,17 @@
 //! worker and hands the channel re-establishment + restore to a
 //! background thread, so recovery latency is never billed to the
 //! triggering request.
-//!
-//! Stragglers: [`Supervisor::call_with_speculation`] races a primary RPC
-//! against a latency-histogram-derived deadline
-//! ([`exdra_fault::straggler::LatencyTracker`]); past the deadline it
-//! restores the straggler's checkpoint onto the fastest live replica,
-//! re-issues the batch there, and keeps whichever reply lands first.
 
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{mpsc, Arc};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use parking_lot::Mutex;
 
-use exdra_fault::detector::{DetectorConfig, FailureDetector, HeartbeatOutcome};
+use exdra_fault::detector::{Event, FailureDetector};
 /// Re-exported so higher layers (API, parameter server) can consult
-/// worker health and configure speculation without depending on
-/// `exdra-fault` or `exdra-net` directly.
-pub use exdra_fault::straggler::{LatencyTracker, SpeculationPolicy};
+/// worker health without depending on `exdra-fault` or `exdra-net`
+/// directly.
 pub use exdra_fault::HealthState;
 pub use exdra_net::transport::Channel;
 use exdra_obs::SpanKind;
@@ -47,32 +40,26 @@ use crate::coordinator::FedContext;
 use crate::error::{FedError, Result};
 use crate::protocol::{Request, Response};
 
-/// Full supervision policy: failure detection, background cadences,
-/// checkpointing, and straggler speculation. This is the user-facing
-/// knob bundle `Session::builder().supervision(..)` accepts.
+/// Supervision policy: the background loop's two cadences. This is the
+/// knob bundle `Session::builder().supervision(..)` accepts; the
+/// detector's miss thresholds are the constants
+/// [`exdra_fault::detector::SUSPECT_AFTER`] and
+/// [`exdra_fault::detector::DEAD_AFTER`].
 #[derive(Debug, Clone, Copy)]
 pub struct SupervisionPolicy {
-    /// Miss thresholds of the failure detector.
-    pub detector: DetectorConfig,
     /// Background heartbeat/sweep period (for [`Supervisor::run`]).
     pub heartbeat_interval: Duration,
     /// How often the background loop checkpoints every healthy worker's
     /// variable environment; `None` disables checkpointing (recovery
     /// then falls back to initialization replay).
     pub checkpoint_interval: Option<Duration>,
-    /// Straggler speculation policy; `None` disables speculative
-    /// re-execution ([`Supervisor::call_with_speculation`] then behaves
-    /// like a plain call that records latencies).
-    pub speculation: Option<SpeculationPolicy>,
 }
 
 impl Default for SupervisionPolicy {
     fn default() -> Self {
         Self {
-            detector: DetectorConfig::default(),
             heartbeat_interval: Duration::from_millis(500),
             checkpoint_interval: Some(Duration::from_secs(1)),
-            speculation: None,
         }
     }
 }
@@ -86,13 +73,12 @@ pub type ReplayFn = dyn Fn(usize, &FedContext) -> Result<()> + Send + Sync;
 pub type ReconnectFn = dyn Fn(usize) -> Option<Box<dyn Channel>> + Send + Sync;
 
 /// Coordinator-side supervisor: heartbeats, failure detection,
-/// checkpointing, recovery, and straggler speculation.
+/// checkpointing and recovery.
 pub struct Supervisor {
     ctx: Arc<FedContext>,
     detector: Arc<FailureDetector>,
     policy: SupervisionPolicy,
     store: Arc<CheckpointStore>,
-    latency: Arc<LatencyTracker>,
     replay: Mutex<Vec<Arc<ReplayFn>>>,
     reconnector: Mutex<Option<Box<ReconnectFn>>>,
     /// Live background-recovery threads (pruned on inspection).
@@ -110,17 +96,11 @@ impl Supervisor {
     /// Supervisor over all workers of `ctx`.
     pub fn new(ctx: Arc<FedContext>, policy: SupervisionPolicy) -> Arc<Self> {
         let n = ctx.num_workers();
-        let detector = Arc::new(FailureDetector::new(n, policy.detector));
-        let latency = Arc::new(LatencyTracker::new(
-            n,
-            policy.speculation.unwrap_or_default(),
-        ));
         Arc::new(Self {
             ctx,
-            detector,
+            detector: Arc::new(FailureDetector::new(n)),
             policy,
             store: Arc::new(CheckpointStore::new(n)),
-            latency,
             replay: Mutex::new(Vec::new()),
             reconnector: Mutex::new(None),
             recoveries: Mutex::new(Vec::new()),
@@ -144,11 +124,6 @@ impl Supervisor {
     /// The coordinator-side checkpoint store.
     pub fn checkpoint_store(&self) -> &Arc<CheckpointStore> {
         &self.store
-    }
-
-    /// The per-worker latency histories driving speculation deadlines.
-    pub fn latency_tracker(&self) -> &Arc<LatencyTracker> {
-        &self.latency
     }
 
     /// The active policy.
@@ -176,14 +151,11 @@ impl Supervisor {
             if self.detector.state(w) == HealthState::Recovering {
                 continue;
             }
-            match self.ctx.heartbeat(w) {
-                Ok((epoch, load)) => {
-                    self.detector.record_success(w, epoch, load);
-                }
-                Err(_) => {
-                    self.detector.record_miss(w);
-                }
-            }
+            let event = match self.ctx.heartbeat(w) {
+                Ok((epoch, load)) => Event::Alive { epoch, load },
+                Err(_) => Event::Failed,
+            };
+            self.detector.apply(w, event);
         }
         self.detector.snapshot()
     }
@@ -231,7 +203,9 @@ impl Supervisor {
 
     /// One `[HEARTBEAT, CHECKPOINT]` RPC (control requests: one envelope,
     /// travelling alone; the `ALIVE` is the proof of life a probe would have
-    /// fetched), with `recovery.checkpoint` span and size/age metrics.
+    /// fetched), with `recovery.checkpoint` span and size/age metrics. The
+    /// request and its reply are separate moments: a recovery may claim the
+    /// worker in between, and the detector's verdict on the reply decides.
     fn fetch_delta(&self, worker: usize, since: u64) -> Result<crate::protocol::CheckpointDelta> {
         let obs_on = exdra_obs::enabled();
         let mut span = exdra_obs::span(SpanKind::Recovery, "recovery.checkpoint");
@@ -240,25 +214,25 @@ impl Supervisor {
             span.attr("since_seq", since);
         }
         let batch = [Request::Heartbeat, Request::Checkpoint { since_seq: since }];
-        let reply = self.ctx.call(worker, &batch);
-        // A recovery that began meanwhile owns the worker and its detector
-        // entry (a miss would abort it): its still empty replacement
-        // answered, and the stored snapshot is what it restores.
-        if self.detector.state(worker) == HealthState::Recovering {
-            return Err(FedError::Network(format!(
-                "worker {worker}: checkpoint raced a recovery"
-            )));
-        }
-        if reply.is_err() {
-            self.detector.record_miss(worker);
-        }
-        let mut responses = reply?.into_iter();
-        if let Some(Response::Alive { epoch, load }) = responses.next() {
-            self.detector.record_success(worker, epoch, load);
-        }
-        // The ALIVE revealed a restart (Healthy -> Dead): the worker is empty,
-        // and the snapshot the store holds is what `recover` restores it from.
-        if self.detector.state(worker) != HealthState::Healthy {
+        let mut responses = match self.ctx.call(worker, &batch) {
+            Ok(responses) => responses.into_iter(),
+            Err(e) => {
+                self.detector.apply(worker, Event::Failed);
+                return Err(e);
+            }
+        };
+        let alive = match responses.next() {
+            Some(Response::Alive { epoch, load }) => Event::Alive { epoch, load },
+            other => {
+                return Err(FedError::Protocol(format!(
+                    "worker {worker}: checkpoint probe answered with {other:?}"
+                )))
+            }
+        };
+        // Not `Healthy` after its ALIVE: the reply came from an empty
+        // process (a restart, or the replacement of a recovery in flight),
+        // and the stored snapshot is what the recovery restores.
+        if !self.detector.apply(worker, alive).store_delta {
             return Err(FedError::Network(format!(
                 "worker {worker}: not healthy, its checkpoint is kept for recovery"
             )));
@@ -315,13 +289,13 @@ impl Supervisor {
                 format!("worker {worker} reported dead by compute path"),
             );
         }
-        self.detector.mark_dead(worker);
+        self.detector.apply(worker, Event::ReportedDead);
         self.spawn_recovery(worker);
     }
 
     /// Spawns the recovery arc for `worker` on a detached background
     /// thread (no-op when the worker is not `Dead`, e.g. a second caller
-    /// raced us — `begin_recovery` arbitrates).
+    /// raced us — the detector's claim verdict arbitrates).
     pub fn spawn_recovery(self: &Arc<Self>, worker: usize) {
         let sup = Arc::clone(self);
         let handle = std::thread::Builder::new()
@@ -344,18 +318,18 @@ impl Supervisor {
         }
     }
 
-    /// Attempts the full recovery arc for one `Dead` worker:
-    /// `begin_recovery` (Dead → Recovering), channel re-establishment,
+    /// Attempts the full recovery arc for one `Dead` worker: a won
+    /// `RecoveryClaimed` (Dead → Recovering), channel re-establishment,
     /// liveness verification, checkpoint restore (or initialization
-    /// replay when no checkpoint exists), `mark_recovered`
+    /// replay when no checkpoint exists), `RecoveryDone`
     /// (Recovering → Healthy). Returns `Ok(false)` when the worker was
     /// not dead; an `Err` leaves the worker `Dead` for the next sweep.
     pub fn recover(&self, worker: usize) -> Result<bool> {
-        if !self.detector.begin_recovery(worker) {
+        if !self.detector.apply(worker, Event::RecoveryClaimed).claimed {
             return Ok(false);
         }
-        // `begin_recovery` succeeding means the worker really was Dead
-        // and this caller won the arbitration — the single choke point
+        // A won claim means the worker really was Dead and this caller
+        // won the arbitration — the single choke point
         // where every detected death passes exactly once, so the flight
         // recorder dumps its forensic bundle here.
         if exdra_obs::recorder::enabled() {
@@ -368,8 +342,9 @@ impl Supervisor {
         let obs_on = exdra_obs::enabled();
         let t0 = obs_on.then(Instant::now);
         match self.try_recover(worker) {
-            Ok(()) => {
-                self.detector.mark_recovered(worker);
+            Ok((epoch, load)) => {
+                self.detector
+                    .apply(worker, Event::RecoveryDone { epoch, load });
                 if obs_on {
                     let reg = exdra_obs::global();
                     reg.inc("recovery.recovered");
@@ -384,7 +359,7 @@ impl Supervisor {
             }
             Err(e) => {
                 // Recovering → Dead: the next sweep starts over.
-                self.detector.record_miss(worker);
+                self.detector.apply(worker, Event::RecoveryFailed);
                 if obs_on {
                     exdra_obs::global().inc("recovery.failed_attempts");
                 }
@@ -399,7 +374,9 @@ impl Supervisor {
         }
     }
 
-    fn try_recover(&self, worker: usize) -> Result<()> {
+    /// Reconnects and restores `worker`; returns the replacement's
+    /// `(epoch, load)` from the liveness check.
+    fn try_recover(&self, worker: usize) -> Result<(u64, u32)> {
         // 1. Channel re-establishment.
         let replacement = self.reconnector.lock().as_ref().and_then(|f| f(worker));
         match replacement {
@@ -412,16 +389,16 @@ impl Supervisor {
                 other => other,
             })?,
         }
-        // 2. Liveness check on the fresh channel; records the restarted
-        //    worker's new epoch.
-        let (epoch, load) = self.ctx.heartbeat(worker)?;
-        let _restarted: HeartbeatOutcome = self.detector.record_success(worker, epoch, load);
+        // 2. Liveness check on the fresh channel: the restarted worker's
+        //    new epoch, recorded with `RecoveryDone`.
+        let alive = self.ctx.heartbeat(worker)?;
         // 3. State restoration: latest checkpoint when one exists,
         //    otherwise the registered initialization replay.
         match self.store.snapshot(worker) {
-            Some(entries) => self.restore_from_checkpoint(worker, entries),
-            None => self.replay_initialization(worker),
+            Some(entries) => self.restore_from_checkpoint(worker, entries)?,
+            None => self.replay_initialization(worker)?,
         }
+        Ok(alive)
     }
 
     /// Ships `worker`'s materialized checkpoint back via RESTORE.
@@ -553,152 +530,6 @@ impl Supervisor {
         self.wait_until(timeout, || self.sweeps_completed() >= target)
     }
 
-    /// Issues `batch` to `worker` with straggler speculation: the
-    /// primary RPC runs on a helper thread; if it outlives the
-    /// latency-histogram-derived deadline and a checkpoint of the
-    /// worker exists, the batch is re-issued to the fastest live
-    /// replica (primed with the straggler's checkpoint via RESTORE) and
-    /// whichever reply lands first wins. Completed primary calls feed
-    /// the latency history either way.
-    ///
-    /// Speculation suits result-returning batches whose outputs are
-    /// consumed within the batch (aggregate + GET): partition placement
-    /// metadata still names the primary, so batches that *create*
-    /// long-lived partitions should go through plain `call`.
-    pub fn call_with_speculation(
-        self: &Arc<Self>,
-        worker: usize,
-        batch: &[Request],
-    ) -> Result<Vec<Response>> {
-        let deadline = self
-            .policy
-            .speculation
-            .and_then(|_| self.latency.deadline(worker));
-
-        let (tx, rx) = mpsc::channel::<(bool, Result<Vec<Response>>)>();
-        {
-            let sup = Arc::clone(self);
-            let tx = tx.clone();
-            let batch = batch.to_vec();
-            std::thread::Builder::new()
-                .name(format!("exdra-primary-{worker}"))
-                .spawn(move || {
-                    let t0 = Instant::now();
-                    let r = sup.ctx.call(worker, &batch);
-                    if r.is_ok() {
-                        sup.latency.record(worker, t0.elapsed());
-                    }
-                    let _ = tx.send((true, r));
-                })
-                .expect("spawn primary rpc thread");
-        }
-
-        let Some(deadline) = deadline else {
-            // No history yet (or speculation disabled): plain blocking
-            // call through the helper thread.
-            return rx.recv().expect("primary rpc thread sends").1;
-        };
-        match rx.recv_timeout(deadline) {
-            Ok((_, r)) => r,
-            Err(mpsc::RecvTimeoutError::Timeout) => self.speculate(worker, batch, tx, rx),
-            Err(mpsc::RecvTimeoutError::Disconnected) => {
-                Err(FedError::Network("primary rpc thread vanished".into()))
-            }
-        }
-    }
-
-    /// Past-deadline half of [`Supervisor::call_with_speculation`]:
-    /// launches the replica attempt and keeps the first successful
-    /// reply from either side.
-    fn speculate(
-        self: &Arc<Self>,
-        worker: usize,
-        batch: &[Request],
-        tx: mpsc::Sender<(bool, Result<Vec<Response>>)>,
-        rx: mpsc::Receiver<(bool, Result<Vec<Response>>)>,
-    ) -> Result<Vec<Response>> {
-        let obs_on = exdra_obs::enabled();
-        // A replica needs the straggler's state to execute its batch.
-        let snapshot = self.store.snapshot(worker);
-        let replica = self.pick_replica(worker);
-        let (Some(entries), Some(replica)) = (snapshot, replica) else {
-            // Nothing to speculate with: wait out the primary.
-            return rx.recv().expect("primary rpc thread sends").1;
-        };
-        let mut span = exdra_obs::span(SpanKind::Recovery, "recovery.speculate");
-        if span.is_active() {
-            span.attr("worker", worker);
-            span.attr("replica", replica);
-            span.attr("entries", entries.len());
-        }
-        if obs_on {
-            exdra_obs::global().inc("speculation.launched");
-        }
-        if exdra_obs::recorder::enabled() {
-            exdra_obs::recorder::incident(
-                "deadline_miss",
-                worker as u64,
-                &format!("worker {worker} missed its straggler deadline; speculating on replica {replica}"),
-            );
-        }
-        {
-            let sup = Arc::clone(self);
-            let ids: Vec<u64> = entries.iter().map(|e| e.id).collect();
-            let mut full = Vec::with_capacity(batch.len() + 1);
-            full.push(Request::Restore { entries });
-            full.extend_from_slice(batch);
-            std::thread::Builder::new()
-                .name(format!("exdra-speculate-{replica}"))
-                .spawn(move || {
-                    let r = sup.ctx.call(replica, &full).map(|mut responses| {
-                        responses.remove(0); // the restore ack
-                        responses
-                    });
-                    // The replica's copies of the straggler's symbols are
-                    // scratch state: queue them for amortized rmvar.
-                    for id in ids {
-                        sup.ctx.defer_rmvar(replica, id);
-                    }
-                    let _ = tx.send((false, r));
-                })
-                .expect("spawn speculative rpc thread");
-        }
-        // First successful reply wins; a lone failure waits for the
-        // other side before giving up.
-        let (first_primary, first) = rx.recv().expect("one rpc thread sends");
-        let (winner_primary, result) = match first {
-            Ok(r) => (first_primary, Ok(r)),
-            Err(e) => match rx.recv() {
-                Ok((second_primary, Ok(r))) => (second_primary, Ok(r)),
-                _ => (first_primary, Err(e)),
-            },
-        };
-        if result.is_ok() {
-            if span.is_active() {
-                span.attr("winner", if winner_primary { "primary" } else { "replica" });
-            }
-            if obs_on {
-                exdra_obs::global().inc(if winner_primary {
-                    "speculation.won_primary"
-                } else {
-                    "speculation.won_replica"
-                });
-            }
-        }
-        result
-    }
-
-    /// The fastest live replica other than `worker` by observed p95.
-    fn pick_replica(&self, worker: usize) -> Option<usize> {
-        let candidates: Vec<usize> = self
-            .detector
-            .live_workers()
-            .into_iter()
-            .filter(|&w| w != worker)
-            .collect();
-        self.latency.fastest(&candidates)
-    }
-
     /// Runs [`Supervisor::sweep`] every `heartbeat_interval` — and
     /// [`Supervisor::checkpoint_once`] every `checkpoint_interval` — on
     /// a background thread until [`Supervisor::stop`].
@@ -748,7 +579,6 @@ mod tests {
     use crate::protocol::Request;
     use crate::value::DataValue;
     use crate::worker::{Worker, WorkerConfig};
-    use exdra_fault::inject::{FaultPlan, FaultyChannel};
     use exdra_net::transport::Channel;
 
     fn mem_setup(n: usize) -> (Arc<FedContext>, Vec<Arc<Worker>>) {
@@ -777,7 +607,7 @@ mod tests {
     #[test]
     fn heartbeats_keep_workers_healthy() {
         let (ctx, _workers) = mem_setup(2);
-        // Detection only: no checkpointing, no speculation.
+        // Detection only: no checkpointing.
         let sup = Supervisor::new(
             ctx,
             SupervisionPolicy {
@@ -960,127 +790,5 @@ mod tests {
         assert_eq!(sup.detector().state(1), HealthState::Suspect);
         assert_eq!(sup.detector().health(0).consecutive_misses, 0);
         assert_eq!(ctx.stats().retries(), 0, "a closed channel is not retried");
-    }
-
-    #[test]
-    fn a_restart_seen_by_a_checkpoint_keeps_the_snapshot_for_recovery() {
-        let (ctx, _workers) = mem_setup(1);
-        let sup = Supervisor::new(Arc::clone(&ctx), SupervisionPolicy::default());
-        put(&ctx, 0, 1, 1.0, PrivacyLevel::Public);
-        sup.checkpoint_worker(0).unwrap();
-        assert_eq!(sup.checkpoint_store().entry_count(0), 1);
-
-        // The worker silently restarts empty (new epoch, fresh sequence
-        // space) and the checkpoint is the first exchange to meet it.
-        let replacement = Worker::new(WorkerConfig::default());
-        let r2 = Arc::clone(&replacement);
-        sup.set_reconnector(Box::new(move |_w| {
-            Some(Box::new(r2.serve_mem()) as Box<dyn Channel>)
-        }));
-        ctx.replace_channel(0, Box::new(replacement.serve_mem()))
-            .unwrap();
-        assert!(sup.checkpoint_once().is_empty());
-        // The reply in front of the delta told the detector (a restart under
-        // a healthy worker means Dead until replayed), and the empty worker's
-        // delta never reached the store.
-        assert_eq!(sup.detector().health(0).epoch, replacement.epoch());
-        assert_eq!(sup.detector().state(0), HealthState::Dead);
-        let snap = sup.checkpoint_store().snapshot(0).unwrap();
-        assert_eq!((snap.len(), snap[0].id), (1, 1), "the good snapshot");
-        assert!(sup.checkpoint_once().is_empty(), "a dead worker is skipped");
-
-        // So the sweep restores the binding, in either order of the tick.
-        assert_eq!(sup.sweep(), vec![0]);
-        assert_eq!(sup.detector().state(0), HealthState::Healthy);
-        assert!(replacement.table().contains(1));
-        // Restore rebased the stream: the next checkpoint is a full snapshot
-        // of the restarted worker's sequence space.
-        assert_eq!(sup.checkpoint_once(), vec![0]);
-        assert_eq!(sup.checkpoint_store().entry_count(0), 1);
-    }
-
-    #[test]
-    fn a_checkpoint_that_races_a_recovery_leaves_the_snapshot_alone() {
-        let (ctx, _workers) = mem_setup(1);
-        let sup = Supervisor::new(Arc::clone(&ctx), SupervisionPolicy::default());
-        put(&ctx, 0, 1, 1.0, PrivacyLevel::Public);
-        sup.checkpoint_worker(0).unwrap();
-
-        // A recovery has claimed the worker and installed its empty
-        // replacement, but not restored yet; a checkpoint that was already
-        // on its way now talks to that replacement.
-        sup.detector().mark_dead(0);
-        assert!(sup.detector().begin_recovery(0));
-        let replacement = Worker::new(WorkerConfig::default());
-        ctx.replace_channel(0, Box::new(replacement.serve_mem()))
-            .unwrap();
-        assert!(sup.checkpoint_worker(0).is_err());
-        let snap = sup.checkpoint_store().snapshot(0).unwrap();
-        assert_eq!(snap.len(), 1, "what the recovery is about to restore");
-        assert_eq!(sup.detector().state(0), HealthState::Recovering);
-
-        // Nor does a failed exchange count as a miss against it: that would
-        // send the worker back to Dead under the recovery in flight.
-        replacement.shutdown();
-        assert!(sup.checkpoint_worker(0).is_err());
-        assert_eq!(sup.detector().state(0), HealthState::Recovering);
-        assert_eq!(sup.detector().health(0).consecutive_misses, 0);
-    }
-
-    #[test]
-    fn speculation_replica_wins_past_deadline() {
-        // Worker 0 sits behind an injected 150ms delay; worker 1 is fast.
-        let slow = Worker::new(WorkerConfig::default());
-        let fast = Worker::new(WorkerConfig::default());
-        let channels: Vec<Box<dyn Channel>> = vec![
-            Box::new(FaultyChannel::new(
-                slow.serve_mem(),
-                FaultPlan::none(3).with_delay(1.0, Duration::from_millis(150)),
-            )),
-            Box::new(fast.serve_mem()),
-        ];
-        let ctx = FedContext::from_channels(channels).unwrap();
-        let policy = SupervisionPolicy {
-            speculation: Some(SpeculationPolicy {
-                multiplier: 1.0,
-                min_samples: 1,
-                min_deadline: Duration::from_millis(5),
-                max_deadline: Duration::from_millis(40),
-            }),
-            ..SupervisionPolicy::default()
-        };
-        let sup = Supervisor::new(Arc::clone(&ctx), policy);
-        put(&ctx, 0, 21, 2.1, PrivacyLevel::Public);
-        sup.checkpoint_worker(0).unwrap();
-        // Prime the latency history so a deadline exists.
-        sup.latency_tracker().record(0, Duration::from_millis(2));
-
-        let responses = sup
-            .call_with_speculation(0, &[Request::Get { id: 21 }])
-            .unwrap();
-        assert_eq!(responses.len(), 1);
-        match &responses[0] {
-            crate::protocol::Response::Data(DataValue::Scalar(v)) => assert_eq!(*v, 2.1),
-            other => panic!("expected data, got {other:?}"),
-        }
-        // The replica executed with restored scratch state, whose rmvar
-        // rides the next exchange with it.
-        assert!(fast.table().contains(21));
-        ctx.call(1, &[]).unwrap();
-        assert!(!fast.table().contains(21));
-    }
-
-    #[test]
-    fn speculation_without_history_is_a_plain_call() {
-        let (ctx, _workers) = mem_setup(1);
-        let sup = Supervisor::new(Arc::clone(&ctx), SupervisionPolicy::default());
-        put(&ctx, 0, 31, 3.1, PrivacyLevel::Public);
-        let responses = sup
-            .call_with_speculation(0, &[Request::Get { id: 31 }])
-            .unwrap();
-        match &responses[0] {
-            crate::protocol::Response::Data(DataValue::Scalar(v)) => assert_eq!(*v, 3.1),
-            other => panic!("expected data, got {other:?}"),
-        }
     }
 }

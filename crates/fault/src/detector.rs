@@ -1,30 +1,34 @@
-//! Timeout-based failure detection with a per-worker health state machine.
+//! Worker health as one pure state machine.
 //!
-//! The coordinator drives one [`FailureDetector`] for the whole federation.
-//! Every heartbeat round reports either a success ([`FailureDetector::record_success`],
-//! carrying the worker's epoch so restarts are visible) or a miss
-//! ([`FailureDetector::record_miss`]). Consecutive misses walk the worker
-//! down the state machine:
+//! [`step`] is the only place a worker's health changes. The supervisor
+//! turns everything it learns about a worker into an [`Event`], feeds it
+//! through [`FailureDetector::apply`] and acts on the returned
+//! [`Verdict`]; it keeps no health rule of its own.
 //!
-//! ```text
-//!            misses >= suspect_after      misses >= dead_after
-//!  Healthy ───────────────────────▶ Suspect ───────────────────▶ Dead
-//!     ▲                               │                            │
-//!     │          heartbeat ok         │                            │ supervisor
-//!     ├───────────────────────────────┘                            │ begin_recovery()
-//!     │                                                            ▼
-//!     └────────────────────────────────────────────────────── Recovering
-//!                      mark_recovered() after replay
-//! ```
+//! | state \ event | `Alive{epoch}` | `Failed` | `ReportedDead` | `RecoveryClaimed` | `RecoveryDone{epoch}` | `RecoveryFailed` |
+//! |---|---|---|---|---|---|---|
+//! | `Healthy` | misses = 0; a new epoch → `Dead`, else `Healthy` and **store delta** | **miss**: ≥ 2 `Suspect`, ≥ 4 `Dead` | `Dead` | lost | – | – |
+//! | `Suspect` | as `Healthy` | **miss** | `Dead` | lost | – | – |
+//! | `Dead` | epoch and load recorded | **miss**, stays `Dead` | – | `Recovering`, **won** | – | – |
+//! | `Recovering` | – | – (not a miss) | – | lost | `Healthy`, epoch recorded | `Dead` |
 //!
-//! `Suspect` workers still receive traffic (their RPCs are retried);
-//! `Dead` workers are excluded until the supervisor walks them through
-//! `Recovering` (reconnect + re-registration replay) back to `Healthy`.
+//! A dash leaves the record untouched. Bold marks the three verdicts.
+//! `Suspect` workers still receive traffic; a `Dead` worker comes back
+//! only through `Recovering`, because a restarted process has an empty
+//! symbol table and an `ALIVE` alone does not refill it. While a recovery
+//! owns a worker, only that recovery moves it: `ALIVE`s and failed
+//! exchanges from other paths may come from the old process or the still
+//! empty replacement.
 
 use parking_lot::Mutex;
 
+/// Consecutive misses at which a `Healthy` worker becomes `Suspect`.
+pub const SUSPECT_AFTER: u32 = 2;
+/// Consecutive misses at which a worker becomes `Dead`.
+pub const DEAD_AFTER: u32 = 4;
+
 /// Liveness state of one worker as seen by the coordinator.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum HealthState {
     /// Heartbeats arriving; full participant.
     Healthy,
@@ -49,7 +53,7 @@ impl std::fmt::Display for HealthState {
 }
 
 /// Per-worker liveness record.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct WorkerHealth {
     /// Current state-machine position.
     pub state: HealthState,
@@ -59,12 +63,12 @@ pub struct WorkerHealth {
     pub epoch: u64,
     /// Last load figure the worker reported (live request count).
     pub load: u32,
-    /// Total successful heartbeats observed.
+    /// Total `ALIVE`s recorded.
     pub beats: u64,
 }
 
-impl WorkerHealth {
-    fn new() -> Self {
+impl Default for WorkerHealth {
+    fn default() -> Self {
         Self {
             state: HealthState::Healthy,
             consecutive_misses: 0,
@@ -75,51 +79,117 @@ impl WorkerHealth {
     }
 }
 
-/// Thresholds for the miss-count transitions.
-#[derive(Debug, Clone, Copy)]
-pub struct DetectorConfig {
-    /// Consecutive misses at which Healthy becomes Suspect.
-    pub suspect_after: u32,
-    /// Consecutive misses at which Suspect becomes Dead.
-    pub dead_after: u32,
-}
-
-impl Default for DetectorConfig {
-    fn default() -> Self {
-        Self {
-            suspect_after: 2,
-            dead_after: 4,
-        }
-    }
-}
-
-/// What a successful heartbeat revealed about the worker.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum HeartbeatOutcome {
-    /// Same epoch as before: the worker kept running.
-    Stable,
-    /// Epoch advanced: the worker restarted and must be re-initialized
-    /// (federated data replay) before it can serve requests again.
-    Restarted {
-        /// Epoch seen before the restart.
-        previous: u64,
-        /// Epoch reported now.
-        current: u64,
+/// Something the supervisor learned about one worker.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub enum Event {
+    /// An `ALIVE {epoch, load}` from a probe or in front of a checkpoint
+    /// delta.
+    Alive {
+        /// Epoch the worker process reported.
+        epoch: u64,
+        /// Live request count the worker reported.
+        load: u32,
     },
+    /// A heartbeat or checkpoint exchange failed.
+    Failed,
+    /// The compute path saw the worker's channel collapse.
+    ReportedDead,
+    /// A recovery asks to own the worker.
+    RecoveryClaimed,
+    /// The owning recovery restored the worker; `epoch` and `load` are
+    /// from its liveness check on the fresh channel.
+    RecoveryDone {
+        /// Epoch of the replacement process.
+        epoch: u64,
+        /// Load the replacement reported.
+        load: u32,
+    },
+    /// The owning recovery gave up; the next sweep starts over.
+    RecoveryFailed,
 }
 
-/// Coordinator-side failure detector over a fixed set of workers.
+/// What [`step`] decided about one event. Each flag answers one event
+/// kind and is `false` for every other.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct Verdict {
+    /// `Alive`: the worker is `Healthy` after this `ALIVE`, so the
+    /// checkpoint delta behind it may go into the store.
+    pub store_delta: bool,
+    /// `Failed`: the failed exchange counted as a miss.
+    pub miss: bool,
+    /// `RecoveryClaimed`: the claim won; the claimant owns the worker
+    /// until it sends `RecoveryDone` or `RecoveryFailed`.
+    pub claimed: bool,
+}
+
+/// The health transition function: the next record for `h` after
+/// `event`, and the verdict the supervisor acts on.
+pub fn step(mut h: WorkerHealth, event: Event) -> (WorkerHealth, Verdict) {
+    use HealthState::*;
+    let mut verdict = Verdict::default();
+    match (h.state, event) {
+        (Recovering, Event::RecoveryDone { epoch, load }) => {
+            h = WorkerHealth {
+                state: Healthy,
+                consecutive_misses: 0,
+                epoch,
+                load,
+                beats: h.beats + 1,
+            };
+        }
+        (Recovering, Event::RecoveryFailed) => h.state = Dead,
+        // Only the recovery moves a worker it owns.
+        (Recovering, _) => {}
+        (state, Event::Alive { epoch, load }) => {
+            let restarted = h.beats > 0 && epoch != h.epoch;
+            h.consecutive_misses = 0;
+            h.beats += 1;
+            h.epoch = epoch;
+            h.load = load;
+            if state != Dead {
+                // A restart under a live worker emptied it: Dead until
+                // recovered, and its delta must not replace the snapshot
+                // the recovery restores.
+                h.state = if restarted { Dead } else { Healthy };
+                verdict.store_delta = h.state == Healthy;
+            }
+        }
+        (state, Event::Failed) => {
+            h.consecutive_misses = h.consecutive_misses.saturating_add(1);
+            verdict.miss = true;
+            if state != Dead {
+                h.state = if h.consecutive_misses >= DEAD_AFTER {
+                    Dead
+                } else if h.consecutive_misses >= SUSPECT_AFTER {
+                    Suspect
+                } else {
+                    Healthy
+                };
+            }
+        }
+        (_, Event::ReportedDead) => h.state = Dead,
+        (Dead, Event::RecoveryClaimed) => {
+            h.state = Recovering;
+            verdict.claimed = true;
+        }
+        (_, Event::RecoveryClaimed | Event::RecoveryDone { .. } | Event::RecoveryFailed) => {}
+    }
+    (h, verdict)
+}
+
+/// Coordinator-side failure detector: one [`WorkerHealth`] per worker,
+/// moved only by [`step`].
 pub struct FailureDetector {
     workers: Vec<Mutex<WorkerHealth>>,
-    config: DetectorConfig,
 }
 
 impl FailureDetector {
     /// Detector for `n` workers, all starting Healthy.
-    pub fn new(n: usize, config: DetectorConfig) -> Self {
+    pub fn new(n: usize) -> Self {
         Self {
-            workers: (0..n).map(|_| Mutex::new(WorkerHealth::new())).collect(),
-            config,
+            workers: (0..n)
+                .map(|_| Mutex::new(WorkerHealth::default()))
+                .collect(),
         }
     }
 
@@ -133,131 +203,14 @@ impl FailureDetector {
         self.workers.is_empty()
     }
 
-    /// The detector's thresholds.
-    pub fn config(&self) -> DetectorConfig {
-        self.config
-    }
-
     /// Current state of worker `w`.
     pub fn state(&self, w: usize) -> HealthState {
         self.workers[w].lock().state
     }
 
-    /// Counts a state transition into the global metrics registry
-    /// (`fault.transitions.<state>`), so failure-detection activity shows
-    /// up in run profiles next to the heartbeat/retry counters that
-    /// `NetStats` tracks. No-op when observability is disabled or the
-    /// state did not change.
-    fn note_transition(old: HealthState, new: HealthState) {
-        if old == new || !exdra_obs::enabled() {
-            return;
-        }
-        let metric = match new {
-            HealthState::Healthy => "fault.transitions.healthy",
-            HealthState::Suspect => "fault.transitions.suspect",
-            HealthState::Dead => "fault.transitions.dead",
-            HealthState::Recovering => "fault.transitions.recovering",
-        };
-        exdra_obs::global().inc(metric);
-    }
-
     /// Copy of worker `w`'s full health record.
     pub fn health(&self, w: usize) -> WorkerHealth {
-        self.workers[w].lock().clone()
-    }
-
-    /// Records a successful heartbeat from worker `w` reporting
-    /// (`epoch`, `load`). Resets the miss counter; Healthy/Suspect
-    /// collapse back to Healthy. Dead/Recovering states are NOT cleared
-    /// here — a lone heartbeat from a restarted worker does not mean its
-    /// federated state survived; only the supervisor's replay
-    /// ([`FailureDetector::mark_recovered`]) revives it.
-    pub fn record_success(&self, w: usize, epoch: u64, load: u32) -> HeartbeatOutcome {
-        let mut h = self.workers[w].lock();
-        let old_state = h.state;
-        h.consecutive_misses = 0;
-        h.beats += 1;
-        h.load = load;
-        let outcome = if h.beats > 1 && epoch != h.epoch {
-            HeartbeatOutcome::Restarted {
-                previous: h.epoch,
-                current: epoch,
-            }
-        } else {
-            HeartbeatOutcome::Stable
-        };
-        h.epoch = epoch;
-        if matches!(h.state, HealthState::Suspect) {
-            h.state = HealthState::Healthy;
-        }
-        // A restart while we thought the worker was fine still needs replay.
-        if matches!(outcome, HeartbeatOutcome::Restarted { .. })
-            && matches!(h.state, HealthState::Healthy)
-        {
-            h.state = HealthState::Dead;
-        }
-        Self::note_transition(old_state, h.state);
-        outcome
-    }
-
-    /// Records a missed/failed heartbeat for worker `w`; returns the state
-    /// after applying the thresholds.
-    pub fn record_miss(&self, w: usize) -> HealthState {
-        let mut h = self.workers[w].lock();
-        let old_state = h.state;
-        h.consecutive_misses = h.consecutive_misses.saturating_add(1);
-        h.state = match h.state {
-            HealthState::Healthy | HealthState::Suspect => {
-                if h.consecutive_misses >= self.config.dead_after {
-                    HealthState::Dead
-                } else if h.consecutive_misses >= self.config.suspect_after {
-                    HealthState::Suspect
-                } else {
-                    HealthState::Healthy
-                }
-            }
-            // A miss during recovery sends the worker back to Dead; the
-            // supervisor will start over.
-            HealthState::Recovering => HealthState::Dead,
-            HealthState::Dead => HealthState::Dead,
-        };
-        Self::note_transition(old_state, h.state);
-        h.state
-    }
-
-    /// Supervisor claims a Dead worker for recovery (Dead → Recovering).
-    /// Returns false when the worker is not Dead (nothing to recover, or
-    /// another pass already claimed it).
-    pub fn begin_recovery(&self, w: usize) -> bool {
-        let mut h = self.workers[w].lock();
-        if h.state == HealthState::Dead {
-            h.state = HealthState::Recovering;
-            Self::note_transition(HealthState::Dead, h.state);
-            true
-        } else {
-            false
-        }
-    }
-
-    /// Supervisor finished reconnect + replay: Recovering → Healthy.
-    pub fn mark_recovered(&self, w: usize) {
-        let mut h = self.workers[w].lock();
-        if h.state == HealthState::Recovering {
-            h.state = HealthState::Healthy;
-            h.consecutive_misses = 0;
-            Self::note_transition(HealthState::Recovering, h.state);
-        }
-    }
-
-    /// Directly marks a worker Dead (e.g. a data-path RPC saw its channel
-    /// collapse — no need to wait for heartbeat misses to accumulate).
-    pub fn mark_dead(&self, w: usize) {
-        let mut h = self.workers[w].lock();
-        if !matches!(h.state, HealthState::Recovering) {
-            let old_state = h.state;
-            h.state = HealthState::Dead;
-            Self::note_transition(old_state, h.state);
-        }
+        *self.workers[w].lock()
     }
 
     /// States of all workers, by index.
@@ -265,96 +218,17 @@ impl FailureDetector {
         self.workers.iter().map(|w| w.lock().state).collect()
     }
 
-    /// Indices of workers currently usable for data-path calls
-    /// (Healthy or Suspect).
-    pub fn live_workers(&self) -> Vec<usize> {
-        self.workers
-            .iter()
-            .enumerate()
-            .filter(|(_, w)| matches!(w.lock().state, HealthState::Healthy | HealthState::Suspect))
-            .map(|(i, _)| i)
-            .collect()
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn misses_walk_healthy_suspect_dead() {
-        let d = FailureDetector::new(1, DetectorConfig::default());
-        assert_eq!(d.state(0), HealthState::Healthy);
-        assert_eq!(d.record_miss(0), HealthState::Healthy);
-        assert_eq!(d.record_miss(0), HealthState::Suspect);
-        assert_eq!(d.record_miss(0), HealthState::Suspect);
-        assert_eq!(d.record_miss(0), HealthState::Dead);
-        assert_eq!(d.record_miss(0), HealthState::Dead);
-    }
-
-    #[test]
-    fn success_heals_suspect() {
-        let d = FailureDetector::new(1, DetectorConfig::default());
-        d.record_miss(0);
-        d.record_miss(0);
-        assert_eq!(d.state(0), HealthState::Suspect);
-        assert_eq!(d.record_success(0, 1, 0), HeartbeatOutcome::Stable);
-        assert_eq!(d.state(0), HealthState::Healthy);
-        assert_eq!(d.health(0).consecutive_misses, 0);
-    }
-
-    #[test]
-    fn success_does_not_resurrect_dead_worker() {
-        let d = FailureDetector::new(1, DetectorConfig::default());
-        for _ in 0..4 {
-            d.record_miss(0);
+    /// Runs `event` through [`step`] for worker `w` and returns the
+    /// verdict. A state change is counted as
+    /// `fault.transitions.<state>` when observability is on.
+    pub fn apply(&self, w: usize, event: Event) -> Verdict {
+        let mut h = self.workers[w].lock();
+        let old = h.state;
+        let verdict;
+        (*h, verdict) = step(*h, event);
+        if h.state != old && exdra_obs::enabled() {
+            exdra_obs::global().inc(&format!("fault.transitions.{}", h.state));
         }
-        assert_eq!(d.state(0), HealthState::Dead);
-        d.record_success(0, 1, 0);
-        assert_eq!(d.state(0), HealthState::Dead, "needs supervisor replay");
-    }
-
-    #[test]
-    fn recovery_arc_dead_recovering_healthy() {
-        let d = FailureDetector::new(2, DetectorConfig::default());
-        for _ in 0..4 {
-            d.record_miss(1);
-        }
-        assert!(d.begin_recovery(1));
-        assert!(!d.begin_recovery(1), "already claimed");
-        assert_eq!(d.state(1), HealthState::Recovering);
-        d.mark_recovered(1);
-        assert_eq!(d.state(1), HealthState::Healthy);
-        assert_eq!(d.snapshot(), vec![HealthState::Healthy; 2]);
-    }
-
-    #[test]
-    fn miss_during_recovery_goes_back_to_dead() {
-        let d = FailureDetector::new(1, DetectorConfig::default());
-        d.mark_dead(0);
-        assert!(d.begin_recovery(0));
-        assert_eq!(d.record_miss(0), HealthState::Dead);
-    }
-
-    #[test]
-    fn epoch_change_reports_restart_and_requires_replay() {
-        let d = FailureDetector::new(1, DetectorConfig::default());
-        assert_eq!(d.record_success(0, 7, 0), HeartbeatOutcome::Stable);
-        assert_eq!(
-            d.record_success(0, 8, 0),
-            HeartbeatOutcome::Restarted {
-                previous: 7,
-                current: 8
-            }
-        );
-        // Restart with a fresh (empty) worker: treated as dead until replayed.
-        assert_eq!(d.state(0), HealthState::Dead);
-    }
-
-    #[test]
-    fn live_workers_excludes_dead() {
-        let d = FailureDetector::new(3, DetectorConfig::default());
-        d.mark_dead(1);
-        assert_eq!(d.live_workers(), vec![0, 2]);
+        verdict
     }
 }

@@ -10,18 +10,15 @@
 //! * [`retry`] — [`retry::RetryPolicy`]: exponential backoff with
 //!   decorrelated jitter, capped by a [`retry::Deadline`], plus the
 //!   closed / transient / fatal [`retry::ErrorClass`] taxonomy retry loops key on,
-//! * [`detector`] — per-worker liveness tracking: the
-//!   [`detector::WorkerHealth`] state machine
-//!   (`Healthy → Suspect → Dead → Recovering`) driven by heartbeat
-//!   outcomes with a consecutive-miss threshold,
+//! * [`detector`] — per-worker liveness tracking: one pure
+//!   [`detector::step`] moves a [`detector::WorkerHealth`] through
+//!   `Healthy → Suspect → Dead → Recovering` on probe, checkpoint,
+//!   compute-path and recovery events, and says whether a checkpoint
+//!   reply may be stored, a failure counts as a miss, a recovery claim won,
 //! * [`inject`] — deterministic, seeded fault injection:
 //!   [`inject::FaultPlan`] (drop / delay / duplicate / kill-after-N
 //!   messages) applied by [`inject::FaultyChannel`] around any transport
-//!   channel, composing with the WAN simulation in `exdra-net::sim`,
-//! * [`straggler`] — per-worker latency histories
-//!   ([`straggler::LatencyTracker`]) that derive speculation deadlines
-//!   from observed latency quantiles, driving the supervisor's
-//!   speculative re-execution of straggler partition requests.
+//!   channel, composing with the WAN simulation in `exdra-net::sim`.
 //!
 //! The protocol-aware supervisor that uses these primitives (heartbeat
 //! RPCs, channel re-establishment, re-registration replay) lives in
@@ -31,9 +28,7 @@
 pub mod detector;
 pub mod inject;
 pub mod retry;
-pub mod straggler;
 
-pub use detector::{FailureDetector, HealthState, WorkerHealth};
+pub use detector::{step, Event, FailureDetector, HealthState, Verdict, WorkerHealth};
 pub use inject::{FaultPlan, FaultyChannel};
 pub use retry::{splitmix64, Deadline, ErrorClass, RetryPolicy};
-pub use straggler::{LatencyTracker, SpeculationPolicy};

@@ -84,7 +84,7 @@ pub struct Analysis {
     pub serde_nanos: u64,
     /// Admission/credit wait (RPC gate) summed over all RPCs.
     pub queue_nanos: u64,
-    /// Time inside recovery spans (checkpoint/restore/replay/speculate).
+    /// Time inside recovery spans (checkpoint/restore/replay).
     pub recovery_nanos: u64,
     /// Root-to-latest-leaf chain that bounded the run.
     pub critical_path: Vec<CriticalStep>,

@@ -20,7 +20,6 @@
 //! | `ps.epochs` / `ps.skipped_updates`, `ps.round` / `ps.aggregate` (histograms) | parameter-server rounds |
 //! | `recovery.{recovered,failed_attempts,restores,replays,restored_entries,restored_bytes}` | supervisor recovery arcs |
 //! | `checkpoint.{deltas,full_snapshots,entries,bytes}` | background checkpoint stream |
-//! | `speculation.{launched,won_replica,won_primary}` | straggler re-execution races |
 //! | `par.{regions,serial_regions,chunks,steals}`, `par.threads_used` (histogram) | compute-pool activity |
 //! | `par.inst.{opcode}.{calls,regions,chunks,threads}` | per-opcode intra-operator parallelism |
 
@@ -75,7 +74,7 @@ impl WorkerBreakdown {
 }
 
 /// Self-healing activity of the run, reconstructed from the
-/// `recovery.*` / `checkpoint.*` / `speculation.*` counters the
+/// `recovery.*` / `checkpoint.*` counters the
 /// supervisor emits. Present only when any of them fired.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct RecoverySummary {
@@ -99,12 +98,6 @@ pub struct RecoverySummary {
     pub checkpoint_entries: u64,
     /// Payload bytes carried across all deltas.
     pub checkpoint_bytes: u64,
-    /// Speculative replica executions launched past a deadline.
-    pub speculation_launched: u64,
-    /// Races won by the replica.
-    pub speculation_won_replica: u64,
-    /// Races won by the (straggling) primary after all.
-    pub speculation_won_primary: u64,
 }
 
 impl RecoverySummary {
@@ -191,7 +184,7 @@ pub struct RunReport {
     pub spans_recorded: usize,
     /// Transport totals, if the caller has a `NetStats` to contribute.
     pub net: Option<NetTotals>,
-    /// Supervisor activity (checkpoints, restores, speculation), when any.
+    /// Supervisor activity (checkpoints, restores), when any.
     pub recovery: Option<RecoverySummary>,
     /// Compute-pool activity (chunks, steals, per-opcode width), when any.
     pub parallelism: Option<ParallelismSummary>,
@@ -284,9 +277,7 @@ impl RunReport {
                 "{{\"recovered\":{},\"failed_attempts\":{},\"restores\":{},\
                  \"replays\":{},\"restored_entries\":{},\"restored_bytes\":{},\
                  \"checkpoint_deltas\":{},\"full_snapshots\":{},\
-                 \"checkpoint_entries\":{},\"checkpoint_bytes\":{},\
-                 \"speculation_launched\":{},\"speculation_won_replica\":{},\
-                 \"speculation_won_primary\":{}}}",
+                 \"checkpoint_entries\":{},\"checkpoint_bytes\":{}}}",
                 r.recovered,
                 r.failed_attempts,
                 r.restores,
@@ -296,10 +287,7 @@ impl RunReport {
                 r.checkpoint_deltas,
                 r.full_snapshots,
                 r.checkpoint_entries,
-                r.checkpoint_bytes,
-                r.speculation_launched,
-                r.speculation_won_replica,
-                r.speculation_won_primary
+                r.checkpoint_bytes
             )),
             None => out.push_str("null"),
         }
@@ -396,9 +384,6 @@ fn extract_recovery(snap: &MetricsSnapshot) -> Option<RecoverySummary> {
         full_snapshots: c("checkpoint.full_snapshots"),
         checkpoint_entries: c("checkpoint.entries"),
         checkpoint_bytes: c("checkpoint.bytes"),
-        speculation_launched: c("speculation.launched"),
-        speculation_won_replica: c("speculation.won_replica"),
-        speculation_won_primary: c("speculation.won_primary"),
     };
     (!summary.is_empty()).then_some(summary)
 }
@@ -556,15 +541,11 @@ impl fmt::Display for RunReport {
             )?;
             writeln!(
                 f,
-                "checkpoints: {} deltas ({} full), {} entries, {:.2} MiB; \
-                 speculation: {} launched, {} replica wins, {} primary wins",
+                "checkpoints: {} deltas ({} full), {} entries, {:.2} MiB",
                 r.checkpoint_deltas,
                 r.full_snapshots,
                 r.checkpoint_entries,
-                mib(r.checkpoint_bytes),
-                r.speculation_launched,
-                r.speculation_won_replica,
-                r.speculation_won_primary
+                mib(r.checkpoint_bytes)
             )?;
         }
         if let Some(p) = &self.parallelism {
@@ -676,8 +657,6 @@ mod tests {
         reg.add("checkpoint.deltas", 3);
         reg.inc("checkpoint.full_snapshots");
         reg.add("checkpoint.bytes", 4096);
-        reg.inc("speculation.launched");
-        reg.inc("speculation.won_replica");
         let report = RunReport::from_registry(&reg);
         let r = report.recovery.expect("recovery section present");
         assert_eq!(r.recovered, 1);
@@ -686,11 +665,9 @@ mod tests {
         assert_eq!(r.restored_entries, 7);
         assert_eq!(r.checkpoint_deltas, 3);
         assert_eq!(r.full_snapshots, 1);
-        assert_eq!(r.speculation_won_replica, 1);
 
         let text = format!("{report}");
         assert!(text.contains("self-healing: 1 recovered"));
-        assert!(text.contains("speculation: 1 launched"));
 
         let doc = Json::parse(&report.to_json()).expect("report json parses");
         assert_eq!(

@@ -93,8 +93,8 @@ pub enum SpanKind {
     ParamServ,
     /// Session / API-level operation.
     Session,
-    /// Supervision/recovery operation: checkpoint sweeps, state
-    /// restoration onto replacement workers, speculative re-execution.
+    /// Supervision/recovery operation: checkpoint sweeps and state
+    /// restoration onto replacement workers.
     Recovery,
     /// Anything else.
     Other,

@@ -20,7 +20,6 @@ use parking_lot::Mutex;
 use exdra_core::coordinator::expect_data;
 use exdra_core::fed::FedMatrix;
 use exdra_core::protocol::Request;
-use exdra_core::supervision::LatencyTracker;
 use exdra_core::udf::Udf;
 use exdra_core::worker::Worker;
 use exdra_core::{DataValue, FedContext, Result, RuntimeError};
@@ -262,22 +261,6 @@ pub fn train(
     cfg: &PsConfig,
     weights: &[f64],
 ) -> Result<PsRun> {
-    train_tracked(ctx, data_ids, net, cfg, weights, None)
-}
-
-/// Like [`train`], additionally recording every partition's successful
-/// round-trip wall time into a [`LatencyTracker`] — typically the
-/// supervisor's tracker (`Supervisor::latency_tracker()`), so
-/// parameter-server rounds feed the same latency histories that derive
-/// straggler-speculation deadlines and replica ranking.
-pub fn train_tracked(
-    ctx: &Arc<FedContext>,
-    data_ids: &[(usize, u64, u64)],
-    net: &Network,
-    cfg: &PsConfig,
-    weights: &[f64],
-    tracker: Option<&LatencyTracker>,
-) -> Result<PsRun> {
     if data_ids.is_empty() || data_ids.len() != weights.len() {
         return Err(RuntimeError::Invalid(
             "data ids and weights must be non-empty and aligned".into(),
@@ -355,7 +338,7 @@ pub fn train_tracked(
                 // Pull phase: one round trip of gradient computation
                 // across all workers.
                 let t_round = obs_on.then(Instant::now);
-                let results = ctx.call_all_observed(batches, tracker)?;
+                let results = ctx.call_all_tolerant(batches)?;
                 if let Some(t) = t_round {
                     exdra_obs::global().record("ps.round", t.elapsed().as_nanos() as u64);
                 }
@@ -486,14 +469,8 @@ pub fn train_tracked(
                             if let Udf::Registered { arg_ids, .. } = &mut udf {
                                 *arg_ids = vec![x_id, y_id];
                             }
-                            let t0 = Instant::now();
                             let rs = match ctx.call(worker, &[Request::ExecUdf { udf }]) {
-                                Ok(rs) => {
-                                    if let Some(tracker) = tracker {
-                                        tracker.record(worker, t0.elapsed());
-                                    }
-                                    rs
-                                }
+                                Ok(rs) => rs,
                                 Err(e) => match cfg.aggregation {
                                     AggregationMode::Quorum { .. } if quorum_tolerable(&e) => {
                                         // This partition drops out of the
@@ -639,44 +616,6 @@ mod tests {
         for (a, b) in fed_run.epoch_losses.iter().zip(&local_run.epoch_losses) {
             assert!((a - b).abs() < 1e-10);
         }
-    }
-
-    #[test]
-    fn tracked_training_feeds_latency_history() {
-        use exdra_core::supervision::SpeculationPolicy;
-
-        let (x, y) = synth::multi_class(200, 4, 2, 0.4, 301);
-        let y1h = synth::one_hot(&y, 2);
-        let net = Network::ffn(4, &[8], 2, 302);
-        let (ctx, workers) = mem_federation(2);
-        for w in &workers {
-            install_ps_udf(w, net.clone());
-        }
-        let fed = FedMatrix::scatter_rows(&ctx, &x, PrivacyLevel::Public).unwrap();
-        let labels = scatter_labels(&fed, &y1h).unwrap();
-        let plan = crate::balance::plan(
-            &fed.parts().iter().map(|p| p.len()).collect::<Vec<_>>(),
-            BalanceStrategy::None,
-        );
-        let data_ids = apply_balance(&fed, &labels, &plan).unwrap();
-        let epochs = 3usize;
-        let tracker = LatencyTracker::new(2, SpeculationPolicy::default());
-        let run = train_tracked(
-            fed.ctx(),
-            &data_ids,
-            &net,
-            &PsConfig {
-                epochs,
-                ..PsConfig::default()
-            },
-            &plan.weights,
-            Some(&tracker),
-        )
-        .unwrap();
-        assert_eq!(run.epoch_losses.len(), epochs);
-        // Every BSP round recorded one sample per worker.
-        assert_eq!(tracker.samples(0), epochs as u64);
-        assert_eq!(tracker.samples(1), epochs as u64);
     }
 
     #[test]

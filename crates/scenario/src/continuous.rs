@@ -22,7 +22,6 @@ use exdra_core::{
     DataValue, FedContext, FedMatrix, PartitionScheme, PrivacyLevel, Result, RuntimeError,
 };
 use exdra_expdb::{DatasetMeta, ExperimentDb};
-use exdra_fault::straggler::LatencyTracker;
 use exdra_matrix::frame::{Frame, FrameColumn};
 use exdra_matrix::DenseMatrix;
 use exdra_ml::nn::Network;
@@ -440,11 +439,9 @@ impl ContinuousTrainer {
         ctx: &Arc<FedContext>,
         prep: &PreparedRound,
         round: usize,
-        tracker: Option<&LatencyTracker>,
     ) -> Result<RoundMetrics> {
         let cfg = self.ps_config(round);
-        let run =
-            psfed::train_tracked(ctx, &prep.data_ids, &self.net, &cfg, &prep.weights, tracker)?;
+        let run = psfed::train(ctx, &prep.data_ids, &self.net, &cfg, &prep.weights)?;
         self.net.set_params(&run.params)?;
         let loss = run.epoch_losses.last().copied().unwrap_or(f64::NAN);
         let pred = self.net.predict(&prep.features)?;

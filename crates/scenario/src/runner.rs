@@ -345,7 +345,7 @@ fn execute(sc: &Scenario, tag: &str) -> Result<ExecOutcome> {
         }
 
         let mut retried = false;
-        let mut outcome = trainer.train_round(&ctx, &prep, round, Some(sup.latency_tracker()));
+        let mut outcome = trainer.train_round(&ctx, &prep, round);
         if outcome.is_err() {
             if let Some(site) = killed {
                 // The scheduled death: report it to the supervisor, wait
@@ -363,7 +363,7 @@ fn execute(sc: &Scenario, tag: &str) -> Result<ExecOutcome> {
                 }
                 install_ps_udf(&slots.lock()[site], trainer.network().clone());
                 retried = true;
-                outcome = trainer.train_round(&ctx, &prep, round, Some(sup.latency_tracker()));
+                outcome = trainer.train_round(&ctx, &prep, round);
             }
         }
         let m = outcome.as_ref().ok();

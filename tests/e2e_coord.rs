@@ -61,7 +61,6 @@ fn fast_supervision() -> SupervisionPolicy {
     SupervisionPolicy {
         heartbeat_interval: Duration::from_millis(30),
         checkpoint_interval: Some(Duration::from_millis(40)),
-        ..SupervisionPolicy::default()
     }
 }
 

@@ -135,7 +135,6 @@ fn remote_attach_stitches_spans_like_in_process() {
             supervision: exdra::SupervisionPolicy {
                 heartbeat_interval: std::time::Duration::from_secs(60),
                 checkpoint_interval: None,
-                ..exdra::SupervisionPolicy::default()
             },
             ..exdra::coord::CoordConfig::default()
         },

@@ -1,8 +1,7 @@
 //! End-to-end self-healing scenarios: a real TCP worker killed mid-run is
 //! restored from its background checkpoint onto a replacement channel with
-//! bitwise-identical results, stragglers are beaten by speculative
-//! re-execution on a checkpoint-restored replica, and checkpoint
-//! round-trips preserve every [`DataValue`] variant (property-tested).
+//! bitwise-identical results, and checkpoint round-trips preserve every
+//! [`DataValue`] variant (property-tested).
 //!
 //! The tracing flag, metrics registry, and span collector are process
 //! globals, so the observability-asserting tests serialize on one gate
@@ -12,11 +11,10 @@ use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::Duration;
 
 use exdra::core::protocol::{Request, Response};
-use exdra::core::supervision::{HealthState, SpeculationPolicy, Supervisor};
+use exdra::core::supervision::{HealthState, Supervisor};
 use exdra::core::testutil::{mem_federation, tcp_federation};
 use exdra::core::worker::{Worker, WorkerConfig};
 use exdra::core::DataValue;
-use exdra::fault::{FaultPlan, FaultyChannel};
 use exdra::matrix::compress::CompressedMatrix;
 use exdra::matrix::frame::FrameColumn;
 use exdra::matrix::rng::rand_matrix;
@@ -54,7 +52,6 @@ fn tcp_worker_killed_mid_run_recovers_from_checkpoint() {
     let policy = SupervisionPolicy {
         heartbeat_interval: Duration::from_millis(30),
         checkpoint_interval: Some(Duration::from_millis(40)),
-        ..SupervisionPolicy::default()
     };
     let sds = Session::builder()
         .context(Arc::clone(&ctx))
@@ -157,7 +154,6 @@ fn worker_killed_with_a_non_empty_outbox_recovers_bitwise() {
     let policy = SupervisionPolicy {
         heartbeat_interval: Duration::from_millis(30),
         checkpoint_interval: Some(Duration::from_millis(40)),
-        ..SupervisionPolicy::default()
     };
     let sds = Session::builder()
         .context(Arc::clone(&ctx))
@@ -270,7 +266,6 @@ fn worker_killed_holding_a_dense_twin_recovers_bitwise_without_it() {
     let policy = SupervisionPolicy {
         heartbeat_interval: Duration::from_millis(30),
         checkpoint_interval: Some(Duration::from_millis(40)),
-        ..SupervisionPolicy::default()
     };
     let sds = Session::builder()
         .context(Arc::clone(&ctx))
@@ -316,81 +311,6 @@ fn worker_killed_holding_a_dense_twin_recovers_bitwise_without_it() {
     assert_eq!(forms(&replacement), (true, true), "the twin is back");
     assert_eq!(expected.0.values(), gram_after.values());
     assert_eq!(expected.1.values(), chain_after.values());
-}
-
-/// Satellite acceptance: under an injected straggler fault plan, a request
-/// past the latency-derived deadline is speculatively re-issued to a live
-/// replica (primed with the straggler's checkpoint) and the computation
-/// keeps the first reply — correct results, and the profile records the
-/// speculation.
-#[test]
-fn speculative_reexecution_beats_injected_straggler() {
-    let _g = obs_test();
-    // Worker 0 sits behind an injected 150ms delay; worker 1 is fast.
-    let slow = Worker::new(WorkerConfig::default());
-    let fast = Worker::new(WorkerConfig::default());
-    let channels: Vec<Box<dyn Channel>> = vec![
-        Box::new(FaultyChannel::new(
-            Box::new(slow.serve_mem()) as Box<dyn Channel>,
-            FaultPlan::none(0x57a6).with_delay(1.0, Duration::from_millis(150)),
-        )),
-        Box::new(fast.serve_mem()),
-    ];
-    let ctx = exdra::FedContext::from_channels(channels).unwrap();
-    let policy = SupervisionPolicy {
-        speculation: Some(SpeculationPolicy {
-            multiplier: 1.0,
-            min_samples: 1,
-            min_deadline: Duration::from_millis(5),
-            max_deadline: Duration::from_millis(40),
-        }),
-        ..SupervisionPolicy::default()
-    };
-    let sup = Supervisor::new(Arc::clone(&ctx), policy);
-    sup.heartbeat_once();
-
-    // Seed the straggler with data and checkpoint it so a replica can be
-    // primed; prime the latency history so a deadline exists.
-    for id in 40..43u64 {
-        ctx.call(
-            0,
-            &[Request::Put {
-                id,
-                data: DataValue::Scalar(id as f64 / 10.0),
-                privacy: PrivacyLevel::Public,
-            }],
-        )
-        .unwrap();
-    }
-    sup.checkpoint_worker(0).unwrap();
-    sup.latency_tracker().record(0, Duration::from_millis(2));
-
-    // Every call past the deadline is answered by the replica, correctly.
-    for id in 40..43u64 {
-        let responses = sup
-            .call_with_speculation(0, &[Request::Get { id }])
-            .unwrap();
-        match &responses[0] {
-            Response::Data(DataValue::Scalar(v)) => assert_eq!(*v, id as f64 / 10.0),
-            other => panic!("expected restored scalar, got {other:?}"),
-        }
-    }
-
-    exdra::obs::set_enabled(false);
-    let spans = exdra::obs::take_spans();
-    assert!(
-        spans.iter().any(|s| s.name == "recovery.speculate"),
-        "speculation spans recorded"
-    );
-    let report = RunReport::from_global();
-    let rec = report
-        .recovery
-        .expect("speculation shows up in the summary");
-    assert!(
-        rec.speculation_launched >= 1,
-        "speculation launched: {rec:?}"
-    );
-    assert!(rec.speculation_won_replica >= 1, "replica won: {rec:?}");
 }
 
 /// An arbitrary dense matrix of proptest-chosen shape and content.

@@ -189,9 +189,7 @@ fn tenant_retrain(
             .collect();
         trainer.observe(&blocks).expect("observe");
         let prep = trainer.prepare(ctx, &blocks).expect("prepare");
-        trainer
-            .train_round(ctx, &prep, round, None)
-            .expect("train round");
+        trainer.train_round(ctx, &prep, round).expect("train round");
     }
     assert_eq!(trainer.expdb().all_runs().len(), rounds);
     trainer.model_hash()
