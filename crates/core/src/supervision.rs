@@ -72,6 +72,17 @@ pub type ReplayFn = dyn Fn(usize, &FedContext) -> Result<()> + Send + Sync;
 /// reconnectable endpoints (in-memory federations). `None` = still down.
 pub type ReconnectFn = dyn Fn(usize) -> Option<Box<dyn Channel>> + Send + Sync;
 
+/// One worker's part of a supervised exchange: its responses to the
+/// caller's batch, and the checkpoint's outcome when the pair was asked.
+type Exchanged = (Result<Vec<Response>>, Option<Result<()>>);
+
+/// `[HEARTBEAT, CHECKPOINT {since}]`, the only checkpoint request: the
+/// `ALIVE` in front of the delta is the proof of life a separate probe
+/// would have fetched.
+fn checkpoint_pair(since_seq: u64) -> [Request; 2] {
+    [Request::Heartbeat, Request::Checkpoint { since_seq }]
+}
+
 /// Coordinator-side supervisor: heartbeats, failure detection,
 /// checkpointing and recovery.
 pub struct Supervisor {
@@ -164,64 +175,125 @@ impl Supervisor {
     /// asks each for an incremental delta relative to what the store
     /// already holds and folds it in. Returns the workers checkpointed
     /// this pass. The exchange is its own heartbeat: its reply feeds the
-    /// detector the worker's epoch and load, its failure a miss.
+    /// detector the worker's epoch and load, its failure a miss. This is
+    /// [`Supervisor::call_all_checkpointed`] with empty batches: each
+    /// envelope is control-only, so it travels alone and drains no outbox.
     pub fn checkpoint_once(&self) -> Vec<usize> {
-        let mut done = Vec::new();
-        for w in 0..self.detector.len() {
-            if self.detector.state(w) != HealthState::Healthy {
-                continue;
-            }
-            if self.checkpoint_worker(w).is_ok() {
-                done.push(w);
-            }
-        }
-        done
+        let outcomes = self
+            .exchange(vec![Vec::new(); self.detector.len()])
+            .unwrap_or_default();
+        outcomes
+            .into_iter()
+            .enumerate()
+            .filter(|(_, (_, stored))| matches!(stored, Some(Ok(()))))
+            .map(|(w, _)| w)
+            .collect()
+    }
+
+    /// Sends every worker its batch (one per worker, as
+    /// [`FedContext::call_all`]) with `[HEARTBEAT, CHECKPOINT {since}]`
+    /// appended when the worker is `Healthy`, all in one `call_all`, and
+    /// returns each worker's responses to its own batch. A worker runs an
+    /// envelope in order, so the delta holds whatever the batch, and the
+    /// deferred work drained in front of it, installed. The pair's replies
+    /// go where [`Supervisor::checkpoint_once`]'s go: the `ALIVE` to the
+    /// detector, the delta to the store per the verdict. Fail-fast like
+    /// `call_all`, once every reply has been handled.
+    ///
+    /// Only a failed exchange is a miss. A request of the batch that fails
+    /// comes back as its `Response::Error` (the worker skips the checkpoint
+    /// behind it but still answers the probe), and a deferred request that
+    /// fails the call is the caller's error; neither counts against the
+    /// worker.
+    pub fn call_all_checkpointed(&self, batches: Vec<Vec<Request>>) -> Result<Vec<Vec<Response>>> {
+        self.exchange(batches)?
+            .into_iter()
+            .map(|(responses, _)| responses)
+            .collect()
     }
 
     /// Pulls one checkpoint delta from `worker` and folds it into the
     /// store, re-requesting a full snapshot on an epoch change.
     pub fn checkpoint_worker(&self, worker: usize) -> Result<()> {
-        let epoch = self.detector.health(worker).epoch;
-        let since = self.store.next_since(worker, epoch);
-        let delta = self.fetch_delta(worker, since)?;
-        let (applied_since, delta) = match self.store.apply(worker, since, delta) {
-            ApplyOutcome::Applied => return Ok(()),
-            ApplyOutcome::EpochMismatch => {
-                // The worker restarted since its last reply: its
-                // sequence space is foreign; take a full snapshot.
-                let full = self.fetch_delta(worker, 0)?;
-                (0u64, full)
+        let since = self
+            .store
+            .next_since(worker, self.detector.health(worker).epoch);
+        self.checkpoint_alone(worker, since)
+    }
+
+    /// The checkpoint pair on its own: one control envelope to `worker`.
+    fn checkpoint_alone(&self, worker: usize, since: u64) -> Result<()> {
+        let result = self.ctx.call(worker, &checkpoint_pair(since));
+        self.settle(worker, since, result).1
+    }
+
+    /// One `call_all` of `batches`, the checkpoint pair behind every
+    /// `Healthy` worker's batch. Per worker: its responses to its own
+    /// batch, and the checkpoint's outcome when the pair was asked.
+    /// `call_all` rejects a batch count other than the worker count.
+    fn exchange(&self, mut batches: Vec<Vec<Request>>) -> Result<Vec<Exchanged>> {
+        let mut asked = Vec::with_capacity(batches.len());
+        for (w, batch) in batches.iter_mut().enumerate().take(self.detector.len()) {
+            let health = self.detector.health(w);
+            let since = (health.state == HealthState::Healthy)
+                .then(|| self.store.next_since(w, health.epoch));
+            batch.extend(since.into_iter().flat_map(checkpoint_pair));
+            asked.push(since);
+        }
+        let results = self.ctx.call_all_tolerant(batches)?;
+        Ok(results
+            .into_iter()
+            .zip(asked)
+            .enumerate()
+            .map(|(w, (result, since))| match since {
+                Some(since) => {
+                    let (responses, stored) = self.settle(w, since, result);
+                    (responses, Some(stored))
+                }
+                None => (result, None),
+            })
+            .collect())
+    }
+
+    /// The one handler of a checkpoint pair's replies, whichever envelope
+    /// carried the pair: splits them off the end of `result`, leaving the
+    /// caller's part, and returns that part next to the checkpoint's own
+    /// outcome. A failed exchange is a miss; an error the worker's reply
+    /// carried (a deferred request that failed) is not.
+    fn settle(
+        &self,
+        worker: usize,
+        since: u64,
+        result: Result<Vec<Response>>,
+    ) -> (Result<Vec<Response>>, Result<()>) {
+        match result {
+            Ok(mut responses) => {
+                let pair = responses.split_off(responses.len().saturating_sub(2));
+                (Ok(responses), self.fold(worker, since, pair))
             }
-        };
-        match self.store.apply(worker, applied_since, delta) {
-            ApplyOutcome::Applied => Ok(()),
-            ApplyOutcome::EpochMismatch => Err(FedError::Protocol(format!(
-                "worker {worker}: full checkpoint rejected"
-            ))),
+            Err(e) => {
+                if !matches!(e, FedError::Worker { .. } | FedError::Privacy(_)) {
+                    self.detector.apply(worker, Event::Failed);
+                }
+                (Err(e.clone()), Err(e))
+            }
         }
     }
 
-    /// One `[HEARTBEAT, CHECKPOINT]` RPC (control requests: one envelope,
-    /// travelling alone; the `ALIVE` is the proof of life a probe would have
-    /// fetched), with `recovery.checkpoint` span and size/age metrics. The
-    /// request and its reply are separate moments: a recovery may claim the
-    /// worker in between, and the detector's verdict on the reply decides.
-    fn fetch_delta(&self, worker: usize, since: u64) -> Result<crate::protocol::CheckpointDelta> {
+    /// Feeds the pair's `ALIVE` to the detector and, per its verdict,
+    /// folds the delta behind it into the store, with a
+    /// `recovery.checkpoint` span and size/age metrics. The request and
+    /// its reply are separate moments: a recovery may claim the worker in
+    /// between, and the detector's verdict on the reply decides.
+    fn fold(&self, worker: usize, since: u64, pair: Vec<Response>) -> Result<()> {
         let obs_on = exdra_obs::enabled();
         let mut span = exdra_obs::span(SpanKind::Recovery, "recovery.checkpoint");
         if span.is_active() {
             span.attr("worker", worker);
             span.attr("since_seq", since);
         }
-        let batch = [Request::Heartbeat, Request::Checkpoint { since_seq: since }];
-        let mut responses = match self.ctx.call(worker, &batch) {
-            Ok(responses) => responses.into_iter(),
-            Err(e) => {
-                self.detector.apply(worker, Event::Failed);
-                return Err(e);
-            }
-        };
-        let alive = match responses.next() {
+        let mut pair = pair.into_iter();
+        let alive = match pair.next() {
             Some(Response::Alive { epoch, load }) => Event::Alive { epoch, load },
             other => {
                 return Err(FedError::Protocol(format!(
@@ -237,7 +309,7 @@ impl Supervisor {
                 "worker {worker}: not healthy, its checkpoint is kept for recovery"
             )));
         }
-        let delta = match responses.next() {
+        let delta = match pair.next() {
             Some(Response::Checkpoint(d)) => d,
             Some(Response::Error(msg)) => {
                 return Err(FedError::Worker {
@@ -271,7 +343,16 @@ impl Supervisor {
                 reg.record("checkpoint.age_nanos", age.as_nanos() as u64);
             }
         }
-        Ok(delta)
+        drop(span);
+        match self.store.apply(worker, since, delta) {
+            ApplyOutcome::Applied => Ok(()),
+            // The worker restarted since its last reply: its sequence
+            // space is foreign; take a full snapshot.
+            ApplyOutcome::EpochMismatch if since > 0 => self.checkpoint_alone(worker, 0),
+            ApplyOutcome::EpochMismatch => Err(FedError::Protocol(format!(
+                "worker {worker}: full checkpoint rejected"
+            ))),
+        }
     }
 
     /// Marks `worker` dead in the detector and schedules its recovery on

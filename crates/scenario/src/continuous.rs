@@ -17,7 +17,7 @@ use std::sync::Arc;
 
 use exdra_core::coordinator::expect_ok;
 use exdra_core::fed::FedPartition;
-use exdra_core::protocol::Request;
+use exdra_core::protocol::{Request, Response};
 use exdra_core::{
     DataValue, FedContext, FedMatrix, PartitionScheme, PrivacyLevel, Result, RuntimeError,
 };
@@ -154,14 +154,19 @@ pub fn model_hash(params: &[DenseMatrix]) -> u64 {
 }
 
 /// Scatters one feature block and its label block per site to its worker,
-/// both `PUT`s in one message, and wraps the features as a row-partitioned
+/// both `PUT`s in one message sent by `send` (one batch per worker, as
+/// [`FedContext::call_all`]), and wraps the features as a row-partitioned
 /// [`FedMatrix`] (site `i` holds rows `lo_i..hi_i`, in site order) next to
-/// every partition's label id. Not deferred: a checkpoint travels alone and
-/// would miss installs still queued. Blocks must agree on the column count;
-/// empty blocks are rejected (a site that produced no windows has nothing
-/// to train on).
+/// every partition's label id. A supervised caller passes
+/// `Supervisor::call_all_checkpointed`, so the round's checkpoint rides in
+/// the same envelope behind the installs and its delta holds them; an
+/// unsupervised one passes `ctx.call_all`. Not deferred: a control-only
+/// checkpoint travels alone and would miss installs still queued. Blocks
+/// must agree on the column count; empty blocks are rejected (a site that
+/// produced no windows has nothing to train on).
 pub fn scatter_site_blocks(
     ctx: &Arc<FedContext>,
+    send: impl FnOnce(Vec<Vec<Request>>) -> Result<Vec<Vec<Response>>>,
     blocks: &[DenseMatrix],
     labels: &[DenseMatrix],
     privacy: PrivacyLevel,
@@ -201,7 +206,7 @@ pub fn scatter_site_blocks(
         y_ids.push(y_id);
         lo += b.rows();
     }
-    let responses = ctx.call_all(batches)?;
+    let responses = send(batches)?;
     for (w, rs) in responses.iter().enumerate() {
         for r in rs {
             expect_ok(r, w)?;
@@ -389,13 +394,19 @@ impl ContinuousTrainer {
         Ok(true)
     }
 
-    /// Scatters one round's site blocks and labels, returning the handle
-    /// the round (and any retry of it) trains on.
-    pub fn prepare(&self, ctx: &Arc<FedContext>, blocks: &[DenseMatrix]) -> Result<PreparedRound> {
+    /// Scatters one round's site blocks and labels through `send` (see
+    /// [`scatter_site_blocks`]), returning the handle the round (and any
+    /// retry of it) trains on.
+    pub fn prepare(
+        &self,
+        ctx: &Arc<FedContext>,
+        send: impl FnOnce(Vec<Vec<Request>>) -> Result<Vec<Vec<Response>>>,
+        blocks: &[DenseMatrix],
+    ) -> Result<PreparedRound> {
         // Labels are row-wise in the features: a site's slice is its block's.
         let one_hot = |b| synth::one_hot(&label_classes(b), self.cfg.classes);
         let y1h: Vec<DenseMatrix> = blocks.iter().map(one_hot).collect();
-        let (x, y_ids) = scatter_site_blocks(ctx, blocks, &y1h, PrivacyLevel::Public)?;
+        let (x, y_ids) = scatter_site_blocks(ctx, send, blocks, &y1h, PrivacyLevel::Public)?;
         let parts = x.parts().iter().zip(y_ids);
         let data_ids = parts.map(|(p, y_id)| (p.worker, p.id, y_id)).collect();
         let cols = x.cols();

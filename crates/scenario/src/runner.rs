@@ -334,11 +334,11 @@ fn execute(sc: &Scenario, tag: &str) -> Result<ExecOutcome> {
         // 2. Drift check against the consolidated transform metadata.
         trainer.observe(&blocks)?;
 
-        // 3. Scatter, checkpoint (its reply is the round's proof of life),
-        //    then (maybe) kill and train.
+        // 3. Scatter with the checkpoint behind the installs in the same
+        //    envelope (its reply is the round's proof of life), then
+        //    (maybe) kill and train.
         let (t0, sent0) = (Instant::now(), ctx.stats().messages_sent());
-        let prep = trainer.prepare(&ctx, &blocks)?;
-        sup.checkpoint_once();
+        let prep = trainer.prepare(&ctx, |b| sup.call_all_checkpointed(b), &blocks)?;
         let killed = churn.get(&round).copied();
         if let Some(site) = killed {
             slots.lock()[site].shutdown();

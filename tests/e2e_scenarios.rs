@@ -79,12 +79,12 @@ fn site_churn_recovers_bitwise_with_zero_failed_computations() {
 }
 
 /// A count that repeats exactly: a continuous round costs every site
-/// `2 + epochs` messages under BSP and under ASP: one install (`PUT x`
-/// and `PUT y` together), one checkpoint (whose reply is also the round's
-/// proof of life), one per epoch. An install or a probe that becomes a
-/// message of its own again fails this.
+/// `1 + epochs` messages under BSP and under ASP: one install (`PUT x`
+/// and `PUT y`, with the checkpoint pair behind them, whose reply is also
+/// the round's proof of life), one per epoch. An install, a probe or a
+/// checkpoint that becomes a message of its own again fails this.
 #[test]
-fn a_continuous_round_is_two_messages_plus_its_epochs_per_site() {
+fn a_continuous_round_is_one_message_plus_its_epochs_per_site() {
     for sc in [
         Scenario::one_straggler(SEED, 0.1),
         Scenario::site_churn(SEED, 0.1),
@@ -95,7 +95,7 @@ fn a_continuous_round_is_two_messages_plus_its_epochs_per_site() {
         assert!(r.passed, "{}: {:?}", sc.name, r.invariants);
         let killed = sc.churn.first().map(|c| c.round);
         for round in &r.rounds {
-            let mut want = sites * (2 + epochs);
+            let mut want = sites * (1 + epochs);
             if killed == Some(round.round) {
                 assert!(round.retried);
                 // The epoch the kill interrupted was sent to every site,
@@ -188,7 +188,9 @@ fn tenant_retrain(
             .map(|p| p.pump(60).expect("pump"))
             .collect();
         trainer.observe(&blocks).expect("observe");
-        let prep = trainer.prepare(ctx, &blocks).expect("prepare");
+        let prep = trainer
+            .prepare(ctx, |b| ctx.call_all(b), &blocks)
+            .expect("prepare");
         trainer.train_round(ctx, &prep, round).expect("train round");
     }
     assert_eq!(trainer.expdb().all_runs().len(), rounds);

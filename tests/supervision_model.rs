@@ -18,20 +18,25 @@
 //! whichever process answers the channel by that time.
 //!
 //! The tests after it pin the same rules on the real supervisor over an
-//! in-memory federation, and walk `step` through its table rows.
+//! in-memory federation, also with the checkpoint pair riding behind a
+//! caller's batch (`Supervisor::call_all_checkpointed`), and walk `step`
+//! through its table rows.
 
 use std::collections::HashMap;
 use std::sync::Arc;
 
-use exdra::core::protocol::Request;
+use exdra::core::fed::FedPartition;
+use exdra::core::protocol::{Request, Response};
 use exdra::core::supervision::{HealthState, SupervisionPolicy, Supervisor};
 use exdra::core::testutil::mem_federation as mem_setup;
 use exdra::core::worker::{Worker, WorkerConfig};
-use exdra::core::DataValue;
+use exdra::core::{DataValue, PartitionScheme};
 use exdra::fault::detector::{DEAD_AFTER, SUSPECT_AFTER};
 use exdra::fault::{step, Event, Verdict, WorkerHealth};
+use exdra::matrix::kernels::elementwise::UnaryOp;
+use exdra::matrix::rng::rand_matrix;
 use exdra::net::transport::Channel;
-use exdra::{FedContext, PrivacyLevel};
+use exdra::{DenseMatrix, FedContext, FedError, FedMatrix, PrivacyLevel};
 
 const DEPTH: usize = 8;
 const WORKERS: usize = 2;
@@ -394,6 +399,173 @@ fn a_checkpoint_that_races_a_recovery_leaves_the_snapshot_alone() {
     assert!(sup.checkpoint_worker(0).is_err());
     assert_eq!(sup.detector().state(0), HealthState::Recovering);
     assert_eq!(sup.detector().health(0).consecutive_misses, 0);
+}
+
+fn put_req(id: u64, v: f64) -> Request {
+    Request::Put {
+        id,
+        data: DataValue::Scalar(v),
+        privacy: PrivacyLevel::Public,
+    }
+}
+
+fn stored_ids(sup: &Supervisor, worker: usize) -> Vec<u64> {
+    let mut ids: Vec<u64> = sup
+        .checkpoint_store()
+        .snapshot(worker)
+        .unwrap_or_default()
+        .iter()
+        .map(|e| e.id)
+        .collect();
+    ids.sort_unstable();
+    ids
+}
+
+#[test]
+fn an_install_and_checkpoint_that_meet_a_restarted_worker_leave_the_snapshot_alone() {
+    let (ctx, _workers) = mem_setup(2);
+    let sup = Supervisor::new(Arc::clone(&ctx), SupervisionPolicy::default());
+    put(&ctx, 0, 1, 1.0, PrivacyLevel::Public);
+    assert_eq!(sup.checkpoint_once(), vec![0, 1]);
+
+    // Worker 0 silently restarts empty, and the round's install, with the
+    // checkpoint pair behind it, is the first exchange to meet it.
+    let replacement = Worker::new(WorkerConfig::default());
+    let r2 = Arc::clone(&replacement);
+    sup.set_reconnector(Box::new(move |_w| {
+        Some(Box::new(r2.serve_mem()) as Box<dyn Channel>)
+    }));
+    ctx.replace_channel(0, Box::new(replacement.serve_mem()))
+        .unwrap();
+    let responses = sup
+        .call_all_checkpointed(vec![vec![put_req(2, 2.0)], vec![put_req(3, 3.0)]])
+        .unwrap();
+    assert_eq!(responses, vec![vec![Response::Ok], vec![Response::Ok]]);
+    assert!(
+        replacement.table().contains(2),
+        "the caller's install landed"
+    );
+    // The new epoch's ALIVE made `step` refuse the delta: the empty
+    // worker's state never reached the store.
+    assert_eq!(sup.detector().health(0).epoch, replacement.epoch());
+    assert_eq!(sup.detector().state(0), HealthState::Dead);
+    assert_eq!(stored_ids(&sup, 0), vec![1], "the good snapshot");
+    // The healthy site's delta holds its install.
+    assert_eq!(stored_ids(&sup, 1), vec![3]);
+
+    // So the sweep restores the good snapshot.
+    assert_eq!(sup.sweep(), vec![0]);
+    assert!(replacement.table().contains(1));
+}
+
+#[test]
+fn a_failing_request_in_the_callers_part_is_its_error_not_a_miss() {
+    let (ctx, _workers) = mem_setup(1);
+    let sup = Supervisor::new(Arc::clone(&ctx), SupervisionPolicy::default());
+    put(&ctx, 0, 1, 1.0, PrivacyLevel::Public);
+    assert_eq!(sup.checkpoint_once(), vec![0]);
+    let before = sup.detector().health(0);
+    let since = sup.checkpoint_store().next_since(0, before.epoch);
+
+    let responses = sup
+        .call_all_checkpointed(vec![vec![Request::Get { id: 4242 }, put_req(2, 2.0)]])
+        .unwrap();
+    // The caller gets its own two replies, the failure among them.
+    assert_eq!(
+        responses[0].len(),
+        2,
+        "the pair's replies are not the caller's"
+    );
+    assert!(matches!(&responses[0][0], Response::Error(m) if m.contains("4242")));
+    assert!(matches!(&responses[0][1], Response::Error(m) if m.contains("skipped")));
+    // The worker answered the probe behind the failure: one more beat, no
+    // miss. Its checkpoint was skipped, so the store did not move.
+    let after = sup.detector().health(0);
+    assert_eq!(
+        (after.state, after.consecutive_misses),
+        (HealthState::Healthy, 0)
+    );
+    assert_eq!(after.beats, before.beats + 1);
+    assert_eq!(stored_ids(&sup, 0), vec![1]);
+    assert_eq!(sup.checkpoint_store().next_since(0, after.epoch), since);
+}
+
+#[test]
+fn a_failed_deferred_request_is_the_callers_error_not_a_miss() {
+    let (ctx, _workers) = mem_setup(1);
+    let sup = Supervisor::new(Arc::clone(&ctx), SupervisionPolicy::default());
+    put(&ctx, 0, 1, 1.0, PrivacyLevel::Public);
+    assert_eq!(sup.checkpoint_once(), vec![0]);
+    // A federated map over a symbol no worker holds waits in the outbox
+    // and fails at the install that carries it.
+    let ghost = FedMatrix::from_parts(
+        Arc::clone(&ctx),
+        PartitionScheme::Row,
+        4,
+        2,
+        vec![FedPartition {
+            lo: 0,
+            hi: 4,
+            worker: 0,
+            id: 4242,
+        }],
+        PrivacyLevel::Public,
+        false,
+    )
+    .unwrap();
+    let _abs = ghost.unary(UnaryOp::Abs).expect("deferred: no error yet");
+
+    let err = sup
+        .call_all_checkpointed(vec![vec![put_req(2, 2.0)]])
+        .unwrap_err();
+    assert!(
+        matches!(&err, FedError::Worker { worker: 0, msg } if msg.contains("deferred abs")),
+        "{err}"
+    );
+    let health = sup.detector().health(0);
+    assert_eq!(
+        (health.state, health.consecutive_misses),
+        (HealthState::Healthy, 0)
+    );
+    assert_eq!(stored_ids(&sup, 0), vec![1]);
+}
+
+#[test]
+fn deferred_work_ahead_of_the_install_is_in_the_delta_and_restores_bitwise() {
+    let (ctx, workers) = mem_setup(1);
+    let sup = Supervisor::new(Arc::clone(&ctx), SupervisionPolicy::default());
+    let replacement = Worker::new(WorkerConfig::default());
+    let r2 = Arc::clone(&replacement);
+    sup.set_reconnector(Box::new(move |_w| {
+        Some(Box::new(r2.serve_mem()) as Box<dyn Channel>)
+    }));
+    let x = FedMatrix::scatter_rows(&ctx, &rand_matrix(6, 3, -1.0, 1.0, 7), PrivacyLevel::Public)
+        .unwrap();
+    assert_eq!(sup.checkpoint_once(), vec![0]);
+    // The output stays federated: the map waits in the outbox.
+    let y = x.unary(UnaryOp::Abs).unwrap();
+    let y_id = y.parts()[0].id;
+    assert!(!workers[0].table().contains(y_id), "still deferred");
+
+    // One envelope: the deferred map, the install, the checkpoint pair.
+    let sent = ctx.stats().messages_sent();
+    let responses = sup
+        .call_all_checkpointed(vec![vec![put_req(90, 9.0)]])
+        .unwrap();
+    assert_eq!(responses, vec![vec![Response::Ok]]);
+    assert_eq!(ctx.stats().messages_sent() - sent, 1);
+    let ids = stored_ids(&sup, 0);
+    assert!(ids.contains(&y_id) && ids.contains(&90), "delta {ids:?}");
+    let bits = |m: DenseMatrix| m.values().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+    let want = bits(y.consolidate().unwrap());
+
+    // The worker dies after the round; the recovery restores the delta.
+    workers[0].shutdown();
+    sup.notify_worker_dead(0);
+    sup.wait_recoveries();
+    assert_eq!(sup.detector().state(0), HealthState::Healthy);
+    assert!(replacement.table().contains(90));
+    assert_eq!(bits(y.consolidate().unwrap()), want);
 }
 
 /// `h` after `event`, through the real `step`; returns the verdict.
