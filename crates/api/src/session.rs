@@ -16,7 +16,6 @@
 //! let sds = Session::builder()
 //!     .connect(&["site-a:8001".into(), "site-b:8001".into()])
 //!     .privacy(PrivacyLevel::PrivateAggregate { min_group: 10 })
-//!     .tracing(true)
 //!     .plan_cache_bytes(64 << 20)
 //!     .supervision(SupervisionPolicy::default())
 //!     .build()
@@ -74,10 +73,6 @@ enum Target {
 pub struct SessionBuilder {
     target: Target,
     privacy: PrivacyLevel,
-    tracing: bool,
-    flight_recorder: bool,
-    incidents_dir: Option<String>,
-    slow_query: Option<Duration>,
     plan_cache_bytes: Option<usize>,
     supervision: Option<SupervisionPolicy>,
     threads: Option<usize>,
@@ -89,10 +84,6 @@ impl Default for SessionBuilder {
         Self {
             target: Target::Local,
             privacy: PrivacyLevel::Public,
-            tracing: false,
-            flight_recorder: false,
-            incidents_dir: None,
-            slow_query: None,
             plan_cache_bytes: None,
             supervision: Some(SupervisionPolicy::default()),
             threads: None,
@@ -141,41 +132,6 @@ impl SessionBuilder {
     /// session (default: [`PrivacyLevel::Public`]).
     pub fn privacy(mut self, privacy: PrivacyLevel) -> Self {
         self.privacy = privacy;
-        self
-    }
-
-    /// Turns the global tracing/metrics layer on or off for the process
-    /// (spans, counters, and histograms; see [`Session::profile`]).
-    pub fn tracing(mut self, on: bool) -> Self {
-        self.tracing = on;
-        self
-    }
-
-    /// Turns the process-global flight recorder on or off: a bounded
-    /// in-memory ring of recent spans and events that dumps a
-    /// timestamped JSON incident bundle when an anomaly fires (worker
-    /// death, deadline miss, session rejection, slow query). Recording
-    /// is near-free on the happy path; bundles land under
-    /// `results/incidents/` unless redirected with
-    /// [`SessionBuilder::incidents_dir`].
-    pub fn flight_recorder(mut self, on: bool) -> Self {
-        self.flight_recorder = on;
-        self
-    }
-
-    /// Directory the flight recorder writes incident bundles to
-    /// (process-global; default `results/incidents`).
-    pub fn incidents_dir(mut self, dir: &str) -> Self {
-        self.incidents_dir = Some(dir.to_string());
-        self
-    }
-
-    /// Slow-query threshold: a [`Session::compute`] call whose wall time
-    /// exceeds `threshold` files a `slow_query` incident with the flight
-    /// recorder (a no-op unless [`SessionBuilder::flight_recorder`] is
-    /// on), capturing the spans and events leading up to it.
-    pub fn slow_query(mut self, threshold: Duration) -> Self {
-        self.slow_query = Some(threshold);
         self
     }
 
@@ -238,15 +194,6 @@ impl SessionBuilder {
                     .into(),
             ));
         }
-        if self.tracing {
-            exdra_obs::set_enabled(true);
-        }
-        if self.flight_recorder {
-            exdra_obs::recorder::set_enabled(true);
-        }
-        if let Some(dir) = &self.incidents_dir {
-            exdra_obs::recorder::set_output_dir(dir);
-        }
         if let Some(n) = self.threads {
             exdra_par::set_threads(n);
         }
@@ -307,7 +254,6 @@ impl SessionBuilder {
             sup_handle,
             tenant,
             attached,
-            slow_query: self.slow_query,
             optimizer: Arc::new(self.optimizer.unwrap_or_default()),
         })
     }
@@ -324,9 +270,6 @@ pub struct Session {
     tenant: Option<Arc<Tenant>>,
     /// Set for sessions attached to a remote coordinator over TCP.
     attached: Option<Arc<AttachedClient>>,
-    /// Wall-time threshold above which a compute files a `slow_query`
-    /// incident with the flight recorder.
-    slow_query: Option<Duration>,
     /// The logical-plan optimizer every compute routes through.
     optimizer: Arc<Optimizer>,
 }
@@ -347,7 +290,6 @@ impl Session {
             sup_handle: None,
             tenant: None,
             attached: None,
-            slow_query: None,
             optimizer: Arc::new(Optimizer::new()),
         }
     }
@@ -408,27 +350,6 @@ impl Session {
     /// restoration never run on this call path) and re-attempts the plan
     /// once the worker is back, up to a bounded number of rounds.
     pub fn compute(&self, plan: &Lazy) -> Result<DenseMatrix> {
-        let t_start = self.slow_query.map(|_| std::time::Instant::now());
-        let result = self.compute_with_recovery(plan);
-        if let (Some(t), Some(threshold)) = (t_start, self.slow_query) {
-            let wall = t.elapsed();
-            if wall > threshold {
-                exdra_obs::recorder::incident(
-                    "slow_query",
-                    self.ctx.as_ref().map_or(0, |ctx| ctx.namespace()),
-                    &format!(
-                        "plan {:#018x} took {}ms (threshold {}ms)",
-                        plan.lineage_hash(),
-                        wall.as_millis(),
-                        threshold.as_millis()
-                    ),
-                );
-            }
-        }
-        result
-    }
-
-    fn compute_with_recovery(&self, plan: &Lazy) -> Result<DenseMatrix> {
         let mut attempts = 0;
         loop {
             match self.compute_once(plan) {
@@ -554,8 +475,8 @@ impl Session {
     /// one `Display` shows estimated and actual side by side.
     ///
     /// Tracing is force-enabled for the duration of the call and
-    /// restored afterwards, so this works on sessions built without
-    /// [`SessionBuilder::tracing`]. Nothing is written to disk: a caller
+    /// restored afterwards, so this works without
+    /// [`exdra_obs::set_enabled`]. Nothing is written to disk: a caller
     /// that wants the per-opcode/per-worker cost profile as a file writes
     /// `explain.analyzed`'s `cost_profile_json()` where it chooses.
     pub fn explain_analyze(&self, plan: &Lazy) -> Result<(DenseMatrix, Explain)> {

@@ -301,9 +301,9 @@ fn aggregates_input(
 }
 
 /// Dense view of an entry: zero-copy when the value is a dense matrix
-/// (the common case) or has a dense twin, materializing only sparse and
-/// scalar values. Instruction inputs can be multi-MB partitions, so the
-/// per-instruction clone this avoids dominated federated element-wise ops.
+/// (the common case) or has a dense twin, materializing only scalars.
+/// Instruction inputs can be multi-MB partitions, so the per-instruction
+/// clone this avoids dominated federated element-wise ops.
 enum Dense<'a> {
     Borrowed(&'a DenseMatrix),
     Twin(Arc<DataValue>),
@@ -467,22 +467,20 @@ fn compute(
         MatMul {
             lhs, rhs, t_lhs, ..
         } => {
-            // A sparse left operand keeps its CSR kernels; a compressed
-            // one runs `X v` and `t(X) Y` on its twin or on its column
-            // groups, and has no kernel for `X R` with a wide R: that is
-            // dense, through `m`. The left operand is never transposed:
-            // `t_lhs` picks the kernel.
+            // A compressed left operand runs `X v` and `t(X) Y` on its
+            // twin or on its column groups, and has no kernel for `X R`
+            // with a wide R: that is dense, through `m`. The left operand
+            // is never transposed: `t_lhs` picks the kernel.
             let r = m(*rhs)?;
-            let out = match (&*input(*lhs).1.value, *t_lhs) {
-                (DataValue::Matrix(Matrix::Sparse(s)), false) => s.matmul_dense(&r)?,
-                (DataValue::Matrix(Matrix::Sparse(s)), true) => s.t_matmul_dense(&r)?,
-                (_, false) if r.cols() != 1 => matmul::matmul(&*m(*lhs)?, &r)?,
-                (_, t_lhs) => match (form(*lhs, r.cols())?, t_lhs) {
+            let out = if !*t_lhs && r.cols() != 1 {
+                matmul::matmul(&*m(*lhs)?, &r)?
+            } else {
+                match (form(*lhs, r.cols())?, *t_lhs) {
                     (Form::Dense(x), false) => matmul::matmul(&x, &r)?,
                     (Form::Dense(x), true) => matmul::matmul_tn(&x, &r)?,
                     (Form::Groups(c), false) => c.matvec(&r)?,
                     (Form::Groups(c), true) => c.t_matmul(&r)?,
-                },
+                }
             };
             DataValue::from(out)
         }
@@ -929,7 +927,7 @@ mod tests {
     }
 
     #[test]
-    fn compressed_and_sparse_left_operands_keep_their_kernels_when_transposed() {
+    fn compressed_left_operand_keeps_its_kernels_when_transposed() {
         let mut x = DenseMatrix::zeros(120, 3);
         for r in 0..120 {
             x.set(r, 0, (r % 4) as f64);
@@ -942,22 +940,16 @@ mod tests {
             1,
             DataValue::Matrix(Matrix::Compressed(CompressedMatrix::compress(&x))),
         );
-        t.bind_public(
-            2,
-            DataValue::Matrix(Matrix::Sparse(exdra_matrix::SparseMatrix::from_dense(&x))),
-        );
         t.bind_public(3, DataValue::from(y));
-        for (lhs, out) in [(1u64, 10u64), (2, 11)] {
-            let inst = Instruction::MatMul {
-                lhs,
-                rhs: 3,
-                t_lhs: true,
-                out,
-            };
-            execute(&inst, &t, None).unwrap();
-            let got = t.value(out).unwrap().to_dense().unwrap();
-            assert_eq!(got.values(), want.values(), "lhs {lhs}");
-        }
+        let inst = Instruction::MatMul {
+            lhs: 1,
+            rhs: 3,
+            t_lhs: true,
+            out: 10,
+        };
+        execute(&inst, &t, None).unwrap();
+        let got = t.value(10).unwrap().to_dense().unwrap();
+        assert_eq!(got.values(), want.values());
     }
 
     #[test]

@@ -11,7 +11,7 @@ use crate::error::{Result, RuntimeError};
 /// A value in a control program's symbol table.
 #[derive(Debug, Clone, PartialEq)]
 pub enum DataValue {
-    /// A matrix (dense/sparse/compressed).
+    /// A matrix (dense or compressed).
     Matrix(Matrix),
     /// A heterogeneous frame (raw data).
     Frame(Frame),

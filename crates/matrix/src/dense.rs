@@ -1,9 +1,8 @@
 //! Row-major dense `f64` matrices.
 //!
 //! [`DenseMatrix`] is the workhorse value type of the local runtime: the
-//! federated backend ships these (or their CSR counterparts) between the
-//! coordinator and workers, and every Table-1 kernel has a dense
-//! implementation in [`crate::kernels`].
+//! federated backend ships these between the coordinator and workers, and
+//! every Table-1 kernel has a dense implementation in [`crate::kernels`].
 
 use crate::error::{MatrixError, Result};
 

@@ -9,9 +9,8 @@
 //! * [`DenseMatrix`] — row-major `f64` matrices with the full kernel surface
 //!   of the paper's Table 1 (matrix multiplication, aggregates, element-wise
 //!   unary/binary/ternary/quaternary ops, and reorganizations),
-//! * [`SparseMatrix`] — CSR sparse matrices with conversions and the kernels
-//!   that matter for sparse data (matmul, element-wise, aggregates),
-//! * [`Matrix`] — a representation-polymorphic wrapper used by the runtime,
+//! * [`Matrix`] — the runtime's value wrapper: dense, or compressed when a
+//!   worker compacts a cached intermediate,
 //! * [`Frame`] — heterogeneous frames (string/f64/i64/bool columns) backing
 //!   raw-data access and feature transformations,
 //! * [`compress`] — lossless column compression (DDC/RLE) used by federated
@@ -32,10 +31,8 @@ pub mod io;
 pub mod kernels;
 pub mod matrix;
 pub mod rng;
-pub mod sparse;
 
 pub use dense::DenseMatrix;
 pub use error::{MatrixError, Result};
 pub use frame::{Frame, FrameColumn, ValueType};
 pub use matrix::Matrix;
-pub use sparse::SparseMatrix;

@@ -1,42 +1,26 @@
 //! Representation-polymorphic matrix wrapper.
 //!
-//! [`Matrix`] is what flows through worker symbol tables: the runtime does
-//! not care whether a value is dense or CSR, and workers may transparently
-//! compact cached intermediates into the compressed representation
-//! (see [`crate::compress`]).
+//! [`Matrix`] is what flows through worker symbol tables: values arrive
+//! dense, and workers may transparently compact cached intermediates into
+//! the compressed representation (see [`crate::compress`]).
 
 use crate::compress::CompressedMatrix;
 use crate::dense::DenseMatrix;
-use crate::error::Result;
-use crate::sparse::{SparseMatrix, SPARSITY_THRESHOLD};
 
 /// A matrix in one of the runtime's physical representations.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Matrix {
     /// Row-major dense representation.
     Dense(DenseMatrix),
-    /// CSR sparse representation.
-    Sparse(SparseMatrix),
     /// Losslessly compressed column groups (cached intermediates).
     Compressed(CompressedMatrix),
 }
 
 impl Matrix {
-    /// Wraps a dense matrix, picking CSR automatically when sparsity is
-    /// below [`SPARSITY_THRESHOLD`] (mirroring SystemDS' internal threshold).
-    pub fn from_dense_auto(d: DenseMatrix) -> Self {
-        if d.len() >= 64 && d.sparsity() < SPARSITY_THRESHOLD {
-            Matrix::Sparse(SparseMatrix::from_dense(&d))
-        } else {
-            Matrix::Dense(d)
-        }
-    }
-
     /// Number of rows.
     pub fn rows(&self) -> usize {
         match self {
             Matrix::Dense(d) => d.rows(),
-            Matrix::Sparse(s) => s.rows(),
             Matrix::Compressed(c) => c.rows(),
         }
     }
@@ -45,7 +29,6 @@ impl Matrix {
     pub fn cols(&self) -> usize {
         match self {
             Matrix::Dense(d) => d.cols(),
-            Matrix::Sparse(s) => s.cols(),
             Matrix::Compressed(c) => c.cols(),
         }
     }
@@ -59,18 +42,7 @@ impl Matrix {
     pub fn nnz(&self) -> usize {
         match self {
             Matrix::Dense(d) => d.nnz(),
-            Matrix::Sparse(s) => s.nnz(),
             Matrix::Compressed(c) => c.decompress().nnz(),
-        }
-    }
-
-    /// Fraction of non-zero cells.
-    pub fn sparsity(&self) -> f64 {
-        let cells = self.rows() * self.cols();
-        if cells == 0 {
-            1.0
-        } else {
-            self.nnz() as f64 / cells as f64
         }
     }
 
@@ -78,26 +50,7 @@ impl Matrix {
     pub fn to_dense(&self) -> DenseMatrix {
         match self {
             Matrix::Dense(d) => d.clone(),
-            Matrix::Sparse(s) => s.to_dense(),
             Matrix::Compressed(c) => c.decompress(),
-        }
-    }
-
-    /// Consumes the matrix, producing the dense representation without a
-    /// copy when already dense.
-    pub fn into_dense(self) -> DenseMatrix {
-        match self {
-            Matrix::Dense(d) => d,
-            Matrix::Sparse(s) => s.to_dense(),
-            Matrix::Compressed(c) => c.decompress(),
-        }
-    }
-
-    /// Borrows the dense payload if this is the dense representation.
-    pub fn as_dense(&self) -> Option<&DenseMatrix> {
-        match self {
-            Matrix::Dense(d) => Some(d),
-            _ => None,
         }
     }
 
@@ -105,7 +58,6 @@ impl Matrix {
     pub fn repr_name(&self) -> &'static str {
         match self {
             Matrix::Dense(_) => "dense",
-            Matrix::Sparse(_) => "sparse",
             Matrix::Compressed(_) => "compressed",
         }
     }
@@ -114,27 +66,7 @@ impl Matrix {
     pub fn size_bytes(&self) -> usize {
         match self {
             Matrix::Dense(d) => d.size_bytes(),
-            Matrix::Sparse(s) => s.size_bytes(),
             Matrix::Compressed(c) => c.size_bytes(),
-        }
-    }
-
-    /// Matrix multiplication dispatching on representation: keeps CSR fast
-    /// paths for `sparse * dense` and falls back to dense kernels otherwise.
-    pub fn matmul(&self, rhs: &Matrix) -> Result<Matrix> {
-        let out = match (self, rhs) {
-            (Matrix::Sparse(s), Matrix::Dense(d)) => s.matmul_dense(d)?,
-            (Matrix::Sparse(s), r) => s.matmul_dense(&r.to_dense())?,
-            (l, r) => crate::kernels::matmul::matmul(&l.to_dense_ref(), &r.to_dense_ref())?,
-        };
-        Ok(Matrix::Dense(out))
-    }
-
-    /// Dense view that avoids cloning when already dense.
-    fn to_dense_ref(&self) -> std::borrow::Cow<'_, DenseMatrix> {
-        match self {
-            Matrix::Dense(d) => std::borrow::Cow::Borrowed(d),
-            other => std::borrow::Cow::Owned(other.to_dense()),
         }
     }
 }
@@ -145,38 +77,10 @@ impl From<DenseMatrix> for Matrix {
     }
 }
 
-impl From<SparseMatrix> for Matrix {
-    fn from(s: SparseMatrix) -> Self {
-        Matrix::Sparse(s)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::rng::{rand_matrix, sprand_matrix};
-
-    #[test]
-    fn auto_representation_by_sparsity() {
-        let dense = rand_matrix(10, 10, 0.5, 1.0, 1);
-        assert_eq!(Matrix::from_dense_auto(dense).repr_name(), "dense");
-        let sparse = sprand_matrix(10, 10, 0.5, 1.0, 0.05, 2);
-        assert_eq!(Matrix::from_dense_auto(sparse).repr_name(), "sparse");
-        // Tiny matrices stay dense regardless of sparsity.
-        let tiny = DenseMatrix::zeros(2, 2);
-        assert_eq!(Matrix::from_dense_auto(tiny).repr_name(), "dense");
-    }
-
-    #[test]
-    fn matmul_dispatch_consistent() {
-        let a = sprand_matrix(12, 8, -1.0, 1.0, 0.2, 3);
-        let b = rand_matrix(8, 5, -1.0, 1.0, 4);
-        let want = crate::kernels::matmul::matmul(&a, &b).unwrap();
-        let got = Matrix::from_dense_auto(a)
-            .matmul(&Matrix::Dense(b))
-            .unwrap();
-        assert!(got.to_dense().max_abs_diff(&want) < 1e-12);
-    }
+    use crate::rng::rand_matrix;
 
     #[test]
     fn size_reporting() {

@@ -32,30 +32,6 @@ pub fn randn_matrix(rows: usize, cols: usize, seed: u64) -> DenseMatrix {
     DenseMatrix::new(rows, cols, data).expect("consistent dims")
 }
 
-/// Sparse uniform random matrix: each cell is non-zero with probability
-/// `sparsity`, drawn from `[lo, hi)` otherwise zero.
-pub fn sprand_matrix(
-    rows: usize,
-    cols: usize,
-    lo: f64,
-    hi: f64,
-    sparsity: f64,
-    seed: u64,
-) -> DenseMatrix {
-    let mut rng = StdRng::seed_from_u64(seed);
-    let dist = Uniform::new_inclusive(lo, hi);
-    let data: Vec<f64> = (0..rows * cols)
-        .map(|_| {
-            if rng.gen::<f64>() < sparsity {
-                dist.sample(&mut rng)
-            } else {
-                0.0
-            }
-        })
-        .collect();
-    DenseMatrix::new(rows, cols, data).expect("consistent dims")
-}
-
 /// A uniformly sampled permutation of `1..=n` as a column vector, used for
 /// shuffling and for the selection-matrix train/test split of pipeline P2.
 pub fn rand_permutation(n: usize, seed: u64) -> DenseMatrix {
@@ -93,13 +69,6 @@ mod tests {
         let a = randn_matrix(100, 100, 7);
         let mean = a.values().iter().sum::<f64>() / a.len() as f64;
         assert!(mean.abs() < 0.05, "mean {mean}");
-    }
-
-    #[test]
-    fn sprand_sparsity_close_to_target() {
-        let a = sprand_matrix(100, 100, 1.0, 2.0, 0.1, 3);
-        let frac = a.nnz() as f64 / a.len() as f64;
-        assert!((frac - 0.1).abs() < 0.03, "sparsity {frac}");
     }
 
     #[test]

@@ -14,7 +14,7 @@ use bytes::{Buf, BufMut};
 use exdra_matrix::compress::CompressedMatrix;
 use exdra_matrix::frame::{Frame, FrameColumn};
 use exdra_matrix::kernels::matmul::{KC, NR};
-use exdra_matrix::{DenseMatrix, Matrix, SparseMatrix};
+use exdra_matrix::{DenseMatrix, Matrix};
 
 /// Error raised when decoding malformed wire data.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -281,51 +281,12 @@ impl Wire for DenseMatrix {
     }
 }
 
-impl Wire for SparseMatrix {
-    fn encode(&self, buf: &mut impl BufMut) {
-        // Shipped as a triple dump reconstructed through the validated
-        // constructor on the other side.
-        let d = self.to_dense();
-        let (rows, cols) = d.shape();
-        rows.encode(buf);
-        cols.encode(buf);
-        (self.nnz() as u64).encode(buf);
-        for r in 0..rows {
-            for (c, v) in self.row_entries(r) {
-                (r as u64).encode(buf);
-                (c as u64).encode(buf);
-                v.encode(buf);
-            }
-        }
-    }
-    fn decode(buf: &mut impl Buf) -> DecodeResult<Self> {
-        let rows = usize::decode(buf)?;
-        let cols = usize::decode(buf)?;
-        let nnz = u64::decode(buf)? as usize;
-        let mut dense = DenseMatrix::zeros(rows, cols);
-        for _ in 0..nnz {
-            let r = u64::decode(buf)? as usize;
-            let c = u64::decode(buf)? as usize;
-            let v = f64::decode(buf)?;
-            if r >= rows || c >= cols {
-                return Err(DecodeError(format!("cell ({r},{c}) out of {rows}x{cols}")));
-            }
-            dense.set(r, c, v);
-        }
-        Ok(SparseMatrix::from_dense(&dense))
-    }
-}
-
 impl Wire for Matrix {
     fn encode(&self, buf: &mut impl BufMut) {
         match self {
             Matrix::Dense(d) => {
                 buf.put_u8(0);
                 d.encode(buf);
-            }
-            Matrix::Sparse(s) => {
-                buf.put_u8(1);
-                s.encode(buf);
             }
             // Compressed intermediates are a worker-local storage
             // optimization; they travel decompressed.
@@ -339,7 +300,6 @@ impl Wire for Matrix {
         need(buf, 1, "matrix tag")?;
         match buf.get_u8() {
             0 => Ok(Matrix::Dense(DenseMatrix::decode(buf)?)),
-            1 => Ok(Matrix::Sparse(SparseMatrix::decode(buf)?)),
             other => Err(DecodeError(format!("invalid matrix tag {other}"))),
         }
     }
@@ -416,7 +376,7 @@ impl Wire for Frame {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use exdra_matrix::rng::{rand_matrix, sprand_matrix};
+    use exdra_matrix::rng::rand_matrix;
 
     fn roundtrip<T: Wire + PartialEq + std::fmt::Debug>(v: &T) {
         let bytes = v.to_bytes();
@@ -482,17 +442,8 @@ mod tests {
     }
 
     #[test]
-    fn sparse_matrix_roundtrip() {
-        let s = SparseMatrix::from_dense(&sprand_matrix(20, 10, 1.0, 2.0, 0.15, 72));
-        roundtrip(&s);
-    }
-
-    #[test]
     fn matrix_enum_roundtrip() {
         roundtrip(&Matrix::Dense(rand_matrix(4, 4, 0.0, 1.0, 73)));
-        roundtrip(&Matrix::Sparse(SparseMatrix::from_dense(&sprand_matrix(
-            8, 8, 1.0, 2.0, 0.1, 74,
-        ))));
     }
 
     #[test]
@@ -537,5 +488,13 @@ mod tests {
         assert!(bool::from_bytes(&[7]).is_err());
         assert!(Option::<u64>::from_bytes(&[9]).is_err());
         assert!(Matrix::from_bytes(&[9]).is_err());
+        // A 2^18 x 2^18 shape behind tag 1: rejected by the tag, before
+        // any size is read.
+        let mut frame = vec![1u8];
+        for v in [1u64 << 18, 1 << 18, 0] {
+            frame.extend_from_slice(&v.to_le_bytes());
+        }
+        let err = Matrix::from_bytes(&frame).unwrap_err();
+        assert_eq!(err.0, "invalid matrix tag 1");
     }
 }

@@ -1,7 +1,6 @@
 //! Flight recorder: an always-on, bounded ring of recent spans and
 //! events that dumps a timestamped JSON incident bundle when an anomaly
-//! fires (worker death, recovery, session rejection, deadline miss,
-//! slow query).
+//! fires (worker death, recovery, session rejection, deadline miss).
 //!
 //! Design notes:
 //!

@@ -18,7 +18,6 @@ use exdra::core::DataValue;
 use exdra::matrix::compress::CompressedMatrix;
 use exdra::matrix::frame::FrameColumn;
 use exdra::matrix::rng::rand_matrix;
-use exdra::matrix::sparse::SparseMatrix;
 use exdra::net::codec::Wire;
 use exdra::net::transport::{Channel, TcpChannel};
 use exdra::obs::{RunReport, SpanKind};
@@ -323,21 +322,6 @@ fn arb_dense(max_dim: usize) -> BoxedStrategy<DenseMatrix> {
         .boxed()
 }
 
-/// An arbitrary CSR sparse matrix (~20% nonzeros, including all-zero).
-fn arb_sparse(max_dim: usize) -> BoxedStrategy<SparseMatrix> {
-    (1..=max_dim, 1..=max_dim)
-        .prop_flat_map(|(r, c)| {
-            proptest::collection::vec((0.0f64..1.0, -5.0f64..5.0), r * c).prop_map(move |cells| {
-                let data: Vec<f64> = cells
-                    .into_iter()
-                    .map(|(keep, v)| if keep < 0.2 { v } else { 0.0 })
-                    .collect();
-                SparseMatrix::from_dense(&DenseMatrix::new(r, c, data).unwrap())
-            })
-        })
-        .boxed()
-}
-
 /// An arbitrary raw frame exercising all four column types with missing
 /// cells in the categorical and integer columns.
 fn arb_frame(max_rows: usize) -> BoxedStrategy<Frame> {
@@ -444,24 +428,21 @@ fn arb_partial_meta() -> BoxedStrategy<DataValue> {
         .boxed()
 }
 
-/// Any [`DataValue`] variant: dense / CSR-sparse / compressed matrices,
-/// frames, scalars, both transform-metadata kinds, and nested lists.
+/// Any [`DataValue`] variant: dense / compressed matrices, frames,
+/// scalars, both transform-metadata kinds, and nested lists.
 fn arb_value() -> BoxedStrategy<DataValue> {
-    (0..8u8)
+    (0..7u8)
         .prop_flat_map(|variant| match variant {
             0 => arb_dense(6)
                 .prop_map(|d| DataValue::Matrix(Matrix::Dense(d)))
                 .boxed(),
-            1 => arb_sparse(8)
-                .prop_map(|s| DataValue::Matrix(Matrix::Sparse(s)))
-                .boxed(),
-            2 => arb_dense(5)
+            1 => arb_dense(5)
                 .prop_map(|d| DataValue::Matrix(Matrix::Compressed(CompressedMatrix::compress(&d))))
                 .boxed(),
-            3 => arb_frame(12).prop_map(DataValue::Frame).boxed(),
-            4 => (-1e6f64..1e6).prop_map(DataValue::Scalar).boxed(),
-            5 => arb_transform_meta(),
-            6 => arb_partial_meta(),
+            2 => arb_frame(12).prop_map(DataValue::Frame).boxed(),
+            3 => (-1e6f64..1e6).prop_map(DataValue::Scalar).boxed(),
+            4 => arb_transform_meta(),
+            5 => arb_partial_meta(),
             _ => (
                 arb_dense(3),
                 proptest::collection::vec(-10.0f64..10.0, 1..4),

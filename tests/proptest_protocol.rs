@@ -3,7 +3,8 @@
 //! channel stacks deliver payloads verbatim under all compositions.
 
 use exdra::core::instruction::Instruction;
-use exdra::core::protocol::{Request, Response};
+use exdra::core::protocol::{Request, Response, RpcEnvelope, RpcReply, TraceContext};
+use exdra::core::worker::{Worker, WorkerConfig};
 use exdra::core::DataValue;
 use exdra::net::codec::Wire;
 use exdra::net::crypto::ChannelKey;
@@ -24,6 +25,12 @@ proptest! {
         let _ = DataValue::from_bytes(&bytes);
         let _ = exdra::DenseMatrix::from_bytes(&bytes);
         let _ = exdra::Frame::from_bytes(&bytes);
+        // Behind a valid tag every value decoder sees the garbage, not
+        // only the 1 in ~65 k cases whose first bytes happen to form one.
+        // `[0, 1]` is a matrix with tag 1, the removed CSR form.
+        for prefix in [&[0u8][..], &[1], &[2], &[3], &[4], &[5], &[0, 0], &[0, 1]] {
+            let _ = DataValue::from_bytes(&[prefix, &bytes[..]].concat());
+        }
     }
 
     /// Truncating a valid encoding at any point yields an error, never a
@@ -103,4 +110,53 @@ proptest! {
         );
         prop_assert_eq!(DataValue::from_bytes(&v.to_bytes()).unwrap(), v);
     }
+}
+
+fn envelope(requests: Vec<Request>) -> Vec<u8> {
+    RpcEnvelope {
+        trace: TraceContext::NONE,
+        requests,
+    }
+    .to_bytes()
+}
+
+/// A `PUT` of a matrix with tag 1 (the removed CSR form) and a
+/// 2^18 x 2^18 shape, 25 bytes that once made a worker allocate 512 GiB
+/// and abort: the worker rejects the tag before reading a size, answers
+/// the envelope with an error, and the same connection keeps serving.
+#[test]
+fn worker_rejects_a_tag_1_matrix_put_and_keeps_serving() {
+    let worker = Worker::new(WorkerConfig::default());
+    let mut ch = worker.serve_mem();
+    let marker = DataValue::from(exdra::DenseMatrix::new(1, 3, vec![1.25, -7.5, 3e9]).unwrap());
+    let frame = envelope(vec![Request::Put {
+        id: 1,
+        data: marker.clone(),
+        privacy: exdra::PrivacyLevel::Public,
+    }]);
+    let value = marker.to_bytes();
+    let at = frame
+        .windows(value.len())
+        .position(|w| w == value)
+        .expect("the value's bytes are in the frame");
+    let mut matrix = vec![1u8];
+    for v in [1u64 << 18, 1 << 18, 0] {
+        matrix.extend_from_slice(&v.to_le_bytes());
+    }
+    assert_eq!(matrix.len(), 25);
+    let frame = [&frame[..at], &[0u8], &matrix, &frame[at + value.len()..]].concat();
+
+    ch.send(&frame).unwrap();
+    let reply = RpcReply::from_bytes(&ch.recv().unwrap()).unwrap();
+    match &reply.responses[..] {
+        [Response::Error(e)] => assert!(e.contains("invalid matrix tag 1"), "{e}"),
+        other => panic!("expected one error, got {other:?}"),
+    }
+    ch.send(&envelope(vec![Request::Heartbeat])).unwrap();
+    let reply = RpcReply::from_bytes(&ch.recv().unwrap()).unwrap();
+    assert!(
+        matches!(reply.responses[..], [Response::Alive { .. }]),
+        "{:?}",
+        reply.responses
+    );
 }
