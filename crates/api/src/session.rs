@@ -16,28 +16,28 @@
 //! let sds = Session::builder()
 //!     .connect(&["site-a:8001".into(), "site-b:8001".into()])
 //!     .privacy(PrivacyLevel::PrivateAggregate { min_group: 10 })
-//!     .plan_cache_bytes(64 << 20)
 //!     .supervision(SupervisionPolicy::default())
 //!     .build()
 //!     .unwrap();
 //! ```
 //!
-//! Connected sessions built this way are **self-healing**: the builder
-//! starts a background [`Supervisor`] that heartbeats the workers,
-//! checkpoints their variable environments, and — when a worker dies —
-//! restores its state onto the re-established channel, so an
-//! exploratory computation survives worker restarts.
+//! Connected sessions built this way are **self-healing**: the session
+//! is the one tenant of an in-process [`CoordService`] over its own
+//! context, whose [`Supervisor`] heartbeats the workers, checkpoints
+//! their variable environments, and — when a worker dies — restores its
+//! state onto the re-established channel, so an exploratory computation
+//! survives worker restarts.
 
 use std::sync::Arc;
 use std::time::Duration;
 
-use exdra_coord::{AttachedClient, Tenant};
+use exdra_coord::{AttachedClient, CoordConfig, CoordService, FleetSource, Tenant};
 use exdra_core::coordinator::WorkerEndpoint;
 use exdra_core::fed::prep::FedFrame;
 use exdra_core::fed::FedMatrix;
-use exdra_core::lineage::{CacheScope, CachedEntry, LineageCache};
+use exdra_core::lineage::CachedEntry;
 use exdra_core::protocol::ReadFormat;
-use exdra_core::supervision::{HealthState, SupervisionPolicy, Supervisor};
+use exdra_core::supervision::{SupervisionPolicy, Supervisor};
 use exdra_core::value::DataValue;
 use exdra_core::{FedContext, FedError, PrivacyLevel, Result};
 use exdra_matrix::{DenseMatrix, Frame};
@@ -51,9 +51,9 @@ use crate::plan::Plan;
 /// death while background recovery brings the worker back.
 const RECOVERY_ATTEMPTS: usize = 5;
 
-/// How long [`Session::compute`] waits for a remote coordinator to
+/// How long [`Session::compute`] waits for its coordinator service to
 /// report a recovered worker serviceable again.
-const ATTACH_RECOVERY_TIMEOUT: Duration = Duration::from_secs(10);
+const RECOVERY_TIMEOUT: Duration = Duration::from_secs(10);
 
 /// Where a [`SessionBuilder`] gets its runtime from.
 enum Target {
@@ -73,7 +73,6 @@ enum Target {
 pub struct SessionBuilder {
     target: Target,
     privacy: PrivacyLevel,
-    plan_cache_bytes: Option<usize>,
     supervision: Option<SupervisionPolicy>,
     threads: Option<usize>,
     optimizer: Option<Optimizer>,
@@ -84,7 +83,6 @@ impl Default for SessionBuilder {
         Self {
             target: Target::Local,
             privacy: PrivacyLevel::Public,
-            plan_cache_bytes: None,
             supervision: Some(SupervisionPolicy::default()),
             threads: None,
             optimizer: None,
@@ -107,12 +105,11 @@ impl SessionBuilder {
     }
 
     /// Runs the session as an admitted tenant of an in-process
-    /// [`exdra_coord::CoordService`]. The session reuses the tenant's
-    /// namespaced, fairness-gated context, shares the service's
-    /// cross-session plan cache (a per-session
-    /// [`SessionBuilder::plan_cache_bytes`] is ignored), and delegates
-    /// worker recovery to the service's supervisor — per-session
-    /// [`SessionBuilder::supervision`] settings are ignored too.
+    /// [`CoordService`]. The session reuses the tenant's namespaced,
+    /// fairness-gated context, shares the service's cross-session plan
+    /// cache, and delegates worker recovery to the service's supervisor
+    /// — per-session [`SessionBuilder::supervision`] settings are
+    /// ignored.
     pub fn tenant(mut self, tenant: Arc<Tenant>) -> Self {
         self.target = Target::Tenant(tenant);
         self
@@ -135,24 +132,20 @@ impl SessionBuilder {
         self
     }
 
-    /// Attaches a coordinator-side plan cache with the given byte
-    /// budget: [`Session::compute`] then memoizes consolidated results
-    /// keyed by the plan's [`Lazy::lineage_hash`].
-    pub fn plan_cache_bytes(mut self, byte_budget: usize) -> Self {
-        self.plan_cache_bytes = Some(byte_budget);
-        self
-    }
-
     /// Supervision policy for connected sessions: heartbeat and
     /// checkpoint cadence. The default is
     /// `SupervisionPolicy::default()` (supervision on, 1s checkpoints).
+    /// A supervised `connect`/`context` session is the one tenant of a
+    /// one-slot [`CoordService`] over its own context, whose supervisor
+    /// runs with this policy.
     pub fn supervision(mut self, policy: SupervisionPolicy) -> Self {
         self.supervision = Some(policy);
         self
     }
 
     /// Disables background supervision entirely (no heartbeat thread,
-    /// no checkpoints, no automatic recovery).
+    /// no checkpoints, no automatic recovery): the session runs on its
+    /// bare context, with no coordinator service behind it.
     pub fn no_supervision(mut self) -> Self {
         self.supervision = None;
         self
@@ -184,8 +177,8 @@ impl SessionBuilder {
     }
 
     /// Builds the session, connecting to workers if needed and starting
-    /// the background supervisor for connected sessions (unless
-    /// [`SessionBuilder::no_supervision`] was called).
+    /// the coordinator service that supervises connected sessions
+    /// (unless [`SessionBuilder::no_supervision`] was called).
     pub fn build(self) -> Result<Session> {
         if self.threads == Some(0) {
             return Err(FedError::Config(
@@ -222,36 +215,13 @@ impl SessionBuilder {
                 Some(ctx)
             }
         };
-        // Coordinated sessions (tenant or attached) are supervised by
-        // the service, which owns the fleet's single checkpoint stream;
-        // starting a second supervisor here would duplicate it.
-        let coordinated = tenant.is_some() || attached.is_some();
-        let (supervisor, sup_handle) = match (&ctx, self.supervision) {
-            (Some(ctx), Some(policy)) if !coordinated => {
-                let sup = Supervisor::new(Arc::clone(ctx), policy);
-                let handle = sup.run();
-                (Some(sup), Some(handle))
-            }
-            _ => (None, None),
-        };
-        let plan_cache = match &tenant {
-            // Tenants always share the service's cross-session cache.
-            Some(t) => Some(Arc::clone(t.service().plan_cache())),
-            None if attached.is_some() => None, // remote cache, over the socket
-            None => self.plan_cache_bytes.map(|bytes| {
-                Arc::new(LineageCache::new_scoped(
-                    bytes,
-                    true,
-                    CacheScope::Coordinator,
-                ))
-            }),
-        };
+        if let (Some(ctx), Some(policy), None, None) = (&ctx, self.supervision, &tenant, &attached)
+        {
+            tenant = Some(supervised_tenant(Arc::clone(ctx), policy)?);
+        }
         Ok(Session {
             ctx,
             privacy: self.privacy,
-            plan_cache,
-            supervisor,
-            sup_handle,
             tenant,
             attached,
             optimizer: Arc::new(self.optimizer.unwrap_or_default()),
@@ -259,14 +229,26 @@ impl SessionBuilder {
     }
 }
 
+/// A supervised session over its own context is the one tenant of a
+/// one-slot [`CoordService`] over that same context: the service alone
+/// runs the supervisor, holds the plan cache and recovers workers.
+fn supervised_tenant(ctx: Arc<FedContext>, policy: SupervisionPolicy) -> Result<Arc<Tenant>> {
+    let config = CoordConfig {
+        max_sessions: 1,
+        admission_queue: 0,
+        plan_cache_bytes: 0,
+        supervision: policy,
+        ..CoordConfig::default()
+    };
+    CoordService::start(FleetSource::Context(ctx), config)?.open_session()
+}
+
 /// A user session against a (possibly federated) runtime.
 pub struct Session {
     ctx: Option<Arc<FedContext>>,
     privacy: PrivacyLevel,
-    plan_cache: Option<Arc<LineageCache>>,
-    supervisor: Option<Arc<Supervisor>>,
-    sup_handle: Option<std::thread::JoinHandle<()>>,
-    /// Set for sessions admitted by an in-process coordinator service.
+    /// Set for sessions admitted by an in-process coordinator service,
+    /// including the supervised sessions over their own context.
     tenant: Option<Arc<Tenant>>,
     /// Set for sessions attached to a remote coordinator over TCP.
     attached: Option<Arc<AttachedClient>>,
@@ -285,9 +267,6 @@ impl Session {
         Session {
             ctx: None,
             privacy: PrivacyLevel::Public,
-            plan_cache: None,
-            supervisor: None,
-            sup_handle: None,
             tenant: None,
             attached: None,
             optimizer: Arc::new(Optimizer::new()),
@@ -314,19 +293,15 @@ impl Session {
         Session::builder().tenant(tenant).build()
     }
 
-    /// The coordinator-side plan cache, if one was attached.
-    pub fn plan_cache(&self) -> Option<&Arc<LineageCache>> {
-        self.plan_cache.as_ref()
-    }
-
-    /// The background supervisor, if this is a supervised connected
-    /// session.
+    /// The supervisor of this session's in-process coordinator service,
+    /// if it has one (a tenant, supervised or admitted).
     pub fn supervisor(&self) -> Option<&Arc<Supervisor>> {
-        self.supervisor.as_ref()
+        self.tenant.as_ref().map(|t| t.service().supervisor())
     }
 
     /// The coordinator tenant, if this session was admitted by an
-    /// in-process [`exdra_coord::CoordService`].
+    /// in-process [`CoordService`] (a supervised `connect`/`context`
+    /// session is one, of its own one-slot service).
     pub fn tenant(&self) -> Option<&Arc<Tenant>> {
         self.tenant.as_ref()
     }
@@ -338,17 +313,15 @@ impl Session {
     }
 
     /// Computes a plan like [`Lazy::compute`], additionally memoizing the
-    /// consolidated result in the session's plan cache (when attached via
-    /// [`SessionBuilder::plan_cache_bytes`]). Cache entries are only
-    /// written after a successful compute, so privacy enforcement is
-    /// unaffected: a plan whose consolidation is rejected never lands in
-    /// the cache.
+    /// consolidated result in the plan cache of the session's coordinator
+    /// service, if it has one. Cache entries are only written after a
+    /// successful compute, so privacy enforcement is unaffected: a plan
+    /// whose consolidation is rejected never lands in the cache.
     ///
-    /// On a supervised session, a plan that fails because a worker died
-    /// reports the death to the supervisor (which recovers the worker on
-    /// a background thread — channel re-establishment and state
-    /// restoration never run on this call path) and re-attempts the plan
-    /// once the worker is back, up to a bounded number of rounds.
+    /// On a session with a coordinator service (a tenant, in process or
+    /// attached), a plan that fails because a worker died asks the
+    /// service to recover the worker and re-attempts the plan once the
+    /// worker is back, up to a bounded number of rounds.
     pub fn compute(&self, plan: &Lazy) -> Result<DenseMatrix> {
         let mut attempts = 0;
         loop {
@@ -358,24 +331,12 @@ impl Session {
                         return Err(FedError::WorkerDead { worker, msg });
                     }
                     attempts += 1;
+                    // Either way the service restores the worker and this
+                    // call waits for it before the next round.
                     if let Some(tenant) = &self.tenant {
-                        // The service's supervisor restores every
-                        // namespace; this session then repairs its own
-                        // channel to the replacement worker.
-                        let _ = tenant.recover_worker(worker);
-                        tenant.await_healthy(worker, ATTACH_RECOVERY_TIMEOUT);
+                        let _ = tenant.recover(worker, RECOVERY_TIMEOUT);
                     } else if let Some(client) = &self.attached {
-                        // Recovery runs entirely server-side; wait for
-                        // the WorkerUp notice before re-attempting.
-                        let _ = client.recover(worker, ATTACH_RECOVERY_TIMEOUT);
-                    } else if let Some(sup) = &self.supervisor {
-                        sup.notify_worker_dead(worker);
-                        sup.wait_recoveries();
-                        // The replacement may not be up yet: wait for it,
-                        // at most one heartbeat, before the next round.
-                        sup.wait_until(sup.policy().heartbeat_interval, || {
-                            sup.detector().state(worker) == HealthState::Healthy
-                        });
+                        let _ = client.recover(worker, RECOVERY_TIMEOUT);
                     } else {
                         return Err(FedError::WorkerDead { worker, msg });
                     }
@@ -421,19 +382,16 @@ impl Session {
             );
             return Ok(result);
         }
-        let Some(cache) = &self.plan_cache else {
+        let Some(tenant) = &self.tenant else {
             return self.execute_plan(plan);
         };
+        let cache = tenant.service().plan_cache();
         let key = plan.lineage_hash();
         if let Some(hit) = cache.probe(key) {
-            if let Some(t) = &self.tenant {
-                t.stats().record_probe(true);
-            }
+            tenant.stats().record_probe(true);
             return Ok(hit.value.as_matrix()?.to_dense());
         }
-        if let Some(t) = &self.tenant {
-            t.stats().record_probe(false);
-        }
+        tenant.stats().record_probe(false);
         let result = self.execute_plan(plan)?;
         cache.insert(
             key,
@@ -585,17 +543,6 @@ impl Session {
     }
 }
 
-impl Drop for Session {
-    fn drop(&mut self) {
-        if let Some(sup) = &self.supervisor {
-            sup.stop();
-        }
-        if let Some(handle) = self.sup_handle.take() {
-            let _ = handle.join();
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -670,13 +617,8 @@ mod tests {
 
     #[test]
     fn plan_cache_reuses_identical_plans() {
-        let (ctx, _workers) = mem_federation(2);
-        let sds = Session::builder()
-            .context(ctx)
-            .plan_cache_bytes(1 << 20)
-            .no_supervision()
-            .build()
-            .unwrap();
+        let (service, _workers) = mem_service(2);
+        let sds = Session::from_tenant(service.open_session().unwrap()).unwrap();
         let m = rand_matrix(40, 4, -1.0, 1.0, 7);
         let fed = sds.federated(&m).unwrap();
 
@@ -688,7 +630,7 @@ mod tests {
         let a = sds.compute(&p1).unwrap();
         let b = sds.compute(&p2).unwrap();
         assert!(a.max_abs_diff(&b) < 1e-15);
-        let cache = sds.plan_cache().unwrap();
+        let cache = service.plan_cache();
         assert_eq!(cache.hits(), 1, "second compute served from plan cache");
         assert_eq!(cache.misses(), 1);
 

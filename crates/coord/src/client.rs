@@ -11,10 +11,10 @@
 
 use std::collections::VecDeque;
 use std::io;
-// std Mutex/Condvar: the vendored parking_lot compatibility crate has
-// no condition variables, and inbox waits need one.
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
+
+use parking_lot::{Condvar, Mutex};
 
 use exdra_core::error::{FedError, Result};
 use exdra_core::lineage::CachedEntry;
@@ -75,14 +75,13 @@ impl Shared {
     fn send(&self, frame: &ClientFrame) -> Result<()> {
         self.tx
             .lock()
-            .expect("attach socket lock")
             .send(&frame.to_bytes())
             .map_err(FedError::from)
     }
 
     fn detach(&self) {
         {
-            let mut d = self.detached.lock().expect("detach lock");
+            let mut d = self.detached.lock();
             if *d {
                 return;
             }
@@ -93,11 +92,8 @@ impl Shared {
         }
         // Bounded wait for the ack (signalled on DetachAck or socket
         // close) so callers can assert teardown completed server-side.
-        let d = self.detached.lock().expect("detach lock");
-        let _ = self
-            .detach_cond
-            .wait_timeout(d, Duration::from_secs(5))
-            .expect("detach lock");
+        let d = self.detached.lock();
+        drop(self.detach_cond.wait_timeout(d, Duration::from_secs(5)));
     }
 
     fn run_reader(&self, mut rx: Box<dyn RecvHalf>) {
@@ -108,14 +104,14 @@ impl Shared {
             match frame {
                 ServerFrame::Data { worker, payload } => {
                     if let Some(inbox) = self.inboxes.get(worker as usize) {
-                        let mut st = inbox.state.lock().expect("inbox lock");
+                        let mut st = inbox.state.lock();
                         st.frames.push_back(payload);
                         inbox.cond.notify_all();
                     }
                 }
                 ServerFrame::WorkerDown { worker } => {
                     if let Some(inbox) = self.inboxes.get(worker as usize) {
-                        let mut st = inbox.state.lock().expect("inbox lock");
+                        let mut st = inbox.state.lock();
                         st.down = true;
                         // Replies from the dead incarnation can never
                         // arrive; wake any blocked receiver into its
@@ -126,13 +122,13 @@ impl Shared {
                 }
                 ServerFrame::WorkerUp { worker } => {
                     if let Some(inbox) = self.inboxes.get(worker as usize) {
-                        let mut st = inbox.state.lock().expect("inbox lock");
+                        let mut st = inbox.state.lock();
                         st.down = false;
                         inbox.cond.notify_all();
                     }
                 }
                 reply @ (ServerFrame::CacheHit { .. } | ServerFrame::CacheMiss) => {
-                    let mut slot = self.cache_slot.lock().expect("cache slot lock");
+                    let mut slot = self.cache_slot.lock();
                     slot.reply = Some(reply);
                     self.cache_cond.notify_all();
                 }
@@ -144,12 +140,12 @@ impl Shared {
         }
         // Socket gone: fail everything fast.
         for inbox in &self.inboxes {
-            let mut st = inbox.state.lock().expect("inbox lock");
+            let mut st = inbox.state.lock();
             st.closed = true;
             inbox.cond.notify_all();
         }
         {
-            let mut slot = self.cache_slot.lock().expect("cache slot lock");
+            let mut slot = self.cache_slot.lock();
             slot.closed = true;
             self.cache_cond.notify_all();
         }
@@ -242,15 +238,15 @@ impl AttachedClient {
     /// Probes the server's shared plan cache.
     pub fn cache_probe(&self, key: u64) -> Result<Option<CachedEntry>> {
         let shared = &self.shared;
-        let _serial = shared.cache_lock.lock().expect("cache probe lock");
+        let _serial = shared.cache_lock.lock();
         {
-            let mut slot = shared.cache_slot.lock().expect("cache slot lock");
+            let mut slot = shared.cache_slot.lock();
             slot.reply = None;
         }
         shared.send(&ClientFrame::CacheProbe { key })?;
-        let mut slot = shared.cache_slot.lock().expect("cache slot lock");
+        let mut slot = shared.cache_slot.lock();
         while slot.reply.is_none() && !slot.closed {
-            slot = shared.cache_cond.wait(slot).expect("cache slot lock");
+            slot = shared.cache_cond.wait(slot);
         }
         match slot.reply.take() {
             Some(ServerFrame::CacheHit {
@@ -300,17 +296,13 @@ impl AttachedClient {
             return false;
         };
         let deadline = Instant::now() + timeout;
-        let mut st = inbox.state.lock().expect("inbox lock");
+        let mut st = inbox.state.lock();
         while st.down && !st.closed {
             let now = Instant::now();
             if now >= deadline {
                 return false;
             }
-            st = inbox
-                .cond
-                .wait_timeout(st, deadline - now)
-                .expect("inbox lock")
-                .0;
+            st = inbox.cond.wait_timeout(st, deadline - now);
         }
         !st.closed
     }
@@ -361,10 +353,10 @@ pub struct TunnelSendHalf {
 
 impl SendHalf for TunnelSendHalf {
     fn send(&mut self, payload: &[u8]) -> io::Result<()> {
-        if let Some(e) = unavailable(&self.inbox.state.lock().expect("inbox lock")) {
+        if let Some(e) = unavailable(&self.inbox.state.lock()) {
             return Err(e);
         }
-        self.tx.lock().expect("attach socket lock").send(
+        self.tx.lock().send(
             &ClientFrame::Data {
                 worker: self.worker,
                 payload: payload.to_vec(),
@@ -381,7 +373,7 @@ pub struct TunnelRecvHalf {
 
 impl RecvHalf for TunnelRecvHalf {
     fn recv(&mut self) -> io::Result<Vec<u8>> {
-        let mut st = self.inbox.state.lock().expect("inbox lock");
+        let mut st = self.inbox.state.lock();
         loop {
             if let Some(frame) = st.frames.pop_front() {
                 return Ok(frame);
@@ -389,7 +381,7 @@ impl RecvHalf for TunnelRecvHalf {
             if let Some(e) = unavailable(&st) {
                 return Err(e);
             }
-            st = self.inbox.cond.wait(st).expect("inbox lock");
+            st = self.inbox.cond.wait(st);
         }
     }
 }

@@ -29,7 +29,9 @@
 //!
 //! Sessions attach in process via [`CoordService::open_session`] or over
 //! TCP via [`CoordServer`] + [`AttachedClient`] (the `Session::attach`
-//! path in `exdra-api`).
+//! path in `exdra-api`). A supervised single-user `Session` is the
+//! degenerate case: the one tenant of a service over
+//! [`FleetSource::Context`], its own context.
 //!
 //! The service also exposes an operator-facing HTTP endpoint
 //! ([`OpsServer`]): `/healthz`, `/metrics` (Prometheus, including

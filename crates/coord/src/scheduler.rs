@@ -13,9 +13,9 @@
 
 use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
-// std Mutex/Condvar (not parking_lot): the vendored parking_lot
-// compatibility crate has no condition variables.
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::Arc;
+
+use parking_lot::{Condvar, Mutex};
 
 use exdra_core::coordinator::RpcGate;
 
@@ -97,7 +97,7 @@ impl FairScheduler {
         if requests == 0 {
             return;
         }
-        let mut st = self.state.lock().expect("scheduler lock");
+        let mut st = self.state.lock();
         if st.waiting.is_empty() && st.admissible(&self.cfg, tenant, requests) {
             st.take(tenant, requests);
             return;
@@ -137,7 +137,7 @@ impl FairScheduler {
                 }
                 return;
             }
-            st = self.cond.wait(st).expect("scheduler lock");
+            st = self.cond.wait(st);
         }
     }
 
@@ -146,7 +146,7 @@ impl FairScheduler {
         if requests == 0 {
             return;
         }
-        let mut st = self.state.lock().expect("scheduler lock");
+        let mut st = self.state.lock();
         if let Some(mine) = st.inflight.get_mut(&tenant) {
             *mine = mine.saturating_sub(requests);
             if *mine == 0 {
@@ -161,7 +161,7 @@ impl FairScheduler {
     /// Drops all bookkeeping for a departed tenant (defensive: a
     /// well-behaved tenant has already released everything).
     pub fn forget_tenant(&self, tenant: u64) {
-        let mut st = self.state.lock().expect("scheduler lock");
+        let mut st = self.state.lock();
         if let Some(mine) = st.inflight.remove(&tenant) {
             st.total = st.total.saturating_sub(mine);
         }
@@ -172,7 +172,7 @@ impl FairScheduler {
 
     /// Total in-flight credits right now.
     pub fn inflight(&self) -> u64 {
-        self.state.lock().expect("scheduler lock").total
+        self.state.lock().total
     }
 
     /// How many acquisitions had to wait for capacity so far.

@@ -307,7 +307,7 @@ fn serve_client(service: Arc<CoordService>, channel: Box<dyn Channel>) {
             ClientFrame::Recover { worker } => {
                 let w = worker as usize;
                 let up = service.recover_worker(w).is_ok()
-                    && match service.remake_channel(w) {
+                    && match service.make_channel(w) {
                         Ok(fresh) => {
                             let link = install_link(&service, ns, worker, fresh, &client_tx);
                             links[w] = link;

@@ -6,16 +6,14 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, SystemTime, UNIX_EPOCH};
 
-use parking_lot::Mutex;
-// Admission queueing needs a condition variable, which the vendored
-// parking_lot compatibility crate does not provide.
-use std::sync::{Condvar as StdCondvar, Mutex as StdMutex};
+use parking_lot::{Condvar, Mutex};
 
 use exdra_core::coordinator::{FedContext, WorkerEndpoint};
 use exdra_core::error::{FedError, Result};
 use exdra_core::lineage::{CacheScope, LineageCache};
 use exdra_core::protocol::Request;
 use exdra_core::supervision::{SupervisionPolicy, Supervisor};
+use exdra_fault::HealthState;
 use exdra_net::transport::Channel;
 use exdra_obs as obs;
 
@@ -45,6 +43,12 @@ pub enum FleetSource {
         /// Connection builder.
         factory: ChannelFactory,
     },
+    /// The caller's own context, shared with the service's one session
+    /// (`max_sessions` must be 1). That session keeps the context's
+    /// namespace and id counter and runs ungated; closing it reaps
+    /// nothing, because the caller owns those symbols. This is how a
+    /// supervised `Session` over a bare context gets its supervisor.
+    Context(Arc<FedContext>),
 }
 
 /// Tunables of a [`CoordService`].
@@ -140,8 +144,8 @@ pub struct CoordService {
     /// Shared cross-session plan cache (lineage-keyed).
     plan_cache: Arc<LineageCache>,
     scheduler: Arc<FairScheduler>,
-    admit: StdMutex<AdmitState>,
-    admit_cond: StdCondvar,
+    admit: Mutex<AdmitState>,
+    admit_cond: Condvar,
     next_ns: AtomicU64,
     /// Replaceable factory for Factory fleets (tests swap in replacement
     /// workers here).
@@ -159,6 +163,13 @@ impl CoordService {
     pub fn start(fleet: FleetSource, config: CoordConfig) -> Result<Arc<Self>> {
         let (ctx, factory) = match &fleet {
             FleetSource::Tcp(eps) => (FedContext::connect(eps)?, None),
+            FleetSource::Context(_) if config.max_sessions != 1 => {
+                return Err(FedError::Config(format!(
+                    "a context fleet serves exactly one session, not max_sessions = {}",
+                    config.max_sessions
+                )))
+            }
+            FleetSource::Context(ctx) => (Arc::clone(ctx), None),
             FleetSource::Factory { n_workers, factory } => {
                 let channels = (0..*n_workers)
                     .map(|w| factory(w))
@@ -184,8 +195,8 @@ impl CoordService {
             sup_handle: Mutex::new(None),
             plan_cache,
             scheduler,
-            admit: StdMutex::new(AdmitState::default()),
-            admit_cond: StdCondvar::new(),
+            admit: Mutex::new(AdmitState::default()),
+            admit_cond: Condvar::new(),
             next_ns: AtomicU64::new(1), // 0 = service/legacy namespace
             factory: Mutex::new(factory),
             recovery: Mutex::new(()),
@@ -238,11 +249,11 @@ impl CoordService {
 
     /// Currently admitted sessions.
     pub fn active_sessions(&self) -> usize {
-        self.admit.lock().expect("admission lock").active
+        self.admit.lock().active
     }
 
     fn admit_one(&self) -> Result<()> {
-        let mut st = self.admit.lock().expect("admission lock");
+        let mut st = self.admit.lock();
         if st.active < self.config.max_sessions {
             st.active += 1;
             return Ok(());
@@ -266,7 +277,7 @@ impl CoordService {
         }
         st.waiting += 1;
         while st.active >= self.config.max_sessions && !self.shutdown.load(Ordering::SeqCst) {
-            st = self.admit_cond.wait(st).expect("admission lock");
+            st = self.admit_cond.wait(st);
         }
         st.waiting -= 1;
         if self.shutdown.load(Ordering::SeqCst) {
@@ -280,13 +291,15 @@ impl CoordService {
     }
 
     fn release_slot(&self) {
-        let mut st = self.admit.lock().expect("admission lock");
+        let mut st = self.admit.lock();
         st.active = st.active.saturating_sub(1);
         drop(st);
         self.admit_cond.notify_one();
     }
 
-    fn make_channel(&self, w: usize) -> Result<Box<dyn Channel>> {
+    /// A fresh channel to worker `w`: a new session's, or a repair
+    /// after the supervisor replaced the worker.
+    pub(crate) fn make_channel(&self, w: usize) -> Result<Box<dyn Channel>> {
         match &self.fleet {
             FleetSource::Tcp(_) => self.ctx.connect_extra(w),
             FleetSource::Factory { .. } => {
@@ -295,6 +308,9 @@ impl CoordService {
                 })?;
                 factory(w)
             }
+            FleetSource::Context(_) => Err(FedError::Unsupported(
+                "a context fleet has no connections to hand out".into(),
+            )),
         }
     }
 
@@ -314,20 +330,21 @@ impl CoordService {
     }
 
     fn open_admitted(self: &Arc<Self>) -> Result<Arc<Tenant>> {
-        let ns = self.next_ns.fetch_add(1, Ordering::Relaxed);
         let ctx = match &self.fleet {
+            // The caller owns the context and its symbols: resetting its
+            // namespace would re-issue ids the caller still holds.
+            FleetSource::Context(ctx) => Arc::clone(ctx),
             // Tenant contexts over TCP keep their endpoints so plain RPC
             // retries can reconnect without service involvement.
-            FleetSource::Tcp(eps) => FedContext::connect(eps)?,
+            FleetSource::Tcp(eps) => self.namespaced(FedContext::connect(eps)?),
             FleetSource::Factory { .. } => {
                 let channels = (0..self.num_workers())
                     .map(|w| self.make_channel(w))
                     .collect::<Result<Vec<_>>>()?;
-                FedContext::from_channels(channels)?
+                self.namespaced(FedContext::from_channels(channels)?)
             }
         };
-        ctx.set_namespace(ns);
-        ctx.set_rpc_gate(Some(TenantGate::new(Arc::clone(&self.scheduler), ns)));
+        let ns = ctx.namespace();
         obs::global().inc("coord.sessions.admitted");
         let stats = Arc::new(TenantStats::default());
         self.register_session(ns, "tenant", &stats);
@@ -338,6 +355,15 @@ impl CoordService {
             service: Arc::clone(self),
             closed: AtomicBool::new(false),
         }))
+    }
+
+    /// Moves a fresh tenant context into its own namespace behind the
+    /// fair-scheduler gate.
+    fn namespaced(&self, ctx: Arc<FedContext>) -> Arc<FedContext> {
+        let ns = self.next_ns.fetch_add(1, Ordering::Relaxed);
+        ctx.set_namespace(ns);
+        ctx.set_rpc_gate(Some(TenantGate::new(Arc::clone(&self.scheduler), ns)));
+        ctx
     }
 
     fn register_session(&self, ns: u64, kind: &'static str, stats: &Arc<TenantStats>) {
@@ -383,18 +409,15 @@ impl CoordService {
         Ok((ns, channels, stats))
     }
 
-    /// Rebuilds one worker channel for a remote session (after the
-    /// supervisor replaced the worker).
-    pub(crate) fn remake_channel(&self, w: usize) -> Result<Box<dyn Channel>> {
-        self.make_channel(w)
-    }
-
     /// Reaps namespace `ns` on every worker and frees its admission
     /// slot. Broadcast on the service's own connections, so it works
-    /// even when the departing session's channels are dead.
+    /// even when the departing session's channels are dead. A context
+    /// fleet reaps nothing: its caller owns the symbols.
     pub(crate) fn close_namespace(&self, ns: u64) {
-        for w in 0..self.num_workers() {
-            let _ = self.ctx.call(w, &[Request::ClearNamespace { ns }]);
+        if !matches!(self.fleet, FleetSource::Context(_)) {
+            for w in 0..self.num_workers() {
+                let _ = self.ctx.call(w, &[Request::ClearNamespace { ns }]);
+            }
         }
         self.scheduler.forget_tenant(ns);
         self.sessions.lock().remove(&ns);
@@ -416,12 +439,12 @@ impl CoordService {
         // may not have caught yet: while the detector still claims
         // Healthy, verify with a direct probe before concluding that
         // nothing needs recovering.
-        if self.supervisor.detector().state(w) == exdra_fault::HealthState::Healthy
+        if self.supervisor.detector().state(w) == HealthState::Healthy
             && self.ctx.heartbeat(w).is_err()
         {
             self.supervisor.notify_worker_dead(w);
         }
-        if self.supervisor.detector().state(w) != exdra_fault::HealthState::Healthy {
+        if self.supervisor.detector().state(w) != HealthState::Healthy {
             self.supervisor.wait_recoveries();
         }
         Ok(())
@@ -479,27 +502,33 @@ impl Tenant {
     }
 
     /// Recovers worker `w` after this session observed it dead: drives
-    /// the shared supervisor (at most once fleet-wide per failure), then
-    /// repairs this session's own channel to the replacement.
-    pub fn recover_worker(&self, w: usize) -> Result<()> {
-        self.service.recover_worker(w)?;
-        match &self.service.fleet {
-            FleetSource::Tcp(_) => self.ctx.reconnect(w),
-            FleetSource::Factory { .. } => {
-                let fresh = self.service.remake_channel(w)?;
-                self.ctx.replace_channel(w, fresh)
-            }
-        }
-    }
-
-    /// Waits (bounded) for the supervisor's heartbeat to see `w`
-    /// healthy, re-checking on every completed supervision sweep rather
-    /// than polling wall clock.
-    pub fn await_healthy(&self, w: usize, timeout: Duration) -> bool {
+    /// the shared supervisor (at most once fleet-wide per failure),
+    /// repairs this session's own channel to the replacement, then waits
+    /// up to `timeout` for the supervisor to see `w` healthy. Returns
+    /// the repair's error, or [`FedError::WorkerDead`] on timeout.
+    pub fn recover(&self, w: usize, timeout: Duration) -> Result<()> {
+        let repaired = self
+            .service
+            .recover_worker(w)
+            .and_then(|()| match &self.service.fleet {
+                FleetSource::Tcp(_) => self.ctx.reconnect(w),
+                FleetSource::Factory { .. } => {
+                    self.ctx.replace_channel(w, self.service.make_channel(w)?)
+                }
+                // The supervisor already replaced the one shared channel.
+                FleetSource::Context(_) => Ok(()),
+            });
         let sup = &self.service.supervisor;
-        sup.wait_until(timeout, || {
-            sup.detector().state(w) == exdra_fault::HealthState::Healthy
-        })
+        let healthy = sup.wait_until(timeout, || sup.detector().state(w) == HealthState::Healthy);
+        repaired?;
+        if healthy {
+            Ok(())
+        } else {
+            Err(FedError::WorkerDead {
+                worker: w,
+                msg: "the service could not recover the worker in time".into(),
+            })
+        }
     }
 
     /// Closes the session: reaps the namespace on every worker and frees
@@ -515,5 +544,24 @@ impl Tenant {
 impl Drop for Tenant {
     fn drop(&mut self) {
         self.close();
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use exdra_core::testutil::mem_federation;
+
+    #[test]
+    fn a_context_fleet_serves_exactly_one_session() {
+        let (ctx, _workers) = mem_federation(2);
+        let config = CoordConfig {
+            max_sessions: 2,
+            ..CoordConfig::default()
+        };
+        let err = CoordService::start(FleetSource::Context(ctx), config)
+            .map(|_| ())
+            .unwrap_err();
+        assert!(matches!(err, FedError::Config(_)), "{err:?}");
     }
 }

@@ -25,7 +25,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use parking_lot::Mutex;
+use parking_lot::{Condvar, Mutex};
 
 use exdra_fault::detector::{Event, FailureDetector};
 /// Re-exported so higher layers (API, parameter server) can consult
@@ -98,9 +98,8 @@ pub struct Supervisor {
     /// Completed-sweep counter + condvar, bumped by every sweep (manual
     /// or background-loop). Tests and callers barrier on it through
     /// [`Supervisor::wait_until`] instead of wall-clock sleeps.
-    /// `std::sync` because the vendored `parking_lot` has no `Condvar`.
-    sweep_gen: std::sync::Mutex<u64>,
-    sweep_cond: std::sync::Condvar,
+    sweep_gen: Mutex<u64>,
+    sweep_cond: Condvar,
 }
 
 impl Supervisor {
@@ -116,8 +115,8 @@ impl Supervisor {
             reconnector: Mutex::new(None),
             recoveries: Mutex::new(Vec::new()),
             shutdown: AtomicBool::new(false),
-            sweep_gen: std::sync::Mutex::new(0),
-            sweep_cond: std::sync::Condvar::new(),
+            sweep_gen: Mutex::new(0),
+            sweep_cond: Condvar::new(),
         })
     }
 
@@ -549,13 +548,7 @@ impl Supervisor {
                 recovered.push(w);
             }
         }
-        {
-            let mut gen = self
-                .sweep_gen
-                .lock()
-                .unwrap_or_else(std::sync::PoisonError::into_inner);
-            *gen += 1;
-        }
+        *self.sweep_gen.lock() += 1;
         self.sweep_cond.notify_all();
         recovered
     }
@@ -563,10 +556,7 @@ impl Supervisor {
     /// Number of completed sweeps (heartbeat rounds), whether driven by
     /// the background loop or manual [`Supervisor::sweep`] calls.
     pub fn sweeps_completed(&self) -> u64 {
-        *self
-            .sweep_gen
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
+        *self.sweep_gen.lock()
     }
 
     /// Blocks until `pred()` holds, re-checking after every completed
@@ -577,10 +567,7 @@ impl Supervisor {
     /// wall-clock loops.
     pub fn wait_until(&self, timeout: Duration, mut pred: impl FnMut() -> bool) -> bool {
         let deadline = Instant::now() + timeout;
-        let mut gen = self
-            .sweep_gen
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
+        let mut gen = self.sweep_gen.lock();
         loop {
             drop(gen);
             if pred() {
@@ -591,24 +578,8 @@ impl Supervisor {
                 return false;
             }
             let wait = (deadline - now).min(Duration::from_millis(10));
-            gen = self
-                .sweep_cond
-                .wait_timeout(
-                    self.sweep_gen
-                        .lock()
-                        .unwrap_or_else(std::sync::PoisonError::into_inner),
-                    wait,
-                )
-                .unwrap_or_else(std::sync::PoisonError::into_inner)
-                .0;
+            gen = self.sweep_cond.wait_timeout(self.sweep_gen.lock(), wait);
         }
-    }
-
-    /// Convenience barrier: waits until at least `n` more sweeps have
-    /// completed (a heartbeat-count barrier). Returns `false` on timeout.
-    pub fn wait_sweeps(&self, n: u64, timeout: Duration) -> bool {
-        let target = self.sweeps_completed() + n;
-        self.wait_until(timeout, || self.sweeps_completed() >= target)
     }
 
     /// Runs [`Supervisor::sweep`] every `heartbeat_interval` — and
