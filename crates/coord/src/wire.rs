@@ -6,34 +6,14 @@
 //! cache probes, and worker liveness notifications. Frames ride the
 //! same length-prefixed framing as worker RPC (`exdra_net::framing`).
 
-use bytes::{Buf, BufMut};
-
 use exdra_core::privacy::PrivacyLevel;
 use exdra_core::value::DataValue;
-use exdra_net::codec::{DecodeError, DecodeResult, Wire};
+use exdra_net::wire_enum;
 
 /// Protocol magic leading every handshake (`"exdrcord"`).
 pub(crate) const ATTACH_MAGIC: u64 = 0x6578_6472_636f_7264;
 /// Protocol version of this implementation.
 pub(crate) const ATTACH_VERSION: u32 = 1;
-
-fn put_bytes(buf: &mut impl BufMut, b: &[u8]) {
-    (b.len() as u64).encode(buf);
-    buf.put_slice(b);
-}
-
-fn get_bytes(buf: &mut impl Buf) -> DecodeResult<Vec<u8>> {
-    let len = u64::decode(buf)? as usize;
-    if buf.remaining() < len {
-        return Err(DecodeError(format!(
-            "payload of {len} bytes, {} remaining",
-            buf.remaining()
-        )));
-    }
-    let mut out = vec![0u8; len];
-    buf.copy_to_slice(&mut out);
-    Ok(out)
-}
 
 /// Client → server frames.
 #[derive(Debug, Clone, PartialEq)]
@@ -88,147 +68,30 @@ pub(crate) enum ServerFrame {
     DetachAck,
 }
 
-impl Wire for ClientFrame {
-    fn encode(&self, buf: &mut impl BufMut) {
-        match self {
-            ClientFrame::Attach { magic, version } => {
-                buf.put_u8(0);
-                magic.encode(buf);
-                version.encode(buf);
-            }
-            ClientFrame::Data { worker, payload } => {
-                buf.put_u8(1);
-                worker.encode(buf);
-                put_bytes(buf, payload);
-            }
-            ClientFrame::CacheProbe { key } => {
-                buf.put_u8(2);
-                key.encode(buf);
-            }
-            ClientFrame::CachePut {
-                key,
-                privacy,
-                releasable,
-                value,
-            } => {
-                buf.put_u8(3);
-                key.encode(buf);
-                privacy.encode(buf);
-                releasable.encode(buf);
-                value.encode(buf);
-            }
-            ClientFrame::Recover { worker } => {
-                buf.put_u8(4);
-                worker.encode(buf);
-            }
-            ClientFrame::Detach => buf.put_u8(5),
-        }
-    }
+wire_enum! { ClientFrame {
+    0 => Attach { magic, version },
+    1 => Data { worker, payload },
+    2 => CacheProbe { key },
+    3 => CachePut { key, privacy, releasable, value },
+    4 => Recover { worker },
+    5 => Detach,
+} }
 
-    fn decode(buf: &mut impl Buf) -> DecodeResult<Self> {
-        match u8::decode(buf)? {
-            0 => Ok(ClientFrame::Attach {
-                magic: u64::decode(buf)?,
-                version: u32::decode(buf)?,
-            }),
-            1 => Ok(ClientFrame::Data {
-                worker: u32::decode(buf)?,
-                payload: get_bytes(buf)?,
-            }),
-            2 => Ok(ClientFrame::CacheProbe {
-                key: u64::decode(buf)?,
-            }),
-            3 => Ok(ClientFrame::CachePut {
-                key: u64::decode(buf)?,
-                privacy: PrivacyLevel::decode(buf)?,
-                releasable: bool::decode(buf)?,
-                value: DataValue::decode(buf)?,
-            }),
-            4 => Ok(ClientFrame::Recover {
-                worker: u32::decode(buf)?,
-            }),
-            5 => Ok(ClientFrame::Detach),
-            t => Err(DecodeError(format!("invalid ClientFrame tag {t}"))),
-        }
-    }
-}
-
-impl Wire for ServerFrame {
-    fn encode(&self, buf: &mut impl BufMut) {
-        match self {
-            ServerFrame::Granted { ns, n_workers } => {
-                buf.put_u8(0);
-                ns.encode(buf);
-                n_workers.encode(buf);
-            }
-            ServerFrame::Rejected { active, max } => {
-                buf.put_u8(1);
-                active.encode(buf);
-                max.encode(buf);
-            }
-            ServerFrame::Data { worker, payload } => {
-                buf.put_u8(2);
-                worker.encode(buf);
-                put_bytes(buf, payload);
-            }
-            ServerFrame::CacheHit {
-                privacy,
-                releasable,
-                value,
-            } => {
-                buf.put_u8(3);
-                privacy.encode(buf);
-                releasable.encode(buf);
-                value.encode(buf);
-            }
-            ServerFrame::CacheMiss => buf.put_u8(4),
-            ServerFrame::WorkerDown { worker } => {
-                buf.put_u8(5);
-                worker.encode(buf);
-            }
-            ServerFrame::WorkerUp { worker } => {
-                buf.put_u8(6);
-                worker.encode(buf);
-            }
-            ServerFrame::DetachAck => buf.put_u8(7),
-        }
-    }
-
-    fn decode(buf: &mut impl Buf) -> DecodeResult<Self> {
-        match u8::decode(buf)? {
-            0 => Ok(ServerFrame::Granted {
-                ns: u64::decode(buf)?,
-                n_workers: u32::decode(buf)?,
-            }),
-            1 => Ok(ServerFrame::Rejected {
-                active: u64::decode(buf)?,
-                max: u64::decode(buf)?,
-            }),
-            2 => Ok(ServerFrame::Data {
-                worker: u32::decode(buf)?,
-                payload: get_bytes(buf)?,
-            }),
-            3 => Ok(ServerFrame::CacheHit {
-                privacy: PrivacyLevel::decode(buf)?,
-                releasable: bool::decode(buf)?,
-                value: DataValue::decode(buf)?,
-            }),
-            4 => Ok(ServerFrame::CacheMiss),
-            5 => Ok(ServerFrame::WorkerDown {
-                worker: u32::decode(buf)?,
-            }),
-            6 => Ok(ServerFrame::WorkerUp {
-                worker: u32::decode(buf)?,
-            }),
-            7 => Ok(ServerFrame::DetachAck),
-            t => Err(DecodeError(format!("invalid ServerFrame tag {t}"))),
-        }
-    }
-}
+wire_enum! { ServerFrame {
+    0 => Granted { ns, n_workers },
+    1 => Rejected { active, max },
+    2 => Data { worker, payload },
+    3 => CacheHit { privacy, releasable, value },
+    4 => CacheMiss,
+    5 => WorkerDown { worker },
+    6 => WorkerUp { worker },
+    7 => DetachAck,
+} }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use exdra_net::codec::Wire;
 
     fn hex(bytes: &[u8]) -> String {
         bytes.iter().map(|b| format!("{b:02x}")).collect()

@@ -8,6 +8,7 @@
 use bytes::{Buf, BufMut};
 use exdra_matrix::ValueType;
 use exdra_net::codec::{DecodeError, DecodeResult, Wire};
+use exdra_net::{wire_enum, wire_struct};
 
 use crate::instruction::Instruction;
 use crate::privacy::PrivacyLevel;
@@ -30,58 +31,14 @@ pub enum ReadFormat {
     FrameCsvInfer,
 }
 
-fn vt_tag(v: ValueType) -> u8 {
-    match v {
-        ValueType::F64 => 0,
-        ValueType::I64 => 1,
-        ValueType::Str => 2,
-        ValueType::Bool => 3,
-    }
-}
+wire_enum! { ReadFormat {
+    0 => MatrixCsv,
+    1 => MatrixBin,
+    2 => FrameCsv { schema },
+    3 => FrameCsvInfer,
+} }
 
-fn vt_from(t: u8) -> DecodeResult<ValueType> {
-    Ok(match t {
-        0 => ValueType::F64,
-        1 => ValueType::I64,
-        2 => ValueType::Str,
-        3 => ValueType::Bool,
-        other => return Err(DecodeError(format!("invalid ValueType tag {other}"))),
-    })
-}
-
-impl Wire for ReadFormat {
-    fn encode(&self, buf: &mut impl BufMut) {
-        match self {
-            ReadFormat::MatrixCsv => buf.put_u8(0),
-            ReadFormat::MatrixBin => buf.put_u8(1),
-            ReadFormat::FrameCsv { schema } => {
-                buf.put_u8(2);
-                (schema.len() as u64).encode(buf);
-                for &v in schema {
-                    buf.put_u8(vt_tag(v));
-                }
-            }
-            ReadFormat::FrameCsvInfer => buf.put_u8(3),
-        }
-    }
-    fn decode(buf: &mut impl Buf) -> DecodeResult<Self> {
-        match u8::decode(buf)? {
-            0 => Ok(ReadFormat::MatrixCsv),
-            1 => Ok(ReadFormat::MatrixBin),
-            2 => {
-                let n = u64::decode(buf)? as usize;
-                let mut schema = Vec::with_capacity(n.min(1 << 16));
-                for _ in 0..n {
-                    schema.push(vt_from(u8::decode(buf)?)?);
-                }
-                Ok(ReadFormat::FrameCsv { schema })
-            }
-            3 => Ok(ReadFormat::FrameCsvInfer),
-            t => Err(DecodeError(format!("invalid ReadFormat tag {t}"))),
-        }
-    }
-}
-
+// Hand-written: every level travels with a group, `Public` included.
 impl Wire for PrivacyLevel {
     fn encode(&self, buf: &mut impl BufMut) {
         let (tag, group) = self.to_parts();
@@ -117,24 +74,7 @@ pub struct CheckpointEntry {
     pub lineage: u64,
 }
 
-impl Wire for CheckpointEntry {
-    fn encode(&self, buf: &mut impl BufMut) {
-        self.id.encode(buf);
-        self.value.encode(buf);
-        self.privacy.encode(buf);
-        buf.put_u8(self.releasable as u8);
-        self.lineage.encode(buf);
-    }
-    fn decode(buf: &mut impl Buf) -> DecodeResult<Self> {
-        Ok(CheckpointEntry {
-            id: u64::decode(buf)?,
-            value: DataValue::decode(buf)?,
-            privacy: PrivacyLevel::decode(buf)?,
-            releasable: u8::decode(buf)? != 0,
-            lineage: u64::decode(buf)?,
-        })
-    }
-}
+wire_struct! { CheckpointEntry { id, value, privacy, releasable, lineage } }
 
 /// An incremental checkpoint: every binding mutated after the requested
 /// sequence number plus the IDs removed since, stamped with the table's
@@ -153,22 +93,7 @@ pub struct CheckpointDelta {
     pub removed: Vec<u64>,
 }
 
-impl Wire for CheckpointDelta {
-    fn encode(&self, buf: &mut impl BufMut) {
-        self.seq.encode(buf);
-        self.epoch.encode(buf);
-        self.entries.encode(buf);
-        self.removed.encode(buf);
-    }
-    fn decode(buf: &mut impl Buf) -> DecodeResult<Self> {
-        Ok(CheckpointDelta {
-            seq: u64::decode(buf)?,
-            epoch: u64::decode(buf)?,
-            entries: Vec::<CheckpointEntry>::decode(buf)?,
-            removed: Vec::<u64>::decode(buf)?,
-        })
-    }
-}
+wire_struct! { CheckpointDelta { seq, epoch, entries, removed } }
 
 /// One federated request (paper §4.1).
 #[derive(Debug, Clone, PartialEq)]
@@ -262,93 +187,18 @@ impl Request {
     }
 }
 
-impl Wire for Request {
-    fn encode(&self, buf: &mut impl BufMut) {
-        match self {
-            Request::Read {
-                id,
-                fname,
-                format,
-                privacy,
-            } => {
-                buf.put_u8(0);
-                id.encode(buf);
-                fname.encode(buf);
-                format.encode(buf);
-                privacy.encode(buf);
-            }
-            Request::Put { id, data, privacy } => {
-                buf.put_u8(1);
-                id.encode(buf);
-                data.encode(buf);
-                privacy.encode(buf);
-            }
-            Request::Get { id } => {
-                buf.put_u8(2);
-                id.encode(buf);
-            }
-            Request::ExecInst { inst } => {
-                buf.put_u8(3);
-                inst.encode(buf);
-            }
-            Request::ExecUdf { udf } => {
-                buf.put_u8(4);
-                udf.encode(buf);
-            }
-            Request::Clear => buf.put_u8(5),
-            Request::Heartbeat => buf.put_u8(6),
-            Request::Checkpoint { since_seq } => {
-                buf.put_u8(7);
-                since_seq.encode(buf);
-            }
-            Request::Restore { entries } => {
-                buf.put_u8(8);
-                entries.encode(buf);
-            }
-            Request::ClearNamespace { ns } => {
-                buf.put_u8(9);
-                ns.encode(buf);
-            }
-        }
-    }
-
-    fn decode(buf: &mut impl Buf) -> DecodeResult<Self> {
-        match u8::decode(buf)? {
-            0 => Ok(Request::Read {
-                id: u64::decode(buf)?,
-                fname: String::decode(buf)?,
-                format: ReadFormat::decode(buf)?,
-                privacy: PrivacyLevel::decode(buf)?,
-            }),
-            1 => Ok(Request::Put {
-                id: u64::decode(buf)?,
-                data: DataValue::decode(buf)?,
-                privacy: PrivacyLevel::decode(buf)?,
-            }),
-            2 => Ok(Request::Get {
-                id: u64::decode(buf)?,
-            }),
-            3 => Ok(Request::ExecInst {
-                inst: Instruction::decode(buf)?,
-            }),
-            4 => Ok(Request::ExecUdf {
-                udf: Udf::decode(buf)?,
-            }),
-            5 => Ok(Request::Clear),
-            6 => Ok(Request::Heartbeat),
-            7 => Ok(Request::Checkpoint {
-                since_seq: u64::decode(buf)?,
-            }),
-            8 => Ok(Request::Restore {
-                entries: Vec::<CheckpointEntry>::decode(buf)?,
-            }),
-            9 => Ok(Request::ClearNamespace {
-                ns: u64::decode(buf)?,
-            }),
-            t => Err(DecodeError(format!("invalid Request tag {t}"))),
-        }
-    }
-}
+wire_enum! { Request {
+    0 => Read { id, fname, format, privacy },
+    1 => Put { id, data, privacy },
+    2 => Get { id },
+    3 => ExecInst { inst },
+    4 => ExecUdf { udf },
+    5 => Clear,
+    6 => Heartbeat,
+    7 => Checkpoint { since_seq },
+    8 => Restore { entries },
+    9 => ClearNamespace { ns },
+} }
 
 /// One response per request in the RPC.
 #[derive(Debug, Clone, PartialEq)]
@@ -373,44 +223,13 @@ pub enum Response {
     Checkpoint(CheckpointDelta),
 }
 
-impl Wire for Response {
-    fn encode(&self, buf: &mut impl BufMut) {
-        match self {
-            Response::Ok => buf.put_u8(0),
-            Response::Data(v) => {
-                buf.put_u8(1);
-                v.encode(buf);
-            }
-            Response::Error(msg) => {
-                buf.put_u8(2);
-                msg.encode(buf);
-            }
-            Response::Alive { epoch, load } => {
-                buf.put_u8(3);
-                epoch.encode(buf);
-                load.encode(buf);
-            }
-            Response::Checkpoint(delta) => {
-                buf.put_u8(4);
-                delta.encode(buf);
-            }
-        }
-    }
-
-    fn decode(buf: &mut impl Buf) -> DecodeResult<Self> {
-        match u8::decode(buf)? {
-            0 => Ok(Response::Ok),
-            1 => Ok(Response::Data(DataValue::decode(buf)?)),
-            2 => Ok(Response::Error(String::decode(buf)?)),
-            3 => Ok(Response::Alive {
-                epoch: u64::decode(buf)?,
-                load: u32::decode(buf)?,
-            }),
-            4 => Ok(Response::Checkpoint(CheckpointDelta::decode(buf)?)),
-            t => Err(DecodeError(format!("invalid Response tag {t}"))),
-        }
-    }
-}
+wire_enum! { Response {
+    0 => Ok,
+    1 => Data(value),
+    2 => Error(msg),
+    3 => Alive { epoch, load },
+    4 => Checkpoint(delta),
+} }
 
 /// Trace context propagated with every RPC (tentpole of the
 /// observability layer): the coordinator stamps its current span onto
@@ -455,18 +274,7 @@ impl From<TraceContext> for exdra_obs::TraceContext {
     }
 }
 
-impl Wire for TraceContext {
-    fn encode(&self, buf: &mut impl BufMut) {
-        self.trace_id.encode(buf);
-        self.parent_span.encode(buf);
-    }
-    fn decode(buf: &mut impl Buf) -> DecodeResult<Self> {
-        Ok(TraceContext {
-            trace_id: u64::decode(buf)?,
-            parent_span: u64::decode(buf)?,
-        })
-    }
-}
+wire_struct! { TraceContext { trace_id, parent_span } }
 
 /// What actually travels coordinator→worker per RPC: the request batch
 /// plus the propagated trace context.
@@ -478,18 +286,7 @@ pub struct RpcEnvelope {
     pub requests: Vec<Request>,
 }
 
-impl Wire for RpcEnvelope {
-    fn encode(&self, buf: &mut impl BufMut) {
-        self.trace.encode(buf);
-        self.requests.encode(buf);
-    }
-    fn decode(buf: &mut impl Buf) -> DecodeResult<Self> {
-        Ok(RpcEnvelope {
-            trace: TraceContext::decode(buf)?,
-            requests: Vec::<Request>::decode(buf)?,
-        })
-    }
-}
+wire_struct! { RpcEnvelope { trace, requests } }
 
 /// Worker-side accounting for one executed batch, returned in the
 /// [`RpcReply`] footer so the coordinator can split round-trip time
@@ -507,22 +304,7 @@ pub struct BatchFooter {
     pub cache_misses: u64,
 }
 
-impl Wire for BatchFooter {
-    fn encode(&self, buf: &mut impl BufMut) {
-        self.exec_nanos.encode(buf);
-        self.request_nanos.encode(buf);
-        self.cache_hits.encode(buf);
-        self.cache_misses.encode(buf);
-    }
-    fn decode(buf: &mut impl Buf) -> DecodeResult<Self> {
-        Ok(BatchFooter {
-            exec_nanos: u64::decode(buf)?,
-            request_nanos: Vec::<u64>::decode(buf)?,
-            cache_hits: u64::decode(buf)?,
-            cache_misses: u64::decode(buf)?,
-        })
-    }
-}
+wire_struct! { BatchFooter { exec_nanos, request_nanos, cache_hits, cache_misses } }
 
 /// What travels worker→coordinator per RPC: one response per request
 /// plus the per-batch timing footer.
@@ -534,18 +316,7 @@ pub struct RpcReply {
     pub footer: BatchFooter,
 }
 
-impl Wire for RpcReply {
-    fn encode(&self, buf: &mut impl BufMut) {
-        self.responses.encode(buf);
-        self.footer.encode(buf);
-    }
-    fn decode(buf: &mut impl Buf) -> DecodeResult<Self> {
-        Ok(RpcReply {
-            responses: Vec::<Response>::decode(buf)?,
-            footer: BatchFooter::decode(buf)?,
-        })
-    }
-}
+wire_struct! { RpcReply { responses, footer } }
 
 #[cfg(test)]
 mod tests {
@@ -687,6 +458,24 @@ mod tests {
             ..CheckpointDelta::default()
         });
         assert_eq!(Response::from_bytes(&empty.to_bytes()).unwrap(), empty);
+    }
+
+    #[test]
+    fn checkpoint_releasable_flag_is_a_strict_bool() {
+        let entry = CheckpointEntry {
+            id: 5,
+            value: DataValue::Scalar(2.5),
+            privacy: PrivacyLevel::Public,
+            releasable: true,
+            lineage: 1,
+        };
+        let mut bytes = entry.to_bytes();
+        // After the id (8 bytes), the scalar (1 + 8) and the level (1 + 8).
+        let flag = 8 + 9 + 9;
+        assert_eq!(bytes[flag], 1);
+        bytes[flag] = 2;
+        let err = CheckpointEntry::from_bytes(&bytes).unwrap_err();
+        assert_eq!(err.0, "invalid bool byte 2");
     }
 
     #[test]

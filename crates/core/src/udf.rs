@@ -7,8 +7,7 @@
 //! parameter server ships its gradient/update functions "during setup";
 //! see DESIGN.md §4 for the substitution note).
 
-use bytes::{Buf, BufMut};
-use exdra_net::codec::{DecodeError, DecodeResult, Wire};
+use exdra_net::wire_enum;
 use exdra_transform::TransformSpec;
 
 use crate::value::DataValue;
@@ -144,221 +143,17 @@ impl Udf {
     }
 }
 
-impl Wire for Udf {
-    fn encode(&self, buf: &mut impl BufMut) {
-        match self {
-            Udf::EncodeBuildPartial { frame, spec } => {
-                buf.put_u8(0);
-                frame.encode(buf);
-                spec.encode(buf);
-            }
-            Udf::EncodeApply { frame, meta, out } => {
-                buf.put_u8(1);
-                frame.encode(buf);
-                meta.encode(buf);
-                out.encode(buf);
-            }
-            Udf::FrameSelect {
-                frame,
-                columns,
-                out,
-            } => {
-                buf.put_u8(2);
-                frame.encode(buf);
-                columns.encode(buf);
-                out.encode(buf);
-            }
-            Udf::Shuffle {
-                x,
-                y,
-                seed,
-                out_x,
-                out_y,
-            } => {
-                buf.put_u8(3);
-                x.encode(buf);
-                y.encode(buf);
-                seed.encode(buf);
-                out_x.encode(buf);
-                out_y.encode(buf);
-            }
-            Udf::Replicate {
-                x,
-                y,
-                times,
-                out_x,
-                out_y,
-            } => {
-                buf.put_u8(4);
-                x.encode(buf);
-                y.encode(buf);
-                times.encode(buf);
-                out_x.encode(buf);
-                out_y.encode(buf);
-            }
-            Udf::CompactNow { min_bytes } => {
-                buf.put_u8(5);
-                min_bytes.encode(buf);
-            }
-            Udf::CacheStats => buf.put_u8(6),
-            Udf::MatrixDims { id } => {
-                buf.put_u8(8);
-                id.encode(buf);
-            }
-            Udf::CategoryCounts { frame, column } => {
-                buf.put_u8(9);
-                frame.encode(buf);
-                column.encode(buf);
-            }
-            Udf::FillMissing {
-                frame,
-                column,
-                value,
-                out,
-            } => {
-                buf.put_u8(10);
-                frame.encode(buf);
-                column.encode(buf);
-                value.encode(buf);
-                out.encode(buf);
-            }
-            Udf::Registered {
-                name,
-                args,
-                arg_ids,
-                out,
-            } => {
-                buf.put_u8(7);
-                name.encode(buf);
-                args.encode(buf);
-                arg_ids.encode(buf);
-                out.encode(buf);
-            }
-        }
-    }
-
-    fn decode(buf: &mut impl Buf) -> DecodeResult<Self> {
-        match u8::decode(buf)? {
-            0 => Ok(Udf::EncodeBuildPartial {
-                frame: u64::decode(buf)?,
-                spec: TransformSpec::decode(buf)?,
-            }),
-            1 => Ok(Udf::EncodeApply {
-                frame: u64::decode(buf)?,
-                meta: u64::decode(buf)?,
-                out: u64::decode(buf)?,
-            }),
-            2 => Ok(Udf::FrameSelect {
-                frame: u64::decode(buf)?,
-                columns: Wire::decode(buf)?,
-                out: u64::decode(buf)?,
-            }),
-            3 => Ok(Udf::Shuffle {
-                x: u64::decode(buf)?,
-                y: Option::decode(buf)?,
-                seed: u64::decode(buf)?,
-                out_x: u64::decode(buf)?,
-                out_y: Option::decode(buf)?,
-            }),
-            4 => Ok(Udf::Replicate {
-                x: u64::decode(buf)?,
-                y: Option::decode(buf)?,
-                times: u64::decode(buf)?,
-                out_x: u64::decode(buf)?,
-                out_y: Option::decode(buf)?,
-            }),
-            5 => Ok(Udf::CompactNow {
-                min_bytes: u64::decode(buf)?,
-            }),
-            6 => Ok(Udf::CacheStats),
-            8 => Ok(Udf::MatrixDims {
-                id: u64::decode(buf)?,
-            }),
-            9 => Ok(Udf::CategoryCounts {
-                frame: u64::decode(buf)?,
-                column: String::decode(buf)?,
-            }),
-            10 => Ok(Udf::FillMissing {
-                frame: u64::decode(buf)?,
-                column: String::decode(buf)?,
-                value: String::decode(buf)?,
-                out: u64::decode(buf)?,
-            }),
-            7 => Ok(Udf::Registered {
-                name: String::decode(buf)?,
-                args: Wire::decode(buf)?,
-                arg_ids: Wire::decode(buf)?,
-                out: Option::decode(buf)?,
-            }),
-            t => Err(DecodeError(format!("invalid Udf tag {t}"))),
-        }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use exdra_transform::{ColumnSpec, EncodeKind};
-
-    #[test]
-    fn wire_roundtrip_all_variants() {
-        let samples = vec![
-            Udf::EncodeBuildPartial {
-                frame: 1,
-                spec: TransformSpec {
-                    columns: vec![ColumnSpec {
-                        name: "a".into(),
-                        kind: EncodeKind::Recode,
-                        one_hot: true,
-                    }],
-                },
-            },
-            Udf::EncodeApply {
-                frame: 1,
-                meta: 2,
-                out: 3,
-            },
-            Udf::FrameSelect {
-                frame: 1,
-                columns: vec!["a".into(), "b".into()],
-                out: 2,
-            },
-            Udf::Shuffle {
-                x: 1,
-                y: Some(2),
-                seed: 42,
-                out_x: 3,
-                out_y: Some(4),
-            },
-            Udf::Replicate {
-                x: 1,
-                y: None,
-                times: 3,
-                out_x: 2,
-                out_y: None,
-            },
-            Udf::CompactNow { min_bytes: 1024 },
-            Udf::MatrixDims { id: 3 },
-            Udf::CategoryCounts {
-                frame: 1,
-                column: "recipe".into(),
-            },
-            Udf::FillMissing {
-                frame: 1,
-                column: "recipe".into(),
-                value: "R101".into(),
-                out: 2,
-            },
-            Udf::CacheStats,
-            Udf::Registered {
-                name: "grad".into(),
-                args: vec![DataValue::Scalar(0.01)],
-                arg_ids: vec![5, 6],
-                out: Some(7),
-            },
-        ];
-        for udf in samples {
-            assert_eq!(Udf::from_bytes(&udf.to_bytes()).unwrap(), udf);
-        }
-    }
-}
+// Tags are not in declaration order: `Registered` is 7.
+wire_enum! { Udf {
+    0 => EncodeBuildPartial { frame, spec },
+    1 => EncodeApply { frame, meta, out },
+    2 => FrameSelect { frame, columns, out },
+    3 => Shuffle { x, y, seed, out_x, out_y },
+    4 => Replicate { x, y, times, out_x, out_y },
+    5 => CompactNow { min_bytes },
+    6 => CacheStats,
+    8 => MatrixDims { id },
+    9 => CategoryCounts { frame, column },
+    10 => FillMissing { frame, column, value, out },
+    7 => Registered { name, args, arg_ids, out },
+} }

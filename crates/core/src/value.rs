@@ -1,9 +1,8 @@
 //! Typed values held in symbol tables and shipped in requests/responses.
 
-use bytes::{Buf, BufMut};
 use exdra_matrix::frame::Frame;
 use exdra_matrix::{DenseMatrix, Matrix};
-use exdra_net::codec::{DecodeError, DecodeResult, Wire};
+use exdra_net::wire_enum;
 use exdra_transform::{PartialMeta, TransformMeta};
 
 use crate::error::{Result, RuntimeError};
@@ -114,53 +113,20 @@ impl From<f64> for DataValue {
     }
 }
 
-impl Wire for DataValue {
-    fn encode(&self, buf: &mut impl BufMut) {
-        match self {
-            DataValue::Matrix(m) => {
-                buf.put_u8(0);
-                m.encode(buf);
-            }
-            DataValue::Frame(f) => {
-                buf.put_u8(1);
-                f.encode(buf);
-            }
-            DataValue::Scalar(s) => {
-                buf.put_u8(2);
-                s.encode(buf);
-            }
-            DataValue::TransformMeta(m) => {
-                buf.put_u8(3);
-                m.encode(buf);
-            }
-            DataValue::PartialMeta(m) => {
-                buf.put_u8(4);
-                m.encode(buf);
-            }
-            DataValue::List(vs) => {
-                buf.put_u8(5);
-                vs.encode(buf);
-            }
-        }
-    }
-
-    fn decode(buf: &mut impl Buf) -> DecodeResult<Self> {
-        match u8::decode(buf)? {
-            0 => Ok(DataValue::Matrix(Matrix::decode(buf)?)),
-            1 => Ok(DataValue::Frame(Frame::decode(buf)?)),
-            2 => Ok(DataValue::Scalar(f64::decode(buf)?)),
-            3 => Ok(DataValue::TransformMeta(TransformMeta::decode(buf)?)),
-            4 => Ok(DataValue::PartialMeta(PartialMeta::decode(buf)?)),
-            5 => Ok(DataValue::List(Wire::decode(buf)?)),
-            t => Err(DecodeError(format!("invalid DataValue tag {t}"))),
-        }
-    }
-}
+wire_enum! { DataValue {
+    0 => Matrix(m),
+    1 => Frame(f),
+    2 => Scalar(s),
+    3 => TransformMeta(m),
+    4 => PartialMeta(m),
+    5 => List(vs),
+} }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use exdra_matrix::rng::rand_matrix;
+    use exdra_net::codec::Wire;
 
     #[test]
     fn accessors_check_types() {

@@ -1,4 +1,4 @@
-//! Hand-written binary wire format.
+//! Binary wire format.
 //!
 //! The paper's coordinator and workers exchange typed payloads (matrices,
 //! frames, scalars, instruction strings). [`Wire`] is a small, explicit
@@ -8,13 +8,27 @@
 //!
 //! Layout conventions: all integers little-endian; lengths as `u64`;
 //! strings as length-prefixed UTF-8; matrices as shape + payload with a
-//! representation tag.
+//! representation tag; enums as a `u8` tag followed by the variant's
+//! fields.
+//!
+//! Every message type is declared once, as one row:
+//! [`wire_struct!`](crate::wire_struct) lists a struct's fields in wire
+//! order, and [`wire_enum!`](crate::wire_enum) gives each variant its tag
+//! and its fields in wire order. Encode and decode are generated from the
+//! same row, so they cannot drift apart. Only the primitives and the bulk
+//! codecs below are written by hand: dense payloads are chunked on the
+//! compute pool, and a frame travels as its names, then its columns.
 
 use bytes::{Buf, BufMut};
 use exdra_matrix::compress::CompressedMatrix;
 use exdra_matrix::frame::{Frame, FrameColumn};
 use exdra_matrix::kernels::matmul::{KC, NR};
-use exdra_matrix::{DenseMatrix, Matrix};
+use exdra_matrix::{DenseMatrix, Matrix, ValueType};
+
+// The row macros name these through `$crate`, so a crate that invokes
+// them needs no `bytes` dependency of its own.
+#[doc(hidden)]
+pub use bytes::{Buf as __Buf, BufMut as __BufMut};
 
 /// Error raised when decoding malformed wire data.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -64,7 +78,111 @@ pub trait Wire: Sized {
         }
         Ok(v)
     }
+
+    /// Appends `items` one after the other: a `Vec<Self>` after its
+    /// length. `u8` overrides it with one slice copy.
+    fn encode_all(items: &[Self], buf: &mut impl BufMut) {
+        for v in items {
+            v.encode(buf);
+        }
+    }
+
+    /// Decodes `len` values one after the other: a `Vec<Self>` after its
+    /// length. `u8` overrides it with one slice copy.
+    fn decode_all(len: usize, buf: &mut impl Buf) -> DecodeResult<Vec<Self>> {
+        // Cap the pre-allocation so a corrupt length cannot OOM us.
+        let mut out = Vec::with_capacity(len.min(buf.remaining()).min(1 << 20));
+        for _ in 0..len {
+            out.push(Self::decode(buf)?);
+        }
+        Ok(out)
+    }
 }
+
+/// Implements [`Wire`] for a struct from one row, its fields in wire
+/// order: `wire_struct! { Name { field, ... } }`. Each field travels in
+/// its own `Wire` encoding. The row must name every field, or the
+/// generated code does not compile.
+#[macro_export]
+macro_rules! wire_struct {
+    ($ty:ident { $($field:ident),+ $(,)? }) => {
+        impl $crate::codec::Wire for $ty {
+            fn encode(&self, buf: &mut impl $crate::codec::__BufMut) {
+                let Self { $($field),+ } = self;
+                $($crate::codec::Wire::encode($field, buf);)+
+            }
+
+            fn decode(
+                buf: &mut impl $crate::codec::__Buf,
+            ) -> $crate::codec::DecodeResult<Self> {
+                Ok(Self { $($field: $crate::codec::Wire::decode(buf)?),+ })
+            }
+        }
+    };
+}
+
+/// Implements [`Wire`] for an enum from one row per variant: a `u8` tag,
+/// then the variant's fields in wire order, each in its own `Wire`
+/// encoding. Rows cover unit, struct and tuple variants:
+///
+/// ```text
+/// wire_enum! { Name {
+///     0 => Unit,
+///     1 => Named { a, b },
+///     2 => Tuple(v),
+/// } }
+/// ```
+///
+/// An unknown tag decodes to the error `invalid Name tag <t>`; write
+/// `Name as "what" { ... }` to say `what` there instead.
+#[macro_export]
+macro_rules! wire_enum {
+    ($ty:ident as $what:literal { $($rows:tt)* }) => {
+        $crate::wire_enum!(@impl $ty, $what, $($rows)*);
+    };
+    ($ty:ident { $($rows:tt)* }) => {
+        $crate::wire_enum!(@impl $ty, stringify!($ty), $($rows)*);
+    };
+    (@impl $ty:ident, $what:expr, $(
+        $tag:literal => $variant:ident
+            $({ $($field:ident),+ $(,)? })?
+            $(( $($pos:ident),+ $(,)? ))?
+    ),+ $(,)?) => {
+        impl $crate::codec::Wire for $ty {
+            fn encode(&self, buf: &mut impl $crate::codec::__BufMut) {
+                match self {
+                    $(Self::$variant $({ $($field),+ })? $(( $($pos),+ ))? => {
+                        <u8 as $crate::codec::Wire>::encode(&$tag, buf);
+                        $($($crate::codec::Wire::encode($field, buf);)+)?
+                        $($($crate::codec::Wire::encode($pos, buf);)+)?
+                    })+
+                }
+            }
+
+            fn decode(
+                buf: &mut impl $crate::codec::__Buf,
+            ) -> $crate::codec::DecodeResult<Self> {
+                Ok(match <u8 as $crate::codec::Wire>::decode(buf)? {
+                    $($tag => Self::$variant
+                        $({ $($field: $crate::codec::Wire::decode(buf)?),+ })?
+                        $(( $({
+                            let $pos = $crate::codec::Wire::decode(buf)?;
+                            $pos
+                        }),+ ))?,
+                    )+
+                    t => {
+                        return Err($crate::codec::DecodeError(format!(
+                            "invalid {} tag {t}",
+                            $what
+                        )))
+                    }
+                })
+            }
+        }
+    };
+}
+
+// The primitives below are the leaves every row is built from.
 
 impl Wire for u8 {
     fn encode(&self, buf: &mut impl BufMut) {
@@ -73,6 +191,16 @@ impl Wire for u8 {
     fn decode(buf: &mut impl Buf) -> DecodeResult<Self> {
         need(buf, 1, "u8")?;
         Ok(buf.get_u8())
+    }
+    // Byte payloads (attach frames tunnel whole RPCs) move in one copy.
+    fn encode_all(items: &[u8], buf: &mut impl BufMut) {
+        buf.put_slice(items);
+    }
+    fn decode_all(len: usize, buf: &mut impl Buf) -> DecodeResult<Vec<u8>> {
+        need(buf, len, "byte payload")?;
+        let mut out = vec![0u8; len];
+        buf.copy_to_slice(&mut out);
+        Ok(out)
     }
 }
 
@@ -177,18 +305,11 @@ impl<T: Wire> Wire for Option<T> {
 impl<T: Wire> Wire for Vec<T> {
     fn encode(&self, buf: &mut impl BufMut) {
         (self.len() as u64).encode(buf);
-        for v in self {
-            v.encode(buf);
-        }
+        T::encode_all(self, buf);
     }
     fn decode(buf: &mut impl Buf) -> DecodeResult<Self> {
         let len = u64::decode(buf)? as usize;
-        // Cap the pre-allocation so a corrupt length cannot OOM us.
-        let mut out = Vec::with_capacity(len.min(1 << 20));
-        for _ in 0..len {
-            out.push(T::decode(buf)?);
-        }
-        Ok(out)
+        T::decode_all(len, buf)
     }
 }
 
@@ -219,6 +340,7 @@ fn wire_chunk_cells(n: usize) -> usize {
     exdra_par::chunk_len(n, PAR_DENSE_CELLS / 8).next_multiple_of(WIRE_PANEL_CELLS)
 }
 
+// Hand-written: large payloads are byte-converted on the compute pool.
 impl Wire for DenseMatrix {
     fn encode(&self, buf: &mut impl BufMut) {
         self.rows().encode(buf);
@@ -248,6 +370,7 @@ impl Wire for DenseMatrix {
         let cols = usize::decode(buf)?;
         let n = rows
             .checked_mul(cols)
+            .filter(|n| n.checked_mul(8).is_some())
             .ok_or_else(|| DecodeError("matrix size overflow".into()))?;
         need(buf, n * 8, "dense payload")?;
         let mut data = vec![0.0f64; n];
@@ -281,6 +404,7 @@ impl Wire for DenseMatrix {
     }
 }
 
+// Hand-written: both representations travel under the dense tag.
 impl Wire for Matrix {
     fn encode(&self, buf: &mut impl BufMut) {
         match self {
@@ -305,8 +429,8 @@ impl Wire for Matrix {
     }
 }
 
-// CompressedMatrix has no direct wire form (see Matrix::encode); provide a
-// helper for symmetry in tests.
+// Hand-written: CompressedMatrix has no direct wire form (see
+// Matrix::encode); this helper travels it dense, for symmetry in tests.
 impl Wire for CompressedMatrix {
     fn encode(&self, buf: &mut impl BufMut) {
         self.decompress().encode(buf);
@@ -316,39 +440,21 @@ impl Wire for CompressedMatrix {
     }
 }
 
-impl Wire for FrameColumn {
-    fn encode(&self, buf: &mut impl BufMut) {
-        match self {
-            FrameColumn::F64(v) => {
-                buf.put_u8(0);
-                v.encode(buf);
-            }
-            FrameColumn::I64(v) => {
-                buf.put_u8(1);
-                v.encode(buf);
-            }
-            FrameColumn::Str(v) => {
-                buf.put_u8(2);
-                v.encode(buf);
-            }
-            FrameColumn::Bool(v) => {
-                buf.put_u8(3);
-                v.encode(buf);
-            }
-        }
-    }
-    fn decode(buf: &mut impl Buf) -> DecodeResult<Self> {
-        need(buf, 1, "column tag")?;
-        match buf.get_u8() {
-            0 => Ok(FrameColumn::F64(Wire::decode(buf)?)),
-            1 => Ok(FrameColumn::I64(Wire::decode(buf)?)),
-            2 => Ok(FrameColumn::Str(Wire::decode(buf)?)),
-            3 => Ok(FrameColumn::Bool(Wire::decode(buf)?)),
-            other => Err(DecodeError(format!("invalid column tag {other}"))),
-        }
-    }
-}
+wire_enum! { ValueType {
+    0 => F64,
+    1 => I64,
+    2 => Str,
+    3 => Bool,
+} }
 
+wire_enum! { FrameColumn as "column" {
+    0 => F64(v),
+    1 => I64(v),
+    2 => Str(v),
+    3 => Bool(v),
+} }
+
+// Hand-written: a frame travels as all of its names, then its columns.
 impl Wire for Frame {
     fn encode(&self, buf: &mut impl BufMut) {
         (self.cols() as u64).encode(buf);
@@ -474,6 +580,26 @@ mod tests {
         for cut in [0, 1, 8, 15, bytes.len() - 1] {
             assert!(DenseMatrix::from_bytes(&bytes[..cut]).is_err(), "cut {cut}");
         }
+    }
+
+    #[test]
+    fn byte_vectors_move_as_one_slice() {
+        let payload = vec![7u8, 0, 255];
+        let bytes = payload.to_bytes();
+        assert_eq!(bytes, [3, 0, 0, 0, 0, 0, 0, 0, 7, 0, 255]);
+        roundtrip(&payload);
+        assert!(Vec::<u8>::from_bytes(&bytes[..10]).is_err());
+    }
+
+    #[test]
+    fn oversized_shapes_rejected() {
+        // 2^61 cells: the count fits a usize, its byte size does not.
+        let mut frame = Vec::new();
+        for v in [1u64 << 61, 1] {
+            frame.extend_from_slice(&v.to_le_bytes());
+        }
+        let err = DenseMatrix::from_bytes(&frame).unwrap_err();
+        assert_eq!(err.0, "matrix size overflow");
     }
 
     #[test]

@@ -19,10 +19,9 @@
 
 use std::collections::BTreeSet;
 
-use bytes::{Buf, BufMut};
 use exdra_matrix::frame::{Frame, FrameColumn};
 use exdra_matrix::{DenseMatrix, MatrixError, Result};
-use exdra_net::codec::{DecodeError, DecodeResult, Wire};
+use exdra_net::{wire_enum, wire_struct};
 
 use crate::hashing::feature_bucket;
 
@@ -458,156 +457,34 @@ pub fn decode(encoded: &DenseMatrix, meta: &TransformMeta) -> Result<Frame> {
 // Wire encodings (spec/metadata travel between coordinator and workers).
 // ---------------------------------------------------------------------------
 
-impl Wire for EncodeKind {
-    fn encode(&self, buf: &mut impl BufMut) {
-        match self {
-            EncodeKind::PassThrough => buf.put_u8(0),
-            EncodeKind::Recode => buf.put_u8(1),
-            EncodeKind::Bin { num_bins } => {
-                buf.put_u8(2);
-                num_bins.encode(buf);
-            }
-            EncodeKind::Hash { num_features } => {
-                buf.put_u8(3);
-                num_features.encode(buf);
-            }
-        }
-    }
-    fn decode(buf: &mut impl Buf) -> DecodeResult<Self> {
-        match u8::decode(buf)? {
-            0 => Ok(EncodeKind::PassThrough),
-            1 => Ok(EncodeKind::Recode),
-            2 => Ok(EncodeKind::Bin {
-                num_bins: usize::decode(buf)?,
-            }),
-            3 => Ok(EncodeKind::Hash {
-                num_features: usize::decode(buf)?,
-            }),
-            t => Err(DecodeError(format!("invalid EncodeKind tag {t}"))),
-        }
-    }
-}
+wire_enum! { EncodeKind {
+    0 => PassThrough,
+    1 => Recode,
+    2 => Bin { num_bins },
+    3 => Hash { num_features },
+} }
 
-impl Wire for ColumnSpec {
-    fn encode(&self, buf: &mut impl BufMut) {
-        self.name.encode(buf);
-        self.kind.encode(buf);
-        self.one_hot.encode(buf);
-    }
-    fn decode(buf: &mut impl Buf) -> DecodeResult<Self> {
-        Ok(Self {
-            name: String::decode(buf)?,
-            kind: EncodeKind::decode(buf)?,
-            one_hot: bool::decode(buf)?,
-        })
-    }
-}
+wire_struct! { ColumnSpec { name, kind, one_hot } }
 
-impl Wire for TransformSpec {
-    fn encode(&self, buf: &mut impl BufMut) {
-        self.columns.encode(buf);
-    }
-    fn decode(buf: &mut impl Buf) -> DecodeResult<Self> {
-        Ok(Self {
-            columns: Wire::decode(buf)?,
-        })
-    }
-}
+wire_struct! { TransformSpec { columns } }
 
-impl Wire for PartialColumnMeta {
-    fn encode(&self, buf: &mut impl BufMut) {
-        match self {
-            PartialColumnMeta::PassThrough => buf.put_u8(0),
-            PartialColumnMeta::Recode { distincts } => {
-                buf.put_u8(1);
-                distincts.encode(buf);
-            }
-            PartialColumnMeta::Bin { min, max } => {
-                buf.put_u8(2);
-                min.encode(buf);
-                max.encode(buf);
-            }
-            PartialColumnMeta::Hash => buf.put_u8(3),
-        }
-    }
-    fn decode(buf: &mut impl Buf) -> DecodeResult<Self> {
-        match u8::decode(buf)? {
-            0 => Ok(PartialColumnMeta::PassThrough),
-            1 => Ok(PartialColumnMeta::Recode {
-                distincts: Wire::decode(buf)?,
-            }),
-            2 => Ok(PartialColumnMeta::Bin {
-                min: f64::decode(buf)?,
-                max: f64::decode(buf)?,
-            }),
-            3 => Ok(PartialColumnMeta::Hash),
-            t => Err(DecodeError(format!("invalid PartialColumnMeta tag {t}"))),
-        }
-    }
-}
+wire_enum! { PartialColumnMeta {
+    0 => PassThrough,
+    1 => Recode { distincts },
+    2 => Bin { min, max },
+    3 => Hash,
+} }
 
-impl Wire for PartialMeta {
-    fn encode(&self, buf: &mut impl BufMut) {
-        self.columns.encode(buf);
-        self.rows.encode(buf);
-    }
-    fn decode(buf: &mut impl Buf) -> DecodeResult<Self> {
-        Ok(Self {
-            columns: Wire::decode(buf)?,
-            rows: usize::decode(buf)?,
-        })
-    }
-}
+wire_struct! { PartialMeta { columns, rows } }
 
-impl Wire for ColumnMeta {
-    fn encode(&self, buf: &mut impl BufMut) {
-        match self {
-            ColumnMeta::PassThrough => buf.put_u8(0),
-            ColumnMeta::Recode { codes } => {
-                buf.put_u8(1);
-                codes.encode(buf);
-            }
-            ColumnMeta::Bin { min, max, num_bins } => {
-                buf.put_u8(2);
-                min.encode(buf);
-                max.encode(buf);
-                num_bins.encode(buf);
-            }
-            ColumnMeta::Hash { num_features } => {
-                buf.put_u8(3);
-                num_features.encode(buf);
-            }
-        }
-    }
-    fn decode(buf: &mut impl Buf) -> DecodeResult<Self> {
-        match u8::decode(buf)? {
-            0 => Ok(ColumnMeta::PassThrough),
-            1 => Ok(ColumnMeta::Recode {
-                codes: Wire::decode(buf)?,
-            }),
-            2 => Ok(ColumnMeta::Bin {
-                min: f64::decode(buf)?,
-                max: f64::decode(buf)?,
-                num_bins: usize::decode(buf)?,
-            }),
-            3 => Ok(ColumnMeta::Hash {
-                num_features: usize::decode(buf)?,
-            }),
-            t => Err(DecodeError(format!("invalid ColumnMeta tag {t}"))),
-        }
-    }
-}
+wire_enum! { ColumnMeta {
+    0 => PassThrough,
+    1 => Recode { codes },
+    2 => Bin { min, max, num_bins },
+    3 => Hash { num_features },
+} }
 
-impl Wire for TransformMeta {
-    fn encode(&self, buf: &mut impl BufMut) {
-        self.columns.encode(buf);
-    }
-    fn decode(buf: &mut impl Buf) -> DecodeResult<Self> {
-        Ok(Self {
-            columns: Wire::decode(buf)?,
-        })
-    }
-}
+wire_struct! { TransformMeta { columns } }
 
 #[cfg(test)]
 mod tests {
@@ -913,6 +790,7 @@ mod tests {
 
     #[test]
     fn metadata_wire_roundtrip() {
+        use exdra_net::codec::Wire;
         let spec = fig3_spec();
         let p1 = build_partial(&site1(), &spec).unwrap();
         let meta = merge_partials(std::slice::from_ref(&p1), &spec).unwrap();
