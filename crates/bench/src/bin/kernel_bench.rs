@@ -40,7 +40,7 @@ use exdra_matrix::DenseMatrix;
 // The per-cell reference kernels of `proptest_kernels.rs`; this binary
 // times and checks a few of them.
 #[allow(dead_code)]
-#[path = "../../../matrix/tests/oracle/mod.rs"]
+#[path = "../../../../tests/oracle/mod.rs"]
 mod oracle;
 
 fn bits(m: &DenseMatrix) -> Vec<u64> {

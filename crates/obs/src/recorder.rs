@@ -26,7 +26,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::OnceLock;
 use std::time::{SystemTime, UNIX_EPOCH};
 
-use parking_lot::Mutex;
+use parking_lot::{Condvar, Mutex};
 
 use crate::export::{json_escape_into, to_json};
 use crate::trace::SpanRecord;
@@ -98,20 +98,16 @@ fn state() -> &'static Mutex<State> {
 
 /// Incident-arrival barrier: a generation counter bumped by every
 /// [`incident`] call (written, suppressed, or failed) plus a condvar for
-/// [`wait_for_incident`]. Separate from the ring state and on `std::sync`
-/// primitives because the vendored `parking_lot` has no `Condvar`.
-fn incident_signal() -> &'static (std::sync::Mutex<u64>, std::sync::Condvar) {
-    static SIGNAL: OnceLock<(std::sync::Mutex<u64>, std::sync::Condvar)> = OnceLock::new();
-    SIGNAL.get_or_init(|| (std::sync::Mutex::new(0), std::sync::Condvar::new()))
+/// [`wait_for_incident`]. Separate from the ring state, so a waiter
+/// never holds the ring's lock.
+fn incident_signal() -> &'static (Mutex<u64>, Condvar) {
+    static SIGNAL: OnceLock<(Mutex<u64>, Condvar)> = OnceLock::new();
+    SIGNAL.get_or_init(|| (Mutex::new(0), Condvar::new()))
 }
 
 fn bump_incident_signal() {
     let (lock, cond) = incident_signal();
-    let mut gen = lock
-        .lock()
-        .unwrap_or_else(std::sync::PoisonError::into_inner);
-    *gen += 1;
-    drop(gen);
+    *lock.lock() += 1;
     cond.notify_all();
 }
 
@@ -125,11 +121,8 @@ pub fn wait_for_incident(
 ) -> Option<IncidentSummary> {
     let deadline = std::time::Instant::now() + timeout;
     let (lock, cond) = incident_signal();
-    let mut gen = lock
-        .lock()
-        .unwrap_or_else(std::sync::PoisonError::into_inner);
     loop {
-        drop(gen);
+        let seen = *lock.lock();
         if let Some(hit) = recent_incidents().into_iter().find(&mut pred) {
             return Some(hit);
         }
@@ -137,14 +130,12 @@ pub fn wait_for_incident(
         if now >= deadline {
             return None;
         }
-        gen = cond
-            .wait_timeout(
-                lock.lock()
-                    .unwrap_or_else(std::sync::PoisonError::into_inner),
-                deadline - now,
-            )
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-            .0;
+        // An incident recorded since `seen` was read is re-checked at
+        // once instead of waited for.
+        let generation = lock.lock();
+        if *generation == seen {
+            drop(cond.wait_timeout(generation, deadline - now));
+        }
     }
 }
 
