@@ -93,6 +93,59 @@ mod tests {
     use super::*;
     use exdra_net::codec::Wire;
 
+    #[test]
+    fn client_frames_roundtrip() {
+        let frames = vec![
+            ClientFrame::Attach {
+                magic: ATTACH_MAGIC,
+                version: ATTACH_VERSION,
+            },
+            ClientFrame::Data {
+                worker: 3,
+                payload: vec![1, 2, 3, 255],
+            },
+            ClientFrame::CacheProbe { key: 0xdead_beef },
+            ClientFrame::CachePut {
+                key: 7,
+                privacy: PrivacyLevel::Public,
+                releasable: true,
+                value: DataValue::Scalar(1.5),
+            },
+            ClientFrame::Recover { worker: 1 },
+            ClientFrame::Detach,
+        ];
+        for f in frames {
+            assert_eq!(ClientFrame::from_bytes(&f.to_bytes()).unwrap(), f);
+        }
+    }
+
+    #[test]
+    fn server_frames_roundtrip() {
+        let frames = vec![
+            ServerFrame::Granted {
+                ns: 9,
+                n_workers: 2,
+            },
+            ServerFrame::Rejected { active: 8, max: 8 },
+            ServerFrame::Data {
+                worker: 0,
+                payload: vec![],
+            },
+            ServerFrame::CacheHit {
+                privacy: PrivacyLevel::Public,
+                releasable: true,
+                value: DataValue::Scalar(2.0),
+            },
+            ServerFrame::CacheMiss,
+            ServerFrame::WorkerDown { worker: 1 },
+            ServerFrame::WorkerUp { worker: 1 },
+            ServerFrame::DetachAck,
+        ];
+        for f in frames {
+            assert_eq!(ServerFrame::from_bytes(&f.to_bytes()).unwrap(), f);
+        }
+    }
+
     fn hex(bytes: &[u8]) -> String {
         bytes.iter().map(|b| format!("{b:02x}")).collect()
     }

@@ -157,3 +157,72 @@ wire_enum! { Udf {
     10 => FillMissing { frame, column, value, out },
     7 => Registered { name, args, arg_ids, out },
 } }
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use exdra_net::codec::Wire;
+    use exdra_transform::{ColumnSpec, EncodeKind};
+
+    #[test]
+    fn wire_roundtrip_all_variants() {
+        let samples = vec![
+            Udf::EncodeBuildPartial {
+                frame: 1,
+                spec: TransformSpec {
+                    columns: vec![ColumnSpec {
+                        name: "a".into(),
+                        kind: EncodeKind::Recode,
+                        one_hot: true,
+                    }],
+                },
+            },
+            Udf::EncodeApply {
+                frame: 1,
+                meta: 2,
+                out: 3,
+            },
+            Udf::FrameSelect {
+                frame: 1,
+                columns: vec!["a".into(), "b".into()],
+                out: 2,
+            },
+            Udf::Shuffle {
+                x: 1,
+                y: Some(2),
+                seed: 42,
+                out_x: 3,
+                out_y: Some(4),
+            },
+            Udf::Replicate {
+                x: 1,
+                y: None,
+                times: 3,
+                out_x: 2,
+                out_y: None,
+            },
+            Udf::CompactNow { min_bytes: 1024 },
+            Udf::MatrixDims { id: 3 },
+            Udf::CategoryCounts {
+                frame: 1,
+                column: "recipe".into(),
+            },
+            Udf::FillMissing {
+                frame: 1,
+                column: "recipe".into(),
+                value: "R101".into(),
+                out: 2,
+            },
+            Udf::CacheStats,
+            Udf::Registered {
+                name: "grad".into(),
+                args: vec![DataValue::Scalar(0.01)],
+                arg_ids: vec![5, 6],
+                out: Some(7),
+            },
+        ];
+        for udf in samples {
+            assert_eq!(Udf::from_bytes(&udf.to_bytes()).unwrap(), udf);
+        }
+    }
+}
