@@ -133,21 +133,14 @@ macro_rules! wire_struct {
 /// } }
 /// ```
 ///
-/// An unknown tag decodes to the error `invalid Name tag <t>`; write
-/// `Name as "what" { ... }` to say `what` there instead.
+/// An unknown tag decodes to the error `invalid Name tag <t>`.
 #[macro_export]
 macro_rules! wire_enum {
-    ($ty:ident as $what:literal { $($rows:tt)* }) => {
-        $crate::wire_enum!(@impl $ty, $what, $($rows)*);
-    };
-    ($ty:ident { $($rows:tt)* }) => {
-        $crate::wire_enum!(@impl $ty, stringify!($ty), $($rows)*);
-    };
-    (@impl $ty:ident, $what:expr, $(
+    ($ty:ident { $(
         $tag:literal => $variant:ident
             $({ $($field:ident),+ $(,)? })?
             $(( $($pos:ident),+ $(,)? ))?
-    ),+ $(,)?) => {
+    ),+ $(,)? }) => {
         impl $crate::codec::Wire for $ty {
             fn encode(&self, buf: &mut impl $crate::codec::__BufMut) {
                 match self {
@@ -173,7 +166,7 @@ macro_rules! wire_enum {
                     t => {
                         return Err($crate::codec::DecodeError(format!(
                             "invalid {} tag {t}",
-                            $what
+                            stringify!($ty)
                         )))
                     }
                 })
@@ -447,7 +440,7 @@ wire_enum! { ValueType {
     3 => Bool,
 } }
 
-wire_enum! { FrameColumn as "column" {
+wire_enum! { FrameColumn {
     0 => F64(v),
     1 => I64(v),
     2 => Str(v),
