@@ -417,7 +417,10 @@ fn unknown_tags_keep_their_error_text() {
     assert_eq!(decode_error::<Response>(&ten), "invalid Response tag 10");
     assert_eq!(decode_error::<Udf>(&[0xb]), "invalid Udf tag 11");
     assert_eq!(decode_error::<DataValue>(&ten), "invalid DataValue tag 10");
-    assert_eq!(decode_error::<FrameColumn>(&ten), "invalid column tag 10");
+    assert_eq!(
+        decode_error::<FrameColumn>(&ten),
+        "invalid FrameColumn tag 10"
+    );
     assert_eq!(
         decode_error::<EncodeKind>(&ten),
         "invalid EncodeKind tag 10"
