@@ -430,9 +430,10 @@ impl FedContext {
         batches: &[(usize, &[Request])],
     ) -> Result<(Vec<Leg<'a>>, Option<GateGuard>)> {
         // Observability: one span per leg, its context stamped onto every
-        // envelope so worker-side spans join the same trace. Everything
-        // (clock reads, metric-name formatting) is gated on the single
-        // `enabled` flag; disabled runs take the exact pre-obs path.
+        // envelope so worker-side spans join the same trace; closing, it
+        // folds into the metrics. Everything (clock reads, attribute
+        // strings) is gated on the single `enabled` flag; disabled runs
+        // take the exact pre-obs path.
         let obs_on = exdra_obs::enabled();
         let parent = exdra_obs::current();
         let mut legs = Vec::with_capacity(batches.len());
@@ -603,20 +604,6 @@ impl FedContext {
             span.attr("gate_wait_nanos", gate_wait_nanos);
             span.attr("retries", retries);
         }
-        if obs_on {
-            let reg = exdra_obs::global();
-            reg.record("rpc.gate_wait", gate_wait_nanos);
-            record_rpc_metrics(RpcMetrics {
-                worker,
-                requests,
-                bytes_sent,
-                bytes_recv,
-                net_nanos,
-                exec_nanos,
-                serde_nanos,
-                retries,
-            });
-        }
         // Teardown makes what is still queued moot: the symbols are gone.
         let cleared = envelope.requests[deferred..].iter().any(|r| match r {
             Request::Clear => true,
@@ -729,10 +716,7 @@ impl FedContext {
         let conn = self.conn(worker)?;
         self.stats.record_heartbeat();
         let mut span = exdra_obs::span(SpanKind::Rpc, "rpc.heartbeat");
-        if span.is_active() {
-            span.attr("worker", worker);
-            exdra_obs::global().inc("rpc.heartbeats");
-        }
+        span.attr("worker", worker);
         let envelope = RpcEnvelope {
             trace: span.context().into(),
             requests: vec![Request::Heartbeat],
@@ -908,37 +892,6 @@ fn request_kinds(batch: &[Request]) -> String {
         i += run;
     }
     out
-}
-
-struct RpcMetrics {
-    worker: usize,
-    requests: u64,
-    bytes_sent: u64,
-    bytes_recv: u64,
-    net_nanos: u64,
-    exec_nanos: u64,
-    serde_nanos: u64,
-    retries: u64,
-}
-
-/// Feeds one finished RPC into the global metrics registry under the
-/// naming conventions `exdra_obs::report` understands. Only called when
-/// observability is enabled (metric-name formatting allocates).
-fn record_rpc_metrics(m: RpcMetrics) {
-    let reg = exdra_obs::global();
-    reg.inc("rpc.calls");
-    reg.add("rpc.requests", m.requests);
-    reg.add("rpc.retries", m.retries);
-    reg.record("rpc.latency", m.net_nanos);
-    let w = m.worker;
-    reg.inc(&format!("worker.{w}.rpcs"));
-    reg.add(&format!("worker.{w}.requests"), m.requests);
-    reg.add(&format!("worker.{w}.bytes_sent"), m.bytes_sent);
-    reg.add(&format!("worker.{w}.bytes_recv"), m.bytes_recv);
-    reg.add(&format!("worker.{w}.net_nanos"), m.net_nanos);
-    reg.add(&format!("worker.{w}.exec_nanos"), m.exec_nanos);
-    reg.add(&format!("worker.{w}.serde_nanos"), m.serde_nanos);
-    reg.add(&format!("worker.{w}.retries"), m.retries);
 }
 
 /// Interprets a response as success, mapping worker errors.

@@ -59,8 +59,9 @@ pub fn execute(
         .expect("non-rmvar instructions bind an output");
 
     // One span per executed instruction, parenting under the worker's
-    // batch span (same thread). The per-opcode latency histogram feeds
-    // the "top instructions" section of the run report.
+    // batch span (same thread). Its own time folds into the per-opcode
+    // latency histogram behind the "top instructions" section of the run
+    // report.
     let obs_on = exdra_obs::enabled();
     let mut span = exdra_obs::span(exdra_obs::SpanKind::Instruction, inst.name());
     let t_inst = obs_on.then(std::time::Instant::now);
@@ -89,7 +90,7 @@ pub fn execute(
             table.bind(out_id, hit.value, hit.privacy, hit.releasable, h);
             span.attr("reuse", true);
             if let Some(t) = t_inst {
-                record_inst_nanos(inst.name(), t.elapsed().as_nanos() as u64, false);
+                span.attr("own_nanos", t.elapsed().as_nanos() as u64);
             }
             return Ok(());
         }
@@ -136,11 +137,7 @@ pub fn execute(
     let value = compute(inst, &inputs, table, cache)?;
     let compressed_exec = COMPRESSED_DIRECT.with(|c| c.get());
     if obs_on {
-        record_inst_parallelism(inst.name(), &mut span, exdra_par::take_region_stats());
-        if compressed_exec {
-            exdra_obs::global().inc("compress.exec.direct");
-            span.attr("compressed", true);
-        }
+        record_inst_parallelism(&mut span, exdra_par::take_region_stats());
     }
     if span.is_active() {
         if let DataValue::Matrix(m) = &value {
@@ -163,9 +160,10 @@ pub fn execute(
     table.bind(out_id, value, privacy, releasable, h);
     if let Some(t) = t_inst {
         // A decompression is its own `inst.decompress` sample: the opcode
-        // that happened to carry it is priced without it.
+        // that happened to carry it is priced without it. On column groups
+        // the time is `inst.c.<opcode>`'s.
         let own = (t.elapsed().as_nanos() as u64).saturating_sub(DECOMPRESS_NANOS.with(Cell::get));
-        record_inst_nanos(inst.name(), own, compressed_exec);
+        span.attr(if compressed_exec { "c.own_nanos" } else { "own_nanos" }, own);
     }
     Ok(())
 }
@@ -199,14 +197,10 @@ pub(crate) fn take_batch_parallelism() -> (u64, u64, u64) {
 }
 
 /// Attaches the pool activity observed during one instruction to its
-/// span (`par.*` attrs) and the per-opcode `par.inst.<opcode>.*`
-/// counters consumed by `RunReport`'s parallelism section. Only called
-/// when observability is on.
-fn record_inst_parallelism(
-    name: &str,
-    span: &mut exdra_obs::SpanGuard,
-    stats: exdra_par::RegionStats,
-) {
+/// span (`par.*` attrs, folded into the per-opcode `par.inst.<opcode>.*`
+/// counters behind `RunReport`'s parallelism section) and to the batch
+/// rollup. Only called when observability is on.
+fn record_inst_parallelism(span: &mut exdra_obs::SpanGuard, stats: exdra_par::RegionStats) {
     if stats.total_regions() == 0 {
         return;
     }
@@ -218,38 +212,10 @@ fn record_inst_parallelism(
             t.max(stats.max_threads),
         ));
     });
-    if span.is_active() {
-        span.attr("par.regions", stats.regions);
-        span.attr("par.chunks", stats.chunks);
-        span.attr("par.threads", stats.max_threads);
-    }
-    let g = exdra_obs::global();
-    let mut metric = String::with_capacity(16 + name.len());
-    metric.push_str("par.inst.");
-    metric.push_str(name);
-    let base = metric.len();
-    metric.push_str(".calls");
-    g.inc(&metric);
-    metric.truncate(base);
-    metric.push_str(".regions");
-    g.add(&metric, stats.regions);
-    metric.truncate(base);
-    metric.push_str(".chunks");
-    g.add(&metric, stats.chunks);
-    metric.truncate(base);
-    metric.push_str(".threads");
-    g.add(&metric, stats.threads_engaged);
-}
-
-/// Feeds one instruction execution into the per-opcode latency
-/// histogram — `inst.<opcode>`, or `inst.c.<opcode>` when the kernel ran
-/// directly on compressed column groups. Only called when observability
-/// is on.
-fn record_inst_nanos(name: &str, nanos: u64, compressed: bool) {
-    let mut metric = String::with_capacity(7 + name.len());
-    metric.push_str(if compressed { "inst.c." } else { "inst." });
-    metric.push_str(name);
-    exdra_obs::global().record(&metric, nanos);
+    span.attr("par.regions", stats.regions);
+    span.attr("par.chunks", stats.chunks);
+    span.attr("par.threads", stats.max_threads);
+    span.attr("par.threads_engaged", stats.threads_engaged);
 }
 
 /// True when every output cell of `inst` combines at least `k` cells of

@@ -285,7 +285,6 @@ impl Supervisor {
     /// its reply are separate moments: a recovery may claim the worker in
     /// between, and the detector's verdict on the reply decides.
     fn fold(&self, worker: usize, since: u64, pair: Vec<Response>) -> Result<()> {
-        let obs_on = exdra_obs::enabled();
         let mut span = exdra_obs::span(SpanKind::Recovery, "recovery.checkpoint");
         if span.is_active() {
             span.attr("worker", worker);
@@ -322,25 +321,18 @@ impl Supervisor {
                 )))
             }
         };
-        let bytes: usize = delta.entries.iter().map(|e| e.value.size_bytes()).sum();
         if span.is_active() {
+            let bytes: usize = delta.entries.iter().map(|e| e.value.size_bytes()).sum();
             span.attr("entries", delta.entries.len());
             span.attr("removed", delta.removed.len());
             span.attr("bytes", bytes);
-            span.attr("seq", delta.seq);
-        }
-        if obs_on {
-            let reg = exdra_obs::global();
-            reg.inc("checkpoint.deltas");
             if since == 0 {
-                reg.inc("checkpoint.full_snapshots");
+                span.attr("full", true);
             }
-            reg.add("checkpoint.entries", delta.entries.len() as u64);
-            reg.add("checkpoint.bytes", bytes as u64);
-            reg.record("checkpoint.delta_bytes", bytes as u64);
             if let Some(age) = self.store.age(worker) {
-                reg.record("checkpoint.age_nanos", age.as_nanos() as u64);
+                span.attr("age_nanos", age.as_nanos() as u64);
             }
+            span.attr("seq", delta.seq);
         }
         drop(span);
         match self.store.apply(worker, since, delta) {
@@ -487,21 +479,14 @@ impl Supervisor {
         worker: usize,
         entries: Vec<crate::protocol::CheckpointEntry>,
     ) -> Result<()> {
-        let obs_on = exdra_obs::enabled();
         let mut span = exdra_obs::span(SpanKind::Recovery, "recovery.restore");
-        let bytes: usize = entries.iter().map(|e| e.value.size_bytes()).sum();
         if span.is_active() {
+            let bytes: usize = entries.iter().map(|e| e.value.size_bytes()).sum();
             span.attr("worker", worker);
             span.attr("entries", entries.len());
             span.attr("bytes", bytes);
-        }
-        if obs_on {
-            let reg = exdra_obs::global();
-            reg.inc("recovery.restores");
-            reg.add("recovery.restored_entries", entries.len() as u64);
-            reg.add("recovery.restored_bytes", bytes as u64);
             if let Some(age) = self.store.age(worker) {
-                reg.record("recovery.checkpoint_age_nanos", age.as_nanos() as u64);
+                span.attr("age_nanos", age.as_nanos() as u64);
             }
         }
         let n = entries.len();
@@ -525,10 +510,7 @@ impl Supervisor {
     /// federations).
     fn replay_initialization(&self, worker: usize) -> Result<()> {
         let mut span = exdra_obs::span(SpanKind::Recovery, "recovery.replay");
-        if span.is_active() {
-            span.attr("worker", worker);
-            exdra_obs::global().inc("recovery.replays");
-        }
+        span.attr("worker", worker);
         let steps: Vec<Arc<ReplayFn>> = self.replay.lock().clone();
         for f in steps {
             f(worker, &self.ctx)?;

@@ -285,14 +285,7 @@ impl std::fmt::Display for Analysis {
 }
 
 fn attr_u64(rec: &SpanRecord, key: &str) -> Option<u64> {
-    rec.attrs
-        .iter()
-        .find(|(k, _)| *k == key)
-        .and_then(|(_, v)| match v {
-            AttrValue::U64(n) => Some(*n),
-            AttrValue::I64(n) => u64::try_from(*n).ok(),
-            _ => None,
-        })
+    rec.attr(key).and_then(AttrValue::as_u64)
 }
 
 fn end_nanos(rec: &SpanRecord) -> u64 {

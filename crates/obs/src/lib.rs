@@ -39,6 +39,8 @@
 pub mod analyze;
 pub mod explain;
 pub mod export;
+pub mod fold;
+pub mod http;
 pub mod metrics;
 pub mod recorder;
 pub mod report;

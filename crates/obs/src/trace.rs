@@ -5,7 +5,8 @@
 //! * A span is opened with [`span`] (parent inferred from the calling
 //!   thread's span stack) or [`span_child_of`] (explicit parent, used on
 //!   the worker side of an RPC and in fan-out threads). Dropping the
-//!   returned [`SpanGuard`] records the span.
+//!   returned [`SpanGuard`] records the span and folds it into the
+//!   metrics registry ([`crate::fold`]).
 //! * Finished spans go to a thread-local buffer; the buffer drains into
 //!   the global collector only when the thread's span stack unwinds to
 //!   empty (or the buffer exceeds a high-water mark), so nested spans
@@ -140,6 +141,17 @@ impl std::fmt::Display for AttrValue {
     }
 }
 
+impl AttrValue {
+    /// The value as an unsigned integer, if it is one.
+    pub fn as_u64(&self) -> Option<u64> {
+        match self {
+            AttrValue::U64(n) => Some(*n),
+            AttrValue::I64(n) => u64::try_from(*n).ok(),
+            _ => None,
+        }
+    }
+}
+
 impl From<u64> for AttrValue {
     fn from(v: u64) -> Self {
         AttrValue::U64(v)
@@ -196,6 +208,13 @@ pub struct SpanRecord {
     pub attrs: Vec<(&'static str, AttrValue)>,
 }
 
+impl SpanRecord {
+    /// The value of attribute `key`, if the span carries it.
+    pub fn attr(&self, key: &str) -> Option<&AttrValue> {
+        self.attrs.iter().find(|(k, _)| *k == key).map(|(_, v)| v)
+    }
+}
+
 struct ActiveSpan {
     rec: SpanRecord,
     started: Instant,
@@ -245,6 +264,7 @@ impl Drop for SpanGuard {
             return;
         };
         active.rec.duration_nanos = active.started.elapsed().as_nanos() as u64;
+        crate::fold::span_closed(crate::metrics::global(), &active.rec);
         // Sibling spans of one thread may overlap and close in opening
         // order (the legs of a scattered op): each removes its own entry.
         let depth = STACK.with(|s| {
