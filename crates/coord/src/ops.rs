@@ -14,18 +14,19 @@
 //! - `GET /incidents` — recent flight-recorder incidents (kind, detail,
 //!   time, bundle path) as JSON.
 //!
-//! Like the worker's endpoint, this is deliberately tiny: one accept
-//! thread, one request per connection, no keep-alive — it serves probes
-//! and scrapers, not application traffic.
+//! Like the worker's endpoint, it is [`exdra_obs::http::serve`]'s, which
+//! answers `/metrics` itself.
 
-use std::io;
 use std::net::SocketAddr;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
+use std::thread::JoinHandle;
 use std::time::Duration;
 
 use exdra_core::error::{FedError, Result};
 use exdra_obs::export::json_escape_into;
+use exdra_obs::http::{Reply, JSON, TEXT};
+use parking_lot::Mutex;
 
 use crate::service::{CoordService, SessionInfo};
 
@@ -33,37 +34,26 @@ use crate::service::{CoordService, SessionInfo};
 pub struct OpsServer {
     addr: SocketAddr,
     shutdown: Arc<AtomicBool>,
+    accept: Mutex<Option<JoinHandle<()>>>,
 }
 
 impl OpsServer {
     /// Binds `addr` (port 0 for ephemeral) and starts serving the ops
     /// routes for `service` on a background thread.
     pub fn serve(service: Arc<CoordService>, addr: &str) -> Result<OpsServer> {
-        let listener = std::net::TcpListener::bind(addr)
-            .map_err(|e| FedError::Network(format!("bind {addr}: {e}")))?;
-        let local = listener
-            .local_addr()
-            .map_err(|e| FedError::Network(e.to_string()))?;
         let shutdown = Arc::new(AtomicBool::new(false));
-        let accept_shutdown = Arc::clone(&shutdown);
-        std::thread::Builder::new()
-            .name("exdra-coord-ops".into())
-            .spawn(move || {
-                for stream in listener.incoming() {
-                    if accept_shutdown.load(Ordering::SeqCst) {
-                        return;
-                    }
-                    let Ok(mut stream) = stream else { return };
-                    let service = Arc::clone(&service);
-                    std::thread::spawn(move || {
-                        let _ = serve_once(&service, &mut stream);
-                    });
-                }
-            })
-            .expect("spawn coord ops thread");
+        let flag = Arc::clone(&shutdown);
+        let (local, accept) = exdra_obs::http::serve(
+            addr,
+            "exdra-coord-ops",
+            move || flag.load(Ordering::SeqCst),
+            move |path| route(&service, path),
+        )
+        .map_err(|e| FedError::Network(format!("bind {addr}: {e}")))?;
         Ok(OpsServer {
             addr: local,
             shutdown,
+            accept: Mutex::new(Some(accept)),
         })
     }
 
@@ -72,13 +62,19 @@ impl OpsServer {
         self.addr
     }
 
-    /// Stops accepting requests. Idempotent; called on drop.
+    /// Stops accepting requests and joins the accept thread, as
+    /// `Worker::shutdown` does. Idempotent; called on drop.
     pub fn stop(&self) {
         if self.shutdown.swap(true, Ordering::SeqCst) {
             return;
         }
         // Unblock the accept loop with a throwaway connection.
-        let _ = std::net::TcpStream::connect(self.addr);
+        let knock = std::net::TcpStream::connect_timeout(&self.addr, Duration::from_secs(1));
+        if let Some(accept) = self.accept.lock().take() {
+            if knock.is_ok() || accept.is_finished() {
+                let _ = accept.join();
+            }
+        }
     }
 }
 
@@ -108,16 +104,11 @@ pub fn sessions_json(sessions: &[SessionInfo]) -> String {
     out
 }
 
-fn serve_once(service: &Arc<CoordService>, stream: &mut std::net::TcpStream) -> io::Result<()> {
-    use std::io::{BufRead, BufReader, Write};
-    stream.set_read_timeout(Some(Duration::from_secs(5)))?;
-    let mut line = String::new();
-    BufReader::new(&mut *stream).read_line(&mut line)?;
-    let path = line.split_whitespace().nth(1).unwrap_or("");
-    let (status, content_type, body) = match path {
+/// The ops routes besides `/metrics`.
+fn route(service: &CoordService, path: &str) -> Reply {
+    Some(match path {
         "/healthz" => (
-            "200 OK",
-            "text/plain; charset=utf-8",
+            TEXT,
             format!(
                 "ok sessions={} workers={} inflight={}\n",
                 service.active_sessions(),
@@ -125,33 +116,10 @@ fn serve_once(service: &Arc<CoordService>, stream: &mut std::net::TcpStream) -> 
                 service.scheduler().inflight()
             ),
         ),
-        "/metrics" => (
-            "200 OK",
-            "text/plain; version=0.0.4",
-            exdra_obs::export::to_prometheus(&exdra_obs::global().snapshot()),
-        ),
-        "/sessions" => (
-            "200 OK",
-            "application/json",
-            sessions_json(&service.sessions()),
-        ),
-        "/incidents" => (
-            "200 OK",
-            "application/json",
-            exdra_obs::recorder::incidents_json(),
-        ),
-        _ => (
-            "404 Not Found",
-            "text/plain; charset=utf-8",
-            "not found\n".into(),
-        ),
-    };
-    write!(
-        stream,
-        "HTTP/1.0 {status}\r\nContent-Type: {content_type}\r\nContent-Length: {}\r\nConnection: close\r\n\r\n{body}",
-        body.len()
-    )?;
-    stream.flush()
+        "/sessions" => (JSON, sessions_json(&service.sessions())),
+        "/incidents" => (JSON, exdra_obs::recorder::incidents_json()),
+        _ => return None,
+    })
 }
 
 #[cfg(test)]

@@ -8,7 +8,6 @@
 //! compaction of cached intermediates (§4.4).
 
 use std::collections::HashMap;
-use std::io;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
@@ -229,68 +228,27 @@ impl Worker {
     /// - `GET /metrics` — the process-global `exdra-obs` registry in
     ///   Prometheus text exposition format.
     ///
-    /// The endpoint shares the worker's shutdown flag and is deliberately
-    /// tiny: one thread, one request per connection, no keep-alive — it
-    /// serves probes and scrapers, not application traffic.
+    /// The endpoint is [`exdra_obs::http::serve`]'s and shares the
+    /// worker's shutdown flag.
     pub fn serve_http(self: &Arc<Self>, addr: &str) -> Result<std::net::SocketAddr> {
-        let listener = std::net::TcpListener::bind(addr)
-            .map_err(|e| RuntimeError::Network(format!("bind {addr}: {e}")))?;
-        let local = listener
-            .local_addr()
-            .map_err(|e| RuntimeError::Network(e.to_string()))?;
+        let this = Arc::clone(self);
+        let stopped = move || this.shutdown.load(Ordering::SeqCst);
         let worker = Arc::clone(self);
-        let accept = std::thread::Builder::new()
-            .name("exdra-worker-http".into())
-            .spawn(move || {
-                for stream in listener.incoming() {
-                    if worker.shutdown.load(Ordering::SeqCst) {
-                        return;
-                    }
-                    let Ok(mut stream) = stream else { return };
-                    let w = Arc::clone(&worker);
-                    std::thread::spawn(move || {
-                        let _ = w.serve_http_once(&mut stream);
-                    });
-                }
-            })
-            .expect("spawn worker http thread");
-        self.listeners.lock().push((local, accept));
-        Ok(local)
-    }
-
-    fn serve_http_once(&self, stream: &mut std::net::TcpStream) -> io::Result<()> {
-        use std::io::{BufRead, BufReader, Write};
-        stream.set_read_timeout(Some(Duration::from_secs(5)))?;
-        let mut line = String::new();
-        BufReader::new(&mut *stream).read_line(&mut line)?;
-        let path = line.split_whitespace().nth(1).unwrap_or("");
-        let (status, content_type, body) = match path {
-            "/healthz" => (
-                "200 OK",
-                "text/plain; charset=utf-8",
+        let route = move |path: &str| match path {
+            "/healthz" => Some((
+                exdra_obs::http::TEXT,
                 format!(
                     "ok epoch={} load={}\n",
-                    self.epoch,
-                    self.load.load(Ordering::Relaxed)
+                    worker.epoch,
+                    worker.load.load(Ordering::Relaxed)
                 ),
-            ),
-            "/metrics" => (
-                "200 OK",
-                "text/plain; version=0.0.4",
-                exdra_obs::export::to_prometheus(&exdra_obs::global().snapshot()),
-            ),
-            _ => (
-                "404 Not Found",
-                "text/plain; charset=utf-8",
-                "not found\n".into(),
-            ),
+            )),
+            _ => None,
         };
-        write!(
-            stream,
-            "HTTP/1.0 {status}\r\nContent-Type: {content_type}\r\nContent-Length: {}\r\nConnection: close\r\n\r\n{body}",
-            body.len()
-        )?;
-        stream.flush()
+        let (local, accept) = exdra_obs::http::serve(addr, "exdra-worker-http", stopped, route)
+            .map_err(|e| RuntimeError::Network(format!("bind {addr}: {e}")))?;
+        self.listeners.lock().push((local, accept));
+        Ok(local)
     }
 
     /// Serves an in-memory channel pair on a background thread and returns
