@@ -289,12 +289,17 @@ fn parse_string(b: &[u8], pos: &mut usize) -> Result<String, String> {
                 *pos += 1;
             }
             Some(_) => {
-                // Advance by one UTF-8 scalar, not one byte.
-                let rest = std::str::from_utf8(&b[*pos..])
+                // Copy up to the next quote or backslash. Both are ASCII, so
+                // the run ends on a char boundary, and only its own bytes are
+                // validated: the parse stays linear in the document.
+                let end = b[*pos..]
+                    .iter()
+                    .position(|&c| c == b'"' || c == b'\\')
+                    .map_or(b.len(), |i| *pos + i);
+                let run = std::str::from_utf8(&b[*pos..end])
                     .map_err(|_| "invalid utf-8 in string".to_string())?;
-                let ch = rest.chars().next().unwrap();
-                out.push(ch);
-                *pos += ch.len_utf8();
+                out.push_str(run);
+                *pos = end;
             }
         }
     }
@@ -409,6 +414,32 @@ mod tests {
         assert!(Json::parse("{\"a\":}").is_err());
         assert!(Json::parse("{} trailing").is_err());
         assert!(Json::parse("").is_err());
+    }
+
+    #[test]
+    fn a_multi_megabyte_document_round_trips() {
+        let mut text = String::from("[");
+        for i in 0..40_000 {
+            if i > 0 {
+                text.push(',');
+            }
+            text.push('{');
+            json_escape_into(&mut text, &format!("key {i}"));
+            text.push(':');
+            json_escape_into(&mut text, &format!("line {i}\n\"quoted\" é ✓ {}", "x".repeat(40)));
+            text.push('}');
+        }
+        text.push(']');
+        assert!(text.len() > 3_000_000, "{} bytes", text.len());
+        let Json::Arr(items) = Json::parse(&text).expect("valid json") else {
+            panic!("array expected")
+        };
+        assert_eq!(items.len(), 40_000);
+        let last = items[39_999].get("key 39999").and_then(Json::as_str);
+        assert_eq!(
+            last.map(|s| s.split_once(' ').unwrap().1),
+            Some(&format!("39999\n\"quoted\" é ✓ {}", "x".repeat(40))[..])
+        );
     }
 
     #[test]
