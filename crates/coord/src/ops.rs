@@ -25,7 +25,7 @@ use std::time::Duration;
 
 use exdra_core::error::{FedError, Result};
 use exdra_obs::export::json_escape_into;
-use exdra_obs::http::{Reply, JSON, TEXT};
+use exdra_obs::http::{Reply, Routes, JSON, TEXT};
 use parking_lot::Mutex;
 
 use crate::service::{CoordService, SessionInfo};
@@ -33,26 +33,29 @@ use crate::service::{CoordService, SessionInfo};
 /// A running ops endpoint (see module docs). Stops when dropped.
 pub struct OpsServer {
     addr: SocketAddr,
-    shutdown: Arc<AtomicBool>,
+    ops: Arc<Ops>,
     accept: Mutex<Option<JoinHandle<()>>>,
+}
+
+/// What the endpoint serves, and its stop flag.
+struct Ops {
+    service: Arc<CoordService>,
+    shutdown: AtomicBool,
 }
 
 impl OpsServer {
     /// Binds `addr` (port 0 for ephemeral) and starts serving the ops
     /// routes for `service` on a background thread.
     pub fn serve(service: Arc<CoordService>, addr: &str) -> Result<OpsServer> {
-        let shutdown = Arc::new(AtomicBool::new(false));
-        let flag = Arc::clone(&shutdown);
-        let (local, accept) = exdra_obs::http::serve(
-            addr,
-            "exdra-coord-ops",
-            move || flag.load(Ordering::SeqCst),
-            move |path| route(&service, path),
-        )
-        .map_err(|e| FedError::Network(format!("bind {addr}: {e}")))?;
+        let ops = Arc::new(Ops {
+            service,
+            shutdown: AtomicBool::new(false),
+        });
+        let (local, accept) = exdra_obs::http::serve(addr, "exdra-coord-ops", Arc::clone(&ops))
+            .map_err(|e| FedError::Network(format!("bind {addr}: {e}")))?;
         Ok(OpsServer {
             addr: local,
-            shutdown,
+            ops,
             accept: Mutex::new(Some(accept)),
         })
     }
@@ -65,7 +68,7 @@ impl OpsServer {
     /// Stops accepting requests and joins the accept thread, as
     /// `Worker::shutdown` does. Idempotent; called on drop.
     pub fn stop(&self) {
-        if self.shutdown.swap(true, Ordering::SeqCst) {
+        if self.ops.shutdown.swap(true, Ordering::SeqCst) {
             return;
         }
         // Unblock the accept loop with a throwaway connection.
@@ -104,28 +107,62 @@ pub fn sessions_json(sessions: &[SessionInfo]) -> String {
     out
 }
 
-/// The ops routes besides `/metrics`.
-fn route(service: &CoordService, path: &str) -> Reply {
-    Some(match path {
-        "/healthz" => (
-            TEXT,
-            format!(
-                "ok sessions={} workers={} inflight={}\n",
-                service.active_sessions(),
-                service.num_workers(),
-                service.scheduler().inflight()
+impl Routes for Ops {
+    fn stopped(&self) -> bool {
+        self.shutdown.load(Ordering::SeqCst)
+    }
+
+    fn route(&self, path: &str) -> Reply {
+        let service = &self.service;
+        Some(match path {
+            "/healthz" => (
+                TEXT,
+                format!(
+                    "ok sessions={} workers={} inflight={}\n",
+                    service.active_sessions(),
+                    service.num_workers(),
+                    service.scheduler().inflight()
+                ),
             ),
-        ),
-        "/sessions" => (JSON, sessions_json(&service.sessions())),
-        "/incidents" => (JSON, exdra_obs::recorder::incidents_json()),
-        _ => return None,
-    })
+            "/sessions" => (JSON, sessions_json(&service.sessions())),
+            "/incidents" => (JSON, exdra_obs::recorder::incidents_json()),
+            _ => return None,
+        })
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use exdra_obs::export::Json;
+    use std::io::{Read, Write};
+
+    fn get(addr: SocketAddr, path: &str) -> String {
+        let mut stream = std::net::TcpStream::connect(addr).unwrap();
+        write!(stream, "GET {path} HTTP/1.0\r\n\r\n").unwrap();
+        let mut reply = String::new();
+        stream.read_to_string(&mut reply).unwrap();
+        reply
+    }
+
+    #[test]
+    fn routes_answer_and_stop_joins_the_accept_thread() {
+        let (ctx, _workers) = exdra_core::testutil::mem_federation(1);
+        let config = crate::CoordConfig {
+            max_sessions: 1,
+            ..Default::default()
+        };
+        let service = CoordService::start(crate::FleetSource::Context(ctx), config).unwrap();
+        let ops = OpsServer::serve(service, "127.0.0.1:0").unwrap();
+        let healthz = get(ops.addr(), "/healthz");
+        assert!(healthz.starts_with("HTTP/1.0 200 OK\r\n"), "{healthz}");
+        assert!(healthz.ends_with("ok sessions=0 workers=1 inflight=0\n"));
+        assert!(get(ops.addr(), "/sessions").ends_with("\r\n\r\n[]"));
+        assert!(get(ops.addr(), "/nope").starts_with("HTTP/1.0 404 Not Found\r\n"));
+        ops.stop();
+        assert!(ops.accept.lock().is_none(), "joined");
+        assert!(std::net::TcpStream::connect(ops.addr()).is_err(), "closed");
+    }
 
     #[test]
     fn sessions_json_renders_and_parses() {

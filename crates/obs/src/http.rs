@@ -25,30 +25,36 @@ pub const JSON: &str = "application/json";
 /// for a `404`.
 pub type Reply = Option<(&'static str, String)>;
 
-/// Binds `addr` and serves on a thread named `thread` until `stopped()`
-/// holds when a connection arrives (the owner knocks with a throwaway
-/// connection to stop it, then joins the returned handle). Returns the
-/// bound address.
+/// What an endpoint adds to the built-in `/metrics`.
+pub trait Routes: Send + Sync + 'static {
+    /// Whether the owner has asked the endpoint to stop.
+    fn stopped(&self) -> bool;
+    /// The reply to a `GET` of `path`.
+    fn route(&self, path: &str) -> Reply;
+}
+
+/// Binds `addr` and serves `routes` on a thread named `thread` until
+/// `routes.stopped()` holds when a connection arrives (the owner knocks
+/// with a throwaway connection to stop it, then joins the returned
+/// handle). Returns the bound address.
 pub fn serve(
     addr: &str,
     thread: &str,
-    stopped: impl Fn() -> bool + Send + 'static,
-    route: impl Fn(&str) -> Reply + Send + Sync + 'static,
+    routes: Arc<impl Routes>,
 ) -> io::Result<(SocketAddr, JoinHandle<()>)> {
     let listener = TcpListener::bind(addr)?;
     let local = listener.local_addr()?;
-    let route = Arc::new(route);
     let accept = std::thread::Builder::new()
         .name(thread.into())
         .spawn(move || {
             for stream in listener.incoming() {
-                if stopped() {
+                if routes.stopped() {
                     return;
                 }
                 let Ok(mut stream) = stream else { return };
-                let route = Arc::clone(&route);
+                let routes = Arc::clone(&routes);
                 std::thread::spawn(move || {
-                    let _ = respond(&mut stream, &*route);
+                    let _ = respond(&mut stream, &*routes);
                 });
             }
         })?;
@@ -56,7 +62,7 @@ pub fn serve(
 }
 
 /// Reads one request line and writes the reply.
-fn respond(stream: &mut TcpStream, route: &dyn Fn(&str) -> Reply) -> io::Result<()> {
+fn respond(stream: &mut TcpStream, routes: &impl Routes) -> io::Result<()> {
     stream.set_read_timeout(Some(Duration::from_secs(5)))?;
     let mut line = String::new();
     BufReader::new(&mut *stream).read_line(&mut line)?;
@@ -66,7 +72,7 @@ fn respond(stream: &mut TcpStream, route: &dyn Fn(&str) -> Reply) -> io::Result<
             "text/plain; version=0.0.4",
             to_prometheus(&global().snapshot()),
         )),
-        _ => route(path),
+        _ => routes.route(path),
     };
     let (status, (content_type, body)) = match reply {
         Some(found) => ("200 OK", found),
