@@ -136,8 +136,14 @@ pub fn execute(
     DECOMPRESS_NANOS.with(|c| c.set(0));
     let value = compute(inst, &inputs, table, cache)?;
     let compressed_exec = COMPRESSED_DIRECT.with(|c| c.get());
-    if obs_on {
-        record_inst_parallelism(&mut span, exdra_par::take_region_stats());
+    // The pool activity of this instruction alone, folded into the
+    // per-opcode `par.inst.<opcode>.*` counters of `RunReport`.
+    let par = obs_on.then(exdra_par::take_region_stats);
+    if let Some(par) = par.filter(|p| p.total_regions() > 0) {
+        span.attr("par.regions", par.regions);
+        span.attr("par.chunks", par.chunks);
+        span.attr("par.threads", par.max_threads);
+        span.attr("par.threads_engaged", par.threads_engaged);
     }
     if span.is_active() {
         if let DataValue::Matrix(m) = &value {
@@ -163,18 +169,17 @@ pub fn execute(
         // that happened to carry it is priced without it. On column groups
         // the time is `inst.c.<opcode>`'s.
         let own = (t.elapsed().as_nanos() as u64).saturating_sub(DECOMPRESS_NANOS.with(Cell::get));
-        span.attr(if compressed_exec { "c.own_nanos" } else { "own_nanos" }, own);
+        let key = if compressed_exec {
+            "c.own_nanos"
+        } else {
+            "own_nanos"
+        };
+        span.attr(key, own);
     }
     Ok(())
 }
 
 thread_local! {
-    /// Batch-scope rollup of (regions, chunks, max threads) across the
-    /// instructions this thread executed, for the `worker.batch` span —
-    /// the fine-grained `exdra_par` thread-local is consumed per
-    /// instruction by [`record_inst_parallelism`].
-    static BATCH_PAR: Cell<(u64, u64, u64)> = const { Cell::new((0, 0, 0)) };
-
     /// Set by [`compute`] when the instruction executed directly on a
     /// compressed operand (no decompression). Routes the latency sample
     /// into the `inst.c.<opcode>` histogram so the plan optimizer can
@@ -189,33 +194,6 @@ thread_local! {
 /// Marks the current instruction as executed in the compressed domain.
 fn compressed_direct() {
     COMPRESSED_DIRECT.with(|c| c.set(true));
-}
-
-/// Returns and resets this thread's batch-scope parallelism rollup.
-pub(crate) fn take_batch_parallelism() -> (u64, u64, u64) {
-    BATCH_PAR.with(|c| c.replace((0, 0, 0)))
-}
-
-/// Attaches the pool activity observed during one instruction to its
-/// span (`par.*` attrs, folded into the per-opcode `par.inst.<opcode>.*`
-/// counters behind `RunReport`'s parallelism section) and to the batch
-/// rollup. Only called when observability is on.
-fn record_inst_parallelism(span: &mut exdra_obs::SpanGuard, stats: exdra_par::RegionStats) {
-    if stats.total_regions() == 0 {
-        return;
-    }
-    BATCH_PAR.with(|c| {
-        let (r, ch, t) = c.get();
-        c.set((
-            r + stats.regions,
-            ch + stats.chunks,
-            t.max(stats.max_threads),
-        ));
-    });
-    span.attr("par.regions", stats.regions);
-    span.attr("par.chunks", stats.chunks);
-    span.attr("par.threads", stats.max_threads);
-    span.attr("par.threads_engaged", stats.threads_engaged);
 }
 
 /// True when every output cell of `inst` combines at least `k` cells of

@@ -231,21 +231,7 @@ impl Worker {
     /// The endpoint is [`exdra_obs::http::serve`]'s and shares the
     /// worker's shutdown flag.
     pub fn serve_http(self: &Arc<Self>, addr: &str) -> Result<std::net::SocketAddr> {
-        let this = Arc::clone(self);
-        let stopped = move || this.shutdown.load(Ordering::SeqCst);
-        let worker = Arc::clone(self);
-        let route = move |path: &str| match path {
-            "/healthz" => Some((
-                exdra_obs::http::TEXT,
-                format!(
-                    "ok epoch={} load={}\n",
-                    worker.epoch,
-                    worker.load.load(Ordering::Relaxed)
-                ),
-            )),
-            _ => None,
-        };
-        let (local, accept) = exdra_obs::http::serve(addr, "exdra-worker-http", stopped, route)
+        let (local, accept) = exdra_obs::http::serve(addr, "exdra-worker-http", Arc::clone(self))
             .map_err(|e| RuntimeError::Network(format!("bind {addr}: {e}")))?;
         self.listeners.lock().push((local, accept));
         Ok(local)
@@ -296,9 +282,6 @@ impl Worker {
         }
         let hits0 = self.cache.hits();
         let misses0 = self.cache.misses();
-        if obs_on {
-            let _ = crate::exec::take_batch_parallelism();
-        }
         let t_batch = obs_on.then(Instant::now);
         let mut footer = BatchFooter::default();
         if obs_on {
@@ -350,14 +333,6 @@ impl Worker {
             span.attr("exec_nanos", footer.exec_nanos);
             span.attr("cache_hits", footer.cache_hits);
             span.attr("cache_misses", footer.cache_misses);
-        }
-        if obs_on {
-            let (regions, chunks, threads) = crate::exec::take_batch_parallelism();
-            if regions > 0 && span.is_active() {
-                span.attr("par.regions", regions);
-                span.attr("par.chunks", chunks);
-                span.attr("par.threads", threads);
-            }
         }
         (responses, footer)
     }
@@ -852,6 +827,27 @@ impl Worker {
             privacy == PrivacyLevel::Public,
             lin,
         );
+    }
+}
+
+/// The worker's `--http` endpoint ([`Worker::serve_http`]).
+impl exdra_obs::http::Routes for Worker {
+    fn stopped(&self) -> bool {
+        self.shutdown.load(Ordering::SeqCst)
+    }
+
+    fn route(&self, path: &str) -> exdra_obs::http::Reply {
+        match path {
+            "/healthz" => Some((
+                exdra_obs::http::TEXT,
+                format!(
+                    "ok epoch={} load={}\n",
+                    self.epoch,
+                    self.load.load(Ordering::Relaxed)
+                ),
+            )),
+            _ => None,
+        }
     }
 }
 

@@ -20,7 +20,9 @@ use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
 use crate::export::{json_escape_into, json_f64};
-use crate::trace::{AttrValue, SpanKind, SpanRecord};
+#[cfg(test)]
+use crate::trace::AttrValue;
+use crate::trace::{SpanKind, SpanRecord};
 
 /// One hop on the critical path, root first.
 #[derive(Debug, Clone)]
@@ -284,10 +286,6 @@ impl std::fmt::Display for Analysis {
     }
 }
 
-fn attr_u64(rec: &SpanRecord, key: &str) -> Option<u64> {
-    rec.attr(key).and_then(AttrValue::as_u64)
-}
-
 fn end_nanos(rec: &SpanRecord) -> u64 {
     rec.start_unix_nanos.saturating_add(rec.duration_nanos)
 }
@@ -337,15 +335,15 @@ pub fn analyze(spans: &[SpanRecord], root_span_id: u64) -> Option<Analysis> {
         if !std::ptr::eq(rec, root) {
             match rec.kind {
                 SpanKind::Rpc => {
-                    ex.compute_nanos += attr_u64(rec, "exec_nanos").unwrap_or(0);
-                    ex.network_nanos += attr_u64(rec, "net_nanos").unwrap_or(0);
-                    ex.serde_nanos += attr_u64(rec, "serde_nanos").unwrap_or(0);
-                    ex.queue_nanos += attr_u64(rec, "gate_wait_nanos").unwrap_or(0);
-                    if let Some(w) = attr_u64(rec, "worker") {
+                    ex.compute_nanos += rec.attr_u64("exec_nanos").unwrap_or(0);
+                    ex.network_nanos += rec.attr_u64("net_nanos").unwrap_or(0);
+                    ex.serde_nanos += rec.attr_u64("serde_nanos").unwrap_or(0);
+                    ex.queue_nanos += rec.attr_u64("gate_wait_nanos").unwrap_or(0);
+                    if let Some(w) = rec.attr_u64("worker") {
                         let c = ex.per_worker.entry(w).or_default();
                         c.calls += 1;
-                        c.exec_nanos += attr_u64(rec, "exec_nanos").unwrap_or(0);
-                        c.net_nanos += attr_u64(rec, "net_nanos").unwrap_or(0);
+                        c.exec_nanos += rec.attr_u64("exec_nanos").unwrap_or(0);
+                        c.net_nanos += rec.attr_u64("net_nanos").unwrap_or(0);
                     }
                 }
                 SpanKind::Recovery => ex.recovery_nanos += rec.duration_nanos,
@@ -376,7 +374,7 @@ pub fn analyze(spans: &[SpanRecord], root_span_id: u64) -> Option<Analysis> {
         path.push(CriticalStep {
             name: node.name,
             kind: node.kind,
-            worker: attr_u64(node, "worker"),
+            worker: node.attr_u64("worker"),
             duration_nanos: node.duration_nanos,
             depth,
         });

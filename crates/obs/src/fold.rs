@@ -1,11 +1,11 @@
 //! Metrics as a fold over closing spans.
 //!
 //! Instrumented code records a fact once, as an attribute of the span it
-//! belongs to. When an active span closes, [`span_closed`] folds it into
+//! belongs to. When an active span closes, its guard folds it into
 //! the global registry through [`FOLDS`], one row per series. Spans (read
 //! by `EXPLAIN ANALYZE` and incident bundles) and the registry (read by
-//! `RunReport` and `/metrics`) therefore cannot disagree, and this table
-//! is the only place that names the series it produces. METRICS.md lists
+//! `RunReport` and `/metrics`) therefore cannot disagree, and nothing
+//! else writes the series this table produces. METRICS.md lists
 //! every series, folded or written directly, and a root test holds the
 //! two together.
 //!
@@ -118,21 +118,18 @@ folds! {
 pub(crate) fn span_closed(reg: &Registry, rec: &SpanRecord) {
     let mut name = String::new();
     for row in FOLDS {
-        if row.kind != rec.kind || (row.span != rec.name && row.span != "{op}") {
-            continue;
-        }
-        if rec.attr(row.done).is_none() {
+        let reads = row.kind == rec.kind && (row.span == rec.name || row.span == "{op}");
+        if !reads || rec.attr(row.done).is_none() {
             continue;
         }
         let value = match row.how {
             How::Count => rec.attr(row.attr).map(|_| 1),
-            How::Sum | How::Sample => rec.attr(row.attr).and_then(|v| v.as_u64()),
+            How::Sum | How::Sample => rec.attr_u64(row.attr),
         };
-        let Some(value) = value else { continue };
         name.clear();
-        if !expand(row.series, rec, &mut name) {
+        let (Some(value), Some(())) = (value, expand(row.series, rec, &mut name)) else {
             continue;
-        }
+        };
         match row.how {
             How::Count | How::Sum => reg.add(&name, value),
             How::Sample => reg.record(&name, value),
@@ -141,28 +138,17 @@ pub(crate) fn span_closed(reg: &Registry, rec: &SpanRecord) {
 }
 
 /// Writes `template` with its placeholders filled from `rec` into `out`;
-/// false if `rec` lacks one of them.
-fn expand(template: &str, rec: &SpanRecord, out: &mut String) -> bool {
-    use std::fmt::Write as _;
-    let mut rest = template;
-    while let Some(open) = rest.find('{') {
-        let Some(close) = rest[open..].find('}').map(|i| open + i) else {
-            break;
-        };
-        out.push_str(&rest[..open]);
-        match &rest[open + 1..close] {
-            "op" => out.push_str(rec.name),
-            key => match rec.attr(key) {
-                Some(v) => {
-                    let _ = write!(out, "{v}");
-                }
-                None => return false,
-            },
+/// `None` if `rec` lacks one of them.
+fn expand(template: &str, rec: &SpanRecord, out: &mut String) -> Option<()> {
+    // Split on the braces, the odd pieces are the placeholders.
+    for (i, piece) in template.split(['{', '}']).enumerate() {
+        match (i % 2, piece) {
+            (0, literal) => out.push_str(literal),
+            (_, "op") => out.push_str(rec.name),
+            (_, key) => out.push_str(&rec.attr(key)?.to_string()),
         }
-        rest = &rest[close + 1..];
     }
-    out.push_str(rest);
-    true
+    Some(())
 }
 
 #[cfg(test)]
@@ -187,10 +173,10 @@ mod tests {
     fn templates_take_the_span_name_and_attributes() {
         let r = rec(SpanKind::Rpc, "ba+*", &[("worker", 3)]);
         let mut out = String::new();
-        assert!(expand("worker.{worker}.x.{op}", &r, &mut out));
+        assert!(expand("worker.{worker}.x.{op}", &r, &mut out).is_some());
         assert_eq!(out, "worker.3.x.ba+*");
         out.clear();
-        assert!(!expand("tenant.{ns}.x", &r, &mut out));
+        assert!(expand("tenant.{ns}.x", &r, &mut out).is_none());
     }
 
     #[test]
@@ -198,7 +184,10 @@ mod tests {
         let reg = Registry::new();
         let begun = [("worker", 1), ("requests", 3)];
         span_closed(&reg, &rec(SpanKind::Rpc, "rpc.call", &begun));
-        assert!(reg.snapshot().counters.is_empty(), "a failed call folds nothing");
+        assert!(
+            reg.snapshot().counters.is_empty(),
+            "a failed call folds nothing"
+        );
         let done = [begun[0], begun[1], ("bytes_recv", 40), ("net_nanos", 9)];
         span_closed(&reg, &rec(SpanKind::Rpc, "rpc.call", &done));
         span_closed(&reg, &rec(SpanKind::Other, "rpc.call", &done));

@@ -1,6 +1,6 @@
 //! Observability layer for the ExDRa runtime.
 //!
-//! Two independent facilities, both process-global and thread-safe:
+//! Two facilities, both process-global and thread-safe:
 //!
 //! * **Tracing** ([`trace`]): structured spans with ids, parent ids, a
 //!   [`SpanKind`], wall-clock duration, and key/value attributes. Spans
@@ -12,7 +12,9 @@
 //!   `tests/noop_alloc.rs`).
 //! * **Metrics** ([`metrics`]): a registry of named monotonic counters
 //!   and log-scale latency histograms with p50/p95/p99 summaries,
-//!   exportable as Prometheus-style text and JSON ([`export`]).
+//!   exportable as Prometheus-style text and JSON ([`export`]). A fact
+//!   an instrumented site records on a span is not written again: the
+//!   closing span folds into the registry ([`fold`]).
 //!
 //! On top of those sit the operations plane:
 //!
@@ -23,6 +25,8 @@
 //!   computation's span forest — wall-time breakdown, dominant
 //!   worker/opcode, and per-opcode/per-worker cost profiles — yielding
 //!   an [`Analysis`].
+//! * **HTTP endpoint** ([`http`]): the responder behind the workers'
+//!   and the coordinator daemon's `/healthz` + `/metrics` endpoints.
 //! * **EXPLAIN reports** ([`explain`]): the unified [`Explain`] document
 //!   the API layer fills with logical/optimized plan scripts, cost
 //!   estimates ([`PlanEstimate`]), optimizer rule hits ([`RuleFire`]),

@@ -141,17 +141,6 @@ impl std::fmt::Display for AttrValue {
     }
 }
 
-impl AttrValue {
-    /// The value as an unsigned integer, if it is one.
-    pub fn as_u64(&self) -> Option<u64> {
-        match self {
-            AttrValue::U64(n) => Some(*n),
-            AttrValue::I64(n) => u64::try_from(*n).ok(),
-            _ => None,
-        }
-    }
-}
-
 impl From<u64> for AttrValue {
     fn from(v: u64) -> Self {
         AttrValue::U64(v)
@@ -212,6 +201,15 @@ impl SpanRecord {
     /// The value of attribute `key`, if the span carries it.
     pub fn attr(&self, key: &str) -> Option<&AttrValue> {
         self.attrs.iter().find(|(k, _)| *k == key).map(|(_, v)| v)
+    }
+
+    /// Attribute `key` as an unsigned integer, if it is one.
+    pub fn attr_u64(&self, key: &str) -> Option<u64> {
+        match self.attr(key)? {
+            AttrValue::U64(n) => Some(*n),
+            AttrValue::I64(n) => u64::try_from(*n).ok(),
+            _ => None,
+        }
     }
 }
 
