@@ -7,21 +7,8 @@
 //! (`to_json`) that bench bins write as a `results/<bin>.metrics.json`
 //! sidecar.
 //!
-//! The report understands the runtime's metric naming conventions:
-//!
-//! | metric | meaning |
-//! |---|---|
-//! | `rpc.calls` / `rpc.requests` / `rpc.retries` / `rpc.heartbeats` | coordinator RPC counters |
-//! | `rpc.deferred` | effect-only requests queued in a worker's outbox instead of sent on their own |
-//! | `worker.{w}.rpcs` / `.requests` / `.bytes_sent` / `.bytes_recv` | per-worker traffic |
-//! | `worker.{w}.net_nanos` / `.exec_nanos` / `.serde_nanos` / `.retries` | per-worker time split |
-//! | `inst.{opcode}` (histogram) | worker-side per-instruction latency |
-//! | `lineage.{worker,coordinator}.{hits,misses,evictions}` | reuse-cache traffic by cache scope |
-//! | `ps.epochs` / `ps.skipped_updates`, `ps.round` / `ps.aggregate` (histograms) | parameter-server rounds |
-//! | `recovery.{recovered,failed_attempts,restores,replays,restored_entries,restored_bytes}` | supervisor recovery arcs |
-//! | `checkpoint.{deltas,full_snapshots,entries,bytes}` | background checkpoint stream |
-//! | `par.{regions,serial_regions,chunks,steals}`, `par.threads_used` (histogram) | compute-pool activity |
-//! | `par.inst.{opcode}.{calls,regions,chunks,threads}` | per-opcode intra-operator parallelism |
+//! The report reads the runtime's series by name; METRICS.md lists
+//! each one with its kind, unit and source.
 
 use std::fmt;
 
