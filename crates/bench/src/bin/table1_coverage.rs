@@ -3,7 +3,8 @@
 //! Executes every operation category listed in the paper's Table 1 on
 //! row-partitioned federated data (and column-partitioned where the row
 //! scheme does not apply), verifies each result against local execution,
-//! and prints the resulting support matrix.
+//! and prints the resulting support matrix. Exits non-zero when any
+//! result differs.
 //!
 //! `cargo run -p exdra-bench --bin table1_coverage`
 
@@ -40,7 +41,11 @@ fn main() {
         "Table 1: federated instruction coverage (verified vs local)",
         &["type", "instruction", "row-part", "col-part", "max |diff|"],
     );
+    let mut failed = 0;
     let mut add = |ty: &str, name: &str, row_ok: bool, col_ok: &str, diff: f64| {
+        if !row_ok || col_ok == "FAIL" {
+            failed += 1;
+        }
         table.row(&[
             ty.into(),
             name.into(),
@@ -459,7 +464,11 @@ fn main() {
     }
 
     table.print();
+    write_metrics_sidecar("table1_coverage");
+    if failed > 0 {
+        eprintln!("\n{failed} instruction(s) differ from local execution");
+        std::process::exit(1);
+    }
     println!("\nAll listed instructions executed over the six-request protocol");
     println!("(READ/PUT/GET/EXEC_INST/EXEC_UDF/CLEAR) against standing workers.");
-    write_metrics_sidecar("table1_coverage");
 }

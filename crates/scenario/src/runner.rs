@@ -93,58 +93,6 @@ pub struct ScenarioReport {
     pub passed: bool,
 }
 
-impl ScenarioReport {
-    /// Renders the report as a JSON object (for `results/scenarios.json`).
-    pub fn to_json(&self) -> String {
-        let rounds: Vec<String> = self
-            .rounds
-            .iter()
-            .map(|r| {
-                format!(
-                    "{{\"round\":{},\"ms\":{:.3},\"messages\":{},\"loss\":{:.6},\"accuracy\":{:.4},\
-                     \"staleness\":{},\"retried\":{},\"failed\":{}}}",
-                    r.round, r.millis, r.messages, r.loss, r.accuracy, r.staleness, r.retried, r.failed
-                )
-            })
-            .collect();
-        let invariants: Vec<String> = self
-            .invariants
-            .iter()
-            .map(|(n, ok)| format!("{{\"name\":\"{n}\",\"passed\":{ok}}}"))
-            .collect();
-        let oracle = match self.oracle_hash {
-            Some(h) => format!("\"{h:016x}\""),
-            None => "null".into(),
-        };
-        format!(
-            "{{\"name\":\"{}\",\"master_seed\":{},\"p50_ms\":{:.3},\"p99_ms\":{:.3},\
-             \"total_ms\":{:.3},\"failed_computations\":{},\"retried_rounds\":{},\
-             \"max_observed_staleness\":{},\"reencodes\":{},\"max_drift_seen\":{:.4},\
-             \"expdb_runs\":{},\"pipeline_versions\":{},\"final_accuracy\":{:.4},\
-             \"model_hash\":\"{:016x}\",\"oracle_hash\":{},\"passed\":{},\
-             \"invariants\":[{}],\"rounds\":[{}]}}",
-            self.name,
-            self.master_seed,
-            self.p50_ms,
-            self.p99_ms,
-            self.total_ms,
-            self.failed_computations,
-            self.retried_rounds,
-            self.max_observed_staleness,
-            self.reencodes,
-            self.max_drift_seen,
-            self.expdb_runs,
-            self.pipeline_versions,
-            self.final_accuracy,
-            self.model_hash,
-            oracle,
-            self.passed,
-            invariants.join(","),
-            rounds.join(",")
-        )
-    }
-}
-
 /// Nearest-rank percentile over an ascending-sorted slice.
 pub fn percentile(sorted: &[f64], p: f64) -> f64 {
     if sorted.is_empty() {
