@@ -426,7 +426,10 @@ mod tests {
             text.push('{');
             json_escape_into(&mut text, &format!("key {i}"));
             text.push(':');
-            json_escape_into(&mut text, &format!("line {i}\n\"quoted\" é ✓ {}", "x".repeat(40)));
+            json_escape_into(
+                &mut text,
+                &format!("line {i}\n\"quoted\" é ✓ {}", "x".repeat(40)),
+            );
             text.push('}');
         }
         text.push(']');
