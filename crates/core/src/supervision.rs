@@ -286,10 +286,8 @@ impl Supervisor {
     /// between, and the detector's verdict on the reply decides.
     fn fold(&self, worker: usize, since: u64, pair: Vec<Response>) -> Result<()> {
         let mut span = exdra_obs::span(SpanKind::Recovery, "recovery.checkpoint");
-        if span.is_active() {
-            span.attr("worker", worker);
-            span.attr("since_seq", since);
-        }
+        span.attr("worker", worker);
+        span.attr("since_seq", since);
         let mut pair = pair.into_iter();
         let alive = match pair.next() {
             Some(Response::Alive { epoch, load }) => Event::Alive { epoch, load },
@@ -411,18 +409,15 @@ impl Supervisor {
                 &format!("worker {worker} found dead; recovery starting"),
             );
         }
-        let obs_on = exdra_obs::enabled();
-        let t0 = obs_on.then(Instant::now);
+        let t0 = exdra_obs::enabled().then(Instant::now);
         match self.try_recover(worker) {
             Ok((epoch, load)) => {
                 self.detector
                     .apply(worker, Event::RecoveryDone { epoch, load });
-                if obs_on {
+                if let Some(t) = t0 {
                     let reg = exdra_obs::global();
                     reg.inc("recovery.recovered");
-                    if let Some(t) = t0 {
-                        reg.record("recovery.latency", t.elapsed().as_nanos() as u64);
-                    }
+                    reg.record("recovery.latency", t.elapsed().as_nanos() as u64);
                 }
                 if exdra_obs::recorder::enabled() {
                     exdra_obs::recorder::event("supervision", format!("worker {worker} recovered"));
@@ -432,7 +427,7 @@ impl Supervisor {
             Err(e) => {
                 // Recovering → Dead: the next sweep starts over.
                 self.detector.apply(worker, Event::RecoveryFailed);
-                if obs_on {
+                if t0.is_some() {
                     exdra_obs::global().inc("recovery.failed_attempts");
                 }
                 if exdra_obs::recorder::enabled() {

@@ -220,16 +220,11 @@ impl Worker {
         Ok(local)
     }
 
-    /// Serves a minimal HTTP/1.0 observability endpoint on `addr` and
-    /// returns the bound address. Two routes:
-    ///
-    /// - `GET /healthz` — `200 OK` with the worker's registration epoch
-    ///   and request load (a scrape-friendly liveness probe);
-    /// - `GET /metrics` — the process-global `exdra-obs` registry in
-    ///   Prometheus text exposition format.
-    ///
-    /// The endpoint is [`exdra_obs::http::serve`]'s and shares the
-    /// worker's shutdown flag.
+    /// Serves the worker's HTTP/1.0 observability endpoint
+    /// ([`exdra_obs::http::serve`]) on `addr` and returns the bound
+    /// address: `GET /healthz` answers the registration epoch and request
+    /// load, `GET /metrics` the registry as Prometheus text. It stops with
+    /// the worker.
     pub fn serve_http(self: &Arc<Self>, addr: &str) -> Result<std::net::SocketAddr> {
         let (local, accept) = exdra_obs::http::serve(addr, "exdra-worker-http", Arc::clone(self))
             .map_err(|e| RuntimeError::Network(format!("bind {addr}: {e}")))?;

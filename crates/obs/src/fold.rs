@@ -1,20 +1,17 @@
 //! Metrics as a fold over closing spans.
 //!
-//! Instrumented code records a fact once, as an attribute of the span it
-//! belongs to. When an active span closes, its guard folds it into
-//! the global registry through [`FOLDS`], one row per series. Spans (read
-//! by `EXPLAIN ANALYZE` and incident bundles) and the registry (read by
-//! `RunReport` and `/metrics`) therefore cannot disagree, and nothing
-//! else writes the series this table produces. METRICS.md lists
-//! every series, folded or written directly, and a root test holds the
-//! two together.
+//! Instrumented code records a fact once, as an attribute of its span.
+//! When an active span closes, its guard folds it into the global
+//! registry through [`FOLDS`], one row per series, so the spans (read by
+//! `EXPLAIN ANALYZE` and incident bundles) and the registry (read by
+//! `RunReport` and `/metrics`) cannot disagree. Nothing else writes these
+//! series; METRICS.md lists them with the directly written ones.
 //!
-//! A row reads spans of one kind and name; the name `{op}` stands for
-//! every instruction span, which is named by its opcode. A span folds
-//! through a row only if it carries the row's completion attribute. Sites
-//! set those on success only, so a failed RPC or instruction folds
-//! nothing. In a series template, `{op}` is the span's name and any other
-//! `{attr}` is the value of that attribute.
+//! A row reads the spans of one name; `{op}` stands for every instruction
+//! span, which is named by its opcode. A span folds through a row only if
+//! it carries the row's completion attribute, which sites set on success
+//! only. In a series template, `{op}` is the span's name and any other
+//! `{attr}` the value of that attribute.
 
 use crate::metrics::Registry;
 use crate::trace::{SpanKind, SpanRecord};
@@ -33,8 +30,7 @@ pub enum How {
 /// One series folded from spans.
 #[derive(Debug, Clone, Copy)]
 pub struct Fold {
-    pub kind: SpanKind,
-    /// The span name, or `{op}` for any span of `kind`.
+    /// The span name, or `{op}` for any instruction span.
     pub span: &'static str,
     /// The completion attribute: spans without it fold nothing.
     pub done: &'static str,
@@ -46,12 +42,11 @@ pub struct Fold {
 }
 
 macro_rules! folds {
-    ($($kind:ident $span:literal if $done:literal {
+    ($($span:literal if $done:literal {
         $($series:literal => $how:ident $($attr:literal)?),+ $(,)?
     })+) => {
         /// Every folded series (see the module docs).
         pub const FOLDS: &[Fold] = &[$($(Fold {
-            kind: SpanKind::$kind,
             span: $span,
             done: $done,
             series: $series,
@@ -64,7 +59,7 @@ macro_rules! folds {
 }
 
 folds! {
-    Rpc "rpc.call" if "bytes_recv" {
+    "rpc.call" if "bytes_recv" {
         "rpc.calls" => Count,
         "rpc.requests" => Sum "requests",
         "rpc.retries" => Sum "retries",
@@ -79,23 +74,23 @@ folds! {
         "worker.{worker}.serde_nanos" => Sum "serde_nanos",
         "worker.{worker}.retries" => Sum "retries",
     }
-    Rpc "rpc.heartbeat" if "worker" {
+    "rpc.heartbeat" if "worker" {
         "rpc.heartbeats" => Count,
     }
-    Instruction "{op}" if "own_nanos" {
+    "{op}" if "own_nanos" {
         "inst.{op}" => Sample "own_nanos",
     }
-    Instruction "{op}" if "c.own_nanos" {
+    "{op}" if "c.own_nanos" {
         "inst.c.{op}" => Sample "c.own_nanos",
         "compress.exec.direct" => Count,
     }
-    Instruction "{op}" if "par.regions" {
+    "{op}" if "par.regions" {
         "par.inst.{op}.calls" => Count,
         "par.inst.{op}.regions" => Sum "par.regions",
         "par.inst.{op}.chunks" => Sum "par.chunks",
         "par.inst.{op}.threads" => Sum "par.threads_engaged",
     }
-    Recovery "recovery.checkpoint" if "seq" {
+    "recovery.checkpoint" if "seq" {
         "checkpoint.deltas" => Count,
         "checkpoint.full_snapshots" => Count "full",
         "checkpoint.entries" => Sum "entries",
@@ -103,13 +98,13 @@ folds! {
         "checkpoint.delta_bytes" => Sample "bytes",
         "checkpoint.age_nanos" => Sample "age_nanos",
     }
-    Recovery "recovery.restore" if "entries" {
+    "recovery.restore" if "entries" {
         "recovery.restores" => Count,
         "recovery.restored_entries" => Sum "entries",
         "recovery.restored_bytes" => Sum "bytes",
         "recovery.checkpoint_age_nanos" => Sample "age_nanos",
     }
-    Recovery "recovery.replay" if "worker" {
+    "recovery.replay" if "worker" {
         "recovery.replays" => Count,
     }
 }
@@ -118,8 +113,8 @@ folds! {
 pub(crate) fn span_closed(reg: &Registry, rec: &SpanRecord) {
     let mut name = String::new();
     for row in FOLDS {
-        let reads = row.kind == rec.kind && (row.span == rec.name || row.span == "{op}");
-        if !reads || rec.attr(row.done).is_none() {
+        let op = row.span == "{op}" && rec.kind == SpanKind::Instruction;
+        if !(op || row.span == rec.name) || rec.attr(row.done).is_none() {
             continue;
         }
         let value = match row.how {
@@ -190,12 +185,16 @@ mod tests {
         );
         let done = [begun[0], begun[1], ("bytes_recv", 40), ("net_nanos", 9)];
         span_closed(&reg, &rec(SpanKind::Rpc, "rpc.call", &done));
-        span_closed(&reg, &rec(SpanKind::Other, "rpc.call", &done));
+        span_closed(&reg, &rec(SpanKind::Other, "mmchain", &[("own_nanos", 5)]));
         let snap = reg.snapshot();
         assert_eq!(snap.counter("rpc.calls"), 1);
         assert_eq!(snap.counter("worker.1.requests"), 3);
         assert_eq!(snap.counter("worker.1.bytes_recv"), 40);
         assert_eq!(snap.histograms["rpc.latency"].sum, 9);
+        assert!(
+            !snap.histograms.contains_key("inst.mmchain"),
+            "only instruction spans fold as {{op}}"
+        );
         assert!(
             !snap.counters.contains_key("rpc.retries"),
             "no attribute, no sample"
@@ -203,11 +202,10 @@ mod tests {
     }
 
     #[test]
-    fn every_row_reads_a_distinct_series_from_a_known_span() {
+    fn every_row_folds_a_distinct_series() {
         let mut seen = std::collections::BTreeSet::new();
         for row in FOLDS {
             assert!(seen.insert(row.series), "{} folded twice", row.series);
-            assert_eq!(row.span == "{op}", row.kind == SpanKind::Instruction);
         }
     }
 }

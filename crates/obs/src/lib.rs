@@ -12,9 +12,8 @@
 //!   `tests/noop_alloc.rs`).
 //! * **Metrics** ([`metrics`]): a registry of named monotonic counters
 //!   and log-scale latency histograms with p50/p95/p99 summaries,
-//!   exportable as Prometheus-style text and JSON ([`export`]). A fact
-//!   an instrumented site records on a span is not written again: the
-//!   closing span folds into the registry ([`fold`]).
+//!   exportable as Prometheus-style text and JSON ([`export`]). Closing
+//!   spans fold into it ([`fold`]).
 //!
 //! On top of those sit the operations plane:
 //!
