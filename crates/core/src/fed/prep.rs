@@ -320,8 +320,8 @@ mod tests {
             .collect();
         let vals: Vec<Option<f64>> = (0..rows).map(|_| Some(rng.gen_range(0.0..100.0))).collect();
         Frame::new(vec![
-            ("recipe".into(), FrameColumn::Str(cats)),
-            ("power".into(), FrameColumn::F64(vals)),
+            ("recipe".into(), FrameColumn::from(cats)),
+            ("power".into(), FrameColumn::from(vals)),
         ])
         .unwrap()
     }
@@ -463,7 +463,7 @@ impl FedFrame {
                     let cnt = f.column_by_name("count")?;
                     for r in 0..f.rows() {
                         if let Some(tok) = tokens.token(r) {
-                            *counts.entry(tok).or_default() += cnt.numeric(r)? as u64;
+                            *counts.entry(tok.into_owned()).or_default() += cnt.numeric(r)? as u64;
                         }
                     }
                 }
@@ -547,24 +547,18 @@ mod impute_tests {
         // Site 1 is Z-heavy, site 2 is X-heavy; X wins globally 5:4.
         let s1 = Frame::new(vec![(
             "c".into(),
-            FrameColumn::Str(vec![
-                Some("Z".into()),
-                Some("Z".into()),
-                Some("Z".into()),
-                None,
-                Some("X".into()),
-            ]),
+            FrameColumn::from(vec![Some("Z"), Some("Z"), Some("Z"), None, Some("X")]),
         )])
         .unwrap();
         let s2 = Frame::new(vec![(
             "c".into(),
-            FrameColumn::Str(vec![
-                Some("X".into()),
-                Some("X".into()),
-                Some("X".into()),
-                Some("X".into()),
+            FrameColumn::from(vec![
+                Some("X"),
+                Some("X"),
+                Some("X"),
+                Some("X"),
                 None,
-                Some("Z".into()),
+                Some("Z"),
             ]),
         )])
         .unwrap();
@@ -595,7 +589,7 @@ mod impute_tests {
             .map(|i| {
                 Frame::new(vec![(
                     "c".into(),
-                    FrameColumn::Str(vec![Some(format!("v{i}")), None]),
+                    FrameColumn::from(vec![Some(format!("v{i}")), None]),
                 )])
                 .unwrap()
             })
@@ -610,7 +604,7 @@ mod impute_tests {
     #[test]
     fn impute_mode_unknown_column() {
         let (ctx, _w) = mem_federation(1);
-        let f = Frame::new(vec![("c".into(), FrameColumn::Str(vec![Some("a".into())]))]).unwrap();
+        let f = Frame::new(vec![("c".into(), FrameColumn::from(vec![Some("a")]))]).unwrap();
         let fed = FedFrame::from_site_frames(&ctx, &[f], PrivacyLevel::Public).unwrap();
         assert!(fed.impute_mode("nope").is_err());
     }

@@ -56,15 +56,10 @@ impl Fold {
     fn finish(self) -> u64 {
         mix(mix(self.h, self.word), self.len)
     }
-}
 
-impl BufMut for Fold {
-    fn put_slice(&mut self, src: &[u8]) {
-        let mut words = src.chunks_exact(8);
-        for w in &mut words {
-            self.put_u64_le(u64::from_le_bytes(w.try_into().expect("8-byte chunk")));
-        }
-        for &b in words.remainder() {
+    /// Adds bytes to the partial word one at a time.
+    fn put_bytes(&mut self, bytes: &[u8]) {
+        for &b in bytes {
             self.word |= (b as u64) << (8 * self.filled);
             self.filled += 1;
             self.len += 1;
@@ -73,6 +68,22 @@ impl BufMut for Fold {
                 (self.word, self.filled) = (0, 0);
             }
         }
+    }
+}
+
+impl BufMut for Fold {
+    fn put_slice(&mut self, src: &[u8]) {
+        // Complete the partial word byte by byte, then mix whole words.
+        let (head, src) = src.split_at(src.len().min((8 - self.filled as usize) % 8));
+        self.put_bytes(head);
+        let mut words = src.chunks_exact(8);
+        let mut h = self.h;
+        for w in &mut words {
+            h = mix(h, u64::from_le_bytes(w.try_into().expect("8-byte chunk")));
+        }
+        self.h = h;
+        self.len += (src.len() - words.remainder().len()) as u64;
+        self.put_bytes(words.remainder());
     }
 
     fn put_u64_le(&mut self, v: u64) {
@@ -401,7 +412,7 @@ mod tests {
             let mut tokens: Vec<Option<String>> = vec![Some("same".into()); 999];
             tokens[400] = Some(mid.into());
             tokens[401] = None;
-            DataValue::Frame(Frame::new(vec![("c".into(), FrameColumn::Str(tokens))]).unwrap())
+            DataValue::Frame(Frame::new(vec![("c".into(), FrameColumn::from(tokens))]).unwrap())
         };
         assert_eq!(of_value(&frame("x")), of_value(&frame("x")));
         assert_ne!(of_value(&frame("x")), of_value(&frame("y")));

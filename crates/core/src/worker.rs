@@ -17,7 +17,7 @@ use std::time::{Duration, Instant};
 use parking_lot::{Mutex, RwLock};
 
 use exdra_matrix::compress::CompressedMatrix;
-use exdra_matrix::frame::Frame;
+use exdra_matrix::frame::{Frame, FrameColumn};
 use exdra_matrix::io as mio;
 use exdra_matrix::kernels::reorg;
 use exdra_matrix::{DenseMatrix, Matrix};
@@ -624,23 +624,22 @@ impl Worker {
                 let e = self.table.get(frame)?;
                 let f = e.value.as_frame()?;
                 let col = f.column_by_name(&column)?;
-                let mut counts: std::collections::BTreeMap<String, u64> =
+                let mut counts: std::collections::BTreeMap<_, u64> =
                     std::collections::BTreeMap::new();
                 for r in 0..col.len() {
                     if let Some(tok) = col.token(r) {
                         *counts.entry(tok).or_default() += 1;
                     }
                 }
-                let (tokens, ns): (Vec<Option<String>>, Vec<Option<f64>>) = counts
-                    .into_iter()
-                    .map(|(t, n)| (Some(t), Some(n as f64)))
-                    .unzip();
                 let out = Frame::new(vec![
                     (
                         "token".into(),
-                        exdra_matrix::frame::FrameColumn::Str(tokens),
+                        FrameColumn::Str(counts.keys().map(Some).collect()),
                     ),
-                    ("count".into(), exdra_matrix::frame::FrameColumn::F64(ns)),
+                    (
+                        "count".into(),
+                        FrameColumn::F64(counts.values().map(|&n| Some(n as f64)).collect()),
+                    ),
                 ])?;
                 // Category counts are the same aggregate-sized metadata the
                 // encode protocol exchanges; strictly private data refuses.
@@ -665,13 +664,9 @@ impl Worker {
                     let col = f.column(c)?.clone();
                     let col = if c == idx {
                         match col {
-                            exdra_matrix::frame::FrameColumn::Str(v) => {
-                                exdra_matrix::frame::FrameColumn::Str(
-                                    v.into_iter()
-                                        .map(|cell| cell.or_else(|| Some(value.clone())))
-                                        .collect(),
-                                )
-                            }
+                            FrameColumn::Str(v) => FrameColumn::Str(
+                                v.iter().map(|cell| Some(cell.unwrap_or(&value))).collect(),
+                            ),
                             other => {
                                 return Err(RuntimeError::Invalid(format!(
                                     "fill-missing targets string columns, '{column}' is {}",

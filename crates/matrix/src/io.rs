@@ -109,11 +109,23 @@ pub fn read_matrix_bin(path: &Path) -> Result<DenseMatrix> {
     let rows = u64::from_le_bytes(buf8) as usize;
     r.read_exact(&mut buf8)?;
     let cols = u64::from_le_bytes(buf8) as usize;
-    let mut data = vec![0.0f64; rows * cols];
-    for v in &mut data {
-        r.read_exact(&mut buf8)?;
-        *v = f64::from_le_bytes(buf8);
-    }
+    // The header's shape is checked against the bytes actually left in
+    // the file before anything is allocated for it.
+    let left = r.get_ref().metadata()?.len().saturating_sub(24);
+    let bytes = rows
+        .checked_mul(cols)
+        .and_then(|n| n.checked_mul(8))
+        .filter(|&n| n as u64 <= left)
+        .ok_or_else(|| MatrixError::Parse {
+            line: 0,
+            msg: format!("binary matrix header {rows}x{cols} exceeds its {left} payload bytes"),
+        })?;
+    let mut raw = vec![0u8; bytes];
+    r.read_exact(&mut raw)?;
+    let data = raw
+        .chunks_exact(8)
+        .map(|b| f64::from_le_bytes(b.try_into().expect("8-byte chunk")))
+        .collect();
     DenseMatrix::new(rows, cols, data)
 }
 
@@ -152,15 +164,7 @@ pub fn read_frame_csv(path: &Path, schema: &[ValueType]) -> Result<Frame> {
             ),
         });
     }
-    let mut cols: Vec<FrameColumn> = schema
-        .iter()
-        .map(|t| match t {
-            ValueType::F64 => FrameColumn::F64(Vec::new()),
-            ValueType::I64 => FrameColumn::I64(Vec::new()),
-            ValueType::Str => FrameColumn::Str(Vec::new()),
-            ValueType::Bool => FrameColumn::Bool(Vec::new()),
-        })
-        .collect();
+    let mut cols: Vec<FrameColumn> = schema.iter().map(|&t| FrameColumn::empty(t)).collect();
     for (lineno, line) in r.lines().enumerate() {
         let line = line?;
         if line.is_empty() {
@@ -180,22 +184,20 @@ fn parse_frame_line(line: &str, lineno: usize, cols: &mut [FrameColumn]) -> Resu
         })?;
         let t = cell.trim();
         let missing = t.is_empty() || t == "NA" || t == "NULL";
+        let invalid = |what: &str| MatrixError::Parse {
+            line: lineno,
+            msg: format!("invalid {what} '{t}'"),
+        };
         match col {
             FrameColumn::F64(v) => v.push(if missing {
                 None
             } else {
-                Some(t.parse().map_err(|_| MatrixError::Parse {
-                    line: lineno,
-                    msg: format!("invalid f64 '{t}'"),
-                })?)
+                Some(t.parse().map_err(|_| invalid("f64"))?)
             }),
             FrameColumn::I64(v) => v.push(if missing {
                 None
             } else {
-                Some(t.parse().map_err(|_| MatrixError::Parse {
-                    line: lineno,
-                    msg: format!("invalid i64 '{t}'"),
-                })?)
+                Some(t.parse().map_err(|_| invalid("i64"))?)
             }),
             FrameColumn::Bool(v) => v.push(if missing {
                 None
@@ -203,15 +205,10 @@ fn parse_frame_line(line: &str, lineno: usize, cols: &mut [FrameColumn]) -> Resu
                 Some(match t {
                     "true" | "TRUE" | "1" => true,
                     "false" | "FALSE" | "0" => false,
-                    other => {
-                        return Err(MatrixError::Parse {
-                            line: lineno,
-                            msg: format!("invalid bool '{other}'"),
-                        })
-                    }
+                    _ => return Err(invalid("bool")),
                 })
             }),
-            FrameColumn::Str(v) => v.push(if missing { None } else { Some(t.to_string()) }),
+            FrameColumn::Str(v) => v.push((!missing).then_some(t)),
         }
         n += 1;
     }
@@ -232,9 +229,8 @@ pub fn infer_schema(path: &Path, sample_rows: usize) -> Result<Vec<ValueType>> {
     let mut header = String::new();
     r.read_line(&mut header)?;
     let ncols = header.trim_end().split(',').count();
-    // Start at the most specific type and widen.
-    let mut types = vec![ValueType::I64; ncols];
-    let mut seen = vec![false; ncols];
+    // Each column takes the type of its first cell and widens from there.
+    let mut types: Vec<Option<ValueType>> = vec![None; ncols];
     for line in r.lines().take(sample_rows) {
         let line = line?;
         for (c, cell) in line.split(',').enumerate().take(ncols) {
@@ -242,34 +238,39 @@ pub fn infer_schema(path: &Path, sample_rows: usize) -> Result<Vec<ValueType>> {
             if t.is_empty() || t == "NA" || t == "NULL" {
                 continue;
             }
-            seen[c] = true;
-            types[c] = widen(types[c], t);
+            let cell = cell_type(t);
+            types[c] = Some(types[c].map_or(cell, |seen| widen(seen, cell)));
         }
     }
     // Columns never observed default to string (safest).
-    for (c, &s) in seen.iter().enumerate() {
-        if !s {
-            types[c] = ValueType::Str;
-        }
-    }
-    Ok(types)
+    Ok(types
+        .into_iter()
+        .map(|t| t.unwrap_or(ValueType::Str))
+        .collect())
 }
 
-fn widen(current: ValueType, cell: &str) -> ValueType {
-    let fits = |t: ValueType| match t {
-        ValueType::I64 => cell.parse::<i64>().is_ok(),
-        ValueType::F64 => cell.parse::<f64>().is_ok(),
-        ValueType::Bool => matches!(cell, "true" | "false" | "TRUE" | "FALSE"),
-        ValueType::Str => true,
-    };
-    // Widening order: i64 -> f64 -> str; bool only via explicit literals.
-    let order = [current, ValueType::F64, ValueType::Bool, ValueType::Str];
-    for t in order {
-        if fits(t) {
-            return t;
-        }
+/// The most specific type a cell parses as: i64, else f64, else bool
+/// (explicit literals only), else string.
+fn cell_type(cell: &str) -> ValueType {
+    if cell.parse::<i64>().is_ok() {
+        ValueType::I64
+    } else if cell.parse::<f64>().is_ok() {
+        ValueType::F64
+    } else if matches!(cell, "true" | "false" | "TRUE" | "FALSE") {
+        ValueType::Bool
+    } else {
+        ValueType::Str
     }
-    ValueType::Str
+}
+
+/// The narrowest type that every cell of both types parses as: i64 widens
+/// to f64, and any other mix (numbers with booleans included) to string.
+fn widen(a: ValueType, b: ValueType) -> ValueType {
+    match (a, b) {
+        _ if a == b => a,
+        (ValueType::I64, ValueType::F64) | (ValueType::F64, ValueType::I64) => ValueType::F64,
+        _ => ValueType::Str,
+    }
 }
 
 /// Byte offsets of row starts in a raw CSV file, built once on first access
@@ -429,15 +430,15 @@ mod tests {
         let f = Frame::new(vec![
             (
                 "cat".into(),
-                FrameColumn::Str(vec![Some("X".into()), None, Some("Z".into())]),
+                FrameColumn::from(vec![Some("X"), None, Some("Z")]),
             ),
             (
                 "val".into(),
-                FrameColumn::F64(vec![Some(1.5), Some(2.0), None]),
+                FrameColumn::from(vec![Some(1.5), Some(2.0), None]),
             ),
             (
                 "n".into(),
-                FrameColumn::I64(vec![Some(1), Some(2), Some(3)]),
+                FrameColumn::from(vec![Some(1i64), Some(2), Some(3)]),
             ),
         ])
         .unwrap();
@@ -464,6 +465,49 @@ mod tests {
                 ValueType::Bool
             ]
         );
+    }
+
+    #[test]
+    fn schema_inference_widens_numbers_and_bools_to_string() {
+        let p = tmp("infer_mixed.csv");
+        std::fs::write(&p, "a,b,c,d\n5,true,1,true\ntrue,1.5,2.5,false\n").unwrap();
+        let s = infer_schema(&p, 100).unwrap();
+        let want = [
+            ValueType::Str,
+            ValueType::Str,
+            ValueType::F64,
+            ValueType::Bool,
+        ];
+        assert_eq!(s, want);
+        // Every inferred type parses every sampled cell.
+        let f = read_frame_csv(&p, &s).unwrap();
+        assert_eq!(f.column(0).unwrap().token(0).as_deref(), Some("5"));
+        assert_eq!(f.column(1).unwrap().token(1).as_deref(), Some("1.5"));
+    }
+
+    #[test]
+    fn bin_header_larger_than_the_file_is_an_error() {
+        let p = tmp("huge_header.bin");
+        let mut bytes = BIN_MAGIC.to_vec();
+        for dim in [1u64 << 20, 1 << 20] {
+            bytes.extend_from_slice(&dim.to_le_bytes());
+        }
+        std::fs::write(&p, &bytes).unwrap();
+        let err = read_matrix_bin(&p).unwrap_err().to_string();
+        assert!(err.contains("exceeds its 0 payload bytes"), "{err}");
+        // A shape whose byte size overflows a usize is the same error.
+        bytes.truncate(8);
+        for dim in [u64::MAX, 3] {
+            bytes.extend_from_slice(&dim.to_le_bytes());
+        }
+        std::fs::write(&p, &bytes).unwrap();
+        assert!(read_matrix_bin(&p).is_err());
+        // A short payload under a matching header is still read exactly.
+        let m = rand_matrix(3, 2, 0.0, 1.0, 64);
+        write_matrix_bin(&m, &p).unwrap();
+        let full = std::fs::read(&p).unwrap();
+        std::fs::write(&p, &full[..full.len() - 1]).unwrap();
+        assert!(read_matrix_bin(&p).is_err());
     }
 
     #[test]

@@ -127,25 +127,28 @@ pub fn paper_production_frame(
     missing_rate: f64,
     seed: u64,
 ) -> (exdra_matrix::Frame, DenseMatrix) {
-    use exdra_matrix::frame::FrameColumn;
+    use exdra_matrix::frame::{Cells, FrameColumn, StrCells};
+    use std::fmt::Write;
     let mut rng = StdRng::seed_from_u64(seed);
     let mut columns = Vec::new();
+    let mut token = String::new();
     for c in 0..num_cat {
-        let vals: Vec<Option<String>> = (0..n)
-            .map(|_| {
-                if rng.gen::<f64>() < missing_rate {
-                    None
-                } else {
-                    Some(format!("R{}", rng.gen_range(0..cat_domain)))
-                }
-            })
-            .collect();
+        let mut vals = StrCells::with_capacity(n, 4 * n);
+        for _ in 0..n {
+            if rng.gen::<f64>() < missing_rate {
+                vals.push(None);
+            } else {
+                token.clear();
+                write!(token, "R{}", rng.gen_range(0..cat_domain)).expect("writes to a String");
+                vals.push(Some(&token));
+            }
+        }
         columns.push((format!("recipe_{c}"), FrameColumn::Str(vals)));
     }
     let mut target = DenseMatrix::zeros(n, 1);
     for c in 0..num_cont {
         let weight = ((c % 7) as f64 - 3.0) / 3.0;
-        let vals: Vec<Option<f64>> = (0..n)
+        let vals: Cells<f64> = (0..n)
             .map(|i| {
                 if rng.gen::<f64>() < missing_rate {
                     None

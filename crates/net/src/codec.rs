@@ -17,11 +17,12 @@
 //! and its fields in wire order. Encode and decode are generated from the
 //! same row, so they cannot drift apart. Only the primitives and the bulk
 //! codecs below are written by hand: dense payloads are chunked on the
-//! compute pool, and a frame travels as its names, then its columns.
+//! compute pool, a frame travels as its names, then its columns, and a
+//! column's buffers are walked in one tight loop each way.
 
 use bytes::{Buf, BufMut};
 use exdra_matrix::compress::CompressedMatrix;
-use exdra_matrix::frame::{Frame, FrameColumn};
+use exdra_matrix::frame::{Cells, Frame, FrameColumn, StrCells};
 use exdra_matrix::kernels::matmul::{KC, NR};
 use exdra_matrix::{DenseMatrix, Matrix, ValueType};
 
@@ -440,18 +441,251 @@ wire_enum! { ValueType {
     3 => Bool,
 } }
 
-wire_enum! { FrameColumn {
-    0 => F64(v),
-    1 => I64(v),
-    2 => Str(v),
-    3 => Bool(v),
-} }
+// Hand-written: a column travels as its tag, its length, and then every
+// cell as an `Option` (tag, then value), so its bytes are those of a
+// `Vec<Option<T>>` behind a tag. The encoder walks the values buffer a
+// validity word at a time into a staging block. The decoder reads
+// well-formed cells in place from the contiguous `buf.chunk()`, and any
+// other cell (one split across chunks, or a malformed one) through
+// `Option<T>`'s own codec, which also gives every error.
+impl Wire for FrameColumn {
+    fn encode(&self, buf: &mut impl BufMut) {
+        let tag: u8 = match self {
+            FrameColumn::F64(_) => 0,
+            FrameColumn::I64(_) => 1,
+            FrameColumn::Str(_) => 2,
+            FrameColumn::Bool(_) => 3,
+        };
+        tag.encode(buf);
+        (self.len() as u64).encode(buf);
+        let mut out = Staging {
+            buf,
+            block: [0; STAGING_BYTES],
+            at: 0,
+        };
+        match self {
+            FrameColumn::F64(c) => encode_cells(c, &mut out),
+            FrameColumn::I64(c) => encode_cells(c, &mut out),
+            FrameColumn::Str(c) => encode_strs(c, &mut out),
+            FrameColumn::Bool(c) => encode_cells(c, &mut out),
+        }
+        out.flush();
+    }
+    fn decode(buf: &mut impl Buf) -> DecodeResult<Self> {
+        let tag = u8::decode(buf)?;
+        if tag > 3 {
+            return Err(DecodeError(format!("invalid FrameColumn tag {tag}")));
+        }
+        let len = u64::decode(buf)? as usize;
+        Ok(match tag {
+            0 => FrameColumn::F64(decode_cells(len, buf)?),
+            1 => FrameColumn::I64(decode_cells(len, buf)?),
+            2 => FrameColumn::Str(decode_strs(len, buf)?),
+            _ => FrameColumn::Bool(decode_cells(len, buf)?),
+        })
+    }
+}
+
+/// Bytes a frame column's encoder stages before one `put_slice`: a few
+/// validity words' worth of cells, small enough that a lineage fold of
+/// one block still finds it in L1.
+const STAGING_BYTES: usize = 2 << 10;
+
+/// Collects a column's small writes into one block, handed to the
+/// `BufMut` whenever the next write would not fit.
+struct Staging<'a, B: BufMut> {
+    buf: &'a mut B,
+    block: [u8; STAGING_BYTES],
+    at: usize,
+}
+
+impl<B: BufMut> Staging<'_, B> {
+    /// Makes room for `n <= STAGING_BYTES` more bytes.
+    fn room(&mut self, n: usize) {
+        if self.at + n > STAGING_BYTES {
+            self.flush();
+        }
+    }
+
+    fn flush(&mut self) {
+        self.buf.put_slice(&self.block[..self.at]);
+        self.at = 0;
+    }
+
+    /// Stages `bytes`, for which [`room`](Self::room) was made.
+    fn put(&mut self, bytes: &[u8]) {
+        self.block[self.at..self.at + bytes.len()].copy_from_slice(bytes);
+        self.at += bytes.len();
+    }
+}
+
+/// A fixed-width frame cell with its little-endian wire bytes.
+trait FixedCell: Wire + Copy + Default {
+    /// Wire bytes of one value.
+    const WIDTH: usize;
+    fn put_le(self, out: &mut [u8]);
+    /// The value in exactly `WIDTH` bytes, if they hold one.
+    fn from_le(raw: &[u8]) -> Option<Self>;
+}
+
+impl FixedCell for f64 {
+    const WIDTH: usize = 8;
+    #[inline]
+    fn put_le(self, out: &mut [u8]) {
+        out.copy_from_slice(&self.to_le_bytes());
+    }
+    fn from_le(raw: &[u8]) -> Option<Self> {
+        raw.try_into().ok().map(f64::from_le_bytes)
+    }
+}
+
+impl FixedCell for i64 {
+    const WIDTH: usize = 8;
+    #[inline]
+    fn put_le(self, out: &mut [u8]) {
+        out.copy_from_slice(&self.to_le_bytes());
+    }
+    fn from_le(raw: &[u8]) -> Option<Self> {
+        raw.try_into().ok().map(i64::from_le_bytes)
+    }
+}
+
+impl FixedCell for bool {
+    const WIDTH: usize = 1;
+    #[inline]
+    fn put_le(self, out: &mut [u8]) {
+        out[0] = u8::from(self);
+    }
+    fn from_le(raw: &[u8]) -> Option<Self> {
+        match raw {
+            [0] => Some(false),
+            [1] => Some(true),
+            _ => None,
+        }
+    }
+}
+
+fn encode_cells<T: FixedCell>(cells: &Cells<T>, out: &mut Staging<'_, impl BufMut>) {
+    let cell = 1 + T::WIDTH;
+    for (values, &word) in cells.values().chunks(64).zip(cells.validity().words()) {
+        out.room(64 * cell);
+        let block = &mut out.block[out.at..out.at + 64 * cell];
+        if values.len() == 64 && word == u64::MAX {
+            // 64 present cells: each at a fixed offset.
+            for (bytes, &v) in block.chunks_exact_mut(cell).zip(values) {
+                bytes[0] = 1;
+                v.put_le(&mut bytes[1..]);
+            }
+            out.at += 64 * cell;
+            continue;
+        }
+        // Every value is written, but the cursor steps past it only when
+        // the cell is present, so a missing cell leaves its tag alone.
+        let mut at = 0;
+        for (i, &v) in values.iter().enumerate() {
+            let present = (word >> i & 1) as usize;
+            block[at] = present as u8;
+            v.put_le(&mut block[at + 1..at + cell]);
+            at += 1 + present * T::WIDTH;
+        }
+        out.at += at;
+    }
+}
+
+fn encode_strs(cells: &StrCells, out: &mut Staging<'_, impl BufMut>) {
+    for cell in cells.iter() {
+        let Some(s) = cell else {
+            out.room(1);
+            out.put(&[0]);
+            continue;
+        };
+        let mut head = [1u8; 9];
+        head[1..].copy_from_slice(&(s.len() as u64).to_le_bytes());
+        if 9 + s.len() <= STAGING_BYTES {
+            out.room(9 + s.len());
+            out.put(&head);
+            out.put(s.as_bytes());
+        } else {
+            out.flush();
+            out.buf.put_slice(&head);
+            out.buf.put_slice(s.as_bytes());
+        }
+    }
+}
+
+fn decode_cells<T: FixedCell>(len: usize, buf: &mut impl Buf) -> DecodeResult<Cells<T>> {
+    // Cap the pre-allocation by the bytes left, so a corrupt length cannot
+    // OOM us.
+    let mut cells = Cells::with_capacity(len.min(buf.remaining()).min(1 << 20));
+    while cells.len() < len {
+        let raw = buf.chunk();
+        let mut at = 0;
+        while cells.len() < len {
+            match raw.get(at) {
+                Some(0) => {
+                    cells.push(None);
+                    at += 1;
+                }
+                Some(1) => match raw.get(at + 1..at + 1 + T::WIDTH).and_then(T::from_le) {
+                    Some(v) => {
+                        cells.push(Some(v));
+                        at += 1 + T::WIDTH;
+                    }
+                    None => break,
+                },
+                _ => break,
+            }
+        }
+        buf.advance(at);
+        if cells.len() < len {
+            cells.push(Option::<T>::decode(buf)?);
+        }
+    }
+    Ok(cells)
+}
+
+fn decode_strs(len: usize, buf: &mut impl Buf) -> DecodeResult<StrCells> {
+    let cap = len.min(buf.remaining()).min(1 << 20);
+    let mut cells = StrCells::with_capacity(cap, cap);
+    while cells.len() < len {
+        let raw = buf.chunk();
+        let mut at = 0;
+        while cells.len() < len {
+            match raw.get(at) {
+                Some(0) => {
+                    cells.push(None);
+                    at += 1;
+                }
+                Some(1) => {
+                    let Some(n) = raw.get(at + 1..at + 9) else {
+                        break;
+                    };
+                    let n = u64::from_le_bytes(n.try_into().expect("8 bytes")) as usize;
+                    let s = raw[at + 9..]
+                        .get(..n)
+                        .and_then(|s| std::str::from_utf8(s).ok());
+                    let Some(s) = s else {
+                        break;
+                    };
+                    cells.push(Some(s));
+                    at += 9 + n;
+                }
+                _ => break,
+            }
+        }
+        buf.advance(at);
+        if cells.len() < len {
+            cells.push(Option::<String>::decode(buf)?.as_deref());
+        }
+    }
+    Ok(cells)
+}
 
 // Hand-written: a frame travels as all of its names, then its columns.
 impl Wire for Frame {
     fn encode(&self, buf: &mut impl BufMut) {
         (self.cols() as u64).encode(buf);
-        for (name, _) in self.schema() {
+        for name in self.names() {
             name.encode(buf);
         }
         for c in 0..self.cols() {
@@ -557,13 +791,110 @@ mod tests {
     #[test]
     fn frame_roundtrip() {
         let f = Frame::new(vec![
-            ("a".into(), FrameColumn::Str(vec![Some("x".into()), None])),
-            ("b".into(), FrameColumn::F64(vec![None, Some(2.5)])),
-            ("c".into(), FrameColumn::Bool(vec![Some(true), Some(false)])),
-            ("d".into(), FrameColumn::I64(vec![Some(-1), Some(9)])),
+            ("a".into(), FrameColumn::from(vec![Some("x"), None])),
+            ("b".into(), FrameColumn::from(vec![None, Some(2.5)])),
+            ("c".into(), FrameColumn::from(vec![Some(true), Some(false)])),
+            ("d".into(), FrameColumn::from(vec![Some(-1i64), Some(9)])),
         ])
         .unwrap();
         roundtrip(&f);
+    }
+
+    /// A `Buf` whose `chunk()` shows at most `size` bytes (none at 0), so
+    /// cells and strings straddle chunk boundaries.
+    struct Chunked<'a> {
+        bytes: &'a [u8],
+        size: usize,
+    }
+
+    impl Buf for Chunked<'_> {
+        fn remaining(&self) -> usize {
+            self.bytes.len()
+        }
+        fn copy_to_slice(&mut self, dst: &mut [u8]) {
+            self.bytes.copy_to_slice(dst)
+        }
+        fn advance(&mut self, cnt: usize) {
+            self.bytes.advance(cnt)
+        }
+        fn chunk(&self) -> &[u8] {
+            &self.bytes[..self.bytes.len().min(self.size)]
+        }
+    }
+
+    fn decode_chunked(bytes: &[u8], size: usize) -> DecodeResult<Vec<u8>> {
+        let mut buf = Chunked { bytes, size };
+        let col = FrameColumn::decode(&mut buf)?;
+        match buf.bytes.len() {
+            0 => Ok(col.to_bytes()),
+            n => Err(DecodeError(format!("{n} trailing bytes"))),
+        }
+    }
+
+    #[test]
+    fn frame_columns_decode_alike_from_any_chunking() {
+        let strs = ["", "é", "日本語", "R101"];
+        let columns = [
+            FrameColumn::from(
+                (0..70)
+                    .map(|i| (i % 3 != 0).then_some(i as f64 * -0.5))
+                    .collect::<Vec<_>>(),
+            ),
+            FrameColumn::from(
+                (0..70)
+                    .map(|i| (i % 5 != 1).then_some(i64::MAX - i))
+                    .collect::<Vec<_>>(),
+            ),
+            FrameColumn::from(
+                (0..70)
+                    .map(|i| (i % 4 != 2).then_some(strs[i % 4]))
+                    .collect::<Vec<_>>(),
+            ),
+            FrameColumn::from(
+                (0..70)
+                    .map(|i| (i % 7 != 0).then_some(i % 2 == 0))
+                    .collect::<Vec<_>>(),
+            ),
+        ];
+        for col in columns {
+            let bytes = col.to_bytes();
+            for size in [0, 1, 5, 9, 64, usize::MAX] {
+                assert_eq!(
+                    decode_chunked(&bytes, size),
+                    Ok(bytes.clone()),
+                    "chunks of {size}"
+                );
+            }
+            // Every truncation and substitution gives the same result, or
+            // the same error, from one slice as from chunks.
+            let mut buf = bytes.clone();
+            let check = |b: &[u8]| {
+                let whole = FrameColumn::from_bytes(b).map(|c| c.to_bytes());
+                for size in [0, 3, 9] {
+                    assert_eq!(decode_chunked(b, size), whole, "chunks of {size}: {b:02x?}");
+                }
+            };
+            for cut in 0..bytes.len() {
+                check(&bytes[..cut]);
+            }
+            for at in 0..bytes.len() {
+                for sub in [0x00, 0xff, bytes[at].wrapping_add(1)] {
+                    buf[at] = sub;
+                    check(&buf);
+                }
+                buf[at] = bytes[at];
+            }
+        }
+    }
+
+    #[test]
+    fn a_string_longer_than_the_staging_block_keeps_its_bytes() {
+        let cells = vec![Some("a".to_string()), Some("é".repeat(STAGING_BYTES)), None];
+        let col = FrameColumn::from(cells.clone());
+        let mut want = vec![2u8];
+        cells.encode(&mut want);
+        assert_eq!(col.to_bytes(), want);
+        assert_eq!(FrameColumn::from_bytes(&want).unwrap(), col);
     }
 
     #[test]

@@ -125,7 +125,7 @@ mod tests {
     fn unknown_categories_score_their_fraction() {
         let frame = Frame::new(vec![(
             "c".into(),
-            FrameColumn::Str(vec![Some("a".into()), Some("b".into())]),
+            FrameColumn::from(vec![Some("a"), Some("b")]),
         )])
         .unwrap();
         let spec = TransformSpec::auto(&frame);
@@ -133,7 +133,7 @@ mod tests {
         let meta = merge_partials(&[base], &spec).unwrap();
         let window = Frame::new(vec![(
             "c".into(),
-            FrameColumn::Str(vec![Some("a".into()), Some("z".into())]),
+            FrameColumn::from(vec![Some("a"), Some("z")]),
         )])
         .unwrap();
         let partial = build_partial(&window, &spec).unwrap();

@@ -199,12 +199,13 @@ pub fn build_partial(frame: &Frame, spec: &TransformSpec) -> Result<PartialMeta>
             EncodeKind::PassThrough => PartialColumnMeta::PassThrough,
             EncodeKind::Hash { .. } => PartialColumnMeta::Hash,
             EncodeKind::Recode => {
-                let mut set = BTreeSet::new();
-                for r in 0..col.len() {
-                    if let Some(tok) = col.token(r) {
-                        set.insert(tok);
+                let mut set: BTreeSet<String> = BTreeSet::new();
+                col.for_each_token(0..col.len(), |_, tok| match tok {
+                    Some(tok) if !set.contains(tok) => {
+                        set.insert(tok.to_string());
                     }
-                }
+                    _ => {}
+                });
                 PartialColumnMeta::Recode {
                     distincts: set.into_iter().collect(),
                 }
@@ -212,13 +213,12 @@ pub fn build_partial(frame: &Frame, spec: &TransformSpec) -> Result<PartialMeta>
             EncodeKind::Bin { .. } => {
                 let mut min = f64::INFINITY;
                 let mut max = f64::NEG_INFINITY;
-                for r in 0..col.len() {
-                    let v = col.numeric(r)?;
+                col.for_each_numeric(0..col.len(), |_, v| {
                     if !v.is_nan() {
                         min = min.min(v);
                         max = max.max(v);
                     }
-                }
+                })?;
                 PartialColumnMeta::Bin { min, max }
             }
         };
@@ -310,33 +310,32 @@ pub fn merge_partials(partials: &[PartialMeta], spec: &TransformSpec) -> Result<
     Ok(TransformMeta { columns })
 }
 
-/// Integer code (1-based) of one cell under consolidated metadata;
-/// `None` for missing or (for recode) unknown categories.
-fn cell_code(col: &FrameColumn, row: usize, meta: &ColumnMeta) -> Result<Option<usize>> {
-    Ok(match meta {
-        ColumnMeta::PassThrough => unreachable!("pass-through has no code"),
-        ColumnMeta::Recode { codes } => col
-            .token(row)
-            .and_then(|tok| codes.binary_search(&tok).ok().map(|i| i + 1)),
-        ColumnMeta::Bin { min, max, num_bins } => {
-            let v = col.numeric(row)?;
-            if v.is_nan() {
-                None
-            } else {
-                let width = (max - min) / *num_bins as f64;
-                let bin = if width <= 0.0 {
-                    1
-                } else {
-                    (((v - min) / width).floor() as i64 + 1).clamp(1, *num_bins as i64) as usize
-                };
-                Some(bin)
-            }
-        }
-        ColumnMeta::Hash { num_features } => col
-            .token(row)
-            .map(|tok| feature_bucket(&tok, *num_features)),
-    })
+/// 1-based bin of a non-missing value under equi-width boundaries.
+fn bin_code(v: f64, min: f64, max: f64, num_bins: usize) -> usize {
+    let width = (max - min) / num_bins as f64;
+    if width <= 0.0 {
+        1
+    } else {
+        (((v - min) / width).floor() as i64 + 1).clamp(1, num_bins as i64) as usize
+    }
 }
+
+/// Writes one cell's 1-based code into its encoded column `out`: a 1 at
+/// the code's position when one-hot, else the code itself. A missing or
+/// unknown cell is an all-zero one-hot segment, or NaN.
+fn put_code(out: &mut [f64], one_hot: bool, code: Option<usize>) {
+    match code {
+        Some(code) if one_hot => out[code - 1] = 1.0,
+        Some(code) => out[0] = code as f64,
+        None if one_hot => {}
+        None => out[0] = f64::NAN,
+    }
+}
+
+/// Rows of [`apply`]'s output filled per tile: every encoded column
+/// writes its part of a tile before the next tile starts, so the
+/// row-major output is written while it is still in cache.
+const APPLY_TILE_ROWS: usize = 64;
 
 /// Third pass (sites): encodes `frame` under the broadcast global metadata
 /// into a numeric matrix with consistently aligned columns.
@@ -345,26 +344,43 @@ fn cell_code(col: &FrameColumn, row: usize, meta: &ColumnMeta) -> Result<Option<
 /// rows for one-hot outputs, preserving downstream imputability.
 pub fn apply(frame: &Frame, meta: &TransformMeta) -> Result<DenseMatrix> {
     let rows = frame.rows();
-    let offsets = meta.offsets();
-    let mut out = DenseMatrix::zeros(rows, meta.out_cols());
-    for (ci, (spec, cmeta)) in meta.columns.iter().enumerate() {
+    let width = meta.out_cols();
+    let mut columns = Vec::with_capacity(meta.columns.len());
+    for ((spec, cmeta), base) in meta.columns.iter().zip(meta.offsets()) {
         let col = frame.column_by_name(&spec.name)?;
-        let base = offsets[ci];
-        match cmeta {
-            ColumnMeta::PassThrough => {
-                for r in 0..rows {
-                    out.set(r, base, col.numeric(r)?);
-                }
-            }
-            _ => {
-                for r in 0..rows {
-                    match cell_code(col, r, cmeta)? {
-                        Some(code) if spec.one_hot => out.set(r, base + code - 1, 1.0),
-                        Some(code) => out.set(r, base, code as f64),
-                        None if spec.one_hot => {} // all-zero row segment
-                        None => out.set(r, base, f64::NAN),
-                    }
-                }
+        if rows > 0 && matches!(cmeta, ColumnMeta::PassThrough | ColumnMeta::Bin { .. }) {
+            // A string column has no numeric view: it fails here, in
+            // column order, as its first cell would.
+            col.numeric(0)?;
+        }
+        columns.push((col, spec.one_hot, cmeta, base));
+    }
+    let mut out = DenseMatrix::zeros(rows, width);
+    if width == 0 {
+        return Ok(out);
+    }
+    let tiles = out.values_mut().chunks_mut(APPLY_TILE_ROWS * width);
+    for (t, tile) in tiles.enumerate() {
+        let lo = t * APPLY_TILE_ROWS;
+        let tile_rows = lo..lo + tile.len() / width;
+        for &(col, one_hot, cmeta, base) in &columns {
+            // The first output cell of row `r`'s encoded column.
+            let at = |r: usize| (r - lo) * width + base;
+            let rows = tile_rows.clone();
+            match cmeta {
+                ColumnMeta::PassThrough => col.for_each_numeric(rows, |r, v| tile[at(r)] = v)?,
+                ColumnMeta::Bin { min, max, num_bins } => col.for_each_numeric(rows, |r, v| {
+                    let code = (!v.is_nan()).then(|| bin_code(v, *min, *max, *num_bins));
+                    put_code(&mut tile[at(r)..], one_hot, code)
+                })?,
+                ColumnMeta::Recode { codes } => col.for_each_token(rows, |r, tok| {
+                    let i = tok.and_then(|t| codes.binary_search_by(|c| c.as_str().cmp(t)).ok());
+                    put_code(&mut tile[at(r)..], one_hot, i.map(|i| i + 1))
+                }),
+                ColumnMeta::Hash { num_features } => col.for_each_token(rows, |r, tok| {
+                    let code = tok.map(|t| feature_bucket(t, *num_features));
+                    put_code(&mut tile[at(r)..], one_hot, code)
+                }),
             }
         }
     }
@@ -516,13 +532,13 @@ mod tests {
             ),
             (
                 "C".into(),
-                FrameColumn::Str(vec![
-                    Some("X".into()),
+                FrameColumn::from(vec![
+                    Some("X"),
                     None,
-                    Some("Z".into()),
-                    Some("X".into()),
-                    Some("Z".into()),
-                    Some("Y".into()),
+                    Some("Z"),
+                    Some("X"),
+                    Some("Z"),
+                    Some("Y"),
                 ]),
             ),
         ])
@@ -551,13 +567,13 @@ mod tests {
             ),
             (
                 "C".into(),
-                FrameColumn::Str(vec![
-                    Some("Z".into()),
-                    Some("Z".into()),
-                    Some("Z".into()),
-                    Some("X".into()),
+                FrameColumn::from(vec![
+                    Some("Z"),
+                    Some("Z"),
+                    Some("Z"),
+                    Some("X"),
                     None,
-                    Some("X".into()),
+                    Some("X"),
                 ]),
             ),
         ])
@@ -692,7 +708,7 @@ mod tests {
         };
         let f = Frame::new(vec![(
             "v".into(),
-            FrameColumn::F64(vec![
+            FrameColumn::from(vec![
                 Some(-5.0),
                 Some(0.5),
                 Some(3.99),
@@ -775,7 +791,11 @@ mod tests {
                 one_hot: false,
             }],
         };
-        let f = Frame::new(vec![("v".into(), FrameColumn::F64(vec![None, None]))]).unwrap();
+        let f = Frame::new(vec![(
+            "v".into(),
+            FrameColumn::from(vec![None::<f64>, None]),
+        )])
+        .unwrap();
         let p = build_partial(&f, &spec).unwrap();
         assert!(merge_partials(&[p], &spec).is_err());
     }

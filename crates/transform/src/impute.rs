@@ -6,6 +6,7 @@
 // iterator zips over 3+ arrays obscure the access pattern.
 #![allow(clippy::needless_range_loop)]
 
+use std::borrow::Cow;
 use std::collections::HashMap;
 
 use exdra_matrix::eigen::solve_spd;
@@ -27,7 +28,7 @@ pub fn impute_mode(col: &FrameColumn) -> Result<FrameColumn> {
     };
     let mut counts: HashMap<&str, usize> = HashMap::new();
     for v in values.iter().flatten() {
-        *counts.entry(v.as_str()).or_default() += 1;
+        *counts.entry(v).or_default() += 1;
     }
     let mode = counts
         .into_iter()
@@ -38,10 +39,7 @@ pub fn impute_mode(col: &FrameColumn) -> Result<FrameColumn> {
             msg: "column is entirely missing".into(),
         })?;
     Ok(FrameColumn::Str(
-        values
-            .iter()
-            .map(|v| v.clone().or_else(|| Some(mode.clone())))
-            .collect(),
+        values.iter().map(|v| Some(v.unwrap_or(&mode))).collect(),
     ))
 }
 
@@ -68,29 +66,29 @@ pub fn impute_by_fd(det: &FrameColumn, target: &FrameColumn) -> Result<(FrameCol
         });
     }
     // Count target values per determinant value.
-    let mut by_det: HashMap<String, HashMap<&str, usize>> = HashMap::new();
+    let mut by_det: HashMap<Cow<str>, HashMap<&str, usize>> = HashMap::new();
     for r in 0..det.len() {
-        if let (Some(d), Some(t)) = (det.token(r), &targets[r]) {
-            *by_det.entry(d).or_default().entry(t.as_str()).or_default() += 1;
+        if let (Some(d), Some(t)) = (det.token(r), targets.get(r)) {
+            *by_det.entry(d).or_default().entry(t).or_default() += 1;
         }
     }
-    let pick: HashMap<String, String> = by_det
+    let pick: HashMap<Cow<str>, &str> = by_det
         .into_iter()
         .filter_map(|(d, counts)| {
             counts
                 .into_iter()
                 .max_by(|a, b| a.1.cmp(&b.1).then(b.0.cmp(a.0)))
-                .map(|(t, _)| (d, t.to_string()))
+                .map(|(t, _)| (d, t))
         })
         .collect();
     let mut filled = 0usize;
     let repaired = (0..det.len())
-        .map(|r| match &targets[r] {
-            Some(v) => Some(v.clone()),
+        .map(|r| match targets.get(r) {
+            Some(v) => Some(v),
             None => det.token(r).and_then(|d| {
-                pick.get(&d).map(|t| {
+                pick.get(&d).map(|&t| {
                     filled += 1;
-                    t.clone()
+                    t
                 })
             }),
         })
@@ -102,7 +100,7 @@ pub fn impute_by_fd(det: &FrameColumn, target: &FrameColumn) -> Result<(FrameCol
 /// (weighted by size) whose observed targets are unanimous. Used to
 /// *discover* robust functional dependencies before imputing by them.
 pub fn fd_confidence(det: &FrameColumn, target: &FrameColumn) -> f64 {
-    let mut by_det: HashMap<String, HashMap<String, usize>> = HashMap::new();
+    let mut by_det: HashMap<Cow<str>, HashMap<Cow<str>, usize>> = HashMap::new();
     let mut total = 0usize;
     for r in 0..det.len().min(target.len()) {
         if let (Some(d), Some(t)) = (det.token(r), target.token(r)) {
@@ -206,13 +204,7 @@ mod tests {
 
     #[test]
     fn mode_imputation_fills_most_frequent() {
-        let col = FrameColumn::Str(vec![
-            Some("X".into()),
-            None,
-            Some("Z".into()),
-            Some("X".into()),
-            None,
-        ]);
+        let col = FrameColumn::from(vec![Some("X"), None, Some("Z"), Some("X"), None]);
         let fixed = impute_mode(&col).unwrap();
         assert_eq!(fixed.token(1).as_deref(), Some("X"));
         assert_eq!(fixed.token(4).as_deref(), Some("X"));
@@ -221,7 +213,7 @@ mod tests {
 
     #[test]
     fn mode_rejects_all_missing() {
-        let col = FrameColumn::Str(vec![None, None]);
+        let col = FrameColumn::from(vec![None::<&str>, None]);
         assert!(impute_mode(&col).is_err());
     }
 
@@ -234,13 +226,13 @@ mod tests {
                 .map(|s| Some(s.to_string()))
                 .collect(),
         );
-        let c = FrameColumn::Str(vec![
-            Some("X".into()),
+        let c = FrameColumn::from(vec![
+            Some("X"),
             None, // A=R101 -> X
-            Some("Z".into()),
-            Some("X".into()),
-            Some("Z".into()),
-            Some("Y".into()),
+            Some("Z"),
+            Some("X"),
+            Some("Z"),
+            Some("Y"),
         ]);
         let (fixed, n) = impute_by_fd(&a, &c).unwrap();
         assert_eq!(n, 1);
@@ -249,8 +241,8 @@ mod tests {
 
     #[test]
     fn fd_leaves_unresolvable_missing() {
-        let a = FrameColumn::Str(vec![Some("new".into())]);
-        let c = FrameColumn::Str(vec![None]);
+        let a = FrameColumn::from(vec![Some("new")]);
+        let c = FrameColumn::from(vec![None::<&str>]);
         let (fixed, n) = impute_by_fd(&a, &c).unwrap();
         assert_eq!(n, 0);
         assert!(fixed.is_missing(0));

@@ -346,7 +346,7 @@ fn arb_frame(max_rows: usize) -> BoxedStrategy<Frame> {
                         "num".into(),
                         FrameColumn::F64(nums.into_iter().map(Some).collect()),
                     ),
-                    ("cnt".into(), FrameColumn::I64(ints)),
+                    ("cnt".into(), FrameColumn::from(ints)),
                     (
                         "flag".into(),
                         FrameColumn::Bool(bools.into_iter().map(|b| Some(b == 1)).collect()),

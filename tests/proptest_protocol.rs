@@ -3,7 +3,7 @@
 //! channel stacks deliver payloads verbatim under all compositions.
 
 use exdra::core::instruction::Instruction;
-use exdra::core::protocol::{Request, Response, RpcEnvelope, RpcReply, TraceContext};
+use exdra::core::protocol::{ReadFormat, Request, Response, RpcEnvelope, RpcReply, TraceContext};
 use exdra::core::worker::{Worker, WorkerConfig};
 use exdra::core::DataValue;
 use exdra::net::codec::Wire;
@@ -159,4 +159,46 @@ fn worker_rejects_a_tag_1_matrix_put_and_keeps_serving() {
         "{:?}",
         reply.responses
     );
+}
+
+/// A 24-byte `EXDRAMT1` file whose header claims 2^20 x 2^20 cells once
+/// made a worker allocate 8 TiB and abort on `READ`: the worker checks
+/// the shape against the bytes in the file, answers the envelope with an
+/// error, and the same connection keeps serving.
+#[test]
+fn worker_rejects_a_bin_matrix_larger_than_its_file_and_keeps_serving() {
+    let dir = std::env::temp_dir().join(format!("exdra-bin-header-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let mut file = b"EXDRAMT1".to_vec();
+    for dim in [1u64 << 20, 1 << 20] {
+        file.extend_from_slice(&dim.to_le_bytes());
+    }
+    assert_eq!(file.len(), 24);
+    std::fs::write(dir.join("huge.bin"), &file).unwrap();
+    let worker = Worker::new(WorkerConfig {
+        data_dir: dir.clone(),
+        ..WorkerConfig::default()
+    });
+    let mut ch = worker.serve_mem();
+
+    ch.send(&envelope(vec![Request::Read {
+        id: 1,
+        fname: "huge.bin".into(),
+        format: ReadFormat::MatrixBin,
+        privacy: exdra::PrivacyLevel::Public,
+    }]))
+    .unwrap();
+    let reply = RpcReply::from_bytes(&ch.recv().unwrap()).unwrap();
+    match &reply.responses[..] {
+        [Response::Error(e)] => assert!(e.contains("1048576x1048576"), "{e}"),
+        other => panic!("expected one error, got {other:?}"),
+    }
+    ch.send(&envelope(vec![Request::Heartbeat])).unwrap();
+    let reply = RpcReply::from_bytes(&ch.recv().unwrap()).unwrap();
+    assert!(
+        matches!(reply.responses[..], [Response::Alive { .. }]),
+        "{:?}",
+        reply.responses
+    );
+    std::fs::remove_dir_all(&dir).unwrap();
 }

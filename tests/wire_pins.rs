@@ -49,10 +49,10 @@ fn matrix() -> DataValue {
 
 fn frame() -> Frame {
     Frame::new(vec![
-        ("f".into(), FrameColumn::F64(vec![Some(0.5), None])),
-        ("i".into(), FrameColumn::I64(vec![None, Some(-3)])),
-        ("s".into(), FrameColumn::Str(vec![Some("ab".into()), None])),
-        ("b".into(), FrameColumn::Bool(vec![Some(true), Some(false)])),
+        ("f".into(), FrameColumn::from(vec![Some(0.5), None])),
+        ("i".into(), FrameColumn::from(vec![None, Some(-3)])),
+        ("s".into(), FrameColumn::from(vec![Some("ab"), None])),
+        ("b".into(), FrameColumn::from(vec![Some(true), Some(false)])),
     ])
     .unwrap()
 }
@@ -355,22 +355,22 @@ fn values_and_transform_metadata_keep_their_bytes() {
     );
     pin(
         m,
-        FrameColumn::F64(vec![Some(0.5), None]),
+        FrameColumn::from(vec![Some(0.5), None]),
         "00020000000000000001000000000000e03f00",
     );
     pin(
         m,
-        FrameColumn::I64(vec![None, Some(-3)]),
+        FrameColumn::from(vec![None, Some(-3)]),
         "0102000000000000000001fdffffffffffffff",
     );
     pin(
         m,
-        FrameColumn::Str(vec![Some("ab".into()), None]),
+        FrameColumn::from(vec![Some("ab"), None]),
         "020200000000000000010200000000000000616200",
     );
     pin(
         m,
-        FrameColumn::Bool(vec![Some(true), Some(false)]),
+        FrameColumn::from(vec![Some(true), Some(false)]),
         "03020000000000000001010100",
     );
     pin(m, EncodeKind::PassThrough, "00");
