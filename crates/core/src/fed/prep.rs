@@ -480,7 +480,9 @@ impl FedFrame {
             .max_by(|a, b| a.1.cmp(b.1).then(b.0.cmp(a.0)))
             .map(|(t, _)| t.clone())
             .ok_or_else(|| {
-                RuntimeError::Invalid(format!("column '{column}' is entirely missing"))
+                RuntimeError::Invalid(format!(
+                    "column '{column}' has no category the sites may release"
+                ))
             })?;
         // Pass 2: ship the mode; sites fill locally.
         let inner = self.inner.map(

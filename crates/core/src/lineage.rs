@@ -127,7 +127,9 @@ fn fold_value(f: &mut Fold, value: &DataValue) {
 
 /// Lineage hash of a value by content (`PUT` payloads): every cell and
 /// every string takes part, so two payloads get one lineage only when
-/// they are equal. Nothing is allocated.
+/// they are equal. Nothing is allocated, except where the codec stages a
+/// buffer of 64k words or more (a frame column that long) before it
+/// hands the bytes over.
 pub fn of_value(value: &DataValue) -> u64 {
     let mut f = Fold::new();
     fold_value(&mut f, value);

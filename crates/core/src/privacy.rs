@@ -64,14 +64,15 @@ impl PrivacyLevel {
         }
     }
 
-    /// Decodes from `(tag, min_group)`.
+    /// Decodes from `(tag, min_group)`: `None` for an unknown tag, or for
+    /// a group on a level that has none, so each level has one encoding.
     pub fn from_parts(tag: u8, min_group: u64) -> Option<Self> {
-        match tag {
-            0 => Some(PrivacyLevel::Public),
-            1 => Some(PrivacyLevel::PrivateAggregate {
+        match (tag, min_group) {
+            (0, 0) => Some(PrivacyLevel::Public),
+            (1, _) => Some(PrivacyLevel::PrivateAggregate {
                 min_group: min_group as usize,
             }),
-            2 => Some(PrivacyLevel::Private),
+            (2, 0) => Some(PrivacyLevel::Private),
             _ => None,
         }
     }
@@ -144,6 +145,8 @@ mod tests {
             assert_eq!(PrivacyLevel::from_parts(t, g), Some(lvl));
         }
         assert_eq!(PrivacyLevel::from_parts(9, 0), None);
+        assert_eq!(PrivacyLevel::from_parts(0, 5), None);
+        assert_eq!(PrivacyLevel::from_parts(2, 1), None);
     }
 
     #[test]

@@ -49,7 +49,7 @@ impl Wire for PrivacyLevel {
         let tag = u8::decode(buf)?;
         let group = u64::decode(buf)?;
         PrivacyLevel::from_parts(tag, group)
-            .ok_or_else(|| DecodeError(format!("invalid PrivacyLevel tag {tag}")))
+            .ok_or_else(|| DecodeError(format!("invalid PrivacyLevel ({tag}, {group})")))
     }
 }
 

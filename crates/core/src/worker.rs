@@ -622,6 +622,19 @@ impl Worker {
             }
             Udf::CategoryCounts { frame, column } => {
                 let e = self.table.get(frame)?;
+                // Category counts are the same aggregate-sized metadata the
+                // encode protocol exchanges: strictly private data refuses,
+                // and a category counted fewer than `min_group` times at
+                // this site stays here.
+                let min_group = match e.meta.privacy {
+                    PrivacyLevel::Private => {
+                        return Err(RuntimeError::Privacy(
+                            "category counts on strictly private frame".into(),
+                        ))
+                    }
+                    PrivacyLevel::PrivateAggregate { min_group } => min_group as u64,
+                    PrivacyLevel::Public => 0,
+                };
                 let f = e.value.as_frame()?;
                 let col = f.column_by_name(&column)?;
                 let mut counts: std::collections::BTreeMap<_, u64> =
@@ -631,6 +644,7 @@ impl Worker {
                         *counts.entry(tok).or_default() += 1;
                     }
                 }
+                counts.retain(|_, n| *n >= min_group);
                 let out = Frame::new(vec![
                     (
                         "token".into(),
@@ -641,13 +655,6 @@ impl Worker {
                         FrameColumn::F64(counts.values().map(|&n| Some(n as f64)).collect()),
                     ),
                 ])?;
-                // Category counts are the same aggregate-sized metadata the
-                // encode protocol exchanges; strictly private data refuses.
-                if e.meta.privacy == PrivacyLevel::Private {
-                    return Err(RuntimeError::Privacy(
-                        "category counts on strictly private frame".into(),
-                    ));
-                }
                 Ok(Response::Data(DataValue::Frame(out)))
             }
             Udf::FillMissing {

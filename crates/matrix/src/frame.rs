@@ -10,6 +10,10 @@
 //! column keeps offsets into one UTF-8 buffer. A missing cell has its
 //! validity bit clear (and a canonical value in its slot); it reads as
 //! `None`, and as NaN when a column is viewed numerically.
+//!
+//! Those buffers are also a column's wire form. The `from_parts`
+//! constructors take them back and refuse any that break a rule the
+//! column relies on, so every column has exactly one set of buffers.
 
 use std::borrow::Cow;
 use std::fmt::Write;
@@ -66,7 +70,34 @@ pub struct Validity {
     len: usize,
 }
 
+fn invalid(op: &'static str, msg: impl Into<String>) -> MatrixError {
+    MatrixError::InvalidArgument {
+        op,
+        msg: msg.into(),
+    }
+}
+
 impl Validity {
+    /// The bitmap of `len` cells in `words`: `len.div_ceil(64)` words with
+    /// no bit set past the last cell.
+    pub fn from_words(words: Vec<u64>, len: usize) -> Result<Self> {
+        let op = "Validity::from_words";
+        if words.len() != len.div_ceil(64) {
+            return Err(invalid(
+                op,
+                format!("{} words for {len} cells", words.len()),
+            ));
+        }
+        let tail = len % 64;
+        if tail != 0 && words[words.len() - 1] >> tail != 0 {
+            return Err(invalid(
+                op,
+                format!("a bit set past the last of {len} cells"),
+            ));
+        }
+        Ok(Validity { words, len })
+    }
+
     fn with_capacity(cells: usize) -> Self {
         Validity {
             words: Vec::with_capacity(cells.div_ceil(64)),
@@ -154,7 +185,7 @@ pub struct Cells<T> {
 
 impl<T: Copy + Default> Cells<T> {
     /// An empty column with room for `cells` cells.
-    pub fn with_capacity(cells: usize) -> Self {
+    fn with_capacity(cells: usize) -> Self {
         Cells {
             values: Vec::with_capacity(cells),
             valid: Validity::with_capacity(cells),
@@ -197,6 +228,33 @@ impl<T: Copy + Default> Cells<T> {
         (0..self.len()).map(|i| self.get(i))
     }
 
+    /// The column of `values` under `valid`: one value per cell, and
+    /// `is_default` holds for the value of every missing cell.
+    fn checked(values: Vec<T>, valid: Validity, is_default: impl Fn(T) -> bool) -> Result<Self> {
+        let op = "Cells::from_parts";
+        if values.len() != valid.len() {
+            return Err(invalid(
+                op,
+                format!("{} values for {} cells", values.len(), valid.len()),
+            ));
+        }
+        for (at, (values, &w)) in values.chunks(64).zip(&valid.words).enumerate() {
+            // Visit the clear bits only; those past the last cell find no value.
+            let mut missing = !w;
+            while missing != 0 {
+                let i = missing.trailing_zeros() as usize;
+                missing &= missing - 1;
+                if values.get(i).is_some_and(|&v| !is_default(v)) {
+                    return Err(invalid(
+                        op,
+                        format!("missing cell {} holds a value", at * 64 + i),
+                    ));
+                }
+            }
+        }
+        Ok(Cells { values, valid })
+    }
+
     fn slice(&self, lo: usize, hi: usize) -> Self {
         let mut valid = Validity::with_capacity(hi - lo);
         valid.extend_from(&self.valid, lo, hi);
@@ -209,6 +267,32 @@ impl<T: Copy + Default> Cells<T> {
     fn append(&mut self, other: &Self) {
         self.values.extend_from_slice(&other.values);
         self.valid.extend_from(&other.valid, 0, other.len());
+    }
+}
+
+impl Cells<f64> {
+    /// An `f64` column from its values and bitmap; a missing cell holds
+    /// `0.0`, all bits zero.
+    pub fn from_parts(values: Vec<f64>, valid: Validity) -> Result<Self> {
+        Cells::checked(values, valid, |v| v.to_bits() == 0)
+    }
+}
+
+impl Cells<i64> {
+    /// An `i64` column from its values and bitmap; a missing cell holds 0.
+    pub fn from_parts(values: Vec<i64>, valid: Validity) -> Result<Self> {
+        Cells::checked(values, valid, |v| v == 0)
+    }
+}
+
+impl Cells<bool> {
+    /// A `bool` column from one byte per cell, 0 or 1, and its bitmap; a
+    /// missing cell holds 0.
+    pub fn from_parts(bytes: Vec<u8>, valid: Validity) -> Result<Self> {
+        if let Some(b) = bytes.iter().find(|&&b| b > 1) {
+            return Err(invalid("Cells::from_parts", format!("bool byte {b}")));
+        }
+        Cells::checked(bytes.into_iter().map(|b| b == 1).collect(), valid, |v| !v)
     }
 }
 
@@ -277,14 +361,61 @@ impl StrCells {
         self.valid.get(i).then(|| self.value(i))
     }
 
+    /// A string column from its buffers: one offset per cell and one more,
+    /// starting at 0, never decreasing, each on a char boundary of `bytes`,
+    /// the last at its end. A missing cell is empty.
+    pub fn from_parts(offsets: Vec<usize>, bytes: Vec<u8>, valid: Validity) -> Result<Self> {
+        let op = "StrCells::from_parts";
+        let bytes =
+            String::from_utf8(bytes).map_err(|e| invalid(op, format!("invalid utf-8: {e}")))?;
+        if offsets.len() != valid.len() + 1
+            || offsets.first() != Some(&0)
+            || offsets.last() != Some(&bytes.len())
+        {
+            return Err(invalid(
+                op,
+                format!(
+                    "{} offsets, not {} from 0 to {}",
+                    offsets.len(),
+                    valid.len() + 1,
+                    bytes.len()
+                ),
+            ));
+        }
+        for (i, w) in offsets.windows(2).enumerate() {
+            if w[0] > w[1] || !bytes.is_char_boundary(w[1]) {
+                return Err(invalid(op, format!("offset {} is {}", i + 1, w[1])));
+            }
+            if w[0] != w[1] && !valid.get(i) {
+                return Err(invalid(op, format!("missing cell {i} is not empty")));
+            }
+        }
+        Ok(StrCells {
+            offsets,
+            bytes,
+            valid,
+        })
+    }
+
     /// The bytes of cell `i`; a missing cell is `""`.
     #[inline]
     fn value(&self, i: usize) -> &str {
         &self.bytes[self.offsets[i]..self.offsets[i + 1]]
     }
 
+    /// The offsets: cell `i` is `bytes()[offsets()[i]..offsets()[i + 1]]`.
+    pub fn offsets(&self) -> &[usize] {
+        &self.offsets
+    }
+
+    /// The cells' bytes, one after the other; a missing cell has none.
+    pub fn bytes(&self) -> &str {
+        &self.bytes
+    }
+
+    /// The validity bitmap.
     #[inline]
-    fn validity(&self) -> &Validity {
+    pub fn validity(&self) -> &Validity {
         &self.valid
     }
 
@@ -399,7 +530,7 @@ impl FrameColumn {
 
     /// The validity bitmap.
     #[inline]
-    fn validity(&self) -> &Validity {
+    pub fn validity(&self) -> &Validity {
         match self {
             FrameColumn::F64(c) => c.validity(),
             FrameColumn::I64(c) => c.validity(),

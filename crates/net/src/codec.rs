@@ -16,13 +16,13 @@
 //! order, and [`wire_enum!`](crate::wire_enum) gives each variant its tag
 //! and its fields in wire order. Encode and decode are generated from the
 //! same row, so they cannot drift apart. Only the primitives and the bulk
-//! codecs below are written by hand: dense payloads are chunked on the
-//! compute pool, a frame travels as its names, then its columns, and a
-//! column's buffers are walked in one tight loop each way.
+//! codecs below are written by hand: a dense payload and a frame column
+//! travel as their buffers, 8-byte words converted in one loop each way
+//! (chunked on the compute pool when large), and a frame as its names,
+//! then its columns.
 
 use bytes::{Buf, BufMut};
-use exdra_matrix::compress::CompressedMatrix;
-use exdra_matrix::frame::{Cells, Frame, FrameColumn, StrCells};
+use exdra_matrix::frame::{Cells, Frame, FrameColumn, StrCells, Validity};
 use exdra_matrix::kernels::matmul::{KC, NR};
 use exdra_matrix::{DenseMatrix, Matrix, ValueType};
 
@@ -317,8 +317,9 @@ impl<A: Wire, B: Wire> Wire for (A, B) {
     }
 }
 
-/// Cell count above which dense payloads (de)serialize through the
-/// `exdra_par` pool (64k f64 = 512 KiB on the wire).
+/// Word count above which 8-byte payloads (dense values, frame value
+/// buffers) are byte-converted on the `exdra_par` pool (64k words = 512
+/// KiB on the wire).
 const PAR_DENSE_CELLS: usize = 1 << 16;
 
 /// Cells per contiguous wire panel: one `KC x NR` packed panel of the
@@ -334,30 +335,77 @@ fn wire_chunk_cells(n: usize) -> usize {
     exdra_par::chunk_len(n, PAR_DENSE_CELLS / 8).next_multiple_of(WIRE_PANEL_CELLS)
 }
 
-// Hand-written: large payloads are byte-converted on the compute pool.
+/// Appends `values` as little-endian 8-byte words, `word(v)` each,
+/// converted a block at a time: on the stack, or for a large payload in
+/// panel-aligned chunks on the pool into one buffer. Either way the bytes
+/// are those of one `put_u64_le` per value.
+fn put_words<T: Copy + Sync>(buf: &mut impl BufMut, values: &[T], word: fn(T) -> u64) {
+    let fill = |raw: &mut [u8], values: &[T]| {
+        for (bytes, &v) in raw.chunks_exact_mut(8).zip(values) {
+            bytes.copy_from_slice(&word(v).to_le_bytes());
+        }
+    };
+    if values.len() < PAR_DENSE_CELLS {
+        let mut block = [0u8; 2048];
+        for part in values.chunks(block.len() / 8) {
+            fill(&mut block, part);
+            buf.put_slice(&block[..part.len() * 8]);
+        }
+        return;
+    }
+    let mut raw = vec![0u8; values.len() * 8];
+    let chunk = wire_chunk_cells(values.len());
+    exdra_par::par_chunks_mut(&mut raw, chunk * 8, |_, off, part| {
+        fill(part, &values[off / 8..])
+    });
+    buf.put_slice(&raw);
+}
+
+/// Reads `n` little-endian 8-byte words as `value(word)` each, after
+/// checking that `buf` holds them. They are converted straight out of a
+/// contiguous `buf.chunk()`, or else out of one copy, on the pool when
+/// there are many.
+fn get_words<T: Copy + Default + Send + Sync>(
+    buf: &mut impl Buf,
+    n: usize,
+    what: &str,
+    value: fn(u64) -> T,
+) -> DecodeResult<Vec<T>> {
+    let bytes = n
+        .checked_mul(8)
+        .ok_or_else(|| DecodeError(format!("{what} size overflow")))?;
+    need(buf, bytes, what)?;
+    let convert = |raw: &[u8]| -> Vec<T> {
+        let each = |w: &[u8]| value(u64::from_le_bytes(w.try_into().expect("8 bytes")));
+        if n < PAR_DENSE_CELLS {
+            return raw.chunks_exact(8).map(each).collect();
+        }
+        let mut out = vec![T::default(); n];
+        exdra_par::par_chunks_mut(&mut out, wire_chunk_cells(n), |_, off, part| {
+            for (v, w) in part.iter_mut().zip(raw[off * 8..].chunks_exact(8)) {
+                *v = each(w);
+            }
+        });
+        out
+    };
+    let out = if buf.chunk().len() >= bytes {
+        let out = convert(&buf.chunk()[..bytes]);
+        buf.advance(bytes);
+        out
+    } else {
+        let mut raw = vec![0u8; bytes];
+        buf.copy_to_slice(&mut raw);
+        convert(&raw)
+    };
+    Ok(out)
+}
+
+// Hand-written: the values travel as one slice of words.
 impl Wire for DenseMatrix {
     fn encode(&self, buf: &mut impl BufMut) {
         self.rows().encode(buf);
         self.cols().encode(buf);
-        let values = self.values();
-        if values.len() >= PAR_DENSE_CELLS {
-            // Large payload: byte-convert panel-aligned chunks in
-            // parallel into a staging buffer, then append in one shot.
-            // Chunks are disjoint 8-byte-aligned slices, so the wire
-            // bytes are identical to the serial loop below.
-            let mut raw = vec![0u8; values.len() * 8];
-            let chunk = wire_chunk_cells(values.len());
-            exdra_par::par_chunks_mut(&mut raw, chunk * 8, |_, off, part| {
-                for (d, bytes) in part.chunks_exact_mut(8).enumerate() {
-                    bytes.copy_from_slice(&values[off / 8 + d].to_le_bytes());
-                }
-            });
-            buf.put_slice(&raw);
-            return;
-        }
-        for &v in values {
-            buf.put_f64_le(v);
-        }
+        put_words(buf, self.values(), f64::to_bits);
     }
     fn decode(buf: &mut impl Buf) -> DecodeResult<Self> {
         let rows = usize::decode(buf)?;
@@ -366,34 +414,7 @@ impl Wire for DenseMatrix {
             .checked_mul(cols)
             .filter(|n| n.checked_mul(8).is_some())
             .ok_or_else(|| DecodeError("matrix size overflow".into()))?;
-        need(buf, n * 8, "dense payload")?;
-        let mut data = vec![0.0f64; n];
-        if n >= PAR_DENSE_CELLS {
-            let chunk = wire_chunk_cells(n);
-            let convert = |raw: &[u8], data: &mut [f64]| {
-                exdra_par::par_chunks_mut(data, chunk, |_, off, part| {
-                    for (d, v) in part.iter_mut().enumerate() {
-                        let at = (off + d) * 8;
-                        *v = f64::from_le_bytes(raw[at..at + 8].try_into().unwrap());
-                    }
-                });
-            };
-            if buf.chunk().len() >= n * 8 {
-                // Fast path: the whole payload is contiguous in the
-                // receive buffer — convert panels straight out of it,
-                // skipping the staging copy entirely.
-                convert(&buf.chunk()[..n * 8], &mut data);
-                buf.advance(n * 8);
-            } else {
-                let mut raw = vec![0u8; n * 8];
-                buf.copy_to_slice(&mut raw);
-                convert(&raw, &mut data);
-            }
-        } else {
-            for v in &mut data {
-                *v = buf.get_f64_le();
-            }
-        }
+        let data = get_words(buf, n, "dense payload", f64::from_bits)?;
         DenseMatrix::new(rows, cols, data).map_err(|e| DecodeError(e.to_string()))
     }
 }
@@ -423,17 +444,6 @@ impl Wire for Matrix {
     }
 }
 
-// Hand-written: CompressedMatrix has no direct wire form (see
-// Matrix::encode); this helper travels it dense, for symmetry in tests.
-impl Wire for CompressedMatrix {
-    fn encode(&self, buf: &mut impl BufMut) {
-        self.decompress().encode(buf);
-    }
-    fn decode(buf: &mut impl Buf) -> DecodeResult<Self> {
-        Ok(CompressedMatrix::compress(&DenseMatrix::decode(buf)?))
-    }
-}
-
 wire_enum! { ValueType {
     0 => F64,
     1 => I64,
@@ -441,244 +451,52 @@ wire_enum! { ValueType {
     3 => Bool,
 } }
 
-// Hand-written: a column travels as its tag, its length, and then every
-// cell as an `Option` (tag, then value), so its bytes are those of a
-// `Vec<Option<T>>` behind a tag. The encoder walks the values buffer a
-// validity word at a time into a staging block. The decoder reads
-// well-formed cells in place from the contiguous `buf.chunk()`, and any
-// other cell (one split across chunks, or a malformed one) through
-// `Option<T>`'s own codec, which also gives every error.
+// Hand-written: a column travels as its buffers. Its type tag and its
+// length `n`, then `ceil(n / 64)` validity words, then the values: `n`
+// words for `f64` and `i64`, `n` bytes of 0 or 1 for `bool`, and for
+// strings `n + 1` offsets followed by the `offsets[n]` bytes they cut.
+// The `from_parts` constructors refuse any buffers but a column's own, so
+// a column has exactly one encoding.
 impl Wire for FrameColumn {
     fn encode(&self, buf: &mut impl BufMut) {
-        let tag: u8 = match self {
-            FrameColumn::F64(_) => 0,
-            FrameColumn::I64(_) => 1,
-            FrameColumn::Str(_) => 2,
-            FrameColumn::Bool(_) => 3,
-        };
-        tag.encode(buf);
-        (self.len() as u64).encode(buf);
-        let mut out = Staging {
-            buf,
-            block: [0; STAGING_BYTES],
-            at: 0,
-        };
+        self.value_type().encode(buf);
+        self.len().encode(buf);
+        put_words(buf, self.validity().words(), |w| w);
         match self {
-            FrameColumn::F64(c) => encode_cells(c, &mut out),
-            FrameColumn::I64(c) => encode_cells(c, &mut out),
-            FrameColumn::Str(c) => encode_strs(c, &mut out),
-            FrameColumn::Bool(c) => encode_cells(c, &mut out),
+            FrameColumn::F64(c) => put_words(buf, c.values(), f64::to_bits),
+            FrameColumn::I64(c) => put_words(buf, c.values(), |v| v as u64),
+            FrameColumn::Bool(c) => c.values().iter().for_each(|&b| buf.put_u8(u8::from(b))),
+            FrameColumn::Str(c) => {
+                put_words(buf, c.offsets(), |o| o as u64);
+                buf.put_slice(c.bytes().as_bytes());
+            }
         }
-        out.flush();
     }
     fn decode(buf: &mut impl Buf) -> DecodeResult<Self> {
         let tag = u8::decode(buf)?;
         if tag > 3 {
             return Err(DecodeError(format!("invalid FrameColumn tag {tag}")));
         }
-        let len = u64::decode(buf)? as usize;
-        Ok(match tag {
-            0 => FrameColumn::F64(decode_cells(len, buf)?),
-            1 => FrameColumn::I64(decode_cells(len, buf)?),
-            2 => FrameColumn::Str(decode_strs(len, buf)?),
-            _ => FrameColumn::Bool(decode_cells(len, buf)?),
-        })
-    }
-}
-
-/// Bytes a frame column's encoder stages before one `put_slice`: a few
-/// validity words' worth of cells, small enough that a lineage fold of
-/// one block still finds it in L1.
-const STAGING_BYTES: usize = 2 << 10;
-
-/// Collects a column's small writes into one block, handed to the
-/// `BufMut` whenever the next write would not fit.
-struct Staging<'a, B: BufMut> {
-    buf: &'a mut B,
-    block: [u8; STAGING_BYTES],
-    at: usize,
-}
-
-impl<B: BufMut> Staging<'_, B> {
-    /// Makes room for `n <= STAGING_BYTES` more bytes.
-    fn room(&mut self, n: usize) {
-        if self.at + n > STAGING_BYTES {
-            self.flush();
-        }
-    }
-
-    fn flush(&mut self) {
-        self.buf.put_slice(&self.block[..self.at]);
-        self.at = 0;
-    }
-
-    /// Stages `bytes`, for which [`room`](Self::room) was made.
-    fn put(&mut self, bytes: &[u8]) {
-        self.block[self.at..self.at + bytes.len()].copy_from_slice(bytes);
-        self.at += bytes.len();
-    }
-}
-
-/// A fixed-width frame cell with its little-endian wire bytes.
-trait FixedCell: Wire + Copy + Default {
-    /// Wire bytes of one value.
-    const WIDTH: usize;
-    fn put_le(self, out: &mut [u8]);
-    /// The value in exactly `WIDTH` bytes, if they hold one.
-    fn from_le(raw: &[u8]) -> Option<Self>;
-}
-
-impl FixedCell for f64 {
-    const WIDTH: usize = 8;
-    #[inline]
-    fn put_le(self, out: &mut [u8]) {
-        out.copy_from_slice(&self.to_le_bytes());
-    }
-    fn from_le(raw: &[u8]) -> Option<Self> {
-        raw.try_into().ok().map(f64::from_le_bytes)
-    }
-}
-
-impl FixedCell for i64 {
-    const WIDTH: usize = 8;
-    #[inline]
-    fn put_le(self, out: &mut [u8]) {
-        out.copy_from_slice(&self.to_le_bytes());
-    }
-    fn from_le(raw: &[u8]) -> Option<Self> {
-        raw.try_into().ok().map(i64::from_le_bytes)
-    }
-}
-
-impl FixedCell for bool {
-    const WIDTH: usize = 1;
-    #[inline]
-    fn put_le(self, out: &mut [u8]) {
-        out[0] = u8::from(self);
-    }
-    fn from_le(raw: &[u8]) -> Option<Self> {
-        match raw {
-            [0] => Some(false),
-            [1] => Some(true),
-            _ => None,
-        }
-    }
-}
-
-fn encode_cells<T: FixedCell>(cells: &Cells<T>, out: &mut Staging<'_, impl BufMut>) {
-    let cell = 1 + T::WIDTH;
-    for (values, &word) in cells.values().chunks(64).zip(cells.validity().words()) {
-        out.room(64 * cell);
-        let block = &mut out.block[out.at..out.at + 64 * cell];
-        if values.len() == 64 && word == u64::MAX {
-            // 64 present cells: each at a fixed offset.
-            for (bytes, &v) in block.chunks_exact_mut(cell).zip(values) {
-                bytes[0] = 1;
-                v.put_le(&mut bytes[1..]);
+        let n = usize::decode(buf)?;
+        let words = get_words(buf, n.div_ceil(64), "validity words", |w| w)?;
+        let valid = Validity::from_words(words, n).map_err(|e| DecodeError(e.to_string()))?;
+        let col = match tag {
+            0 => Cells::<f64>::from_parts(get_words(buf, n, "f64 values", f64::from_bits)?, valid)
+                .map(FrameColumn::F64),
+            1 => Cells::<i64>::from_parts(get_words(buf, n, "i64 values", |w| w as i64)?, valid)
+                .map(FrameColumn::I64),
+            2 => {
+                let cells = n
+                    .checked_add(1)
+                    .ok_or_else(|| DecodeError("offset count overflow".into()))?;
+                let offsets = get_words(buf, cells, "string offsets", |w| w as usize)?;
+                let bytes = u8::decode_all(offsets[n], buf)?;
+                StrCells::from_parts(offsets, bytes, valid).map(FrameColumn::Str)
             }
-            out.at += 64 * cell;
-            continue;
-        }
-        // Every value is written, but the cursor steps past it only when
-        // the cell is present, so a missing cell leaves its tag alone.
-        let mut at = 0;
-        for (i, &v) in values.iter().enumerate() {
-            let present = (word >> i & 1) as usize;
-            block[at] = present as u8;
-            v.put_le(&mut block[at + 1..at + cell]);
-            at += 1 + present * T::WIDTH;
-        }
-        out.at += at;
-    }
-}
-
-fn encode_strs(cells: &StrCells, out: &mut Staging<'_, impl BufMut>) {
-    for cell in cells.iter() {
-        let Some(s) = cell else {
-            out.room(1);
-            out.put(&[0]);
-            continue;
+            _ => Cells::<bool>::from_parts(u8::decode_all(n, buf)?, valid).map(FrameColumn::Bool),
         };
-        let mut head = [1u8; 9];
-        head[1..].copy_from_slice(&(s.len() as u64).to_le_bytes());
-        if 9 + s.len() <= STAGING_BYTES {
-            out.room(9 + s.len());
-            out.put(&head);
-            out.put(s.as_bytes());
-        } else {
-            out.flush();
-            out.buf.put_slice(&head);
-            out.buf.put_slice(s.as_bytes());
-        }
+        col.map_err(|e| DecodeError(e.to_string()))
     }
-}
-
-fn decode_cells<T: FixedCell>(len: usize, buf: &mut impl Buf) -> DecodeResult<Cells<T>> {
-    // Cap the pre-allocation by the bytes left, so a corrupt length cannot
-    // OOM us.
-    let mut cells = Cells::with_capacity(len.min(buf.remaining()).min(1 << 20));
-    while cells.len() < len {
-        let raw = buf.chunk();
-        let mut at = 0;
-        while cells.len() < len {
-            match raw.get(at) {
-                Some(0) => {
-                    cells.push(None);
-                    at += 1;
-                }
-                Some(1) => match raw.get(at + 1..at + 1 + T::WIDTH).and_then(T::from_le) {
-                    Some(v) => {
-                        cells.push(Some(v));
-                        at += 1 + T::WIDTH;
-                    }
-                    None => break,
-                },
-                _ => break,
-            }
-        }
-        buf.advance(at);
-        if cells.len() < len {
-            cells.push(Option::<T>::decode(buf)?);
-        }
-    }
-    Ok(cells)
-}
-
-fn decode_strs(len: usize, buf: &mut impl Buf) -> DecodeResult<StrCells> {
-    let cap = len.min(buf.remaining()).min(1 << 20);
-    let mut cells = StrCells::with_capacity(cap, cap);
-    while cells.len() < len {
-        let raw = buf.chunk();
-        let mut at = 0;
-        while cells.len() < len {
-            match raw.get(at) {
-                Some(0) => {
-                    cells.push(None);
-                    at += 1;
-                }
-                Some(1) => {
-                    let Some(n) = raw.get(at + 1..at + 9) else {
-                        break;
-                    };
-                    let n = u64::from_le_bytes(n.try_into().expect("8 bytes")) as usize;
-                    let s = raw[at + 9..]
-                        .get(..n)
-                        .and_then(|s| std::str::from_utf8(s).ok());
-                    let Some(s) = s else {
-                        break;
-                    };
-                    cells.push(Some(s));
-                    at += 9 + n;
-                }
-                _ => break,
-            }
-        }
-        buf.advance(at);
-        if cells.len() < len {
-            cells.push(Option::<String>::decode(buf)?.as_deref());
-        }
-    }
-    Ok(cells)
 }
 
 // Hand-written: a frame travels as all of its names, then its columns.
@@ -709,6 +527,7 @@ impl Wire for Frame {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use exdra_matrix::compress::CompressedMatrix;
     use exdra_matrix::rng::rand_matrix;
 
     fn roundtrip<T: Wire + PartialEq + std::fmt::Debug>(v: &T) {
@@ -887,14 +706,148 @@ mod tests {
         }
     }
 
+    /// A column's bytes from its parts: tag, cell count, validity words
+    /// and payload.
+    fn column_bytes(tag: u8, n: u64, valid: &[u64], payload: &[u8]) -> Vec<u8> {
+        let mut bytes = vec![tag];
+        bytes.extend_from_slice(&n.to_le_bytes());
+        bytes.extend_from_slice(&words(valid));
+        bytes.extend_from_slice(payload);
+        bytes
+    }
+
+    fn words(ws: &[u64]) -> Vec<u8> {
+        ws.iter().flat_map(|w| w.to_le_bytes()).collect()
+    }
+
+    /// The bytes of a string column: its offsets, then its bytes.
+    fn strs(n: u64, valid: u64, offsets: &[u64], bytes: &[u8]) -> Vec<u8> {
+        column_bytes(2, n, &[valid], &[&words(offsets), bytes].concat())
+    }
+
+    fn rejected(bytes: &[u8], why: &str) {
+        let err = FrameColumn::from_bytes(bytes).unwrap_err();
+        assert!(err.0.contains(why), "{err} does not say {why:?}");
+    }
+
     #[test]
-    fn a_string_longer_than_the_staging_block_keeps_its_bytes() {
-        let cells = vec![Some("a".to_string()), Some("é".repeat(STAGING_BYTES)), None];
-        let col = FrameColumn::from(cells.clone());
-        let mut want = vec![2u8];
-        cells.encode(&mut want);
-        assert_eq!(col.to_bytes(), want);
-        assert_eq!(FrameColumn::from_bytes(&want).unwrap(), col);
+    fn a_column_travels_as_its_buffers() {
+        let col = FrameColumn::from(vec![Some(1.5), None, Some(-2.0)]);
+        let values = words(&[1.5f64.to_bits(), 0, (-2.0f64).to_bits()]);
+        assert_eq!(col.to_bytes(), column_bytes(0, 3, &[0b101], &values));
+        let col = FrameColumn::from(vec![Some("é"), None, Some("ab")]);
+        assert_eq!(
+            col.to_bytes(),
+            strs(3, 0b101, &[0, 2, 2, 4], "éab".as_bytes())
+        );
+        let col = FrameColumn::from(vec![None, Some(true)]);
+        assert_eq!(col.to_bytes(), column_bytes(3, 2, &[0b10], &[0, 1]));
+        let empty = FrameColumn::from(Vec::<Option<i64>>::new());
+        assert_eq!(empty.to_bytes(), column_bytes(1, 0, &[], &[]));
+    }
+
+    #[test]
+    fn a_column_past_the_pool_threshold_keeps_its_bytes() {
+        let n = PAR_DENSE_CELLS + 70;
+        let col = FrameColumn::from(
+            (0..n)
+                .map(|i| (i % 7 != 3).then_some(i as i64 - 9))
+                .collect::<Vec<_>>(),
+        );
+        let bytes = col.to_bytes();
+        let mut valid = vec![0u64; n.div_ceil(64)];
+        let mut values = Vec::with_capacity(n * 8);
+        for i in 0..n {
+            let v = (i % 7 != 3).then_some(i as i64 - 9);
+            valid[i / 64] |= u64::from(v.is_some()) << (i % 64);
+            values.extend_from_slice(&v.unwrap_or(0).to_le_bytes());
+        }
+        assert_eq!(bytes, column_bytes(1, n as u64, &valid, &values));
+        assert_eq!(decode_chunked(&bytes, 4096), Ok(bytes.clone()));
+    }
+
+    #[test]
+    fn a_bit_set_past_the_last_cell_is_rejected() {
+        rejected(
+            &column_bytes(3, 2, &[0b111], &[1, 1]),
+            "a bit set past the last of 2 cells",
+        );
+    }
+
+    #[test]
+    fn a_missing_f64_slot_other_than_all_zero_bits_is_rejected() {
+        // -0.0 == 0.0, but its bits are not zero.
+        let values = words(&[0, (-0.0f64).to_bits()]);
+        rejected(
+            &column_bytes(0, 2, &[0b01], &values),
+            "missing cell 1 holds a value",
+        );
+    }
+
+    #[test]
+    fn a_missing_i64_slot_other_than_zero_is_rejected() {
+        let values = words(&[5, 9]);
+        rejected(
+            &column_bytes(1, 2, &[0b10], &values),
+            "missing cell 0 holds a value",
+        );
+    }
+
+    #[test]
+    fn a_missing_bool_slot_other_than_zero_is_rejected() {
+        rejected(
+            &column_bytes(3, 2, &[0b01], &[1, 1]),
+            "missing cell 1 holds a value",
+        );
+    }
+
+    #[test]
+    fn a_bool_byte_above_one_is_rejected() {
+        rejected(&column_bytes(3, 2, &[0b11], &[1, 2]), "bool byte 2");
+    }
+
+    #[test]
+    fn offsets_that_do_not_start_at_zero_are_rejected() {
+        rejected(
+            &strs(2, 0b11, &[1, 1, 2], b"ab"),
+            "3 offsets, not 3 from 0 to 2",
+        );
+    }
+
+    #[test]
+    fn decreasing_offsets_are_rejected() {
+        rejected(&strs(3, 0b111, &[0, 2, 1, 3], b"abc"), "offset 2 is 1");
+    }
+
+    #[test]
+    fn an_offset_inside_a_char_is_rejected() {
+        rejected(&strs(2, 0b11, &[0, 1, 2], "é".as_bytes()), "offset 1 is 1");
+    }
+
+    #[test]
+    fn a_missing_string_that_is_not_empty_is_rejected() {
+        rejected(
+            &strs(2, 0b10, &[0, 1, 2], b"ab"),
+            "missing cell 0 is not empty",
+        );
+    }
+
+    #[test]
+    fn invalid_utf8_is_rejected() {
+        rejected(&strs(1, 0b1, &[0, 1], &[0xff]), "invalid utf-8");
+    }
+
+    #[test]
+    fn sizes_are_checked_before_anything_is_allocated() {
+        rejected(
+            &column_bytes(0, u64::MAX, &[], &[]),
+            "need 2305843009213693952 bytes for validity words",
+        );
+        // The last offset claims more bytes than there are.
+        rejected(
+            &strs(1, 0b1, &[0, 9], b"ab"),
+            "need 9 bytes for byte payload, have 2",
+        );
     }
 
     #[test]

@@ -3,10 +3,12 @@
 //! differential privacy — enforced by the standing workers.
 
 use exdra::core::coordinator::WorkerEndpoint;
+use exdra::core::fed::prep::FedFrame;
 use exdra::core::fed::FedMatrix;
 use exdra::core::testutil::{tcp_federation, tcp_federation_with};
 use exdra::core::worker::WorkerConfig;
 use exdra::core::{PrivacyLevel, RuntimeError, Tensor};
+use exdra::matrix::frame::{Frame, FrameColumn};
 use exdra::matrix::kernels::aggregates::{AggDir, AggOp};
 use exdra::matrix::rng::rand_matrix;
 use exdra::net::crypto::ChannelKey;
@@ -76,6 +78,24 @@ fn derived_federated_data_inherits_constraints() {
     assert!(matches!(sq.to_local(), Err(RuntimeError::Privacy(_))));
     // But its aggregate is releasable.
     assert!(sq.sum().is_ok());
+}
+
+#[test]
+fn a_category_smaller_than_min_group_never_leaves_its_site() {
+    // One "alice" among 12 rows: a site that releases only groups of 10
+    // keeps her count, so mode imputation has no category to choose.
+    let (ctx, _w) = tcp_federation(1);
+    let cells: Vec<Option<&str>> = (0..12).map(|r| (r == 5).then_some("alice")).collect();
+    let frame = Frame::new(vec![("name".into(), FrameColumn::from(cells))]).unwrap();
+    let privacy = PrivacyLevel::PrivateAggregate { min_group: 10 };
+    let fed = FedFrame::from_site_frames(&ctx, &[frame], privacy).unwrap();
+    match fed.impute_mode("name") {
+        Ok((_, mode)) => panic!("the mode '{mode}' left a site"),
+        Err(e) => {
+            assert!(!e.to_string().contains("alice"), "{e}");
+            assert!(matches!(e, RuntimeError::Invalid(_)), "{e}");
+        }
+    }
 }
 
 #[test]

@@ -1,14 +1,16 @@
 //! The columnar frame layout against the per-cell one it replaced.
 //!
-//! A column used to be a `Vec<Option<T>>`, and its wire form was a tag
-//! followed by that vector's own encoding. [`Oracle`] keeps that form.
-//! Random frames (0 to 130 rows, so validity words straddle the 64-row
-//! boundary; all four types; missing, all-missing, empty and multibyte
-//! cells) must encode to the oracle's bytes, decode back to themselves,
-//! fold to the lineage of those bytes, and slice, bind, select and convert
-//! like their cells do. Mutated `PUT` payloads never panic the decoder,
-//! and it fails with the oracle decoder's error text. (The codec's unit
-//! tests decode the same columns from buffers that arrive in chunks.)
+//! A column used to be a `Vec<Option<T>>`. [`Oracle`] keeps that form and
+//! computes from the cells, one by one, the bytes the column travels as:
+//! its type tag, its length, its validity words, then its values buffer
+//! (string columns: offsets, then bytes). Random frames (0 to 130 rows, so
+//! validity words straddle the 64-row boundary; all four types; missing,
+//! all-missing, empty and multibyte cells) must encode to the oracle's
+//! bytes, decode back to themselves, fold to the lineage of those bytes,
+//! and slice, bind, select and convert like their cells do. A frame has
+//! exactly one encoding: a mutated `PUT` never panics the decoder, and it
+//! either fails or re-encodes to exactly the mutated bytes. (The codec's
+//! unit tests decode the same columns from buffers that arrive in chunks.)
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -17,7 +19,7 @@ use exdra::core::lineage;
 use exdra::core::protocol::Request;
 use exdra::core::{DataValue, PrivacyLevel};
 use exdra::matrix::frame::{Frame, FrameColumn};
-use exdra::net::codec::{DecodeError, DecodeResult, Wire};
+use exdra::net::codec::Wire;
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -95,7 +97,9 @@ impl Oracle {
         }
     }
 
-    /// The per-cell encoder: a tag, then the cells as a `Vec<Option<T>>`.
+    /// The column's wire bytes, cell by cell: its tag and length, a
+    /// validity word per 64 cells, then a value per cell (a missing one
+    /// is zero), or for strings the running end offsets and the bytes.
     fn encode(&self, buf: &mut Vec<u8>) {
         let tag: u8 = match self {
             Oracle::F64(_) => 0,
@@ -104,18 +108,28 @@ impl Oracle {
             Oracle::Bool(_) => 3,
         };
         tag.encode(buf);
-        each_variant!(self, |v| v.encode(buf))
-    }
-
-    /// The per-cell decoder, for its results and error texts.
-    fn decode(buf: &mut &[u8]) -> DecodeResult<Oracle> {
-        Ok(match u8::decode(buf)? {
-            0 => Oracle::F64(Wire::decode(buf)?),
-            1 => Oracle::I64(Wire::decode(buf)?),
-            2 => Oracle::Str(Wire::decode(buf)?),
-            3 => Oracle::Bool(Wire::decode(buf)?),
-            t => return Err(DecodeError(format!("invalid FrameColumn tag {t}"))),
-        })
+        (self.len() as u64).encode(buf);
+        let present: Vec<bool> = each_variant!(self, |v| v.iter().map(Option::is_some).collect());
+        for cells in present.chunks(64) {
+            let word = (cells.iter().enumerate()).fold(0u64, |w, (i, &p)| w | u64::from(p) << i);
+            word.encode(buf);
+        }
+        match self {
+            Oracle::F64(v) => v.iter().for_each(|c| c.unwrap_or(0.0).encode(buf)),
+            Oracle::I64(v) => v.iter().for_each(|c| c.unwrap_or(0).encode(buf)),
+            Oracle::Bool(v) => v.iter().for_each(|c| c.unwrap_or(false).encode(buf)),
+            Oracle::Str(v) => {
+                let mut end = 0u64;
+                end.encode(buf);
+                for c in v {
+                    end += c.as_ref().map_or(0, String::len) as u64;
+                    end.encode(buf);
+                }
+                for c in v.iter().flatten() {
+                    buf.extend_from_slice(c.as_bytes());
+                }
+            }
+        }
     }
 }
 
@@ -153,16 +167,6 @@ fn fold(bytes: &[u8]) -> u64 {
         lineage::mix(h, u64::from_le_bytes(tail)),
         bytes.len() as u64,
     )
-}
-
-/// The per-cell decoder over a whole byte string, as `Wire::from_bytes`.
-fn oracle_from_bytes(bytes: &[u8]) -> DecodeResult<Oracle> {
-    let mut buf = bytes;
-    let o = Oracle::decode(&mut buf)?;
-    match buf.len() {
-        0 => Ok(o),
-        n => Err(DecodeError(format!("{n} trailing bytes"))),
-    }
 }
 
 const STRINGS: [&str; 8] = [
@@ -233,9 +237,8 @@ fn random_types(rng: &mut StdRng) -> Vec<u8> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
 
-    /// The bytes are the per-cell encoder's, they decode back to the
-    /// frame from one slice and from small chunks, and the lineage is
-    /// the fold of those bytes.
+    /// The bytes are the oracle's, they decode back to the frame, and the
+    /// lineage is the fold of those bytes.
     #[test]
     fn frames_encode_and_fold_as_their_cells(rows in 0usize..=130, seed in any::<u64>()) {
         let mut rng = StdRng::seed_from_u64(seed);
@@ -246,7 +249,6 @@ proptest! {
             let col = f.column(c).unwrap();
             prop_assert_eq!(col.to_bytes(), want.clone());
             prop_assert_eq!(&FrameColumn::from_bytes(&want).unwrap(), col);
-            prop_assert_eq!(oracle_from_bytes(&want).unwrap(), o.clone());
             prop_assert_eq!(col.len(), o.len());
         }
         let want = oracle_frame_bytes(&f);
@@ -336,39 +338,32 @@ fn frame_of_70_rows() -> Frame {
 }
 
 /// Every truncation and every `0x00`/`0xff`/byte+1 substitution of a
-/// frame's `PUT` decodes to `Ok` or `Err`, and every such change to one of
-/// its columns gives the per-cell decoder's result or error text.
+/// frame's `PUT` decodes to an error, or to a request whose bytes are
+/// exactly the mutated ones: no other byte string stands for a frame.
 #[test]
-fn mutated_frame_puts_never_panic_and_fail_like_the_cells() {
-    fn mutations(bytes: &[u8], mut check: impl FnMut(&[u8])) {
+fn mutated_frame_puts_never_panic_and_reencode_to_themselves() {
+    for f in [sample_frame(), frame_of_70_rows()] {
+        let bytes = Request::Put {
+            id: 7,
+            data: DataValue::Frame(f),
+            privacy: PrivacyLevel::Public,
+        }
+        .to_bytes();
+        let check = |b: &[u8]| {
+            if let Ok(put) = Request::from_bytes(b) {
+                assert_eq!(put.to_bytes(), b, "bytes {b:02x?}");
+            }
+        };
         for cut in 0..bytes.len() {
             check(&bytes[..cut]);
         }
-        let mut buf = bytes.to_vec();
+        let mut buf = bytes.clone();
         for at in 0..bytes.len() {
             for sub in [0x00, 0xff, bytes[at].wrapping_add(1)] {
                 buf[at] = sub;
                 check(&buf);
             }
             buf[at] = bytes[at];
-        }
-    }
-    for f in [sample_frame(), frame_of_70_rows()] {
-        let put = Request::Put {
-            id: 7,
-            data: DataValue::Frame(f.clone()),
-            privacy: PrivacyLevel::Public,
-        };
-        mutations(&put.to_bytes(), |b| {
-            let _ = Request::from_bytes(b);
-        });
-        for c in 0..f.cols() {
-            mutations(&f.column(c).unwrap().to_bytes(), |b| {
-                // Compared as bytes: a substitution can make a NaN cell.
-                let got = FrameColumn::from_bytes(b).map(|c| c.to_bytes());
-                let want = oracle_from_bytes(b).map(|o| o.column().to_bytes());
-                assert_eq!(got, want, "bytes {b:02x?}");
-            });
         }
     }
 }
@@ -415,24 +410,33 @@ fn largest_allocation<T>(f: impl FnOnce() -> T) -> (T, usize) {
     (out, LARGEST.get())
 }
 
-/// A column that declares 2^40 rows but carries one cell is an error, of
-/// the per-cell decoder's text, and the decoder allocates for what the
-/// bytes hold, not for what the length claims.
+/// A column that declares 2^40 rows but carries one cell's buffers is an
+/// error, and the decoder checks the 2^34 validity words it would need
+/// against the bytes left before it allocates anything for them.
 #[test]
 fn a_column_claiming_2_pow_40_rows_decodes_to_an_error_without_a_large_allocation() {
-    for (tag, cell) in [
-        (0u8, &[1, 0, 0, 0, 0, 0, 0, 0xf0, 0x3f][..]),
-        (1, &[1, 9, 0, 0, 0, 0, 0, 0, 0]),
-        (2, &[1, 2, 0, 0, 0, 0, 0, 0, 0, b'a', b'b']),
-        (3, &[1, 1]),
+    let word = 1u64.to_le_bytes();
+    for (tag, value) in [
+        (0u8, &1.0f64.to_le_bytes()[..]),
+        (1, &9i64.to_le_bytes()),
+        (
+            2,
+            &[0, 0, 0, 0, 0, 0, 0, 0, 2, 0, 0, 0, 0, 0, 0, 0, b'a', b'b'],
+        ),
+        (3, &[1]),
     ] {
         let mut bytes = vec![tag];
         bytes.extend_from_slice(&(1u64 << 40).to_le_bytes());
-        bytes.extend_from_slice(cell);
+        bytes.extend_from_slice(&word);
+        bytes.extend_from_slice(value);
         let (got, largest) = largest_allocation(|| FrameColumn::from_bytes(&bytes));
         let err = got.unwrap_err();
-        assert_eq!(err, oracle_from_bytes(&bytes).unwrap_err(), "tag {tag}");
-        assert_eq!(err.0, "need 1 bytes for option tag, have 0");
+        let want = format!(
+            "need {} bytes for validity words, have {}",
+            1u64 << 37,
+            8 + value.len()
+        );
+        assert_eq!(err.0, want, "tag {tag}");
         assert!(largest < 1 << 10, "tag {tag} allocated {largest} bytes");
     }
 }
