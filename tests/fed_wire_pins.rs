@@ -980,15 +980,15 @@ const PLACEMENT_PINS: &[(&str, Pin)] = &[
     ),
     (
         "read_row_partitioned frame",
-        p(6, 273, 828, 0x0bb2b29fd469629c, [0, 0, 0]),
+        p(6, 273, 900, 0x0bb2b29fd469629c, [0, 0, 0]),
     ),
     (
         "from_site_frames",
-        p(6, 807, 828, 0x0bb2b29fd469629c, [0, 0, 0]),
+        p(6, 879, 900, 0x0bb2b29fd469629c, [0, 0, 0]),
     ),
     (
         "frame consolidate",
-        p(3, 99, 705, 0x0bb2b29fd469629c, [0, 0, 0]),
+        p(3, 99, 777, 0x0bb2b29fd469629c, [0, 0, 0]),
     ),
     (
         "frame select",
@@ -1004,7 +1004,7 @@ const PLACEMENT_PINS: &[(&str, Pin)] = &[
     ),
     (
         "impute_mode",
-        p(9, 441, 1350, 0x3c3aa6994bb490fe, [0, 0, 0]),
+        p(9, 441, 1428, 0x3c3aa6994bb490fe, [0, 0, 0]),
     ),
     (
         "impute_mean",

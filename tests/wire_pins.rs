@@ -343,7 +343,7 @@ fn values_and_transform_metadata_keep_their_bytes() {
         matrix(),
         "000001000000000000000200000000000000000000000000f83f00000000000000c0",
     );
-    pin(m, DataValue::Frame(frame()), "01040000000000000001000000000000006601000000000000006901000000000000007301000000000000006200020000000000000001000000000000e03f000102000000000000000001fdffffffffffffff02020000000000000001020000000000000061620003020000000000000001010100");
+    pin(m, DataValue::Frame(frame()), "0104000000000000000100000000000000660100000000000000690100000000000000730100000000000000620002000000000000000100000000000000000000000000e03f000000000000000001020000000000000002000000000000000000000000000000fdffffffffffffff0202000000000000000100000000000000000000000000000002000000000000000200000000000000616203020000000000000003000000000000000100");
     pin(m, DataValue::Scalar(-0.25), "02000000000000d0bf");
     pin(m, DataValue::TransformMeta(transform_meta()), "030400000000000000010000000000000063000100010000000000000063010101010000000000000001000000000000007801000000000000006302020000000000000001020000000000000000000000000000f03f020000000000000001000000000000006303040000000000000001030400000000000000");
     pin(m, DataValue::PartialMeta(partial_meta()), "0404000000000000000001010000000000000001000000000000007802000000000000f03f0000000000000040030700000000000000");
@@ -356,22 +356,22 @@ fn values_and_transform_metadata_keep_their_bytes() {
     pin(
         m,
         FrameColumn::from(vec![Some(0.5), None]),
-        "00020000000000000001000000000000e03f00",
+        "0002000000000000000100000000000000000000000000e03f0000000000000000",
     );
     pin(
         m,
         FrameColumn::from(vec![None, Some(-3)]),
-        "0102000000000000000001fdffffffffffffff",
+        "01020000000000000002000000000000000000000000000000fdffffffffffffff",
     );
     pin(
         m,
         FrameColumn::from(vec![Some("ab"), None]),
-        "020200000000000000010200000000000000616200",
+        "02020000000000000001000000000000000000000000000000020000000000000002000000000000006162",
     );
     pin(
         m,
         FrameColumn::from(vec![Some(true), Some(false)]),
-        "03020000000000000001010100",
+        "03020000000000000003000000000000000100",
     );
     pin(m, EncodeKind::PassThrough, "00");
     pin(m, EncodeKind::Recode, "01");
