@@ -70,11 +70,9 @@ pub struct Validity {
     len: usize,
 }
 
-fn invalid(op: &'static str, msg: impl Into<String>) -> MatrixError {
-    MatrixError::InvalidArgument {
-        op,
-        msg: msg.into(),
-    }
+/// The `InvalidArgument` error of `op`.
+fn invalid<T>(op: &'static str, msg: String) -> Result<T> {
+    Err(MatrixError::InvalidArgument { op, msg })
 }
 
 impl Validity {
@@ -83,17 +81,11 @@ impl Validity {
     pub fn from_words(words: Vec<u64>, len: usize) -> Result<Self> {
         let op = "Validity::from_words";
         if words.len() != len.div_ceil(64) {
-            return Err(invalid(
-                op,
-                format!("{} words for {len} cells", words.len()),
-            ));
+            return invalid(op, format!("{} words for {len} cells", words.len()));
         }
         let tail = len % 64;
         if tail != 0 && words[words.len() - 1] >> tail != 0 {
-            return Err(invalid(
-                op,
-                format!("a bit set past the last of {len} cells"),
-            ));
+            return invalid(op, format!("a bit set past the last of {len} cells"));
         }
         Ok(Validity { words, len })
     }
@@ -233,10 +225,10 @@ impl<T: Copy + Default> Cells<T> {
     fn checked(values: Vec<T>, valid: Validity, is_default: impl Fn(T) -> bool) -> Result<Self> {
         let op = "Cells::from_parts";
         if values.len() != valid.len() {
-            return Err(invalid(
+            return invalid(
                 op,
                 format!("{} values for {} cells", values.len(), valid.len()),
-            ));
+            );
         }
         for (at, (values, &w)) in values.chunks(64).zip(&valid.words).enumerate() {
             // Visit the clear bits only; those past the last cell find no value.
@@ -245,10 +237,7 @@ impl<T: Copy + Default> Cells<T> {
                 let i = missing.trailing_zeros() as usize;
                 missing &= missing - 1;
                 if values.get(i).is_some_and(|&v| !is_default(v)) {
-                    return Err(invalid(
-                        op,
-                        format!("missing cell {} holds a value", at * 64 + i),
-                    ));
+                    return invalid(op, format!("missing cell {} holds a value", at * 64 + i));
                 }
             }
         }
@@ -290,7 +279,7 @@ impl Cells<bool> {
     /// missing cell holds 0.
     pub fn from_parts(bytes: Vec<u8>, valid: Validity) -> Result<Self> {
         if let Some(b) = bytes.iter().find(|&&b| b > 1) {
-            return Err(invalid("Cells::from_parts", format!("bool byte {b}")));
+            return invalid("Cells::from_parts", format!("bool byte {b}"));
         }
         Cells::checked(bytes.into_iter().map(|b| b == 1).collect(), valid, |v| !v)
     }
@@ -366,28 +355,24 @@ impl StrCells {
     /// the last at its end. A missing cell is empty.
     pub fn from_parts(offsets: Vec<usize>, bytes: Vec<u8>, valid: Validity) -> Result<Self> {
         let op = "StrCells::from_parts";
-        let bytes =
-            String::from_utf8(bytes).map_err(|e| invalid(op, format!("invalid utf-8: {e}")))?;
-        if offsets.len() != valid.len() + 1
-            || offsets.first() != Some(&0)
-            || offsets.last() != Some(&bytes.len())
-        {
-            return Err(invalid(
+        let bytes = match String::from_utf8(bytes) {
+            Ok(bytes) => bytes,
+            Err(e) => return invalid(op, format!("invalid utf-8: {e}")),
+        };
+        let n = valid.len();
+        if offsets.len() != n + 1 || offsets[0] != 0 || offsets[n] != bytes.len() {
+            let len = bytes.len();
+            return invalid(
                 op,
-                format!(
-                    "{} offsets, not {} from 0 to {}",
-                    offsets.len(),
-                    valid.len() + 1,
-                    bytes.len()
-                ),
-            ));
+                format!("{} offsets, not {n} + 1 from 0 to {len}", offsets.len()),
+            );
         }
         for (i, w) in offsets.windows(2).enumerate() {
             if w[0] > w[1] || !bytes.is_char_boundary(w[1]) {
-                return Err(invalid(op, format!("offset {} is {}", i + 1, w[1])));
+                return invalid(op, format!("offset {} is {}", i + 1, w[1]));
             }
             if w[0] != w[1] && !valid.get(i) {
-                return Err(invalid(op, format!("missing cell {i} is not empty")));
+                return invalid(op, format!("missing cell {i} is not empty"));
             }
         }
         Ok(StrCells {
@@ -413,9 +398,8 @@ impl StrCells {
         &self.bytes
     }
 
-    /// The validity bitmap.
     #[inline]
-    pub fn validity(&self) -> &Validity {
+    fn validity(&self) -> &Validity {
         &self.valid
     }
 

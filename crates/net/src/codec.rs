@@ -339,7 +339,7 @@ fn wire_chunk_cells(n: usize) -> usize {
 /// converted a block at a time: on the stack, or for a large payload in
 /// panel-aligned chunks on the pool into one buffer. Either way the bytes
 /// are those of one `put_u64_le` per value.
-fn put_words<T: Copy + Sync>(buf: &mut impl BufMut, values: &[T], word: fn(T) -> u64) {
+fn put_words<T: Copy + Sync>(buf: &mut impl BufMut, values: &[T], word: impl Fn(T) -> u64 + Sync) {
     let fill = |raw: &mut [u8], values: &[T]| {
         for (bytes, &v) in raw.chunks_exact_mut(8).zip(values) {
             bytes.copy_from_slice(&word(v).to_le_bytes());
@@ -369,7 +369,7 @@ fn get_words<T: Copy + Default + Send + Sync>(
     buf: &mut impl Buf,
     n: usize,
     what: &str,
-    value: fn(u64) -> T,
+    value: impl Fn(u64) -> T + Sync,
 ) -> DecodeResult<Vec<T>> {
     let bytes = n
         .checked_mul(8)
@@ -810,7 +810,7 @@ mod tests {
     fn offsets_that_do_not_start_at_zero_are_rejected() {
         rejected(
             &strs(2, 0b11, &[1, 1, 2], b"ab"),
-            "3 offsets, not 3 from 0 to 2",
+            "3 offsets, not 2 + 1 from 0 to 2",
         );
     }
 
