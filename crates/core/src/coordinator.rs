@@ -23,7 +23,7 @@ use exdra_fault::retry::{classify_io, peer_closed, Deadline, ErrorClass, RetryPo
 use exdra_net::codec::Wire;
 use exdra_net::crypto::ChannelKey;
 use exdra_net::sim::NetProfile;
-use exdra_net::stats::NetStats;
+use exdra_net::stats::{take_thread_wire_nanos, NetStats};
 use exdra_net::transport::{
     Channel, ChannelConfig, EncryptedChannel, InstrumentedChannel, ShapedChannel, TcpChannel,
 };
@@ -489,7 +489,7 @@ impl FedContext {
                 frame,
                 deferred,
                 sent: Ok(()),
-                t_sent: None,
+                send_nanos: 0,
                 serde_nanos: t_enc.map_or(0, |t| t.elapsed().as_nanos() as u64),
                 gate_wait_nanos: 0,
             });
@@ -504,8 +504,9 @@ impl FedContext {
         let credit = GateGuard::acquire(self.gate(), legs[0].worker, total);
         legs[0].gate_wait_nanos = t_gate.map_or(0, |t| t.elapsed().as_nanos() as u64);
         for leg in &mut legs {
-            leg.t_sent = obs_on.then(Instant::now);
+            take_thread_wire_nanos();
             leg.sent = leg.ch.send(&leg.frame);
+            leg.send_nanos = take_thread_wire_nanos();
         }
         Ok((legs, credit))
     }
@@ -525,7 +526,7 @@ impl FedContext {
             frame,
             deferred,
             sent,
-            t_sent,
+            send_nanos,
             mut serde_nanos,
             gate_wait_nanos,
         } = leg;
@@ -533,16 +534,19 @@ impl FedContext {
         let bytes_sent = frame.len() as u64;
         let policy = self.fault_policy();
         let deadline = Deadline::after(policy.rpc_deadline);
-        let mut net_nanos = 0u64;
+        // The wire time the channel stack measured for this leg's sends
+        // and receives, the intervals `NetStats` sums as well.
+        let mut net_nanos = send_nanos;
         let mut retries = 0u64;
-        let mut first = Some((sent, t_sent));
+        let mut first = Some(sent);
         let reply = policy
             .retry
             .run(
                 deadline,
                 |_attempt| {
-                    let (sent, t_net) = match first.take() {
-                        Some(begun) => begun,
+                    take_thread_wire_nanos();
+                    let sent = match first.take() {
+                        Some(sent) => sent,
                         None => {
                             retries += 1;
                             self.stats.record_retry();
@@ -558,14 +562,11 @@ impl FedContext {
                                 )?;
                                 self.stats.record_recovery();
                             }
-                            let t_net = obs_on.then(Instant::now);
-                            (ch.send(&frame), t_net)
+                            ch.send(&frame)
                         }
                     };
                     let r = sent.and_then(|()| ch.recv());
-                    if let Some(t) = t_net {
-                        net_nanos += t.elapsed().as_nanos() as u64;
-                    }
+                    net_nanos += take_thread_wire_nanos();
                     r
                 },
                 // This leg holds the channel lock until it returns, so while
@@ -835,7 +836,8 @@ struct Leg<'a> {
     /// Result of the send `begin` made, consumed by `finish`'s first
     /// attempt.
     sent: std::io::Result<()>,
-    t_sent: Option<Instant>,
+    /// Wire time of that send.
+    send_nanos: u64,
     serde_nanos: u64,
     gate_wait_nanos: u64,
 }

@@ -5,6 +5,7 @@
 //! configuration; [`NetStats`] is a cheap atomic counter bundle shared
 //! between a channel wrapper and the reporting harness.
 
+use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -32,18 +33,25 @@ impl NetStats {
         Arc::new(Self::default())
     }
 
-    /// Records an outbound message of `bytes` taking `nanos`.
+    /// Records an outbound message of `bytes` taking `nanos`, also in the
+    /// calling thread's [`take_thread_wire_nanos`].
     pub fn record_send(&self, bytes: u64, nanos: u64) {
         self.bytes_sent.fetch_add(bytes, Ordering::Relaxed);
         self.messages_sent.fetch_add(1, Ordering::Relaxed);
-        self.network_nanos.fetch_add(nanos, Ordering::Relaxed);
+        self.record_wire(nanos);
     }
 
-    /// Records an inbound message of `bytes` taking `nanos`.
+    /// Records an inbound message of `bytes` taking `nanos`, also in the
+    /// calling thread's [`take_thread_wire_nanos`].
     pub fn record_recv(&self, bytes: u64, nanos: u64) {
         self.bytes_received.fetch_add(bytes, Ordering::Relaxed);
         self.messages_received.fetch_add(1, Ordering::Relaxed);
+        self.record_wire(nanos);
+    }
+
+    fn record_wire(&self, nanos: u64) {
         self.network_nanos.fetch_add(nanos, Ordering::Relaxed);
+        THREAD_WIRE_NANOS.with(|t| t.set(t.get() + nanos));
     }
 
     /// Total bytes sent.
@@ -142,6 +150,18 @@ impl NetStats {
     pub fn summary(&self) -> String {
         self.snapshot().to_string()
     }
+}
+
+thread_local! {
+    static THREAD_WIRE_NANOS: Cell<u64> = const { Cell::new(0) };
+}
+
+/// The wire time recorded on the calling thread since its previous call:
+/// the same measured intervals [`NetStats::network_nanos`] sums, so an
+/// exchange that sends and receives on one thread can book exactly its
+/// own share of that total.
+pub fn take_thread_wire_nanos() -> u64 {
+    THREAD_WIRE_NANOS.with(|t| t.replace(0))
 }
 
 /// Plain-data copy of [`NetStats`] at one point in time.
