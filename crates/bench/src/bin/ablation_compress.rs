@@ -9,9 +9,9 @@
 //!
 //! `cargo run -p exdra-bench --bin ablation_compress --release [-- --quick]`
 
+use std::time::Duration;
+
 use exdra_bench::*;
-use exdra_core::protocol::Request;
-use exdra_core::udf::Udf;
 use exdra_core::PrivacyLevel;
 use exdra_matrix::compress::CompressedMatrix;
 use exdra_matrix::kernels::matmul;
@@ -98,25 +98,18 @@ fn main() {
     table.row(&["colSums".into(), secs(t_dense_cs), secs(t_comp_cs)]);
     table.print();
 
-    // Worker-integrated path: CompactNow over the symbol table.
+    // Worker-integrated path: each in-process worker compacts its symbol
+    // table.
     let (ctx, workers) = federation(2, NetSetting::Lan, cfg.wan_profile());
     let fed =
         exdra_core::fed::FedMatrix::scatter_rows(&ctx, &x, PrivacyLevel::Public).expect("scatter");
     let before: usize = workers.iter().map(|w| w.table().total_bytes()).sum();
-    for p in fed.parts() {
-        let rs = ctx
-            .call(
-                p.worker,
-                &[Request::ExecUdf {
-                    udf: Udf::CompactNow { min_bytes: 1024 },
-                }],
-            )
-            .expect("compact");
-        let _ = rs;
+    for w in &workers {
+        w.compact(1024, Duration::ZERO);
     }
     let after: usize = workers.iter().map(|w| w.table().total_bytes()).sum();
     println!(
-        "\nworker symbol tables: {:.1} MB -> {:.1} MB after CompactNow ({:.1}x)",
+        "\nworker symbol tables: {:.1} MB -> {:.1} MB after compaction ({:.1}x)",
         before as f64 / 1e6,
         after as f64 / 1e6,
         before as f64 / after.max(1) as f64

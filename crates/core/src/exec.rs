@@ -24,10 +24,12 @@
 //! (`compress.exec.fallback`, timed under `inst.decompress`).
 
 use std::cell::Cell;
+use std::collections::BTreeMap;
 use std::ops::Deref;
 use std::sync::Arc;
 
 use exdra_matrix::compress::CompressedMatrix;
+use exdra_matrix::frame::{Frame, FrameColumn};
 use exdra_matrix::kernels::aggregates::{self, AggDir};
 use exdra_matrix::kernels::elementwise;
 use exdra_matrix::kernels::matmul;
@@ -35,6 +37,7 @@ use exdra_matrix::kernels::quaternary;
 use exdra_matrix::kernels::reorg::{self, Margin};
 use exdra_matrix::kernels::ternary;
 use exdra_matrix::{DenseMatrix, Matrix};
+use exdra_transform::encoders::PartialColumnMeta;
 
 use crate::error::{Result, RuntimeError};
 use crate::instruction::Instruction;
@@ -240,8 +243,33 @@ fn aggregates_input(
         MatMul { rhs, .. } if *rhs == input => dims(*rhs).0 >= k,
         Cov { a, b, .. } if *a == input || *b == input => dims(*a).0 >= k,
         CentralMoment { a, .. } if *a == input => dims(*a).0 >= k,
+        // Encoder metadata and category counts hold only the categories
+        // seen at least `k` times (`releasable_counts`).
+        EncodeBuildPartial { frame, .. } | CategoryCounts { frame, .. } if *frame == input => true,
         _ => false,
     }
+}
+
+/// The categories of a frame column its site may release, with their
+/// counts: under a private-aggregate constraint a category seen fewer
+/// than `min_group` times stays at the site. The one release rule of the
+/// metadata rows; a recode token it drops encodes as unknown.
+fn releasable_counts(col: &FrameColumn, privacy: PrivacyLevel) -> BTreeMap<String, u64> {
+    let mut counts = BTreeMap::<String, u64>::new();
+    col.for_each_token(0..col.len(), |_, tok| {
+        if let Some(tok) = tok {
+            match counts.get_mut(tok) {
+                Some(n) => *n += 1,
+                None => {
+                    counts.insert(tok.to_string(), 1);
+                }
+            }
+        }
+    });
+    if let PrivacyLevel::PrivateAggregate { min_group } = privacy {
+        counts.retain(|_, n| *n >= min_group as u64);
+    }
+    counts
 }
 
 /// Dense view of an entry: zero-copy when the value is a dense matrix
@@ -386,6 +414,7 @@ fn compute(
             .expect("input resolved")
     };
     let m = |id: u64| -> Result<Dense<'_>> { dense(&input(id).1, cache) };
+    let as_frame = |id: u64| input(id).1.value.as_frame();
     // Compressed view of an input, when the opcode has a direct
     // column-group kernel (bitwise-identical to its dense counterpart).
     let comp = |id: u64| -> Option<&CompressedMatrix> {
@@ -594,6 +623,92 @@ fn compute(
             DataValue::Scalar(elementwise::central_moment(&*m(*a)?, *order)?)
         }
         Rmvar { .. } => return Err(RuntimeError::Invalid("rmvar handled earlier".into())),
+        EncodeBuildPartial { frame, spec, .. } => {
+            let f = as_frame(*frame)?;
+            let privacy = input(*frame).1.meta.privacy;
+            let mut partial = exdra_transform::build_partial(f, spec)?;
+            if matches!(privacy, PrivacyLevel::PrivateAggregate { .. }) {
+                for (cs, col) in spec.columns.iter().zip(&mut partial.columns) {
+                    if let PartialColumnMeta::Recode { distincts } = col {
+                        let counts = releasable_counts(f.column_by_name(&cs.name)?, privacy);
+                        *distincts = counts.into_keys().collect();
+                    }
+                }
+            }
+            DataValue::PartialMeta(partial)
+        }
+        EncodeApply { frame, meta, .. } => {
+            let meta = match &*input(*meta).1.value {
+                DataValue::TransformMeta(m) => m,
+                other => {
+                    return Err(RuntimeError::Invalid(format!(
+                        "expected transform-meta, found {}",
+                        other.type_name()
+                    )))
+                }
+            };
+            DataValue::from(exdra_transform::apply(as_frame(*frame)?, meta)?)
+        }
+        FrameSelect { frame, columns, .. } => {
+            let names: Vec<&str> = columns.iter().map(String::as_str).collect();
+            DataValue::Frame(as_frame(*frame)?.select(&names)?)
+        }
+        Shuffle { x, seed, .. } => {
+            let x = m(*x)?;
+            let perm = exdra_matrix::rng::rand_permutation(x.rows(), *seed);
+            DataValue::from(reorg::gather_rows(&x, &perm)?)
+        }
+        Replicate { x, times, .. } => {
+            if *times == 0 {
+                return Err(RuntimeError::Invalid("replication factor 0".into()));
+            }
+            let x = m(*x)?;
+            let mut out = x.clone();
+            for _ in 1..*times {
+                out = reorg::rbind(&out, &x)?;
+            }
+            DataValue::from(out)
+        }
+        CategoryCounts { frame, column, .. } => {
+            let privacy = input(*frame).1.meta.privacy;
+            let counts = releasable_counts(as_frame(*frame)?.column_by_name(column)?, privacy);
+            DataValue::Frame(Frame::new(vec![
+                (
+                    "token".into(),
+                    FrameColumn::Str(counts.keys().map(Some).collect()),
+                ),
+                (
+                    "count".into(),
+                    FrameColumn::F64(counts.values().map(|&n| Some(n as f64)).collect()),
+                ),
+            ])?)
+        }
+        FillMissing {
+            frame,
+            column,
+            value,
+            ..
+        } => {
+            let f = as_frame(*frame)?;
+            let idx = f.column_index(column)?;
+            let mut columns = Vec::with_capacity(f.cols());
+            for (c, (name, _)) in f.schema().into_iter().enumerate() {
+                let col = match f.column(c)? {
+                    FrameColumn::Str(v) if c == idx => {
+                        FrameColumn::Str(v.iter().map(|cell| Some(cell.unwrap_or(value))).collect())
+                    }
+                    other if c == idx => {
+                        return Err(RuntimeError::Invalid(format!(
+                            "fill-missing targets string columns, '{column}' is {}",
+                            other.value_type().name()
+                        )))
+                    }
+                    other => other.clone(),
+                };
+                columns.push((name, col));
+            }
+            DataValue::Frame(Frame::new(columns)?)
+        }
     })
 }
 
@@ -835,6 +950,58 @@ mod tests {
             t.value(3).unwrap().to_dense().unwrap().get(0, 0),
             2.0 * t.value(1).unwrap().to_dense().unwrap().get(0, 0)
         );
+
+        // A fill of another column, and an encode under other metadata.
+        let frame = Frame::new(vec![
+            ("a".into(), FrameColumn::from(vec![Some("x"), None])),
+            ("b".into(), FrameColumn::from(vec![None, Some("y")])),
+        ])
+        .unwrap();
+        t.bind(
+            10,
+            Arc::new(DataValue::Frame(frame)),
+            PrivacyLevel::Public,
+            true,
+            43,
+        );
+        let spec = exdra_transform::TransformSpec {
+            columns: vec![exdra_transform::ColumnSpec {
+                name: "b".into(),
+                kind: exdra_transform::EncodeKind::Recode,
+                one_hot: false,
+            }],
+        };
+        for (id, tokens) in [(11, ["x", "z"]), (12, ["x", "y"])] {
+            let partial = exdra_transform::PartialMeta {
+                columns: vec![PartialColumnMeta::Recode {
+                    distincts: tokens.map(String::from).to_vec(),
+                }],
+                rows: 2,
+            };
+            let meta = exdra_transform::merge_partials(&[partial], &spec).unwrap();
+            t.bind_public(id, DataValue::TransformMeta(meta));
+        }
+        let fill = |column: &str, out| Instruction::FillMissing {
+            frame: 10,
+            column: column.into(),
+            value: "v".into(),
+            out,
+        };
+        let encode = |meta, out| Instruction::EncodeApply {
+            frame: 10,
+            meta,
+            out,
+        };
+        for inst in [fill("a", 20), fill("b", 21), encode(11, 30), encode(12, 31)] {
+            execute(&inst, &t, Some(&cache)).unwrap();
+        }
+        assert_eq!(cache.hits(), 0, "the column and the metadata enter lineage");
+        let frame = t.value(21).unwrap();
+        let filled = frame.as_frame().unwrap().column_by_name("b").unwrap();
+        assert_eq!(filled.token(0).as_deref(), Some("v"));
+        let code = |id| t.value(id).unwrap().to_dense().unwrap().get(1, 0);
+        assert!(code(30).is_nan(), "y is unknown to the first metadata");
+        assert_eq!(code(31), 2.0);
     }
 
     #[test]

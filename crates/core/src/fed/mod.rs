@@ -29,7 +29,6 @@ use crate::error::{Result, RuntimeError};
 use crate::instruction::Instruction;
 use crate::privacy::PrivacyLevel;
 use crate::protocol::{ReadFormat, Request, Response};
-use crate::udf::Udf;
 use crate::value::DataValue;
 
 /// Partitioning scheme of a federated object.
@@ -549,11 +548,6 @@ impl Batch<'_> {
     /// Runs an instruction at the site.
     pub(crate) fn exec(&mut self, inst: Instruction) {
         self.requests.push(Request::ExecInst { inst });
-    }
-
-    /// Runs a user-defined function at the site.
-    pub(crate) fn udf(&mut self, udf: Udf) {
-        self.requests.push(Request::ExecUdf { udf });
     }
 
     /// Fetches a symbol (privacy-checked at the site).

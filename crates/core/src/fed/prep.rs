@@ -13,7 +13,6 @@ use crate::error::{Result, RuntimeError};
 use crate::instruction::Instruction;
 use crate::privacy::PrivacyLevel;
 use crate::protocol::{ReadFormat, Request};
-use crate::udf::Udf;
 use crate::value::DataValue;
 
 use super::{FedMatrix, FedPartition, PartitionScheme};
@@ -113,7 +112,7 @@ impl FedFrame {
             shape,
             self.privacy(),
             |_, p, out, b| {
-                b.udf(Udf::FrameSelect {
+                b.exec(Instruction::FrameSelect {
                     frame: p.id,
                     columns: cols.clone(),
                     out,
@@ -130,9 +129,10 @@ impl FedFrame {
     pub fn transform_encode(&self, spec: &TransformSpec) -> Result<(FedMatrix, TransformMeta)> {
         // Pass 1: partial metadata per site.
         let partials = self.inner.gather(|_, p, b| {
-            b.udf(Udf::EncodeBuildPartial {
+            b.fetch(|out| Instruction::EncodeBuildPartial {
                 frame: p.id,
                 spec: spec.clone(),
+                out,
             })
         })?;
         let partials = partials
@@ -156,7 +156,7 @@ impl FedFrame {
             self.privacy(),
             |_, p, out, b| {
                 let meta = b.put(DataValue::TransformMeta(meta.clone()));
-                b.udf(Udf::EncodeApply {
+                b.exec(Instruction::EncodeApply {
                     frame: p.id,
                     meta,
                     out,
@@ -244,12 +244,10 @@ pub fn split_rows_per_partition(
     let (mut train, mut test) = (Vec::new(), Vec::new());
     x.gather(|i, p, b| {
         let shuffled = b.temp();
-        b.udf(Udf::Shuffle {
+        b.exec(Instruction::Shuffle {
             x: p.id,
-            y: None,
             seed: part_seed(i),
-            out_x: shuffled,
-            out_y: None,
+            out: shuffled,
         });
         let cut = n_train(p);
         for (parts, (lo, hi)) in [(&mut train, (0, cut)), (&mut test, (cut, p.len()))] {
@@ -450,9 +448,10 @@ impl FedFrame {
         }
         // Pass 1: per-site category counts.
         let results = self.inner.gather(|_, p, b| {
-            b.udf(Udf::CategoryCounts {
+            b.fetch(|out| Instruction::CategoryCounts {
                 frame: p.id,
                 column: column.to_string(),
+                out,
             })
         })?;
         let mut counts: std::collections::BTreeMap<String, u64> = std::collections::BTreeMap::new();
@@ -490,7 +489,7 @@ impl FedFrame {
             self.inner.shape(),
             self.privacy(),
             |_, p, out, b| {
-                b.udf(Udf::FillMissing {
+                b.exec(Instruction::FillMissing {
                     frame: p.id,
                     column: column.to_string(),
                     value: mode.clone(),

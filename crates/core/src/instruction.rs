@@ -19,6 +19,7 @@ use bytes::{Buf, BufMut};
 use exdra_matrix::kernels::aggregates::{AggDir, AggOp};
 use exdra_matrix::kernels::elementwise::{BinaryOp, UnaryOp};
 use exdra_net::codec::{DecodeError, DecodeResult, Wire};
+use exdra_transform::TransformSpec;
 
 use crate::lineage;
 
@@ -448,6 +449,79 @@ instructions! {
         /// IDs to drop.
         ids: Vec<u64> => lit,
     }
+    /// First `transformencode` pass: the frame's partial encoder metadata
+    /// (paper Figure 3), with the recode tokens the site may not release
+    /// left out.
+    31 => EncodeBuildPartial("tfencode-build") {
+        /// Frame ID.
+        frame: u64 => input,
+        /// Transformation spec.
+        spec: TransformSpec => lit,
+        /// Output ID (partial metadata).
+        out: u64 => out,
+    }
+    /// Second `transformencode` pass: the frame encoded under merged
+    /// metadata.
+    32 => EncodeApply("tfencode-apply") {
+        /// Frame ID.
+        frame: u64 => input,
+        /// Transform metadata ID.
+        meta: u64 => input,
+        /// Output ID (encoded matrix).
+        out: u64 => out,
+    }
+    /// Projects frame columns by name, in the given order.
+    33 => FrameSelect("frame-select") {
+        /// Frame ID.
+        frame: u64 => input,
+        /// Column names to keep.
+        columns: Vec<String> => lit,
+        /// Output ID (frame).
+        out: u64 => out,
+    }
+    /// Rows of `x` in a seeded random order: the parameter server's and
+    /// the split's site-local shuffle. Equal seeds and row counts give
+    /// equal orders, which keeps aligned matrices aligned.
+    34 => Shuffle("shuffle") {
+        /// Input ID.
+        x: u64 => input,
+        /// Permutation seed.
+        seed: u64 => lit,
+        /// Output ID.
+        out: u64 => out,
+    }
+    /// `x` stacked `times` times (imbalance handling by replication).
+    35 => Replicate("replicate") {
+        /// Input ID.
+        x: u64 => input,
+        /// Replication factor (>= 1).
+        times: u64 => lit,
+        /// Output ID.
+        out: u64 => out,
+    }
+    /// Per-category counts of a frame column, as a (`token`, `count`)
+    /// frame without the categories the site may not release (paper
+    /// Example 4's mode imputation).
+    36 => CategoryCounts("category-counts") {
+        /// Frame ID.
+        frame: u64 => input,
+        /// Column name.
+        column: String => lit,
+        /// Output ID (frame).
+        out: u64 => out,
+    }
+    /// The frame with the missing cells of one string column set to
+    /// `value`.
+    37 => FillMissing("fill-missing") {
+        /// Frame ID.
+        frame: u64 => input,
+        /// Column name.
+        column: String => lit,
+        /// Replacement category.
+        value: String => lit,
+        /// Output ID (frame).
+        out: u64 => out,
+    }
 }
 
 /// How an instruction field travels on the wire and, as a literal, enters
@@ -486,6 +560,9 @@ wire_fields! {
     // Fixed dims mix `r, c` only when given.
     Option<(u64, u64)> => |v, h| v.map_or(h, |(r, c)| lineage::mix(lineage::mix(h, r), c)),
     Vec<u64> => |v, h| v.iter().fold(h, |h, id| lineage::mix(h, *id)),
+    String => |v, h| lineage::mix(h, lineage::of_wire(v)),
+    Vec<String> => |v, h| lineage::mix(h, lineage::of_wire(v)),
+    TransformSpec => |v, h| lineage::mix(h, lineage::of_wire(v)),
 }
 
 /// Enums that travel, and mix, as their index in a fixed variant list.
@@ -694,6 +771,48 @@ mod tests {
                 out: 2,
             },
             Rmvar { ids: vec![1, 2, 3] },
+            EncodeBuildPartial {
+                frame: 1,
+                spec: TransformSpec {
+                    columns: vec![exdra_transform::ColumnSpec {
+                        name: "a".into(),
+                        kind: exdra_transform::EncodeKind::Recode,
+                        one_hot: true,
+                    }],
+                },
+                out: 2,
+            },
+            EncodeApply {
+                frame: 1,
+                meta: 2,
+                out: 3,
+            },
+            FrameSelect {
+                frame: 1,
+                columns: vec!["a".into(), "b".into()],
+                out: 2,
+            },
+            Shuffle {
+                x: 1,
+                seed: 42,
+                out: 2,
+            },
+            Replicate {
+                x: 1,
+                times: 3,
+                out: 2,
+            },
+            CategoryCounts {
+                frame: 1,
+                column: "recipe".into(),
+                out: 2,
+            },
+            FillMissing {
+                frame: 1,
+                column: "recipe".into(),
+                value: "R101".into(),
+                out: 2,
+            },
         ]
     }
 

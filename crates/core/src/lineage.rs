@@ -136,6 +136,14 @@ pub fn of_value(value: &DataValue) -> u64 {
     f.finish()
 }
 
+/// Lineage hash of any wire value by its encoding (an instruction's
+/// string and spec literals).
+pub(crate) fn of_wire(value: &impl Wire) -> u64 {
+    let mut f = Fold::new();
+    value.encode(&mut f);
+    f.finish()
+}
+
 /// [`of_value`] of a dense matrix that is not wrapped in a [`DataValue`]
 /// (a plan's local sources).
 pub fn of_dense(m: &DenseMatrix) -> u64 {

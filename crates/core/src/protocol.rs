@@ -129,7 +129,7 @@ pub enum Request {
         /// The instruction.
         inst: Instruction,
     },
-    /// `EXEC_UDF(udf)`: executes a (named or built-in) UDF.
+    /// `EXEC_UDF(udf)`: executes an application-registered function.
     ExecUdf {
         /// The UDF.
         udf: Udf,
@@ -349,7 +349,12 @@ mod tests {
                 },
             },
             Request::ExecUdf {
-                udf: Udf::CacheStats,
+                udf: Udf::Registered {
+                    name: "stats".into(),
+                    args: vec![],
+                    arg_ids: vec![3],
+                    out: None,
+                },
             },
             Request::Clear,
         ];

@@ -17,9 +17,8 @@ use std::time::{Duration, Instant};
 use parking_lot::{Mutex, RwLock};
 
 use exdra_matrix::compress::CompressedMatrix;
-use exdra_matrix::frame::{Frame, FrameColumn};
+use exdra_matrix::frame::Frame;
 use exdra_matrix::io as mio;
-use exdra_matrix::kernels::reorg;
 use exdra_matrix::{DenseMatrix, Matrix};
 use exdra_net::codec::Wire;
 use exdra_net::transport::{Channel, MemChannel, TcpServer};
@@ -91,7 +90,6 @@ pub struct Worker {
     cache: Arc<LineageCache>,
     registry: RwLock<HashMap<String, Arc<RegisteredFn>>>,
     config: WorkerConfig,
-    compressed_count: std::sync::atomic::AtomicU64,
     shutdown: AtomicBool,
     /// This worker's own listeners with their accept threads, so
     /// [`Worker::shutdown`] can wake and join them.
@@ -111,7 +109,6 @@ impl Worker {
             cache,
             registry: RwLock::new(HashMap::new()),
             config,
-            compressed_count: std::sync::atomic::AtomicU64::new(0),
             shutdown: AtomicBool::new(false),
             listeners: Mutex::new(Vec::new()),
             epoch: NEXT_EPOCH.fetch_add(1, Ordering::Relaxed),
@@ -416,7 +413,7 @@ impl Worker {
                 exec::execute(&inst, &self.table, Some(&self.cache))?;
                 Ok(Response::Ok)
             }
-            Request::ExecUdf { udf } => self.handle_udf(udf),
+            Request::ExecUdf { udf } => self.run_registered(udf),
             Request::Clear => {
                 self.table.clear();
                 self.cache.clear();
@@ -458,292 +455,46 @@ impl Worker {
         Ok(candidate)
     }
 
-    fn handle_udf(self: &Arc<Self>, udf: Udf) -> Result<Response> {
-        match udf {
-            Udf::EncodeBuildPartial { frame, spec } => {
-                let entry = self.table.get(frame)?;
-                let f = entry.value.as_frame()?;
-                let partial = exdra_transform::build_partial(f, &spec)?;
-                // Distinct sets / ranges are metadata the protocol is
-                // allowed to consolidate (they are the paper's exchanged
-                // encoder metadata), so they are returned even for
-                // private-aggregate data. Strictly private data refuses.
-                if entry.meta.privacy == PrivacyLevel::Private {
-                    return Err(RuntimeError::Privacy(
-                        "transformencode metadata exchange on strictly private frame".into(),
-                    ));
-                }
-                Ok(Response::Data(DataValue::PartialMeta(partial)))
-            }
-            Udf::EncodeApply { frame, meta, out } => {
-                let fe = self.table.get(frame)?;
-                let f = fe.value.as_frame()?;
-                let me = self.table.get(meta)?;
-                let meta_v = match &*me.value {
-                    DataValue::TransformMeta(m) => m.clone(),
-                    other => {
-                        return Err(RuntimeError::Invalid(format!(
-                            "expected transform-meta, found {}",
-                            other.type_name()
-                        )))
-                    }
-                };
-                let encoded = exdra_transform::apply(f, &meta_v)?;
-                let lin = lineage::mix(lineage::seed("tfencode-apply"), fe.meta.lineage);
+    /// Runs an application-registered function: `arg_ids` resolve in the
+    /// symbol table, `args` travel inline, and a result is returned and,
+    /// with `out`, also bound there.
+    fn run_registered(&self, udf: Udf) -> Result<Response> {
+        let Udf::Registered {
+            name,
+            args,
+            arg_ids,
+            out,
+        } = udf;
+        let f = self
+            .registry
+            .read()
+            .get(&name)
+            .cloned()
+            .ok_or_else(|| RuntimeError::Invalid(format!("unknown UDF '{name}'")))?;
+        let mut resolved = Vec::with_capacity(arg_ids.len());
+        let mut strictest = PrivacyLevel::Public;
+        for id in &arg_ids {
+            let e = self.table.get(*id)?;
+            strictest = strictest.max(e.meta.privacy);
+            resolved.push(e.value);
+        }
+        let result = f(&resolved, &args)?;
+        match (result, out) {
+            (Some(v), Some(out_id)) => {
+                let lin = lineage::seed(&format!("udf:{name}:{out_id}"));
+                // Registered UDF outputs inherit the strictest input
+                // constraint and are conservatively unreleasable.
                 self.table.bind(
-                    out,
-                    Arc::new(DataValue::from(encoded)),
-                    fe.meta.privacy,
-                    fe.meta.releasable,
+                    out_id,
+                    Arc::new(v.clone()),
+                    strictest,
+                    strictest == PrivacyLevel::Public,
                     lin,
                 );
-                Ok(Response::Ok)
+                Ok(Response::Data(v))
             }
-            Udf::FrameSelect {
-                frame,
-                columns,
-                out,
-            } => {
-                let fe = self.table.get(frame)?;
-                let f = fe.value.as_frame()?;
-                let names: Vec<&str> = columns.iter().map(String::as_str).collect();
-                let projected = f.select(&names)?;
-                let mut lin = lineage::mix(lineage::seed("frame-select"), fe.meta.lineage);
-                for c in &columns {
-                    lin = lineage::mix(lin, lineage::seed(c));
-                }
-                self.table.bind(
-                    out,
-                    Arc::new(DataValue::Frame(projected)),
-                    fe.meta.privacy,
-                    fe.meta.releasable,
-                    lin,
-                );
-                Ok(Response::Ok)
-            }
-            Udf::Shuffle {
-                x,
-                y,
-                seed,
-                out_x,
-                out_y,
-            } => {
-                let xe = self.table.get(x)?;
-                let xm = xe.value.to_dense()?;
-                let perm = exdra_matrix::rng::rand_permutation(xm.rows(), seed);
-                let xs = reorg::gather_rows(&xm, &perm)?;
-                let lin = lineage::mix(
-                    lineage::mix(lineage::seed("shuffle"), xe.meta.lineage),
-                    seed,
-                );
-                self.table.bind(
-                    out_x,
-                    Arc::new(DataValue::from(xs)),
-                    xe.meta.privacy,
-                    xe.meta.releasable,
-                    lin,
-                );
-                if let (Some(y), Some(out_y)) = (y, out_y) {
-                    let ye = self.table.get(y)?;
-                    let ym = ye.value.to_dense()?;
-                    if ym.rows() != xm.rows() {
-                        return Err(RuntimeError::Invalid(format!(
-                            "shuffle: X has {} rows, y has {}",
-                            xm.rows(),
-                            ym.rows()
-                        )));
-                    }
-                    let ys = reorg::gather_rows(&ym, &perm)?;
-                    self.table.bind(
-                        out_y,
-                        Arc::new(DataValue::from(ys)),
-                        ye.meta.privacy,
-                        ye.meta.releasable,
-                        lineage::mix(lin, 1),
-                    );
-                }
-                Ok(Response::Ok)
-            }
-            Udf::Replicate {
-                x,
-                y,
-                times,
-                out_x,
-                out_y,
-            } => {
-                if times == 0 {
-                    return Err(RuntimeError::Invalid("replication factor 0".into()));
-                }
-                let rep = |m: &DenseMatrix| -> Result<DenseMatrix> {
-                    let mut out = m.clone();
-                    for _ in 1..times {
-                        out = reorg::rbind(&out, m)?;
-                    }
-                    Ok(out)
-                };
-                let xe = self.table.get(x)?;
-                let xs = rep(&xe.value.to_dense()?)?;
-                let lin = lineage::mix(
-                    lineage::mix(lineage::seed("replicate"), xe.meta.lineage),
-                    times,
-                );
-                self.table.bind(
-                    out_x,
-                    Arc::new(DataValue::from(xs)),
-                    xe.meta.privacy,
-                    xe.meta.releasable,
-                    lin,
-                );
-                if let (Some(y), Some(out_y)) = (y, out_y) {
-                    let ye = self.table.get(y)?;
-                    let ys = rep(&ye.value.to_dense()?)?;
-                    self.table.bind(
-                        out_y,
-                        Arc::new(DataValue::from(ys)),
-                        ye.meta.privacy,
-                        ye.meta.releasable,
-                        lineage::mix(lin, 1),
-                    );
-                }
-                Ok(Response::Ok)
-            }
-            Udf::CompactNow { min_bytes } => {
-                let n = self.compact(min_bytes as usize, Duration::ZERO);
-                Ok(Response::Data(DataValue::Scalar(n as f64)))
-            }
-            Udf::MatrixDims { id } => {
-                let e = self.table.get(id)?;
-                let m = e.value.as_matrix()?;
-                Ok(Response::Data(DataValue::List(vec![
-                    DataValue::Scalar(m.rows() as f64),
-                    DataValue::Scalar(m.cols() as f64),
-                    DataValue::Scalar(m.nnz() as f64),
-                ])))
-            }
-            Udf::CategoryCounts { frame, column } => {
-                let e = self.table.get(frame)?;
-                // Category counts are the same aggregate-sized metadata the
-                // encode protocol exchanges: strictly private data refuses,
-                // and a category counted fewer than `min_group` times at
-                // this site stays here.
-                let min_group = match e.meta.privacy {
-                    PrivacyLevel::Private => {
-                        return Err(RuntimeError::Privacy(
-                            "category counts on strictly private frame".into(),
-                        ))
-                    }
-                    PrivacyLevel::PrivateAggregate { min_group } => min_group as u64,
-                    PrivacyLevel::Public => 0,
-                };
-                let f = e.value.as_frame()?;
-                let col = f.column_by_name(&column)?;
-                let mut counts: std::collections::BTreeMap<_, u64> =
-                    std::collections::BTreeMap::new();
-                for r in 0..col.len() {
-                    if let Some(tok) = col.token(r) {
-                        *counts.entry(tok).or_default() += 1;
-                    }
-                }
-                counts.retain(|_, n| *n >= min_group);
-                let out = Frame::new(vec![
-                    (
-                        "token".into(),
-                        FrameColumn::Str(counts.keys().map(Some).collect()),
-                    ),
-                    (
-                        "count".into(),
-                        FrameColumn::F64(counts.values().map(|&n| Some(n as f64)).collect()),
-                    ),
-                ])?;
-                Ok(Response::Data(DataValue::Frame(out)))
-            }
-            Udf::FillMissing {
-                frame,
-                column,
-                value,
-                out,
-            } => {
-                let e = self.table.get(frame)?;
-                let f = e.value.as_frame()?;
-                let idx = f.column_index(&column)?;
-                let mut columns = Vec::with_capacity(f.cols());
-                for (c, (name, _)) in f.schema().into_iter().enumerate() {
-                    let col = f.column(c)?.clone();
-                    let col = if c == idx {
-                        match col {
-                            FrameColumn::Str(v) => FrameColumn::Str(
-                                v.iter().map(|cell| Some(cell.unwrap_or(&value))).collect(),
-                            ),
-                            other => {
-                                return Err(RuntimeError::Invalid(format!(
-                                    "fill-missing targets string columns, '{column}' is {}",
-                                    other.value_type().name()
-                                )))
-                            }
-                        }
-                    } else {
-                        col
-                    };
-                    columns.push((name, col));
-                }
-                let repaired = Frame::new(columns)?;
-                let lin = lineage::mix(
-                    lineage::mix(lineage::seed("fill-missing"), e.meta.lineage),
-                    lineage::seed(&value),
-                );
-                self.table.bind(
-                    out,
-                    Arc::new(DataValue::Frame(repaired)),
-                    e.meta.privacy,
-                    e.meta.releasable,
-                    lin,
-                );
-                Ok(Response::Ok)
-            }
-            Udf::CacheStats => Ok(Response::Data(DataValue::List(vec![
-                DataValue::Scalar(self.cache.hits() as f64),
-                DataValue::Scalar(self.cache.misses() as f64),
-                DataValue::Scalar(self.cache.entries() as f64),
-                DataValue::Scalar(self.compressed_count.load(Ordering::Relaxed) as f64),
-            ]))),
-            Udf::Registered {
-                name,
-                args,
-                arg_ids,
-                out,
-            } => {
-                let f = self
-                    .registry
-                    .read()
-                    .get(&name)
-                    .cloned()
-                    .ok_or_else(|| RuntimeError::Invalid(format!("unknown UDF '{name}'")))?;
-                let mut resolved = Vec::with_capacity(arg_ids.len());
-                let mut strictest = PrivacyLevel::Public;
-                for id in &arg_ids {
-                    let e = self.table.get(*id)?;
-                    strictest = strictest.max(e.meta.privacy);
-                    resolved.push(e.value);
-                }
-                let result = f(&resolved, &args)?;
-                match (result, out) {
-                    (Some(v), Some(out_id)) => {
-                        let lin = lineage::seed(&format!("udf:{name}:{out_id}"));
-                        // Registered UDF outputs inherit the strictest input
-                        // constraint and are conservatively unreleasable.
-                        self.table.bind(
-                            out_id,
-                            Arc::new(v.clone()),
-                            strictest,
-                            strictest == PrivacyLevel::Public,
-                            lin,
-                        );
-                        Ok(Response::Data(v))
-                    }
-                    (Some(v), None) => Ok(Response::Data(v)),
-                    (None, _) => Ok(Response::Ok),
-                }
-            }
+            (Some(v), None) => Ok(Response::Data(v)),
+            (None, _) => Ok(Response::Ok),
         }
     }
 
@@ -796,7 +547,6 @@ impl Worker {
                 n += 1;
             }
         }
-        self.compressed_count.fetch_add(n as u64, Ordering::Relaxed);
         n
     }
 
@@ -851,6 +601,7 @@ impl exdra_obs::http::Routes for Worker {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::instruction::Instruction;
     use exdra_matrix::rng::rand_matrix;
 
     fn worker() -> Arc<Worker> {
@@ -1062,7 +813,7 @@ mod tests {
         assert!(matches!(&rs[1], Response::Error(_)));
         let rs = w.handle_batch(vec![
             Request::ExecInst {
-                inst: crate::instruction::Instruction::Agg {
+                inst: Instruction::Agg {
                     x: 1,
                     op: exdra_matrix::kernels::aggregates::AggOp::Sum,
                     dir: exdra_matrix::kernels::aggregates::AggDir::Col,
@@ -1330,7 +1081,7 @@ mod tests {
         }
         // Compressed entries still execute instructions.
         let rs = w.handle_batch(vec![Request::ExecInst {
-            inst: crate::instruction::Instruction::Agg {
+            inst: Instruction::Agg {
                 x: 1,
                 op: exdra_matrix::kernels::aggregates::AggOp::Sum,
                 dir: exdra_matrix::kernels::aggregates::AggDir::Full,
@@ -1353,7 +1104,7 @@ mod tests {
         assert_eq!(w.compact(1024, Duration::ZERO), 1);
         // tsmm has no column-group kernel: it leaves the twin behind.
         let tsmm = || Request::ExecInst {
-            inst: crate::instruction::Instruction::Tsmm {
+            inst: Instruction::Tsmm {
                 x: 1,
                 left: true,
                 out: 2,
@@ -1403,7 +1154,7 @@ mod tests {
                 privacy: PrivacyLevel::Public,
             });
             batch.push(Request::ExecInst {
-                inst: crate::instruction::Instruction::Agg {
+                inst: Instruction::Agg {
                     x: id,
                     op: exdra_matrix::kernels::aggregates::AggOp::Sum,
                     dir: exdra_matrix::kernels::aggregates::AggDir::Col,
@@ -1434,16 +1185,12 @@ mod tests {
         .unwrap();
         w.install_matrix(1, x, PrivacyLevel::Public, "x");
         w.install_matrix(2, y, PrivacyLevel::Public, "y");
-        let rs = w.handle_batch(vec![Request::ExecUdf {
-            udf: Udf::Shuffle {
-                x: 1,
-                y: Some(2),
-                seed: 9,
-                out_x: 3,
-                out_y: Some(4),
-            },
-        }]);
-        assert_eq!(rs[0], Response::Ok);
+        // Equal seeds over equal row counts: one permutation.
+        let shuffle = |x, out| Request::ExecInst {
+            inst: Instruction::Shuffle { x, seed: 9, out },
+        };
+        let rs = w.handle_batch(vec![shuffle(1, 3), shuffle(2, 4)]);
+        assert_eq!(rs, [Response::Ok, Response::Ok]);
         let xs = w.table().value(3).unwrap().to_dense().unwrap();
         let ys = w.table().value(4).unwrap().to_dense().unwrap();
         for r in 0..50 {
@@ -1461,13 +1208,11 @@ mod tests {
             PrivacyLevel::Public,
             "x",
         );
-        let rs = w.handle_batch(vec![Request::ExecUdf {
-            udf: Udf::Replicate {
+        let rs = w.handle_batch(vec![Request::ExecInst {
+            inst: Instruction::Replicate {
                 x: 1,
-                y: None,
                 times: 3,
-                out_x: 2,
-                out_y: None,
+                out: 2,
             },
         }]);
         assert_eq!(rs[0], Response::Ok);

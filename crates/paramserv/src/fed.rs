@@ -19,6 +19,7 @@ use parking_lot::Mutex;
 
 use exdra_core::coordinator::expect_data;
 use exdra_core::fed::FedMatrix;
+use exdra_core::instruction::Instruction;
 use exdra_core::protocol::Request;
 use exdra_core::udf::Udf;
 use exdra_core::worker::Worker;
@@ -171,15 +172,12 @@ pub fn apply_balance(
         }
         let new_x = ctx.fresh_id();
         let new_y = ctx.fresh_id();
-        batches[p.worker].push(Request::ExecUdf {
-            udf: Udf::Replicate {
-                x: p.id,
-                y: Some(y_id),
-                times,
-                out_x: new_x,
-                out_y: Some(new_y),
-            },
-        });
+        // Features and labels replicate alike, so they stay aligned.
+        for (x, out) in [(p.id, new_x), (y_id, new_y)] {
+            batches[p.worker].push(Request::ExecInst {
+                inst: Instruction::Replicate { x, times, out },
+            });
+        }
         out.push((p.worker, new_x, new_y));
     }
     let responses = ctx.call_all(batches)?;
@@ -277,7 +275,7 @@ pub fn train(
     let mut skipped_updates = 0usize;
     let mut max_observed_staleness = 0usize;
     let mut epoch_losses = Vec::with_capacity(cfg.epochs);
-    let make_udf = |snapshot: &[DenseMatrix], epoch: usize| {
+    let make_udf = |snapshot: &[DenseMatrix], epoch: usize, arg_ids: Vec<u64>| {
         let seed = cfg.seed.wrapping_add(epoch as u64);
         Udf::Registered {
             name: PS_EPOCH_UDF.into(),
@@ -290,7 +288,7 @@ pub fn train(
                 DataValue::Scalar((seed >> 32) as f64),
                 DataValue::Scalar((seed & 0xFFFF_FFFF) as f64),
             ],
-            arg_ids: vec![],
+            arg_ids,
             out: None,
         }
     };
@@ -324,10 +322,7 @@ pub fn train(
                 let mut batches = vec![Vec::new(); ctx.num_workers()];
                 let mut slots = Vec::with_capacity(data_ids.len());
                 for &(worker, x_id, y_id) in data_ids {
-                    let mut udf = make_udf(&snapshot, epoch);
-                    if let Udf::Registered { arg_ids, .. } = &mut udf {
-                        *arg_ids = vec![x_id, y_id];
-                    }
+                    let udf = make_udf(&snapshot, epoch, vec![x_id, y_id]);
                     slots.push((worker, batches[worker].len()));
                     batches[worker].push(Request::ExecUdf { udf });
                 }
@@ -465,10 +460,7 @@ pub fn train(
                                 }
                             }
                             let snapshot = model.lock().clone();
-                            let mut udf = make_udf(&snapshot, epoch);
-                            if let Udf::Registered { arg_ids, .. } = &mut udf {
-                                *arg_ids = vec![x_id, y_id];
-                            }
+                            let udf = make_udf(&snapshot, epoch, vec![x_id, y_id]);
                             let rs = match ctx.call(worker, &[Request::ExecUdf { udf }]) {
                                 Ok(rs) => rs,
                                 Err(e) => match cfg.aggregation {

@@ -12,6 +12,7 @@ use exdra::matrix::frame::{Frame, FrameColumn};
 use exdra::matrix::kernels::aggregates::{AggDir, AggOp};
 use exdra::matrix::rng::rand_matrix;
 use exdra::net::crypto::ChannelKey;
+use exdra::transform::encoders::{ColumnMeta, ColumnSpec, EncodeKind, TransformSpec};
 
 #[test]
 fn raw_transfer_denied_aggregates_released() {
@@ -96,6 +97,42 @@ fn a_category_smaller_than_min_group_never_leaves_its_site() {
             assert!(matches!(e, RuntimeError::Invalid(_)), "{e}");
         }
     }
+}
+
+#[test]
+fn a_recode_token_smaller_than_min_group_never_leaves_its_site() {
+    // "bob" appears once, at a site that releases only groups of 3: he is
+    // not in the merged metadata, and his row encodes as unknown.
+    let (ctx, _w) = tcp_federation(2);
+    let site = |cells: &[&str]| {
+        let cells: Vec<Option<&str>> = cells.iter().map(|c| Some(*c)).collect();
+        Frame::new(vec![("name".into(), FrameColumn::from(cells))]).unwrap()
+    };
+    let frames = [
+        site(&["ann", "bob", "ann", "ann"]),
+        site(&["ann", "cid", "cid", "ann", "cid", "ann"]),
+    ];
+    let privacy = PrivacyLevel::PrivateAggregate { min_group: 3 };
+    let fed = FedFrame::from_site_frames(&ctx, &frames, privacy).unwrap();
+    let spec = TransformSpec {
+        columns: vec![ColumnSpec {
+            name: "name".into(),
+            kind: EncodeKind::Recode,
+            one_hot: true,
+        }],
+    };
+    let (x, meta) = fed.transform_encode(&spec).unwrap();
+    let codes = ColumnMeta::Recode {
+        codes: vec!["ann".into(), "cid".into()],
+    };
+    assert_eq!(meta.columns, [(spec.columns[0].clone(), codes)]);
+    // Column sums over 4 and 6 rows may leave: bob's one-hot row is zero.
+    let counts = Tensor::Fed(x)
+        .agg(AggOp::Sum, AggDir::Col)
+        .unwrap()
+        .to_local()
+        .unwrap();
+    assert_eq!(counts.values(), [6.0, 3.0]);
 }
 
 #[test]

@@ -13,14 +13,19 @@ use exdra::core::exec;
 use exdra::core::instruction::Instruction::{self, *};
 use exdra::core::symbol::SymbolTable;
 use exdra::core::{DataValue, FedMatrix, PrivacyLevel};
+use exdra::matrix::frame::{Frame, FrameColumn};
 use exdra::matrix::kernels::aggregates::{AggDir, AggOp};
 use exdra::matrix::kernels::elementwise::{BinaryOp, UnaryOp};
 use exdra::matrix::rng::rand_matrix;
 use exdra::net::codec::Wire;
+use exdra::transform::encoders::{
+    ColumnMeta, ColumnSpec, EncodeKind, TransformMeta, TransformSpec,
+};
 use exdra::DenseMatrix;
 
 /// One sample of every opcode (both `t_lhs` forms, both `MmChain`
-/// weightings) with its wire bytes, name and output lineage.
+/// weightings) with its wire bytes, name and output lineage. The frame
+/// and metadata rows follow the matrix ones, from tag 31.
 fn pins() -> Vec<(Instruction, &'static str, &'static str, Option<u64>)> {
     vec![
         (
@@ -346,12 +351,127 @@ fn pins() -> Vec<(Instruction, &'static str, &'static str, Option<u64>)> {
             "rmvar",
             None,
         ),
+        (
+            EncodeBuildPartial {
+                frame: 1,
+                spec: TransformSpec {
+                    columns: vec![ColumnSpec {
+                        name: "recipe".into(),
+                        kind: EncodeKind::Recode,
+                        one_hot: true,
+                    }],
+                },
+                out: 2,
+            },
+            "1f01000000000000000100000000000000060000000000000072656369706501010200000000000000",
+            "tfencode-build",
+            Some(0x29fb30b16e3938fc),
+        ),
+        (
+            EncodeApply {
+                frame: 1,
+                meta: 2,
+                out: 3,
+            },
+            "20010000000000000002000000000000000300000000000000",
+            "tfencode-apply",
+            Some(0x3e728a9dc593179f),
+        ),
+        (
+            FrameSelect {
+                frame: 1,
+                columns: vec!["power".into(), "recipe".into()],
+                out: 2,
+            },
+            "21010000000000000002000000000000000500000000000000706f77657206000000000000007265636970650200000000000000",
+            "frame-select",
+            Some(0xd2c0d252256b6e1c),
+        ),
+        (
+            Shuffle {
+                x: 1,
+                seed: 42,
+                out: 2,
+            },
+            "2201000000000000002a000000000000000200000000000000",
+            "shuffle",
+            Some(0x2aedbc56f020a776),
+        ),
+        (
+            Replicate {
+                x: 1,
+                times: 3,
+                out: 2,
+            },
+            "23010000000000000003000000000000000200000000000000",
+            "replicate",
+            Some(0x19350835d6106137),
+        ),
+        (
+            CategoryCounts {
+                frame: 1,
+                column: "recipe".into(),
+                out: 2,
+            },
+            "24010000000000000006000000000000007265636970650200000000000000",
+            "category-counts",
+            Some(0x71ee214537baf9e3),
+        ),
+        (
+            FillMissing {
+                frame: 1,
+                column: "recipe".into(),
+                value: "R101".into(),
+                out: 2,
+            },
+            "25010000000000000006000000000000007265636970650400000000000000523130310200000000000000",
+            "fill-missing",
+            Some(0x14ae002c1954ce48),
+        ),
     ]
 }
 
-/// The value symbol `id` holds when `inst` runs: ones, 1 x 1 unless the
+/// The value symbol `id` holds when `inst` runs: a two-column frame
+/// where a frame row reads one, the recode metadata of its `recipe`
+/// column where `EncodeApply` reads metadata, else ones, 1 x 1 unless the
 /// sample's literals index further.
-fn operand(inst: &Instruction, id: u64) -> DenseMatrix {
+fn operand(inst: &Instruction, id: u64) -> DataValue {
+    match inst {
+        EncodeBuildPartial { frame, .. }
+        | EncodeApply { frame, .. }
+        | FrameSelect { frame, .. }
+        | CategoryCounts { frame, .. }
+        | FillMissing { frame, .. }
+            if *frame == id =>
+        {
+            let frame = Frame::new(vec![
+                (
+                    "recipe".into(),
+                    FrameColumn::from(vec![Some("R7"), None, Some("R2"), Some("R7")]),
+                ),
+                (
+                    "power".into(),
+                    FrameColumn::from(vec![Some(1.5), Some(2.0), None, Some(0.5)]),
+                ),
+            ]);
+            return DataValue::Frame(frame.unwrap());
+        }
+        EncodeApply { meta, .. } if *meta == id => {
+            return DataValue::TransformMeta(TransformMeta {
+                columns: vec![(
+                    ColumnSpec {
+                        name: "recipe".into(),
+                        kind: EncodeKind::Recode,
+                        one_hot: true,
+                    },
+                    ColumnMeta::Recode {
+                        codes: vec!["R2".into(), "R7".into()],
+                    },
+                )],
+            });
+        }
+        _ => {}
+    }
     let (rows, cols) = match inst {
         Index { .. } => (10, 5),
         IndexAssign { x, .. } if *x == id => (5, 5),
@@ -359,7 +479,7 @@ fn operand(inst: &Instruction, id: u64) -> DenseMatrix {
         Cov { .. } => (2, 1),
         _ => (1, 1),
     };
-    DenseMatrix::filled(rows, cols, 1.0)
+    DataValue::from(DenseMatrix::filled(rows, cols, 1.0))
 }
 
 fn hex(bytes: &[u8]) -> String {
@@ -369,7 +489,7 @@ fn hex(bytes: &[u8]) -> String {
 #[test]
 fn every_instruction_keeps_its_bytes_name_and_worker_lineage() {
     let pins = pins();
-    assert_eq!(pins.len(), 33);
+    assert_eq!(pins.len(), 40);
     for (inst, bytes, name, lineage) in pins {
         assert_eq!(hex(&inst.to_bytes()), bytes, "{inst:?}: wire bytes");
         assert_eq!(inst.name(), name, "{inst:?}: name");
@@ -377,7 +497,7 @@ fn every_instruction_keeps_its_bytes_name_and_worker_lineage() {
         // fixed lineage of its own, whatever the sample reads.
         let table = SymbolTable::new();
         for id in 1..=6 {
-            let value = Arc::new(DataValue::from(operand(&inst, id)));
+            let value = Arc::new(operand(&inst, id));
             table.bind(id, value, PrivacyLevel::Public, true, 0x5eed_0000 + id);
         }
         exec::execute(&inst, &table, None).unwrap();
