@@ -992,7 +992,7 @@ const PLACEMENT_PINS: &[(&str, Pin)] = &[
     ),
     (
         "frame select",
-        p(6, 288, 555, 0x96f544ec1af0764a, [0, 0, 0]),
+        p(3, 216, 435, 0x96f544ec1af0764a, [0, 0, 0]),
     ),
     (
         "frame select unknown",
@@ -1000,11 +1000,11 @@ const PLACEMENT_PINS: &[(&str, Pin)] = &[
     ),
     (
         "transform_encode",
-        p(9, 816, 1368, 0xcd7b6c74b60407eb, [0, 0, 0]),
+        p(6, 849, 1254, 0xcd7b6c74b60407eb, [0, 0, 0]),
     ),
     (
         "impute_mode",
-        p(9, 441, 1428, 0x3c3aa6994bb490fe, [0, 0, 0]),
+        p(6, 474, 1314, 0x3c3aa6994bb490fe, [0, 0, 0]),
     ),
     (
         "impute_mean",
@@ -1012,10 +1012,10 @@ const PLACEMENT_PINS: &[(&str, Pin)] = &[
     ),
     (
         "split with labels",
-        p(9, 708, 1446, 0x226a95104cbaa46f, [0, 0, 0]),
+        p(6, 630, 1326, 0x226a95104cbaa46f, [0, 0, 0]),
     ),
     (
         "split without labels",
-        p(9, 708, 1446, 0xbbdbed6f743d222a, [0, 0, 0]),
+        p(6, 630, 1326, 0xbbdbed6f743d222a, [0, 0, 0]),
     ),
 ];
