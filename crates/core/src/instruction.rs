@@ -5,7 +5,9 @@
 //! symbol table by ID and binds its output there. The same instruction set
 //! is executed by the coordinator (local operations) and by federated
 //! workers — the paper's "we can reuse existing instructions for composing
-//! federated operations".
+//! federated operations". The worker's built-in frame and encoder
+//! operations are rows of the same table (tags 31 and up); `EXEC_UDF`
+//! carries only application-registered functions.
 //!
 //! Each opcode is declared once, as one row of the table below: its wire
 //! tag, its variant, its `name()` and its fields in declaration order, each

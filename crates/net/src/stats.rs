@@ -240,9 +240,12 @@ mod tests {
     #[test]
     fn counters_accumulate_and_reset() {
         let s = NetStats::shared();
+        take_thread_wire_nanos();
         s.record_send(100, 1_000_000);
         s.record_send(50, 500_000);
         s.record_recv(10, 100_000);
+        assert_eq!(take_thread_wire_nanos(), s.network_nanos());
+        assert_eq!(take_thread_wire_nanos(), 0);
         s.record_retry();
         s.record_heartbeat();
         s.record_heartbeat();
