@@ -653,11 +653,18 @@ fn compute(
             let names: Vec<&str> = columns.iter().map(String::as_str).collect();
             DataValue::Frame(as_frame(*frame)?.select(&names)?)
         }
-        Shuffle { x, seed, .. } => {
-            let x = m(*x)?;
-            let perm = exdra_matrix::rng::rand_permutation(x.rows(), *seed);
-            DataValue::from(reorg::gather_rows(&x, &perm)?)
-        }
+        Shuffle {
+            x,
+            seed,
+            row_lo,
+            row_hi,
+            ..
+        } => DataValue::from(reorg::shuffled_rows(
+            &*m(*x)?,
+            *seed,
+            *row_lo as usize,
+            *row_hi as usize,
+        )?),
         Replicate { x, times, .. } => {
             if *times == 0 {
                 return Err(RuntimeError::Invalid("replication factor 0".into()));

@@ -191,6 +191,8 @@ impl FedFrame {
 /// selection-matrix-multiply"): each site shuffles its rows with a
 /// deterministic per-partition seed and takes the first `train_frac` as the
 /// train split — so both splits remain federated with balanced partitions.
+/// Each side is one ranged [`Instruction::Shuffle`] gather of the site's
+/// rows; no shuffled copy of the whole partition is made.
 ///
 /// When aligned coordinator-local labels `y` are supplied, they are
 /// reordered with the *same* per-partition permutations and split
@@ -226,14 +228,12 @@ pub fn split_rows_per_partition(
     let n_train = |p: &FedPartition| ((p.len() as f64) * train_frac).round() as usize;
     let (mut y_train, mut y_test) = (None, None);
     if let Some(y) = y {
-        // Mirror each site's permutation on the coordinator-local labels.
+        // Mirror each site's ranged gathers on the coordinator-local labels.
         for (i, p) in x.parts().iter().enumerate() {
-            let perm = exdra_matrix::rng::rand_permutation(p.len(), part_seed(i));
             let y_part = reorg::index(y, p.lo, p.hi, 0, y.cols())?;
-            let y_shuf = reorg::gather_rows(&y_part, &perm)?;
             let cut = n_train(p);
             for (acc, (lo, hi)) in [(&mut y_train, (0, cut)), (&mut y_test, (cut, p.len()))] {
-                let piece = reorg::index(&y_shuf, lo, hi, 0, y.cols())?;
+                let piece = reorg::shuffled_rows(&y_part, part_seed(i), lo, hi)?;
                 *acc = Some(match acc.take() {
                     None => piece,
                     Some(a) => reorg::rbind(&a, &piece)?,
@@ -243,21 +243,14 @@ pub fn split_rows_per_partition(
     }
     let (mut train, mut test) = (Vec::new(), Vec::new());
     x.gather(|i, p, b| {
-        let shuffled = b.temp();
-        b.exec(Instruction::Shuffle {
-            x: p.id,
-            seed: part_seed(i),
-            out: shuffled,
-        });
         let cut = n_train(p);
         for (parts, (lo, hi)) in [(&mut train, (0, cut)), (&mut test, (cut, p.len()))] {
             let out = b.output();
-            b.exec(Instruction::Index {
-                x: shuffled,
+            b.exec(Instruction::Shuffle {
+                x: p.id,
+                seed: part_seed(i),
                 row_lo: lo as u64,
                 row_hi: hi as u64,
-                col_lo: 0,
-                col_hi: x.cols() as u64,
                 out,
             });
             let start = parts.last().map_or(0, |q: &FedPartition| q.hi);

@@ -481,14 +481,19 @@ instructions! {
         /// Output ID (frame).
         out: u64 => out,
     }
-    /// Rows of `x` in a seeded random order: the parameter server's and
-    /// the split's site-local shuffle. Equal seeds and row counts give
-    /// equal orders, which keeps aligned matrices aligned.
+    /// Rows `row_lo..row_hi` of a seeded random order of `x`'s rows, in
+    /// one gather: the split's site-local shuffle. Equal seeds and row
+    /// counts give equal orders, which keeps aligned matrices aligned, and
+    /// two ranges under one seed split the rows disjointly.
     34 => Shuffle("shuffle") {
         /// Input ID.
         x: u64 => input,
         /// Permutation seed.
         seed: u64 => lit,
+        /// First position of the permutation taken.
+        row_lo: u64 => lit,
+        /// One past the last position taken.
+        row_hi: u64 => lit,
         /// Output ID.
         out: u64 => out,
     }
@@ -797,6 +802,8 @@ mod tests {
             Shuffle {
                 x: 1,
                 seed: 42,
+                row_lo: 3,
+                row_hi: 17,
                 out: 2,
             },
             Replicate {

@@ -1187,7 +1187,13 @@ mod tests {
         w.install_matrix(2, y, PrivacyLevel::Public, "y");
         // Equal seeds over equal row counts: one permutation.
         let shuffle = |x, out| Request::ExecInst {
-            inst: Instruction::Shuffle { x, seed: 9, out },
+            inst: Instruction::Shuffle {
+                x,
+                seed: 9,
+                row_lo: 0,
+                row_hi: 50,
+                out,
+            },
         };
         let rs = w.handle_batch(vec![shuffle(1, 3), shuffle(2, 4)]);
         assert_eq!(rs, [Response::Ok, Response::Ok]);

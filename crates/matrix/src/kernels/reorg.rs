@@ -286,6 +286,15 @@ pub fn gather_rows(x: &DenseMatrix, idx: &DenseMatrix) -> Result<DenseMatrix> {
     DenseMatrix::new(idx.rows(), x.cols(), data)
 }
 
+/// Rows `lo..hi` of `x` taken in the order of the seeded permutation of
+/// its rows ([`crate::rng::rand_permutation`]), in one gather. Two ranges
+/// under one seed split the rows disjointly: `0..cut` and `cut..n` are
+/// the train and test sides of the federated split.
+pub fn shuffled_rows(x: &DenseMatrix, seed: u64, lo: usize, hi: usize) -> Result<DenseMatrix> {
+    let perm = crate::rng::rand_permutation(x.rows(), seed);
+    gather_rows(x, &index(&perm, lo, hi, 0, 1)?)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

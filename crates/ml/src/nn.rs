@@ -12,6 +12,8 @@
 // iterator zips over 3+ arrays obscure the access pattern.
 #![allow(clippy::needless_range_loop)]
 
+use std::borrow::Cow;
+
 use exdra_matrix::kernels::matmul::{matmul, matmul_tn};
 use exdra_matrix::kernels::reorg::transpose;
 use exdra_matrix::rng::randn_matrix;
@@ -92,13 +94,11 @@ impl Layer {
 }
 
 /// Saved forward state per layer for the backward pass.
-enum Cache {
-    Dense {
-        input: DenseMatrix,
-    },
-    ReLU {
-        input: DenseMatrix,
-    },
+enum Cache<'a> {
+    /// The layer's input (dense and ReLU layers). It is moved in, not
+    /// copied: the first layer's borrows the caller's batch, and every
+    /// later one owns the activation the layer before it produced.
+    Input(Cow<'a, DenseMatrix>),
     Conv {
         /// im2col patch matrices, one per sample.
         patches: Vec<DenseMatrix>,
@@ -233,15 +233,21 @@ impl Network {
         Ok(out)
     }
 
-    fn forward_cached(&self, x: &DenseMatrix, keep: bool) -> Result<(DenseMatrix, Vec<Cache>)> {
-        let mut cur = x.clone();
-        let mut caches = Vec::with_capacity(self.layers.len());
+    /// Forward pass; with `keep`, also one cache per layer for
+    /// [`layer_backward`].
+    fn forward_cached<'a>(
+        &self,
+        x: &'a DenseMatrix,
+        keep: bool,
+    ) -> Result<(DenseMatrix, Vec<Cache<'a>>)> {
+        let mut cur = Cow::Borrowed(x);
+        let mut caches = Vec::with_capacity(if keep { self.layers.len() } else { 0 });
         for layer in &self.layers {
-            let (next, cache) = layer_forward(layer, &cur, keep)?;
-            caches.push(cache);
-            cur = next;
+            let (next, cache) = layer_forward(layer, cur, keep)?;
+            caches.extend(cache);
+            cur = Cow::Owned(next);
         }
-        Ok((cur, caches))
+        Ok((cur.into_owned(), caches))
     }
 
     /// Full forward + backward pass with softmax cross-entropy loss over
@@ -277,13 +283,17 @@ impl Network {
         for (dv, yv) in dout.values_mut().iter_mut().zip(y_onehot.values()) {
             *dv = (*dv - yv) / n;
         }
-        // Backward through layers, collecting parameter gradients.
+        // Backward through layers, collecting parameter gradients. Nothing
+        // reads the first layer's input gradient, so it is not computed.
         let mut grads_rev: Vec<DenseMatrix> = Vec::new();
-        for (layer, cache) in self.layers.iter().zip(caches.iter()).rev() {
-            let (din, mut pgrads) = layer_backward(layer, cache, &dout)?;
+        for (i, (layer, cache)) in self.layers.iter().zip(&caches).enumerate().rev() {
+            let (din, mut pgrads) = layer_backward(layer, cache, dout, i > 0)?;
             pgrads.reverse(); // maintain (W, b) order after the final reverse
             grads_rev.extend(pgrads);
-            dout = din;
+            match din {
+                Some(din) => dout = din,
+                None => break,
+            }
         }
         grads_rev.reverse();
         Ok((loss, grads_rev))
@@ -321,39 +331,27 @@ fn he_init(fan_in: usize, fan_out: usize, seed: u64) -> DenseMatrix {
     m
 }
 
-fn layer_forward(layer: &Layer, x: &DenseMatrix, keep: bool) -> Result<(DenseMatrix, Cache)> {
+/// One layer's forward step. It consumes its input, so a dense or ReLU
+/// layer's cache (`keep`) takes the input by move.
+fn layer_forward<'a>(
+    layer: &Layer,
+    x: Cow<'a, DenseMatrix>,
+    keep: bool,
+) -> Result<(DenseMatrix, Option<Cache<'a>>)> {
     match layer {
         Layer::Dense { w, b } => {
-            let mut out = matmul(x, w)?;
+            let mut out = matmul(&x, w)?;
             for r in 0..out.rows() {
                 let row = out.row_mut(r);
                 for (o, &bv) in row.iter_mut().zip(b.values()) {
                     *o += bv;
                 }
             }
-            Ok((
-                out,
-                Cache::Dense {
-                    input: if keep {
-                        x.clone()
-                    } else {
-                        DenseMatrix::zeros(0, 0)
-                    },
-                },
-            ))
+            Ok((out, keep.then_some(Cache::Input(x))))
         }
         Layer::ReLU => {
             let out = x.map(|v| v.max(0.0));
-            Ok((
-                out,
-                Cache::ReLU {
-                    input: if keep {
-                        x.clone()
-                    } else {
-                        DenseMatrix::zeros(0, 0)
-                    },
-                },
-            ))
+            Ok((out, keep.then_some(Cache::Input(x))))
         }
         Layer::Conv2d {
             filters,
@@ -387,9 +385,9 @@ fn layer_forward(layer: &Layer, x: &DenseMatrix, keep: bool) -> Result<(DenseMat
             }
             Ok((
                 out,
-                Cache::Conv {
+                keep.then_some(Cache::Conv {
                     patches: patches_cache,
-                },
+                }),
             ))
         }
         Layer::MaxPool { in_shape, size } => {
@@ -428,34 +426,53 @@ fn layer_forward(layer: &Layer, x: &DenseMatrix, keep: bool) -> Result<(DenseMat
             }
             Ok((
                 out,
-                Cache::Pool {
+                keep.then_some(Cache::Pool {
                     argmax,
                     in_features: c * h * w,
-                },
+                }),
             ))
         }
     }
 }
 
+/// One layer's backward step: its input gradient (only when `need_din`)
+/// and its parameter gradients.
 fn layer_backward(
     layer: &Layer,
     cache: &Cache,
-    dout: &DenseMatrix,
-) -> Result<(DenseMatrix, Vec<DenseMatrix>)> {
+    mut dout: DenseMatrix,
+    need_din: bool,
+) -> Result<(Option<DenseMatrix>, Vec<DenseMatrix>)> {
     match (layer, cache) {
-        (Layer::Dense { w, .. }, Cache::Dense { input }) => {
-            let dw = matmul_tn(input, dout)?;
+        (Layer::Dense { w, .. }, Cache::Input(input)) => {
+            let dw = matmul_tn(input, &dout)?;
             let db = exdra_matrix::kernels::aggregates::aggregate(
-                dout,
+                &dout,
                 exdra_matrix::kernels::aggregates::AggOp::Sum,
                 exdra_matrix::kernels::aggregates::AggDir::Col,
             )?;
-            let din = matmul(dout, &transpose(w))?;
+            let din = if need_din {
+                Some(matmul(&dout, &transpose(w))?)
+            } else {
+                None
+            };
             Ok((din, vec![dw, db]))
         }
-        (Layer::ReLU, Cache::ReLU { input }) => {
-            let din = input.zip(dout, "relu_bw", |x, d| if x > 0.0 { d } else { 0.0 })?;
-            Ok((din, vec![]))
+        (Layer::ReLU, Cache::Input(input)) => {
+            if !need_din {
+                return Ok((None, vec![]));
+            }
+            if input.shape() != dout.shape() {
+                return Err(MatrixError::DimensionMismatch {
+                    op: "relu_bw",
+                    lhs: input.shape(),
+                    rhs: dout.shape(),
+                });
+            }
+            for (d, &x) in dout.values_mut().iter_mut().zip(input.values()) {
+                *d = if x > 0.0 { *d } else { 0.0 };
+            }
+            Ok((Some(dout), vec![]))
         }
         (
             Layer::Conv2d {
@@ -476,7 +493,7 @@ fn layer_backward(
             let ckk = c_in * kh * kw;
             let mut dfilters = DenseMatrix::zeros(oc, ckk);
             let mut dbias = DenseMatrix::zeros(1, oc);
-            let mut din = DenseMatrix::zeros(dout.rows(), c_in * h * w);
+            let mut din = need_din.then(|| DenseMatrix::zeros(dout.rows(), c_in * h * w));
             for s in 0..dout.rows() {
                 // Per-sample dout map as oc x l.
                 let drow = dout.row(s);
@@ -497,8 +514,10 @@ fn layer_backward(
                     *a += b;
                 }
                 // dPatches = dmapᵀ (l x oc) * filters (oc x ckk); col2im.
-                let dpatches = matmul_tn(&dmap, filters)?;
-                col2im(&dpatches, din.row_mut(s), c_in, h, w, kh, kw, *stride);
+                if let Some(din) = &mut din {
+                    let dpatches = matmul_tn(&dmap, filters)?;
+                    col2im(&dpatches, din.row_mut(s), c_in, h, w, kh, kw, *stride);
+                }
             }
             Ok((din, vec![dfilters, dbias]))
         }
@@ -510,6 +529,9 @@ fn layer_backward(
             },
         ) => {
             let _ = in_shape;
+            if !need_din {
+                return Ok((None, vec![]));
+            }
             let mut din = DenseMatrix::zeros(dout.rows(), *in_features);
             for s in 0..dout.rows() {
                 let drow = dout.row(s);
@@ -518,7 +540,7 @@ fn layer_backward(
                     din_row[iidx] += drow[oidx];
                 }
             }
-            Ok((din, vec![]))
+            Ok((Some(din), vec![]))
         }
         _ => Err(MatrixError::InvalidArgument {
             op: "layer_backward",

@@ -12,6 +12,7 @@
 //! Only models and model deltas cross the network; the raw federated
 //! partitions never do.
 
+use std::borrow::Cow;
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -27,11 +28,11 @@ use exdra_core::{DataValue, FedContext, Result, RuntimeError};
 use exdra_matrix::kernels::reorg;
 use exdra_matrix::{DenseMatrix, Matrix};
 
-use exdra_ml::nn::{Network, Sgd};
+use exdra_ml::nn::Network;
 
 use crate::balance::BalancePlan;
 use crate::local::PsRun;
-use crate::{axpy_model, model_delta, AggregationMode, PsConfig, UpdateType};
+use crate::{axpy_model, AggregationMode, PsConfig, UpdateType};
 
 /// Registry name of the parameter-server epoch function.
 pub const PS_EPOCH_UDF: &str = "ps.epoch";
@@ -55,6 +56,15 @@ fn value_to_model(v: &DataValue) -> Result<Vec<DenseMatrix>> {
     }
 }
 
+/// A partition as a dense matrix: borrowed when it is dense, densified
+/// when the worker holds it compressed.
+fn dense_partition(v: &DataValue) -> Result<Cow<'_, DenseMatrix>> {
+    match v {
+        DataValue::Matrix(Matrix::Dense(d)) => Ok(Cow::Borrowed(d)),
+        other => other.to_dense().map(Cow::Owned),
+    }
+}
+
 /// Installs the gradient/update function on a worker (the setup-time
 /// function shipment of §4.3). The network architecture is captured; model
 /// parameters arrive with every invocation.
@@ -73,41 +83,22 @@ pub fn install_ps_udf(worker: &Worker, net: Network) {
                     args.len()
                 )));
             }
-            let x = symbols[0].to_dense()?;
-            let y = symbols[1].to_dense()?;
+            let x = dense_partition(&symbols[0])?;
+            let y = dense_partition(&symbols[1])?;
             let snapshot = value_to_model(&args[0])?;
-            let lr = args[1].as_scalar()?;
-            let momentum = args[2].as_scalar()?;
-            let nesterov = args[3].as_scalar()? != 0.0;
-            let batch_size = args[4].as_scalar()? as usize;
+            let cfg = PsConfig {
+                lr: args[1].as_scalar()?,
+                momentum: args[2].as_scalar()?,
+                nesterov: args[3].as_scalar()? != 0.0,
+                batch_size: args[4].as_scalar()? as usize,
+                ..PsConfig::default()
+            };
             let seed = ((args[5].as_scalar()? as u64) << 32) | args[6].as_scalar()? as u64;
-
-            let mut local = snapshot.clone();
-            let mut sgd = Sgd::new(lr, momentum, nesterov);
-            let mut net = net.clone();
-            let n = x.rows();
             // Local shuffling only — the raw rows never leave the site.
-            let perm = exdra_matrix::rng::rand_permutation(n, seed);
-            let xs = reorg::gather_rows(&x, &perm)?;
-            let ys = reorg::gather_rows(&y, &perm)?;
-            let mut total = 0.0;
-            let mut batches = 0usize;
-            let mut lo = 0usize;
-            while lo < n {
-                let hi = (lo + batch_size).min(n);
-                let xb = reorg::index(&xs, lo, hi, 0, xs.cols())?;
-                let yb = reorg::index(&ys, lo, hi, 0, ys.cols())?;
-                net.set_params(&local)?;
-                let (loss, grads) = net.loss_grad(&xb, &yb)?;
-                sgd.step(&mut local, &grads);
-                total += loss;
-                batches += 1;
-                lo = hi;
-            }
-            let delta = model_delta(&local, &snapshot);
+            let (delta, loss) = crate::epoch(&net, &snapshot, &x, &y, &cfg, seed)?;
             Ok(Some(DataValue::List(vec![
                 model_to_value(&delta),
-                DataValue::Scalar(total / batches.max(1) as f64),
+                DataValue::Scalar(loss),
             ])))
         }),
     );
@@ -276,7 +267,7 @@ pub fn train(
     let mut max_observed_staleness = 0usize;
     let mut epoch_losses = Vec::with_capacity(cfg.epochs);
     let make_udf = |snapshot: &[DenseMatrix], epoch: usize, arg_ids: Vec<u64>| {
-        let seed = cfg.seed.wrapping_add(epoch as u64);
+        let seed = cfg.epoch_seed(epoch);
         Udf::Registered {
             name: PS_EPOCH_UDF.into(),
             args: vec![
@@ -608,6 +599,39 @@ mod tests {
         for (a, b) in fed_run.epoch_losses.iter().zip(&local_run.epoch_losses) {
             assert!((a - b).abs() < 1e-10);
         }
+    }
+
+    #[test]
+    fn compacted_partitions_train_bitwise_like_dense_ones() {
+        // Low-cardinality features, so every site's partition compresses.
+        let (x, y) = synth::multi_class(240, 4, 2, 0.4, 217);
+        let x = x.map(|v| v.round().clamp(-2.0, 2.0));
+        let y1h = synth::one_hot(&y, 2);
+        let net = Network::ffn(4, &[8], 2, 218);
+        let cfg = PsConfig {
+            epochs: 2,
+            batch_size: 32,
+            ..PsConfig::default()
+        };
+        let run = |compact: bool| {
+            let (ctx, workers) = mem_federation(2);
+            let fed = FedMatrix::scatter_rows(&ctx, &x, PrivacyLevel::Public).unwrap();
+            if compact {
+                let n: usize = workers
+                    .iter()
+                    .map(|w| w.compact(0, std::time::Duration::ZERO))
+                    .sum();
+                assert_eq!(n, 2, "both partitions compress");
+            }
+            train_federated(&fed, &y1h, &workers, &net, &cfg, BalanceStrategy::None).unwrap()
+        };
+        let bits = |run: &PsRun| -> Vec<u64> {
+            run.params
+                .iter()
+                .flat_map(|m| m.values().iter().map(|v| v.to_bits()))
+                .collect()
+        };
+        assert_eq!(bits(&run(true)), bits(&run(false)));
     }
 
     #[test]

@@ -18,7 +18,9 @@ pub mod balance;
 pub mod fed;
 pub mod local;
 
-use exdra_matrix::DenseMatrix;
+use exdra_matrix::rng::rand_permutation;
+use exdra_matrix::{DenseMatrix, MatrixError};
+use exdra_ml::nn::{Network, Sgd};
 
 /// Update strategy (paper: `utype`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -102,6 +104,66 @@ impl Default for PsConfig {
             aggregation: AggregationMode::Strict,
             max_staleness: None,
         }
+    }
+}
+
+/// One worker's epoch, the same for the local and the federated parameter
+/// server: mini-batch SGD from `snapshot` over the partition `(x, y)`,
+/// visiting its rows in the order of the permutation drawn from `seed`
+/// (local shuffling only, §4.3). Returns the model delta and the mean
+/// batch loss.
+///
+/// The partition is only read: each batch is gathered from the
+/// permutation into one pair of buffers that every batch reuses.
+pub(crate) fn epoch(
+    net: &Network,
+    snapshot: &[DenseMatrix],
+    x: &DenseMatrix,
+    y: &DenseMatrix,
+    cfg: &PsConfig,
+    seed: u64,
+) -> exdra_matrix::Result<(Vec<DenseMatrix>, f64)> {
+    if cfg.batch_size == 0 {
+        return Err(MatrixError::InvalidArgument {
+            op: "ps epoch",
+            msg: "batch size 0".into(),
+        });
+    }
+    let mut local = snapshot.to_vec();
+    let mut sgd = Sgd::new(cfg.lr, cfg.momentum, cfg.nesterov);
+    let mut net = net.clone();
+    let perm = rand_permutation(x.rows(), seed);
+    let (mut x_buf, mut y_buf) = (Vec::new(), Vec::new());
+    let mut total = 0.0;
+    let mut batches = 0usize;
+    for rows in perm.values().chunks(cfg.batch_size) {
+        let xb = gather(x, rows, &mut x_buf)?;
+        let yb = gather(y, rows, &mut y_buf)?;
+        net.set_params(&local)?;
+        let (loss, grads) = net.loss_grad(&xb, &yb)?;
+        sgd.step(&mut local, &grads);
+        total += loss;
+        batches += 1;
+        x_buf = xb.into_values();
+        y_buf = yb.into_values();
+    }
+    Ok((model_delta(&local, snapshot), total / batches.max(1) as f64))
+}
+
+/// The rows `rows` (1-based, as a permutation holds them) of `m`, written
+/// into `buf`'s allocation.
+fn gather(m: &DenseMatrix, rows: &[f64], buf: &mut Vec<f64>) -> exdra_matrix::Result<DenseMatrix> {
+    buf.clear();
+    for &r in rows {
+        buf.extend_from_slice(m.row(r as usize - 1));
+    }
+    DenseMatrix::new(rows.len(), m.cols(), std::mem::take(buf))
+}
+
+impl PsConfig {
+    /// The shuffle seed of epoch `epoch`.
+    pub(crate) fn epoch_seed(&self, epoch: usize) -> u64 {
+        self.seed.wrapping_add(epoch as u64)
     }
 }
 

@@ -8,9 +8,9 @@ use exdra_matrix::kernels::reorg;
 use exdra_matrix::{DenseMatrix, Result};
 use parking_lot::Mutex;
 
-use exdra_ml::nn::{Network, Sgd};
+use exdra_ml::nn::Network;
 
-use crate::{axpy_model, model_delta, PsConfig, UpdateType};
+use crate::{axpy_model, PsConfig, UpdateType};
 
 /// Result of a parameter-server training run.
 #[derive(Debug, Clone)]
@@ -28,41 +28,6 @@ pub struct PsRun {
     /// realized staleness, which [`crate::PsConfig::max_staleness`]
     /// mechanically bounds when set.
     pub max_observed_staleness: usize,
-}
-
-/// One local worker's epoch: run mini-batch SGD from the given snapshot,
-/// return the model delta and mean loss.
-fn worker_epoch(
-    net: &Network,
-    snapshot: &[DenseMatrix],
-    x: &DenseMatrix,
-    y: &DenseMatrix,
-    cfg: &PsConfig,
-    epoch: usize,
-) -> Result<(Vec<DenseMatrix>, f64)> {
-    let mut local = snapshot.to_vec();
-    let mut sgd = Sgd::new(cfg.lr, cfg.momentum, cfg.nesterov);
-    let mut net = net.clone();
-    let n = x.rows();
-    // Local shuffling only (locality-respecting partitioner, §4.3).
-    let perm = exdra_matrix::rng::rand_permutation(n, cfg.seed.wrapping_add(epoch as u64));
-    let xs = reorg::gather_rows(x, &perm)?;
-    let ys = reorg::gather_rows(y, &perm)?;
-    let mut total = 0.0;
-    let mut batches = 0usize;
-    let mut lo = 0usize;
-    while lo < n {
-        let hi = (lo + cfg.batch_size).min(n);
-        let xb = reorg::index(&xs, lo, hi, 0, xs.cols())?;
-        let yb = reorg::index(&ys, lo, hi, 0, ys.cols())?;
-        net.set_params(&local)?;
-        let (loss, grads) = net.loss_grad(&xb, &yb)?;
-        sgd.step(&mut local, &grads);
-        total += loss;
-        batches += 1;
-        lo = hi;
-    }
-    Ok((model_delta(&local, snapshot), total / batches.max(1) as f64))
 }
 
 /// Runs the local multi-threaded parameter server over `parts` disjoint
@@ -87,7 +52,7 @@ pub fn train(net: &Network, parts: &[(DenseMatrix, DenseMatrix)], cfg: &PsConfig
                         .iter()
                         .map(|(x, y)| {
                             let snap = &snapshot;
-                            scope.spawn(move || worker_epoch(net, snap, x, y, cfg, epoch))
+                            scope.spawn(move || crate::epoch(net, snap, x, y, cfg, cfg.epoch_seed(epoch)))
                         })
                         .collect();
                     for h in handles {
@@ -117,7 +82,8 @@ pub fn train(net: &Network, parts: &[(DenseMatrix, DenseMatrix)], cfg: &PsConfig
                     scope.spawn(move || {
                         for epoch in 0..cfg.epochs {
                             let snapshot = model.lock().clone();
-                            if let Ok((delta, l)) = worker_epoch(net, &snapshot, x, y, cfg, epoch) {
+                            let seed = cfg.epoch_seed(epoch);
+                            if let Ok((delta, l)) = crate::epoch(net, &snapshot, x, y, cfg, seed) {
                                 let mut m = model.lock();
                                 axpy_model(&mut m, &delta, weight);
                                 losses.lock()[epoch] += weight * l;
@@ -252,7 +218,8 @@ mod tests {
         let mut netc = net.clone();
         for epoch in 0..cfg.epochs {
             let snapshot = params.clone();
-            let (delta, _) = worker_epoch(&netc, &snapshot, &x, &y1h, &cfg, epoch).unwrap();
+            let (delta, _) =
+                crate::epoch(&netc, &snapshot, &x, &y1h, &cfg, cfg.epoch_seed(epoch)).unwrap();
             axpy_model(&mut params, &delta, 1.0);
         }
         netc.set_params(&params).unwrap();

@@ -126,9 +126,15 @@ fn federated_ps_over_tcp_matches_local_ps() {
     let (_ctx, workers, fed) = tcp_fed_of(3, &x);
     let fed_run =
         psfed::train_federated(&fed, &y1h, &workers, &net, &cfg, BalanceStrategy::None).unwrap();
-    for (a, b) in fed_run.params.iter().zip(&local_run.params) {
-        assert!(a.max_abs_diff(b) < 1e-10);
-    }
+    // Both run the one epoch function, and the three equal partitions'
+    // weights sum to exactly 1.0: the parameters agree bit for bit.
+    let bits = |params: &[exdra::DenseMatrix]| -> Vec<u64> {
+        params
+            .iter()
+            .flat_map(|m| m.values().iter().map(|v| v.to_bits()))
+            .collect()
+    };
+    assert_eq!(bits(&fed_run.params), bits(&local_run.params));
 }
 
 #[test]
