@@ -1012,10 +1012,10 @@ const PLACEMENT_PINS: &[(&str, Pin)] = &[
     ),
     (
         "split with labels",
-        p(6, 630, 1326, 0x226a95104cbaa46f, [0, 0, 0]),
+        p(6, 450, 1320, 0x226a95104cbaa46f, [0, 0, 0]),
     ),
     (
         "split without labels",
-        p(6, 630, 1326, 0xbbdbed6f743d222a, [0, 0, 0]),
+        p(6, 450, 1320, 0xbbdbed6f743d222a, [0, 0, 0]),
     ),
 ];

@@ -391,11 +391,13 @@ fn pins() -> Vec<(Instruction, &'static str, &'static str, Option<u64>)> {
             Shuffle {
                 x: 1,
                 seed: 42,
+                row_lo: 3,
+                row_hi: 17,
                 out: 2,
             },
-            "2201000000000000002a000000000000000200000000000000",
+            "2201000000000000002a00000000000000030000000000000011000000000000000200000000000000",
             "shuffle",
-            Some(0x2aedbc56f020a776),
+            Some(0x3c86437256eefcb5),
         ),
         (
             Replicate {
@@ -477,6 +479,7 @@ fn operand(inst: &Instruction, id: u64) -> DataValue {
         IndexAssign { x, .. } if *x == id => (5, 5),
         Reshape { .. } => (4, 6),
         Cov { .. } => (2, 1),
+        Shuffle { .. } => (20, 2),
         _ => (1, 1),
     };
     DataValue::from(DenseMatrix::filled(rows, cols, 1.0))
