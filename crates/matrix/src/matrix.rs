@@ -4,6 +4,8 @@
 //! dense, and workers may transparently compact cached intermediates into
 //! the compressed representation (see [`crate::compress`]).
 
+use std::borrow::Cow;
+
 use crate::compress::CompressedMatrix;
 use crate::dense::DenseMatrix;
 
@@ -43,6 +45,15 @@ impl Matrix {
         match self {
             Matrix::Dense(d) => d.nnz(),
             Matrix::Compressed(c) => c.decompress().nnz(),
+        }
+    }
+
+    /// The dense representation, borrowed for `Dense` and decompressed for
+    /// `Compressed`.
+    pub fn dense(&self) -> Cow<'_, DenseMatrix> {
+        match self {
+            Matrix::Dense(d) => Cow::Borrowed(d),
+            Matrix::Compressed(c) => Cow::Owned(c.decompress()),
         }
     }
 

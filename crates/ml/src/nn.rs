@@ -287,7 +287,7 @@ impl Network {
         // reads the first layer's input gradient, so it is not computed.
         let mut grads_rev: Vec<DenseMatrix> = Vec::new();
         for (i, (layer, cache)) in self.layers.iter().zip(&caches).enumerate().rev() {
-            let (din, mut pgrads) = layer_backward(layer, cache, dout, i > 0)?;
+            let (din, mut pgrads) = layer_backward(layer, cache, &dout, i > 0)?;
             pgrads.reverse(); // maintain (W, b) order after the final reverse
             grads_rev.extend(pgrads);
             match din {
@@ -440,39 +440,31 @@ fn layer_forward<'a>(
 fn layer_backward(
     layer: &Layer,
     cache: &Cache,
-    mut dout: DenseMatrix,
+    dout: &DenseMatrix,
     need_din: bool,
 ) -> Result<(Option<DenseMatrix>, Vec<DenseMatrix>)> {
     match (layer, cache) {
         (Layer::Dense { w, .. }, Cache::Input(input)) => {
-            let dw = matmul_tn(input, &dout)?;
+            let dw = matmul_tn(input, dout)?;
             let db = exdra_matrix::kernels::aggregates::aggregate(
-                &dout,
+                dout,
                 exdra_matrix::kernels::aggregates::AggOp::Sum,
                 exdra_matrix::kernels::aggregates::AggDir::Col,
             )?;
             let din = if need_din {
-                Some(matmul(&dout, &transpose(w))?)
+                Some(matmul(dout, &transpose(w))?)
             } else {
                 None
             };
             Ok((din, vec![dw, db]))
         }
         (Layer::ReLU, Cache::Input(input)) => {
-            if !need_din {
-                return Ok((None, vec![]));
-            }
-            if input.shape() != dout.shape() {
-                return Err(MatrixError::DimensionMismatch {
-                    op: "relu_bw",
-                    lhs: input.shape(),
-                    rhs: dout.shape(),
-                });
-            }
-            for (d, &x) in dout.values_mut().iter_mut().zip(input.values()) {
-                *d = if x > 0.0 { *d } else { 0.0 };
-            }
-            Ok((Some(dout), vec![]))
+            let din = if need_din {
+                Some(input.zip(dout, "relu_bw", |x, d| if x > 0.0 { d } else { 0.0 })?)
+            } else {
+                None
+            };
+            Ok((din, vec![]))
         }
         (
             Layer::Conv2d {

@@ -12,7 +12,6 @@
 //! Only models and model deltas cross the network; the raw federated
 //! partitions never do.
 
-use std::borrow::Cow;
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -56,15 +55,6 @@ fn value_to_model(v: &DataValue) -> Result<Vec<DenseMatrix>> {
     }
 }
 
-/// A partition as a dense matrix: borrowed when it is dense, densified
-/// when the worker holds it compressed.
-fn dense_partition(v: &DataValue) -> Result<Cow<'_, DenseMatrix>> {
-    match v {
-        DataValue::Matrix(Matrix::Dense(d)) => Ok(Cow::Borrowed(d)),
-        other => other.to_dense().map(Cow::Owned),
-    }
-}
-
 /// Installs the gradient/update function on a worker (the setup-time
 /// function shipment of §4.3). The network architecture is captured; model
 /// parameters arrive with every invocation.
@@ -83,8 +73,9 @@ pub fn install_ps_udf(worker: &Worker, net: Network) {
                     args.len()
                 )));
             }
-            let x = dense_partition(&symbols[0])?;
-            let y = dense_partition(&symbols[1])?;
+            // Read in place; a compressed partition is densified.
+            let x = symbols[0].as_matrix()?.dense();
+            let y = symbols[1].as_matrix()?.dense();
             let snapshot = value_to_model(&args[0])?;
             let cfg = PsConfig {
                 lr: args[1].as_scalar()?,
@@ -267,7 +258,7 @@ pub fn train(
     let mut max_observed_staleness = 0usize;
     let mut epoch_losses = Vec::with_capacity(cfg.epochs);
     let make_udf = |snapshot: &[DenseMatrix], epoch: usize, arg_ids: Vec<u64>| {
-        let seed = cfg.epoch_seed(epoch);
+        let seed = cfg.seed.wrapping_add(epoch as u64);
         Udf::Registered {
             name: PS_EPOCH_UDF.into(),
             args: vec![

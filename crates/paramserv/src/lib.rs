@@ -107,14 +107,10 @@ impl Default for PsConfig {
     }
 }
 
-/// One worker's epoch, the same for the local and the federated parameter
-/// server: mini-batch SGD from `snapshot` over the partition `(x, y)`,
-/// visiting its rows in the order of the permutation drawn from `seed`
-/// (local shuffling only, §4.3). Returns the model delta and the mean
-/// batch loss.
-///
-/// The partition is only read: each batch is gathered from the
-/// permutation into one pair of buffers that every batch reuses.
+/// One worker's epoch, local or federated: mini-batch SGD from `snapshot`
+/// over `(x, y)` in the order of the permutation drawn from `seed` (local
+/// shuffling only, §4.3). Returns the model delta and the mean batch loss.
+/// Each batch is gathered into one pair of buffers every batch reuses.
 pub(crate) fn epoch(
     net: &Network,
     snapshot: &[DenseMatrix],
@@ -158,13 +154,6 @@ fn gather(m: &DenseMatrix, rows: &[f64], buf: &mut Vec<f64>) -> exdra_matrix::Re
         buf.extend_from_slice(m.row(r as usize - 1));
     }
     DenseMatrix::new(rows.len(), m.cols(), std::mem::take(buf))
-}
-
-impl PsConfig {
-    /// The shuffle seed of epoch `epoch`.
-    pub(crate) fn epoch_seed(&self, epoch: usize) -> u64 {
-        self.seed.wrapping_add(epoch as u64)
-    }
 }
 
 /// Weighted in-place model aggregation: `acc += weight * delta`.

@@ -52,7 +52,8 @@ pub fn train(net: &Network, parts: &[(DenseMatrix, DenseMatrix)], cfg: &PsConfig
                         .iter()
                         .map(|(x, y)| {
                             let snap = &snapshot;
-                            scope.spawn(move || crate::epoch(net, snap, x, y, cfg, cfg.epoch_seed(epoch)))
+                            let seed = cfg.seed.wrapping_add(epoch as u64);
+                            scope.spawn(move || crate::epoch(net, snap, x, y, cfg, seed))
                         })
                         .collect();
                     for h in handles {
@@ -82,7 +83,7 @@ pub fn train(net: &Network, parts: &[(DenseMatrix, DenseMatrix)], cfg: &PsConfig
                     scope.spawn(move || {
                         for epoch in 0..cfg.epochs {
                             let snapshot = model.lock().clone();
-                            let seed = cfg.epoch_seed(epoch);
+                            let seed = cfg.seed.wrapping_add(epoch as u64);
                             if let Ok((delta, l)) = crate::epoch(net, &snapshot, x, y, cfg, seed) {
                                 let mut m = model.lock();
                                 axpy_model(&mut m, &delta, weight);
@@ -116,24 +117,19 @@ pub fn partition(
     k: usize,
     shuffle_seed: Option<u64>,
 ) -> Result<Vec<(DenseMatrix, DenseMatrix)>> {
-    let (xs, ys) = match shuffle_seed {
-        Some(seed) => {
-            let perm = exdra_matrix::rng::rand_permutation(x.rows(), seed);
-            (reorg::gather_rows(x, &perm)?, reorg::gather_rows(y, &perm)?)
-        }
-        None => (x.clone(), y.clone()),
+    // Each part is one gather (of its range of the permutation, when
+    // shuffled): no shuffled copy of the whole input is made.
+    let perm = shuffle_seed.map(|seed| exdra_matrix::rng::rand_permutation(x.rows(), seed));
+    let take = |m: &DenseMatrix, lo, hi| match &perm {
+        Some(perm) => reorg::gather_rows(m, &reorg::index(perm, lo, hi, 0, 1)?),
+        None => reorg::index(m, lo, hi, 0, m.cols()),
     };
-    let n = xs.rows();
-    let base = n / k;
-    let extra = n % k;
+    let (base, extra) = (x.rows() / k, x.rows() % k);
     let mut out = Vec::with_capacity(k);
     let mut lo = 0usize;
     for i in 0..k {
         let hi = lo + base + usize::from(i < extra);
-        out.push((
-            reorg::index(&xs, lo, hi, 0, xs.cols())?,
-            reorg::index(&ys, lo, hi, 0, ys.cols())?,
-        ));
+        out.push((take(x, lo, hi)?, take(y, lo, hi)?));
         lo = hi;
     }
     Ok(out)
@@ -218,8 +214,8 @@ mod tests {
         let mut netc = net.clone();
         for epoch in 0..cfg.epochs {
             let snapshot = params.clone();
-            let (delta, _) =
-                crate::epoch(&netc, &snapshot, &x, &y1h, &cfg, cfg.epoch_seed(epoch)).unwrap();
+            let seed = cfg.seed.wrapping_add(epoch as u64);
+            let (delta, _) = crate::epoch(&netc, &snapshot, &x, &y1h, &cfg, seed).unwrap();
             axpy_model(&mut params, &delta, 1.0);
         }
         netc.set_params(&params).unwrap();

@@ -25,7 +25,9 @@ fn fnv(words: impl IntoIterator<Item = u64>) -> u64 {
 
 fn hash(m: &DenseMatrix) -> u64 {
     let shape = [m.rows() as u64, m.cols() as u64];
-    fnv(shape.into_iter().chain(m.values().iter().map(|v| v.to_bits())))
+    fnv(shape
+        .into_iter()
+        .chain(m.values().iter().map(|v| v.to_bits())))
 }
 
 /// `[loss, grad 0, grad 1, ...]` hashes of one `loss_grad` call.
