@@ -119,10 +119,10 @@ pub(crate) fn epoch(
     cfg: &PsConfig,
     seed: u64,
 ) -> exdra_matrix::Result<(Vec<DenseMatrix>, f64)> {
-    if cfg.batch_size == 0 {
+    if cfg.batch_size == 0 || y.rows() != x.rows() {
         return Err(MatrixError::InvalidArgument {
             op: "ps epoch",
-            msg: "batch size 0".into(),
+            msg: format!("batch {}, rows {}/{}", cfg.batch_size, x.rows(), y.rows()),
         });
     }
     let mut local = snapshot.to_vec();

@@ -187,6 +187,21 @@ mod tests {
     }
 
     #[test]
+    fn epoch_rejects_a_zero_batch_and_misaligned_labels() {
+        let (x, y) = synth::multi_class(40, 3, 2, 0.5, 98);
+        let y1h = synth::one_hot(&y, 2);
+        let net = Network::ffn(3, &[4], 2, 99);
+        let zero = PsConfig {
+            batch_size: 0,
+            ..PsConfig::default()
+        };
+        assert!(crate::epoch(&net, &net.params(), &x, &y1h, &zero, 1).is_err());
+        let short = reorg::index(&y1h, 0, 39, 0, 2).unwrap();
+        let cfg = PsConfig::default();
+        assert!(crate::epoch(&net, &net.params(), &x, &short, &cfg, 1).is_err());
+    }
+
+    #[test]
     fn partition_covers_all_rows() {
         let (x, y) = synth::multi_class(103, 4, 2, 0.5, 95);
         let y1h = synth::one_hot(&y, 2);
