@@ -14,7 +14,7 @@ use exdra_matrix::DenseMatrix;
 use exdra_ml::nn::Network;
 use exdra_ml::{kmeans, l2svm, lm, mlogreg, pca, synth};
 use exdra_paramserv::balance::BalanceStrategy;
-use exdra_paramserv::{fed as psfed, local as pslocal, PsConfig, UpdateFreq, UpdateType};
+use exdra_paramserv::{fed as psfed, local as pslocal, PsConfig, UpdateType};
 
 /// Fixed iteration counts so every configuration does identical work
 /// (the paper fixes the number of maximum iterations, §6.1).
@@ -28,7 +28,6 @@ const PCA_K: usize = 10;
 fn ps_config(epochs: usize, batch: usize) -> PsConfig {
     PsConfig {
         update_type: UpdateType::Bsp,
-        freq: UpdateFreq::Epoch,
         epochs,
         batch_size: batch,
         lr: 0.05,

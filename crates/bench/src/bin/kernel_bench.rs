@@ -5,11 +5,12 @@
 //! kernels on K-Means' shapes against their per-cell oracle (`ew_agg`,
 //! bitwise-checked), the `t(A) %*% B` row sweep vs
 //! transpose-then-GEMM, one-pass vs two-phase mmchain, and
-//! compressed-domain operators (dense, column groups, and the form a
-//! worker holding the dense twin picks), plus two end-to-end worker
-//! workloads on a compacted frame: one-shot ops, which must all execute
-//! on the column groups without a single decompression, and a solver's
-//! loop, which must decompress exactly once (DESIGN.md §4k).
+//! compressed-domain operators (dense, column groups, and a worker
+//! holding the dense twin) on a mixed frame and on one `lan_compressed`
+//! partition, plus two end-to-end worker workloads on a compacted frame:
+//! one-shot ops, which must all execute on the column groups without a
+//! single decompression, and a solver's loop, whose mmchains must all run
+//! on the column groups and whose tsmm decompresses once (DESIGN.md §4k).
 //!
 //!     cargo run --release -p exdra-bench --bin kernel_bench
 //!
@@ -406,158 +407,22 @@ fn main() {
     ));
 
     // ---- compressed-domain operators ----------------------------------
-    // Same op on the dense frame and on its column groups; bytes/s uses
-    // the bytes each representation actually touches, which is where
-    // compressed execution wins (the outputs are bitwise identical).
+    // Same op on the dense frame and on its column groups, on the mixed
+    // frame and on one partition of the benchmark's `lan_compressed` data.
     let (crows, ccols) = (cfg.rows.max(20_000), 8);
     let d = compressible(crows, ccols);
-    let c = CompressedMatrix::compress(&d);
-    let dense_bytes = (d.len() * 8) as f64;
-    let comp_bytes = c.size_bytes() as f64;
     let cv = rand_matrix(ccols, 1, -1.0, 1.0, 6);
     let cw = rand_matrix(crows, 1, 0.0, 1.0, 7);
-    // (name, dense kernel, column-group kernel, the worker's instruction)
-    type Pair<'a> = (
-        &'a str,
-        Box<dyn Fn() -> DenseMatrix + 'a>,
-        Box<dyn Fn() -> DenseMatrix + 'a>,
-        Instruction,
-    );
-    let (x_id, v_id, w_id, out_id) = (1, 2, 3, 9);
-    let agg = |op, dir| Instruction::Agg {
-        x: x_id,
-        op,
-        dir,
-        out: out_id,
-    };
-    let product = |rhs, t_lhs| Instruction::MatMul {
-        lhs: x_id,
-        rhs,
-        t_lhs,
-        out: out_id,
-    };
-    let pairs: Vec<Pair> = vec![
-        (
-            "colSums",
-            Box::new(|| aggregate(&d, AggOp::Sum, AggDir::Col).expect("agg")),
-            Box::new(|| c.aggregate(AggOp::Sum, AggDir::Col).expect("agg")),
-            agg(AggOp::Sum, AggDir::Col),
-        ),
-        (
-            "var(X)",
-            Box::new(|| aggregate(&d, AggOp::Var, AggDir::Full).expect("agg")),
-            Box::new(|| c.aggregate(AggOp::Var, AggDir::Full).expect("agg")),
-            agg(AggOp::Var, AggDir::Full),
-        ),
-        (
-            "X*v",
-            Box::new(|| matmul(&d, &cv).expect("shapes")),
-            Box::new(|| c.matvec(&cv).expect("shapes")),
-            product(v_id, false),
-        ),
-        (
-            "t(X)*w",
-            Box::new(|| matmul_tn(&d, &cw).expect("shapes")),
-            Box::new(|| c.t_matmul(&cw).expect("shapes")),
-            product(w_id, true),
-        ),
-        (
-            "t(X)*(w.*(X*v))",
-            Box::new(|| mmchain(&d, &cv, Some(&cw)).expect("shapes")),
-            Box::new(|| c.mmchain(&cv, Some(&cw)).expect("shapes")),
-            Instruction::MmChain {
-                x: x_id,
-                v: v_id,
-                w: Some(w_id),
-                out: out_id,
-            },
-        ),
-        (
-            "X*2",
-            Box::new(|| scalar(&d, BinaryOp::Mul, 2.0, false)),
-            Box::new(|| c.map_cells(|v| v * 2.0).decompress()),
-            Instruction::Scalar {
-                x: x_id,
-                op: BinaryOp::Mul,
-                value: 2.0,
-                swap: false,
-                out: out_id,
-            },
-        ),
+    let comp_tables = [
+        compressed_table(&d, cfg.reps),
+        compressed_table(&lan_partition(20_000, 100), cfg.reps),
     ];
-    // The "twin" column is the op as a worker answers it on the compacted
-    // frame once the frame's dense twin is held: the dense kernel for the
-    // contraction ops, the column groups for everything else (DESIGN.md
-    // §4k), request handling included. Reuse is off so every repetition
-    // executes; a tsmm (no column-group kernel) leaves the twin behind.
-    let tw = compacted_worker(&d, &[(v_id, &cv), (w_id, &cw)], |c| c.reuse_enabled = false);
-    run(
-        &tw,
-        vec![Instruction::Tsmm {
-            x: x_id,
-            left: true,
-            out: out_id,
-        }],
-    );
-    assert_eq!(tw.cache().bytes(), d.len() * 8, "the twin is held");
-    let mut table = Table::new(
-        &format!(
-            "Compressed-domain ops, X {crows}x{ccols} (ratio {:.1}x)",
-            c.ratio()
-        ),
-        &[
-            "op",
-            "dense",
-            "compressed",
-            "twin",
-            "speedup",
-            "dense GB/s",
-            "comp GB/s",
-        ],
-    );
-    let mut comp_rows = Vec::new();
-    for (name, dense_f, comp_f, inst) in &pairs {
-        assert_eq!(
-            bits(&comp_f()),
-            bits(&dense_f()),
-            "{name}: compressed result differs bitwise"
-        );
-        run(&tw, vec![inst.clone()]);
-        let on_worker = tw.table().value(out_id).expect("bound");
-        assert_eq!(
-            bits(&on_worker.to_dense().expect("matrix")),
-            bits(&dense_f()),
-            "{name}: the worker's result differs bitwise"
-        );
-        let (dt, _) = time_reps(cfg.reps, dense_f);
-        let (ct, _) = time_reps(cfg.reps, comp_f);
-        let (tt, _) = time_reps(cfg.reps, || run(&tw, vec![inst.clone()]));
-        table.row(&[
-            (*name).into(),
-            secs(dt),
-            secs(ct),
-            secs(tt),
-            format!("{:.2}x", dt / ct.max(1e-12)),
-            format!("{:.2}", dense_bytes / dt.max(1e-12) / 1e9),
-            format!("{:.2}", comp_bytes / ct.max(1e-12) / 1e9),
-        ]);
-        comp_rows.push(format!(
-            "    {{\"op\": \"{name}\", \"dense_secs\": {dt:.6}, \"compressed_secs\": {ct:.6}, \
-             \"twin_secs\": {tt:.6}, \
-             \"dense_bytes_per_sec\": {:.0}, \"compressed_bytes_per_sec\": {:.0}, \
-             \"bitwise_identical\": true}}",
-            dense_bytes / dt.max(1e-12),
-            comp_bytes / ct.max(1e-12)
-        ));
-    }
-    table.print();
 
     // ---- end-to-end: LM-style workload on a compacted worker ----------
     // Install the frame, compact it to column groups, then run the ops a
-    // linear-model iteration issues against X once each: four cell-passes
-    // of contraction, below the break-even of a decompression, so every
-    // op takes the direct compressed path, `compress.exec.fallback` stays
-    // 0 and no twin is materialized.
+    // linear-model iteration issues against X once each: every one has a
+    // column-group kernel, so every op takes the direct compressed path,
+    // `compress.exec.fallback` stays 0 and no twin is materialized.
     // [direct, decompressions, twins materialized, twin hits] so far.
     let form_counts = || {
         let snap = exdra_obs::global().snapshot();
@@ -574,7 +439,7 @@ fn main() {
         [0, 1, 2, 3].map(|i| now[i] - base[i])
     };
     let base = form_counts();
-    let w = compacted_worker(&d, &[(2, &cv), (3, &cw)], |_| {});
+    let w = bench_worker(&d, &[(2, &cv), (3, &cw)], true);
     run(
         &w,
         vec![
@@ -638,10 +503,11 @@ fn main() {
     );
 
     // ---- end-to-end: a solver's loop on a compacted worker ------------
-    // Ten mmchains with fresh vectors, then a tsmm. The first three rent
-    // the column groups, the fourth decompresses once and leaves the twin,
-    // everything after (the tsmm's dense fallback included) finds it. A
-    // worker whose cache cannot hold the twin runs the same loop direct.
+    // Ten mmchains with fresh vectors, then a tsmm. Every mmchain runs on
+    // the column groups; the tsmm has no column-group kernel, decompresses
+    // once and leaves the twin, which no contraction looks up. The same
+    // loop on a worker whose frame was never compacted runs the dense
+    // kernels, with the same bits.
     let base = form_counts();
     let vs: Vec<DenseMatrix> = (0..10)
         .map(|i| rand_matrix(ccols, 1, -1.0, 1.0, 20 + i))
@@ -660,14 +526,14 @@ fn main() {
         left: true,
         out: 210,
     });
-    let w = compacted_worker(&d, &inputs, |_| {});
+    let w = bench_worker(&d, &inputs, true);
     let (_, loop_t) = time(|| run(&w, looped.clone()));
     let [loop_direct, loop_fallback, loop_materialized, loop_hits] = since(base);
-    assert_eq!(loop_materialized, 1, "the loop buys exactly one twin");
+    assert_eq!(loop_materialized, 1, "the tsmm leaves exactly one twin");
     assert_eq!(loop_fallback, 1, "and decompresses nothing else");
-    assert_eq!((loop_direct, loop_hits), (3, 7));
-    let all_direct = compacted_worker(&d, &inputs, |c| c.cache_bytes = 0);
-    let (_, direct_t) = time(|| run(&all_direct, looped.clone()));
+    assert_eq!((loop_direct, loop_hits), (10, 0));
+    let dense = bench_worker(&d, &inputs, false);
+    let (_, dense_t) = time(|| run(&dense, looped.clone()));
     for out in 200..=210 {
         let of = |w: &Arc<Worker>| {
             bits(
@@ -678,21 +544,20 @@ fn main() {
                     .expect("matrix"),
             )
         };
-        assert_eq!(of(&w), of(&all_direct), "symbol {out}: twin vs all-direct");
+        assert_eq!(of(&w), of(&dense), "symbol {out}: column groups vs dense");
     }
     println!(
-        "loop (10 mmchain + tsmm): {} with the twin ({loop_direct} direct, 1 decompression, \
-         {loop_hits} twin hits), {} all direct",
+        "loop (10 mmchain + tsmm): {} all on the column groups ({loop_direct} direct, \
+         1 decompression by the tsmm), {} with the dense kernel",
         secs(loop_t),
-        secs(direct_t)
+        secs(dense_t)
     );
 
     // ---- results ------------------------------------------------------
     json.insert(0, format!("  \"gemm\": [\n{}\n  ]", gemm_rows.join(",\n")));
     json.push(format!(
-        "  \"compressed\": {{\"rows\": {crows}, \"cols\": {ccols}, \"ratio\": {:.3}, \"ops\": [\n{}\n  ]}}",
-        c.ratio(),
-        comp_rows.join(",\n")
+        "  \"compressed\": [\n{}\n  ]",
+        comp_tables.join(",\n")
     ));
     json.push(format!(
         "  \"workload\": {{\"direct\": {direct}, \"fallback\": {fallback}, \
@@ -706,7 +571,7 @@ fn main() {
     json.push(format!(
         "  \"loop_workload\": {{\"mmchains\": 10, \"tsmms\": 1, \"direct\": {loop_direct}, \
          \"decompressions\": {loop_fallback}, \"materialized\": {loop_materialized}, \
-         \"twin_hits\": {loop_hits}, \"secs\": {loop_t:.6}, \"all_direct_secs\": {direct_t:.6}, \
+         \"twin_hits\": {loop_hits}, \"secs\": {loop_t:.6}, \"dense_secs\": {dense_t:.6}, \
          \"bitwise_identical\": true}}"
     ));
     let body = format!(
@@ -723,16 +588,183 @@ fn main() {
     write_metrics_sidecar("kernel_bench");
 }
 
-/// A worker holding `frame` as symbol 1, compacted to column groups, and
-/// the dense `inputs`, each under its own lineage.
-fn compacted_worker(
-    frame: &DenseMatrix,
-    inputs: &[(u64, &DenseMatrix)],
-    configure: impl FnOnce(&mut WorkerConfig),
-) -> Arc<Worker> {
-    let mut config = WorkerConfig::default();
-    configure(&mut config);
-    let w = Worker::new(config);
+/// One partition of the benchmark's `lan_compressed` data: 80 % sensor
+/// columns quantised to 16 levels, 20 % one-hot columns — every column a
+/// DDC8 group of at most 16 entries.
+fn lan_partition(rows: usize, cols: usize) -> DenseMatrix {
+    let onehot = cols / 5;
+    let levels = rand_matrix(rows, cols - onehot, 0.0, 16.0, 11);
+    let labels = rand_matrix(rows, 1, 0.0, onehot as f64, 12);
+    let mut x = DenseMatrix::zeros(rows, cols);
+    for r in 0..rows {
+        for c in 0..cols - onehot {
+            x.set(r, c, levels.get(r, c).floor().min(15.0) / 8.0 - 1.0);
+        }
+        let hot = (labels.get(r, 0) as usize).min(onehot - 1);
+        x.set(r, cols - onehot + hot, 1.0);
+    }
+    x
+}
+
+/// The compressed-domain table on `d`: each op on the dense frame, on its
+/// column groups, and as a worker answers it on the compacted frame while
+/// that holds the frame's dense twin (left behind by a tsmm, which has no
+/// column-group kernel): on the column groups all the same (DESIGN.md
+/// §4k), request handling included. Every result is asserted bitwise the
+/// dense kernel's; bytes/s uses the bytes each representation touches.
+/// Prints the table and returns its JSON object.
+fn compressed_table(d: &DenseMatrix, reps: usize) -> String {
+    let (crows, ccols) = d.shape();
+    let c = CompressedMatrix::compress(d);
+    let dense_bytes = (d.len() * 8) as f64;
+    let comp_bytes = c.size_bytes() as f64;
+    let cv = rand_matrix(ccols, 1, -1.0, 1.0, 6);
+    let cw = rand_matrix(crows, 1, 0.0, 1.0, 7);
+    // (name, dense kernel, column-group kernel, the worker's instruction)
+    type Pair<'a> = (
+        &'a str,
+        Box<dyn Fn() -> DenseMatrix + 'a>,
+        Box<dyn Fn() -> DenseMatrix + 'a>,
+        Instruction,
+    );
+    let (x_id, v_id, w_id, out_id) = (1, 2, 3, 9);
+    let agg = |op, dir| Instruction::Agg {
+        x: x_id,
+        op,
+        dir,
+        out: out_id,
+    };
+    let product = |rhs, t_lhs| Instruction::MatMul {
+        lhs: x_id,
+        rhs,
+        t_lhs,
+        out: out_id,
+    };
+    let pairs: Vec<Pair> = vec![
+        (
+            "colSums",
+            Box::new(|| aggregate(d, AggOp::Sum, AggDir::Col).expect("agg")),
+            Box::new(|| c.aggregate(AggOp::Sum, AggDir::Col).expect("agg")),
+            agg(AggOp::Sum, AggDir::Col),
+        ),
+        (
+            "var(X)",
+            Box::new(|| aggregate(d, AggOp::Var, AggDir::Full).expect("agg")),
+            Box::new(|| c.aggregate(AggOp::Var, AggDir::Full).expect("agg")),
+            agg(AggOp::Var, AggDir::Full),
+        ),
+        (
+            "X*v",
+            Box::new(|| matmul(d, &cv).expect("shapes")),
+            Box::new(|| c.matvec(&cv).expect("shapes")),
+            product(v_id, false),
+        ),
+        (
+            "t(X)*w",
+            Box::new(|| matmul_tn(d, &cw).expect("shapes")),
+            Box::new(|| c.t_matmul(&cw).expect("shapes")),
+            product(w_id, true),
+        ),
+        (
+            "t(X)*(w.*(X*v))",
+            Box::new(|| mmchain(d, &cv, Some(&cw)).expect("shapes")),
+            Box::new(|| c.mmchain(&cv, Some(&cw)).expect("shapes")),
+            Instruction::MmChain {
+                x: x_id,
+                v: v_id,
+                w: Some(w_id),
+                out: out_id,
+            },
+        ),
+        (
+            "X*2",
+            Box::new(|| scalar(d, BinaryOp::Mul, 2.0, false)),
+            Box::new(|| c.map_cells(|v| v * 2.0).decompress()),
+            Instruction::Scalar {
+                x: x_id,
+                op: BinaryOp::Mul,
+                value: 2.0,
+                swap: false,
+                out: out_id,
+            },
+        ),
+    ];
+    let tw = bench_worker(d, &[(v_id, &cv), (w_id, &cw)], true);
+    run(
+        &tw,
+        vec![Instruction::Tsmm {
+            x: x_id,
+            left: true,
+            out: out_id,
+        }],
+    );
+    assert_eq!(tw.cache().bytes(), d.len() * 8, "the twin is held");
+    let mut table = Table::new(
+        &format!(
+            "Compressed-domain ops, X {crows}x{ccols} (ratio {:.1}x)",
+            c.ratio()
+        ),
+        &[
+            "op",
+            "dense",
+            "compressed",
+            "worker",
+            "speedup",
+            "dense GB/s",
+            "comp GB/s",
+        ],
+    );
+    let mut rows = Vec::new();
+    for (name, dense_f, comp_f, inst) in &pairs {
+        assert_eq!(
+            bits(&comp_f()),
+            bits(&dense_f()),
+            "{name} on {crows}x{ccols}: compressed result differs bitwise"
+        );
+        run(&tw, vec![inst.clone()]);
+        let on_worker = tw.table().value(out_id).expect("bound");
+        assert_eq!(
+            bits(&on_worker.to_dense().expect("matrix")),
+            bits(&dense_f()),
+            "{name} on {crows}x{ccols}: the worker's result differs bitwise"
+        );
+        let (dt, _) = time_reps(reps, dense_f);
+        let (ct, _) = time_reps(reps, comp_f);
+        let (wt, _) = time_reps(reps, || run(&tw, vec![inst.clone()]));
+        table.row(&[
+            (*name).into(),
+            secs(dt),
+            secs(ct),
+            secs(wt),
+            format!("{:.2}x", dt / ct.max(1e-12)),
+            format!("{:.2}", dense_bytes / dt.max(1e-12) / 1e9),
+            format!("{:.2}", comp_bytes / ct.max(1e-12) / 1e9),
+        ]);
+        rows.push(format!(
+            "      {{\"op\": \"{name}\", \"dense_secs\": {dt:.6}, \"compressed_secs\": {ct:.6}, \
+             \"worker_secs\": {wt:.6}, \
+             \"dense_bytes_per_sec\": {:.0}, \"compressed_bytes_per_sec\": {:.0}, \
+             \"bitwise_identical\": true}}",
+            dense_bytes / dt.max(1e-12),
+            comp_bytes / ct.max(1e-12)
+        ));
+    }
+    table.print();
+    format!(
+        "    {{\"rows\": {crows}, \"cols\": {ccols}, \"ratio\": {:.3}, \"ops\": [\n{}\n    ]}}",
+        c.ratio(),
+        rows.join(",\n")
+    )
+}
+
+/// A worker holding `frame` as symbol 1, compacted to column groups when
+/// `compact`, and the dense `inputs`, each under its own lineage. Reuse
+/// is off, so every repetition executes.
+fn bench_worker(frame: &DenseMatrix, inputs: &[(u64, &DenseMatrix)], compact: bool) -> Arc<Worker> {
+    let w = Worker::new(WorkerConfig {
+        reuse_enabled: false,
+        ..WorkerConfig::default()
+    });
     let install = |id: u64, m: &DenseMatrix| {
         w.install_matrix(
             id,
@@ -742,11 +774,13 @@ fn compacted_worker(
         );
     };
     install(1, frame);
-    assert_eq!(
-        w.compact(1024, Duration::ZERO),
-        1,
-        "frame must compress under compaction"
-    );
+    if compact {
+        assert_eq!(
+            w.compact(1024, Duration::ZERO),
+            1,
+            "frame must compress under compaction"
+        );
+    }
     for (id, m) in inputs {
         install(*id, m);
     }

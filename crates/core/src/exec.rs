@@ -12,16 +12,14 @@
 //!   and repeated sub-plans are served from the [`LineageCache`].
 //!
 //! A compressed input (from [`crate::worker`] compaction) answers each
-//! opcode in its faster form (DESIGN.md §4k). Element-wise ops and
-//! aggregates run on the column groups (`inst.c.<opcode>` histograms,
-//! `compress.exec.direct`). The contraction ops `X v`, `t(X) Y` and
-//! mmchain are slower there than on a dense matrix, so they run the
-//! dense kernels on the entry's **dense twin** once it has been worth
-//! decompressing — the twin lives in the executing worker's
-//! [`LineageCache`], within its byte budget — and on the column groups
-//! until then (see `contraction_twin`). Every other opcode needs the
-//! dense form anyway: it takes the twin, or decompresses into one
-//! (`compress.exec.fallback`, timed under `inst.decompress`).
+//! opcode in its faster form (DESIGN.md §4k). Element-wise ops,
+//! aggregates and the contraction ops `X v`, `t(X) Y` and mmchain run on
+//! the column groups (`inst.c.<opcode>` histograms,
+//! `compress.exec.direct`). Every other opcode needs the dense form: it
+//! takes the entry's **dense twin** — its decompression, held in the
+//! executing worker's [`LineageCache`] within its byte budget — or
+//! decompresses into one (`compress.exec.fallback`, timed under
+//! `inst.decompress`).
 
 use std::cell::Cell;
 use std::collections::BTreeMap;
@@ -137,7 +135,7 @@ pub fn execute(
     }
     COMPRESSED_DIRECT.with(|c| c.set(false));
     DECOMPRESS_NANOS.with(|c| c.set(0));
-    let value = compute(inst, &inputs, table, cache)?;
+    let value = compute(inst, &inputs, cache)?;
     let compressed_exec = COMPRESSED_DIRECT.with(|c| c.get());
     // The pool activity of this instruction alone, folded into the
     // per-opcode `par.inst.<opcode>.*` counters of `RunReport`.
@@ -297,38 +295,25 @@ impl Deref for Dense<'_> {
     }
 }
 
-/// What a contraction op reads its matrix operand from.
-enum Form<'a> {
-    Dense(Dense<'a>),
-    Groups(&'a CompressedMatrix),
-}
-
-/// Direct cell-passes over its column groups a compressed entry accrues
-/// before the next contraction op decompresses it instead: the measured
-/// decompression cost per cell over the direct kernels' penalty per cell
-/// and pass, ≈ 2.5 ns / 0.4 ns (DESIGN.md §4k). Counted in cells, not in
-/// time, so the form an op runs in is deterministic.
-const TWIN_BREAK_EVEN_PASSES: u64 = 6;
-
-/// The dense view of `e`. A compressed entry yields its twin: the one the
-/// cache holds, else its decompression, which is left there.
+/// The dense view of `e`, for an op without a column-group kernel. A
+/// compressed entry yields its twin: the one the cache holds
+/// (`compress.twin.hits`), else its decompression, which is left there.
 fn dense<'a>(e: &'a Entry, cache: Option<&LineageCache>) -> Result<Dense<'a>> {
     Ok(match &*e.value {
         DataValue::Matrix(Matrix::Dense(d)) => Dense::Borrowed(d),
         DataValue::Matrix(Matrix::Compressed(c)) => {
-            Dense::Twin(held_twin(e, cache).unwrap_or_else(|| decompress_into_twin(e, c, cache)))
+            match cache.and_then(|cache| cache.twin(lineage::twin_of(e.meta.lineage))) {
+                Some(twin) => {
+                    if exdra_obs::enabled() {
+                        exdra_obs::global().inc("compress.twin.hits");
+                    }
+                    Dense::Twin(twin.value)
+                }
+                None => Dense::Twin(decompress_into_twin(e, c, cache)),
+            }
         }
         other => Dense::Owned(other.to_dense()?),
     })
-}
-
-/// The dense twin the cache holds for a compressed entry, if any.
-fn held_twin(e: &Entry, cache: Option<&LineageCache>) -> Option<Arc<DataValue>> {
-    let twin = cache?.twin(lineage::twin_of(e.meta.lineage))?;
-    if exdra_obs::enabled() {
-        exdra_obs::global().inc("compress.twin.hits");
-    }
-    Some(twin.value)
 }
 
 /// Decompresses a compressed entry and leaves the result with the cache
@@ -363,47 +348,11 @@ fn decompress_into_twin(
     twin
 }
 
-/// The form a contraction op (`X v`, `t(X) Y`, mmchain) that walks
-/// `passes × rows·cols` cells runs in on the compressed input `id`: its
-/// dense twin (`Some`) or the column groups (`None`).
-///
-/// The dense kernels are about twice as fast, a decompression costs about
-/// [`TWIN_BREAK_EVEN_PASSES`] direct passes. Whether more contractions
-/// will follow is unknown, so the entry rents until renting has cost as
-/// much as buying: each direct op accrues its cells on the entry, and the
-/// op that would carry the accrual past the break-even decompresses
-/// first. A one-shot `t(X) y` never pays for a twin, a solver's loop pays
-/// once, and a twin evicted under memory pressure is earned back the same
-/// way. Without a cache, or with a budget smaller than the twin, the
-/// entry stays direct.
-fn contraction_twin(
-    (id, e): &(u64, Entry),
-    c: &CompressedMatrix,
-    passes: usize,
-    table: &SymbolTable,
-    cache: Option<&LineageCache>,
-) -> Option<Arc<DataValue>> {
-    let cache = cache?;
-    if let Some(twin) = held_twin(e, Some(cache)) {
-        return Some(twin);
-    }
-    let cells = (c.rows() * c.cols()) as u64;
-    let buy = cache.fits(cells as usize * std::mem::size_of::<f64>())
-        && table.charge_rent(
-            *id,
-            e.meta.lineage,
-            cells.saturating_mul(passes as u64),
-            cells.saturating_mul(TWIN_BREAK_EVEN_PASSES),
-        );
-    buy.then(|| decompress_into_twin(e, c, Some(cache)))
-}
-
 /// Computes the output value of a non-rmvar instruction.
 #[allow(clippy::collapsible_match)]
 fn compute(
     inst: &Instruction,
     inputs: &[(u64, Entry)],
-    table: &SymbolTable,
     cache: Option<&LineageCache>,
 ) -> Result<DataValue> {
     use Instruction::*;
@@ -423,46 +372,40 @@ fn compute(
             _ => None,
         }
     };
-    // The form a contraction op over `passes` cell-passes reads `id` in.
-    let form = |id: u64, passes: usize| -> Result<Form<'_>> {
-        Ok(match comp(id) {
-            Some(c) => match contraction_twin(input(id), c, passes, table, cache) {
-                Some(twin) => Form::Dense(Dense::Twin(twin)),
-                None => {
-                    compressed_direct();
-                    Form::Groups(c)
-                }
-            },
-            None => Form::Dense(m(id)?),
-        })
+    // A contraction op's compressed operand, marked as run on its groups.
+    let groups = |id: u64| -> Option<&CompressedMatrix> {
+        let c = comp(id)?;
+        compressed_direct();
+        Some(c)
     };
     Ok(match inst {
         MatMul {
             lhs, rhs, t_lhs, ..
         } => {
             // A compressed left operand runs `X v` and `t(X) Y` on its
-            // twin or on its column groups, and has no kernel for `X R`
-            // with a wide R: that is dense, through `m`. The left operand
-            // is never transposed: `t_lhs` picks the kernel.
+            // column groups, and has no kernel for `X R` with a wide R:
+            // that is dense, through `m`. The left operand is never
+            // transposed: `t_lhs` picks the kernel.
             let r = m(*rhs)?;
-            let out = if !*t_lhs && r.cols() != 1 {
-                matmul::matmul(&*m(*lhs)?, &r)?
+            let c = if *t_lhs || r.cols() == 1 {
+                groups(*lhs)
             } else {
-                match (form(*lhs, r.cols())?, *t_lhs) {
-                    (Form::Dense(x), false) => matmul::matmul(&x, &r)?,
-                    (Form::Dense(x), true) => matmul::matmul_tn(&x, &r)?,
-                    (Form::Groups(c), false) => c.matvec(&r)?,
-                    (Form::Groups(c), true) => c.t_matmul(&r)?,
-                }
+                None
+            };
+            let out = match (c, *t_lhs) {
+                (Some(c), false) => c.matvec(&r)?,
+                (Some(c), true) => c.t_matmul(&r)?,
+                (None, false) => matmul::matmul(&*m(*lhs)?, &r)?,
+                (None, true) => matmul::matmul_tn(&*m(*lhs)?, &r)?,
             };
             DataValue::from(out)
         }
         Tsmm { x, left, .. } => DataValue::from(matmul::tsmm(&*m(*x)?, *left)?),
         MmChain { x, v, w, .. } => {
-            let wm = w.map(&m).transpose()?;
-            DataValue::from(match form(*x, 2)? {
-                Form::Dense(x) => matmul::mmchain(&x, &*m(*v)?, wm.as_deref())?,
-                Form::Groups(c) => c.mmchain(&*m(*v)?, wm.as_deref())?,
+            let (v, wm) = (m(*v)?, w.map(&m).transpose()?);
+            DataValue::from(match groups(*x) {
+                Some(c) => c.mmchain(&v, wm.as_deref())?,
+                None => matmul::mmchain(&*m(*x)?, &v, wm.as_deref())?,
             })
         }
         Unary { x, op, .. } => {
@@ -1187,19 +1130,37 @@ mod tests {
         d.values().iter().map(|v| v.to_bits()).collect()
     }
 
+    /// Whether the last instruction executed on this thread ran on
+    /// column groups.
+    fn ran_direct() -> bool {
+        COMPRESSED_DIRECT.with(Cell::get)
+    }
+
+    fn tsmm(out: u64) -> Instruction {
+        Instruction::Tsmm {
+            x: 1,
+            left: true,
+            out,
+        }
+    }
+
     #[test]
-    fn contraction_ops_rent_the_column_groups_then_buy_the_twin() {
+    fn contraction_ops_run_on_the_column_groups_twin_or_not() {
         let (t, oracle) = (compacted_table(), compacted_table());
         let cache = LineageCache::new(1 << 20, false);
-        let cells = 120 * 3;
-        // Three mmchains are six cell-passes: at the break-even, not past it.
-        for i in 0..3 {
+        // Ten mmchains and a `t(X) Y`: 22 cell-passes, none decompresses.
+        for i in 0..10 {
             execute(&mmchain(10 + i), &t, Some(&cache)).unwrap();
-            assert!(cache.twin(lineage::twin_of(77)).is_none());
-            assert_eq!(t.get(1).unwrap().meta.rent, 2 * cells * (i + 1));
+            assert!(ran_direct(), "mmchain {i} on the column groups");
         }
-        // The fourth would make it eight: it decompresses first.
-        execute(&mmchain(13), &t, Some(&cache)).unwrap();
+        execute(&t_matmul(20), &t, Some(&cache)).unwrap();
+        assert!(ran_direct());
+        assert!(cache.twin(lineage::twin_of(77)).is_none());
+        assert_eq!(cache.bytes(), 0, "a contraction buys no twin");
+        // A tsmm has no column-group kernel: its decompression stays as
+        // the twin, and the contractions after it still run direct.
+        execute(&tsmm(21), &t, Some(&cache)).unwrap();
+        assert!(!ran_direct());
         let twin = cache.twin(lineage::twin_of(77)).expect("twin held");
         assert!(matches!(
             &*twin.value,
@@ -1210,22 +1171,19 @@ mod tests {
             PrivacyLevel::PrivateAggregate { min_group: 10 }
         );
         assert!(!twin.releasable);
-        assert_eq!(t.get(1).unwrap().meta.rent, 0, "rent starts over");
-        // On the twin the entry accrues nothing, and every form has the
-        // bits of the cache-less (always direct) executor.
-        execute(&t_matmul(14), &t, Some(&cache)).unwrap();
-        assert_eq!(t.get(1).unwrap().meta.rent, 0);
-        execute(&mmchain(13), &oracle, None).unwrap();
-        execute(&t_matmul(14), &oracle, None).unwrap();
-        assert_eq!(oracle.get(1).unwrap().meta.rent, 0);
-        assert_eq!(bits(&t, 12), bits(&t, 13));
-        assert_eq!(bits(&t, 13), bits(&oracle, 13));
-        assert_eq!(bits(&t, 14), bits(&oracle, 14));
-        // An evicted twin is earned back the same way.
-        cache.clear();
-        execute(&t_matmul(15), &t, Some(&cache)).unwrap();
-        assert!(cache.twin(lineage::twin_of(77)).is_none());
-        assert_eq!(t.get(1).unwrap().meta.rent, 2 * cells);
+        execute(&mmchain(22), &t, Some(&cache)).unwrap();
+        assert!(ran_direct(), "the held twin serves no contraction");
+        execute(&t_matmul(23), &t, Some(&cache)).unwrap();
+        assert!(ran_direct());
+        // Every form has the bits of the cache-less executor.
+        for inst in [mmchain(10), t_matmul(20), tsmm(21)] {
+            execute(&inst, &oracle, None).unwrap();
+        }
+        assert_eq!(bits(&t, 10), bits(&oracle, 10));
+        assert_eq!(bits(&t, 10), bits(&t, 22));
+        assert_eq!(bits(&t, 20), bits(&oracle, 20));
+        assert_eq!(bits(&t, 20), bits(&t, 23));
+        assert_eq!(bits(&t, 21), bits(&oracle, 21));
     }
 
     #[test]
@@ -1233,19 +1191,16 @@ mod tests {
         let (t, oracle) = (compacted_table(), compacted_table());
         // Reuse off: twins are held all the same.
         let cache = LineageCache::new(1 << 20, false);
-        let tsmm = Instruction::Tsmm {
-            x: 1,
-            left: true,
-            out: 10,
-        };
-        execute(&tsmm, &t, Some(&cache)).unwrap();
+        execute(&tsmm(10), &t, Some(&cache)).unwrap();
         assert_eq!(cache.bytes(), 120 * 3 * 8);
-        execute(&mmchain(11), &t, Some(&cache)).unwrap();
-        assert_eq!(t.get(1).unwrap().meta.rent, 0, "ran on the twin");
-        execute(&tsmm, &oracle, None).unwrap();
-        execute(&mmchain(11), &oracle, None).unwrap();
+        // The next fallback finds the twin instead of decompressing again.
+        let hits = cache.hits();
+        execute(&tsmm(11), &t, Some(&cache)).unwrap();
+        assert_eq!(cache.bytes(), 120 * 3 * 8);
+        assert_eq!(cache.hits(), hits, "a twin look-up is not a reuse hit");
+        execute(&tsmm(10), &oracle, None).unwrap();
         assert_eq!(bits(&t, 10), bits(&oracle, 10));
-        assert_eq!(bits(&t, 11), bits(&oracle, 11));
+        assert_eq!(bits(&t, 11), bits(&oracle, 10));
         // Element-wise ops and aggregates stay on the column groups.
         let abs = Instruction::Unary {
             x: 1,
@@ -1253,6 +1208,7 @@ mod tests {
             out: 12,
         };
         execute(&abs, &t, Some(&cache)).unwrap();
+        assert!(ran_direct());
         assert!(matches!(
             &*t.value(12).unwrap(),
             DataValue::Matrix(Matrix::Compressed(_))
@@ -1260,24 +1216,15 @@ mod tests {
     }
 
     #[test]
-    fn a_twin_larger_than_the_budget_is_never_held_and_accrues_nothing() {
+    fn a_twin_larger_than_the_budget_is_never_held() {
         let t = compacted_table();
         let cache = LineageCache::new(120 * 3 * 8 - 1, false);
         for i in 0..5 {
             execute(&mmchain(10 + i), &t, Some(&cache)).unwrap();
         }
-        execute(
-            &Instruction::Tsmm {
-                x: 1,
-                left: true,
-                out: 20,
-            },
-            &t,
-            Some(&cache),
-        )
-        .unwrap();
+        execute(&tsmm(20), &t, Some(&cache)).unwrap();
         assert!(cache.twin(lineage::twin_of(77)).is_none());
-        assert_eq!(t.get(1).unwrap().meta.rent, 0);
+        assert_eq!(cache.bytes(), 0);
     }
 
     #[test]

@@ -280,11 +280,6 @@ impl LineageCache {
         }
     }
 
-    /// True when a value of `bytes` bytes can be held at all.
-    pub fn fits(&self, bytes: usize) -> bool {
-        bytes <= self.byte_budget
-    }
-
     /// The dense twin held under `lineage` (see [`twin_of`]). A twin is a
     /// second physical form of a live compressed value, not a reused
     /// result: it shares this cache's byte budget and FIFO order, is held
@@ -311,7 +306,7 @@ impl LineageCache {
 
     fn store(&self, lineage: u64, entry: CachedEntry) -> bool {
         let bytes = entry.value.size_bytes();
-        if !self.fits(bytes) {
+        if bytes > self.byte_budget {
             return false;
         }
         let mut inner = self.inner.lock();
@@ -461,7 +456,8 @@ mod tests {
         assert_eq!((c.hits(), c.misses()), (0, 0));
         assert!(c.probe(twin_of(1)).is_none(), "reuse stays off");
         // Budget: FIFO eviction, and nothing above the whole budget.
-        assert!(c.fits(100) && !c.fits(101));
+        assert!(LineageCache::new(80, false).insert_twin(twin_of(4), twin(10)));
+        assert!(!LineageCache::new(79, false).insert_twin(twin_of(4), twin(10)));
         assert!(!c.insert_twin(twin_of(2), twin(13)));
         assert!(c.insert_twin(twin_of(3), twin(5)));
         assert!(c.twin(twin_of(1)).is_none(), "evicted for the newer twin");

@@ -43,11 +43,6 @@ pub struct EntryMeta {
     pub lineage: u64,
     /// Last read/write time (drives background compaction).
     pub last_access: Instant,
-    /// Cells that contraction kernels (`X v`, `t(X) Y`, `mmchain`) have
-    /// walked directly on this binding's column groups since it was bound
-    /// or last decompressed into a dense twin (see
-    /// [`SymbolTable::charge_rent`]); 0 for a value that is not compressed.
-    pub rent: u64,
     /// Table mutation sequence at which this binding was (re)written
     /// (drives incremental checkpoints: a `CHECKPOINT(since)` request
     /// collects entries with `seq > since`).
@@ -108,7 +103,6 @@ impl SymbolTable {
                 releasable,
                 lineage,
                 last_access: Instant::now(),
-                rent: 0,
                 seq,
             },
         };
@@ -212,22 +206,6 @@ impl SymbolTable {
         let entry = map.get_mut(&id).ok_or(RuntimeError::UnknownSymbol(id))?;
         entry.value = value;
         Ok(())
-    }
-
-    /// Charges a direct contraction over `cells` cells to the binding of
-    /// `id`, unless that would carry its accrued rent past `limit` (ski
-    /// rental: buy once renting has cost as much as buying). Returns true
-    /// when the caller should decompress instead, and starts the binding's
-    /// rent over; a binding that is gone or was rebound to another
-    /// `lineage` is left alone and stays direct.
-    pub fn charge_rent(&self, id: u64, lineage: u64, cells: u64, limit: u64) -> bool {
-        let mut map = self.map.write();
-        let Some(entry) = map.get_mut(&id).filter(|e| e.meta.lineage == lineage) else {
-            return false;
-        };
-        let buy = entry.meta.rent.saturating_add(cells) > limit;
-        entry.meta.rent = if buy { 0 } else { entry.meta.rent + cells };
-        buy
     }
 
     /// The current mutation sequence (0 for an untouched table).

@@ -46,9 +46,12 @@ pub struct WorkerConfig {
     /// permissioned raw-data root; paths escaping it are rejected).
     pub data_dir: PathBuf,
     /// Byte budget of the worker's lineage cache: reused instruction
-    /// results and the dense twins of compacted entries share it, FIFO. A
-    /// twin larger than the budget is never held, and that entry's
-    /// contraction ops stay on its column groups.
+    /// results and the dense twins of compacted entries share it, FIFO.
+    /// A twin serves only the ops without a column-group kernel (`tsmm`,
+    /// `X R` for a wide R, matrix-matrix element-wise ops, ...);
+    /// contractions, element-wise ops and aggregates run on the column
+    /// groups either way. A twin larger than the budget is never held, and
+    /// every such op on that entry decompresses again.
     pub cache_bytes: usize,
     /// Whether lineage-based reuse of instruction results is enabled
     /// (ablation A1). Dense twins are held either way: they are another

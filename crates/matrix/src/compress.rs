@@ -18,13 +18,20 @@
 //! per column; the reduction ops walk the codes in exactly the same
 //! per-cell order as the corresponding dense kernel — no reassociation,
 //! no shortcut over run lengths — so every result is bitwise identical
-//! to decompress-then-operate. The wins are the 4-8x smaller memory
-//! traffic of 1-2 byte codes and the avoided decompress allocation,
-//! not a reduced op count.
+//! to decompress-then-operate. The products walk the codes in L1-sized
+//! row tiles, four DDC8 columns per sweep, phase 1 adding pre-scaled
+//! dictionary entries (`dict[k]·v[c]`, the bits of `x·v[c]`). The wins
+//! are the 4-8x smaller memory traffic of 1-2 byte codes (a 20k×100
+//! partition's 2 MB of codes stays in a core's L2, its 16 MB dense form
+//! does not) and the avoided decompress allocation, not a reduced op
+//! count.
+
+use std::ops::Range;
 
 use crate::dense::DenseMatrix;
 use crate::error::{MatrixError, Result};
 use crate::kernels::aggregates::{self, AggDir, AggKernel, AggOp, Chains};
+use crate::kernels::matmul::strip_len;
 use crate::kernels::par_floor;
 
 /// One encoded column.
@@ -77,33 +84,18 @@ impl ColumnGroup {
         }
     }
 
-    fn decode_into(&self, out: &mut [f64], stride: usize) {
-        match self {
-            ColumnGroup::Ddc8 { dict, codes } => {
-                for (r, &code) in codes.iter().enumerate() {
-                    out[r * stride] = dict[code as usize];
-                }
-            }
-            ColumnGroup::Ddc16 { dict, codes } => {
-                for (r, &code) in codes.iter().enumerate() {
-                    out[r * stride] = dict[code as usize];
-                }
-            }
-            ColumnGroup::Rle { runs } => {
-                let mut r = 0usize;
-                for &(v, len) in runs {
-                    for _ in 0..len {
-                        out[r * stride] = v;
-                        r += 1;
-                    }
-                }
-            }
-            ColumnGroup::Uc { values } => {
-                for (r, &v) in values.iter().enumerate() {
-                    out[r * stride] = v;
-                }
-            }
-        }
+    /// Writes rows `lo..hi`, row `r` at `tile[(r - lo) * stride]`: the one
+    /// decoder of [`CompressedMatrix::decompress`] and of the Full
+    /// aggregate's tile walk. An RLE group seeks from `cursor`.
+    fn decode_rows(
+        &self,
+        lo: usize,
+        hi: usize,
+        cursor: &mut RunCursor,
+        tile: &mut [f64],
+        stride: usize,
+    ) {
+        self.visit(lo, hi, cursor, |d, v| tile[d * stride] = v);
     }
 
     /// Applies `f` to every *distinct* stored value, keeping the code /
@@ -129,80 +121,64 @@ impl ColumnGroup {
         }
     }
 
-    /// Walks the decoded values of rows `lo..hi` in ascending row order,
-    /// calling `f(r, value)` — the building block of every compressed
-    /// reduction. Emitting rows strictly in order is what makes the
-    /// compressed chains bitwise identical to the dense kernels'.
-    fn for_each_range(&self, lo: usize, hi: usize, mut f: impl FnMut(usize, f64)) {
+    /// Calls `f(r - lo, x[r])` for rows `lo..hi` in ascending order — the
+    /// building block of every compressed reduction: emitting rows strictly
+    /// in order is what makes the compressed chains bitwise identical to
+    /// the dense kernels'. An RLE group seeks from `cursor`.
+    #[inline(always)]
+    fn visit(&self, lo: usize, hi: usize, cursor: &mut RunCursor, mut f: impl FnMut(usize, f64)) {
         match self {
             ColumnGroup::Ddc8 { dict, codes } => {
                 for (d, &code) in codes[lo..hi].iter().enumerate() {
-                    f(lo + d, dict[code as usize]);
+                    f(d, dict[code as usize]);
                 }
             }
             ColumnGroup::Ddc16 { dict, codes } => {
                 for (d, &code) in codes[lo..hi].iter().enumerate() {
-                    f(lo + d, dict[code as usize]);
+                    f(d, dict[code as usize]);
                 }
             }
-            ColumnGroup::Rle { runs } => {
-                let mut r = 0usize;
-                for &(v, len) in runs {
-                    let end = r + len as usize;
-                    if end > lo {
-                        for rr in r.max(lo)..end.min(hi) {
-                            f(rr, v);
-                        }
-                        if end >= hi {
-                            break;
-                        }
-                    }
-                    r = end;
+            ColumnGroup::Rle { runs } => cursor.walk(runs, lo, hi, |from, to, v| {
+                for r in from..to {
+                    f(r - lo, v);
                 }
-            }
+            }),
             ColumnGroup::Uc { values } => {
                 for (d, &v) in values[lo..hi].iter().enumerate() {
-                    f(lo + d, v);
+                    f(d, v);
                 }
             }
         }
     }
 
-    /// `Σ_r w[r] * x[r]` over the whole column as one r-ascending chain
-    /// from `0.0`, one term at a time — the per-cell chain of the dense
-    /// `t(X) w` row sweep and of `mmchain` phase 2 (`w[r]` is the left
-    /// factor there too). A plain slice loop per scheme: the decoded value
-    /// never leaves a register.
-    fn dot_rows(&self, w: &[f64]) -> f64 {
-        let mut acc = 0.0;
+    /// Extends the chain `acc += y[r - lo] * x[r]` over rows `lo..hi`, r
+    /// ascending, one term at a time: the per-cell chain of the dense
+    /// `t(X) Y` row sweep and of `mmchain` phase 2 (`y = q`).
+    fn extend_chain(&self, y: &[f64], lo: usize, hi: usize, cursor: &mut RunCursor, acc: &mut f64) {
+        let mut a = *acc;
         match self {
             ColumnGroup::Ddc8 { dict, codes } => {
-                for (&wr, &code) in w.iter().zip(codes) {
-                    acc += wr * dict[code as usize];
+                for (&yr, &code) in y.iter().zip(&codes[lo..hi]) {
+                    a += yr * dict[code as usize];
                 }
             }
             ColumnGroup::Ddc16 { dict, codes } => {
-                for (&wr, &code) in w.iter().zip(codes) {
-                    acc += wr * dict[code as usize];
+                for (&yr, &code) in y.iter().zip(&codes[lo..hi]) {
+                    a += yr * dict[code as usize];
                 }
             }
-            ColumnGroup::Rle { runs } => {
-                let mut rest = w;
-                for &(v, len) in runs {
-                    let (run, tail) = rest.split_at(len as usize);
-                    for &wr in run {
-                        acc += wr * v;
-                    }
-                    rest = tail;
+            ColumnGroup::Rle { runs } => cursor.walk(runs, lo, hi, |from, to, x| {
+                for &yr in &y[from - lo..to - lo] {
+                    a += yr * x;
                 }
-            }
+            }),
             ColumnGroup::Uc { values } => {
-                for (&wr, &x) in w.iter().zip(values) {
-                    acc += wr * x;
+                for (&yr, &x) in y.iter().zip(&values[lo..hi]) {
+                    a += yr * x;
                 }
             }
         }
-        acc
+        *acc = a;
     }
 
     /// Visits each *distinct* stored value once, in order of first
@@ -217,6 +193,142 @@ impl ColumnGroup {
             ColumnGroup::Uc { values } => values.iter().for_each(|&v| f(v)),
         }
     }
+}
+
+/// Rows per tile of the product walks: a tile of `q` (4 KiB) stays in L1
+/// while every column group adds into it or reads from it.
+const TILE_ROWS: usize = 512;
+
+/// Cells per tile of the decompression walk (32 KiB: L1), whole rows.
+const DECODE_TILE_CELLS: usize = 4096;
+
+/// Where a walk in ascending row tiles stands in an RLE group: run `run`
+/// starts at row `start`. Each tile resumes where the last one stopped,
+/// so a tiled walk reads every run once.
+#[derive(Debug, Clone, Copy, Default)]
+struct RunCursor {
+    run: usize,
+    start: usize,
+}
+
+impl RunCursor {
+    /// Calls `f(from, to, value)` for each run's overlap `from..to` with
+    /// rows `lo..hi`, ascending, and stops at the run holding row `hi`.
+    fn walk(
+        &mut self,
+        runs: &[(f64, u32)],
+        lo: usize,
+        hi: usize,
+        mut f: impl FnMut(usize, usize, f64),
+    ) {
+        while let Some(&(v, len)) = runs.get(self.run) {
+            if self.start >= hi {
+                break;
+            }
+            let end = self.start + len as usize;
+            if end > lo {
+                f(self.start.max(lo), end.min(hi), v);
+            }
+            if end > hi {
+                break;
+            }
+            self.start = end;
+            self.run += 1;
+        }
+    }
+}
+
+/// The DDC8 groups' dictionaries, each padded to 256 entries so that a
+/// `u8` code indexes it without a bounds check; for phase 1 of a product
+/// scaled by `v[c]`: `dict[k] * v[c]` is the very product `x * v[c]` a
+/// dense cell contributes, so adding it adds the same bits.
+struct Dicts {
+    /// Index into `tables` per column, `usize::MAX` for other schemes.
+    slot: Vec<usize>,
+    tables: Vec<[f64; 256]>,
+}
+
+/// Four consecutive DDC8 columns: their tables and codes.
+type Quad<'a> = [(&'a [f64; 256], &'a [u8]); 4];
+
+impl Dicts {
+    fn new(groups: &[ColumnGroup], scale: Option<&[f64]>) -> Self {
+        let mut slot = vec![usize::MAX; groups.len()];
+        let mut tables = Vec::new();
+        for (c, g) in groups.iter().enumerate() {
+            if let ColumnGroup::Ddc8 { dict, .. } = g {
+                let mut t = [0.0; 256];
+                for (o, &x) in t.iter_mut().zip(dict) {
+                    *o = scale.map_or(x, |v| x * v[c]);
+                }
+                slot[c] = tables.len();
+                tables.push(t);
+            }
+        }
+        Self { slot, tables }
+    }
+
+    /// Columns `c..c + 4`, when all four are DDC8 and below `end`.
+    fn quad<'a>(&'a self, groups: &'a [ColumnGroup], c: usize, end: usize) -> Option<Quad<'a>> {
+        if c + 4 > end {
+            return None;
+        }
+        let one = |c: usize| match &groups[c] {
+            ColumnGroup::Ddc8 { codes, .. } => Some((&self.tables[self.slot[c]], codes.as_slice())),
+            _ => None,
+        };
+        Some([one(c)?, one(c + 1)?, one(c + 2)?, one(c + 3)?])
+    }
+}
+
+/// `q[r] *= w[r]`: phase 1's row weights, applied once each row's chain
+/// is complete.
+fn weigh(q: &mut [f64], w: Option<&[f64]>) {
+    if let Some(w) = w {
+        for (qi, &wi) in q.iter_mut().zip(w) {
+            *qi *= wi;
+        }
+    }
+}
+
+/// Phase 1 of a product on four DDC8 columns: adds `t0[x0]`, `t1[x1]`,
+/// `t2[x2]` and `t3[x3]` to `q[r - lo]` over rows `lo..hi`, one add at a
+/// time in column order — the four next terms of each row's c-ascending
+/// chain.
+fn add_quad(quad: Quad, lo: usize, hi: usize, q: &mut [f64]) {
+    let [(t0, c0), (t1, c1), (t2, c2), (t3, c3)] = quad;
+    let codes = c0[lo..hi]
+        .iter()
+        .zip(&c1[lo..hi])
+        .zip(&c2[lo..hi])
+        .zip(&c3[lo..hi]);
+    for (o, (((&k0, &k1), &k2), &k3)) in q.iter_mut().zip(codes) {
+        let mut a = *o;
+        a += t0[k0 as usize];
+        a += t1[k1 as usize];
+        a += t2[k2 as usize];
+        a += t3[k3 as usize];
+        *o = a;
+    }
+}
+
+/// Phase 2 of a product on four DDC8 columns: extends their chains `acc`
+/// by `y[r - lo] * x[r]` over rows `lo..hi`, r ascending.
+fn extend_quad(quad: Quad, y: &[f64], lo: usize, hi: usize, acc: &mut [f64; 4]) {
+    let [(t0, c0), (t1, c1), (t2, c2), (t3, c3)] = quad;
+    let codes = c0[lo..hi]
+        .iter()
+        .zip(&c1[lo..hi])
+        .zip(&c2[lo..hi])
+        .zip(&c3[lo..hi]);
+    let [mut a0, mut a1, mut a2, mut a3] = *acc;
+    for (&yr, (((&k0, &k1), &k2), &k3)) in y.iter().zip(codes) {
+        a0 += yr * t0[k0 as usize];
+        a1 += yr * t1[k1 as usize];
+        a2 += yr * t2[k2 as usize];
+        a3 += yr * t3[k3 as usize];
+    }
+    *acc = [a0, a1, a2, a3];
 }
 
 /// A losslessly compressed matrix: one [`ColumnGroup`] per column.
@@ -350,12 +462,23 @@ impl CompressedMatrix {
         }
     }
 
-    /// Materializes the dense matrix.
+    /// Materializes the dense matrix, one row tile at a time: every group
+    /// writes its rows of the tile, so each output line is filled while it
+    /// is in L1.
     pub fn decompress(&self) -> DenseMatrix {
-        let cols = self.groups.len();
+        let cols = self.cols();
         let mut out = DenseMatrix::zeros(self.rows, cols);
-        for (c, g) in self.groups.iter().enumerate() {
-            g.decode_into(&mut out.values_mut()[c..], cols);
+        if cols == 0 {
+            return out;
+        }
+        let tile_rows = (DECODE_TILE_CELLS / cols).max(1);
+        let mut cursors = vec![RunCursor::default(); cols];
+        for (t, tile) in out.values_mut().chunks_mut(tile_rows * cols).enumerate() {
+            let lo = t * tile_rows;
+            let hi = lo + tile.len() / cols;
+            for ((c, g), cursor) in self.groups.iter().enumerate().zip(&mut cursors) {
+                g.decode_rows(lo, hi, cursor, &mut tile[c..], cols);
+            }
         }
         out
     }
@@ -397,11 +520,131 @@ impl CompressedMatrix {
         aggregates::run(self, op, dir)
     }
 
+    /// Phase 1 of a product on the row tile `a..a + q.len()`: adds
+    /// `x[r][c] * v[c]` into `q[r - a]` for c ascending, one term at a
+    /// time, with no zero-skip — the dense kernels' per-row chain. Four
+    /// DDC8 columns per sweep add their pre-scaled `scaled` entries, every
+    /// other group multiplies inline.
+    fn add_xv_tile(
+        &self,
+        scaled: &Dicts,
+        v: &[f64],
+        a: usize,
+        cursors: &mut [RunCursor],
+        q: &mut [f64],
+    ) {
+        let (n, b) = (self.cols(), a + q.len());
+        let mut c = 0;
+        while c < n {
+            if let Some(quad) = scaled.quad(&self.groups, c, n) {
+                add_quad(quad, a, b, q);
+                c += 4;
+            } else {
+                let s = v[c];
+                self.groups[c].visit(a, b, &mut cursors[c], |d, x| q[d] += x * s);
+                c += 1;
+            }
+        }
+    }
+
+    /// Phase 2 of a product on the row tile `rows` for the groups `g0..`
+    /// that `out` (`k` cells a group) covers: extends each group's `k`
+    /// independent chains `out[c][j] += y[r][j] * x[r][c]`, r ascending —
+    /// the dense row sweep's per-cell chain — four DDC8 groups at once.
+    /// `yt` holds the tile's rows of `y` column by column.
+    fn extend_xty_tile(
+        &self,
+        dicts: &Dicts,
+        yt: &[f64],
+        rows: Range<usize>,
+        g0: usize,
+        cursors: &mut [RunCursor],
+        out: &mut [f64],
+    ) {
+        let (a, b, len) = (rows.start, rows.end, rows.len());
+        let k = yt.len() / len;
+        let end = g0 + out.len() / k;
+        let mut c = g0;
+        while c < end {
+            let cell = |i: usize, j: usize| (c - g0 + i) * k + j;
+            if let Some(quad) = dicts.quad(&self.groups, c, end) {
+                for (j, yj) in yt.chunks_exact(len).enumerate() {
+                    let mut acc = [0, 1, 2, 3].map(|i| out[cell(i, j)]);
+                    extend_quad(quad, yj, a, b, &mut acc);
+                    for (i, v) in acc.into_iter().enumerate() {
+                        out[cell(i, j)] = v;
+                    }
+                }
+                c += 4;
+            } else {
+                // Every chain of the group walks the tile from the same
+                // run cursor.
+                let start = cursors[c];
+                for (j, yj) in yt.chunks_exact(len).enumerate() {
+                    cursors[c] = start;
+                    self.groups[c].extend_chain(yj, a, b, &mut cursors[c], &mut out[cell(0, j)]);
+                }
+                c += 1;
+            }
+        }
+    }
+
+    /// Phase 1 over all rows, row blocks fanned out over the pool: `X v`,
+    /// each row's chain then times `w[r]` when given.
+    fn xv(&self, v: &[f64], w: Option<&[f64]>) -> Vec<f64> {
+        let scaled = Dicts::new(&self.groups, Some(v));
+        let mut q = vec![0.0; self.rows];
+        let chunk = exdra_par::chunk_len(self.rows, par_floor(self.cols()));
+        exdra_par::par_chunks_mut(&mut q, chunk, |_, lo, seg| {
+            let mut cursors = vec![RunCursor::default(); self.cols()];
+            for (t, qt) in seg.chunks_mut(TILE_ROWS).enumerate() {
+                let a = lo + t * TILE_ROWS;
+                self.add_xv_tile(&scaled, v, a, &mut cursors, qt);
+                weigh(qt, w.map(|w| &w[a..]));
+            }
+        });
+        q
+    }
+
+    /// Phase 2 over all groups: `t(X) y` for a row-major `rows x k` `y`, as
+    /// a `cols x k` matrix. Every group block walks all rows of `y`, so
+    /// blocks are the dense row sweep's strips (`strip_len`): one per pool
+    /// thread, and one in all below its work floor.
+    fn xty(&self, y: &[f64], k: usize) -> DenseMatrix {
+        let mut out = DenseMatrix::zeros(self.cols(), k);
+        if k == 0 {
+            return out;
+        }
+        let dicts = Dicts::new(&self.groups, None);
+        let chunk = strip_len(self.cols(), self.rows * k).next_multiple_of(4) * k;
+        exdra_par::par_chunks_mut(out.values_mut(), chunk, |_, cell0, ochunk| {
+            let mut cursors = vec![RunCursor::default(); self.cols()];
+            let mut ycols = Vec::new();
+            for a in (0..self.rows).step_by(TILE_ROWS) {
+                let b = (a + TILE_ROWS).min(self.rows);
+                let yt = if k == 1 {
+                    &y[a..b]
+                } else {
+                    // Lay the tile out column by column.
+                    let len = b - a;
+                    ycols.resize(len * k, 0.0);
+                    for (d, row) in y[a * k..b * k].chunks_exact(k).enumerate() {
+                        for (j, &v) in row.iter().enumerate() {
+                            ycols[j * len + d] = v;
+                        }
+                    }
+                    &ycols[..]
+                };
+                self.extend_xty_tile(&dicts, yt, a..b, cell0 / k, &mut cursors, ochunk);
+            }
+        });
+        out
+    }
+
     /// Matrix-vector product `self * v` executed directly on the
-    /// compressed representation: column-outer, every column visited in
-    /// ascending order with no zero-skip, each term `x * v[c]` added
-    /// individually — the dense matvec fast path's per-row k-ascending
-    /// chain, bit for bit, reading 1-2 byte codes instead of 8-byte cells.
+    /// compressed representation: per row the dense matvec fast path's
+    /// k-ascending chain, bit for bit, reading 1-2 byte codes instead of
+    /// 8-byte cells (phase 1 of [`CompressedMatrix::mmchain`]).
     pub fn matvec(&self, v: &DenseMatrix) -> Result<DenseMatrix> {
         if v.rows() != self.cols() || v.cols() != 1 {
             return Err(MatrixError::DimensionMismatch {
@@ -410,24 +653,12 @@ impl CompressedMatrix {
                 rhs: v.shape(),
             });
         }
-        let vv = v.values();
-        let mut out = vec![0.0; self.rows];
-        let chunk = exdra_par::chunk_len(self.rows, par_floor(self.cols()));
-        exdra_par::par_chunks_mut(&mut out, chunk, |_, lo, oseg| {
-            let hi = lo + oseg.len();
-            for (c, g) in self.groups.iter().enumerate() {
-                let scale = vv[c];
-                g.for_each_range(lo, hi, |row, x| oseg[row - lo] += x * scale);
-            }
-        });
-        DenseMatrix::new(self.rows, 1, out)
+        DenseMatrix::new(self.rows, 1, self.xv(v.values(), None))
     }
 
     /// `t(self) %*% w` on the compressed representation, returned as the
-    /// `1 x cols` row vector `t(w) %*% self`: per column and per column of
-    /// `w`, one r-ascending chain `acc += w[r] * x` (`ColumnGroup::dot_rows`)
-    /// — the dense row sweep's per-cell order. For the `cols x k` product
-    /// with a `rows x k` right-hand side see [`CompressedMatrix::t_matmul`].
+    /// `1 x cols` row vector `t(w) %*% self`: [`CompressedMatrix::t_matmul`]
+    /// with one column.
     pub fn t_vecmat(&self, w: &DenseMatrix) -> Result<DenseMatrix> {
         if w.cols() != 1 {
             return Err(MatrixError::DimensionMismatch {
@@ -441,8 +672,8 @@ impl CompressedMatrix {
     }
 
     /// `t(self) %*% y` (`cols x k`) for a dense `rows x k` right-hand
-    /// side, column of `y` by column of `y` over the same per-group chain
-    /// as [`CompressedMatrix::t_vecmat`] — bitwise the dense
+    /// side: per group `k` independent r-ascending chains `acc += y[r][j] *
+    /// x` (phase 2 of [`CompressedMatrix::mmchain`]) — bitwise the dense
     /// `matmul_tn(&self.decompress(), y)`, without decompressing.
     pub fn t_matmul(&self, y: &DenseMatrix) -> Result<DenseMatrix> {
         if y.rows() != self.rows {
@@ -452,39 +683,15 @@ impl CompressedMatrix {
                 rhs: y.shape(),
             });
         }
-        let k = y.cols();
-        let mut out = DenseMatrix::zeros(self.cols(), k);
-        if k == 0 {
-            return Ok(out);
-        }
-        // The chain reads one contiguous column of y at a time; a
-        // 1-column y already is one.
-        let gathered: Vec<Vec<f64>>;
-        let ycols: Vec<&[f64]> = if k == 1 {
-            vec![y.values()]
-        } else {
-            gathered = (0..k)
-                .map(|j| (0..self.rows).map(|r| y.get(r, j)).collect())
-                .collect();
-            gathered.iter().map(Vec::as_slice).collect()
-        };
-        let chunk = self.group_chunk();
-        exdra_par::par_chunks_mut(out.values_mut(), chunk * k, |_, cell0, ochunk| {
-            for (d, orow) in ochunk.chunks_exact_mut(k).enumerate() {
-                let g = &self.groups[cell0 / k + d];
-                for (o, yj) in orow.iter_mut().zip(&ycols) {
-                    *o = g.dot_rows(yj);
-                }
-            }
-        });
-        Ok(out)
+        Ok(self.xty(y.values(), y.cols()))
     }
 
     /// Fused chain `Xᵀ (w ⊙ (X v))` on the compressed representation,
-    /// phase for phase the dense `mmchain` kernel: phase 1 accumulates
-    /// each row's dot c-ascending (column-outer) then applies `w`; phase
-    /// 2 reduces each output column r-ascending with `q[r]` as the left
-    /// operand. Bitwise identical to decompress-then-`mmchain`.
+    /// phase for phase the dense `mmchain` kernel: phase 1 builds each
+    /// row's dot c-ascending then applies `w`, split by rows over the
+    /// pool; phase 2 reduces each output column r-ascending with `q[r]` as
+    /// the left operand, split by columns. Bitwise identical to
+    /// decompress-then-`mmchain` at every pool width.
     pub fn mmchain(&self, v: &DenseMatrix, w: Option<&DenseMatrix>) -> Result<DenseMatrix> {
         if v.rows() != self.cols() || v.cols() != 1 {
             return Err(MatrixError::DimensionMismatch {
@@ -502,37 +709,8 @@ impl CompressedMatrix {
                 });
             }
         }
-        let (m, n) = (self.rows, self.cols());
-        let mut out = DenseMatrix::zeros(n, 1);
-        if m == 0 || n == 0 {
-            return Ok(out);
-        }
-        let vv = v.values();
-        let wv = w.map(|w| w.values());
-        // Phase 1: q = (X v) ⊙ w, column-outer over disjoint row blocks.
-        let mut q = vec![0.0; m];
-        let chunk = exdra_par::chunk_len(m, par_floor(n));
-        exdra_par::par_chunks_mut(&mut q, chunk, |_, lo, qseg| {
-            let hi = lo + qseg.len();
-            for (c, g) in self.groups.iter().enumerate() {
-                let scale = vv[c];
-                g.for_each_range(lo, hi, |row, x| qseg[row - lo] += x * scale);
-            }
-            if let Some(wv) = wv {
-                for (d, qi) in qseg.iter_mut().enumerate() {
-                    *qi *= wv[lo + d];
-                }
-            }
-        });
-        // Phase 2: out = Xᵀ q, one r-ascending chain per column.
-        let q = &q;
-        let chunk = self.group_chunk();
-        exdra_par::par_chunks_mut(out.values_mut(), chunk, |_, c0, ochunk| {
-            for (d, o) in ochunk.iter_mut().enumerate() {
-                *o = self.groups[c0 + d].dot_rows(q);
-            }
-        });
-        Ok(out)
+        let q = self.xv(v.values(), w.map(DenseMatrix::values));
+        Ok(self.xty(&q, 1))
     }
 
     /// Column sums computed on the compressed representation.
@@ -563,12 +741,13 @@ impl AggKernel for &CompressedMatrix {
                 // row-major tile of about one parallel region's cells.
                 let tile_rows = par_floor(c);
                 let mut tile = Vec::with_capacity(tile_rows.min(r) * c);
+                let mut cursors = vec![RunCursor::default(); c];
                 let mut acc = C::START;
                 for lo in (0..r).step_by(tile_rows) {
                     let hi = (lo + tile_rows).min(r);
                     tile.resize((hi - lo) * c, 0.0);
-                    for (j, g) in self.groups.iter().enumerate() {
-                        g.for_each_range(lo, hi, |row, v| tile[(row - lo) * c + j] = v);
+                    for ((j, g), cursor) in self.groups.iter().enumerate().zip(&mut cursors) {
+                        g.decode_rows(lo, hi, cursor, &mut tile[j..], c);
                     }
                     tile.iter().for_each(|&v| acc.push(v));
                 }
@@ -583,7 +762,8 @@ impl AggKernel for &CompressedMatrix {
                 exdra_par::par_chunks_mut(out.values_mut(), rows_per_chunk, |_, lo, chunk| {
                     let mut acc = vec![C::START; chunk.len()];
                     for g in &self.groups {
-                        g.for_each_range(lo, lo + chunk.len(), |row, v| acc[row - lo].push(v));
+                        let mut cursor = RunCursor::default();
+                        g.visit(lo, lo + chunk.len(), &mut cursor, |d, v| acc[d].push(v));
                     }
                     for (o, a) in chunk.iter_mut().zip(acc) {
                         *o = a.finish(op, c as f64);
@@ -604,7 +784,7 @@ impl AggKernel for &CompressedMatrix {
                         let mut acc = C::START;
                         match op {
                             AggOp::Min | AggOp::Max => g.for_each_distinct(|v| acc.push(v)),
-                            _ => g.for_each_range(0, r, |_, v| acc.push(v)),
+                            _ => g.visit(0, r, &mut RunCursor::default(), |_, v| acc.push(v)),
                         }
                         *o = acc.finish(op, r as f64);
                     }
@@ -753,6 +933,33 @@ mod tests {
             let got = c.mmchain(&v, weights).unwrap();
             let want = mmchain(&d, &v, weights).unwrap();
             assert!(same_bits(&got, &want));
+        }
+    }
+
+    #[test]
+    fn column_strips_of_phase_two_are_bitwise_serial() {
+        use crate::kernels::matmul::matmul_tn;
+        // 100k rows and 9 columns of `y`: strips of 12 groups at width 2,
+        // so the second strip starts at group 12, past a four-DDC8 sweep.
+        let rows = 100_000;
+        let noise = rand_matrix(rows, 1, -1.0, 1.0, 3);
+        let mut d = DenseMatrix::zeros(rows, 13);
+        for r in 0..rows {
+            for c in 0..13 {
+                let v = match c {
+                    0..=7 | 12 => ((r * (c + 1)) % 5) as f64 - 2.0,
+                    8 => noise.get(r, 0),
+                    _ => (r / 997 % 3) as f64,
+                };
+                d.set(r, c, v);
+            }
+        }
+        let c = CompressedMatrix::compress(&d);
+        let y = rand_matrix(rows, 9, -1.0, 1.0, 4);
+        let want = matmul_tn(&d, &y).unwrap();
+        for threads in [1, 2] {
+            let got = exdra_par::with_threads(threads, || c.t_matmul(&y).unwrap());
+            assert!(same_bits(&got, &want), "width {threads}");
         }
     }
 

@@ -662,7 +662,7 @@ const SWEEP_STRIP_MIN_WORK: usize = 1 << 23;
 /// chunks per thread would each pay a full pass over the rows — and never
 /// less than [`SWEEP_STRIP_MIN_WORK`], which keeps small and memory-bound
 /// sweeps a single, serial strip.
-fn strip_len(cols: usize, work_per_col: usize) -> usize {
+pub(crate) fn strip_len(cols: usize, work_per_col: usize) -> usize {
     cols.div_ceil(exdra_par::threads())
         .max(SWEEP_STRIP_MIN_WORK.div_ceil(work_per_col.max(1)))
 }

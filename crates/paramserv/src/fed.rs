@@ -7,7 +7,8 @@
 //! ([`install_ps_udf`], see DESIGN.md §4 on the substitution) and invoked
 //! through `EXEC_UDF` requests. "Depending on the update frequency, the
 //! model is updated at the worker, and after a fixed number of batches,
-//! the accrued gradients are sent to the server for aggregation."
+//! the accrued gradients are sent to the server for aggregation" — here
+//! every epoch's batches.
 //!
 //! Only models and model deltas cross the network; the raw federated
 //! partitions never do.

@@ -32,17 +32,6 @@ pub enum UpdateType {
     Asp,
 }
 
-/// Synchronization frequency (paper: `freq`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum UpdateFreq {
-    /// Push accrued updates after every local mini-batch.
-    Batch,
-    /// Update locally per batch; push once per epoch (the federated
-    /// default — "after a fixed number of batches, the accrued gradients
-    /// are sent to the server").
-    Epoch,
-}
-
 /// Partial-failure tolerance of the synchronization barrier (federated
 /// deployments only; local workers share the coordinator's fate).
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -64,10 +53,8 @@ pub enum AggregationMode {
 /// Parameter-server configuration (the `paramserv(...)` argument list).
 #[derive(Debug, Clone, Copy)]
 pub struct PsConfig {
-    /// Update strategy.
+    /// Update strategy. Workers push their accrued update once per epoch.
     pub update_type: UpdateType,
-    /// Synchronization frequency.
-    pub freq: UpdateFreq,
     /// Number of passes over the (local) data.
     pub epochs: usize,
     /// Mini-batch size.
@@ -94,7 +81,6 @@ impl Default for PsConfig {
     fn default() -> Self {
         Self {
             update_type: UpdateType::Bsp,
-            freq: UpdateFreq::Epoch,
             epochs: 5,
             batch_size: 64,
             lr: 0.05,

@@ -27,7 +27,7 @@ use exdra_matrix::DenseMatrix;
 use exdra_ml::nn::Network;
 use exdra_ml::synth;
 use exdra_paramserv::fed as psfed;
-use exdra_paramserv::{balance, AggregationMode, PsConfig, UpdateFreq, UpdateType};
+use exdra_paramserv::{balance, AggregationMode, PsConfig, UpdateType};
 use exdra_stream::query::Query;
 use exdra_stream::query::{Cmp, Operator, WindowAgg};
 use exdra_stream::source::SensorConfig;
@@ -431,7 +431,6 @@ impl ContinuousTrainer {
     pub fn ps_config(&self, round: usize) -> PsConfig {
         PsConfig {
             update_type: self.cfg.update_type,
-            freq: UpdateFreq::Epoch,
             epochs: self.cfg.epochs_per_round,
             batch_size: self.cfg.batch_size,
             seed: self.cfg.seed.wrapping_add(round as u64),

@@ -329,33 +329,28 @@ fn metrics_say_which_form_of_a_compacted_partition_ran() {
         workers.iter().map(|w| w.compact(0, idle)).sum()
     };
     assert_eq!(compact(), 2);
-    // A solver's loop, per worker: three mmchains rent the column groups
-    // (six cell-passes), the fourth decompresses first and runs on the
-    // twin it leaves behind, the other six find the twin, and so does the
-    // tsmm, which has no column-group kernel.
+    // A solver's loop, per worker: all ten mmchains run on the column
+    // groups; the tsmm has no column-group kernel, so it decompresses
+    // once and leaves the twin behind, which no contraction looks up.
     for i in 0..10 {
         let v = rand_matrix(4, 1, -1.0, 1.0, 80 + i);
         fed.mmchain(&v, None).unwrap();
     }
     fed.tsmm().unwrap();
     let m = exdra::obs::global().snapshot();
-    assert_eq!(m.counter("compress.exec.direct"), 2 * 3);
+    assert_eq!(m.counter("compress.exec.direct"), 2 * 10);
     assert_eq!(m.counter("compress.twin.materialized"), 2);
     assert_eq!(
         m.counter("compress.exec.fallback"),
         2,
-        "one decompression each"
+        "one decompression each, by the tsmm"
     );
-    assert_eq!(m.counter("compress.twin.hits"), 2 * (6 + 1));
+    assert_eq!(m.counter("compress.twin.hits"), 0);
     assert_eq!(m.counter("compress.twin.dropped"), 0);
     let samples = |name: &str| m.histograms.get(name).map_or(0, |h| h.count);
     assert_eq!(samples("inst.decompress"), 2);
-    assert_eq!(samples("inst.c.mmchain"), 2 * 3);
-    assert_eq!(
-        samples("inst.mmchain"),
-        2 * 7,
-        "on the twin: the dense opcode"
-    );
+    assert_eq!(samples("inst.c.mmchain"), 2 * 10);
+    assert_eq!(samples("inst.mmchain"), 0, "no mmchain on the twin");
     assert_eq!(samples("inst.tsmm"), 2);
     // Looking for a twin is not a reuse probe.
     assert_eq!(m.counter("lineage.worker.hits"), 0);

@@ -249,8 +249,8 @@ fn a_killed_mem_worker_is_reported_and_restored_without_a_retry() {
 /// entry: it is in no checkpoint (a checkpoint carries the logical value,
 /// as it travels on the wire). A worker killed while it holds one is
 /// restored dense with an empty cache; once its idle sweep has compacted
-/// the entry again it answers with the same bits from the column groups
-/// and earns the twin back.
+/// the entry again it answers with the same bits from the column groups,
+/// and the next op without a column-group kernel leaves the twin again.
 #[test]
 fn worker_killed_holding_a_dense_twin_recovers_bitwise_without_it() {
     use exdra::core::lineage::twin_of;
@@ -303,7 +303,7 @@ fn worker_killed_holding_a_dense_twin_recovers_bitwise_without_it() {
     assert!(ctx.stats().recoveries() >= 1, "NetStats counted recovery");
     assert_eq!(forms(&replacement), (false, false), "restored dense");
     assert!(replacement.compact(0, Duration::ZERO) >= 1);
-    // Two cell-passes: below break-even, on the column groups.
+    // A contraction runs on the column groups and buys no twin.
     assert_eq!(expected.1.values(), sds.compute(&chain).unwrap().values());
     assert_eq!(forms(&replacement), (true, false));
     let gram_after = sds.compute(&gram).unwrap();

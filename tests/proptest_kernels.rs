@@ -113,6 +113,70 @@ fn mixed_matrix(rows: usize, seed: u64) -> DenseMatrix {
     x
 }
 
+/// The scheme a generated column is shaped for.
+#[derive(Debug, Clone, Copy)]
+enum Scheme {
+    /// 16 levels, one random level per row.
+    Ddc8,
+    /// 300 levels (more than a u8 code holds), one random level per row.
+    Ddc16,
+    /// Runs of 97 to 300 equal rows.
+    Rle,
+    /// Continuous noise.
+    Uc,
+}
+
+fn scheme() -> impl Strategy<Value = Scheme> {
+    prop_oneof![
+        Just(Scheme::Ddc8),
+        Just(Scheme::Ddc8),
+        Just(Scheme::Ddc8),
+        Just(Scheme::Ddc16),
+        Just(Scheme::Rle),
+        Just(Scheme::Uc),
+    ]
+}
+
+/// `rows x schemes.len()`, column `c` shaped for `schemes[c]`; with
+/// `special`, NaN, ±Inf and -0.0 stand in for some dictionary levels, run
+/// values and cells (0.0 is a level of every palette).
+fn scheme_matrix(rows: usize, schemes: &[Scheme], seed: u64, special: bool) -> DenseMatrix {
+    let mut x = DenseMatrix::zeros(rows, schemes.len());
+    for (c, &s) in schemes.iter().enumerate() {
+        let seed = seed.wrapping_add(17 * c as u64);
+        let levels = match s {
+            Scheme::Ddc16 => 300,
+            _ => 16,
+        };
+        let mut palette: Vec<f64> = (0..levels).map(|i| i as f64 / 8.0 - 1.0).collect();
+        if special {
+            let k = seed as usize % 4;
+            palette[k..k + 4].copy_from_slice(&[f64::NAN, f64::INFINITY, f64::NEG_INFINITY, -0.0]);
+        }
+        let pick = rand_matrix(rows, 1, 0.0, levels as f64, seed);
+        let noise = rand_matrix(rows, 1, -1.0, 1.0, seed + 1);
+        let mut run_end = 0;
+        let mut run_value = 0.0;
+        for r in 0..rows {
+            let level = palette[(pick.get(r, 0) as usize).min(levels - 1)];
+            let v = match s {
+                Scheme::Ddc8 | Scheme::Ddc16 => level,
+                Scheme::Rle => {
+                    if r == run_end {
+                        run_end = r + 97 + (r * 31 + seed as usize) % 204;
+                        run_value = level;
+                    }
+                    run_value
+                }
+                Scheme::Uc if special && r % 211 == 5 => level,
+                Scheme::Uc => noise.get(r, 0),
+            };
+            x.set(r, c, v);
+        }
+    }
+    x
+}
+
 /// Bitwise equality, except that any NaN equals any NaN: when two NaNs
 /// meet in one add or multiply the hardware keeps the first operand's
 /// payload, and operand order is the compiler's choice per code path.
@@ -488,5 +552,38 @@ proptest! {
         let wm = weighted.then_some(&w);
         let got = widths_agree("c-mmchain", || c.mmchain(&v, wm).expect("shapes"));
         prop_assert!(same_bits(&got, &mmchain(&d, &v, wm).expect("shapes")));
+    }
+
+    #[test]
+    fn tiled_compressed_products_match_dense_kernels_on_every_scheme_mix(
+        rows in prop_oneof![1usize..=40, 508usize..=520, 1020usize..=1030, 1usize..=2500],
+        schemes in proptest::collection::vec(scheme(), 1..=13),
+        k in 1usize..=9,
+        special in proptest::bool::ANY,
+        seed in 0u64..1_000_000,
+    ) {
+        // Up to 13 columns: four-column sweeps over runs of DDC8 groups
+        // and their tails; rows across the row tile and the 4-row unroll.
+        let d = scheme_matrix(rows, &schemes, seed, special);
+        let c = CompressedMatrix::compress(&d);
+        let v = rand_matrix(d.cols(), 1, -1.0, 1.0, seed + 1);
+        let w = rand_matrix(rows, 1, 0.0, 1.0, seed + 2);
+        let y = rand_matrix(rows, k, -1.0, 1.0, seed + 3);
+
+        let got = widths_agree("c-matvec", || c.matvec(&v).expect("shapes"));
+        prop_assert!(same_cells(&got, &matmul(&d, &v).expect("shapes")), "matvec");
+
+        let got = widths_agree("c-vecmat", || c.t_vecmat(&w).expect("shapes"));
+        let want = matmul(&transpose(&w), &d).expect("shapes");
+        prop_assert!(same_cells(&got, &want), "t_vecmat");
+
+        let got = widths_agree("c-t-matmul", || c.t_matmul(&y).expect("shapes"));
+        prop_assert!(same_cells(&got, &matmul_tn(&d, &y).expect("shapes")), "t_matmul, k = {}", k);
+
+        for wm in [None, Some(&w)] {
+            let got = widths_agree("c-mmchain", || c.mmchain(&v, wm).expect("shapes"));
+            let want = mmchain(&d, &v, wm).expect("shapes");
+            prop_assert!(same_cells(&got, &want), "mmchain, weighted: {}", wm.is_some());
+        }
     }
 }

@@ -1,14 +1,16 @@
-//! Property test for the per-op form choice on compacted partitions
-//! (DESIGN.md §4k): whether a contraction op reads a partition's column
-//! groups or its dense twin, and whether a fallback decompresses or finds
-//! the twin, changes how long the op takes, never a bit of its result.
-//! Random sequences of `X v`, `t(X) Y`, mmchain, tsmm, scalar, unary and
-//! column-aggregate ops on a mem federation fetch equal bits under three
-//! worker configurations (a cache too small for a twin: always direct;
-//! reuse off: twins, every instruction executes; the default: twins and
-//! reuse) and on partitions that were never compacted. Workers run their
-//! kernels at the process's pool width, so CI's `par-determinism` job
-//! repeats this at `EXDRA_THREADS` 1 / 3 / max.
+//! Property test for the per-op form rule on compacted partitions
+//! (DESIGN.md §4k): contractions, element-wise ops and aggregates run on
+//! a partition's column groups, twin held or not; an op without a
+//! column-group kernel runs on the dense twin, which it decompresses or
+//! finds. Whether a fallback decompresses or finds the twin changes how
+//! long the op takes, never a bit of its result. Random sequences of
+//! `X v`, `t(X) Y`, mmchain, tsmm, scalar, unary and column-aggregate ops
+//! on a mem federation fetch equal bits under three worker
+//! configurations (a cache too small for a twin: every fallback
+//! decompresses; reuse off: twins, every instruction executes; the
+//! default: twins and reuse) and on partitions that were never compacted.
+//! Workers run their kernels at the process's pool width, so CI's
+//! `par-determinism` job repeats this at `EXDRA_THREADS` 1 / 3 / max.
 
 use std::time::Duration;
 
@@ -27,12 +29,11 @@ const COLS: usize = 5;
 
 #[derive(Debug, Clone, Copy)]
 enum Op {
-    /// `X %*% v`, one cell-pass.
+    /// `X %*% v`.
     MatVec(u64),
-    /// `t(X) %*% Y` for a `k`-column Y: k cell-passes, so k = 7 and 8
-    /// decompress on the first call.
+    /// `t(X) %*% Y` for a `k`-column Y: `k` chains per column group.
     TMatMul(usize, u64),
-    /// `t(X) %*% (w * (X %*% v))`, two cell-passes.
+    /// `t(X) %*% (w * (X %*% v))`.
     MmChain(u64, bool),
     /// No column-group kernel: the dense fallback.
     Tsmm,
@@ -155,6 +156,8 @@ proptest! {
         prop_assert_eq!(&twin.0, &dense.0, "twins, reuse off");
         if ops.iter().any(|op| matches!(op, Op::Tsmm)) {
             prop_assert_eq!(twin.1, TWIN_BYTES, "the fallback leaves a twin, and nothing else");
+        } else {
+            prop_assert_eq!(twin.1, 0, "contractions buy no twin");
         }
         prop_assert_eq!(&reuse.0, &dense.0, "twins and reuse");
     }
