@@ -213,13 +213,14 @@ impl FedMatrix {
     }
 
     /// Fused `t(self) %*% (w ⊙ (self %*% v))` (mmchain) for row-partitioned
-    /// data, column by column: `v` is `d x k`, `w` (if any) `n x k`, and
-    /// column `j` of the `d x k` result is the single-vector `MmChain`
-    /// instruction applied to `(v_j, w_j)` — LM's inner loop at `k = 1`,
-    /// MLogReg's per-class CG systems at `k = classes`. All `k`
-    /// instructions of a partition travel in one batch, so the whole chain
-    /// costs one round: broadcast the `v_j`, slice a local `w` (a federated
-    /// one is already in place), aggregate partial results by addition.
+    /// data: `v` is `d x k`, `w` (if any) `n x k`, and column `j` of the
+    /// `d x k` result is the single-vector chain on `(v_j, w_j)` — LM's
+    /// inner loop at `k = 1`, MLogReg's per-class CG systems at `k =
+    /// classes`. Each partition gets one broadcast of `v` and one
+    /// `MmChain` instruction that sweeps its rows once for all `k`
+    /// columns; a local `w` travels as one `PUT` of the partition's row
+    /// range, a federated one is already in place. The partial results
+    /// are added up in partition order: one round in all.
     pub fn mmchain(&self, v: &DenseMatrix, w: Option<MmWeights<'_>>) -> Result<DenseMatrix> {
         if self.scheme() != PartitionScheme::Row {
             return Err(RuntimeError::Unsupported(
@@ -242,36 +243,16 @@ impl FedMatrix {
                 "mmchain needs weights co-partitioned with X".into(),
             ));
         }
-        let column = |m: &DenseMatrix, lo: usize, hi: usize, j: usize| {
-            reorg::index(m, lo, hi, j, j + 1).expect("validated range")
-        };
-        let v_cols: Vec<DenseMatrix> = (0..k).map(|j| column(v, 0, v.rows(), j)).collect();
-        let partials = self.gather(|i, p, b| {
-            let vs: Vec<u64> = v_cols.iter().map(|vj| b.broadcast(vj)).collect();
-            for (j, v) in vs.into_iter().enumerate() {
-                let w = match w {
-                    None => None,
-                    Some(MmWeights::Local(w)) => Some(b.put(column(w, p.lo, p.hi, j))),
-                    Some(MmWeights::Fed(w)) if k == 1 => Some(w.parts()[i].id),
-                    Some(MmWeights::Fed(w)) => {
-                        let wj = b.temp();
-                        b.exec(Instruction::Index {
-                            x: w.parts()[i].id,
-                            row_lo: 0,
-                            row_hi: p.len() as u64,
-                            col_lo: j as u64,
-                            col_hi: j as u64 + 1,
-                            out: wj,
-                        });
-                        Some(wj)
-                    }
-                };
-                b.fetch(|out| Instruction::MmChain { x: p.id, v, w, out });
-            }
-        })?;
-        let mut cols = fold_partials(partials, |_, a, b| a.zip(b, "+", |x, y| x + y))?.into_iter();
-        let first = cols.next().expect("at least one partition");
-        Ok(cols.try_fold(first, |acc, col| reorg::cbind(&acc, &col))?)
+        sum_partials(self.gather(|i, p, b| {
+            let v = b.broadcast(v);
+            let w = w.map(|w| match w {
+                MmWeights::Local(w) => {
+                    b.put(reorg::index(w, p.lo, p.hi, 0, k).expect("validated range"))
+                }
+                MmWeights::Fed(w) => w.parts()[i].id,
+            });
+            b.fetch(|out| Instruction::MmChain { x: p.id, v, w, out });
+        })?)
     }
 
     /// Aligned `t(self) %*% other` over two co-partitioned (row) federated

@@ -170,41 +170,17 @@ impl Tensor {
         }
     }
 
-    /// Fused `t(self) %*% (w ⊙ (self %*% v))` (mmchain), column by column:
-    /// `v` is `d x k`, `w` (if any) `n x k`, and column `j` of the `d x k`
-    /// result is the single-vector kernel applied to `(v_j, w_j)`. On
-    /// federated data all `k` columns share one request round.
+    /// Fused `t(self) %*% (w ⊙ (self %*% v))` (mmchain): `v` is `d x k`,
+    /// `w` (if any) `n x k`, and column `j` of the `d x k` result is,
+    /// bit for bit, the single-vector chain on `(v_j, w_j)`. All `k`
+    /// columns share one sweep over a local or compressed `self`, and one
+    /// `MmChain` instruction per partition of a federated one.
     pub fn mmchain(&self, v: &DenseMatrix, w: Option<&DenseMatrix>) -> Result<DenseMatrix> {
-        let single = |vj: &DenseMatrix, wj: Option<&DenseMatrix>| match self {
-            Tensor::Local(x) => Ok(matmul::mmchain(x, vj, wj)?),
-            Tensor::Compressed(x) => Ok(x.mmchain(vj, wj)?),
-            Tensor::Fed(x) => x.mmchain(vj, wj.map(MmWeights::Local)),
-        };
-        let k = v.cols();
-        if k == 1 || self.is_fed() {
-            return single(v, w);
+        match self {
+            Tensor::Local(x) => Ok(matmul::mmchain(x, v, w)?),
+            Tensor::Compressed(x) => Ok(x.mmchain(v, w)?),
+            Tensor::Fed(x) => x.mmchain(v, w.map(MmWeights::Local)),
         }
-        if let Some(w) = w.filter(|w| w.cols() != k) {
-            return Err(exdra_matrix::MatrixError::DimensionMismatch {
-                op: "mmchain",
-                lhs: v.shape(),
-                rhs: w.shape(),
-            }
-            .into());
-        }
-        let mut out = DenseMatrix::zeros(v.rows(), k);
-        for j in 0..k {
-            let vj = reorg::index(v, 0, v.rows(), j, j + 1)?;
-            let wj = match w {
-                Some(w) => Some(reorg::index(w, 0, w.rows(), j, j + 1)?),
-                None => None,
-            };
-            let col = single(&vj, wj.as_ref())?;
-            for (i, &val) in col.values().iter().enumerate() {
-                out.set(i, j, val);
-            }
-        }
-        Ok(out)
     }
 
     /// [`Tensor::mmchain`] with the weights as a tensor. Federated weights

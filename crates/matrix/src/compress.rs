@@ -686,31 +686,46 @@ impl CompressedMatrix {
         Ok(self.xty(y.values(), y.cols()))
     }
 
-    /// Fused chain `Xᵀ (w ⊙ (X v))` on the compressed representation,
-    /// phase for phase the dense `mmchain` kernel: phase 1 builds each
-    /// row's dot c-ascending then applies `w`, split by rows over the
-    /// pool; phase 2 reduces each output column r-ascending with `q[r]` as
-    /// the left operand, split by columns. Bitwise identical to
-    /// decompress-then-`mmchain` at every pool width.
+    /// Fused chain `Xᵀ (w ⊙ (X V))` on the compressed representation for a
+    /// `cols x k` `V` and an optional `rows x k` `w`, phase for phase the
+    /// dense `mmchain` kernel: phase 1 builds each row's dot c-ascending
+    /// then applies `w`, one `xv` per column, split by rows over the
+    /// pool; phase 2 reduces every output cell r-ascending with `q[r][j]`
+    /// as the left operand, one `xty` for all `k` columns, split by
+    /// columns. Bitwise identical to decompress-then-`mmchain` at every
+    /// pool width.
     pub fn mmchain(&self, v: &DenseMatrix, w: Option<&DenseMatrix>) -> Result<DenseMatrix> {
-        if v.rows() != self.cols() || v.cols() != 1 {
+        let k = v.cols();
+        if v.rows() != self.cols() {
             return Err(MatrixError::DimensionMismatch {
                 op: "compressed_mmchain",
                 lhs: (self.rows, self.cols()),
                 rhs: v.shape(),
             });
         }
-        if let Some(w) = w {
-            if w.rows() != self.rows || w.cols() != 1 {
-                return Err(MatrixError::DimensionMismatch {
-                    op: "compressed_mmchain",
-                    lhs: (self.rows, self.cols()),
-                    rhs: w.shape(),
-                });
+        if let Some(w) = w.filter(|w| w.shape() != (self.rows, k)) {
+            return Err(MatrixError::DimensionMismatch {
+                op: "compressed_mmchain",
+                lhs: (self.rows, self.cols()),
+                rhs: w.shape(),
+            });
+        }
+        if k == 1 {
+            let q = self.xv(v.values(), w.map(DenseMatrix::values));
+            return Ok(self.xty(&q, 1));
+        }
+        let column = |m: &DenseMatrix, j: usize| -> Vec<f64> {
+            m.values().iter().skip(j).step_by(k).copied().collect()
+        };
+        let mut q = vec![0.0; self.rows * k];
+        for j in 0..k {
+            let wj = w.map(|w| column(w, j));
+            let qj = self.xv(&column(v, j), wj.as_deref());
+            for (i, val) in qj.into_iter().enumerate() {
+                q[i * k + j] = val;
             }
         }
-        let q = self.xv(v.values(), w.map(DenseMatrix::values));
-        Ok(self.xty(&q, 1))
+        Ok(self.xty(&q, k))
     }
 
     /// Column sums computed on the compressed representation.

@@ -258,7 +258,7 @@ pub fn matmul(lhs: &DenseMatrix, rhs: &DenseMatrix) -> Result<DenseMatrix> {
     if n == 1 {
         let rows_per_chunk = exdra_par::chunk_len(m, par_floor(k));
         exdra_par::par_chunks_mut(out.values_mut(), rows_per_chunk, |_, row0, chunk| {
-            matvec_chunk(lv, rv, k, row0, chunk);
+            row_dots(&lv[row0 * k..], k, rv, chunk);
         });
         return Ok(out);
     }
@@ -277,21 +277,139 @@ pub fn matmul(lhs: &DenseMatrix, rhs: &DenseMatrix) -> Result<DenseMatrix> {
     Ok(out)
 }
 
-/// One parallel chunk of the matrix-vector fast path.
-#[inline(always)]
-fn matvec_chunk_body(lv: &[f64], rv: &[f64], k: usize, row0: usize, chunk: &mut [f64]) {
-    for (d, o) in chunk.iter_mut().enumerate() {
-        let lrow = &lv[(row0 + d) * k..(row0 + d + 1) * k];
+/// Rows per lane group of [`row_dots`]: four 4-lane vectors of rows, so
+/// four independent add chains keep the `vaddpd` pipe busy.
+const DOT_GROUP_ROWS: usize = 16;
+
+/// Row dots `out[i] = x_i · v` for the first `out.len()` rows of the
+/// row-major `x` (`n` columns): each row's chain `0 + x[i][0] v[0] +
+/// x[i][1] v[1] + …`, c-ascending, one term at a time. The rows of a
+/// group ride in vector lanes, one row per lane, so a group's chains
+/// advance side by side instead of one latency-bound chain per row.
+/// Serves `X v` (the matrix-vector fast path) and phase 1 of `mmchain`.
+/// Dispatches to the AVX2 twin when the CPU allows; every twin performs
+/// the same per-row multiplies and adds, so the choice never changes a
+/// bit.
+#[inline]
+fn row_dots(x: &[f64], n: usize, v: &[f64], out: &mut [f64]) {
+    assert!(
+        x.len() >= out.len() * n && v.len() >= n,
+        "row_dots operand underflow"
+    );
+    #[cfg(target_arch = "x86_64")]
+    if avx2_available() {
+        // SAFETY: guarded by the runtime AVX2 detection; operand bounds
+        // are asserted above.
+        unsafe { row_dots_avx2(x, n, v, out) };
+        return;
+    }
+    row_dots_scalar(x, n, v, out);
+}
+
+/// Portable body of [`row_dots`]: a group's chains in an array, extended
+/// column by column.
+fn row_dots_scalar(x: &[f64], n: usize, v: &[f64], out: &mut [f64]) {
+    for (g, o) in out.chunks_mut(DOT_GROUP_ROWS).enumerate() {
+        let rows = &x[g * DOT_GROUP_ROWS * n..];
+        let mut acc = [0.0f64; DOT_GROUP_ROWS];
+        for (c, &b) in v[..n].iter().enumerate() {
+            for (i, a) in acc[..o.len()].iter_mut().enumerate() {
+                *a += rows[i * n + c] * b;
+            }
+        }
+        o.copy_from_slice(&acc[..o.len()]);
+    }
+}
+
+/// AVX2 twin of [`row_dots`]: 16-row groups as four 4-row quads (then
+/// single quads, then scalar chains for the last `rows % 4`). Each quad's
+/// 4 x 4 tile of `x` is transposed in registers — 128-bit row halves
+/// paired by `vinsertf128`, split into columns by `vunpck{l,h}pd` — so
+/// lane `i` extends row `i`'s chain with `x[i][c] * v[c]`, c ascending.
+/// Separate `vmulpd`/`vaddpd`, no FMA: lane-wise the scalar body's
+/// rounding.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+unsafe fn row_dots_avx2(x: &[f64], n: usize, v: &[f64], out: &mut [f64]) {
+    let rows = out.len();
+    assert!(
+        x.len() >= rows * n && v.len() >= n,
+        "row_dots operand underflow"
+    );
+    // SAFETY (for the raw accesses below): every quad reads rows
+    // `i..i + 4` and columns `0..n` of `x`, inside the asserted length,
+    // and writes `out[i..i + 4]` with `i + 4 <= rows`.
+    let (xp, op) = (x.as_ptr(), out.as_mut_ptr());
+    let mut i = 0;
+    while i + DOT_GROUP_ROWS <= rows {
+        dot_quads_avx2::<4>(xp.add(i * n), n, v, op.add(i));
+        i += DOT_GROUP_ROWS;
+    }
+    while i + 4 <= rows {
+        dot_quads_avx2::<1>(xp.add(i * n), n, v, op.add(i));
+        i += 4;
+    }
+    for (r, o) in out.iter_mut().enumerate().skip(i) {
         let mut acc = 0.0;
-        for (a, b) in lrow.iter().zip(rv) {
+        for (a, b) in x[r * n..(r + 1) * n].iter().zip(v) {
             acc += a * b;
         }
         *o = acc;
     }
 }
-avx2_twin!(matvec_chunk / matvec_chunk_avx2 => matvec_chunk_body(
-    lv: &[f64], rv: &[f64], k: usize, row0: usize, chunk: &mut [f64]
-));
+
+/// Two rows `n` apart side by side, two columns each: `[p[0], p[1],
+/// p[2n], p[2n + 1]]`.
+#[cfg(target_arch = "x86_64")]
+#[inline]
+#[target_feature(enable = "avx2")]
+unsafe fn row_pair(p: *const f64, n: usize) -> core::arch::x86_64::__m256d {
+    use core::arch::x86_64::*;
+    let lo = _mm256_castpd128_pd256(_mm_loadu_pd(p));
+    _mm256_insertf128_pd::<1>(lo, _mm_loadu_pd(p.add(2 * n)))
+}
+
+/// `Q` quads (`4 Q` consecutive rows of `x`, row-major with `n` columns)
+/// of [`row_dots_avx2`], one accumulator vector per quad.
+#[cfg(target_arch = "x86_64")]
+#[inline]
+#[target_feature(enable = "avx2")]
+unsafe fn dot_quads_avx2<const Q: usize>(x: *const f64, n: usize, v: &[f64], out: *mut f64) {
+    use core::arch::x86_64::*;
+    let mut acc = [_mm256_setzero_pd(); Q];
+    let mut c = 0;
+    while c + 4 <= n {
+        let b0 = _mm256_set1_pd(v[c]);
+        let b1 = _mm256_set1_pd(v[c + 1]);
+        let b2 = _mm256_set1_pd(v[c + 2]);
+        let b3 = _mm256_set1_pd(v[c + 3]);
+        for (q, a) in acc.iter_mut().enumerate() {
+            let p = x.add(4 * q * n + c);
+            let (lo02, lo13) = (row_pair(p, n), row_pair(p.add(n), n));
+            let (hi02, hi13) = (row_pair(p.add(2), n), row_pair(p.add(n + 2), n));
+            // Columns c..c+4 of the quad, one row per lane.
+            let mut s = *a;
+            s = _mm256_add_pd(s, _mm256_mul_pd(_mm256_unpacklo_pd(lo02, lo13), b0));
+            s = _mm256_add_pd(s, _mm256_mul_pd(_mm256_unpackhi_pd(lo02, lo13), b1));
+            s = _mm256_add_pd(s, _mm256_mul_pd(_mm256_unpacklo_pd(hi02, hi13), b2));
+            s = _mm256_add_pd(s, _mm256_mul_pd(_mm256_unpackhi_pd(hi02, hi13), b3));
+            *a = s;
+        }
+        c += 4;
+    }
+    while c < n {
+        let b = _mm256_set1_pd(v[c]);
+        for (q, a) in acc.iter_mut().enumerate() {
+            let p = x.add(4 * q * n + c);
+            let col = _mm256_set_pd(*p.add(3 * n), *p.add(2 * n), *p.add(n), *p);
+            *a = _mm256_add_pd(*a, _mm256_mul_pd(col, b));
+        }
+        c += 1;
+    }
+    for (q, a) in acc.iter().enumerate() {
+        _mm256_storeu_pd(out.add(4 * q), *a);
+    }
+}
 
 /// One parallel chunk of the blocked GEMM: pack the rhs slab into
 /// NR-wide column panels, each MR-row lhs micro-panel depth-major, and
@@ -573,21 +691,25 @@ pub fn tsmm(x: &DenseMatrix, left: bool) -> Result<DenseMatrix> {
     Ok(out)
 }
 
-/// Fused matrix-multiplication chain `Xᵀ (w ⊙ (X v))`.
+/// Fused matrix-multiplication chain `Xᵀ (w ⊙ (X V))` for a `d x k` `V`
+/// and an optional `n x k` `w`: column `j` of the `d x k` result is the
+/// chain on `(v_j, w_j)`, bit for bit what a one-column call computes.
 ///
 /// With `w = None` this is `Xᵀ (X v)` — the conjugate-gradient inner step of
-/// the paper's LM algorithm. The fusion avoids materializing `X v` twice and
-/// is the exact `mmchain` instruction of Table 1.
+/// the paper's LM algorithm; MLogReg's Newton-CG runs one column per class.
+/// The fusion avoids materializing `X v` twice and is the exact `mmchain`
+/// instruction of Table 1.
 ///
-/// Both phases unroll by 4 (rows in phase 1, reduction steps in phase 2)
-/// without reordering any cell's chain, and phase 2 adds every `q[i]`
-/// term unconditionally — no zero-skip — so the compressed-domain
-/// `mmchain` (DESIGN.md §4k) can reproduce the chain bit for bit.
+/// Phase 1 builds each row's dot c-ascending ([`row_dots`], rows in
+/// vector lanes), then multiplies it by `w`; phase 2 extends each output
+/// cell's r-ascending chain with `q[i] * x[i][c]`, one term at a time and
+/// unconditionally — no zero-skip — so the compressed-domain `mmchain`
+/// (DESIGN.md §4k) can reproduce the chain bit for bit.
 ///
 /// A region that runs as one chunk interleaves the phases over 32-row
-/// blocks and reads `X` once (`mmchain_sweep_body`); one large enough
-/// to fan out (`strip_len`) runs them back to back across the pool.
-/// Same chains, same bits, either way.
+/// blocks and reads `X` once for all `k` columns (`mmchain_sweep_body`);
+/// one large enough to fan out (`strip_len`) runs them back to back
+/// across the pool. Same chains, same bits, either way.
 pub fn mmchain(x: &DenseMatrix, v: &DenseMatrix, w: Option<&DenseMatrix>) -> Result<DenseMatrix> {
     mmchain_scheduled(x, v, w, false)
 }
@@ -610,38 +732,43 @@ fn mmchain_scheduled(
     w: Option<&DenseMatrix>,
     two_phase: bool,
 ) -> Result<DenseMatrix> {
-    if x.cols() != v.rows() || v.cols() != 1 {
+    let k = v.cols();
+    if x.cols() != v.rows() {
         return Err(MatrixError::DimensionMismatch {
             op: "mmchain",
             lhs: x.shape(),
             rhs: v.shape(),
         });
     }
-    if let Some(w) = w {
-        if w.rows() != x.rows() || w.cols() != 1 {
-            return Err(MatrixError::DimensionMismatch {
-                op: "mmchain",
-                lhs: x.shape(),
-                rhs: w.shape(),
-            });
-        }
+    if let Some(w) = w.filter(|w| w.shape() != (x.rows(), k)) {
+        return Err(MatrixError::DimensionMismatch {
+            op: "mmchain",
+            lhs: x.shape(),
+            rhs: w.shape(),
+        });
     }
     let (m, n) = x.shape();
-    let vv = v.values();
-    let xv = x.values();
-    let wv = w.map(|w| w.values());
-    let mut out = DenseMatrix::zeros(n, 1);
-    if m == 0 || n == 0 {
+    let mut out = DenseMatrix::zeros(n, k);
+    if m == 0 || n == 0 || k == 0 {
         return Ok(out);
     }
-    let strip = strip_len(n, 2 * m);
+    // Each `v_j` contiguous: row `j` of `t(V)`.
+    let vt = super::reorg::transpose(v);
+    let (xv, vt, wv) = (x.values(), vt.values(), w.map(DenseMatrix::values));
+    let strip = strip_len(n, 2 * m * k);
     if strip >= n && !two_phase {
-        // One region chunk: a single sweep over X.
-        exdra_par::par_chunks_mut(out.values_mut(), n, |_, _, ochunk| {
-            mmchain_sweep(xv, vv, wv, m, n, ochunk);
+        // One region chunk: a single sweep over X, into `t(out)`.
+        let mut out_t = vec![0.0; k * n];
+        exdra_par::par_chunks_mut(&mut out_t, k * n, |_, _, ochunk| {
+            mmchain_sweep(xv, vt, wv, m, n, k, ochunk);
         });
+        for (j, col) in out_t.chunks_exact(n).enumerate() {
+            for (c, &val) in col.iter().enumerate() {
+                out.values_mut()[c * k + j] = val;
+            }
+        }
     } else {
-        mmchain_phases(xv, vv, wv, m, n, strip, out.values_mut());
+        mmchain_phases(xv, vt, wv, m, n, k, strip, out.values_mut());
     }
     Ok(out)
 }
@@ -667,158 +794,126 @@ pub(crate) fn strip_len(cols: usize, work_per_col: usize) -> usize {
         .max(SWEEP_STRIP_MIN_WORK.div_ceil(work_per_col.max(1)))
 }
 
+/// Phase 1 of mmchain on a block of rows: `q[i][j] = (x_i · v_j) *
+/// w[i][j]`, `q` and `w` row-major `rows x k`, `vt` the `k` columns of
+/// `V` one after another; `dots` is scratch for at least `rows` cells.
+#[inline(always)]
+fn block_q(
+    x: &[f64],
+    n: usize,
+    vt: &[f64],
+    k: usize,
+    w: Option<&[f64]>,
+    dots: &mut [f64],
+    q: &mut [f64],
+) {
+    let rows = q.len() / k;
+    if k == 1 {
+        row_dots(x, n, vt, q);
+    } else {
+        for (j, vj) in vt.chunks_exact(n).enumerate() {
+            row_dots(x, n, vj, &mut dots[..rows]);
+            for (i, &d) in dots[..rows].iter().enumerate() {
+                q[i * k + j] = d;
+            }
+        }
+    }
+    if let Some(w) = w {
+        for (qi, &wi) in q.iter_mut().zip(w) {
+            *qi *= wi;
+        }
+    }
+}
+
 /// The two-phase mmchain schedule for regions large enough to fan out:
-/// `q = (X v) ⊙ w` over disjoint row blocks, then `out = Xᵀ q` over
-/// disjoint column strips of `strip` columns. Two passes over `X`, each
-/// shared by the pool.
+/// `q = (X V) ⊙ w` over disjoint row blocks, then `out = Xᵀ q` as the
+/// [`matmul_tn`] row sweep in strips of `strip` columns of `X`. Two
+/// passes over `X`, each shared by the pool.
+#[allow(clippy::too_many_arguments)]
 fn mmchain_phases(
     xv: &[f64],
-    vv: &[f64],
+    vt: &[f64],
     wv: Option<&[f64]>,
     m: usize,
     n: usize,
+    k: usize,
     strip: usize,
     out: &mut [f64],
 ) {
-    let mut q = vec![0.0; m];
-    exdra_par::par_chunks_mut(
-        &mut q,
-        exdra_par::chunk_len(m, par_floor(n)),
-        |_, i0, chunk| {
-            mmchain_q_chunk(xv, vv, wv, n, i0, chunk);
-        },
-    );
-    let q = &q;
-    exdra_par::par_chunks_mut(out, strip, |_, j0, ochunk| {
-        mmchain_xtq_chunk(xv, q, m, n, j0, ochunk);
+    let mut q = vec![0.0; m * k];
+    let rows_per_chunk = exdra_par::chunk_len(m, par_floor(n * k));
+    exdra_par::par_chunks_mut(&mut q, rows_per_chunk * k, |_, cell0, chunk| {
+        // Block by block, so the `k` columns share each block's read.
+        let mut dots = [0.0f64; MMCHAIN_BLOCK_ROWS];
+        let cells = MMCHAIN_BLOCK_ROWS * k;
+        for (b, qb) in chunk.chunks_mut(cells).enumerate() {
+            let c0 = cell0 + b * cells;
+            let (i0, rows) = (c0 / k, qb.len() / k);
+            let w = wv.map(|w| &w[c0..c0 + qb.len()]);
+            block_q(&xv[i0 * n..(i0 + rows) * n], n, vt, k, w, &mut dots, qb);
+        }
     });
+    tn_strips(xv, n, &q, k, m, strip, out);
 }
 
 /// Rows per block of the one-pass mmchain sweep: a block of `X`
 /// (32 x 100 doubles = 25 KiB) is still in L1 when phase 2 re-reads it.
 const MMCHAIN_BLOCK_ROWS: usize = 32;
 
-/// The one-pass mmchain: per row block, phase 1 on the block's rows, then
-/// phase 2 of the same rows, `out` carried across blocks. Each `q[i]` and
-/// each output cell is the chain the two-phase schedule builds, so the
-/// bits are the same — and `X` is read from memory once.
+/// The one-pass mmchain: per row block, phase 1 on the block's rows for
+/// all `k` columns, then phase 2 of the same rows into `out_t = t(out)`
+/// (`k x n`), carried across blocks. Each `q[i][j]` and each output cell
+/// is the chain the two-phase schedule builds, so the bits are the same —
+/// and `X` is read from memory once, whatever `k`. Phase 2 walks the
+/// block four rows at a time, and each step asks for the matching rows of
+/// the next block, so they arrive while this block's arithmetic runs.
 #[inline(always)]
 fn mmchain_sweep_body(
     xv: &[f64],
-    vv: &[f64],
+    vt: &[f64],
     wv: Option<&[f64]>,
     m: usize,
     n: usize,
-    out: &mut [f64],
+    k: usize,
+    out_t: &mut [f64],
 ) {
-    let mut q = [0.0f64; MMCHAIN_BLOCK_ROWS];
+    let mut q = vec![0.0f64; MMCHAIN_BLOCK_ROWS * k];
+    let mut dots = [0.0f64; MMCHAIN_BLOCK_ROWS];
     for i0 in (0..m).step_by(MMCHAIN_BLOCK_ROWS) {
         let rows = MMCHAIN_BLOCK_ROWS.min(m - i0);
-        mmchain_q_chunk_body(xv, vv, wv, n, i0, &mut q[..rows]);
-        mmchain_xtq_chunk_body(&xv[i0 * n..(i0 + rows) * n], &q[..rows], rows, n, 0, out);
+        let block = &xv[i0 * n..(i0 + rows) * n];
+        let q = &mut q[..rows * k];
+        let w = wv.map(|w| &w[i0 * k..(i0 + rows) * k]);
+        block_q(block, n, vt, k, w, &mut dots, q);
+        let next = &xv[(i0 + rows) * n..];
+        for r in (0..rows).step_by(4) {
+            let h = 4.min(rows - r);
+            prefetch(&next[(r * n).min(next.len())..((r + h) * n).min(next.len())]);
+            tn_block_body(&q[r * k..], k, &block[r * n..], n, h, n, out_t);
+        }
     }
 }
 avx2_twin!(mmchain_sweep / mmchain_sweep_avx2 => mmchain_sweep_body(
-    xv: &[f64], vv: &[f64], wv: Option<&[f64]>, m: usize, n: usize, out: &mut [f64]
+    xv: &[f64], vt: &[f64], wv: Option<&[f64]>, m: usize, n: usize, k: usize, out_t: &mut [f64]
 ));
 
-/// One parallel chunk of mmchain phase 1: `q[i] = w[i] * (x[i] · v)`.
+/// Asks the cache hierarchy for every line of `cells` (a hint: no
+/// effect on any value).
 #[inline(always)]
-fn mmchain_q_chunk_body(
-    xv: &[f64],
-    vv: &[f64],
-    wv: Option<&[f64]>,
-    n: usize,
-    i0: usize,
-    chunk: &mut [f64],
-) {
-    let rows = chunk.len();
-    let mut d = 0;
-    while d + 4 <= rows {
-        let base = (i0 + d) * n;
-        let r0 = &xv[base..base + n];
-        let r1 = &xv[base + n..base + 2 * n];
-        let r2 = &xv[base + 2 * n..base + 3 * n];
-        let r3 = &xv[base + 3 * n..base + 4 * n];
-        let (mut a0, mut a1, mut a2, mut a3) = (0.0, 0.0, 0.0, 0.0);
-        for (c, &b) in vv.iter().enumerate() {
-            a0 += r0[c] * b;
-            a1 += r1[c] * b;
-            a2 += r2[c] * b;
-            a3 += r3[c] * b;
+fn prefetch(cells: &[f64]) {
+    #[cfg(target_arch = "x86_64")]
+    {
+        use core::arch::x86_64::{_mm_prefetch, _MM_HINT_T0};
+        // Eight doubles per 64-byte line, plus the last cell's line.
+        let lines = cells.iter().step_by(8).chain(cells.last());
+        for c in lines {
+            // SAFETY: a prefetch never faults; the address is a live cell.
+            unsafe { _mm_prefetch::<_MM_HINT_T0>((c as *const f64).cast()) };
         }
-        if let Some(wv) = wv {
-            a0 *= wv[i0 + d];
-            a1 *= wv[i0 + d + 1];
-            a2 *= wv[i0 + d + 2];
-            a3 *= wv[i0 + d + 3];
-        }
-        chunk[d] = a0;
-        chunk[d + 1] = a1;
-        chunk[d + 2] = a2;
-        chunk[d + 3] = a3;
-        d += 4;
     }
-    while d < rows {
-        let row = &xv[(i0 + d) * n..(i0 + d + 1) * n];
-        let mut acc = 0.0;
-        for (a, b) in row.iter().zip(vv) {
-            acc += a * b;
-        }
-        if let Some(wv) = wv {
-            acc *= wv[i0 + d];
-        }
-        chunk[d] = acc;
-        d += 1;
-    }
+    #[cfg(not(target_arch = "x86_64"))]
+    let _ = cells;
 }
-avx2_twin!(mmchain_q_chunk / mmchain_q_chunk_avx2 => mmchain_q_chunk_body(
-    xv: &[f64], vv: &[f64], wv: Option<&[f64]>, n: usize, i0: usize, chunk: &mut [f64]
-));
-
-/// One parallel chunk of mmchain phase 2: `out[j] += Σ_i q[i]·x[i][j]`.
-/// Each out[j] accumulates i-ascending, one term at a time (4 rows per
-/// pass, cell held in a register between the adds), so bits match at any
-/// split — and match the compressed-domain walk.
-#[inline(always)]
-fn mmchain_xtq_chunk_body(
-    xv: &[f64],
-    q: &[f64],
-    m: usize,
-    n: usize,
-    j0: usize,
-    ochunk: &mut [f64],
-) {
-    let width = ochunk.len();
-    let mut i = 0;
-    while i + 4 <= m {
-        let (q0, q1, q2, q3) = (q[i], q[i + 1], q[i + 2], q[i + 3]);
-        let r0 = &xv[i * n + j0..i * n + j0 + width];
-        let r1 = &xv[(i + 1) * n + j0..(i + 1) * n + j0 + width];
-        let r2 = &xv[(i + 2) * n + j0..(i + 2) * n + j0 + width];
-        let r3 = &xv[(i + 3) * n + j0..(i + 3) * n + j0 + width];
-        for (d, o) in ochunk.iter_mut().enumerate() {
-            let mut t = *o;
-            t += q0 * r0[d];
-            t += q1 * r1[d];
-            t += q2 * r2[d];
-            t += q3 * r3[d];
-            *o = t;
-        }
-        i += 4;
-    }
-    while i < m {
-        let qi = q[i];
-        let seg = &xv[i * n + j0..i * n + j0 + width];
-        for (o, &a) in ochunk.iter_mut().zip(seg) {
-            *o += qi * a;
-        }
-        i += 1;
-    }
-}
-avx2_twin!(mmchain_xtq_chunk / mmchain_xtq_chunk_avx2 => mmchain_xtq_chunk_body(
-    xv: &[f64], q: &[f64], m: usize, n: usize, j0: usize, ochunk: &mut [f64]
-));
 
 /// Naive triple-loop reference used by tests to validate the tiled kernel.
 pub fn matmul_naive(lhs: &DenseMatrix, rhs: &DenseMatrix) -> Result<DenseMatrix> {
@@ -1078,21 +1173,70 @@ mod tests {
 
     #[test]
     fn one_pass_mmchain_is_bitwise_two_phase() {
-        // Rows on and off the 32-row block and the 4-row unroll.
+        // Rows on and off the 32-row block, the 16-row lane group and the
+        // 4-row step; one column and three.
         for m in [1, 31, 32, 33, 100, 131] {
             let n = 13;
             let x = rand_matrix(m, n, -1.0, 1.0, 21);
-            let v = rand_matrix(n, 1, -1.0, 1.0, 22);
-            let w = rand_matrix(m, 1, 0.0, 1.0, 23);
-            for w in [None, Some(&w)] {
-                let wv = w.map(|w| w.values());
-                let got = mmchain(&x, &v, w).unwrap();
-                for strip in [1, 5, n] {
-                    let mut want = DenseMatrix::zeros(n, 1);
-                    mmchain_phases(x.values(), v.values(), wv, m, n, strip, want.values_mut());
-                    assert_eq!(bits(&got), bits(&want), "m {m} strip {strip}");
+            for k in [1, 3] {
+                let v = rand_matrix(n, k, -1.0, 1.0, 22);
+                let w = rand_matrix(m, k, 0.0, 1.0, 23);
+                let vt = super::super::reorg::transpose(&v);
+                for w in [None, Some(&w)] {
+                    let wv = w.map(|w| w.values());
+                    let got = mmchain(&x, &v, w).unwrap();
+                    for strip in [1, 5, n] {
+                        let mut want = DenseMatrix::zeros(n, k);
+                        let out = want.values_mut();
+                        mmchain_phases(x.values(), vt.values(), wv, m, n, k, strip, out);
+                        assert_eq!(bits(&got), bits(&want), "m {m} k {k} strip {strip}");
+                    }
                 }
             }
+        }
+    }
+
+    #[test]
+    fn row_dots_twins_are_bitwise_equal() {
+        // The dispatcher picks the widest twin, so the portable body is
+        // pinned explicitly: rows off the 16-row group and the 4-row quad,
+        // columns off the 4-column transpose, and one special per row —
+        // NaNs with distinct payloads, ±Inf, -0.0 — so a row's NaN, if
+        // any, has one source and its payload must come through.
+        let payload = |p: u64| f64::from_bits(0x7ff8_0000_0000_0000 | p);
+        for (rows, n) in [(37, 13), (16, 4), (5, 1), (21, 7), (64, 100), (3, 0)] {
+            let mut x = rand_matrix(rows, n, -1.0, 1.0, 31 + n as u64);
+            for r in (0..rows).filter(|_| n > 0) {
+                let special = [
+                    payload(r as u64 + 1),
+                    f64::INFINITY,
+                    -0.0,
+                    f64::NEG_INFINITY,
+                ];
+                x.set(r, (r * 5) % n, special[r % 4]);
+            }
+            let v = rand_matrix(n, 1, -1.0, 1.0, 32);
+            let mut want = vec![0.0; rows];
+            row_dots_scalar(x.values(), n, v.values(), &mut want);
+            let want: Vec<u64> = want.iter().map(|d| d.to_bits()).collect();
+            // Every row is the one c-ascending chain.
+            for (r, &b) in want.iter().enumerate() {
+                let row = &x.values()[r * n..(r + 1) * n];
+                let chain = row.iter().zip(v.values()).fold(0.0, |a, (x, v)| a + x * v);
+                assert_eq!(b, chain.to_bits(), "{rows}x{n} row {r}");
+            }
+            let got_bits = |f: &dyn Fn(&mut [f64])| {
+                let mut got = vec![0.0; rows];
+                f(&mut got);
+                got.iter().map(|d| d.to_bits()).collect::<Vec<_>>()
+            };
+            #[cfg(target_arch = "x86_64")]
+            if avx2_available() {
+                let got = got_bits(&|o| unsafe { row_dots_avx2(x.values(), n, v.values(), o) });
+                assert_eq!(got, want, "avx2, {rows}x{n}");
+            }
+            let got = got_bits(&|o| row_dots(x.values(), n, v.values(), o));
+            assert_eq!(got, want, "dispatch, {rows}x{n}");
         }
     }
 

@@ -12,7 +12,8 @@
 //!   materialized transpose across its block height and slab; so do the
 //!   `t(A) %*% B` row sweep (against naive on the materialized
 //!   transpose) and the one-pass `mmchain` (against the two-phase
-//!   schedule), whose splits only ever divide the output;
+//!   schedule), whose splits only ever divide the output; a k-column
+//!   `mmchain`, local or compressed, is k single-column ones;
 //! * every compressed op agrees with decompress-then-dense-op exactly,
 //!   so the worker may execute on column groups without changing a
 //!   single output bit.
@@ -24,6 +25,7 @@
 
 mod oracle;
 
+use exdra_core::Tensor;
 use exdra_matrix::compress::CompressedMatrix;
 use exdra_matrix::kernels::aggregates::{aggregate, AggDir, AggOp};
 use exdra_matrix::kernels::elementwise::{binary, scalar, unary, BinaryOp, UnaryOp};
@@ -457,6 +459,48 @@ proptest! {
         let out = widths_agree("mmchain", || mmchain(&x, &v, wm).expect("shapes"));
         let oracle = widths_agree("mmchain-2p", || mmchain_two_phase(&x, &v, wm).expect("shapes"));
         prop_assert!(same_bits(&out, &oracle), "one pass differs from two phases");
+    }
+
+    #[test]
+    fn k_column_mmchain_is_bitwise_k_single_columns(
+        rows in prop_oneof![1usize..=40, 508usize..=520, 1usize..=2500],
+        schemes in proptest::collection::vec(scheme(), 1..=13),
+        k in 1usize..=9,
+        weighted in proptest::bool::ANY,
+        special in proptest::bool::ANY,
+        seed in 0u64..1_000_000,
+    ) {
+        // Local and compressed `X`, 1..=13 columns (off the 4-column
+        // transposes), rows across the 16-row lane groups and the row
+        // block: every column of one k-column call is the single-column
+        // two-phase kernel on its own `(v_j, w_j)`.
+        let d = scheme_matrix(rows, &schemes, seed, special);
+        let v = rand_matrix(d.cols(), k, -1.0, 1.0, seed + 1);
+        let w = rand_matrix(rows, k, 0.0, 1.0, seed + 2);
+        let wm = weighted.then_some(&w);
+        let column = |m: &DenseMatrix, j: usize| {
+            DenseMatrix::new(m.rows(), 1, (0..m.rows()).map(|r| m.get(r, j)).collect())
+                .expect("one column")
+        };
+        let mut want = DenseMatrix::zeros(d.cols(), k);
+        for j in 0..k {
+            let wj = wm.map(|w| column(w, j));
+            let col = mmchain_two_phase(&d, &column(&v, j), wj.as_ref()).expect("shapes");
+            for r in 0..d.cols() {
+                want.set(r, j, col.get(r, 0));
+            }
+        }
+        // NaN payloads are the one thing a code path may pick (see
+        // `same_cells`); without planted specials the bits are exact.
+        let agree = |a: &DenseMatrix, b: &DenseMatrix| {
+            if special { same_cells(a, b) } else { same_bits(a, b) }
+        };
+        let local = Tensor::Local(d.clone());
+        let got = widths_agree("k-mmchain", || local.mmchain(&v, wm).expect("shapes"));
+        prop_assert!(agree(&got, &want), "local, k = {}, weighted: {}", k, weighted);
+        let compressed = Tensor::Compressed(CompressedMatrix::compress(&d));
+        let got = widths_agree("c-k-mmchain", || compressed.mmchain(&v, wm).expect("shapes"));
+        prop_assert!(agree(&got, &want), "compressed, k = {}, weighted: {}", k, weighted);
     }
 
     #[test]

@@ -202,3 +202,72 @@ fn worker_rejects_a_bin_matrix_larger_than_its_file_and_keeps_serving() {
     );
     std::fs::remove_dir_all(&dir).unwrap();
 }
+
+/// The kernel behind `MmChain` takes a `d x k` `v` and an `n x k` `w`, so
+/// a worker checks more shapes than one column's. A `v` whose rows miss
+/// `X`'s columns, or a `w` whose rows or columns miss `X`'s rows or `v`'s
+/// columns, comes back as a typed `FedError::Worker` naming the mismatch
+/// (never a panic) on a dense partition and on a compacted one, and the
+/// worker goes on serving the well-formed chain bit for bit.
+#[test]
+fn malformed_mmchain_is_a_typed_error_and_the_worker_keeps_serving() {
+    use exdra::core::coordinator::expect_ok;
+    use exdra::core::{FedError, FedMatrix, Tensor};
+    use exdra::matrix::kernels::matmul::mmchain;
+    use exdra::matrix::rng::rand_matrix;
+
+    let (ctx, workers) = exdra::core::testutil::mem_federation(1);
+    let x = rand_matrix(60, 4, 0.0, 4.0, 7).map(f64::floor);
+    let fed = FedMatrix::scatter_rows(&ctx, &x, exdra::PrivacyLevel::Public).unwrap();
+    let v = rand_matrix(4, 2, -1.0, 1.0, 8);
+    let w = rand_matrix(60, 2, 0.0, 1.0, 9);
+    let put = |id: u64, m: exdra::DenseMatrix| Request::Put {
+        id,
+        data: DataValue::from(m),
+        privacy: exdra::PrivacyLevel::Public,
+    };
+    let bits = |m: &exdra::DenseMatrix| m.values().iter().map(|c| c.to_bits()).collect::<Vec<_>>();
+    let mut id = 9_000;
+    for compacted in [false, true] {
+        if compacted {
+            assert!(workers[0].compact(0, std::time::Duration::ZERO) >= 1);
+        }
+        for (what, bad_v, bad_w) in [
+            ("v with 5 rows", rand_matrix(5, 2, -1.0, 1.0, 10), None),
+            (
+                "w with 3 columns",
+                v.clone(),
+                Some(rand_matrix(60, 3, 0.0, 1.0, 11)),
+            ),
+            (
+                "w with 59 rows",
+                v.clone(),
+                Some(rand_matrix(59, 2, 0.0, 1.0, 12)),
+            ),
+        ] {
+            id += 10;
+            let mut batch = vec![put(id, bad_v)];
+            batch.extend(bad_w.map(|bw| put(id + 1, bw)));
+            batch.push(Request::ExecInst {
+                inst: Instruction::MmChain {
+                    x: fed.parts()[0].id,
+                    v: id,
+                    w: (batch.len() == 2).then_some(id + 1),
+                    out: id + 2,
+                },
+            });
+            let responses = ctx.call(0, &batch).unwrap();
+            let err = responses
+                .iter()
+                .find_map(|r| expect_ok(r, 0).err())
+                .unwrap_or_else(|| panic!("{what}, compacted {compacted}: no error"));
+            assert!(
+                matches!(&err, FedError::Worker { msg, .. }
+                    if msg.contains("mmchain") && !msg.contains("panicked")),
+                "{what}, compacted {compacted}: {err:?}"
+            );
+        }
+        let got = Tensor::Fed(fed.clone()).mmchain(&v, Some(&w)).unwrap();
+        assert_eq!(bits(&got), bits(&mmchain(&x, &v, Some(&w)).unwrap()));
+    }
+}
