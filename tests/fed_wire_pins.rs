@@ -621,14 +621,14 @@ const MATMUL_PINS: &[(&str, Pin)] = &[
     ),
     ("tsmm fed_col", p(0, 0, 0, 0x14629465d8d2c0c8, [0, 0, 0])),
     ("mmchain k=1", p(3, 462, 306, 0x508a64d1efb723f1, [0, 0, 0])),
-    ("mmchain k=2", p(3, 822, 489, 0x2f18de688d4f0345, [0, 0, 0])),
+    ("mmchain k=2", p(3, 582, 426, 0x2f18de688d4f0345, [0, 0, 0])),
     (
         "mmchain k=1 local w",
         p(3, 810, 309, 0xc5f2d87bd18fe192, [0, 0, 0]),
     ),
     (
         "mmchain k=2 local w",
-        p(3, 1518, 495, 0x9e912bf71c7fc01e, [0, 0, 0]),
+        p(3, 1122, 429, 0x9e912bf71c7fc01e, [0, 0, 0]),
     ),
     (
         "mmchain k=1 fed w",
@@ -636,7 +636,7 @@ const MATMUL_PINS: &[(&str, Pin)] = &[
     ),
     (
         "mmchain k=2 fed w",
-        p(3, 1218, 495, 0xaad4dc47509ab406, [0, 0, 0]),
+        p(3, 606, 426, 0xaad4dc47509ab406, [0, 0, 0]),
     ),
     (
         "rbind(X, X) %*% local",
@@ -656,11 +656,11 @@ const MATMUL_PINS: &[(&str, Pin)] = &[
     ),
     (
         "mmchain k=2 local w on rbind(X, X)",
-        p(3, 2508, 864, 0x56eb58551c42b734, [0, 0, 0]),
+        p(3, 1824, 735, 0x56eb58551c42b734, [0, 0, 0]),
     ),
     (
         "mmchain k=2 fed w on rbind(X, X)",
-        p(3, 1908, 864, 0xe091ddcd493d46a5, [0, 0, 0]),
+        p(3, 792, 729, 0xe091ddcd493d46a5, [0, 0, 0]),
     ),
     ("mmchain fed_col", p(0, 0, 0, 0x16b43c677440c93e, [0, 0, 0])),
 ];
