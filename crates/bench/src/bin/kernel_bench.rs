@@ -4,7 +4,8 @@
 //! `eigen_symmetric` (report only), the element-wise and aggregate
 //! kernels on K-Means' shapes against their per-cell oracle (`ew_agg`,
 //! bitwise-checked), the `t(A) %*% B` row sweep vs
-//! transpose-then-GEMM, one-pass vs two-phase mmchain, and
+//! transpose-then-GEMM, one-pass vs two-phase mmchain, a k = 3 mmchain
+//! vs three one-column calls (bitwise-checked), and
 //! compressed-domain operators (dense, column groups, and a worker
 //! holding the dense twin) on a mixed frame and on one `lan_compressed`
 //! partition, plus two end-to-end worker workloads on a compacted frame:
@@ -34,7 +35,7 @@ use exdra_matrix::kernels::elementwise::{binary, scalar, BinaryOp};
 use exdra_matrix::kernels::matmul::{
     matmul, matmul_naive, matmul_tn, mmchain, mmchain_two_phase, tsmm,
 };
-use exdra_matrix::kernels::reorg::transpose;
+use exdra_matrix::kernels::reorg::{cbind, index, transpose};
 use exdra_matrix::rng::rand_matrix;
 use exdra_matrix::DenseMatrix;
 
@@ -360,12 +361,12 @@ fn main() {
     json.push(format!("  \"t_matmul\": [\n{}\n  ]", tn_rows.join(",\n")));
 
     // ---- mmchain: one pass vs two phases ------------------------------
-    // The kernel runs the one-pass sweep when its region is one strip
-    // and the two-phase schedule when it fans out (DESIGN.md §4k has the
-    // width table this choice was calibrated on).
+    // The kernel always runs the one-pass sweep on one thread; the
+    // two-phase schedule fans out over the pool as `strip_len` allows
+    // (DESIGN.md §4k has the table that retired the fan-out).
     let mut table = Table::new(
-        "mmchain t(X)*(X*v), X rows x 100: schedule the kernel picks vs two-phase forced",
-        &["rows", "width", "picked", "two-phase", "ratio"],
+        "mmchain t(X)*(X*v), X rows x 100: one-pass sweep vs two-phase schedule",
+        &["rows", "width", "one pass", "two-phase", "ratio"],
     );
     let mut mc_rows = Vec::new();
     let chain_rows: &[usize] = if quick { &[20_000] } else { &[40_000, 200_000] };
@@ -373,7 +374,7 @@ fn main() {
         let x = rand_matrix(rows, 100, -1.0, 1.0, 13);
         let v = rand_matrix(100, 1, -1.0, 1.0, 14);
         for width in [1, 2, 4] {
-            let (picked_t, two_t) = exdra_par::with_threads(width, || {
+            let (one_t, two_t) = exdra_par::with_threads(width, || {
                 assert_eq!(
                     bits(&mmchain(&x, &v, None).expect("shapes")),
                     bits(&mmchain_two_phase(&x, &v, None).expect("shapes")),
@@ -390,12 +391,12 @@ fn main() {
             table.row(&[
                 rows.to_string(),
                 width.to_string(),
-                secs(picked_t),
+                secs(one_t),
                 secs(two_t),
-                format!("{:.2}x", two_t / picked_t.max(1e-12)),
+                format!("{:.2}x", two_t / one_t.max(1e-12)),
             ]);
             mc_rows.push(format!(
-                "    {{\"rows\": {rows}, \"width\": {width}, \"picked_secs\": {picked_t:.6}, \
+                "    {{\"rows\": {rows}, \"width\": {width}, \"one_pass_secs\": {one_t:.6}, \
                  \"two_phase_secs\": {two_t:.6}}}"
             ));
         }
@@ -405,6 +406,51 @@ fn main() {
         "  \"mmchain_schedules\": [\n{}\n  ]",
         mc_rows.join(",\n")
     ));
+
+    // ---- mmchain with k = 3 columns: one call vs three ----------------
+    // MLogReg's Newton-CG shape: one k-column call sweeps X once for all
+    // columns; column j must be bitwise the one-column call on (v_j, w_j).
+    let mut table = Table::new(
+        "mmchain t(X)*(w.*(X*V)), X 40000x100, V 100x3: one call vs three one-column calls",
+        &["width", "one call", "three calls", "ratio"],
+    );
+    let mut k3_rows = Vec::new();
+    let x = rand_matrix(40_000, 100, -1.0, 1.0, 13);
+    let v = rand_matrix(100, 3, -1.0, 1.0, 14);
+    let w = rand_matrix(40_000, 3, 0.0, 1.0, 15);
+    let column = |m: &DenseMatrix, j: usize| index(m, 0, m.rows(), j, j + 1).expect("column");
+    let (vs, ws): (Vec<_>, Vec<_>) = (0..3).map(|j| (column(&v, j), column(&w, j))).unzip();
+    let three = || {
+        let cols: Vec<_> = (0..3)
+            .map(|j| mmchain(&x, &vs[j], Some(&ws[j])).expect("shapes"))
+            .collect();
+        cbind(&cbind(&cols[0], &cols[1]).expect("rows"), &cols[2]).expect("rows")
+    };
+    for width in [1, 2] {
+        let (one_t, three_t) = exdra_par::with_threads(width, || {
+            assert_eq!(
+                bits(&mmchain(&x, &v, Some(&w)).expect("shapes")),
+                bits(&three()),
+                "a k = 3 mmchain differs from three one-column calls"
+            );
+            (
+                time_reps(cfg.reps, || mmchain(&x, &v, Some(&w)).expect("shapes")).0,
+                time_reps(cfg.reps, three).0,
+            )
+        });
+        table.row(&[
+            width.to_string(),
+            secs(one_t),
+            secs(three_t),
+            format!("{:.2}x", three_t / one_t.max(1e-12)),
+        ]);
+        k3_rows.push(format!(
+            "    {{\"rows\": 40000, \"k\": 3, \"width\": {width}, \"one_call_secs\": {one_t:.6}, \
+             \"three_calls_secs\": {three_t:.6}}}"
+        ));
+    }
+    table.print();
+    json.push(format!("  \"mmchain_k3\": [\n{}\n  ]", k3_rows.join(",\n")));
 
     // ---- compressed-domain operators ----------------------------------
     // Same op on the dense frame and on its column groups, on the mixed

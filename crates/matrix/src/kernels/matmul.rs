@@ -706,17 +706,17 @@ pub fn tsmm(x: &DenseMatrix, left: bool) -> Result<DenseMatrix> {
 /// unconditionally — no zero-skip — so the compressed-domain `mmchain`
 /// (DESIGN.md §4k) can reproduce the chain bit for bit.
 ///
-/// A region that runs as one chunk interleaves the phases over 32-row
-/// blocks and reads `X` once for all `k` columns (`mmchain_sweep_body`);
-/// one large enough to fan out (`strip_len`) runs them back to back
-/// across the pool. Same chains, same bits, either way.
+/// The phases interleave over 32-row blocks, so `X` is read once for all
+/// `k` columns (`mmchain_sweep_body`), on one thread: at memory speed the
+/// sweep beats the two-phase schedule fanned out over two threads at
+/// every size measured (DESIGN.md §4k).
 pub fn mmchain(x: &DenseMatrix, v: &DenseMatrix, w: Option<&DenseMatrix>) -> Result<DenseMatrix> {
     mmchain_scheduled(x, v, w, false)
 }
 
-/// [`mmchain`] on the two-phase schedule whatever the region size: the
-/// oracle the one-pass sweep is pinned to, and `kernel_bench`'s other
-/// column.
+/// [`mmchain`] on the two-phase schedule, fanned out over the pool as
+/// `strip_len` allows: the oracle the one-pass sweep is pinned to, and
+/// `kernel_bench`'s other column.
 #[doc(hidden)]
 pub fn mmchain_two_phase(
     x: &DenseMatrix,
@@ -755,20 +755,20 @@ fn mmchain_scheduled(
     // Each `v_j` contiguous: row `j` of `t(V)`.
     let vt = super::reorg::transpose(v);
     let (xv, vt, wv) = (x.values(), vt.values(), w.map(DenseMatrix::values));
-    let strip = strip_len(n, 2 * m * k);
-    if strip >= n && !two_phase {
-        // One region chunk: a single sweep over X, into `t(out)`.
-        let mut out_t = vec![0.0; k * n];
-        exdra_par::par_chunks_mut(&mut out_t, k * n, |_, _, ochunk| {
-            mmchain_sweep(xv, vt, wv, m, n, k, ochunk);
-        });
-        for (j, col) in out_t.chunks_exact(n).enumerate() {
-            for (c, &val) in col.iter().enumerate() {
-                out.values_mut()[c * k + j] = val;
-            }
-        }
-    } else {
+    if two_phase {
+        let strip = strip_len(n, 2 * m * k);
         mmchain_phases(xv, vt, wv, m, n, k, strip, out.values_mut());
+        return Ok(out);
+    }
+    // One region chunk: a single sweep over X, into `t(out)`.
+    let mut out_t = vec![0.0; k * n];
+    exdra_par::par_chunks_mut(&mut out_t, k * n, |_, _, ochunk| {
+        mmchain_sweep(xv, vt, wv, m, n, k, ochunk);
+    });
+    for (j, col) in out_t.chunks_exact(n).enumerate() {
+        for (c, &val) in col.iter().enumerate() {
+            out.values_mut()[c * k + j] = val;
+        }
     }
     Ok(out)
 }
@@ -777,9 +777,8 @@ fn mmchain_scheduled(
 /// before the sweep fans out. Far above [`super::PAR_MIN_WORK`]: every
 /// strip re-streams all rows of its operand, so splitting a memory-bound
 /// sweep buys traffic, not time. Calibrated on the measured width table
-/// of DESIGN.md §4k: `t(X) y` and `mmchain` on 40k x 100 (4M / 8M
-/// multiply-adds) are fastest as one strip at every width, K-Means'
-/// `t(P) X` (80M) and `mmchain` on 200k x 100 (40M) as one strip per
+/// of DESIGN.md §4k: `t(X) y` on 40k x 100 (4M multiply-adds) is fastest
+/// as one strip at every width, K-Means' `t(P) X` (80M) as one strip per
 /// thread.
 const SWEEP_STRIP_MIN_WORK: usize = 1 << 23;
 
@@ -825,8 +824,8 @@ fn block_q(
     }
 }
 
-/// The two-phase mmchain schedule for regions large enough to fan out:
-/// `q = (X V) ⊙ w` over disjoint row blocks, then `out = Xᵀ q` as the
+/// The two-phase mmchain schedule behind [`mmchain_two_phase`]: `q = (X
+/// V) ⊙ w` over disjoint row blocks, then `out = Xᵀ q` as the
 /// [`matmul_tn`] row sweep in strips of `strip` columns of `X`. Two
 /// passes over `X`, each shared by the pool.
 #[allow(clippy::too_many_arguments)]
@@ -860,13 +859,19 @@ fn mmchain_phases(
 /// (32 x 100 doubles = 25 KiB) is still in L1 when phase 2 re-reads it.
 const MMCHAIN_BLOCK_ROWS: usize = 32;
 
+/// Cells of `X` (1 MiB) below which the sweep does not prefetch: such an
+/// `X` stays in L2 from one call to the next, and the prefetches would
+/// only add instructions and push the live block out of L1.
+const PREFETCH_MIN_CELLS: usize = 1 << 17;
+
 /// The one-pass mmchain: per row block, phase 1 on the block's rows for
 /// all `k` columns, then phase 2 of the same rows into `out_t = t(out)`
 /// (`k x n`), carried across blocks. Each `q[i][j]` and each output cell
 /// is the chain the two-phase schedule builds, so the bits are the same —
 /// and `X` is read from memory once, whatever `k`. Phase 2 walks the
-/// block four rows at a time, and each step asks for the matching rows of
-/// the next block, so they arrive while this block's arithmetic runs.
+/// block four rows at a time, and on an `X` too large to stay in cache
+/// each step asks for the matching rows of the next block, so they arrive
+/// while this block's arithmetic runs.
 #[inline(always)]
 fn mmchain_sweep_body(
     xv: &[f64],
@@ -885,7 +890,11 @@ fn mmchain_sweep_body(
         let q = &mut q[..rows * k];
         let w = wv.map(|w| &w[i0 * k..(i0 + rows) * k]);
         block_q(block, n, vt, k, w, &mut dots, q);
-        let next = &xv[(i0 + rows) * n..];
+        let next = if xv.len() >= PREFETCH_MIN_CELLS {
+            &xv[(i0 + rows) * n..]
+        } else {
+            &[]
+        };
         for r in (0..rows).step_by(4) {
             let h = 4.min(rows - r);
             prefetch(&next[(r * n).min(next.len())..((r + h) * n).min(next.len())]);

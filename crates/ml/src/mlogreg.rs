@@ -5,8 +5,9 @@
 //! system, where "each inner iteration performs an `Xᵀ(w ⊙ (Xv))` on the
 //! federated X" (paper §6.2) — the weighted `mmchain` instruction. We run
 //! one CG solve per class block against the diagonal Fisher approximation,
-//! all classes in lock-step, so each inner iteration is one federated
-//! round whatever the number of classes.
+//! all classes in lock-step, so each inner iteration is one `k`-column
+//! `mmchain`: one sweep of X (one `MmChain` per partition on federated
+//! data, one federated round) whatever the number of classes.
 
 use exdra_core::{Result, Tensor};
 use exdra_matrix::kernels::elementwise::BinaryOp;
@@ -59,8 +60,9 @@ fn probabilities(x: &Tensor, w: &DenseMatrix) -> Result<Tensor> {
 ///
 /// On federated `x` one outer iteration costs `1 + max_inner` request
 /// rounds: the gradient, then one `mmchain` round per CG iteration for all
-/// classes together. Probabilities, residuals and Fisher weights stay at
-/// the sites; only `d x k` aggregates reach the coordinator.
+/// classes together, which each site answers with one sweep of its rows.
+/// Probabilities, residuals and Fisher weights stay at the sites; only
+/// `d x k` aggregates reach the coordinator.
 pub fn mlogreg(
     x: &Tensor,
     y: &DenseMatrix,
@@ -121,7 +123,7 @@ fn fit(
 
 /// The per-class CG solves run in lock-step: they are independent, so
 /// iteration `t` of all of them shares one `Xᵀ(q ⊙ (X dir))` over the
-/// `d x k` direction matrix. Each class keeps its own `alpha`, `beta` and
+/// `d x k` direction matrix, one pass over X for all `k` columns. Each class keeps its own `alpha`, `beta` and
 /// `rr`, and a class whose `rr` fell below `1e-18` is frozen, exactly as
 /// if it had been solved on its own (few iterations suffice for a
 /// Newton-CG step). The weights are computed where `P` lives, so for
