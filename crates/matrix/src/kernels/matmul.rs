@@ -328,6 +328,10 @@ fn row_dots_scalar(x: &[f64], n: usize, v: &[f64], out: &mut [f64]) {
 /// lane `i` extends row `i`'s chain with `x[i][c] * v[c]`, c ascending.
 /// Separate `vmulpd`/`vaddpd`, no FMA: lane-wise the scalar body's
 /// rounding.
+///
+/// # Safety
+///
+/// The CPU must support AVX2. Operand lengths are checked inside.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
 unsafe fn row_dots_avx2(x: &[f64], n: usize, v: &[f64], out: &mut [f64]) {
@@ -358,8 +362,13 @@ unsafe fn row_dots_avx2(x: &[f64], n: usize, v: &[f64], out: &mut [f64]) {
     }
 }
 
-/// Two rows `n` apart side by side, two columns each: `[p[0], p[1],
+/// Two rows `2n` apart side by side, two columns each: `[p[0], p[1],
 /// p[2n], p[2n + 1]]`.
+///
+/// # Safety
+///
+/// The CPU must support AVX2, and `p[0..2]` and `p[2n..2n + 2]` must be
+/// readable.
 #[cfg(target_arch = "x86_64")]
 #[inline]
 #[target_feature(enable = "avx2")]
@@ -371,6 +380,11 @@ unsafe fn row_pair(p: *const f64, n: usize) -> core::arch::x86_64::__m256d {
 
 /// `Q` quads (`4 Q` consecutive rows of `x`, row-major with `n` columns)
 /// of [`row_dots_avx2`], one accumulator vector per quad.
+///
+/// # Safety
+///
+/// The CPU must support AVX2, `x` must point to `4 Q n` readable cells,
+/// `out` to `4 Q` writable ones, and `v` must hold at least `n`.
 #[cfg(target_arch = "x86_64")]
 #[inline]
 #[target_feature(enable = "avx2")]
@@ -748,29 +762,24 @@ fn mmchain_scheduled(
         });
     }
     let (m, n) = x.shape();
-    let mut out = DenseMatrix::zeros(n, k);
     if m == 0 || n == 0 || k == 0 {
-        return Ok(out);
+        return Ok(DenseMatrix::zeros(n, k));
     }
     // Each `v_j` contiguous: row `j` of `t(V)`.
     let vt = super::reorg::transpose(v);
     let (xv, vt, wv) = (x.values(), vt.values(), w.map(DenseMatrix::values));
     if two_phase {
+        let mut out = DenseMatrix::zeros(n, k);
         let strip = strip_len(n, 2 * m * k);
         mmchain_phases(xv, vt, wv, m, n, k, strip, out.values_mut());
         return Ok(out);
     }
     // One region chunk: a single sweep over X, into `t(out)`.
-    let mut out_t = vec![0.0; k * n];
-    exdra_par::par_chunks_mut(&mut out_t, k * n, |_, _, ochunk| {
+    let mut out_t = DenseMatrix::zeros(k, n);
+    exdra_par::par_chunks_mut(out_t.values_mut(), k * n, |_, _, ochunk| {
         mmchain_sweep(xv, vt, wv, m, n, k, ochunk);
     });
-    for (j, col) in out_t.chunks_exact(n).enumerate() {
-        for (c, &val) in col.iter().enumerate() {
-            out.values_mut()[c * k + j] = val;
-        }
-    }
-    Ok(out)
+    Ok(super::reorg::transpose(&out_t))
 }
 
 /// Work (multiply-adds) one strip of a column-split row sweep must carry
@@ -1241,6 +1250,7 @@ mod tests {
             };
             #[cfg(target_arch = "x86_64")]
             if avx2_available() {
+                // SAFETY: AVX2 was detected just above.
                 let got = got_bits(&|o| unsafe { row_dots_avx2(x.values(), n, v.values(), o) });
                 assert_eq!(got, want, "avx2, {rows}x{n}");
             }
