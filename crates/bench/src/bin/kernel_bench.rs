@@ -362,8 +362,8 @@ fn main() {
 
     // ---- mmchain: one pass vs two phases ------------------------------
     // The kernel always runs the one-pass sweep on one thread; the
-    // two-phase schedule fans out over the pool as `strip_len` allows
-    // (DESIGN.md §4k has the table that retired the fan-out).
+    // two-phase schedule is `matmul` then `matmul_tn`, each fanned out
+    // over the pool (DESIGN.md §4k has the table that retired the fan-out).
     let mut table = Table::new(
         "mmchain t(X)*(X*v), X rows x 100: one-pass sweep vs two-phase schedule",
         &["rows", "width", "one pass", "two-phase", "ratio"],

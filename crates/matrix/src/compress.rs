@@ -710,10 +710,6 @@ impl CompressedMatrix {
                 rhs: w.shape(),
             });
         }
-        if k == 1 {
-            let q = self.xv(v.values(), w.map(DenseMatrix::values));
-            return Ok(self.xty(&q, 1));
-        }
         let column = |m: &DenseMatrix, j: usize| -> Vec<f64> {
             m.values().iter().skip(j).step_by(k).copied().collect()
         };

@@ -725,27 +725,6 @@ pub fn tsmm(x: &DenseMatrix, left: bool) -> Result<DenseMatrix> {
 /// sweep beats the two-phase schedule fanned out over two threads at
 /// every size measured (DESIGN.md §4k).
 pub fn mmchain(x: &DenseMatrix, v: &DenseMatrix, w: Option<&DenseMatrix>) -> Result<DenseMatrix> {
-    mmchain_scheduled(x, v, w, false)
-}
-
-/// [`mmchain`] on the two-phase schedule, fanned out over the pool as
-/// `strip_len` allows: the oracle the one-pass sweep is pinned to, and
-/// `kernel_bench`'s other column.
-#[doc(hidden)]
-pub fn mmchain_two_phase(
-    x: &DenseMatrix,
-    v: &DenseMatrix,
-    w: Option<&DenseMatrix>,
-) -> Result<DenseMatrix> {
-    mmchain_scheduled(x, v, w, true)
-}
-
-fn mmchain_scheduled(
-    x: &DenseMatrix,
-    v: &DenseMatrix,
-    w: Option<&DenseMatrix>,
-    two_phase: bool,
-) -> Result<DenseMatrix> {
     let k = v.cols();
     if x.cols() != v.rows() {
         return Err(MatrixError::DimensionMismatch {
@@ -768,18 +747,30 @@ fn mmchain_scheduled(
     // Each `v_j` contiguous: row `j` of `t(V)`.
     let vt = super::reorg::transpose(v);
     let (xv, vt, wv) = (x.values(), vt.values(), w.map(DenseMatrix::values));
-    if two_phase {
-        let mut out = DenseMatrix::zeros(n, k);
-        let strip = strip_len(n, 2 * m * k);
-        mmchain_phases(xv, vt, wv, m, n, k, strip, out.values_mut());
-        return Ok(out);
-    }
     // One region chunk: a single sweep over X, into `t(out)`.
     let mut out_t = DenseMatrix::zeros(k, n);
     exdra_par::par_chunks_mut(out_t.values_mut(), k * n, |_, _, ochunk| {
         mmchain_sweep(xv, vt, wv, m, n, k, ochunk);
     });
     Ok(super::reorg::transpose(&out_t))
+}
+
+/// [`mmchain`] as two passes over `X` through the general kernels: `q =
+/// (X V) ⊙ w` by [`matmul`], then `Xᵀ q` by [`matmul_tn`], each fanned
+/// out over the pool. Every cell is the chain the one-pass sweep builds,
+/// so this is the oracle the sweep is pinned to, and `kernel_bench`'s
+/// other column.
+#[doc(hidden)]
+pub fn mmchain_two_phase(
+    x: &DenseMatrix,
+    v: &DenseMatrix,
+    w: Option<&DenseMatrix>,
+) -> Result<DenseMatrix> {
+    let mut q = matmul(x, v)?;
+    if let Some(w) = w {
+        q = q.zip(w, "mmchain", |d, w| d * w)?;
+    }
+    matmul_tn(x, &q)
 }
 
 /// Work (multiply-adds) one strip of a column-split row sweep must carry
@@ -816,14 +807,10 @@ fn block_q(
     q: &mut [f64],
 ) {
     let rows = q.len() / k;
-    if k == 1 {
-        row_dots(x, n, vt, q);
-    } else {
-        for (j, vj) in vt.chunks_exact(n).enumerate() {
-            row_dots(x, n, vj, &mut dots[..rows]);
-            for (i, &d) in dots[..rows].iter().enumerate() {
-                q[i * k + j] = d;
-            }
+    for (j, vj) in vt.chunks_exact(n).enumerate() {
+        row_dots(x, n, vj, &mut dots[..rows]);
+        for (i, &d) in dots[..rows].iter().enumerate() {
+            q[i * k + j] = d;
         }
     }
     if let Some(w) = w {
@@ -831,37 +818,6 @@ fn block_q(
             *qi *= wi;
         }
     }
-}
-
-/// The two-phase mmchain schedule behind [`mmchain_two_phase`]: `q = (X
-/// V) ⊙ w` over disjoint row blocks, then `out = Xᵀ q` as the
-/// [`matmul_tn`] row sweep in strips of `strip` columns of `X`. Two
-/// passes over `X`, each shared by the pool.
-#[allow(clippy::too_many_arguments)]
-fn mmchain_phases(
-    xv: &[f64],
-    vt: &[f64],
-    wv: Option<&[f64]>,
-    m: usize,
-    n: usize,
-    k: usize,
-    strip: usize,
-    out: &mut [f64],
-) {
-    let mut q = vec![0.0; m * k];
-    let rows_per_chunk = exdra_par::chunk_len(m, par_floor(n * k));
-    exdra_par::par_chunks_mut(&mut q, rows_per_chunk * k, |_, cell0, chunk| {
-        // Block by block, so the `k` columns share each block's read.
-        let mut dots = [0.0f64; MMCHAIN_BLOCK_ROWS];
-        let cells = MMCHAIN_BLOCK_ROWS * k;
-        for (b, qb) in chunk.chunks_mut(cells).enumerate() {
-            let c0 = cell0 + b * cells;
-            let (i0, rows) = (c0 / k, qb.len() / k);
-            let w = wv.map(|w| &w[c0..c0 + qb.len()]);
-            block_q(&xv[i0 * n..(i0 + rows) * n], n, vt, k, w, &mut dots, qb);
-        }
-    });
-    tn_strips(xv, n, &q, k, m, strip, out);
 }
 
 /// Rows per block of the one-pass mmchain sweep: a block of `X`
@@ -1199,15 +1155,13 @@ mod tests {
             for k in [1, 3] {
                 let v = rand_matrix(n, k, -1.0, 1.0, 22);
                 let w = rand_matrix(m, k, 0.0, 1.0, 23);
-                let vt = super::super::reorg::transpose(&v);
                 for w in [None, Some(&w)] {
-                    let wv = w.map(|w| w.values());
                     let got = mmchain(&x, &v, w).unwrap();
-                    for strip in [1, 5, n] {
-                        let mut want = DenseMatrix::zeros(n, k);
-                        let out = want.values_mut();
-                        mmchain_phases(x.values(), vt.values(), wv, m, n, k, strip, out);
-                        assert_eq!(bits(&got), bits(&want), "m {m} k {k} strip {strip}");
+                    for width in [1, 3] {
+                        let want = exdra_par::with_threads(width, || {
+                            mmchain_two_phase(&x, &v, w).unwrap()
+                        });
+                        assert_eq!(bits(&got), bits(&want), "m {m} k {k} width {width}");
                     }
                 }
             }
