@@ -407,6 +407,153 @@ fn ragged_gemm_with_special_values_is_bitwise_naive() {
     }
 }
 
+/// The one r-ascending chain from 0.0 that every row reduction ran over
+/// all of its rows before reductions were cut into blocks.
+fn single_chain(terms: impl Iterator<Item = f64>) -> f64 {
+    terms.fold(0.0, |acc, t| acc + t)
+}
+
+/// `t(a) %*% b` as one single chain per cell.
+fn single_chain_tn(a: &DenseMatrix, b: &DenseMatrix) -> DenseMatrix {
+    let mut out = DenseMatrix::zeros(a.cols(), b.cols());
+    for i in 0..a.cols() {
+        for j in 0..b.cols() {
+            out.set(i, j, single_chain((0..a.rows()).map(|r| a.get(r, i) * b.get(r, j))));
+        }
+    }
+    out
+}
+
+/// `t(x) (w ⊙ (x v))` with each row dot and each output cell one chain.
+fn single_chain_mmchain(x: &DenseMatrix, v: &DenseMatrix, w: Option<&DenseMatrix>) -> DenseMatrix {
+    let mut q = DenseMatrix::zeros(x.rows(), v.cols());
+    for r in 0..x.rows() {
+        for j in 0..v.cols() {
+            let dot = single_chain((0..x.cols()).map(|c| x.get(r, c) * v.get(c, j)));
+            q.set(r, j, w.map_or(dot, |w| dot * w.get(r, j)));
+        }
+    }
+    single_chain_tn(x, &q)
+}
+
+/// The sum-type aggregates as one chain per output cell, row-major for
+/// `Full`, top to bottom for `Col`.
+fn single_chain_aggregate(x: &DenseMatrix, op: AggOp, dir: AggDir) -> DenseMatrix {
+    let finish = |cells: &[f64]| {
+        let n = cells.len() as f64;
+        let sum = single_chain(cells.iter().copied());
+        let sumsq = single_chain(cells.iter().map(|v| v * v));
+        match op {
+            AggOp::Sum => sum,
+            AggOp::SumSq => sumsq,
+            AggOp::Mean => sum / n,
+            _ if n < 2.0 => f64::NAN,
+            _ => {
+                let var = ((sumsq - sum * sum / n) / (n - 1.0)).max(0.0);
+                if op == AggOp::Var {
+                    var
+                } else {
+                    var.sqrt()
+                }
+            }
+        }
+    };
+    match dir {
+        AggDir::Full => DenseMatrix::filled(1, 1, finish(x.values())),
+        _ => {
+            let cols: Vec<f64> = (0..x.cols())
+                .map(|c| finish(&(0..x.rows()).map(|r| x.get(r, c)).collect::<Vec<_>>()))
+                .collect();
+            DenseMatrix::row_vector(&cols)
+        }
+    }
+}
+
+#[test]
+fn inputs_of_at_most_one_block_keep_the_single_chain_bits() {
+    // Up to 2048 rows a row reduction is one block: each cell is the one
+    // chain it always was, dense and compressed, at every width. The
+    // second scheme mix plants NaN, ±Inf and -0.0 (NaN payloads may
+    // differ by code path, see `same_cells`).
+    let schemes = [Scheme::Ddc8, Scheme::Rle, Scheme::Ddc8, Scheme::Ddc8];
+    let schemes = [&schemes[..], &[Scheme::Ddc8, Scheme::Uc, Scheme::Ddc16][..]];
+    for rows in [1, 33, 2047, 2048] {
+        for (s, special) in [(schemes[0], false), (schemes[1], true)] {
+            let at = format!("{rows} rows, special {special}");
+            let agree = |a: &DenseMatrix, b: &DenseMatrix| {
+                if special {
+                    same_cells(a, b)
+                } else {
+                    same_bits(a, b)
+                }
+            };
+            let mut schemes = s.to_vec();
+            schemes.extend([Scheme::Ddc8, Scheme::Ddc8, Scheme::Uc]);
+            let x = scheme_matrix(rows, &schemes, rows as u64, special);
+            let c = CompressedMatrix::compress(&x);
+            let n = x.cols();
+            // Thin products on the dense and compressed forms.
+            for k in [1, 3] {
+                let y = rand_matrix(rows, k, -1.0, 1.0, 7 + k as u64);
+                let want = single_chain_tn(&x, &y);
+                let got = widths_agree("pin-tn", || matmul_tn(&x, &y).expect("shapes"));
+                assert!(agree(&got, &want), "t(X) y, k = {k}, {at}");
+                let got = widths_agree("pin-c-tn", || c.t_matmul(&y).expect("shapes"));
+                assert!(agree(&got, &want), "compressed t(X) y, k = {k}, {at}");
+                let got = widths_agree("pin-t-gemm", || {
+                    matmul(&transpose(&x), &y).expect("shapes")
+                });
+                assert!(agree(&got, &want), "matmul(t(X), y), k = {k}, {at}");
+                let v = rand_matrix(n, k, -1.0, 1.0, 11);
+                let w = rand_matrix(rows, k, 0.0, 1.0, 12);
+                for wm in [None, Some(&w)] {
+                    let want = single_chain_mmchain(&x, &v, wm);
+                    let got = widths_agree("pin-mmchain", || mmchain(&x, &v, wm).expect("shapes"));
+                    assert!(agree(&got, &want), "mmchain k = {k}, {at}");
+                    let got = widths_agree("pin-c-mmchain", || {
+                        Tensor::Compressed(c.clone()).mmchain(&v, wm).expect("shapes")
+                    });
+                    assert!(agree(&got, &want), "compressed mmchain k = {k}, {at}");
+                }
+            }
+            // Wide products: t(P) X with 20 rows of P, and an output of
+            // more than 2^14 cells.
+            let p = rand_matrix(rows, 20, 0.0, 1.0, 13);
+            let got = widths_agree("pin-tpx", || matmul_tn(&p, &x).expect("shapes"));
+            assert!(agree(&got, &single_chain_tn(&p, &x)), "t(P) X, {at}");
+            if !special && rows == 2048 {
+                let a = rand_matrix(rows, 130, -1.0, 1.0, 14);
+                let got = widths_agree("pin-wide", || matmul_tn(&a, &a).expect("shapes"));
+                assert!(same_bits(&got, &single_chain_tn(&a, &a)), "130 x 130, {at}");
+            }
+            let got = widths_agree("pin-tsmm", || tsmm(&x, true).expect("shapes"));
+            assert!(agree(&got, &single_chain_tn(&x, &x)), "tsmm, {at}");
+            for op in [AggOp::Sum, AggOp::Mean, AggOp::SumSq, AggOp::Var, AggOp::Sd] {
+                for dir in [AggDir::Full, AggDir::Col] {
+                    let want = single_chain_aggregate(&x, op, dir);
+                    let got = widths_agree("pin-agg", || aggregate(&x, op, dir).expect("agg"));
+                    assert!(agree(&got, &want), "{}/{dir:?}, {at}", op.name());
+                    let got = widths_agree("pin-c-agg", || c.aggregate(op, dir).expect("agg"));
+                    assert!(agree(&got, &want), "compressed {}/{dir:?}, {at}", op.name());
+                }
+            }
+        }
+    }
+    // The depth of `matmul`, on the GEMM, the matrix-vector and the
+    // vector-matrix paths.
+    for depth in [1, 257, 2047, 2048] {
+        let a = rand_matrix(5, depth, -1.0, 1.0, 21);
+        let row = rand_matrix(1, depth, -1.0, 1.0, 22);
+        for b in [rand_matrix(depth, 9, -1.0, 1.0, 23), rand_matrix(depth, 1, -1.0, 1.0, 24)] {
+            for a in [&a, &row] {
+                let want = single_chain_tn(&transpose(a), &b);
+                let got = widths_agree("pin-gemm", || matmul(a, &b).expect("shapes"));
+                assert!(same_bits(&got, &want), "matmul depth {depth}, {:?}", b.shape());
+            }
+        }
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
