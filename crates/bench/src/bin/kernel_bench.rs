@@ -5,7 +5,9 @@
 //! kernels on K-Means' shapes against their per-cell oracle (`ew_agg`,
 //! bitwise-checked), the `t(A) %*% B` row sweep vs
 //! transpose-then-GEMM, one-pass vs two-phase mmchain, a k = 3 mmchain
-//! vs three one-column calls (bitwise-checked), and
+//! vs three one-column calls (bitwise-checked), the suite's row
+//! reductions at widths 1 and 2 (their row blocks fan out; bitwise-checked
+//! across the widths), and
 //! compressed-domain operators (dense, column groups, and a worker
 //! holding the dense twin) on a mixed frame and on one `lan_compressed`
 //! partition, plus two end-to-end worker workloads on a compacted frame:
@@ -18,7 +20,9 @@
 //! Writes `results/kernels.json` (GFLOP/s and bytes/s per kernel and
 //! size) plus the usual metrics sidecar, whose `inst.c.*` histograms are
 //! exactly what `ProfileCostModel` consumes to price compressed
-//! execution. `--quick` shrinks the sweep for CI smoke runs.
+//! execution. `--quick` shrinks the sweep for CI smoke runs and writes
+//! `results/kernels.quick.json` instead, so a smoke run never replaces
+//! the full run's numbers.
 
 use std::sync::Arc;
 use std::time::Duration;
@@ -361,9 +365,9 @@ fn main() {
     json.push(format!("  \"t_matmul\": [\n{}\n  ]", tn_rows.join(",\n")));
 
     // ---- mmchain: one pass vs two phases ------------------------------
-    // The kernel always runs the one-pass sweep on one thread; the
-    // two-phase schedule is `matmul` then `matmul_tn`, each fanned out
-    // over the pool (DESIGN.md §4k has the table that retired the fan-out).
+    // The one-pass sweep reads X once per row block; the two-phase
+    // schedule is `matmul` then `matmul_tn`, reading X twice. Both fan
+    // their row blocks out over the pool.
     let mut table = Table::new(
         "mmchain t(X)*(X*v), X rows x 100: one-pass sweep vs two-phase schedule",
         &["rows", "width", "one pass", "two-phase", "ratio"],
@@ -451,6 +455,60 @@ fn main() {
     }
     table.print();
     json.push(format!("  \"mmchain_k3\": [\n{}\n  ]", k3_rows.join(",\n")));
+
+    // ---- row reductions split by row blocks ----------------------------
+    // Every row reduction of the Fig. 5 suite, on 40k x 100 (10k quick),
+    // at widths 1 and 2: its 2048-row blocks fan out over the pool and
+    // the partials fold in block order (DESIGN.md §4f), so the bits at
+    // width 2 must be the bits at width 1.
+    let x = exdra_bench::paper_matrix(tall_rows, 100, 15);
+    let y = rand_matrix(tall_rows, 1, -1.0, 1.0, 16);
+    let r3 = rand_matrix(tall_rows, 3, -1.0, 1.0, 17);
+    let (v1, v3) = (
+        rand_matrix(100, 1, -1.0, 1.0, 18),
+        rand_matrix(100, 3, -1.0, 1.0, 19),
+    );
+    let w3 = rand_matrix(tall_rows, 3, 0.0, 1.0, 20);
+    let kernels: [(&str, &dyn Fn() -> DenseMatrix); 7] = [
+        ("t(X) y", &|| matmul_tn(&x, &y).expect("shapes")),
+        ("t(X) R3", &|| matmul_tn(&x, &r3).expect("shapes")),
+        ("mmchain k=1", &|| mmchain(&x, &v1, None).expect("shapes")),
+        ("mmchain k=3 w", &|| {
+            mmchain(&x, &v3, Some(&w3)).expect("shapes")
+        }),
+        ("sumSq", &|| {
+            aggregate(&x, AggOp::SumSq, AggDir::Full).expect("agg")
+        }),
+        ("colSums", &|| {
+            aggregate(&x, AggOp::Sum, AggDir::Col).expect("agg")
+        }),
+        ("tsmm", &|| tsmm(&x, true).expect("shapes")),
+    ];
+    let mut table = Table::new(
+        &format!("Row reductions by row block, X {tall_rows}x100"),
+        &["kernel", "width 1", "width 2", "speedup"],
+    );
+    let mut split_rows = Vec::new();
+    for (name, f) in kernels {
+        let [(b1, t1), (b2, t2)] = [1, 2]
+            .map(|width| exdra_par::with_threads(width, || (bits(&f()), time_reps(cfg.reps, f).0)));
+        assert_eq!(b1, b2, "{name}: width 2 differs bitwise from width 1");
+        table.row(&[
+            name.into(),
+            secs(t1),
+            secs(t2),
+            format!("{:.2}x", t1 / t2.max(1e-12)),
+        ]);
+        split_rows.push(format!(
+            "    {{\"kernel\": \"{name}\", \"rows\": {tall_rows}, \"cols\": 100, \
+             \"secs_w1\": {t1:.6}, \"secs_w2\": {t2:.6}, \"bitwise_identical\": true}}"
+        ));
+    }
+    table.print();
+    json.push(format!(
+        "  \"row_split\": [\n{}\n  ]",
+        split_rows.join(",\n")
+    ));
 
     // ---- compressed-domain operators ----------------------------------
     // Same op on the dense frame and on its column groups, on the mixed
@@ -626,7 +684,11 @@ fn main() {
         json.join(",\n")
     );
     let dir = std::path::Path::new("results");
-    let path = dir.join("kernels.json");
+    let path = dir.join(if quick {
+        "kernels.quick.json"
+    } else {
+        "kernels.json"
+    });
     match std::fs::create_dir_all(dir).and_then(|_| std::fs::write(&path, body)) {
         Ok(()) => println!("results: {}", path.display()),
         Err(e) => eprintln!("warning: failed to write {}: {e}", path.display()),

@@ -17,8 +17,10 @@
 //! distinct values (dictionary entries / run values) in O(distinct)
 //! per column; the reduction ops walk the codes in exactly the same
 //! per-cell order as the corresponding dense kernel — no reassociation,
-//! no shortcut over run lengths — so every result is bitwise identical
-//! to decompress-then-operate. The products walk the codes in L1-sized
+//! no shortcut over run lengths, the chains restarted at the same
+//! [`REDUCE_BLOCK_ROWS`] boundaries (four row tiles) and the block
+//! partials folded in the same order (DESIGN.md §4f) — so every result is
+//! bitwise identical to decompress-then-operate. The products walk the codes in L1-sized
 //! row tiles, four DDC8 columns per sweep, phase 1 adding pre-scaled
 //! dictionary entries (`dict[k]·v[c]`, the bits of `x·v[c]`). The wins
 //! are the 4-8x smaller memory traffic of 1-2 byte codes (a 20k×100
@@ -30,9 +32,10 @@ use std::ops::Range;
 
 use crate::dense::DenseMatrix;
 use crate::error::{MatrixError, Result};
-use crate::kernels::aggregates::{self, AggDir, AggKernel, AggOp, Chains};
-use crate::kernels::matmul::strip_len;
-use crate::kernels::par_floor;
+use crate::kernels::aggregates::{self, col_chains, AggDir, AggKernel, AggOp, Chains};
+use crate::kernels::{
+    add_into, fold_blocks_into, fold_row_blocks, par_floor, REDUCE_BLOCK_ROWS, TN_BLOCK_CELLS,
+};
 
 /// One encoded column.
 #[derive(Debug, Clone, PartialEq)]
@@ -199,6 +202,10 @@ impl ColumnGroup {
 /// while every column group adds into it or reads from it.
 const TILE_ROWS: usize = 512;
 
+// A reduction block is a whole number of tiles: a tile never straddles a
+// block boundary.
+const _: () = assert!(REDUCE_BLOCK_ROWS.is_multiple_of(TILE_ROWS));
+
 /// Cells per tile of the decompression walk (32 KiB: L1), whole rows.
 const DECODE_TILE_CELLS: usize = 4096;
 
@@ -329,6 +336,26 @@ fn extend_quad(quad: Quad, y: &[f64], lo: usize, hi: usize, acc: &mut [f64; 4]) 
         a3 += yr * t3[k3 as usize];
     }
     *acc = [a0, a1, a2, a3];
+}
+
+/// Col aggregate chains of four DDC8 columns: pushes `t0[x0]`, `t1[x1]`,
+/// `t2[x2]` and `t3[x3]` into `acc[0..4]` over rows `lo..hi`, r
+/// ascending — each column's own chain, the four advancing side by side.
+fn push_quad<C: Chains>(quad: Quad, lo: usize, hi: usize, acc: &mut [C]) {
+    let [(t0, c0), (t1, c1), (t2, c2), (t3, c3)] = quad;
+    let codes = c0[lo..hi]
+        .iter()
+        .zip(&c1[lo..hi])
+        .zip(&c2[lo..hi])
+        .zip(&c3[lo..hi]);
+    let (mut a0, mut a1, mut a2, mut a3) = (acc[0], acc[1], acc[2], acc[3]);
+    for (((&k0, &k1), &k2), &k3) in codes {
+        a0.push(t0[k0 as usize]);
+        a1.push(t1[k1 as usize]);
+        a2.push(t2[k2 as usize]);
+        a3.push(t3[k3 as usize]);
+    }
+    acc[..4].copy_from_slice(&[a0, a1, a2, a3]);
 }
 
 /// A losslessly compressed matrix: one [`ColumnGroup`] per column.
@@ -514,27 +541,29 @@ impl CompressedMatrix {
     /// Computes an aggregate directly on the compressed representation,
     /// bitwise identical to `aggregates::aggregate(&self.decompress(), ..)`:
     /// every cell is pushed into the same chains as in the dense kernel,
-    /// in the same order (min/max column aggregates shortcut over distinct
-    /// values, which a NaN-ignoring min or max cannot tell apart).
+    /// in the same order and the same 2048-row blocks, folded the same
+    /// way (min/max column aggregates shortcut over distinct values,
+    /// which a NaN-ignoring min or max cannot tell apart).
     pub fn aggregate(&self, op: AggOp, dir: AggDir) -> Result<DenseMatrix> {
         aggregates::run(self, op, dir)
     }
 
-    /// Phase 1 of a product on the row tile `a..a + q.len()`: adds
-    /// `x[r][c] * v[c]` into `q[r - a]` for c ascending, one term at a
-    /// time, with no zero-skip — the dense kernels' per-row chain. Four
-    /// DDC8 columns per sweep add their pre-scaled `scaled` entries, every
-    /// other group multiplies inline.
+    /// Phase 1 of a product on the row tile `a..a + q.len()` and the
+    /// columns `cols`: adds `x[r][c] * v[c]` into `q[r - a]` for c
+    /// ascending, one term at a time, with no zero-skip — the dense
+    /// kernels' per-row chain. Four DDC8 columns per sweep add their
+    /// pre-scaled `scaled` entries, every other group multiplies inline.
     fn add_xv_tile(
         &self,
         scaled: &Dicts,
         v: &[f64],
         a: usize,
+        cols: Range<usize>,
         cursors: &mut [RunCursor],
         q: &mut [f64],
     ) {
-        let (n, b) = (self.cols(), a + q.len());
-        let mut c = 0;
+        let (n, b) = (cols.end, a + q.len());
+        let mut c = cols.start;
         while c < n {
             if let Some(quad) = scaled.quad(&self.groups, c, n) {
                 add_quad(quad, a, b, q);
@@ -589,8 +618,11 @@ impl CompressedMatrix {
         }
     }
 
-    /// Phase 1 over all rows, row blocks fanned out over the pool: `X v`,
-    /// each row's chain then times `w[r]` when given.
+    /// Phase 1 over all rows, row chunks fanned out over the pool: `X v`,
+    /// each row's chain then times `w[r]` when given. A row's chain runs
+    /// over the columns — the depth of `X v` — so more than
+    /// [`REDUCE_BLOCK_ROWS`] columns fold block partials like the dense
+    /// kernel.
     fn xv(&self, v: &[f64], w: Option<&[f64]>) -> Vec<f64> {
         let scaled = Dicts::new(&self.groups, Some(v));
         let mut q = vec![0.0; self.rows];
@@ -599,7 +631,13 @@ impl CompressedMatrix {
             let mut cursors = vec![RunCursor::default(); self.cols()];
             for (t, qt) in seg.chunks_mut(TILE_ROWS).enumerate() {
                 let a = lo + t * TILE_ROWS;
-                self.add_xv_tile(&scaled, v, a, &mut cursors, qt);
+                fold_blocks_into(
+                    self.cols(),
+                    qt,
+                    0.0,
+                    |cols, acc| self.add_xv_tile(&scaled, v, a, cols, &mut cursors, acc),
+                    |q, p| *q += p,
+                );
                 weigh(qt, w.map(|w| &w[a..]));
             }
         });
@@ -607,21 +645,24 @@ impl CompressedMatrix {
     }
 
     /// Phase 2 over all groups: `t(X) y` for a row-major `rows x k` `y`, as
-    /// a `cols x k` matrix. Every group block walks all rows of `y`, so
-    /// blocks are the dense row sweep's strips (`strip_len`): one per pool
-    /// thread, and one in all below its work floor.
+    /// a `cols x k` matrix, in the dense row sweep's order: up to
+    /// [`TN_BLOCK_CELLS`] cells the row blocks fan out over the pool and
+    /// their partials fold in order; a wider output splits into runs of
+    /// groups, each walking every row block in turn.
     fn xty(&self, y: &[f64], k: usize) -> DenseMatrix {
-        let mut out = DenseMatrix::zeros(self.cols(), k);
-        if k == 0 {
+        let cols = self.cols();
+        let mut out = DenseMatrix::zeros(cols, k);
+        if k == 0 || cols == 0 || self.rows == 0 {
             return out;
         }
         let dicts = Dicts::new(&self.groups, None);
-        let chunk = strip_len(self.cols(), self.rows * k).next_multiple_of(4) * k;
-        exdra_par::par_chunks_mut(out.values_mut(), chunk, |_, cell0, ochunk| {
-            let mut cursors = vec![RunCursor::default(); self.cols()];
+        // Extends the chains of groups `g0..` (`k` cells a group in `acc`)
+        // over `rows`, tile by tile.
+        let sweep = |rows: Range<usize>, g0: usize, acc: &mut [f64]| {
+            let mut cursors = vec![RunCursor::default(); cols];
             let mut ycols = Vec::new();
-            for a in (0..self.rows).step_by(TILE_ROWS) {
-                let b = (a + TILE_ROWS).min(self.rows);
+            for a in rows.clone().step_by(TILE_ROWS) {
+                let b = (a + TILE_ROWS).min(rows.end);
                 let yt = if k == 1 {
                     &y[a..b]
                 } else {
@@ -635,9 +676,28 @@ impl CompressedMatrix {
                     }
                     &ycols[..]
                 };
-                self.extend_xty_tile(&dicts, yt, a..b, cell0 / k, &mut cursors, ochunk);
+                self.extend_xty_tile(&dicts, yt, a..b, g0, &mut cursors, acc);
             }
-        });
+        };
+        if cols * k <= TN_BLOCK_CELLS {
+            let fold = fold_row_blocks(
+                self.rows,
+                cols * k,
+                |rows| {
+                    let mut part = vec![0.0f64; cols * k];
+                    sweep(rows, 0, &mut part);
+                    part
+                },
+                add_into,
+            );
+            out.values_mut().copy_from_slice(&fold.expect("rows > 0"));
+        } else {
+            let run = (TN_BLOCK_CELLS / k / 4).max(1) * 4;
+            exdra_par::par_chunks_mut(out.values_mut(), run * k, |_, cell0, ochunk| {
+                let step = |rows, acc: &mut [f64]| sweep(rows, cell0 / k, acc);
+                fold_blocks_into(self.rows, ochunk, 0.0, step, |a, p| *a += p);
+            });
+        }
         out
     }
 
@@ -673,7 +733,8 @@ impl CompressedMatrix {
 
     /// `t(self) %*% y` (`cols x k`) for a dense `rows x k` right-hand
     /// side: per group `k` independent r-ascending chains `acc += y[r][j] *
-    /// x` (phase 2 of [`CompressedMatrix::mmchain`]) — bitwise the dense
+    /// x` per row block, the blocks folded in order (phase 2 of
+    /// [`CompressedMatrix::mmchain`]) — bitwise the dense
     /// `matmul_tn(&self.decompress(), y)`, without decompressing.
     pub fn t_matmul(&self, y: &DenseMatrix) -> Result<DenseMatrix> {
         if y.rows() != self.rows {
@@ -691,9 +752,9 @@ impl CompressedMatrix {
     /// dense `mmchain` kernel: phase 1 builds each row's dot c-ascending
     /// then applies `w`, one `xv` per column, split by rows over the
     /// pool; phase 2 reduces every output cell r-ascending with `q[r][j]`
-    /// as the left operand, one `xty` for all `k` columns, split by
-    /// columns. Bitwise identical to decompress-then-`mmchain` at every
-    /// pool width.
+    /// as the left operand, one `xty` for all `k` columns, its row blocks
+    /// fanned out and folded in order. Bitwise identical to
+    /// decompress-then-`mmchain` at every pool width.
     pub fn mmchain(&self, v: &DenseMatrix, w: Option<&DenseMatrix>) -> Result<DenseMatrix> {
         let k = v.cols();
         if v.rows() != self.cols() {
@@ -724,6 +785,25 @@ impl CompressedMatrix {
         Ok(self.xty(&q, k))
     }
 
+    /// Col aggregate chains of every group over `rows`, r ascending: four
+    /// DDC8 groups side by side ([`push_quad`]), every other group on its
+    /// own.
+    fn push_cols<C: Chains>(&self, dicts: &Dicts, rows: Range<usize>, acc: &mut [C]) {
+        let end = self.cols();
+        let mut c = 0;
+        while c < end {
+            if let Some(quad) = dicts.quad(&self.groups, c, end) {
+                push_quad(quad, rows.start, rows.end, &mut acc[c..]);
+                c += 4;
+            } else {
+                let a = &mut acc[c];
+                let mut cursor = RunCursor::default();
+                self.groups[c].visit(rows.start, rows.end, &mut cursor, |_, v| a.push(v));
+                c += 1;
+            }
+        }
+    }
+
     /// Column sums computed on the compressed representation.
     pub fn col_sums(&self) -> DenseMatrix {
         self.aggregate(AggOp::Sum, AggDir::Col)
@@ -747,21 +827,25 @@ impl AggKernel for &CompressedMatrix {
         let (r, c) = self.shape();
         match dir {
             AggDir::Full => {
-                // Row-major cell order, the dense Full arm's one chain: a
-                // block of rows at a time, decoded group by group into a
-                // row-major tile of about one parallel region's cells.
-                let tile_rows = par_floor(c);
-                let mut tile = Vec::with_capacity(tile_rows.min(r) * c);
-                let mut cursors = vec![RunCursor::default(); c];
-                let mut acc = C::START;
-                for lo in (0..r).step_by(tile_rows) {
-                    let hi = (lo + tile_rows).min(r);
-                    tile.resize((hi - lo) * c, 0.0);
-                    for ((j, g), cursor) in self.groups.iter().enumerate().zip(&mut cursors) {
-                        g.decode_rows(lo, hi, cursor, &mut tile[j..], c);
+                // Row-major cell order, the dense Full arm's chain per row
+                // block: a few rows at a time, decoded group by group into
+                // a row-major tile of about one parallel region's cells.
+                let tile_rows = par_floor(c).min(REDUCE_BLOCK_ROWS);
+                let block_chain = |rows: Range<usize>| {
+                    let mut tile = Vec::with_capacity(tile_rows.min(rows.len()) * c);
+                    let mut cursors = vec![RunCursor::default(); c];
+                    let mut acc = C::START;
+                    for lo in rows.clone().step_by(tile_rows) {
+                        let hi = (lo + tile_rows).min(rows.end);
+                        tile.resize((hi - lo) * c, 0.0);
+                        for ((j, g), cursor) in self.groups.iter().enumerate().zip(&mut cursors) {
+                            g.decode_rows(lo, hi, cursor, &mut tile[j..], c);
+                        }
+                        tile.iter().for_each(|&v| acc.push(v));
                     }
-                    tile.iter().for_each(|&v| acc.push(v));
-                }
+                    acc
+                };
+                let acc = fold_row_blocks(r, c, block_chain, C::merge).unwrap_or(C::START);
                 DenseMatrix::filled(1, 1, acc.finish(op, (r * c) as f64))
             }
             AggDir::Row => {
@@ -782,25 +866,28 @@ impl AggKernel for &CompressedMatrix {
                 });
                 out
             }
-            AggDir::Col => {
-                // One output cell per group, groups disjoint. Sum-based
-                // ops walk rows top-to-bottom (the dense Col arm's
-                // i-ascending chain); min/max scan each distinct value
-                // once, in order of first occurrence: a repeated value
-                // cannot move a NaN-ignoring min or max.
+            AggDir::Col if matches!(op, AggOp::Min | AggOp::Max) => {
+                // Min/max scan each distinct value once, in order of first
+                // occurrence: a repeated value cannot move a NaN-ignoring
+                // min or max.
                 let mut out = DenseMatrix::zeros(1, c);
                 let chunk = self.group_chunk();
                 exdra_par::par_chunks_mut(out.values_mut(), chunk, |_, c0, ochunk| {
                     for (g, o) in self.groups[c0..].iter().zip(ochunk) {
                         let mut acc = C::START;
-                        match op {
-                            AggOp::Min | AggOp::Max => g.for_each_distinct(|v| acc.push(v)),
-                            _ => g.visit(0, r, &mut RunCursor::default(), |_, v| acc.push(v)),
-                        }
+                        g.for_each_distinct(|v| acc.push(v));
                         *o = acc.finish(op, r as f64);
                     }
                 });
                 out
+            }
+            AggDir::Col => {
+                // Sum-based ops: the dense Col arm's chain per row block,
+                // four DDC8 groups side by side.
+                let dicts = Dicts::new(&self.groups, None);
+                let chains = col_chains::<C>(r, c, |rows, acc| self.push_cols(&dicts, rows, acc));
+                let cells = chains.into_iter().map(|a| a.finish(op, r as f64)).collect();
+                DenseMatrix::new(1, c, cells).expect("one cell per column")
             }
         }
     }
@@ -948,10 +1035,10 @@ mod tests {
     }
 
     #[test]
-    fn column_strips_of_phase_two_are_bitwise_serial() {
+    fn row_blocks_of_phase_two_are_bitwise_serial() {
         use crate::kernels::matmul::matmul_tn;
-        // 100k rows and 9 columns of `y`: strips of 12 groups at width 2,
-        // so the second strip starts at group 12, past a four-DDC8 sweep.
+        // 100k rows and 9 columns of `y`: 49 row blocks fanned out, each
+        // walking a four-DDC8 sweep and its tail.
         let rows = 100_000;
         let noise = rand_matrix(rows, 1, -1.0, 1.0, 3);
         let mut d = DenseMatrix::zeros(rows, 13);

@@ -5,7 +5,14 @@
 //! statistics combined by the coordinator (count/sum/sum-of-squares for
 //! variance) are produced by the same kernels, so partition-combine laws are
 //! property-tested here.
+//!
+//! Full and Col aggregates reduce over the row index, so they follow the
+//! one reduction order (DESIGN.md §4f): a chain per
+//! [`REDUCE_BLOCK_ROWS`](super::REDUCE_BLOCK_ROWS) block of rows, the block partials folded in
+//! order ([`Chains::merge`]), the row blocks fanned out over the pool.
+//! Row aggregates reduce along a row and keep one chain per row.
 
+use super::fold_row_blocks;
 use crate::dense::DenseMatrix;
 use crate::error::{MatrixError, Result};
 
@@ -63,6 +70,9 @@ pub(crate) trait Chains: Copy + Send + Sync {
     const START: Self;
     /// Extends every chain by one cell.
     fn push(&mut self, v: f64);
+    /// Folds the chains of the next row block into these: sums add,
+    /// min and max compare as one more cell would.
+    fn merge(&mut self, next: Self);
     /// The value of `op` over the `n` cells pushed.
     fn finish(self, op: AggOp, n: f64) -> f64;
 }
@@ -94,6 +104,9 @@ impl Chains for Sum {
     fn push(&mut self, v: f64) {
         self.0 += v;
     }
+    fn merge(&mut self, next: Self) {
+        self.0 += next.0;
+    }
     fn finish(self, op: AggOp, n: f64) -> f64 {
         if op == AggOp::Mean {
             self.0 / n
@@ -108,6 +121,9 @@ impl Chains for SumSq {
     fn push(&mut self, v: f64) {
         self.0 += v * v;
     }
+    fn merge(&mut self, next: Self) {
+        self.0 += next.0;
+    }
     fn finish(self, _: AggOp, _: f64) -> f64 {
         self.0
     }
@@ -118,6 +134,10 @@ impl Chains for Moments {
     fn push(&mut self, v: f64) {
         self.0 += v;
         self.1 += v * v;
+    }
+    fn merge(&mut self, next: Self) {
+        self.0 += next.0;
+        self.1 += next.1;
     }
     fn finish(self, op: AggOp, n: f64) -> f64 {
         if n < 2.0 {
@@ -143,6 +163,9 @@ impl Chains for Min {
             self.0 = v;
         }
     }
+    fn merge(&mut self, next: Self) {
+        self.push(next.0);
+    }
     fn finish(self, _: AggOp, _: f64) -> f64 {
         self.0
     }
@@ -154,6 +177,9 @@ impl Chains for Max {
         if v > self.0 {
             self.0 = v;
         }
+    }
+    fn merge(&mut self, next: Self) {
+        self.push(next.0);
     }
     fn finish(self, _: AggOp, _: f64) -> f64 {
         self.0
@@ -168,6 +194,32 @@ pub(crate) trait AggKernel: Copy {
     /// `op` along `dir` over a non-empty input (or an empty one for the
     /// ops that allow it), cells visited in the dense kernel's order.
     fn walk<C: Chains>(self, op: AggOp, dir: AggDir) -> DenseMatrix;
+}
+
+/// Every column's chains over `0..rows` in the one reduction order, with
+/// `step(rows, acc)` extending all `cols` chains over one row block: the
+/// row blocks fan out over the pool and their partials fold in order. A
+/// partial is one chain per column, 1/2048 of its block's cells, so no
+/// width of input needs a column split.
+pub(crate) fn col_chains<C: Chains>(
+    rows: usize,
+    cols: usize,
+    step: impl Fn(std::ops::Range<usize>, &mut [C]) + Sync,
+) -> Vec<C> {
+    if cols == 0 {
+        return Vec::new();
+    }
+    let fold = fold_row_blocks(
+        rows,
+        cols,
+        |block| {
+            let mut acc = vec![C::START; cols];
+            step(block, &mut acc);
+            acc
+        },
+        |total, next| total.iter_mut().zip(next).for_each(|(t, n)| t.merge(n)),
+    );
+    fold.unwrap_or_else(|| vec![C::START; cols])
 }
 
 /// Rejects an empty input for min/max/mean/var/sd, then walks `x` with the
@@ -191,9 +243,13 @@ pub(crate) fn run(x: impl AggKernel, op: AggOp, dir: AggDir) -> Result<DenseMatr
 
 /// Computes an aggregate of `x` along `dir`.
 ///
-/// Full aggregates return a `1 x 1` matrix so the result can flow through
-/// matrix-typed plans (the runtime unwraps scalars where needed). Empty
-/// inputs are rejected for min/max/mean/var/sd.
+/// Full and Col aggregates reduce over the rows in 2048-row blocks fanned
+/// out over the pool, a chain per block, the blocks folded in order (the
+/// module docs); Row aggregates split the rows. Either way the bits are
+/// the same at every thread count. Full aggregates return a `1 x 1`
+/// matrix so the result can flow through matrix-typed plans (the runtime
+/// unwraps scalars where needed). Empty inputs are rejected for
+/// min/max/mean/var/sd.
 pub fn aggregate(x: &DenseMatrix, op: AggOp, dir: AggDir) -> Result<DenseMatrix> {
     run(x, op, dir)
 }
@@ -208,8 +264,20 @@ impl AggKernel for &DenseMatrix {
         let xv = self.values();
         match dir {
             AggDir::Full => {
-                let mut acc = C::START;
-                xv.iter().for_each(|&v| acc.push(v));
+                // Row-major cells, a chain per row block.
+                let fold = fold_row_blocks(
+                    r,
+                    c,
+                    |rows| {
+                        let mut acc = C::START;
+                        xv[rows.start * c..rows.end * c]
+                            .iter()
+                            .for_each(|&v| acc.push(v));
+                        acc
+                    },
+                    C::merge,
+                );
+                let acc = fold.unwrap_or(C::START);
                 DenseMatrix::filled(1, 1, acc.finish(op, (r * c) as f64))
             }
             AggDir::Row => {
@@ -227,25 +295,18 @@ impl AggKernel for &DenseMatrix {
                 out
             }
             AggDir::Col => {
-                // Disjoint column blocks: each block scans rows top-to-bottom
-                // with one accumulator per column, so every column reduces in
-                // the same i-ascending order as the serial sweep (identical
-                // bits at any thread count) and one vector loop extends all
+                // Each row block scans its rows top to bottom with one
+                // accumulator per column, so one vector loop extends all
                 // of a row segment's columns.
-                let mut out = DenseMatrix::zeros(1, c);
-                let cols_per_chunk = exdra_par::chunk_len(c, super::par_floor(4 * r));
-                exdra_par::par_chunks_mut(out.values_mut(), cols_per_chunk, |_, j0, ochunk| {
-                    let mut acc = vec![C::START; ochunk.len()];
-                    for row in xv.chunks_exact(c) {
-                        for (a, &v) in acc.iter_mut().zip(&row[j0..]) {
+                let chains = col_chains::<C>(r, c, |rows, acc| {
+                    for row in xv[rows.start * c..rows.end * c].chunks_exact(c) {
+                        for (a, &v) in acc.iter_mut().zip(row) {
                             a.push(v);
                         }
                     }
-                    for (o, a) in ochunk.iter_mut().zip(acc) {
-                        *o = a.finish(op, r as f64);
-                    }
                 });
-                out
+                let cells = chains.into_iter().map(|a| a.finish(op, r as f64)).collect();
+                DenseMatrix::new(1, c, cells).expect("one cell per column")
             }
         }
     }

@@ -5,13 +5,15 @@
 //! §4k): `lhs` micro-panels and `rhs` column panels are packed into
 //! contiguous buffers, tiled over `k` in [`KC`]-deep slabs, and reduced by
 //! a fully-unrolled [`MR`]`x`[`NR`] register micro-tile (a ragged edge
-//! tile is a full tile on zero-padded lanes). Every output cell still
-//! accumulates its `a*b` terms as one left-to-right chain in k-ascending
-//! order — blocking changes *where* the operands come from, never the
-//! order they are added — so the result is bitwise identical to
-//! [`matmul_naive`] at every thread count (the PR 4 determinism
-//! contract). `t(A) %*% B` and `tsmm` are row sweeps over the shared row
-//! index instead, with the same per-cell chain.
+//! tile is a full tile on zero-padded lanes). Every output cell follows
+//! the one reduction order (DESIGN.md §4f): its `a*b` terms are added
+//! one at a time, k ascending, in blocks of [`REDUCE_BLOCK_ROWS`] from
+//! 0.0, and the block partials fold in ascending order — blocking changes
+//! *where* the operands come from, never the order they are added — so
+//! the result is bitwise identical to [`matmul_naive`] at every thread
+//! count. `t(A) %*% B`, `tsmm` and `mmchain` are row sweeps over the
+//! shared row index instead, with the same per-cell order; their row
+//! blocks are the parallel unit.
 //!
 //! The hot bodies are compiled twice: once for the portable baseline and
 //! once with AVX2 enabled (plus a hand-vectorized AVX-512 micro-tile),
@@ -24,7 +26,12 @@
 // iterator zips over 3+ arrays obscure the access pattern.
 #![allow(clippy::needless_range_loop)]
 
-use super::par_floor;
+use std::ops::Range;
+
+use super::{
+    add_into, fold_blocks_into, fold_row_blocks, par_floor, row_blocks, REDUCE_BLOCK_ROWS,
+    TN_BLOCK_CELLS,
+};
 use crate::dense::DenseMatrix;
 use crate::error::{MatrixError, Result};
 
@@ -39,6 +46,10 @@ pub const NR: usize = 8;
 /// doubles (16 KiB) and stays L1-resident while every micro-tile of the
 /// row block reduces against it.
 pub const KC: usize = 256;
+
+// A reduction block is a whole number of slabs, so a slab never straddles
+// a block boundary.
+const _: () = assert!(REDUCE_BLOCK_ROWS.is_multiple_of(KC));
 
 /// The fully-unrolled `MR x NR` micro-kernel: `acc[i][j] += a[i] * b[j]`
 /// for each of the `kc` packed depth steps. Terms are added one at a
@@ -234,9 +245,10 @@ macro_rules! avx2_twin {
 /// slabs, the rhs slab is packed into [`NR`]-wide column panels, each
 /// [`MR`]-row lhs micro-panel is packed depth-major, and an `MR x NR`
 /// register tile reduces the slab. Every cell's terms are added in
-/// k-ascending order with the output cell carried through the slabs, so
-/// the result is bitwise identical to [`matmul_naive`] at any thread
-/// count and any block geometry.
+/// k-ascending order with the output cell carried through the slabs of
+/// one [`REDUCE_BLOCK_ROWS`] block, and the blocks fold in order, so the
+/// result is bitwise identical to [`matmul_naive`] at any thread count
+/// and any block geometry.
 pub fn matmul(lhs: &DenseMatrix, rhs: &DenseMatrix) -> Result<DenseMatrix> {
     if lhs.cols() != rhs.rows() {
         return Err(MatrixError::DimensionMismatch {
@@ -283,45 +295,59 @@ const DOT_GROUP_ROWS: usize = 16;
 
 /// Row dots `out[i] = x_i · v` for the first `out.len()` rows of the
 /// row-major `x` (`n` columns): each row's chain `0 + x[i][0] v[0] +
-/// x[i][1] v[1] + …`, c-ascending, one term at a time. The rows of a
-/// group ride in vector lanes, one row per lane, so a group's chains
-/// advance side by side instead of one latency-bound chain per row.
-/// Serves `X v` (the matrix-vector fast path) and phase 1 of `mmchain`.
-/// Dispatches to the AVX2 twin when the CPU allows; every twin performs
-/// the same per-row multiplies and adds, so the choice never changes a
-/// bit.
+/// x[i][1] v[1] + …`, c-ascending, one term at a time — the depth of
+/// `matmul`, so cut into [`REDUCE_BLOCK_ROWS`]-column blocks whose
+/// partials fold in order. Serves `X v` (the matrix-vector fast path) and
+/// phase 1 of `mmchain`.
 #[inline]
 fn row_dots(x: &[f64], n: usize, v: &[f64], out: &mut [f64]) {
+    fold_blocks_into(
+        n,
+        out,
+        0.0,
+        |cols, acc| row_dots_block(&x[cols.start..], n, cols.len(), &v[cols.start..], acc),
+        |o, p| *o += p,
+    );
+}
+
+/// One column block of [`row_dots`]: `out[i]` is row `i`'s chain over
+/// its first `n` cells, rows `stride` cells apart. The rows of a group
+/// ride in vector lanes, one row per lane, so a group's chains advance
+/// side by side instead of one latency-bound chain per row. Dispatches to
+/// the AVX2 twin when the CPU allows; every twin performs the same
+/// per-row multiplies and adds, so the choice never changes a bit.
+#[inline]
+fn row_dots_block(x: &[f64], stride: usize, n: usize, v: &[f64], out: &mut [f64]) {
     assert!(
-        x.len() >= out.len() * n && v.len() >= n,
+        out.is_empty() || (x.len() >= (out.len() - 1) * stride + n && v.len() >= n),
         "row_dots operand underflow"
     );
     #[cfg(target_arch = "x86_64")]
     if avx2_available() {
         // SAFETY: guarded by the runtime AVX2 detection; operand bounds
         // are asserted above.
-        unsafe { row_dots_avx2(x, n, v, out) };
+        unsafe { row_dots_avx2(x, stride, n, v, out) };
         return;
     }
-    row_dots_scalar(x, n, v, out);
+    row_dots_scalar(x, stride, n, v, out);
 }
 
-/// Portable body of [`row_dots`]: a group's chains in an array, extended
-/// column by column.
-fn row_dots_scalar(x: &[f64], n: usize, v: &[f64], out: &mut [f64]) {
+/// Portable body of [`row_dots_block`]: a group's chains in an array,
+/// extended column by column.
+fn row_dots_scalar(x: &[f64], stride: usize, n: usize, v: &[f64], out: &mut [f64]) {
     for (g, o) in out.chunks_mut(DOT_GROUP_ROWS).enumerate() {
-        let rows = &x[g * DOT_GROUP_ROWS * n..];
+        let rows = &x[g * DOT_GROUP_ROWS * stride..];
         let mut acc = [0.0f64; DOT_GROUP_ROWS];
         for (c, &b) in v[..n].iter().enumerate() {
             for (i, a) in acc[..o.len()].iter_mut().enumerate() {
-                *a += rows[i * n + c] * b;
+                *a += rows[i * stride + c] * b;
             }
         }
         o.copy_from_slice(&acc[..o.len()]);
     }
 }
 
-/// AVX2 twin of [`row_dots`]: 16-row groups as four 4-row quads (then
+/// AVX2 twin of [`row_dots_block`]: 16-row groups as four 4-row quads (then
 /// single quads, then scalar chains for the last `rows % 4`). Each quad's
 /// 4 x 4 tile of `x` is transposed in registers — 128-bit row halves
 /// paired by `vinsertf128`, split into columns by `vunpck{l,h}pd` — so
@@ -334,10 +360,10 @@ fn row_dots_scalar(x: &[f64], n: usize, v: &[f64], out: &mut [f64]) {
 /// The CPU must support AVX2. Operand lengths are checked inside.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
-unsafe fn row_dots_avx2(x: &[f64], n: usize, v: &[f64], out: &mut [f64]) {
+unsafe fn row_dots_avx2(x: &[f64], stride: usize, n: usize, v: &[f64], out: &mut [f64]) {
     let rows = out.len();
     assert!(
-        x.len() >= rows * n && v.len() >= n,
+        rows == 0 || (x.len() >= (rows - 1) * stride + n && v.len() >= n),
         "row_dots operand underflow"
     );
     // SAFETY (for the raw accesses below): every quad reads rows
@@ -346,49 +372,56 @@ unsafe fn row_dots_avx2(x: &[f64], n: usize, v: &[f64], out: &mut [f64]) {
     let (xp, op) = (x.as_ptr(), out.as_mut_ptr());
     let mut i = 0;
     while i + DOT_GROUP_ROWS <= rows {
-        dot_quads_avx2::<4>(xp.add(i * n), n, v, op.add(i));
+        dot_quads_avx2::<4>(xp.add(i * stride), stride, n, v, op.add(i));
         i += DOT_GROUP_ROWS;
     }
     while i + 4 <= rows {
-        dot_quads_avx2::<1>(xp.add(i * n), n, v, op.add(i));
+        dot_quads_avx2::<1>(xp.add(i * stride), stride, n, v, op.add(i));
         i += 4;
     }
     for (r, o) in out.iter_mut().enumerate().skip(i) {
         let mut acc = 0.0;
-        for (a, b) in x[r * n..(r + 1) * n].iter().zip(v) {
+        for (a, b) in x[r * stride..][..n].iter().zip(v) {
             acc += a * b;
         }
         *o = acc;
     }
 }
 
-/// Two rows `2n` apart side by side, two columns each: `[p[0], p[1],
-/// p[2n], p[2n + 1]]`.
+/// Two rows `2s` cells apart side by side, two columns each: `[p[0],
+/// p[1], p[2s], p[2s + 1]]`.
 ///
 /// # Safety
 ///
-/// The CPU must support AVX2, and `p[0..2]` and `p[2n..2n + 2]` must be
+/// The CPU must support AVX2, and `p[0..2]` and `p[2s..2s + 2]` must be
 /// readable.
 #[cfg(target_arch = "x86_64")]
 #[inline]
 #[target_feature(enable = "avx2")]
-unsafe fn row_pair(p: *const f64, n: usize) -> core::arch::x86_64::__m256d {
+unsafe fn row_pair(p: *const f64, s: usize) -> core::arch::x86_64::__m256d {
     use core::arch::x86_64::*;
     let lo = _mm256_castpd128_pd256(_mm_loadu_pd(p));
-    _mm256_insertf128_pd::<1>(lo, _mm_loadu_pd(p.add(2 * n)))
+    _mm256_insertf128_pd::<1>(lo, _mm_loadu_pd(p.add(2 * s)))
 }
 
-/// `Q` quads (`4 Q` consecutive rows of `x`, row-major with `n` columns)
-/// of [`row_dots_avx2`], one accumulator vector per quad.
+/// `Q` quads (`4 Q` consecutive rows of `x`, `s` cells apart, `n`
+/// columns each) of [`row_dots_avx2`], one accumulator vector per quad.
 ///
 /// # Safety
 ///
-/// The CPU must support AVX2, `x` must point to `4 Q n` readable cells,
-/// `out` to `4 Q` writable ones, and `v` must hold at least `n`.
+/// The CPU must support AVX2, `x` must point to `4 Q` rows of `n`
+/// readable cells, `out` to `4 Q` writable ones, and `v` must hold at
+/// least `n`.
 #[cfg(target_arch = "x86_64")]
 #[inline]
 #[target_feature(enable = "avx2")]
-unsafe fn dot_quads_avx2<const Q: usize>(x: *const f64, n: usize, v: &[f64], out: *mut f64) {
+unsafe fn dot_quads_avx2<const Q: usize>(
+    x: *const f64,
+    s: usize,
+    n: usize,
+    v: &[f64],
+    out: *mut f64,
+) {
     use core::arch::x86_64::*;
     let mut acc = [_mm256_setzero_pd(); Q];
     let mut c = 0;
@@ -398,9 +431,9 @@ unsafe fn dot_quads_avx2<const Q: usize>(x: *const f64, n: usize, v: &[f64], out
         let b2 = _mm256_set1_pd(v[c + 2]);
         let b3 = _mm256_set1_pd(v[c + 3]);
         for (q, a) in acc.iter_mut().enumerate() {
-            let p = x.add(4 * q * n + c);
-            let (lo02, lo13) = (row_pair(p, n), row_pair(p.add(n), n));
-            let (hi02, hi13) = (row_pair(p.add(2), n), row_pair(p.add(n + 2), n));
+            let p = x.add(4 * q * s + c);
+            let (lo02, lo13) = (row_pair(p, s), row_pair(p.add(s), s));
+            let (hi02, hi13) = (row_pair(p.add(2), s), row_pair(p.add(s + 2), s));
             // Columns c..c+4 of the quad, one row per lane.
             let mut s = *a;
             s = _mm256_add_pd(s, _mm256_mul_pd(_mm256_unpacklo_pd(lo02, lo13), b0));
@@ -414,8 +447,8 @@ unsafe fn dot_quads_avx2<const Q: usize>(x: *const f64, n: usize, v: &[f64], out
     while c < n {
         let b = _mm256_set1_pd(v[c]);
         for (q, a) in acc.iter_mut().enumerate() {
-            let p = x.add(4 * q * n + c);
-            let col = _mm256_set_pd(*p.add(3 * n), *p.add(2 * n), *p.add(n), *p);
+            let p = x.add(4 * q * s + c);
+            let col = _mm256_set_pd(*p.add(3 * s), *p.add(2 * s), *p.add(s), *p);
             *a = _mm256_add_pd(*a, _mm256_mul_pd(col, b));
         }
         c += 1;
@@ -428,7 +461,9 @@ unsafe fn dot_quads_avx2<const Q: usize>(x: *const f64, n: usize, v: &[f64], out
 /// One parallel chunk of the blocked GEMM: pack the rhs slab into
 /// NR-wide column panels, each MR-row lhs micro-panel depth-major, and
 /// reduce with the register micro-tile, carrying output cells through
-/// the k-slabs.
+/// the k-slabs of a reduction block. Slabs past the first block
+/// accumulate into `part` from zero, which folds into the output at each
+/// block's end.
 #[inline(always)]
 fn gemm_chunk_body(
     lv: &[f64],
@@ -444,8 +479,21 @@ fn gemm_chunk_body(
     // rhs panel layout is identical however the rows are split.
     let mut bpack = vec![0.0f64; npanels * KC * NR];
     let mut apack = vec![0.0f64; KC * MR];
+    let mut part = vec![
+        0.0f64;
+        if k > REDUCE_BLOCK_ROWS {
+            ochunk.len()
+        } else {
+            0
+        }
+    ];
     for kb in (0..k).step_by(KC) {
         let kc = (kb + KC).min(k) - kb;
+        let cells: &mut [f64] = if kb < REDUCE_BLOCK_ROWS {
+            &mut *ochunk
+        } else {
+            &mut part
+        };
         // Pack the rhs slab into NR-wide column panels, depth-major
         // within each panel. Ragged tail lanes stay at the buffer's
         // initial 0.0 and feed accumulator columns that are never stored.
@@ -474,16 +522,23 @@ fn gemm_chunk_body(
                 // load, extend each cell's chain term by term, store.
                 let mut acc = [[0.0f64; NR]; MR];
                 for i in 0..mr {
-                    let orow = &ochunk[(ip + i) * n + j0..];
+                    let orow = &cells[(ip + i) * n + j0..];
                     acc[i][..nr].copy_from_slice(&orow[..nr]);
                 }
                 // An edge tile is a full tile on the padded lanes: only
                 // its live `mr x nr` cells are stored.
                 micro_tile(kc, &apack, bp, &mut acc);
                 for i in 0..mr {
-                    let orow = &mut ochunk[(ip + i) * n + j0..];
+                    let orow = &mut cells[(ip + i) * n + j0..];
                     orow[..nr].copy_from_slice(&acc[i][..nr]);
                 }
+            }
+        }
+        let block_end = (kb + kc).is_multiple_of(REDUCE_BLOCK_ROWS) || kb + kc == k;
+        if kb >= REDUCE_BLOCK_ROWS && block_end {
+            for (o, p) in ochunk.iter_mut().zip(&mut part) {
+                *o += *p;
+                *p = 0.0;
             }
         }
     }
@@ -492,28 +547,23 @@ avx2_twin!(gemm_chunk / gemm_chunk_avx2 => gemm_chunk_body(
     lv: &[f64], rv: &[f64], k: usize, n: usize, npanels: usize, i0: usize, ochunk: &mut [f64]
 ));
 
-/// Largest output block (in cells) one row sweep accumulates into:
-/// 128 KiB, so the block every shared-index row updates stays L2-resident
-/// (and L1-resident for the thin products that dominate: `t(X) y` is 100
-/// cells, K-Means' `t(P) X` 2000).
-const TN_BLOCK_CELLS: usize = 1 << 14;
-
 /// Transposed-left matrix multiplication `t(a) %*% b` for `a (k x p)` and
 /// `b (k x n)`, without materializing `t(a)`.
 ///
-/// One sweep over the shared row index `r`, ascending: row `r` of `a` and
-/// row `r` of `b` add `a[r][i] * b[r][j]` into output cell `(i, j)`. Every
-/// cell is therefore the r-ascending chain that
-/// `matmul_naive(&transpose(a), b)` builds — bitwise identical to it at
-/// every thread count, because parallel chunks split the *output*, never
-/// a chain.
+/// One sweep over the shared row index `r`: row `r` of `a` and row `r`
+/// of `b` add `a[r][i] * b[r][j]` into output cell `(i, j)`, r ascending
+/// within each [`REDUCE_BLOCK_ROWS`] block, and the block partials fold
+/// in order — the cell `matmul_naive(&transpose(a), b)` builds, at every
+/// thread count. An output of at most [`TN_BLOCK_CELLS`] cells (`t(X) y`,
+/// MLogReg's `t(X) R`, K-Means' `t(P) X`) fans the row blocks out over
+/// the pool, each computing a whole partial; a wider one splits into
+/// tiles of at most that many cells, each walking every block in turn.
 ///
 /// The shapes pick the loop: the inner loop runs along the rows of the
-/// wider operand (unit stride, vectorized), the thinner operand supplies
-/// the broadcast scalars, and the pool splits the wider operand's
-/// columns. With a thin `b` (`t(X) y`, MLogReg's `t(X) R`) that computes
-/// the `n x p` transpose of the result block by block, which is stored
-/// transposed back; `x * y` commutes bit for bit, so the cells agree.
+/// wider operand (unit stride, vectorized) and the thinner operand
+/// supplies the broadcast scalars. With a thin `b` that computes the
+/// `n x p` transpose of the result, which is stored transposed back;
+/// `x * y` commutes bit for bit, so the cells agree.
 pub fn matmul_tn(a: &DenseMatrix, b: &DenseMatrix) -> Result<DenseMatrix> {
     if a.rows() != b.rows() {
         return Err(MatrixError::DimensionMismatch {
@@ -532,18 +582,10 @@ pub fn matmul_tn(a: &DenseMatrix, b: &DenseMatrix) -> Result<DenseMatrix> {
 /// [`matmul_tn`] on raw row-major buffers: `out (p x n) = t(av) %*% bv`
 /// with `out` zeroed by the caller.
 fn tn_into(av: &[f64], p: usize, bv: &[f64], n: usize, k: usize, out: &mut [f64]) {
-    let strip = strip_len(p.max(n), k * p.min(n));
-    tn_strips(av, p, bv, n, k, strip, out);
-}
-
-/// [`tn_into`] with the wider operand's columns split into strips of
-/// `strip` columns (the parallel unit), each strip cut into output
-/// blocks of at most [`TN_BLOCK_CELLS`] cells.
-fn tn_strips(av: &[f64], p: usize, bv: &[f64], n: usize, k: usize, strip: usize, out: &mut [f64]) {
     if p == 0 || n == 0 || k == 0 {
         return;
     }
-    // `thin` supplies the scalars, `wide` the streamed rows; blocks are
+    // `thin` supplies the scalars, `wide` the streamed rows; tiles are
     // (thin columns) x (wide columns), i.e. of `out` or of its transpose.
     let flipped = n < p;
     let (tv, nt, wv, nw) = if flipped {
@@ -551,39 +593,68 @@ fn tn_strips(av: &[f64], p: usize, bv: &[f64], n: usize, k: usize, strip: usize,
     } else {
         (av, p, bv, n)
     };
-    let width = strip.clamp(1, TN_BLOCK_CELLS);
-    let height = (TN_BLOCK_CELLS / width).clamp(1, nt);
-    let (col_blocks, row_blocks) = (nw.div_ceil(width), nt.div_ceil(height));
-    // Block t starts at thin column i0 and wide column j0, w columns wide.
-    let origin = |t: usize| {
-        let (i0, j0) = (t / col_blocks * height, t % col_blocks * width);
-        (i0, j0, width.min(nw - j0))
+    // Extends the tile at thin column i0 and wide column j0, `w` wide,
+    // over the rows `rows`.
+    let sweep = |rows: Range<usize>, (i0, j0, w): (usize, usize, usize), acc: &mut [f64]| {
+        let (thin, wide) = (&tv[rows.start * nt + i0..], &wv[rows.start * nw + j0..]);
+        tn_block(thin, nt, wide, nw, rows.len(), w, acc);
     };
-    let blocks = exdra_par::map_chunks(col_blocks * row_blocks, 1, |t, _| {
-        let (i0, j0, w) = origin(t);
-        let mut block = vec![0.0f64; height.min(nt - i0) * w];
-        tn_block(&tv[i0..], nt, &wv[j0..], nw, k, w, &mut block);
-        block
-    });
-    for (t, block) in blocks.iter().enumerate() {
-        let (i0, j0, w) = origin(t);
-        for (di, brow) in block.chunks_exact(w).enumerate() {
+    let mut store = |(i0, j0, w): (usize, usize, usize), tile: &[f64]| {
+        for (di, trow) in tile.chunks_exact(w).enumerate() {
             if flipped {
-                for (dj, &v) in brow.iter().enumerate() {
+                for (dj, &v) in trow.iter().enumerate() {
                     out[(j0 + dj) * n + i0 + di] = v;
                 }
             } else {
-                out[(i0 + di) * n + j0..][..w].copy_from_slice(brow);
+                out[(i0 + di) * n + j0..][..w].copy_from_slice(trow);
             }
         }
+    };
+    if nt * nw <= TN_BLOCK_CELLS {
+        let whole = (0, 0, nw);
+        let tile = fold_row_blocks(
+            k,
+            p * n,
+            |rows| {
+                let mut part = vec![0.0f64; nt * nw];
+                sweep(rows, whole, &mut part);
+                part
+            },
+            add_into,
+        );
+        store(whole, &tile.expect("k > 0"));
+        return;
+    }
+    let width = nw.min(TN_BLOCK_CELLS);
+    let height = (TN_BLOCK_CELLS / width).clamp(1, nt);
+    let (col_tiles, row_tiles) = (nw.div_ceil(width), nt.div_ceil(height));
+    // Tile t starts at thin column i0 and wide column j0, w columns wide.
+    let origin = |t: usize| {
+        let (i0, j0) = (t / col_tiles * height, t % col_tiles * width);
+        (i0, j0, width.min(nw - j0))
+    };
+    let tiles = exdra_par::map_chunks(col_tiles * row_tiles, 1, |t, _| {
+        let (i0, j0, w) = origin(t);
+        let mut tile = vec![0.0f64; height.min(nt - i0) * w];
+        fold_blocks_into(
+            k,
+            &mut tile,
+            0.0,
+            |rows, acc| sweep(rows, (i0, j0, w), acc),
+            |a, p| *a += p,
+        );
+        tile
+    });
+    for (t, tile) in tiles.iter().enumerate() {
+        store(origin(t), tile);
     }
 }
 
 /// One output block of the row sweep: `block[i][j] += Σ_r thin[r][i] *
 /// wide[r][j]` with `thin` and `wide` already offset to the block's first
-/// column, four shared-index rows per pass with the cell held in a
-/// register between its four adds — one term at a time, r ascending, so
-/// any split of the output leaves each chain alone.
+/// row and column, four shared-index rows per pass with the cell held in
+/// a register between its four adds — one term at a time, r ascending,
+/// so any split of the output leaves each chain alone.
 #[inline(always)]
 fn tn_block_body(
     thin: &[f64],
@@ -645,39 +716,80 @@ const TSMM_SLAB_ROWS: usize = 64;
 /// or `X Xᵀ` (`left=false`) exploiting the symmetry of the result.
 ///
 /// `Xᵀ X` is the [`matmul_tn`] row sweep restricted to the upper
-/// triangle: output blocks of `TSMM_BLOCK_ROWS` rows reach from the
-/// diagonal to the right edge and are dealt, largest first, to at most
-/// one job per pool thread; every job walks `X` **once**, slab by slab,
-/// extending its blocks' cells with `tn_block`. `X Xᵀ` is row-dot-row.
-/// Either way each upper cell is the r-ascending chain of `matmul_naive`
-/// on the materialized transpose at every thread count, and the lower
-/// triangle is its mirror.
+/// triangle, cut into bands of `TSMM_BLOCK_ROWS` output rows that reach
+/// from the diagonal to the right edge; each pass over a `TSMM_SLAB_ROWS`
+/// slab of `X` extends every band's cells with `tn_block`. Up to
+/// [`TN_BLOCK_CELLS`] output cells (PCA's 100 x 100) the row blocks fan
+/// out over the pool, each sweeping all bands into a partial; a wider
+/// output splits its bands into runs, each walking every row block in
+/// turn. `X Xᵀ` is row-dot-row. Either way each upper cell is the cell
+/// `matmul_naive` builds on the materialized transpose, blocks and fold
+/// included, at every thread count, and the lower triangle is its
+/// mirror.
 pub fn tsmm(x: &DenseMatrix, left: bool) -> Result<DenseMatrix> {
     let (m, n) = x.shape();
     let xv = x.values();
     let side = if left { n } else { m };
     let mut out = DenseMatrix::zeros(side, side);
     if left {
-        // Deal the blocks, largest first, each to the least-loaded job.
-        let njobs = exdra_par::threads().min((m * n * n / 2 / super::PAR_MIN_WORK).max(1));
-        let mut jobs = vec![(0usize, Vec::new()); njobs];
-        for i0 in (0..n).step_by(TSMM_BLOCK_ROWS) {
-            let cells = TSMM_BLOCK_ROWS.min(n - i0) * (n - i0);
-            let job = jobs.iter_mut().min_by_key(|j| j.0).expect("njobs >= 1");
-            job.0 += cells;
-            job.1.push((i0, vec![0.0f64; cells]));
-        }
-        exdra_par::par_chunks_mut(&mut jobs, 1, |_, _, job| {
-            for r0 in (0..m).step_by(TSMM_SLAB_ROWS) {
-                let slab = &xv[r0 * n..(r0 + TSMM_SLAB_ROWS).min(m) * n];
-                for (i0, block) in &mut job[0].1 {
-                    let cols = &slab[*i0..];
-                    tn_block(cols, n, cols, n, slab.len() / n, n - *i0, block);
+        // Band b starts at output row bands[b], its cells packed from
+        // offset[b]: `TSMM_BLOCK_ROWS` rows of `n - i0` cells.
+        let bands: Vec<usize> = (0..n).step_by(TSMM_BLOCK_ROWS).collect();
+        let band_cells = |i0: usize| TSMM_BLOCK_ROWS.min(n - i0) * (n - i0);
+        let offset: Vec<usize> = bands
+            .iter()
+            .scan(0, |at, &i0| {
+                let o = *at;
+                *at += band_cells(i0);
+                Some(o)
+            })
+            .collect();
+        let cells = bands
+            .last()
+            .map_or(0, |&i0| offset[bands.len() - 1] + band_cells(i0));
+        // Extends bands `run` (packed from `acc[0]`) over the rows `rows`.
+        let sweep = |rows: Range<usize>, run: Range<usize>, acc: &mut [f64]| {
+            let base = offset[run.start];
+            for r0 in rows.clone().step_by(TSMM_SLAB_ROWS) {
+                let slab = &xv[r0 * n..(r0 + TSMM_SLAB_ROWS).min(rows.end) * n];
+                for b in run.clone() {
+                    let (i0, cols) = (bands[b], &slab[bands[b]..]);
+                    let band = &mut acc[offset[b] - base..][..band_cells(i0)];
+                    tn_block(cols, n, cols, n, slab.len() / n, n - i0, band);
                 }
             }
-        });
-        for &(i0, ref block) in jobs.iter().flat_map(|j| &j.1) {
-            for (di, brow) in block.chunks_exact(n - i0).enumerate() {
+        };
+        let packed = if n * n <= TN_BLOCK_CELLS {
+            fold_row_blocks(
+                m,
+                cells,
+                |rows| {
+                    let mut part = vec![0.0f64; cells];
+                    sweep(rows, 0..bands.len(), &mut part);
+                    part
+                },
+                add_into,
+            )
+            .unwrap_or_else(|| vec![0.0; cells])
+        } else {
+            let per_job = exdra_par::chunk_len(bands.len(), 1);
+            exdra_par::map_chunks(bands.len(), per_job, |_, run| {
+                let end = offset.get(run.end).copied().unwrap_or(cells);
+                let mut acc = vec![0.0f64; end - offset[run.start]];
+                fold_blocks_into(
+                    m,
+                    &mut acc,
+                    0.0,
+                    |rows, a| sweep(rows, run.clone(), a),
+                    |a, p| *a += p,
+                );
+                acc
+            })
+            .concat()
+        };
+        for (&i0, &o) in bands.iter().zip(&offset) {
+            let band = &packed[o..][..band_cells(i0)];
+            for (di, brow) in band.chunks_exact(n - i0).enumerate() {
                 out.row_mut(i0 + di)[i0..].copy_from_slice(brow);
             }
         }
@@ -687,10 +799,7 @@ pub fn tsmm(x: &DenseMatrix, left: bool) -> Result<DenseMatrix> {
             for (orow, i) in ochunk.chunks_exact_mut(m).zip(cell0 / m..) {
                 let xi = &xv[i * n..][..n];
                 for (j, o) in orow.iter_mut().enumerate().skip(i) {
-                    *o = xi
-                        .iter()
-                        .zip(&xv[j * n..])
-                        .fold(0.0, |acc, (a, b)| acc + a * b);
+                    *o = dot(xi, &xv[j * n..][..n]);
                 }
             }
         });
@@ -703,6 +812,16 @@ pub fn tsmm(x: &DenseMatrix, left: bool) -> Result<DenseMatrix> {
         }
     }
     Ok(out)
+}
+
+/// `a · b` in the one reduction order: a chain per
+/// [`REDUCE_BLOCK_ROWS`] block of terms, the block sums folded in order.
+fn dot(a: &[f64], b: &[f64]) -> f64 {
+    let blocks = a.chunks(REDUCE_BLOCK_ROWS).zip(b.chunks(REDUCE_BLOCK_ROWS));
+    blocks
+        .map(|(a, b)| a.iter().zip(b).fold(0.0, |acc, (x, y)| acc + x * y))
+        .reduce(|total, part| total + part)
+        .unwrap_or(0.0)
 }
 
 /// Fused matrix-multiplication chain `Xᵀ (w ⊙ (X V))` for a `d x k` `V`
@@ -720,10 +839,11 @@ pub fn tsmm(x: &DenseMatrix, left: bool) -> Result<DenseMatrix> {
 /// unconditionally — no zero-skip — so the compressed-domain `mmchain`
 /// (DESIGN.md §4k) can reproduce the chain bit for bit.
 ///
-/// The phases interleave over 32-row blocks, so `X` is read once for all
-/// `k` columns (`mmchain_sweep_body`), on one thread: at memory speed the
-/// sweep beats the two-phase schedule fanned out over two threads at
-/// every size measured (DESIGN.md §4k).
+/// The phases interleave over 32-row steps, so `X` is read once for all
+/// `k` columns (`mmchain_sweep_body`). The [`REDUCE_BLOCK_ROWS`] row
+/// blocks fan out over the pool, each sweeping its rows into a partial
+/// of the output, and the partials fold in block order: the bits of
+/// [`mmchain_two_phase`] at every width.
 pub fn mmchain(x: &DenseMatrix, v: &DenseMatrix, w: Option<&DenseMatrix>) -> Result<DenseMatrix> {
     let k = v.cols();
     if x.cols() != v.rows() {
@@ -747,11 +867,18 @@ pub fn mmchain(x: &DenseMatrix, v: &DenseMatrix, w: Option<&DenseMatrix>) -> Res
     // Each `v_j` contiguous: row `j` of `t(V)`.
     let vt = super::reorg::transpose(v);
     let (xv, vt, wv) = (x.values(), vt.values(), w.map(DenseMatrix::values));
-    // One region chunk: a single sweep over X, into `t(out)`.
-    let mut out_t = DenseMatrix::zeros(k, n);
-    exdra_par::par_chunks_mut(out_t.values_mut(), k * n, |_, _, ochunk| {
-        mmchain_sweep(xv, vt, wv, m, n, k, ochunk);
-    });
+    // Each block's partial of `t(out)`, folded in block order.
+    let out_t = fold_row_blocks(
+        m,
+        2 * n * k,
+        |rows| {
+            let mut part = vec![0.0f64; k * n];
+            mmchain_sweep(xv, vt, wv, rows, n, k, &mut part);
+            part
+        },
+        add_into,
+    );
+    let out_t = DenseMatrix::new(k, n, out_t.expect("m > 0"))?;
     Ok(super::reorg::transpose(&out_t))
 }
 
@@ -771,26 +898,6 @@ pub fn mmchain_two_phase(
         q = q.zip(w, "mmchain", |d, w| d * w)?;
     }
     matmul_tn(x, &q)
-}
-
-/// Work (multiply-adds) one strip of a column-split row sweep must carry
-/// before the sweep fans out. Far above [`super::PAR_MIN_WORK`]: every
-/// strip re-streams all rows of its operand, so splitting a memory-bound
-/// sweep buys traffic, not time. Calibrated on the measured width table
-/// of DESIGN.md §4k: `t(X) y` on 40k x 100 (4M multiply-adds) is fastest
-/// as one strip at every width, K-Means' `t(P) X` (80M) as one strip per
-/// thread.
-const SWEEP_STRIP_MIN_WORK: usize = 1 << 23;
-
-/// Columns per strip of a column-split row sweep whose every column
-/// costs `work_per_col` multiply-adds: one strip per pool thread — strips
-/// are the unit of memory traffic, so [`exdra_par::chunk_len`]'s several
-/// chunks per thread would each pay a full pass over the rows — and never
-/// less than [`SWEEP_STRIP_MIN_WORK`], which keeps small and memory-bound
-/// sweeps a single, serial strip.
-pub(crate) fn strip_len(cols: usize, work_per_col: usize) -> usize {
-    cols.div_ceil(exdra_par::threads())
-        .max(SWEEP_STRIP_MIN_WORK.div_ceil(work_per_col.max(1)))
 }
 
 /// Phase 1 of mmchain on a block of rows: `q[i][j] = (x_i · v_j) *
@@ -820,43 +927,44 @@ fn block_q(
     }
 }
 
-/// Rows per block of the one-pass mmchain sweep: a block of `X`
-/// (32 x 100 doubles = 25 KiB) is still in L1 when phase 2 re-reads it.
-const MMCHAIN_BLOCK_ROWS: usize = 32;
+/// Rows per step of the one-pass mmchain sweep: a step's rows of `X`
+/// (32 x 100 doubles = 25 KiB) are still in L1 when phase 2 re-reads
+/// them.
+const MMCHAIN_STEP_ROWS: usize = 32;
 
 /// Cells of `X` (1 MiB) below which the sweep does not prefetch: such an
 /// `X` stays in L2 from one call to the next, and the prefetches would
 /// only add instructions and push the live block out of L1.
 const PREFETCH_MIN_CELLS: usize = 1 << 17;
 
-/// The one-pass mmchain: per row block, phase 1 on the block's rows for
-/// all `k` columns, then phase 2 of the same rows into `out_t = t(out)`
-/// (`k x n`), carried across blocks. Each `q[i][j]` and each output cell
-/// is the chain the two-phase schedule builds, so the bits are the same —
-/// and `X` is read from memory once, whatever `k`. Phase 2 walks the
-/// block four rows at a time, and on an `X` too large to stay in cache
-/// each step asks for the matching rows of the next block, so they arrive
-/// while this block's arithmetic runs.
+/// The one-pass mmchain over the rows `span` of `X`: per step, phase 1
+/// on the step's rows for all `k` columns, then phase 2 of the same rows
+/// into `out_t = t(out)` (`k x n`), carried across steps. Each `q[i][j]`
+/// and each output cell is the chain the two-phase schedule builds, so
+/// the bits are the same — and `X` is read from memory once, whatever
+/// `k`. Phase 2 walks the step four rows at a time, and on an `X` too
+/// large to stay in cache each step asks for the matching rows of the
+/// next step, so they arrive while this step's arithmetic runs.
 #[inline(always)]
 fn mmchain_sweep_body(
     xv: &[f64],
     vt: &[f64],
     wv: Option<&[f64]>,
-    m: usize,
+    span: Range<usize>,
     n: usize,
     k: usize,
     out_t: &mut [f64],
 ) {
-    let mut q = vec![0.0f64; MMCHAIN_BLOCK_ROWS * k];
-    let mut dots = [0.0f64; MMCHAIN_BLOCK_ROWS];
-    for i0 in (0..m).step_by(MMCHAIN_BLOCK_ROWS) {
-        let rows = MMCHAIN_BLOCK_ROWS.min(m - i0);
+    let mut q = vec![0.0f64; MMCHAIN_STEP_ROWS * k];
+    let mut dots = [0.0f64; MMCHAIN_STEP_ROWS];
+    for i0 in span.clone().step_by(MMCHAIN_STEP_ROWS) {
+        let rows = MMCHAIN_STEP_ROWS.min(span.end - i0);
         let block = &xv[i0 * n..(i0 + rows) * n];
         let q = &mut q[..rows * k];
         let w = wv.map(|w| &w[i0 * k..(i0 + rows) * k]);
         block_q(block, n, vt, k, w, &mut dots, q);
         let next = if xv.len() >= PREFETCH_MIN_CELLS {
-            &xv[(i0 + rows) * n..]
+            &xv[(i0 + rows) * n..span.end * n]
         } else {
             &[]
         };
@@ -868,7 +976,8 @@ fn mmchain_sweep_body(
     }
 }
 avx2_twin!(mmchain_sweep / mmchain_sweep_avx2 => mmchain_sweep_body(
-    xv: &[f64], vt: &[f64], wv: Option<&[f64]>, m: usize, n: usize, k: usize, out_t: &mut [f64]
+    xv: &[f64], vt: &[f64], wv: Option<&[f64]>, span: Range<usize>, n: usize, k: usize,
+    out_t: &mut [f64]
 ));
 
 /// Asks the cache hierarchy for every line of `cells` (a hint: no
@@ -889,7 +998,9 @@ fn prefetch(cells: &[f64]) {
     let _ = cells;
 }
 
-/// Naive triple-loop reference used by tests to validate the tiled kernel.
+/// Naive triple-loop reference used by tests to validate the tiled
+/// kernel: per cell, a chain per [`REDUCE_BLOCK_ROWS`] block of the
+/// depth, the block sums folded in order (DESIGN.md §4f).
 pub fn matmul_naive(lhs: &DenseMatrix, rhs: &DenseMatrix) -> Result<DenseMatrix> {
     if lhs.cols() != rhs.rows() {
         return Err(MatrixError::DimensionMismatch {
@@ -903,11 +1014,15 @@ pub fn matmul_naive(lhs: &DenseMatrix, rhs: &DenseMatrix) -> Result<DenseMatrix>
     let mut out = DenseMatrix::zeros(m, n);
     for i in 0..m {
         for j in 0..n {
-            let mut acc = 0.0;
-            for kk in 0..k {
-                acc += lhs.get(i, kk) * rhs.get(kk, j);
+            let mut total = 0.0;
+            for (b, block) in row_blocks(k).enumerate() {
+                let mut acc = 0.0;
+                for kk in block {
+                    acc += lhs.get(i, kk) * rhs.get(kk, j);
+                }
+                total = if b == 0 { acc } else { total + acc };
             }
-            out.set(i, j, acc);
+            out.set(i, j, total);
         }
     }
     Ok(out)
@@ -1117,19 +1232,18 @@ mod tests {
             (5, 9, 9, 4),
             (3, 1, 1, 5),
             (0, 4, 3, 6),
-            (64, 130, 130, 7), // 16,900 cells: more than one output block
+            (64, 130, 130, 7), // 16,900 cells: more than one output tile
+            (4100, 3, 1, 8),   // three row blocks, the last one ragged
+            (2049, 130, 130, 9),
         ] {
             let a = rand_matrix(k, p, -1.0, 1.0, seed);
             let b = rand_matrix(k, n, -1.0, 1.0, seed + 100);
             let want = matmul_naive(&super::super::reorg::transpose(&a), &b).unwrap();
-            let got = matmul_tn(&a, &b).unwrap();
-            assert_eq!(got.shape(), (p, n));
-            assert_eq!(bits(&got), bits(&want), "{k}x{p} / {k}x{n}");
-            // Any strip width splits the output, never a chain.
-            for strip in [1, 7, 64] {
-                let mut out = DenseMatrix::zeros(p, n);
-                tn_strips(a.values(), p, b.values(), n, k, strip, out.values_mut());
-                assert_eq!(bits(&out), bits(&want), "{k}x{p} / {k}x{n} strip {strip}");
+            // The row blocks fan out, or the output splits: never a chain.
+            for width in [1, 3] {
+                let got = exdra_par::with_threads(width, || matmul_tn(&a, &b).unwrap());
+                assert_eq!(got.shape(), (p, n));
+                assert_eq!(bits(&got), bits(&want), "{k}x{p} / {k}x{n} width {width}");
             }
         }
         assert!(matmul_tn(&DenseMatrix::zeros(3, 2), &DenseMatrix::zeros(4, 2)).is_err());
@@ -1147,9 +1261,9 @@ mod tests {
 
     #[test]
     fn one_pass_mmchain_is_bitwise_two_phase() {
-        // Rows on and off the 32-row block, the 16-row lane group and the
-        // 4-row step; one column and three.
-        for m in [1, 31, 32, 33, 100, 131] {
+        // Rows on and off the 32-row step, the 16-row lane group, the
+        // 4-row step and the reduction blocks; one column and three.
+        for m in [1, 31, 32, 33, 100, 131, 2049, 4200] {
             let n = 13;
             let x = rand_matrix(m, n, -1.0, 1.0, 21);
             for k in [1, 3] {
@@ -1189,7 +1303,7 @@ mod tests {
             }
             let v = rand_matrix(n, 1, -1.0, 1.0, 32);
             let mut want = vec![0.0; rows];
-            row_dots_scalar(x.values(), n, v.values(), &mut want);
+            row_dots_scalar(x.values(), n, n, v.values(), &mut want);
             let want: Vec<u64> = want.iter().map(|d| d.to_bits()).collect();
             // Every row is the one c-ascending chain.
             for (r, &b) in want.iter().enumerate() {
@@ -1205,25 +1319,25 @@ mod tests {
             #[cfg(target_arch = "x86_64")]
             if avx2_available() {
                 // SAFETY: AVX2 was detected just above.
-                let got = got_bits(&|o| unsafe { row_dots_avx2(x.values(), n, v.values(), o) });
+                let got = got_bits(&|o| unsafe { row_dots_avx2(x.values(), n, n, v.values(), o) });
                 assert_eq!(got, want, "avx2, {rows}x{n}");
             }
             let got = got_bits(&|o| row_dots(x.values(), n, v.values(), o));
             assert_eq!(got, want, "dispatch, {rows}x{n}");
+            // A column block: the chains over cells 1..n - 1 of each row.
+            if n > 2 {
+                let mut block = vec![0.0; rows];
+                row_dots_block(&x.values()[1..], n, n - 2, &v.values()[1..], &mut block);
+                for (r, &d) in block.iter().enumerate() {
+                    let cells = &x.values()[r * n + 1..(r + 1) * n - 1];
+                    let chain = cells
+                        .iter()
+                        .zip(&v.values()[1..])
+                        .fold(0.0, |a, (x, v)| a + x * v);
+                    assert_eq!(d.to_bits(), chain.to_bits(), "{rows}x{n} row {r}, block");
+                }
+            }
         }
-    }
-
-    #[test]
-    fn sweeps_fan_out_only_above_the_strip_floor() {
-        exdra_par::with_threads(4, || {
-            // 4M multiply-adds: t(X) y on 40k x 100 stays one strip.
-            assert!(strip_len(100, 40_000) >= 100);
-            // 80M: K-Means' t(P) X splits one strip per thread.
-            assert_eq!(strip_len(100, 40_000 * 20), 25);
-            // 40M across 4 threads: 10M per strip clears the 8M floor.
-            assert_eq!(strip_len(100, 2 * 200_000), 25);
-        });
-        exdra_par::with_threads(1, || assert_eq!(strip_len(100, usize::MAX / 4), 100));
     }
 
     #[test]

@@ -12,6 +12,8 @@
 //! | Quaternary             | [`quaternary`] (`wsloss`, `wsigmoid`, `wdivmm`, `wcemm`) |
 //! | Transform/Reorg        | [`reorg`] (`rbind`, `cbind`, `t`, `removeEmpty`, `replace`, `reshape`, indexing) |
 
+use std::ops::Range;
+
 pub mod aggregates;
 pub mod elementwise;
 pub mod matmul;
@@ -28,4 +30,88 @@ pub(crate) const PAR_MIN_WORK: usize = 1 << 15;
 /// `cost_per_item` multiply-adds, derived from [`PAR_MIN_WORK`].
 pub(crate) fn par_floor(cost_per_item: usize) -> usize {
     (PAR_MIN_WORK / cost_per_item.max(1)).max(1)
+}
+
+/// Rows per block of the one reduction order (DESIGN.md §4f): every
+/// sum-type chain over a row index — the shared index of `t(A) %*% B`,
+/// `tsmm` and `mmchain`, the depth of `matmul`, the Full and Col
+/// aggregates — runs over blocks of this many rows counted from row 0,
+/// each block's chain starting from 0.0, and the block partials fold in
+/// ascending order starting from block 0's. No thread count, tile or ISA
+/// enters the order, so the bits are the same at every width; an input
+/// of at most one block is the one chain it always was.
+pub const REDUCE_BLOCK_ROWS: usize = 2048;
+
+/// Largest output (in cells) whose row reduction fans out over row
+/// blocks, each block computing a whole partial: 128 KiB, so a partial
+/// stays in L2 (in L1 for the thin products that dominate: `t(X) y` is
+/// 100 cells, K-Means' `t(P) X` 2000). A wider output splits into tiles
+/// of at most this many cells, each walking every row block in turn.
+pub(crate) const TN_BLOCK_CELLS: usize = 1 << 14;
+
+/// Row block `b` of `0..rows`.
+fn row_block(rows: usize, b: usize) -> Range<usize> {
+    let lo = b * REDUCE_BLOCK_ROWS;
+    lo..(lo + REDUCE_BLOCK_ROWS).min(rows)
+}
+
+/// The row blocks of `0..rows`, ascending.
+pub(crate) fn row_blocks(rows: usize) -> impl Iterator<Item = Range<usize>> {
+    (0..rows.div_ceil(REDUCE_BLOCK_ROWS)).map(move |b| row_block(rows, b))
+}
+
+/// The row reduction over `0..rows` as a fold of block partials fanned
+/// out over the pool: `partial(block)` computes one block's partial from
+/// scratch, `merge` folds the next one into the running total, in block
+/// order (`exdra_par::fold_in_order`). `work_per_row` (multiply-adds)
+/// sizes the jobs: light rows batch several blocks per job. `None` when
+/// `rows` is 0.
+pub(crate) fn fold_row_blocks<P: Send>(
+    rows: usize,
+    work_per_row: usize,
+    partial: impl Fn(Range<usize>) -> P + Sync,
+    merge: impl Fn(&mut P, P) + Sync,
+) -> Option<P> {
+    let blocks_per_job = par_floor(REDUCE_BLOCK_ROWS * work_per_row);
+    exdra_par::fold_in_order(
+        rows.div_ceil(REDUCE_BLOCK_ROWS),
+        blocks_per_job,
+        |b| partial(row_block(rows, b)),
+        merge,
+    )
+}
+
+/// The same reduction walked serially into one output tile: `step(block,
+/// acc)` extends `acc`'s chains over one block's rows. Block 0 runs
+/// straight into `acc` (which holds `zero`s); every later block starts a
+/// partial from `zero` and `merge`s it into `acc` cell by cell.
+pub(crate) fn fold_blocks_into<T: Copy>(
+    rows: usize,
+    acc: &mut [T],
+    zero: T,
+    mut step: impl FnMut(Range<usize>, &mut [T]),
+    merge: impl Fn(&mut T, T),
+) {
+    let mut part = Vec::new();
+    for (b, block) in row_blocks(rows).enumerate() {
+        if b == 0 {
+            step(block, acc);
+        } else {
+            part.clear();
+            part.resize(acc.len(), zero);
+            step(block, &mut part);
+            for (a, &p) in acc.iter_mut().zip(&part) {
+                merge(a, p);
+            }
+        }
+    }
+}
+
+/// `total += part`, cell by cell: the fold of two f64 block partials,
+/// typed to be [`fold_row_blocks`]'s `merge` for `Vec` partials.
+#[allow(clippy::ptr_arg)]
+pub(crate) fn add_into(total: &mut Vec<f64>, part: Vec<f64>) {
+    for (t, p) in total.iter_mut().zip(part) {
+        *t += p;
+    }
 }

@@ -12,13 +12,15 @@
 //! # Determinism contract
 //!
 //! Every entry point hands each chunk a **disjoint** `&mut` view of the
-//! output, and kernels built on top arrange their per-output-element
-//! reduction order to be identical to the serial schedule. Because no two
-//! threads ever combine partial results, the bits written are a pure
-//! function of the chunk decomposition — and for disjoint-output kernels
-//! they are identical at *every* thread count, including
-//! `EXDRA_THREADS=1`, which executes the same chunk schedule in order on
-//! the calling thread.
+//! output, or returns per-chunk results in chunk order, and kernels built
+//! on top arrange their per-output-element reduction order to be
+//! identical to the serial schedule. The one place partial results meet
+//! is [`fold_in_order`], which folds parts in ascending index order
+//! whichever thread computed them: the serial left fold. So the bits
+//! written are a pure function of the decomposition the kernel chose —
+//! and kernels choose decompositions that do not depend on the width —
+//! identical at *every* thread count, including `EXDRA_THREADS=1`, which
+//! executes the same schedule in order on the calling thread.
 //!
 //! # Sizing
 //!
@@ -33,7 +35,7 @@
 use std::cell::Cell;
 use std::ops::Range;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::OnceLock;
+use std::sync::{Mutex, OnceLock, PoisonError};
 
 /// Target number of chunks handed to each thread, so faster threads can
 /// steal work from slower ones instead of idling at a static partition.
@@ -178,14 +180,6 @@ fn record_region(chunks: usize, engaged: usize, steals: u64, parallel: bool) {
 pub fn chunk_len(total: usize, min_chunk: usize) -> usize {
     let target = threads().saturating_mul(CHUNKS_PER_THREAD).max(1);
     total.div_ceil(target).max(min_chunk.max(1))
-}
-
-/// Chunk length on a fixed grid that does **not** depend on the pool
-/// width, for callers that want one chunk schedule across all thread
-/// counts rather than relying on disjoint-output determinism.
-pub fn fixed_chunk_len(total: usize, min_chunk: usize) -> usize {
-    const FIXED_GRID_CHUNKS: usize = 32;
-    total.div_ceil(FIXED_GRID_CHUNKS).max(min_chunk.max(1))
 }
 
 /// Effective width for a region with `n_chunks` chunks on this thread:
@@ -335,6 +329,54 @@ where
         .into_iter()
         .map(|s| s.expect("every chunk executes exactly once"))
         .collect()
+}
+
+/// Computes `part(i)` for every `i` in `0..total` across the pool, `chunk`
+/// indices per job, and folds the parts in ascending index order: the
+/// result starts as `part(0)` and `merge(&mut acc, part(i))` adds each
+/// next one. A part is folded as soon as every earlier one has been,
+/// whichever thread computed it (parts that finish early wait), so the
+/// result is the serial left fold at every width. `None` when `total`
+/// is 0.
+pub fn fold_in_order<P, F, M>(total: usize, chunk: usize, part: F, merge: M) -> Option<P>
+where
+    P: Send,
+    F: Fn(usize) -> P + Sync,
+    M: Fn(&mut P, P) + Sync,
+{
+    struct Fold<P> {
+        next: usize,
+        acc: Option<P>,
+        early: Vec<(usize, P)>,
+    }
+    let state = Mutex::new(Fold {
+        next: 0,
+        acc: None,
+        early: Vec::new(),
+    });
+    for_each_chunk(total, chunk, |_, items| {
+        for i in items {
+            let p = part(i);
+            let mut s = state.lock().unwrap_or_else(PoisonError::into_inner);
+            s.early.push((i, p));
+            loop {
+                let next = s.next;
+                let Some(at) = s.early.iter().position(|&(j, _)| j == next) else {
+                    break;
+                };
+                let (_, p) = s.early.swap_remove(at);
+                match &mut s.acc {
+                    Some(acc) => merge(acc, p),
+                    None => s.acc = Some(p),
+                }
+                s.next += 1;
+            }
+        }
+    });
+    state
+        .into_inner()
+        .unwrap_or_else(PoisonError::into_inner)
+        .acc
 }
 
 /// Runs `a` and `b` potentially in parallel, returning both results.
@@ -536,6 +578,25 @@ mod tests {
             assert_eq!(chunk_len(1600, 500), 500);
             assert_eq!(chunk_len(0, 1), 1);
         });
-        assert_eq!(fixed_chunk_len(6400, 1), 200);
+    }
+
+    #[test]
+    fn fold_in_order_is_the_serial_left_fold() {
+        // String concatenation does not commute: any out-of-order merge
+        // shows in the result.
+        let want: String = (0..37).map(|i| format!("{i},")).collect();
+        for threads in [1usize, 2, 3, 8] {
+            for chunk in [1, 4, 50] {
+                let got = with_threads(threads, || {
+                    fold_in_order(37, chunk, |i| format!("{i},"), |acc, p| acc.push_str(&p))
+                });
+                assert_eq!(
+                    got.as_deref(),
+                    Some(want.as_str()),
+                    "{threads} threads, chunk {chunk}"
+                );
+            }
+        }
+        assert_eq!(fold_in_order(0, 1, |i| i, |a, p| *a += p), None);
     }
 }

@@ -4,16 +4,16 @@
 //! Two oracles, both bitwise:
 //!
 //! * the register-blocked `matmul`/`tsmm` agree with `matmul_naive`
-//!   exactly — the packed panels preserve the k-ascending per-cell
-//!   reduction chain — across ragged shapes that straddle the `MR`/`NR`
-//!   tile and `KC` slab boundaries (with NaN, ±Inf and -0.0 planted in
-//!   the operands: padded and stale packed lanes never leak), at pool
-//!   widths {1, 3, 8}; `tsmm`'s triangular sweep agrees with naive on the
-//!   materialized transpose across its block height and slab; so do the
-//!   `t(A) %*% B` row sweep (against naive on the materialized
-//!   transpose) and the one-pass `mmchain` (against the two-phase
-//!   schedule), whose splits only ever divide the output; a k-column
-//!   `mmchain`, local or compressed, is k single-column ones;
+//!   exactly — the packed panels preserve each cell's reduction chain —
+//!   across ragged shapes that straddle the `MR`/`NR` tile, the `KC` slab
+//!   and the 2048-row reduction block boundaries (with NaN, ±Inf and -0.0
+//!   planted in the operands: padded and stale packed lanes never leak),
+//!   at pool widths {1, 3, 8}; `tsmm`'s triangular sweep agrees with
+//!   naive on the materialized transpose across its band height and
+//!   slab; so do the `t(A) %*% B` row sweep (against naive on the
+//!   materialized transpose) and the one-pass `mmchain` (against the
+//!   two-phase schedule); a k-column `mmchain`, local or compressed, is k
+//!   single-column ones;
 //! * every compressed op agrees with decompress-then-dense-op exactly,
 //!   so the worker may execute on column groups without changing a
 //!   single output bit.
@@ -21,7 +21,10 @@
 //! The element-wise and aggregate kernels, which pick their operator once
 //! per call, are checked against the per-cell loops of `oracle` for every
 //! op, broadcast shape and direction, on ragged shapes with NaN, ±Inf and
-//! ±0.0 planted.
+//! ±0.0 planted. Every row reduction, dense and compressed, is checked
+//! against `oracle`'s serial loops written from the blocked reduction
+//! rule at widths 1 to 4, on row counts across the block boundaries; and
+//! inputs of at most one block keep the single chain they always had.
 
 mod oracle;
 
@@ -52,8 +55,13 @@ fn same_bits(a: &DenseMatrix, b: &DenseMatrix) -> bool {
 /// Runs `f` at width 1 and at each test width, asserting bitwise-equal
 /// outputs, and returns the serial result for oracle comparison.
 fn widths_agree(label: &str, f: impl Fn() -> DenseMatrix) -> DenseMatrix {
+    widths_agree_at(label, &WIDTHS, f)
+}
+
+/// [`widths_agree`] at width 1 and each of `widths`.
+fn widths_agree_at(label: &str, widths: &[usize], f: impl Fn() -> DenseMatrix) -> DenseMatrix {
     let serial = exdra_par::with_threads(1, &f);
-    for w in WIDTHS {
+    for &w in widths {
         let par = exdra_par::with_threads(w, &f);
         assert!(
             same_bits(&serial, &par),
@@ -75,24 +83,34 @@ fn tile_dim(scale: usize) -> impl Strategy<Value = usize> {
     ]
 }
 
-/// Reduction depths on both sides of the `KC` cache slab.
+/// Row counts across the 2048-row reduction blocks: either side of the
+/// first and the second boundary, and a ragged four blocks.
+fn block_edge() -> impl Strategy<Value = usize> {
+    prop_oneof![2047usize..=2049, 4095usize..=4097, Just(6500usize)]
+}
+
+/// Reduction depths on both sides of the `KC` cache slab and of the
+/// reduction blocks.
 fn depth_dim() -> impl Strategy<Value = usize> {
     prop_oneof![
         1usize..=24,
         (KC - 3)..=(KC + 3),
         (2 * KC - 2)..=(2 * KC + 2),
+        block_edge(),
     ]
 }
 
 /// Shared-index depths of the row sweep: empty, below / on / above its
-/// 4-row unroll, and long enough to carry cells across many passes.
+/// 4-row unroll, long enough to carry cells across many passes, and
+/// across the reduction blocks.
 fn sweep_depth() -> impl Strategy<Value = usize> {
     prop_oneof![
         Just(0usize),
         Just(1usize),
         3usize..=5,
         Just(257usize),
-        6usize..=300
+        6usize..=300,
+        block_edge(),
     ]
 }
 
@@ -407,6 +425,101 @@ fn ragged_gemm_with_special_values_is_bitwise_naive() {
     }
 }
 
+/// Widths of the reduction-order checks, besides 1.
+const RULE_WIDTHS: [usize; 3] = [2, 3, 4];
+
+/// Every listed row reduction on `x`, dense and compressed, against the
+/// serial loops of `oracle` at widths 1 to 4; `y` is a `rows x k`
+/// right-hand side. With `special`, NaN payloads may differ by code path
+/// (`same_cells`).
+fn reductions_match_the_rule(x: &DenseMatrix, y: &DenseMatrix, special: bool, seed: u64) {
+    let (rows, k) = y.shape();
+    let at = |what: &str| format!("{what}: {rows}x{} with k = {k} (seed {seed})", x.cols());
+    let agree = |a: &DenseMatrix, b: &DenseMatrix| {
+        if special {
+            same_cells(a, b)
+        } else {
+            same_bits(a, b)
+        }
+    };
+    let check = |what: &str, want: &DenseMatrix, f: &dyn Fn() -> DenseMatrix| {
+        let got = widths_agree_at(what, &RULE_WIDTHS, f);
+        assert!(agree(&got, want), "{}", at(what));
+    };
+    let c = CompressedMatrix::compress(x);
+    let want = oracle::t_matmul(x, y);
+    check("t(X) Y", &want, &|| matmul_tn(x, y).expect("shapes"));
+    check("compressed t(X) Y", &want, &|| {
+        c.t_matmul(y).expect("shapes")
+    });
+    let want = oracle::t_matmul(y, x);
+    check("t(Y) X", &want, &|| matmul_tn(y, x).expect("shapes"));
+    check("tsmm", &oracle::t_matmul(x, x), &|| {
+        tsmm(x, true).expect("shapes")
+    });
+    let v = rand_matrix(x.cols(), k, -1.0, 1.0, seed + 5);
+    let w = rand_matrix(rows, k, 0.0, 1.0, seed + 6);
+    for wm in [None, Some(&w)] {
+        let want = oracle::mmchain(x, &v, wm);
+        check("mmchain", &want, &|| mmchain(x, &v, wm).expect("shapes"));
+        check("compressed mmchain", &want, &|| {
+            c.mmchain(&v, wm).expect("shapes")
+        });
+    }
+    for op in [AggOp::Sum, AggOp::Mean, AggOp::SumSq, AggOp::Var, AggOp::Sd] {
+        for dir in [AggDir::Full, AggDir::Col] {
+            let want = oracle::aggregate(x, op, dir);
+            check(op.name(), &want, &|| aggregate(x, op, dir).expect("agg"));
+            check(op.name(), &want, &|| c.aggregate(op, dir).expect("agg"));
+        }
+    }
+}
+
+#[test]
+fn wide_outputs_and_deep_products_follow_the_reduction_order() {
+    // Outputs of more than 2^14 cells split into tiles that walk every
+    // row block; depths past one block fold on the GEMM, the
+    // matrix-vector and the vector-matrix paths, and in `X Xᵀ`.
+    let rule = |what: &str, want: &DenseMatrix, f: &dyn Fn() -> DenseMatrix| {
+        let got = widths_agree_at(what, &RULE_WIDTHS, f);
+        assert!(same_bits(&got, want), "{what}");
+    };
+    let rows = 2049;
+    let a = rand_matrix(rows, 130, -1.0, 1.0, 1);
+    let want = oracle::t_matmul(&a, &a);
+    rule("wide t(A) A", &want, &|| matmul_tn(&a, &a).expect("shapes"));
+    rule("wide tsmm", &want, &|| tsmm(&a, true).expect("shapes"));
+    let x = scheme_matrix(rows, &[Scheme::Ddc8; 13], 3, false);
+    let y = rand_matrix(rows, 1261, -1.0, 1.0, 4);
+    let c = CompressedMatrix::compress(&x);
+    rule("wide compressed t(X) Y", &oracle::t_matmul(&x, &y), &|| {
+        c.t_matmul(&y).expect("shapes")
+    });
+    let depth = 4100;
+    let lhs = rand_matrix(9, depth, -1.0, 1.0, 5);
+    let row = rand_matrix(1, depth, -1.0, 1.0, 6);
+    for rhs in [
+        rand_matrix(depth, 10, -1.0, 1.0, 7),
+        rand_matrix(depth, 1, -1.0, 1.0, 8),
+    ] {
+        for l in [&lhs, &row] {
+            let want = oracle::matmul(l, &rhs);
+            rule("deep matmul", &want, &|| matmul(l, &rhs).expect("shapes"));
+            rule("deep naive", &want, &|| {
+                matmul_naive(l, &rhs).expect("shapes")
+            });
+        }
+    }
+    let want = oracle::matmul(&lhs, &transpose(&lhs));
+    rule("deep X t(X)", &want, &|| tsmm(&lhs, false).expect("shapes"));
+    let wide = scheme_matrix(3, &[Scheme::Ddc8; 4100], 9, false);
+    let v = rand_matrix(depth, 1, -1.0, 1.0, 10);
+    let c = CompressedMatrix::compress(&wide);
+    rule("deep compressed X v", &oracle::matmul(&wide, &v), &|| {
+        c.matvec(&v).expect("shapes")
+    });
+}
+
 /// The one r-ascending chain from 0.0 that every row reduction ran over
 /// all of its rows before reductions were cut into blocks.
 fn single_chain(terms: impl Iterator<Item = f64>) -> f64 {
@@ -418,7 +531,11 @@ fn single_chain_tn(a: &DenseMatrix, b: &DenseMatrix) -> DenseMatrix {
     let mut out = DenseMatrix::zeros(a.cols(), b.cols());
     for i in 0..a.cols() {
         for j in 0..b.cols() {
-            out.set(i, j, single_chain((0..a.rows()).map(|r| a.get(r, i) * b.get(r, j))));
+            out.set(
+                i,
+                j,
+                single_chain((0..a.rows()).map(|r| a.get(r, i) * b.get(r, j))),
+            );
         }
     }
     out
@@ -500,9 +617,8 @@ fn inputs_of_at_most_one_block_keep_the_single_chain_bits() {
                 assert!(agree(&got, &want), "t(X) y, k = {k}, {at}");
                 let got = widths_agree("pin-c-tn", || c.t_matmul(&y).expect("shapes"));
                 assert!(agree(&got, &want), "compressed t(X) y, k = {k}, {at}");
-                let got = widths_agree("pin-t-gemm", || {
-                    matmul(&transpose(&x), &y).expect("shapes")
-                });
+                let got =
+                    widths_agree("pin-t-gemm", || matmul(&transpose(&x), &y).expect("shapes"));
                 assert!(agree(&got, &want), "matmul(t(X), y), k = {k}, {at}");
                 let v = rand_matrix(n, k, -1.0, 1.0, 11);
                 let w = rand_matrix(rows, k, 0.0, 1.0, 12);
@@ -511,7 +627,9 @@ fn inputs_of_at_most_one_block_keep_the_single_chain_bits() {
                     let got = widths_agree("pin-mmchain", || mmchain(&x, &v, wm).expect("shapes"));
                     assert!(agree(&got, &want), "mmchain k = {k}, {at}");
                     let got = widths_agree("pin-c-mmchain", || {
-                        Tensor::Compressed(c.clone()).mmchain(&v, wm).expect("shapes")
+                        Tensor::Compressed(c.clone())
+                            .mmchain(&v, wm)
+                            .expect("shapes")
                     });
                     assert!(agree(&got, &want), "compressed mmchain k = {k}, {at}");
                 }
@@ -544,11 +662,18 @@ fn inputs_of_at_most_one_block_keep_the_single_chain_bits() {
     for depth in [1, 257, 2047, 2048] {
         let a = rand_matrix(5, depth, -1.0, 1.0, 21);
         let row = rand_matrix(1, depth, -1.0, 1.0, 22);
-        for b in [rand_matrix(depth, 9, -1.0, 1.0, 23), rand_matrix(depth, 1, -1.0, 1.0, 24)] {
+        for b in [
+            rand_matrix(depth, 9, -1.0, 1.0, 23),
+            rand_matrix(depth, 1, -1.0, 1.0, 24),
+        ] {
             for a in [&a, &row] {
                 let want = single_chain_tn(&transpose(a), &b);
                 let got = widths_agree("pin-gemm", || matmul(a, &b).expect("shapes"));
-                assert!(same_bits(&got, &want), "matmul depth {depth}, {:?}", b.shape());
+                assert!(
+                    same_bits(&got, &want),
+                    "matmul depth {depth}, {:?}",
+                    b.shape()
+                );
             }
         }
     }
@@ -556,6 +681,21 @@ fn inputs_of_at_most_one_block_keep_the_single_chain_bits() {
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
+
+    #[test]
+    fn row_reductions_follow_the_blocked_rule_at_widths_1_to_4(
+        rows in prop_oneof![1usize..=40, block_edge()],
+        schemes in proptest::collection::vec(scheme(), 1..=9),
+        k in 1usize..=4,
+        special in proptest::bool::ANY,
+        seed in 0u64..1_000_000,
+    ) {
+        // Dense and compressed, columns of every scheme, NaN, ±Inf and
+        // -0.0 among the cells with `special`.
+        let x = scheme_matrix(rows, &schemes, seed, special);
+        let y = rand_matrix(rows, k, -1.0, 1.0, seed + 1);
+        reductions_match_the_rule(&x, &y, special, seed);
+    }
 
     #[test]
     fn blocked_gemm_is_bitwise_naive_over_ragged_shapes(
@@ -593,7 +733,7 @@ proptest! {
 
     #[test]
     fn one_pass_mmchain_is_bitwise_two_phase(
-        m in prop_oneof![1usize..=70, 95usize..=130],
+        m in prop_oneof![1usize..=70, 95usize..=130, block_edge()],
         n in sweep_width(),
         weighted in proptest::bool::ANY,
         seed in 0u64..1_000_000,
@@ -610,7 +750,7 @@ proptest! {
 
     #[test]
     fn k_column_mmchain_is_bitwise_k_single_columns(
-        rows in prop_oneof![1usize..=40, 508usize..=520, 1usize..=2500],
+        rows in prop_oneof![1usize..=40, 508usize..=520, 1usize..=2500, block_edge()],
         schemes in proptest::collection::vec(scheme(), 1..=13),
         k in 1usize..=9,
         weighted in proptest::bool::ANY,
@@ -657,6 +797,9 @@ proptest! {
         left in proptest::bool::ANY,
         seed in 0u64..1_000_000,
     ) {
+        // `X Xᵀ` is m x m: rows across the reduction blocks take the
+        // left product, whose shared index they are.
+        let left = left || m > 2 * KC + 2;
         let x = rand_matrix(m, n, -1.0, 1.0, seed);
         let out = widths_agree("blocked-tsmm", || tsmm(&x, left).expect("shapes"));
         // The mirrored lower triangle must hold exactly the upper bits.
@@ -691,7 +834,7 @@ proptest! {
 
     #[test]
     fn compressed_aggregates_match_decompressed_oracle(
-        rows in 2usize..=300,
+        rows in prop_oneof![2usize..=300, block_edge()],
         seed in 0u64..1_000_000,
     ) {
         let d = mixed_matrix(rows, seed);
@@ -747,7 +890,13 @@ proptest! {
 
     #[test]
     fn tiled_compressed_products_match_dense_kernels_on_every_scheme_mix(
-        rows in prop_oneof![1usize..=40, 508usize..=520, 1020usize..=1030, 1usize..=2500],
+        rows in prop_oneof![
+            1usize..=40,
+            508usize..=520,
+            1020usize..=1030,
+            1usize..=2500,
+            block_edge(),
+        ],
         schemes in proptest::collection::vec(scheme(), 1..=13),
         k in 1usize..=9,
         special in proptest::bool::ANY,
