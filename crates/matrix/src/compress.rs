@@ -20,9 +20,11 @@
 //! no shortcut over run lengths, the chains restarted at the same
 //! [`REDUCE_BLOCK_ROWS`] boundaries (four row tiles) and the block
 //! partials folded in the same order (DESIGN.md §4f) — so every result is
-//! bitwise identical to decompress-then-operate. The products walk the codes in L1-sized
-//! row tiles, four DDC8 columns per sweep, phase 1 adding pre-scaled
-//! dictionary entries (`dict[k]·v[c]`, the bits of `x·v[c]`). The wins
+//! bitwise identical to decompress-then-operate. The products walk the
+//! codes in L1-sized row tiles, four DDC8 columns per sweep, phase 1
+//! adding pre-scaled dictionary entries (`dict[k]·v[c]`, the bits of
+//! `x·v[c]`); the Col aggregates push four DDC8 columns per sweep too.
+//! The wins
 //! are the 4-8x smaller memory traffic of 1-2 byte codes (a 20k×100
 //! partition's 2 MB of codes stays in a core's L2, its 16 MB dense form
 //! does not) and the avoided decompress allocation, not a reduced op
@@ -631,13 +633,9 @@ impl CompressedMatrix {
             let mut cursors = vec![RunCursor::default(); self.cols()];
             for (t, qt) in seg.chunks_mut(TILE_ROWS).enumerate() {
                 let a = lo + t * TILE_ROWS;
-                fold_blocks_into(
-                    self.cols(),
-                    qt,
-                    0.0,
-                    |cols, acc| self.add_xv_tile(&scaled, v, a, cols, &mut cursors, acc),
-                    |q, p| *q += p,
-                );
+                fold_blocks_into(self.cols(), qt, |cols, acc| {
+                    self.add_xv_tile(&scaled, v, a, cols, &mut cursors, acc)
+                });
                 weigh(qt, w.map(|w| &w[a..]));
             }
         });
@@ -695,7 +693,7 @@ impl CompressedMatrix {
             let run = (TN_BLOCK_CELLS / k / 4).max(1) * 4;
             exdra_par::par_chunks_mut(out.values_mut(), run * k, |_, cell0, ochunk| {
                 let step = |rows, acc: &mut [f64]| sweep(rows, cell0 / k, acc);
-                fold_blocks_into(self.rows, ochunk, 0.0, step, |a, p| *a += p);
+                fold_blocks_into(self.rows, ochunk, step);
             });
         }
         out

@@ -301,13 +301,9 @@ const DOT_GROUP_ROWS: usize = 16;
 /// phase 1 of `mmchain`.
 #[inline]
 fn row_dots(x: &[f64], n: usize, v: &[f64], out: &mut [f64]) {
-    fold_blocks_into(
-        n,
-        out,
-        0.0,
-        |cols, acc| row_dots_block(&x[cols.start..], n, cols.len(), &v[cols.start..], acc),
-        |o, p| *o += p,
-    );
+    fold_blocks_into(n, out, |cols, acc| {
+        row_dots_block(&x[cols.start..], n, cols.len(), &v[cols.start..], acc)
+    });
 }
 
 /// One column block of [`row_dots`]: `out[i]` is row `i`'s chain over
@@ -479,14 +475,12 @@ fn gemm_chunk_body(
     // rhs panel layout is identical however the rows are split.
     let mut bpack = vec![0.0f64; npanels * KC * NR];
     let mut apack = vec![0.0f64; KC * MR];
-    let mut part = vec![
-        0.0f64;
-        if k > REDUCE_BLOCK_ROWS {
-            ochunk.len()
-        } else {
-            0
-        }
-    ];
+    let part_len = if k > REDUCE_BLOCK_ROWS {
+        ochunk.len()
+    } else {
+        0
+    };
+    let mut part = vec![0.0f64; part_len];
     for kb in (0..k).step_by(KC) {
         let kc = (kb + KC).min(k) - kb;
         let cells: &mut [f64] = if kb < REDUCE_BLOCK_ROWS {
@@ -636,13 +630,7 @@ fn tn_into(av: &[f64], p: usize, bv: &[f64], n: usize, k: usize, out: &mut [f64]
     let tiles = exdra_par::map_chunks(col_tiles * row_tiles, 1, |t, _| {
         let (i0, j0, w) = origin(t);
         let mut tile = vec![0.0f64; height.min(nt - i0) * w];
-        fold_blocks_into(
-            k,
-            &mut tile,
-            0.0,
-            |rows, acc| sweep(rows, (i0, j0, w), acc),
-            |a, p| *a += p,
-        );
+        fold_blocks_into(k, &mut tile, |rows, acc| sweep(rows, (i0, j0, w), acc));
         tile
     });
     for (t, tile) in tiles.iter().enumerate() {
@@ -776,13 +764,7 @@ pub fn tsmm(x: &DenseMatrix, left: bool) -> Result<DenseMatrix> {
             exdra_par::map_chunks(bands.len(), per_job, |_, run| {
                 let end = offset.get(run.end).copied().unwrap_or(cells);
                 let mut acc = vec![0.0f64; end - offset[run.start]];
-                fold_blocks_into(
-                    m,
-                    &mut acc,
-                    0.0,
-                    |rows, a| sweep(rows, run.clone(), a),
-                    |a, p| *a += p,
-                );
+                fold_blocks_into(m, &mut acc, |rows, a| sweep(rows, run.clone(), a));
                 acc
             })
             .concat()

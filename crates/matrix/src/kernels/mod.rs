@@ -83,14 +83,12 @@ pub(crate) fn fold_row_blocks<P: Send>(
 
 /// The same reduction walked serially into one output tile: `step(block,
 /// acc)` extends `acc`'s chains over one block's rows. Block 0 runs
-/// straight into `acc` (which holds `zero`s); every later block starts a
-/// partial from `zero` and `merge`s it into `acc` cell by cell.
-pub(crate) fn fold_blocks_into<T: Copy>(
+/// straight into `acc` (zeros on entry); every later block starts a
+/// partial from zeros and adds it into `acc` cell by cell.
+pub(crate) fn fold_blocks_into(
     rows: usize,
-    acc: &mut [T],
-    zero: T,
-    mut step: impl FnMut(Range<usize>, &mut [T]),
-    merge: impl Fn(&mut T, T),
+    acc: &mut [f64],
+    mut step: impl FnMut(Range<usize>, &mut [f64]),
 ) {
     let mut part = Vec::new();
     for (b, block) in row_blocks(rows).enumerate() {
@@ -98,10 +96,10 @@ pub(crate) fn fold_blocks_into<T: Copy>(
             step(block, acc);
         } else {
             part.clear();
-            part.resize(acc.len(), zero);
+            part.resize(acc.len(), 0.0);
             step(block, &mut part);
-            for (a, &p) in acc.iter_mut().zip(&part) {
-                merge(a, p);
+            for (a, p) in acc.iter_mut().zip(&part) {
+                *a += p;
             }
         }
     }
