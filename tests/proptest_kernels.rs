@@ -479,17 +479,22 @@ fn reductions_match_the_rule(x: &DenseMatrix, y: &DenseMatrix, special: bool, se
 fn wide_outputs_and_deep_products_follow_the_reduction_order() {
     // Outputs of more than 2^14 cells split into tiles that walk every
     // row block; depths past one block fold on the GEMM, the
-    // matrix-vector and the vector-matrix paths, and in `X Xᵀ`.
+    // matrix-vector and the vector-matrix paths, and in `X Xᵀ`. NaN,
+    // ±Inf and -0.0 sit in both row blocks of the wide operands.
     let rule = |what: &str, want: &DenseMatrix, f: &dyn Fn() -> DenseMatrix| {
         let got = widths_agree_at(what, &RULE_WIDTHS, f);
-        assert!(same_bits(&got, want), "{what}");
+        assert!(same_cells(&got, want), "{what}");
     };
     let rows = 2049;
-    let a = rand_matrix(rows, 130, -1.0, 1.0, 1);
+    let mut a = rand_matrix(rows, 130, -1.0, 1.0, 1);
+    for (r, c, v) in [(5, 7, f64::NAN), (2048, 9, f64::INFINITY), (100, 20, -0.0)] {
+        a.set(r, c, v);
+    }
+    a.set(2048, 120, f64::NEG_INFINITY);
     let want = oracle::t_matmul(&a, &a);
     rule("wide t(A) A", &want, &|| matmul_tn(&a, &a).expect("shapes"));
     rule("wide tsmm", &want, &|| tsmm(&a, true).expect("shapes"));
-    let x = scheme_matrix(rows, &[Scheme::Ddc8; 13], 3, false);
+    let x = scheme_matrix(rows, &[Scheme::Ddc8; 13], 3, true);
     let y = rand_matrix(rows, 1261, -1.0, 1.0, 4);
     let c = CompressedMatrix::compress(&x);
     rule("wide compressed t(X) Y", &oracle::t_matmul(&x, &y), &|| {
