@@ -9,7 +9,7 @@
 //! Full and Col aggregates reduce over the row index, so they follow the
 //! one reduction order (DESIGN.md §4f): a chain per
 //! [`REDUCE_BLOCK_ROWS`](super::REDUCE_BLOCK_ROWS) block of rows, the
-//! block partials folded in order ([`Chains::merge`]), the row blocks
+//! block partials folded in order (`Chains::merge`), the row blocks
 //! fanned out over the pool. Row aggregates reduce along a row and keep
 //! one chain per row.
 

@@ -548,7 +548,7 @@ avx2_twin!(gemm_chunk / gemm_chunk_avx2 => gemm_chunk_body(
 /// of `b` add `a[r][i] * b[r][j]` into output cell `(i, j)`, r ascending
 /// within each [`REDUCE_BLOCK_ROWS`] block, and the block partials fold
 /// in order — the cell `matmul_naive(&transpose(a), b)` builds, at every
-/// thread count. An output of at most [`TN_BLOCK_CELLS`] cells (`t(X) y`,
+/// thread count. An output of at most `TN_BLOCK_CELLS` cells (`t(X) y`,
 /// MLogReg's `t(X) R`, K-Means' `t(P) X`) fans the row blocks out over
 /// the pool, each computing a whole partial; a wider one splits into
 /// tiles of at most that many cells, each walking every block in turn.
@@ -707,7 +707,7 @@ const TSMM_SLAB_ROWS: usize = 64;
 /// triangle, cut into bands of `TSMM_BLOCK_ROWS` output rows that reach
 /// from the diagonal to the right edge; each pass over a `TSMM_SLAB_ROWS`
 /// slab of `X` extends every band's cells with `tn_block`. Up to
-/// [`TN_BLOCK_CELLS`] output cells (PCA's 100 x 100) the row blocks fan
+/// `TN_BLOCK_CELLS` output cells (PCA's 100 x 100) the row blocks fan
 /// out over the pool, each sweeping all bands into a partial; a wider
 /// output splits its bands into runs, each walking every row block in
 /// turn. `X Xᵀ` is row-dot-row. Either way each upper cell is the cell
