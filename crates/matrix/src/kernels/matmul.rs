@@ -721,20 +721,15 @@ pub fn tsmm(x: &DenseMatrix, left: bool) -> Result<DenseMatrix> {
     let mut out = DenseMatrix::zeros(side, side);
     if left {
         // Band b starts at output row bands[b], its cells packed from
-        // offset[b]: `TSMM_BLOCK_ROWS` rows of `n - i0` cells.
+        // offset[b] to offset[b + 1]: `TSMM_BLOCK_ROWS` rows of `n - i0`.
         let bands: Vec<usize> = (0..n).step_by(TSMM_BLOCK_ROWS).collect();
         let band_cells = |i0: usize| TSMM_BLOCK_ROWS.min(n - i0) * (n - i0);
-        let offset: Vec<usize> = bands
-            .iter()
-            .scan(0, |at, &i0| {
-                let o = *at;
-                *at += band_cells(i0);
-                Some(o)
-            })
-            .collect();
-        let cells = bands
-            .last()
-            .map_or(0, |&i0| offset[bands.len() - 1] + band_cells(i0));
+        let ends = bands.iter().scan(0, |at, &i0| {
+            *at += band_cells(i0);
+            Some(*at)
+        });
+        let offset: Vec<usize> = std::iter::once(0).chain(ends).collect();
+        let cells = offset[bands.len()];
         // Extends bands `run` (packed from `acc[0]`) over the rows `rows`.
         let sweep = |rows: Range<usize>, run: Range<usize>, acc: &mut [f64]| {
             let base = offset[run.start];
@@ -762,8 +757,7 @@ pub fn tsmm(x: &DenseMatrix, left: bool) -> Result<DenseMatrix> {
         } else {
             let per_job = exdra_par::chunk_len(bands.len(), 1);
             exdra_par::map_chunks(bands.len(), per_job, |_, run| {
-                let end = offset.get(run.end).copied().unwrap_or(cells);
-                let mut acc = vec![0.0f64; end - offset[run.start]];
+                let mut acc = vec![0.0f64; offset[run.end] - offset[run.start]];
                 fold_blocks_into(m, &mut acc, |rows, a| sweep(rows, run.clone(), a));
                 acc
             })
