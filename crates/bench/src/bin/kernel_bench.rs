@@ -9,11 +9,12 @@
 //! reductions at widths 1 and 2 (their row blocks fan out; bitwise-checked
 //! across the widths), and
 //! compressed-domain operators (dense, column groups, and a worker
-//! holding the dense twin) on a mixed frame and on one `lan_compressed`
-//! partition, plus two end-to-end worker workloads on a compacted frame:
-//! one-shot ops, which must all execute on the column groups without a
-//! single decompression, and a solver's loop, whose mmchains must all run
-//! on the column groups and whose tsmm decompresses once (DESIGN.md §4k).
+//! holding the compacted frame) on a mixed frame and on one
+//! `lan_compressed` partition, plus two end-to-end worker workloads on a
+//! compacted frame: one-shot ops, which must all execute on the column
+//! groups without a single decompression, and a solver's loop, whose
+//! mmchains must all run on the column groups and whose tsmm decompresses
+//! once (DESIGN.md §4k).
 //!
 //!     cargo run --release -p exdra-bench --bin kernel_bench
 //!
@@ -525,22 +526,17 @@ fn main() {
     // ---- end-to-end: LM-style workload on a compacted worker ----------
     // Install the frame, compact it to column groups, then run the ops a
     // linear-model iteration issues against X once each: every one has a
-    // column-group kernel, so every op takes the direct compressed path,
-    // `compress.exec.fallback` stays 0 and no twin is materialized.
-    // [direct, decompressions, twins materialized, twin hits] so far.
+    // column-group kernel, so every op takes the direct compressed path
+    // and `compress.exec.fallback` stays 0.
+    // [direct, decompressions] so far.
     let form_counts = || {
         let snap = exdra_obs::global().snapshot();
-        [
-            "compress.exec.direct",
-            "compress.exec.fallback",
-            "compress.twin.materialized",
-            "compress.twin.hits",
-        ]
-        .map(|name| snap.counters.get(name).copied().unwrap_or(0))
+        ["compress.exec.direct", "compress.exec.fallback"]
+            .map(|name| snap.counters.get(name).copied().unwrap_or(0))
     };
-    let since = |base: [u64; 4]| {
+    let since = |base: [u64; 2]| {
         let now = form_counts();
-        [0, 1, 2, 3].map(|i| now[i] - base[i])
+        [now[0] - base[0], now[1] - base[1]]
     };
     let base = form_counts();
     let w = bench_worker(&d, &[(2, &cv), (3, &cw)], true);
@@ -588,7 +584,7 @@ fn main() {
             },
         ],
     );
-    let [direct, fallback, materialized, _] = since(base);
+    let [direct, fallback] = since(base);
     let c_opcodes: Vec<String> = exdra_obs::global()
         .snapshot()
         .histograms
@@ -598,7 +594,6 @@ fn main() {
         .collect();
     assert_eq!(direct, 6, "expected 6 direct compressed executions");
     assert_eq!(fallback, 0, "workload must not decompress the frame");
-    assert_eq!(materialized, 0, "one-shot ops must not buy a twin");
     assert!(!c_opcodes.is_empty(), "no inst.c.* histograms recorded");
     println!(
         "\nworkload: {direct} compressed-direct instructions, {fallback} fallbacks; \
@@ -608,8 +603,8 @@ fn main() {
 
     // ---- end-to-end: a solver's loop on a compacted worker ------------
     // Ten mmchains with fresh vectors, then a tsmm. Every mmchain runs on
-    // the column groups; the tsmm has no column-group kernel, decompresses
-    // once and leaves the twin, which no contraction looks up. The same
+    // the column groups; the tsmm has no column-group kernel and
+    // decompresses the frame for itself, once. The same
     // loop on a worker whose frame was never compacted runs the dense
     // kernels, with the same bits.
     let base = form_counts();
@@ -632,10 +627,12 @@ fn main() {
     });
     let w = bench_worker(&d, &inputs, true);
     let (_, loop_t) = time(|| run(&w, looped.clone()));
-    let [loop_direct, loop_fallback, loop_materialized, loop_hits] = since(base);
-    assert_eq!(loop_materialized, 1, "the tsmm leaves exactly one twin");
-    assert_eq!(loop_fallback, 1, "and decompresses nothing else");
-    assert_eq!((loop_direct, loop_hits), (10, 0));
+    let [loop_direct, loop_fallback] = since(base);
+    assert_eq!(
+        loop_fallback, 1,
+        "the tsmm decompresses once, nothing else does"
+    );
+    assert_eq!(loop_direct, 10);
     let dense = bench_worker(&d, &inputs, false);
     let (_, dense_t) = time(|| run(&dense, looped.clone()));
     for out in 200..=210 {
@@ -665,7 +662,7 @@ fn main() {
     ));
     json.push(format!(
         "  \"workload\": {{\"direct\": {direct}, \"fallback\": {fallback}, \
-         \"materialized\": {materialized}, \"compressed_opcodes\": [{}]}}",
+         \"compressed_opcodes\": [{}]}}",
         c_opcodes
             .iter()
             .map(|k| format!("\"{k}\""))
@@ -674,9 +671,8 @@ fn main() {
     ));
     json.push(format!(
         "  \"loop_workload\": {{\"mmchains\": 10, \"tsmms\": 1, \"direct\": {loop_direct}, \
-         \"decompressions\": {loop_fallback}, \"materialized\": {loop_materialized}, \
-         \"twin_hits\": {loop_hits}, \"secs\": {loop_t:.6}, \"dense_secs\": {dense_t:.6}, \
-         \"bitwise_identical\": true}}"
+         \"decompressions\": {loop_fallback}, \"secs\": {loop_t:.6}, \
+         \"dense_secs\": {dense_t:.6}, \"bitwise_identical\": true}}"
     ));
     let body = format!(
         "{{\n  \"host_cpus\": {hw},\n  \"reps\": {},\n  \"quick\": {quick},\n{}\n}}\n",
@@ -715,11 +711,10 @@ fn lan_partition(rows: usize, cols: usize) -> DenseMatrix {
 }
 
 /// The compressed-domain table on `d`: each op on the dense frame, on its
-/// column groups, and as a worker answers it on the compacted frame while
-/// that holds the frame's dense twin (left behind by a tsmm, which has no
-/// column-group kernel): on the column groups all the same (DESIGN.md
-/// §4k), request handling included. Every result is asserted bitwise the
-/// dense kernel's; bytes/s uses the bytes each representation touches.
+/// column groups, and as a worker answers it on the compacted frame (on
+/// the column groups, DESIGN.md §4k), request handling included. Every
+/// result is asserted bitwise the dense kernel's; bytes/s uses the bytes
+/// each representation touches.
 /// Prints the table and returns its JSON object.
 fn compressed_table(d: &DenseMatrix, reps: usize) -> String {
     let (crows, ccols) = d.shape();
@@ -787,7 +782,7 @@ fn compressed_table(d: &DenseMatrix, reps: usize) -> String {
         (
             "X*2",
             Box::new(|| scalar(d, BinaryOp::Mul, 2.0, false)),
-            Box::new(|| c.map_cells(|v| v * 2.0).decompress()),
+            Box::new(|| c.scalar(BinaryOp::Mul, 2.0, false).decompress()),
             Instruction::Scalar {
                 x: x_id,
                 op: BinaryOp::Mul,
@@ -798,15 +793,6 @@ fn compressed_table(d: &DenseMatrix, reps: usize) -> String {
         ),
     ];
     let tw = bench_worker(d, &[(v_id, &cv), (w_id, &cw)], true);
-    run(
-        &tw,
-        vec![Instruction::Tsmm {
-            x: x_id,
-            left: true,
-            out: out_id,
-        }],
-    );
-    assert_eq!(tw.cache().bytes(), d.len() * 8, "the twin is held");
     let mut table = Table::new(
         &format!(
             "Compressed-domain ops, X {crows}x{ccols} (ratio {:.1}x)",

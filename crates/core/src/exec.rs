@@ -11,19 +11,16 @@
 //! * **lineage tracing + reuse** — outputs are bound with a lineage hash
 //!   and repeated sub-plans are served from the [`LineageCache`].
 //!
-//! A compressed input (from [`crate::worker`] compaction) answers each
-//! opcode in its faster form (DESIGN.md §4k). Element-wise ops,
-//! aggregates and the contraction ops `X v`, `t(X) Y` and mmchain run on
-//! the column groups (`inst.c.<opcode>` histograms,
-//! `compress.exec.direct`). Every other opcode needs the dense form: it
-//! takes the entry's **dense twin** — its decompression, held in the
-//! executing worker's [`LineageCache`] within its byte budget — or
-//! decompresses into one (`compress.exec.fallback`, timed under
-//! `inst.decompress`).
+//! A compressed input (from [`crate::worker`] compaction) has one stored
+//! form, its column groups (DESIGN.md §4k). Element-wise ops, aggregates
+//! and the contraction ops `X v`, `t(X) Y` and mmchain run on them
+//! (`inst.c.<opcode>` histograms, `compress.exec.direct`). Every other
+//! opcode decompresses the input for that op alone and drops the copy
+//! with it (`compress.exec.fallback`, timed under `inst.decompress`).
 
+use std::borrow::Cow;
 use std::cell::Cell;
 use std::collections::BTreeMap;
-use std::ops::Deref;
 use std::sync::Arc;
 
 use exdra_matrix::compress::CompressedMatrix;
@@ -39,7 +36,7 @@ use exdra_transform::encoders::PartialColumnMeta;
 
 use crate::error::{Result, RuntimeError};
 use crate::instruction::Instruction;
-use crate::lineage::{self, CachedEntry, LineageCache};
+use crate::lineage::{CachedEntry, LineageCache};
 use crate::privacy::PrivacyLevel;
 use crate::symbol::{Entry, SymbolTable};
 use crate::value::DataValue;
@@ -134,8 +131,9 @@ pub fn execute(
         let _ = exdra_par::take_region_stats();
     }
     COMPRESSED_DIRECT.with(|c| c.set(false));
+    DECOMPRESSIONS.with(|c| c.set(0));
     DECOMPRESS_NANOS.with(|c| c.set(0));
-    let value = compute(inst, &inputs, cache)?;
+    let value = compute(inst, &inputs)?;
     let compressed_exec = COMPRESSED_DIRECT.with(|c| c.get());
     // The pool activity of this instruction alone, folded into the
     // per-opcode `par.inst.<opcode>.*` counters of `RunReport`.
@@ -186,6 +184,9 @@ thread_local! {
     /// into the `inst.c.<opcode>` histogram so the plan optimizer can
     /// price compressed-domain execution separately from dense.
     static COMPRESSED_DIRECT: Cell<bool> = const { Cell::new(false) };
+
+    /// Inputs the current instruction decompressed.
+    static DECOMPRESSIONS: Cell<u32> = const { Cell::new(0) };
 
     /// Time the current instruction spent decompressing an input, when
     /// observability is on.
@@ -270,91 +271,34 @@ fn releasable_counts(col: &FrameColumn, privacy: PrivacyLevel) -> BTreeMap<Strin
     counts
 }
 
-/// Dense view of an entry: zero-copy when the value is a dense matrix
-/// (the common case) or has a dense twin, materializing only scalars.
-/// Instruction inputs can be multi-MB partitions, so the per-instruction
-/// clone this avoids dominated federated element-wise ops.
-enum Dense<'a> {
-    Borrowed(&'a DenseMatrix),
-    Twin(Arc<DataValue>),
-    Owned(DenseMatrix),
-}
-
-impl Deref for Dense<'_> {
-    type Target = DenseMatrix;
-
-    fn deref(&self) -> &DenseMatrix {
-        match self {
-            Dense::Borrowed(d) => d,
-            Dense::Owned(d) => d,
-            Dense::Twin(t) => match &**t {
-                DataValue::Matrix(Matrix::Dense(d)) => d,
-                _ => unreachable!("a twin is a dense matrix"),
-            },
-        }
+/// The dense form of `e`, for an op without a column-group kernel:
+/// borrowed for a dense matrix, zero-copy (instruction inputs can be
+/// multi-MB partitions). A compressed entry decompresses for this op
+/// alone (`compress.exec.fallback`, timed under `inst.decompress`), and
+/// the copy is dropped with the op.
+fn dense(e: &Entry) -> Result<Cow<'_, DenseMatrix>> {
+    let DataValue::Matrix(m) = &*e.value else {
+        return Ok(Cow::Owned(e.value.to_dense()?));
+    };
+    if !matches!(m, Matrix::Compressed(_)) {
+        return Ok(m.dense());
     }
-}
-
-/// The dense view of `e`, for an op without a column-group kernel. A
-/// compressed entry yields its twin: the one the cache holds
-/// (`compress.twin.hits`), else its decompression, which is left there.
-fn dense<'a>(e: &'a Entry, cache: Option<&LineageCache>) -> Result<Dense<'a>> {
-    Ok(match &*e.value {
-        DataValue::Matrix(Matrix::Dense(d)) => Dense::Borrowed(d),
-        DataValue::Matrix(Matrix::Compressed(c)) => {
-            match cache.and_then(|cache| cache.twin(lineage::twin_of(e.meta.lineage))) {
-                Some(twin) => {
-                    if exdra_obs::enabled() {
-                        exdra_obs::global().inc("compress.twin.hits");
-                    }
-                    Dense::Twin(twin.value)
-                }
-                None => Dense::Twin(decompress_into_twin(e, c, cache)),
-            }
-        }
-        other => Dense::Owned(other.to_dense()?),
-    })
-}
-
-/// Decompresses a compressed entry and leaves the result with the cache
-/// as the entry's twin (same privacy and release flag), budget permitting.
-fn decompress_into_twin(
-    e: &Entry,
-    c: &CompressedMatrix,
-    cache: Option<&LineageCache>,
-) -> Arc<DataValue> {
+    DECOMPRESSIONS.with(|c| c.set(c.get() + 1));
     let t = exdra_obs::enabled().then(std::time::Instant::now);
-    let twin = Arc::new(DataValue::from(c.decompress()));
-    let held = cache.is_some_and(|cache| {
-        cache.insert_twin(
-            lineage::twin_of(e.meta.lineage),
-            CachedEntry {
-                value: Arc::clone(&twin),
-                privacy: e.meta.privacy,
-                releasable: e.meta.releasable,
-            },
-        )
-    });
+    let d = m.dense();
     if let Some(t) = t {
         let nanos = t.elapsed().as_nanos() as u64;
         DECOMPRESS_NANOS.with(|c| c.set(c.get() + nanos));
         let g = exdra_obs::global();
         g.record("inst.decompress", nanos);
         g.inc("compress.exec.fallback");
-        if held {
-            g.inc("compress.twin.materialized");
-        }
     }
-    twin
+    Ok(d)
 }
 
 /// Computes the output value of a non-rmvar instruction.
 #[allow(clippy::collapsible_match)]
-fn compute(
-    inst: &Instruction,
-    inputs: &[(u64, Entry)],
-    cache: Option<&LineageCache>,
-) -> Result<DataValue> {
+fn compute(inst: &Instruction, inputs: &[(u64, Entry)]) -> Result<DataValue> {
     use Instruction::*;
     let input = |id: u64| -> &(u64, Entry) {
         inputs
@@ -362,7 +306,7 @@ fn compute(
             .find(|(i, _)| *i == id)
             .expect("input resolved")
     };
-    let m = |id: u64| -> Result<Dense<'_>> { dense(&input(id).1, cache) };
+    let m = |id: u64| -> Result<Cow<'_, DenseMatrix>> { dense(&input(id).1) };
     let as_frame = |id: u64| input(id).1.value.as_frame();
     // Compressed view of an input, when the opcode has a direct
     // column-group kernel (bitwise-identical to its dense counterpart).
@@ -411,7 +355,7 @@ fn compute(
         Unary { x, op, .. } => {
             if let Some(c) = comp(*x) {
                 compressed_direct();
-                DataValue::from(Matrix::Compressed(c.map_cells(|v| op.apply(v))))
+                DataValue::from(Matrix::Compressed(c.unary(*op)))
             } else {
                 DataValue::from(elementwise::unary(&*m(*x)?, *op))
             }
@@ -425,9 +369,8 @@ fn compute(
             if scalar_rhs {
                 let b = m(*rhs)?.get(0, 0);
                 let c = comp(*lhs).expect("checked above");
-                let op = *op;
                 compressed_direct();
-                DataValue::from(Matrix::Compressed(c.map_cells(move |v| op.apply(v, b))))
+                DataValue::from(Matrix::Compressed(c.scalar(*op, b, false)))
             } else {
                 DataValue::from(elementwise::binary(&*m(*lhs)?, *op, &*m(*rhs)?)?)
             }
@@ -436,15 +379,8 @@ fn compute(
             x, op, value, swap, ..
         } => {
             if let Some(c) = comp(*x) {
-                let (op, value, swap) = (*op, *value, *swap);
                 compressed_direct();
-                DataValue::from(Matrix::Compressed(c.map_cells(move |v| {
-                    if swap {
-                        op.apply(value, v)
-                    } else {
-                        op.apply(v, value)
-                    }
-                })))
+                DataValue::from(Matrix::Compressed(c.scalar(*op, *value, *swap)))
             } else {
                 DataValue::from(elementwise::scalar(&*m(*x)?, *op, *value, *swap))
             }
@@ -500,20 +436,8 @@ fn compute(
             ..
         } => {
             if let Some(c) = comp(*x) {
-                let (pattern, replacement) = (*pattern, *replacement);
                 compressed_direct();
-                DataValue::from(Matrix::Compressed(c.map_cells(move |v| {
-                    let hit = if pattern.is_nan() {
-                        v.is_nan()
-                    } else {
-                        v == pattern
-                    };
-                    if hit {
-                        replacement
-                    } else {
-                        v
-                    }
-                })))
+                DataValue::from(Matrix::Compressed(c.replace(*pattern, *replacement)))
             } else {
                 DataValue::from(reorg::replace(&*m(*x)?, *pattern, *replacement))
             }
@@ -613,7 +537,7 @@ fn compute(
                 return Err(RuntimeError::Invalid("replication factor 0".into()));
             }
             let x = m(*x)?;
-            let mut out = x.clone();
+            let mut out = DenseMatrix::clone(&x);
             for _ in 1..*times {
                 out = reorg::rbind(&out, &x)?;
             }
@@ -1126,7 +1050,10 @@ mod tests {
     }
 
     fn bits(t: &SymbolTable, id: u64) -> Vec<u64> {
-        let d = t.value(id).unwrap().to_dense().unwrap();
+        bits_of(&t.value(id).unwrap().to_dense().unwrap())
+    }
+
+    fn bits_of(d: &DenseMatrix) -> Vec<u64> {
         d.values().iter().map(|v| v.to_bits()).collect()
     }
 
@@ -1144,38 +1071,33 @@ mod tests {
         }
     }
 
+    /// Inputs the last instruction executed on this thread decompressed.
+    fn decompressions() -> u32 {
+        DECOMPRESSIONS.with(Cell::get)
+    }
+
     #[test]
-    fn contraction_ops_run_on_the_column_groups_twin_or_not() {
+    fn contraction_ops_run_on_the_column_groups() {
         let (t, oracle) = (compacted_table(), compacted_table());
         let cache = LineageCache::new(1 << 20, false);
         // Ten mmchains and a `t(X) Y`: 22 cell-passes, none decompresses.
         for i in 0..10 {
             execute(&mmchain(10 + i), &t, Some(&cache)).unwrap();
             assert!(ran_direct(), "mmchain {i} on the column groups");
+            assert_eq!(decompressions(), 0);
         }
         execute(&t_matmul(20), &t, Some(&cache)).unwrap();
         assert!(ran_direct());
-        assert!(cache.twin(lineage::twin_of(77)).is_none());
-        assert_eq!(cache.bytes(), 0, "a contraction buys no twin");
-        // A tsmm has no column-group kernel: its decompression stays as
-        // the twin, and the contractions after it still run direct.
+        // A tsmm has no column-group kernel, and the contractions after
+        // it still run on the groups.
         execute(&tsmm(21), &t, Some(&cache)).unwrap();
         assert!(!ran_direct());
-        let twin = cache.twin(lineage::twin_of(77)).expect("twin held");
-        assert!(matches!(
-            &*twin.value,
-            DataValue::Matrix(Matrix::Dense(d)) if d.shape() == (120, 3)
-        ));
-        assert_eq!(
-            twin.privacy,
-            PrivacyLevel::PrivateAggregate { min_group: 10 }
-        );
-        assert!(!twin.releasable);
         execute(&mmchain(22), &t, Some(&cache)).unwrap();
-        assert!(ran_direct(), "the held twin serves no contraction");
+        assert!(ran_direct());
         execute(&t_matmul(23), &t, Some(&cache)).unwrap();
         assert!(ran_direct());
-        // Every form has the bits of the cache-less executor.
+        assert_eq!(cache.bytes(), 0, "reuse off: the cache holds nothing");
+        // Every op has the bits of the cache-less executor.
         for inst in [mmchain(10), t_matmul(20), tsmm(21)] {
             execute(&inst, &oracle, None).unwrap();
         }
@@ -1187,44 +1109,36 @@ mod tests {
     }
 
     #[test]
-    fn an_op_without_a_column_group_kernel_leaves_its_decompression_as_the_twin() {
-        let (t, oracle) = (compacted_table(), compacted_table());
-        // Reuse off: twins are held all the same.
+    fn an_op_without_a_column_group_kernel_decompresses_once_per_call() {
+        let t = compacted_table();
+        let x = t.value(1).unwrap().to_dense().unwrap();
+        let want = matmul::tsmm(&x, true).unwrap();
         let cache = LineageCache::new(1 << 20, false);
-        execute(&tsmm(10), &t, Some(&cache)).unwrap();
-        assert_eq!(cache.bytes(), 120 * 3 * 8);
-        // The next fallback finds the twin instead of decompressing again.
-        let hits = cache.hits();
-        execute(&tsmm(11), &t, Some(&cache)).unwrap();
-        assert_eq!(cache.bytes(), 120 * 3 * 8);
-        assert_eq!(cache.hits(), hits, "a twin look-up is not a reuse hit");
-        execute(&tsmm(10), &oracle, None).unwrap();
-        assert_eq!(bits(&t, 10), bits(&oracle, 10));
-        assert_eq!(bits(&t, 11), bits(&oracle, 10));
+        for out in 10..13 {
+            execute(&tsmm(out), &t, Some(&cache)).unwrap();
+            assert!(!ran_direct());
+            assert_eq!(decompressions(), 1, "call {out}: one decompression");
+            assert_eq!(bits(&t, out), bits_of(&want));
+        }
+        assert_eq!(cache.bytes(), 0, "no decompression is kept");
+        // The entry keeps its one stored form.
+        assert!(matches!(
+            &*t.value(1).unwrap(),
+            DataValue::Matrix(Matrix::Compressed(_))
+        ));
         // Element-wise ops and aggregates stay on the column groups.
         let abs = Instruction::Unary {
             x: 1,
             op: elementwise::UnaryOp::Abs,
-            out: 12,
+            out: 14,
         };
         execute(&abs, &t, Some(&cache)).unwrap();
         assert!(ran_direct());
+        assert_eq!(decompressions(), 0);
         assert!(matches!(
-            &*t.value(12).unwrap(),
+            &*t.value(14).unwrap(),
             DataValue::Matrix(Matrix::Compressed(_))
         ));
-    }
-
-    #[test]
-    fn a_twin_larger_than_the_budget_is_never_held() {
-        let t = compacted_table();
-        let cache = LineageCache::new(120 * 3 * 8 - 1, false);
-        for i in 0..5 {
-            execute(&mmchain(10 + i), &t, Some(&cache)).unwrap();
-        }
-        execute(&tsmm(20), &t, Some(&cache)).unwrap();
-        assert!(cache.twin(lineage::twin_of(77)).is_none());
-        assert_eq!(cache.bytes(), 0);
     }
 
     #[test]

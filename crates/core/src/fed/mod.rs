@@ -13,7 +13,6 @@
 //! `map` leaves one output per partition at the sites, `gather` fetches
 //! per-partition values; each partition's requests come from one `Batch`.
 
-pub mod incremental;
 pub mod ops;
 
 pub use ops::MmWeights;

@@ -152,12 +152,6 @@ pub fn of_dense(m: &DenseMatrix) -> u64 {
     f.finish()
 }
 
-/// Lineage under which a worker's cache holds the dense twin of the
-/// compressed entry whose own lineage is `entry`.
-pub fn twin_of(entry: u64) -> u64 {
-    mix(seed("decompress"), entry)
-}
-
 /// A cached output value with the metadata needed to rebind it.
 #[derive(Debug, Clone)]
 pub struct CachedEntry {
@@ -275,43 +269,16 @@ impl LineageCache {
     /// Inserts an output value, evicting FIFO when over budget. Values
     /// larger than the whole budget are not cached.
     pub fn insert(&self, lineage: u64, entry: CachedEntry) {
-        if self.enabled {
-            self.store(lineage, entry);
+        if !self.enabled {
+            return;
         }
-    }
-
-    /// The dense twin held under `lineage` (see [`twin_of`]). A twin is a
-    /// second physical form of a live compressed value, not a reused
-    /// result: it shares this cache's byte budget and FIFO order, is held
-    /// whether or not reuse is enabled, and probing it is neither a hit
-    /// nor a miss.
-    pub fn twin(&self, lineage: u64) -> Option<CachedEntry> {
-        self.inner.lock().map.get(&lineage).cloned()
-    }
-
-    /// Holds `entry` as the twin under `lineage`; false when it is larger
-    /// than the whole budget.
-    pub fn insert_twin(&self, lineage: u64, entry: CachedEntry) -> bool {
-        self.store(lineage, entry)
-    }
-
-    /// Drops the entry under `lineage`, returning the bytes it held.
-    pub fn remove(&self, lineage: u64) -> Option<usize> {
-        let mut inner = self.inner.lock();
-        let bytes = inner.map.remove(&lineage)?.value.size_bytes();
-        inner.order.retain(|l| *l != lineage);
-        inner.bytes -= bytes;
-        Some(bytes)
-    }
-
-    fn store(&self, lineage: u64, entry: CachedEntry) -> bool {
         let bytes = entry.value.size_bytes();
         if bytes > self.byte_budget {
-            return false;
+            return;
         }
         let mut inner = self.inner.lock();
         if inner.map.contains_key(&lineage) {
-            return true;
+            return;
         }
         let mut evicted = 0u64;
         while inner.bytes + bytes > self.byte_budget {
@@ -332,7 +299,6 @@ impl LineageCache {
             self.evictions.fetch_add(evicted, Ordering::Relaxed);
             self.m_evictions.add(evicted);
         }
-        true
     }
 
     /// Cache hits so far.
@@ -442,33 +408,6 @@ mod tests {
     }
 
     #[test]
-    fn twins_share_the_budget_but_not_the_reuse_switch_or_counters() {
-        let twin = |rows| CachedEntry {
-            value: Arc::new(DataValue::from(DenseMatrix::zeros(rows, 1))),
-            privacy: PrivacyLevel::Private,
-            releasable: false,
-        };
-        // Held with reuse off; neither a hit nor a miss.
-        let c = LineageCache::new(100, false);
-        assert!(c.twin(twin_of(1)).is_none());
-        assert!(c.insert_twin(twin_of(1), twin(10)));
-        assert!(c.twin(twin_of(1)).is_some());
-        assert_eq!((c.hits(), c.misses()), (0, 0));
-        assert!(c.probe(twin_of(1)).is_none(), "reuse stays off");
-        // Budget: FIFO eviction, and nothing above the whole budget.
-        assert!(LineageCache::new(80, false).insert_twin(twin_of(4), twin(10)));
-        assert!(!LineageCache::new(79, false).insert_twin(twin_of(4), twin(10)));
-        assert!(!c.insert_twin(twin_of(2), twin(13)));
-        assert!(c.insert_twin(twin_of(3), twin(5)));
-        assert!(c.twin(twin_of(1)).is_none(), "evicted for the newer twin");
-        assert_eq!(c.bytes(), 40);
-        assert_eq!(c.evictions(), 1);
-        assert_eq!(c.remove(twin_of(3)), Some(40));
-        assert_eq!(c.remove(twin_of(3)), None);
-        assert_eq!((c.bytes(), c.entries()), (0, 0));
-    }
-
-    #[test]
     fn probe_insert_hit_counting() {
         let c = LineageCache::new(1024, true);
         assert!(c.probe(42).is_none());
@@ -527,13 +466,20 @@ mod tests {
 
     #[test]
     fn oversized_values_not_cached() {
-        let c = LineageCache::new(16, true);
-        let big = CachedEntry {
-            value: Arc::new(DataValue::from(exdra_matrix::DenseMatrix::zeros(10, 10))),
+        let matrix = |rows| CachedEntry {
+            value: Arc::new(DataValue::from(DenseMatrix::zeros(rows, 10))),
             privacy: PrivacyLevel::Public,
             releasable: true,
         };
-        c.insert(1, big);
+        let c = LineageCache::new(16, true);
+        c.insert(1, matrix(10));
+        assert_eq!(c.entries(), 0);
+        // A value of exactly the budget fits, one byte over does not.
+        let c = LineageCache::new(80, true);
+        c.insert(1, matrix(1));
+        assert_eq!((c.entries(), c.bytes()), (1, 80));
+        let c = LineageCache::new(79, true);
+        c.insert(1, matrix(1));
         assert_eq!(c.entries(), 0);
     }
 }

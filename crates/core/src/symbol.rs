@@ -243,28 +243,13 @@ impl SymbolTable {
         self.removals.lock().retain(|(s, _)| *s > upto);
     }
 
-    /// Snapshot of `(id, bytes, idle, is_dense_matrix)` for the compaction
-    /// planner.
+    /// Snapshot of `(id, bytes, idle)` of the dense matrix entries, for
+    /// the compaction planner.
     pub fn compaction_candidates(&self) -> Vec<(u64, usize, std::time::Duration)> {
         let map = self.map.read();
         map.iter()
             .filter(|(_, e)| matches!(&*e.value, DataValue::Matrix(exdra_matrix::Matrix::Dense(_))))
             .map(|(id, e)| (*id, e.value.size_bytes(), e.meta.last_access.elapsed()))
-            .collect()
-    }
-
-    /// Lineages of the compressed matrix bindings idle for at least
-    /// `min_idle`: the entries whose dense twins compaction lets go.
-    pub fn idle_compressed(&self, min_idle: std::time::Duration) -> Vec<u64> {
-        let map = self.map.read();
-        map.values()
-            .filter(|e| {
-                matches!(
-                    &*e.value,
-                    DataValue::Matrix(exdra_matrix::Matrix::Compressed(_))
-                ) && e.meta.last_access.elapsed() >= min_idle
-            })
-            .map(|e| e.meta.lineage)
             .collect()
     }
 }

@@ -210,7 +210,7 @@ impl Tensor {
         match self {
             Tensor::Local(m) => Ok(Tensor::Local(elementwise::unary(m, op))),
             Tensor::Fed(f) => Ok(Tensor::Fed(f.unary(op)?)),
-            Tensor::Compressed(c) => Ok(Tensor::Compressed(c.map_cells(|v| op.apply(v)))),
+            Tensor::Compressed(c) => Ok(Tensor::Compressed(c.unary(op))),
         }
     }
 
@@ -227,18 +227,7 @@ impl Tensor {
     pub fn scalar_op(&self, op: BinaryOp, value: f64, swap: bool) -> Result<Tensor> {
         match self {
             Tensor::Local(m) => Ok(Tensor::Local(elementwise::scalar(m, op, value, swap))),
-            Tensor::Compressed(c) => {
-                // O(distinct) per column: only the dictionary / run values
-                // are transformed, exactly `elementwise::scalar` per cell.
-                let f = move |v: f64| {
-                    if swap {
-                        op.apply(value, v)
-                    } else {
-                        op.apply(v, value)
-                    }
-                };
-                Ok(Tensor::Compressed(c.map_cells(f)))
-            }
+            Tensor::Compressed(c) => Ok(Tensor::Compressed(c.scalar(op, value, swap))),
             Tensor::Fed(f) => Ok(Tensor::Fed(f.scalar_op(op, value, swap)?)),
         }
     }
@@ -383,24 +372,7 @@ impl Tensor {
         match self {
             Tensor::Local(m) => Ok(Tensor::Local(reorg::replace(m, pattern, replacement))),
             Tensor::Fed(f) => Ok(Tensor::Fed(f.replace(pattern, replacement)?)),
-            Tensor::Compressed(c) => {
-                // Same per-cell rule as `reorg::replace`, on the
-                // dictionaries only (result stays compressed).
-                let f = move |v: f64| {
-                    if pattern.is_nan() {
-                        if v.is_nan() {
-                            replacement
-                        } else {
-                            v
-                        }
-                    } else if v == pattern {
-                        replacement
-                    } else {
-                        v
-                    }
-                };
-                Ok(Tensor::Compressed(c.map_cells(f)))
-            }
+            Tensor::Compressed(c) => Ok(Tensor::Compressed(c.replace(pattern, replacement))),
         }
     }
 }

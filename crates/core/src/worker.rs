@@ -45,17 +45,14 @@ pub struct WorkerConfig {
     /// Directory that `READ` file names are resolved against (the worker's
     /// permissioned raw-data root; paths escaping it are rejected).
     pub data_dir: PathBuf,
-    /// Byte budget of the worker's lineage cache: reused instruction
-    /// results and the dense twins of compacted entries share it, FIFO.
-    /// A twin serves only the ops without a column-group kernel (`tsmm`,
-    /// `X R` for a wide R, matrix-matrix element-wise ops, ...);
-    /// contractions, element-wise ops and aggregates run on the column
-    /// groups either way. A twin larger than the budget is never held, and
-    /// every such op on that entry decompresses again.
+    /// Byte budget of the worker's lineage cache of reused instruction
+    /// results, evicted FIFO. It holds results only: an op without a
+    /// column-group kernel (`tsmm`, `X R` for a wide R, matrix-matrix
+    /// element-wise ops, ...) decompresses a compacted input for that op
+    /// and keeps nothing.
     pub cache_bytes: usize,
     /// Whether lineage-based reuse of instruction results is enabled
-    /// (ablation A1). Dense twins are held either way: they are another
-    /// form of a live input, every instruction still executes.
+    /// (ablation A1).
     pub reuse_enabled: bool,
     /// Entries idle longer than this are eligible for background
     /// compression (paper §4.4 "free cycles ... asynchronous compression").
@@ -502,20 +499,8 @@ impl Worker {
     }
 
     /// Compresses dense matrix entries of at least `min_bytes` that have
-    /// been idle for `min_idle`, and lets go of the dense twins of
-    /// compressed entries idle that long, so an idle worker's footprint
-    /// returns to the compressed size. Returns the number of compacted
-    /// entries.
+    /// been idle for `min_idle`. Returns the number of compacted entries.
     pub fn compact(&self, min_bytes: usize, min_idle: Duration) -> usize {
-        let dropped = self
-            .table
-            .idle_compressed(min_idle)
-            .into_iter()
-            .filter(|lin| self.cache.remove(lineage::twin_of(*lin)).is_some())
-            .count();
-        if dropped > 0 && exdra_obs::enabled() {
-            exdra_obs::global().add("compress.twin.dropped", dropped as u64);
-        }
         // Phase 1: snapshot eligible dense entries (cheap Arc clones).
         let mut work: Vec<(u64, Arc<DataValue>)> = Vec::new();
         for (id, bytes, idle) in self.table.compaction_candidates() {
@@ -1095,7 +1080,7 @@ mod tests {
     }
 
     #[test]
-    fn compaction_lets_go_of_an_idle_entrys_twin() {
+    fn a_compacted_entry_answers_as_before() {
         let w = worker();
         let mut m = DenseMatrix::zeros(1000, 4);
         for r in 0..1000 {
@@ -1104,27 +1089,28 @@ mod tests {
             }
         }
         w.install_matrix(1, m, PrivacyLevel::Public, "t");
-        assert_eq!(w.compact(1024, Duration::ZERO), 1);
-        // tsmm has no column-group kernel: it leaves the twin behind.
-        let tsmm = || Request::ExecInst {
+        // tsmm has no column-group kernel; its bits do not depend on the
+        // form it finds, and it keeps no decompression behind.
+        let tsmm = |out| Request::ExecInst {
             inst: Instruction::Tsmm {
                 x: 1,
                 left: true,
-                out: 2,
+                out,
             },
         };
-        assert_eq!(w.handle_batch(vec![tsmm()]), vec![Response::Ok]);
-        let with_twin = w.cache().bytes();
-        assert!(w
-            .cache()
-            .twin(lineage::twin_of(w.table().get(1).unwrap().meta.lineage))
-            .is_some());
-        // Not idle for an hour: the twin stays.
-        w.compact(1024, Duration::from_secs(3600));
-        assert_eq!(w.cache().bytes(), with_twin);
-        w.compact(1024, Duration::ZERO);
-        assert_eq!(w.cache().bytes(), with_twin - 1000 * 4 * 8);
-        // The entry is still compressed and answers as before.
+        assert_eq!(w.handle_batch(vec![tsmm(2)]), vec![Response::Ok]);
+        assert_eq!(w.compact(1024, Duration::ZERO), 1);
+        let held = w.cache().bytes();
+        w.cache().clear();
+        assert_eq!(w.handle_batch(vec![tsmm(3)]), vec![Response::Ok]);
+        assert_eq!(w.cache().bytes(), held, "the result alone is cached");
+        let bits = |id| {
+            let d = w.table().value(id).unwrap().to_dense().unwrap();
+            d.values().iter().map(|v| v.to_bits()).collect::<Vec<_>>()
+        };
+        assert_eq!(bits(2), bits(3));
+        // Compacting again finds nothing: the entry stays compressed.
+        assert_eq!(w.compact(1024, Duration::ZERO), 0);
         assert_eq!(
             w.table()
                 .get(1)
@@ -1135,10 +1121,7 @@ mod tests {
                 .repr_name(),
             "compressed"
         );
-        w.cache().clear();
-        assert_eq!(w.handle_batch(vec![tsmm()]), vec![Response::Ok]);
     }
-
     #[test]
     fn put_lineage_tells_payloads_apart_by_every_cell() {
         // Same shape, same head and tail, one different row in the middle:

@@ -35,6 +35,8 @@ use std::ops::Range;
 use crate::dense::DenseMatrix;
 use crate::error::{MatrixError, Result};
 use crate::kernels::aggregates::{self, col_chains, AggDir, AggKernel, AggOp, Chains};
+use crate::kernels::elementwise::{BinaryOp, UnaryOp};
+use crate::kernels::reorg;
 use crate::kernels::{
     add_into, fold_blocks_into, fold_row_blocks, par_floor, REDUCE_BLOCK_ROWS, TN_BLOCK_CELLS,
 };
@@ -519,12 +521,33 @@ impl CompressedMatrix {
         exdra_par::chunk_len(self.cols(), min_cols)
     }
 
+    /// [`crate::kernels::elementwise::unary`] on the column groups: the result stays
+    /// compressed, with the same bits as the dense kernel's.
+    pub fn unary(&self, op: UnaryOp) -> CompressedMatrix {
+        self.map_cells(|v| op.apply(v))
+    }
+
+    /// [`crate::kernels::elementwise::scalar`] on the column groups: `X op s`, or
+    /// `s op X` when `swap` is set. The result stays compressed.
+    pub fn scalar(&self, op: BinaryOp, s: f64, swap: bool) -> CompressedMatrix {
+        if swap {
+            self.map_cells(|v| op.apply(s, v))
+        } else {
+            self.map_cells(|v| op.apply(v, s))
+        }
+    }
+
+    /// [`reorg::replace`] on the column groups (`pattern` may be NaN).
+    /// The result stays compressed.
+    pub fn replace(&self, pattern: f64, replacement: f64) -> CompressedMatrix {
+        self.map_cells(reorg::replace_cell(pattern, replacement))
+    }
+
     /// Applies an element-wise function to every cell *without decoding*:
     /// only the distinct values of each column group are transformed, in
-    /// O(distinct) per column, and the result stays compressed. This is
-    /// the compressed-domain execution path for scalar ops, unary ops,
-    /// `replace`, and fused element-wise chains.
-    pub fn map_cells(&self, f: impl Fn(f64) -> f64 + Sync) -> CompressedMatrix {
+    /// O(distinct) per column, and the result stays compressed. The one
+    /// path of [`Self::unary`], [`Self::scalar`] and [`Self::replace`].
+    fn map_cells(&self, f: impl Fn(f64) -> f64 + Sync) -> CompressedMatrix {
         let chunk = self.group_chunk();
         let groups = exdra_par::map_chunks(self.cols(), chunk, |_, range| {
             range
@@ -1060,15 +1083,42 @@ mod tests {
     }
 
     #[test]
-    fn map_cells_stays_compressed_and_matches_dense_map() {
-        let d = mixed_matrix(120);
+    fn elementwise_ops_stay_compressed_and_are_their_dense_kernels() {
+        use crate::kernels::elementwise::{scalar, unary};
+        let mut d = mixed_matrix(120);
+        for r in (0..120).step_by(7) {
+            d.set(r, 0, f64::NAN);
+        }
         let c = CompressedMatrix::compress(&d);
-        let got = c.map_cells(|v| (v * 2.0).abs());
         // Structure preserved: same schemes, no decode.
-        let before: Vec<_> = c.plan().iter().map(|p| p.scheme).collect();
-        let after: Vec<_> = got.plan().iter().map(|p| p.scheme).collect();
-        assert_eq!(before, after);
-        let want = d.map(|v| (v * 2.0).abs());
-        assert!(same_bits(&got.decompress(), &want));
+        let schemes = |c: &CompressedMatrix| c.plan().iter().map(|p| p.scheme).collect::<Vec<_>>();
+        assert_eq!(schemes(&c.scalar(BinaryOp::Mul, 2.0, false)), schemes(&c));
+        for op in [UnaryOp::Abs, UnaryOp::Sqrt, UnaryOp::IsNa, UnaryOp::Sign] {
+            assert!(same_bits(&c.unary(op).decompress(), &unary(&d, op)));
+        }
+        for (op, s) in [
+            (BinaryOp::Sub, 1.5),
+            (BinaryOp::Div, 3.0),
+            (BinaryOp::Pow, 2.0),
+        ] {
+            for swap in [false, true] {
+                let got = c.scalar(op, s, swap).decompress();
+                assert!(
+                    same_bits(&got, &scalar(&d, op, s, swap)),
+                    "{op:?} swap {swap}"
+                );
+            }
+        }
+        // A NaN pattern matches every NaN cell; -0.0 matches 0.0.
+        for (pattern, replacement) in [(f64::NAN, -1.0), (7.0, 0.5), (-0.0, 9.0)] {
+            let got = c.replace(pattern, replacement).decompress();
+            assert!(same_bits(&got, &reorg::replace(&d, pattern, replacement)));
+        }
+        assert!(c
+            .replace(f64::NAN, 0.0)
+            .decompress()
+            .values()
+            .iter()
+            .all(|v| !v.is_nan()));
     }
 }

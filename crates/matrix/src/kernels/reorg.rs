@@ -134,10 +134,19 @@ pub fn remove_empty(
 /// `replace(target, pattern, replacement)`; `pattern` may be NaN, which
 /// matches NaN cells (the usual missing-value encoding in raw imports).
 pub fn replace(x: &DenseMatrix, pattern: f64, replacement: f64) -> DenseMatrix {
-    if pattern.is_nan() {
-        x.map(|v| if v.is_nan() { replacement } else { v })
-    } else {
-        x.map(|v| if v == pattern { replacement } else { v })
+    x.map(replace_cell(pattern, replacement))
+}
+
+/// The per-cell rule of [`replace`], which the column groups' `replace`
+/// applies to their distinct values.
+pub(crate) fn replace_cell(pattern: f64, replacement: f64) -> impl Fn(f64) -> f64 + Sync {
+    let nan = pattern.is_nan();
+    move |v| {
+        if v == pattern || (nan && v.is_nan()) {
+            replacement
+        } else {
+            v
+        }
     }
 }
 

@@ -331,35 +331,31 @@ fn metrics_say_which_form_of_a_compacted_partition_ran() {
     assert_eq!(compact(), 2);
     // A solver's loop, per worker: all ten mmchains run on the column
     // groups; the tsmm has no column-group kernel, so it decompresses
-    // once and leaves the twin behind, which no contraction looks up.
+    // for itself, and a contraction after it still runs on the groups.
     for i in 0..10 {
         let v = rand_matrix(4, 1, -1.0, 1.0, 80 + i);
         fed.mmchain(&v, None).unwrap();
     }
     fed.tsmm().unwrap();
+    fed.mmchain(&rand_matrix(4, 1, -1.0, 1.0, 90), None)
+        .unwrap();
+    exdra::obs::set_enabled(false);
     let m = exdra::obs::global().snapshot();
-    assert_eq!(m.counter("compress.exec.direct"), 2 * 10);
-    assert_eq!(m.counter("compress.twin.materialized"), 2);
+    assert_eq!(m.counter("compress.exec.direct"), 2 * 11);
     assert_eq!(
         m.counter("compress.exec.fallback"),
         2,
         "one decompression each, by the tsmm"
     );
-    assert_eq!(m.counter("compress.twin.hits"), 0);
-    assert_eq!(m.counter("compress.twin.dropped"), 0);
     let samples = |name: &str| m.histograms.get(name).map_or(0, |h| h.count);
     assert_eq!(samples("inst.decompress"), 2);
-    assert_eq!(samples("inst.c.mmchain"), 2 * 10);
-    assert_eq!(samples("inst.mmchain"), 0, "no mmchain on the twin");
+    assert_eq!(samples("inst.c.mmchain"), 2 * 11);
+    assert_eq!(samples("inst.mmchain"), 0, "no mmchain on a dense form");
     assert_eq!(samples("inst.tsmm"), 2);
-    // Looking for a twin is not a reuse probe.
     assert_eq!(m.counter("lineage.worker.hits"), 0);
-    assert_eq!(m.counter("lineage.worker.misses"), 2 * 11);
-    // Idle workers let go of their twins.
+    assert_eq!(m.counter("lineage.worker.misses"), 2 * 12);
+    // The workers' entries are compressed already.
     assert_eq!(compact(), 0);
-    exdra::obs::set_enabled(false);
-    let m = exdra::obs::global().snapshot();
-    assert_eq!(m.counter("compress.twin.dropped"), 2);
 }
 
 #[test]

@@ -245,15 +245,14 @@ fn a_killed_mem_worker_is_reported_and_restored_without_a_retry() {
     assert_eq!(ctx.stats().recoveries(), 1);
 }
 
-/// A dense twin is a worker's private, re-derivable form of a compacted
-/// entry: it is in no checkpoint (a checkpoint carries the logical value,
-/// as it travels on the wire). A worker killed while it holds one is
-/// restored dense with an empty cache; once its idle sweep has compacted
-/// the entry again it answers with the same bits from the column groups,
-/// and the next op without a column-group kernel leaves the twin again.
+/// Compaction is a worker's private choice of form: a checkpoint carries
+/// the logical value, as it travels on the wire. A worker killed while it
+/// holds a compacted entry is restored dense; once its idle sweep has
+/// compacted the entry again it answers with the same bits from the
+/// column groups, and an op without a column-group kernel decompresses
+/// for itself as before.
 #[test]
-fn worker_killed_holding_a_dense_twin_recovers_bitwise_without_it() {
-    use exdra::core::lineage::twin_of;
+fn worker_killed_holding_a_compacted_entry_recovers_bitwise() {
     use exdra::core::FedMatrix;
     use exdra::Lazy;
 
@@ -273,19 +272,16 @@ fn worker_killed_holding_a_dense_twin_recovers_bitwise_without_it() {
         .unwrap();
     let x = Lazy::from_fed(fed.clone());
     let v = Lazy::from_local(rand_matrix(5, 1, -1.0, 1.0, 30));
-    // tsmm has no column-group kernel: its decompression stays as the twin.
+    // tsmm has no column-group kernel: it decompresses for itself.
     let gram = x.tsmm().unwrap();
     let chain = x.t_matmul(&x.matmul(&v));
     let expected = (sds.compute(&gram).unwrap(), sds.compute(&chain).unwrap());
-    // (partition 0 is compressed, its twin is held)
-    let forms = |w: &Worker| {
+    // Whether partition 0 is compressed.
+    let compressed = |w: &Worker| {
         let e = w.table().get(fed.parts()[0].id).unwrap();
-        (
-            e.value.as_matrix().unwrap().repr_name() == "compressed",
-            w.cache().twin(twin_of(e.meta.lineage)).is_some(),
-        )
+        e.value.as_matrix().unwrap().repr_name() == "compressed"
     };
-    assert_eq!(forms(&workers[0]), (true, true));
+    assert!(compressed(&workers[0]));
 
     let sup = sds.supervisor().unwrap();
     assert!(
@@ -301,13 +297,12 @@ fn worker_killed_holding_a_dense_twin_recovers_bitwise_without_it() {
 
     let chain_after = sds.compute(&chain).unwrap();
     assert!(ctx.stats().recoveries() >= 1, "NetStats counted recovery");
-    assert_eq!(forms(&replacement), (false, false), "restored dense");
+    assert!(!compressed(&replacement), "restored dense");
     assert!(replacement.compact(0, Duration::ZERO) >= 1);
-    // A contraction runs on the column groups and buys no twin.
+    assert!(compressed(&replacement));
     assert_eq!(expected.1.values(), sds.compute(&chain).unwrap().values());
-    assert_eq!(forms(&replacement), (true, false));
     let gram_after = sds.compute(&gram).unwrap();
-    assert_eq!(forms(&replacement), (true, true), "the twin is back");
+    assert!(compressed(&replacement));
     assert_eq!(expected.0.values(), gram_after.values());
     assert_eq!(expected.1.values(), chain_after.values());
 }

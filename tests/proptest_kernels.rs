@@ -35,7 +35,7 @@ use exdra_matrix::kernels::elementwise::{binary, scalar, unary, BinaryOp, UnaryO
 use exdra_matrix::kernels::matmul::{
     matmul, matmul_naive, matmul_tn, mmchain, mmchain_two_phase, tsmm, KC, MR, NR,
 };
-use exdra_matrix::kernels::reorg::transpose;
+use exdra_matrix::kernels::reorg::{replace, transpose};
 use exdra_matrix::rng::rand_matrix;
 use exdra_matrix::DenseMatrix;
 use proptest::prelude::*;
@@ -338,13 +338,13 @@ fn kernels_match_oracle(rows: usize, cols: usize, seed: u64, plant: bool) {
                     assert!(aggregate(m, op, dir).is_err() && c.aggregate(op, dir).is_err());
                     continue;
                 }
+                // NaN payloads are outside the bitwise contract (DESIGN.md
+                // §4f): where an Inf - Inf NaN meets a stored NaN, the
+                // payload kept is the operand order of the code path, the
+                // kernel's, the column groups' or the oracle's.
                 let want = oracle::aggregate(m, op, dir);
                 let got = widths_agree("agg", || aggregate(m, op, dir).expect("agg"));
-                assert!(same_bits(&got, &want), "dense {}", at(&label));
-                // The column groups push the same cells into the same
-                // chains, but compile them on their own code path: where
-                // an Inf - Inf NaN meets a stored NaN, the payload kept
-                // is that path's operand order.
+                assert!(same_cells(&got, &want), "dense {}", at(&label));
                 let got = widths_agree("c-agg", || c.aggregate(op, dir).expect("agg"));
                 assert!(same_cells(&got, &want), "compressed {}", at(&label));
             }
@@ -374,6 +374,9 @@ fn elementwise_and_aggregates_are_bitwise_the_per_cell_oracle() {
             kernels_match_oracle(rows, cols, (rows * 131 + cols) as u64, plant);
         }
     }
+    // A column sum where an Inf - Inf NaN meets a planted NaN: the kernel
+    // and the oracle keep different NaN payloads.
+    kernels_match_oracle(11, 1, 504_171, true);
 }
 
 #[test]
@@ -854,7 +857,7 @@ proptest! {
     }
 
     #[test]
-    fn compressed_map_cells_matches_decompressed_elementwise(
+    fn compressed_elementwise_ops_match_their_dense_kernels(
         rows in 1usize..=300,
         s in -2.0f64..2.0,
         seed in 0u64..1_000_000,
@@ -862,13 +865,18 @@ proptest! {
         let d = mixed_matrix(rows, seed);
         let c = CompressedMatrix::compress(&d);
         for op in [UnaryOp::Exp, UnaryOp::Sigmoid, UnaryOp::Abs, UnaryOp::Round] {
-            let got = widths_agree("c-unary", || c.map_cells(|v| op.apply(v)).decompress());
+            let got = widths_agree("c-unary", || c.unary(op).decompress());
             prop_assert!(same_bits(&got, &unary(&d, op)));
         }
-        let got = widths_agree("c-scalar", || {
-            c.map_cells(move |v| BinaryOp::Mul.apply(v, s)).decompress()
-        });
-        prop_assert!(same_bits(&got, &scalar(&d, BinaryOp::Mul, s, false)));
+        for (op, swap) in [(BinaryOp::Mul, false), (BinaryOp::Sub, true), (BinaryOp::Div, true)] {
+            let got = widths_agree("c-scalar", || c.scalar(op, s, swap).decompress());
+            prop_assert!(same_bits(&got, &scalar(&d, op, s, swap)), "{:?} swap {}", op, swap);
+        }
+        // Column 1 is the constant 3.25, column 0 takes -2..=2.
+        for pattern in [3.25, 0.0, f64::NAN] {
+            let got = widths_agree("c-replace", || c.replace(pattern, s).decompress());
+            prop_assert!(same_bits(&got, &replace(&d, pattern, s)));
+        }
     }
 
     #[test]

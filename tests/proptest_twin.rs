@@ -1,16 +1,14 @@
 //! Property test for the per-op form rule on compacted partitions
 //! (DESIGN.md §4k): contractions, element-wise ops and aggregates run on
-//! a partition's column groups, twin held or not; an op without a
-//! column-group kernel runs on the dense twin, which it decompresses or
-//! finds. Whether a fallback decompresses or finds the twin changes how
-//! long the op takes, never a bit of its result. Random sequences of
-//! `X v`, `t(X) Y`, mmchain, tsmm, scalar, unary and column-aggregate ops
-//! on a mem federation fetch equal bits under three worker
-//! configurations (a cache too small for a twin: every fallback
-//! decompresses; reuse off: twins, every instruction executes; the
-//! default: twins and reuse) and on partitions that were never compacted.
-//! Workers run their kernels at the process's pool width, so CI's
-//! `par-determinism` job repeats this at `EXDRA_THREADS` 1 / 3 / max.
+//! a partition's column groups; an op without a column-group kernel
+//! decompresses the partition for itself and keeps nothing. Random
+//! sequences of `X v`, `t(X) Y`, mmchain, tsmm, scalar, unary and
+//! column-aggregate ops on a mem federation fetch equal bits under three
+//! worker configurations (a cache too small to hold a decompression;
+//! reuse off, every instruction executes; the default, with reuse) and
+//! on partitions that were never compacted. Workers run their kernels at
+//! the process's pool width, so CI's `par-determinism` job repeats this
+//! at `EXDRA_THREADS` 1 / 3 / max.
 
 use std::time::Duration;
 
@@ -40,7 +38,7 @@ enum Op {
     Scalar(BinaryOp, f64),
     Unary(UnaryOp),
     ColAgg(AggOp),
-    /// The workers go idle: compaction lets go of the twins.
+    /// The workers go idle: compaction sweeps again.
     Idle,
 }
 
@@ -124,9 +122,8 @@ fn run(
     (fetched, cache_peak)
 }
 
-/// One partition's twin, and a budget smaller than it.
-const TWIN_BYTES: usize = ROWS / WORKERS * COLS * 8;
-const NO_TWIN_BYTES: usize = 1024;
+/// A budget smaller than one partition's decompression.
+const SMALL_CACHE_BYTES: usize = 1024;
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
@@ -137,11 +134,11 @@ proptest! {
         threads in prop_oneof![Just(1usize), Just(3), Just(8)],
         seed in 0u64..1_000_000,
     ) {
-        let (dense, direct, twin, reuse) = exdra_par::with_threads(threads, || {
+        let (dense, small, off, on) = exdra_par::with_threads(threads, || {
             (
                 run(&ops, seed, false, WorkerConfig::default),
                 run(&ops, seed, true, || WorkerConfig {
-                    cache_bytes: NO_TWIN_BYTES,
+                    cache_bytes: SMALL_CACHE_BYTES,
                     ..WorkerConfig::default()
                 }),
                 run(&ops, seed, true, || WorkerConfig {
@@ -151,14 +148,10 @@ proptest! {
                 run(&ops, seed, true, WorkerConfig::default),
             )
         });
-        prop_assert!(direct.1 <= NO_TWIN_BYTES, "no twin fits this budget");
-        prop_assert_eq!(&direct.0, &dense.0, "column groups vs dense partitions");
-        prop_assert_eq!(&twin.0, &dense.0, "twins, reuse off");
-        if ops.iter().any(|op| matches!(op, Op::Tsmm)) {
-            prop_assert_eq!(twin.1, TWIN_BYTES, "the fallback leaves a twin, and nothing else");
-        } else {
-            prop_assert_eq!(twin.1, 0, "contractions buy no twin");
-        }
-        prop_assert_eq!(&reuse.0, &dense.0, "twins and reuse");
+        prop_assert!(small.1 <= SMALL_CACHE_BYTES, "the cache keeps to its budget");
+        prop_assert_eq!(&small.0, &dense.0, "column groups vs dense partitions");
+        prop_assert_eq!(&off.0, &dense.0, "reuse off");
+        prop_assert_eq!(off.1, 0, "reuse off: the cache holds nothing");
+        prop_assert_eq!(&on.0, &dense.0, "reuse on");
     }
 }
