@@ -1,6 +1,8 @@
 //! The lazy operation DAG.
 //!
-//! Every API call appends a node (a [`PlanOp`] over its operands);
+//! Every API call appends a node (a [`PlanOp`] over its operands: an
+//! instruction row whose operand fields are positions in the node's
+//! operand list);
 //! nothing executes until [`Lazy::compute`]. [`Plan::from_lazy`] flattens
 //! the DAG by a depth-first traversal "for ordering according to data
 //! dependencies" (paper §3.2), shared sub-DAGs once, into the plan IR the
@@ -11,6 +13,7 @@
 use std::collections::HashMap;
 use std::sync::Arc;
 
+use exdra_core::instruction::Instruction::{self, *};
 use exdra_core::{Result, RuntimeError, Tensor};
 use exdra_matrix::kernels::aggregates::{AggDir, AggOp};
 use exdra_matrix::kernels::elementwise::{BinaryOp, UnaryOp};
@@ -49,27 +52,45 @@ impl Lazy {
         Self::new(PlanOp::SourceFed(f), Vec::new())
     }
 
-    fn unary_node(&self, op: PlanOp) -> Lazy {
-        Lazy::new(op, vec![self.clone()])
+    /// A node reading `self` as operand 0 (`inst`'s first operand field).
+    fn unary_node(&self, inst: Instruction) -> Lazy {
+        Lazy::new(PlanOp::Inst(inst), vec![self.clone()])
     }
 
-    fn binary_node(&self, op: PlanOp, other: &Lazy) -> Lazy {
-        Lazy::new(op, vec![self.clone(), other.clone()])
+    /// A node reading `self` and `other` as operands 0 and 1.
+    fn binary_node(&self, inst: Instruction, other: &Lazy) -> Lazy {
+        Lazy::new(PlanOp::Inst(inst), vec![self.clone(), other.clone()])
+    }
+
+    fn matmul_node(&self, rhs: &Lazy, t_lhs: bool) -> Lazy {
+        self.binary_node(
+            MatMul {
+                lhs: 0,
+                rhs: 1,
+                t_lhs,
+                out: 0,
+            },
+            rhs,
+        )
     }
 
     /// Matrix multiplication.
     pub fn matmul(&self, rhs: &Lazy) -> Lazy {
-        self.binary_node(PlanOp::MatMul, rhs)
+        self.matmul_node(rhs, false)
     }
 
     /// `t(self) %*% rhs`.
     pub fn t_matmul(&self, rhs: &Lazy) -> Lazy {
-        self.binary_node(PlanOp::TMatMul, rhs)
+        self.matmul_node(rhs, true)
     }
 
     /// `t(self) %*% self`.
     pub fn tsmm(&self) -> Result<Lazy> {
-        Ok(self.unary_node(PlanOp::Tsmm))
+        Ok(self.unary_node(Tsmm {
+            x: 0,
+            left: true,
+            out: 0,
+        }))
     }
 
     /// Element-wise addition.
@@ -94,22 +115,36 @@ impl Lazy {
 
     /// Generic element-wise binary op.
     pub fn binary(&self, op: BinaryOp, rhs: &Lazy) -> Lazy {
-        self.binary_node(PlanOp::Binary(op), rhs)
+        self.binary_node(
+            Binary {
+                lhs: 0,
+                rhs: 1,
+                op,
+                out: 0,
+            },
+            rhs,
+        )
     }
 
     /// Matrix-scalar op (`swap` = scalar on the left).
     pub fn scalar(&self, op: BinaryOp, value: f64, swap: bool) -> Lazy {
-        self.unary_node(PlanOp::Scalar(op, value, swap))
+        self.unary_node(Scalar {
+            x: 0,
+            op,
+            value,
+            swap,
+            out: 0,
+        })
     }
 
     /// Element-wise unary op.
     pub fn unary(&self, op: UnaryOp) -> Lazy {
-        self.unary_node(PlanOp::Unary(op))
+        self.unary_node(Unary { x: 0, op, out: 0 })
     }
 
     /// Row-wise softmax.
     pub fn softmax(&self) -> Lazy {
-        self.unary_node(PlanOp::Softmax)
+        self.unary_node(Softmax { x: 0, out: 0 })
     }
 
     /// Full sum.
@@ -144,37 +179,54 @@ impl Lazy {
 
     /// Generic aggregate.
     pub fn agg(&self, op: AggOp, dir: AggDir) -> Lazy {
-        self.unary_node(PlanOp::Agg(op, dir))
+        self.unary_node(Agg {
+            x: 0,
+            op,
+            dir,
+            out: 0,
+        })
     }
 
     /// 1-based row argmax.
     pub fn row_index_max(&self) -> Lazy {
-        self.unary_node(PlanOp::RowIndexMax)
+        self.unary_node(RowIndexMax { x: 0, out: 0 })
     }
 
     /// Transpose.
     pub fn t(&self) -> Lazy {
-        self.unary_node(PlanOp::Transpose)
+        self.unary_node(Transpose { x: 0, out: 0 })
     }
 
     /// Right indexing with half-open ranges.
     pub fn index(&self, row_lo: usize, row_hi: usize, col_lo: usize, col_hi: usize) -> Lazy {
-        self.unary_node(PlanOp::Index(row_lo, row_hi, col_lo, col_hi))
+        self.unary_node(Index {
+            x: 0,
+            row_lo: row_lo as u64,
+            row_hi: row_hi as u64,
+            col_lo: col_lo as u64,
+            col_hi: col_hi as u64,
+            out: 0,
+        })
     }
 
     /// Vertical concatenation.
     pub fn rbind(&self, other: &Lazy) -> Lazy {
-        self.binary_node(PlanOp::Rbind, other)
+        self.binary_node(Rbind { a: 0, b: 1, out: 0 }, other)
     }
 
     /// Horizontal concatenation.
     pub fn cbind(&self, other: &Lazy) -> Lazy {
-        self.binary_node(PlanOp::Cbind, other)
+        self.binary_node(Cbind { a: 0, b: 1, out: 0 }, other)
     }
 
     /// Value replacement (pattern may be NaN).
     pub fn replace(&self, pattern: f64, replacement: f64) -> Lazy {
-        self.unary_node(PlanOp::Replace(pattern, replacement))
+        self.unary_node(Replace {
+            x: 0,
+            pattern,
+            replacement,
+            out: 0,
+        })
     }
 
     /// Evaluates the DAG, unoptimized, to a [`Tensor`]: every node once,
@@ -198,8 +250,9 @@ impl Lazy {
             if let Some(&h) = memo.get(&key) {
                 return h;
             }
-            let children: Vec<u64> = lazy.expr.children.iter().map(|c| walk(c, memo)).collect();
-            let h = lazy.expr.op.lineage(&children);
+            let operands: Vec<u64> = lazy.expr.children.iter().map(|c| walk(c, memo)).collect();
+            let op = &lazy.expr.op;
+            let h = op.lineage(op.children().into_iter().map(|k| operands[k]));
             memo.insert(key, h);
             h
         }

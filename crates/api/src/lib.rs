@@ -30,5 +30,5 @@ pub mod session;
 
 pub use dag::Lazy;
 pub use optimizer::{CostModel, Optimizer, OptimizerRule, ProfileCostModel};
-pub use plan::{Plan, PlanNode, PlanOp};
+pub use plan::{Plan, PlanOp};
 pub use session::{Session, SessionBuilder};

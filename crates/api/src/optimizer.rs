@@ -27,10 +27,12 @@
 //! DESIGN.md §4j proves the fused execution produces identical IEEE-754
 //! bit patterns.
 
+use exdra_core::instruction::Instruction::*;
 use exdra_matrix::kernels::elementwise::BinaryOp;
+use exdra_net::codec::Wire;
 use exdra_obs::RuleFire;
 
-use crate::plan::{Plan, PlanNode, PlanOp};
+use crate::plan::{Loc, Plan, PlanOp};
 
 /// A cost model mapping plan shapes to estimated nanoseconds, fed to
 /// [`Plan::estimate`].
@@ -175,13 +177,16 @@ impl Optimizer {
 /// CSE keyed by lineage fingerprints with exact structural verification.
 struct Cse;
 
-/// True when two operators are exactly interchangeable (same results,
-/// bit for bit). Parameters compare by `to_bits` so `NaN` patterns and
-/// `-0.0` scalars are distinguished correctly; local sources compare by
-/// full value arrays (equal lineage hashes may still be a collision).
-fn op_equivalent(a: &PlanOp, b: &PlanOp) -> bool {
+/// True when two nodes, their operands already remapped, are exactly
+/// interchangeable (same results, bit for bit): instruction rows by their
+/// wire bytes, operands included, so literals compare by their bits (`NaN`
+/// patterns and `-0.0` are told apart); local sources by every cell's
+/// bits and federated ones by their partitions (equal lineage hashes may
+/// still be a collision).
+fn interchangeable(a: &PlanOp, b: &PlanOp) -> bool {
     use PlanOp::*;
     match (a, b) {
+        (Inst(x), Inst(y)) => x.to_bytes() == y.to_bytes(),
         (SourceLocal(x), SourceLocal(y)) => {
             x.rows() == y.rows()
                 && x.cols() == y.cols()
@@ -200,20 +205,6 @@ fn op_equivalent(a: &PlanOp, b: &PlanOp) -> bool {
                     p.lo == q.lo && p.hi == q.hi && p.worker == q.worker && p.id == q.id
                 })
         }
-        (MatMul, MatMul) | (TMatMul, TMatMul) | (Tsmm, Tsmm) => true,
-        (Binary(x), Binary(y)) => x == y,
-        (Scalar(xo, xv, xs), Scalar(yo, yv, ys)) => {
-            xo == yo && xv.to_bits() == yv.to_bits() && xs == ys
-        }
-        (Unary(x), Unary(y)) => x == y,
-        (Softmax, Softmax) | (RowIndexMax, RowIndexMax) | (Transpose, Transpose) => true,
-        (Agg(xo, xd), Agg(yo, yd)) => xo == yo && xd == yd,
-        (Index(a0, a1, a2, a3), Index(b0, b1, b2, b3)) => (a0, a1, a2, a3) == (b0, b1, b2, b3),
-        (Rbind, Rbind) | (Cbind, Cbind) => true,
-        (Replace(xp, xr), Replace(yp, yr)) => {
-            xp.to_bits() == yp.to_bits() && xr.to_bits() == yr.to_bits()
-        }
-        (MmChain { w_on_left: x }, MmChain { w_on_left: y }) => x == y,
         _ => false,
     }
 }
@@ -230,23 +221,22 @@ impl OptimizerRule for Cse {
         let mut canon: std::collections::HashMap<u64, Vec<usize>> =
             std::collections::HashMap::new();
         let mut remap = vec![usize::MAX; plan.len()];
-        let mut nodes: Vec<PlanNode> = Vec::with_capacity(plan.len());
+        let mut nodes: Vec<PlanOp> = Vec::with_capacity(plan.len());
         let mut hits = 0u64;
         for (i, node) in plan.nodes().iter().enumerate() {
-            let children: Vec<usize> = node.children.iter().map(|&c| remap[c]).collect();
+            let mut node = node.clone();
+            node.map_operands(|c| remap[c]);
             let candidates = canon.entry(lineages[i]).or_default();
-            if let Some(&id) = candidates.iter().find(|&&id| {
-                nodes[id].children == children && op_equivalent(&nodes[id].op, &node.op)
-            }) {
+            if let Some(&id) = candidates
+                .iter()
+                .find(|&&id| interchangeable(&nodes[id], &node))
+            {
                 remap[i] = id;
                 hits += 1;
                 continue;
             }
             let id = nodes.len();
-            nodes.push(PlanNode {
-                op: node.op.clone(),
-                children,
-            });
+            nodes.push(node);
             canon.get_mut(&lineages[i]).expect("just inserted").push(id);
             remap[i] = id;
         }
@@ -274,79 +264,107 @@ impl OperatorFusion {
         let refs = plan.refcounts();
         let mut nodes = plan.nodes().to_vec();
         let mut hits = 0u64;
-        let local = |k: usize| meta[k].is_some_and(|m| m.loc == crate::plan::Loc::Local);
-        let local_or_fedrow = |k: usize| {
-            meta[k].is_some_and(|m| {
-                matches!(m.loc, crate::plan::Loc::Local | crate::plan::Loc::FedRow)
-            })
+        let local = |k: u64| meta[k as usize].is_some_and(|m| m.loc == Loc::Local);
+        let local_or_fedrow =
+            |k: u64| meta[k as usize].is_some_and(|m| matches!(m.loc, Loc::Local | Loc::FedRow));
+        let col_vec = |k: u64| meta[k as usize].is_some_and(|m| m.cols == 1);
+        let inst = |k: u64, nodes: &[PlanOp]| match &nodes[k as usize] {
+            PlanOp::Inst(inst) => Some(inst.clone()),
+            _ => None,
         };
-        let col_vec = |k: usize| meta[k].is_some_and(|m| m.cols == 1);
         for i in 0..nodes.len() {
-            match nodes[i].op {
+            let fused = match inst(i as u64, &nodes) {
                 // ba+*(t(X), Y) -> t-ba+*(X, Y): Tensor::t_matmul runs
                 // `matmul_tn`, whose cells are the r-ascending chains the
                 // GEMM builds on a materialized t(X), so this is
                 // bitwise-free — and saves the transpose. Fires regardless
                 // of the Transpose's refcount — the orphan is GC'd by
                 // compaction if unused.
-                PlanOp::MatMul => {
-                    let (a, b) = (nodes[i].children[0], nodes[i].children[1]);
-                    if let PlanOp::Transpose = nodes[a].op {
-                        let x = nodes[a].children[0];
-                        if local(x) && local(b) {
-                            nodes[i].op = PlanOp::TMatMul;
-                            nodes[i].children = vec![x, b];
-                            hits += 1;
+                Some(MatMul {
+                    lhs,
+                    rhs,
+                    t_lhs: false,
+                    ..
+                }) => match inst(lhs, &nodes) {
+                    Some(Transpose { x, .. }) if local(x) && local(rhs) => Some(MatMul {
+                        lhs: x,
+                        rhs,
+                        t_lhs: true,
+                        out: 0,
+                    }),
+                    _ => None,
+                },
+                Some(MatMul {
+                    lhs: a,
+                    rhs: b,
+                    t_lhs: true,
+                    ..
+                }) => {
+                    // t-ba+*(X, ba+*(X, v)) -> mmchain(X, v).
+                    let chain = |q: u64| match inst(q, &nodes) {
+                        Some(MatMul {
+                            lhs: x2,
+                            rhs: v,
+                            t_lhs: false,
+                            ..
+                        }) if refs[q as usize] == 1
+                            && x2 == a
+                            && local(v)
+                            && col_vec(v)
+                            && local_or_fedrow(a) =>
+                        {
+                            Some(v)
                         }
-                    }
-                }
-                PlanOp::TMatMul => {
-                    let (a, b) = (nodes[i].children[0], nodes[i].children[1]);
+                        _ => None,
+                    };
                     if a == b && local_or_fedrow(a) {
                         // t-ba+*(X, X) -> tsmm(X): same r-ascending
                         // upper-triangle accumulation order.
-                        nodes[i].op = PlanOp::Tsmm;
-                        nodes[i].children = vec![a];
-                        hits += 1;
-                    } else if let PlanOp::MatMul = nodes[b].op {
-                        // t-ba+*(X, ba+*(X, v)) -> mmchain(X, v).
-                        let (x2, v) = (nodes[b].children[0], nodes[b].children[1]);
-                        if refs[b] == 1 && x2 == a && local(v) && col_vec(v) && local_or_fedrow(a) {
-                            nodes[i].op = PlanOp::MmChain { w_on_left: false };
-                            nodes[i].children = vec![a, v];
-                            hits += 1;
-                        }
-                    } else if let PlanOp::Binary(BinaryOp::Mul) = nodes[b].op {
-                        // t-ba+*(X, w (*) ba+*(X, v)) -> mmchain(X, v, w).
-                        let (l, r) = (nodes[b].children[0], nodes[b].children[1]);
-                        let matmul_side = |q: usize| match nodes[q].op {
-                            PlanOp::MatMul => Some((nodes[q].children[0], nodes[q].children[1])),
-                            _ => None,
-                        };
-                        let candidate =
-                            [(l, r, false), (r, l, true)]
-                                .into_iter()
-                                .find_map(|(q, w, w_left)| {
-                                    let (x2, v) = matmul_side(q)?;
-                                    (refs[b] == 1
-                                        && refs[q] == 1
-                                        && x2 == a
-                                        && local(v)
-                                        && col_vec(v)
-                                        && local(w)
-                                        && col_vec(w)
-                                        && meta[w].map(|m| m.rows) == meta[q].map(|m| m.rows)
-                                        && local_or_fedrow(a))
-                                    .then_some((v, w, w_left))
-                                });
-                        if let Some((v, w, w_on_left)) = candidate {
-                            nodes[i].op = PlanOp::MmChain { w_on_left };
-                            nodes[i].children = vec![a, v, w];
-                            hits += 1;
-                        }
+                        Some(Tsmm {
+                            x: a,
+                            left: true,
+                            out: 0,
+                        })
+                    } else if let Some(v) = chain(b) {
+                        Some(MmChain {
+                            x: a,
+                            v,
+                            w: None,
+                            out: 0,
+                        })
+                    } else if let Some(Binary {
+                        lhs: l,
+                        rhs: r,
+                        op: BinaryOp::Mul,
+                        ..
+                    }) = inst(b, &nodes)
+                    {
+                        // t-ba+*(X, w ⊙ ba+*(X, v)) -> mmchain(X, v, w),
+                        // with `w` on either side: `w ⊙ q` and `q ⊙ w`
+                        // have the same bits (DESIGN.md §4j).
+                        [(l, r), (r, l)].into_iter().find_map(|(q, w)| {
+                            let v = chain(q)?;
+                            (refs[b as usize] == 1
+                                && local(w)
+                                && col_vec(w)
+                                && meta[w as usize].map(|m| m.rows)
+                                    == meta[q as usize].map(|m| m.rows))
+                            .then_some(MmChain {
+                                x: a,
+                                v,
+                                w: Some(w),
+                                out: 0,
+                            })
+                        })
+                    } else {
+                        None
                     }
                 }
-                _ => {}
+                _ => None,
+            };
+            if let Some(fused) = fused {
+                nodes[i] = PlanOp::Inst(fused);
+                hits += 1;
             }
         }
         (Plan::compacted(nodes, plan.root()), hits)
@@ -446,7 +464,7 @@ mod tests {
             optimized
                 .nodes()
                 .iter()
-                .any(|n| matches!(n.op, PlanOp::MmChain { w_on_left: true })),
+                .any(|n| matches!(n, PlanOp::Inst(MmChain { w: Some(_), .. }))),
             "mmchain present:\n{}",
             optimized.render()
         );
@@ -470,7 +488,7 @@ mod tests {
             optimized
                 .nodes()
                 .iter()
-                .any(|n| matches!(n.op, PlanOp::Tsmm)),
+                .any(|n| matches!(n, PlanOp::Inst(Tsmm { .. }))),
             "{}",
             optimized.render()
         );
@@ -492,7 +510,7 @@ mod tests {
             optimized
                 .nodes()
                 .iter()
-                .any(|n| matches!(n.op, PlanOp::MatMul)),
+                .any(|n| matches!(n, PlanOp::Inst(MatMul { t_lhs: false, .. }))),
             "shared ba+* survives:\n{}",
             optimized.render()
         );

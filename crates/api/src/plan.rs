@@ -1,99 +1,86 @@
 //! The explicit logical-plan IR between [`Lazy`] DAG construction and
 //! coordinator dispatch.
 //!
-//! A [`Plan`] is an immutable arena of [`PlanNode`]s in topological order
-//! (children strictly before parents, the root last reachable), lowered
-//! from a [`Lazy`] expression by [`Plan::from_lazy`]. It is what the
-//! [`crate::optimizer`] rule pipeline rewrites: every rule consumes a
-//! `&Plan` and produces a fresh `Plan`, so plans are snapshots — the
-//! before/after pair a [`Session::explain`](crate::Session::explain)
-//! renders side by side.
+//! A [`Plan`] is an immutable arena of [`PlanOp`] nodes in topological
+//! order (operands strictly before the nodes that read them, the root last
+//! reachable), lowered from a [`Lazy`] expression by [`Plan::from_lazy`].
+//! Every node that is not a source is a row of the runtime's instruction
+//! table ([`Instruction`]) whose operand fields hold arena indices, so a
+//! node's opcode name, literals, operands and lineage are those of the
+//! instruction a worker runs. It is what the [`crate::optimizer`] rule
+//! pipeline rewrites: every rule consumes a `&Plan` and produces a fresh
+//! `Plan`, so plans are snapshots — the before/after pair a
+//! [`Session::explain`](crate::Session::explain) renders side by side.
 //!
 //! Besides the structure itself, a plan knows how to
 //!
 //! * fingerprint each node ([`Plan::lineages`]; CSE keys on it, and the
 //!   root's entry is the plan-cache key [`Lazy::lineage_hash`] computes
-//!   from the DAG with the same per-operator function),
+//!   from the DAG with the same function, [`Instruction::lineage`] for
+//!   every operator),
 //! * render itself as the numbered generated-DML script of the paper
-//!   ([`Plan::render`]),
+//!   ([`Plan::render`]), one runtime opcode per line,
 //! * estimate its execution cost against a
 //!   [`CostModel`] ([`Plan::estimate`]) by
 //!   replaying the federated dispatch rules of `exdra_core::Tensor`
 //!   symbolically (shape + locality inference), and
 //! * execute itself ([`Plan::execute`]): one [`Tensor`] call per node,
 //!   in arena order. This is the only evaluator; [`Lazy::eval`] is the
-//!   unoptimized plan executed. The fused operator ([`PlanOp::MmChain`])
-//!   is only introduced by a rule whose rewrite is bitwise identical to
-//!   the unfused execution (see DESIGN.md §4j).
+//!   unoptimized plan executed. The fused `mmchain` is only introduced by
+//!   a rule whose rewrite is bitwise identical to the unfused execution
+//!   (see DESIGN.md §4j).
 
 use std::collections::HashMap;
 use std::sync::Arc;
 
+use exdra_core::instruction::Instruction;
 use exdra_core::{Result, RuntimeError, Tensor};
-use exdra_matrix::kernels::aggregates::{AggDir, AggOp};
-use exdra_matrix::kernels::elementwise::{BinaryOp, UnaryOp};
+use exdra_matrix::kernels::aggregates::AggDir;
 use exdra_matrix::DenseMatrix;
 use exdra_obs::PlanEstimate;
 
 use crate::dag::{Expr, Lazy};
 use crate::optimizer::CostModel;
 
-/// A logical-plan operator: what every [`Lazy`] DAG node and every
-/// [`PlanNode`] applies, plus the fused operator only the optimizer
-/// introduces.
+/// One node of a [`Plan`] (and of a [`Lazy`] DAG): a source, or an
+/// instruction row.
 #[derive(Debug, Clone)]
 pub enum PlanOp {
     /// Local source matrix (shared, never copied by lowering).
     SourceLocal(Arc<DenseMatrix>),
     /// Federated source.
     SourceFed(exdra_core::FedMatrix),
-    /// `lhs %*% rhs`.
-    MatMul,
-    /// `t(lhs) %*% rhs`.
-    TMatMul,
-    /// `t(x) %*% x`.
-    Tsmm,
-    /// Element-wise binary with broadcasting.
-    Binary(BinaryOp),
-    /// Matrix-scalar op (`bool` = scalar on the left).
-    Scalar(BinaryOp, f64, bool),
-    /// Element-wise unary.
-    Unary(UnaryOp),
-    /// Row-wise softmax.
-    Softmax,
-    /// Aggregate.
-    Agg(AggOp, AggDir),
-    /// 1-based row argmax.
-    RowIndexMax,
-    /// Transpose.
-    Transpose,
-    /// Right indexing (half-open).
-    Index(usize, usize, usize, usize),
-    /// Vertical concat.
-    Rbind,
-    /// Horizontal concat.
-    Cbind,
-    /// Value replacement.
-    Replace(f64, f64),
-    /// Fused matrix-multiply chain `t(x) %*% (w ⊙ (x %*% v))` over
-    /// children `[x, v]` or `[x, v, w]`. `w_on_left` remembers which
-    /// side of the original element-wise multiply held `w` (only used
-    /// by the defensive unfused fallback).
-    MmChain {
-        /// `w` was the left operand of the fused multiply.
-        w_on_left: bool,
-    },
+    /// An instruction whose operand fields are the arena indices of the
+    /// nodes it reads (in a [`Lazy`] DAG node, positions in its operand
+    /// list). Its output field is unused: the node is its output.
+    Inst(Instruction),
 }
 
 impl PlanOp {
-    /// The lineage fingerprint of this operator applied to operands with
-    /// fingerprints `children` (in operand order): the operator's own
-    /// opcode and literals, then each operand mixed in. The one hashing
-    /// scheme behind both [`Plan::lineages`] and [`Lazy::lineage_hash`],
-    /// and the plan-cache key, so it must never move.
-    pub(crate) fn lineage(&self, children: &[u64]) -> u64 {
+    /// The operands, in operand order: arena indices in a plan.
+    pub fn children(&self) -> Vec<usize> {
+        match self {
+            PlanOp::Inst(inst) => inst.inputs().into_iter().map(|id| id as usize).collect(),
+            PlanOp::SourceLocal(_) | PlanOp::SourceFed(_) => Vec::new(),
+        }
+    }
+
+    /// Rewrites every operand through `map`: the one operand rewrite
+    /// behind lowering, compaction and CSE.
+    pub(crate) fn map_operands(&mut self, mut map: impl FnMut(usize) -> usize) {
+        if let PlanOp::Inst(inst) = self {
+            inst.map_operands(|id| map(id as usize) as u64);
+        }
+    }
+
+    /// The lineage fingerprint of this node over its operands' lineages
+    /// (in operand order): a source's from its content or partitions, an
+    /// instruction's from [`Instruction::lineage`]. The one hashing scheme
+    /// behind both [`Plan::lineages`] and [`Lazy::lineage_hash`], and the
+    /// plan-cache key, so it must never move.
+    pub(crate) fn lineage(&self, operands: impl IntoIterator<Item = u64>) -> u64 {
         use exdra_core::lineage::{mix, of_dense, seed};
-        let own = match self {
+        match self {
             // By content, every cell: the plan cache is shared across
             // sessions, and a sampled fingerprint would let two sources
             // that differ in the middle share a result.
@@ -108,47 +95,16 @@ impl PlanOp {
                 }
                 h
             }
-            PlanOp::MatMul => seed("ba+*"),
-            PlanOp::TMatMul => seed("t-ba+*"),
-            PlanOp::Tsmm => seed("tsmm"),
-            PlanOp::Binary(op) => seed(op.name()),
-            PlanOp::Scalar(op, v, swap) => mix(
-                mix(mix(seed("scalar"), seed(op.name())), v.to_bits()),
-                *swap as u64,
-            ),
-            PlanOp::Unary(op) => mix(seed("unary"), seed(op.name())),
-            PlanOp::Softmax => seed("softmax"),
-            PlanOp::Agg(op, dir) => mix(mix(seed("agg"), seed(op.name())), *dir as u64),
-            PlanOp::RowIndexMax => seed("rowIndexMax"),
-            PlanOp::Transpose => seed("t"),
-            PlanOp::Index(rl, ru, cl, cu) => mix(
-                mix(mix(mix(seed("ix"), *rl as u64), *ru as u64), *cl as u64),
-                *cu as u64,
-            ),
-            PlanOp::Rbind => seed("rbind"),
-            PlanOp::Cbind => seed("cbind"),
-            PlanOp::Replace(p, r) => mix(mix(seed("replace"), p.to_bits()), r.to_bits()),
-            PlanOp::MmChain { w_on_left } => mix(seed("mmchain"), *w_on_left as u64),
-        };
-        children.iter().fold(own, |h, &c| mix(h, c))
+            PlanOp::Inst(inst) => inst.lineage(operands),
+        }
     }
-}
-
-/// One node of a [`Plan`]: an operator plus the arena indices of its
-/// inputs (always strictly smaller than the node's own index).
-#[derive(Debug, Clone)]
-pub struct PlanNode {
-    /// The operator.
-    pub op: PlanOp,
-    /// Arena indices of the operands, in operand order.
-    pub children: Vec<usize>,
 }
 
 /// An immutable logical plan: a topologically ordered node arena plus
 /// the root index. See the module docs.
 #[derive(Debug, Clone)]
 pub struct Plan {
-    nodes: Vec<PlanNode>,
+    nodes: Vec<PlanOp>,
     root: usize,
 }
 
@@ -201,24 +157,21 @@ impl Plan {
 
     /// Rebuilds a plan from raw parts, keeping only nodes reachable from
     /// `root` (in the original relative order, which stays topological).
-    pub(crate) fn compacted(nodes: Vec<PlanNode>, root: usize) -> Plan {
+    pub(crate) fn compacted(nodes: Vec<PlanOp>, root: usize) -> Plan {
         let mut live = vec![false; nodes.len()];
         let mut stack = vec![root];
         while let Some(i) = stack.pop() {
-            if std::mem::replace(&mut live[i], true) {
-                continue;
+            if !std::mem::replace(&mut live[i], true) {
+                stack.extend(nodes[i].children());
             }
-            stack.extend(nodes[i].children.iter().copied());
         }
         let mut remap = vec![usize::MAX; nodes.len()];
         let mut kept = Vec::with_capacity(nodes.len());
-        for (i, node) in nodes.into_iter().enumerate() {
+        for (i, mut op) in nodes.into_iter().enumerate() {
             if live[i] {
                 remap[i] = kept.len();
-                kept.push(PlanNode {
-                    op: node.op,
-                    children: node.children.iter().map(|&c| remap[c]).collect(),
-                });
+                op.map_operands(|c| remap[c]);
+                kept.push(op);
             }
         }
         Plan {
@@ -243,12 +196,12 @@ impl Plan {
     }
 
     /// The node at arena index `i`.
-    pub fn node(&self, i: usize) -> &PlanNode {
+    pub fn node(&self, i: usize) -> &PlanOp {
         &self.nodes[i]
     }
 
     /// All nodes in topological order.
-    pub fn nodes(&self) -> &[PlanNode] {
+    pub fn nodes(&self) -> &[PlanOp] {
         &self.nodes
     }
 
@@ -258,7 +211,7 @@ impl Plan {
         let mut refs = vec![0usize; self.nodes.len()];
         refs[self.root] += 1;
         for node in &self.nodes {
-            for &c in &node.children {
+            for c in node.children() {
                 refs[c] += 1;
             }
         }
@@ -273,28 +226,47 @@ impl Plan {
     pub fn lineages(&self) -> Vec<u64> {
         let mut out = Vec::with_capacity(self.nodes.len());
         for node in &self.nodes {
-            let children: Vec<u64> = node.children.iter().map(|&c| out[c]).collect();
-            out.push(node.op.lineage(&children));
+            let h = node.lineage(node.children().into_iter().map(|c| out[c]));
+            out.push(h);
         }
         out
     }
 
     /// Renders the plan as the numbered generated-DML script — one
-    /// assignment per node, children referenced as `X<n>`.
+    /// assignment per node: the runtime opcode, the operands as `X<n>`,
+    /// then the literals.
     pub fn render(&self) -> String {
         let mut lines = Vec::with_capacity(self.nodes.len());
         for (i, node) in self.nodes.iter().enumerate() {
-            let refs: Vec<String> = node
-                .children
-                .iter()
-                .map(|c| format!("X{}", c + 1))
-                .collect();
-            let line = if refs.is_empty() {
-                format!("X{} = {}", i + 1, opcode(&node.op))
-            } else {
-                format!("X{} = {}({})", i + 1, opcode(&node.op), refs.join(", "))
+            let rhs = match node {
+                PlanOp::SourceLocal(m) => format!("matrix({}x{})", m.rows(), m.cols()),
+                PlanOp::SourceFed(f) => format!(
+                    "federated({}x{}, {} partitions, {})",
+                    f.rows(),
+                    f.cols(),
+                    f.parts().len(),
+                    f.privacy().name()
+                ),
+                PlanOp::Inst(inst) => {
+                    let operands: Vec<String> = node
+                        .children()
+                        .iter()
+                        .map(|c| format!("X{}", c + 1))
+                        .collect();
+                    let literals = inst.literals();
+                    if literals.is_empty() {
+                        format!("{}({})", inst.name(), operands.join(", "))
+                    } else {
+                        format!(
+                            "{}({}; {})",
+                            inst.name(),
+                            operands.join(", "),
+                            literals.join(", ")
+                        )
+                    }
+                }
             };
-            lines.push(line);
+            lines.push(format!("X{} = {rhs}", i + 1));
         }
         lines.join("\n")
     }
@@ -306,7 +278,7 @@ impl Plan {
     pub(crate) fn meta(&self) -> Vec<Option<NodeMeta>> {
         let mut out: Vec<Option<NodeMeta>> = Vec::with_capacity(self.nodes.len());
         for node in &self.nodes {
-            let m = infer(&node.op, &node.children, &out);
+            let m = infer(node, &out);
             out.push(m);
         }
         out
@@ -317,13 +289,16 @@ impl Plan {
     /// and kernel time its dispatch implies (including the final
     /// consolidation when the root stays federated). A node whose output
     /// stays federated costs no round: its requests are deferred and ride
-    /// with the next node that fetches something. Nodes whose meta is
+    /// with the next node that fetches something. Each operator's kernel
+    /// is priced under its runtime opcode name. Nodes whose meta is
     /// unknown contribute nothing — estimates are advisory.
     pub fn estimate(&self, cost: &dyn CostModel) -> PlanEstimate {
         let meta = self.meta();
         let mut est = Estimator::default();
-        for (i, node) in self.nodes.iter().enumerate() {
-            estimate_node(&node.op, &node.children, &meta, i, cost, &mut est);
+        for (node, out) in self.nodes.iter().zip(&meta) {
+            if let (PlanOp::Inst(inst), Some(out)) = (node, out) {
+                estimate_node(inst, &meta, *out, cost, &mut est);
+            }
         }
         if let Some(Some(root)) = meta.get(self.root) {
             if root.loc.is_fed() {
@@ -348,7 +323,7 @@ impl Plan {
     pub fn execute(&self) -> Result<Tensor> {
         let mut vals: Vec<Option<Tensor>> = vec![None; self.nodes.len()];
         for (i, node) in self.nodes.iter().enumerate() {
-            let v = eval_op(&node.op, &node.children, &vals)?;
+            let v = eval_op(node, &vals)?;
             vals[i] = Some(v);
         }
         vals[self.root]
@@ -363,64 +338,25 @@ impl Plan {
     }
 }
 
-fn lower(lazy: &Lazy, ids: &mut HashMap<*const Expr, usize>, nodes: &mut Vec<PlanNode>) -> usize {
+/// Lowers one DAG node after its operands: its operand positions become
+/// the operands' arena indices.
+fn lower(lazy: &Lazy, ids: &mut HashMap<*const Expr, usize>, nodes: &mut Vec<PlanOp>) -> usize {
     let key = Arc::as_ptr(&lazy.expr);
     if let Some(&id) = ids.get(&key) {
         return id;
     }
-    let children = lazy
+    let children: Vec<usize> = lazy
         .expr
         .children
         .iter()
         .map(|c| lower(c, ids, nodes))
         .collect();
+    let mut op = lazy.expr.op.clone();
+    op.map_operands(|k| children[k]);
     let id = nodes.len();
-    nodes.push(PlanNode {
-        op: lazy.expr.op.clone(),
-        children,
-    });
+    nodes.push(op);
     ids.insert(key, id);
     id
-}
-
-/// The opcode string of one operator, so the script view is stable
-/// across optimization for untouched nodes.
-fn opcode(op: &PlanOp) -> String {
-    match op {
-        PlanOp::SourceLocal(m) => format!("matrix({}x{})", m.rows(), m.cols()),
-        PlanOp::SourceFed(f) => format!(
-            "federated({}x{}, {} partitions, {})",
-            f.rows(),
-            f.cols(),
-            f.parts().len(),
-            f.privacy().name()
-        ),
-        PlanOp::MatMul => "ba+*".into(),
-        PlanOp::TMatMul => "t-ba+*".into(),
-        PlanOp::Tsmm => "tsmm".into(),
-        PlanOp::Binary(op) => op.name().into(),
-        PlanOp::Scalar(op, v, swap) => {
-            if *swap {
-                format!("{v} {} _", op.name())
-            } else {
-                format!("_ {} {v}", op.name())
-            }
-        }
-        PlanOp::Unary(op) => op.name().into(),
-        PlanOp::Softmax => "softmax".into(),
-        PlanOp::Agg(op, dir) => match dir {
-            AggDir::Full => op.name().into(),
-            AggDir::Row => format!("row{}", op.name()),
-            AggDir::Col => format!("col{}", op.name()),
-        },
-        PlanOp::RowIndexMax => "rowIndexMax".into(),
-        PlanOp::Transpose => "t".into(),
-        PlanOp::Index(rl, ru, cl, cu) => format!("[{rl}:{ru},{cl}:{cu}]"),
-        PlanOp::Rbind => "rbind".into(),
-        PlanOp::Cbind => "cbind".into(),
-        PlanOp::Replace(p, r) => format!("replace({p}->{r})"),
-        PlanOp::MmChain { .. } => "mmchain".into(),
-    }
 }
 
 fn fed_loc(scheme: exdra_core::PartitionScheme) -> Loc {
@@ -447,8 +383,9 @@ fn matmul_effective(a: NodeMeta, b: NodeMeta) -> (Loc, Loc, usize) {
     }
 }
 
-fn infer(op: &PlanOp, children: &[usize], meta: &[Option<NodeMeta>]) -> Option<NodeMeta> {
-    let m = |k: usize| meta[children[k]];
+fn infer(node: &PlanOp, meta: &[Option<NodeMeta>]) -> Option<NodeMeta> {
+    use Instruction::*;
+    let m = |id: &u64| meta[*id as usize];
     let some = |rows, cols, loc, parts| {
         Some(NodeMeta {
             rows,
@@ -457,11 +394,21 @@ fn infer(op: &PlanOp, children: &[usize], meta: &[Option<NodeMeta>]) -> Option<N
             parts: if loc == Loc::Local { 0 } else { parts },
         })
     };
-    match op {
-        PlanOp::SourceLocal(x) => some(x.rows(), x.cols(), Loc::Local, 0),
-        PlanOp::SourceFed(f) => some(f.rows(), f.cols(), fed_loc(f.scheme()), f.parts().len()),
-        PlanOp::MatMul => {
-            let (a, b) = (m(0)?, m(1)?);
+    let inst = match node {
+        PlanOp::SourceLocal(x) => return some(x.rows(), x.cols(), Loc::Local, 0),
+        PlanOp::SourceFed(f) => {
+            return some(f.rows(), f.cols(), fed_loc(f.scheme()), f.parts().len())
+        }
+        PlanOp::Inst(inst) => inst,
+    };
+    match inst {
+        MatMul {
+            lhs,
+            rhs,
+            t_lhs: false,
+            ..
+        } => {
+            let (a, b) = (m(lhs)?, m(rhs)?);
             if a.cols != b.rows {
                 return None;
             }
@@ -476,8 +423,13 @@ fn infer(op: &PlanOp, children: &[usize], meta: &[Option<NodeMeta>]) -> Option<N
             };
             some(a.rows, b.cols, loc, parts)
         }
-        PlanOp::TMatMul => {
-            let (a, b) = (m(0)?, m(1)?);
+        MatMul {
+            lhs,
+            rhs,
+            t_lhs: true,
+            ..
+        } => {
+            let (a, b) = (m(lhs)?, m(rhs)?);
             if a.rows != b.rows {
                 return None;
             }
@@ -499,15 +451,15 @@ fn infer(op: &PlanOp, children: &[usize], meta: &[Option<NodeMeta>]) -> Option<N
             };
             some(a.cols, b.cols, loc, parts)
         }
-        PlanOp::Tsmm => {
-            let a = m(0)?;
+        Tsmm { x, left: true, .. } => {
+            let a = m(x)?;
             if a.loc == Loc::FedCol {
                 return None; // federated tsmm requires row partitioning
             }
             some(a.cols, a.cols, Loc::Local, 0)
         }
-        PlanOp::Binary(_) => {
-            let (a, b) = (m(0)?, m(1)?);
+        Binary { lhs, rhs, .. } => {
+            let (a, b) = (m(lhs)?, m(rhs)?);
             let (rows, cols) = broadcast_shape(a, b)?;
             let (loc, parts) = match (a.loc, b.loc) {
                 (Loc::Local, Loc::Local) => (Loc::Local, 0),
@@ -518,23 +470,20 @@ fn infer(op: &PlanOp, children: &[usize], meta: &[Option<NodeMeta>]) -> Option<N
             };
             some(rows, cols, loc, parts)
         }
-        PlanOp::Scalar(..) | PlanOp::Unary(_) | PlanOp::Replace(..) => {
-            let a = m(0)?;
+        Scalar { x, .. } | Unary { x, .. } | Replace { x, .. } => {
+            let a = m(x)?;
             some(a.rows, a.cols, a.loc, a.parts)
         }
-        PlanOp::Softmax | PlanOp::RowIndexMax => {
-            let a = m(0)?;
+        Softmax { x, .. } | RowIndexMax { x, .. } => {
+            let a = m(x)?;
             if a.loc == Loc::FedCol {
                 return None; // row-wise ops require row partitioning
             }
-            let (rows, cols) = match op {
-                PlanOp::Softmax => (a.rows, a.cols),
-                _ => (a.rows, 1),
-            };
-            some(rows, cols, a.loc, a.parts)
+            let cols = if let Softmax { .. } = inst { a.cols } else { 1 };
+            some(a.rows, cols, a.loc, a.parts)
         }
-        PlanOp::Agg(_, dir) => {
-            let a = m(0)?;
+        Agg { x, dir, .. } => {
+            let a = m(x)?;
             let (rows, cols) = match dir {
                 AggDir::Full => (1, 1),
                 AggDir::Row => (a.rows, 1),
@@ -548,8 +497,8 @@ fn infer(op: &PlanOp, children: &[usize], meta: &[Option<NodeMeta>]) -> Option<N
                 some(rows, cols, Loc::Local, 0)
             }
         }
-        PlanOp::Transpose => {
-            let a = m(0)?;
+        Transpose { x, .. } => {
+            let a = m(x)?;
             let loc = match a.loc {
                 Loc::Local => Loc::Local,
                 Loc::FedRow => Loc::FedCol,
@@ -557,18 +506,26 @@ fn infer(op: &PlanOp, children: &[usize], meta: &[Option<NodeMeta>]) -> Option<N
             };
             some(a.cols, a.rows, loc, a.parts)
         }
-        PlanOp::Index(rl, ru, cl, cu) => {
-            let a = m(0)?;
-            if *rl >= *ru || *cl >= *cu || *ru > a.rows || *cu > a.cols {
+        Index {
+            x,
+            row_lo,
+            row_hi,
+            col_lo,
+            col_hi,
+            ..
+        } => {
+            let a = m(x)?;
+            let (rl, ru, cl, cu) = (*row_lo, *row_hi, *col_lo, *col_hi);
+            if rl >= ru || cl >= cu || ru > a.rows as u64 || cu > a.cols as u64 {
                 return None;
             }
             if a.loc == Loc::FedCol {
                 return None;
             }
-            some(ru - rl, cu - cl, a.loc, a.parts)
+            some((ru - rl) as usize, (cu - cl) as usize, a.loc, a.parts)
         }
-        PlanOp::Rbind => {
-            let (a, b) = (m(0)?, m(1)?);
+        Rbind { a, b, .. } => {
+            let (a, b) = (m(a)?, m(b)?);
             if a.cols != b.cols {
                 return None;
             }
@@ -580,8 +537,8 @@ fn infer(op: &PlanOp, children: &[usize], meta: &[Option<NodeMeta>]) -> Option<N
                 _ => None,
             }
         }
-        PlanOp::Cbind => {
-            let (a, b) = (m(0)?, m(1)?);
+        Cbind { a, b, .. } => {
+            let (a, b) = (m(a)?, m(b)?);
             if a.rows != b.rows {
                 return None;
             }
@@ -591,10 +548,12 @@ fn infer(op: &PlanOp, children: &[usize], meta: &[Option<NodeMeta>]) -> Option<N
                 _ => None,
             }
         }
-        PlanOp::MmChain { .. } => {
-            let x = m(0)?;
+        MmChain { x, .. } => {
+            let x = m(x)?;
             some(x.cols, 1, Loc::Local, 0)
         }
+        // No Lazy call builds the other rows: they do not execute here.
+        _ => None,
     }
 }
 
@@ -621,30 +580,35 @@ struct Estimator {
     compute: f64,
 }
 
-/// Charges one node's dispatch to the estimator. Kernel time for ops
-/// executing at the sites is divided by the partition count (perfectly
-/// parallel sites) so placement decisions see the compute shift.
+/// Charges one node's dispatch to the estimator, its kernel priced under
+/// the instruction's name. Kernel time for ops executing at the sites is
+/// divided by the partition count (perfectly parallel sites) so placement
+/// decisions see the compute shift.
 fn estimate_node(
-    op: &PlanOp,
-    children: &[usize],
+    inst: &Instruction,
     meta: &[Option<NodeMeta>],
-    i: usize,
+    out: NodeMeta,
     cost: &dyn CostModel,
     est: &mut Estimator,
 ) {
+    use Instruction::*;
     const B: u64 = 8;
-    let m = |k: usize| meta[children[k]];
-    let Some(out) = meta[i] else { return };
+    let m = |id: &u64| meta[*id as usize];
     let sites = |parts: usize| parts.max(1) as f64;
-    match op {
-        PlanOp::SourceLocal(_) | PlanOp::SourceFed(_) => {}
-        PlanOp::MatMul => {
-            let (Some(a), Some(b)) = (m(0), m(1)) else {
+    let name = inst.name();
+    match inst {
+        MatMul {
+            lhs,
+            rhs,
+            t_lhs: false,
+            ..
+        } => {
+            let (Some(a), Some(b)) = (m(lhs), m(rhs)) else {
                 return;
             };
             let work = 2 * a.rows as u64 * a.cols as u64 * b.cols as u64;
             let (al, bl, parts) = matmul_effective(a, b);
-            let kernel = cost.op_nanos("ba+*", out.cells(), work);
+            let kernel = cost.op_nanos(name, out.cells(), work);
             match (al, bl) {
                 (Loc::Local, Loc::Local) => est.compute += kernel,
                 _ => {
@@ -678,12 +642,17 @@ fn estimate_node(
                 }
             }
         }
-        PlanOp::TMatMul => {
-            let (Some(a), Some(b)) = (m(0), m(1)) else {
+        MatMul {
+            lhs,
+            rhs,
+            t_lhs: true,
+            ..
+        } => {
+            let (Some(a), Some(b)) = (m(lhs), m(rhs)) else {
                 return;
             };
             let work = 2 * a.rows as u64 * a.cols as u64 * b.cols as u64;
-            let kernel = cost.op_nanos("ba+*", out.cells(), work);
+            let kernel = cost.op_nanos(name, out.cells(), work);
             match (a.loc, b.loc) {
                 (Loc::Local, Loc::Local) => est.compute += kernel,
                 (Loc::FedRow, Loc::FedRow) => {
@@ -711,10 +680,10 @@ fn estimate_node(
                 }
             }
         }
-        PlanOp::Tsmm => {
-            let Some(a) = m(0) else { return };
+        Tsmm { x, .. } => {
+            let Some(a) = m(x) else { return };
             let work = a.rows as u64 * a.cols as u64 * a.cols as u64;
-            let kernel = cost.op_nanos("tsmm", out.cells(), work);
+            let kernel = cost.op_nanos(name, out.cells(), work);
             if a.loc.is_fed() {
                 est.bytes += a.parts as u64 * out.cells() * B;
                 est.rounds += 1;
@@ -723,18 +692,15 @@ fn estimate_node(
                 est.compute += kernel;
             }
         }
-        PlanOp::MmChain { .. } => {
-            let Some(x) = m(0) else { return };
+        MmChain { x, v, w, .. } => {
+            let Some(x) = m(x) else { return };
             let work = 4 * x.rows as u64 * x.cols as u64;
-            let kernel = cost.op_nanos("mmchain", out.cells(), work);
+            let kernel = cost.op_nanos(name, out.cells(), work);
             if x.loc.is_fed() {
                 // `v` is broadcast whole to every worker; `w` is sliced
                 // per partition, so it crosses the wire exactly once.
-                let v_cells = meta[children[1]].map_or(0, |v| v.cells());
-                let w_cells = children
-                    .get(2)
-                    .and_then(|&c| meta[c])
-                    .map_or(0, |w| w.cells());
+                let v_cells = m(v).map_or(0, |v| v.cells());
+                let w_cells = w.as_ref().and_then(m).map_or(0, |w| w.cells());
                 est.bytes +=
                     x.parts as u64 * v_cells * B + w_cells * B + x.parts as u64 * out.cells() * B;
                 est.rounds += 1;
@@ -743,11 +709,11 @@ fn estimate_node(
                 est.compute += kernel;
             }
         }
-        PlanOp::Binary(op) => {
-            let (Some(a), Some(b)) = (m(0), m(1)) else {
+        Binary { lhs, rhs, .. } => {
+            let (Some(a), Some(b)) = (m(lhs), m(rhs)) else {
                 return;
             };
-            let kernel = cost.op_nanos(op.name(), out.cells(), out.cells());
+            let kernel = cost.op_nanos(name, out.cells(), out.cells());
             if out.loc.is_fed() {
                 let local_cells = if a.loc == Loc::Local {
                     a.cells()
@@ -762,24 +728,13 @@ fn estimate_node(
                 est.compute += kernel;
             }
         }
-        PlanOp::Scalar(op, ..) => {
-            let Some(a) = m(0) else { return };
-            let kernel = cost.op_nanos(op.name(), out.cells(), out.cells());
-            if a.loc.is_fed() {
-                est.compute += kernel / sites(a.parts);
-            } else {
-                est.compute += kernel;
-            }
+        Scalar { .. } | Unary { .. } | Softmax { .. } | Replace { .. } | RowIndexMax { .. } => {
+            let kernel = cost.op_nanos(name, out.cells(), out.cells());
+            est.compute += kernel / sites(out.parts);
         }
-        PlanOp::Unary(op) => {
-            elementwise_estimate(op.name(), out, cost, est);
-        }
-        PlanOp::Softmax => elementwise_estimate("softmax", out, cost, est),
-        PlanOp::Replace(..) => elementwise_estimate("replace", out, cost, est),
-        PlanOp::RowIndexMax => elementwise_estimate("rowIndexMax", out, cost, est),
-        PlanOp::Agg(op, _) => {
-            let Some(a) = m(0) else { return };
-            let kernel = cost.op_nanos(op.name(), out.cells(), a.cells());
+        Agg { x, .. } => {
+            let Some(a) = m(x) else { return };
+            let kernel = cost.op_nanos(name, out.cells(), a.cells());
             if a.loc.is_fed() {
                 if out.loc == Loc::Local {
                     // Partial stats return per partition.
@@ -791,87 +746,91 @@ fn estimate_node(
                 est.compute += kernel;
             }
         }
-        PlanOp::Transpose | PlanOp::Index(..) | PlanOp::Cbind => {
-            let Some(a) = m(0) else { return };
-            let kernel = cost.op_nanos("r'", out.cells(), out.cells());
+        Transpose { x, .. } | Index { x, .. } | Cbind { a: x, .. } => {
+            let Some(a) = m(x) else { return };
+            let kernel = cost.op_nanos(name, out.cells(), out.cells());
             if a.loc.is_fed() || out.loc.is_fed() {
                 est.compute += kernel / sites(out.parts.max(a.parts));
             } else {
                 est.compute += kernel;
             }
         }
-        PlanOp::Rbind => {} // federated rbind is metadata-only
+        // Federated rbind is metadata-only; `infer` leaves every other
+        // row without a meta, so it is never charged.
+        _ => {}
     }
 }
 
-fn elementwise_estimate(name: &str, out: NodeMeta, cost: &dyn CostModel, est: &mut Estimator) {
-    let kernel = cost.op_nanos(name, out.cells(), out.cells());
-    if out.loc.is_fed() {
-        est.compute += kernel / out.parts.max(1) as f64;
-    } else {
-        est.compute += kernel;
-    }
-}
-
-fn eval_op(op: &PlanOp, children: &[usize], vals: &[Option<Tensor>]) -> Result<Tensor> {
-    let v = |k: usize| -> &Tensor {
-        vals[children[k]]
+fn eval_op(node: &PlanOp, vals: &[Option<Tensor>]) -> Result<Tensor> {
+    use Instruction::*;
+    let val = |id: &u64| -> &Tensor {
+        vals[*id as usize]
             .as_ref()
-            .expect("topological arena order: children evaluated first")
+            .expect("topological arena order: operands evaluated first")
     };
-    match op {
-        PlanOp::SourceLocal(m) => Ok(Tensor::Local(DenseMatrix::clone(m))),
-        PlanOp::SourceFed(f) => Ok(Tensor::Fed(f.clone())),
-        PlanOp::MatMul => v(0).matmul(v(1)),
-        PlanOp::TMatMul => v(0).t_matmul(v(1)),
-        PlanOp::Tsmm => Ok(Tensor::Local(v(0).tsmm()?)),
-        PlanOp::Binary(op) => v(0).binary(*op, v(1)),
-        PlanOp::Scalar(op, val, swap) => v(0).scalar_op(*op, *val, *swap),
-        PlanOp::Unary(op) => v(0).unary(*op),
-        PlanOp::Softmax => v(0).softmax(),
-        PlanOp::Agg(op, dir) => v(0).agg(*op, *dir),
-        PlanOp::RowIndexMax => v(0).row_index_max(),
-        PlanOp::Transpose => v(0).t(),
-        PlanOp::Index(rl, ru, cl, cu) => v(0).index(*rl, *ru, *cl, *cu),
-        PlanOp::Rbind => v(0).rbind(v(1)),
-        PlanOp::Cbind => v(0).cbind(v(1)),
-        PlanOp::Replace(p, r) => v(0).replace(*p, *r),
-        PlanOp::MmChain { w_on_left } => {
-            let x = v(0);
-            let w = children.get(2).map(|&c| {
-                vals[c]
-                    .as_ref()
-                    .expect("topological arena order: children evaluated first")
-            });
-            match (v(1), w) {
-                (Tensor::Local(vl), None) => Ok(Tensor::Local(x.mmchain(vl, None)?)),
-                (Tensor::Local(vl), Some(Tensor::Local(wl))) => {
-                    Ok(Tensor::Local(x.mmchain(vl, Some(wl))?))
-                }
-                (vv, ww) => {
-                    // Defensive fallback (the fusion rule gates v/w local):
-                    // replay the exact unfused sequence.
-                    let q = x.matmul(vv)?;
-                    let prod = match ww {
-                        None => q,
-                        Some(w) => {
-                            if *w_on_left {
-                                w.binary(BinaryOp::Mul, &q)?
-                            } else {
-                                q.binary(BinaryOp::Mul, w)?
-                            }
-                        }
-                    };
-                    x.t_matmul(&prod)
-                }
-            }
+    let inst = match node {
+        PlanOp::SourceLocal(m) => return Ok(Tensor::Local(DenseMatrix::clone(m))),
+        PlanOp::SourceFed(f) => return Ok(Tensor::Fed(f.clone())),
+        PlanOp::Inst(inst) => inst,
+    };
+    match inst {
+        MatMul {
+            lhs, rhs, t_lhs, ..
+        } if *t_lhs => val(lhs).t_matmul(val(rhs)),
+        MatMul { lhs, rhs, .. } => val(lhs).matmul(val(rhs)),
+        Tsmm { x, left: true, .. } => Ok(Tensor::Local(val(x).tsmm()?)),
+        Binary { lhs, rhs, op, .. } => val(lhs).binary(*op, val(rhs)),
+        Scalar {
+            x, op, value, swap, ..
+        } => val(x).scalar_op(*op, *value, *swap),
+        Unary { x, op, .. } => val(x).unary(*op),
+        Softmax { x, .. } => val(x).softmax(),
+        Agg { x, op, dir, .. } => val(x).agg(*op, *dir),
+        RowIndexMax { x, .. } => val(x).row_index_max(),
+        Transpose { x, .. } => val(x).t(),
+        Index {
+            x,
+            row_lo,
+            row_hi,
+            col_lo,
+            col_hi,
+            ..
+        } => val(x).index(
+            *row_lo as usize,
+            *row_hi as usize,
+            *col_lo as usize,
+            *col_hi as usize,
+        ),
+        Rbind { a, b, .. } => val(a).rbind(val(b)),
+        Cbind { a, b, .. } => val(a).cbind(val(b)),
+        Replace {
+            x,
+            pattern,
+            replacement,
+            ..
+        } => val(x).replace(*pattern, *replacement),
+        // The fusion rule fires only on local `v` and `w`.
+        MmChain { x, v, w, .. } => {
+            let local = |id: &u64| match val(id) {
+                Tensor::Local(m) => Ok(m),
+                _ => Err(RuntimeError::Invalid(
+                    "mmchain: v and w must be local".into(),
+                )),
+            };
+            let w = w.as_ref().map(local).transpose()?;
+            Ok(Tensor::Local(val(x).mmchain(local(v)?, w)?))
         }
+        other => Err(RuntimeError::Invalid(format!(
+            "{} is not a plan operator",
+            other.name()
+        ))),
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use exdra_matrix::kernels::elementwise::BinaryOp;
     use exdra_matrix::rng::rand_matrix;
 
     #[test]
@@ -882,9 +841,9 @@ mod tests {
         let lines: Vec<&str> = script.lines().collect();
         assert_eq!(lines.len(), 4, "{script}");
         assert!(lines[0].starts_with("X1 = matrix(5x2)"));
-        assert!(lines[1].contains("t(X1)"));
-        assert!(lines[2].contains("ba+*(X2, X1)"));
-        assert!(lines[3].contains("_ * 2"));
+        assert_eq!(lines[1], "X2 = r'(X1)");
+        assert_eq!(lines[2], "X3 = ba+*(X2, X1; t_lhs=false)");
+        assert_eq!(lines[3], "X4 = *(X3; value=2.0, swap=false)");
         // Shared source appears once.
         assert_eq!(script.matches("matrix(5x2)").count(), 1);
     }
@@ -916,10 +875,7 @@ mod tests {
         let plan = Plan::from_lazy(&expr);
         // Graft in a dead node and compact it away.
         let mut nodes = plan.nodes().to_vec();
-        nodes.push(PlanNode {
-            op: PlanOp::Transpose,
-            children: vec![0],
-        });
+        nodes.push(PlanOp::Inst(Instruction::Transpose { x: 0, out: 0 }));
         let compacted = Plan::compacted(nodes, plan.root());
         assert_eq!(compacted.len(), plan.len());
         assert_eq!(compacted.render(), plan.render());

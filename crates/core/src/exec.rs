@@ -1,8 +1,9 @@
 //! The local instruction executor.
 //!
-//! Executes [`Instruction`]s against a [`SymbolTable`], used verbatim by
-//! the coordinator (local operations) and by every federated worker
-//! (`EXEC_INST` requests). The executor also maintains the two pieces of
+//! Executes [`Instruction`]s against a [`SymbolTable`]: what every
+//! federated worker runs for an `EXEC_INST` request. The coordinator does
+//! not run it; its local operations go through [`crate::Tensor`], which
+//! calls the same kernels. The executor also maintains the two pieces of
 //! cross-cutting state the paper's standing workers rely on:
 //!
 //! * **privacy propagation** — every output inherits the strictest input

@@ -3,8 +3,8 @@
 //! An [`Instruction`] is the payload of an `EXEC_INST` federated request
 //! (paper §4.1): it reads its inputs from the executing control program's
 //! symbol table by ID and binds its output there. The same instruction set
-//! is executed by the coordinator (local operations) and by federated
-//! workers — the paper's "we can reuse existing instructions for composing
+//! is what federated workers execute and what the front end's plans are
+//! made of — the paper's "we can reuse existing instructions for composing
 //! federated operations". The worker's built-in frame and encoder
 //! operations are rows of the same table (tags 31 and up); `EXEC_UDF`
 //! carries only application-registered functions.
@@ -12,10 +12,12 @@
 //! Each opcode is declared once, as one row of the table below: its wire
 //! tag, its variant, its `name()` and its fields in declaration order, each
 //! with a role. The enum, [`Instruction::inputs`], [`Instruction::output`],
-//! [`Instruction::name`], the wire codec and the output lineage
-//! (`Instruction::lineage`) are generated from the rows, so the wire
+//! [`Instruction::name`], [`Instruction::literals`], the operand rewrite
+//! [`Instruction::map_operands`], the wire codec and the output lineage
+//! ([`Instruction::lineage`]) are generated from the rows, so the wire
 //! order, the operand order and the order literals enter lineage are all
-//! declaration order.
+//! declaration order. The front end's plan nodes are rows of this table
+//! too, with operands that name plan nodes instead of symbols.
 
 use bytes::{Buf, BufMut};
 use exdra_matrix::kernels::aggregates::{AggDir, AggOp};
@@ -36,11 +38,22 @@ macro_rules! role {
     (maybe, $f:ident, operands $ids:ident) => {
         $ids.extend(*$f)
     };
+    (input, $f:ident, rewrite $map:ident) => {
+        *$f = $map(*$f)
+    };
+    (maybe, $f:ident, rewrite $map:ident) => {
+        if let Some(id) = $f {
+            *id = $map(*id)
+        }
+    };
     (out, $f:ident, output) => {
         return Some(*$f)
     };
     (lit, $f:ident, mix $h:ident) => {
         $h = Field::mix($f, $h)
+    };
+    (lit, $f:ident, show $lits:ident) => {
+        $lits.push(format!(concat!(stringify!($f), "={:?}"), $f))
     };
     ($role:ident, $f:ident, $($accessor:tt)*) => {};
 }
@@ -86,6 +99,27 @@ macro_rules! instructions {
                 None
             }
 
+            /// Rewrites every operand ID through `map`, in declaration order;
+            /// the output is left as it is.
+            pub fn map_operands(&mut self, mut map: impl FnMut(u64) -> u64) {
+                match self {
+                    $(Self::$variant { $($field),* } => {
+                        $(role!($role, $field, rewrite map);)*
+                    })*
+                }
+            }
+
+            /// The literals as `field=value`, in declaration order.
+            pub fn literals(&self) -> Vec<String> {
+                let mut lits = Vec::new();
+                match self {
+                    $(Self::$variant { $($field),* } => {
+                        $(role!($role, $field, show lits);)*
+                    })*
+                }
+                lits
+            }
+
             /// Canonical opcode name for explain strings and lineage keys.
             pub fn name(&self) -> &'static str {
                 match self {
@@ -96,7 +130,7 @@ macro_rules! instructions {
             /// Lineage of the output from its inputs' lineages, in operand
             /// order: the name, then the inputs, then the literals in
             /// declaration order. An op enum is already in the name.
-            pub(crate) fn lineage(&self, inputs: impl IntoIterator<Item = u64>) -> u64 {
+            pub fn lineage(&self, inputs: impl IntoIterator<Item = u64>) -> u64 {
                 let mut h = inputs.into_iter().fold(lineage::seed(self.name()), lineage::mix);
                 match self {
                     $(Self::$variant { $($field),* } => {
@@ -131,7 +165,7 @@ instructions! {
     /// `out = lhs %*% rhs`, or `out = t(lhs) %*% rhs` with `t_lhs` — the
     /// transposed-left product runs on `lhs` as stored, no transpose is
     /// ever materialized.
-    // The plan's name for the transposed form: priced and profiled apart.
+    // The transposed form has a name of its own: priced and profiled apart.
     0 => MatMul(if *t_lhs { "t-ba+*" } else { "ba+*" }) {
         /// Left operand ID.
         lhs: u64 => input,

@@ -530,12 +530,6 @@ impl Supervisor {
         recovered
     }
 
-    /// Number of completed sweeps (heartbeat rounds), whether driven by
-    /// the background loop or manual [`Supervisor::sweep`] calls.
-    pub fn sweeps_completed(&self) -> u64 {
-        *self.sweep_gen.lock()
-    }
-
     /// Blocks until `pred()` holds, re-checking after every completed
     /// sweep (and at least every 10 ms, so predicates that change outside
     /// the sweep path — background recoveries, checkpoint writes — are

@@ -63,26 +63,6 @@ impl Tensor {
         matches!(self, Tensor::Fed(_))
     }
 
-    /// True for compressed tensors.
-    pub fn is_compressed(&self) -> bool {
-        matches!(self, Tensor::Compressed(_))
-    }
-
-    /// Borrows the local matrix (error for federated tensors — use
-    /// [`Tensor::to_local`] for an explicit, privacy-checked transfer —
-    /// and for compressed tensors, which have no dense buffer to borrow).
-    pub fn as_local(&self) -> Result<&DenseMatrix> {
-        match self {
-            Tensor::Local(m) => Ok(m),
-            Tensor::Fed(_) => Err(RuntimeError::Unsupported(
-                "tensor is federated; consolidate explicitly via to_local()".into(),
-            )),
-            Tensor::Compressed(_) => Err(RuntimeError::Unsupported(
-                "tensor is compressed; materialize explicitly via to_local()".into(),
-            )),
-        }
-    }
-
     /// Materializes the tensor locally; federated data is transparently
     /// transferred *unless it violates privacy constraints* (paper §4.1).
     pub fn to_local(&self) -> Result<DenseMatrix> {

@@ -65,12 +65,6 @@ impl FaultPlan {
         }
     }
 
-    /// Sets the message-drop probability.
-    pub fn with_drop(mut self, p: f64) -> Self {
-        self.drop_prob = p;
-        self
-    }
-
     /// Sets the duplication probability.
     pub fn with_duplicate(mut self, p: f64) -> Self {
         self.duplicate_prob = p;
@@ -81,12 +75,6 @@ impl FaultPlan {
     pub fn with_delay(mut self, p: f64, d: Duration) -> Self {
         self.delay_prob = p;
         self.delay = d;
-        self
-    }
-
-    /// Sets the kill threshold.
-    pub fn with_kill_after(mut self, n: u64) -> Self {
-        self.kill_after = Some(n);
         self
     }
 }

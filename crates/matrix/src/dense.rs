@@ -131,12 +131,6 @@ impl DenseMatrix {
         self.data.is_empty()
     }
 
-    /// True when the matrix is a row or column vector.
-    #[inline]
-    pub fn is_vector(&self) -> bool {
-        self.rows == 1 || self.cols == 1
-    }
-
     /// True when the matrix is `1 x 1`.
     #[inline]
     pub fn is_scalar(&self) -> bool {
@@ -174,25 +168,6 @@ impl DenseMatrix {
         self.data[r * self.cols + c] = v;
     }
 
-    /// Checked cell access.
-    pub fn try_get(&self, r: usize, c: usize) -> Result<f64> {
-        if r >= self.rows {
-            return Err(MatrixError::IndexOutOfBounds {
-                op: "get",
-                index: r,
-                bound: self.rows,
-            });
-        }
-        if c >= self.cols {
-            return Err(MatrixError::IndexOutOfBounds {
-                op: "get",
-                index: c,
-                bound: self.cols,
-            });
-        }
-        Ok(self.data[r * self.cols + c])
-    }
-
     /// A row as a slice.
     #[inline]
     pub fn row(&self, r: usize) -> &[f64] {
@@ -203,11 +178,6 @@ impl DenseMatrix {
     #[inline]
     pub fn row_mut(&mut self, r: usize) -> &mut [f64] {
         &mut self.data[r * self.cols..(r + 1) * self.cols]
-    }
-
-    /// Iterator over row slices.
-    pub fn rows_iter(&self) -> impl Iterator<Item = &[f64]> {
-        self.data.chunks_exact(self.cols.max(1))
     }
 
     /// The value of a `1 x 1` matrix.

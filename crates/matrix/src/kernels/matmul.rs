@@ -809,7 +809,7 @@ fn dot(a: &[f64], b: &[f64]) -> f64 {
 /// The fusion avoids materializing `X v` twice and is the exact `mmchain`
 /// instruction of Table 1.
 ///
-/// Phase 1 builds each row's dot c-ascending ([`row_dots`], rows in
+/// Phase 1 builds each row's dot c-ascending (`row_dots`, rows in
 /// vector lanes), then multiplies it by `w`; phase 2 extends each output
 /// cell's r-ascending chain with `q[i] * x[i][c]`, one term at a time and
 /// unconditionally — no zero-skip — so the compressed-domain `mmchain`

@@ -59,40 +59,6 @@ fn out_dim(input: usize, k: usize, stride: usize) -> usize {
     (input - k) / stride + 1
 }
 
-impl Layer {
-    /// Output width (features per row) of this layer given its input width.
-    pub fn out_features(&self, in_features: usize) -> usize {
-        match self {
-            Layer::Dense { w, .. } => w.cols(),
-            Layer::ReLU => in_features,
-            Layer::Conv2d {
-                filters,
-                in_shape,
-                kernel,
-                stride,
-                ..
-            } => {
-                let oh = out_dim(in_shape.1, kernel.0, *stride);
-                let ow = out_dim(in_shape.2, kernel.1, *stride);
-                filters.rows() * oh * ow
-            }
-            Layer::MaxPool { in_shape, size } => {
-                let oh = out_dim(in_shape.1, *size, *size);
-                let ow = out_dim(in_shape.2, *size, *size);
-                in_shape.0 * oh * ow
-            }
-        }
-    }
-
-    /// Number of trainable parameter matrices.
-    pub fn num_params(&self) -> usize {
-        match self {
-            Layer::Dense { .. } | Layer::Conv2d { .. } => 2,
-            Layer::ReLU | Layer::MaxPool { .. } => 0,
-        }
-    }
-}
-
 /// Saved forward state per layer for the backward pass.
 enum Cache<'a> {
     /// The layer's input (dense and ReLU layers). It is moved in, not

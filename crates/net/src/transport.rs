@@ -253,11 +253,6 @@ impl TcpChannel {
         Self::from_stream_with(stream, config)
     }
 
-    /// Wraps an accepted stream with no timeouts.
-    pub fn from_stream(stream: TcpStream) -> io::Result<Self> {
-        Self::from_stream_with(stream, &ChannelConfig::default())
-    }
-
     /// Wraps an accepted stream, applying `config`'s read/write timeouts.
     pub fn from_stream_with(stream: TcpStream, config: &ChannelConfig) -> io::Result<Self> {
         stream.set_read_timeout(config.read_timeout)?;

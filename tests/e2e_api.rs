@@ -2,10 +2,16 @@
 //! including `READ`-on-demand from worker-local raw files (paper Figure 2's
 //! "Read on Demand") and the generated-script view of plans.
 
+use std::sync::Mutex;
+
+use exdra::api::{CostModel, Lazy, Plan};
 use exdra::core::coordinator::WorkerEndpoint;
+use exdra::core::instruction::Instruction::{self, *};
 use exdra::core::testutil::{tcp_federation, tcp_federation_with};
 use exdra::core::worker::WorkerConfig;
 use exdra::matrix::io::write_matrix_csv;
+use exdra::matrix::kernels::aggregates::{AggDir, AggOp};
+use exdra::matrix::kernels::elementwise::BinaryOp;
 use exdra::matrix::kernels::matmul::matmul;
 use exdra::matrix::kernels::reorg;
 use exdra::matrix::rng::rand_matrix;
@@ -72,7 +78,7 @@ fn explain_shows_federated_plan_once_per_source() {
         1,
         "shared source must appear once:\n{script}"
     );
-    assert!(script.contains("colmean"));
+    assert!(script.contains("mean(X1; dir=Col)"), "{script}");
     assert_eq!(
         explain
             .optimized
@@ -97,6 +103,83 @@ fn explain_shows_federated_plan_once_per_source() {
     )
     .unwrap();
     assert!(got.max_abs_diff(&want) < 1e-12);
+}
+
+/// A cost model that records the opcode of every kernel it prices.
+#[derive(Default)]
+struct OpcodeRecorder(Mutex<Vec<String>>);
+
+impl CostModel for OpcodeRecorder {
+    fn op_nanos(&self, opcode: &str, _out_cells: u64, _work: u64) -> f64 {
+        self.0.lock().unwrap().push(opcode.to_string());
+        0.0
+    }
+    fn transfer_nanos(&self, _bytes: u64) -> f64 {
+        0.0
+    }
+    fn round_trip_nanos(&self) -> f64 {
+        0.0
+    }
+}
+
+/// The cost model prices each node under the opcode name of the
+/// instruction it runs as, the name a worker profiles it under.
+#[test]
+fn every_plan_node_prices_under_its_instructions_name() {
+    let x = Lazy::from_local(rand_matrix(6, 3, -1.0, 1.0, 31));
+    let y = Lazy::from_local(rand_matrix(6, 3, -1.0, 1.0, 32));
+    let cases: [(&str, Lazy, Instruction); 6] = [
+        (
+            "t(X) %*% Y",
+            x.t_matmul(&y),
+            MatMul {
+                lhs: 1,
+                rhs: 2,
+                t_lhs: true,
+                out: 3,
+            },
+        ),
+        (
+            "X[1:4, 0:2]",
+            x.index(1, 4, 0, 2),
+            Index {
+                x: 1,
+                row_lo: 1,
+                row_hi: 4,
+                col_lo: 0,
+                col_hi: 2,
+                out: 2,
+            },
+        ),
+        ("cbind(X, Y)", x.cbind(&y), Cbind { a: 1, b: 2, out: 3 }),
+        ("t(X)", x.t(), Transpose { x: 1, out: 2 }),
+        (
+            "colMeans(X)",
+            x.col_means().unwrap(),
+            Agg {
+                x: 1,
+                op: AggOp::Mean,
+                dir: AggDir::Col,
+                out: 2,
+            },
+        ),
+        (
+            "0.5 - X",
+            x.scalar(BinaryOp::Sub, 0.5, true),
+            Scalar {
+                x: 1,
+                op: BinaryOp::Sub,
+                value: 0.5,
+                swap: true,
+                out: 2,
+            },
+        ),
+    ];
+    for (what, expr, row) in cases {
+        let cost = OpcodeRecorder::default();
+        Plan::from_lazy(&expr).estimate(&cost);
+        assert_eq!(*cost.0.lock().unwrap(), [row.name()], "{what}");
+    }
 }
 
 #[test]

@@ -558,8 +558,8 @@ fn lineage_keys_are_pinned_for_every_op() {
     let chain = x.t_matmul(&w.mul(&x.matmul(&v)).unwrap());
     let (fused, _) = Optimizer::new().optimize(&Plan::from_lazy(&chain));
     assert!(matches!(
-        fused.node(fused.root()).op,
-        PlanOp::MmChain { w_on_left: true }
+        fused.node(fused.root()),
+        PlanOp::Inst(MmChain { w: Some(_), .. })
     ));
     assert_eq!(fused.lineages()[fused.root()], 0x9f9cc5c6e055ffec);
 }
