@@ -27,9 +27,8 @@
 //! DESIGN.md §4j proves the fused execution produces identical IEEE-754
 //! bit patterns.
 
-use exdra_core::instruction::Instruction::*;
+use exdra_core::instruction::{Instruction::*, Wire};
 use exdra_matrix::kernels::elementwise::BinaryOp;
-use exdra_net::codec::Wire;
 use exdra_obs::RuleFire;
 
 use crate::plan::{Loc, Plan, PlanOp};

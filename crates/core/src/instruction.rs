@@ -22,8 +22,12 @@
 use bytes::{Buf, BufMut};
 use exdra_matrix::kernels::aggregates::{AggDir, AggOp};
 use exdra_matrix::kernels::elementwise::{BinaryOp, UnaryOp};
-use exdra_net::codec::{DecodeError, DecodeResult, Wire};
+use exdra_net::codec::{DecodeError, DecodeResult};
 use exdra_transform::TransformSpec;
+
+/// The codec an instruction's wire bytes come from, for callers that
+/// compare instructions by those bytes.
+pub use exdra_net::codec::Wire;
 
 use crate::lineage;
 
