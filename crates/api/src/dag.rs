@@ -62,6 +62,7 @@ impl Lazy {
         Lazy::new(PlanOp::Inst(inst), vec![self.clone(), other.clone()])
     }
 
+    /// `self %*% rhs`, or `t(self) %*% rhs` with `t_lhs`.
     fn matmul_node(&self, rhs: &Lazy, t_lhs: bool) -> Lazy {
         self.binary_node(
             MatMul {

@@ -895,6 +895,18 @@ mod tests {
     }
 
     #[test]
+    fn map_operands_rewrites_the_inputs_and_nothing_else() {
+        for inst in all_samples() {
+            let mut moved = inst.clone();
+            moved.map_operands(|id| id + 100);
+            let want: Vec<u64> = inst.inputs().iter().map(|id| id + 100).collect();
+            assert_eq!(moved.inputs(), want, "{}", inst.name());
+            assert_eq!(moved.output(), inst.output(), "{}", inst.name());
+            assert_eq!(moved.literals(), inst.literals(), "{}", inst.name());
+        }
+    }
+
+    #[test]
     fn invalid_tag_rejected() {
         assert!(Instruction::from_bytes(&[200]).is_err());
     }
