@@ -7,9 +7,9 @@
 //! transpose-then-GEMM, one-pass vs two-phase mmchain, a k = 3 mmchain
 //! vs three one-column calls (bitwise-checked), the suite's row
 //! reductions at widths 1 and 2 (their row blocks fan out; bitwise-checked
-//! across the widths), and
-//! compressed-domain operators (dense, column groups, and a worker
-//! holding the compacted frame) on a mixed frame and on one
+//! across the widths), the fixed cost of an empty parallel region at
+//! widths 1 and 2, and compressed-domain operators (dense, column groups,
+//! and a worker holding the compacted frame) on a mixed frame and on one
 //! `lan_compressed` partition, plus two end-to-end worker workloads on a
 //! compacted frame: one-shot ops, which must all execute on the column
 //! groups without a single decompression, and a solver's loop, whose
@@ -509,6 +509,31 @@ fn main() {
     json.push(format!(
         "  \"row_split\": [\n{}\n  ]",
         split_rows.join(",\n")
+    ));
+
+    // ---- the price of a parallel region ---------------------------------
+    // An empty two-chunk region at widths 1 and 2: every region spawns
+    // `width - 1` scoped threads, so this is the fixed cost a chunk of
+    // `PAR_MIN_WORK` multiply-adds has to pay for.
+    let regions = if quick { 200 } else { 1_000 };
+    let mut region_rows = Vec::new();
+    for width in [1, 2] {
+        let (t, _) = exdra_par::with_threads(width, || {
+            time_reps(cfg.reps, || {
+                for _ in 0..regions {
+                    exdra_par::par_chunks_mut(&mut [0u8; 2], 1, |_, _, _| {});
+                }
+            })
+        });
+        let us = t / regions as f64 * 1e6;
+        println!("empty 2-chunk parallel region, width {width}: {us:.2} us");
+        region_rows.push(format!(
+            "    {{\"width\": {width}, \"chunks\": 2, \"regions\": {regions}, \"us_per_region\": {us:.3}}}"
+        ));
+    }
+    json.push(format!(
+        "  \"par_region\": [\n{}\n  ]",
+        region_rows.join(",\n")
     ));
 
     // ---- compressed-domain operators ----------------------------------

@@ -49,6 +49,34 @@ pub fn execute(
     table: &SymbolTable,
     cache: Option<&LineageCache>,
 ) -> Result<()> {
+    execute_in_batch(inst, table, cache, None)
+}
+
+/// The operand a cell-wise instruction can write its result over: the
+/// left operand of `Binary` (unless it is also the right one), the one
+/// operand of `Scalar`, `Unary` and `Replace`. Over a dense matrix, the
+/// output has its shape.
+pub fn in_place_operand(inst: &Instruction) -> Option<u64> {
+    match inst {
+        Instruction::Binary { lhs, rhs, .. } if lhs != rhs => Some(*lhs),
+        Instruction::Scalar { x, .. }
+        | Instruction::Unary { x, .. }
+        | Instruction::Replace { x, .. } => Some(*x),
+        _ => None,
+    }
+}
+
+/// [`execute`] for one request of a batch. `dying` is an operand that no
+/// later request of the batch reads and a later `rmvar` of it removes
+/// (the worker's batch scan): when it is `inst`'s
+/// [`in_place_operand`], dense, and held by the table alone, it leaves
+/// the table and the result is written over its cells.
+pub fn execute_in_batch(
+    inst: &Instruction,
+    table: &SymbolTable,
+    cache: Option<&LineageCache>,
+    dying: Option<u64>,
+) -> Result<()> {
     if let Instruction::Rmvar { ids } = inst {
         table.remove(ids);
         return Ok(());
@@ -134,7 +162,10 @@ pub fn execute(
     COMPRESSED_DIRECT.with(|c| c.set(false));
     DECOMPRESSIONS.with(|c| c.set(0));
     DECOMPRESS_NANOS.with(|c| c.set(0));
-    let value = compute(inst, &inputs)?;
+    let value = match dying.filter(|&x| in_place_operand(inst) == Some(x)) {
+        Some(x) => compute_in_place(inst, x, &mut inputs, table)?,
+        None => compute(inst, &inputs)?,
+    };
     let compressed_exec = COMPRESSED_DIRECT.with(|c| c.get());
     // The pool activity of this instruction alone, folded into the
     // per-opcode `par.inst.<opcode>.*` counters of `RunReport`.
@@ -295,6 +326,69 @@ fn dense(e: &Entry) -> Result<Cow<'_, DenseMatrix>> {
         g.inc("compress.exec.fallback");
     }
     Ok(d)
+}
+
+/// Computes a cell-wise `inst` over the cells of its operand `x`, which
+/// dies at it: `x` leaves the table when it is a dense matrix that `inst`
+/// maps onto its own shape and that no one but the table and `inputs`
+/// holds. Otherwise `inst` computes into a fresh output like any other
+/// instruction. The kernels run one loop for either buffer, so the bits
+/// are the same.
+fn compute_in_place(
+    inst: &Instruction,
+    x: u64,
+    inputs: &mut Vec<(u64, Entry)>,
+    table: &SymbolTable,
+) -> Result<DataValue> {
+    use Instruction::*;
+    let pos = inputs
+        .iter()
+        .position(|(id, _)| *id == x)
+        .expect("input resolved");
+    let DataValue::Matrix(Matrix::Dense(d)) = &*inputs[pos].1.value else {
+        return compute(inst, inputs);
+    };
+    let shape = d.shape();
+    let rhs_entry = match inst {
+        Binary { rhs, .. } => inputs
+            .iter()
+            .find(|(id, _)| id == rhs)
+            .map(|(_, e)| e.clone()),
+        _ => None,
+    };
+    let rhs = rhs_entry.as_ref().map(dense).transpose()?;
+    if rhs
+        .as_ref()
+        .is_some_and(|r| !elementwise::broadcasts(shape, r))
+    {
+        return compute(inst, inputs);
+    }
+    let (_, Entry { value, meta }) = inputs.swap_remove(pos);
+    let mut d = match table.take_unique(x, value) {
+        Ok(DataValue::Matrix(Matrix::Dense(d))) => d,
+        Ok(_) => unreachable!("the table's value is the dense one resolved"),
+        Err(value) => {
+            inputs.push((x, Entry { value, meta }));
+            return compute(inst, inputs);
+        }
+    };
+    match inst {
+        Binary { op, .. } => {
+            let r = rhs.as_deref().expect("resolved above");
+            elementwise::binary_in_place(&mut d, *op, r)?;
+        }
+        Scalar {
+            op, value, swap, ..
+        } => elementwise::scalar_in_place(&mut d, *op, *value, *swap),
+        Unary { op, .. } => elementwise::unary_in_place(&mut d, *op),
+        Replace {
+            pattern,
+            replacement,
+            ..
+        } => reorg::replace_in_place(&mut d, *pattern, *replacement),
+        _ => unreachable!("in_place_operand names cell-wise instructions only"),
+    }
+    Ok(DataValue::from(d))
 }
 
 /// Computes the output value of a non-rmvar instruction.

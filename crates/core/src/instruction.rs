@@ -11,13 +11,14 @@
 //!
 //! Each opcode is declared once, as one row of the table below: its wire
 //! tag, its variant, its `name()` and its fields in declaration order, each
-//! with a role. The enum, [`Instruction::inputs`], [`Instruction::output`],
-//! [`Instruction::name`], [`Instruction::literals`], the operand rewrite
-//! [`Instruction::map_operands`], the wire codec and the output lineage
-//! ([`Instruction::lineage`]) are generated from the rows, so the wire
-//! order, the operand order and the order literals enter lineage are all
-//! declaration order. The front end's plan nodes are rows of this table
-//! too, with operands that name plan nodes instead of symbols.
+//! with a role. The enum, [`Instruction::inputs`], [`Instruction::reads`],
+//! [`Instruction::output`], [`Instruction::name`], [`Instruction::literals`],
+//! the operand rewrite [`Instruction::map_operands`], the wire codec and
+//! the output lineage ([`Instruction::lineage`]) are generated from the
+//! rows, so the wire order, the operand order and the order literals enter
+//! lineage are all declaration order. The front end's plan nodes are rows
+//! of this table too, with operands that name plan nodes instead of
+//! symbols.
 
 use bytes::{Buf, BufMut};
 use exdra_matrix::kernels::aggregates::{AggDir, AggOp};
@@ -48,6 +49,16 @@ macro_rules! role {
     (maybe, $f:ident, rewrite $map:ident) => {
         if let Some(id) = $f {
             *id = $map(*id)
+        }
+    };
+    (input, $f:ident, reads $id:ident) => {
+        if *$f == $id {
+            return true;
+        }
+    };
+    (maybe, $f:ident, reads $id:ident) => {
+        if *$f == Some($id) {
+            return true;
         }
     };
     (out, $f:ident, output) => {
@@ -91,6 +102,17 @@ macro_rules! instructions {
                     })*
                 }
                 ids
+            }
+
+            /// Whether `id` is one of [`Instruction::inputs`], without
+            /// collecting them.
+            pub fn reads(&self, id: u64) -> bool {
+                match self {
+                    $(Self::$variant { $($field),* } => {
+                        $(role!($role, $field, reads id);)*
+                    })*
+                }
+                false
             }
 
             /// Output symbol ID bound by this instruction (None for `rmvar`).
@@ -890,6 +912,16 @@ mod tests {
                 );
             } else {
                 assert!(matches!(inst, Instruction::Rmvar { .. }));
+            }
+        }
+    }
+
+    #[test]
+    fn reads_names_exactly_the_inputs() {
+        for inst in all_samples() {
+            let inputs = inst.inputs();
+            for id in 0..=inputs.iter().copied().max().unwrap_or(0) + 1 {
+                assert_eq!(inst.reads(id), inputs.contains(&id), "{} {id}", inst.name());
             }
         }
     }

@@ -145,6 +145,29 @@ impl SymbolTable {
         }
     }
 
+    /// Removes `id` and hands back its value when `held`, the caller's
+    /// reference from [`SymbolTable::get`], and the table's are the only
+    /// ones: no lineage cache, concurrent request or checkpoint holds it.
+    /// The removal is logged like [`SymbolTable::remove`]'s. Otherwise the
+    /// binding stays as it was and `held` comes back.
+    pub fn take_unique(
+        &self,
+        id: u64,
+        held: Arc<DataValue>,
+    ) -> std::result::Result<DataValue, Arc<DataValue>> {
+        let mut map = self.map.write();
+        let unique = map
+            .get(&id)
+            .is_some_and(|e| Arc::ptr_eq(&e.value, &held) && Arc::strong_count(&held) == 2);
+        if !unique {
+            return Err(held);
+        }
+        map.remove(&id);
+        let seq = self.seq.fetch_add(1, Ordering::Relaxed) + 1;
+        self.removals.lock().push((seq, id));
+        Arc::try_unwrap(held)
+    }
+
     /// Removes every binding whose ID lives in session namespace `ns`
     /// (see [`NS_SHIFT`]), returning how many were dropped. Removals go
     /// through the removal log so incremental checkpoints observe the

@@ -25,6 +25,7 @@ use exdra_net::transport::{Channel, MemChannel, TcpServer};
 
 use crate::error::{Result, RuntimeError};
 use crate::exec;
+use crate::instruction::Instruction;
 use crate::lineage::{self, LineageCache};
 use crate::privacy::{may_release, PrivacyLevel};
 use crate::protocol::{
@@ -281,7 +282,16 @@ impl Worker {
         }
         let mut responses = Vec::with_capacity(batch.len());
         let mut failed = false;
-        for req in batch {
+        let removes = batch.iter().any(|r| {
+            matches!(
+                r,
+                Request::ExecInst {
+                    inst: Instruction::Rmvar { .. }
+                }
+            )
+        });
+        let mut rest = batch.into_iter();
+        while let Some(req) = rest.next() {
             // Heartbeats answer even in a failed batch: liveness probing
             // must not be confused by data-path errors.
             if failed && !matches!(req, Request::Heartbeat) {
@@ -295,7 +305,12 @@ impl Worker {
             // A panicking instruction or UDF is that request's error, not
             // the connection's death: the peer would otherwise wait for a
             // reply that never comes, or see a healthy worker hang up.
-            let resp = match catch_unwind(AssertUnwindSafe(|| self.handle_one(req))) {
+            let dying = if removes {
+                dying_operand(&req, rest.as_slice())
+            } else {
+                None
+            };
+            let resp = match catch_unwind(AssertUnwindSafe(|| self.handle_one(req, dying))) {
                 Ok(Ok(r)) => r,
                 Ok(Err(e)) => {
                     failed = true;
@@ -329,7 +344,9 @@ impl Worker {
         (responses, footer)
     }
 
-    fn handle_one(self: &Arc<Self>, req: Request) -> Result<Response> {
+    /// Runs one request. `dying` is the operand it reads for the last
+    /// time in its batch ([`dying_operand`]).
+    fn handle_one(self: &Arc<Self>, req: Request, dying: Option<u64>) -> Result<Response> {
         // Heartbeats and checkpoints are supervision traffic: they must
         // not skew the data-path load signal straggler decisions key on.
         if !matches!(req, Request::Heartbeat | Request::Checkpoint { .. }) {
@@ -407,10 +424,15 @@ impl Worker {
                         entry.meta.releasable
                     )));
                 }
-                Ok(Response::Data((*entry.value).clone()))
+                // A value its batch removes next moves into the reply.
+                let value = match dying {
+                    Some(_) => self.table.take_unique(id, entry.value),
+                    None => Err(entry.value),
+                };
+                Ok(Response::Data(value.unwrap_or_else(|v| (*v).clone())))
             }
             Request::ExecInst { inst } => {
-                exec::execute(&inst, &self.table, Some(&self.cache))?;
+                exec::execute_in_batch(&inst, &self.table, Some(&self.cache), dying)?;
                 Ok(Response::Ok)
             }
             Request::ExecUdf { udf } => self.run_registered(udf),
@@ -565,6 +587,51 @@ impl Worker {
     }
 }
 
+/// The operand `req` reads for the last time in its batch, when the
+/// batch removes it right after: a GET's id, or a cell-wise instruction's
+/// [`exec::in_place_operand`], whose next mention in `rest` (the requests
+/// after `req`) is an `rmvar` of it. A read, a rebinding, or an opaque
+/// request that may read any id (`EXEC_UDF`, `CHECKPOINT`, `RESTORE`,
+/// `CLEAR`) before that keeps it alive. A failure between the two skips
+/// the `rmvar`, so only an id the batch itself removes can be missing
+/// after a failed batch that would have kept it.
+fn dying_operand(req: &Request, rest: &[Request]) -> Option<u64> {
+    let id = match req {
+        Request::Get { id } => *id,
+        Request::ExecInst { inst } => exec::in_place_operand(inst)?,
+        _ => return None,
+    };
+    for later in rest {
+        match later {
+            Request::ExecInst {
+                inst: Instruction::Rmvar { ids },
+            } => {
+                if ids.contains(&id) {
+                    return Some(id);
+                }
+            }
+            Request::ExecInst { inst } => {
+                if inst.reads(id) || inst.output() == Some(id) {
+                    return None;
+                }
+            }
+            Request::Get { id: other }
+            | Request::Put { id: other, .. }
+            | Request::Read { id: other, .. } => {
+                if *other == id {
+                    return None;
+                }
+            }
+            Request::ExecUdf { .. }
+            | Request::Checkpoint { .. }
+            | Request::Restore { .. }
+            | Request::Clear => return None,
+            Request::Heartbeat | Request::ClearNamespace { .. } => {}
+        }
+    }
+    None
+}
+
 /// The worker's `--http` endpoint ([`Worker::serve_http`]).
 impl exdra_obs::http::Routes for Worker {
     fn stopped(&self) -> bool {
@@ -589,7 +656,6 @@ impl exdra_obs::http::Routes for Worker {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::instruction::Instruction;
     use exdra_matrix::rng::rand_matrix;
 
     fn worker() -> Arc<Worker> {
@@ -1212,6 +1278,219 @@ mod tests {
         assert_eq!(out.rows(), 30);
         assert_eq!(out.row(0), out.row(10));
         assert_eq!(out.row(0), out.row(20));
+    }
+
+    fn put(id: u64, m: DenseMatrix, privacy: PrivacyLevel) -> Request {
+        Request::Put {
+            id,
+            data: DataValue::from(m),
+            privacy,
+        }
+    }
+
+    fn add(lhs: u64, rhs: u64, out: u64) -> Request {
+        Request::ExecInst {
+            inst: Instruction::Binary {
+                lhs,
+                rhs,
+                op: exdra_matrix::kernels::elementwise::BinaryOp::Add,
+                out,
+            },
+        }
+    }
+
+    fn rmvar(ids: &[u64]) -> Request {
+        Request::ExecInst {
+            inst: Instruction::Rmvar { ids: ids.to_vec() },
+        }
+    }
+
+    /// Where the cells of bound value `id` live.
+    fn cells_at(w: &Worker, id: u64) -> *const f64 {
+        let value = w.table().value(id).unwrap();
+        match &*value {
+            DataValue::Matrix(Matrix::Dense(d)) => d.values().as_ptr(),
+            other => panic!("expected a dense matrix, found {}", other.type_name()),
+        }
+    }
+
+    /// A worker whose every instruction computes (reuse off).
+    fn computing_worker() -> Arc<Worker> {
+        Worker::new(WorkerConfig {
+            reuse_enabled: false,
+            ..WorkerConfig::default()
+        })
+    }
+
+    /// `X + r` for a 64 x 8 X (id 1) and a row vector r (id 2), bound as
+    /// id 3, with `middle` between it and the `rmvar` of X. Answers where
+    /// X's cells were and where the result's are.
+    fn add_then_rmvar(w: &Arc<Worker>, middle: Vec<Request>) -> (*const f64, *const f64) {
+        let x = rand_matrix(64, 8, -1.0, 1.0, 21);
+        let at = x.values().as_ptr();
+        let mut batch = vec![
+            put(1, x, PrivacyLevel::Public),
+            put(2, rand_matrix(1, 8, -1.0, 1.0, 22), PrivacyLevel::Public),
+            add(1, 2, 3),
+        ];
+        batch.extend(middle);
+        batch.push(rmvar(&[1]));
+        let rs = w.handle_batch(batch);
+        assert!(
+            rs.iter().all(|r| !matches!(r, Response::Error(_))),
+            "{rs:?}"
+        );
+        (at, cells_at(w, 3))
+    }
+
+    #[test]
+    fn a_cell_wise_result_takes_the_buffer_its_batch_removes() {
+        let w = computing_worker();
+        let x = rand_matrix(64, 8, -1.0, 1.0, 21);
+        let r = rand_matrix(1, 8, -1.0, 1.0, 22);
+        let want = exdra_matrix::kernels::elementwise::binary(
+            &x,
+            exdra_matrix::kernels::elementwise::BinaryOp::Add,
+            &r,
+        )
+        .unwrap();
+        let (x_at, y_at) = add_then_rmvar(&w, vec![]);
+        assert_eq!(x_at, y_at, "Y is written over X's cells");
+        assert!(!w.table().contains(1));
+        let y = w.table().value(3).unwrap().to_dense().unwrap();
+        let bits = |d: &DenseMatrix| d.values().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&y), bits(&want));
+        // Requests that cannot read X leave the rule as it is.
+        let (x_at, y_at) = add_then_rmvar(&w, vec![Request::Heartbeat, rmvar(&[2])]);
+        assert_eq!(x_at, y_at);
+    }
+
+    #[test]
+    fn a_later_reader_or_an_opaque_request_keeps_the_operand() {
+        let w = computing_worker();
+        w.register_udf("noop", Arc::new(|_, _| Ok(None)));
+        for middle in [
+            vec![Request::Get { id: 1 }],
+            vec![add(1, 2, 4)],
+            vec![registered("noop")],
+            vec![Request::Checkpoint { since_seq: 0 }],
+        ] {
+            let what = format!("{middle:?}");
+            let (x_at, y_at) = add_then_rmvar(&w, middle);
+            assert_ne!(x_at, y_at, "{what:.60}");
+            assert!(!w.table().contains(1), "the rmvar still ran");
+        }
+    }
+
+    #[test]
+    fn a_cached_or_compacted_operand_is_not_taken() {
+        let w = worker();
+        let r = rand_matrix(1, 8, -1.0, 1.0, 22);
+        // X (id 2) is an instruction's result, which the lineage cache
+        // holds while reuse is on.
+        let first = w.handle_batch(vec![
+            put(1, rand_matrix(64, 8, -1.0, 1.0, 21), PrivacyLevel::Public),
+            put(9, r.clone(), PrivacyLevel::Public),
+            add(1, 9, 2),
+        ]);
+        assert!(first.iter().all(|r| *r == Response::Ok));
+        let x_at = cells_at(&w, 2);
+        assert_eq!(
+            w.handle_batch(vec![add(2, 9, 3), rmvar(&[2])]),
+            vec![Response::Ok; 2]
+        );
+        assert_ne!(cells_at(&w, 3), x_at, "the cache keeps X's cells");
+        // With reuse off the same batches write over X.
+        let off = computing_worker();
+        off.handle_batch(vec![
+            put(1, rand_matrix(64, 8, -1.0, 1.0, 21), PrivacyLevel::Public),
+            put(9, r.clone(), PrivacyLevel::Public),
+            add(1, 9, 2),
+        ]);
+        let x_at = cells_at(&off, 2);
+        assert_eq!(
+            off.handle_batch(vec![add(2, 9, 3), rmvar(&[2])]),
+            vec![Response::Ok; 2]
+        );
+        assert_eq!(cells_at(&off, 3), x_at);
+
+        // A compacted X has no dense cells to write over.
+        let mut m = DenseMatrix::zeros(1000, 8);
+        for row in 0..1000 {
+            for c in 0..8 {
+                m.set(row, c, (row % 3) as f64);
+            }
+        }
+        off.install_matrix(5, m.clone(), PrivacyLevel::Public, "low-card");
+        assert_eq!(off.compact(1024, Duration::ZERO), 1);
+        let rs = off.handle_batch(vec![
+            put(6, DenseMatrix::filled(1000, 8, 0.5), PrivacyLevel::Public),
+            add(5, 6, 7),
+            rmvar(&[5, 6]),
+        ]);
+        assert_eq!(rs, vec![Response::Ok; 3]);
+        let got = off.table().value(7).unwrap().to_dense().unwrap();
+        assert_eq!(got.values(), m.map(|v| v + 0.5).values());
+    }
+
+    #[test]
+    fn a_batch_that_fails_after_a_reuse_answers_as_before() {
+        let w = computing_worker();
+        let (x_at, rs) = {
+            let x = rand_matrix(64, 8, -1.0, 1.0, 21);
+            let at = x.values().as_ptr();
+            let rs = w.handle_batch(vec![
+                put(1, x, PrivacyLevel::Public),
+                put(2, rand_matrix(1, 8, -1.0, 1.0, 22), PrivacyLevel::Public),
+                add(1, 2, 3),
+                put(4, DenseMatrix::zeros(3, 3), PrivacyLevel::Public),
+                add(3, 4, 5), // shapes do not match
+                rmvar(&[1, 2, 4]),
+            ]);
+            (at, rs)
+        };
+        assert_eq!(rs[..4], vec![Response::Ok; 4]);
+        assert!(
+            matches!(&rs[4], Response::Error(m) if m.contains("binary")),
+            "{:?}",
+            rs[4]
+        );
+        assert!(matches!(&rs[5], Response::Error(m) if m.contains("skipped")));
+        assert_eq!(cells_at(&w, 3), x_at);
+        // Every id outside the rmvar is bound as it would be without the
+        // reuse; X, which the batch removes, went with it.
+        assert!(w.table().contains(2) && w.table().contains(3) && w.table().contains(4));
+        assert!(!w.table().contains(5));
+        assert!(!w.table().contains(1));
+    }
+
+    #[test]
+    fn a_get_moves_the_value_its_batch_removes() {
+        let w = worker();
+        let x = rand_matrix(64, 8, -1.0, 1.0, 23);
+        let sent = x.clone();
+        let at = sent.values().as_ptr();
+        let rs = w.handle_batch(vec![
+            put(1, sent, PrivacyLevel::Public),
+            Request::Get { id: 1 },
+            rmvar(&[1]),
+        ]);
+        match &rs[1] {
+            Response::Data(DataValue::Matrix(Matrix::Dense(d))) => {
+                assert_eq!(d.values().as_ptr(), at, "moved, not copied");
+                assert_eq!(d.values(), x.values());
+            }
+            other => panic!("unexpected {other:?}"),
+        }
+        assert!(!w.table().contains(1));
+        // A denied GET fails first and leaves the entry bound.
+        let rs = w.handle_batch(vec![
+            put(1, x, PrivacyLevel::Private),
+            Request::Get { id: 1 },
+            rmvar(&[1]),
+        ]);
+        assert!(matches!(&rs[1], Response::Error(m) if m.contains("privacy")));
+        assert!(w.table().contains(1));
     }
 
     /// One HTTP/1.0 GET against the worker's observability endpoint,

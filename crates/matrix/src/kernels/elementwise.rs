@@ -6,30 +6,52 @@ use super::PAR_MIN_WORK;
 use crate::dense::DenseMatrix;
 use crate::error::{MatrixError, Result};
 
-/// A fresh matrix shaped like `x`, filled by `body(first cell, cells)` over
-/// disjoint output chunks of `chunk` cells fanned out across the pool.
-/// `body` is the per-op loop; the fan-out around it is compiled once.
-fn fill(x: &DenseMatrix, chunk: usize, body: &(dyn Fn(usize, &mut [f64]) + Sync)) -> DenseMatrix {
-    let mut out = DenseMatrix::zeros(x.rows(), x.cols());
-    exdra_par::par_chunks_mut(out.values_mut(), chunk, |_, c0, part| body(c0, part));
-    out
+/// Where a cell-wise kernel reads the operand its output is shaped like:
+/// another matrix's cells, or ([`InPlace`]) the output's own, each read
+/// just before it is overwritten. Each op and broadcast shape has one
+/// loop over [`Cells::pair`], so a cell's bits do not depend on which
+/// buffer it is written to.
+pub(crate) trait Cells: Copy + Sync {
+    /// The cells of `part`, the output chunk that starts at cell `c0`,
+    /// each with the operand's cell at its position.
+    fn pair(self, part: &mut [f64], c0: usize) -> impl Iterator<Item = (&mut f64, f64)>;
 }
 
-/// Cells per chunk of a cell-wise kernel over `x`.
-fn cell_chunk(x: &DenseMatrix) -> usize {
-    exdra_par::chunk_len(x.len(), PAR_MIN_WORK)
+impl Cells for &[f64] {
+    fn pair(self, part: &mut [f64], c0: usize) -> impl Iterator<Item = (&mut f64, f64)> {
+        part.iter_mut().zip(self[c0..].iter().copied())
+    }
 }
 
-/// Cell-parallel map: fills a fresh matrix from `x`'s cells through `f`.
-/// Each cell depends on exactly one input cell, so the result is bitwise
-/// identical at any thread count.
-fn map_cells(x: &DenseMatrix, f: impl Fn(f64) -> f64 + Sync) -> DenseMatrix {
-    let xv = x.values();
-    fill(x, cell_chunk(x), &|c0, part| {
-        for (o, &v) in part.iter_mut().zip(&xv[c0..]) {
+/// The output buffer is the operand: the kernel writes its result over
+/// the cells it reads.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct InPlace;
+
+impl Cells for InPlace {
+    fn pair(self, part: &mut [f64], _: usize) -> impl Iterator<Item = (&mut f64, f64)> {
+        part.iter_mut().map(|o| {
+            let v = *o;
+            (o, v)
+        })
+    }
+}
+
+/// Cells per chunk of a cell-wise kernel over `len` cells.
+fn cell_chunk(len: usize) -> usize {
+    exdra_par::chunk_len(len, PAR_MIN_WORK)
+}
+
+/// Cell-parallel map: writes `f` of each of `x`'s cells into `out`,
+/// fanned out across the pool in disjoint chunks. Each cell depends on
+/// exactly one input cell, so the result is bitwise identical at any
+/// thread count.
+pub(crate) fn map_cells(out: &mut [f64], x: impl Cells, f: impl Fn(f64) -> f64 + Sync) {
+    exdra_par::par_chunks_mut(out, cell_chunk(out.len()), |_, c0, part| {
+        for (o, v) in x.pair(part, c0) {
             *o = f(v);
         }
-    })
+    });
 }
 
 /// Unary element-wise operations of Table 1.
@@ -142,13 +164,25 @@ impl UnaryOp {
     }
 }
 
-/// Applies a unary operation cell-wise. The op is matched once per call:
-/// each arm compiles its own loop with `apply` fixed to one variant.
+/// Applies a unary operation cell-wise.
 pub fn unary(x: &DenseMatrix, op: UnaryOp) -> DenseMatrix {
+    let mut out = DenseMatrix::zeros(x.rows(), x.cols());
+    unary_cells(out.values_mut(), x.values(), op);
+    out
+}
+
+/// [`unary`] written over `x`'s own cells.
+pub fn unary_in_place(x: &mut DenseMatrix, op: UnaryOp) {
+    unary_cells(x.values_mut(), InPlace, op);
+}
+
+/// The body of [`unary`]. The op is matched once per call: each arm
+/// compiles its own loop with `apply` fixed to one variant.
+fn unary_cells(out: &mut [f64], x: impl Cells, op: UnaryOp) {
     macro_rules! per_op {
         ($($v:ident)+) => {
             match op {
-                $(UnaryOp::$v => map_cells(x, |v| UnaryOp::$v.apply(v)),)+
+                $(UnaryOp::$v => map_cells(out, x, |v| UnaryOp::$v.apply(v)),)+
             }
         };
     }
@@ -314,62 +348,78 @@ enum Rhs<'a> {
     Scalar(f64, bool),
 }
 
-fn classify<'a>(lhs: &DenseMatrix, rhs: &'a DenseMatrix) -> Option<Rhs<'a>> {
+/// How `rhs` broadcasts over a left operand of shape `lhs`.
+fn classify(lhs: (usize, usize), rhs: &DenseMatrix) -> Result<Rhs<'_>> {
     let bv = rhs.values();
-    if lhs.shape() == rhs.shape() {
-        Some(Rhs::Cells(bv))
+    if lhs == rhs.shape() {
+        Ok(Rhs::Cells(bv))
     } else if rhs.is_scalar() {
-        Some(Rhs::Scalar(bv[0], false))
-    } else if rhs.rows() == 1 && rhs.cols() == lhs.cols() {
-        Some(Rhs::RowVector(bv))
-    } else if rhs.cols() == 1 && rhs.rows() == lhs.rows() {
-        Some(Rhs::ColVector(bv))
+        Ok(Rhs::Scalar(bv[0], false))
+    } else if rhs.rows() == 1 && rhs.cols() == lhs.1 {
+        Ok(Rhs::RowVector(bv))
+    } else if rhs.cols() == 1 && rhs.rows() == lhs.0 {
+        Ok(Rhs::ColVector(bv))
     } else {
-        None
+        Err(MatrixError::DimensionMismatch {
+            op: "binary",
+            lhs,
+            rhs: rhs.shape(),
+        })
     }
 }
 
-/// `op` over `lhs` and the broadcast `rhs`. The op is matched once per
-/// call: each arm compiles [`zip_with`]'s loops with `apply` fixed to one
-/// variant, so they vectorise wherever the op does.
-fn binary_kernel(lhs: &DenseMatrix, op: BinaryOp, rhs: Rhs) -> DenseMatrix {
+/// Whether `rhs` broadcasts over a left operand of shape `lhs` in
+/// [`binary`].
+pub fn broadcasts(lhs: (usize, usize), rhs: &DenseMatrix) -> bool {
+    classify(lhs, rhs).is_ok()
+}
+
+/// The body of [`binary`] and [`scalar`]: `op` over `lhs`, of `cols`
+/// columns, and the broadcast `rhs`, written into `out`. The op is
+/// matched once per call: each arm compiles [`zip_with`]'s loops with
+/// `apply` fixed to one variant, so they vectorise wherever the op does.
+fn binary_cells(out: &mut [f64], cols: usize, lhs: impl Cells, op: BinaryOp, rhs: Rhs) {
     macro_rules! per_op {
         ($($v:ident)+) => {
             match op {
-                $(BinaryOp::$v => zip_with(lhs, rhs, |a, b| BinaryOp::$v.apply(a, b)),)+
+                $(BinaryOp::$v => zip_with(out, cols, lhs, rhs, |a, b| BinaryOp::$v.apply(a, b)),)+
             }
         };
     }
     per_op!(Add Sub Mul Div IntDiv Mod Pow Min Max Eq Neq Lt Le Gt Ge And Or Xor LogBase)
 }
 
-/// Fills a fresh matrix with `f(lhs cell, rhs cell)`. Each arm fans
-/// disjoint output chunks (cell-aligned, or row-aligned when a vector
-/// broadcasts) out across the pool; every cell reads fixed inputs, so
-/// bits are identical at any thread count.
-fn zip_with(lhs: &DenseMatrix, rhs: Rhs, f: impl Fn(f64, f64) -> f64 + Sync) -> DenseMatrix {
-    let lv = lhs.values();
-    let cols = lhs.cols();
-    let row_chunk = || exdra_par::chunk_len(lhs.rows(), super::par_floor(cols)) * cols;
+/// Writes `f(lhs cell, rhs cell)` into `out`. Each arm fans disjoint
+/// output chunks (cell-aligned, or row-aligned when a vector broadcasts)
+/// out across the pool; every cell reads fixed inputs, so bits are
+/// identical at any thread count.
+fn zip_with(
+    out: &mut [f64],
+    cols: usize,
+    lhs: impl Cells,
+    rhs: Rhs,
+    f: impl Fn(f64, f64) -> f64 + Sync,
+) {
+    let rows = out.len().checked_div(cols).unwrap_or(0);
+    let row_chunk = exdra_par::chunk_len(rows, super::par_floor(cols)) * cols;
     match rhs {
-        Rhs::Scalar(b, false) => map_cells(lhs, |a| f(a, b)),
-        Rhs::Scalar(a, true) => map_cells(lhs, |b| f(a, b)),
-        Rhs::Cells(bv) => fill(lhs, cell_chunk(lhs), &|c0, part| {
-            for ((o, &a), &b) in part.iter_mut().zip(&lv[c0..]).zip(&bv[c0..]) {
+        Rhs::Scalar(b, false) => map_cells(out, lhs, |a| f(a, b)),
+        Rhs::Scalar(a, true) => map_cells(out, lhs, |b| f(a, b)),
+        Rhs::Cells(bv) => exdra_par::par_chunks_mut(out, cell_chunk(out.len()), |_, c0, part| {
+            for ((o, a), &b) in lhs.pair(part, c0).zip(&bv[c0..]) {
                 *o = f(a, b);
             }
         }),
-        Rhs::RowVector(bv) => fill(lhs, row_chunk(), &|c0, part| {
-            for (orow, lrow) in part.chunks_mut(cols).zip(lv[c0..].chunks(cols)) {
-                for ((o, &a), &b) in orow.iter_mut().zip(lrow).zip(bv) {
+        Rhs::RowVector(bv) => exdra_par::par_chunks_mut(out, row_chunk, |_, c0, part| {
+            for (r, orow) in part.chunks_mut(cols).enumerate() {
+                for ((o, a), &b) in lhs.pair(orow, c0 + r * cols).zip(bv) {
                     *o = f(a, b);
                 }
             }
         }),
-        Rhs::ColVector(bv) => fill(lhs, row_chunk(), &|c0, part| {
-            let rows = part.chunks_mut(cols).zip(lv[c0..].chunks(cols));
-            for ((orow, lrow), &b) in rows.zip(&bv[c0 / cols..]) {
-                for (o, &a) in orow.iter_mut().zip(lrow) {
+        Rhs::ColVector(bv) => exdra_par::par_chunks_mut(out, row_chunk, |_, c0, part| {
+            for ((r, orow), &b) in part.chunks_mut(cols).enumerate().zip(&bv[c0 / cols..]) {
+                for (o, a) in lhs.pair(orow, c0 + r * cols) {
                     *o = f(a, b);
                 }
             }
@@ -381,18 +431,39 @@ fn zip_with(lhs: &DenseMatrix, rhs: Rhs, f: impl Fn(f64, f64) -> f64 + Sync) -> 
 /// operand may be an equally-shaped matrix, a row vector (`1 x c`), a column
 /// vector (`r x 1`), or a `1 x 1` scalar.
 pub fn binary(lhs: &DenseMatrix, op: BinaryOp, rhs: &DenseMatrix) -> Result<DenseMatrix> {
-    let rhs = classify(lhs, rhs).ok_or(MatrixError::DimensionMismatch {
-        op: "binary",
-        lhs: lhs.shape(),
-        rhs: rhs.shape(),
-    })?;
-    Ok(binary_kernel(lhs, op, rhs))
+    let rhs = classify(lhs.shape(), rhs)?;
+    let mut out = DenseMatrix::zeros(lhs.rows(), lhs.cols());
+    binary_cells(out.values_mut(), lhs.cols(), lhs.values(), op, rhs);
+    Ok(out)
+}
+
+/// [`binary`] written over `lhs`'s own cells; `lhs` is untouched when
+/// `rhs` does not broadcast over it.
+pub fn binary_in_place(lhs: &mut DenseMatrix, op: BinaryOp, rhs: &DenseMatrix) -> Result<()> {
+    let rhs = classify(lhs.shape(), rhs)?;
+    let cols = lhs.cols();
+    binary_cells(lhs.values_mut(), cols, InPlace, op, rhs);
+    Ok(())
 }
 
 /// Matrix-scalar binary operation; `swap` computes `scalar op matrix`
 /// instead of `matrix op scalar` (needed for non-commutative ops like `1-X`).
 pub fn scalar(lhs: &DenseMatrix, op: BinaryOp, s: f64, swap: bool) -> DenseMatrix {
-    binary_kernel(lhs, op, Rhs::Scalar(s, swap))
+    let mut out = DenseMatrix::zeros(lhs.rows(), lhs.cols());
+    binary_cells(
+        out.values_mut(),
+        lhs.cols(),
+        lhs.values(),
+        op,
+        Rhs::Scalar(s, swap),
+    );
+    out
+}
+
+/// [`scalar`] written over `lhs`'s own cells.
+pub fn scalar_in_place(lhs: &mut DenseMatrix, op: BinaryOp, s: f64, swap: bool) {
+    let cols = lhs.cols();
+    binary_cells(lhs.values_mut(), cols, InPlace, op, Rhs::Scalar(s, swap));
 }
 
 /// Covariance between two equal-length vectors (Table 1 `cov`), using the

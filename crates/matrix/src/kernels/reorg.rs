@@ -3,6 +3,7 @@
 //! and permutation application (used by the federated train/test split's
 //! selection-matrix-multiply).
 
+use super::elementwise::{map_cells, InPlace};
 use crate::dense::DenseMatrix;
 use crate::error::{MatrixError, Result};
 
@@ -134,7 +135,15 @@ pub fn remove_empty(
 /// `replace(target, pattern, replacement)`; `pattern` may be NaN, which
 /// matches NaN cells (the usual missing-value encoding in raw imports).
 pub fn replace(x: &DenseMatrix, pattern: f64, replacement: f64) -> DenseMatrix {
+    // Collected, not written into a zero-filled matrix: a cell this cheap
+    // costs less than the zeroing of a reused heap chunk.
     x.map(replace_cell(pattern, replacement))
+}
+
+/// [`replace`] written over `x`'s own cells: the same rule per cell, so
+/// the same bits.
+pub fn replace_in_place(x: &mut DenseMatrix, pattern: f64, replacement: f64) {
+    map_cells(x.values_mut(), InPlace, replace_cell(pattern, replacement));
 }
 
 /// The per-cell rule of [`replace`], which the column groups' `replace`

@@ -6,10 +6,13 @@ use exdra::core::instruction::Instruction;
 use exdra::core::protocol::{ReadFormat, Request, Response, RpcEnvelope, RpcReply, TraceContext};
 use exdra::core::worker::{Worker, WorkerConfig};
 use exdra::core::DataValue;
+use exdra::matrix::kernels::elementwise::{BinaryOp, UnaryOp};
+use exdra::matrix::DenseMatrix;
 use exdra::net::codec::Wire;
 use exdra::net::crypto::ChannelKey;
 use exdra::net::sim::NetProfile;
 use exdra::net::transport::{mem_pair, Channel, EncryptedChannel, ShapedChannel};
+use exdra::PrivacyLevel;
 use proptest::prelude::*;
 
 proptest! {
@@ -269,5 +272,258 @@ fn malformed_mmchain_is_a_typed_error_and_the_worker_keeps_serving() {
         }
         let got = Tensor::Fed(fed.clone()).mmchain(&v, Some(&w)).unwrap();
         assert_eq!(bits(&got), bits(&mmchain(&x, &v, Some(&w)).unwrap()));
+    }
+}
+
+/// A cell worth a cell-wise op: NaN, both zeros, both infinities, or a
+/// plain value.
+fn cell() -> impl Strategy<Value = f64> {
+    prop_oneof![
+        Just(f64::NAN),
+        Just(0.0),
+        Just(-0.0),
+        Just(f64::INFINITY),
+        Just(f64::NEG_INFINITY),
+        Just(1.0),
+        -4.0f64..4.0,
+        -4.0f64..4.0,
+    ]
+}
+
+const BINARY_OPS: [BinaryOp; 19] = [
+    BinaryOp::Add,
+    BinaryOp::Sub,
+    BinaryOp::Mul,
+    BinaryOp::Div,
+    BinaryOp::IntDiv,
+    BinaryOp::Mod,
+    BinaryOp::Pow,
+    BinaryOp::Min,
+    BinaryOp::Max,
+    BinaryOp::Eq,
+    BinaryOp::Neq,
+    BinaryOp::Lt,
+    BinaryOp::Le,
+    BinaryOp::Gt,
+    BinaryOp::Ge,
+    BinaryOp::And,
+    BinaryOp::Or,
+    BinaryOp::Xor,
+    BinaryOp::LogBase,
+];
+
+const UNARY_OPS: [UnaryOp; 16] = [
+    UnaryOp::Abs,
+    UnaryOp::Cos,
+    UnaryOp::Sin,
+    UnaryOp::Tan,
+    UnaryOp::Exp,
+    UnaryOp::Log,
+    UnaryOp::Sqrt,
+    UnaryOp::Round,
+    UnaryOp::Floor,
+    UnaryOp::Ceil,
+    UnaryOp::Sign,
+    UnaryOp::Not,
+    UnaryOp::IsNa,
+    UnaryOp::Sigmoid,
+    UnaryOp::Neg,
+    UnaryOp::Square,
+];
+
+/// One link of a cell-wise chain `X[i+1] = f(X[i], ...)`: `kind` picks
+/// `Binary`, `Scalar`, `Unary` or `Replace`, `op` the operator, `shape`
+/// a `Binary`'s right operand (same-shape, row, column, 1 x 1, or an
+/// earlier link of the chain, which reads that link again), `lit` and
+/// `swap` the literals, and `removed` whether the chain's final `rmvar`
+/// names `X[i]`.
+#[derive(Debug, Clone)]
+struct Link {
+    kind: u8,
+    op: usize,
+    shape: u8,
+    lit: f64,
+    swap: bool,
+    removed: bool,
+}
+
+fn link() -> impl Strategy<Value = Link> {
+    (
+        (0u8..4, 0usize..64, 0u8..5),
+        (cell(), any::<bool>(), any::<bool>()),
+    )
+        .prop_map(|((kind, op, shape), (lit, swap, removed))| Link {
+            kind,
+            op,
+            shape,
+            lit,
+            swap,
+            removed,
+        })
+}
+
+/// The requests of a chain over `x` (id 1), links bound as 2, 3, ...,
+/// right operands PUT as 100 + i and removed right after their use, the
+/// removed links in one final `rmvar`, and with `fetch` a GET of the last
+/// link followed by its `rmvar`.
+fn chain(
+    x: DenseMatrix,
+    pool: &[f64],
+    links: &[Link],
+    privacy: PrivacyLevel,
+    fetch: bool,
+) -> Vec<Request> {
+    let (rows, cols) = x.shape();
+    let mut reqs = vec![Request::Put {
+        id: 1,
+        data: DataValue::from(x),
+        privacy,
+    }];
+    let rhs = |i: usize, r: usize, c: usize| {
+        let cells = (0..r * c).map(|k| pool[(i + k) % pool.len()]).collect();
+        DataValue::from(DenseMatrix::new(r, c, cells).unwrap())
+    };
+    for (i, l) in links.iter().enumerate() {
+        let (x, out) = (1 + i as u64, 2 + i as u64);
+        let put_id = 100 + i as u64;
+        let inst = match l.kind {
+            0 => {
+                let other = match l.shape {
+                    0 => Some(rhs(i, rows, cols)),
+                    1 => Some(rhs(i, 1, cols)),
+                    2 => Some(rhs(i, rows, 1)),
+                    3 => Some(rhs(i, 1, 1)),
+                    _ => None,
+                };
+                let rhs_id = match other {
+                    Some(data) => {
+                        reqs.push(Request::Put {
+                            id: put_id,
+                            data,
+                            privacy: PrivacyLevel::Public,
+                        });
+                        put_id
+                    }
+                    None => 1 + (l.op as u64 % (i as u64 + 1)),
+                };
+                Instruction::Binary {
+                    lhs: x,
+                    rhs: rhs_id,
+                    op: BINARY_OPS[l.op % BINARY_OPS.len()],
+                    out,
+                }
+            }
+            1 => Instruction::Scalar {
+                x,
+                op: BINARY_OPS[l.op % BINARY_OPS.len()],
+                value: l.lit,
+                swap: l.swap,
+                out,
+            },
+            2 => Instruction::Unary {
+                x,
+                op: UNARY_OPS[l.op % UNARY_OPS.len()],
+                out,
+            },
+            _ => Instruction::Replace {
+                x,
+                pattern: if l.swap {
+                    f64::NAN
+                } else {
+                    pool[i % pool.len()]
+                },
+                replacement: l.lit,
+                out,
+            },
+        };
+        let put_rhs = matches!(inst, Instruction::Binary { rhs, .. } if rhs == put_id);
+        reqs.push(Request::ExecInst { inst });
+        if put_rhs {
+            reqs.push(Request::ExecInst {
+                inst: Instruction::Rmvar { ids: vec![put_id] },
+            });
+        }
+    }
+    let removed: Vec<u64> = (0..links.len())
+        .filter(|&i| links[i].removed)
+        .map(|i| 1 + i as u64)
+        .collect();
+    reqs.push(Request::ExecInst {
+        inst: Instruction::Rmvar { ids: removed },
+    });
+    if fetch {
+        let last = 1 + links.len() as u64;
+        reqs.push(Request::Get { id: last });
+        reqs.push(Request::ExecInst {
+            inst: Instruction::Rmvar { ids: vec![last] },
+        });
+    }
+    reqs
+}
+
+/// A bound value's wire bytes, its lineage and its privacy metadata.
+type Binding = (Vec<u8>, u64, PrivacyLevel, bool);
+
+/// Everything a chain leaves bound, by id.
+fn bound(w: &Worker, links: usize) -> Vec<(u64, Option<Binding>)> {
+    (1..=1 + links as u64)
+        .chain(100..100 + links as u64)
+        .map(|id| {
+            let e = w.table().get(id).ok();
+            let e = e.map(|e| {
+                (
+                    e.value.to_bytes(),
+                    e.meta.lineage,
+                    e.meta.privacy,
+                    e.meta.releasable,
+                )
+            });
+            (id, e)
+        })
+        .collect()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// A worker that writes a cell-wise result over the operand its batch
+    /// removes answers a chain sent as one batch exactly as it answers the
+    /// same chain sent one request per batch, where nothing dies inside a
+    /// batch: the same responses, and every bound value with the same
+    /// bits, lineage and privacy metadata.
+    #[test]
+    fn a_chain_in_one_batch_matches_the_chain_one_request_at_a_time(
+        (rows, cols, cells, pool) in (1usize..12, 1usize..6).prop_flat_map(|(r, c)| {
+            (
+                Just(r),
+                Just(c),
+                proptest::collection::vec(cell(), r * c),
+                proptest::collection::vec(cell(), r * c),
+            )
+        }),
+        links in proptest::collection::vec(link(), 1..8),
+        privacy in 0u8..3,
+        fetch in any::<bool>(),
+    ) {
+        let privacy = match privacy {
+            0 => PrivacyLevel::Public,
+            1 => PrivacyLevel::PrivateAggregate { min_group: 2 },
+            _ => PrivacyLevel::Private,
+        };
+        let x = DenseMatrix::new(rows, cols, cells).unwrap();
+        // A private link fails its GET, which skips the rest of a batch.
+        let reqs = chain(x, &pool, &links, privacy, fetch && privacy == PrivacyLevel::Public);
+        let config = || WorkerConfig {
+            reuse_enabled: false,
+            ..WorkerConfig::default()
+        };
+        let (batched, single) = (Worker::new(config()), Worker::new(config()));
+        let together = batched.handle_batch(reqs.clone());
+        let apart: Vec<Response> = reqs
+            .into_iter()
+            .flat_map(|r| single.handle_batch(vec![r]))
+            .collect();
+        prop_assert_eq!(together.to_bytes(), apart.to_bytes());
+        prop_assert_eq!(bound(&batched, links.len()), bound(&single, links.len()));
     }
 }
