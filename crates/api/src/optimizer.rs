@@ -45,10 +45,11 @@ pub trait CostModel: Send + Sync {
     fn round_trip_nanos(&self) -> f64;
 }
 
-/// The profile-guided default [`CostModel`]: per-opcode mean latencies
-/// from the `inst.<opcode>` histograms `exdra-obs` collects during
-/// execution (the same data `Analysis::cost_profile_json` renders), with
-/// a work-proportional fallback for opcodes never yet observed.
+/// The profile-guided default [`CostModel`]: per-opcode mean own times
+/// from the global `inst.<opcode>` histograms that closing instruction
+/// spans fold into (EXPLAIN ANALYZE's `profile` folds one trace through
+/// the same rows), with a work-proportional fallback for opcodes never
+/// yet observed.
 #[derive(Debug, Clone)]
 pub struct ProfileCostModel {
     /// Fallback nanos per scalar operation for unobserved opcodes.

@@ -426,17 +426,19 @@ impl Session {
 
     /// `EXPLAIN ANALYZE` for a plan: [`Session::explain`] plus a run.
     /// Computes the plan like [`Session::compute`] while tracing it
-    /// under a `session.explain` root span, then attributes the wall
-    /// time across compute, network, serialization, queueing, and
-    /// recovery, extracts the critical path, and rolls up per-opcode and
-    /// per-worker costs into the report's `analyzed` section — so the
+    /// under a `session.explain` root span, then folds that trace's
+    /// spans through the rows that fill `/metrics` into the report's
+    /// `analyzed` section: a [`RunReport`] profile (per-worker series,
+    /// every opcode's own time), the compute/network/serde/queue split
+    /// read from it, the recovery time and the critical path — so the
     /// one `Display` shows estimated and actual side by side.
     ///
     /// Tracing is force-enabled for the duration of the call and
     /// restored afterwards, so this works without
     /// [`exdra_obs::set_enabled`]. Nothing is written to disk: a caller
-    /// that wants the per-opcode/per-worker cost profile as a file writes
-    /// `explain.analyzed`'s `cost_profile_json()` where it chooses.
+    /// that wants the cost profile as a file writes
+    /// `explain.analyzed`'s `profile.to_json()` where it chooses, the
+    /// same document a `RunReport` sidecar holds.
     pub fn explain_analyze(&self, plan: &Lazy) -> Result<(DenseMatrix, Explain)> {
         let mut explain = self.explain(plan);
         let was_on = exdra_obs::enabled();
@@ -460,7 +462,7 @@ impl Session {
 
     /// Snapshot of everything the observability layer saw so far: the
     /// global metrics registry rolled up into per-worker breakdowns and
-    /// top-N instruction profiles, plus (for connected sessions) the
+    /// every opcode's instruction profile, plus (for connected sessions) the
     /// context's transport-level `NetStats` totals for cross-checking
     /// span-derived network time against transport-measured time.
     pub fn profile(&self) -> RunReport {

@@ -1,25 +1,28 @@
-//! EXPLAIN ANALYZE: critical-path analysis over a stitched span forest.
+//! EXPLAIN ANALYZE: a fold of one computation's span forest.
 //!
 //! Consumes the spans of one computation (one trace rooted at a session
-//! span) and produces:
+//! span). Every span under the root folds through [`crate::fold::FOLDS`]
+//! into a registry of its own, exactly as the global registry folded it
+//! when it closed, and [`Analysis::profile`] is the [`RunReport`] of that
+//! registry: the same series, by the same rows, that `/metrics` and
+//! `RunReport` read. The compute/network/serde/queue split and the
+//! dominant worker and opcode are read from it (`worker.{w}.*`,
+//! `rpc.gate_wait`, `inst.*`). Beside it stands what only the span tree
+//! knows:
 //!
-//! * a **wall-time breakdown** — compute vs network vs serde vs queue
-//!   vs recovery, drawn from the attributes the coordinator stamps on
-//!   `rpc.call` spans and from `recovery.*` span durations;
+//! * the root's **wall time** and the part of it its direct children
+//!   cover (interval union), so a low ratio means untraced gaps;
+//! * the **recovery time**, summed over `recovery.*` spans;
 //! * the **critical path** — the chain of spans from the root to the
-//!   leaf that finished last, which is what actually bounded the run;
-//! * **per-opcode and per-worker cost profiles** — mean/total nanos per
-//!   executed instruction kind and per federated worker, the
-//!   profile-guided-placement input the cost-based optimizer consumes.
-//!
-//! Attribution quality is reported explicitly: `attributed_nanos` is
-//! the part of the root span's wall time covered by its direct
-//! children (interval union), so a low ratio means untraced gaps.
+//!   leaf that finished last, which is what actually bounded the run.
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
 use crate::export::{json_escape_into, json_f64};
+use crate::fold;
+use crate::metrics::Registry;
+use crate::report::{ms, InstrProfile, RunReport, WorkerBreakdown};
 #[cfg(test)]
 use crate::trace::AttrValue;
 use crate::trace::{SpanKind, SpanRecord};
@@ -39,37 +42,6 @@ pub struct CriticalStep {
     pub depth: usize,
 }
 
-/// Aggregate cost of one instruction opcode across the computation.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct OpcodeCost {
-    /// Executions observed.
-    pub count: u64,
-    /// Summed span duration.
-    pub total_nanos: u64,
-}
-
-impl OpcodeCost {
-    /// Mean execution time per instance.
-    pub fn mean_nanos(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.total_nanos as f64 / self.count as f64
-        }
-    }
-}
-
-/// Aggregate cost attributed to one federated worker.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct WorkerCost {
-    /// RPCs sent to this worker.
-    pub calls: u64,
-    /// Worker-side execution time (from batch footers).
-    pub exec_nanos: u64,
-    /// Coordinator-side network wait for this worker.
-    pub net_nanos: u64,
-}
-
 /// The ANALYZE half of an explain report: the result of analyzing
 /// one computation's span forest.
 #[derive(Debug, Clone, Default)]
@@ -78,24 +50,16 @@ pub struct Analysis {
     pub wall_nanos: u64,
     /// Part of the root interval covered by its direct children.
     pub attributed_nanos: u64,
-    /// Worker-side execution time summed over all RPCs.
-    pub compute_nanos: u64,
-    /// Coordinator-side network wait summed over all RPCs.
-    pub network_nanos: u64,
-    /// Envelope encode/decode time summed over all RPCs.
-    pub serde_nanos: u64,
-    /// Admission/credit wait (RPC gate) summed over all RPCs.
-    pub queue_nanos: u64,
     /// Time inside recovery spans (checkpoint/restore/replay).
     pub recovery_nanos: u64,
     /// Root-to-latest-leaf chain that bounded the run.
     pub critical_path: Vec<CriticalStep>,
-    /// Per-opcode execution cost (from worker instruction spans).
-    pub per_opcode: BTreeMap<String, OpcodeCost>,
-    /// Per-worker execution/network cost (from RPC span attributes).
-    pub per_worker: BTreeMap<u64, WorkerCost>,
     /// Spans belonging to this computation's trace.
     pub span_count: usize,
+    /// The trace's spans folded through `FOLDS`: per-worker costs and
+    /// every opcode's `inst.*` row, the document `RunReport` sidecars
+    /// write.
+    pub profile: RunReport,
 }
 
 impl Analysis {
@@ -109,24 +73,41 @@ impl Analysis {
         }
     }
 
+    /// Worker-side execution time, summed over completed RPCs.
+    pub fn compute_nanos(&self) -> u64 {
+        self.profile.workers.iter().map(|w| w.exec_nanos).sum()
+    }
+
+    /// Coordinator-side send-to-receive time, summed over completed RPCs.
+    pub fn network_nanos(&self) -> u64 {
+        self.profile.workers.iter().map(|w| w.net_nanos).sum()
+    }
+
+    /// Envelope encode/decode time, summed over completed RPCs.
+    pub fn serde_nanos(&self) -> u64 {
+        self.profile.workers.iter().map(|w| w.serde_nanos).sum()
+    }
+
+    /// Admission/credit wait (the RPC gate), summed over completed RPCs.
+    pub fn queue_nanos(&self) -> u64 {
+        let gate = self.profile.metrics.histograms.get("rpc.gate_wait");
+        gate.map_or(0, |h| h.sum)
+    }
+
     /// The worker with the largest execution time, if any RPCs ran.
-    pub fn dominant_worker(&self) -> Option<u64> {
-        self.per_worker
-            .iter()
-            .max_by_key(|(_, c)| c.exec_nanos)
-            .map(|(w, _)| *w)
+    pub fn dominant_worker(&self) -> Option<&WorkerBreakdown> {
+        let ran = self.profile.workers.iter().filter(|w| w.rpcs > 0);
+        ran.max_by_key(|w| w.exec_nanos)
     }
 
-    /// The opcode with the largest total execution time, if any
-    /// instruction spans were observed.
-    pub fn dominant_opcode(&self) -> Option<&str> {
-        self.per_opcode
-            .iter()
-            .max_by_key(|(_, c)| c.total_nanos)
-            .map(|(name, _)| name.as_str())
+    /// The opcode with the largest total own time, if any instruction
+    /// completed.
+    pub fn dominant_opcode(&self) -> Option<&InstrProfile> {
+        self.profile.top_instructions.first()
     }
 
-    /// Renders the full report as a JSON object.
+    /// Renders the full report as a JSON object; `profile` is
+    /// [`RunReport::to_json`].
     pub fn to_json(&self) -> String {
         let mut out = String::with_capacity(2048);
         let _ = write!(
@@ -137,10 +118,10 @@ impl Analysis {
             self.wall_nanos,
             self.attributed_nanos,
             json_f64(self.attribution()),
-            self.compute_nanos,
-            self.network_nanos,
-            self.serde_nanos,
-            self.queue_nanos,
+            self.compute_nanos(),
+            self.network_nanos(),
+            self.serde_nanos(),
+            self.queue_nanos(),
             self.recovery_nanos,
             self.span_count
         );
@@ -161,63 +142,11 @@ impl Analysis {
                 step.duration_nanos, step.depth
             );
         }
-        out.push_str("],\"per_opcode\":");
-        out.push_str(&self.cost_profile_opcode_json());
-        out.push_str(",\"per_worker\":");
-        out.push_str(&self.cost_profile_worker_json());
+        out.push_str("],\"profile\":");
+        out.push_str(&self.profile.to_json());
         out.push('}');
         out
     }
-
-    /// Renders the per-opcode/per-worker cost profile alone — the
-    /// document persisted to `results/` as profile-guided-placement
-    /// input.
-    pub fn cost_profile_json(&self) -> String {
-        format!(
-            "{{\"per_opcode\":{},\"per_worker\":{}}}",
-            self.cost_profile_opcode_json(),
-            self.cost_profile_worker_json()
-        )
-    }
-
-    fn cost_profile_opcode_json(&self) -> String {
-        let mut out = String::from("{");
-        for (i, (name, c)) in self.per_opcode.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            json_escape_into(&mut out, name);
-            let _ = write!(
-                out,
-                ":{{\"count\":{},\"total_nanos\":{},\"mean_nanos\":{}}}",
-                c.count,
-                c.total_nanos,
-                json_f64(c.mean_nanos())
-            );
-        }
-        out.push('}');
-        out
-    }
-
-    fn cost_profile_worker_json(&self) -> String {
-        let mut out = String::from("{");
-        for (i, (w, c)) in self.per_worker.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let _ = write!(
-                out,
-                "\"{w}\":{{\"calls\":{},\"exec_nanos\":{},\"net_nanos\":{}}}",
-                c.calls, c.exec_nanos, c.net_nanos
-            );
-        }
-        out.push('}');
-        out
-    }
-}
-
-fn ms(nanos: u64) -> f64 {
-    nanos as f64 / 1e6
 }
 
 fn pct(part: u64, whole: u64) -> f64 {
@@ -237,42 +166,39 @@ impl std::fmt::Display for Analysis {
             100.0 * self.attribution(),
             self.span_count
         )?;
+        let (compute, network) = (self.compute_nanos(), self.network_nanos());
         writeln!(
             f,
             "  compute {:.1} ms ({:.0}%) | network {:.1} ms ({:.0}%) | serde {:.1} ms | queue {:.1} ms | recovery {:.1} ms",
-            ms(self.compute_nanos),
-            pct(self.compute_nanos, self.wall_nanos),
-            ms(self.network_nanos),
-            pct(self.network_nanos, self.wall_nanos),
-            ms(self.serde_nanos),
-            ms(self.queue_nanos),
+            ms(compute),
+            pct(compute, self.wall_nanos),
+            ms(network),
+            pct(network, self.wall_nanos),
+            ms(self.serde_nanos()),
+            ms(self.queue_nanos()),
             ms(self.recovery_nanos)
         )?;
-        if let Some(w) = self.dominant_worker() {
-            let c = self.per_worker[&w];
-            write!(
-                f,
-                "  dominant worker: {w} ({:.1} ms exec, {} calls)",
-                ms(c.exec_nanos),
-                c.calls
-            )?;
-        }
-        if let Some(op) = self.dominant_opcode() {
-            let c = self.per_opcode[op];
-            write!(
-                f,
-                "{}dominant opcode: {op} ({:.1} ms total, {} runs)",
-                if self.per_worker.is_empty() {
-                    "  "
-                } else {
-                    " | "
-                },
-                ms(c.total_nanos),
-                c.count
-            )?;
-        }
-        if self.dominant_worker().is_some() || self.dominant_opcode().is_some() {
-            writeln!(f)?;
+        let dominant: Vec<String> = [
+            self.dominant_worker().map(|w| {
+                let (exec, calls) = (ms(w.exec_nanos), w.rpcs);
+                format!(
+                    "dominant worker: {} ({exec:.1} ms exec, {calls} calls)",
+                    w.worker
+                )
+            }),
+            self.dominant_opcode().map(|p| {
+                let (total, runs) = (ms(p.total_nanos), p.count);
+                format!(
+                    "dominant opcode: {} ({total:.1} ms total, {runs} runs)",
+                    p.name
+                )
+            }),
+        ]
+        .into_iter()
+        .flatten()
+        .collect();
+        if !dominant.is_empty() {
+            writeln!(f, "  {}", dominant.join(" | "))?;
         }
         writeln!(f, "  critical path:")?;
         for step in &self.critical_path {
@@ -328,37 +254,22 @@ pub fn analyze(spans: &[SpanRecord], root_span_id: u64) -> Option<Analysis> {
         ..Analysis::default()
     };
 
-    // Walk the subtree under the root.
+    // Walk the subtree under the root, folding each span as the global
+    // registry folded it when it closed.
+    let folded = Registry::new();
     let mut stack: Vec<&SpanRecord> = vec![root];
     while let Some(rec) = stack.pop() {
         ex.span_count += 1;
-        if !std::ptr::eq(rec, root) {
-            match rec.kind {
-                SpanKind::Rpc => {
-                    ex.compute_nanos += rec.attr_u64("exec_nanos").unwrap_or(0);
-                    ex.network_nanos += rec.attr_u64("net_nanos").unwrap_or(0);
-                    ex.serde_nanos += rec.attr_u64("serde_nanos").unwrap_or(0);
-                    ex.queue_nanos += rec.attr_u64("gate_wait_nanos").unwrap_or(0);
-                    if let Some(w) = rec.attr_u64("worker") {
-                        let c = ex.per_worker.entry(w).or_default();
-                        c.calls += 1;
-                        c.exec_nanos += rec.attr_u64("exec_nanos").unwrap_or(0);
-                        c.net_nanos += rec.attr_u64("net_nanos").unwrap_or(0);
-                    }
-                }
-                SpanKind::Recovery => ex.recovery_nanos += rec.duration_nanos,
-                SpanKind::Instruction => {
-                    let c = ex.per_opcode.entry(rec.name.to_string()).or_default();
-                    c.count += 1;
-                    c.total_nanos += rec.duration_nanos;
-                }
-                _ => {}
-            }
+        fold::span_closed(&folded, rec);
+        if rec.kind == SpanKind::Recovery {
+            ex.recovery_nanos += rec.duration_nanos;
         }
         if let Some(kids) = children.get(&rec.span_id) {
             stack.extend(kids.iter().copied());
         }
     }
+    ex.profile = RunReport::from_registry(&folded);
+    ex.profile.spans_recorded = ex.span_count;
 
     ex.attributed_nanos = children
         .get(&root.span_id)
@@ -398,110 +309,147 @@ mod tests {
     use super::*;
     use crate::export::Json;
 
+    type Attrs<'a> = &'a [(&'static str, u64)];
+
     fn rec(
-        span_id: u64,
-        parent_id: u64,
+        id: u64,
+        parent: u64,
         kind: SpanKind,
         name: &'static str,
-        start: u64,
-        dur: u64,
-        attrs: Vec<(&'static str, AttrValue)>,
+        at: (u64, u64),
+        attrs: Attrs,
     ) -> SpanRecord {
         SpanRecord {
             trace_id: 1,
-            span_id,
-            parent_id,
+            span_id: id,
+            parent_id: parent,
             kind,
             name,
-            start_unix_nanos: start,
-            duration_nanos: dur,
-            attrs,
+            start_unix_nanos: at.0,
+            duration_nanos: at.1,
+            attrs: attrs.iter().map(|&(k, v)| (k, AttrValue::U64(v))).collect(),
         }
     }
 
+    /// An `rpc.call` under `session.compute` (span 11).
+    fn leg(id: u64, at: (u64, u64), attrs: Attrs) -> SpanRecord {
+        rec(id, 11, SpanKind::Rpc, "rpc.call", at, attrs)
+    }
+
+    /// An instruction in worker 1's batch (span 14).
+    fn inst(id: u64, name: &'static str, at: (u64, u64), attrs: Attrs) -> SpanRecord {
+        rec(id, 14, SpanKind::Instruction, name, at, attrs)
+    }
+
+    /// A traced `compute()` over two workers, with the completion
+    /// attributes real spans carry (`bytes_recv`, `own_nanos`).
     fn sample_forest() -> Vec<SpanRecord> {
+        let done = |w, exec, net, serde, gate| {
+            [
+                ("worker", w),
+                ("requests", 2),
+                ("bytes_recv", 32),
+                ("exec_nanos", exec),
+                ("net_nanos", net),
+                ("serde_nanos", serde),
+                ("gate_wait_nanos", gate),
+            ]
+        };
+        let mut other_trace = leg(
+            99,
+            (0, 5000),
+            &[("worker", 0), ("bytes_recv", 8), ("exec_nanos", 5000)],
+        );
+        other_trace.trace_id = 2;
+        other_trace.parent_id = 0;
         vec![
-            rec(10, 0, SpanKind::Session, "session.explain", 0, 1000, vec![]),
-            rec(11, 10, SpanKind::Session, "session.compute", 0, 980, vec![]),
-            rec(
-                12,
-                11,
-                SpanKind::Rpc,
-                "rpc.call",
-                10,
-                400,
-                vec![
-                    ("worker", AttrValue::U64(0)),
-                    ("exec_nanos", AttrValue::U64(300)),
-                    ("net_nanos", AttrValue::U64(80)),
-                    ("serde_nanos", AttrValue::U64(5)),
-                    ("gate_wait_nanos", AttrValue::U64(7)),
-                ],
-            ),
-            rec(
-                13,
-                11,
-                SpanKind::Rpc,
-                "rpc.call",
-                420,
-                500,
-                vec![
-                    ("worker", AttrValue::U64(1)),
-                    ("exec_nanos", AttrValue::U64(450)),
-                    ("net_nanos", AttrValue::U64(30)),
-                ],
-            ),
-            rec(14, 13, SpanKind::Worker, "worker.batch", 430, 460, vec![]),
-            rec(
-                15,
-                14,
-                SpanKind::Instruction,
-                "fed_matmul",
-                440,
-                400,
-                vec![],
-            ),
-            rec(16, 14, SpanKind::Instruction, "fed_sum", 845, 20, vec![]),
+            rec(10, 0, SpanKind::Session, "session.explain", (0, 1000), &[]),
+            rec(11, 10, SpanKind::Session, "session.compute", (0, 980), &[]),
+            leg(12, (10, 400), &done(0, 300, 380, 5, 7)),
+            leg(13, (420, 500), &done(1, 450, 480, 0, 0)),
+            rec(14, 13, SpanKind::Worker, "worker.batch", (430, 460), &[]),
+            inst(15, "fed_matmul", (440, 400), &[("own_nanos", 390)]),
+            inst(16, "fed_sum", (845, 20), &[("own_nanos", 15)]),
             // A different trace entirely: must be ignored.
-            SpanRecord {
-                trace_id: 2,
-                span_id: 99,
-                parent_id: 0,
-                kind: SpanKind::Rpc,
-                name: "rpc.call",
-                start_unix_nanos: 0,
-                duration_nanos: 5000,
-                attrs: vec![("exec_nanos", AttrValue::U64(5000))],
-            },
+            other_trace,
         ]
     }
 
     #[test]
-    fn breakdown_critical_path_and_profiles() {
+    fn breakdown_critical_path_and_profile() {
         let ex = analyze(&sample_forest(), 10).expect("root found");
         assert_eq!(ex.wall_nanos, 1000);
-        assert_eq!(ex.compute_nanos, 750);
-        assert_eq!(ex.network_nanos, 110);
-        assert_eq!(ex.serde_nanos, 5);
-        assert_eq!(ex.queue_nanos, 7);
+        assert_eq!((ex.compute_nanos(), ex.network_nanos()), (750, 860));
+        assert_eq!((ex.serde_nanos(), ex.queue_nanos()), (5, 7));
         assert_eq!(ex.span_count, 7);
         // Direct child covers [0, 980] of [0, 1000].
         assert_eq!(ex.attributed_nanos, 980);
         assert!(ex.attribution() >= 0.95);
-        assert_eq!(ex.dominant_worker(), Some(1));
-        assert_eq!(ex.dominant_opcode(), Some("fed_matmul"));
+        assert_eq!(ex.dominant_worker().map(|w| w.worker), Some(1));
+        let op = ex.dominant_opcode().expect("an instruction completed");
+        assert_eq!((op.name.as_str(), op.total_nanos), ("fed_matmul", 390));
+        assert_eq!(ex.profile.workers[1].requests, 2);
         let names: Vec<&str> = ex.critical_path.iter().map(|s| s.name).collect();
+        let leaf = ["rpc.call", "worker.batch", "fed_sum"];
         assert_eq!(
             names,
-            [
-                "session.explain",
-                "session.compute",
-                "rpc.call",
-                "worker.batch",
-                "fed_sum"
-            ]
+            [&["session.explain", "session.compute"][..], &leaf].concat()
         );
         assert_eq!(ex.critical_path[2].worker, Some(1));
+    }
+
+    #[test]
+    fn a_failed_call_or_instruction_counts_in_neither_view() {
+        let mut forest = sample_forest();
+        // A leg that never got its reply, and an instruction that failed.
+        forest.push(leg(
+            20,
+            (930, 40),
+            &[("worker", 2), ("requests", 1), ("exec_nanos", 30)],
+        ));
+        forest.push(inst(21, "fed_fail", (870, 9), &[]));
+        let ex = analyze(&forest, 10).unwrap();
+        // The global registry's view: each span folded as its guard closed.
+        let reg = Registry::new();
+        forest
+            .iter()
+            .filter(|s| s.trace_id == 1)
+            .for_each(|s| fold::span_closed(&reg, s));
+        let registry = RunReport::from_registry(&reg);
+        assert_eq!(ex.span_count, 9, "the failed spans are in the tree");
+        assert_eq!((ex.compute_nanos(), ex.profile.workers.len()), (750, 2));
+        assert_eq!(ex.profile.workers, registry.workers);
+        assert_eq!(ex.profile.top_instructions, registry.top_instructions);
+        assert!(ex
+            .profile
+            .top_instructions
+            .iter()
+            .all(|p| p.name != "fed_fail"));
+        assert_eq!(ex.profile.metrics.counters, registry.metrics.counters);
+    }
+
+    #[test]
+    fn a_column_group_run_shows_as_c_op() {
+        let mut forest = sample_forest();
+        forest.push(inst(22, "uak+", (870, 50), &[("c.own_nanos", 40)]));
+        let ex = analyze(&forest, 10).unwrap();
+        let ops: Vec<&str> = ex
+            .profile
+            .top_instructions
+            .iter()
+            .map(|p| p.name.as_str())
+            .collect();
+        assert_eq!(ops, ["fed_matmul", "c.uak+", "fed_sum"]);
+        assert_eq!(ex.profile.metrics.counter("compress.exec.direct"), 1);
+    }
+
+    #[test]
+    fn a_span_of_another_trace_is_ignored() {
+        let ex = analyze(&sample_forest(), 10).unwrap();
+        assert_eq!(ex.profile.workers[0].exec_nanos, 300);
+        assert_eq!(ex.profile.metrics.counter("rpc.calls"), 2);
+        let other = analyze(&sample_forest(), 99).unwrap();
+        assert_eq!((other.span_count, other.compute_nanos()), (1, 5000));
     }
 
     #[test]
@@ -509,15 +457,16 @@ mod tests {
         let ex = analyze(&sample_forest(), 10).unwrap();
         let text = format!("{ex}");
         assert!(text.contains("EXPLAIN ANALYZE"));
+        assert!(text
+            .contains("dominant worker: 1 (0.0 ms exec, 1 calls) | dominant opcode: fed_matmul"));
         assert!(text.contains("critical path:"));
         let doc = Json::parse(&ex.to_json()).expect("to_json parses");
         assert_eq!(doc.get("wall_nanos").and_then(Json::as_f64), Some(1000.0));
-        let profile = Json::parse(&ex.cost_profile_json()).expect("profile parses");
-        let matmul = profile
-            .get("per_opcode")
-            .and_then(|o| o.get("fed_matmul"))
-            .expect("fed_matmul present");
-        assert_eq!(matmul.get("count").and_then(Json::as_f64), Some(1.0));
+        let histograms = doc
+            .get("profile")
+            .and_then(|p| p.get("metrics")?.get("histograms"));
+        let matmul = histograms.and_then(|h| h.get("inst.fed_matmul")?.get("sum")?.as_f64());
+        assert_eq!(matmul, Some(390.0));
     }
 
     #[test]

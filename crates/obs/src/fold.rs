@@ -2,10 +2,12 @@
 //!
 //! Instrumented code records a fact once, as an attribute of its span.
 //! When an active span closes, its guard folds it into the global
-//! registry through [`FOLDS`], one row per series, so the spans (read by
-//! `EXPLAIN ANALYZE` and incident bundles) and the registry (read by
-//! `RunReport` and `/metrics`) cannot disagree. Nothing else writes these
-//! series; METRICS.md lists them with the directly written ones.
+//! registry through [`FOLDS`], one row per series. `EXPLAIN ANALYZE`
+//! folds a finished trace's spans through the same rows into a registry
+//! of its own, so it, incident bundles (which read spans) and `RunReport`
+//! and `/metrics` (which read the registry) cannot disagree. Nothing else
+//! writes these series; METRICS.md lists them with the directly written
+//! ones.
 //!
 //! A row reads the spans of one name; `{op}` stands for every instruction
 //! span, which is named by its opcode. A span folds through a row only if
@@ -109,7 +111,8 @@ folds! {
     }
 }
 
-/// Folds one closing span into `reg`.
+/// Folds one span into `reg`: the global registry as the span closes, or
+/// EXPLAIN ANALYZE's own registry for each span of a finished trace.
 pub(crate) fn span_closed(reg: &Registry, rec: &SpanRecord) {
     let mut name = String::new();
     for row in FOLDS {

@@ -20,10 +20,10 @@
 //! * **Flight recorder** ([`recorder`]): a bounded ring of recent spans
 //!   and events that dumps a JSON incident bundle when an anomaly
 //!   fires (worker death, session rejection, deadline miss, ...).
-//! * **EXPLAIN ANALYZE** ([`analyze()`]): critical-path analysis over one
-//!   computation's span forest — wall-time breakdown, dominant
-//!   worker/opcode, and per-opcode/per-worker cost profiles — yielding
-//!   an [`Analysis`].
+//! * **EXPLAIN ANALYZE** ([`analyze()`]): one computation's span forest
+//!   folded through [`fold`] into a registry of its own, whose
+//!   [`RunReport`] is the [`Analysis`]'s profile, plus the wall time, its
+//!   attribution and the critical path that only the span tree knows.
 //! * **HTTP endpoint** ([`http`]): the responder behind the workers'
 //!   and the coordinator daemon's `/healthz` + `/metrics` endpoints.
 //! * **EXPLAIN reports** ([`explain`]): the unified [`Explain`] document
@@ -31,13 +31,15 @@
 //!   estimates ([`PlanEstimate`]), optimizer rule hits ([`RuleFire`]),
 //!   and — once the plan ran — the measured [`Analysis`].
 //!
-//! [`report::RunReport`] assembles both into a human-readable per-run
-//! breakdown (compute/network/serde split per worker, top-N slowest
-//! instructions) and a JSON document the bench harness writes as a
-//! sidecar next to its results.
+//! [`report::RunReport`] assembles a registry into a human-readable
+//! per-run breakdown (compute/network/serde split per worker, every
+//! opcode's own time) and a JSON document: the sidecar the bench harness
+//! writes next to its results, and EXPLAIN ANALYZE's profile.
 //!
 //! Trace contexts are plain `u64` pairs so the RPC layer can propagate
 //! them over the wire without this crate knowing about the protocol.
+
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
 pub mod analyze;
 pub mod explain;
@@ -49,7 +51,7 @@ pub mod recorder;
 pub mod report;
 pub mod trace;
 
-pub use analyze::{analyze, Analysis, CriticalStep, OpcodeCost, WorkerCost};
+pub use analyze::{analyze, Analysis, CriticalStep};
 pub use explain::{Explain, PlanEstimate, RuleFire};
 pub use metrics::{global, Counter, Histogram, HistogramSummary, MetricsSnapshot, Registry};
 pub use report::{InstrProfile, NetTotals, RecoverySummary, RunReport, WorkerBreakdown};

@@ -1,22 +1,24 @@
 //! Per-run profile reports.
 //!
-//! [`RunReport`] condenses the global metrics registry (plus optional
-//! transport totals supplied by the caller, since this crate does not
-//! depend on `exdra-net`) into the two artifacts the exploratory loop
-//! needs: a human-readable breakdown (`Display`) and a JSON document
-//! (`to_json`) that bench bins write as a `results/<bin>.metrics.json`
-//! sidecar.
+//! [`RunReport`] condenses a metrics registry (plus optional transport
+//! totals supplied by the caller, since this crate does not depend on
+//! `exdra-net`) into the two artifacts the exploratory loop needs: a
+//! human-readable breakdown (`Display`) and a JSON document (`to_json`)
+//! that bench bins write as a `results/<bin>.metrics.json` sidecar. The
+//! registry is the global one, or the one EXPLAIN ANALYZE folds a single
+//! trace into ([`crate::analyze()`]), so both read one data model.
 //!
 //! The report reads the runtime's series by name; METRICS.md lists
 //! each one with its kind, unit and source.
 
+use std::collections::BTreeMap;
 use std::fmt;
 
 use crate::export::{json_escape_into, json_f64, to_json as metrics_to_json};
 use crate::metrics::{global, MetricsSnapshot, Registry};
 use crate::trace;
 
-/// How many of the slowest instructions a report keeps.
+/// How many of the slowest instructions `Display` lists.
 const TOP_N_INSTRUCTIONS: usize = 10;
 
 /// Process-lifetime transport totals (mirrors `NetStatsSnapshot`,
@@ -161,11 +163,12 @@ pub struct InstrProfile {
 }
 
 /// A condensed per-run profile. Build with [`RunReport::from_global`]
-/// (or `from_registry` for a scoped registry in tests).
+/// (or `from_registry` for a scoped registry: one trace's fold, a test's).
 #[derive(Debug, Clone, Default)]
 pub struct RunReport {
     pub metrics: MetricsSnapshot,
     pub workers: Vec<WorkerBreakdown>,
+    /// Every `inst.*` opcode, slowest total first.
     pub top_instructions: Vec<InstrProfile>,
     /// Spans sitting in the trace collector when the report was built.
     pub spans_recorded: usize,
@@ -201,9 +204,11 @@ impl RunReport {
         }
     }
 
-    /// JSON document for the bench sidecar:
-    /// `{"workers": [...], "top_instructions": [...], "net": {...}|null,
-    ///   "spans_recorded": n, "metrics": {"counters": .., "histograms": ..}}`
+    /// JSON document for the bench sidecar and the EXPLAIN ANALYZE
+    /// profile: `{"workers": [...], "top_instructions": [...],
+    ///   "net": {...}|null, "recovery": {...}|null,
+    ///   "parallelism": {...}|null, "spans_recorded": n,
+    ///   "metrics": {"counters": .., "histograms": ..}}`
     pub fn to_json(&self) -> String {
         let mut out = String::from("{\"workers\":[");
         for (i, w) in self.workers.iter().enumerate() {
@@ -386,7 +391,7 @@ fn extract_parallelism(snap: &MetricsSnapshot) -> Option<ParallelismSummary> {
         .histograms
         .get("par.threads_used")
         .map_or((0, 0.0), |h| (h.max, h.mean()));
-    let mut per: Vec<InstrParallelism> = Vec::new();
+    let mut per: BTreeMap<&str, InstrParallelism> = BTreeMap::new();
     for (name, &value) in &snap.counters {
         let Some(rest) = name.strip_prefix("par.inst.") else {
             continue;
@@ -394,16 +399,10 @@ fn extract_parallelism(snap: &MetricsSnapshot) -> Option<ParallelismSummary> {
         let Some((op, field)) = rest.rsplit_once('.') else {
             continue;
         };
-        let entry = match per.iter_mut().find(|p| p.name == op) {
-            Some(e) => e,
-            None => {
-                per.push(InstrParallelism {
-                    name: op.to_string(),
-                    ..Default::default()
-                });
-                per.last_mut().unwrap()
-            }
-        };
+        let entry = per.entry(op).or_insert_with(|| InstrParallelism {
+            name: op.to_string(),
+            ..Default::default()
+        });
         match field {
             "calls" => entry.calls = value,
             "regions" => entry.regions = value,
@@ -412,6 +411,7 @@ fn extract_parallelism(snap: &MetricsSnapshot) -> Option<ParallelismSummary> {
             _ => {}
         }
     }
+    let mut per: Vec<InstrParallelism> = per.into_values().collect();
     per.sort_by(|a, b| b.chunks.cmp(&a.chunks).then(a.name.cmp(&b.name)));
     Some(ParallelismSummary {
         regions,
@@ -440,11 +440,10 @@ fn extract_instructions(snap: &MetricsSnapshot) -> Vec<InstrProfile> {
         })
         .collect();
     out.sort_by(|a, b| b.total_nanos.cmp(&a.total_nanos).then(a.name.cmp(&b.name)));
-    out.truncate(TOP_N_INSTRUCTIONS);
     out
 }
 
-fn ms(nanos: u64) -> f64 {
+pub(crate) fn ms(nanos: u64) -> f64 {
     nanos as f64 / 1e6
 }
 
@@ -502,7 +501,7 @@ impl fmt::Display for RunReport {
         }
         if !self.top_instructions.is_empty() {
             writeln!(f, "top instructions by total time:")?;
-            for p in &self.top_instructions {
+            for p in self.top_instructions.iter().take(TOP_N_INSTRUCTIONS) {
                 writeln!(
                     f,
                     "  {:<24} {:>8} calls {:>10.2} ms total {:>10.1} us mean {:>10.1} us p95",
@@ -616,6 +615,19 @@ mod tests {
         assert_eq!(report.top_instructions[0].name, "fed_matmul");
         assert_eq!(report.top_instructions[0].count, 2);
         assert_eq!(report.top_instructions[1].name, "rbind");
+    }
+
+    #[test]
+    fn every_opcode_is_kept_and_display_lists_ten() {
+        let reg = seeded_registry();
+        for i in 0..12u64 {
+            reg.record(&format!("inst.op{i:02}"), 100 + i);
+        }
+        let report = RunReport::from_registry(&reg);
+        assert_eq!(report.top_instructions.len(), 14);
+        assert_eq!(report.top_instructions[13].name, "op00");
+        let text = format!("{report}");
+        assert!(text.contains("op04") && !text.contains("op03"), "{text}");
     }
 
     #[test]

@@ -8,7 +8,7 @@
 //! globals, so every test in this binary serializes on one gate and
 //! resets the observability layer while holding it.
 
-use std::collections::HashSet;
+use std::collections::{BTreeMap, HashSet};
 use std::sync::{Mutex, MutexGuard};
 
 use exdra::core::coordinator::FaultPolicy;
@@ -236,24 +236,91 @@ fn explain_analyze_attributes_lm_wall_time() {
     assert!(an.wall_nanos > 0);
     assert!(!an.critical_path.is_empty(), "critical path extracted");
     assert!(
-        !an.per_opcode.is_empty(),
-        "instruction spans rolled up into per-opcode costs"
+        !an.profile.top_instructions.is_empty(),
+        "instruction spans folded into per-opcode rows"
     );
     assert!(an.dominant_opcode().is_some());
     assert!(
-        !an.per_worker.is_empty(),
-        "rpc spans rolled up into per-worker costs"
+        !an.profile.workers.is_empty(),
+        "rpc spans folded into per-worker rows"
     );
     // The rendered report and persisted profile are well-formed.
     let rendered = format!("{ex}");
     assert!(rendered.contains("EXPLAIN"), "{rendered}");
     assert!(rendered.contains("EXPLAIN ANALYZE"), "{rendered}");
     assert!(exdra::obs::export::Json::parse(&ex.to_json()).is_ok());
-    assert!(exdra::obs::export::Json::parse(&an.cost_profile_json()).is_ok());
+    assert!(exdra::obs::export::Json::parse(&an.profile.to_json()).is_ok());
     assert!(
         !exdra::obs::enabled(),
         "explain_analyze restored the tracing flag"
     );
+}
+
+/// The nonzero `inst.*` histograms (count, sum) and `worker.*` counters
+/// of a snapshot.
+fn opcode_and_worker_series(
+    snap: &exdra::obs::MetricsSnapshot,
+) -> (BTreeMap<String, (u64, u64)>, BTreeMap<String, u64>) {
+    let inst = snap
+        .histograms
+        .iter()
+        .filter(|(n, _)| n.starts_with("inst."));
+    let worker = snap
+        .counters
+        .iter()
+        .filter(|(n, _)| n.starts_with("worker."));
+    (
+        inst.map(|(n, h)| (n.clone(), (h.count, h.sum))).collect(),
+        worker.map(|(n, &v)| (n.clone(), v)).collect(),
+    )
+}
+
+#[test]
+fn explain_analyze_profile_equals_the_registry_change_over_the_call() {
+    let _g = obs_test();
+    let (ctx, _workers) = mem_federation(2);
+    let sds = exdra::Session::builder()
+        .context(ctx)
+        .no_supervision()
+        .build()
+        .unwrap();
+    let x = rand_matrix(400, 8, -1.0, 1.0, 29);
+    let y = rand_matrix(400, 1, -1.0, 1.0, 30);
+    let fx = sds.federated(&x).unwrap();
+    let plan = fx.tsmm().unwrap().cbind(&fx.t_matmul(&sds.matrix(y)));
+    // The scatter above folded into the registry too: take the change.
+    let (inst_before, worker_before) = opcode_and_worker_series(&exdra::obs::global().snapshot());
+    let (_, ex) = sds.explain_analyze(&plan).unwrap();
+    let (inst_after, worker_after) = opcode_and_worker_series(&exdra::obs::global().snapshot());
+    let mut inst_delta = BTreeMap::new();
+    for (name, (count, sum)) in inst_after {
+        let (c0, s0) = inst_before.get(&name).copied().unwrap_or_default();
+        if count > c0 {
+            inst_delta.insert(name, (count - c0, sum - s0));
+        }
+    }
+    let mut worker_delta = BTreeMap::new();
+    for (name, v) in worker_after {
+        let v = v - worker_before.get(&name).copied().unwrap_or(0);
+        if v > 0 {
+            worker_delta.insert(name, v);
+        }
+    }
+
+    let an = ex.analysis().expect("analyzed section present after run");
+    let (mut inst, mut worker) = opcode_and_worker_series(&an.profile.metrics);
+    inst.retain(|_, &mut (count, _)| count > 0);
+    worker.retain(|_, v| *v > 0);
+    assert!(
+        !inst.is_empty() && !worker.is_empty(),
+        "{inst:?} {worker:?}"
+    );
+    assert_eq!(inst, inst_delta, "per-opcode own time");
+    assert_eq!(worker, worker_delta, "per-worker series");
+    // The rows the report derives agree with the series they come from.
+    for p in &an.profile.top_instructions {
+        assert_eq!(inst[&format!("inst.{}", p.name)], (p.count, p.total_nanos));
+    }
 }
 
 #[test]
