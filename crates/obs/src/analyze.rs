@@ -376,7 +376,7 @@ mod tests {
     }
 
     #[test]
-    fn breakdown_critical_path_and_profile() {
+    fn breakdown_critical_path_and_profiles() {
         let ex = analyze(&sample_forest(), 10).expect("root found");
         assert_eq!(ex.wall_nanos, 1000);
         assert_eq!((ex.compute_nanos(), ex.network_nanos()), (750, 860));

@@ -264,11 +264,11 @@ fn opcode_and_worker_series(
     let inst = snap
         .histograms
         .iter()
-        .filter(|(n, _)| n.starts_with("inst."));
+        .filter(|(n, h)| n.starts_with("inst.") && h.count > 0);
     let worker = snap
         .counters
         .iter()
-        .filter(|(n, _)| n.starts_with("worker."));
+        .filter(|(n, &v)| n.starts_with("worker.") && v > 0);
     (
         inst.map(|(n, h)| (n.clone(), (h.count, h.sum))).collect(),
         worker.map(|(n, &v)| (n.clone(), v)).collect(),
@@ -308,9 +308,7 @@ fn explain_analyze_profile_equals_the_registry_change_over_the_call() {
     }
 
     let an = ex.analysis().expect("analyzed section present after run");
-    let (mut inst, mut worker) = opcode_and_worker_series(&an.profile.metrics);
-    inst.retain(|_, &mut (count, _)| count > 0);
-    worker.retain(|_, v| *v > 0);
+    let (inst, worker) = opcode_and_worker_series(&an.profile.metrics);
     assert!(
         !inst.is_empty() && !worker.is_empty(),
         "{inst:?} {worker:?}"
