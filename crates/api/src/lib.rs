@@ -5,7 +5,7 @@
 //! analogue of SystemDS' Python API (paper §3.2): users create matrices
 //! from local data or federated configurations, compose operations into a
 //! DAG, and call `compute()`, which lowers the DAG into a logical
-//! [`Plan`], runs it through the cost-based [`Optimizer`] rule pipeline,
+//! [`Plan`], runs it through the rule-based [`Optimizer`] pipeline,
 //! executes the optimized plan on the runtime, and returns a local
 //! result. `Session::explain` renders the before/after plan scripts with
 //! estimated costs; `explain_analyze` additionally executes the plan and

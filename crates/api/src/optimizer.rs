@@ -1,4 +1,4 @@
-//! The cost-based logical-plan optimizer.
+//! The rule-based logical-plan optimizer.
 //!
 //! An [`Optimizer`] owns an ordered pipeline of [`OptimizerRule`]s.
 //! [`Optimizer::optimize`] runs each rule once, in order, over an
@@ -25,7 +25,8 @@
 //!
 //! Every rewrite is bitwise-exact by construction: rules only fire where
 //! DESIGN.md §4j proves the fused execution produces identical IEEE-754
-//! bit patterns.
+//! bit patterns. No rule reads a [`CostModel`]: rules fire on plan shape
+//! and placement alone, and the cost model prices EXPLAIN's estimates.
 
 use exdra_core::instruction::{Instruction::*, Wire};
 use exdra_matrix::kernels::elementwise::BinaryOp;
@@ -34,7 +35,7 @@ use exdra_obs::RuleFire;
 use crate::plan::{Loc, Plan, PlanOp};
 
 /// A cost model mapping plan shapes to estimated nanoseconds, fed to
-/// [`Plan::estimate`].
+/// [`Plan::estimate`] for EXPLAIN; no optimizer rule consults it.
 pub trait CostModel: Send + Sync {
     /// Estimated nanos to execute one `opcode` instance producing
     /// `out_cells` cells with `work` scalar operations.

@@ -20,10 +20,10 @@
 //!   every operator),
 //! * render itself as the numbered generated-DML script of the paper
 //!   ([`Plan::render`]), one runtime opcode per line,
-//! * estimate its execution cost against a
-//!   [`CostModel`] ([`Plan::estimate`]) by
-//!   replaying the federated dispatch rules of `exdra_core::Tensor`
-//!   symbolically (shape + locality inference), and
+//! * replay the federated dispatch of `exdra_core::Tensor` once per node,
+//!   which says both where the result lands (`Plan::meta`, what the rules
+//!   read) and what crosses the wire (priced against a [`CostModel`] by
+//!   [`Plan::estimate`]), and
 //! * execute itself ([`Plan::execute`]): one [`Tensor`] call per node,
 //!   in arena order. This is the only evaluator; [`Lazy::eval`] is the
 //!   unoptimized plan executed. The fused `mmchain` is only introduced by
@@ -34,8 +34,8 @@ use std::collections::HashMap;
 use std::sync::Arc;
 
 use exdra_core::instruction::Instruction;
-use exdra_core::{Result, RuntimeError, Tensor};
-use exdra_matrix::kernels::aggregates::AggDir;
+use exdra_core::{PartitionScheme, Result, RuntimeError, Tensor};
+use exdra_matrix::kernels::aggregates::{AggDir, AggOp};
 use exdra_matrix::DenseMatrix;
 use exdra_obs::PlanEstimate;
 
@@ -139,6 +139,20 @@ pub(crate) struct NodeMeta {
 }
 
 impl NodeMeta {
+    fn new(rows: usize, cols: usize, loc: Loc, parts: usize) -> NodeMeta {
+        let parts = if loc.is_fed() { parts } else { 0 };
+        NodeMeta {
+            rows,
+            cols,
+            loc,
+            parts,
+        }
+    }
+
+    fn shape(&self) -> (usize, usize) {
+        (self.rows, self.cols)
+    }
+
     pub(crate) fn cells(&self) -> u64 {
         self.rows as u64 * self.cols as u64
     }
@@ -271,49 +285,68 @@ impl Plan {
         lines.join("\n")
     }
 
-    /// Statically infers shape and locality per node by replaying the
-    /// `Tensor` dispatch rules. `None` entries mark nodes that would
-    /// error at runtime or whose placement cannot be decided statically;
-    /// optimizer rules must leave those subtrees untouched.
-    pub(crate) fn meta(&self) -> Vec<Option<NodeMeta>> {
-        let mut out: Vec<Option<NodeMeta>> = Vec::with_capacity(self.nodes.len());
+    /// Runs [`dispatch`] over the arena in order, hands every node it
+    /// places to `visit`, and returns the per-node metas.
+    fn walk(&self, mut visit: impl FnMut(&PlanOp, NodeMeta, Charges)) -> Vec<Option<NodeMeta>> {
+        let mut metas = Vec::with_capacity(self.nodes.len());
         for node in &self.nodes {
-            let m = infer(node, &out);
-            out.push(m);
+            let placed = dispatch(node, &metas);
+            if let Some((out, charges)) = placed {
+                visit(node, out, charges);
+            }
+            metas.push(placed.map(|(out, _)| out));
         }
-        out
+        metas
     }
 
-    /// Estimates execution cost against a [`CostModel`] by walking the
-    /// arena and charging each operator the transfers, request rounds,
-    /// and kernel time its dispatch implies (including the final
-    /// consolidation when the root stays federated). A node whose output
-    /// stays federated costs no round: its requests are deferred and ride
-    /// with the next node that fetches something. Each operator's kernel
-    /// is priced under its runtime opcode name. Nodes whose meta is
-    /// unknown contribute nothing — estimates are advisory.
+    /// Shape and locality per node, from [`dispatch`]. `None` entries
+    /// mark nodes that would error at runtime or whose placement cannot
+    /// be decided statically; optimizer rules must leave those subtrees
+    /// untouched. Prices nothing: the optimizer calls it on every compute.
+    pub(crate) fn meta(&self) -> Vec<Option<NodeMeta>> {
+        self.walk(|_, _, _| {})
+    }
+
+    /// Estimates execution cost against a [`CostModel`] by pricing every
+    /// node's [`Charges`]: each cell moved is 8 bytes, a consolidation
+    /// and a gather one round each, and the kernel is priced under the
+    /// instruction's runtime opcode name, divided over the sites it runs
+    /// at. The final consolidation of a federated root is one more round.
+    /// A node whose output stays federated costs no round: its requests
+    /// are deferred and ride with the next node that fetches something.
+    /// Nodes without a meta contribute nothing — estimates are advisory.
     pub fn estimate(&self, cost: &dyn CostModel) -> PlanEstimate {
-        let meta = self.meta();
-        let mut est = Estimator::default();
-        for (node, out) in self.nodes.iter().zip(&meta) {
-            if let (PlanOp::Inst(inst), Some(out)) = (node, out) {
-                estimate_node(inst, &meta, *out, cost, &mut est);
+        const B: u64 = 8;
+        let (mut bytes, mut rounds, mut compute) = (0u64, 0u64, 0.0);
+        let meta = self.walk(|node, out, c| {
+            let PlanOp::Inst(inst) = node else { return };
+            if let Some(cells) = c.consolidated {
+                bytes += cells * B;
+                rounds += 1;
             }
-        }
+            bytes += c.shipped * B;
+            if c.partials > 0 {
+                bytes += (c.sites * c.partials) as u64 * out.cells() * B;
+                rounds += 1;
+            }
+            if c.sites > 0 {
+                compute += cost.op_nanos(inst.name(), out.cells(), c.work) / c.sites as f64;
+            }
+        });
         if let Some(Some(root)) = meta.get(self.root) {
             if root.loc.is_fed() {
                 // `compute()` consolidates the federated result locally.
-                est.bytes += root.cells() * 8;
-                est.rounds += 1;
+                bytes += root.cells() * B;
+                rounds += 1;
             }
         }
         PlanEstimate {
-            bytes_moved: est.bytes,
-            round_trips: est.rounds,
-            compute_nanos: est.compute,
-            total_nanos: est.compute
-                + cost.transfer_nanos(est.bytes)
-                + est.rounds as f64 * cost.round_trip_nanos(),
+            bytes_moved: bytes,
+            round_trips: rounds,
+            compute_nanos: compute,
+            total_nanos: compute
+                + cost.transfer_nanos(bytes)
+                + rounds as f64 * cost.round_trip_nanos(),
         }
     }
 
@@ -359,152 +392,216 @@ fn lower(lazy: &Lazy, ids: &mut HashMap<*const Expr, usize>, nodes: &mut Vec<Pla
     id
 }
 
-fn fed_loc(scheme: exdra_core::PartitionScheme) -> Loc {
-    match scheme {
-        exdra_core::PartitionScheme::Row => Loc::FedRow,
-        exdra_core::PartitionScheme::Col => Loc::FedCol,
-    }
+/// What one node's execution moves and runs, before any pricing: what
+/// [`Plan::estimate`] prices and [`Plan::meta`] drops.
+#[derive(Debug, Clone, Copy, Default)]
+struct Charges {
+    /// Local-operand cells shipped to the sites: once when sliced by
+    /// partition range, once per partition when sent whole.
+    shipped: u64,
+    /// Cells of a federated operand consolidated at the coordinator
+    /// first, in a round of their own.
+    consolidated: Option<u64>,
+    /// Partial results of the output's shape each site sends back, in
+    /// one round (0: the output stays where it is).
+    partials: usize,
+    /// Scalar operations of the kernel.
+    work: u64,
+    /// Where the kernel runs: at each of the partitions, at the
+    /// coordinator (1), or nowhere (0: a federated `rbind` is metadata).
+    sites: usize,
 }
 
-/// Replays the `Tensor::matmul` consolidate-smaller-side rule: returns
-/// the effective operand localities and the surviving partition count.
-fn matmul_effective(a: NodeMeta, b: NodeMeta) -> (Loc, Loc, usize) {
-    match (a.loc, b.loc) {
-        (Loc::Local, Loc::Local) => (Loc::Local, Loc::Local, 0),
-        (al, Loc::Local) => (al, Loc::Local, a.parts),
-        (Loc::Local, bl) => (Loc::Local, bl, b.parts),
-        (al, bl) => {
-            if a.cells() <= b.cells() {
-                (Loc::Local, bl, b.parts)
-            } else {
-                (al, Loc::Local, a.parts)
-            }
-        }
-    }
-}
-
-fn infer(node: &PlanOp, meta: &[Option<NodeMeta>]) -> Option<NodeMeta> {
+/// The one replay of `Tensor`'s federated dispatch for a plan node, over
+/// its operands' metas: where its result lands and what it costs to get
+/// there. `None` where `Tensor` would error, or where placement cannot be
+/// decided statically (aligned-ness of two column-partitioned operands).
+fn dispatch(node: &PlanOp, meta: &[Option<NodeMeta>]) -> Option<(NodeMeta, Charges)> {
     use Instruction::*;
+    use Loc::{FedCol, FedRow, Local};
     let m = |id: &u64| meta[*id as usize];
-    let some = |rows, cols, loc, parts| {
-        Some(NodeMeta {
-            rows,
-            cols,
-            loc,
-            parts: if loc == Loc::Local { 0 } else { parts },
-        })
+    let at = NodeMeta::new;
+    // A kernel of `work` operations run where `x` lives (each partition,
+    // or the coordinator); a federated output stays there, no round.
+    let kernel = |x: NodeMeta, work: u64| Charges {
+        work,
+        sites: x.parts.max(1),
+        ..Charges::default()
     };
     let inst = match node {
-        PlanOp::SourceLocal(x) => return some(x.rows(), x.cols(), Loc::Local, 0),
-        PlanOp::SourceFed(f) => {
-            return some(f.rows(), f.cols(), fed_loc(f.scheme()), f.parts().len())
-        }
         PlanOp::Inst(inst) => inst,
-    };
-    match inst {
-        MatMul {
-            lhs,
-            rhs,
-            t_lhs: false,
-            ..
-        } => {
-            let (a, b) = (m(lhs)?, m(rhs)?);
-            if a.cols != b.rows {
-                return None;
-            }
-            let (al, bl, parts) = matmul_effective(a, b);
-            let loc = match (al, bl) {
-                (Loc::Local, Loc::Local) => Loc::Local,
-                (Loc::FedRow, Loc::Local) => Loc::FedRow,
-                (Loc::FedCol, Loc::Local) => Loc::Local,
-                (Loc::Local, Loc::FedRow) => Loc::Local,
-                (Loc::Local, Loc::FedCol) => Loc::FedCol,
-                _ => return None,
-            };
-            some(a.rows, b.cols, loc, parts)
+        PlanOp::SourceLocal(x) => {
+            return Some((at(x.rows(), x.cols(), Local, 0), Charges::default()))
         }
+        PlanOp::SourceFed(f) => {
+            let loc = if f.scheme() == PartitionScheme::Row {
+                FedRow
+            } else {
+                FedCol
+            };
+            let out = at(f.rows(), f.cols(), loc, f.parts().len());
+            return Some((out, Charges::default()));
+        }
+    };
+    Some(match inst {
         MatMul {
-            lhs,
-            rhs,
-            t_lhs: true,
-            ..
+            lhs, rhs, t_lhs, ..
         } => {
             let (a, b) = (m(lhs)?, m(rhs)?);
-            if a.rows != b.rows {
+            let (rows, inner) = if *t_lhs {
+                (a.cols, a.rows)
+            } else {
+                (a.rows, a.cols)
+            };
+            if inner != b.rows {
                 return None;
             }
-            let (loc, parts) = match (a.loc, b.loc) {
-                // Aligned row partitions run fully federated with local
-                // partial aggregation; non-aligned consolidates the rhs
-                // and lands local either way.
-                (Loc::FedRow, Loc::FedRow) => (Loc::Local, 0),
-                (Loc::Local, Loc::Local) => (Loc::Local, 0),
-                (Loc::FedRow, Loc::Local) => (Loc::Local, 0),
-                (Loc::FedCol, Loc::Local) => (Loc::FedRow, a.parts),
-                (Loc::Local, Loc::FedRow) => (Loc::Local, 0),
-                (Loc::Local, Loc::FedCol) => (Loc::FedCol, b.parts),
-                (Loc::FedRow, Loc::FedCol) => (Loc::Local, 0),
-                (Loc::FedCol, Loc::FedRow) => (Loc::FedRow, a.parts),
-                // Col×Col: aligned-ness decides error vs consolidate —
-                // not statically knowable.
-                (Loc::FedCol, Loc::FedCol) => return None,
+            let work = 2 * a.cells() * b.cols as u64;
+            let local = |x: NodeMeta| at(x.rows, x.cols, Local, 0);
+            // Two federated operands: `t-ba+*` runs row partitions where
+            // they are (taken as aligned: unaligned ones land local too);
+            // otherwise the smaller operand (`ba+*`) or the right one
+            // (`t-ba+*`) is consolidated first.
+            let (a, b, consolidated) = match (a.loc, b.loc) {
+                (Local, _) | (_, Local) => (a, b, None),
+                (FedRow, FedRow) if *t_lhs => {
+                    let c = Charges {
+                        partials: 1,
+                        ..kernel(a, work)
+                    };
+                    return Some((at(rows, b.cols, Local, 0), c));
+                }
+                (FedCol, FedCol) if *t_lhs => return None,
+                _ if !*t_lhs && a.cells() <= b.cells() => (local(a), b, Some(a.cells())),
+                _ => (a, local(b), Some(b.cells())),
             };
-            some(a.cols, b.cols, loc, parts)
+            if !a.loc.is_fed() && !b.loc.is_fed() {
+                return Some((at(rows, b.cols, Local, 0), kernel(a, work)));
+            }
+            // One federated operand `f`: when the output is partitioned
+            // like it, the local one goes whole to every partition;
+            // otherwise each partition gets its slice and the partial
+            // products come back.
+            let (f, l, loc) = if a.loc.is_fed() {
+                let by_rows = (a.loc == FedRow) != *t_lhs;
+                (a, b, if by_rows { FedRow } else { Local })
+            } else {
+                (b, a, if b.loc == FedCol { FedCol } else { Local })
+            };
+            let whole = loc.is_fed();
+            let c = Charges {
+                shipped: if whole { f.parts as u64 } else { 1 } * l.cells(),
+                consolidated,
+                partials: usize::from(!whole),
+                ..kernel(f, work)
+            };
+            (at(rows, b.cols, loc, f.parts), c)
         }
         Tsmm { x, left: true, .. } => {
             let a = m(x)?;
-            if a.loc == Loc::FedCol {
+            if a.loc == FedCol {
                 return None; // federated tsmm requires row partitioning
             }
-            some(a.cols, a.cols, Loc::Local, 0)
-        }
-        Binary { lhs, rhs, .. } => {
-            let (a, b) = (m(lhs)?, m(rhs)?);
-            let (rows, cols) = broadcast_shape(a, b)?;
-            let (loc, parts) = match (a.loc, b.loc) {
-                (Loc::Local, Loc::Local) => (Loc::Local, 0),
-                (al, Loc::Local) => (al, a.parts),
-                (Loc::Local, bl) => (bl, b.parts),
-                // Fed×Fed requires co-partitioning; keep the lhs shape.
-                (al, _) => (al, a.parts),
+            let c = Charges {
+                partials: usize::from(a.loc.is_fed()),
+                ..kernel(a, a.cells() * a.cols as u64)
             };
-            some(rows, cols, loc, parts)
+            (at(a.cols, a.cols, Local, 0), c)
+        }
+        MmChain { x, v, w, .. } => {
+            let (x, v) = (m(x)?, m(v)?);
+            let w = match w {
+                Some(w) => Some(m(w)?),
+                None => None,
+            };
+            let w_fits = |w: NodeMeta| w.loc == Local && w.shape() == (x.rows, v.cols);
+            if x.loc == FedCol || v.loc != Local || v.rows != x.cols || !w.is_none_or(w_fits) {
+                return None;
+            }
+            // `v` goes whole to every partition, `w` one slice to each.
+            let fed = x.loc.is_fed();
+            let w_cells = w.filter(|_| fed).map_or(0, |w| w.cells());
+            let c = Charges {
+                shipped: x.parts as u64 * v.cells() + w_cells,
+                partials: usize::from(fed),
+                ..kernel(x, 4 * x.cells())
+            };
+            (at(x.cols, v.cols, Local, 0), c)
+        }
+        Binary { lhs, rhs, op, .. } => {
+            let (a, b) = (m(lhs)?, m(rhs)?);
+            let (out, shipped) = match (a.loc, b.loc) {
+                // The local kernel broadcasts a scalar or vector `b` only.
+                (Local, Local) => {
+                    let fits = [a.shape(), (1, 1), (1, a.cols), (a.rows, 1)].contains(&b.shape());
+                    (fits.then_some(a)?, 0)
+                }
+                (_, Local) => with_local(a, b)?,
+                // A scalar or an operand of `b`'s shape stays on the left;
+                // any other local left operand only commutes there.
+                (Local, _)
+                    if a.shape() == (1, 1) || a.shape() == b.shape() || op.is_commutative() =>
+                {
+                    with_local(b, a)?
+                }
+                (Local, _) => return None,
+                // Co-partitioned: `b` may be an aligned vector.
+                (al, bl) => {
+                    let vector = if al == FedRow {
+                        (a.rows, 1)
+                    } else {
+                        (1, a.cols)
+                    };
+                    let fits = b.shape() == a.shape() || b.shape() == vector;
+                    ((al == bl && a.parts == b.parts && fits).then_some(a)?, 0)
+                }
+            };
+            let c = Charges {
+                shipped,
+                ..kernel(out, out.cells())
+            };
+            (out, c)
         }
         Scalar { x, .. } | Unary { x, .. } | Replace { x, .. } => {
             let a = m(x)?;
-            some(a.rows, a.cols, a.loc, a.parts)
+            (a, kernel(a, a.cells()))
         }
         Softmax { x, .. } | RowIndexMax { x, .. } => {
             let a = m(x)?;
-            if a.loc == Loc::FedCol {
+            if a.loc == FedCol {
                 return None; // row-wise ops require row partitioning
             }
             let cols = if let Softmax { .. } = inst { a.cols } else { 1 };
-            some(a.rows, cols, a.loc, a.parts)
+            let out = at(a.rows, cols, a.loc, a.parts);
+            (out, kernel(a, out.cells()))
         }
-        Agg { x, dir, .. } => {
+        Agg { x, op, dir, .. } => {
             let a = m(x)?;
             let (rows, cols) = match dir {
                 AggDir::Full => (1, 1),
                 AggDir::Row => (a.rows, 1),
                 AggDir::Col => (1, a.cols),
             };
-            let stays_fed = (a.loc == Loc::FedRow && *dir == AggDir::Row)
-                || (a.loc == Loc::FedCol && *dir == AggDir::Col);
-            if stays_fed {
-                some(rows, cols, a.loc, a.parts)
-            } else {
-                some(rows, cols, Loc::Local, 0)
-            }
+            // Along the partitioned dimension the output stays at the
+            // sites; across it, partial statistics come back (sums and
+            // sums of squares for a variance).
+            let stays = matches!((a.loc, dir), (FedRow, AggDir::Row) | (FedCol, AggDir::Col));
+            let loc = if stays { a.loc } else { Local };
+            let stats = 1 + usize::from(matches!(op, AggOp::Var | AggOp::Sd));
+            let c = Charges {
+                partials: if a.loc.is_fed() && !stays { stats } else { 0 },
+                ..kernel(a, a.cells())
+            };
+            (at(rows, cols, loc, a.parts), c)
         }
         Transpose { x, .. } => {
             let a = m(x)?;
             let loc = match a.loc {
-                Loc::Local => Loc::Local,
-                Loc::FedRow => Loc::FedCol,
-                Loc::FedCol => Loc::FedRow,
+                Local => Local,
+                FedRow => FedCol,
+                FedCol => FedRow,
             };
-            some(a.cols, a.rows, loc, a.parts)
+            (at(a.cols, a.rows, loc, a.parts), kernel(a, a.cells()))
         }
         Index {
             x,
@@ -516,249 +613,56 @@ fn infer(node: &PlanOp, meta: &[Option<NodeMeta>]) -> Option<NodeMeta> {
         } => {
             let a = m(x)?;
             let (rl, ru, cl, cu) = (*row_lo, *row_hi, *col_lo, *col_hi);
-            if rl >= ru || cl >= cu || ru > a.rows as u64 || cu > a.cols as u64 {
+            if rl >= ru || cl >= cu || ru > a.rows as u64 || cu > a.cols as u64 || a.loc == FedCol {
                 return None;
             }
-            if a.loc == Loc::FedCol {
-                return None;
-            }
-            some((ru - rl) as usize, (cu - cl) as usize, a.loc, a.parts)
+            let out = at((ru - rl) as usize, (cu - cl) as usize, a.loc, a.parts);
+            (out, kernel(a, out.cells()))
         }
-        Rbind { a, b, .. } => {
+        Rbind { a, b, .. } | Cbind { a, b, .. } => {
             let (a, b) = (m(a)?, m(b)?);
-            if a.cols != b.cols {
-                return None;
-            }
-            match (a.loc, b.loc) {
-                (Loc::Local, Loc::Local) => some(a.rows + b.rows, a.cols, Loc::Local, 0),
-                (Loc::FedRow, Loc::FedRow) => {
-                    some(a.rows + b.rows, a.cols, Loc::FedRow, a.parts + b.parts)
-                }
-                _ => None,
-            }
-        }
-        Cbind { a, b, .. } => {
-            let (a, b) = (m(a)?, m(b)?);
-            if a.rows != b.rows {
-                return None;
-            }
-            match (a.loc, b.loc) {
-                (Loc::Local, Loc::Local) => some(a.rows, a.cols + b.cols, Loc::Local, 0),
-                (Loc::FedRow, Loc::FedRow) => some(a.rows, a.cols + b.cols, Loc::FedRow, a.parts),
-                _ => None,
-            }
-        }
-        MmChain { x, .. } => {
-            let x = m(x)?;
-            some(x.cols, 1, Loc::Local, 0)
+            let stack = matches!(inst, Rbind { .. });
+            let (rows, cols, parts, fits) = if stack {
+                (a.rows + b.rows, a.cols, a.parts + b.parts, a.cols == b.cols)
+            } else {
+                (a.rows, a.cols + b.cols, a.parts, a.rows == b.rows)
+            };
+            let out = match (a.loc, b.loc) {
+                (Local, Local) | (FedRow, FedRow) if fits => at(rows, cols, a.loc, parts),
+                _ => return None,
+            };
+            // A federated rbind concatenates federation maps: no kernel runs.
+            let c = if stack && out.loc.is_fed() {
+                Charges::default()
+            } else {
+                kernel(a, out.cells())
+            };
+            (out, c)
         }
         // No Lazy call builds the other rows: they do not execute here.
-        _ => None,
-    }
+        _ => return None,
+    })
 }
 
-/// Broadcast result shape with lhs-major semantics (rhs may be a scalar
-/// or a conforming row/col vector; a scalar lhs broadcasts over the rhs).
-fn broadcast_shape(a: NodeMeta, b: NodeMeta) -> Option<(usize, usize)> {
-    if (a.rows, a.cols) == (1, 1) && (b.rows, b.cols) != (1, 1) {
-        Some((b.rows, b.cols))
-    } else if (b.rows, b.cols) == (1, 1)
-        || (a.rows, a.cols) == (b.rows, b.cols)
-        || (b.rows == a.rows && b.cols == 1)
-        || (b.rows == 1 && b.cols == a.cols)
-    {
-        Some((a.rows, a.cols))
+/// `FedMatrix::binary_with_local` over federated `f` and local `l`: a
+/// 1x1 `l` travels as the instruction's literal, a vector along the
+/// unpartitioned dimension goes whole to every partition, and anything
+/// else of `f`'s extent is sliced by partition range. Returns the output
+/// meta and the cells shipped.
+fn with_local(f: NodeMeta, l: NodeMeta) -> Option<(NodeMeta, u64)> {
+    if l.shape() == (1, 1) {
+        return Some((f, 0));
+    }
+    // `l`'s extent along and across the partitioned dimension.
+    let ((along, across), (extent, width)) = if f.loc == Loc::FedRow {
+        (l.shape(), f.shape())
     } else {
-        None
+        ((l.cols, l.rows), (f.cols, f.rows))
+    };
+    if along == 1 && across == width {
+        return Some((f, f.parts as u64 * l.cells()));
     }
-}
-
-#[derive(Default)]
-struct Estimator {
-    bytes: u64,
-    rounds: u64,
-    compute: f64,
-}
-
-/// Charges one node's dispatch to the estimator, its kernel priced under
-/// the instruction's name. Kernel time for ops executing at the sites is
-/// divided by the partition count (perfectly parallel sites) so placement
-/// decisions see the compute shift.
-fn estimate_node(
-    inst: &Instruction,
-    meta: &[Option<NodeMeta>],
-    out: NodeMeta,
-    cost: &dyn CostModel,
-    est: &mut Estimator,
-) {
-    use Instruction::*;
-    const B: u64 = 8;
-    let m = |id: &u64| meta[*id as usize];
-    let sites = |parts: usize| parts.max(1) as f64;
-    let name = inst.name();
-    match inst {
-        MatMul {
-            lhs,
-            rhs,
-            t_lhs: false,
-            ..
-        } => {
-            let (Some(a), Some(b)) = (m(lhs), m(rhs)) else {
-                return;
-            };
-            let work = 2 * a.rows as u64 * a.cols as u64 * b.cols as u64;
-            let (al, bl, parts) = matmul_effective(a, b);
-            let kernel = cost.op_nanos(name, out.cells(), work);
-            match (al, bl) {
-                (Loc::Local, Loc::Local) => est.compute += kernel,
-                _ => {
-                    if a.loc.is_fed() && b.loc.is_fed() {
-                        // Consolidation of the smaller operand.
-                        est.bytes += a.cells().min(b.cells()) * B;
-                        est.rounds += 1;
-                    }
-                    let local_cells = if al == Loc::Local {
-                        a.cells()
-                    } else {
-                        b.cells()
-                    };
-                    let sliced = matches!(
-                        (al, bl),
-                        (Loc::FedCol, Loc::Local) | (Loc::Local, Loc::FedRow)
-                    );
-                    // Broadcast (full per site, or sliced once) and
-                    // execution share one batch; partial outputs return,
-                    // and cost the round, when the result lands local.
-                    est.bytes += if sliced {
-                        local_cells * B
-                    } else {
-                        parts as u64 * local_cells * B
-                    };
-                    if out.loc == Loc::Local {
-                        est.bytes += parts as u64 * out.cells() * B;
-                        est.rounds += 1;
-                    }
-                    est.compute += kernel / sites(parts);
-                }
-            }
-        }
-        MatMul {
-            lhs,
-            rhs,
-            t_lhs: true,
-            ..
-        } => {
-            let (Some(a), Some(b)) = (m(lhs), m(rhs)) else {
-                return;
-            };
-            let work = 2 * a.rows as u64 * a.cols as u64 * b.cols as u64;
-            let kernel = cost.op_nanos(name, out.cells(), work);
-            match (a.loc, b.loc) {
-                (Loc::Local, Loc::Local) => est.compute += kernel,
-                (Loc::FedRow, Loc::FedRow) => {
-                    // Aligned: one exec round, partial gets.
-                    est.bytes += a.parts as u64 * out.cells() * B;
-                    est.rounds += 1;
-                    est.compute += kernel / sites(a.parts);
-                }
-                _ => {
-                    let (fed, local_cells) = if a.loc.is_fed() {
-                        (a, b.cells())
-                    } else {
-                        (b, a.cells())
-                    };
-                    if a.loc.is_fed() && b.loc.is_fed() {
-                        est.bytes += b.cells() * B;
-                        est.rounds += 1;
-                    }
-                    est.bytes += local_cells * B;
-                    if out.loc == Loc::Local {
-                        est.bytes += fed.parts as u64 * out.cells() * B;
-                        est.rounds += 1;
-                    }
-                    est.compute += kernel / sites(fed.parts);
-                }
-            }
-        }
-        Tsmm { x, .. } => {
-            let Some(a) = m(x) else { return };
-            let work = a.rows as u64 * a.cols as u64 * a.cols as u64;
-            let kernel = cost.op_nanos(name, out.cells(), work);
-            if a.loc.is_fed() {
-                est.bytes += a.parts as u64 * out.cells() * B;
-                est.rounds += 1;
-                est.compute += kernel / sites(a.parts);
-            } else {
-                est.compute += kernel;
-            }
-        }
-        MmChain { x, v, w, .. } => {
-            let Some(x) = m(x) else { return };
-            let work = 4 * x.rows as u64 * x.cols as u64;
-            let kernel = cost.op_nanos(name, out.cells(), work);
-            if x.loc.is_fed() {
-                // `v` is broadcast whole to every worker; `w` is sliced
-                // per partition, so it crosses the wire exactly once.
-                let v_cells = m(v).map_or(0, |v| v.cells());
-                let w_cells = w.as_ref().and_then(m).map_or(0, |w| w.cells());
-                est.bytes +=
-                    x.parts as u64 * v_cells * B + w_cells * B + x.parts as u64 * out.cells() * B;
-                est.rounds += 1;
-                est.compute += kernel / sites(x.parts);
-            } else {
-                est.compute += kernel;
-            }
-        }
-        Binary { lhs, rhs, .. } => {
-            let (Some(a), Some(b)) = (m(lhs), m(rhs)) else {
-                return;
-            };
-            let kernel = cost.op_nanos(name, out.cells(), out.cells());
-            if out.loc.is_fed() {
-                let local_cells = if a.loc == Loc::Local {
-                    a.cells()
-                } else if b.loc == Loc::Local {
-                    b.cells()
-                } else {
-                    0 // co-partitioned: no movement
-                };
-                est.bytes += local_cells * B;
-                est.compute += kernel / sites(out.parts);
-            } else {
-                est.compute += kernel;
-            }
-        }
-        Scalar { .. } | Unary { .. } | Softmax { .. } | Replace { .. } | RowIndexMax { .. } => {
-            let kernel = cost.op_nanos(name, out.cells(), out.cells());
-            est.compute += kernel / sites(out.parts);
-        }
-        Agg { x, .. } => {
-            let Some(a) = m(x) else { return };
-            let kernel = cost.op_nanos(name, out.cells(), a.cells());
-            if a.loc.is_fed() {
-                if out.loc == Loc::Local {
-                    // Partial stats return per partition.
-                    est.bytes += a.parts as u64 * out.cells() * B;
-                    est.rounds += 1;
-                }
-                est.compute += kernel / sites(a.parts);
-            } else {
-                est.compute += kernel;
-            }
-        }
-        Transpose { x, .. } | Index { x, .. } | Cbind { a: x, .. } => {
-            let Some(a) = m(x) else { return };
-            let kernel = cost.op_nanos(name, out.cells(), out.cells());
-            if a.loc.is_fed() || out.loc.is_fed() {
-                est.compute += kernel / sites(out.parts.max(a.parts));
-            } else {
-                est.compute += kernel;
-            }
-        }
-        // Federated rbind is metadata-only; `infer` leaves every other
-        // row without a meta, so it is never charged.
-        _ => {}
-    }
+    (along == extent && (across == 1 || across == width)).then_some((f, l.cells()))
 }
 
 fn eval_op(node: &PlanOp, vals: &[Option<Tensor>]) -> Result<Tensor> {
@@ -865,6 +769,34 @@ mod tests {
             got.values(),
             "plan executes bitwise like Lazy"
         );
+    }
+
+    #[test]
+    fn a_scalar_left_of_a_larger_local_matrix_has_no_meta() {
+        let s = Lazy::from_local(rand_matrix(1, 1, 0.0, 1.0, 3));
+        let x = Lazy::from_local(rand_matrix(4, 2, 0.0, 1.0, 4));
+        let expr = s.add(&x).unwrap();
+        assert!(expr.compute().is_err(), "the local kernel rejects it");
+        let plan = Plan::from_lazy(&expr);
+        assert!(plan.meta()[plan.root()].is_none());
+        // On the right it broadcasts.
+        let plan = Plan::from_lazy(&x.add(&s).unwrap());
+        assert!(plan.meta()[plan.root()].is_some());
+    }
+
+    #[test]
+    fn a_local_vector_left_of_a_federated_matrix_needs_a_commutative_op() {
+        let (ctx, _workers) = exdra_core::testutil::mem_federation(2);
+        let x = rand_matrix(6, 3, 0.0, 1.0, 5);
+        let public = exdra_core::PrivacyLevel::Public;
+        let fed = Lazy::from_fed(exdra_core::FedMatrix::scatter_rows(&ctx, &x, public).unwrap());
+        let row = Lazy::from_local(rand_matrix(1, 3, 0.0, 1.0, 6));
+        for (op, runs) in [(BinaryOp::Add, true), (BinaryOp::Sub, false)] {
+            let expr = row.binary(op, &fed);
+            assert_eq!(expr.compute().is_ok(), runs, "{op:?}");
+            let plan = Plan::from_lazy(&expr);
+            assert_eq!(plan.meta()[plan.root()].is_some(), runs, "{op:?}");
+        }
     }
 
     #[test]

@@ -74,7 +74,6 @@ pub struct SessionBuilder {
     target: Target,
     privacy: PrivacyLevel,
     supervision: Option<SupervisionPolicy>,
-    threads: Option<usize>,
     optimizer: Option<Optimizer>,
 }
 
@@ -84,7 +83,6 @@ impl Default for SessionBuilder {
             target: Target::Local,
             privacy: PrivacyLevel::Public,
             supervision: Some(SupervisionPolicy::default()),
-            threads: None,
             optimizer: None,
         }
     }
@@ -151,19 +149,6 @@ impl SessionBuilder {
         self
     }
 
-    /// Pins the intra-operator compute pool to `n` threads (`1` means
-    /// exact serial execution; `0` is rejected by `build()` with a typed
-    /// [`FedError::Config`]). This is a **process-global** setting
-    /// applied at `build()` — it overrides the `EXDRA_THREADS`
-    /// environment variable and the auto-detected core count, and
-    /// affects kernels run outside this session too. Results are
-    /// bitwise identical at every thread count; see the "Threading &
-    /// reproducibility" section of the README.
-    pub fn threads(mut self, n: usize) -> Self {
-        self.threads = Some(n);
-        self
-    }
-
     /// Replaces the session's plan [`Optimizer`]. The default is
     /// [`Optimizer::new`] — the `cse`/`fuse-ops` pipeline. Pass
     /// [`Optimizer::disabled`] to execute plans exactly as written (the
@@ -180,16 +165,6 @@ impl SessionBuilder {
     /// the coordinator service that supervises connected sessions
     /// (unless [`SessionBuilder::no_supervision`] was called).
     pub fn build(self) -> Result<Session> {
-        if self.threads == Some(0) {
-            return Err(FedError::Config(
-                "threads(0): the compute pool needs at least one thread \
-                 (use threads(1) for exact serial execution)"
-                    .into(),
-            ));
-        }
-        if let Some(n) = self.threads {
-            exdra_par::set_threads(n);
-        }
         let mut tenant = None;
         let mut attached = None;
         let ctx = match self.target {
@@ -550,39 +525,6 @@ mod tests {
     use super::*;
     use exdra_core::testutil::mem_federation;
     use exdra_matrix::rng::rand_matrix;
-
-    #[test]
-    fn threads_knob_pins_the_pool() {
-        let sds = Session::builder().threads(2).build().unwrap();
-        assert_eq!(exdra_par::threads(), 2);
-        // `threads(0)` is a typed configuration error, not a silent clamp.
-        let err = Session::builder()
-            .threads(0)
-            .build()
-            .map(|_| ())
-            .unwrap_err();
-        assert!(
-            matches!(err, FedError::Config(_)),
-            "expected FedError::Config, got {err:?}"
-        );
-        assert!(err.to_string().contains("invalid configuration"));
-        // A rejected build leaves the process-global pool untouched.
-        assert_eq!(exdra_par::threads(), 2);
-        // Results are identical across widths by the determinism contract.
-        let m = rand_matrix(40, 17, -1.0, 1.0, 42);
-        let serial = {
-            let x = sds.matrix(m.clone());
-            x.matmul(&sds.matrix(m.clone()).t()).compute().unwrap()
-        };
-        exdra_par::set_threads(4);
-        let par = {
-            let x = sds.matrix(m.clone());
-            x.matmul(&sds.matrix(m.clone()).t()).compute().unwrap()
-        };
-        assert_eq!(serial.values(), par.values());
-        // Clear the process-global override for other tests.
-        exdra_par::set_threads(0);
-    }
 
     #[test]
     fn local_session_computes() {

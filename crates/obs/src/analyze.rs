@@ -78,9 +78,15 @@ impl Analysis {
         self.profile.workers.iter().map(|w| w.exec_nanos).sum()
     }
 
-    /// Coordinator-side send-to-receive time, summed over completed RPCs.
+    /// Coordinator-side send-to-receive time outside the worker's
+    /// execution ([`WorkerBreakdown::net_wait_nanos`]), summed over
+    /// completed RPCs, so compute and network never count one span twice.
     pub fn network_nanos(&self) -> u64 {
-        self.profile.workers.iter().map(|w| w.net_nanos).sum()
+        self.profile
+            .workers
+            .iter()
+            .map(|w| w.net_wait_nanos())
+            .sum()
     }
 
     /// Envelope encode/decode time, summed over completed RPCs.
@@ -379,7 +385,7 @@ mod tests {
     fn breakdown_critical_path_and_profiles() {
         let ex = analyze(&sample_forest(), 10).expect("root found");
         assert_eq!(ex.wall_nanos, 1000);
-        assert_eq!((ex.compute_nanos(), ex.network_nanos()), (750, 860));
+        assert_eq!((ex.compute_nanos(), ex.network_nanos()), (750, 110));
         assert_eq!((ex.serde_nanos(), ex.queue_nanos()), (5, 7));
         assert_eq!(ex.span_count, 7);
         // Direct child covers [0, 980] of [0, 1000].
@@ -396,6 +402,15 @@ mod tests {
             [&["session.explain", "session.compute"][..], &leaf].concat()
         );
         assert_eq!(ex.critical_path[2].worker, Some(1));
+    }
+
+    #[test]
+    fn compute_and_network_fit_in_the_attributed_time() {
+        // Each leg's execution lies inside its send-to-receive time: the
+        // network share is only the wait around it.
+        let ex = analyze(&sample_forest(), 10).unwrap();
+        assert_eq!(ex.network_nanos(), (380 - 300) + (480 - 450));
+        assert!(ex.compute_nanos() + ex.network_nanos() <= ex.attributed_nanos);
     }
 
     #[test]

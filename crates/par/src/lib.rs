@@ -26,11 +26,11 @@
 //!
 //! The pool width comes from, in priority order: a thread-local
 //! [`with_threads`] override (scoped, for tests), the process-global
-//! [`set_threads`] override (`SessionBuilder::threads`), the
-//! `EXDRA_THREADS` environment variable (read once), and finally
-//! [`std::thread::available_parallelism`]. Nested regions — a parallel
-//! kernel invoked from inside a chunk — run serially on the worker that
-//! reached them, so recursion never oversubscribes the machine.
+//! [`set_threads`] override, the `EXDRA_THREADS` environment variable
+//! (read once), and finally [`std::thread::available_parallelism`].
+//! Nested regions — a parallel kernel invoked from inside a chunk — run
+//! serially on the worker that reached them, so recursion never
+//! oversubscribes the machine.
 
 use std::cell::Cell;
 use std::ops::Range;
@@ -83,9 +83,8 @@ pub fn threads() -> usize {
     hardware_threads()
 }
 
-/// Sets the process-global pool width (`SessionBuilder::threads` lands
-/// here). `0` clears the override, falling back to `EXDRA_THREADS` /
-/// `available_parallelism`.
+/// Sets the process-global pool width. `0` clears the override, falling
+/// back to `EXDRA_THREADS` / `available_parallelism`.
 pub fn set_threads(n: usize) {
     GLOBAL_THREADS.store(n, Ordering::Relaxed);
 }

@@ -15,6 +15,7 @@ use std::sync::Arc;
 use exdra::api::{Lazy, Optimizer, Plan, ProfileCostModel, Session};
 use exdra::core::testutil::mem_federation;
 use exdra::core::{FedContext, FedMatrix, Tensor};
+use exdra::matrix::kernels::aggregates::{AggDir, AggOp};
 use exdra::matrix::kernels::elementwise::{BinaryOp, UnaryOp};
 use exdra::matrix::rng::rand_matrix;
 use exdra::matrix::DenseMatrix;
@@ -228,4 +229,159 @@ fn plans_take_at_most_two_rounds_and_the_estimate_says_so() {
             assert!(opt.messages_sent <= t.messages_sent, "{name}");
         }
     }
+}
+
+/// `Plan::estimate` against the wire on every instruction row and operand
+/// placement it accepts, over row- and column-partitioned `X`: the
+/// estimate counts the rounds exactly and, for the rows that ship a
+/// local operand (`ba+*`, `t-ba+*`, `mmchain`, `binary`), the bytes.
+#[test]
+fn estimates_match_the_wire_on_every_row_and_placement() {
+    /// Largest relative gap between estimated bytes (8 a cell) and the
+    /// bytes on the wire, which add framing, opcodes and ids.
+    const BYTES_BOUND: f64 = 0.02;
+    let (n, d) = (2_000, 50);
+    let (ctx, workers) = mem_federation(WORKERS);
+    drop(workers);
+    let local = |rows, cols, seed| Lazy::from_local(rand_matrix(rows, cols, -1.0, 1.0, seed));
+    let fed = |m: &DenseMatrix, by_rows: bool| {
+        let f = if by_rows {
+            FedMatrix::scatter_rows(&ctx, m, PrivacyLevel::Public)
+        } else {
+            FedMatrix::scatter_cols(&ctx, m, PrivacyLevel::Public)
+        };
+        Lazy::from_fed(f.unwrap())
+    };
+    let xm = rand_matrix(n, d, -1.0, 1.0, 20);
+    let (x, xr, xc) = (
+        Lazy::from_local(xm.clone()),
+        fed(&xm, true),
+        fed(&xm, false),
+    );
+    let gm = rand_matrix(d, d, -1.0, 1.0, 21);
+    let (gr, gc) = (fed(&gm, true), fed(&gm, false));
+    // A wide `W`, so that the vectors it ships whole (a row vector, the
+    // `v` of an mmchain) are large.
+    let wm = rand_matrix(10, 10_000, -1.0, 1.0, 22);
+    let (wl, wr) = (Lazy::from_local(wm.clone()), fed(&wm, true));
+    let (y, b, bt) = (local(n, d, 23), local(d, d, 24), local(d, n, 25));
+    let (row, col, s) = (local(1, d, 26), local(n, 1, 27), local(1, 1, 28));
+    let (v, w) = (local(10_000, 1, 29), local(10, 1, 30));
+    let add = |a: &Lazy, b: &Lazy| a.binary(BinaryOp::Add, b);
+    let sub = |a: &Lazy, b: &Lazy| a.binary(BinaryOp::Sub, b);
+
+    // (what, plan, whether its bytes are held to the bound)
+    let mut cases: Vec<(String, Plan, bool)> = Vec::new();
+    let mut push = |what: &str, lazy: &Lazy, bytes: bool| {
+        cases.push((what.to_string(), Plan::from_lazy(lazy), bytes))
+    };
+    push("X %*% B", &x.matmul(&b), true);
+    push("Xr %*% B", &xr.matmul(&b), true);
+    push("Xc %*% B", &xc.matmul(&b), true);
+    push("Bt %*% Xr", &bt.matmul(&xr), true);
+    push("Bt %*% Xc", &bt.matmul(&xc), true);
+    push("Xr %*% Gr", &xr.matmul(&gr), true);
+    push("Xr %*% Gc", &xr.matmul(&gc), true);
+    push("Xc %*% Gr", &xc.matmul(&gr), true);
+    push("Xc %*% Gc", &xc.matmul(&gc), true);
+    push("t(Xc) %*% Xr", &xc.t().matmul(&xr), true);
+    push("t(Xr) %*% Xc", &xr.t().matmul(&xc), true);
+    push("t-ba+*(X, Y)", &x.t_matmul(&y), true);
+    push("t-ba+*(Xr, Y)", &xr.t_matmul(&y), true);
+    push("t-ba+*(Xc, Y)", &xc.t_matmul(&y), true);
+    push("t-ba+*(Y, Xr)", &y.t_matmul(&xr), true);
+    push("t-ba+*(Y, Xc)", &y.t_matmul(&xc), true);
+    push("t-ba+*(Xr, Xr)", &xr.t_matmul(&xr), true);
+    push("t-ba+*(Xr, Xc)", &xr.t_matmul(&xc), true);
+    push("t-ba+*(Xc, Xr)", &xc.t_matmul(&xr), true);
+    push("X + Y", &add(&x, &y), true);
+    push("X - row", &sub(&x, &row), true);
+    push("X - col", &sub(&x, &col), true);
+    push("X - s", &sub(&x, &s), true);
+    push("Wr - row", &sub(&wr, &local(1, 10_000, 31)), true);
+    push("Xr + abs(Xr)", &add(&xr, &xr.unary(UnaryOp::Abs)), true);
+    push("Xc + abs(Xc)", &add(&xc, &xc.unary(UnaryOp::Abs)), true);
+    let by_row_sums = xr.div(&xr.row_sums().unwrap()).unwrap();
+    push("Xr / rowSums(Xr)", &by_row_sums, true);
+    let by_col_sums = xc.div(&xc.col_sums().unwrap()).unwrap();
+    push("Xc / colSums(Xc)", &by_col_sums, true);
+    for (f, src) in [("Xr", &xr), ("Xc", &xc)] {
+        for (l, other) in [("s", &s), ("row", &row), ("col", &col), ("Y", &y)] {
+            push(&format!("{f} - {l}"), &sub(src, other), true);
+            // Local on the left: a scalar or `Y` as is, a vector commuted.
+            if matches!(l, "s" | "Y") {
+                push(&format!("{l} - {f}"), &sub(other, src), true);
+            } else {
+                push(&format!("{l} + {f}"), &add(other, src), true);
+            }
+        }
+    }
+    for (what, src) in [("X", &x), ("Xr", &xr), ("Xc", &xc)] {
+        push(
+            &format!("2 * {what}"),
+            &src.scalar(BinaryOp::Mul, 2.0, true),
+            false,
+        );
+        push(&format!("abs({what})"), &src.unary(UnaryOp::Abs), false);
+        push(&format!("replace({what})"), &src.replace(0.0, 1.0), false);
+        push(&format!("t({what})"), &src.t(), false);
+        for (op, dir) in [
+            (AggOp::Sum, AggDir::Full),
+            (AggOp::Sum, AggDir::Row),
+            (AggOp::Mean, AggDir::Col),
+            (AggOp::Sd, AggDir::Col),
+            (AggOp::Var, AggDir::Row),
+        ] {
+            push(&format!("{op:?}/{dir:?}({what})"), &src.agg(op, dir), false);
+        }
+        if what != "Xc" {
+            let abs = src.unary(UnaryOp::Abs);
+            push(&format!("softmax({what})"), &src.softmax(), false);
+            push(&format!("rowIndexMax({what})"), &src.row_index_max(), false);
+            // Rows 500..1500 span both partitions.
+            push(
+                &format!("{what}[500:1500, 10:40]"),
+                &src.index(500, 1_500, 10, 40),
+                false,
+            );
+            push(&format!("rbind({what}, abs)"), &src.rbind(&abs), false);
+            push(&format!("cbind({what}, abs)"), &src.cbind(&abs), false);
+        }
+    }
+    push("tsmm(X)", &x.tsmm().unwrap(), false);
+    push("tsmm(Xr)", &xr.tsmm().unwrap(), false);
+    // The fusion rule is the only way to an `mmchain` row.
+    for (what, src) in [("W", &wl), ("Wr", &wr)] {
+        let q = src.matmul(&v);
+        let chains = [
+            (format!("mmchain({what}, v)"), src.t_matmul(&q)),
+            (
+                format!("mmchain({what}, v, w)"),
+                src.t_matmul(&q.mul(&w).unwrap()),
+            ),
+        ];
+        for (name, lazy) in chains {
+            let (plan, _) = Optimizer::new().optimize(&Plan::from_lazy(&lazy));
+            assert!(plan.render().contains("mmchain"), "{}", plan.render());
+            cases.push((name, plan, true));
+        }
+    }
+
+    let cost = ProfileCostModel::default();
+    let mut wrong = Vec::new();
+    for (what, plan, bytes_held) in &cases {
+        let est = plan.estimate(&cost);
+        let (_, t) = traffic(&ctx, || plan.compute().unwrap());
+        let wire = t.bytes_sent + t.bytes_received;
+        let gap = (est.bytes_moved as f64 - wire as f64).abs() / (wire.max(1) as f64);
+        if est.round_trips != rounds(&t) || (*bytes_held && gap > BYTES_BOUND) {
+            wrong.push(format!(
+                "{what}: estimated {} rounds and {} B, measured {} rounds and {wire} B",
+                est.round_trips,
+                est.bytes_moved,
+                rounds(&t)
+            ));
+        }
+    }
+    assert!(wrong.is_empty(), "{}", wrong.join("\n"));
 }
