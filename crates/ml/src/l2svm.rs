@@ -113,17 +113,18 @@ pub fn l2svm(x: &Tensor, y: &DenseMatrix, params: &L2SvmParams) -> Result<L2SvmM
                 obj += 0.5 * o * o;
             }
         }
+        iterations += 1;
+        let rel_decrease = (objective - obj).abs() / obj.abs().max(1e-30);
+        objective = obj;
+        // Both exits before the gradient: the last iteration's would
+        // cost a federated round that nothing reads.
+        if rel_decrease < params.tol || iterations >= params.max_iter {
+            break;
+        }
         // g_new = t(X) %*% (out ⊙ y ⊙ sv) - lambda w
         let mut g_new = x.t_matmul(&Tensor::Local(out))?.to_local()?;
         for (gv, wv) in g_new.values_mut().iter_mut().zip(w.values()) {
             *gv -= params.lambda * wv;
-        }
-
-        iterations += 1;
-        let rel_decrease = (objective - obj).abs() / obj.abs().max(1e-30);
-        objective = obj;
-        if rel_decrease < params.tol {
-            break;
         }
         // Fletcher–Reeves conjugate direction update.
         let beta = dot(&g_new, &g_new) / dot(&g_old, &g_old).max(1e-300);
