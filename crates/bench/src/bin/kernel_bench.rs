@@ -33,7 +33,7 @@ use exdra_core::instruction::Instruction;
 use exdra_core::protocol::{Request, Response};
 use exdra_core::worker::{Worker, WorkerConfig};
 use exdra_core::PrivacyLevel;
-use exdra_matrix::compress::CompressedMatrix;
+use exdra_matrix::compress::{product_body, CompressedMatrix};
 use exdra_matrix::eigen::eigen_symmetric;
 use exdra_matrix::kernels::aggregates::{aggregate, AggDir, AggOp};
 use exdra_matrix::kernels::elementwise::{binary, scalar, BinaryOp};
@@ -739,7 +739,8 @@ fn lan_partition(rows: usize, cols: usize) -> DenseMatrix {
 /// column groups, and as a worker answers it on the compacted frame (on
 /// the column groups, DESIGN.md §4k), request handling included. Every
 /// result is asserted bitwise the dense kernel's; bytes/s uses the bytes
-/// each representation touches.
+/// each representation touches. `body` names the body the column-group
+/// products ran on (`avx512` or `portable`).
 /// Prints the table and returns its JSON object.
 fn compressed_table(d: &DenseMatrix, reps: usize) -> String {
     let (crows, ccols) = d.shape();
@@ -748,6 +749,8 @@ fn compressed_table(d: &DenseMatrix, reps: usize) -> String {
     let comp_bytes = c.size_bytes() as f64;
     let cv = rand_matrix(ccols, 1, -1.0, 1.0, 6);
     let cw = rand_matrix(crows, 1, 0.0, 1.0, 7);
+    // MLogReg's gradient: `t(X)` times a residual of 3 classes.
+    let cr = rand_matrix(crows, 3, -1.0, 1.0, 8);
     // (name, dense kernel, column-group kernel, the worker's instruction)
     type Pair<'a> = (
         &'a str,
@@ -755,7 +758,7 @@ fn compressed_table(d: &DenseMatrix, reps: usize) -> String {
         Box<dyn Fn() -> DenseMatrix + 'a>,
         Instruction,
     );
-    let (x_id, v_id, w_id, out_id) = (1, 2, 3, 9);
+    let (x_id, v_id, w_id, r_id, out_id) = (1, 2, 3, 4, 9);
     let agg = |op, dir| Instruction::Agg {
         x: x_id,
         op,
@@ -794,6 +797,12 @@ fn compressed_table(d: &DenseMatrix, reps: usize) -> String {
             product(w_id, true),
         ),
         (
+            "t(X)*R3",
+            Box::new(|| matmul_tn(d, &cr).expect("shapes")),
+            Box::new(|| c.t_matmul(&cr).expect("shapes")),
+            product(r_id, true),
+        ),
+        (
             "t(X)*(w.*(X*v))",
             Box::new(|| mmchain(d, &cv, Some(&cw)).expect("shapes")),
             Box::new(|| c.mmchain(&cv, Some(&cw)).expect("shapes")),
@@ -817,10 +826,11 @@ fn compressed_table(d: &DenseMatrix, reps: usize) -> String {
             },
         ),
     ];
-    let tw = bench_worker(d, &[(v_id, &cv), (w_id, &cw)], true);
+    let tw = bench_worker(d, &[(v_id, &cv), (w_id, &cw), (r_id, &cr)], true);
+    let body = product_body();
     let mut table = Table::new(
         &format!(
-            "Compressed-domain ops, X {crows}x{ccols} (ratio {:.1}x)",
+            "Compressed-domain ops, X {crows}x{ccols} (ratio {:.1}x, {body} products)",
             c.ratio()
         ),
         &[
@@ -870,7 +880,8 @@ fn compressed_table(d: &DenseMatrix, reps: usize) -> String {
     }
     table.print();
     format!(
-        "    {{\"rows\": {crows}, \"cols\": {ccols}, \"ratio\": {:.3}, \"ops\": [\n{}\n    ]}}",
+        "    {{\"rows\": {crows}, \"cols\": {ccols}, \"ratio\": {:.3}, \"body\": \"{body}\", \
+         \"ops\": [\n{}\n    ]}}",
         c.ratio(),
         rows.join(",\n")
     )

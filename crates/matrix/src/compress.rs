@@ -24,17 +24,23 @@
 //! codes in L1-sized row tiles, four DDC8 columns per sweep, phase 1
 //! adding pre-scaled dictionary entries (`dict[k]·v[c]`, the bits of
 //! `x·v[c]`); the Col aggregates push four DDC8 columns per sweep too.
-//! The wins
-//! are the 4-8x smaller memory traffic of 1-2 byte codes (a 20k×100
-//! partition's 2 MB of codes stays in a core's L2, its 16 MB dense form
-//! does not) and the avoided decompress allocation, not a reduced op
-//! count.
+//! On a CPU with `avx512f` the products run an AVX-512 twin that holds a
+//! DDC8 dictionary of at most 16 entries in two registers and decodes 8
+//! codes per instruction: rows in lanes in phase 1, a transposed 8×8
+//! block in phase 2, each lane the portable body's chain (DESIGN.md §4k).
+//! The wins are the 4-8x smaller memory traffic of 1-2 byte codes (a
+//! 20k×100 partition's 2 MB of codes stays in a core's L2, its 16 MB
+//! dense form does not), the avoided decompress allocation, and, in the
+//! twin, fewer instructions: one table lookup does the work of 8 cell
+//! loads, and in phase 2 every column of `Y` reuses one decode.
 
 use std::ops::Range;
 
 use crate::dense::DenseMatrix;
 use crate::error::{MatrixError, Result};
 use crate::kernels::aggregates::{self, col_chains, AggDir, AggKernel, AggOp, Chains};
+#[cfg(target_arch = "x86_64")]
+use crate::kernels::avx512_available;
 use crate::kernels::elementwise::{BinaryOp, UnaryOp};
 use crate::kernels::reorg;
 use crate::kernels::{
@@ -259,8 +265,16 @@ struct Dicts {
     tables: Vec<[f64; 256]>,
 }
 
-/// Four consecutive DDC8 columns: their tables and codes.
-type Quad<'a> = [(&'a [f64; 256], &'a [u8]); 4];
+/// One DDC8 column: its table and its codes.
+type Coded<'a> = (&'a [f64; 256], &'a [u8]);
+
+/// Four consecutive DDC8 columns.
+type Quad<'a> = [Coded<'a>; 4];
+
+/// Most entries a dictionary may have for the AVX-512 twin to decode its
+/// codes in registers: the table fills two `zmm` registers, which one
+/// `vpermt2pd` indexes by a 4-bit code.
+const LANE_DICT: usize = 16;
 
 impl Dicts {
     fn new(groups: &[ColumnGroup], scale: Option<&[f64]>) -> Self {
@@ -279,22 +293,73 @@ impl Dicts {
         Self { slot, tables }
     }
 
-    /// Columns `c..c + 4`, when all four are DDC8 and below `end`.
-    fn quad<'a>(&'a self, groups: &'a [ColumnGroup], c: usize, end: usize) -> Option<Quad<'a>> {
-        if c + 4 > end {
+    /// Column `c`, when it is DDC8 with at most `max` dictionary entries.
+    fn column<'a>(&'a self, groups: &'a [ColumnGroup], c: usize, max: usize) -> Option<Coded<'a>> {
+        match &groups[c] {
+            ColumnGroup::Ddc8 { dict, codes } if dict.len() <= max => {
+                Some((&self.tables[self.slot[c]], codes))
+            }
+            _ => None,
+        }
+    }
+
+    /// Columns `c..c + N`, when all `N` are below `end` and DDC8 with at
+    /// most `max` dictionary entries.
+    fn run<'a, const N: usize>(
+        &'a self,
+        groups: &'a [ColumnGroup],
+        c: usize,
+        end: usize,
+        max: usize,
+    ) -> Option<[Coded<'a>; N]> {
+        if c + N > end {
             return None;
         }
-        let one = |c: usize| match &groups[c] {
-            ColumnGroup::Ddc8 { codes, .. } => Some((&self.tables[self.slot[c]], codes.as_slice())),
-            _ => None,
-        };
-        Some([one(c)?, one(c + 1)?, one(c + 2)?, one(c + 3)?])
+        let run: [Option<Coded>; N] = std::array::from_fn(|i| self.column(groups, c + i, max));
+        run.iter()
+            .all(Option::is_some)
+            .then(|| run.map(Option::unwrap))
+    }
+
+    /// Columns `c..c + 4`, when all four are DDC8 and below `end`.
+    fn quad<'a>(&'a self, groups: &'a [ColumnGroup], c: usize, end: usize) -> Option<Quad<'a>> {
+        self.run(groups, c, end, 256)
+    }
+}
+
+/// The body that runs the column-group products. Both add the same terms
+/// in the same order, so the choice never changes a bit.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Body {
+    /// The scalar loops: every host, and the twin's oracle.
+    Portable,
+    /// The AVX-512 twin, on x86-64 hosts with `avx512f`.
+    Avx512,
+}
+
+impl Body {
+    /// The widest body this CPU runs.
+    fn detect() -> Self {
+        #[cfg(target_arch = "x86_64")]
+        if avx512_available() {
+            return Body::Avx512;
+        }
+        Body::Portable
+    }
+}
+
+/// The body the column-group products `X v`, `t(X) Y` and `mmchain` run on
+/// this CPU: `"avx512"` or `"portable"`.
+pub fn product_body() -> &'static str {
+    match Body::detect() {
+        Body::Portable => "portable",
+        Body::Avx512 => "avx512",
     }
 }
 
 /// `q[r] *= w[r]`: phase 1's row weights, applied once each row's chain
 /// is complete.
-fn weigh(q: &mut [f64], w: Option<&[f64]>) {
+fn weigh<'a>(q: &mut [f64], w: Option<impl Iterator<Item = &'a f64>>) {
     if let Some(w) = w {
         for (qi, &wi) in q.iter_mut().zip(w) {
             *qi *= wi;
@@ -360,6 +425,97 @@ fn push_quad<C: Chains>(quad: Quad, lo: usize, hi: usize, acc: &mut [C]) {
         a3.push(t3[k3 as usize]);
     }
     acc[..4].copy_from_slice(&[a0, a1, a2, a3]);
+}
+
+/// The 8 doubles of `src` as one vector.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f")]
+#[inline]
+fn load8(src: &[f64]) -> core::arch::x86_64::__m512d {
+    let src: &[f64; 8] = src.try_into().expect("8 doubles");
+    // SAFETY: `src` holds the 8 doubles the load reads.
+    unsafe { core::arch::x86_64::_mm512_loadu_pd(src.as_ptr()) }
+}
+
+/// Decodes 8 codes of at most [`LANE_DICT`] entries from the table whose
+/// entries `0..8` are `lo` and `8..16` are `hi`: lane `i` is
+/// `table[codes[i]]`.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f")]
+#[inline]
+fn lookup(
+    lo: core::arch::x86_64::__m512d,
+    hi: core::arch::x86_64::__m512d,
+    codes: &[u8],
+) -> core::arch::x86_64::__m512d {
+    use core::arch::x86_64::*;
+    let codes = u64::from_le_bytes(codes.try_into().expect("8 codes"));
+    let idx = _mm512_srlv_epi64(
+        _mm512_set1_epi64(codes as i64),
+        _mm512_setr_epi64(0, 8, 16, 24, 32, 40, 48, 56),
+    );
+    _mm512_permutex2var_pd(lo, idx, hi)
+}
+
+/// Phase 1 of the AVX-512 twin on the `C` columns `cols` and the rows
+/// `at..at + q.len()`, a multiple of 8: adds the columns in turn, decoded
+/// in registers, to each vector of 8 chains of `q`.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f")]
+#[inline]
+fn add_lanes<const C: usize>(cols: &[Coded; C], at: usize, q: &mut [f64]) {
+    use core::arch::x86_64::*;
+    let mut tables = [(_mm512_setzero_pd(), _mm512_setzero_pd()); C];
+    for (slot, &(t, _)) in tables.iter_mut().zip(cols) {
+        *slot = (load8(&t[..8]), load8(&t[8..16]));
+    }
+    let codes = cols.map(|(_, codes)| &codes[at..at + q.len()]);
+    for (r, chains) in q.chunks_exact_mut(8).enumerate() {
+        let mut lanes = load8(chains);
+        for (&(lo, hi), codes) in tables.iter().zip(&codes) {
+            lanes = _mm512_add_pd(lanes, lookup(lo, hi, &codes[8 * r..8 * r + 8]));
+        }
+        // SAFETY: `chains` holds the 8 doubles the store writes.
+        unsafe { _mm512_storeu_pd(chains.as_mut_ptr(), lanes) };
+    }
+}
+
+/// Transposes the 8x8 block whose row `i` is `x[i]`: lane `i` of the
+/// result's vector `d` is lane `d` of `x[i]`. Moves bits only.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f")]
+#[inline]
+fn transpose8(x: [core::arch::x86_64::__m512d; 8]) -> [core::arch::x86_64::__m512d; 8] {
+    use core::arch::x86_64::*;
+    // Pairs of rows interleaved: t[2p] holds lanes 0, 2, 4, 6 of rows
+    // 2p and 2p + 1, t[2p + 1] lanes 1, 3, 5, 7.
+    let t: [__m512d; 8] = std::array::from_fn(|i| {
+        let (a, b) = (x[i & !1], x[i | 1]);
+        if i % 2 == 0 {
+            _mm512_unpacklo_pd(a, b)
+        } else {
+            _mm512_unpackhi_pd(a, b)
+        }
+    });
+    // Then pairs of pairs, 128 bits at a time, then the 256-bit halves.
+    let (even, odd) = (
+        _mm512_setr_epi64(0, 1, 8, 9, 4, 5, 12, 13),
+        _mm512_setr_epi64(2, 3, 10, 11, 6, 7, 14, 15),
+    );
+    let (low, high) = (
+        _mm512_setr_epi64(0, 1, 2, 3, 8, 9, 10, 11),
+        _mm512_setr_epi64(4, 5, 6, 7, 12, 13, 14, 15),
+    );
+    // u[4h + m]: rows 4h..4h + 4, lanes m' and m' + 4 with m' = [0, 2, 1, 3][m].
+    let u: [__m512d; 8] = std::array::from_fn(|i| {
+        let (h, m) = (i / 4, i % 4);
+        let (a, b) = (t[4 * h + m / 2], t[4 * h + 2 + m / 2]);
+        _mm512_permutex2var_pd(a, if m % 2 == 0 { even } else { odd }, b)
+    });
+    std::array::from_fn(|d| {
+        let m = [0, 2, 1, 3][d % 4];
+        _mm512_permutex2var_pd(u[m], if d < 4 { low } else { high }, u[4 + m])
+    })
 }
 
 /// A losslessly compressed matrix: one [`ColumnGroup`] per column.
@@ -576,9 +732,70 @@ impl CompressedMatrix {
     /// Phase 1 of a product on the row tile `a..a + q.len()` and the
     /// columns `cols`: adds `x[r][c] * v[c]` into `q[r - a]` for c
     /// ascending, one term at a time, with no zero-skip — the dense
-    /// kernels' per-row chain. Four DDC8 columns per sweep add their
-    /// pre-scaled `scaled` entries, every other group multiplies inline.
+    /// kernels' per-row chain — on `body`.
+    #[allow(clippy::too_many_arguments)]
     fn add_xv_tile(
+        &self,
+        body: Body,
+        scaled: &Dicts,
+        v: &[f64],
+        a: usize,
+        cols: Range<usize>,
+        cursors: &mut [RunCursor],
+        q: &mut [f64],
+    ) {
+        match body {
+            // SAFETY: the twin runs only where `avx512f` is detected.
+            #[cfg(target_arch = "x86_64")]
+            Body::Avx512 if avx512_available() => unsafe {
+                self.add_xv_tile_avx512(scaled, v, a, cols, cursors, q)
+            },
+            _ => {
+                let mut c = cols.start;
+                while c < cols.end {
+                    c += self.add_xv_step(scaled, v, a, c, cols.end, cursors, q);
+                }
+            }
+        }
+    }
+
+    /// The portable step of [`Self::add_xv_tile`] at column `c` (of
+    /// `..n`): four DDC8 columns add their pre-scaled `scaled` entries,
+    /// any other group multiplies inline. Returns the columns it added.
+    #[allow(clippy::too_many_arguments)]
+    #[inline(always)]
+    fn add_xv_step(
+        &self,
+        scaled: &Dicts,
+        v: &[f64],
+        a: usize,
+        c: usize,
+        n: usize,
+        cursors: &mut [RunCursor],
+        q: &mut [f64],
+    ) -> usize {
+        let b = a + q.len();
+        if let Some(quad) = scaled.quad(&self.groups, c, n) {
+            add_quad(quad, a, b, q);
+            4
+        } else {
+            let s = v[c];
+            self.groups[c].visit(a, b, &mut cursors[c], |d, x| q[d] += x * s);
+            1
+        }
+    }
+
+    /// AVX-512 twin of [`Self::add_xv_tile`]. Each run of columns whose
+    /// DDC8 dictionaries have at most [`LANE_DICT`] entries adds its
+    /// pre-scaled tables, decoded in registers, to 8 rows per vector: lane
+    /// `i` is row `r + i`'s chain, extended column by column in ascending
+    /// order by a lane-wise `vaddpd` — the portable body's adds. Every
+    /// other column takes the portable step at its own place in that
+    /// order; a run's rows past the last whole vector add its columns one
+    /// scalar term at a time.
+    #[cfg(target_arch = "x86_64")]
+    #[target_feature(enable = "avx512f")]
+    fn add_xv_tile_avx512(
         &self,
         scaled: &Dicts,
         v: &[f64],
@@ -587,26 +804,117 @@ impl CompressedMatrix {
         cursors: &mut [RunCursor],
         q: &mut [f64],
     ) {
-        let (n, b) = (cols.end, a + q.len());
+        let len = q.len();
+        let mut run = Vec::new();
         let mut c = cols.start;
-        while c < n {
-            if let Some(quad) = scaled.quad(&self.groups, c, n) {
-                add_quad(quad, a, b, q);
-                c += 4;
-            } else {
-                let s = v[c];
-                self.groups[c].visit(a, b, &mut cursors[c], |d, x| q[d] += x * s);
-                c += 1;
+        while c < cols.end {
+            run.clear();
+            run.extend((c..cols.end).map_while(|c| scaled.column(&self.groups, c, LANE_DICT)));
+            if run.is_empty() {
+                c += self.add_xv_step(scaled, v, a, c, cols.end, cursors, q);
+                continue;
             }
+            let whole = len - len % 8;
+            let mut quads = run.chunks_exact(4);
+            for quad in &mut quads {
+                add_lanes::<4>(quad.try_into().expect("four columns"), a, &mut q[..whole]);
+            }
+            for &one in quads.remainder() {
+                add_lanes::<1>(&[one], a, &mut q[..whole]);
+            }
+            for (d, o) in q.iter_mut().enumerate().skip(whole) {
+                for &(t, codes) in &run {
+                    *o += t[codes[a + d] as usize];
+                }
+            }
+            c += run.len();
         }
     }
 
     /// Phase 2 of a product on the row tile `rows` for the groups `g0..`
     /// that `out` (`k` cells a group) covers: extends each group's `k`
     /// independent chains `out[c][j] += y[r][j] * x[r][c]`, r ascending —
-    /// the dense row sweep's per-cell chain — four DDC8 groups at once.
-    /// `yt` holds the tile's rows of `y` column by column.
+    /// the dense row sweep's per-cell chain — on `body`. `yt` holds the
+    /// tile's rows of `y` column by column.
+    #[allow(clippy::too_many_arguments)]
     fn extend_xty_tile(
+        &self,
+        body: Body,
+        dicts: &Dicts,
+        yt: &[f64],
+        rows: Range<usize>,
+        g0: usize,
+        cursors: &mut [RunCursor],
+        out: &mut [f64],
+    ) {
+        match body {
+            // SAFETY: the twin runs only where `avx512f` is detected.
+            #[cfg(target_arch = "x86_64")]
+            Body::Avx512 if avx512_available() => unsafe {
+                self.extend_xty_tile_avx512(dicts, yt, rows, g0, cursors, out)
+            },
+            _ => {
+                let end = g0 + out.len() / (yt.len() / rows.len());
+                let mut c = g0;
+                while c < end {
+                    c += self.extend_xty_step(dicts, yt, rows.clone(), g0, c, cursors, out);
+                }
+            }
+        }
+    }
+
+    /// The portable step of [`Self::extend_xty_tile`] at group `c`: four
+    /// DDC8 groups side by side, or one group of any other kind. Returns
+    /// the groups it extended.
+    #[allow(clippy::too_many_arguments)]
+    #[inline(always)]
+    fn extend_xty_step(
+        &self,
+        dicts: &Dicts,
+        yt: &[f64],
+        rows: Range<usize>,
+        g0: usize,
+        c: usize,
+        cursors: &mut [RunCursor],
+        out: &mut [f64],
+    ) -> usize {
+        let (a, b, len) = (rows.start, rows.end, rows.len());
+        let k = yt.len() / len;
+        let cell = |i: usize, j: usize| (c - g0 + i) * k + j;
+        if let Some(quad) = dicts.quad(&self.groups, c, g0 + out.len() / k) {
+            for (j, yj) in yt.chunks_exact(len).enumerate() {
+                let mut acc = [0, 1, 2, 3].map(|i| out[cell(i, j)]);
+                extend_quad(quad, yj, a, b, &mut acc);
+                for (i, v) in acc.into_iter().enumerate() {
+                    out[cell(i, j)] = v;
+                }
+            }
+            4
+        } else {
+            // Every chain of the group walks the tile from the same run
+            // cursor.
+            let start = cursors[c];
+            for (j, yj) in yt.chunks_exact(len).enumerate() {
+                cursors[c] = start;
+                self.groups[c].extend_chain(yj, a, b, &mut cursors[c], &mut out[cell(0, j)]);
+            }
+            1
+        }
+    }
+
+    /// AVX-512 twin of [`Self::extend_xty_tile`]. Each run of 8 groups
+    /// whose DDC8 dictionaries have at most [`LANE_DICT`] entries is
+    /// decoded in registers 8 rows at a time (one vector per group, lanes
+    /// are rows) and transposed, so that lane `i` of row `r`'s vector is
+    /// `x[r][c + i]`. For every column `j` of `y`, a vector of the 8
+    /// groups' chains then adds `y[r][j] * x[r][c + i]` row by row,
+    /// ascending — the portable body's products and adds, lane-wise, with
+    /// one decode shared by all `k` columns. Every other group takes the
+    /// portable step, and a run's rows past the last whole vector extend
+    /// the same chains on the scalar body.
+    #[cfg(target_arch = "x86_64")]
+    #[target_feature(enable = "avx512f")]
+    fn extend_xty_tile_avx512(
         &self,
         dicts: &Dicts,
         yt: &[f64],
@@ -615,31 +923,54 @@ impl CompressedMatrix {
         cursors: &mut [RunCursor],
         out: &mut [f64],
     ) {
+        use core::arch::x86_64::*;
         let (a, b, len) = (rows.start, rows.end, rows.len());
         let k = yt.len() / len;
         let end = g0 + out.len() / k;
+        let whole = len - len % 8;
+        let mut acc = vec![_mm512_setzero_pd(); k];
         let mut c = g0;
         while c < end {
+            let Some(run) = dicts.run::<8>(&self.groups, c, end, LANE_DICT) else {
+                c += self.extend_xty_step(dicts, yt, rows.clone(), g0, c, cursors, out);
+                continue;
+            };
             let cell = |i: usize, j: usize| (c - g0 + i) * k + j;
-            if let Some(quad) = dicts.quad(&self.groups, c, end) {
-                for (j, yj) in yt.chunks_exact(len).enumerate() {
-                    let mut acc = [0, 1, 2, 3].map(|i| out[cell(i, j)]);
-                    extend_quad(quad, yj, a, b, &mut acc);
-                    for (i, v) in acc.into_iter().enumerate() {
-                        out[cell(i, j)] = v;
-                    }
-                }
-                c += 4;
-            } else {
-                // Every chain of the group walks the tile from the same
-                // run cursor.
-                let start = cursors[c];
-                for (j, yj) in yt.chunks_exact(len).enumerate() {
-                    cursors[c] = start;
-                    self.groups[c].extend_chain(yj, a, b, &mut cursors[c], &mut out[cell(0, j)]);
-                }
-                c += 1;
+            let mut tables = [(_mm512_setzero_pd(), _mm512_setzero_pd()); 8];
+            for (slot, &(t, _)) in tables.iter_mut().zip(&run) {
+                *slot = (load8(&t[..8]), load8(&t[8..16]));
             }
+            for (j, lanes) in acc.iter_mut().enumerate() {
+                *lanes = load8(&std::array::from_fn::<f64, 8, _>(|i| out[cell(i, j)]));
+            }
+            for r in (0..whole).step_by(8) {
+                let mut x = [_mm512_setzero_pd(); 8];
+                for (xi, (&(lo, hi), &(_, codes))) in x.iter_mut().zip(tables.iter().zip(&run)) {
+                    *xi = lookup(lo, hi, &codes[a + r..a + r + 8]);
+                }
+                let xt = transpose8(x);
+                for (lanes, yj) in acc.iter_mut().zip(yt.chunks_exact(len)) {
+                    let mut s = *lanes;
+                    for (&yr, &xr) in yj[r..r + 8].iter().zip(&xt) {
+                        s = _mm512_add_pd(s, _mm512_mul_pd(_mm512_set1_pd(yr), xr));
+                    }
+                    *lanes = s;
+                }
+            }
+            for (j, (&lanes, yj)) in acc.iter().zip(yt.chunks_exact(len)).enumerate() {
+                let mut chains = [0.0; 8];
+                // SAFETY: `chains` holds the 8 doubles the store writes.
+                unsafe { _mm512_storeu_pd(chains.as_mut_ptr(), lanes) };
+                for (half, quad) in chains.chunks_exact_mut(4).zip(run.chunks_exact(4)) {
+                    let quad: Quad = quad.try_into().expect("four groups");
+                    let half: &mut [f64; 4] = half.try_into().expect("four chains");
+                    extend_quad(quad, &yj[whole..], a + whole, b, half);
+                }
+                for (i, &v) in chains.iter().enumerate() {
+                    out[cell(i, j)] = v;
+                }
+            }
+            c += 8;
         }
     }
 
@@ -647,19 +978,20 @@ impl CompressedMatrix {
     /// each row's chain then times `w[r]` when given. A row's chain runs
     /// over the columns — the depth of `X v` — so more than
     /// [`REDUCE_BLOCK_ROWS`] columns fold block partials like the dense
-    /// kernel.
-    fn xv(&self, v: &[f64], w: Option<&[f64]>) -> Vec<f64> {
+    /// kernel. Chunks are whole vectors of 8 rows, so a row takes the same
+    /// instructions at every width, down to the payload of a NaN.
+    fn xv(&self, body: Body, v: &[f64], w: Option<&[f64]>) -> Vec<f64> {
         let scaled = Dicts::new(&self.groups, Some(v));
         let mut q = vec![0.0; self.rows];
-        let chunk = exdra_par::chunk_len(self.rows, par_floor(self.cols()));
+        let chunk = exdra_par::chunk_len(self.rows, par_floor(self.cols())).next_multiple_of(8);
         exdra_par::par_chunks_mut(&mut q, chunk, |_, lo, seg| {
             let mut cursors = vec![RunCursor::default(); self.cols()];
             for (t, qt) in seg.chunks_mut(TILE_ROWS).enumerate() {
                 let a = lo + t * TILE_ROWS;
                 fold_blocks_into(self.cols(), qt, |cols, acc| {
-                    self.add_xv_tile(&scaled, v, a, cols, &mut cursors, acc)
+                    self.add_xv_tile(body, &scaled, v, a, cols, &mut cursors, acc)
                 });
-                weigh(qt, w.map(|w| &w[a..]));
+                weigh(qt, w.map(|w| w[a..].iter()));
             }
         });
         q
@@ -670,7 +1002,7 @@ impl CompressedMatrix {
     /// [`TN_BLOCK_CELLS`] cells the row blocks fan out over the pool and
     /// their partials fold in order; a wider output splits into runs of
     /// groups, each walking every row block in turn.
-    fn xty(&self, y: &[f64], k: usize) -> DenseMatrix {
+    fn xty(&self, body: Body, y: &[f64], k: usize) -> DenseMatrix {
         let cols = self.cols();
         let mut out = DenseMatrix::zeros(cols, k);
         if k == 0 || cols == 0 || self.rows == 0 {
@@ -697,7 +1029,7 @@ impl CompressedMatrix {
                     }
                     &ycols[..]
                 };
-                self.extend_xty_tile(&dicts, yt, a..b, g0, &mut cursors, acc);
+                self.extend_xty_tile(body, &dicts, yt, a..b, g0, &mut cursors, acc);
             }
         };
         if cols * k <= TN_BLOCK_CELLS {
@@ -734,7 +1066,7 @@ impl CompressedMatrix {
                 rhs: v.shape(),
             });
         }
-        DenseMatrix::new(self.rows, 1, self.xv(v.values(), None))
+        DenseMatrix::new(self.rows, 1, self.xv(Body::detect(), v.values(), None))
     }
 
     /// `t(self) %*% w` on the compressed representation, returned as the
@@ -765,17 +1097,19 @@ impl CompressedMatrix {
                 rhs: y.shape(),
             });
         }
-        Ok(self.xty(y.values(), y.cols()))
+        Ok(self.xty(Body::detect(), y.values(), y.cols()))
     }
 
     /// Fused chain `Xᵀ (w ⊙ (X V))` on the compressed representation for a
     /// `cols x k` `V` and an optional `rows x k` `w`, phase for phase the
     /// dense `mmchain` kernel: phase 1 builds each row's dot c-ascending
-    /// then applies `w`, one `xv` per column, split by rows over the
-    /// pool; phase 2 reduces every output cell r-ascending with `q[r][j]`
-    /// as the left operand, one `xty` for all `k` columns, its row blocks
-    /// fanned out and folded in order. Bitwise identical to
-    /// decompress-then-`mmchain` at every pool width.
+    /// then applies `w`; phase 2 reduces every output cell r-ascending
+    /// with `q[r][j]` as the left operand, its row blocks fanned out and
+    /// folded in order. Up to [`TN_BLOCK_CELLS`] output cells the phases
+    /// alternate tile by tile ([`Self::mmchain_tiles`]); a wider output
+    /// runs them one after the other ([`Self::mmchain_phases`]), since its
+    /// phase 2 walks the row blocks once per run of groups. Bitwise
+    /// identical to decompress-then-`mmchain` at every pool width.
     pub fn mmchain(&self, v: &DenseMatrix, w: Option<&DenseMatrix>) -> Result<DenseMatrix> {
         let k = v.cols();
         if v.rows() != self.cols() {
@@ -792,18 +1126,72 @@ impl CompressedMatrix {
                 rhs: w.shape(),
             });
         }
+        let body = Body::detect();
+        Ok(if self.rows == 0 || self.cols() * k == 0 {
+            DenseMatrix::zeros(self.cols(), k)
+        } else if self.cols() * k <= TN_BLOCK_CELLS {
+            self.mmchain_tiles(body, v, w)
+        } else {
+            self.mmchain_phases(body, v, w)
+        })
+    }
+
+    /// [`Self::mmchain`] as its two phases: one `xv` per column of `V`,
+    /// then one `xty` for all `k` columns.
+    fn mmchain_phases(&self, body: Body, v: &DenseMatrix, w: Option<&DenseMatrix>) -> DenseMatrix {
+        let k = v.cols();
         let column = |m: &DenseMatrix, j: usize| -> Vec<f64> {
             m.values().iter().skip(j).step_by(k).copied().collect()
         };
         let mut q = vec![0.0; self.rows * k];
         for j in 0..k {
             let wj = w.map(|w| column(w, j));
-            let qj = self.xv(&column(v, j), wj.as_deref());
+            let qj = self.xv(body, &column(v, j), wj.as_deref());
             for (i, val) in qj.into_iter().enumerate() {
                 q[i * k + j] = val;
             }
         }
-        Ok(self.xty(&q, k))
+        self.xty(body, &q, k)
+    }
+
+    /// [`Self::mmchain`] in one pass over the row blocks: each tile's phase
+    /// 1 runs into a tile of `q`, and its phase 2 follows at once, reading
+    /// the codes phase 1 has just brought into cache. The chains, blocks
+    /// and folds are the two phases' own; no row-long vector is allocated.
+    fn mmchain_tiles(&self, body: Body, v: &DenseMatrix, w: Option<&DenseMatrix>) -> DenseMatrix {
+        let (cols, k) = (self.cols(), v.cols());
+        // Row `j` is column `j` of `V`.
+        let vt = reorg::transpose(v);
+        let scaled: Vec<Dicts> = vt
+            .values()
+            .chunks_exact(cols)
+            .map(|vj| Dicts::new(&self.groups, Some(vj)))
+            .collect();
+        let dicts = Dicts::new(&self.groups, None);
+        let block = |rows: Range<usize>| {
+            let mut part = vec![0.0f64; cols * k];
+            let mut phase1 = vec![vec![RunCursor::default(); cols]; k];
+            let mut phase2 = vec![RunCursor::default(); cols];
+            let mut qt = Vec::new();
+            for a in rows.clone().step_by(TILE_ROWS) {
+                let b = (a + TILE_ROWS).min(rows.end);
+                // The tile's rows of `q`, column by column.
+                qt.clear();
+                qt.resize((b - a) * k, 0.0);
+                for (j, qj) in qt.chunks_exact_mut(b - a).enumerate() {
+                    let vj = &vt.values()[j * cols..(j + 1) * cols];
+                    let cursors = &mut phase1[j];
+                    fold_blocks_into(cols, qj, |cc, acc| {
+                        self.add_xv_tile(body, &scaled[j], vj, a, cc, cursors, acc)
+                    });
+                    weigh(qj, w.map(|w| w.values()[a * k + j..].iter().step_by(k)));
+                }
+                self.extend_xty_tile(body, &dicts, &qt, a..b, 0, &mut phase2, &mut part);
+            }
+            part
+        };
+        let fold = fold_row_blocks(self.rows, 2 * cols * k, block, add_into);
+        DenseMatrix::new(cols, k, fold.expect("rows > 0")).expect("one cell per group and column")
     }
 
     /// Col aggregate chains of every group over `rows`, r ascending: four
@@ -1079,6 +1467,118 @@ mod tests {
         for threads in [1, 2] {
             let got = exdra_par::with_threads(threads, || c.t_matmul(&y).unwrap());
             assert!(same_bits(&got, &want), "width {threads}");
+        }
+    }
+
+    /// 23 groups over `rows`: DDC8 dictionaries of 1, 2, 16 and 17
+    /// entries in runs of 9, 8 and 3 broken by RLE, UC and the 17-entry
+    /// group. Each row has at most one special cell — a NaN with its
+    /// column's payload, ±Inf, or -0.0 — and each column one kind of
+    /// special, so no chain has two NaN sources, or Inf and -Inf, when
+    /// `y` is positive: every NaN's payload must come through.
+    fn twin_matrix(rows: usize) -> CompressedMatrix {
+        let sizes = [
+            1, 2, 16, 1, 2, 16, 16, 2, 1, 0, 16, 2, 1, 16, 16, 2, 16, 1, 17, 0, 16, 2, 16,
+        ];
+        let cols = sizes.len();
+        let noise = rand_matrix(rows, cols + 1, -1.0, 1.0, 41);
+        let special = |c: usize| {
+            let nan = f64::from_bits(0x7ff8_0000_0000_0000 | (c as u64 + 1));
+            [nan, f64::INFINITY, f64::NEG_INFINITY, -0.0][c % 4]
+        };
+        let groups = sizes
+            .iter()
+            .enumerate()
+            .map(|(c, &size)| match (size, c) {
+                (0, 9) => ColumnGroup::Rle {
+                    runs: (0..rows.div_ceil(97))
+                        .map(|i| (noise.get(i, c), (97).min(rows - 97 * i) as u32))
+                        .collect(),
+                },
+                (0, _) => ColumnGroup::Uc {
+                    values: (0..rows).map(|r| noise.get(r, c)).collect(),
+                },
+                _ => {
+                    let mut dict: Vec<f64> = (0..size).map(|i| noise.get(i, cols) * 4.0).collect();
+                    dict[0] = [-0.0, 0.0, dict[0]][c % 3];
+                    if size > 1 {
+                        dict[size - 1] = special(c);
+                    }
+                    let codes = (0..rows)
+                        .map(|r| match size {
+                            1 => 0,
+                            _ if (r * 5) % cols == c => size - 1,
+                            _ => (r * 7 + r / 3 + c) % (size - 1),
+                        } as u8)
+                        .collect();
+                    ColumnGroup::Ddc8 { dict, codes }
+                }
+            })
+            .collect();
+        CompressedMatrix { rows, groups }
+    }
+
+    #[test]
+    fn product_twins_are_bitwise_equal() {
+        use crate::kernels::matmul::{matmul, matmul_tn};
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        // One block, off the 8-row vector; two whole blocks and a partial
+        // one of 4 rows; three whole blocks and a partial one of 11.
+        for rows in [37, 4100, 6155] {
+            let c = twin_matrix(rows);
+            let d = c.decompress();
+            let v = rand_matrix(c.cols(), 1, -1.0, 1.0, 42);
+            let w = rand_matrix(rows, 1, 0.0, 1.0, 43);
+            // The portable body is the dense kernels' chain.
+            let want_xv = c.xv(Body::Portable, v.values(), None);
+            assert_eq!(bits(&want_xv), bits(matmul(&d, &v).unwrap().values()));
+            assert_eq!(bits(&want_xv), bits(c.matvec(&v).unwrap().values()));
+            for k in [1, 3] {
+                let y = rand_matrix(rows, k, 0.0, 1.0, 44 + k as u64);
+                let want = matmul_tn(&d, &y).unwrap();
+                assert!(same_bits(&c.xty(Body::Portable, y.values(), k), &want));
+                assert!(
+                    same_bits(&c.t_matmul(&y).unwrap(), &want),
+                    "{rows} rows, k {k}"
+                );
+                #[cfg(target_arch = "x86_64")]
+                if avx512_available() {
+                    for width in [1, 2] {
+                        let got =
+                            exdra_par::with_threads(width, || c.xty(Body::Avx512, y.values(), k));
+                        assert!(same_bits(&got, &want), "avx512 xty, {rows} rows, k {k}");
+                    }
+                }
+            }
+            for weights in [None, Some(w.values())] {
+                let want = c.xv(Body::Portable, v.values(), weights);
+                #[cfg(target_arch = "x86_64")]
+                if avx512_available() {
+                    let got = c.xv(Body::Avx512, v.values(), weights);
+                    assert_eq!(bits(&got), bits(&want), "avx512 xv, {rows} rows");
+                }
+            }
+            // One pass of tiles is the two phases, on either body.
+            for (k, body) in [
+                (1, Body::Portable),
+                (3, Body::Portable),
+                (1, Body::detect()),
+                (3, Body::detect()),
+            ] {
+                let v = rand_matrix(c.cols(), k, -1.0, 1.0, 46);
+                let w = rand_matrix(rows, k, 0.0, 1.0, 47);
+                for weights in [None, Some(&w)] {
+                    let want = c.mmchain_phases(body, &v, weights);
+                    for width in [1, 2] {
+                        let got =
+                            exdra_par::with_threads(width, || c.mmchain_tiles(body, &v, weights));
+                        assert!(
+                            same_bits(&got, &want),
+                            "{body:?} mmchain, {rows} rows, k {k}"
+                        );
+                    }
+                }
+            }
         }
     }
 

@@ -28,6 +28,8 @@
 
 use std::ops::Range;
 
+#[cfg(target_arch = "x86_64")]
+use super::avx512_available;
 use super::{
     add_into, fold_blocks_into, fold_row_blocks, par_floor, row_blocks, REDUCE_BLOCK_ROWS,
     TN_BLOCK_CELLS,
@@ -202,14 +204,6 @@ fn avx2_available() -> bool {
     {
         false
     }
-}
-
-/// True when the running CPU supports the AVX-512 foundation subset,
-/// which is all [`micro_tile_avx512`] uses.
-#[cfg(target_arch = "x86_64")]
-#[inline]
-fn avx512_available() -> bool {
-    std::arch::is_x86_feature_detected!("avx512f")
 }
 
 /// Expands an AVX2-compiled twin of an `#[inline(always)]` kernel body

@@ -32,6 +32,15 @@ pub(crate) fn par_floor(cost_per_item: usize) -> usize {
     (PAR_MIN_WORK / cost_per_item.max(1)).max(1)
 }
 
+/// True when the running CPU supports the AVX-512 foundation subset,
+/// which is all the hand-vectorized twins use: `matmul`'s micro-tile and
+/// the column-group products of [`crate::compress`].
+#[cfg(target_arch = "x86_64")]
+#[inline]
+pub(crate) fn avx512_available() -> bool {
+    std::arch::is_x86_feature_detected!("avx512f")
+}
+
 /// Rows per block of the one reduction order (DESIGN.md §4f): every
 /// sum-type chain over a row index — the shared index of `t(A) %*% B`,
 /// `tsmm` and `mmchain`, the depth of `matmul`, the Full and Col

@@ -138,12 +138,37 @@ fn mixed_matrix(rows: usize, seed: u64) -> DenseMatrix {
 enum Scheme {
     /// 16 levels, one random level per row.
     Ddc8,
+    /// 17 levels: a u8 code, but too many for a dictionary in registers.
+    Ddc8Wide,
     /// 300 levels (more than a u8 code holds), one random level per row.
     Ddc16,
     /// Runs of 97 to 300 equal rows.
     Rle,
     /// Continuous noise.
     Uc,
+}
+
+/// Schemes with a run of 8 to 17 adjacent 16-level DDC8 columns, the
+/// unit of the products' AVX-512 twin, maybe broken by a 17-level one
+/// it leaves to the portable body, between columns of any scheme.
+fn ddc8_runs() -> impl Strategy<Value = Vec<Scheme>> {
+    (
+        proptest::collection::vec(scheme(), 0..=3),
+        8usize..=17,
+        proptest::bool::ANY,
+        0usize..=9,
+        proptest::collection::vec(scheme(), 0..=3),
+    )
+        .prop_map(|(head, run, wide, more, tail)| {
+            let mut schemes = head;
+            schemes.extend(std::iter::repeat_n(Scheme::Ddc8, run));
+            if wide {
+                schemes.push(Scheme::Ddc8Wide);
+            }
+            schemes.extend(std::iter::repeat_n(Scheme::Ddc8, more));
+            schemes.extend(tail);
+            schemes
+        })
 }
 
 fn scheme() -> impl Strategy<Value = Scheme> {
@@ -166,6 +191,7 @@ fn scheme_matrix(rows: usize, schemes: &[Scheme], seed: u64, special: bool) -> D
         let seed = seed.wrapping_add(17 * c as u64);
         let levels = match s {
             Scheme::Ddc16 => 300,
+            Scheme::Ddc8Wide => 17,
             _ => 16,
         };
         let mut palette: Vec<f64> = (0..levels).map(|i| i as f64 / 8.0 - 1.0).collect();
@@ -180,7 +206,7 @@ fn scheme_matrix(rows: usize, schemes: &[Scheme], seed: u64, special: bool) -> D
         for r in 0..rows {
             let level = palette[(pick.get(r, 0) as usize).min(levels - 1)];
             let v = match s {
-                Scheme::Ddc8 | Scheme::Ddc16 => level,
+                Scheme::Ddc8 | Scheme::Ddc8Wide | Scheme::Ddc16 => level,
                 Scheme::Rle => {
                     if r == run_end {
                         run_end = r + 97 + (r * 31 + seed as usize) % 204;
@@ -195,6 +221,41 @@ fn scheme_matrix(rows: usize, schemes: &[Scheme], seed: u64, special: bool) -> D
         }
     }
     x
+}
+
+/// `X v`, `t(w) X`, `t(X) Y` (`k` columns) and `mmchain` with and without
+/// weights on the compressed `d`, at widths 1 to 4, against the dense
+/// kernels: bitwise, NaN payloads aside.
+fn products_match_dense_kernels(d: &DenseMatrix, k: usize, seed: u64) {
+    let rows = d.rows();
+    let c = CompressedMatrix::compress(d);
+    let v = rand_matrix(d.cols(), 1, -1.0, 1.0, seed + 1);
+    let w = rand_matrix(rows, 1, 0.0, 1.0, seed + 2);
+    let y = rand_matrix(rows, k, -1.0, 1.0, seed + 3);
+
+    let got = widths_agree("c-matvec", || c.matvec(&v).expect("shapes"));
+    prop_assert!(same_cells(&got, &matmul(d, &v).expect("shapes")), "matvec");
+
+    let got = widths_agree("c-vecmat", || c.t_vecmat(&w).expect("shapes"));
+    let want = matmul(&transpose(&w), d).expect("shapes");
+    prop_assert!(same_cells(&got, &want), "t_vecmat");
+
+    let got = widths_agree("c-t-matmul", || c.t_matmul(&y).expect("shapes"));
+    prop_assert!(
+        same_cells(&got, &matmul_tn(d, &y).expect("shapes")),
+        "t_matmul, k = {}",
+        k
+    );
+
+    for wm in [None, Some(&w)] {
+        let got = widths_agree("c-mmchain", || c.mmchain(&v, wm).expect("shapes"));
+        let want = mmchain(d, &v, wm).expect("shapes");
+        prop_assert!(
+            same_cells(&got, &want),
+            "mmchain, weighted: {}",
+            wm.is_some()
+        );
+    }
 }
 
 /// Bitwise equality, except that any NaN equals any NaN: when two NaNs
@@ -918,25 +979,20 @@ proptest! {
         // Up to 13 columns: four-column sweeps over runs of DDC8 groups
         // and their tails; rows across the row tile and the 4-row unroll.
         let d = scheme_matrix(rows, &schemes, seed, special);
-        let c = CompressedMatrix::compress(&d);
-        let v = rand_matrix(d.cols(), 1, -1.0, 1.0, seed + 1);
-        let w = rand_matrix(rows, 1, 0.0, 1.0, seed + 2);
-        let y = rand_matrix(rows, k, -1.0, 1.0, seed + 3);
+        products_match_dense_kernels(&d, k, seed);
+    }
 
-        let got = widths_agree("c-matvec", || c.matvec(&v).expect("shapes"));
-        prop_assert!(same_cells(&got, &matmul(&d, &v).expect("shapes")), "matvec");
-
-        let got = widths_agree("c-vecmat", || c.t_vecmat(&w).expect("shapes"));
-        let want = matmul(&transpose(&w), &d).expect("shapes");
-        prop_assert!(same_cells(&got, &want), "t_vecmat");
-
-        let got = widths_agree("c-t-matmul", || c.t_matmul(&y).expect("shapes"));
-        prop_assert!(same_cells(&got, &matmul_tn(&d, &y).expect("shapes")), "t_matmul, k = {}", k);
-
-        for wm in [None, Some(&w)] {
-            let got = widths_agree("c-mmchain", || c.mmchain(&v, wm).expect("shapes"));
-            let want = mmchain(&d, &v, wm).expect("shapes");
-            prop_assert!(same_cells(&got, &want), "mmchain, weighted: {}", wm.is_some());
-        }
+    #[test]
+    fn compressed_products_on_ddc8_runs_match_dense_kernels(
+        rows in prop_oneof![1usize..=40, 508usize..=520, 1usize..=2500, block_edge()],
+        schemes in ddc8_runs(),
+        k in prop_oneof![Just(1usize), Just(3usize), 1usize..=9],
+        special in proptest::bool::ANY,
+        seed in 0u64..1_000_000,
+    ) {
+        // Runs of 8 and more DDC8 groups of at most 16 entries, decoded
+        // in registers where the CPU has AVX-512, and their leftovers.
+        let d = scheme_matrix(rows, &schemes, seed, special);
+        products_match_dense_kernels(&d, k, seed);
     }
 }
