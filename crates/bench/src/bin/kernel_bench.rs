@@ -33,7 +33,7 @@ use exdra_core::instruction::Instruction;
 use exdra_core::protocol::{Request, Response};
 use exdra_core::worker::{Worker, WorkerConfig};
 use exdra_core::PrivacyLevel;
-use exdra_matrix::compress::{product_body, CompressedMatrix};
+use exdra_matrix::compress::CompressedMatrix;
 use exdra_matrix::eigen::eigen_symmetric;
 use exdra_matrix::kernels::aggregates::{aggregate, AggDir, AggOp};
 use exdra_matrix::kernels::elementwise::{binary, scalar, BinaryOp};
@@ -41,6 +41,7 @@ use exdra_matrix::kernels::matmul::{
     matmul, matmul_naive, matmul_tn, mmchain, mmchain_two_phase, tsmm,
 };
 use exdra_matrix::kernels::reorg::{cbind, index, transpose};
+use exdra_matrix::kernels::simd_body;
 use exdra_matrix::rng::rand_matrix;
 use exdra_matrix::DenseMatrix;
 
@@ -217,21 +218,26 @@ fn main() {
             "    {{\"rows\": {tall_rows}, \"n\": {n}, \"secs\": {t:.6}, \"gflops\": {gf:.3}}}"
         ));
     }
+    // Then P2's direct-solve LM on its 11 200 x 56 encoded frame.
+    let p2_x = rand_matrix(11_200, 56, -1.0, 1.0, 21);
     let mut tsmm_rows = Vec::new();
-    for width in [1, hw] {
+    for (m, width) in [(&x, 1), (&x, hw), (&p2_x, 1), (&p2_x, hw)] {
+        let (rows, cols) = m.shape();
         let (t, _) = exdra_par::with_threads(width, || {
-            time_reps(cfg.reps, || tsmm(&x, true).expect("shapes"))
+            time_reps(cfg.reps, || tsmm(m, true).expect("shapes"))
         });
-        let gf = gflops(101.0 * (tall_rows * 100) as f64, t);
+        let gf = gflops(((cols + 1) * rows * cols) as f64, t);
         table.row(&[
             "tsmm".into(),
-            "t(X) %*% X".into(),
+            format!("t(X) %*% X, X {rows}x{cols}"),
             width.to_string(),
             secs(t),
             format!("{gf:.2}"),
         ]);
         tsmm_rows.push(format!(
-            "    {{\"rows\": {tall_rows}, \"width\": {width}, \"secs\": {t:.6}, \"gflops\": {gf:.3}}}"
+            "    {{\"rows\": {rows}, \"cols\": {cols}, \"width\": {width}, \"secs\": {t:.6}, \
+             \"gflops\": {gf:.3}, \"body\": \"{}\"}}",
+            simd_body()
         ));
     }
     let gram = tsmm(&x, true).expect("shapes");
@@ -325,11 +331,24 @@ fn main() {
         &["product", "rows", "sweep", "transpose+GEMM", "speedup"],
     );
     let mut tn_rows = Vec::new();
+    // Plus P2's FFN backward pass, `t(X) dH` on a 512-row batch of the
+    // 56-column frame and 64 hidden units, once.
+    let (p2_x, p2_dh) = (
+        rand_matrix(512, 56, -1.0, 1.0, 22),
+        rand_matrix(512, 64, -1.0, 1.0, 23),
+    );
     for &rows in sweep_rows {
         let x = rand_matrix(rows, 100, -1.0, 1.0, 11);
-        for (name, k) in [("t(X) y", 1), ("t(X) R", 3), ("t(P) X", 20)] {
+        let p2 = (rows == sweep_rows[0]).then_some(("t(X) dH", 64));
+        let shapes = [("t(X) y", 1), ("t(X) R", 3), ("t(P) X", 20)];
+        for (name, k) in shapes.into_iter().chain(p2) {
             let y = rand_matrix(rows, k, -1.0, 1.0, 12);
-            let (a, b) = if k == 20 { (&y, &x) } else { (&x, &y) };
+            let (a, b) = match k {
+                20 => (&y, &x),
+                64 => (&p2_x, &p2_dh),
+                _ => (&x, &y),
+            };
+            let rows = a.rows();
             assert_eq!(
                 bits(&matmul_tn(a, b).expect("shapes")),
                 bits(&matmul(&transpose(a), b).expect("shapes")),
@@ -351,7 +370,8 @@ fn main() {
             ]);
             tn_rows.push(format!(
                 "    {{\"product\": \"{name}\", \"rows\": {rows}, \"k\": {k}, \"sweep_secs\": {sweep_t:.6}, \
-                 \"transpose_gemm_secs\": {gemm_t:.6}, \"speedup\": {speedup:.3}}}"
+                 \"transpose_gemm_secs\": {gemm_t:.6}, \"speedup\": {speedup:.3}, \"body\": \"{}\"}}",
+                simd_body()
             ));
             if k == 1 && rows == 20_000 {
                 assert!(
@@ -502,7 +522,9 @@ fn main() {
         ]);
         split_rows.push(format!(
             "    {{\"kernel\": \"{name}\", \"rows\": {tall_rows}, \"cols\": 100, \
-             \"secs_w1\": {t1:.6}, \"secs_w2\": {t2:.6}, \"bitwise_identical\": true}}"
+             \"secs_w1\": {t1:.6}, \"secs_w2\": {t2:.6}, \"bitwise_identical\": true, \
+             \"body\": \"{}\"}}",
+            simd_body()
         ));
     }
     table.print();
@@ -738,9 +760,11 @@ fn lan_partition(rows: usize, cols: usize) -> DenseMatrix {
 /// The compressed-domain table on `d`: each op on the dense frame, on its
 /// column groups, and as a worker answers it on the compacted frame (on
 /// the column groups, DESIGN.md §4k), request handling included. Every
-/// result is asserted bitwise the dense kernel's; bytes/s uses the bytes
-/// each representation touches. `body` names the body the column-group
-/// products ran on (`avx512` or `portable`).
+/// result is asserted bitwise the dense kernel's; the dense and the
+/// column-group times are medians of `reps` runs after a warm-up run
+/// each, so a verdict does not hang on the caches the other side left;
+/// bytes/s uses the bytes each representation touches. `body` names the
+/// body the column-group products ran on (`avx512` or `portable`).
 /// Prints the table and returns its JSON object.
 fn compressed_table(d: &DenseMatrix, reps: usize) -> String {
     let (crows, ccols) = d.shape();
@@ -827,7 +851,7 @@ fn compressed_table(d: &DenseMatrix, reps: usize) -> String {
         ),
     ];
     let tw = bench_worker(d, &[(v_id, &cv), (w_id, &cw), (r_id, &cr)], true);
-    let body = product_body();
+    let body = simd_body();
     let mut table = Table::new(
         &format!(
             "Compressed-domain ops, X {crows}x{ccols} (ratio {:.1}x, {body} products)",
@@ -857,8 +881,7 @@ fn compressed_table(d: &DenseMatrix, reps: usize) -> String {
             bits(&dense_f()),
             "{name} on {crows}x{ccols}: the worker's result differs bitwise"
         );
-        let (dt, _) = time_reps(reps, dense_f);
-        let (ct, _) = time_reps(reps, comp_f);
+        let (dt, ct) = (median_reps(reps, dense_f), median_reps(reps, comp_f));
         let (wt, _) = time_reps(reps, || run(&tw, vec![inst.clone()]));
         table.row(&[
             (*name).into(),
@@ -885,6 +908,15 @@ fn compressed_table(d: &DenseMatrix, reps: usize) -> String {
         c.ratio(),
         rows.join(",\n")
     )
+}
+
+/// The median time of `reps` runs of `f` after one untimed warm-up run,
+/// so the first timed run does not pay for the caches another op left.
+fn median_reps<T>(reps: usize, mut f: impl FnMut() -> T) -> f64 {
+    f();
+    let mut times: Vec<f64> = (0..reps.max(1)).map(|_| time(&mut f).1).collect();
+    times.sort_by(f64::total_cmp);
+    times[times.len() / 2]
 }
 
 /// A worker holding `frame` as symbol 1, compacted to column groups when

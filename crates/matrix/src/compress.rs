@@ -348,15 +348,6 @@ impl Body {
     }
 }
 
-/// The body the column-group products `X v`, `t(X) Y` and `mmchain` run on
-/// this CPU: `"avx512"` or `"portable"`.
-pub fn product_body() -> &'static str {
-    match Body::detect() {
-        Body::Portable => "portable",
-        Body::Avx512 => "avx512",
-    }
-}
-
 /// `q[r] *= w[r]`: phase 1's row weights, applied once each row's chain
 /// is complete.
 fn weigh<'a>(q: &mut [f64], w: Option<impl Iterator<Item = &'a f64>>) {

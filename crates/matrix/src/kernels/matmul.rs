@@ -16,8 +16,9 @@
 //! blocks are the parallel unit.
 //!
 //! The hot bodies are compiled twice: once for the portable baseline and
-//! once with AVX2 enabled (plus a hand-vectorized AVX-512 micro-tile),
-//! selected by runtime CPU detection. The wide paths perform the exact
+//! once with AVX2 enabled (plus hand-vectorized AVX-512 twins of the
+//! GEMM micro-tile and of the row sweep's register tile), selected by
+//! runtime CPU detection. The wide paths perform the exact
 //! same lane-wise multiplies and adds — no fused multiply-add is ever
 //! emitted — so every dispatch target rounds identically; the proptest
 //! oracle suite pins all of them to `matmul_naive` bit for bit.
@@ -581,11 +582,16 @@ fn tn_into(av: &[f64], p: usize, bv: &[f64], n: usize, k: usize, out: &mut [f64]
     } else {
         (av, p, bv, n)
     };
+    let ops = Operands {
+        thin: tv,
+        nt,
+        wide: wv,
+        nw,
+    };
     // Extends the tile at thin column i0 and wide column j0, `w` wide,
     // over the rows `rows`.
     let sweep = |rows: Range<usize>, (i0, j0, w): (usize, usize, usize), acc: &mut [f64]| {
-        let (thin, wide) = (&tv[rows.start * nt + i0..], &wv[rows.start * nw + j0..]);
-        tn_block(thin, nt, wide, nw, rows.len(), w, acc);
+        tn_block(ops.at(rows.start, i0, j0), rows.len(), false, w, acc);
     };
     let mut store = |(i0, j0, w): (usize, usize, usize), tile: &[f64]| {
         for (di, trow) in tile.chunks_exact(w).enumerate() {
@@ -632,21 +638,114 @@ fn tn_into(av: &[f64], p: usize, bv: &[f64], n: usize, k: usize, out: &mut [f64]
     }
 }
 
-/// One output block of the row sweep: `block[i][j] += Σ_r thin[r][i] *
-/// wide[r][j]` with `thin` and `wide` already offset to the block's first
-/// row and column, four shared-index rows per pass with the cell held in
-/// a register between its four adds — one term at a time, r ascending,
-/// so any split of the output leaves each chain alone.
-#[inline(always)]
-fn tn_block_body(
-    thin: &[f64],
+/// Rows of `A` and `B` per slab of the row sweep: every register tile of
+/// an output block walks one slab before the next one is read, and a slab
+/// of a 100-column operand (200 KB) stays in the 2 MiB L2 meanwhile.
+#[cfg(target_arch = "x86_64")]
+const SWEEP_SLAB_ROWS: usize = 256;
+
+// A reduction block is a whole number of slabs.
+#[cfg(target_arch = "x86_64")]
+const _: () = assert!(REDUCE_BLOCK_ROWS.is_multiple_of(SWEEP_SLAB_ROWS));
+
+/// Thin rows of a register tile once a block has at least four.
+const TILE_ROWS: usize = 8;
+
+/// 8-lane vectors per row of a register tile of `m` thin rows: two (16
+/// add chains at `m = 8`) from four rows up; more below, so that `t(X) y`
+/// and MLogReg's `t(X) R` keep 15 or 16 chains and `t(X) y` reads each
+/// row of a 100-column X in one tile.
+#[cfg(target_arch = "x86_64")]
+const fn tile_vectors(m: usize) -> usize {
+    match m {
+        1 => 16,
+        2 => 8,
+        3 => 5,
+        _ => 2,
+    }
+}
+
+/// The operands of a row sweep: `thin` supplies the scalars (rows `nt`
+/// cells apart), `wide` the streamed rows (`nw` cells apart).
+#[derive(Clone, Copy)]
+struct Operands<'a> {
+    thin: &'a [f64],
     nt: usize,
-    wide: &[f64],
+    wide: &'a [f64],
     nw: usize,
-    k: usize,
-    width: usize,
-    block: &mut [f64],
-) {
+}
+
+impl Operands<'_> {
+    /// The operands from row `r`, thin column `i` and wide column `j` on.
+    fn at(self, r: usize, i: usize, j: usize) -> Self {
+        let (thin, wide) = (&self.thin[r * self.nt + i..], &self.wide[r * self.nw + j..]);
+        Operands { thin, wide, ..self }
+    }
+}
+
+/// One register tile of the row sweep: thin rows `i0..i0 + m` by wide
+/// columns `j0..j0 + w`, extended over the rows `r0..r0 + rows`.
+#[cfg(target_arch = "x86_64")]
+struct Tile {
+    r0: usize,
+    rows: usize,
+    i0: usize,
+    m: usize,
+    j0: usize,
+    w: usize,
+}
+
+/// The register tiles of an `h x width` row-sweep block over `k` rows, in
+/// order: per slab of [`SWEEP_SLAB_ROWS`] rows, tile rows of
+/// [`TILE_ROWS`] (all `h` rows below four), each cut into tiles of
+/// [`tile_vectors`] vectors. With `upper`, tile row `i0` starts at column
+/// `i0`: `tsmm`'s upper triangle, diagonal tiles included whole.
+#[cfg(target_arch = "x86_64")]
+fn tiles(k: usize, h: usize, width: usize, upper: bool) -> impl Iterator<Item = Tile> {
+    let height = if h < 4 { h.max(1) } else { TILE_ROWS };
+    (0..k).step_by(SWEEP_SLAB_ROWS).flat_map(move |r0| {
+        (0..h).step_by(height).flat_map(move |i0| {
+            let m = height.min(h - i0);
+            let first = if upper { i0 } else { 0 };
+            (first..width)
+                .step_by(8 * tile_vectors(m))
+                .map(move |j0| Tile {
+                    r0,
+                    rows: SWEEP_SLAB_ROWS.min(k - r0),
+                    i0,
+                    m,
+                    j0,
+                    w: (8 * tile_vectors(m)).min(width - j0),
+                })
+        })
+    })
+}
+
+/// One output block of the row sweep: `block[i][j] += Σ_r thin[r][i] *
+/// wide[r][j]` over `k` rows, with `ops` at the block's first row and
+/// column and the block's rows `width` cells apart. Every cell stays one
+/// chain, one term at a time, r ascending, so neither body changes a
+/// bit. With `upper` (`tsmm`), row `i` of the block needs only its cells
+/// from column `i`; the bodies may compute others, which the mirror
+/// overwrites.
+fn tn_block(ops: Operands, k: usize, upper: bool, width: usize, block: &mut [f64]) {
+    #[cfg(target_arch = "x86_64")]
+    if avx512_available() {
+        // SAFETY: guarded by the runtime AVX-512 detection; every tile
+        // asserts its bounds.
+        unsafe { tn_block_avx512(ops, k, upper, width, block) };
+        return;
+    }
+    tn_block_portable(ops, k, upper, width, block);
+}
+
+/// Portable body of [`tn_block`]: four shared-index rows per pass with
+/// the cell held in a register between its four adds. (A by-value
+/// register tile like the AVX-512 twin's spills on 16 `ymm` registers:
+/// 1.7–3.8x slower with AVX2.)
+#[inline(always)]
+fn tn_block_body(ops: Operands, k: usize, upper: bool, width: usize, block: &mut [f64]) {
+    let Operands { thin, nt, wide, nw } = ops;
     let mut r = 0;
     while r + 4 <= k {
         let w0 = &wide[r * nw..][..width];
@@ -654,13 +753,15 @@ fn tn_block_body(
         let w2 = &wide[(r + 2) * nw..][..width];
         let w3 = &wide[(r + 3) * nw..][..width];
         for (i, orow) in block.chunks_exact_mut(width).enumerate() {
+            let lo = if upper { i } else { 0 };
             let (t0, t1, t2, t3) = (
                 thin[r * nt + i],
                 thin[(r + 1) * nt + i],
                 thin[(r + 2) * nt + i],
                 thin[(r + 3) * nt + i],
             );
-            for (d, o) in orow.iter_mut().enumerate() {
+            let (w0, w1, w2, w3) = (&w0[lo..], &w1[lo..], &w2[lo..], &w3[lo..]);
+            for (d, o) in orow[lo..].iter_mut().enumerate() {
                 let mut c = *o;
                 c += t0 * w0[d];
                 c += t1 * w1[d];
@@ -674,36 +775,129 @@ fn tn_block_body(
     while r < k {
         let wrow = &wide[r * nw..][..width];
         for (i, orow) in block.chunks_exact_mut(width).enumerate() {
-            let t = thin[r * nt + i];
-            for (o, &w) in orow.iter_mut().zip(wrow) {
+            let (t, lo) = (thin[r * nt + i], if upper { i } else { 0 });
+            for (o, &w) in orow[lo..].iter_mut().zip(&wrow[lo..]) {
                 *o += t * w;
             }
         }
         r += 1;
     }
 }
-avx2_twin!(tn_block / tn_block_avx2 => tn_block_body(
-    thin: &[f64], nt: usize, wide: &[f64], nw: usize, k: usize, width: usize, block: &mut [f64]
+avx2_twin!(tn_block_portable / tn_block_avx2 => tn_block_body(
+    ops: Operands, k: usize, upper: bool, width: usize, block: &mut [f64]
 ));
 
-/// Rows of one output block of the triangular sweep (a `16 x 100`
-/// accumulator block is 12.5 KiB: L1) and rows of `X` per slab (`64 x 100`
-/// is 50 KiB: still in L2 when the job's next block reads it). Heights
-/// 8..32 and slabs 32..256 time within the host's noise of each other
-/// (DESIGN.md §4k): constants, not knobs.
-const TSMM_BLOCK_ROWS: usize = 16;
-const TSMM_SLAB_ROWS: usize = 64;
+/// AVX-512 twin of [`tn_block_body`]: an `M x W` register tile of the
+/// block walks a slab of rows between one load and one store of its
+/// cells, reading both operands in place. The first tile row of each slab
+/// also asks for its columns of the next slab's rows (`prefetcht1`, a
+/// hint: no effect on any value), so the slab is in L2 when its tiles
+/// start; without it, the tiles' strided reads of a large operand wait on
+/// memory.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f")]
+fn tn_block_avx512(ops: Operands, k: usize, upper: bool, width: usize, block: &mut [f64]) {
+    for t in tiles(k, block.len() / width.max(1), width, upper) {
+        let (src, out) = (ops.at(t.r0, t.i0, t.j0), &mut block[t.i0 * width + t.j0..]);
+        let next = t.r0 + SWEEP_SLAB_ROWS;
+        let ahead = if t.i0 == 0 {
+            SWEEP_SLAB_ROWS.min(k.saturating_sub(next))
+        } else {
+            0
+        };
+        match t.m {
+            1 => tile_avx512::<1, { tile_vectors(1) }>(src, t.rows, t.w, out, width, ahead),
+            2 => tile_avx512::<2, { tile_vectors(2) }>(src, t.rows, t.w, out, width, ahead),
+            3 => tile_avx512::<3, { tile_vectors(3) }>(src, t.rows, t.w, out, width, ahead),
+            4 => tile_avx512::<4, { tile_vectors(4) }>(src, t.rows, t.w, out, width, ahead),
+            5 => tile_avx512::<5, { tile_vectors(5) }>(src, t.rows, t.w, out, width, ahead),
+            6 => tile_avx512::<6, { tile_vectors(6) }>(src, t.rows, t.w, out, width, ahead),
+            7 => tile_avx512::<7, { tile_vectors(7) }>(src, t.rows, t.w, out, width, ahead),
+            8 => tile_avx512::<8, { tile_vectors(8) }>(src, t.rows, t.w, out, width, ahead),
+            m => unreachable!("tile height {m}"),
+        }
+    }
+}
+
+/// AVX-512 register tile of [`tn_block_avx512`]: `M x V` vectors of 8
+/// cells, the lanes past `w` masked off on every load and store, so a
+/// ragged right edge reads and writes its live cells only. `vmulpd`,
+/// then `vaddpd`, never FMA: lane by lane the portable tile's rounding.
+/// Row `r < ahead` also prefetches row `r` of the next slab.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f")]
+#[inline]
+fn tile_avx512<const M: usize, const V: usize>(
+    src: Operands,
+    rows: usize,
+    w: usize,
+    out: &mut [f64],
+    ldo: usize,
+    ahead: usize,
+) {
+    use core::arch::x86_64::*;
+    let Operands { thin, nt, wide, nw } = src;
+    assert!(
+        rows > 0
+            && (1..=8 * V).contains(&w)
+            && thin.len() >= (rows - 1) * nt + M
+            && wide.len() >= (rows - 1) * nw + w
+            && out.len() >= (M - 1) * ldo + w
+            && (ahead == 0 || wide.len() >= (SWEEP_SLAB_ROWS + ahead - 1) * nw + w),
+        "register tile underflow"
+    );
+    let live = w.div_ceil(8);
+    let mut mask = [0u8; V];
+    for (v, m) in mask.iter_mut().enumerate() {
+        *m = (0xffu32 >> (8 - w.saturating_sub(8 * v).min(8))) as u8;
+    }
+    let (tp, wp, op) = (thin.as_ptr(), wide.as_ptr(), out.as_mut_ptr());
+    let mut c = [[_mm512_setzero_pd(); V]; M];
+    // SAFETY: lane `l` of vector `v` reads cell `8 v + l` of a row of
+    // `out` or `wide` only when `8 v + l < w`; the rows touched (and
+    // prefetched) and the `M` thin cells per row lie inside the lengths
+    // asserted above, and masked-off lanes access no memory.
+    unsafe {
+        for (i, ci) in c.iter_mut().enumerate() {
+            for v in 0..live {
+                ci[v] = _mm512_maskz_loadu_pd(mask[v], op.add(i * ldo + 8 * v));
+            }
+        }
+        for r in 0..rows {
+            if r < ahead {
+                let p = wp.add((SWEEP_SLAB_ROWS + r) * nw);
+                for v in 0..live {
+                    _mm_prefetch::<_MM_HINT_T1>(p.add(8 * v).cast());
+                }
+                _mm_prefetch::<_MM_HINT_T1>(p.add(w - 1).cast());
+            }
+            let mut b = [_mm512_setzero_pd(); V];
+            for v in 0..live {
+                b[v] = _mm512_maskz_loadu_pd(mask[v], wp.add(r * nw + 8 * v));
+            }
+            for (i, ci) in c.iter_mut().enumerate() {
+                let t = _mm512_set1_pd(*tp.add(r * nt + i));
+                for v in 0..live {
+                    ci[v] = _mm512_add_pd(ci[v], _mm512_mul_pd(t, b[v]));
+                }
+            }
+        }
+        for (i, ci) in c.iter().enumerate() {
+            for v in 0..live {
+                _mm512_mask_storeu_pd(op.add(i * ldo + 8 * v), mask[v], ci[v]);
+            }
+        }
+    }
+}
 
 /// Transpose-self matrix multiplication `tsmm`: computes `Xᵀ X` (`left=true`)
 /// or `X Xᵀ` (`left=false`) exploiting the symmetry of the result.
 ///
-/// `Xᵀ X` is the [`matmul_tn`] row sweep restricted to the upper
-/// triangle, cut into bands of `TSMM_BLOCK_ROWS` output rows that reach
-/// from the diagonal to the right edge; each pass over a `TSMM_SLAB_ROWS`
-/// slab of `X` extends every band's cells with `tn_block`. Up to
+/// `Xᵀ X` is the [`matmul_tn`] row sweep over the tiles of the upper
+/// triangle, each tile row starting at its diagonal cell. Up to
 /// `TN_BLOCK_CELLS` output cells (PCA's 100 x 100) the row blocks fan
-/// out over the pool, each sweeping all bands into a partial; a wider
-/// output splits its bands into runs, each walking every row block in
+/// out over the pool, each sweeping the triangle into a partial; a wider
+/// output splits into runs of tile rows, each walking every row block in
 /// turn. `X Xᵀ` is row-dot-row. Either way each upper cell is the cell
 /// `matmul_naive` builds on the materialized transpose, blocks and fold
 /// included, at every thread count, and the lower triangle is its
@@ -713,54 +907,38 @@ pub fn tsmm(x: &DenseMatrix, left: bool) -> Result<DenseMatrix> {
     let xv = x.values();
     let side = if left { n } else { m };
     let mut out = DenseMatrix::zeros(side, side);
-    if left {
-        // Band b starts at output row bands[b], its cells packed from
-        // offset[b] to offset[b + 1]: `TSMM_BLOCK_ROWS` rows of `n - i0`.
-        let bands: Vec<usize> = (0..n).step_by(TSMM_BLOCK_ROWS).collect();
-        let band_cells = |i0: usize| TSMM_BLOCK_ROWS.min(n - i0) * (n - i0);
-        let ends = bands.iter().scan(0, |at, &i0| {
-            *at += band_cells(i0);
-            Some(*at)
+    // Extends the triangle's tile rows from output row `a` (`acc` holds
+    // their cells from column `a`) over the rows `rows`.
+    let x = Operands {
+        thin: xv,
+        nt: n,
+        wide: xv,
+        nw: n,
+    };
+    let sweep = |rows: Range<usize>, a: usize, acc: &mut [f64]| {
+        tn_block(x.at(rows.start, a, a), rows.len(), true, n - a, acc);
+    };
+    if left && n * n <= TN_BLOCK_CELLS {
+        let part = |rows| {
+            let mut part = vec![0.0f64; n * n];
+            sweep(rows, 0, &mut part);
+            part
+        };
+        if let Some(total) = fold_row_blocks(m, n * (n + 1) / 2, part, add_into) {
+            out.values_mut().copy_from_slice(&total);
+        }
+    } else if left {
+        let tile_rows = n.div_ceil(TILE_ROWS);
+        let per_job = exdra_par::chunk_len(tile_rows, 1);
+        let runs = exdra_par::map_chunks(tile_rows, per_job, |_, run| {
+            let (a, b) = (run.start * TILE_ROWS, (run.end * TILE_ROWS).min(n));
+            let mut acc = vec![0.0f64; (b - a) * (n - a)];
+            fold_blocks_into(m, &mut acc, |rows, acc| sweep(rows, a, acc));
+            (a, acc)
         });
-        let offset: Vec<usize> = std::iter::once(0).chain(ends).collect();
-        let cells = offset[bands.len()];
-        // Extends bands `run` (packed from `acc[0]`) over the rows `rows`.
-        let sweep = |rows: Range<usize>, run: Range<usize>, acc: &mut [f64]| {
-            let base = offset[run.start];
-            for r0 in rows.clone().step_by(TSMM_SLAB_ROWS) {
-                let slab = &xv[r0 * n..(r0 + TSMM_SLAB_ROWS).min(rows.end) * n];
-                for b in run.clone() {
-                    let (i0, cols) = (bands[b], &slab[bands[b]..]);
-                    let band = &mut acc[offset[b] - base..][..band_cells(i0)];
-                    tn_block(cols, n, cols, n, slab.len() / n, n - i0, band);
-                }
-            }
-        };
-        let packed = if n * n <= TN_BLOCK_CELLS {
-            fold_row_blocks(
-                m,
-                cells,
-                |rows| {
-                    let mut part = vec![0.0f64; cells];
-                    sweep(rows, 0..bands.len(), &mut part);
-                    part
-                },
-                add_into,
-            )
-            .unwrap_or_else(|| vec![0.0; cells])
-        } else {
-            let per_job = exdra_par::chunk_len(bands.len(), 1);
-            exdra_par::map_chunks(bands.len(), per_job, |_, run| {
-                let mut acc = vec![0.0f64; offset[run.end] - offset[run.start]];
-                fold_blocks_into(m, &mut acc, |rows, a| sweep(rows, run.clone(), a));
-                acc
-            })
-            .concat()
-        };
-        for (&i0, &o) in bands.iter().zip(&offset) {
-            let band = &packed[o..][..band_cells(i0)];
-            for (di, brow) in band.chunks_exact(n - i0).enumerate() {
-                out.row_mut(i0 + di)[i0..].copy_from_slice(brow);
+        for (a, acc) in runs {
+            for (d, row) in acc.chunks_exact(n - a).enumerate() {
+                out.row_mut(a + d)[a + d..].copy_from_slice(&row[d..]);
             }
         }
     } else {
@@ -941,7 +1119,14 @@ fn mmchain_sweep_body(
         for r in (0..rows).step_by(4) {
             let h = 4.min(rows - r);
             prefetch(&next[(r * n).min(next.len())..((r + h) * n).min(next.len())]);
-            tn_block_body(&q[r * k..], k, &block[r * n..], n, h, n, out_t);
+            let (thin, wide) = (&q[r * k..], &block[r * n..]);
+            let ops = Operands {
+                thin,
+                nt: k,
+                wide,
+                nw: n,
+            };
+            tn_block_body(ops, h, false, n, out_t);
         }
     }
 }
@@ -1306,6 +1491,126 @@ mod tests {
                         .fold(0.0, |a, (x, v)| a + x * v);
                     assert_eq!(d.to_bits(), chain.to_bits(), "{rows}x{n} row {r}, block");
                 }
+            }
+        }
+    }
+
+    /// One row-sweep body over every reduction block of `k` rows, the
+    /// blocks folded in order: `t(thin) %*% wide` (`upper`: its tiles of
+    /// the upper triangle, `thin` and `wide` the same matrix).
+    type SweepBody = dyn Fn(Operands, usize, bool, usize, &mut [f64]);
+    fn sweep_with(
+        body: &SweepBody,
+        thin: &DenseMatrix,
+        wide: &DenseMatrix,
+        upper: bool,
+    ) -> Vec<u64> {
+        let (k, nt, nw) = (thin.rows(), thin.cols(), wide.cols());
+        let mut out = vec![0.0; nt * nw];
+        let ops = Operands {
+            thin: thin.values(),
+            nt,
+            wide: wide.values(),
+            nw,
+        };
+        fold_blocks_into(k, &mut out, |rows, acc| {
+            body(ops.at(rows.start, 0, 0), rows.len(), upper, nw, acc);
+        });
+        // Lower cells of an upper sweep are the mirror's to write.
+        let keep = |c: usize| !upper || c % nw >= c / nw;
+        (0..out.len())
+            .filter(|&c| keep(c))
+            .map(|c| out[c].to_bits())
+            .collect()
+    }
+
+    #[test]
+    fn row_sweep_twins_are_bitwise_naive() {
+        // Both bodies against the naive product on the materialized
+        // transpose: thin widths on and off the 8-row tile and the wide
+        // tiles of 1 to 3 rows, wide widths of every `w % 8` and around
+        // the 16-, 40-, 48-, 64- and 128-wide tiles (every wide-tile edge
+        // of the 1- to 3-row tiles over a slab edge), rows around the
+        // 256-row slab and the 2048-row block. The wide operand carries
+        // one special per column — NaN with the column's own payload,
+        // ±Inf, ±0.0 — so a cell meets at most one NaN source.
+        let payload = |p: u64| f64::from_bits(0x7ff8_0000_0000_0000 | p);
+        let thins = [1, 2, 3, 4, 7, 8, 9, 17, 20, 56, 100];
+        let wides = [
+            1, 2, 3, 4, 5, 6, 7, 8, 15, 16, 17, 39, 40, 41, 47, 48, 49, 63, 64, 65, 127, 128, 129,
+        ];
+        let rows = [1, 3, 255, 256, 257, 2047, 2048, 2049, 4100];
+        let mut cases = Vec::new();
+        for &k in &rows {
+            for &nt in &thins {
+                cases.push((k, nt, wides[(cases.len() * 5 + 5) % wides.len()]));
+            }
+        }
+        #[cfg(target_arch = "x86_64")]
+        for nt in 1..=3 {
+            let w = 8 * tile_vectors(nt);
+            cases.extend([w - 1, w, w + 1, 2 * w + 3].map(|nw| (257, nt, nw)));
+        }
+        for (at, (k, nt, nw)) in cases.into_iter().enumerate() {
+            let thin = rand_matrix(k, nt, -1.0, 1.0, at as u64 + 1);
+            let mut wide = rand_matrix(k, nw, -1.0, 1.0, 1001 + at as u64);
+            for c in 0..nw {
+                let special = [
+                    payload(c as u64 + 1),
+                    f64::INFINITY,
+                    f64::NEG_INFINITY,
+                    -0.0,
+                    0.0,
+                ];
+                wide.set((c * 7 + at) % k, c, special[c % 5]);
+            }
+            let want = bits(&matmul_naive(&super::super::reorg::transpose(&thin), &wide).unwrap());
+            let what = format!("{k} rows, {nt} x {nw}");
+            assert_eq!(
+                sweep_with(&tn_block_body, &thin, &wide, false),
+                want,
+                "portable, {what}"
+            );
+            #[cfg(target_arch = "x86_64")]
+            if avx512_available() {
+                // SAFETY: AVX-512 was detected just above.
+                let twin: &SweepBody =
+                    &|ops, k, u, width, acc| unsafe { tn_block_avx512(ops, k, u, width, acc) };
+                assert_eq!(
+                    sweep_with(twin, &thin, &wide, false),
+                    want,
+                    "avx512, {what}"
+                );
+            }
+            assert_eq!(
+                bits(&matmul_tn(&thin, &wide).unwrap()),
+                want,
+                "dispatch, {what}"
+            );
+        }
+        // `tsmm`'s upper-triangle tiles, and its wide-output path at 129.
+        for (k, n) in [(2049, 13), (300, 56), (4100, 100), (2049, 129)] {
+            let x = rand_matrix(k, n, -1.0, 1.0, n as u64);
+            let want = bits(&matmul_naive(&super::super::reorg::transpose(&x), &x).unwrap());
+            let upper: Vec<u64> = (0..n * n)
+                .filter(|c| c % n >= c / n)
+                .map(|c| want[c])
+                .collect();
+            assert_eq!(
+                sweep_with(&tn_block_body, &x, &x, true),
+                upper,
+                "portable tsmm {k}x{n}"
+            );
+            #[cfg(target_arch = "x86_64")]
+            if avx512_available() {
+                // SAFETY: AVX-512 was detected just above.
+                let twin: &SweepBody =
+                    &|ops, k, u, width, acc| unsafe { tn_block_avx512(ops, k, u, width, acc) };
+                assert_eq!(sweep_with(twin, &x, &x, true), upper, "avx512 tsmm {k}x{n}");
+            }
+            for width in [1, 2] {
+                let got = exdra_par::with_threads(width, || tsmm(&x, true).unwrap());
+                assert_eq!(bits(&got), want, "tsmm {k}x{n}, width {width}");
             }
         }
     }

@@ -34,11 +34,22 @@ pub(crate) fn par_floor(cost_per_item: usize) -> usize {
 
 /// True when the running CPU supports the AVX-512 foundation subset,
 /// which is all the hand-vectorized twins use: `matmul`'s micro-tile and
-/// the column-group products of [`crate::compress`].
+/// row-sweep tile, and the column-group products of [`crate::compress`].
 #[cfg(target_arch = "x86_64")]
 #[inline]
 pub(crate) fn avx512_available() -> bool {
     std::arch::is_x86_feature_detected!("avx512f")
+}
+
+/// The body the hand-vectorized kernels (the row sweep of `t(A) %*% B`,
+/// `tsmm` and vector-matrix; the column-group products `X v`, `t(X) Y`
+/// and `mmchain`) run on this CPU: `"avx512"` or `"portable"`.
+pub fn simd_body() -> &'static str {
+    #[cfg(target_arch = "x86_64")]
+    if avx512_available() {
+        return "avx512";
+    }
+    "portable"
 }
 
 /// Rows per block of the one reduction order (DESIGN.md §4f): every

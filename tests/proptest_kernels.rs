@@ -100,9 +100,8 @@ fn depth_dim() -> impl Strategy<Value = usize> {
     ]
 }
 
-/// Shared-index depths of the row sweep: empty, below / on / above its
-/// 4-row unroll, long enough to carry cells across many passes, and
-/// across the reduction blocks.
+/// Shared-index depths of the row sweep: empty, short, on and around its
+/// 256-row slabs, and across the reduction blocks.
 fn sweep_depth() -> impl Strategy<Value = usize> {
     prop_oneof![
         Just(0usize),
@@ -110,13 +109,27 @@ fn sweep_depth() -> impl Strategy<Value = usize> {
         3usize..=5,
         Just(257usize),
         6usize..=300,
+        510usize..=514,
         block_edge(),
     ]
 }
 
-/// Operand widths of the row sweep: thin, the unroll's edges, wide.
+/// Operand widths of the row sweep: thin, on and off the 8-row and the
+/// 16-, 40-, 48- and 128-wide register tiles, wide.
 fn sweep_width() -> impl Strategy<Value = usize> {
-    prop_oneof![1usize..=5, Just(8usize), Just(9usize), Just(100usize)]
+    prop_oneof![
+        1usize..=5,
+        Just(8usize),
+        Just(9usize),
+        Just(100usize),
+        15usize..=17,
+        Just(20usize),
+        Just(56usize),
+        39usize..=41,
+        47usize..=49,
+        63usize..=65,
+        127usize..=129,
+    ]
 }
 
 /// A compressible mix: categorical, constant, run-structured, and
@@ -442,11 +455,12 @@ fn elementwise_and_aggregates_are_bitwise_the_per_cell_oracle() {
 
 #[test]
 fn triangular_sweep_is_bitwise_naive_across_block_and_slab() {
-    // Columns straddle the 16-column block, rows the 64-row slab and the
-    // sweep's 4-row unroll; the lower triangle is the upper one's mirror,
-    // which is the naive cell too (`x * y` commutes bit for bit).
-    for n in [1, 2, 3, 4, 5, 8, 9, 15, 16, 17, 33, 100] {
-        for m in [0, 1, 63, 64, 65, 257] {
+    // Columns straddle the 8 x 16 register tile (and, at 129, the wide
+    // output's runs of tile rows), rows the 256-row slab; the lower
+    // triangle is the upper one's mirror, which is the naive cell too
+    // (`x * y` commutes bit for bit).
+    for n in [1, 2, 3, 4, 5, 8, 9, 15, 16, 17, 33, 56, 100, 129] {
+        for m in [0, 1, 63, 64, 65, 255, 256, 257] {
             let x = rand_matrix(m, n, -1.0, 1.0, (m * 101 + n) as u64);
             let xt = transpose(&x);
             for left in [true, false] {
